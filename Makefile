@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench cover cover-check check docs-check bench-shard bench-remote bench-replica bench-gateway bench-disk bench-json fuzz-smoke run-gateway smoke-gateway
+.PHONY: all build test race flake vet bench bench-check cover cover-check check docs-check bench-shard bench-remote bench-replica bench-gateway bench-disk bench-json fuzz-smoke run-gateway smoke-gateway
 
 all: check
 
@@ -11,14 +11,31 @@ test:
 	$(GO) test ./...
 
 # The serving layer, the online detectors, the streaming index, the
-# disk tier, the sharded router, the wire transport, the replica sets
+# disk tier, the shard set, the wire transport, the replica sets
 # and the metrics registry are the concurrent surfaces; hammer them
 # with the race detector enabled.
 race:
 	$(GO) test -race ./internal/serve ./internal/core ./internal/expertise ./internal/querylog ./internal/ingest ./internal/diskseg ./internal/shard ./internal/transport ./internal/replica ./internal/obs ./internal/gateway
 
+# Flake gate: the packages whose tests race background goroutines
+# (compactor, push loops, servers flushing after they answer), run
+# repeatedly and uncached, then again under the race detector. A test
+# that passes once and fails one run in five fails here.
+FLAKY = ./internal/ingest ./internal/transport ./internal/shard ./internal/replica ./cmd/shardd
+flake:
+	$(GO) test -count=10 $(FLAKY)
+	$(GO) test -race -count=3 $(FLAKY)
+
 vet:
 	$(GO) vet ./...
+
+# bench/ is its own module (repro/bench, replace repro => ../), so the
+# root `go vet ./...` and `go test ./...` never compile it: a change to
+# a name it uses breaks BENCHMARK.json's command without failing
+# anything above. Vet it and run its tests from inside.
+bench-check:
+	$(GO) -C bench vet .
+	$(GO) -C bench test .
 
 # Documentation gate (see BENCHMARKS.md and ARCHITECTURE.md): formatting
 # is canonical, vet is clean, and every exported symbol of the flagship
@@ -109,4 +126,4 @@ run-gateway:
 smoke-gateway: build
 	./scripts/smoke_gateway.sh
 
-check: build vet test race docs-check cover-check smoke-gateway
+check: build vet test race flake bench-check docs-check cover-check smoke-gateway

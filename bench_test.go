@@ -19,6 +19,7 @@ import (
 	"repro/internal/domains"
 	"repro/internal/eval"
 	"repro/internal/expertise"
+	"repro/internal/ingest"
 	"repro/internal/querylog"
 	"repro/internal/relops"
 	"repro/internal/serve"
@@ -301,15 +302,18 @@ func serveQueryPool(s *benchState) []string {
 }
 
 // benchServeQPS drives one server configuration and reports achieved
-// QPS plus the cache hit rate. The server's detector runs with
-// MatchWorkers=1: the load generator supplies request-level
-// parallelism, so per-query fan-out would only oversubscribe.
+// QPS plus the cache hit rate. The frozen corpus is served the way a
+// deployment serves it — as a streaming index nobody writes to — and
+// the detector runs with MatchWorkers=1: the load generator supplies
+// request-level parallelism, so per-query fan-out would only
+// oversubscribe.
 func benchServeQPS(b *testing.B, workers int, cfg serve.Config, warm bool) {
 	s := state(b)
 	pool := serveQueryPool(s)
 	online := s.pipe.Cfg.Online
 	online.MatchWorkers = 1
-	srv := serve.New(core.NewDetector(s.pipe.Collection, s.pipe.Corpus, online), cfg)
+	frozen := ingest.New(s.pipe.Corpus, ingest.Config{DisableCompactor: true})
+	srv := serve.New(core.NewLiveDetector(s.pipe.Collection, frozen, online), cfg)
 	total := 2 * len(pool)
 	if warm {
 		// Prime the cache so the measured run is all hits.

@@ -97,7 +97,7 @@ func run(args []string, out io.Writer, sigs <-chan os.Signal, ready chan<- strin
 	online.MatchWorkers = 1
 	reg := obs.NewRegistry()
 
-	var backend serve.Backend
+	var cluster *shard.Cluster
 	if *remote != "" {
 		groups := strings.Split(*remote, ",")
 		n := len(groups)
@@ -126,18 +126,15 @@ func run(args []string, out io.Writer, sigs <-chan os.Signal, ready chan<- strin
 				backends[i] = set
 			}
 		}
-		cluster := shard.NewCluster(pipeline.World, backends...)
-		defer cluster.Close()
-		backend = core.NewShardedLiveDetectorOver(pipeline.Collection, cluster, online)
+		cluster = shard.NewCluster(pipeline.World, backends...)
 	} else {
 		if *shards < 1 {
 			return fmt.Errorf("gateway: -shards %d is not a valid shard count", *shards)
 		}
-		icfg := ingest.Config{SealThreshold: *seal, CompactFanIn: *fanIn}
-		r := shard.New(pipeline.Corpus, shard.Config{Shards: *shards, Ingest: icfg})
-		defer r.Close()
-		backend = core.NewShardedLiveDetector(pipeline.Collection, r, online)
+		cluster = shard.New(pipeline.Corpus, *shards, ingest.Config{SealThreshold: *seal, CompactFanIn: *fanIn})
 	}
+	defer cluster.Close()
+	backend := core.NewShardedLiveDetectorOver(pipeline.Collection, cluster, online)
 
 	scfg := serve.DefaultConfig()
 	scfg.CacheSize = *cache

@@ -3,7 +3,7 @@
 // cross-process sharding. Each shardd builds the deterministic pipeline
 // (so every process, and the coordinator, agrees on the world and the
 // base corpus bit for bit), keeps exactly its partition —
-// shard.Partition(base, i, n), the same slice the in-process Router
+// shard.Partition(base, i, n), the same slice the in-process cluster
 // would hand shard i — and serves searches, denominator fetches,
 // routed ingest and epoch/quiesce probes on one TCP address.
 //

@@ -101,7 +101,14 @@ func TestRunAdminPlane(t *testing.T) {
 	if !strings.HasPrefix(body, "ok") {
 		t.Fatalf("/healthz = %q", body)
 	}
+	// The server times a request until its response is flushed, so the
+	// latency histogram records after the client already has the answer:
+	// wait for that row instead of racing it.
 	metrics := fetchOK(t, base+"/metrics")
+	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(metrics, "rpc_server_search_ns_count 1") && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		metrics = fetchOK(t, base+"/metrics")
+	}
 	for _, row := range []string{
 		"rpc_server_search_requests 1",
 		"rpc_server_search_ns_count 1",

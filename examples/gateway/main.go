@@ -24,6 +24,7 @@ import (
 	"repro/internal/eval"
 	"repro/internal/expertise"
 	"repro/internal/gateway"
+	"repro/internal/ingest"
 	"repro/internal/serve"
 	"repro/internal/shard"
 )
@@ -61,9 +62,9 @@ func main() {
 	online := pipeline.Cfg.Online
 	online.MatchWorkers = 1
 
-	router := shard.New(pipeline.Corpus, shard.Config{Shards: 2})
-	defer router.Close()
-	detector := core.NewShardedLiveDetector(pipeline.Collection, router, online)
+	cluster := shard.New(pipeline.Corpus, 2, ingest.Config{})
+	defer cluster.Close()
+	detector := core.NewShardedLiveDetectorOver(pipeline.Collection, cluster, online)
 	srv := serve.New(detector, serve.DefaultConfig())
 
 	tokens, err := gateway.ParseTokens("reader:::,throttled:0.1:2:,ops::::admin")

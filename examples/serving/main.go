@@ -1,6 +1,7 @@
 // Serving: drive the online stage the way production traffic would.
-// It builds the miniature pipeline, wraps it in a serve.Server (shared
-// read-only index, LRU result cache) and replays a mixed query workload
+// It builds the miniature pipeline, wraps it in a serve.Server (the
+// frozen corpus served as an index nobody writes to, LRU result cache)
+// and replays a mixed query workload
 // through the load generator — first cold and sequential, then warm and
 // concurrent — printing the achieved QPS and cache hit rates.
 package main
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/eval"
+	"repro/internal/ingest"
 	"repro/internal/serve"
 )
 
@@ -33,7 +35,8 @@ func main() {
 	// server's detector matches sequentially within each query.
 	online := pipeline.Cfg.Online
 	online.MatchWorkers = 1
-	detector := core.NewDetector(pipeline.Collection, pipeline.Corpus, online)
+	frozen := ingest.New(pipeline.Corpus, ingest.Config{DisableCompactor: true})
+	detector := core.NewLiveDetector(pipeline.Collection, frozen, online)
 	srv := serve.New(detector, serve.DefaultConfig())
 	workers := runtime.GOMAXPROCS(0)
 	for _, run := range []struct {

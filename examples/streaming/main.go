@@ -6,11 +6,12 @@
 // quiesces and spot-checks that the live index agrees with a cold
 // detector rebuilt over the same posts.
 //
-// With -shards N (N > 1) the stream is hash-partitioned by author
-// across N independent indexes behind a scatter-gather
-// core.ShardedLiveDetector (internal/shard), and the serving cache
-// invalidates on the vector of per-shard epochs instead of a single
-// counter. With -remote host:port,... the shards live in other
+// The detector is always the scatter-gather core.ShardedLiveDetector
+// over a shard.Cluster; the single index is its one-shard case. With
+// -shards N (N > 1) the stream is hash-partitioned by author across N
+// independent indexes (internal/shard), and the serving cache
+// invalidates as soon as any component of the per-shard epoch vector
+// advances. With -remote host:port,... the shards live in other
 // processes (cmd/shardd, one per partition, started with matching
 // -shard/-of flags) and the scatter-gather runs over the wire protocol
 // of internal/transport — searches, denominator fetches, routed
@@ -65,24 +66,25 @@ import (
 	"repro/internal/serve"
 	"repro/internal/shard"
 	"repro/internal/transport"
-	"repro/internal/world"
 )
 
-// clusterSink adapts a shard.Cluster (whose Ingest can fail — remote
-// shards sit behind a transport) to the infallible serve.Sink surface
-// the load generator drives; a failed ingest is simply dropped, the
-// fail-fast policy a demo load generator wants.
-type clusterSink struct{ c *shard.Cluster }
-
-func (s clusterSink) Ingest(p microblog.Post) microblog.TweetID {
-	id, err := s.c.Ingest(p)
-	if err != nil {
-		return -1
+// ingestedTweets appends every post the local shards of c accepted
+// since their base corpora to dst — the input of the cold rebuild.
+func ingestedTweets(dst []microblog.Tweet, c *shard.Cluster) []microblog.Tweet {
+	for i := 0; i < c.NumShards(); i++ {
+		dst = appendIngested(dst, c.Backend(i).(*shard.Local).Index())
 	}
-	return id
+	return dst
 }
-func (s clusterSink) World() *world.World { return s.c.World() }
-func (s clusterSink) Epoch() uint64       { return s.c.Epoch() }
+
+// appendIngested appends the posts idx accepted since its base corpus.
+func appendIngested(dst []microblog.Tweet, idx *ingest.Index) []microblog.Tweet {
+	snap := idx.Snapshot()
+	for gid := idx.Base().NumTweets(); gid < snap.NumTweets(); gid++ {
+		dst = append(dst, *snap.Tweet(microblog.TweetID(gid)))
+	}
+	return dst
+}
 
 // fetchAdmin GETs one admin endpoint and returns its body, fatally
 // ending the smoke run on any transport or status failure.
@@ -135,57 +137,39 @@ func main() {
 		icfg.Obs = reg
 	}
 
-	// Wire the chosen topology: one streaming index, or a router over N
-	// of them. Both sides expose the same Backend + Sink surfaces, so
+	// Wire the chosen topology. Every one is a shard.Cluster under the
+	// same detector — one streaming index is the one-shard cluster — so
 	// the serving and load-generation code below is topology-blind.
 	var (
-		backend serve.Backend
-		sink    serve.Sink
+		cluster *shard.Cluster           // what the detector reads before any cutover
+		sink    serve.Sink               // cluster, or the migration routing over it
 		collect func() []microblog.Tweet // ingested tweets, for the cold rebuild
 		// remotePrimaries, in -remote mode, are the per-group primary
 		// clients — the smoke check below proves their epoch sampling
 		// rides the push subscription (zero probe round trips after
 		// warmup) instead of paying one RTT per serve-cache lookup.
 		remotePrimaries []*transport.RemoteShard
-		// mig, with -reshard, is the live 2→4 migration the mixed load
-		// runs against; it doubles as the write sink so every post routes
-		// through the versioned table.
-		mig *shard.Migration
+		// mig, with -reshard, is the live 2→4 migration (onto reshardTo)
+		// the mixed load runs against; it doubles as the write sink so
+		// every post routes through the versioned table.
+		mig       *shard.Migration
+		reshardTo *shard.Cluster
 	)
 	if *reshard {
 		if *remote != "" || *replicas > 1 {
 			log.Fatal("-reshard drives the in-process sharded topology; drop -remote/-replicas")
 		}
 		*shards = 2
-		src := shard.New(pipeline.Corpus, shard.Config{Shards: 2, Ingest: icfg})
-		defer src.Close()
-		dst := shard.New(pipeline.Corpus, shard.Config{Shards: 4, Ingest: icfg})
+		cluster = shard.New(pipeline.Corpus, 2, icfg)
+		dst := shard.New(pipeline.Corpus, 4, icfg)
 		defer dst.Close()
-		det := core.NewShardedLiveDetectorOver(pipeline.Collection, src.Cluster(), online)
-		m, err := shard.NewMigration(src.Cluster(), dst.Cluster(), shard.MigrationConfig{
-			Cutover: func(to *shard.Cluster) { det.SwapCluster(to) },
-			Obs:     reg,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		det.AttachMigration(m)
-		mig = m
-		backend = det
-		sink = m
 		// After cutover the destination holds every ingested post — the
 		// drained pre-cutover stream plus everything routed there since.
 		collect = func() []microblog.Tweet {
 			dst.Quiesce()
-			var all []microblog.Tweet
-			for i := 0; i < dst.NumShards(); i++ {
-				snap := dst.Shard(i).Snapshot()
-				for gid := dst.Shard(i).Base().NumTweets(); gid < snap.NumTweets(); gid++ {
-					all = append(all, *snap.Tweet(microblog.TweetID(gid)))
-				}
-			}
-			return all
+			return ingestedTweets(nil, dst)
 		}
+		reshardTo = dst
 	} else if *remote != "" {
 		groups := strings.Split(*remote, ",")
 		n := len(groups)
@@ -229,10 +213,7 @@ func main() {
 		}
 		*replicas = maxReplicas
 		remotePrimaries = primaries
-		cluster := shard.NewCluster(pipeline.World, backends...)
-		defer cluster.Close()
-		backend = core.NewShardedLiveDetectorOver(pipeline.Collection, cluster, online)
-		sink = clusterSink{cluster}
+		cluster = shard.NewCluster(pipeline.World, backends...)
 		collect = func() []microblog.Tweet {
 			if err := cluster.Quiesce(); err != nil {
 				log.Fatal(err)
@@ -279,53 +260,38 @@ func main() {
 			}
 			backends[i] = set
 		}
-		cluster := shard.NewCluster(pipeline.World, backends...)
-		defer cluster.Close()
-		backend = core.NewShardedLiveDetectorOver(pipeline.Collection, cluster, online)
-		sink = clusterSink{cluster}
+		cluster = shard.NewCluster(pipeline.World, backends...)
 		collect = func() []microblog.Tweet {
 			if err := cluster.Quiesce(); err != nil {
 				log.Fatal(err)
 			}
 			var all []microblog.Tweet
-			for i := 0; i < n; i++ {
-				snap := primaries[i].Snapshot()
-				for gid := primaries[i].Base().NumTweets(); gid < snap.NumTweets(); gid++ {
-					all = append(all, *snap.Tweet(microblog.TweetID(gid)))
-				}
-			}
-			return all
-		}
-	} else if *shards > 1 {
-		r := shard.New(pipeline.Corpus, shard.Config{Shards: *shards, Ingest: icfg})
-		defer r.Close()
-		backend = core.NewShardedLiveDetector(pipeline.Collection, r, online)
-		sink = r
-		collect = func() []microblog.Tweet {
-			r.Quiesce()
-			var all []microblog.Tweet
-			for i := 0; i < r.NumShards(); i++ {
-				snap := r.Shard(i).Snapshot()
-				for gid := r.Shard(i).Base().NumTweets(); gid < snap.NumTweets(); gid++ {
-					all = append(all, *snap.Tweet(microblog.TweetID(gid)))
-				}
+			for _, idx := range primaries {
+				all = appendIngested(all, idx)
 			}
 			return all
 		}
 	} else {
-		idx := ingest.New(pipeline.Corpus, icfg)
-		defer idx.Close()
-		backend = core.NewLiveDetector(pipeline.Collection, idx, online)
-		sink = idx
+		*shards = max(*shards, 1)
+		cluster = shard.New(pipeline.Corpus, *shards, icfg)
 		collect = func() []microblog.Tweet {
-			idx.Quiesce()
-			snap := idx.Snapshot()
-			var all []microblog.Tweet
-			for gid := pipeline.Corpus.NumTweets(); gid < snap.NumTweets(); gid++ {
-				all = append(all, *snap.Tweet(microblog.TweetID(gid)))
-			}
-			return all
+			cluster.Quiesce()
+			return ingestedTweets(nil, cluster)
 		}
+	}
+	defer cluster.Close()
+	backend := core.NewShardedLiveDetectorOver(pipeline.Collection, cluster, online)
+	sink = cluster
+	if reshardTo != nil {
+		m, err := shard.NewMigration(cluster, reshardTo, shard.MigrationConfig{
+			Cutover: func(to *shard.Cluster) { backend.SwapCluster(to) },
+			Obs:     reg,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		backend.AttachMigration(m)
+		mig, sink = m, m
 	}
 	scfg := serve.DefaultConfig()
 	scfg.Obs = reg
@@ -350,7 +316,7 @@ func main() {
 
 	const spot = "49ers"
 	before := srv.Search(spot)
-	fmt.Printf("epoch %-4d  %q -> %d experts (pre-ingest)\n", backend.Epoch(), spot, len(before))
+	fmt.Printf("epoch %-4d  %q -> %d experts (pre-ingest)\n", backend.Cluster().Epoch(), spot, len(before))
 
 	// Warm the push subscriptions explicitly, then snapshot the epoch
 	// round-trip counters: everything the mixed load does from here on
@@ -392,9 +358,7 @@ func main() {
 	fmt.Printf("\nmixed load: %d searches (%.0f qps) alongside %d ingests (%.0f posts/s) in %v\n",
 		res.Searches, res.SearchQPS, res.Ingested, res.IngestPerSec, res.Duration.Round(0))
 	fmt.Printf("epoch digest %d -> %d\n", res.StartEpoch, res.EndEpoch)
-	if st := srv.Stats(); st.EpochVector != nil {
-		fmt.Printf("per-shard epoch vector: %v\n", st.EpochVector)
-	}
+	fmt.Printf("per-shard epoch vector: %v\n", srv.Stats().EpochVector)
 	fmt.Printf("cache: hits=%d misses=%d coalesced=%d invalidations=%d\n",
 		res.Stats.CacheHits, res.Stats.CacheMisses, res.Stats.Coalesced, res.Stats.Invalidations)
 	if res.Stats.PartialResults > 0 || res.Stats.Uncacheable > 0 {
@@ -413,7 +377,7 @@ func main() {
 	}
 
 	after := srv.Search(spot)
-	fmt.Printf("\nepoch %-4d  %q -> %d experts (post-ingest)\n", backend.Epoch(), spot, len(after))
+	fmt.Printf("\nepoch %-4d  %q -> %d experts (post-ingest)\n", backend.Cluster().Epoch(), spot, len(after))
 
 	if remotePrimaries != nil {
 		var rtts int64

@@ -11,22 +11,24 @@
 // unions the matched tweets and ranks the pooled candidates once — the
 // two-phase architecture of Figure 1.
 //
-// The online stage comes in three flavours over the same algorithm:
-// Detector searches a frozen corpus; LiveDetector (live.go) searches
-// the streaming index of internal/ingest — each query runs against one
-// epoch-tagged snapshot (base corpus + sealed segments + active tail)
-// acquired with a single atomic load, so tweets keep arriving while
-// searches run; and ShardedLiveDetector (sharded.go) scatter-gathers
-// over the author-partitioned router of internal/shard — one snapshot
-// per shard, per-shard matching and raw-candidate extraction, a global
-// merge of the integer feature counters, one ranking pass. All three
-// are held to the same bar: a quiesced live or sharded index ranks
-// bit-identically to a cold Detector over the same posts. See
-// ARCHITECTURE.md at the repo root for the full layer-by-layer tour.
+// The online stage exists twice, on purpose. Detector is the paper
+// pipeline's engine: it searches a frozen corpus in one pass, drives
+// the evaluation and the experiments, and is the cold reference every
+// equivalence test compares against — so it is never served and never
+// changes with the serving stack. ShardedLiveDetector (sharded.go) is
+// the one served read path: a scatter-gather over the shard set of
+// internal/shard — one pinned snapshot per shard (base corpus + sealed
+// segments + active tail, acquired with a single atomic load, so
+// tweets keep arriving while searches run), per-shard matching and
+// raw-candidate extraction, a global merge of the integer feature
+// counters, one ranking pass. A single streaming index (LiveDetector)
+// and a frozen corpus are its one-shard cases. The served path is held
+// to one bar: quiesced, it ranks bit-identically to a cold Detector
+// over the same posts. See ARCHITECTURE.md at the repo root for the
+// full layer-by-layer tour.
 package core
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -154,9 +156,13 @@ func DefaultOnlineConfig() OnlineConfig {
 	}
 }
 
-// Detector is the online e# engine. It answers both e# queries
-// (Search) and baseline queries (SearchBaseline) so evaluations compare
-// the two on identical state.
+// Detector is the online e# engine over a frozen corpus — the paper
+// pipeline's engine and the cold reference of the equivalence tests.
+// It answers both e# queries (Search) and baseline queries
+// (SearchBaseline) so evaluations compare the two on identical state.
+// It is not a serving backend: internal/serve fronts the
+// ShardedLiveDetector, which serves a frozen corpus as an index that
+// never ingests.
 type Detector struct {
 	collection *domains.Collection
 	corpus     *microblog.Corpus
@@ -198,11 +204,6 @@ func (d *Detector) Corpus() *microblog.Corpus { return d.corpus }
 
 // Base returns the underlying baseline detector.
 func (d *Detector) Base() *expertise.Detector { return d.base }
-
-// Epoch returns 0: a frozen index has a single, eternal view, so
-// results cached against it never go stale (see internal/serve's
-// epoch-keyed invalidation and LiveDetector.Epoch).
-func (d *Detector) Epoch() uint64 { return 0 }
 
 // Expand returns the expansion terms for a query (excluding the query
 // itself). Empty means the query matched no domain or an orphan.
@@ -265,26 +266,6 @@ func (d *Detector) Search(query string) ([]expertise.Expert, SearchTrace) {
 	return results, trace
 }
 
-// SearchContext is Search with a cancellation check at entry; the
-// frozen detector never blocks, so no deeper check is useful. See
-// LiveDetector.SearchContext.
-func (d *Detector) SearchContext(ctx context.Context, query string) ([]expertise.Expert, SearchTrace, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, SearchTrace{Query: query}, err
-	}
-	results, trace := d.Search(query)
-	return results, trace, nil
-}
-
-// SearchBaselineContext is SearchBaseline with a cancellation check at
-// entry, mirroring SearchContext.
-func (d *Detector) SearchBaselineContext(ctx context.Context, query string) ([]expertise.Expert, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return d.SearchBaseline(query), nil
-}
-
 // SearchBaseline runs the unexpanded Pal & Counts baseline.
 func (d *Detector) SearchBaseline(query string) []expertise.Expert {
 	return d.base.Search(query)
@@ -295,8 +276,7 @@ func (d *Detector) SearchBaseline(query string) []expertise.Expert {
 // Short queries (one term, or two with nothing to amortize the
 // goroutine cost over) run sequentially — a heuristic sized to cheap
 // per-term matches; heavier work units (per-shard scatter-gather)
-// should call fanOut directly. Shared by the frozen and live search
-// paths so their parallelism heuristics cannot drift apart.
+// should call fanOut directly.
 func matchFanOut(nTerms, maxWorkers int, matchTerm func(i int)) {
 	if maxWorkers <= 0 {
 		maxWorkers = runtime.GOMAXPROCS(0)

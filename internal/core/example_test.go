@@ -14,13 +14,12 @@ import (
 // ExampleShardedLiveDetector shows the scatter-gather read path over an
 // author-partitioned stream: posts route to their author's shard, a
 // query fans out across every shard's snapshot, and the per-shard
-// candidates merge into one globally ranked answer. The router's epoch
+// candidates merge into one globally ranked answer. The cluster's epoch
 // vector (one component per shard) is what the serving cache
 // invalidates on.
 func ExampleShardedLiveDetector() {
 	w := world.Build(world.TinyConfig())
-	r := shard.New(microblog.BuildCorpus(w, nil),
-		shard.Config{Shards: 4, Ingest: ingest.DefaultConfig()})
+	r := shard.New(microblog.BuildCorpus(w, nil), 4, ingest.DefaultConfig())
 	defer r.Close()
 
 	r.Ingest(microblog.Post{Author: 3, Text: "rust borrow checker tips"})
@@ -28,11 +27,11 @@ func ExampleShardedLiveDetector() {
 
 	// An empty collection means no query expansion — fine for a demo;
 	// production passes the mined domain collection.
-	d := core.NewShardedLiveDetector(&domains.Collection{}, r, core.DefaultOnlineConfig())
+	d := core.NewShardedLiveDetectorOver(&domains.Collection{}, r, core.DefaultOnlineConfig())
 	experts, trace := d.Search("borrow checker")
 	fmt.Println("matched tweets:", trace.MatchedTweets)
 	fmt.Println("experts:", len(experts))
-	fmt.Println("epoch vector components:", len(r.EpochVector(nil)))
+	fmt.Println("epoch vector components:", len(d.EpochVector(nil)))
 	// Output:
 	// matched tweets: 2
 	// experts: 2

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/domains"
 	"repro/internal/expertise"
+	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/world"
@@ -20,29 +21,32 @@ import (
 // must treat any vector sample containing it as uncacheable.
 const EpochUnknown = shard.EpochUnknown
 
-// ShardedLiveDetector is the online e# engine over an author-partitioned
-// stream: the same two-phase architecture as Detector and LiveDetector,
-// scaled out by scatter-gather over a shard.Cluster — an ordered shard
-// set whose members are in-process (shard.Local over an ingest.Index,
-// the Router topology) or remote (transport.RemoteShard speaking the
-// wire protocol), in any mix, with this code unable to tell the
-// difference. A query fans the scatter stage out across the shards —
-// each shard matches every term, unions the tweet ids and extracts raw
-// integer candidate rows against one pinned view — then gathers:
-// numerators merge by summation, one batched denominator fetch per
-// shard runs against the same pinned views, and a single global ranking
-// pass produces the top-k. A quiesced N-shard cluster ranks
-// bit-identically to the single-node LiveDetector and to a cold
-// Detector over the same posts, for any N and any local/remote mix —
-// the sharded and remote equivalence tests enforce this.
+// ShardedLiveDetector is the served online e# engine — the one read
+// path every deployment runs: the same two-phase architecture as the
+// cold Detector, as a scatter-gather over a shard.Cluster — an ordered
+// shard set whose members are in-process (shard.Local over an
+// ingest.Index) or remote (transport.RemoteShard speaking the wire
+// protocol) or replicated (replica.Set), in any mix, with this code
+// unable to tell the difference. A single streaming index is the
+// one-shard cluster (NewLiveDetector) and a frozen corpus a one-shard
+// cluster that never ingests. A query fans the scatter stage out across
+// the shards — each shard matches every term, unions the tweet ids,
+// extracts raw integer candidate rows and reads those candidates'
+// denominators against one pinned view — then gathers: numerators
+// merge by summation, each shard tops up the denominators of the
+// candidates it did not itself surface from the same pinned view, and
+// a single global ranking pass produces the top-k. A quiesced N-shard
+// cluster ranks bit-identically to a cold Detector over the same
+// posts, for any N and any local/remote mix — the equivalence tests of
+// every layer enforce this.
 //
 // Failure policy is fail-fast partial results: a shard whose transport
-// errors contributes nothing to that query (no retry inside the query),
-// the remaining shards' results are returned, and the Partials counters
-// — surfaced through serve.Stats — record the degradation.
+// errors in either phase contributes nothing to that query (no retry
+// inside the query), the answer is exactly what the remaining shards
+// alone would rank, and the Partials counters — surfaced through
+// serve.Stats — record the degradation.
 type ShardedLiveDetector struct {
 	collection *domains.Collection
-	router     *shard.Router
 	// cluster is an atomic pointer because live resharding swaps the
 	// whole shard set out from under in-flight queries: SwapCluster
 	// stores a new cluster (possibly with a different shard count),
@@ -87,19 +91,18 @@ type shardObsHandles struct {
 
 // shardSlot holds one shard's per-query state: the extracted raw rows,
 // the shard's matched-union size, the pinned view, the denominator
-// fetch buffers and the per-phase errors. composite marks a slot whose
-// scatter ran the fused SearchStats — ownStats then already holds the
-// denominators for the shard's own candidates (aligned with raw), and
-// phase two only tops up the foreign candidates in topUsers.
+// buffers and the first error of either phase. The scatter fills
+// ownStats with the denominators of the shard's own candidates (aligned
+// with raw); the gather tops up the foreign candidates in topUsers
+// into stats.
 type shardSlot struct {
-	raw       []expertise.RawCandidate
-	matched   int
-	view      shard.View
-	stats     []expertise.UserStats
-	ownStats  []expertise.UserStats
-	topUsers  []world.UserID
-	composite bool
-	err       error
+	raw      []expertise.RawCandidate
+	matched  int
+	view     shard.View
+	stats    []expertise.UserStats
+	ownStats []expertise.UserStats
+	topUsers []world.UserID
+	err      error
 	// searchNS and statsNS time this shard's scatter and gather phases
 	// for the current query — written only when the detector is
 	// instrumented (obsOn), stale otherwise.
@@ -120,15 +123,18 @@ type shardedScratch struct {
 	cands  []expertise.Expert
 }
 
-// NewShardedLiveDetector wires the online stage over an in-process
-// author-partitioned stream. The router's shards are addressed through
-// the same Backend interface remote shards speak, so this is exactly
-// NewShardedLiveDetectorOver(coll, r.Cluster(), cfg) plus the Router
-// accessor.
-func NewShardedLiveDetector(coll *domains.Collection, r *shard.Router, cfg OnlineConfig) *ShardedLiveDetector {
-	d := NewShardedLiveDetectorOver(coll, r.Cluster(), cfg)
-	d.router = r
-	return d
+// LiveDetector is the served detector over a single streaming index —
+// the same type, over a one-shard cluster.
+type LiveDetector = ShardedLiveDetector
+
+// NewLiveDetector wires the online stage over one streaming index: a
+// one-shard cluster of a shard.Local over idx. Every query runs against
+// a single epoch-tagged snapshot acquired with one atomic load, so
+// concurrent ingestion, sealing and compaction never perturb it. A
+// frozen corpus is served the same way, as ingest.New(corpus, ...)
+// with nothing ever ingested.
+func NewLiveDetector(coll *domains.Collection, idx *ingest.Index, cfg OnlineConfig) *LiveDetector {
+	return NewShardedLiveDetectorOver(coll, shard.NewCluster(idx.World(), shard.NewLocal(idx)), cfg)
 }
 
 // NewShardedLiveDetectorOver wires the online stage over an explicit
@@ -215,19 +221,9 @@ func (d *ShardedLiveDetector) ReshardStats() (st shard.MigrationStats, ok bool) 
 // Collection returns the domain collection backing expansion.
 func (d *ShardedLiveDetector) Collection() *domains.Collection { return d.collection }
 
-// Router returns the in-process author-partitioned stream being
-// searched, or nil when the detector was built over an explicit
-// cluster (NewShardedLiveDetectorOver) rather than a Router.
-func (d *ShardedLiveDetector) Router() *shard.Router { return d.router }
-
 // Cluster returns the shard set being scatter-gathered over (the
 // current one, if a reshard cutover has swapped it).
 func (d *ShardedLiveDetector) Cluster() *shard.Cluster { return d.cluster.Load() }
-
-// Epoch returns the scalar digest (component sum) of the cluster's
-// vector epoch; see EpochVector for the full vector the serving cache
-// invalidates on.
-func (d *ShardedLiveDetector) Epoch() uint64 { return d.cluster.Load().Epoch() }
 
 // EpochVector appends the per-shard epochs of the view the next query
 // would observe to dst (capacity reused, contents discarded). The
@@ -304,15 +300,16 @@ func (d *ShardedLiveDetector) SearchBaselineContext(ctx context.Context, query s
 	return results, err
 }
 
-// scatterGather is the shared read path: fan the scatter stage (each
-// shard matches every term against one pinned view, unions the ids and
-// extracts raw candidate rows) out over the shards, merge the integer
-// numerators, fan the batched per-shard denominator fetch out against
-// the same pinned views, then finalize and rank once globally. It
+// scatterGather is the read path: fan the scatter stage (each shard
+// matches every term against one pinned view, unions the ids, extracts
+// raw candidate rows and reads their denominators) out over the
+// shards, merge the integer numerators, fan the per-shard top-up of
+// the foreign candidates' denominators out against the same pinned
+// views, then finalize and rank once globally. It
 // returns the ranked experts and the total matched-tweet count
 // (per-shard unions are disjoint — every post lives on exactly one
-// shard — so their sum is the size of the global union). A failing
-// shard is skipped fail-fast and counted in PartialStats. On an
+// shard — so their sum is the size of the global union). A shard that
+// fails either phase is dropped whole and counted in PartialStats. On an
 // instrumented detector (obsOn) it additionally returns the per-shard
 // spans and the merge+rank nanoseconds, recording both into the
 // registry's histograms; un-instrumented, the two extras are nil/0 and
@@ -370,26 +367,18 @@ func (d *ShardedLiveDetector) scatterGather(ctx context.Context, query string, e
 	fanOut(n, min(n, workers), func(si int) {
 		sl := &s.shards[si]
 		sl.view = nil
-		sl.composite = false
 		sl.searchNS, sl.statsNS = 0, 0
 		var t0 time.Time
 		if d.obsOn {
 			t0 = time.Now()
 		}
-		b := c.Backend(si)
-		if ss, ok := b.(shard.SearchStatser); ok {
-			// Composite scatter: rows plus the shard's own candidates'
-			// denominators arrive together (for a remote shard, in one
-			// round trip). Phase two then owes only the foreign
-			// candidates' denominators — nothing at all when this shard
-			// saw every global candidate, which is the healthy N=1 case.
-			sl.raw, sl.matched, sl.ownStats, sl.view, sl.err =
-				ss.SearchStats(ctx, s.terms, d.extended, sl.raw, sl.ownStats)
-			sl.composite = sl.err == nil
-		} else {
-			sl.raw, sl.matched, sl.view, sl.err =
-				b.Search(ctx, s.terms, d.extended, sl.raw)
-		}
+		// Rows plus the shard's own candidates' denominators arrive
+		// together (for a remote shard, in one round trip). Phase two
+		// then owes only the foreign candidates' denominators — nothing
+		// at all when this shard saw every global candidate, which is
+		// the healthy N=1 case.
+		sl.raw, sl.matched, sl.ownStats, sl.view, sl.err =
+			c.Backend(si).SearchStats(ctx, s.terms, d.extended, sl.raw, sl.ownStats)
 		if d.obsOn {
 			sl.searchNS = time.Since(t0).Nanoseconds()
 		}
@@ -405,30 +394,15 @@ func (d *ShardedLiveDetector) scatterGather(ctx context.Context, query string, e
 	if d.obsOn {
 		tMerge = time.Now()
 	}
-	matched := 0
-	s.raws = s.raws[:0]
-	for si := 0; si < n; si++ {
-		sl := &s.shards[si]
-		if sl.err != nil {
-			continue
-		}
-		matched += sl.matched
-		s.raws = append(s.raws, sl.raw)
-	}
-	s.merged = expertise.MergeRawNumerators(s.merged, s.raws...)
-
-	// Gather stage phase two: one batched denominator fetch per live
-	// shard, against the view its candidates were extracted from. Every
-	// shard answers for the whole global candidate set — a user's
-	// mention denominators live partly on shards where the user never
-	// surfaced as a candidate.
-	s.users = s.users[:0]
-	for i := range s.merged {
-		s.users = append(s.users, s.merged[i].User)
-	}
+	matched, live := s.mergeLive(n)
 	if d.obsOn {
 		mergeRank += time.Since(tMerge).Nanoseconds()
 	}
+	// Gather stage phase two: every live shard answers for the global
+	// candidates it did not itself surface — a user's mention
+	// denominators live partly on shards where the user never posted —
+	// against the view its own candidates were extracted from, so the
+	// totals stay exact.
 	if len(s.users) > 0 {
 		fanOut(n, min(n, workers), func(si int) {
 			sl := &s.shards[si]
@@ -439,15 +413,6 @@ func (d *ShardedLiveDetector) scatterGather(ctx context.Context, query string, e
 				t0 := time.Now()
 				defer func() { sl.statsNS = time.Since(t0).Nanoseconds() }()
 			}
-			if !sl.composite {
-				sl.stats, sl.err = sl.view.Stats(ctx, s.users, sl.stats)
-				return
-			}
-			// Top up the composite: only the global candidates this
-			// shard did not itself surface still need its denominators —
-			// a user's mentions live partly on shards where the user
-			// never posted. The fetch runs against the same pinned view
-			// the composite answered from, so the totals stay exact.
 			sl.topUsers = missingUsers(sl.topUsers[:0], s.users, sl.raw)
 			if len(sl.topUsers) == 0 {
 				sl.stats = sl.stats[:0]
@@ -463,6 +428,22 @@ func (d *ShardedLiveDetector) scatterGather(ctx context.Context, query string, e
 	if d.obsOn {
 		tMerge = time.Now()
 	}
+	// failed counts the shards missing from the result, whichever phase
+	// they failed in.
+	failed := 0
+	for si := 0; si < n; si++ {
+		if s.shards[si].err != nil {
+			failed++
+		}
+	}
+	// A shard that died between the two phases is out of the result
+	// whole: its numerators without its denominators would skew every
+	// ratio they enter. Re-merge over the survivors; what they already
+	// fetched covers a superset of the shrunken candidate set, and the
+	// aligned walks below drop the surplus.
+	if n-failed < live {
+		matched, _ = s.mergeLive(n)
+	}
 	s.denoms = s.denoms[:0]
 	for range s.users {
 		s.denoms = append(s.denoms, expertise.UserStats{})
@@ -473,11 +454,6 @@ func (d *ShardedLiveDetector) scatterGather(ctx context.Context, query string, e
 		spans = make([]obs.ShardSpan, 0, n)
 		oh = d.obsShard.Load()
 	}
-	// failed counts shards missing from the result: a scatter failure
-	// contributes nothing at all; a shard that searched fine but failed
-	// its denominator fetch is partial too (its numerators are in the
-	// pool, its denominators are not) and joins the count.
-	failed := 0
 	for si := 0; si < n; si++ {
 		sl := &s.shards[si]
 		if sl.view != nil {
@@ -505,25 +481,20 @@ func (d *ShardedLiveDetector) scatterGather(ctx context.Context, query string, e
 		}
 		if sl.err != nil {
 			sl.err = nil
-			failed++
 			continue
 		}
 		if len(s.users) == 0 {
 			continue
 		}
-		if sl.composite {
-			// The shard's contribution arrives in two aligned pieces:
-			// own-candidate denominators (positionally aligned with its
-			// rows) and the topped-up foreign ones. Integer adds commute,
-			// so the split accumulation sums to exactly what one full
-			// fetch would have.
-			addStatsForRows(s.denoms, s.users, sl.raw, sl.ownStats)
-			if len(sl.topUsers) > 0 {
-				addStatsForUsers(s.denoms, s.users, sl.topUsers, sl.stats)
-			}
-			continue
+		// The shard's contribution arrives in two aligned pieces:
+		// own-candidate denominators (positionally aligned with its
+		// rows) and the topped-up foreign ones. Integer adds commute,
+		// so the split accumulation sums to exactly what one full
+		// fetch would have.
+		addStatsForRows(s.denoms, s.users, sl.raw, sl.ownStats)
+		if len(sl.topUsers) > 0 {
+			addStatsForUsers(s.denoms, s.users, sl.topUsers, sl.stats)
 		}
-		expertise.AddUserStats(s.denoms, sl.stats)
 	}
 
 	s.cands = d.ranker.FinalizeRaw(s.cands, s.merged, s.denoms, c.World())
@@ -538,6 +509,28 @@ func (d *ShardedLiveDetector) scatterGather(ctx context.Context, query string, e
 		d.shardErrors.Add(int64(failed))
 	}
 	return results, matched, spans, mergeRank, nil
+}
+
+// mergeLive merges the numerators of the first n slots that have not
+// failed into s.merged and lists the merged candidates in s.users. It
+// returns the live shards' total matched-tweet count and how many they
+// are.
+func (s *shardedScratch) mergeLive(n int) (matched, live int) {
+	s.raws = s.raws[:0]
+	for si := 0; si < n; si++ {
+		sl := &s.shards[si]
+		if sl.err != nil {
+			continue
+		}
+		matched += sl.matched
+		s.raws = append(s.raws, sl.raw)
+	}
+	s.merged = expertise.MergeRawNumerators(s.merged, s.raws...)
+	s.users = s.users[:0]
+	for i := range s.merged {
+		s.users = append(s.users, s.merged[i].User)
+	}
+	return matched, len(s.raws)
 }
 
 // abandon is the deadline-expiry exit: release every view the query

@@ -11,19 +11,19 @@ import (
 // TestShardedDetectorObsInstrumentation pins the scatter-gather
 // instrumentation from inside the package: per-shard histograms and
 // spans are recorded when a registry is wired, the accessors agree
-// with the router, and — the must-not-perturb bar — the instrumented
+// with the cluster, and — the must-not-perturb bar — the instrumented
 // detector ranks identically to an un-instrumented one.
 func TestShardedDetectorObsInstrumentation(t *testing.T) {
 	p := tinyPipeline(t)
-	r := shard.New(p.Corpus, shard.Config{Shards: 2, Ingest: ingest.DefaultConfig()})
+	r := shard.New(p.Corpus, 2, ingest.DefaultConfig())
 	defer r.Close()
 
 	reg := obs.NewRegistry()
 	cfg := p.Cfg.Online
 	cfg.Obs = reg
-	d := NewShardedLiveDetector(p.Collection, r, cfg)
+	d := NewShardedLiveDetectorOver(p.Collection, r, cfg)
 	plainCfg := p.Cfg.Online
-	plain := NewShardedLiveDetector(p.Collection, r, plainCfg)
+	plain := NewShardedLiveDetectorOver(p.Collection, r, plainCfg)
 
 	experts, trace := d.Search("49ers")
 	wantExperts, wantTrace := plain.Search("49ers")
@@ -88,12 +88,9 @@ func TestShardedDetectorObsInstrumentation(t *testing.T) {
 		t.Fatalf("baseline diverged: %d vs %d experts", len(base), len(wantBase))
 	}
 
-	// Accessors agree with the router they wrap.
-	if d.Router() != r || d.Cluster() != r.Cluster() || d.Collection() != p.Collection {
+	// Accessors agree with the cluster they wrap.
+	if d.Cluster() != r || d.Collection() != p.Collection {
 		t.Error("accessors do not round-trip construction")
-	}
-	if d.Epoch() != r.Epoch() {
-		t.Errorf("Epoch %d != router %d", d.Epoch(), r.Epoch())
 	}
 	if v := d.EpochVector(nil); len(v) != 2 {
 		t.Errorf("EpochVector = %v, want 2 components", v)

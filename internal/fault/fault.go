@@ -290,10 +290,10 @@ type Backend struct {
 	killAfter atomic.Int64 // fail calls once Calls() passes this; <=0 = disarmed
 	delay     atomic.Int64 // per-call stall in nanoseconds
 
-	calls                        atomic.Int64 // every call that reached the gate
-	searches, ingests            atomic.Int64 // calls that passed the gate
-	epochs, quiesces             atomic.Int64
-	searchesKilled, ingestKilled atomic.Int64 // calls refused by the gate
+	calls                         atomic.Int64 // every call that reached the gate
+	searches, composites, ingests atomic.Int64 // calls that passed the gate
+	epochs, quiesces              atomic.Int64
+	searchesKilled, ingestKilled  atomic.Int64 // calls refused by the gate
 }
 
 // Backend must be able to stand in for any replica.
@@ -330,10 +330,14 @@ func (f *Backend) SetDelay(d time.Duration) { f.delay.Store(int64(d)) }
 // Calls returns how many calls reached the gate (admitted or not).
 func (f *Backend) Calls() int64 { return f.calls.Load() }
 
-// Searches returns how many Search calls passed the gate.
+// Searches returns how many plain Search calls passed the gate.
 func (f *Backend) Searches() int64 { return f.searches.Load() }
 
-// SearchesKilled returns how many Search calls the gate refused.
+// Composites returns how many SearchStats calls passed the gate.
+func (f *Backend) Composites() int64 { return f.composites.Load() }
+
+// SearchesKilled returns how many Search and SearchStats calls the
+// gate refused.
 func (f *Backend) SearchesKilled() int64 { return f.searchesKilled.Load() }
 
 // Ingests returns how many Ingest/IngestBatch calls passed the gate.
@@ -370,7 +374,9 @@ func (f *Backend) gateCtx(ctx context.Context) error {
 
 // Search implements shard.Backend through the fault gate. An armed
 // delay stalls it, but the caller's deadline still wins — the stall
-// resolves to ctx.Err() the moment the budget runs out.
+// resolves to ctx.Err() the moment the budget runs out. The read path
+// never calls it (see SearchStats); a pass counted here means a caller
+// took the wire's two-step.
 func (f *Backend) Search(ctx context.Context, terms []string, extended bool, raw []expertise.RawCandidate) ([]expertise.RawCandidate, int, shard.View, error) {
 	if err := f.gateCtx(ctx); err != nil {
 		f.searchesKilled.Add(1)
@@ -378,6 +384,19 @@ func (f *Backend) Search(ctx context.Context, terms []string, extended bool, raw
 	}
 	f.searches.Add(1)
 	return f.inner.Search(ctx, terms, extended, raw)
+}
+
+// SearchStats implements shard.Backend through the fault gate — the
+// call the scatter-gather read path makes, gated exactly like Search
+// and counted apart from it (Composites), so a suite can pin that its
+// faults landed on the path production takes.
+func (f *Backend) SearchStats(ctx context.Context, terms []string, extended bool, raw []expertise.RawCandidate, stats []expertise.UserStats) ([]expertise.RawCandidate, int, []expertise.UserStats, shard.View, error) {
+	if err := f.gateCtx(ctx); err != nil {
+		f.searchesKilled.Add(1)
+		return raw[:0], 0, stats[:0], nil, err
+	}
+	f.composites.Add(1)
+	return f.inner.SearchStats(ctx, terms, extended, raw, stats)
 }
 
 // Ingest implements shard.Backend through the fault gate.
@@ -408,6 +427,15 @@ func (f *Backend) Epoch() (uint64, error) {
 	f.epochs.Add(1)
 	return f.inner.Epoch()
 }
+
+// EpochIsLocal implements shard.Backend: false, so a cluster probes
+// this backend's Epoch through its failure backoff like any shard that
+// can fail — a local read would bypass the gate.
+func (f *Backend) EpochIsLocal() bool { return false }
+
+// Failovers implements shard.Backend, passing the inner count through
+// ungated: it is a counter read, not a call to the shard.
+func (f *Backend) Failovers() int64 { return f.inner.Failovers() }
 
 // Quiesce implements shard.Backend through the fault gate.
 func (f *Backend) Quiesce() error {

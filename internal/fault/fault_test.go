@@ -164,6 +164,11 @@ type innerBackend struct{ epoch uint64 }
 func (b *innerBackend) Search(ctx context.Context, terms []string, extended bool, raw []expertise.RawCandidate) ([]expertise.RawCandidate, int, shard.View, error) {
 	return raw[:0], 0, nopView{}, nil
 }
+func (b *innerBackend) SearchStats(ctx context.Context, terms []string, extended bool, raw []expertise.RawCandidate, stats []expertise.UserStats) ([]expertise.RawCandidate, int, []expertise.UserStats, shard.View, error) {
+	return raw[:0], 0, stats[:0], nopView{}, nil
+}
+func (b *innerBackend) EpochIsLocal() bool { return true }
+func (b *innerBackend) Failovers() int64   { return 7 }
 func (b *innerBackend) Ingest(p microblog.Post) (microblog.TweetID, error) {
 	b.epoch++
 	return microblog.TweetID(b.epoch), nil
@@ -193,6 +198,11 @@ func TestBackendGate(t *testing.T) {
 	} else {
 		v.Release()
 	}
+	if _, _, _, v, err := f.SearchStats(context.Background(), []string{"a"}, false, nil, nil); err != nil {
+		t.Fatal(err)
+	} else {
+		v.Release()
+	}
 	if _, err := f.Ingest(microblog.Post{}); err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +215,14 @@ func TestBackendGate(t *testing.T) {
 	if err := f.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
-	if f.Calls() != 5 || f.Searches() != 1 || f.Ingests() != 2 {
-		t.Fatalf("counters: calls %d searches %d ingests %d", f.Calls(), f.Searches(), f.Ingests())
+	if f.Calls() != 6 || f.Searches() != 1 || f.Composites() != 1 || f.Ingests() != 2 {
+		t.Fatalf("counters: calls %d searches %d composites %d ingests %d", f.Calls(), f.Searches(), f.Composites(), f.Ingests())
+	}
+	// The gate hides the inner backend's local epoch (a local read
+	// would bypass it) but not its failover count, and neither is a
+	// call.
+	if f.EpochIsLocal() || f.Failovers() != 7 || f.Calls() != 6 {
+		t.Fatalf("EpochIsLocal %v, Failovers %d, calls %d", f.EpochIsLocal(), f.Failovers(), f.Calls())
 	}
 
 	// Killed: every op is refused with ErrKilled and the refusals are
@@ -214,6 +230,9 @@ func TestBackendGate(t *testing.T) {
 	f.Kill()
 	if _, _, _, err := f.Search(context.Background(), []string{"a"}, false, nil); !errors.Is(err, ErrKilled) {
 		t.Fatalf("killed Search err = %v", err)
+	}
+	if _, _, _, _, err := f.SearchStats(context.Background(), []string{"a"}, false, nil, nil); !errors.Is(err, ErrKilled) {
+		t.Fatalf("killed SearchStats err = %v", err)
 	}
 	if _, err := f.Ingest(microblog.Post{}); !errors.Is(err, ErrKilled) {
 		t.Fatalf("killed Ingest err = %v", err)
@@ -227,7 +246,7 @@ func TestBackendGate(t *testing.T) {
 	if err := f.Quiesce(); !errors.Is(err, ErrKilled) {
 		t.Fatalf("killed Quiesce err = %v", err)
 	}
-	if f.SearchesKilled() != 1 || f.IngestsKilled() != 2 {
+	if f.SearchesKilled() != 2 || f.IngestsKilled() != 2 || f.Composites() != 1 {
 		t.Fatalf("kill counters: searches %d ingests %d", f.SearchesKilled(), f.IngestsKilled())
 	}
 	f.Heal()

@@ -23,14 +23,11 @@ func benchGateway(b *testing.B) (*serve.Server, *httptest.Server, string) {
 	b.Helper()
 	p, sets := testPipeline(b)
 	posts := streamPosts(p, 83, 400)
-	router := shard.New(p.Corpus, shard.Config{
-		Shards: 2,
-		Ingest: ingest.Config{SealThreshold: 32, CompactFanIn: 3},
-	})
-	b.Cleanup(router.Close)
-	router.IngestBatch(posts)
-	router.Quiesce()
-	live := core.NewShardedLiveDetector(p.Collection, router, p.Cfg.Online)
+	cluster := shard.New(p.Corpus, 2, ingest.Config{SealThreshold: 32, CompactFanIn: 3})
+	b.Cleanup(func() { cluster.Close() })
+	cluster.IngestBatch(posts)
+	cluster.Quiesce()
+	live := core.NewShardedLiveDetectorOver(p.Collection, cluster, p.Cfg.Online)
 
 	srv := serve.New(live, serve.DefaultConfig())
 	g, err := New(Config{

@@ -139,14 +139,13 @@ func TestGatewayQuiescedEquivalence(t *testing.T) {
 
 	cold := core.NewDetector(p.Collection, p.Corpus.ExtendedWith(posts), p.Cfg.Online)
 
-	router := shard.New(p.Corpus, shard.Config{
-		Shards: 2,
-		Ingest: ingest.Config{SealThreshold: 32, CompactFanIn: 3},
-	})
-	defer router.Close()
-	router.IngestBatch(posts)
-	router.Quiesce()
-	live := core.NewShardedLiveDetector(p.Collection, router, p.Cfg.Online)
+	cluster := shard.New(p.Corpus, 2, ingest.Config{SealThreshold: 32, CompactFanIn: 3})
+	defer cluster.Close()
+	if err := cluster.IngestBatch(posts); err != nil {
+		t.Fatal(err)
+	}
+	cluster.Quiesce()
+	live := core.NewShardedLiveDetectorOver(p.Collection, cluster, p.Cfg.Online)
 	_, hs := realGateway(t, live, nil)
 
 	for _, set := range sets {

@@ -19,11 +19,12 @@ import (
 	"repro/internal/expertise"
 	"repro/internal/obs"
 	"repro/internal/serve"
+	"repro/internal/shard"
 )
 
-// stubBackend is a controllable serve.Backend (+ ContextBackend when
-// blocking) for gateway mechanics tests: fixed answer, call counter,
-// optional gate, optional block-until-deadline mode.
+// stubBackend is a controllable serve.Backend for gateway mechanics
+// tests: fixed answer, call counter, optional gate, optional
+// block-until-deadline mode.
 type stubBackend struct {
 	calls atomic.Int64
 	gate  chan struct{} // nil = never block
@@ -38,11 +39,12 @@ func (b *stubBackend) answer() []expertise.Expert {
 	return []expertise.Expert{{User: 7, Score: 3.25, TS: 1, MI: 2, RI: 3, OnTopicTweets: 4}}
 }
 
-func (b *stubBackend) Search(query string) ([]expertise.Expert, core.SearchTrace) {
-	return b.answer(), core.SearchTrace{Query: query}
+func (b *stubBackend) EpochVector(dst []uint64) []uint64 { return append(dst[:0], 0) }
+func (b *stubBackend) PartialStats() (int64, int64)      { return 0, 0 }
+func (b *stubBackend) Failovers() int64                  { return 0 }
+func (b *stubBackend) ReshardStats() (shard.MigrationStats, bool) {
+	return shard.MigrationStats{}, false
 }
-func (b *stubBackend) SearchBaseline(query string) []expertise.Expert { return b.answer() }
-func (b *stubBackend) Epoch() uint64                                  { return 0 }
 
 func (b *stubBackend) SearchContext(ctx context.Context, query string) ([]expertise.Expert, core.SearchTrace, error) {
 	if b.stall {
@@ -50,8 +52,7 @@ func (b *stubBackend) SearchContext(ctx context.Context, query string) ([]expert
 		<-ctx.Done()
 		return nil, core.SearchTrace{}, ctx.Err()
 	}
-	experts, tr := b.Search(query)
-	return experts, tr, nil
+	return b.answer(), core.SearchTrace{Query: query}, nil
 }
 
 func (b *stubBackend) SearchBaselineContext(ctx context.Context, query string) ([]expertise.Expert, error) {
@@ -60,7 +61,7 @@ func (b *stubBackend) SearchBaselineContext(ctx context.Context, query string) (
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	return b.SearchBaseline(query), nil
+	return b.answer(), nil
 }
 
 // testGateway wires stub → serve → gateway → httptest server.

@@ -286,6 +286,75 @@ func TestDiskConcurrentIngestSearchCompaction(t *testing.T) {
 	}
 }
 
+// TestQuiesceIsSynchronousDrain pins the one-compactor rule: Quiesce
+// and the background compactor never rewrite side by side. Every batch
+// seals segments, which kicks the background compactor, and the writer
+// quiesces straight after — the two drains start together. A forced
+// collection retires older snapshots, unmapping replaced disk segments
+// a second, racing compactor would still be reading. A returned
+// Quiesce means nothing is mid-rewrite: the counters stand still, the
+// spill directory holds exactly the live layout's files, and no
+// rewrite ran twice — every segment file ever opened became a spill.
+func TestQuiesceIsSynchronousDrain(t *testing.T) {
+	p, _ := testPipeline(t)
+	dir := t.TempDir()
+	io := fault.NewDiskIO() // no fault armed: it counts the opens
+	idx := ingest.New(p.Corpus, ingest.Config{
+		SealThreshold: 8, CompactFanIn: 2,
+		SpillDir: dir, SpillThreshold: 16, SpillIO: io,
+	})
+	defer idx.Close()
+
+	// A second writer keeps sealing underneath, so drains also overlap
+	// ingest; it stops before the assertions that need a still index.
+	const rounds, perBatch = 60, 16
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		stream := microblog.NewPostStream(p.World, microblog.DefaultStreamConfig(301))
+		for i := 0; i < rounds*perBatch/2; i++ {
+			idx.Ingest(stream.Next())
+		}
+	}()
+	stream := microblog.NewPostStream(p.World, microblog.DefaultStreamConfig(300))
+	batch := make([]microblog.Post, perBatch)
+	for r := 0; r < rounds; r++ {
+		if r == rounds/2 {
+			wg.Wait()
+		}
+		for i := range batch {
+			batch[i] = stream.Next()
+		}
+		idx.IngestBatch(batch)
+		idx.Quiesce()
+		st := idx.Stats()
+		runtime.GC()
+		if r < rounds/2 {
+			continue
+		}
+		if after := idx.Stats(); after != st {
+			t.Fatalf("round %d: index kept rewriting after Quiesce returned:\n%+v\n%+v", r, st, after)
+		}
+	}
+
+	st := idx.Stats()
+	if st.Ingested != rounds*perBatch*3/2 || st.Spills == 0 || st.SpillErrors != 0 {
+		t.Fatalf("hammer did not exercise the disk tier cleanly: %+v", st)
+	}
+	if io.Opens() != st.Spills {
+		t.Fatalf("%d segment rewrites for %d spills: some merge ran twice", io.Opens(), st.Spills)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for segFiles(t, dir) != st.DiskSegments {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d segment files for %d disk segments", segFiles(t, dir), st.DiskSegments)
+		}
+		runtime.GC() // retired snapshots still pin replaced files
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestDiskStaleFileCleanup pins the SpillDir ownership contract: a new
 // index removes segment files a previous run left behind.
 func TestDiskStaleFileCleanup(t *testing.T) {

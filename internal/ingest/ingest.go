@@ -26,7 +26,7 @@
 // correctness bar the equivalence tests enforce.
 //
 // One Index is one node. Scale-out stacks on top rather than inside:
-// internal/shard runs N of these indexes behind an author-hash router,
+// internal/shard runs N of these indexes behind an author-hash shard set,
 // and core.ShardedLiveDetector scatter-gathers queries across their
 // snapshots, composing the per-shard epochs into the vector epoch the
 // serving cache invalidates on. See ARCHITECTURE.md at the repo root.
@@ -137,6 +137,12 @@ type Index struct {
 	watch   atomic.Pointer[chan struct{}]
 	watched atomic.Bool
 
+	// compactMu admits one compactor at a time: the background loop and a
+	// caller's Quiesce drain under it in turn, never side by side. Only
+	// its holder splices sealed (sealLocked just appends), so a run or a
+	// spill target picked under mu is still in place when the rewrite
+	// comes back to splice it in.
+	compactMu  sync.Mutex
 	compactReq chan struct{}
 	done       chan struct{}
 	closeOnce  sync.Once
@@ -404,9 +410,17 @@ func (i *Index) compactLoop() {
 		case <-i.done:
 			return
 		case <-i.compactReq:
-			for i.compactOnce() || i.spillOnce() {
-			}
+			i.drain()
 		}
+	}
+}
+
+// drain runs every eligible compaction and spill to completion, one
+// compactor at a time (see compactMu).
+func (i *Index) drain() {
+	i.compactMu.Lock()
+	defer i.compactMu.Unlock()
+	for i.compactOnce() || i.spillOnce() {
 	}
 }
 
@@ -447,10 +461,9 @@ func (i *Index) pickRunLocked() (int, []*segment) {
 }
 
 // compactOnce merges one eligible run and publishes the new layout. It
-// reports whether it should be called again (it made progress, or lost
-// a race with a concurrent compaction and must re-scan). The expensive
-// re-index runs outside the lock — the run's segments are immutable —
-// and the splice re-validates the layout before applying.
+// reports whether it made progress and should be called again. The
+// expensive re-index runs outside mu — the run's segments are immutable
+// and, with compactMu held by the caller, nothing else can move them.
 func (i *Index) compactOnce() bool {
 	i.mu.Lock()
 	a, run := i.pickRunLocked()
@@ -487,21 +500,6 @@ func (i *Index) compactOnce() bool {
 
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	abort := a+len(run) > len(i.sealed)
-	if !abort {
-		for j, sg := range run {
-			if i.sealed[a+j] != sg {
-				abort = true // a concurrent compaction won; re-scan
-				break
-			}
-		}
-	}
-	if abort {
-		if merged.disk != nil {
-			merged.disk.Release() // unreferenced rewrite; file goes too
-		}
-		return true
-	}
 	i.sealed = append(i.sealed[:a:a], append([]*segment{merged}, i.sealed[a+len(run):]...)...)
 	i.compactions++
 	i.obsCompactions.Inc()
@@ -520,16 +518,12 @@ func (i *Index) compactOnce() bool {
 }
 
 // Quiesce synchronously drains every eligible compaction and — when
-// the disk tier is configured — every eligible spill. Afterwards,
-// absent concurrent ingest, the segment layout is stable and every
-// segment past the spill threshold lives on disk, which the
-// equivalence tests rely on. (A concurrent background merge may still
-// publish afterwards; merged segments index identical content, so
-// query results are unaffected.)
-func (i *Index) Quiesce() {
-	for i.compactOnce() || i.spillOnce() {
-	}
-}
+// the disk tier is configured — every eligible spill, waiting out a
+// background pass already in flight. Afterwards, absent concurrent
+// ingest, the segment layout is stable, nothing is mid-rewrite and
+// every segment past the spill threshold lives on disk, which the
+// equivalence tests rely on.
+func (i *Index) Quiesce() { i.drain() }
 
 // Close stops the background compactor. The index remains readable and
 // writable (no further compaction happens).

@@ -102,31 +102,6 @@ func TestQuiescedEquivalence(t *testing.T) {
 	}
 }
 
-// TestLiveParallelMatchEquivalence forces the per-term fan-out of the
-// live search onto multiple workers and checks it against the
-// sequential live path.
-func TestLiveParallelMatchEquivalence(t *testing.T) {
-	p, sets := testPipeline(t)
-	idx := ingest.New(p.Corpus, ingest.Config{SealThreshold: 64, CompactFanIn: 3})
-	defer idx.Close()
-	idx.IngestBatch(streamPosts(p, 43, 300))
-	idx.Quiesce()
-
-	seqCfg := p.Cfg.Online
-	seqCfg.MatchWorkers = 1
-	parCfg := p.Cfg.Online
-	parCfg.MatchWorkers = 4
-	seq := core.NewLiveDetector(p.Collection, idx, seqCfg)
-	par := core.NewLiveDetector(p.Collection, idx, parCfg)
-	for _, set := range sets {
-		for _, q := range set.Queries {
-			want, _ := seq.Search(q)
-			got, _ := par.Search(q)
-			expertsIdentical(t, "parallel", q, got, want)
-		}
-	}
-}
-
 // TestSnapshotImmutableUnderWrites pins the snapshot contract: a view
 // acquired before further ingestion keeps answering from its frozen
 // prefix, while new views see the new posts and a higher epoch.

@@ -134,46 +134,33 @@ func (i *Index) writeSpill(c *microblog.Corpus) (*diskseg.Segment, error) {
 
 // spillOnce rewrites the first eligible in-heap sealed segment to the
 // disk tier and publishes the new layout. It reports whether it should
-// be called again (it made progress, hit a fault it recorded, or lost
-// a race and must re-scan). The expensive rewrite runs outside the
-// lock — the segment is immutable — and the splice re-validates the
-// layout before applying, exactly like compactOnce.
+// be called again (it made progress or hit a fault it recorded). The
+// expensive rewrite runs outside mu — the segment is immutable and,
+// with compactMu held by the caller, stays at the position it was
+// found at, exactly like compactOnce's run.
 func (i *Index) spillOnce() bool {
 	if !i.spillEnabled() {
 		return false
 	}
 	i.mu.Lock()
-	var target *segment
-	for _, sg := range i.sealed {
-		if sg.disk == nil && !sg.noSpill && sg.corpus.NumTweets() >= i.cfg.SpillThreshold {
-			target = sg
-			break
-		}
-	}
-	i.mu.Unlock()
-	if target == nil {
-		return false
-	}
-
-	disk, err := i.writeSpill(target.corpus)
-
-	i.mu.Lock()
-	defer i.mu.Unlock()
 	at := -1
 	for j, sg := range i.sealed {
-		if sg == target {
+		if sg.disk == nil && !sg.noSpill && sg.corpus.NumTweets() >= i.cfg.SpillThreshold {
 			at = j
 			break
 		}
 	}
 	if at < 0 {
-		// A concurrent compaction absorbed the segment; this rewrite is
-		// garbage. Drop it (the file goes with the last reference).
-		if err == nil {
-			disk.Release()
-		}
-		return true
+		i.mu.Unlock()
+		return false
 	}
+	target := i.sealed[at]
+	i.mu.Unlock()
+
+	disk, err := i.writeSpill(target.corpus)
+
+	i.mu.Lock()
+	defer i.mu.Unlock()
 	if err != nil {
 		// Spill faulted: stay in heap, never retry this segment (a
 		// compaction absorbing it will try again at the merge), count

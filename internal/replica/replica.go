@@ -63,7 +63,6 @@ import (
 	"repro/internal/microblog"
 	"repro/internal/obs"
 	"repro/internal/shard"
-	"repro/internal/world"
 )
 
 // ErrNoReplica reports a read with no admissible replica: every
@@ -129,13 +128,8 @@ type Set struct {
 }
 
 // Set must satisfy the same interface a plain shard does — that is
-// the whole point — and additionally marks its epoch as process-local
-// and reports failovers to the cluster.
-var (
-	_ shard.Backend          = (*Set)(nil)
-	_ shard.EpochLocality    = (*Set)(nil)
-	_ shard.FailoverReporter = (*Set)(nil)
-)
+// the whole point.
+var _ shard.Backend = (*Set)(nil)
 
 // NewSet fronts replicas[0] as the primary and the rest as followers.
 // Every replica must hold the identical shard content at wiring time
@@ -186,7 +180,7 @@ func (s *Set) EpochIsLocal() bool { return true }
 // serving cache. It cannot fail and never dials.
 func (s *Set) Epoch() (uint64, error) { return s.epoch.Load(), nil }
 
-// Failovers implements shard.FailoverReporter: reads answered by a
+// Failovers implements shard.Backend: reads answered by a
 // non-first-choice replica after at least one replica failed.
 func (s *Set) Failovers() int64 { return s.failovers.Load() }
 
@@ -278,14 +272,14 @@ func (s *Set) IngestBatch(posts []microblog.Post) error {
 	return nil
 }
 
-// Search implements shard.Backend: the read fans over the freshest
-// reachable replicas — rotation spreads load across the primary and
-// every up-to-date follower — and falls over to the next replica on
-// error instead of failing the shard. A stale follower is never read.
-// A replica inside a backoff window is skipped without dialing (one
-// probe per window re-admits a recovered replica). Only when every
-// admissible replica has failed does the shard fail for this query.
-func (s *Set) Search(ctx context.Context, terms []string, extended bool, raw []expertise.RawCandidate) ([]expertise.RawCandidate, int, shard.View, error) {
+// read runs one read against the freshest reachable replicas —
+// rotation spreads load across the primary and every up-to-date
+// follower — and falls over to the next replica on error instead of
+// failing the shard. A stale follower is never read. A replica inside a
+// backoff window is skipped without dialing (one probe per window
+// re-admits a recovered replica). Only when every admissible replica
+// has failed does the shard fail for this query.
+func (s *Set) read(attempt func(r shard.Backend) error) error {
 	epoch := s.epoch.Load()
 	n := len(s.replicas)
 	// Reduce the cursor in uint64 space: a raw int conversion would
@@ -307,7 +301,7 @@ func (s *Set) Search(ctx context.Context, terms []string, extended bool, raw []e
 			s.obsBackoffSkips.Inc()
 			continue
 		}
-		rows, matched, v, err := s.replicas[i].Search(ctx, terms, extended, raw)
+		err := attempt(s.replicas[i])
 		if err == nil {
 			s.health[i].Ok()
 			s.reads[i].Add(1)
@@ -315,86 +309,49 @@ func (s *Set) Search(ctx context.Context, terms []string, extended bool, raw []e
 				s.failovers.Add(1)
 				s.obsFailovers.Inc()
 			}
-			return rows, matched, v, nil
+			return nil
 		}
 		s.health[i].Fail()
 		tried++
 		if firstErr == nil {
 			firstErr = fmt.Errorf("replica %d: %w", i, err)
 		}
-		raw = rows[:0] // reuse the scratch buffer for the next attempt
 	}
 	if firstErr == nil {
 		firstErr = ErrNoReplica
 	}
-	return raw[:0], 0, nil, firstErr
+	return firstErr
 }
 
-// SearchStats implements shard.SearchStatser with the same
-// freshest-reachable rotation and failover as Search, so a replicated
-// remote shard keeps the one-round-trip composite query. A replica
-// that implements the composite answers it directly; one that does not
-// is emulated with Search plus a Stats for its own candidates against
-// the same pinned view — identical totals either way.
+// Search implements shard.Backend with the rotation and failover of
+// read; every attempt reuses the caller's scratch buffer.
+func (s *Set) Search(ctx context.Context, terms []string, extended bool, raw []expertise.RawCandidate) ([]expertise.RawCandidate, int, shard.View, error) {
+	var matched int
+	var v shard.View
+	err := s.read(func(r shard.Backend) (err error) {
+		raw, matched, v, err = r.Search(ctx, terms, extended, raw[:0])
+		return err
+	})
+	if err != nil {
+		return raw[:0], 0, nil, err
+	}
+	return raw, matched, v, nil
+}
+
+// SearchStats implements shard.Backend — the read path's call — with
+// the rotation and failover of read, so a replicated remote shard keeps
+// the one-round-trip composite query.
 func (s *Set) SearchStats(ctx context.Context, terms []string, extended bool, raw []expertise.RawCandidate, stats []expertise.UserStats) ([]expertise.RawCandidate, int, []expertise.UserStats, shard.View, error) {
-	epoch := s.epoch.Load()
-	n := len(s.replicas)
-	start := int(s.rr.Add(1) % uint64(n))
-	var firstErr error
-	tried := 0
-	for k := 0; k < n; k++ {
-		i := (start + k) % n
-		if s.applied[i].Load() < epoch {
-			continue
-		}
-		if !s.health[i].Allow() {
-			s.obsBackoffSkips.Inc()
-			continue
-		}
-		rows, matched, rowStats, v, err := replicaSearchStats(ctx, s.replicas[i], terms, extended, raw, stats)
-		if err == nil {
-			s.health[i].Ok()
-			s.reads[i].Add(1)
-			if tried > 0 {
-				s.failovers.Add(1)
-				s.obsFailovers.Inc()
-			}
-			return rows, matched, rowStats, v, nil
-		}
-		s.health[i].Fail()
-		tried++
-		if firstErr == nil {
-			firstErr = fmt.Errorf("replica %d: %w", i, err)
-		}
-		raw, stats = rows[:0], rowStats[:0] // reuse the scratch buffers
-	}
-	if firstErr == nil {
-		firstErr = ErrNoReplica
-	}
-	return raw[:0], 0, stats[:0], nil, firstErr
-}
-
-// replicaSearchStats runs the composite against one replica,
-// emulating it (search, then own-candidate stats on the pinned view)
-// when the replica predates shard.SearchStatser.
-func replicaSearchStats(ctx context.Context, b shard.Backend, terms []string, extended bool, raw []expertise.RawCandidate, stats []expertise.UserStats) ([]expertise.RawCandidate, int, []expertise.UserStats, shard.View, error) {
-	if ss, ok := b.(shard.SearchStatser); ok {
-		return ss.SearchStats(ctx, terms, extended, raw, stats)
-	}
-	rows, matched, v, err := b.Search(ctx, terms, extended, raw)
+	var matched int
+	var v shard.View
+	err := s.read(func(r shard.Backend) (err error) {
+		raw, matched, stats, v, err = r.SearchStats(ctx, terms, extended, raw[:0], stats[:0])
+		return err
+	})
 	if err != nil {
-		return rows, 0, stats[:0], nil, err
+		return raw[:0], 0, stats[:0], nil, err
 	}
-	users := make([]world.UserID, 0, len(rows))
-	for i := range rows {
-		users = append(users, rows[i].User)
-	}
-	stats, err = v.Stats(ctx, users, stats)
-	if err != nil {
-		v.Release()
-		return rows[:0], 0, stats[:0], nil, err
-	}
-	return rows, matched, stats, v, nil
+	return raw, matched, stats, v, nil
 }
 
 // Quiesce implements shard.Backend: the primary is always drained —

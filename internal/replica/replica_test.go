@@ -1,6 +1,6 @@
 // The replication test suite: the equivalence spine extended one more
 // step (a quiesced replicated cluster must rank bit-identically to the
-// in-process Router and a cold rebuild — including after a replica is
+// in-process cluster and a cold rebuild — including after a replica is
 // killed mid-load), plus the chaos-style contracts: reads fail over
 // and never duplicate writes, stale followers are rejected from the
 // read set, and a dead replica costs one probe per backoff window.
@@ -166,7 +166,7 @@ func newReplicated(t testing.TB, p *core.Pipeline, n, r int, icfg ingest.Config,
 // behind loopback TCP — after replicating the same posts and
 // quiescing, the replicated scatter-gather detector must return
 // bit-identical ranked experts and matched-tweet counts to the
-// in-process Router and to a cold detector rebuilt over the same
+// in-process cluster and to a cold detector rebuilt over the same
 // posts, for every query of every evaluation query set, on both the
 // e# and the baseline path, with zero partial results; and the read
 // fan-out must actually spread load across the replicas.
@@ -179,10 +179,12 @@ func TestReplicatedQuiescedEquivalence(t *testing.T) {
 
 	for _, tc := range []struct{ n, r int }{{1, 2}, {2, 2}, {2, 3}} {
 		// In-process single-copy reference over the identical partitioning.
-		router := shard.New(p.Corpus, shard.Config{Shards: tc.n, Ingest: icfg})
-		router.IngestBatch(posts)
-		router.Quiesce()
-		local := core.NewShardedLiveDetector(p.Collection, router, p.Cfg.Online)
+		single := shard.New(p.Corpus, tc.n, icfg)
+		if err := single.IngestBatch(posts); err != nil {
+			t.Fatal(err)
+		}
+		single.Quiesce()
+		local := core.NewShardedLiveDetectorOver(p.Collection, single, p.Cfg.Online)
 
 		rc := newReplicated(t, p, tc.n, tc.r, icfg, replica.DefaultConfig(), true, false)
 		if err := rc.cluster.IngestBatch(posts); err != nil {
@@ -237,7 +239,7 @@ func TestReplicatedQuiescedEquivalence(t *testing.T) {
 				}
 			}
 		}
-		router.Close()
+		single.Close()
 	}
 }
 
@@ -380,6 +382,12 @@ func TestFailoverReadsNeverDuplicateWrites(t *testing.T) {
 	if st := set.Stats(); st.Stale[1] {
 		t.Fatalf("follower with no missed writes is flagged stale: %+v", st)
 	}
+	// Every read above — served, refused or probing — reached the gate
+	// as the composite call production makes, never as a plain Search:
+	// the faults landed on the path deployments run.
+	if f.Composites() == 0 || f.Searches() != 0 {
+		t.Fatalf("follower saw %d composite calls and %d plain searches", f.Composites(), f.Searches())
+	}
 }
 
 // TestStaleFollowerRejected pins epoch-gap rejection: a follower that
@@ -414,15 +422,15 @@ func TestStaleFollowerRejected(t *testing.T) {
 	rc.cluster.Quiesce()
 	cold := core.NewDetector(p.Collection,
 		p.Corpus.ExtendedWith(append(streamPosts(p, 95, 20), missed)), p.Cfg.Online)
-	searchesBefore := f.Searches()
+	readsBefore := f.Composites()
 	for i := 0; i < 10; i++ {
 		got, _ := det.Search("49ers")
 		want, _ := cold.Search("49ers")
 		expertsIdentical(t, "stale-rejected", "49ers", got, want)
 	}
-	if f.Searches() != searchesBefore {
-		t.Fatalf("stale follower served %d reads — the epoch gap was ignored",
-			f.Searches()-searchesBefore)
+	if f.Composites() != readsBefore || f.Searches() != 0 {
+		t.Fatalf("stale follower served %d composite reads and %d plain searches — the epoch gap was ignored",
+			f.Composites()-readsBefore, f.Searches())
 	}
 	if st := set.Stats(); st.Reads[1] != 0 {
 		t.Fatalf("stale follower counted %d served reads", st.Reads[1])

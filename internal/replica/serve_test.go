@@ -16,23 +16,7 @@ import (
 	"repro/internal/replica"
 	"repro/internal/serve"
 	"repro/internal/shard"
-	"repro/internal/world"
 )
-
-// clusterSink adapts a shard.Cluster to the infallible serve.Sink the
-// load generator drives (a replicated shard's write only fails when
-// its primary does).
-type clusterSink struct{ c *shard.Cluster }
-
-func (s clusterSink) Ingest(p microblog.Post) microblog.TweetID {
-	id, err := s.c.Ingest(p)
-	if err != nil {
-		return -1
-	}
-	return id
-}
-func (s clusterSink) World() *world.World { return s.c.World() }
-func (s clusterSink) Epoch() uint64       { return s.c.Epoch() }
 
 // TestServeCacheSurvivesFailover pins the view-identity contract that
 // makes failover invisible to the cache: an entry cached while
@@ -140,7 +124,7 @@ func TestReplicatedMixedLoadZeroPartials(t *testing.T) {
 	// semantics: whatever conversation is in flight completes, every
 	// call after the gate fails.
 	rc.faults[0].KillAfterCalls(40)
-	res := serve.RunMixedLoad(srv, clusterSink{rc.cluster}, serve.MixedLoadConfig{
+	res := serve.RunMixedLoad(srv, rc.cluster, serve.MixedLoadConfig{
 		Queries:       pool,
 		Searches:      3 * len(pool),
 		SearchWorkers: 4,
@@ -172,6 +156,11 @@ func TestReplicatedMixedLoadZeroPartials(t *testing.T) {
 	}
 	if probes := f.SearchesKilled(); probes > 8 {
 		t.Fatalf("dead follower absorbed %d read probes — backoff is not gating reads", probes)
+	}
+	// Whatever reads reached the follower before the kill (the 40 calls
+	// may all have been writes) took the path production takes.
+	if f.Searches() != 0 {
+		t.Fatalf("follower saw %d plain searches — reads left the composite path", f.Searches())
 	}
 
 	// The spine holds under fault + load: quiesce and rebuild cold from

@@ -9,18 +9,19 @@ import (
 	"repro/internal/world"
 )
 
-// Sink is the write side a mixed load streams posts into. Both the
-// single-node streaming index (*ingest.Index) and the
-// author-partitioned router (*shard.Router) satisfy it, so the same
-// generator measures single-node and sharded mixed throughput.
+// Sink is the write side a mixed load streams posts into: the shard
+// set the server's backend reads (*shard.Cluster — for a single
+// streaming index, the detector's one-shard Cluster()), or a
+// *shard.Migration routing writes across a live reshard.
 type Sink interface {
-	// Ingest accepts one post; the returned id is sink-local (global
-	// for an index, shard-local for a router).
-	Ingest(p microblog.Post) microblog.TweetID
+	// Ingest routes one post to its author's shard; the returned id is
+	// shard-local. A failed write (a remote shard's transport) is
+	// dropped by the generator and not counted as ingested.
+	Ingest(p microblog.Post) (microblog.TweetID, error)
 	// World returns the generating world posts are drawn from.
 	World() *world.World
-	// Epoch identifies the sink's current view (scalar digest for a
-	// sharded sink), used to report the churn a run caused.
+	// Epoch identifies the sink's current view (the scalar digest of
+	// its epoch vector), used to report the churn a run caused.
 	Epoch() uint64
 }
 
@@ -158,12 +159,11 @@ type MixedLoadResult struct {
 }
 
 // RunMixedLoad drives the server with cfg.Searches requests while
-// streaming cfg.Ingests posts into idx (a single-node *ingest.Index or
-// a sharded *shard.Router), and reports both throughputs. Either side
-// may be empty: a write-only run still ingests, a read-only run
-// degenerates to RunLoad semantics. Server counters are reset at the
-// start so Stats covers exactly this run. The server's backend should
-// be a live or sharded detector over idx — otherwise searches never
+// streaming cfg.Ingests posts into idx, and reports both throughputs.
+// Either side may be empty: a write-only run still ingests, a
+// read-only run degenerates to RunLoad semantics. Server counters are
+// reset at the start so Stats covers exactly this run. The server's
+// backend should be the detector over idx — otherwise searches never
 // observe the writes.
 func RunMixedLoad(s *Server, idx Sink, cfg MixedLoadConfig) MixedLoadResult {
 	searching := cfg.Searches > 0 && len(cfg.Queries) > 0
@@ -205,8 +205,9 @@ func RunMixedLoad(s *Server, idx Sink, cfg MixedLoadConfig) MixedLoadResult {
 				n += cfg.Ingests % ingestWorkers
 			}
 			for i := 0; i < n; i++ {
-				idx.Ingest(stream.Next())
-				ingested.Add(1)
+				if _, err := idx.Ingest(stream.Next()); err == nil {
+					ingested.Add(1)
+				}
 			}
 		}(w)
 	}

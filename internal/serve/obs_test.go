@@ -29,13 +29,13 @@ func obsRow(t *testing.T, reg *obs.Registry, name string) int64 {
 // identical to an un-instrumented server.
 func TestServerObsTracesAndMetrics(t *testing.T) {
 	p := testPipeline(t)
-	r := shard.New(p.Corpus, shard.Config{Shards: 4, Ingest: ingest.DefaultConfig()})
+	r := shard.New(p.Corpus, 4, ingest.DefaultConfig())
 	defer r.Close()
 
 	reg := obs.NewRegistry()
 	online := p.Cfg.Online
 	online.Obs = reg
-	sharded := core.NewShardedLiveDetector(p.Collection, r, online)
+	sharded := core.NewShardedLiveDetectorOver(p.Collection, r, online)
 	s := New(sharded, Config{CacheSize: 4, Obs: reg, SlowLogSize: 8})
 
 	first := s.Search("49ers")
@@ -116,7 +116,7 @@ func TestServerObsTracesAndMetrics(t *testing.T) {
 func TestServerObsBaselineAndThreshold(t *testing.T) {
 	p := testPipeline(t)
 	reg := obs.NewRegistry()
-	s := New(p.Detector, Config{CacheSize: 4, Obs: reg, SlowLogSize: 4, SlowLogThreshold: 1 << 40})
+	s := New(frozenBackend(p), Config{CacheSize: 4, Obs: reg, SlowLogSize: 4, SlowLogThreshold: 1 << 40})
 
 	s.SearchBaseline("nfl")
 	if got := obsRow(t, reg, "serve_queries"); got != 1 {
@@ -137,7 +137,7 @@ func TestServerObsBaselineAndThreshold(t *testing.T) {
 // slow log, and the serving behavior is unchanged.
 func TestServerObsNilRegistry(t *testing.T) {
 	p := testPipeline(t)
-	s := New(p.Detector, DefaultConfig())
+	s := New(frozenBackend(p), DefaultConfig())
 	if s.SlowLog() != nil {
 		t.Fatal("un-instrumented server grew a slow log")
 	}

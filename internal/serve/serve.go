@@ -1,9 +1,9 @@
 // Package serve is the online serving layer of the reproduction: a
 // concurrent query front-end over a shared e# engine behind the
-// Backend interface — frozen (core.Detector), live (core.LiveDetector
-// over the streaming index in internal/ingest) or sharded
-// (core.ShardedLiveDetector over the author-partitioned router in
-// internal/shard). The paper's deployment answers expert queries from
+// Backend interface — core.ShardedLiveDetector over the shard set of
+// internal/shard, whatever its shape: many shards, one streaming index
+// (core.NewLiveDetector) or a frozen corpus that never ingests. The
+// paper's deployment answers expert queries from
 // production web-search traffic while new tweets keep arriving; this
 // package models that stage so serving throughput can be measured and
 // improved PR over PR under both read-only and mixed read/write load.
@@ -23,21 +23,20 @@
 // mechanisms keep the cache honest and cheap under load:
 //
 //   - Epoch invalidation: every cache entry is tagged with the
-//     backend's view identity at compute time. A live backend bumps
-//     its epoch on every snapshot swap (ingest, seal, compaction), so
-//     a lookup that finds an entry from an older view drops it and
-//     recomputes instead of serving pre-ingest results. A sharded
-//     backend (VectorBackend) tags entries with the full vector of
-//     per-shard epochs, and an entry is stale as soon as any component
-//     advances — exactly one shard absorbing a post invalidates the
-//     results computed over the older composite view. Frozen backends
-//     report a constant epoch and never invalidate.
+//     backend's view identity at compute time — the vector of
+//     per-shard epochs. A shard bumps its epoch on every snapshot swap
+//     (ingest, seal, compaction), and an entry is stale as soon as any
+//     component advances, so a lookup that finds an entry from an
+//     older view drops it and recomputes instead of serving pre-ingest
+//     results — exactly one shard absorbing a post invalidates the
+//     results computed over the older composite view. A backend nobody
+//     writes to never invalidates.
 //   - Singleflight: concurrent identical cold misses coalesce onto one
 //     in-flight computation; followers wait for the leader's result
 //     instead of running the detector N times. Coalescing keys on the
 //     normalized query, not the epoch sample, so cold misses under
 //     ingest churn still collapse; the leader's entry carries the
-//     epoch (or epoch vector) it sampled before computing, which is
+//     epoch vector it sampled before computing, which is
 //     conservatively already stale if the index moved mid-flight.
 //   - Admission control: degenerate queries (empty, or over
 //     Config.MaxQueryTerms tokens) are rejected with a typed error
@@ -48,8 +47,7 @@
 //     instead of queueing unbounded detector work.
 //
 // SearchContext and SearchBaselineContext carry the caller's deadline
-// into the backend (ContextBackend, satisfied by every core detector):
-// the remaining budget rides the context down the scatter-gather into
+// into the backend: the remaining budget rides the context down the scatter-gather into
 // per-shard RPC deadlines, and an expired budget surfaces as the
 // context's error — the gateway maps it to 504.
 //
@@ -57,8 +55,8 @@
 // concurrently: request-level parallelism already saturates the cores.
 // The load generators in loadgen.go drive a Server at configurable
 // concurrency — read-only (RunLoad) or mixed with live ingestion into
-// any Sink, single-node index or sharded router alike (RunMixedLoad) —
-// feeding the BenchmarkServeQPS* suites here and in internal/shard.
+// the backend's shard set (RunMixedLoad) — feeding the
+// BenchmarkServeQPS* suites here and in internal/shard.
 package serve
 
 import (
@@ -77,29 +75,34 @@ import (
 	"repro/internal/textutil"
 )
 
-// Backend is the query engine a Server fronts. core.Detector (frozen
-// index, constant epoch), core.LiveDetector (streaming index, epoch
-// bumped on every snapshot swap) and core.ShardedLiveDetector
-// (author-partitioned stream; also a VectorBackend) all satisfy it.
+// Backend is the query engine a Server fronts — exactly the calls it
+// makes. core.ShardedLiveDetector is the implementation; tests
+// substitute stubs.
 type Backend interface {
-	Search(query string) ([]expertise.Expert, core.SearchTrace)
-	SearchBaseline(query string) []expertise.Expert
-	// Epoch identifies the index view queries currently run against;
-	// cached results from older epochs are stale. Vector backends
-	// return a scalar digest here (the component sum) and expose the
-	// full vector through EpochVector.
-	Epoch() uint64
-}
-
-// ContextBackend is a Backend that can run a query under a caller
-// deadline. Every core detector satisfies it; the sharded detector
-// threads the context down its scatter-gather into per-shard RPC
-// deadlines. A Server detects the interface at construction; without
-// it, SearchContext still rejects, sheds and coalesces under the
-// caller's context but runs the backend itself uncancellably.
-type ContextBackend interface {
+	// SearchContext and SearchBaselineContext run one e# or baseline
+	// query under the caller's deadline; the sharded detector threads
+	// the context down its scatter-gather into per-shard RPC deadlines.
 	SearchContext(ctx context.Context, query string) ([]expertise.Expert, core.SearchTrace, error)
 	SearchBaselineContext(ctx context.Context, query string) ([]expertise.Expert, error)
+	// EpochVector appends the per-shard epochs of the view queries
+	// currently run against to dst (capacity reused, contents
+	// discarded); cached results are stale as soon as any component
+	// advances past theirs. Components are per-shard monotonic, except
+	// that an unobservable shard (its transport failed) reports
+	// core.EpochUnknown — the server bypasses the cache entirely for
+	// such samples, in both directions.
+	EpochVector(dst []uint64) []uint64
+	// PartialStats reports queries answered with at least one shard
+	// missing, and the total per-shard failures behind them.
+	PartialStats() (partialQueries, shardErrors int64)
+	// Failovers reports reads a replicated shard answered from a
+	// non-first-choice replica after at least one replica failed — the
+	// healthy counterpart of PartialStats. Read twice per instrumented
+	// request, so it must be cheap.
+	Failovers() int64
+	// ReshardStats returns the attached live-resharding migration's
+	// progress snapshot; ok is false when no migration is attached.
+	ReshardStats() (st shard.MigrationStats, ok bool)
 }
 
 // Typed request-rejection errors. The gateway maps them onto HTTP
@@ -117,56 +120,6 @@ var (
 	// (Config.MaxInflightMisses); warm hits are never shed.
 	ErrOverloaded = errors.New("serve: overloaded, cold query shed")
 )
-
-// VectorBackend is a Backend whose view identity is a vector of
-// per-shard epochs (core.ShardedLiveDetector over a shard.Router or a
-// remote cluster). A Server detects the interface at construction and
-// keys cache invalidation on the vector: an entry is stale as soon as
-// any component advances past the entry's, so ingest on exactly one
-// shard invalidates results computed over the older composite view.
-type VectorBackend interface {
-	Backend
-	// EpochVector appends the per-shard epochs of the current view to
-	// dst (capacity reused, contents discarded). Components are
-	// per-shard monotonic, except that an unobservable shard (its
-	// transport failed) reports core.EpochUnknown — the server bypasses
-	// the cache entirely for such samples, in both directions.
-	EpochVector(dst []uint64) []uint64
-}
-
-// PartialReporter is a Backend that can degrade to partial results
-// when some of its shards are unreachable (core.ShardedLiveDetector
-// over remote shards). A Server detects the interface at construction
-// and surfaces the counters through Stats.
-type PartialReporter interface {
-	// PartialStats reports queries answered with at least one shard
-	// missing, and the total per-shard failures behind them.
-	PartialStats() (partialQueries, shardErrors int64)
-}
-
-// FailoverReporter is a Backend whose shards can answer a read from
-// more than one replica (core.ShardedLiveDetector over a cluster with
-// replica.Set members). A Server detects the interface at
-// construction and mirrors the counter through Stats — the healthy
-// counterpart of PartialReporter: a failover kept the query whole
-// where a plain shard would have degraded to partial results.
-type FailoverReporter interface {
-	// Failovers reports reads answered by a non-first-choice replica
-	// after at least one replica failed.
-	Failovers() int64
-}
-
-// ReshardReporter is a Backend whose shard set can be live-resharded
-// (core.ShardedLiveDetector with an attached shard.Migration). A
-// Server detects the interface at construction and surfaces the
-// migration's progress snapshot through Stats.Reshard — state, handoff
-// volume and dual-read-window hits — so an operator can watch an N→M
-// migration from the serving plane.
-type ReshardReporter interface {
-	// ReshardStats returns the in-flight (or finished) migration's
-	// progress snapshot; ok is false when no migration is attached.
-	ReshardStats() (st shard.MigrationStats, ok bool)
-}
 
 // Config tunes a Server.
 type Config struct {
@@ -223,14 +176,12 @@ type Stats struct {
 	// Invalidations counts cache entries dropped because the backend's
 	// epoch moved past the entry's (live ingestion made them stale).
 	Invalidations int64
-	// CacheEntries is the current number of cached results; Epoch is
-	// the backend's current epoch (for a vector backend, the scalar
-	// digest — see EpochVector).
+	// CacheEntries is the current number of cached results.
 	CacheEntries int
-	Epoch        uint64
-	// EpochVector is the backend's current per-shard epoch vector; nil
-	// for scalar backends. A core.EpochUnknown component means that
-	// shard's transport is failing right now.
+	// EpochVector is the backend's current per-shard epoch vector. A
+	// core.EpochUnknown component means that shard's transport is
+	// failing right now. Epoch is its scalar digest, the component sum.
+	Epoch       uint64
 	EpochVector []uint64
 	// Uncacheable counts requests served around the cache because the
 	// epoch-vector sample contained an unknown component (a shard's
@@ -238,19 +189,16 @@ type Stats struct {
 	// against cached entries nor admit new ones.
 	Uncacheable int64
 	// PartialResults and ShardErrors mirror the backend's fail-fast
-	// degradation counters (PartialReporter): queries answered with at
-	// least one shard missing, and the per-shard failures behind them.
-	// Zero for backends that cannot degrade.
+	// degradation counters: queries answered with at least one shard
+	// missing, and the per-shard failures behind them.
 	PartialResults, ShardErrors int64
-	// Failovers mirrors the backend's replicated-read counter
-	// (FailoverReporter): reads a replicated shard answered from a
-	// non-first-choice replica after a replica failure — degradation
-	// *avoided*, where PartialResults counts degradation suffered.
-	// Zero for backends without replicated shards.
+	// Failovers mirrors the backend's replicated-read counter: reads a
+	// replicated shard answered from a non-first-choice replica after a
+	// replica failure — degradation *avoided*, where PartialResults
+	// counts degradation suffered. Zero without replicated shards.
 	Failovers int64
 	// Reshard is the live-resharding progress snapshot of the
-	// backend's attached migration (ReshardReporter); nil when the
-	// backend cannot reshard or no migration is attached.
+	// backend's attached migration; nil when none is attached.
 	Reshard *shard.MigrationStats
 }
 
@@ -263,13 +211,11 @@ type cacheKey struct {
 	baseline bool
 }
 
-// cacheEntry is one LRU slot. Exactly one of the epoch fields is
-// meaningful: scalar backends tag entries with epoch, vector backends
-// with epochVec (the buffer is owned by the entry and reused across
-// refreshes).
+// cacheEntry is one LRU slot, tagged with the epoch vector its result
+// was computed under (the buffer is owned by the entry and reused
+// across refreshes).
 type cacheEntry struct {
 	key      cacheKey
-	epoch    uint64
 	epochVec []uint64
 	experts  []expertise.Expert
 }
@@ -289,17 +235,9 @@ type flight struct {
 type Server struct {
 	backend Backend
 	cfg     Config
-	// vec is non-nil when the backend exposes a per-shard epoch vector;
-	// vecPool recycles the per-request sample buffers so the hot path
-	// stays allocation-free once warm. partial is non-nil when the
-	// backend reports fail-fast degradation counters.
-	vec      VectorBackend
-	vecPool  sync.Pool // of *[]uint64
-	partial  PartialReporter
-	failover FailoverReporter
-	reshard  ReshardReporter
-
-	ctxBackend ContextBackend
+	// vecPool recycles the per-request epoch-vector sample buffers so
+	// the hot path stays allocation-free once warm.
+	vecPool sync.Pool // of *[]uint64
 
 	queries, hits, misses    atomic.Int64
 	coalesced, invalidations atomic.Int64
@@ -322,27 +260,10 @@ type Server struct {
 	inflight map[cacheKey]*flight
 }
 
-// New wires a server over a backend (a frozen core.Detector, a live
-// core.LiveDetector, or a sharded core.ShardedLiveDetector — the
-// latter's epoch vector is detected and used for cache invalidation).
+// New wires a server over a backend.
 func New(b Backend, cfg Config) *Server {
 	s := &Server{backend: b, cfg: cfg, inflight: make(map[cacheKey]*flight)}
-	if vb, ok := b.(VectorBackend); ok {
-		s.vec = vb
-		s.vecPool.New = func() any { return new([]uint64) }
-	}
-	if pr, ok := b.(PartialReporter); ok {
-		s.partial = pr
-	}
-	if fr, ok := b.(FailoverReporter); ok {
-		s.failover = fr
-	}
-	if rr, ok := b.(ReshardReporter); ok {
-		s.reshard = rr
-	}
-	if cb, ok := b.(ContextBackend); ok {
-		s.ctxBackend = cb
-	}
+	s.vecPool.New = func() any { return new([]uint64) }
 	if cfg.CacheSize > 0 {
 		s.order = list.New()
 		s.slots = make(map[cacheKey]*list.Element, cfg.CacheSize)
@@ -398,7 +319,7 @@ func (s *Server) SearchBaseline(query string) []expertise.Expert {
 }
 
 // SearchContext answers one e# query under the caller's context: the
-// deadline propagates into the backend (ContextBackend), admission
+// deadline propagates into the backend, admission
 // failures surface as ErrEmptyQuery / ErrTooManyTerms / ErrOverloaded,
 // and an expired budget as the context's error. The returned slice may
 // be shared with the cache and other callers — treat it as read-only.
@@ -417,21 +338,16 @@ func (s *Server) serve(ctx context.Context, query string, baseline bool) ([]expe
 		return s.serveTraced(ctx, query, baseline, nil)
 	}
 	// Instrumented path: time the request end to end, capture the
-	// outcome and (for misses against an instrumented sharded backend)
-	// the per-shard spans, and offer the trace to the slow-query ring.
+	// outcome and (for misses against an instrumented backend) the
+	// per-shard spans, and offer the trace to the slow-query ring.
 	qt := obs.QueryTrace{Baseline: baseline, Start: time.Now()}
-	var failovers0 int64
-	if s.failover != nil {
-		failovers0 = s.failover.Failovers()
-	}
+	failovers0 := s.backend.Failovers()
 	start := time.Now()
 	experts, err := s.serveTraced(ctx, query, baseline, &qt)
 	qt.TotalNS = time.Since(start).Nanoseconds()
-	if s.failover != nil {
-		// Best-effort under concurrency: the delta of the backend's
-		// cumulative counter across this request.
-		qt.Failovers = s.failover.Failovers() - failovers0
-	}
+	// Best-effort under concurrency: the delta of the backend's
+	// cumulative counter across this request.
+	qt.Failovers = s.backend.Failovers() - failovers0
 	s.obsReqNS.Observe(qt.TotalNS)
 	s.slow.Record(qt)
 	return experts, err
@@ -472,39 +388,31 @@ func (s *Server) serveTraced(ctx context.Context, query string, baseline bool, q
 	if qt != nil {
 		qt.Query = norm
 	}
-	// Sample the view identity before any cache decision: for a vector
-	// backend the full per-shard vector (into a pooled buffer), for a
-	// scalar backend the single epoch.
-	var epoch uint64
-	var evec []uint64
+	// Sample the view identity before any cache decision: the full
+	// per-shard epoch vector, into a pooled buffer.
+	buf := s.vecPool.Get().(*[]uint64)
+	*buf = s.backend.EpochVector((*buf)[:0])
+	evec := *buf
+	defer s.vecPool.Put(buf)
+	// A sample with an unknown component (a shard's transport failed
+	// mid-sample) identifies no view at all: it can neither be compared
+	// against cached entries nor tag a new one, so this request goes
+	// around the cache in both directions. In-flight coalescing still
+	// applies — identical degraded requests share one computation.
 	uncacheable := false
-	if s.vec != nil {
-		buf := s.vecPool.Get().(*[]uint64)
-		*buf = s.vec.EpochVector((*buf)[:0])
-		evec = *buf
-		defer s.vecPool.Put(buf)
-		// A sample with an unknown component (a shard's transport failed
-		// mid-sample) identifies no view at all: it can neither be
-		// compared against cached entries nor tag a new one, so this
-		// request goes around the cache in both directions. In-flight
-		// coalescing still applies — identical degraded requests share
-		// one computation.
-		for _, e := range evec {
-			if e == core.EpochUnknown {
-				uncacheable = true
-				s.uncacheable.Add(1)
-				break
-			}
+	for _, e := range evec {
+		if e == core.EpochUnknown {
+			uncacheable = true
+			s.uncacheable.Add(1)
+			break
 		}
-	} else {
-		epoch = s.backend.Epoch()
 	}
 
 	var f *flight
 	for {
 		s.mu.Lock()
 		if !uncacheable {
-			if experts, ok := s.lookupLocked(key, epoch, evec); ok {
+			if experts, ok := s.lookupLocked(key, evec); ok {
 				s.mu.Unlock()
 				s.hits.Add(1)
 				if qt != nil {
@@ -570,11 +478,11 @@ func (s *Server) serveTraced(ctx context.Context, query string, baseline bool, q
 	defer func() {
 		s.mu.Lock()
 		if completed && !uncacheable && f.err == nil {
-			// Tag the entry with the epoch (or vector) sampled before
-			// computing: if the index moved mid-flight, the entry is
-			// conservatively already stale and the next lookup
-			// recomputes against the new view.
-			s.insertLocked(key, f.experts, epoch, evec)
+			// Tag the entry with the vector sampled before computing: if
+			// the index moved mid-flight, the entry is conservatively
+			// already stale and the next lookup recomputes against the
+			// new view.
+			s.insertLocked(key, f.experts, evec)
 		}
 		delete(s.inflight, key)
 		s.mu.Unlock()
@@ -588,18 +496,10 @@ func (s *Server) serveTraced(ctx context.Context, query string, baseline bool, q
 		}
 	}
 	if baseline {
-		if s.ctxBackend != nil {
-			f.experts, f.err = s.ctxBackend.SearchBaselineContext(ctx, norm)
-		} else {
-			f.experts = s.backend.SearchBaseline(norm)
-		}
+		f.experts, f.err = s.backend.SearchBaselineContext(ctx, norm)
 	} else {
 		var tr core.SearchTrace
-		if s.ctxBackend != nil {
-			f.experts, tr, f.err = s.ctxBackend.SearchContext(ctx, norm)
-		} else {
-			f.experts, tr = s.backend.Search(norm)
-		}
+		f.experts, tr, f.err = s.backend.SearchContext(ctx, norm)
 		if qt != nil {
 			qt.MatchedTweets = tr.MatchedTweets
 			qt.MergeRankNS = tr.MergeRankNS
@@ -627,8 +527,8 @@ func tokensCanonical(toks []string) bool {
 // stale against the request's sample: stale as soon as any component
 // advanced past the entry's. Components an entry is *ahead* on (a
 // concurrent request cached it after an ingest) do not count against
-// it — per-component monotonic forward steps are fresh, mirroring the
-// scalar rule. A length mismatch (resharded backend) is conservatively
+// it — serving it is a per-component monotonic step forward, not a
+// stale read. A length mismatch (resharded backend) is conservatively
 // stale.
 func staleVec(entryVec, sample []uint64) bool {
 	if len(entryVec) != len(sample) {
@@ -643,10 +543,10 @@ func staleVec(entryVec, sample []uint64) bool {
 }
 
 // lookupLocked fetches a cached result and marks it most recently
-// used. An entry from an older view — scalar epoch behind, or any
-// vector component behind — is dropped: the live index has moved on,
-// so serving it would return pre-ingest results.
-func (s *Server) lookupLocked(key cacheKey, epoch uint64, evec []uint64) ([]expertise.Expert, bool) {
+// used. An entry from an older view — any vector component behind — is
+// dropped: the live index has moved on, so serving it would return
+// pre-ingest results.
+func (s *Server) lookupLocked(key cacheKey, evec []uint64) ([]expertise.Expert, bool) {
 	if s.slots == nil {
 		return nil, false
 	}
@@ -655,17 +555,7 @@ func (s *Server) lookupLocked(key cacheKey, epoch uint64, evec []uint64) ([]expe
 		return nil, false
 	}
 	entry := el.Value.(*cacheEntry)
-	stale := false
-	if evec != nil {
-		stale = staleVec(entry.epochVec, evec)
-	} else {
-		// Staleness only: an entry tagged newer than this request's
-		// epoch sample (a concurrent request cached it after an ingest)
-		// is fresh — serving it is a monotonic step forward, not a
-		// stale read.
-		stale = entry.epoch < epoch
-	}
-	if stale {
+	if staleVec(entry.epochVec, evec) {
 		s.order.Remove(el)
 		delete(s.slots, key)
 		s.invalidations.Add(1)
@@ -675,10 +565,10 @@ func (s *Server) lookupLocked(key cacheKey, epoch uint64, evec []uint64) ([]expe
 	return entry.experts, true
 }
 
-// insertLocked stores a result tagged with the request's sampled view
-// (scalar epoch or per-shard vector), evicting the least recently used
-// entry when the cache is full.
-func (s *Server) insertLocked(key cacheKey, experts []expertise.Expert, epoch uint64, evec []uint64) {
+// insertLocked stores a result tagged with the request's sampled
+// epoch vector, evicting the least recently used entry when the cache
+// is full.
+func (s *Server) insertLocked(key cacheKey, experts []expertise.Expert, evec []uint64) {
 	if s.slots == nil {
 		return
 	}
@@ -687,15 +577,11 @@ func (s *Server) insertLocked(key cacheKey, experts []expertise.Expert, epoch ui
 		// recomputed); refresh it and keep a single entry.
 		entry := el.Value.(*cacheEntry)
 		entry.experts = experts
-		entry.epoch = epoch
 		entry.epochVec = append(entry.epochVec[:0], evec...)
 		s.order.MoveToFront(el)
 		return
 	}
-	entry := &cacheEntry{key: key, epoch: epoch, experts: experts}
-	if evec != nil {
-		entry.epochVec = append([]uint64(nil), evec...)
-	}
+	entry := &cacheEntry{key: key, epochVec: append([]uint64(nil), evec...), experts: experts}
 	s.slots[key] = s.order.PushFront(entry)
 	if s.order.Len() > s.cfg.CacheSize {
 		oldest := s.order.Back()
@@ -728,21 +614,15 @@ func (s *Server) Stats() Stats {
 		Uncacheable:   s.uncacheable.Load(),
 		Shed:          s.shed.Load(),
 		Rejected:      s.rejected.Load(),
-		Epoch:         s.backend.Epoch(),
+		EpochVector:   s.backend.EpochVector(nil),
+		Failovers:     s.backend.Failovers(),
 	}
-	if s.vec != nil {
-		st.EpochVector = s.vec.EpochVector(nil)
+	for _, e := range st.EpochVector {
+		st.Epoch += e
 	}
-	if s.partial != nil {
-		st.PartialResults, st.ShardErrors = s.partial.PartialStats()
-	}
-	if s.failover != nil {
-		st.Failovers = s.failover.Failovers()
-	}
-	if s.reshard != nil {
-		if rst, ok := s.reshard.ReshardStats(); ok {
-			st.Reshard = &rst
-		}
+	st.PartialResults, st.ShardErrors = s.backend.PartialStats()
+	if rst, ok := s.backend.ReshardStats(); ok {
+		st.Reshard = &rst
 	}
 	if s.slots != nil {
 		s.mu.Lock()

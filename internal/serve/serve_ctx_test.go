@@ -35,7 +35,7 @@ func checkInvariant(t *testing.T, s *Server) {
 func TestSearchPermutationProperty(t *testing.T) {
 	p := testPipeline(t)
 	sets := eval.BuildQuerySets(p.World, p.Log, eval.SetSizes{PerCategory: 25, Top: 60})
-	s := New(p.Detector, DefaultConfig())
+	s := New(frozenBackend(p), DefaultConfig())
 	rng := rand.New(rand.NewSource(9))
 
 	multi := 0

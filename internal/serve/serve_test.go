@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -30,6 +31,14 @@ func testPipeline(t testing.TB) *core.Pipeline {
 	return pipe
 }
 
+// frozenBackend serves the pipeline's frozen corpus the way a
+// deployment would: as a streaming index nobody writes to. Tests
+// compare its answers with p.Detector, the cold reference.
+func frozenBackend(p *core.Pipeline) *core.LiveDetector {
+	idx := ingest.New(p.Corpus, ingest.Config{DisableCompactor: true})
+	return core.NewLiveDetector(p.Collection, idx, p.Cfg.Online)
+}
+
 func sameExperts(a, b []expertise.Expert) bool {
 	if len(a) != len(b) {
 		return false
@@ -56,7 +65,7 @@ func TestServerConcurrentMixedQueries(t *testing.T) {
 		wantBase[q] = p.Detector.SearchBaseline(q)
 	}
 
-	s := New(p.Detector, Config{CacheSize: 4}) // small cache => constant churn
+	s := New(frozenBackend(p), Config{CacheSize: 4}) // small cache => constant churn
 	const workers, perWorker = 8, 150
 	errs := make(chan error, workers)
 	var wg sync.WaitGroup
@@ -109,7 +118,7 @@ func errMismatchf(q, kind string) error { return errMismatch(kind + " result mis
 // never share entries.
 func TestCacheHitsAndEviction(t *testing.T) {
 	p := testPipeline(t)
-	s := New(p.Detector, Config{CacheSize: 2})
+	s := New(frozenBackend(p), Config{CacheSize: 2})
 
 	s.Search("49ers")   // miss -> cached
 	s.Search("49ers")   // hit
@@ -143,7 +152,7 @@ func TestCacheHitsAndEviction(t *testing.T) {
 
 func TestCacheDisabled(t *testing.T) {
 	p := testPipeline(t)
-	s := New(p.Detector, Config{CacheSize: 0})
+	s := New(frozenBackend(p), Config{CacheSize: 0})
 	for i := 0; i < 3; i++ {
 		s.Search("49ers")
 	}
@@ -154,8 +163,9 @@ func TestCacheDisabled(t *testing.T) {
 }
 
 // scriptedBackend is a controllable Backend for cache-mechanics tests:
-// a settable epoch, a call counter, and an optional gate that blocks
-// computations until the test releases it.
+// a settable epoch (a one-component vector), a call counter, and an
+// optional gate that blocks computations until the test releases it.
+// It never degrades, fails over or reshards.
 type scriptedBackend struct {
 	epoch atomic.Uint64
 	calls atomic.Int64
@@ -170,13 +180,18 @@ func (b *scriptedBackend) answer(query string) []expertise.Expert {
 	return []expertise.Expert{{User: 1, Score: float64(b.epoch.Load())}}
 }
 
-func (b *scriptedBackend) Search(query string) ([]expertise.Expert, core.SearchTrace) {
-	return b.answer(query), core.SearchTrace{Query: query}
+func (b *scriptedBackend) SearchContext(ctx context.Context, query string) ([]expertise.Expert, core.SearchTrace, error) {
+	return b.answer(query), core.SearchTrace{Query: query}, nil
 }
-func (b *scriptedBackend) SearchBaseline(query string) []expertise.Expert {
-	return b.answer(query)
+func (b *scriptedBackend) SearchBaselineContext(ctx context.Context, query string) ([]expertise.Expert, error) {
+	return b.answer(query), nil
 }
-func (b *scriptedBackend) Epoch() uint64 { return b.epoch.Load() }
+func (b *scriptedBackend) EpochVector(dst []uint64) []uint64 { return append(dst[:0], b.epoch.Load()) }
+func (b *scriptedBackend) PartialStats() (int64, int64)      { return 0, 0 }
+func (b *scriptedBackend) Failovers() int64                  { return 0 }
+func (b *scriptedBackend) ReshardStats() (shard.MigrationStats, bool) {
+	return shard.MigrationStats{}, false
+}
 
 // TestSingleflightColdMisses pins the coalescing contract: N concurrent
 // identical cold queries run the backend once; everyone gets the
@@ -239,11 +254,11 @@ type panicOnceBackend struct {
 	panicked atomic.Bool
 }
 
-func (b *panicOnceBackend) Search(query string) ([]expertise.Expert, core.SearchTrace) {
+func (b *panicOnceBackend) SearchContext(ctx context.Context, query string) ([]expertise.Expert, core.SearchTrace, error) {
 	if b.panicked.CompareAndSwap(false, true) {
 		panic("backend bug")
 	}
-	return b.scriptedBackend.Search(query)
+	return b.scriptedBackend.SearchContext(ctx, query)
 }
 
 // TestBackendPanicDoesNotWedgeKey pins the singleflight cleanup: a
@@ -398,7 +413,7 @@ func TestRunMixedLoadAccounting(t *testing.T) {
 	live := core.NewLiveDetector(p.Collection, idx, p.Cfg.Online)
 	s := New(live, DefaultConfig())
 
-	res := RunMixedLoad(s, idx, MixedLoadConfig{
+	res := RunMixedLoad(s, live.Cluster(), MixedLoadConfig{
 		Queries:       []string{"49ers", "diabetes", "nfl", "zzz-none"},
 		Searches:      60,
 		SearchWorkers: 4,
@@ -422,13 +437,13 @@ func TestRunMixedLoadAccounting(t *testing.T) {
 	if st := idx.Stats(); st.Ingested != 120 {
 		t.Fatalf("index saw %d ingests, want 120", st.Ingested)
 	}
-	if RunMixedLoad(s, idx, MixedLoadConfig{}).Searches != 0 {
+	if RunMixedLoad(s, live.Cluster(), MixedLoadConfig{}).Searches != 0 {
 		t.Fatal("empty mixed load should be a no-op")
 	}
 
 	// A write-only run (no search side) must still ingest.
 	before := idx.Stats().Ingested
-	wo := RunMixedLoad(s, idx, MixedLoadConfig{Ingests: 30, IngestWorkers: 2, Seed: 9})
+	wo := RunMixedLoad(s, live.Cluster(), MixedLoadConfig{Ingests: 30, IngestWorkers: 2, Seed: 9})
 	if wo.Ingested != 30 || idx.Stats().Ingested != before+30 {
 		t.Fatalf("write-only run ingested %d posts, want 30", wo.Ingested)
 	}
@@ -443,9 +458,9 @@ func TestRunMixedLoadAccounting(t *testing.T) {
 func TestRunLoadParallelMatchesSequential(t *testing.T) {
 	p := testPipeline(t)
 	queries := []string{"49ers", "diabetes", "nfl", "zzz-none"}
-	seqRes := RunLoad(New(p.Detector, DefaultConfig()),
+	seqRes := RunLoad(New(frozenBackend(p), DefaultConfig()),
 		LoadConfig{Queries: queries, Total: 40, Workers: 1, BaselineEvery: 4})
-	parRes := RunLoad(New(p.Detector, DefaultConfig()),
+	parRes := RunLoad(New(frozenBackend(p), DefaultConfig()),
 		LoadConfig{Queries: queries, Total: 40, Workers: 8, BaselineEvery: 4})
 	if seqRes.Answered != parRes.Answered {
 		t.Fatalf("answered: sequential %d, parallel %d", seqRes.Answered, parRes.Answered)
@@ -461,14 +476,14 @@ func TestRunLoadParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("non-positive QPS: %+v", res)
 		}
 	}
-	if RunLoad(New(p.Detector, DefaultConfig()), LoadConfig{}).Queries != 0 {
+	if RunLoad(New(frozenBackend(p), DefaultConfig()), LoadConfig{}).Queries != 0 {
 		t.Fatal("empty load should be a no-op")
 	}
 }
 
-// scriptedVectorBackend is a controllable VectorBackend: per-component
-// epochs, a call counter, and an optional gate, for pinning the
-// vector-epoch cache mechanics without a real sharded index.
+// scriptedVectorBackend is a scriptedBackend with per-component
+// epochs, for pinning the vector-epoch cache mechanics without a real
+// sharded index.
 type scriptedVectorBackend struct {
 	scriptedBackend
 	components []atomic.Uint64
@@ -484,14 +499,6 @@ func (b *scriptedVectorBackend) EpochVector(dst []uint64) []uint64 {
 		dst = append(dst, b.components[i].Load())
 	}
 	return dst
-}
-
-func (b *scriptedVectorBackend) Epoch() uint64 {
-	var sum uint64
-	for i := range b.components {
-		sum += b.components[i].Load()
-	}
-	return sum
 }
 
 // TestVectorEpochSingleComponentInvalidation pins the sharded staleness
@@ -583,9 +590,9 @@ func TestVectorSingleflightColdMisses(t *testing.T) {
 // matches an uncached sharded search.
 func TestShardedServerInvalidatesOnIngest(t *testing.T) {
 	p := testPipeline(t)
-	r := shard.New(p.Corpus, shard.Config{Shards: 4, Ingest: ingest.DefaultConfig()})
+	r := shard.New(p.Corpus, 4, ingest.DefaultConfig())
 	defer r.Close()
-	sharded := core.NewShardedLiveDetector(p.Collection, r, p.Cfg.Online)
+	sharded := core.NewShardedLiveDetectorOver(p.Collection, r, p.Cfg.Online)
 	s := New(sharded, DefaultConfig())
 
 	s.Search("49ers")
@@ -612,14 +619,14 @@ func TestShardedServerInvalidatesOnIngest(t *testing.T) {
 }
 
 // TestMixedLoadShardedSink drives the mixed read/write generator with a
-// sharded router as the ingest sink and checks both sides' accounting.
+// sharded cluster as the ingest sink and checks both sides' accounting.
 func TestMixedLoadShardedSink(t *testing.T) {
 	p := testPipeline(t)
-	r := shard.New(p.Corpus, shard.Config{Shards: 4, Ingest: ingest.Config{SealThreshold: 64, CompactFanIn: 3}})
+	r := shard.New(p.Corpus, 4, ingest.Config{SealThreshold: 64, CompactFanIn: 3})
 	defer r.Close()
 	online := p.Cfg.Online
 	online.MatchWorkers = 1
-	sharded := core.NewShardedLiveDetector(p.Collection, r, online)
+	sharded := core.NewShardedLiveDetectorOver(p.Collection, r, online)
 	s := New(sharded, DefaultConfig())
 
 	res := RunMixedLoad(s, r, MixedLoadConfig{
@@ -637,8 +644,12 @@ func TestMixedLoadShardedSink(t *testing.T) {
 	if res.Ingested != 120 {
 		t.Fatalf("ingested %d posts, want 120", res.Ingested)
 	}
-	if st := r.Stats(); st.Ingested != 120 {
-		t.Fatalf("router saw %d ingests, want 120", st.Ingested)
+	var ingested int64
+	for i := 0; i < r.NumShards(); i++ {
+		ingested += r.Backend(i).(*shard.Local).Index().Stats().Ingested
+	}
+	if ingested != 120 {
+		t.Fatalf("shards saw %d ingests, want 120", ingested)
 	}
 	if res.EndEpoch < res.StartEpoch+120 {
 		t.Fatalf("vector digest did not advance with ingestion: %d -> %d",
@@ -652,7 +663,7 @@ func TestMixedLoadShardedSink(t *testing.T) {
 // request total.
 func TestRunLoadEdgeCases(t *testing.T) {
 	p := testPipeline(t)
-	s := New(p.Detector, DefaultConfig())
+	s := New(frozenBackend(p), DefaultConfig())
 
 	if res := RunLoad(s, LoadConfig{Total: 0, Queries: []string{"nfl"}}); res.Queries != 0 {
 		t.Fatalf("zero-total run reported %d queries", res.Queries)
@@ -688,12 +699,12 @@ func TestRunMixedLoadWriteOnlyAndReadOnly(t *testing.T) {
 	live := core.NewLiveDetector(p.Collection, idx, p.Cfg.Online)
 	s := New(live, DefaultConfig())
 
-	if res := RunMixedLoad(s, idx, MixedLoadConfig{}); res.Ingested != 0 || res.Searches != 0 {
+	if res := RunMixedLoad(s, live.Cluster(), MixedLoadConfig{}); res.Ingested != 0 || res.Searches != 0 {
 		t.Fatalf("all-empty mixed run did something: %+v", res)
 	}
 
 	before := idx.Stats()
-	res := RunMixedLoad(s, idx, MixedLoadConfig{Ingests: 120, IngestWorkers: 3, Seed: 7})
+	res := RunMixedLoad(s, live.Cluster(), MixedLoadConfig{Ingests: 120, IngestWorkers: 3, Seed: 7})
 	if res.Searches != 0 || res.Ingested != 120 {
 		t.Fatalf("write-only run: %d searches, %d ingests", res.Searches, res.Ingested)
 	}
@@ -706,12 +717,12 @@ func TestRunMixedLoadWriteOnlyAndReadOnly(t *testing.T) {
 
 	// Searches>0 with an empty pool is treated as read-silent, not a
 	// divide-by-zero.
-	if res := RunMixedLoad(s, idx, MixedLoadConfig{Searches: 50, Ingests: 10}); res.Searches != 0 || res.Ingested != 10 {
+	if res := RunMixedLoad(s, live.Cluster(), MixedLoadConfig{Searches: 50, Ingests: 10}); res.Searches != 0 || res.Ingested != 10 {
 		t.Fatalf("empty-pool mixed run: %+v", res)
 	}
 
 	// Read-only: no ingest workers spin up, epochs stay put.
-	res = RunMixedLoad(s, idx, MixedLoadConfig{Queries: []string{"49ers", "nfl"}, Searches: 40, SearchWorkers: 4, BaselineEvery: 3})
+	res = RunMixedLoad(s, live.Cluster(), MixedLoadConfig{Queries: []string{"49ers", "nfl"}, Searches: 40, SearchWorkers: 4, BaselineEvery: 3})
 	if res.Ingested != 0 || res.Searches != 40 {
 		t.Fatalf("read-only run: %+v", res)
 	}
@@ -723,9 +734,8 @@ func TestRunMixedLoadWriteOnlyAndReadOnly(t *testing.T) {
 	}
 }
 
-// failoverBackend is a scripted backend that also reports replicated
-// read failovers (the FailoverReporter face of a replicated
-// ShardedLiveDetector).
+// failoverBackend is a scripted backend that reports replicated read
+// failovers, like a ShardedLiveDetector over replica.Sets.
 type failoverBackend struct {
 	scriptedBackend
 	failovers atomic.Int64
@@ -734,11 +744,10 @@ type failoverBackend struct {
 func (b *failoverBackend) Failovers() int64 { return b.failovers.Load() }
 
 // TestFailoverStatsMirrored pins the serving-side surface of
-// replication: a backend that reports failovers (FailoverReporter,
-// detected at construction) has the counter mirrored into Stats, so a
-// dashboard reading serving stats sees replica failovers — degradation
-// avoided — next to the PartialResults it would have suffered without
-// replication. A backend without the interface reports zero.
+// replication: the backend's failover counter is mirrored into Stats,
+// so a dashboard reading serving stats sees replica failovers —
+// degradation avoided — next to the PartialResults it would have
+// suffered without replication.
 func TestFailoverStatsMirrored(t *testing.T) {
 	b := &failoverBackend{}
 	s := New(b, DefaultConfig())

@@ -1,10 +1,9 @@
-// The per-shard query surface the scatter-gather read path addresses.
-// PR 3 left the shards in-process — core.ShardedLiveDetector reached
-// straight into each ingest.Index snapshot. This file lifts that
-// contact surface into an interface narrow enough to put a wire behind:
-// a shard answers a term-set search with raw integer candidate rows and
-// a pinned view, the pinned view answers one batched denominator fetch,
-// and writes arrive as routed posts. A Local wraps an ingest.Index
+// The per-shard query surface the scatter-gather read path addresses,
+// an interface narrow enough to put a wire behind: a shard answers a
+// term-set search with raw integer candidate rows, the denominators of
+// those same candidates and a pinned view, the pinned view answers the
+// batched denominator fetch for everyone else's candidates, and writes
+// arrive as routed posts. A Local wraps an ingest.Index
 // in-process; transport.RemoteShard speaks the same interface to a
 // transport.ShardServer over TCP; and a Cluster composes any mix of the
 // two behind the routing and epoch-vector surfaces the detector and the
@@ -35,7 +34,13 @@ const EpochUnknown = ^uint64(0)
 // backend never does, a remote one fails fast when its transport does,
 // and the caller (core.ShardedLiveDetector) degrades to partial
 // results. Implementations are safe for concurrent use.
+//
+// The read path calls SearchStats, never Search: Search is the same
+// scatter stage without the fused denominators, kept for the wire's
+// two-step ops (a transport.ShardServer answers OpSearch with it).
 type Backend interface {
+	SearchStatser
+	EpochLocality
 	// Search runs the per-shard scatter stage against one pinned
 	// immutable view: match every term, union the per-term id lists,
 	// and extract raw candidates, appended to raw (capacity reused,
@@ -61,6 +66,12 @@ type Backend interface {
 	IngestBatch(posts []microblog.Post) error
 	// Epoch returns the shard's current snapshot epoch.
 	Epoch() (uint64, error)
+	// Failovers counts the reads a backend that can serve from more
+	// than one place (replica.Set) answered from a non-first-choice
+	// replica after at least one replica failed; a plain shard reports
+	// zero. It is read on every instrumented request, so it must stay
+	// an allocation-free atomic read.
+	Failovers() int64
 	// Quiesce synchronously drains the shard's eligible compactions.
 	Quiesce() error
 	// Close releases the backend: a Local stops its index's compactor,
@@ -69,16 +80,13 @@ type Backend interface {
 	Close() error
 }
 
-// SearchStatser is optionally implemented by backends that can answer
-// the whole search→stats conversation in one call: the candidate rows
-// plus the denominator triples for those same candidates (positionally
-// aligned with rows), all read from one pinned view. For a remote
-// backend that is the OpSearchStats composite — one round trip instead
-// of two — and the returned View still answers the coordinator's
-// top-up Stats for foreign candidates against the same pinned state.
-// A backend without this interface runs the classic two-step; the
-// results are bit-identical either way, because the denominators are
-// commutative integer sums.
+// SearchStatser is the scatter stage of every Backend: the whole
+// search→stats conversation in one call — the candidate rows plus the
+// denominator triples for those same candidates (positionally aligned
+// with rows), all read from one pinned view. For a remote backend that
+// is the OpSearchStats composite — one round trip instead of two — and
+// the returned View still answers the coordinator's top-up Stats for
+// foreign candidates against the same pinned state.
 type SearchStatser interface {
 	// SearchStats is Backend.Search fused with a View.Stats for the
 	// returned rows' own users: stats[i] belongs to rows[i].User. The
@@ -87,28 +95,17 @@ type SearchStatser interface {
 	SearchStats(ctx context.Context, terms []string, extended bool, raw []expertise.RawCandidate, stats []expertise.UserStats) (rows []expertise.RawCandidate, matched int, rowStats []expertise.UserStats, v View, err error)
 }
 
-// EpochLocality is optionally implemented by backends whose Epoch is a
+// EpochLocality tells a Cluster whether a Backend's Epoch is a
 // process-local read (an atomic load or a counter) rather than an RPC.
 // A Cluster samples such backends in a tight sequential loop with no
 // failure bookkeeping — the probe cannot dial and cannot fail. Local
-// is implicitly epoch-local; replica.Set implements this interface
-// because its logical write epoch is a coordinator-side counter even
-// when every replica behind it is remote; transport.RemoteShard
-// implements it dynamically — true exactly while an epoch-push
-// subscription keeps its cached epoch fresh.
+// always is; replica.Set always is, because its logical write epoch is
+// a coordinator-side counter even when every replica behind it is
+// remote; transport.RemoteShard is dynamically — exactly while an
+// epoch-push subscription keeps its cached epoch fresh.
 type EpochLocality interface {
 	// EpochIsLocal reports whether Epoch reads process-local state.
 	EpochIsLocal() bool
-}
-
-// FailoverReporter is optionally implemented by backends that can
-// serve a read from more than one place (replica.Set): Failovers
-// counts reads answered by a non-first-choice replica after at least
-// one replica failed. Cluster.Failovers sums it across shards and the
-// serving layer mirrors the total into serve.Stats.
-type FailoverReporter interface {
-	// Failovers returns the cumulative failed-over read count.
-	Failovers() int64
 }
 
 // View is one pinned immutable shard state, handed out by
@@ -129,8 +126,8 @@ type View interface {
 }
 
 // Local adapts one ingest.Index to the Backend interface: the
-// in-process implementation the Router serves its shards through, and
-// the execution engine a transport.ShardServer dispatches decoded
+// in-process shard of New's all-local cluster, and the execution
+// engine a transport.ShardServer dispatches decoded
 // frames to — both sides of the wire run exactly this code, which is
 // how the equivalence spine survives the process boundary. Safe for
 // concurrent use; per-query buffers are pooled.
@@ -201,13 +198,11 @@ func (l *Local) Search(ctx context.Context, terms []string, extended bool, raw [
 	return raw, matched, v, nil
 }
 
-// SearchStats implements SearchStatser in-process: Search plus a
-// stats evaluation for the matched candidates against the same pinned
-// snapshot. It exists so a Local slots into the same composite
-// coordinator path a remote shard uses — same work, same totals
-// (own-candidate stats here, foreign top-up through the view), which
-// keeps the mixed local/remote topology on a single code path and the
-// equivalence spine easy to hold.
+// SearchStats implements Backend in-process: Search plus a stats
+// evaluation for the matched candidates against the same pinned
+// snapshot — the same work and the same totals as a remote shard's
+// composite (own-candidate stats here, foreign top-up through the
+// view), so every topology runs one coordinator path.
 func (l *Local) SearchStats(ctx context.Context, terms []string, extended bool, raw []expertise.RawCandidate, stats []expertise.UserStats) ([]expertise.RawCandidate, int, []expertise.UserStats, View, error) {
 	rows, matched, v, err := l.Search(ctx, terms, extended, raw)
 	if err != nil {
@@ -226,8 +221,6 @@ func (l *Local) SearchStats(ctx context.Context, terms []string, extended bool, 
 	}
 	return rows, matched, stats, v, nil
 }
-
-var _ SearchStatser = (*Local)(nil)
 
 // View pins the current snapshot without running a search — the stats
 // surface a protocol peer may hit on a connection that has not searched
@@ -254,9 +247,12 @@ func (l *Local) IngestBatch(posts []microblog.Post) error {
 // Epoch implements Backend.
 func (l *Local) Epoch() (uint64, error) { return l.idx.Epoch(), nil }
 
-// EpochIsLocal implements EpochLocality: a Local's epoch is one
-// atomic load.
+// EpochIsLocal implements Backend: a Local's epoch is one atomic load.
 func (l *Local) EpochIsLocal() bool { return true }
+
+// Failovers implements Backend: a single index has nowhere to fail
+// over to.
+func (l *Local) Failovers() int64 { return 0 }
 
 // Quiesce implements Backend.
 func (l *Local) Quiesce() error {
@@ -300,10 +296,9 @@ func (v *localView) Release() {
 // detector and the serving cache consume: author-hash write routing
 // (position in the backend list is the shard index ShardOf routes to),
 // the per-shard epoch vector and its scalar digest, and whole-cluster
-// quiesce/close. A Router's shards form the all-local special case
-// (Router.Cluster); cmd/shardd plus transport.RemoteShard clients form
-// the all-remote one; mixing them is how a deployment drains one
-// process at a time.
+// quiesce/close. New builds the all-local special case; cmd/shardd plus
+// transport.RemoteShard clients form the all-remote one; mixing them is
+// how a deployment drains one process at a time.
 type Cluster struct {
 	w        *world.World
 	backends []Backend
@@ -320,14 +315,6 @@ type Cluster struct {
 	localEpochs bool
 }
 
-// epochIsLocal reports whether b answers Epoch from process-local
-// state — any backend claims it through the EpochLocality interface
-// (Local and replica.Set both do).
-func epochIsLocal(b Backend) bool {
-	el, ok := b.(EpochLocality)
-	return ok && el.EpochIsLocal()
-}
-
 // NewCluster assembles a cluster over an ordered backend list. Backend
 // i must hold exactly the authors ShardOf routes to i — for remote
 // backends that contract is established at deployment (cmd/shardd's
@@ -339,7 +326,7 @@ func NewCluster(w *world.World, backends ...Backend) *Cluster {
 	c.health = make([]*Health, len(backends))
 	for i, b := range backends {
 		c.health[i] = NewHealth(DefaultBackoff())
-		if !epochIsLocal(b) {
+		if !b.EpochIsLocal() {
 			c.localEpochs = false
 		}
 	}
@@ -449,7 +436,7 @@ func (c *Cluster) EpochVector(dst []uint64) ([]uint64, error) {
 	var pend []int
 	var firstErr error
 	for i, b := range c.backends {
-		if epochIsLocal(b) {
+		if b.EpochIsLocal() {
 			// A local read cannot dial, but its outcome still feeds the
 			// shard's health gate so a lapse-then-recovery sequence
 			// observes consistent bookkeeping.
@@ -499,23 +486,21 @@ func (c *Cluster) EpochVector(dst []uint64) ([]uint64, error) {
 	return dst, firstErr
 }
 
-// Failovers sums the failed-over read counts of every backend that
-// reports one (replica.Set members; plain backends contribute zero) —
-// the cluster-wide count the serving layer surfaces as
-// serve.Stats.Failovers.
+// Failovers sums the backends' failed-over read counts (replica.Set
+// members; plain backends contribute zero) — the cluster-wide count the
+// serving layer surfaces as serve.Stats.Failovers.
 func (c *Cluster) Failovers() int64 {
 	var sum int64
 	for _, b := range c.backends {
-		if fr, ok := b.(FailoverReporter); ok {
-			sum += fr.Failovers()
-		}
+		sum += b.Failovers()
 	}
 	return sum
 }
 
 // Epoch returns the sum of the per-shard epochs — the scalar digest of
-// the vector (see Router.Epoch), sampled with the same concurrency as
-// EpochVector. Unobservable components contribute EpochUnknown to the
+// the vector, sampled with the same concurrency as EpochVector. Epochs
+// never decrease, so the sum advances if and only if some component
+// advances. Unobservable components contribute EpochUnknown to the
 // sum, which still changes the digest as failed samples' neighbors
 // advance.
 func (c *Cluster) Epoch() uint64 {

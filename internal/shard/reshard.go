@@ -592,7 +592,7 @@ func (m *Migration) NoteRead() {
 // cluster before cutover, destination after — under a read lock so
 // Cutover's gate can exclude in-flight writes. A routing failure
 // aborts the migration (observable via Err) and drops the post.
-func (m *Migration) Ingest(p microblog.Post) microblog.TweetID {
+func (m *Migration) Ingest(p microblog.Post) (microblog.TweetID, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	c := m.src
@@ -601,10 +601,10 @@ func (m *Migration) Ingest(p microblog.Post) microblog.TweetID {
 	}
 	id, err := c.Ingest(p)
 	if err != nil {
-		m.fail(fmt.Errorf("shard: migration write: %w", err))
-		return 0
+		err = fmt.Errorf("shard: migration write: %w", err)
+		m.fail(err)
 	}
-	return id
+	return id, err
 }
 
 // IngestBatch routes a batch like Ingest routes one post.

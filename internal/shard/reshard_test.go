@@ -69,14 +69,14 @@ func TestReshardQuiescedEquivalence(t *testing.T) {
 		tc := tc
 		t.Run(fmt.Sprintf("%dto%d", tc.from, tc.to), func(t *testing.T) {
 			seed := uint64(8100 + 10*ci)
-			src := shard.New(p.Corpus, shard.Config{Shards: tc.from, Ingest: icfg})
+			src := shard.New(p.Corpus, tc.from, icfg)
 			defer src.Close()
-			dst := shard.New(p.Corpus, shard.Config{Shards: tc.to, Ingest: icfg})
+			dst := shard.New(p.Corpus, tc.to, icfg)
 			defer dst.Close()
 
-			det := core.NewShardedLiveDetectorOver(p.Collection, src.Cluster(), p.Cfg.Online)
+			det := core.NewShardedLiveDetectorOver(p.Collection, src, p.Cfg.Online)
 			srv := serve.New(det, serve.Config{CacheSize: 256})
-			mig, err := shard.NewMigration(src.Cluster(), dst.Cluster(), shard.MigrationConfig{
+			mig, err := shard.NewMigration(src, dst, shard.MigrationConfig{
 				PageSize: 64,
 				Cutover:  func(to *shard.Cluster) { det.SwapCluster(to) },
 			})
@@ -132,7 +132,7 @@ func TestReshardQuiescedEquivalence(t *testing.T) {
 			if got := mig.Table(); got.Shards != tc.to || got.Version != 2 {
 				t.Fatalf("routing table %+v, want shards %d version 2", got, tc.to)
 			}
-			if det.Cluster() != dst.Cluster() {
+			if det.Cluster() != dst {
 				t.Fatal("cutover did not swap the read path to the destination cluster")
 			}
 			st := mig.Stats()
@@ -191,7 +191,7 @@ func TestReshardChaosMidDrain(t *testing.T) {
 	const from, to = 4, 8
 	const seed = uint64(8200)
 
-	src := shard.New(p.Corpus, shard.Config{Shards: from, Ingest: icfg})
+	src := shard.New(p.Corpus, from, icfg)
 	defer src.Close()
 
 	faults := make([]*fault.Backend, to)
@@ -204,10 +204,10 @@ func TestReshardChaosMidDrain(t *testing.T) {
 	}
 	dstCluster := shard.NewCluster(p.World, backends...)
 
-	det := core.NewShardedLiveDetectorOver(p.Collection, src.Cluster(), p.Cfg.Online)
+	det := core.NewShardedLiveDetectorOver(p.Collection, src, p.Cfg.Online)
 	srv := serve.New(det, serve.Config{CacheSize: 256})
 	cutover := false
-	mig, err := shard.NewMigration(src.Cluster(), dstCluster, shard.MigrationConfig{
+	mig, err := shard.NewMigration(src, dstCluster, shard.MigrationConfig{
 		PageSize: 16,
 		Cutover:  func(*shard.Cluster) { cutover = true },
 	})
@@ -258,7 +258,7 @@ func TestReshardChaosMidDrain(t *testing.T) {
 	if got := mig.Table(); got.Shards != from || got.Version != 1 {
 		t.Fatalf("routing table %+v moved despite the abort", got)
 	}
-	if det.Cluster() != src.Cluster() {
+	if det.Cluster() != src {
 		t.Fatal("read path left the source cluster despite the abort")
 	}
 
@@ -289,26 +289,26 @@ func TestReshardChaosMidDrain(t *testing.T) {
 func TestMigrationStateMachine(t *testing.T) {
 	p, _ := testPipeline(t)
 	icfg := ingest.Config{SealThreshold: 32, CompactFanIn: 3}
-	src := shard.New(p.Corpus, shard.Config{Shards: 2, Ingest: icfg})
+	src := shard.New(p.Corpus, 2, icfg)
 	defer src.Close()
-	dst := shard.New(p.Corpus, shard.Config{Shards: 4, Ingest: icfg})
+	dst := shard.New(p.Corpus, 4, icfg)
 	defer dst.Close()
 
-	if _, err := shard.NewMigration(nil, dst.Cluster(), shard.MigrationConfig{}); err == nil {
+	if _, err := shard.NewMigration(nil, dst, shard.MigrationConfig{}); err == nil {
 		t.Fatal("nil source accepted")
 	}
 	other, err := core.BuildPipeline(core.TinyPipelineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	foreign := shard.New(other.Corpus, shard.Config{Shards: 4, Ingest: icfg})
+	foreign := shard.New(other.Corpus, 4, icfg)
 	defer foreign.Close()
-	if _, err := shard.NewMigration(src.Cluster(), foreign.Cluster(), shard.MigrationConfig{}); err == nil ||
+	if _, err := shard.NewMigration(src, foreign, shard.MigrationConfig{}); err == nil ||
 		!strings.Contains(err.Error(), "world") {
 		t.Fatalf("cross-world migration accepted (err %v)", err)
 	}
 
-	mig, err := shard.NewMigration(src.Cluster(), dst.Cluster(), shard.MigrationConfig{})
+	mig, err := shard.NewMigration(src, dst, shard.MigrationConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,9 +337,9 @@ func TestMigrationStateMachine(t *testing.T) {
 	}
 	// Writes still land on the (authoritative) source after an abort.
 	post := streamPosts(p, 9001, 1)[0]
-	before := src.Cluster().Epoch()
-	if id := mig.Ingest(post); id == 0 && src.Cluster().Epoch() == before {
-		t.Fatal("post dropped after abort")
+	before := src.Epoch()
+	if _, err := mig.Ingest(post); err != nil || src.Epoch() == before {
+		t.Fatalf("post dropped after abort: %v", err)
 	}
 	for _, s := range []shard.MigrationState{shard.MigrationIdle, shard.MigrationDraining,
 		shard.MigrationWindowOpen, shard.MigrationDone, shard.MigrationAborted, shard.MigrationState(99)} {

@@ -46,6 +46,33 @@ func streamPosts(p *core.Pipeline, seed uint64, n int) []microblog.Post {
 	return posts
 }
 
+// shardIndex returns shard i's streaming index in an all-local cluster.
+func shardIndex(c *shard.Cluster, i int) *ingest.Index {
+	return c.Backend(i).(*shard.Local).Index()
+}
+
+// shardStats snapshots every shard's writer-side counters in an
+// all-local cluster, plus the posts ingested and tweets held in total.
+func shardStats(c *shard.Cluster) (per []ingest.IndexStats, ingested int64, tweets int) {
+	for i := 0; i < c.NumShards(); i++ {
+		st := shardIndex(c, i).Stats()
+		per = append(per, st)
+		ingested += st.Ingested
+		tweets += st.NumTweets
+	}
+	return per, ingested, tweets
+}
+
+// epochVector samples an all-local cluster's vector, which cannot fail.
+func epochVector(t *testing.T, c *shard.Cluster) []uint64 {
+	t.Helper()
+	ev, err := c.EpochVector(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ev
+}
+
 func expertsIdentical(t *testing.T, label, query string, got, want []expertise.Expert) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -59,7 +86,7 @@ func expertsIdentical(t *testing.T, label, query string, got, want []expertise.E
 }
 
 // TestShardOfStability pins the routing hash: it must be a pure
-// function of (author, shard count) — stable across routers, processes
+// function of (author, shard count) — stable across clusters, processes
 // and restarts — and the golden values guard the hash constants against
 // accidental change (a constant change would silently re-partition
 // every deployed stream on upgrade).
@@ -95,20 +122,22 @@ func TestShardOfStability(t *testing.T) {
 	}
 }
 
-// TestRouterAuthorAffinity pins the partition invariant: every base
+// TestClusterAuthorAffinity pins the partition invariant: every base
 // tweet and every ingested post lands on ShardFor(author)'s index, and
 // the shards' contents sum to base plus everything ingested.
-func TestRouterAuthorAffinity(t *testing.T) {
+func TestClusterAuthorAffinity(t *testing.T) {
 	p, _ := testPipeline(t)
 	posts := streamPosts(p, 61, 300)
-	r := shard.New(p.Corpus, shard.Config{Shards: 4, Ingest: ingest.Config{SealThreshold: 32, CompactFanIn: 3}})
+	r := shard.New(p.Corpus, 4, ingest.Config{SealThreshold: 32, CompactFanIn: 3})
 	defer r.Close()
-	r.IngestBatch(posts)
+	if err := r.IngestBatch(posts); err != nil {
+		t.Fatal(err)
+	}
 	r.Quiesce()
 
 	total := 0
 	for i := 0; i < r.NumShards(); i++ {
-		snap := r.Shard(i).Snapshot()
+		snap := shardIndex(r, i).Snapshot()
 		total += snap.NumTweets()
 		for gid := 0; gid < snap.NumTweets(); gid++ {
 			tw := snap.Tweet(microblog.TweetID(gid))
@@ -121,19 +150,19 @@ func TestRouterAuthorAffinity(t *testing.T) {
 	if want := p.Corpus.NumTweets() + len(posts); total != want {
 		t.Fatalf("shards hold %d tweets in total, want %d", total, want)
 	}
-	st := r.Stats()
-	if st.Ingested != int64(len(posts)) {
-		t.Fatalf("router ingested %d, want %d", st.Ingested, len(posts))
+	_, ingested, tweets := shardStats(r)
+	if ingested != int64(len(posts)) {
+		t.Fatalf("shards ingested %d, want %d", ingested, len(posts))
 	}
-	if st.NumTweets != total {
-		t.Fatalf("stats count %d tweets, snapshots hold %d", st.NumTweets, total)
+	if tweets != total {
+		t.Fatalf("stats count %d tweets, snapshots hold %d", tweets, total)
 	}
 }
 
 // TestShardedQuiescedEquivalence is the acceptance bar of the sharded
 // subsystem: for every shard count, after routing the same posts and
 // quiescing, the sharded detector must return bit-identical ranked
-// experts — and matched-tweet counts — to the single-node LiveDetector
+// experts — and matched-tweet counts — to the single-index LiveDetector
 // and to a cold core.Detector rebuilt over the same posts, for every
 // query of every evaluation query set, on both the e# and the baseline
 // path.
@@ -152,12 +181,14 @@ func TestShardedQuiescedEquivalence(t *testing.T) {
 	cold := core.NewDetector(p.Collection, p.Corpus.ExtendedWith(posts), p.Cfg.Online)
 
 	for _, n := range []int{1, 2, 4, 8} {
-		r := shard.New(p.Corpus, shard.Config{Shards: n, Ingest: icfg})
-		r.IngestBatch(posts)
+		r := shard.New(p.Corpus, n, icfg)
+		if err := r.IngestBatch(posts); err != nil {
+			t.Fatal(err)
+		}
 		r.Quiesce()
-		sharded := core.NewShardedLiveDetector(p.Collection, r, p.Cfg.Online)
+		sharded := core.NewShardedLiveDetectorOver(p.Collection, r, p.Cfg.Online)
 
-		if ev := r.EpochVector(nil); len(ev) != n {
+		if ev := epochVector(t, r); len(ev) != n {
 			t.Fatalf("N=%d: epoch vector has %d components", n, len(ev))
 		}
 		total := 0
@@ -192,16 +223,18 @@ func TestShardedQuiescedEquivalence(t *testing.T) {
 func TestShardedParallelMatchEquivalence(t *testing.T) {
 	p, sets := testPipeline(t)
 	for _, shards := range []int{2, 4} {
-		r := shard.New(p.Corpus, shard.Config{Shards: shards, Ingest: ingest.Config{SealThreshold: 64, CompactFanIn: 3}})
-		r.IngestBatch(streamPosts(p, 43, 300))
+		r := shard.New(p.Corpus, shards, ingest.Config{SealThreshold: 64, CompactFanIn: 3})
+		if err := r.IngestBatch(streamPosts(p, 43, 300)); err != nil {
+			t.Fatal(err)
+		}
 		r.Quiesce()
 
 		seqCfg := p.Cfg.Online
 		seqCfg.MatchWorkers = 1
 		parCfg := p.Cfg.Online
 		parCfg.MatchWorkers = 4
-		seq := core.NewShardedLiveDetector(p.Collection, r, seqCfg)
-		par := core.NewShardedLiveDetector(p.Collection, r, parCfg)
+		seq := core.NewShardedLiveDetectorOver(p.Collection, r, seqCfg)
+		par := core.NewShardedLiveDetectorOver(p.Collection, r, parCfg)
 		for _, set := range sets {
 			for _, q := range set.Queries {
 				want, _ := seq.Search(q)
@@ -218,14 +251,16 @@ func TestShardedParallelMatchEquivalence(t *testing.T) {
 // leaves every other component untouched.
 func TestEpochVectorSingleShardAdvance(t *testing.T) {
 	p, _ := testPipeline(t)
-	r := shard.New(p.Corpus, shard.Config{Shards: 4, Ingest: ingest.DefaultConfig()})
+	r := shard.New(p.Corpus, 4, ingest.DefaultConfig())
 	defer r.Close()
 
-	before := r.EpochVector(nil)
+	before := epochVector(t, r)
 	post := streamPosts(p, 67, 1)[0]
 	target := r.ShardFor(post.Author)
-	r.Ingest(post)
-	after := r.EpochVector(nil)
+	if _, err := r.Ingest(post); err != nil {
+		t.Fatal(err)
+	}
+	after := epochVector(t, r)
 
 	for i := range before {
 		switch {
@@ -241,14 +276,14 @@ func TestEpochVectorSingleShardAdvance(t *testing.T) {
 }
 
 // TestConcurrentShardedIngestSearch is the -race hammer: concurrent
-// routed ingesters and scatter-gather searchers share one router while
-// every shard's compactor runs. Afterwards the quiesced router must
+// routed ingesters and scatter-gather searchers share one cluster while
+// every shard's compactor runs. Afterwards the quiesced cluster must
 // match a cold detector rebuilt from the shards' own final content.
 func TestConcurrentShardedIngestSearch(t *testing.T) {
 	p, _ := testPipeline(t)
-	r := shard.New(p.Corpus, shard.Config{Shards: 4, Ingest: ingest.Config{SealThreshold: 16, CompactFanIn: 3}})
+	r := shard.New(p.Corpus, 4, ingest.Config{SealThreshold: 16, CompactFanIn: 3})
 	defer r.Close()
-	sharded := core.NewShardedLiveDetector(p.Collection, r, p.Cfg.Online)
+	sharded := core.NewShardedLiveDetectorOver(p.Collection, r, p.Cfg.Online)
 	queries := []string{"49ers", "diabetes", "nfl", "dow futures", "coffee", "zzz-none"}
 	maxResults := p.Cfg.Online.Expertise.MaxResults
 
@@ -292,15 +327,15 @@ func TestConcurrentShardedIngestSearch(t *testing.T) {
 	}
 
 	r.Quiesce()
-	if st := r.Stats(); st.Ingested != ingesters*perIngester {
-		t.Fatalf("ingested %d posts, want %d", st.Ingested, ingesters*perIngester)
+	if _, ingested, _ := shardStats(r); ingested != ingesters*perIngester {
+		t.Fatalf("ingested %d posts, want %d", ingested, ingesters*perIngester)
 	}
 
 	// Cold rebuild from the shards' own final content.
 	all := append([]microblog.Tweet(nil), p.Corpus.Tweets()...)
 	for i := 0; i < r.NumShards(); i++ {
-		snap := r.Shard(i).Snapshot()
-		base := r.Shard(i).Base().NumTweets()
+		snap := shardIndex(r, i).Snapshot()
+		base := shardIndex(r, i).Base().NumTweets()
 		for gid := base; gid < snap.NumTweets(); gid++ {
 			all = append(all, *snap.Tweet(microblog.TweetID(gid)))
 		}
@@ -317,43 +352,47 @@ type errInvariant string
 
 func (e errInvariant) Error() string { return string(e) }
 
-// TestRouterCloseQuiesceLifecycle covers the shutdown paths: Close is
+// TestClusterCloseQuiesceLifecycle covers the shutdown paths: Close is
 // idempotent, the shards stay readable and writable afterwards (only
 // background compaction stops), and an explicit Quiesce after Close
 // still drains eligible merges synchronously.
-func TestRouterCloseQuiesceLifecycle(t *testing.T) {
+func TestClusterCloseQuiesceLifecycle(t *testing.T) {
 	p, _ := testPipeline(t)
-	r := shard.New(p.Corpus, shard.Config{Shards: 2, Ingest: ingest.Config{SealThreshold: 8, CompactFanIn: 2}})
+	r := shard.New(p.Corpus, 2, ingest.Config{SealThreshold: 8, CompactFanIn: 2})
 	posts := streamPosts(p, 97, 100)
-	r.IngestBatch(posts[:50])
+	if err := r.IngestBatch(posts[:50]); err != nil {
+		t.Fatal(err)
+	}
 
 	r.Close()
 	r.Close() // double Close must be a no-op, not a panic or deadlock
 
 	// Writes after Close still land and publish fresh snapshots.
-	before := r.Stats()
-	r.IngestBatch(posts[50:])
-	after := r.Stats()
-	if after.Ingested != before.Ingested+50 {
-		t.Fatalf("ingested after Close: %d -> %d, want +50", before.Ingested, after.Ingested)
+	_, before, _ := shardStats(r)
+	if err := r.IngestBatch(posts[50:]); err != nil {
+		t.Fatal(err)
 	}
-	if after.NumTweets != p.Corpus.NumTweets()+len(posts) {
-		t.Fatalf("tweets after Close: %d, want %d", after.NumTweets, p.Corpus.NumTweets()+len(posts))
+	_, after, tweets := shardStats(r)
+	if after != before+50 {
+		t.Fatalf("ingested after Close: %d -> %d, want +50", before, after)
+	}
+	if tweets != p.Corpus.NumTweets()+len(posts) {
+		t.Fatalf("tweets after Close: %d, want %d", tweets, p.Corpus.NumTweets()+len(posts))
 	}
 
 	// With the compactor stopped, Quiesce is the only merge driver; it
 	// must leave no eligible run behind.
 	r.Quiesce()
-	st := r.Stats()
-	for i, ps := range st.PerShard {
+	per, _, _ := shardStats(r)
+	for i, ps := range per {
 		if ps.Segments >= 2*2 { // a full fan-in run left unmerged
 			t.Fatalf("shard %d still has %d sealed segments after Quiesce", i, ps.Segments)
 		}
 	}
 
-	// And the quiesced post-Close router still ranks identically to a
+	// And the quiesced post-Close cluster still ranks identically to a
 	// cold rebuild — Close must never cost correctness.
-	det := core.NewShardedLiveDetector(p.Collection, r, p.Cfg.Online)
+	det := core.NewShardedLiveDetectorOver(p.Collection, r, p.Cfg.Online)
 	cold := core.NewDetector(p.Collection, p.Corpus.ExtendedWith(posts), p.Cfg.Online)
 	for _, q := range []string{"49ers", "nfl", "coffee"} {
 		got, _ := det.Search(q)
@@ -362,10 +401,10 @@ func TestRouterCloseQuiesceLifecycle(t *testing.T) {
 	}
 }
 
-// TestClusterLocalRouting covers the Cluster composition surface the
-// remote topology shares with the Router: ordered backends, write
-// routing by author hash, run-grouped batch ingest, and the epoch
-// vector/digest pair.
+// TestClusterLocalRouting covers the Cluster composition surface over
+// an explicit backend list, as the remote topology builds it: ordered
+// backends, write routing by author hash, run-grouped batch ingest, and
+// the epoch vector/digest pair.
 func TestClusterLocalRouting(t *testing.T) {
 	p, _ := testPipeline(t)
 	const n = 4
@@ -426,23 +465,27 @@ func TestClusterLocalRouting(t *testing.T) {
 	}
 }
 
-// TestLocalViewPinsSnapshot pins the view contract the two-phase
-// gather relies on: a view's Stats answer from the state Search pinned,
-// not from writes that land afterwards.
+// TestLocalViewPinsSnapshot pins the view contract the gather's top-up
+// relies on: a view's Stats answer from the state the composite scatter
+// pinned — the same state its own-candidate stats were read from — not
+// from writes that land afterwards.
 func TestLocalViewPinsSnapshot(t *testing.T) {
 	p, _ := testPipeline(t)
 	idx := ingest.New(p.Corpus, ingest.DefaultConfig())
 	defer idx.Close()
 	l := shard.NewLocal(idx)
 
-	rows, _, v, err := l.Search(context.Background(), []string{"49ers"}, false, nil)
-	if err != nil || len(rows) == 0 {
-		t.Fatalf("search: %d rows, err %v", len(rows), err)
+	rows, _, own, v, err := l.SearchStats(context.Background(), []string{"49ers"}, false, nil, nil)
+	if err != nil || len(rows) == 0 || len(own) != len(rows) {
+		t.Fatalf("search: %d rows, %d stats, err %v", len(rows), len(own), err)
 	}
 	u := rows[0].User
 	before, err := v.Stats(context.Background(), []world.UserID{u}, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if before[0] != own[0] {
+		t.Fatalf("view and composite disagree on one pinned state: %+v vs %+v", before[0], own[0])
 	}
 
 	// A burst of new posts by that user lands after the pin.
@@ -470,32 +513,23 @@ func TestLocalViewPinsSnapshot(t *testing.T) {
 	}
 }
 
-// flakyEpochBackend is a minimal non-Local backend whose Epoch can be
-// made to fail — it stands in for a remote shard so the cluster's
-// concurrent epoch sampling (taken only when a member is not Local) and
-// its EpochUnknown degradation run under this package's own tests.
+// flakyEpochBackend is a Local whose Epoch is not a local read and can
+// be made to fail — it stands in for a remote shard so the cluster's
+// concurrent epoch sampling (taken only when a member's epoch is not
+// local) and its EpochUnknown degradation run under this package's own
+// tests.
 type flakyEpochBackend struct {
-	inner *shard.Local
-	fail  bool
+	*shard.Local
+	fail bool
 }
 
-func (f *flakyEpochBackend) Search(ctx context.Context, terms []string, extended bool, raw []expertise.RawCandidate) ([]expertise.RawCandidate, int, shard.View, error) {
-	return f.inner.Search(ctx, terms, extended, raw)
-}
-func (f *flakyEpochBackend) Ingest(p microblog.Post) (microblog.TweetID, error) {
-	return f.inner.Ingest(p)
-}
-func (f *flakyEpochBackend) IngestBatch(posts []microblog.Post) error {
-	return f.inner.IngestBatch(posts)
-}
+func (f *flakyEpochBackend) EpochIsLocal() bool { return false }
 func (f *flakyEpochBackend) Epoch() (uint64, error) {
 	if f.fail {
 		return 0, errInvariant("epoch probe failed")
 	}
-	return f.inner.Epoch()
+	return f.Local.Epoch()
 }
-func (f *flakyEpochBackend) Quiesce() error { return f.inner.Quiesce() }
-func (f *flakyEpochBackend) Close() error   { return f.inner.Close() }
 
 // TestClusterEpochVectorWithRemoteMembers drives the concurrent
 // sampling path: a cluster with a non-Local member samples every
@@ -508,7 +542,7 @@ func TestClusterEpochVectorWithRemoteMembers(t *testing.T) {
 		t.Cleanup(idx.Close)
 		return shard.NewLocal(idx)
 	}
-	flaky := &flakyEpochBackend{inner: mk(1, 3)}
+	flaky := &flakyEpochBackend{Local: mk(1, 3)}
 	c := shard.NewCluster(p.World, mk(0, 3), flaky, mk(2, 3))
 	// Wide enough that the inside-window assertions below cannot be
 	// straddled by a scheduler or GC pause on a loaded CI machine; the

@@ -135,13 +135,9 @@ type clientConn struct {
 	compress bool   // negotiated FeatureCompress on this connection
 }
 
-// RemoteShard must keep satisfying the interfaces the in-process
+// RemoteShard must keep satisfying the interface the in-process
 // shards speak — that is the whole point of the transport.
-var (
-	_ shard.Backend       = (*RemoteShard)(nil)
-	_ shard.SearchStatser = (*RemoteShard)(nil)
-	_ shard.EpochLocality = (*RemoteShard)(nil)
-)
+var _ shard.Backend = (*RemoteShard)(nil)
 
 // NewRemoteShard builds a client for one shard server. No connection is
 // made until the first request (or Handshake).
@@ -191,11 +187,15 @@ func (r *RemoteShard) EpochRTTs() int64 { return r.epochRTTs.Load() }
 // live (Epoch is a memory read while it is).
 func (r *RemoteShard) Subscribed() bool { return r.subOn.Load() }
 
-// EpochIsLocal implements shard.EpochLocality dynamically: sampling
+// EpochIsLocal implements shard.Backend dynamically: sampling
 // this backend's epoch is free exactly while a subscription is live.
 // The Cluster re-checks per sample, so a lapsed subscription falls
 // back to health-gated probing automatically.
 func (r *RemoteShard) EpochIsLocal() bool { return r.subOn.Load() }
+
+// Failovers implements shard.Backend: one server, nowhere to fail over
+// to (replica.Set fails over across RemoteShards).
+func (r *RemoteShard) Failovers() int64 { return 0 }
 
 // Health returns the client's dial budget state machine.
 func (r *RemoteShard) Health() *shard.Health { return r.health }
@@ -545,7 +545,7 @@ func (r *RemoteShard) Search(ctx context.Context, terms []string, extended bool,
 	return sr.Rows, sr.Matched, &remoteView{r: r, cc: cc}, nil
 }
 
-// SearchStats implements shard.SearchStatser: the whole search→stats
+// SearchStats implements shard.Backend: the whole search→stats
 // conversation in one OpSearchStats round trip. The response carries
 // the shard's candidate rows plus the denominator triples for those
 // same candidates, read from one snapshot server-side — on a

@@ -19,8 +19,10 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/expertise"
 	"repro/internal/fault"
 	"repro/internal/ingest"
+	"repro/internal/microblog"
 	"repro/internal/serve"
 	"repro/internal/shard"
 	"repro/internal/transport"
@@ -198,7 +200,9 @@ func TestPartialResultsLandInStats(t *testing.T) {
 
 	dead := transport.NewRemoteShard(deadAddr, transport.ClientConfig{Timeout: 200 * time.Millisecond})
 	defer dead.Close()
-	cluster := shard.NewCluster(p.World, shard.NewLocal(idx0), dead)
+	// Un-armed gates: they only count which call the read path makes.
+	gate0, gate1 := fault.Wrap(shard.NewLocal(idx0)), fault.Wrap(dead)
+	cluster := shard.NewCluster(p.World, gate0, gate1)
 	det := core.NewShardedLiveDetectorOver(p.Collection, cluster, p.Cfg.Online)
 
 	results, _ := det.Search("49ers")
@@ -216,6 +220,14 @@ func TestPartialResultsLandInStats(t *testing.T) {
 		t.Fatalf("partial queries %d, shard errors %d after five degraded requests", pq, se)
 	}
 	_ = results
+	// The degradation above is the production path's: every query
+	// reached both shards as one composite call, none as a plain Search.
+	for i, g := range []*fault.Backend{gate0, gate1} {
+		if g.Composites() != 5 || g.Searches() != 0 {
+			t.Fatalf("shard %d saw %d composite calls and %d plain searches, want 5 and 0",
+				i, g.Composites(), g.Searches())
+		}
+	}
 
 	// Behind a serving front-end the same degradation must surface in
 	// Stats — and because the epoch-vector sample contains an unknown
@@ -237,6 +249,100 @@ func TestPartialResultsLandInStats(t *testing.T) {
 	}
 	if len(st.EpochVector) != 2 || st.EpochVector[1] != core.EpochUnknown {
 		t.Fatalf("epoch vector does not flag the dead shard: %v", st.EpochVector)
+	}
+}
+
+// dieAfterScatter answers the composite scatter and then loses every
+// connection it holds — the shard process dying between the two phases
+// of one query, with the coordinator still holding its view.
+type dieAfterScatter struct {
+	shard.Backend
+	conns *fault.Dialer
+}
+
+func (d dieAfterScatter) SearchStats(ctx context.Context, terms []string, extended bool, raw []expertise.RawCandidate, stats []expertise.UserStats) ([]expertise.RawCandidate, int, []expertise.UserStats, shard.View, error) {
+	rows, matched, rowStats, v, err := d.Backend.SearchStats(ctx, terms, extended, raw, stats)
+	d.conns.KillAll()
+	return rows, matched, rowStats, v, err
+}
+
+// TestShardDiesBetweenScatterAndTopUp kills one shard of two after its
+// composite scatter answered and before the coordinator's top-up for
+// the foreign candidates reaches it. The shard is then missing from the
+// result whole — its numerators without its denominators would skew
+// every ratio — so the query counts one partial result and ranks
+// exactly what the surviving shard's posts alone rank on a cold
+// detector.
+func TestShardDiesBetweenScatterAndTopUp(t *testing.T) {
+	p, sets := testPipeline(t)
+	icfg := ingest.Config{SealThreshold: 32, CompactFanIn: 3}
+	posts := streamPosts(p, 89, 300)
+
+	idx0 := ingest.New(shard.Partition(p.Corpus, 0, 2), icfg)
+	defer idx0.Close()
+	idx1 := ingest.New(shard.Partition(p.Corpus, 1, 2), icfg)
+	defer idx1.Close()
+	srv, err := transport.Listen("127.0.0.1:0", idx1, transport.DefaultServerConfig(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conns := fault.NewDialer()
+	ccfg := testClientConfig()
+	ccfg.Dial = conns.Dial
+	remote := transport.NewRemoteShard(srv.Addr().String(), ccfg)
+	defer remote.Close()
+	gate := fault.Wrap(remote) // un-armed: counts the calls that reach the shard
+
+	cluster := shard.NewCluster(p.World, shard.NewLocal(idx0), dieAfterScatter{gate, conns})
+	if err := cluster.IngestBatch(posts); err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	det := core.NewShardedLiveDetectorOver(p.Collection, cluster, p.Cfg.Online)
+
+	var survivors []microblog.Post
+	for _, post := range posts {
+		if shard.ShardOf(post.Author, 2) == 0 {
+			survivors = append(survivors, post)
+		}
+	}
+	cold := core.NewDetector(p.Collection, shard.Partition(p.Corpus, 0, 2).ExtendedWith(survivors), p.Cfg.Online)
+
+	// Only a query whose candidates span both shards needs a top-up
+	// from the dying one; the others it answers whole before it dies.
+	queries, partials := 0, int64(0)
+	for _, set := range sets {
+		for _, q := range set.Queries {
+			topUps := srv.Requests(transport.OpStats)
+			got, trace := det.Search(q)
+			queries++
+			if srv.Requests(transport.OpStats) != topUps {
+				t.Fatalf("%q: a top-up reached the dead shard", q)
+			}
+			pq, se := det.PartialStats()
+			if pq == partials {
+				continue
+			}
+			if pq != partials+1 || se != pq {
+				t.Fatalf("%q: partial queries %d→%d, shard errors %d — want one of each per degraded query", q, partials, pq, se)
+			}
+			partials = pq
+			want, wantTrace := cold.Search(q)
+			expertsIdentical(t, "survivors-vs-cold", q, got, want)
+			if trace.MatchedTweets != wantTrace.MatchedTweets {
+				t.Fatalf("%q: matched %d tweets, the survivor alone matches %d", q, trace.MatchedTweets, wantTrace.MatchedTweets)
+			}
+		}
+	}
+	if partials == 0 {
+		t.Fatal("no query needed a top-up from the dying shard")
+	}
+	if gate.Composites() != int64(queries) || gate.Searches() != 0 {
+		t.Fatalf("dying shard saw %d composite calls and %d plain searches over %d queries",
+			gate.Composites(), gate.Searches(), queries)
 	}
 }
 

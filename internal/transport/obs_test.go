@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/ingest"
 	"repro/internal/obs"
@@ -85,8 +86,17 @@ func TestObsPromotesRequestCounters(t *testing.T) {
 		metricValue(t, serverReg, "rpc_server_bytes_written") <= 0 {
 		t.Error("server byte accounting did not move")
 	}
-	if metricValue(t, serverReg, "rpc_server_search_ns_count") != 3 {
-		t.Error("server search latency histogram did not record 3 requests")
+	// The server times a request until its response is flushed, so it
+	// records after the client already has the answer: wait for the
+	// last observation instead of racing it.
+	deadline := time.Now().Add(5 * time.Second)
+	for metricValue(t, serverReg, "rpc_server_search_ns_count") != 3 {
+		if time.Now().After(deadline) {
+			t.Errorf("server search latency histogram recorded %d requests, want 3",
+				metricValue(t, serverReg, "rpc_server_search_ns_count"))
+			break
+		}
+		time.Sleep(time.Millisecond)
 	}
 
 	// Client side mirrors its own view of the same traffic.

@@ -66,7 +66,7 @@ func DefaultServerConfig(i, n int) ServerConfig {
 // each accepted connection is handled by one goroutine running a
 // sequential read-dispatch-respond loop. Query execution happens in a
 // shard.Local wrapping the index — the identical code path the
-// in-process Router topology runs — so the only thing the wire adds is
+// in-process topology runs — so the only thing the wire adds is
 // encode/decode, which carries integers and therefore cannot perturb
 // the ranking.
 type ShardServer struct {

@@ -96,7 +96,7 @@ func startShardServers(t testing.TB, p *core.Pipeline, n int, icfg ingest.Config
 // for N ∈ {1, 2, 4}, after routing the same posts through loopback
 // ShardServers and quiescing over the wire, the remote scatter-gather
 // detector must return bit-identical ranked experts — and matched-tweet
-// counts — to the in-process Router and to a cold core.Detector rebuilt
+// counts — to the in-process cluster and to a cold core.Detector rebuilt
 // over the same posts, for every query of every evaluation query set,
 // on both the e# and the baseline path. This is the e# equivalence
 // spine surviving a process boundary.
@@ -109,10 +109,12 @@ func TestRemoteQuiescedEquivalence(t *testing.T) {
 
 	for _, n := range []int{1, 2, 4} {
 		// In-process reference over the identical partitioning.
-		router := shard.New(p.Corpus, shard.Config{Shards: n, Ingest: icfg})
-		router.IngestBatch(posts)
-		router.Quiesce()
-		local := core.NewShardedLiveDetector(p.Collection, router, p.Cfg.Online)
+		inproc := shard.New(p.Corpus, n, icfg)
+		if err := inproc.IngestBatch(posts); err != nil {
+			t.Fatal(err)
+		}
+		inproc.Quiesce()
+		local := core.NewShardedLiveDetectorOver(p.Collection, inproc, p.Cfg.Online)
 
 		clients := startShardServers(t, p, n, icfg)
 		backends := make([]shard.Backend, n)
@@ -155,7 +157,7 @@ func TestRemoteQuiescedEquivalence(t *testing.T) {
 		if pq, se := remote.PartialStats(); pq != 0 || se != 0 {
 			t.Fatalf("N=%d: healthy cluster reported partial queries %d, shard errors %d", n, pq, se)
 		}
-		router.Close()
+		inproc.Close()
 	}
 }
 
