@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race flake vet bench bench-check cover cover-check check docs-check bench-shard bench-remote bench-replica bench-gateway bench-disk bench-json fuzz-smoke run-gateway smoke-gateway
+.PHONY: all build test race flake vet bench bench-check bench-smoke cover cover-check check docs-check bench-shard bench-remote bench-replica bench-gateway bench-disk bench-json fuzz-smoke run-gateway smoke-gateway
 
 all: check
 
@@ -36,6 +36,15 @@ vet:
 bench-check:
 	$(GO) -C bench vet .
 	$(GO) -C bench test .
+
+# The real-process answer check, in brief (≈6–20 s): builds gateway and
+# shardd, boots them, runs all four BENCHMARK.json workloads at 1/50 of
+# the op counts and requires every answer byte-identical to a cold
+# rebuild, zero failed operations and no child death. It is the one
+# gate that drives the disk tier through real processes, so a change to
+# the segment format or the wire fails here, not in production.
+bench-smoke:
+	$(GO) -C bench run . -smoke
 
 # Documentation gate (see BENCHMARKS.md and ARCHITECTURE.md): formatting
 # is canonical, vet is clean, and every exported symbol of the flagship
@@ -126,4 +135,4 @@ run-gateway:
 smoke-gateway: build
 	./scripts/smoke_gateway.sh
 
-check: build vet test race flake bench-check docs-check cover-check smoke-gateway
+check: build vet test race flake bench-check bench-smoke docs-check cover-check smoke-gateway

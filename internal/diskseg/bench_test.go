@@ -63,6 +63,27 @@ func BenchmarkDiskSegTweetHot(b *testing.B) {
 	}
 }
 
+// BenchmarkDiskSegFeaturesUncached measures what candidate extraction
+// pays per matched post on a cold segment: the ranking features of
+// scattered ids read in place off the map, block cache disabled. The
+// row to hold is 0 allocs/op — the cost follows the posts matched, not
+// the records decoded.
+func BenchmarkDiskSegFeaturesUncached(b *testing.B) {
+	c, s := benchSegment(b, -1)
+	n := c.NumTweets()
+	var scratch []world.UserID
+	var sink int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		author, retweets, _, mentions := s.Features(microblog.TweetID(i*31%n), true, &scratch)
+		sink += int(author) + retweets + len(mentions)
+	}
+	featuresSink = sink
+}
+
+var featuresSink int
+
 // BenchmarkDiskSegWrite measures the encode+write+reopen cost of one
 // segment — the unit of background spill work.
 func BenchmarkDiskSegWrite(b *testing.B) {

@@ -6,10 +6,14 @@
 // snapshot's per-segment matching loop unchanged: posting blocks are
 // delta-varint decoded straight off the map into scratch buffers and
 // fed to the existing galloping microblog.IntersectInto; per-user
-// feature denominators are fixed-width rows read in place with no
-// decode at all. A small LRU of hot decoded blocks (posting blocks and
-// tweet blocks share it) keeps frequently queried terms at in-heap
-// latency while the long tail of the corpus costs only page cache.
+// feature denominators and the per-tweet ranking features (author,
+// retweets, hashtag bit, mentions) are fixed-width rows read in place
+// with no decode at all, so candidate extraction never decodes a tweet
+// record and costs nothing per matched post beyond the loads. A small
+// LRU of hot decoded blocks keeps frequently queried terms at in-heap
+// latency while the long tail of the corpus costs only page cache; it
+// holds posting blocks, and tweet blocks only while something pages
+// the log through Tweet (resharding handoff, OpTweets).
 //
 // Lifecycle. Segments are refcounted: the opener holds one reference,
 // every published ingest snapshot that includes the segment takes
@@ -25,7 +29,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,10 +45,10 @@ type Options struct {
 	// chaos harness injects open failures, truncation and corruption
 	// through this seam.
 	IO IO
-	// BlockCache caps the hot decoded blocks (posting + tweet blocks
-	// together) this segment keeps in heap. Zero means 256; negative
-	// disables caching, so every access decodes off the map — the
-	// configuration the cold-path benchmarks measure.
+	// BlockCache caps the hot decoded blocks (posting blocks, plus
+	// tweet blocks under log paging) this segment keeps in heap. Zero
+	// means 256; negative disables caching, so every access decodes off
+	// the map — the configuration the cold-path benchmarks measure.
 	BlockCache int
 	// Obs, when non-nil, registers the disk tier's metrics: block-cache
 	// traffic (disk_block_cache_hits / disk_block_cache_misses) and the
@@ -83,6 +86,8 @@ type Segment struct {
 	numTweets int
 	numUsers  int
 	statsOff  int
+	featOff   int // feature rows
+	poolOff   int // mention pool, right after the rows
 
 	terms       map[string]*termMeta
 	termList    []string // dictionary order; tweet records reference it
@@ -142,11 +147,16 @@ func open(path string, f File, opts Options) (*Segment, error) {
 		numTweets: numTweets,
 		numUsers:  numUsers,
 		statsOff:  secs[secStats].off,
+		featOff:   secs[secFeatures].off,
+		poolOff:   secs[secFeatures].off + featureRow*(numTweets+1),
 	}
 	if err := s.parseDict(secs[secDict], secs[secPostings], numTerms); err != nil {
 		return nil, err
 	}
 	if err := s.parseTweetDir(secs[secTweetDir], secs[secTweets], numTweetBlocks); err != nil {
+		return nil, err
+	}
+	if err := s.checkFeatures(secs[secFeatures]); err != nil {
 		return nil, err
 	}
 	capacity := opts.BlockCache
@@ -235,6 +245,40 @@ func (s *Segment) parseTweetDir(dir, tweets section, numTweetBlocks int) error {
 	return nil
 }
 
+// checkFeatures validates the feature column once, so Features can
+// read it unchecked: every author and mentioned user inside the user
+// universe, each post's mentions a whole number of uvarints starting
+// where the previous post's ended, the sentinel at the pool's end.
+func (s *Segment) checkFeatures(sec section) error {
+	rows := s.data[s.featOff:s.poolOff]
+	pool := s.data[s.poolOff : sec.off+sec.n]
+	at := int(binary.LittleEndian.Uint32(rows[8:]))
+	if at != 0 {
+		return fmt.Errorf("feature row 0: mentions at pool byte %d: %w", at, ErrCorrupt)
+	}
+	for i := 0; i < s.numTweets; i++ {
+		row := rows[featureRow*i:]
+		if a := binary.LittleEndian.Uint32(row) &^ hashtagBit; int(a) >= s.numUsers {
+			return fmt.Errorf("feature row %d: author %d of %d users: %w", i, a, s.numUsers, ErrCorrupt)
+		}
+		next := int(binary.LittleEndian.Uint32(row[featureRow+8:]))
+		if next < at || next > len(pool) {
+			return fmt.Errorf("feature row %d: mentions at pool byte %d, after %d of %d: %w", i+1, next, at, len(pool), ErrCorrupt)
+		}
+		for at < next {
+			m, n := binary.Uvarint(pool[at:next])
+			if n <= 0 || m >= uint64(s.numUsers) {
+				return fmt.Errorf("feature row %d: bad mention at pool byte %d: %w", i, at, ErrCorrupt)
+			}
+			at += n
+		}
+	}
+	if at != len(pool) {
+		return fmt.Errorf("mention pool has %d trailing bytes: %w", len(pool)-at, ErrCorrupt)
+	}
+	return nil
+}
+
 // dictUvarint reads one uvarint off the front of *buf.
 func dictUvarint(buf *[]byte) (uint64, error) {
 	v, n := binary.Uvarint(*buf)
@@ -283,6 +327,30 @@ func (s *Segment) NumRetweetsOf(u world.UserID) int {
 	return int(binary.LittleEndian.Uint32(s.data[s.statsOff+4*(2*s.numUsers+int(u)):]))
 }
 
+// Features reads the ranking features of the post with the given
+// segment-local id in place off the map: three loads and a varint walk
+// over the post's mentions, decoded into *scratch (capacity reused,
+// contents discarded, the grown buffer stored back) — no block decode,
+// no cache traffic, no allocation once the scratch fits the widest
+// post seen.
+func (s *Segment) Features(id microblog.TweetID, hashtag bool, scratch *[]world.UserID) (author world.UserID, retweets int, hashtagged bool, mentions []world.UserID) {
+	// Bounded by the rows' end, so an id past the segment panics here
+	// (as an in-heap index would) instead of reading the pool as a row.
+	row := s.data[s.featOff+featureRow*int(id) : s.poolOff]
+	a := binary.LittleEndian.Uint32(row)
+	lo := int(binary.LittleEndian.Uint32(row[8:]))
+	hi := int(binary.LittleEndian.Uint32(row[featureRow+8:]))
+	mentions = (*scratch)[:0]
+	for pool := s.data[s.poolOff+lo : s.poolOff+hi]; len(pool) > 0; {
+		m, n := binary.Uvarint(pool) // checkFeatures walked these bytes at Open
+		mentions = append(mentions, world.UserID(m))
+		pool = pool[n:]
+	}
+	*scratch = mentions
+	return world.UserID(a &^ hashtagBit), int(binary.LittleEndian.Uint32(row[4:])),
+		hashtag && a&hashtagBit != 0, mentions
+}
+
 // matchScratch holds the per-call decode buffers of MatchAppend.
 type matchScratch struct {
 	a, b  []microblog.TweetID
@@ -301,7 +369,12 @@ var matchPool = sync.Pool{New: func() any { return &matchScratch{} }}
 // as the in-heap path does, which is what makes a spilled segment
 // bit-identical to the corpus it was written from.
 func (s *Segment) MatchAppend(query string, buf []microblog.TweetID) []microblog.TweetID {
-	tokens := textutil.Tokenize(query)
+	return s.MatchTokensAppend(textutil.Tokenize(query), buf)
+}
+
+// MatchTokensAppend is MatchAppend over an already tokenized query
+// (see microblog.Corpus.MatchTokensAppend).
+func (s *Segment) MatchTokensAppend(tokens []string, buf []microblog.TweetID) []microblog.TweetID {
 	if len(tokens) == 0 {
 		return buf[:0]
 	}
@@ -314,16 +387,21 @@ func (s *Segment) MatchAppend(query string, buf []microblog.TweetID) []microblog
 	}
 	sc := matchPool.Get().(*matchScratch)
 	defer matchPool.Put(sc)
-	sc.metas = sc.metas[:0]
+	metas := sc.metas[:0]
 	for _, tok := range tokens {
 		m := s.terms[tok]
 		if m == nil {
 			return buf[:0]
 		}
-		sc.metas = append(sc.metas, m)
+		// Insert by ascending posting count: rarest first.
+		i := len(metas)
+		metas = append(metas, m)
+		for ; i > 0 && metas[i-1].count > m.count; i-- {
+			metas[i] = metas[i-1]
+		}
+		metas[i] = m
 	}
-	metas := sc.metas
-	sort.Slice(metas, func(i, j int) bool { return metas[i].count < metas[j].count })
+	sc.metas = metas
 	sc.a = s.termAppend(metas[0], sc.a[:0])
 	sc.b = s.termAppend(metas[1], sc.b[:0])
 	buf = microblog.IntersectInto(buf, sc.a, sc.b)
@@ -384,12 +462,13 @@ func (s *Segment) postingBlock(ref *blockRef) []microblog.TweetID {
 	return ids
 }
 
-// Tweet returns the post with the given segment-local id. The tweet is
-// decoded as part of its block — hot blocks come from the LRU, so the
-// candidate-extraction loop over a frequent term's matches runs at
-// in-heap speed — and the returned pointer stays valid as long as the
-// caller holds it (eviction only drops the cache's reference). Terms
-// share the dictionary's strings; nothing is re-tokenized.
+// Tweet returns the whole post with the given segment-local id — the
+// log-paging read (resharding handoff, OpTweets); ranking reads
+// Features instead. The tweet is decoded as part of its block, hot
+// blocks come from the LRU, and the returned pointer stays valid as
+// long as the caller holds it (eviction only drops the cache's
+// reference). Terms share the dictionary's strings; nothing is
+// re-tokenized.
 func (s *Segment) Tweet(id microblog.TweetID) *microblog.Tweet {
 	b := int(id) / TweetBlockLen
 	tws := s.tweetBlock(b)
@@ -430,15 +509,9 @@ func (s *Segment) decodeTweetBlock(b int) []microblog.Tweet {
 	for i := 0; i < n; i++ {
 		tw := &tws[i]
 		tw.ID = microblog.TweetID(lo + i)
-		tw.Author = world.UserID(blockUvarint(&buf))
-		tw.RetweetCount = int(blockUvarint(&buf))
+		var mentions []world.UserID // fresh per tweet: the record owns it
+		tw.Author, tw.RetweetCount, _, tw.Mentions = s.Features(tw.ID, false, &mentions)
 		tw.Topic = world.TopicID(blockUvarint(&buf)) - 1
-		if nm := int(blockUvarint(&buf)); nm > 0 {
-			tw.Mentions = make([]world.UserID, nm)
-			for j := range tw.Mentions {
-				tw.Mentions[j] = world.UserID(blockUvarint(&buf))
-			}
-		}
 		if nt := int(blockUvarint(&buf)); nt > 0 {
 			tw.Terms = make([]string, nt)
 			for j := range tw.Terms {

@@ -155,6 +155,94 @@ func TestRoundTripTweetsAndStats(t *testing.T) {
 	}
 }
 
+// TestFeaturesEquivalence pins the in-place feature column against the
+// corpus it was written from: for every local id, with and without the
+// hashtag bit asked for, author, retweets, hashtag and mentions read
+// off the map equal the ones derived from the heap tweet — over posts
+// with no, one and several mentions, with and without a "#" term, and
+// a short last block — through one reused scratch, with no block
+// decode (the cache stays untouched) and no allocation.
+func TestFeaturesEquivalence(t *testing.T) {
+	w := world.Build(world.TinyConfig())
+	last := world.UserID(len(w.Users) - 1)
+	c := microblog.Generate(w, microblog.TinyGenConfig()).ExtendedWith([]microblog.Post{
+		{Author: 3, Text: "two fans #niners", Mentions: []world.UserID{1, 2}, RetweetCount: 7, Topic: -1},
+		{Author: last, Text: "three fans, no tag", Mentions: []world.UserID{5, 0, last}, RetweetCount: 1 << 20, Topic: -1},
+		{Author: 0, Text: "a lone # is no hashtag", Topic: -1},
+	})
+	if c.NumTweets()%diskseg.TweetBlockLen == 0 {
+		c = c.ExtendedWith([]microblog.Post{{Author: 1, Text: "pads the last block short", Topic: -1}})
+	}
+	path := filepath.Join(t.TempDir(), "seg.esg")
+	if err := diskseg.Write(path, c); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	s, err := diskseg.Open(path, diskseg.Options{Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Release()
+
+	var scratch []world.UserID
+	var none, one, several, tagged, untagged int
+	for i := 0; i < c.NumTweets(); i++ {
+		tw := c.Tweet(microblog.TweetID(i))
+		wantTag := false
+		for _, tok := range tw.Terms {
+			wantTag = wantTag || (len(tok) > 1 && tok[0] == '#')
+		}
+		for _, ask := range []bool{false, true} {
+			author, retweets, tag, mentions := s.Features(tw.ID, ask, &scratch)
+			if author != tw.Author || retweets != tw.RetweetCount || tag != (ask && wantTag) {
+				t.Fatalf("tweet %d (hashtag asked: %v): got author %d retweets %d hashtagged %v, want %d %d %v",
+					i, ask, author, retweets, tag, tw.Author, tw.RetweetCount, ask && wantTag)
+			}
+			if len(mentions) != len(tw.Mentions) {
+				t.Fatalf("tweet %d: mentions %v, want %v", i, mentions, tw.Mentions)
+			}
+			for j := range mentions {
+				if mentions[j] != tw.Mentions[j] {
+					t.Fatalf("tweet %d: mentions %v, want %v", i, mentions, tw.Mentions)
+				}
+			}
+		}
+		switch len(tw.Mentions) {
+		case 0:
+			none++
+		case 1:
+			one++
+		default:
+			several++
+		}
+		if wantTag {
+			tagged++
+		} else {
+			untagged++
+		}
+	}
+	if none == 0 || one == 0 || several == 0 || tagged == 0 || untagged == 0 {
+		t.Fatalf("corpus misses a case: mentions 0/1/>1 = %d/%d/%d, hashtag yes/no = %d/%d",
+			none, one, several, tagged, untagged)
+	}
+	for _, m := range reg.Snapshot() {
+		if (m.Name == "disk_block_cache_hits" || m.Name == "disk_block_cache_misses") && m.Value != 0 {
+			t.Fatalf("%s = %d after a feature sweep: Features went through the block cache", m.Name, m.Value)
+		}
+	}
+	if reg.Histogram("disk_read_ns").Count() != 0 {
+		t.Fatal("a feature sweep decoded a block")
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		for i := 0; i < c.NumTweets(); i++ {
+			s.Features(microblog.TweetID(i), true, &scratch)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a sweep over %d posts allocated %v times, want 0", c.NumTweets(), allocs)
+	}
+}
+
 // TestBlockCacheCountsAndObs pins the hot-path story: repeating one
 // query hits the block cache instead of re-decoding, and the obs
 // counters see exactly that.

@@ -8,7 +8,9 @@ package diskseg_test
 // pinned here once for every downstream consumer.
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -98,6 +100,177 @@ func TestCorruptByte(t *testing.T) {
 		if !errors.Is(err, diskseg.ErrChecksum) && !errors.Is(err, diskseg.ErrCorrupt) && !errors.Is(err, diskseg.ErrTruncated) {
 			t.Fatalf("flip at %d/%d: err = %v, want a diskseg sentinel", off, size, err)
 		}
+	}
+}
+
+// smallImage encodes a 150-post corpus (two full tweet blocks and a
+// short one) whose posts carry zero, one and several mentions: small
+// enough to fault every single byte of its feature column.
+func smallImage(t *testing.T) []byte {
+	t.Helper()
+	w := world.Build(world.TinyConfig())
+	posts := make([]microblog.Post, 150)
+	for i := range posts {
+		posts[i] = microblog.Post{
+			Author: world.UserID(i % len(w.Users)), Text: "coffee #niners 49ers", RetweetCount: i % 5, Topic: -1,
+		}
+		for m := 0; m < i%4; m++ {
+			posts[i].Mentions = append(posts[i].Mentions, world.UserID((i+7*m)%len(w.Users)))
+		}
+	}
+	img, err := diskseg.Encode(microblog.BuildCorpus(w, posts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// openImage writes an image to a fresh file and opens it.
+func openImage(t *testing.T, data []byte) (*diskseg.Segment, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "seg.esg")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return diskseg.Open(path, diskseg.Options{})
+}
+
+// TestFeatureSectionFaults is the dense form of the two sweeps above
+// over the feature column, the one section the ranking path reads in
+// place with no decode step that could notice a bad byte later: every
+// single flipped byte and every truncation point inside it must fail
+// at Open.
+func TestFeatureSectionFaults(t *testing.T) {
+	img := smallImage(t)
+	path := filepath.Join(t.TempDir(), "seg.esg")
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	off, n := diskseg.FeatureSection(img)
+	if off+n != len(img) {
+		t.Fatalf("feature section [%d:+%d) is not the file's tail (%d bytes)", off, n, len(img))
+	}
+	for at := off; at < off+n; at++ {
+		io := fault.NewDiskIO()
+		io.CorruptByte(at)
+		if s, err := diskseg.Open(path, diskseg.Options{IO: io}); err == nil {
+			s.Release()
+			t.Fatalf("flip at feature byte %d/%d: opened cleanly", at-off, n)
+		} else if !errors.Is(err, diskseg.ErrChecksum) && !errors.Is(err, diskseg.ErrCorrupt) {
+			t.Fatalf("flip at feature byte %d/%d: err = %v, want ErrChecksum or ErrCorrupt", at-off, n, err)
+		}
+		io.Heal()
+		io.TruncateTo(at)
+		if s, err := diskseg.Open(path, diskseg.Options{IO: io}); err == nil {
+			s.Release()
+			t.Fatalf("cut at feature byte %d/%d: opened cleanly", at-off, n)
+		} else if !errors.Is(err, diskseg.ErrTruncated) {
+			t.Fatalf("cut at feature byte %d/%d: err = %v, want ErrTruncated", at-off, n, err)
+		}
+	}
+	s, err := diskseg.Open(path, diskseg.Options{IO: fault.NewDiskIO()})
+	if err != nil {
+		t.Fatalf("pristine image: %v", err)
+	}
+	s.Release()
+}
+
+// TestFeatureColumnStructure patches single feature rows of a valid
+// image and recomputes the checksums, so only the structural checks
+// stand between the defect and the ranking path: a mention offset past
+// the pool, one running backwards, one landing mid-varint, an author or
+// a mentioned user outside the universe, and a short column must all be
+// ErrCorrupt at Open.
+func TestFeatureColumnStructure(t *testing.T) {
+	img := smallImage(t)
+	off, n := diskseg.FeatureSection(img)
+	const posts = 150
+	poolOff := off + diskseg.FeatureRow*(posts+1)
+	poolLen := off + n - poolOff
+	mentionsOff := func(row int) int { return off + diskseg.FeatureRow*row + 8 }
+	for _, tc := range []struct {
+		name  string
+		patch func(b []byte)
+	}{
+		{"mentionsOff past the pool", func(b []byte) {
+			binary.LittleEndian.PutUint32(b[mentionsOff(40):], uint32(poolLen+1))
+		}},
+		{"mentionsOff far out of range", func(b []byte) {
+			binary.LittleEndian.PutUint32(b[mentionsOff(40):], 1<<30)
+		}},
+		{"mentionsOff runs backwards", func(b []byte) {
+			binary.LittleEndian.PutUint32(b[mentionsOff(40):], 0)
+		}},
+		{"first mentionsOff not zero", func(b []byte) {
+			binary.LittleEndian.PutUint32(b[mentionsOff(0):], 1)
+		}},
+		{"sentinel short of the pool", func(b []byte) {
+			// Drops the last post's one two-byte mention: trailing bytes.
+			binary.LittleEndian.PutUint32(b[mentionsOff(posts):], uint32(poolLen-2))
+		}},
+		{"mention ends mid-varint", func(b []byte) { b[poolOff+poolLen-1] |= 0x80 }},
+		{"mentioned user outside the universe", func(b []byte) {
+			// Post 3's three one-byte mentions become one three-byte one.
+			copy(b[poolOff+3:], []byte{0xff, 0xff, 0x7f})
+		}},
+		{"author outside the universe", func(b []byte) {
+			binary.LittleEndian.PutUint32(b[off+diskseg.FeatureRow*3:], diskseg.HashtagBit|1<<20)
+		}},
+	} {
+		bad := append([]byte(nil), img...)
+		tc.patch(bad)
+		diskseg.Reseal(bad)
+		s, err := openImage(t, bad)
+		if err == nil {
+			s.Release()
+			t.Fatalf("%s: opened cleanly", tc.name)
+		}
+		if !errors.Is(err, diskseg.ErrCorrupt) {
+			t.Fatalf("%s: err = %v, want ErrCorrupt", tc.name, err)
+		}
+	}
+}
+
+// TestUnencodableRetweetCount: a count past the column's 32 bits (the
+// wire admits any uvarint) must fail the write — the spill path then
+// leaves the segment in heap — rather than be stored truncated.
+func TestUnencodableRetweetCount(t *testing.T) {
+	w := world.Build(world.TinyConfig())
+	for _, rt64 := range []int64{1 << 32, -1} {
+		rt := int(rt64)
+		if int64(rt) != rt64 {
+			continue // a 32-bit int cannot hold the count to begin with
+		}
+		c := microblog.BuildCorpus(w, []microblog.Post{{Author: 1, Text: "viral", RetweetCount: rt, Topic: -1}})
+		path := filepath.Join(t.TempDir(), "seg.esg")
+		if err := diskseg.Write(path, c); err == nil {
+			t.Fatalf("retweet count %d: written", rt)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("retweet count %d: a file was left behind: %v", rt, err)
+		}
+	}
+}
+
+// TestVersion1Rejected feeds Open a well-formed image of the previous
+// format — the 132-byte, five-section header of an empty v1 segment,
+// checksum valid under v1's rules. It must be refused as ErrCorrupt on
+// its version, not misread as a short or damaged v2 header. (No
+// migration exists or is needed: the spill directory is wiped at boot.)
+func TestVersion1Rejected(t *testing.T) {
+	const v1Header = 8 + 4 + 16 + 5*20 + 4
+	v1 := make([]byte, v1Header)
+	copy(v1, "e#dsksg1")
+	binary.LittleEndian.PutUint32(v1[8:], 1)
+	for sec := 0; sec < 5; sec++ {
+		binary.LittleEndian.PutUint64(v1[28+20*sec:], v1Header) // empty section at EOF, CRC 0
+	}
+	binary.LittleEndian.PutUint32(v1[v1Header-4:], crc32.ChecksumIEEE(v1[:v1Header-4]))
+	if s, err := openImage(t, v1); err == nil {
+		s.Release()
+		t.Fatal("v1 image opened cleanly")
+	} else if !errors.Is(err, diskseg.ErrCorrupt) {
+		t.Fatalf("v1 image: err = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -10,15 +10,29 @@
 //	postings    delta-varint posting blocks (microblog.PostingsBlockLen
 //	            ids each), concatenated in dictionary order
 //	tweetdir    little-endian uint32 byte lengths of the tweet blocks
-//	tweets      varint-packed tweet records in blocks of TweetBlockLen,
-//	            terms stored as dictionary ids so a decoded tweet
-//	            shares the dictionary's strings
+//	tweets      varint-packed tweet records (topic, terms, text) in
+//	            blocks of TweetBlockLen, terms stored as dictionary ids
+//	            so a decoded tweet shares the dictionary's strings
+//	features    the per-tweet ranking column, read in place, no decode:
+//	            numTweets+1 rows of three little-endian uint32 — author
+//	            (top bit: the post has a "#" term), retweet count, and
+//	            the byte offset of the post's mentions in the pool that
+//	            follows the rows — then the pool, one uvarint per
+//	            mentioned user. Post i's mentions are the pool bytes
+//	            between row i's offset and row i+1's; the last row is a
+//	            sentinel carrying only the pool length. Author, retweets
+//	            and mentions are stored here and nowhere else.
 //
 // Every section carries a CRC32 in the header; Open verifies all of
-// them before handing out a segment, so the zero-copy read path can
-// decode straight off the map without re-validating — a truncated,
-// short-read or bit-flipped file fails cleanly at open time and can
-// never produce a wrong posting or a wrong ranking.
+// them, and the structure of the dictionary, the tweet directory and
+// the feature column, before handing out a segment, so the zero-copy
+// read path can decode straight off the map without re-validating — a
+// truncated, short-read or bit-flipped file fails cleanly at open time
+// and can never produce a wrong posting or a wrong ranking.
+//
+// Version 1 (no feature column, features inside the tweet records) is
+// rejected with ErrCorrupt: the spill directory is wiped at boot, so
+// no v1 file outlives the process that wrote it.
 package diskseg
 
 import (
@@ -26,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"sort"
 
@@ -38,17 +53,25 @@ import (
 const TweetBlockLen = 64
 
 const (
-	formatVersion = 1
-	// header: magic(8) + version(4) + 4 counts(16) + 5 sections ×
-	// (off u64 + len u64 + crc u32)(100) + header crc(4).
-	headerSize = 8 + 4 + 16 + 5*20 + 4
+	formatVersion = 2
 
 	secStats    = 0
 	secDict     = 1
 	secPostings = 2
 	secTweetDir = 3
 	secTweets   = 4
-	numSections = 5
+	secFeatures = 5
+	numSections = 6
+
+	// header: magic(8) + version(4) + 4 counts(16) + numSections ×
+	// (off u64 + len u64 + crc u32) + header crc(4).
+	headerSize = 8 + 4 + 16 + numSections*20 + 4
+
+	// featureRow is the byte width of one feature-column row;
+	// hashtagBit marks a post with a "#" term in the row's author word
+	// (user ids are non-negative int32s, so the bit is otherwise clear).
+	featureRow = 12
+	hashtagBit = 1 << 31
 )
 
 var magic = [8]byte{'e', '#', 'd', 's', 'k', 's', 'g', '1'}
@@ -70,7 +93,10 @@ var ErrCorrupt = errors.New("diskseg: corrupt segment")
 // renamed over path only when complete, so a crashed or failed spill
 // never leaves a half-written segment where Open might find it.
 func Write(path string, c *microblog.Corpus) error {
-	data := Encode(c)
+	data, err := Encode(c)
+	if err != nil {
+		return err
+	}
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err
@@ -84,8 +110,10 @@ func Write(path string, c *microblog.Corpus) error {
 
 // Encode renders a sealed corpus-backed segment into the on-disk byte
 // format. Exported separately from Write so tests (and the fault
-// suite) can corrupt or truncate a valid image deterministically.
-func Encode(c *microblog.Corpus) []byte {
+// suite) can corrupt or truncate a valid image deterministically. A
+// retweet count the feature column's 32 bits cannot hold is an error,
+// not a truncation: the segment then stays in heap, where it is exact.
+func Encode(c *microblog.Corpus) ([]byte, error) {
 	tweets := c.Tweets()
 	numUsers := c.NumUsers()
 
@@ -151,13 +179,7 @@ func Encode(c *microblog.Corpus) []byte {
 		}
 		for i := lo; i < hi; i++ {
 			tw := &tweets[i]
-			tweetSec = binary.AppendUvarint(tweetSec, uint64(tw.Author))
-			tweetSec = binary.AppendUvarint(tweetSec, uint64(tw.RetweetCount))
 			tweetSec = binary.AppendUvarint(tweetSec, uint64(tw.Topic+1))
-			tweetSec = binary.AppendUvarint(tweetSec, uint64(len(tw.Mentions)))
-			for _, m := range tw.Mentions {
-				tweetSec = binary.AppendUvarint(tweetSec, uint64(m))
-			}
 			tweetSec = binary.AppendUvarint(tweetSec, uint64(len(tw.Terms)))
 			for _, tok := range tw.Terms {
 				tweetSec = binary.AppendUvarint(tweetSec, termID[tok])
@@ -168,8 +190,32 @@ func Encode(c *microblog.Corpus) []byte {
 		binary.LittleEndian.PutUint32(tweetDir[4*b:], uint32(len(tweetSec)-start))
 	}
 
+	// features: fixed-width rows (plus the sentinel), then the mention
+	// pool the rows point into.
+	rows := make([]byte, featureRow*(len(tweets)+1))
+	var pool []byte
+	for i := range tweets {
+		tw := &tweets[i]
+		author := uint32(tw.Author)
+		if tw.HasHashtag() {
+			author |= hashtagBit
+		}
+		if uint64(tw.RetweetCount) > math.MaxUint32 { // negatives wrap past it too
+			return nil, fmt.Errorf("diskseg: tweet %d: retweet count %d does not fit the feature column", i, tw.RetweetCount)
+		}
+		row := rows[featureRow*i:]
+		binary.LittleEndian.PutUint32(row, author)
+		binary.LittleEndian.PutUint32(row[4:], uint32(tw.RetweetCount))
+		binary.LittleEndian.PutUint32(row[8:], uint32(len(pool)))
+		for _, m := range tw.Mentions {
+			pool = binary.AppendUvarint(pool, uint64(m))
+		}
+	}
+	binary.LittleEndian.PutUint32(rows[featureRow*len(tweets)+8:], uint32(len(pool)))
+	features := append(rows, pool...)
+
 	// Assemble: header, then sections back to back.
-	sections := [numSections][]byte{stats, dict, postings, tweetDir, tweetSec}
+	sections := [numSections][]byte{stats, dict, postings, tweetDir, tweetSec, features}
 	total := headerSize
 	for _, s := range sections {
 		total += len(s)
@@ -193,7 +239,7 @@ func Encode(c *microblog.Corpus) []byte {
 	for _, s := range sections {
 		out = append(out, s...)
 	}
-	return out
+	return out, nil
 }
 
 // section is one parsed section table row.
@@ -206,20 +252,26 @@ type section struct {
 // errors: ErrTruncated when the file is shorter than it claims,
 // ErrChecksum on CRC mismatch, ErrCorrupt on structural nonsense.
 func parseHeader(data []byte) (numTweets, numUsers, numTerms, numTweetBlocks int, secs [numSections]section, err error) {
-	if len(data) < headerSize {
-		err = fmt.Errorf("%d bytes, need %d header bytes: %w", len(data), headerSize, ErrTruncated)
+	// Magic and version first: the header's size, and so where its CRC
+	// sits, depends on the version.
+	if len(data) < 12 {
+		err = fmt.Errorf("%d bytes, no room for magic and version: %w", len(data), ErrTruncated)
 		return
 	}
 	if string(data[:8]) != string(magic[:]) {
 		err = fmt.Errorf("bad magic: %w", ErrCorrupt)
 		return
 	}
-	if crc32.ChecksumIEEE(data[:headerSize-4]) != binary.LittleEndian.Uint32(data[headerSize-4:]) {
-		err = fmt.Errorf("header: %w", ErrChecksum)
-		return
-	}
 	if v := binary.LittleEndian.Uint32(data[8:]); v != formatVersion {
 		err = fmt.Errorf("version %d, want %d: %w", v, formatVersion, ErrCorrupt)
+		return
+	}
+	if len(data) < headerSize {
+		err = fmt.Errorf("%d bytes, need %d header bytes: %w", len(data), headerSize, ErrTruncated)
+		return
+	}
+	if crc32.ChecksumIEEE(data[:headerSize-4]) != binary.LittleEndian.Uint32(data[headerSize-4:]) {
+		err = fmt.Errorf("header: %w", ErrChecksum)
 		return
 	}
 	numTweets = int(binary.LittleEndian.Uint32(data[12:]))
@@ -251,6 +303,10 @@ func parseHeader(data []byte) (numTweets, numUsers, numTerms, numTweetBlocks int
 	}
 	if secs[secTweetDir].n != 4*numTweetBlocks {
 		err = fmt.Errorf("tweetdir section %d bytes for %d blocks: %w", secs[secTweetDir].n, numTweetBlocks, ErrCorrupt)
+		return
+	}
+	if secs[secFeatures].n < featureRow*(numTweets+1) {
+		err = fmt.Errorf("features section %d bytes for %d tweets: %w", secs[secFeatures].n, numTweets, ErrCorrupt)
 		return
 	}
 	return

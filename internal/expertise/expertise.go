@@ -17,6 +17,7 @@ package expertise
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -94,22 +95,43 @@ type counters struct {
 	seen                                   bool
 }
 
-// scratch is the reusable per-call arena of CandidatesFrom: a dense
-// counter table indexed by UserID plus the list of users actually
-// touched, so resets cost O(touched) instead of O(users).
+// scratch is the reusable per-call arena of candidate extraction: a
+// dense counter table indexed by UserID plus the list of users actually
+// touched, so resets cost O(touched) instead of O(users), and the
+// buffer Source.Features decodes mentions into.
 type scratch struct {
-	byUser  []counters
-	touched []world.UserID
+	byUser   []counters
+	touched  []world.UserID
+	mentions []world.UserID
+}
+
+// at returns u's counters, recording the first touch.
+func (s *scratch) at(u world.UserID) *counters {
+	c := &s.byUser[u]
+	if !c.seen {
+		c.seen = true
+		s.touched = append(s.touched, u)
+	}
+	return c
 }
 
 // Source is the read-only index view candidate extraction runs
-// against: per-tweet content plus the per-user denominators of the
-// three ranking features. A frozen *microblog.Corpus satisfies it
+// against: per-post ranking features plus the per-user denominators of
+// the three ranking features. A frozen *microblog.Corpus satisfies it
 // directly; a live multi-segment snapshot (internal/ingest) satisfies
-// it by summing base, sealed-segment and active-tail counters — the
-// cross-segment ranking path of the streaming index.
+// it by dispatching to the segment that holds the post and by summing
+// base, sealed-segment and active-tail counters — the cross-segment
+// ranking path of the streaming index.
+//
+// Features is the one per-post accessor: the post's author, retweet
+// count, whether it carries a hashtag (filled only when hashtag is set)
+// and the users it mentions. scratch points at a caller buffer a source
+// may decode the mentions into (capacity reused, contents discarded,
+// the possibly grown buffer stored back); the returned mentions alias
+// that buffer or the source's own storage, so they are read-only and
+// valid only until the next Features call with the same scratch.
 type Source interface {
-	Tweet(id microblog.TweetID) *microblog.Tweet
+	Features(id microblog.TweetID, hashtag bool, scratch *[]world.UserID) (author world.UserID, retweets int, hashtagged bool, mentions []world.UserID)
 	NumTweetsBy(u world.UserID) int
 	NumMentionsOf(u world.UserID) int
 	NumRetweetsOf(u world.UserID) int
@@ -192,6 +214,38 @@ func (d *Detector) CandidatesFromTweets(matched []microblog.TweetID) []Expert {
 	return d.ranker.CandidatesFrom(d.corpus, matched)
 }
 
+// accumulate is the extraction loop, the only reader of per-post
+// features: it sums the matched posts' numerators by user into a pooled
+// arena and returns it with touched in ascending user order. The caller
+// reads the counters out and hands the arena back through release.
+func (r *Ranker) accumulate(src Source, matched []microblog.TweetID, extended bool) *scratch {
+	s := r.pool.Get().(*scratch)
+	for _, tid := range matched {
+		author, retweets, hashtagged, mentions := src.Features(tid, extended, &s.mentions)
+		a := s.at(author)
+		a.tweets++
+		a.retweets += retweets
+		if hashtagged {
+			a.hashtagged++
+		}
+		for _, m := range mentions {
+			s.at(m).mentions++
+		}
+	}
+	slices.Sort(s.touched)
+	return s
+}
+
+// release resets the arena in O(touched) — no zeroing of the whole
+// user table — and returns it to the pool.
+func (r *Ranker) release(s *scratch) {
+	for _, u := range s.touched {
+		s.byUser[u] = counters{}
+	}
+	s.touched = s.touched[:0]
+	r.pool.Put(s)
+}
+
 // CandidatesFrom extracts candidates and raw features from an explicit
 // set of matching tweet ids resolved against src. The live index calls
 // it with a multi-segment snapshot whose matched ids span the base
@@ -200,38 +254,9 @@ func (r *Ranker) CandidatesFrom(src Source, matched []microblog.TweetID) []Exper
 	if len(matched) == 0 {
 		return nil
 	}
-	s := r.pool.Get().(*scratch)
-	defer func() {
-		// O(touched) reset keeps the arena reusable without zeroing the
-		// whole user table.
-		for _, u := range s.touched {
-			s.byUser[u] = counters{}
-		}
-		s.touched = s.touched[:0]
-		r.pool.Put(s)
-	}()
-	get := func(u world.UserID) *counters {
-		c := &s.byUser[u]
-		if !c.seen {
-			c.seen = true
-			s.touched = append(s.touched, u)
-		}
-		return c
-	}
-	extended := r.params.WeightHT != 0 || r.params.WeightAV != 0 || r.params.WeightGI != 0
-	for _, tid := range matched {
-		tw := src.Tweet(tid)
-		a := get(tw.Author)
-		a.tweets++
-		a.retweets += tw.RetweetCount
-		if extended && hasHashtag(tw.Terms) {
-			a.hashtagged++
-		}
-		for _, m := range tw.Mentions {
-			get(m).mentions++
-		}
-	}
-	sort.Slice(s.touched, func(i, j int) bool { return s.touched[i] < s.touched[j] })
+	extended := r.extendedFeatures()
+	s := r.accumulate(src, matched, extended)
+	defer r.release(s)
 	out := make([]Expert, 0, len(s.touched))
 	for _, u := range s.touched {
 		c := &s.byUser[u]
@@ -388,16 +413,6 @@ func siftWorstDown(h []Expert, i int) {
 		h[i], h[worst] = h[worst], h[i]
 		i = worst
 	}
-}
-
-// hasHashtag reports whether any token is a hashtag.
-func hasHashtag(tokens []string) bool {
-	for _, t := range tokens {
-		if len(t) > 1 && t[0] == '#' {
-			return true
-		}
-	}
-	return false
 }
 
 // zscores standardizes a vector: (x - mean) / stddev. A zero standard

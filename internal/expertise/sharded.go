@@ -19,7 +19,6 @@ package expertise
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/microblog"
 	"repro/internal/world"
@@ -92,35 +91,8 @@ func (r *Ranker) RawCandidatesModeInto(dst []RawCandidate, src Source, matched [
 	if len(matched) == 0 {
 		return dst
 	}
-	s := r.pool.Get().(*scratch)
-	defer func() {
-		for _, u := range s.touched {
-			s.byUser[u] = counters{}
-		}
-		s.touched = s.touched[:0]
-		r.pool.Put(s)
-	}()
-	get := func(u world.UserID) *counters {
-		c := &s.byUser[u]
-		if !c.seen {
-			c.seen = true
-			s.touched = append(s.touched, u)
-		}
-		return c
-	}
-	for _, tid := range matched {
-		tw := src.Tweet(tid)
-		a := get(tw.Author)
-		a.tweets++
-		a.retweets += tw.RetweetCount
-		if extended && hasHashtag(tw.Terms) {
-			a.hashtagged++
-		}
-		for _, m := range tw.Mentions {
-			get(m).mentions++
-		}
-	}
-	sort.Slice(s.touched, func(i, j int) bool { return s.touched[i] < s.touched[j] })
+	s := r.accumulate(src, matched, extended)
+	defer r.release(s)
 	for _, u := range s.touched {
 		c := &s.byUser[u]
 		dst = append(dst, RawCandidate{

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/expertise"
 	"repro/internal/fault"
 	"repro/internal/ingest"
 	"repro/internal/microblog"
@@ -85,6 +86,47 @@ func TestDiskQuiescedEquivalence(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no queries in eval sets")
+	}
+}
+
+// TestDiskExtractionAllocatesNothingPerPost pins the cost model of the disk
+// tier's read path: candidate extraction over a quiesced snapshot whose
+// every sealed segment is on disk, block cache disabled, reads each
+// matched post's features in place off the map — no tweet-block decode,
+// so nothing is allocated however many posts match (the parent format
+// decoded a 64-tweet block, ≈130 objects, per matched post).
+func TestDiskExtractionAllocatesNothingPerPost(t *testing.T) {
+	p, _ := testPipeline(t)
+	idx := ingest.New(p.Corpus, ingest.Config{
+		SealThreshold: 32, CompactFanIn: 3,
+		SpillDir: t.TempDir(), SpillThreshold: 32, SpillBlockCache: -1,
+	})
+	defer idx.Close()
+	idx.IngestBatch(streamPosts(p, 67, 384)) // 12 full seals, empty tail
+	idx.Quiesce()
+	st := idx.Stats()
+	if st.DiskSegments == 0 || st.DiskSegments != st.Segments || st.ActiveLen != 0 {
+		t.Fatalf("want every ingested post in a disk segment: %+v", st)
+	}
+	snap := idx.Snapshot()
+	var matched []microblog.TweetID // every post the disk tier holds
+	for id := p.Corpus.NumTweets(); id < snap.NumTweets(); id++ {
+		matched = append(matched, microblog.TweetID(id))
+	}
+
+	ranker := expertise.NewRanker(snap.NumUsers(), expertise.DefaultParams())
+	raw := ranker.RawCandidatesModeInto(nil, snap, matched, true) // sizes raw and the arena
+	if len(raw) == 0 {
+		t.Fatal("no candidates extracted")
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		raw = ranker.RawCandidatesModeInto(raw, snap, matched, true)
+	})
+	// Exactly 0 in a plain run. The bound leaves room for the race
+	// detector, under which sync.Pool drops a quarter of its Puts and the
+	// ranker re-makes its arena — a few objects per call, never per post.
+	if allocs*32 >= float64(len(matched)) {
+		t.Fatalf("extraction over %d disk-resident posts allocated %v times per call, want 0", len(matched), allocs)
 	}
 }
 

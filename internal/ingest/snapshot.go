@@ -53,8 +53,9 @@ func (s *Snapshot) World() *world.World { return s.base.World() }
 // NumUsers returns the number of users in the generating world.
 func (s *Snapshot) NumUsers() int { return s.base.NumUsers() }
 
-// Tweet returns the post with the given global id. The returned
-// tweet's ID field is segment-local.
+// Tweet returns the post with the given global id — the log-paging
+// read; ranking goes through Features. The returned tweet's ID field is
+// segment-local.
 func (s *Snapshot) Tweet(id microblog.TweetID) *microblog.Tweet {
 	if int(id) < s.base.NumTweets() {
 		return s.base.Tweet(id)
@@ -62,10 +63,30 @@ func (s *Snapshot) Tweet(id microblog.TweetID) *microblog.Tweet {
 	if id >= s.tailStart {
 		return &s.tail[id-s.tailStart]
 	}
-	// Find the last segment starting at or before id.
-	n := sort.Search(len(s.segs), func(j int) bool { return s.segs[j].start > id })
-	sg := s.segs[n-1]
+	sg := s.segmentOf(id)
 	return sg.tweet(id - sg.start)
+}
+
+// Features implements expertise.Source: the ranking features of the
+// post with the given global id, from whichever of base, sealed segment
+// (either tier) or tail holds it. A disk segment answers off the map
+// without decoding the post.
+func (s *Snapshot) Features(id microblog.TweetID, hashtag bool, scratch *[]world.UserID) (author world.UserID, retweets int, hashtagged bool, mentions []world.UserID) {
+	if int(id) < s.base.NumTweets() {
+		return s.base.Features(id, hashtag, scratch)
+	}
+	if id >= s.tailStart {
+		return s.tail[id-s.tailStart].Features(hashtag)
+	}
+	sg := s.segmentOf(id)
+	return sg.features(id-sg.start, hashtag, scratch)
+}
+
+// segmentOf returns the sealed segment holding global id: the last one
+// starting at or before it.
+func (s *Snapshot) segmentOf(id microblog.TweetID) *segment {
+	n := sort.Search(len(s.segs), func(j int) bool { return s.segs[j].start > id })
+	return s.segs[n-1]
 }
 
 // ensureTail builds the tail's term index and per-user deltas once.
@@ -159,46 +180,20 @@ func (s *Snapshot) Match(query string) []microblog.TweetID {
 // sorted with no merge step. local is a scratch buffer for the
 // per-segment results; both buffers are returned for reuse.
 func (s *Snapshot) MatchAppendScratch(query string, dst, local []microblog.TweetID) (out, localOut []microblog.TweetID) {
-	dst = s.base.MatchAppend(query, dst)
+	// Tokenized once here, not once per segment.
+	tokens := textutil.Tokenize(query)
+	dst = s.base.MatchTokensAppend(tokens, dst)
 	for _, sg := range s.segs {
-		local = sg.matchAppend(query, local)
+		local = sg.matchAppend(tokens, local)
 		for _, id := range local {
 			dst = append(dst, id+sg.start)
 		}
 	}
 	if len(s.tail) > 0 {
 		s.ensureTail()
-		local = s.matchTailInto(query, local)
+		// The lazily built tail index holds global ids already.
+		local = microblog.IntersectPostings(local, s.tailIdx, tokens)
 		dst = append(dst, local...)
 	}
 	return dst, local
-}
-
-// matchTailInto intersects the query's tokens over the lazily built
-// tail index, writing global ids into buf (contents discarded).
-func (s *Snapshot) matchTailInto(query string, buf []microblog.TweetID) []microblog.TweetID {
-	tokens := textutil.Tokenize(query)
-	if len(tokens) == 0 {
-		return buf[:0]
-	}
-	if len(tokens) == 1 {
-		return append(buf[:0], s.tailIdx[tokens[0]]...)
-	}
-	postings := make([][]microblog.TweetID, len(tokens))
-	for i, tok := range tokens {
-		p, ok := s.tailIdx[tok]
-		if !ok {
-			return buf[:0]
-		}
-		postings[i] = p
-	}
-	sort.Slice(postings, func(i, j int) bool { return len(postings[i]) < len(postings[j]) })
-	buf = microblog.IntersectInto(buf, postings[0], postings[1])
-	for _, p := range postings[2:] {
-		if len(buf) == 0 {
-			return buf
-		}
-		buf = microblog.IntersectInto(buf, buf, p)
-	}
-	return buf
 }

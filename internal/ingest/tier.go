@@ -44,15 +44,26 @@ func (sg *segment) numTweets() int {
 	return sg.corpus.NumTweets()
 }
 
-// matchAppend runs the zero-copy matcher of the segment's tier.
-func (sg *segment) matchAppend(query string, buf []microblog.TweetID) []microblog.TweetID {
+// matchAppend runs the zero-copy matcher of the segment's tier over an
+// already tokenized query.
+func (sg *segment) matchAppend(tokens []string, buf []microblog.TweetID) []microblog.TweetID {
 	if sg.disk != nil {
-		return sg.disk.MatchAppend(query, buf)
+		return sg.disk.MatchTokensAppend(tokens, buf)
 	}
-	return sg.corpus.MatchAppend(query, buf)
+	return sg.corpus.MatchTokensAppend(tokens, buf)
 }
 
-// tweet returns the post with the given segment-local id.
+// features returns the ranking features of the post with the given
+// segment-local id: in-heap fields, or rows read in place off the map.
+func (sg *segment) features(id microblog.TweetID, hashtag bool, scratch *[]world.UserID) (world.UserID, int, bool, []world.UserID) {
+	if sg.disk != nil {
+		return sg.disk.Features(id, hashtag, scratch)
+	}
+	return sg.corpus.Features(id, hashtag, scratch)
+}
+
+// tweet returns the whole post with the given segment-local id (log
+// paging; ranking reads features).
 func (sg *segment) tweet(id microblog.TweetID) *microblog.Tweet {
 	if sg.disk != nil {
 		return sg.disk.Tweet(id)

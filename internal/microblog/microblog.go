@@ -42,6 +42,26 @@ type Tweet struct {
 	Topic world.TopicID
 }
 
+// Features returns what expert ranking reads of one matched post — the
+// numerators of the paper's TS, MI and RI features, and the hashtag bit
+// behind the extended HT feature — without copying: mentions aliases
+// the tweet and is read-only. The term scan behind hashtagged runs only
+// when hashtag is set. (Separate results, not a struct: a struct this
+// wide is built in memory and copied out on every matched post.)
+func (t *Tweet) Features(hashtag bool) (author world.UserID, retweets int, hashtagged bool, mentions []world.UserID) {
+	return t.Author, t.RetweetCount, hashtag && t.HasHashtag(), t.Mentions
+}
+
+// HasHashtag reports whether any term of the post is a hashtag.
+func (t *Tweet) HasHashtag() bool {
+	for _, tok := range t.Terms {
+		if len(tok) > 1 && tok[0] == '#' {
+			return true
+		}
+	}
+	return false
+}
+
 // GenConfig controls corpus generation.
 type GenConfig struct {
 	Seed uint64
@@ -107,6 +127,13 @@ func (c *Corpus) NumTweets() int { return len(c.tweets) }
 // Tweet returns the post with the given id.
 func (c *Corpus) Tweet(id TweetID) *Tweet { return &c.tweets[id] }
 
+// Features returns the ranking features of the post with the given id
+// (see Tweet.Features). The scratch is unused: an in-heap tweet already
+// holds its mentions as a slice.
+func (c *Corpus) Features(id TweetID, hashtag bool, _ *[]world.UserID) (author world.UserID, retweets int, hashtagged bool, mentions []world.UserID) {
+	return c.tweets[id].Features(hashtag)
+}
+
 // NumTweetsBy returns how many posts the user authored.
 func (c *Corpus) NumTweetsBy(u world.UserID) int { return c.tweetsBy[u] }
 
@@ -143,26 +170,44 @@ func (c *Corpus) Match(query string) []TweetID {
 // and returns the filled buffer. It allocates only when buf is too
 // small to hold the result.
 func (c *Corpus) MatchAppend(query string, buf []TweetID) []TweetID {
-	tokens := textutil.Tokenize(query)
+	return c.MatchTokensAppend(textutil.Tokenize(query), buf)
+}
+
+// MatchTokensAppend is MatchAppend over an already tokenized query, so
+// a caller matching one term against many segments tokenizes it once.
+func (c *Corpus) MatchTokensAppend(tokens []string, buf []TweetID) []TweetID {
+	return IntersectPostings(buf, c.termIndex, tokens)
+}
+
+// IntersectPostings writes into buf (capacity reused, contents
+// discarded) the ids present in the posting list of every token — the
+// AND-match over one token -> ascending-ids index. No tokens, or a
+// token the index lacks, match nothing.
+func IntersectPostings(buf []TweetID, index map[string][]TweetID, tokens []string) []TweetID {
 	if len(tokens) == 0 {
 		return buf[:0]
 	}
 	if len(tokens) == 1 {
 		// Single token: the posting list is index-owned, so hand the
 		// caller a copy written into their buffer.
-		return append(buf[:0], c.termIndex[tokens[0]]...)
+		return append(buf[:0], index[tokens[0]]...)
 	}
-	postings := make([][]TweetID, len(tokens))
-	for i, tok := range tokens {
-		p, ok := c.termIndex[tok]
+	var few [4][]TweetID // keeps the common short query off the heap
+	postings := few[:0]
+	for _, tok := range tokens {
+		p, ok := index[tok]
 		if !ok {
 			return buf[:0]
 		}
+		// Insert by ascending length: intersecting from the rarest token
+		// means every later pass can only shrink the running result.
+		i := len(postings)
+		postings = append(postings, p)
+		for ; i > 0 && len(postings[i-1]) > len(p); i-- {
+			postings[i] = postings[i-1]
+		}
 		postings[i] = p
 	}
-	// Intersect starting from the rarest token: every later pass can
-	// only shrink the running result.
-	sort.Slice(postings, func(i, j int) bool { return len(postings[i]) < len(postings[j]) })
 	buf = IntersectInto(buf, postings[0], postings[1])
 	for _, p := range postings[2:] {
 		if len(buf) == 0 {
