@@ -18,10 +18,12 @@ race:
 	$(GO) test -race ./internal/serve ./internal/core ./internal/expertise ./internal/querylog ./internal/ingest ./internal/diskseg ./internal/shard ./internal/transport ./internal/replica ./internal/obs ./internal/gateway
 
 # Flake gate: the packages whose tests race background goroutines
-# (compactor, push loops, servers flushing after they answer), run
-# repeatedly and uncached, then again under the race detector. A test
-# that passes once and fails one run in five fails here.
-FLAKY = ./internal/ingest ./internal/transport ./internal/shard ./internal/replica ./cmd/shardd
+# (compactor, push loops, servers flushing after they answer) or hammer
+# state shared across requests (serve's once-encoded cache entries, the
+# gateway's pooled scratch), run repeatedly and uncached, then again
+# under the race detector. A test that passes once and fails one run in
+# five fails here.
+FLAKY = ./internal/ingest ./internal/transport ./internal/shard ./internal/replica ./cmd/shardd ./internal/serve ./internal/gateway
 flake:
 	$(GO) test -count=10 $(FLAKY)
 	$(GO) test -race -count=3 $(FLAKY)

@@ -16,21 +16,31 @@
 // provisioned in Config.Tokens with a token-bucket rate, a UTC-daily
 // quota and an admin bit. The refusal ladder is strict HTTP: 401 for
 // no/unknown token, 403 for a non-admin token on an admin route, 429
-// with Retry-After for a rate or quota trip, 400 for degenerate
-// queries (serve.ErrEmptyQuery, serve.ErrTooManyTerms), 503 with
-// Retry-After when the serving layer sheds a cold miss under overload
-// (serve.ErrOverloaded — warm cache hits are still answered), and 504
-// when the request's latency budget expires before the scatter-gather
-// returns.
+// with Retry-After for a rate or quota trip, 400 for a malformed body
+// or a degenerate query (serve.ErrEmptyQuery, serve.ErrTooManyTerms),
+// 413 for a body over 1 MiB, 503 with Retry-After when the serving
+// layer sheds a cold miss under overload (serve.ErrOverloaded — warm
+// cache hits are still answered), and 504 when the request's latency
+// budget expires before the scatter-gather returns.
+//
+// The body is read whole and must be exactly one JSON object: anything
+// but whitespace after it is a malformed body (400), not ignored.
 //
 // The budget is the deadline-propagation spine: X-Budget-Ms (or
-// ?budget_ms), clamped to Config.MaxBudget, becomes a context deadline
-// that rides serve.Server.SearchContext into the sharded detector's
-// scatter-gather and from there into per-RPC deadlines on every remote
+// ?budget_ms), clamped to Config.MaxBudget, becomes a deadline handed
+// to serve.Server.Answer, which arms it only once the request has
+// missed the cache; from there it rides the context into the sharded
+// detector's scatter-gather and into per-RPC deadlines on every remote
 // shard — a stalled shard costs the client its budget, never more, and
 // cancellation releases every pinned snapshot with no goroutine left
 // behind (the scatter-gather checks only at its barriers, where all
 // workers have already returned).
+//
+// A warm hit — the common case under repeat-heavy search traffic — is
+// auth, the body decode and one Write: the cache entry carries its
+// ranking's JSON, the handler wraps it in pooled scratch, and nothing
+// else is allocated per request that encoding/json and net/http do not
+// force (no context, no encoder, no query-string parse, no closure).
 //
 // Results are the serving layer's verbatim: at quiescence the experts
 // in the JSON body are bit-identical (modulo the JSON number round
@@ -39,11 +49,15 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
+	"net/url"
 	"strconv"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -248,11 +262,12 @@ func (g *Gateway) authenticate(w http.ResponseWriter, r *http.Request, admin boo
 
 // budget resolves the request's latency budget: X-Budget-Ms header,
 // then ?budget_ms, then Config.DefaultBudget; client values are
-// clamped to (0, Config.MaxBudget].
-func (g *Gateway) budget(r *http.Request) (time.Duration, error) {
+// clamped to (0, Config.MaxBudget]. params is the parsed query string,
+// nil when the URL has none.
+func (g *Gateway) budget(r *http.Request, params url.Values) (time.Duration, error) {
 	raw := r.Header.Get("X-Budget-Ms")
 	if raw == "" {
-		raw = r.URL.Query().Get("budget_ms")
+		raw = params.Get("budget_ms")
 	}
 	if raw == "" {
 		return g.cfg.DefaultBudget, nil
@@ -276,20 +291,90 @@ type searchRequest struct {
 	Terms []string `json:"terms"`
 }
 
-// searchResponse carries the ranked experts. Experts is never null —
-// an empty result marshals as [].
-type searchResponse struct {
-	Query    string             `json:"query"`
-	Baseline bool               `json:"baseline,omitempty"`
-	Experts  []expertise.Expert `json:"experts"`
+// maxBody caps the request body; a longer one is answered 413.
+const maxBody = 1 << 20
+
+// maxPooledBuffer is the largest scratch buffer worth keeping: one
+// oversized request or ranking must not pin its buffer in the pool.
+const maxPooledBuffer = 64 << 10
+
+// jsonContentType is the Content-Type value every search answer
+// shares; net/http copies header values out, nothing writes through.
+var jsonContentType = []string{"application/json"}
+
+// scratch is everything one search request needs that the next can
+// reuse. query and experts exist to be pointed at: the encoder takes
+// its operand as an interface, and a pointer boxes without allocating.
+type scratch struct {
+	body    bytes.Buffer  // the request body, read whole
+	out     bytes.Buffer  // the response under assembly
+	enc     *json.Encoder // over out
+	req     searchRequest
+	query   string
+	experts []expertise.Expert
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	sc := new(scratch)
+	sc.enc = json.NewEncoder(&sc.out)
+	return sc
+}}
+
+func getScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+// release returns sc to the pool, minus anything that would pin a
+// request's data or an outsized buffer.
+func (sc *scratch) release() {
+	if sc.body.Cap() > maxPooledBuffer || sc.out.Cap() > maxPooledBuffer {
+		return
+	}
+	sc.body.Reset()
+	sc.out.Reset()
+	sc.req, sc.query, sc.experts = searchRequest{}, "", nil
+	scratchPool.Put(sc)
+}
+
+// encodeAnswer assembles the 200 body in sc.out:
+//
+//	{"query":…[,"baseline":true],"experts":[…]}\n
+//
+// byte for byte what json.NewEncoder(w).Encode of the equivalent struct
+// would send. encoded is the cache's json.Marshal of experts when it
+// has one; otherwise experts are encoded here ("[]" for none, never
+// null).
+func (sc *scratch) encodeAnswer(query string, baseline bool, experts []expertise.Expert, encoded []byte) error {
+	out := &sc.out
+	out.Reset()
+	out.WriteString(`{"query":`)
+	sc.query = query
+	if err := sc.enc.Encode(&sc.query); err != nil {
+		return err
+	}
+	out.Truncate(out.Len() - 1) // the encoder ends every value with a newline
+	if baseline {
+		out.WriteString(`,"baseline":true`)
+	}
+	out.WriteString(`,"experts":`)
+	switch {
+	case encoded != nil:
+		out.Write(encoded)
+	case len(experts) == 0:
+		out.WriteString("[]")
+	default:
+		sc.experts = experts
+		if err := sc.enc.Encode(&sc.experts); err != nil {
+			return err
+		}
+		out.Truncate(out.Len() - 1)
+	}
+	out.WriteString("}\n")
+	return nil
 }
 
 func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 	g.requests.Add(1)
-	var start time.Time
 	if g.obsOn {
-		start = time.Now()
-		defer func() { g.obsReqNS.Observe(time.Since(start).Nanoseconds()) }()
+		defer g.observeSince(time.Now())
 	}
 	if r.Method != http.MethodPost {
 		g.badRequest.Add(1)
@@ -300,47 +385,52 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if !g.authenticate(w, r, false) {
 		return
 	}
-	var req searchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err := dec.Decode(&req); err != nil {
+	sc := getScratch()
+	defer sc.release()
+	_, err := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody))
+	if err == nil {
+		err = json.Unmarshal(sc.body.Bytes(), &sc.req)
+	}
+	if err != nil {
 		g.badRequest.Add(1)
-		fail(w, http.StatusBadRequest, "malformed JSON body: "+err.Error(), 0)
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		fail(w, status, "malformed JSON body: "+err.Error(), 0)
 		return
 	}
-	query := req.Query
-	if query == "" && len(req.Terms) > 0 {
+	query := sc.req.Query
+	if query == "" {
 		// Join with spaces: tokenization splits right back, so
 		// {"terms":["a","b"]} ≡ {"query":"a b"}.
-		for i, t := range req.Terms {
-			if i > 0 {
-				query += " "
-			}
-			query += t
-		}
+		query = strings.Join(sc.req.Terms, " ")
 	}
-	budget, err := g.budget(r)
+	var params url.Values
+	if r.URL.RawQuery != "" {
+		params = r.URL.Query()
+	}
+	budget, err := g.budget(r, params)
 	if err != nil {
 		g.badRequest.Add(1)
 		fail(w, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
-	ctx := r.Context()
-	if budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, budget)
-		defer cancel()
-	}
+	// The budget's clock starts here; serve arms it only if the request
+	// misses the cache.
+	deadline := time.Now().Add(budget)
 	baseline := false
-	switch r.URL.Query().Get("baseline") {
+	switch params.Get("baseline") {
 	case "", "0", "false":
 	default:
 		baseline = true
 	}
-	var experts []expertise.Expert
-	if baseline {
-		experts, err = g.srv.SearchBaselineContext(ctx, query)
-	} else {
-		experts, err = g.srv.SearchContext(ctx, query)
+	experts, encoded, err := g.srv.Answer(r.Context(), query, baseline, deadline)
+	if err == nil {
+		// Unencodable only if a score is not finite — a detector bug,
+		// reported like any other backend failure.
+		err = sc.encodeAnswer(query, baseline, experts, encoded)
 	}
 	if err != nil {
 		switch {
@@ -362,10 +452,12 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	if experts == nil {
-		experts = []expertise.Expert{}
-	}
 	g.ok.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(searchResponse{Query: query, Baseline: baseline, Experts: experts})
+	w.Header()["Content-Type"] = jsonContentType
+	w.Write(sc.out.Bytes()) // one Write; a failed one has no one left to tell
+}
+
+// observeSince records one request's end-to-end latency.
+func (g *Gateway) observeSince(start time.Time) {
+	g.obsReqNS.Observe(time.Since(start).Nanoseconds())
 }

@@ -23,12 +23,15 @@ import (
 )
 
 // stubBackend is a controllable serve.Backend for gateway mechanics
-// tests: fixed answer, call counter, optional gate, optional
-// block-until-deadline mode.
+// tests: fixed answer (or one made per call by ranking), settable
+// epoch, call counter, optional gate, optional block-until-deadline
+// mode.
 type stubBackend struct {
-	calls atomic.Int64
-	gate  chan struct{} // nil = never block
-	stall bool          // SearchContext parks until ctx expires
+	calls   atomic.Int64
+	epoch   atomic.Uint64
+	gate    chan struct{}                         // nil = never block
+	stall   bool                                  // SearchContext parks until ctx expires
+	ranking func(epoch uint64) []expertise.Expert // nil = one fixed expert
 }
 
 func (b *stubBackend) answer() []expertise.Expert {
@@ -36,10 +39,13 @@ func (b *stubBackend) answer() []expertise.Expert {
 	if b.gate != nil {
 		<-b.gate
 	}
+	if b.ranking != nil {
+		return b.ranking(b.epoch.Load())
+	}
 	return []expertise.Expert{{User: 7, Score: 3.25, TS: 1, MI: 2, RI: 3, OnTopicTweets: 4}}
 }
 
-func (b *stubBackend) EpochVector(dst []uint64) []uint64 { return append(dst[:0], 0) }
+func (b *stubBackend) EpochVector(dst []uint64) []uint64 { return append(dst[:0], b.epoch.Load()) }
 func (b *stubBackend) PartialStats() (int64, int64)      { return 0, 0 }
 func (b *stubBackend) Failovers() int64                  { return 0 }
 func (b *stubBackend) ReshardStats() (shard.MigrationStats, bool) {
@@ -64,8 +70,10 @@ func (b *stubBackend) SearchBaselineContext(ctx context.Context, query string) (
 	return b.answer(), nil
 }
 
-// testGateway wires stub → serve → gateway → httptest server.
-func testGateway(t *testing.T, backend serve.Backend, scfg serve.Config, mut func(*Config)) (*Gateway, *httptest.Server) {
+// newTestGateway wires backend → serve → gateway with an unlimited
+// reader token and an admin token; tests that need no network drive it
+// through ServeHTTP.
+func newTestGateway(t testing.TB, backend serve.Backend, scfg serve.Config, mut func(*Config)) *Gateway {
 	t.Helper()
 	cfg := Config{
 		Serve: serve.New(backend, scfg),
@@ -81,6 +89,13 @@ func testGateway(t *testing.T, backend serve.Backend, scfg serve.Config, mut fun
 	if err != nil {
 		t.Fatal(err)
 	}
+	return g
+}
+
+// testGateway is newTestGateway behind an httptest server.
+func testGateway(t *testing.T, backend serve.Backend, scfg serve.Config, mut func(*Config)) (*Gateway, *httptest.Server) {
+	t.Helper()
+	g := newTestGateway(t, backend, scfg, mut)
 	hs := httptest.NewServer(g)
 	t.Cleanup(hs.Close)
 	t.Cleanup(g.Close)
@@ -250,9 +265,16 @@ func TestBadRequests(t *testing.T) {
 	wantStatus(t, post(t, search, "reader", `{"query":"ok"}`,
 		map[string]string{"X-Budget-Ms": "banana"}), http.StatusBadRequest)
 	wantStatus(t, post(t, search+"?budget_ms=-5", "reader", `{"query":"ok"}`, nil), http.StatusBadRequest)
+	// The body is one JSON object and nothing else...
+	wantStatus(t, post(t, search, "reader", `{"query":"ok"} trailing`, nil), http.StatusBadRequest)
+	wantStatus(t, post(t, search, "reader", `{"query":"ok"}{"query":"two"}`, nil), http.StatusBadRequest)
+	wantStatus(t, post(t, search, "reader", "{\"query\":\"ok\"}\r\n \t", nil), http.StatusOK)
+	// ...of at most 1 MiB: past that the refusal is about size, not syntax.
+	wantStatus(t, post(t, search, "reader", `{"query":"`+strings.Repeat("a", maxBody)+`"}`, nil), http.StatusRequestEntityTooLarge)
+	wantStatus(t, post(t, search, "reader", `{"query":"ok","pad":"`+strings.Repeat("a", maxBody-30)+`"}`, nil), http.StatusOK)
 
-	if st := g.Stats(); st.BadRequest != 6 {
-		t.Fatalf("BadRequest = %d, want 6: %+v", st.BadRequest, st)
+	if st := g.Stats(); st.BadRequest != 9 || st.OK != 2 {
+		t.Fatalf("BadRequest = %d, OK = %d, want 9 and 2: %+v", st.BadRequest, st.OK, st)
 	}
 	checkStatsInvariant(t, g)
 }

@@ -46,10 +46,15 @@
 //     answered, so a saturated backend degrades to a read-only cache
 //     instead of queueing unbounded detector work.
 //
-// SearchContext and SearchBaselineContext carry the caller's deadline
-// into the backend: the remaining budget rides the context down the scatter-gather into
-// per-shard RPC deadlines, and an expired budget surfaces as the
-// context's error — the gateway maps it to 504.
+// Answer is the entry point the gateway calls. It takes the request's
+// deadline as a plain instant and attaches it to the context only once
+// the request has missed the cache — from there the remaining budget
+// rides the context down the scatter-gather into per-shard RPC
+// deadlines, and an expired budget surfaces as the context's error
+// (the gateway maps it to 504) — so a warm hit builds no context. A
+// hit also returns the ranking's JSON: a cache entry is immutable
+// after insert and carries json.Marshal of its experts, encoded by the
+// entry's first hit, once, outside the lock; a miss encodes nothing.
 //
 // Build detectors with core.OnlineConfig.MatchWorkers = 1 when serving
 // concurrently: request-level parallelism already saturates the cores.
@@ -62,6 +67,7 @@ package serve
 import (
 	"container/list"
 	"context"
+	"encoding/json"
 	"errors"
 	"strings"
 	"sync"
@@ -211,13 +217,36 @@ type cacheKey struct {
 	baseline bool
 }
 
-// cacheEntry is one LRU slot, tagged with the epoch vector its result
-// was computed under (the buffer is owned by the entry and reused
-// across refreshes).
+// cacheEntry is one LRU slot: a ranking, the epoch vector it was
+// computed under, and — once a hit has asked for them — the ranking's
+// JSON bytes. Everything but the once-built bytes is immutable after
+// insert, so a hit reads the entry outside s.mu; a refresh replaces the
+// entry instead of mutating it under a reader.
 type cacheEntry struct {
 	key      cacheKey
 	epochVec []uint64
 	experts  []expertise.Expert
+
+	encodeOnce sync.Once
+	encoded    []byte
+}
+
+// json returns json.Marshal of the entry's experts ("[]" for none),
+// encoding on the first call only. Built by the first hit rather than
+// at insert because most entries of a churning cache are invalidated
+// before anything hits them: marshalling on the miss path costs one
+// body-sized allocation per miss (+6.2% alloc_kb_per_query on bench's
+// cold_heap) to save one encode per entry that does get hit. nil if
+// the ranking cannot be encoded (a non-finite score).
+func (e *cacheEntry) json() []byte {
+	e.encodeOnce.Do(func() {
+		if len(e.experts) == 0 {
+			e.encoded = []byte("[]")
+			return
+		}
+		e.encoded, _ = json.Marshal(e.experts) // nil on error: the caller encodes and reports it
+	})
+	return e.encoded
 }
 
 // flight is one in-progress computation that duplicate requests wait
@@ -305,58 +334,74 @@ func (s *Server) Backend() Backend { return s.backend }
 
 // Search answers one e# query. The returned slice may be shared with
 // the cache and other callers — treat it as read-only. Degenerate
-// queries return nil (use SearchContext for the typed error).
+// queries return nil (use Answer for the typed error).
 func (s *Server) Search(query string) []expertise.Expert {
-	experts, _ := s.serve(context.Background(), query, false)
+	experts, _, _ := s.serve(context.Background(), query, false, time.Time{})
 	return experts
 }
 
 // SearchBaseline answers one unexpanded Pal & Counts baseline query.
 // The returned slice may be shared — treat it as read-only.
 func (s *Server) SearchBaseline(query string) []expertise.Expert {
-	experts, _ := s.serve(context.Background(), query, true)
+	experts, _, _ := s.serve(context.Background(), query, true, time.Time{})
 	return experts
 }
 
-// SearchContext answers one e# query under the caller's context: the
-// deadline propagates into the backend, admission
-// failures surface as ErrEmptyQuery / ErrTooManyTerms / ErrOverloaded,
-// and an expired budget as the context's error. The returned slice may
-// be shared with the cache and other callers — treat it as read-only.
-func (s *Server) SearchContext(ctx context.Context, query string) ([]expertise.Expert, error) {
-	return s.serve(ctx, query, false)
-}
-
-// SearchBaselineContext is SearchContext for the unexpanded Pal &
-// Counts baseline endpoint.
-func (s *Server) SearchBaselineContext(ctx context.Context, query string) ([]expertise.Expert, error) {
-	return s.serve(ctx, query, true)
-}
-
-func (s *Server) serve(ctx context.Context, query string, baseline bool) ([]expertise.Expert, error) {
-	if !s.obsOn {
-		return s.serveTraced(ctx, query, baseline, nil)
+// Answer is the entry point a network front end calls: one e# (or,
+// with baseline, unexpanded Pal & Counts) query under the caller's
+// context and latency budget. Admission failures surface as
+// ErrEmptyQuery / ErrTooManyTerms / ErrOverloaded, an expired budget as
+// the context's error.
+//
+// deadline, when non-zero, is the instant the budget runs out. It is
+// attached to ctx only once the request has missed the cache — before
+// it waits on an identical in-flight computation or runs the backend,
+// where it rides down the scatter-gather into per-shard RPC deadlines —
+// so a warm hit never builds a context.
+//
+// encoded, non-nil only when a stored cache entry answered, is
+// json.Marshal of experts ("[]" for none), encoded by the entry's first
+// hit and shared by every later one. A miss, a coalesced follower and a
+// cache-less server return none: the caller encodes those itself. Both
+// results may be shared with the cache and other callers — treat them
+// as read-only.
+func (s *Server) Answer(ctx context.Context, query string, baseline bool, deadline time.Time) (experts []expertise.Expert, encoded []byte, err error) {
+	experts, hit, err := s.serve(ctx, query, baseline, deadline)
+	if hit != nil {
+		encoded = hit.json()
 	}
-	// Instrumented path: time the request end to end, capture the
+	return experts, encoded, err
+}
+
+// serve wraps the request path in the instrumentation Config.Obs asks
+// for. hit is the stored entry that answered, nil for every other
+// outcome.
+func (s *Server) serve(ctx context.Context, query string, baseline bool, deadline time.Time) (experts []expertise.Expert, hit *cacheEntry, err error) {
+	if !s.obsOn {
+		return s.serveTraced(ctx, query, baseline, deadline, nil)
+	}
+	// Instrumented path: time the request end to end (one clock read
+	// serves both the trace's start and the latency), capture the
 	// outcome and (for misses against an instrumented backend) the
 	// per-shard spans, and offer the trace to the slow-query ring.
-	qt := obs.QueryTrace{Baseline: baseline, Start: time.Now()}
-	failovers0 := s.backend.Failovers()
 	start := time.Now()
-	experts, err := s.serveTraced(ctx, query, baseline, &qt)
+	qt := obs.QueryTrace{Baseline: baseline, Start: start}
+	failovers0 := s.backend.Failovers()
+	experts, hit, err = s.serveTraced(ctx, query, baseline, deadline, &qt)
 	qt.TotalNS = time.Since(start).Nanoseconds()
 	// Best-effort under concurrency: the delta of the backend's
 	// cumulative counter across this request.
 	qt.Failovers = s.backend.Failovers() - failovers0
 	s.obsReqNS.Observe(qt.TotalNS)
 	s.slow.Record(qt)
-	return experts, err
+	return experts, hit, err
 }
 
-// serveTraced is the request path proper. qt, non-nil only on the
-// instrumented path, receives the normalized query, the cache outcome
-// and the detector-side trace fields.
-func (s *Server) serveTraced(ctx context.Context, query string, baseline bool, qt *obs.QueryTrace) ([]expertise.Expert, error) {
+// serveTraced is the request path up to and including the warm hit:
+// admission, the view sample and one cache lookup. qt, non-nil only on
+// the instrumented path, receives the normalized query, the cache
+// outcome and the detector-side trace fields.
+func (s *Server) serveTraced(ctx context.Context, query string, baseline bool, deadline time.Time, qt *obs.QueryTrace) ([]expertise.Expert, *cacheEntry, error) {
 	s.queries.Add(1)
 	// Admission: tokenize once, reject degenerate queries before any
 	// cache work. The backend receives the normalized (order-kept)
@@ -368,7 +413,7 @@ func (s *Server) serveTraced(ctx context.Context, query string, baseline bool, q
 		if qt != nil {
 			qt.Outcome = obs.OutcomeRejected
 		}
-		return nil, ErrEmptyQuery
+		return nil, nil, ErrEmptyQuery
 	}
 	if s.cfg.MaxQueryTerms > 0 && len(toks) > s.cfg.MaxQueryTerms {
 		s.rejected.Add(1)
@@ -376,7 +421,7 @@ func (s *Server) serveTraced(ctx context.Context, query string, baseline bool, q
 			qt.Query = strings.Join(toks, " ")
 			qt.Outcome = obs.OutcomeRejected
 		}
-		return nil, ErrTooManyTerms
+		return nil, nil, ErrTooManyTerms
 	}
 	norm := strings.Join(toks, " ")
 	canon := norm
@@ -407,18 +452,45 @@ func (s *Server) serveTraced(ctx context.Context, query string, baseline bool, q
 			break
 		}
 	}
+	if !uncacheable {
+		s.mu.Lock()
+		entry := s.lookupLocked(key, evec)
+		s.mu.Unlock()
+		if entry != nil {
+			s.countHit(qt)
+			return entry.experts, entry, nil
+		}
+	}
+	return s.miss(ctx, deadline, key, norm, evec, uncacheable, qt)
+}
 
-	var f *flight
+func (s *Server) countHit(qt *obs.QueryTrace) {
+	s.hits.Add(1)
+	if qt != nil {
+		qt.Outcome = obs.OutcomeHit
+	}
+}
+
+// miss is the request path once the first lookup has failed. From here
+// the request may wait — as a follower on an identical in-flight
+// computation or as the leader on the backend — so this is where its
+// budget is armed.
+func (s *Server) miss(ctx context.Context, deadline time.Time, key cacheKey, norm string, evec []uint64, uncacheable bool, qt *obs.QueryTrace) ([]expertise.Expert, *cacheEntry, error) {
+	if !deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, deadline)
+		defer cancel()
+	}
 	for {
 		s.mu.Lock()
 		if !uncacheable {
-			if experts, ok := s.lookupLocked(key, evec); ok {
+			// Again, under the lock that reads the in-flight table: the
+			// leader this request would have followed may have finished
+			// and cached since the first look.
+			if entry := s.lookupLocked(key, evec); entry != nil {
 				s.mu.Unlock()
-				s.hits.Add(1)
-				if qt != nil {
-					qt.Outcome = obs.OutcomeHit
-				}
-				return experts, nil
+				s.countHit(qt)
+				return entry.experts, entry, nil
 			}
 		}
 		prev := s.inflight[key]
@@ -440,7 +512,7 @@ func (s *Server) serveTraced(ctx context.Context, query string, baseline bool, q
 			if qt != nil {
 				qt.Outcome = obs.OutcomeMiss
 			}
-			return nil, ctx.Err()
+			return nil, nil, ctx.Err()
 		}
 		if prev.err == nil {
 			s.hits.Add(1)
@@ -448,7 +520,7 @@ func (s *Server) serveTraced(ctx context.Context, query string, baseline bool, q
 			if qt != nil {
 				qt.Outcome = obs.OutcomeCoalesced
 			}
-			return prev.experts, nil
+			return prev.experts, nil, nil
 		}
 		// The leader failed — typically its own budget expired, which
 		// says nothing about this request's. Loop and try again as
@@ -463,9 +535,9 @@ func (s *Server) serveTraced(ctx context.Context, query string, baseline bool, q
 		if qt != nil {
 			qt.Outcome = obs.OutcomeShed
 		}
-		return nil, ErrOverloaded
+		return nil, nil, ErrOverloaded
 	}
-	f = &flight{done: make(chan struct{})}
+	f := &flight{done: make(chan struct{})}
 	s.inflight[key] = f
 	s.mu.Unlock()
 
@@ -495,7 +567,7 @@ func (s *Server) serveTraced(ctx context.Context, query string, baseline bool, q
 			qt.Outcome = obs.OutcomeMiss
 		}
 	}
-	if baseline {
+	if key.baseline {
 		f.experts, f.err = s.backend.SearchBaselineContext(ctx, norm)
 	} else {
 		var tr core.SearchTrace
@@ -507,7 +579,7 @@ func (s *Server) serveTraced(ctx context.Context, query string, baseline bool, q
 		}
 	}
 	completed = true
-	return f.experts, f.err
+	return f.experts, nil, f.err
 }
 
 // tokensCanonical reports whether toks is already strictly increasing
@@ -542,27 +614,24 @@ func staleVec(entryVec, sample []uint64) bool {
 	return false
 }
 
-// lookupLocked fetches a cached result and marks it most recently
-// used. An entry from an older view — any vector component behind — is
-// dropped: the live index has moved on, so serving it would return
-// pre-ingest results.
-func (s *Server) lookupLocked(key cacheKey, evec []uint64) ([]expertise.Expert, bool) {
-	if s.slots == nil {
-		return nil, false
-	}
+// lookupLocked fetches a cached entry and marks it most recently used;
+// nil when there is none (or no cache). An entry from an older view —
+// any vector component behind — is dropped: the live index has moved
+// on, so serving it would return pre-ingest results.
+func (s *Server) lookupLocked(key cacheKey, evec []uint64) *cacheEntry {
 	el, ok := s.slots[key]
 	if !ok {
-		return nil, false
+		return nil
 	}
 	entry := el.Value.(*cacheEntry)
 	if staleVec(entry.epochVec, evec) {
 		s.order.Remove(el)
 		delete(s.slots, key)
 		s.invalidations.Add(1)
-		return nil, false
+		return nil
 	}
 	s.order.MoveToFront(el)
-	return entry.experts, true
+	return entry
 }
 
 // insertLocked stores a result tagged with the request's sampled
@@ -572,16 +641,15 @@ func (s *Server) insertLocked(key cacheKey, experts []expertise.Expert, evec []u
 	if s.slots == nil {
 		return
 	}
+	entry := &cacheEntry{key: key, epochVec: append([]uint64(nil), evec...), experts: experts}
 	if el, ok := s.slots[key]; ok {
 		// A stale entry raced back in (or an invalidated key was
-		// recomputed); refresh it and keep a single entry.
-		entry := el.Value.(*cacheEntry)
-		entry.experts = experts
-		entry.epochVec = append(entry.epochVec[:0], evec...)
+		// recomputed): replace it — a hit may still be reading the old
+		// one outside the lock — and keep a single slot.
+		el.Value = entry
 		s.order.MoveToFront(el)
 		return
 	}
-	entry := &cacheEntry{key: key, epochVec: append([]uint64(nil), evec...), experts: experts}
 	s.slots[key] = s.order.PushFront(entry)
 	if s.order.Len() > s.cfg.CacheSize {
 		oldest := s.order.Back()

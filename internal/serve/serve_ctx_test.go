@@ -15,6 +15,13 @@ import (
 	"repro/internal/textutil"
 )
 
+// searchCtx is Answer for the cases that only look at the ranking and
+// carry whatever deadline they want on ctx itself.
+func searchCtx(ctx context.Context, s *Server, q string) ([]expertise.Expert, error) {
+	experts, _, err := s.Answer(ctx, q, false, time.Time{})
+	return experts, err
+}
+
 // checkInvariant pins the counter contract: every request lands in
 // exactly one of hits / misses / shed / rejected.
 func checkInvariant(t *testing.T, s *Server) {
@@ -56,12 +63,12 @@ func TestSearchPermutationProperty(t *testing.T) {
 				t.Fatalf("detector: Search(%q) != Search(%q)", pq, q)
 			}
 
-			first, err := s.SearchContext(context.Background(), q)
+			first, err := searchCtx(context.Background(), s, q)
 			if err != nil {
 				t.Fatalf("serve %q: %v", q, err)
 			}
 			misses0 := s.Stats().CacheMisses
-			second, err := s.SearchContext(context.Background(), pq)
+			second, err := searchCtx(context.Background(), s, pq)
 			if err != nil {
 				t.Fatalf("serve %q: %v", pq, err)
 			}
@@ -131,25 +138,25 @@ func TestDegenerateQueriesRejected(t *testing.T) {
 	s := New(backend, cfg)
 
 	for _, q := range []string{"", "   ", "\t\n"} {
-		if _, err := s.SearchContext(context.Background(), q); !errors.Is(err, ErrEmptyQuery) {
-			t.Fatalf("SearchContext(%q) err = %v, want ErrEmptyQuery", q, err)
+		if _, err := searchCtx(context.Background(), s, q); !errors.Is(err, ErrEmptyQuery) {
+			t.Fatalf("Answer(%q) err = %v, want ErrEmptyQuery", q, err)
 		}
 		if got := s.Search(q); got != nil {
 			t.Fatalf("Search(%q) = %v, want nil", q, got)
 		}
 	}
-	if _, err := s.SearchBaselineContext(context.Background(), ""); !errors.Is(err, ErrEmptyQuery) {
+	if _, _, err := s.Answer(context.Background(), "", true, time.Time{}); !errors.Is(err, ErrEmptyQuery) {
 		t.Fatal("baseline endpoint must reject empty queries too")
 	}
-	if _, err := s.SearchContext(context.Background(), "a b c d"); !errors.Is(err, ErrTooManyTerms) {
+	if _, err := searchCtx(context.Background(), s, "a b c d"); !errors.Is(err, ErrTooManyTerms) {
 		t.Fatalf("4 tokens past MaxQueryTerms=3 not rejected")
 	}
 	// Duplicates count against the cap as typed, not canonicalized:
 	// admission guards the raw request.
-	if _, err := s.SearchContext(context.Background(), "a a a a"); !errors.Is(err, ErrTooManyTerms) {
+	if _, err := searchCtx(context.Background(), s, "a a a a"); !errors.Is(err, ErrTooManyTerms) {
 		t.Fatal("repeated tokens past the cap not rejected")
 	}
-	if _, err := s.SearchContext(context.Background(), "a b c"); err != nil {
+	if _, err := searchCtx(context.Background(), s, "a b c"); err != nil {
 		t.Fatalf("3 tokens at the cap rejected: %v", err)
 	}
 	if backend.calls.Load() != 1 {
@@ -181,11 +188,11 @@ func TestLoadShedKeepsWarmHits(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// A different cold query is shed...
-	if _, err := s.SearchContext(context.Background(), "cold two"); !errors.Is(err, ErrOverloaded) {
+	if _, err := searchCtx(context.Background(), s, "cold two"); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("cold miss under overload: err = %v, want ErrOverloaded", err)
 	}
 	// ...but the warm hit and the coalescing duplicate are not.
-	if got, err := s.SearchContext(context.Background(), "warm topic"); err != nil || !sameExperts(got, warm) {
+	if got, err := searchCtx(context.Background(), s, "warm topic"); err != nil || !sameExperts(got, warm) {
 		t.Fatalf("warm hit under overload failed: %v", err)
 	}
 	close(backend.gate)
@@ -229,7 +236,7 @@ func TestDeadlineExpiryIsWholeQueryError(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := s.SearchContext(ctx, "storm"); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := searchCtx(ctx, s, "storm"); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
 	st := s.Stats()
@@ -238,7 +245,7 @@ func TestDeadlineExpiryIsWholeQueryError(t *testing.T) {
 	}
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel2()
-	if _, err := s.SearchContext(ctx2, "storm"); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := searchCtx(ctx2, s, "storm"); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("second attempt err = %v, want DeadlineExceeded (fresh computation)", err)
 	}
 	if n := backend.started.Load(); n != 2 {
@@ -263,7 +270,7 @@ func TestFollowerAbortsOnOwnDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := s.SearchContext(ctx, "niners")
+	_, err := searchCtx(ctx, s, "niners")
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("follower err = %v, want DeadlineExceeded", err)
 	}
@@ -272,7 +279,7 @@ func TestFollowerAbortsOnOwnDeadline(t *testing.T) {
 	}
 	close(backend.gate)
 	want := <-leaderDone
-	if got, err := s.SearchContext(context.Background(), "niners"); err != nil || !sameExperts(got, want) {
+	if got, err := searchCtx(context.Background(), s, "niners"); err != nil || !sameExperts(got, want) {
 		t.Fatalf("leader's result not cached after follower abort: %v", err)
 	}
 	st := s.Stats()
@@ -313,7 +320,7 @@ func TestFollowerRetriesAfterLeaderError(t *testing.T) {
 
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, err := s.SearchContext(context.Background(), "draft")
+		_, err := searchCtx(context.Background(), s, "draft")
 		leaderErr <- err
 	}()
 	for !backend.failed.Load() {
@@ -321,7 +328,7 @@ func TestFollowerRetriesAfterLeaderError(t *testing.T) {
 	}
 	followerDone := make(chan []expertise.Expert, 1)
 	go func() {
-		experts, err := s.SearchContext(context.Background(), "draft")
+		experts, err := searchCtx(context.Background(), s, "draft")
 		if err != nil {
 			t.Errorf("follower err = %v, want nil after retry", err)
 		}

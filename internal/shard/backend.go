@@ -468,6 +468,18 @@ func (c *Cluster) EpochVector(dst []uint64) ([]uint64, error) {
 		}
 		return dst, firstErr
 	}
+	if err := c.probeEpochs(dst, pend); firstErr == nil {
+		firstErr = err
+	}
+	return dst, firstErr
+}
+
+// probeEpochs fills dst[i] for every shard i in pend with concurrent
+// probes and returns the first failure in shard order. It is a function
+// of its own so that the goroutines capture its parameters, not
+// EpochVector's: a closure over EpochVector's dst would heap-move the
+// slice header on every call, the all-local ones included.
+func (c *Cluster) probeEpochs(dst []uint64, pend []int) error {
 	errs := make([]error, len(pend))
 	var wg sync.WaitGroup
 	wg.Add(len(pend))
@@ -479,11 +491,11 @@ func (c *Cluster) EpochVector(dst []uint64) ([]uint64, error) {
 	}
 	wg.Wait()
 	for _, err := range errs {
-		if err != nil && firstErr == nil {
-			firstErr = err
+		if err != nil {
+			return err
 		}
 	}
-	return dst, firstErr
+	return nil
 }
 
 // Failovers sums the backends' failed-over read counts (replica.Set

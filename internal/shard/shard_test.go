@@ -275,6 +275,20 @@ func TestEpochVectorSingleShardAdvance(t *testing.T) {
 	}
 }
 
+// TestEpochVectorAllLocalAllocFree pins the sample the serving layer
+// takes on every request, hits included: over an all-local cluster with
+// a reused dst it allocates nothing (the probe fan-out lives in its own
+// function so its goroutine closures cannot heap-move dst).
+func TestEpochVectorAllLocalAllocFree(t *testing.T) {
+	p, _ := testPipeline(t)
+	r := shard.New(p.Corpus, 4, ingest.DefaultConfig())
+	defer r.Close()
+	buf := make([]uint64, 0, 4)
+	if allocs := testing.AllocsPerRun(100, func() { buf, _ = r.EpochVector(buf) }); allocs != 0 {
+		t.Fatalf("all-local EpochVector allocates %v per sample, want 0", allocs)
+	}
+}
+
 // TestConcurrentShardedIngestSearch is the -race hammer: concurrent
 // routed ingesters and scatter-gather searchers share one cluster while
 // every shard's compactor runs. Afterwards the quiesced cluster must
