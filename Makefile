@@ -20,10 +20,10 @@ race:
 # Flake gate: the packages whose tests race background goroutines
 # (compactor, push loops, servers flushing after they answer) or hammer
 # state shared across requests (serve's once-encoded cache entries, the
-# gateway's pooled scratch), run repeatedly and uncached, then again
-# under the race detector. A test that passes once and fails one run in
-# five fails here.
-FLAKY = ./internal/ingest ./internal/transport ./internal/shard ./internal/replica ./cmd/shardd ./internal/serve ./internal/gateway
+# gateway's pooled scratch, the ranker's pooled columns), run repeatedly
+# and uncached, then again under the race detector. A test that passes
+# once and fails one run in five fails here.
+FLAKY = ./internal/ingest ./internal/transport ./internal/shard ./internal/replica ./cmd/shardd ./internal/serve ./internal/gateway ./internal/expertise
 flake:
 	$(GO) test -count=10 $(FLAKY)
 	$(GO) test -race -count=3 $(FLAKY)
@@ -107,11 +107,14 @@ bench-json:
 # OpSubscribe/OpEpochDelta acks, the OpDeflate envelope and the PR 8
 # resharding extensions (filtered OpTweets handoff pages, the
 # expectation-carrying OpInfo) — must never panic or over-allocate on
-# adversarial input, and every successful decode must round-trip.
-# Raise FUZZTIME for longer local hunts.
+# adversarial input, and every successful decode must round-trip — and
+# over the admission fast paths (FuzzNormalize): Normalize and
+# TokenizeAppend must agree with lower-case + Fields + Join on any
+# string. Raise FUZZTIME for longer local hunts.
 FUZZTIME ?= 15s
 fuzz-smoke:
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/textutil -run '^$$' -fuzz '^FuzzNormalize$$' -fuzztime $(FUZZTIME)
 
 # Coverage over the library packages, with a one-line total summary.
 cover:

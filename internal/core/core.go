@@ -129,8 +129,9 @@ type OnlineConfig struct {
 	// Match selects the domain matching predicate. The default is the
 	// paper's conservative exact match; the relaxed modes are ablations.
 	Match domains.MatchMode
-	// MatchWorkers caps the per-term matching fan-out of Search. Zero
-	// means GOMAXPROCS; 1 forces sequential matching. Serving layers
+	// MatchWorkers caps the per-term matching fan-out of Detector.Search
+	// and the per-shard fan-out of ShardedLiveDetector's scatter. Zero
+	// means GOMAXPROCS; 1 runs them sequentially, inline. Serving layers
 	// that already run many Search calls concurrently (internal/serve)
 	// should set 1: request-level parallelism saturates the cores, and
 	// per-query fan-out on top only adds scheduling overhead.

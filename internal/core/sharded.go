@@ -355,11 +355,15 @@ func (d *ShardedLiveDetector) scatterGather(ctx context.Context, query string, e
 	s.terms = append(s.terms[:0], query)
 	s.terms = append(s.terms, expansion...)
 
-	// Fan out over shards directly (not through matchFanOut, whose
-	// short-query sequential heuristic is sized to cheap per-term
-	// matches): a shard's unit of work — every term matched, the union,
-	// the extraction, for a remote shard a network round trip — is heavy
-	// enough to parallelize even at N=2.
+	// MatchWorkers doubles as the shard fan-out cap (applied directly,
+	// not through matchFanOut's short-query heuristic, which is sized to
+	// cheap per-term matches). As served the scatter is serial:
+	// cmd/gateway sets MatchWorkers = 1 — request-level concurrency
+	// already fills the cores — so fanOut runs the shards inline on the
+	// request's goroutine, spawning and allocating nothing, and a remote
+	// cluster's round trips go out one after another in each phase. Only
+	// workers > 1 runs shards concurrently, at a goroutine per worker per
+	// phase; whether that pays at any N is unmeasured (ROADMAP item 5).
 	workers := d.cfg.MatchWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

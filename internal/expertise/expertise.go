@@ -145,8 +145,28 @@ type Source interface {
 // (the live index passes a fresh snapshot per query), so it is the
 // piece Detector and the streaming path share. Safe for concurrent use.
 type Ranker struct {
-	params Params
-	pool   sync.Pool // of *scratch sized to the user universe
+	params   Params
+	pool     sync.Pool // of *scratch sized to the user universe
+	rankPool sync.Pool // of *rankScratch
+}
+
+// rankScratch is the reusable per-call arena of Rank: three feature
+// columns (filled with log features, standardized in place, then
+// refilled for the extended set) and the scored working copy of the
+// candidate pool. Nothing in it outlives the call — Rank returns a
+// fresh slice, which the serving cache keeps.
+type rankScratch struct {
+	cols   [3][]float64
+	scored []Expert
+}
+
+// columns returns the three feature columns cut to n entries, growing
+// them as needed; their contents are stale.
+func (s *rankScratch) columns(n int) (a, b, c []float64) {
+	for i := range s.cols {
+		s.cols[i] = slices.Grow(s.cols[i][:0], n)[:n]
+	}
+	return s.cols[0], s.cols[1], s.cols[2]
 }
 
 // NewRanker builds a ranker for a universe of numUsers users.
@@ -164,6 +184,7 @@ func NewRanker(numUsers int, params Params) *Ranker {
 	r.pool.New = func() any {
 		return &scratch{byUser: make([]counters, numUsers)}
 	}
+	r.rankPool.New = func() any { return &rankScratch{} }
 	return r
 }
 
@@ -290,53 +311,57 @@ func (d *Detector) Rank(candidates []Expert) []Expert {
 	return d.ranker.Rank(candidates)
 }
 
-// Rank normalizes, scores, thresholds and sorts a candidate pool.
+// Rank normalizes, scores, thresholds and sorts a candidate pool. The
+// work runs in pooled scratch; the returned slice is the call's one
+// allocation (none for an empty result) and belongs to the caller.
 func (r *Ranker) Rank(candidates []Expert) []Expert {
 	if len(candidates) == 0 {
 		return nil
 	}
 	n := len(candidates)
-	logTS := make([]float64, n)
-	logMI := make([]float64, n)
-	logRI := make([]float64, n)
-	for i, e := range candidates {
-		logTS[i] = math.Log(e.TS + r.params.Epsilon)
-		logMI[i] = math.Log(e.MI + r.params.Epsilon)
-		logRI[i] = math.Log(e.RI + r.params.Epsilon)
+	s := r.rankPool.Get().(*rankScratch)
+	defer r.rankPool.Put(s)
+	p := &r.params
+	zTS, zMI, zRI := s.columns(n)
+	for i := range candidates {
+		e := &candidates[i]
+		zTS[i] = math.Log(e.TS + p.Epsilon)
+		zMI[i] = math.Log(e.MI + p.Epsilon)
+		zRI[i] = math.Log(e.RI + p.Epsilon)
 	}
-	zTS := zscores(logTS)
-	zMI := zscores(logMI)
-	zRI := zscores(logRI)
+	zscores(zTS)
+	zscores(zMI)
+	zscores(zRI)
 
-	wSum := r.params.WeightTS + r.params.WeightMI + r.params.WeightRI +
-		r.params.WeightHT + r.params.WeightGI + r.params.WeightAV
-	scored := make([]Expert, n)
-	copy(scored, candidates)
+	wSum := p.WeightTS + p.WeightMI + p.WeightRI +
+		p.WeightHT + p.WeightGI + p.WeightAV
+	s.scored = append(s.scored[:0], candidates...)
+	scored := s.scored
 	for i := range scored {
-		scored[i].Score = (r.params.WeightTS*zTS[i] +
-			r.params.WeightMI*zMI[i] +
-			r.params.WeightRI*zRI[i]) / wSum
+		scored[i].Score = (p.WeightTS*zTS[i] +
+			p.WeightMI*zMI[i] +
+			p.WeightRI*zRI[i]) / wSum
 	}
-	if r.params.WeightHT != 0 || r.params.WeightGI != 0 || r.params.WeightAV != 0 {
-		logHT := make([]float64, n)
-		logGI := make([]float64, n)
-		logAV := make([]float64, n)
-		for i, e := range candidates {
-			logHT[i] = math.Log(e.HT + r.params.Epsilon)
-			logGI[i] = e.GI // already log follower count
-			logAV[i] = math.Log(e.AV + r.params.Epsilon)
+	if p.WeightHT != 0 || p.WeightGI != 0 || p.WeightAV != 0 {
+		// The base columns are spent; the extended set reuses them.
+		zHT, zGI, zAV := zTS, zMI, zRI
+		for i := range candidates {
+			e := &candidates[i]
+			zHT[i] = math.Log(e.HT + p.Epsilon)
+			zGI[i] = e.GI // already log follower count
+			zAV[i] = math.Log(e.AV + p.Epsilon)
 		}
-		zHT := zscores(logHT)
-		zGI := zscores(logGI)
-		zAV := zscores(logAV)
+		zscores(zHT)
+		zscores(zGI)
+		zscores(zAV)
 		for i := range scored {
-			scored[i].Score += (r.params.WeightHT*zHT[i] +
-				r.params.WeightGI*zGI[i] +
-				r.params.WeightAV*zAV[i]) / wSum
+			scored[i].Score += (p.WeightHT*zHT[i] +
+				p.WeightGI*zGI[i] +
+				p.WeightAV*zAV[i]) / wSum
 		}
 	}
 
-	if r.params.ClusterFilter && n >= 4 {
+	if p.ClusterFilter && n >= 4 {
 		scored = clusterFilter(scored)
 	}
 
@@ -346,20 +371,28 @@ func (r *Ranker) Rank(candidates []Expert) []Expert {
 	// so the selection is bit-identical to sort-then-truncate.
 	kept := scored[:0]
 	for _, e := range scored {
-		if e.Score >= r.params.MinZScore {
+		if e.Score >= p.MinZScore {
 			kept = append(kept, e)
 		}
 	}
-	if k := r.params.MaxResults; k > 0 && len(kept) > k {
+	if len(kept) == 0 {
+		return nil
+	}
+	if k := p.MaxResults; k > 0 && len(kept) > k {
 		kept = selectTopK(kept, k)
 	} else {
-		sort.Slice(kept, func(i, j int) bool { return rankedBefore(&kept[i], &kept[j]) })
+		slices.SortFunc(kept, func(a, b Expert) int {
+			switch {
+			case rankedBefore(&a, &b):
+				return -1
+			case rankedBefore(&b, &a):
+				return 1
+			}
+			return 0
+		})
 	}
 	out := make([]Expert, len(kept))
 	copy(out, kept)
-	if len(out) == 0 {
-		return nil
-	}
 	return out
 }
 
@@ -415,9 +448,9 @@ func siftWorstDown(h []Expert, i int) {
 	}
 }
 
-// zscores standardizes a vector: (x - mean) / stddev. A zero standard
-// deviation (all candidates identical) yields all-zero scores.
-func zscores(xs []float64) []float64 {
+// zscores standardizes a vector in place: (x - mean) / stddev. A zero
+// standard deviation (all candidates identical) yields all-zero scores.
+func zscores(xs []float64) {
 	n := float64(len(xs))
 	var sum float64
 	for _, x := range xs {
@@ -430,14 +463,13 @@ func zscores(xs []float64) []float64 {
 		sq += d * d
 	}
 	std := math.Sqrt(sq / n)
-	out := make([]float64, len(xs))
 	if std == 0 {
-		return out
+		clear(xs)
+		return
 	}
 	for i, x := range xs {
-		out[i] = (x - mean) / std
+		xs[i] = (x - mean) / std
 	}
-	return out
 }
 
 // clusterFilter is Pal & Counts' optional filtering step: a

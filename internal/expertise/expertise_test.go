@@ -2,6 +2,7 @@ package expertise
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -148,7 +149,8 @@ func TestZScoresProperties(t *testing.T) {
 				return true
 			}
 		}
-		zs := zscores(raw)
+		zs := slices.Clone(raw)
+		zscores(zs)
 		var sum float64
 		for _, z := range zs {
 			sum += z
@@ -173,7 +175,8 @@ func TestZScoresProperties(t *testing.T) {
 }
 
 func TestZScoresConstantVector(t *testing.T) {
-	zs := zscores([]float64{3, 3, 3})
+	zs := []float64{3, 3, 3}
+	zscores(zs)
 	for _, z := range zs {
 		if z != 0 {
 			t.Fatalf("constant vector z-scores = %v, want zeros", zs)

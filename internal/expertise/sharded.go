@@ -154,7 +154,12 @@ func (r *Ranker) MergeRawCandidates(dst []Expert, srcs []Source, lists ...[]RawC
 // wire — with a bit-identical outcome.
 func MergeRawNumerators(dst []RawCandidate, lists ...[]RawCandidate) []RawCandidate {
 	dst = dst[:0]
-	heads := make([]int, len(lists))
+	// One cursor per list, on the stack for any ordinary shard count.
+	var headArr [16]int
+	heads := headArr[:0]
+	for range lists {
+		heads = append(heads, 0)
+	}
 	for {
 		// Find the smallest next user across the list heads. Shard
 		// counts are small (a handful to a few dozen), so a linear scan

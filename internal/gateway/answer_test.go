@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/expertise"
 	"repro/internal/obs"
+	"repro/internal/race"
 	"repro/internal/serve"
 	"repro/internal/textutil"
 	"repro/internal/world"
@@ -124,11 +125,14 @@ func TestWarmHitAllocBudget(t *testing.T) {
 			}
 		}
 		allocs := testing.AllocsPerRun(200, func() { p.do(body) })
-		// 9 in a plain run. The race detector makes sync.Pool drop a
+		// 7 in a plain run — net/http's and encoding/json's six plus the
+		// canonical cache key of a query whose tokens arrive out of order
+		// ("vintage cars" keys as "cars vintage"); serve's admission adds
+		// nothing. The race detector makes sync.Pool drop a
 		// quarter of its Puts, so there the scratch (and encoding/json's
 		// own pooled state) is sometimes rebuilt.
-		budget := 10.0
-		if raceEnabled {
+		budget := 8.0
+		if race.Enabled {
 			budget = 20
 		}
 		if allocs > budget {

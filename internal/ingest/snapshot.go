@@ -162,26 +162,27 @@ func (s *Snapshot) NumRetweetsOf(u world.UserID) int {
 
 // Match returns the global ids of all visible posts containing every
 // token of the query, sorted ascending; nil means no match. The result
-// is freshly allocated — hot paths should use MatchAppendScratch.
+// is freshly allocated — hot paths tokenize into their own scratch and
+// call MatchTokensAppend.
 func (s *Snapshot) Match(query string) []microblog.TweetID {
-	out, _ := s.MatchAppendScratch(query, nil, nil)
+	out, _ := s.MatchTokensAppend(textutil.Tokenize(query), nil, nil)
 	if len(out) == 0 {
 		return nil
 	}
 	return out
 }
 
-// MatchAppendScratch is the zero-copy matcher of the live path: it
-// writes the matching global tweet ids into dst (reusing its capacity,
-// discarding its contents) and returns the filled buffer. Matching
-// runs per segment through the frozen zero-copy path and rebases
-// segment-local ids by the segment's start offset; because segments
-// partition the id space in order, the concatenation is globally
-// sorted with no merge step. local is a scratch buffer for the
-// per-segment results; both buffers are returned for reuse.
-func (s *Snapshot) MatchAppendScratch(query string, dst, local []microblog.TweetID) (out, localOut []microblog.TweetID) {
-	// Tokenized once here, not once per segment.
-	tokens := textutil.Tokenize(query)
+// MatchTokensAppend is the zero-copy matcher of the live path: it
+// writes the global ids of the posts containing every one of tokens
+// (one tokenized term — tokenized once by the caller, not once per
+// segment) into dst (reusing its capacity, discarding its contents) and
+// returns the filled buffer. Matching runs per segment through the
+// frozen zero-copy path and rebases segment-local ids by the segment's
+// start offset; because segments partition the id space in order, the
+// concatenation is globally sorted with no merge step. local is a
+// scratch buffer for the per-segment results; both buffers are returned
+// for reuse.
+func (s *Snapshot) MatchTokensAppend(tokens []string, dst, local []microblog.TweetID) (out, localOut []microblog.TweetID) {
 	dst = s.base.MatchTokensAppend(tokens, dst)
 	for _, sg := range s.segs {
 		local = sg.matchAppend(tokens, local)

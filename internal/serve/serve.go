@@ -403,11 +403,16 @@ func (s *Server) serve(ctx context.Context, query string, baseline bool, deadlin
 // outcome and the detector-side trace fields.
 func (s *Server) serveTraced(ctx context.Context, query string, baseline bool, deadline time.Time, qt *obs.QueryTrace) ([]expertise.Expert, *cacheEntry, error) {
 	s.queries.Add(1)
-	// Admission: tokenize once, reject degenerate queries before any
-	// cache work. The backend receives the normalized (order-kept)
-	// text; the cache keys on the canonical token set, so permutations
-	// and repetitions of one query share a slot and a flight.
-	toks := textutil.Tokenize(query)
+	// Admission: normalize and tokenize once, reject degenerate queries
+	// before any cache work. The backend receives the normalized
+	// (order-kept) text; the cache keys on the canonical token set, so
+	// permutations and repetitions of one query share a slot and a
+	// flight. A query that arrives in normal form — the common case — is
+	// admitted without allocating: Normalize hands it back, and its
+	// tokens are substrings cut into a stack array.
+	norm := textutil.Normalize(query)
+	var tokArr [8]string
+	toks := textutil.TokenizeAppend(tokArr[:0], norm)
 	if len(toks) == 0 {
 		s.rejected.Add(1)
 		if qt != nil {
@@ -418,12 +423,11 @@ func (s *Server) serveTraced(ctx context.Context, query string, baseline bool, d
 	if s.cfg.MaxQueryTerms > 0 && len(toks) > s.cfg.MaxQueryTerms {
 		s.rejected.Add(1)
 		if qt != nil {
-			qt.Query = strings.Join(toks, " ")
+			qt.Query = norm
 			qt.Outcome = obs.OutcomeRejected
 		}
 		return nil, nil, ErrTooManyTerms
 	}
-	norm := strings.Join(toks, " ")
 	canon := norm
 	if !tokensCanonical(toks) {
 		// CanonicalTokens sorts in place; norm is already materialized.

@@ -18,6 +18,7 @@ import (
 	"repro/internal/expertise"
 	"repro/internal/ingest"
 	"repro/internal/microblog"
+	"repro/internal/textutil"
 	"repro/internal/world"
 )
 
@@ -140,9 +141,11 @@ type Local struct {
 
 var _ Backend = (*Local)(nil)
 
-// localScratch holds one query's match buffers: a matched-id buffer and
-// segment-local scratch per term, the merge frontier and the union.
+// localScratch holds one query's match buffers: the current term's
+// tokens, a matched-id buffer and segment-local scratch per term, the
+// merge frontier and the union.
 type localScratch struct {
+	tokens   []string
 	lists    [][]microblog.TweetID
 	locals   [][]microblog.TweetID
 	frontier [][]microblog.TweetID
@@ -186,7 +189,8 @@ func (l *Local) Search(ctx context.Context, terms []string, extended bool, raw [
 	}
 	lists := s.lists[:len(terms)]
 	for i, t := range terms {
-		lists[i], s.locals[i] = snap.MatchAppendScratch(t, lists[i], s.locals[i])
+		s.tokens = textutil.TokenizeAppend(s.tokens[:0], t)
+		lists[i], s.locals[i] = snap.MatchTokensAppend(s.tokens, lists[i], s.locals[i])
 	}
 	s.merged, s.frontier = expertise.MergeTweetsInto(s.merged, s.frontier, lists...)
 	raw = l.ranker.RawCandidatesModeInto(raw, snap, s.merged, extended)

@@ -8,33 +8,71 @@
 // The paper deliberately performs no stemming or spell-correction
 // (Section 4.1: queries are left unchanged "to capture as many different
 // cases as possible"); this package follows suit.
+//
+// Normalization sits on the serving hot path (every request is
+// normalized and tokenized at admission, every search term tokenized
+// on its shard), so the two definitions — Normalize is lower-case,
+// split on whitespace, join with single spaces; Tokenize is the split —
+// each have a form that allocates nothing for input already in normal
+// form: Normalize returns such a string as is, and TokenizeAppend cuts
+// tokens as substrings into caller scratch. FuzzNormalize holds both to
+// the definitions on arbitrary input.
 package textutil
 
 import (
-	"sort"
+	"slices"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Normalize lower-cases s and collapses runs of whitespace into single
 // spaces. This is the only normalization the paper applies before
-// matching.
+// matching. A string that is already its own normal form is returned
+// as is, without allocating.
 func Normalize(s string) string {
+	if isNormal(s) {
+		return s
+	}
 	return strings.Join(Tokenize(s), " ")
+}
+
+// isNormal recognizes, without allocating, the fixed points of
+// Normalize that are cheap to recognize: ASCII strings with no
+// upper-case letter and no whitespace other than single spaces between
+// tokens. A false answer only means "take the general path" — non-ASCII
+// fixed points are not recognized.
+func isNormal(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= utf8.RuneSelf, 'A' <= c && c <= 'Z', '\t' <= c && c <= '\r':
+			return false
+		case c == ' ':
+			if i == 0 || i == len(s)-1 || s[i-1] == ' ' {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Tokenize lower-cases s and splits it into tokens on whitespace.
 // Punctuation is preserved inside tokens (so "49ers" and "#niners" stay
 // intact), matching the paper's choice to keep query variants verbatim.
 func Tokenize(s string) []string {
-	fields := strings.Fields(strings.ToLower(s))
-	out := fields[:0]
-	for _, f := range fields {
-		if f != "" {
-			out = append(out, f)
-		}
+	return strings.Fields(strings.ToLower(s))
+}
+
+// TokenizeAppend is Tokenize into caller scratch: the tokens of s are
+// appended to dst and the grown slice returned. The tokens are
+// substrings of the lower-cased s — of s itself when it holds no
+// upper-case letter — so a query that is already lower-case is
+// tokenized without allocating once dst has the capacity.
+func TokenizeAppend(dst []string, s string) []string {
+	for f := range strings.FieldsSeq(strings.ToLower(s)) {
+		dst = append(dst, f)
 	}
-	return out
+	return dst
 }
 
 // CanonicalTokens sorts tokens ascending and removes duplicates, in
@@ -47,7 +85,7 @@ func CanonicalTokens(tokens []string) []string {
 	if len(tokens) < 2 {
 		return tokens
 	}
-	sort.Strings(tokens)
+	slices.Sort(tokens)
 	out := tokens[:1]
 	for _, t := range tokens[1:] {
 		if t != out[len(out)-1] {

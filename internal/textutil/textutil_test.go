@@ -1,6 +1,7 @@
 package textutil
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -30,6 +31,54 @@ func TestNormalizeIdempotent(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// FuzzNormalize holds the allocation-free paths to the definitions they
+// shortcut, over arbitrary input — Unicode whitespace and case, invalid
+// UTF-8, control characters: Normalize is lower-case, split on
+// whitespace, join with single spaces, whether or not the fast path
+// recognized s as already normal; and TokenizeAppend cuts exactly
+// Tokenize's tokens, after whatever dst already held.
+func FuzzNormalize(f *testing.F) {
+	for _, s := range []string{
+		"", " ", "49ers", "san francisco", "san  francisco", " 49ers", "49ers ", "NFL\tDraft\n2014",
+		"#Niners", "a\u00a0b", "a\u0085b", "a\u2003b", "İstanbul ǅ", "caf\u00e9 ÉCOLE", "a\x1fb", "a\vb\fc\rd",
+		"\xff\xfe bad\xc0utf8", "x y z w v u t s r q p",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		fields := strings.Fields(strings.ToLower(s))
+		if got, want := Normalize(s), strings.Join(fields, " "); got != want {
+			t.Fatalf("Normalize(%q) = %q, want %q", s, got, want)
+		}
+		if got := Tokenize(s); !slices.Equal(got, fields) {
+			t.Fatalf("Tokenize(%q) = %q, want %q", s, got, fields)
+		}
+		if got := TokenizeAppend(nil, s); !slices.Equal(got, fields) {
+			t.Fatalf("TokenizeAppend(nil, %q) = %q, want %q", s, got, fields)
+		}
+		var arr [4]string
+		arr[0] = "kept"
+		if got := TokenizeAppend(arr[:1], s); got[0] != "kept" || !slices.Equal(got[1:], fields) {
+			t.Fatalf("TokenizeAppend(dst, %q) = %q, want kept + %q", s, got, fields)
+		}
+	})
+}
+
+// TestAdmissionPathAllocs pins what the serve layer's admission relies
+// on: normalizing and tokenizing a query that is already in normal form
+// allocates nothing.
+func TestAdmissionPathAllocs(t *testing.T) {
+	query := "san francisco 49ers"
+	var n int
+	allocs := testing.AllocsPerRun(100, func() {
+		var arr [8]string
+		n = len(TokenizeAppend(arr[:0], Normalize(query)))
+	})
+	if allocs != 0 || n != 3 {
+		t.Fatalf("admission of %q: %v allocs, %d tokens; want 0 and 3", query, allocs, n)
 	}
 }
 

@@ -9,9 +9,10 @@
 // cost on a subscribed client (BenchmarkRemoteEpochSample — a memory
 // read, no frames), a mixed read/write load (BenchmarkRemoteMixedLoad)
 // and the isolated frame codec cost (BenchmarkWireSearchCodec).
-// BENCHMARKS.md records the per-PR numbers; on the 1-core CI container
-// the per-shard round trips serialize, so multi-shard remote latency
-// there is an upper bound, not the parallel-deployment number.
+// BENCHMARKS.md records the per-PR numbers. The detector runs
+// MatchWorkers = 1, as cmd/gateway does, so the per-shard round trips
+// go out one after another: multi-shard remote latency here is the sum
+// of the shards' round trips, on any number of cores.
 package transport_test
 
 import (

@@ -84,8 +84,10 @@ type RemoteShard struct {
 	closed bool
 	// expect, once Handshake succeeds, pins the deployment identity —
 	// including the server incarnation — that every freshly dialed
-	// connection is re-verified against (see negotiate).
-	expect *InfoResp
+	// connection is re-verified against (see negotiate). Published
+	// atomically: every search reads it, and must not queue on the
+	// connection-pool mutex to do so.
+	expect atomic.Pointer[InfoResp]
 
 	// health is the dial budget: every fresh dial must be granted by
 	// this backoff state machine, failed dials (and failed negotiation)
@@ -123,16 +125,23 @@ type RemoteShard struct {
 	obsEpochRTTs    *obs.Counter
 }
 
-// clientConn is one pooled connection plus its reusable buffers.
+// clientConn is one pooled connection plus everything a conversation
+// on it reuses: its buffers and the View it becomes while a search
+// holds it checked out.
 type clientConn struct {
 	c        net.Conn
 	br       *bufio.Reader
 	in       []byte // frame read buffer
 	out      []byte // frame build buffer
+	req      []byte // search / stats request payload build buffer
 	env      []byte // OpDeflate request envelope buffer
 	dec      []byte // OpDeflate response inflate buffer
 	pooled   bool   // checked out of the idle pool (retry-once eligible)
 	compress bool   // negotiated FeatureCompress on this connection
+	// view is the shard.View a search op hands out over this connection.
+	// A view lives exactly as long as that check-out, so it is a field
+	// reset per conversation rather than an object per query.
+	view remoteView
 }
 
 // RemoteShard must keep satisfying the interface the in-process
@@ -280,14 +289,12 @@ func (r *RemoteShard) features() uint64 {
 // connect even if it would have skipped its own verification.
 func (r *RemoteShard) infoPayload() []byte {
 	req := InfoReq{Features: r.features()}
-	r.mu.Lock()
-	if e := r.expect; e != nil {
+	if e := r.expect.Load(); e != nil {
 		req.ExpectShard = e.Shard
 		req.ExpectShards = e.NumShards
 		req.ExpectUsers = e.Users
 		req.ExpectBase = e.BaseTweets
 	}
-	r.mu.Unlock()
 	return AppendInfoReqExpect(nil, req)
 }
 
@@ -312,9 +319,7 @@ func (r *RemoteShard) negotiate(cc *clientConn) error {
 		return err
 	}
 	cc.compress = !r.cfg.NoCompress && info.Features&FeatureCompress != 0
-	r.mu.Lock()
-	expect := r.expect
-	r.mu.Unlock()
+	expect := r.expect.Load()
 	if expect == nil {
 		return nil
 	}
@@ -464,9 +469,7 @@ func (r *RemoteShard) Handshake(shardIdx, numShards, users, baseTweets int) erro
 	}
 	// Pin the verified identity — incarnation included — so every
 	// future fresh dial re-verifies against it (verifyConn).
-	r.mu.Lock()
-	r.expect = &info
-	r.mu.Unlock()
+	r.expect.Store(&info)
 	return nil
 }
 
@@ -502,32 +505,35 @@ func (r *RemoteShard) reqTimeout(ctx context.Context, base time.Duration) (time.
 	return base, nil
 }
 
-// Search implements shard.Backend: one OpSearch round trip whose
-// response carries the shard's raw candidate rows and matched-union
-// size, and whose connection — with the snapshot the server pinned to
-// it — becomes the returned View, so the follow-up denominator fetch
-// reads the exact state the rows were extracted from. The wire deadline
-// is the configured timeout clamped by ctx's remaining budget.
-func (r *RemoteShard) Search(ctx context.Context, terms []string, extended bool, raw []expertise.RawCandidate) ([]expertise.RawCandidate, int, shard.View, error) {
+// searchRoundTrip is the exchange Search and SearchStats share: check a
+// connection out, encode the request into its build buffer and run one
+// round trip of op, under the configured timeout clamped by ctx's
+// remaining budget. A pooled connection that dies before answering is
+// replaced by one fresh dial and the request encoded again onto it (a
+// search is idempotent). On success the connection stays checked out —
+// the server pinned a snapshot to it — and resp aliases its read buffer;
+// on error the connection is already released or closed.
+func (r *RemoteShard) searchRoundTrip(ctx context.Context, op Op, terms []string, extended bool) (cc *clientConn, resp []byte, err error) {
 	timeout, err := r.reqTimeout(ctx, r.cfg.Timeout)
 	if err != nil {
-		return raw[:0], 0, nil, err
+		return nil, nil, err
 	}
-	cc, err := r.checkout()
-	if err != nil {
-		return raw[:0], 0, nil, err
+	if cc, err = r.checkout(); err != nil {
+		return nil, nil, err
 	}
-	payload := AppendSearchReq(nil, SearchReq{Extended: extended, Terms: terms})
-	resp, okConn, err := r.roundTrip(cc, OpSearch, payload, timeout)
+	req := SearchReq{Extended: extended, Terms: terms}
+	cc.req = AppendSearchReq(cc.req[:0], req)
+	resp, okConn, err := r.roundTrip(cc, op, cc.req, timeout)
 	if err != nil && !okConn && cc.pooled {
 		cc.c.Close()
 		if timeout, err = r.reqTimeout(ctx, r.cfg.Timeout); err != nil {
-			return raw[:0], 0, nil, err
+			return nil, nil, err
 		}
 		if cc, err = r.dialConn(); err != nil {
-			return raw[:0], 0, nil, err
+			return nil, nil, err
 		}
-		resp, okConn, err = r.roundTrip(cc, OpSearch, payload, timeout)
+		cc.req = AppendSearchReq(cc.req[:0], req)
+		resp, okConn, err = r.roundTrip(cc, op, cc.req, timeout)
 	}
 	if err != nil {
 		if okConn {
@@ -535,6 +541,20 @@ func (r *RemoteShard) Search(ctx context.Context, terms []string, extended bool,
 		} else {
 			cc.c.Close()
 		}
+		return nil, nil, err
+	}
+	return cc, resp, nil
+}
+
+// Search implements shard.Backend: one OpSearch round trip whose
+// response carries the shard's raw candidate rows and matched-union
+// size, and whose connection — with the snapshot the server pinned to
+// it — becomes the returned View, so the follow-up denominator fetch
+// reads the exact state the rows were extracted from. The wire deadline
+// is the configured timeout clamped by ctx's remaining budget.
+func (r *RemoteShard) Search(ctx context.Context, terms []string, extended bool, raw []expertise.RawCandidate) ([]expertise.RawCandidate, int, shard.View, error) {
+	cc, resp, err := r.searchRoundTrip(ctx, OpSearch, terms, extended)
+	if err != nil {
 		return raw[:0], 0, nil, err
 	}
 	sr, _, err := ConsumeSearchResp(raw, resp)
@@ -542,7 +562,8 @@ func (r *RemoteShard) Search(ctx context.Context, terms []string, extended bool,
 		cc.c.Close()
 		return raw[:0], 0, nil, err
 	}
-	return sr.Rows, sr.Matched, &remoteView{r: r, cc: cc}, nil
+	cc.view = remoteView{r: r, cc: cc}
+	return sr.Rows, sr.Matched, &cc.view, nil
 }
 
 // SearchStats implements shard.Backend: the whole search→stats
@@ -554,32 +575,8 @@ func (r *RemoteShard) Search(ctx context.Context, terms []string, extended bool,
 // coordinator's top-up OpStats (foreign candidates' denominators)
 // against the pinned snapshot.
 func (r *RemoteShard) SearchStats(ctx context.Context, terms []string, extended bool, raw []expertise.RawCandidate, stats []expertise.UserStats) ([]expertise.RawCandidate, int, []expertise.UserStats, shard.View, error) {
-	timeout, err := r.reqTimeout(ctx, r.cfg.Timeout)
+	cc, resp, err := r.searchRoundTrip(ctx, OpSearchStats, terms, extended)
 	if err != nil {
-		return raw[:0], 0, stats[:0], nil, err
-	}
-	cc, err := r.checkout()
-	if err != nil {
-		return raw[:0], 0, stats[:0], nil, err
-	}
-	payload := AppendSearchReq(nil, SearchReq{Extended: extended, Terms: terms})
-	resp, okConn, err := r.roundTrip(cc, OpSearchStats, payload, timeout)
-	if err != nil && !okConn && cc.pooled {
-		cc.c.Close()
-		if timeout, err = r.reqTimeout(ctx, r.cfg.Timeout); err != nil {
-			return raw[:0], 0, stats[:0], nil, err
-		}
-		if cc, err = r.dialConn(); err != nil {
-			return raw[:0], 0, stats[:0], nil, err
-		}
-		resp, okConn, err = r.roundTrip(cc, OpSearchStats, payload, timeout)
-	}
-	if err != nil {
-		if okConn {
-			r.release(cc)
-		} else {
-			cc.c.Close()
-		}
 		return raw[:0], 0, stats[:0], nil, err
 	}
 	sr, _, err := ConsumeSearchStatsResp(raw, stats, resp)
@@ -587,20 +584,17 @@ func (r *RemoteShard) SearchStats(ctx context.Context, terms []string, extended 
 		cc.c.Close()
 		return raw[:0], 0, stats[:0], nil, err
 	}
-	v := &remoteView{r: r, cc: cc}
-	r.mu.Lock()
-	if r.expect != nil && r.expect.NumShards == 1 {
-		// A single-shard server does not pin after a composite (there
-		// is nothing to top up), so the release needs no OpUnpin.
-		v.pinCleared = true
-	}
-	r.mu.Unlock()
-	return sr.Rows, sr.Matched, sr.Stats, v, nil
+	// A single-shard server does not pin after a composite (there is
+	// nothing to top up), so the release needs no OpUnpin.
+	expect := r.expect.Load()
+	cc.view = remoteView{r: r, cc: cc, pinCleared: expect != nil && expect.NumShards == 1}
+	return sr.Rows, sr.Matched, sr.Stats, &cc.view, nil
 }
 
 // remoteView is the client end of a pinned search→stats conversation:
-// it owns one checked-out connection whose server side holds the
-// snapshot the search ran against.
+// the checked-out connection whose server side holds the snapshot the
+// search ran against. It is embedded in that clientConn and reset by
+// the search op that opens each conversation.
 type remoteView struct {
 	r      *RemoteShard
 	cc     *clientConn
@@ -623,8 +617,8 @@ func (v *remoteView) Stats(ctx context.Context, users []world.UserID, dst []expe
 	if err != nil {
 		return dst[:0], err
 	}
-	payload := expertise.AppendUserIDs(nil, users)
-	resp, okConn, err := v.r.roundTrip(v.cc, OpStats, payload, timeout)
+	v.cc.req = expertise.AppendUserIDs(v.cc.req[:0], users)
+	resp, okConn, err := v.r.roundTrip(v.cc, OpStats, v.cc.req, timeout)
 	if okConn {
 		// The request reached the server, which releases its snapshot
 		// pin after answering the stats of a search→stats conversation.
@@ -875,10 +869,7 @@ func (r *RemoteShard) PagePosts(from, max, filterShards, filterIdx int) ([]micro
 // size, from the handshake-pinned identity when available (no round
 // trip), otherwise from one OpInfo.
 func (r *RemoteShard) BasePosts() (int, error) {
-	r.mu.Lock()
-	expect := r.expect
-	r.mu.Unlock()
-	if expect != nil {
+	if expect := r.expect.Load(); expect != nil {
 		return expect.BaseTweets, nil
 	}
 	info, err := r.Info()

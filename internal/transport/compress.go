@@ -30,8 +30,20 @@ var flateWriters = sync.Pool{New: func() any {
 	return fw
 }}
 
-var flateReaders = sync.Pool{New: func() any {
-	return flate.NewReader(bytes.NewReader(nil))
+// inflater is a pooled flate reader together with everything it reads
+// through, so inflating an envelope allocates nothing: the bytes.Reader
+// it is reset onto and the one-byte buffer of the end-of-stream probe
+// (a local would escape through the io.Reader).
+type inflater struct {
+	src   bytes.Reader
+	fr    io.ReadCloser // a flate reader over &src
+	probe [1]byte
+}
+
+var inflaters = sync.Pool{New: func() any {
+	in := new(inflater)
+	in.fr = flate.NewReader(&in.src)
+	return in
 }}
 
 // appendWriter adapts an append-grown byte slice to io.Writer for the
@@ -81,9 +93,15 @@ func ConsumeDeflate(dst []byte, payload []byte) (Op, []byte, error) {
 	if rawLen == 0 || rawLen > MaxFrame-1 {
 		return 0, dst[:0], fmt.Errorf("deflate envelope claims %d bytes: %w", rawLen, ErrFrameTooLarge)
 	}
-	fr := flateReaders.Get().(io.ReadCloser)
-	defer flateReaders.Put(fr)
-	if err := fr.(flate.Resetter).Reset(bytes.NewReader(rest), nil); err != nil {
+	in := inflaters.Get().(*inflater)
+	defer func() {
+		// An idle pooled inflater must not pin the caller's frame buffer.
+		in.src.Reset(nil)
+		inflaters.Put(in)
+	}()
+	in.src.Reset(rest)
+	fr := in.fr
+	if err := fr.(flate.Resetter).Reset(&in.src, nil); err != nil {
 		return 0, dst[:0], fmt.Errorf("deflate reset: %w", err)
 	}
 	dst = dst[:0]
@@ -105,8 +123,7 @@ func ConsumeDeflate(dst []byte, payload []byte) (Op, []byte, error) {
 			return 0, dst[:0], fmt.Errorf("deflate body: %w: %v", ErrFrameTruncated, err)
 		}
 	}
-	var one [1]byte
-	switch _, err := io.ReadFull(fr, one[:]); err {
+	switch _, err := io.ReadFull(fr, in.probe[:]); err {
 	case io.EOF:
 		// The stream terminated cleanly exactly at rawLen.
 	case nil:

@@ -36,6 +36,18 @@
 // a connection out of its pool for the whole conversation, so
 // concurrent queries never interleave on one connection.
 //
+// Buffers. A warm conversation allocates nothing but the server's one
+// string copy of a search request's terms. Every other byte lives in a
+// buffer one of the two connection objects owns and the next
+// conversation on that connection reuses: the client's request build
+// buffer, both sides' frame, envelope, read and inflate buffers (the
+// length prefix is read into the read buffer, the server's frame header
+// built in its bufio.Writer's spare capacity), the decoded rows and
+// stats, and the View itself, which is a field of the client connection
+// it pins. The terms are copied once rather than aliased because the
+// read buffer is overwritten by the next frame while tokens cut from
+// the terms still sit in the shard's pooled scratch.
+//
 // Pushes. A connection that sent OpSubscribe additionally receives
 // server-initiated OpEpochDelta frames whenever the index publishes a
 // new snapshot. Pushes are coalesced (at most one write in flight per
@@ -210,16 +222,20 @@ func DecodeFrame(data []byte) (op Op, payload, rest []byte, err error) {
 	return Op(body[0]), body[1:], data[headerLen+int(n):], nil
 }
 
-// ReadFrame reads exactly one frame from r, reusing buf's capacity for
-// the body, and returns the op, the payload (aliasing the returned
-// buffer) and the grown buffer for the next call. The length prefix is
-// validated before the body is read, so a hostile prefix cannot drive
-// an allocation past MaxFrame; a short read surfaces as
-// ErrFrameTruncated (wrapping the underlying error) rather than a
-// partially filled payload.
+// ReadFrame reads exactly one frame from r, reusing buf's capacity —
+// for the length prefix first, then, over it, for the body — and
+// returns the op, the payload (aliasing the returned buffer) and the
+// grown buffer for the next call; a warm buffer makes the read
+// allocation-free. The length prefix is validated before the body is
+// read, so a hostile prefix cannot drive an allocation past MaxFrame; a
+// short read surfaces as ErrFrameTruncated (wrapping the underlying
+// error) rather than a partially filled payload.
 func ReadFrame(r io.Reader, buf []byte) (op Op, payload, bufOut []byte, err error) {
-	var header [headerLen]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
+	if cap(buf) < headerLen {
+		buf = make([]byte, headerLen)
+	}
+	buf = buf[:headerLen]
+	if _, err := io.ReadFull(r, buf); err != nil {
 		// EOF before any header byte is a clean end of stream; anything
 		// later is a truncation.
 		if errors.Is(err, io.ErrUnexpectedEOF) {
@@ -227,7 +243,7 @@ func ReadFrame(r io.Reader, buf []byte) (op Op, payload, bufOut []byte, err erro
 		}
 		return 0, nil, buf, err
 	}
-	n := binary.BigEndian.Uint32(header[:])
+	n := binary.BigEndian.Uint32(buf)
 	if n == 0 {
 		return 0, nil, buf, fmt.Errorf("transport: empty frame body")
 	}

@@ -10,6 +10,8 @@ package transport_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"slices"
 	"testing"
 
 	"repro/internal/expertise"
@@ -81,6 +83,64 @@ func seedFrames() [][]byte {
 	return frames
 }
 
+// referenceSearchReq is the independent decode ConsumeSearchReq is held
+// to: the plain one-string-per-term reading of the format.
+func referenceSearchReq(buf []byte) (extended bool, terms []string, ok bool) {
+	if len(buf) == 0 {
+		return false, nil, false
+	}
+	extended, buf = buf[0] != 0, buf[1:]
+	n, w := binary.Uvarint(buf)
+	if w <= 0 || n > uint64(len(buf)-w) {
+		return false, nil, false
+	}
+	buf = buf[w:]
+	for ; n > 0; n-- {
+		l, w := binary.Uvarint(buf)
+		if w <= 0 || l > uint64(len(buf)-w) {
+			return false, nil, false
+		}
+		terms = append(terms, string(buf[w:w+int(l)]))
+		buf = buf[w+int(l):]
+	}
+	return extended, terms, true
+}
+
+// checkSearchReq drives the scratch-taking ConsumeSearchReq over one
+// payload: it must accept exactly what the reference decode accepts,
+// produce the same terms into reused scratch without keeping any stale
+// entry, hold no more than the bytes present, own its terms (the frame
+// buffer is overwritten afterwards, as a connection's next read does)
+// and round-trip through the encoder.
+func checkSearchReq(t *testing.T, payload []byte) {
+	frame := bytes.Clone(payload) // the fuzz engine's bytes must not be modified
+	extended, want, ok := referenceSearchReq(frame)
+	req, _, err := transport.ConsumeSearchReq([]string{"stale", "scratch"}, frame)
+	if (err == nil) != ok {
+		t.Fatalf("search req: decode err %v, reference accepts %v", err, ok)
+	}
+	if err != nil {
+		return
+	}
+	for i := range frame {
+		frame[i] = 0xff
+	}
+	if req.Extended != extended || !slices.Equal(req.Terms, want) {
+		t.Fatalf("search req: got %v %q, reference %v %q", req.Extended, req.Terms, extended, want)
+	}
+	held := 0
+	for _, term := range req.Terms {
+		held += len(term)
+	}
+	if len(req.Terms) > len(payload) || held > len(payload) {
+		t.Fatalf("search req: %d terms holding %d bytes from a %d-byte payload", len(req.Terms), held, len(payload))
+	}
+	again, _, err := transport.ConsumeSearchReq(nil, transport.AppendSearchReq(nil, req))
+	if err != nil || again.Extended != req.Extended || !slices.Equal(again.Terms, req.Terms) {
+		t.Fatalf("search req round trip: %+v vs %+v (%v)", again, req, err)
+	}
+}
+
 // FuzzDecodeFrame is the adversarial-input bar of the satellite task:
 // DecodeFrame plus every payload decoder, driven by arbitrary bytes,
 // must neither panic nor over-allocate, and every successful decode
@@ -107,21 +167,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		// Try every payload interpretation; the op byte is
 		// fuzzer-controlled so it proves nothing about which decoder the
 		// bytes were meant for.
-		if req, _, err := transport.ConsumeSearchReq(payload); err == nil {
-			enc := transport.AppendSearchReq(nil, req)
-			again, _, err := transport.ConsumeSearchReq(enc)
-			if err != nil {
-				t.Fatalf("search req re-decode: %v", err)
-			}
-			if len(again.Terms) != len(req.Terms) || again.Extended != req.Extended {
-				t.Fatalf("search req round trip: %+v vs %+v", again, req)
-			}
-			for i := range req.Terms {
-				if again.Terms[i] != req.Terms[i] {
-					t.Fatalf("search req term %d round trip: %q vs %q", i, again.Terms[i], req.Terms[i])
-				}
-			}
-		}
+		checkSearchReq(t, payload)
 		if resp, _, err := transport.ConsumeSearchResp(nil, payload); err == nil {
 			enc := transport.AppendSearchResp(nil, resp)
 			again, _, err := transport.ConsumeSearchResp(nil, enc)

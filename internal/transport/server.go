@@ -294,6 +294,9 @@ type connState struct {
 	uids []world.UserID
 	view shard.View
 
+	// terms holds the decoded search terms (ConsumeSearchReq's scratch).
+	terms []string
+
 	// busy marks a connection mid-conversation: a request frame is
 	// being dispatched, or the last search op left a snapshot pinned
 	// for its paired OpStats. Shutdown's drain keeps busy connections
@@ -435,10 +438,10 @@ func writeFrameLocked(st *connState, op Op, payload []byte) error {
 		}
 	}
 	st.obsBytesW.Add(int64(headerLen + 1 + len(body)))
-	var hdr [headerLen + 1]byte
-	binary.BigEndian.PutUint32(hdr[:headerLen], uint32(1+len(body)))
-	hdr[headerLen] = byte(wireOp)
-	if _, err := st.bw.Write(hdr[:]); err != nil {
+	// The header is built in the writer's own spare buffer: a local array
+	// would escape into the bufio.Writer, one allocation per frame.
+	hdr := binary.BigEndian.AppendUint32(st.bw.AvailableBuffer(), uint32(1+len(body)))
+	if _, err := st.bw.Write(append(hdr, byte(wireOp))); err != nil {
 		return err
 	}
 	if _, err := st.bw.Write(body); err != nil {
@@ -483,6 +486,26 @@ func (s *ShardServer) pushLoop(conn net.Conn, st *connState, last uint64) {
 	}
 }
 
+// search is the half OpSearch and OpSearchStats share: decode the
+// request into the connection's term scratch, drop whatever the
+// connection still pins, and run the scatter stage into st.rows. The
+// wire protocol carries no deadline (the client applies its clamped
+// budget to the conn's IO deadlines instead), so the in-process
+// execution runs unbounded.
+func (s *ShardServer) search(st *connState, payload []byte) (matched int, view shard.View, err error) {
+	req, _, err := ConsumeSearchReq(st.terms, payload)
+	st.terms = req.Terms
+	if err != nil {
+		return 0, nil, err
+	}
+	if st.view != nil {
+		st.view.Release()
+		st.view = nil
+	}
+	st.rows, matched, view, err = s.local.Search(context.Background(), req.Terms, req.Extended, st.rows)
+	return matched, view, err
+}
+
 // dispatch decodes one request, executes it and builds the response
 // payload in st.out. A returned error becomes an OpError response; the
 // connection survives (the request was framed correctly, so the stream
@@ -490,20 +513,7 @@ func (s *ShardServer) pushLoop(conn net.Conn, st *connState, last uint64) {
 func (s *ShardServer) dispatch(st *connState, op Op, payload []byte) (Op, error) {
 	switch op {
 	case OpSearch:
-		req, _, err := ConsumeSearchReq(payload)
-		if err != nil {
-			return 0, err
-		}
-		if st.view != nil {
-			st.view.Release()
-			st.view = nil
-		}
-		var matched int
-		var view shard.View
-		// The wire protocol carries no deadline (the client applies its
-		// clamped budget to the conn's IO deadlines instead), so the
-		// in-process execution runs unbounded.
-		st.rows, matched, view, err = s.local.Search(context.Background(), req.Terms, req.Extended, st.rows)
+		matched, view, err := s.search(st, payload)
 		if err != nil {
 			return 0, err
 		}
@@ -512,17 +522,7 @@ func (s *ShardServer) dispatch(st *connState, op Op, payload []byte) (Op, error)
 		return OpSearch, nil
 
 	case OpSearchStats:
-		req, _, err := ConsumeSearchReq(payload)
-		if err != nil {
-			return 0, err
-		}
-		if st.view != nil {
-			st.view.Release()
-			st.view = nil
-		}
-		var matched int
-		var view shard.View
-		st.rows, matched, view, err = s.local.Search(context.Background(), req.Terms, req.Extended, st.rows)
+		matched, view, err := s.search(st, payload)
 		if err != nil {
 			return 0, err
 		}

@@ -38,9 +38,15 @@ func AppendSearchReq(buf []byte, req SearchReq) []byte {
 	return buf
 }
 
-// ConsumeSearchReq decodes a SearchReq off the front of buf.
-func ConsumeSearchReq(buf []byte) (SearchReq, []byte, error) {
-	var req SearchReq
+// ConsumeSearchReq decodes a SearchReq off the front of buf, appending
+// the terms into terms (capacity reused, contents discarded). Every
+// length is checked against the bytes present first; then the terms
+// region is copied into one string and each term is a substring of it —
+// one allocation however many terms there are. The terms own their
+// bytes: buf is a connection's read buffer, overwritten by its next
+// frame while tokens cut from the terms still sit in pooled scratch.
+func ConsumeSearchReq(terms []string, buf []byte) (SearchReq, []byte, error) {
+	req := SearchReq{Terms: terms[:0]}
 	if len(buf) == 0 {
 		return req, buf, fmt.Errorf("search req: %w", ErrFrameTruncated)
 	}
@@ -50,16 +56,19 @@ func ConsumeSearchReq(buf []byte) (SearchReq, []byte, error) {
 	if err != nil {
 		return req, buf, fmt.Errorf("search req terms: %w", err)
 	}
-	req.Terms = make([]string, 0, n)
+	rest := buf
 	for i := 0; i < n; i++ {
-		var t string
-		t, buf, err = consumeString(buf)
-		if err != nil {
-			return req, buf, fmt.Errorf("search req term %d: %w", i, err)
+		if _, rest, err = consumeBytes(rest); err != nil {
+			return req, rest, fmt.Errorf("search req term %d: %w", i, err)
 		}
-		req.Terms = append(req.Terms, t)
 	}
-	return req, buf, nil
+	region := string(buf[:len(buf)-len(rest)])
+	for off := 0; len(req.Terms) < n; {
+		l, w := binary.Uvarint(buf[off:]) // validated above
+		off += w + int(l)
+		req.Terms = append(req.Terms, region[off-int(l):off])
+	}
+	return req, rest, nil
 }
 
 // SearchResp is the OpSearch response: the size of the shard's
@@ -562,14 +571,21 @@ func appendString(buf []byte, s string) []byte {
 // consumeString reads a length-prefixed string, validating the length
 // against the bytes present before allocating.
 func consumeString(buf []byte) (string, []byte, error) {
+	b, buf, err := consumeBytes(buf)
+	return string(b), buf, err
+}
+
+// consumeBytes reads a length-prefixed byte field, validating the
+// length against the bytes present; the field aliases buf.
+func consumeBytes(buf []byte) (field, rest []byte, err error) {
 	n, buf, err := consumeUvarint(buf)
 	if err != nil {
-		return "", buf, err
+		return nil, buf, err
 	}
 	if n > uint64(len(buf)) {
-		return "", buf, fmt.Errorf("string length %d exceeds payload: %w", n, ErrFrameTruncated)
+		return nil, buf, fmt.Errorf("string length %d exceeds payload: %w", n, ErrFrameTruncated)
 	}
-	return string(buf[:n]), buf[n:], nil
+	return buf[:n], buf[n:], nil
 }
 
 // consumeCount reads an element count and rejects it unless the
