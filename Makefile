@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race flake vet bench bench-check bench-smoke cover cover-check check docs-check bench-shard bench-remote bench-replica bench-gateway bench-disk bench-json fuzz-smoke run-gateway smoke-gateway
+.PHONY: all build test race flake vet bench bench-check bench-smoke cover cover-check check docs-check bench-ingest bench-shard bench-remote bench-replica bench-gateway bench-disk bench-json fuzz-smoke run-gateway smoke-gateway
 
 all: check
 
@@ -66,7 +66,7 @@ bench:
 	$(GO) test -bench '$(BENCH)' -benchmem -run '^$$' .
 
 bench-ingest:
-	$(GO) test -bench 'Ingest|LiveSearch' -benchmem -run '^$$' ./internal/ingest
+	$(GO) test -bench 'Ingest|LiveSearch|CompactMerge' -benchmem -run '^$$' ./internal/ingest
 
 bench-shard:
 	$(GO) test -bench 'Sharded|EpochVector|Reshard' -benchmem -run '^$$' ./internal/shard

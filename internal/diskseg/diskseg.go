@@ -446,13 +446,7 @@ func (s *Segment) postingBlock(ref *blockRef) []microblog.TweetID {
 	if s.obsReadNS != nil {
 		start = time.Now()
 	}
-	ids, _, err := microblog.DecodePostingsBlock(
-		make([]microblog.TweetID, 0, ref.n), s.data[ref.off:ref.off+ref.blen], ref.n)
-	if err != nil {
-		// The section checksum verified at Open covers these bytes; a
-		// decode failure here means memory corruption, not input.
-		panic(fmt.Sprintf("diskseg: checksummed posting block undecodable: %v", err))
-	}
+	ids := s.decodePostings(make([]microblog.TweetID, 0, ref.n), ref)
 	if s.obsReadNS != nil {
 		s.obsReadNS.Observe(time.Since(start).Nanoseconds())
 	}
@@ -460,6 +454,46 @@ func (s *Segment) postingBlock(ref *blockRef) []microblog.TweetID {
 		s.cache.put(ref.off, &cacheEntry{ids: ids})
 	}
 	return ids
+}
+
+// decodePostings appends one posting block to dst, decoded off the map.
+func (s *Segment) decodePostings(dst []microblog.TweetID, ref *blockRef) []microblog.TweetID {
+	dst, _, err := microblog.DecodePostingsBlock(dst, s.data[ref.off:ref.off+ref.blen], ref.n)
+	if err != nil {
+		// The section checksum verified at Open covers these bytes; a
+		// decode failure here means memory corruption, not input.
+		panic(fmt.Sprintf("diskseg: checksummed posting block undecodable: %v", err))
+	}
+	return dst
+}
+
+// NumTerms returns the dictionary size. With Terms and AppendPostings
+// (and Tweets) it makes the segment a microblog.Part, a compaction
+// input merged without re-indexing.
+func (s *Segment) NumTerms() int { return len(s.termList) }
+
+// Terms calls yield with every dictionary term and its posting count,
+// in dictionary order, from the directory decoded at Open — no block is
+// touched.
+func (s *Segment) Terms(yield func(term string, postings int)) {
+	for _, term := range s.termList {
+		yield(term, s.terms[term].count)
+	}
+}
+
+// AppendPostings appends the term's whole posting list to dst, decoded
+// straight off the map. Like Tweets it bypasses the hot cache: a
+// background merge reads every block exactly once and must not evict
+// the query path's working set.
+func (s *Segment) AppendPostings(dst []microblog.TweetID, term string) []microblog.TweetID {
+	m := s.terms[term]
+	if m == nil {
+		return dst
+	}
+	for i := range m.blocks {
+		dst = s.decodePostings(dst, &m.blocks[i])
+	}
+	return dst
 }
 
 // Tweet returns the whole post with the given segment-local id — the

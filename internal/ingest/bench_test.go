@@ -48,6 +48,30 @@ func BenchmarkIngest(b *testing.B) {
 	}
 }
 
+// BenchmarkCompactMerge is a compaction on its own: four 8 192-post
+// heap segments merged into one (microblog.Merge — tweets back to back,
+// posting lists concatenated into one arena, nothing re-indexed).
+// BenchmarkIngest only shows it amortized over the posts between
+// compactions.
+func BenchmarkCompactMerge(b *testing.B) {
+	p, _ := testPipeline(b)
+	stream := microblog.NewPostStream(p.World, microblog.DefaultStreamConfig(19))
+	parts := make([]microblog.Part, 4)
+	for i := range parts {
+		posts := make([]microblog.Post, 8192)
+		for j := range posts {
+			posts[j] = stream.Next()
+		}
+		parts[i] = microblog.BuildCorpus(p.World, posts)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mergeSink = microblog.Merge(p.World, parts)
+	}
+}
+
+var mergeSink *microblog.Corpus
+
 // BenchmarkIngestParallel measures contended writer throughput: the
 // write lock serializes appends, so this bounds how much concurrent
 // producers lose to contention.

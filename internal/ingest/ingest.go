@@ -3,17 +3,25 @@
 // searches keep running against immutable views.
 //
 // Architecture. Writes land in an append-only active segment under a
-// short mutex. When the active segment reaches Config.SealThreshold it
-// is sealed into an immutable segment backed by a microblog.Corpus
-// (postings, per-user counters) built from the buffered tweets. A
-// background compactor merges adjacent sealed segments of similar size
-// into larger ones, LSM-style, so a long-running index converges to a
-// handful of segments instead of an ever-growing chain. Readers never
-// lock: they acquire an epoch-tagged *Snapshot — base corpus + sealed
-// segments + a frozen view of the active tail — via a single atomic
-// pointer load; every Ingest publishes a fresh snapshot with a single
-// atomic pointer swap, so a query observes one consistent prefix of the
-// stream for its whole lifetime.
+// short mutex. A post is indexed exactly once, there and then: the
+// writer appends its id to the active segment's term index (tailGen) as
+// it lands, and that work is carried forward, never redone. When the
+// active segment reaches Config.SealThreshold it is sealed into an
+// immutable segment backed by a microblog.Corpus that adopts the
+// buffered tweets and their index as they are (microblog.FromIndex —
+// one pass over integers for the per-user counters). A background
+// compactor merges adjacent sealed segments of similar size into larger
+// ones, LSM-style, by concatenating their posting lists
+// (microblog.Merge), so a long-running index converges to a handful of
+// segments instead of an ever-growing chain. Readers acquire an
+// epoch-tagged *Snapshot — base corpus + sealed segments + a frozen
+// view of the active tail — via a single atomic pointer load; every
+// Ingest publishes a fresh snapshot with a single atomic pointer swap,
+// so a query observes one consistent prefix of the stream for its whole
+// lifetime. A query never takes a lock. The one lock a reader can take
+// is the tail generation's, held for one map clone by the first query
+// of a snapshot that has a tail — once per queried snapshot, never per
+// query (see Snapshot.ensureTail).
 //
 // Per segment the existing zero-copy matching path is reused unchanged
 // (Corpus.MatchAppend, galloping IntersectInto); segment-local ids are
@@ -37,6 +45,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -104,9 +113,22 @@ type segment struct {
 	noSpill bool
 }
 
+// tailGen is the term index of one active segment — one generation of
+// the tail, from the seal that started it to the seal that ends it. The
+// writer appends each arriving post's segment-local id to its terms'
+// lists (under Index.mu and mu); a snapshot freezes its own prefix by
+// cloning the map under mu (Snapshot.ensureTail). The seal hands idx to
+// the sealed corpus and starts a new generation, so after it idx is
+// never written again and the corpus reads it without locking.
+type tailGen struct {
+	mu  sync.Mutex
+	idx map[string][]microblog.TweetID // ascending segment-local ids
+}
+
 // Index is the writer side of the streaming index. Ingest is safe for
-// concurrent use (writes serialize on a short internal lock);
-// Snapshot, and everything reachable from a snapshot, is lock-free.
+// concurrent use (writes serialize on a short internal lock); Snapshot
+// is one atomic load, and a query against a snapshot never locks (the
+// first query of a snapshot with a tail takes its tailGen's lock once).
 type Index struct {
 	w    *world.World
 	base *microblog.Corpus
@@ -114,7 +136,11 @@ type Index struct {
 
 	mu          sync.Mutex
 	active      []microblog.Tweet // segment-local ids, global = activeStart+i
+	gen         *tailGen          // the term index of active
 	activeStart microblog.TweetID
+	// sealed is replaced whole, never written in place: every mutation
+	// site stores a new array, so a snapshot aliases the slice it was
+	// published with instead of copying it.
 	sealed      []*segment
 	epoch       uint64
 	ingested    int64
@@ -193,6 +219,7 @@ func New(base *microblog.Corpus, cfg Config) *Index {
 		base:        base,
 		cfg:         cfg,
 		activeStart: microblog.TweetID(base.NumTweets()),
+		gen:         &tailGen{idx: map[string][]microblog.TweetID{}},
 		compactReq:  make(chan struct{}, 1),
 		done:        make(chan struct{}),
 	}
@@ -234,16 +261,7 @@ func (i *Index) Ingest(p microblog.Post) microblog.TweetID {
 	tw := microblog.MakeTweet(p)
 	i.mu.Lock()
 	gid := i.activeStart + microblog.TweetID(len(i.active))
-	// The stored id is segment-local so it survives sealing unchanged
-	// (FromTweets reassigns ids to the position in the sealed batch).
-	tw.ID = microblog.TweetID(len(i.active))
-	i.active = append(i.active, tw)
-	i.ingested++
-	sealedNow := false
-	if len(i.active) >= i.cfg.SealThreshold {
-		i.sealLocked()
-		sealedNow = true
-	}
+	sealedNow := i.appendLocked(tw)
 	i.publishLocked()
 	i.mu.Unlock()
 	if sealedNow {
@@ -282,11 +300,7 @@ func (i *Index) IngestBatch(posts []microblog.Post) microblog.TweetID {
 	first := i.activeStart + microblog.TweetID(len(i.active))
 	sealedNow := false
 	for _, tw := range tws {
-		tw.ID = microblog.TweetID(len(i.active))
-		i.active = append(i.active, tw)
-		i.ingested++
-		if len(i.active) >= i.cfg.SealThreshold {
-			i.sealLocked()
+		if i.appendLocked(tw) {
 			sealedNow = true
 		}
 	}
@@ -328,14 +342,46 @@ func (i *Index) Watch() <-chan struct{} {
 	return ch
 }
 
+// appendLocked lands one rendered post in the active segment and
+// indexes it — the only time the post's terms are looked at — sealing
+// when the threshold is reached (reported, so the caller kicks the
+// compactor once mu is released). Called with mu held.
+func (i *Index) appendLocked(tw microblog.Tweet) (sealed bool) {
+	// The stored id is segment-local, so it survives sealing unchanged.
+	id := microblog.TweetID(len(i.active))
+	tw.ID = id
+	i.active = append(i.active, tw)
+	g := i.gen
+	g.mu.Lock()
+	for _, tok := range tw.Terms {
+		list := g.idx[tok]
+		// A token repeated inside the post already ends the list with id.
+		if n := len(list); n == 0 || list[n-1] != id {
+			g.idx[tok] = append(list, id)
+		}
+	}
+	g.mu.Unlock()
+	i.ingested++
+	if len(i.active) < i.cfg.SealThreshold {
+		return false
+	}
+	i.sealLocked()
+	return true
+}
+
 // sealLocked freezes the active segment into an immutable
-// corpus-backed segment. Called with mu held; the build cost is bounded
-// by SealThreshold, keeping the write stall short.
+// corpus-backed segment that adopts the active array and the
+// generation's term index as they are: no tweet is copied and none is
+// re-indexed, so the write stall under mu is one pass over
+// SealThreshold posts' integers. The writer moves on to a fresh array
+// and a fresh generation; nothing writes the adopted ones again.
 func (i *Index) sealLocked() {
-	seg := &segment{start: i.activeStart, corpus: microblog.FromTweets(i.w, i.active)}
-	i.sealed = append(i.sealed, seg)
-	i.activeStart += microblog.TweetID(len(i.active))
+	n := len(i.active)
+	seg := &segment{start: i.activeStart, corpus: microblog.FromIndex(i.w, i.active[:n:n], i.gen.idx)}
+	i.sealed = append(i.sealed[:len(i.sealed):len(i.sealed)], seg)
+	i.activeStart += microblog.TweetID(n)
 	i.active = make([]microblog.Tweet, 0, i.cfg.SealThreshold)
+	i.gen = &tailGen{idx: map[string][]microblog.TweetID{}}
 	i.seals++
 	i.obsSeals.Inc()
 }
@@ -343,17 +389,17 @@ func (i *Index) sealLocked() {
 // publishLocked swaps in a fresh snapshot. The tail shares the active
 // segment's backing array — safe because readers only touch indices
 // below the frozen length and the atomic store orders the published
-// elements before any reader's load.
+// elements before any reader's load — and the sealed layout is aliased,
+// not copied (it is replaced whole on every change).
 func (i *Index) publishLocked() {
 	i.epoch++
-	segs := make([]*segment, len(i.sealed))
-	copy(segs, i.sealed)
 	snap := &Snapshot{
 		epoch:     i.epoch,
 		base:      i.base,
-		segs:      segs,
+		segs:      i.sealed,
 		tail:      i.active[:len(i.active):len(i.active)],
 		tailStart: i.activeStart,
+		gen:       i.gen,
 	}
 	// Pin the disk tier: the snapshot takes one reference per disk
 	// segment, released by a GC cleanup when the snapshot is retired.
@@ -361,14 +407,14 @@ func (i *Index) publishLocked() {
 	// the layout's own reference, so a reader on this snapshot can
 	// never see its map pulled out from under it.
 	nDisk := 0
-	for _, sg := range segs {
+	for _, sg := range i.sealed {
 		if sg.disk != nil {
 			nDisk++
 		}
 	}
 	if nDisk > 0 {
 		disks := make([]*diskseg.Segment, 0, nDisk)
-		for _, sg := range segs {
+		for _, sg := range i.sealed {
 			if sg.disk != nil {
 				sg.disk.Retain()
 				disks = append(disks, sg.disk)
@@ -441,7 +487,8 @@ func (i *Index) tier(seg *segment) int {
 }
 
 // pickRunLocked finds the first adjacent run of CompactFanIn
-// same-tier sealed segments, returning its start index and a copy.
+// same-tier sealed segments, returning its start index and the run (a
+// window of the layout array, which is never written in place).
 func (i *Index) pickRunLocked() (int, []*segment) {
 	fanIn := i.cfg.CompactFanIn
 	for a := 0; a+fanIn <= len(i.sealed); a++ {
@@ -454,7 +501,7 @@ func (i *Index) pickRunLocked() (int, []*segment) {
 			}
 		}
 		if ok {
-			return a, append([]*segment(nil), i.sealed[a:a+fanIn]...)
+			return a, i.sealed[a : a+fanIn]
 		}
 	}
 	return 0, nil
@@ -462,8 +509,10 @@ func (i *Index) pickRunLocked() (int, []*segment) {
 
 // compactOnce merges one eligible run and publishes the new layout. It
 // reports whether it made progress and should be called again. The
-// expensive re-index runs outside mu — the run's segments are immutable
-// and, with compactMu held by the caller, nothing else can move them.
+// merge — the parts' tweets back to back, their posting lists
+// concatenated, nothing re-indexed, one path for heap, disk and mixed
+// runs — runs outside mu: the run's segments are immutable and, with
+// compactMu held by the caller, nothing else can move them.
 func (i *Index) compactOnce() bool {
 	i.mu.Lock()
 	a, run := i.pickRunLocked()
@@ -473,15 +522,12 @@ func (i *Index) compactOnce() bool {
 	}
 	i.mu.Unlock()
 
-	n := 0
-	for _, sg := range run {
-		n += sg.numTweets()
+	parts := make([]microblog.Part, len(run))
+	for j, sg := range run {
+		parts[j] = sg.part()
 	}
-	all := make([]microblog.Tweet, 0, n)
-	for _, sg := range run {
-		all = append(all, sg.tweets()...)
-	}
-	mergedCorpus := microblog.FromTweets(i.w, all)
+	mergedCorpus := microblog.Merge(i.w, parts)
+	n := mergedCorpus.NumTweets()
 	merged := &segment{start: run[0].start, corpus: mergedCorpus}
 	// A merge whose result crosses the spill threshold goes straight to
 	// the disk tier — compaction is the disk format's rewrite path. A
@@ -500,7 +546,7 @@ func (i *Index) compactOnce() bool {
 
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	i.sealed = append(i.sealed[:a:a], append([]*segment{merged}, i.sealed[a+len(run):]...)...)
+	i.sealed = slices.Concat(i.sealed[:a], []*segment{merged}, i.sealed[a+len(run):])
 	i.compactions++
 	i.obsCompactions.Inc()
 	if merged.disk != nil {

@@ -1,6 +1,8 @@
 package ingest_test
 
 import (
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +12,8 @@ import (
 	"repro/internal/expertise"
 	"repro/internal/ingest"
 	"repro/internal/microblog"
+	"repro/internal/race"
+	"repro/internal/world"
 )
 
 var (
@@ -140,6 +144,109 @@ func TestSnapshotImmutableUnderWrites(t *testing.T) {
 	}
 }
 
+// TestLateFirstQueryFrozenPrefix pins the freeze-by-header-copy rule of
+// the tail index against the case TestSnapshotImmutableUnderWrites
+// misses (it queries the old view before the later writes): a view
+// whose FIRST query comes only after the writer has appended to the
+// same posting lists, sealed the view's generation and compacted its
+// segment away must still answer from exactly its own prefix. One view
+// is kept per batch and never queried until the stream is over and the
+// index quiesced; then every view must equal a cold rebuild over its
+// prefix, for every token of the stream and every user's counters.
+func TestLateFirstQueryFrozenPrefix(t *testing.T) {
+	p, _ := testPipeline(t)
+	idx := ingest.New(p.Corpus, ingest.Config{SealThreshold: 64, CompactFanIn: 2})
+	defer idx.Close()
+	posts := streamPosts(p, 97, 600)
+
+	type kept struct {
+		snap *ingest.Snapshot
+		n    int // stream posts visible
+	}
+	var views []kept
+	for off := 0; off < len(posts); off += 7 {
+		end := min(off+7, len(posts))
+		idx.IngestBatch(posts[off:end])
+		views = append(views, kept{idx.Snapshot(), end})
+	}
+	idx.Quiesce()
+	if st := idx.Stats(); st.Seals < 9 || st.Compactions == 0 {
+		t.Fatalf("test did not exercise sealing/compaction: %+v", st)
+	}
+
+	tokens := map[string]struct{}{}
+	for _, post := range posts {
+		for _, tok := range microblog.MakeTweet(post).Terms {
+			tokens[tok] = struct{}{}
+		}
+	}
+	withTail := 0
+	for _, v := range views {
+		cold := p.Corpus.ExtendedWith(posts[:v.n])
+		if v.snap.NumTweets() != cold.NumTweets() {
+			t.Fatalf("view after %d posts holds %d tweets, want %d", v.n, v.snap.NumTweets(), cold.NumTweets())
+		}
+		if v.n%64 != 0 {
+			withTail++
+		}
+		for tok := range tokens {
+			got, want := v.snap.Match(tok), cold.Match(tok)
+			if !slices.Equal(got, want) {
+				t.Fatalf("view after %d posts, token %q: %d ids (last %v), cold rebuild has %d (last %v)",
+					v.n, tok, len(got), got[max(len(got)-3, 0):], len(want), want[max(len(want)-3, 0):])
+			}
+		}
+		for u := 0; u < cold.NumUsers(); u++ {
+			id := world.UserID(u)
+			if v.snap.NumTweetsBy(id) != cold.NumTweetsBy(id) ||
+				v.snap.NumMentionsOf(id) != cold.NumMentionsOf(id) ||
+				v.snap.NumRetweetsOf(id) != cold.NumRetweetsOf(id) {
+				t.Fatalf("view after %d posts: user %d counters differ from the cold rebuild", v.n, u)
+			}
+		}
+	}
+	if withTail < len(views)/2 {
+		t.Fatalf("only %d of %d views had a tail to freeze", withTail, len(views))
+	}
+}
+
+// TestFirstSearchAfterWriteAllocs pins what the first search of a fresh
+// snapshot costs: the view freezes the writer's tail index (a map
+// clone) and counts its per-user deltas instead of re-indexing the
+// tail, so it allocates a handful of objects where the rebuild
+// allocated ≈ 165. Measured as (write + search) − (write), the write
+// being the same one-post Ingest on both sides.
+func TestFirstSearchAfterWriteAllocs(t *testing.T) {
+	p, _ := testPipeline(t)
+	idx := ingest.New(p.Corpus, ingest.Config{SealThreshold: 4096, DisableCompactor: true})
+	defer idx.Close()
+	online := p.Cfg.Online
+	online.MatchWorkers = 1
+	live := core.NewLiveDetector(p.Collection, idx, online)
+	posts := streamPosts(p, 101, 1200)
+	idx.IngestBatch(posts[:256]) // a tail worth rebuilding
+	live.Search("49ers")
+
+	next := 256
+	write := func() { idx.Ingest(posts[next]); next++ }
+	writeOnly := testing.AllocsPerRun(400, write)
+	writeSearch := testing.AllocsPerRun(400, func() {
+		write()
+		live.Search("49ers")
+	})
+	first := writeSearch - writeOnly
+	t.Logf("write %.2f, write+first search %.2f: first search after a write %.2f allocs", writeOnly, writeSearch, first)
+	if race.Enabled {
+		// Under the detector sync.Pool drops Puts and every search
+		// rebuilds some of its scratch; count only what the fresh view
+		// adds to a search of a warm one.
+		first -= testing.AllocsPerRun(400, func() { live.Search("49ers") })
+	}
+	if first > 16 {
+		t.Fatalf("first search after a one-post write allocated %.1f times, want ≤ 16", first)
+	}
+}
+
 // TestCompactionPreservesResults compares a fragmented index (compactor
 // disabled) with a fully compacted one over identical posts: same
 // matches, same ranked experts, fewer segments.
@@ -174,8 +281,13 @@ func TestCompactionPreservesResults(t *testing.T) {
 // TestConcurrentIngestSearchCompaction is the -race hammer: concurrent
 // ingesters, searchers and the background compactor share one index.
 // Searchers check per-query invariants (monotonic epochs, monotonic
-// tweet counts, result caps); afterwards the quiesced index must match
-// a cold detector rebuilt from the index's own final content.
+// tweet counts, result caps); holders keep a snapshot unqueried across
+// at least two further seals and only then ask it its first questions,
+// while the writers are still appending to the generation after next —
+// the late freeze of the tail index, under the race detector.
+// Afterwards the quiesced index must match a cold detector rebuilt from
+// the index's own final content, and every late answer must be that
+// cold corpus's answer cut at the view's own prefix.
 func TestConcurrentIngestSearchCompaction(t *testing.T) {
 	p, _ := testPipeline(t)
 	idx := ingest.New(p.Corpus, ingest.Config{SealThreshold: 16, CompactFanIn: 3})
@@ -187,17 +299,56 @@ func TestConcurrentIngestSearchCompaction(t *testing.T) {
 
 	const ingesters, perIngester = 2, 150
 	const searchers, perSearcher = 4, 120
+	const holders = 2
 	var stop atomic.Bool
 	errs := make(chan error, ingesters+searchers)
-	var wg sync.WaitGroup
+	var wg, writers sync.WaitGroup
 
 	for g := 0; g < ingesters; g++ {
 		wg.Add(1)
+		writers.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			defer writers.Done()
 			stream := microblog.NewPostStream(p.World, microblog.DefaultStreamConfig(uint64(100+g)))
 			for i := 0; i < perIngester; i++ {
 				idx.Ingest(stream.Next())
+			}
+		}(g)
+	}
+	written := make(chan struct{})
+	go func() { writers.Wait(); close(written) }()
+
+	// lateAnswer is what a held view said when it was finally asked.
+	type lateAnswer struct {
+		tweets  int
+		matches [][]microblog.TweetID // per query
+		by      []int                 // NumTweetsBy per user
+	}
+	late := make([][]lateAnswer, holders)
+	for g := 0; g < holders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for done := false; !done; {
+				snap := idx.Snapshot()
+				sealsThen := idx.Stats().Seals
+				for idx.Stats().Seals < sealsThen+2 && !done {
+					select {
+					case <-written:
+						done = true
+					default:
+						runtime.Gosched()
+					}
+				}
+				a := lateAnswer{tweets: snap.NumTweets(), by: make([]int, snap.NumUsers())}
+				for _, q := range queries {
+					a.matches = append(a.matches, snap.Match(q))
+				}
+				for u := range a.by {
+					a.by[u] = snap.NumTweetsBy(world.UserID(u))
+				}
+				late[g] = append(late[g], a)
 			}
 		}(g)
 	}
@@ -256,12 +407,41 @@ func TestConcurrentIngestSearchCompaction(t *testing.T) {
 	for gid := p.Corpus.NumTweets(); gid < snap.NumTweets(); gid++ {
 		all = append(all, *snap.Tweet(microblog.TweetID(gid)))
 	}
-	cold := core.NewDetector(p.Collection, microblog.FromTweets(p.World, all), p.Cfg.Online)
+	coldCorpus := microblog.FromTweets(p.World, all)
+	cold := core.NewDetector(p.Collection, coldCorpus, p.Cfg.Online)
 	for _, q := range queries {
 		got, _ := live.Search(q)
 		want, _ := cold.Search(q)
 		expertsIdentical(t, "post-hammer", q, got, want)
 	}
+
+	// Global ids are stream positions, so a held view is a prefix of
+	// the final content and its answers are the cold answers cut there.
+	asked := 0
+	for _, answers := range late {
+		for _, a := range answers {
+			asked++
+			for qi, q := range queries {
+				want := coldCorpus.Match(q)
+				cut, _ := slices.BinarySearch(want, microblog.TweetID(a.tweets))
+				if !slices.Equal(a.matches[qi], want[:cut]) {
+					t.Fatalf("held view of %d tweets, %q: %d ids, the cold prefix has %d",
+						a.tweets, q, len(a.matches[qi]), cut)
+				}
+			}
+			by := make([]int, len(a.by))
+			for _, tw := range all[:a.tweets] {
+				by[tw.Author]++
+			}
+			if !slices.Equal(a.by, by) {
+				t.Fatalf("held view of %d tweets: per-user post counts differ from the cold prefix", a.tweets)
+			}
+		}
+	}
+	if asked < holders {
+		t.Fatalf("only %d held views were queried late", asked)
+	}
+	t.Logf("%d held views queried late", asked)
 }
 
 type errInvariant string

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"maps"
 	"sort"
 	"sync"
 
@@ -13,7 +14,8 @@ import (
 // corpus, the sealed segments and a frozen prefix of the active tail.
 // It satisfies expertise.Source, so the ranking path runs against it
 // exactly as it runs against a frozen corpus. All methods are safe for
-// concurrent use; a snapshot never changes after publication.
+// concurrent use; what a snapshot answers never changes after
+// publication.
 //
 // Tweet ids are global: [0, base.NumTweets()) addresses the base, then
 // each sealed segment's range, then the tail. Tweet(id).ID is the
@@ -24,13 +26,14 @@ type Snapshot struct {
 	segs      []*segment
 	tail      []microblog.Tweet
 	tailStart microblog.TweetID
+	gen       *tailGen // the generation tail is a prefix of
 
-	// The tail index and tail stat deltas are built lazily on first
-	// use: publishing stays O(segments) — a pointer swap plus a small
-	// slice copy — and only snapshots that actually serve a query pay
-	// the O(tail) indexing cost, once.
+	// The tail's term index and stat deltas are taken lazily on first
+	// use: publishing stays a pointer swap, and only snapshots that
+	// actually serve a query pay for a view of their tail, once (see
+	// ensureTail).
 	once      sync.Once
-	tailIdx   map[string][]microblog.TweetID
+	tailIdx   map[string][]microblog.TweetID // segment-local ids; lists may run past len(tail)
 	tailStats map[world.UserID]userDelta
 }
 
@@ -89,21 +92,31 @@ func (s *Snapshot) segmentOf(id microblog.TweetID) *segment {
 	return s.segs[n-1]
 }
 
-// ensureTail builds the tail's term index and per-user deltas once.
+// ensureTail takes this view's tail index and per-user deltas, once.
+//
+// The index is not built: the writer indexed every post of the tail
+// when it arrived (tailGen). The view freezes that index by cloning the
+// generation's map under the generation's lock — the one lock a reader
+// takes, once per queried snapshot. The copied slice headers pin every
+// posting list at its length of that moment: the writer only ever
+// appends, so a later append lands past that length or in a new array
+// and never rewrites an element the clone can see — the aliasing rule
+// Snapshot.tail already lives by. The freeze may come long after
+// publication (after more appends to the same lists, after the
+// generation was sealed, after its segment was compacted away), so a
+// frozen list can hold ids past this view's prefix; ids ascend, and the
+// matcher cuts every result at len(tail).
+//
+// The per-user deltas are aggregates, not lists, so they stay per
+// snapshot: one pass over the tail's integers.
 func (s *Snapshot) ensureTail() {
 	s.once.Do(func() {
-		idx := make(map[string][]microblog.TweetID)
-		stats := make(map[world.UserID]userDelta)
+		s.gen.mu.Lock()
+		s.tailIdx = maps.Clone(s.gen.idx)
+		s.gen.mu.Unlock()
+		stats := make(map[world.UserID]userDelta, len(s.tail))
 		for j := range s.tail {
 			tw := &s.tail[j]
-			gid := s.tailStart + microblog.TweetID(j)
-			seen := map[string]bool{}
-			for _, tok := range tw.Terms {
-				if !seen[tok] {
-					seen[tok] = true
-					idx[tok] = append(idx[tok], gid)
-				}
-			}
 			d := stats[tw.Author]
 			d.tweets++
 			d.retweets += tw.RetweetCount
@@ -114,7 +127,6 @@ func (s *Snapshot) ensureTail() {
 				stats[m] = dm
 			}
 		}
-		s.tailIdx = idx
 		s.tailStats = stats
 	})
 }
@@ -192,9 +204,15 @@ func (s *Snapshot) MatchTokensAppend(tokens []string, dst, local []microblog.Twe
 	}
 	if len(s.tail) > 0 {
 		s.ensureTail()
-		// The lazily built tail index holds global ids already.
 		local = microblog.IntersectPostings(local, s.tailIdx, tokens)
-		dst = append(dst, local...)
+		// Cut at this view's own prefix (see ensureTail), then rebase.
+		end := microblog.TweetID(len(s.tail))
+		for _, id := range local {
+			if id >= end {
+				break
+			}
+			dst = append(dst, id+s.tailStart)
+		}
 	}
 	return dst, local
 }

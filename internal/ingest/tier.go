@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/diskseg"
 	"repro/internal/microblog"
@@ -95,12 +96,14 @@ func (sg *segment) numRetweetsOf(u world.UserID) int {
 	return sg.corpus.NumRetweetsOf(u)
 }
 
-// tweets materializes the segment's posts in id order (compaction).
-func (sg *segment) tweets() []microblog.Tweet {
+// part returns the segment as a compaction input: both tiers yield
+// their posts, their terms with posting counts and each term's
+// postings, which is all microblog.Merge reads.
+func (sg *segment) part() microblog.Part {
 	if sg.disk != nil {
-		return sg.disk.Tweets()
+		return sg.disk
 	}
-	return sg.corpus.Tweets()
+	return sg.corpus
 }
 
 // releaseLayoutRef drops the live layout's reference when the segment
@@ -182,6 +185,8 @@ func (i *Index) spillOnce() bool {
 		i.obsSpillErrors.Inc()
 		return true
 	}
+	// Copy before the store: published snapshots alias the old array.
+	i.sealed = slices.Clone(i.sealed)
 	i.sealed[at] = &segment{start: target.start, disk: disk}
 	i.spills++
 	i.obsSpills.Inc()

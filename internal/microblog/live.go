@@ -1,12 +1,16 @@
-// Live-corpus construction: the incremental entry points the streaming
-// ingestion subsystem (internal/ingest) builds segments from. A frozen
-// Corpus is still produced by Generate; the functions here construct
-// the same indexed structure from explicit posts — one batch at a time
-// (FromTweets, used when sealing and compacting segments) or as a cold
-// rebuild over old-plus-new content (ExtendedWith, the reference the
-// live index is checked against). PostStream generates an endless
-// deterministic stream of live posts from the same world model, feeding
-// load generators and the streaming demo.
+// Live-corpus construction: the entry points the streaming ingestion
+// subsystem (internal/ingest) builds segments from, and the cold
+// constructors it is checked against. A frozen Corpus is still produced
+// by Generate. The streaming index indexes a post once, when it
+// arrives, and carries that work forward: FromIndex adopts the term
+// index the writer maintained (a seal) and Merge concatenates the
+// posting lists of adjacent segments (a compaction) — neither tokenizes
+// nor re-indexes a post. FromTweets, BuildCorpus and ExtendedWith index
+// explicit posts from scratch; they are the reference every live path
+// must equal (Merge(parts) ≡ FromTweets(concatenation), a quiesced index
+// ≡ ExtendedWith). PostStream generates an endless deterministic stream
+// of live posts from the same world model, feeding load generators and
+// the streaming demo.
 package microblog
 
 import (
@@ -57,9 +61,9 @@ func newShell(w *world.World) *Corpus {
 
 // FromTweets indexes an explicit, already-rendered tweet sequence. IDs
 // are reassigned to the position in the sequence; Terms slices are
-// shared with the input, not re-tokenized. This is the segment
-// constructor of the live index: sealing hands it the active tail, and
-// compaction hands it the concatenation of adjacent segments' tweets.
+// shared with the input, not re-tokenized. It is the from-scratch
+// reference FromIndex and Merge are checked against, and the partition
+// constructor of internal/shard.
 func FromTweets(w *world.World, tweets []Tweet) *Corpus {
 	c := newShell(w)
 	c.tweets = make([]Tweet, 0, len(tweets))
@@ -97,6 +101,119 @@ func (c *Corpus) ExtendedWith(posts []Post) *Corpus {
 // index-owned — callers must treat it as read-only. Compaction uses it
 // to concatenate adjacent segments.
 func (c *Corpus) Tweets() []Tweet { return c.tweets }
+
+// FromIndex adopts an already indexed tweet sequence as a corpus: no
+// tweet is copied and no term is looked at. It trusts the caller that
+// tweets[i].ID == i and that index maps exactly the tokens of those
+// tweets to the ascending, duplicate-free ids of the tweets containing
+// them — what a writer that indexed each post on arrival holds — and
+// that neither is written again (the tweets array may be shared with
+// other readers of the same prefix). The one thing it computes is the
+// per-user counters: a single pass over integers.
+func FromIndex(w *world.World, tweets []Tweet, index map[string][]TweetID) *Corpus {
+	nu := len(w.Users)
+	counters := make([]int, 3*nu)
+	c := &Corpus{
+		w:          w,
+		tweets:     tweets,
+		termIndex:  index,
+		tweetsBy:   counters[:nu:nu],
+		mentionsOf: counters[nu : 2*nu : 2*nu],
+		retweetsOf: counters[2*nu:],
+	}
+	for i := range tweets {
+		tw := &tweets[i]
+		c.tweetsBy[tw.Author]++
+		for _, m := range tw.Mentions {
+			c.mentionsOf[m]++
+		}
+		c.retweetsOf[tw.Author] += tw.RetweetCount
+	}
+	return c
+}
+
+// Part is one input of Merge: an immutable indexed segment of either
+// storage tier (*Corpus in heap, *diskseg.Segment on disk).
+type Part interface {
+	// NumTweets and Tweets give the part's posts in id order.
+	NumTweets() int
+	Tweets() []Tweet
+	// NumTerms is the number of distinct terms; Terms yields each with
+	// its posting count, in any order.
+	NumTerms() int
+	Terms(yield func(term string, postings int))
+	// AppendPostings appends the term's part-local ascending ids to dst.
+	AppendPostings(dst []TweetID, term string) []TweetID
+}
+
+// NumTerms returns the number of distinct indexed terms.
+func (c *Corpus) NumTerms() int { return len(c.termIndex) }
+
+// Terms calls yield with every indexed term and its posting count.
+func (c *Corpus) Terms(yield func(term string, postings int)) {
+	for term, ids := range c.termIndex {
+		yield(term, len(ids))
+	}
+}
+
+// AppendPostings appends the term's posting list to dst.
+func (c *Corpus) AppendPostings(dst []TweetID, term string) []TweetID {
+	return append(dst, c.termIndex[term]...)
+}
+
+// Merge builds the corpus holding the parts' posts back to back without
+// re-indexing them: tweet ids are reassigned to the position in the
+// concatenation, and each term's posting list is the concatenation of
+// the parts' lists, each rebased by the number of tweets before its
+// part. List sizes are counted first, so every posting of the result
+// lives in one array allocated once and carved into cap-limited lists.
+// It trusts each part's index the way FromIndex does and guarantees the
+// result equals FromTweets over the concatenated tweets in every
+// observable: tweets, ids, posting lists, counters.
+func Merge(w *world.World, parts []Part) *Corpus {
+	n, terms := 0, 0
+	for _, p := range parts {
+		n += p.NumTweets()
+		terms = max(terms, p.NumTerms())
+	}
+	tweets := make([]Tweet, 0, n)
+	counts := make(map[string]int, terms)
+	total := 0
+	count := func(term string, postings int) {
+		counts[term] += postings
+		total += postings
+	}
+	for _, p := range parts {
+		tweets = append(tweets, p.Tweets()...)
+		p.Terms(count)
+	}
+	for i := range tweets {
+		tweets[i].ID = TweetID(i)
+	}
+
+	arena := make([]TweetID, total)
+	index := make(map[string][]TweetID, len(counts))
+	for term, k := range counts {
+		index[term] = arena[:0:k]
+		arena = arena[k:]
+	}
+	var part Part
+	var before TweetID // tweets in the parts ahead of part
+	splice := func(term string, _ int) {
+		list := index[term]
+		at := len(list)
+		list = part.AppendPostings(list, term)
+		for j := at; j < len(list); j++ {
+			list[j] += before
+		}
+		index[term] = list
+	}
+	for _, part = range parts {
+		part.Terms(splice)
+		before += TweetID(part.NumTweets())
+	}
+	return FromIndex(w, tweets, index)
+}
 
 // StreamConfig tunes a PostStream.
 type StreamConfig struct {

@@ -288,8 +288,8 @@ func (v *localView) Stats(ctx context.Context, users []world.UserID, dst []exper
 }
 
 // Release implements View. Dropping the snapshot reference matters: a
-// pooled idle view must not pin retired segments (and their lazily
-// built tail indexes) in memory between queries.
+// pooled idle view must not pin retired segments (and their frozen
+// tail indexes) in memory between queries.
 func (v *localView) Release() {
 	v.snap = nil
 	v.owner.views.Put(v)

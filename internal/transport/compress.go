@@ -23,11 +23,20 @@ import (
 // would grow them.
 const CompressMin = 512
 
-var flateWriters = sync.Pool{New: func() any {
+// deflater is a pooled flate writer together with the sink it writes
+// through (a local sink would escape through the io.Writer, one heap
+// object per envelope).
+type deflater struct {
+	fw *flate.Writer // over &w
+	w  appendWriter
+}
+
+var deflaters = sync.Pool{New: func() any {
+	d := new(deflater)
 	// BestSpeed: the wire is usually a datacenter hop, so favor cycles
 	// over ratio. NewWriter only errors on an invalid level.
-	fw, _ := flate.NewWriter(io.Discard, flate.BestSpeed)
-	return fw
+	d.fw, _ = flate.NewWriter(&d.w, flate.BestSpeed)
+	return d
 }}
 
 // inflater is a pooled flate reader together with everything it reads
@@ -62,13 +71,16 @@ func (w *appendWriter) Write(p []byte) (int, error) {
 func AppendDeflate(buf []byte, op Op, payload []byte) []byte {
 	buf = append(buf, byte(op))
 	buf = binary.AppendUvarint(buf, uint64(len(payload)))
-	fw := flateWriters.Get().(*flate.Writer)
-	w := appendWriter{buf: buf}
-	fw.Reset(&w)
-	fw.Write(payload) // cannot fail: appendWriter never errors
-	fw.Close()
-	flateWriters.Put(fw)
-	return w.buf
+	d := deflaters.Get().(*deflater)
+	d.w.buf = buf
+	d.fw.Reset(&d.w)
+	d.fw.Write(payload) // cannot fail: appendWriter never errors
+	d.fw.Close()
+	buf = d.w.buf
+	// An idle pooled deflater must not pin the caller's connection buffer.
+	d.w.buf = nil
+	deflaters.Put(d)
+	return buf
 }
 
 // ConsumeDeflate decodes one OpDeflate envelope payload, inflating
