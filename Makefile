@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race flake vet bench bench-check bench-smoke cover cover-check check docs-check bench-ingest bench-shard bench-remote bench-replica bench-gateway bench-disk bench-json fuzz-smoke run-gateway smoke-gateway
+.PHONY: all build test race flake vet bench bench-check bench-smoke cover cover-check check docs-check bench-ingest bench-shard bench-remote bench-replica bench-gateway bench-disk loc fuzz-smoke run-gateway smoke-gateway
 
 all: check
 
@@ -86,21 +86,10 @@ bench-gateway:
 bench-disk:
 	$(GO) test -bench 'Disk' -benchmem -run '^$$' ./internal/ingest ./internal/diskseg
 
-# Machine-readable benchmark snapshot: runs every per-layer bench suite
-# and converts the output to benchstat-compatible JSON via
-# cmd/benchjson. BENCHN names the PR the snapshot belongs to, so
-# successive PRs leave comparable BENCH_<n>.json files behind.
-BENCHN ?= 10
-bench-json:
-	@{ $(GO) test -bench 'Table9|ServeQPS|OnlineSearch' -benchmem -run '^$$' . ; \
-	   $(GO) test -bench 'Ingest|LiveSearch' -benchmem -run '^$$' ./internal/ingest ; \
-	   $(GO) test -bench 'Disk' -benchmem -run '^$$' ./internal/ingest ./internal/diskseg ; \
-	   $(GO) test -bench 'Sharded|EpochVector|Reshard' -benchmem -run '^$$' ./internal/shard ; \
-	   $(GO) test -bench 'Remote|WireSearchCodec' -benchmem -run '^$$' ./internal/transport ; \
-	   $(GO) test -bench 'Replicated|Failover' -benchmem -run '^$$' ./internal/replica ; \
-	   $(GO) test -bench 'Gateway' -benchmem -run '^$$' ./internal/gateway ; \
-	   $(GO) test -bench 'Obs' -benchmem -run '^$$' ./internal/obs ; } \
-	 | tee /dev/stderr | $(GO) run ./cmd/benchjson -out BENCH_$(BENCHN).json
+# Non-test Go lines under internal/ and cmd/ — the tracked metric of
+# ROADMAP aim 2. CHANGES.md quotes it for parent and change.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 # A brief native-fuzz pass over the wire codec (FuzzDecodeFrame): every
 # op's payload decoder — including the PR 6 OpSearchStats composite,

@@ -339,7 +339,9 @@ func main() {
 	if mig != nil {
 		stream := microblog.NewPostStream(pipeline.World, microblog.DefaultStreamConfig(41))
 		for i := 0; i < 500; i++ {
-			sink.Ingest(stream.Next())
+			if err := sink.IngestBatch([]microblog.Post{stream.Next()}); err != nil {
+				log.Fatal(err)
+			}
 		}
 		migDone = make(chan error, 1)
 		go func() { migDone <- mig.Run() }()

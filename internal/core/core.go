@@ -200,9 +200,6 @@ func NewDetector(coll *domains.Collection, corpus *microblog.Corpus, cfg OnlineC
 // Collection returns the domain collection backing expansion.
 func (d *Detector) Collection() *domains.Collection { return d.collection }
 
-// Corpus returns the microblog corpus being searched.
-func (d *Detector) Corpus() *microblog.Corpus { return d.corpus }
-
 // Base returns the underlying baseline detector.
 func (d *Detector) Base() *expertise.Detector { return d.base }
 

@@ -22,8 +22,8 @@ func ExampleShardedLiveDetector() {
 	r := shard.New(microblog.BuildCorpus(w, nil), 4, ingest.DefaultConfig())
 	defer r.Close()
 
-	r.Ingest(microblog.Post{Author: 3, Text: "rust borrow checker tips"})
-	r.Ingest(microblog.Post{Author: 7, Text: "the borrow checker explained"})
+	r.IngestBatch([]microblog.Post{{Author: 3, Text: "rust borrow checker tips"}})
+	r.IngestBatch([]microblog.Post{{Author: 7, Text: "the borrow checker explained"}})
 
 	// An empty collection means no query expansion — fine for a demo;
 	// production passes the mined domain collection.

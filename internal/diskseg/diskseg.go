@@ -289,13 +289,6 @@ func dictUvarint(buf *[]byte) (uint64, error) {
 	return v, nil
 }
 
-// Path returns the segment's file path.
-func (s *Segment) Path() string { return s.path }
-
-// SizeBytes returns the mapped file size — what the segment costs on
-// disk rather than in heap.
-func (s *Segment) SizeBytes() int { return len(s.data) }
-
 // NumTweets returns the number of posts in the segment.
 func (s *Segment) NumTweets() int { return s.numTweets }
 

@@ -340,11 +340,10 @@ func (f *Backend) Composites() int64 { return f.composites.Load() }
 // gate refused.
 func (f *Backend) SearchesKilled() int64 { return f.searchesKilled.Load() }
 
-// Ingests returns how many Ingest/IngestBatch calls passed the gate.
+// Ingests returns how many IngestBatch calls passed the gate.
 func (f *Backend) Ingests() int64 { return f.ingests.Load() }
 
-// IngestsKilled returns how many Ingest/IngestBatch calls the gate
-// refused.
+// IngestsKilled returns how many IngestBatch calls the gate refused.
 func (f *Backend) IngestsKilled() int64 { return f.ingestKilled.Load() }
 
 // gate admits or refuses one call (no caller deadline to honor).
@@ -397,16 +396,6 @@ func (f *Backend) SearchStats(ctx context.Context, terms []string, extended bool
 	}
 	f.composites.Add(1)
 	return f.inner.SearchStats(ctx, terms, extended, raw, stats)
-}
-
-// Ingest implements shard.Backend through the fault gate.
-func (f *Backend) Ingest(p microblog.Post) (microblog.TweetID, error) {
-	if err := f.gate(); err != nil {
-		f.ingestKilled.Add(1)
-		return 0, err
-	}
-	f.ingests.Add(1)
-	return f.inner.Ingest(p)
 }
 
 // IngestBatch implements shard.Backend through the fault gate.

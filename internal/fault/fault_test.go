@@ -167,12 +167,8 @@ func (b *innerBackend) Search(ctx context.Context, terms []string, extended bool
 func (b *innerBackend) SearchStats(ctx context.Context, terms []string, extended bool, raw []expertise.RawCandidate, stats []expertise.UserStats) ([]expertise.RawCandidate, int, []expertise.UserStats, shard.View, error) {
 	return raw[:0], 0, stats[:0], nopView{}, nil
 }
-func (b *innerBackend) EpochIsLocal() bool { return true }
-func (b *innerBackend) Failovers() int64   { return 7 }
-func (b *innerBackend) Ingest(p microblog.Post) (microblog.TweetID, error) {
-	b.epoch++
-	return microblog.TweetID(b.epoch), nil
-}
+func (b *innerBackend) EpochIsLocal() bool                       { return true }
+func (b *innerBackend) Failovers() int64                         { return 7 }
 func (b *innerBackend) IngestBatch(posts []microblog.Post) error { b.epoch++; return nil }
 func (b *innerBackend) Epoch() (uint64, error)                   { return b.epoch, nil }
 func (b *innerBackend) Quiesce() error                           { return nil }
@@ -203,7 +199,7 @@ func TestBackendGate(t *testing.T) {
 	} else {
 		v.Release()
 	}
-	if _, err := f.Ingest(microblog.Post{}); err != nil {
+	if err := f.IngestBatch([]microblog.Post{{}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.IngestBatch(nil); err != nil {
@@ -234,8 +230,8 @@ func TestBackendGate(t *testing.T) {
 	if _, _, _, _, err := f.SearchStats(context.Background(), []string{"a"}, false, nil, nil); !errors.Is(err, ErrKilled) {
 		t.Fatalf("killed SearchStats err = %v", err)
 	}
-	if _, err := f.Ingest(microblog.Post{}); !errors.Is(err, ErrKilled) {
-		t.Fatalf("killed Ingest err = %v", err)
+	if err := f.IngestBatch([]microblog.Post{{}}); !errors.Is(err, ErrKilled) {
+		t.Fatalf("killed one-post IngestBatch err = %v", err)
 	}
 	if err := f.IngestBatch(nil); !errors.Is(err, ErrKilled) {
 		t.Fatalf("killed IngestBatch err = %v", err)

@@ -7,24 +7,25 @@
 // a Set in front, reads fail over to the next replica and the query
 // stays whole.
 //
-// Write path: every write lands on the primary first — a primary
+// Write path: IngestBatch is the only write verb (a single post is a
+// batch of one). Every batch lands on the primary first — a primary
 // failure fails the write, full stop, and because the failure is
-// ambiguous (a remote primary may have applied the write before the
-// response was lost) the set presumes the primary holds it: the
-// logical epoch advances, the followers are ejected, and reads route
-// to the primary alone until re-wired (see failedPrimaryWrite) — and
-// is then replicated synchronously to each follower through the
-// ordinary Ingest path (for a remote follower, the same OpIngest
-// frames routed ingest already uses). A follower that misses a write is ejected from the read set
-// permanently (until re-wired): it has a gap the Set cannot repair
-// without a replay log, and serving reads from it would silently skew
-// rankings — exactly the failure mode the bit-identical bar exists to
-// catch. Ejected followers also stop receiving writes, so their content
-// stays a clean prefix of the primary's. Writes are never retried and
-// never fail over to a follower: a post applied to a follower but not
-// the primary would diverge the replicas, and a blind re-send could
-// duplicate a post the replica already holds (the transport's
-// write-non-retry rule, kept at this layer too).
+// ambiguous (a remote primary may have applied any prefix of the batch
+// before the response was lost) the set presumes the primary holds it:
+// the logical epoch advances, the followers are ejected, and reads
+// route to the primary alone until re-wired (see failedPrimaryWrite) —
+// and is then replicated synchronously to each follower (for a remote
+// one, the same OpIngest frames routed ingest uses). A follower that
+// misses a write is ejected from the read set permanently (until
+// re-wired): it has a gap the Set cannot repair without a replay log,
+// and serving reads from it would silently skew rankings — exactly the
+// failure mode the bit-identical bar exists to catch. Ejected followers
+// also stop receiving writes, so their content stays a clean prefix of
+// the primary's. Writes are never retried and never fail over to a
+// follower: a post applied to a follower but not the primary would
+// diverge the replicas, and a blind re-send could duplicate a post the
+// replica already holds (the transport's write-non-retry rule, kept at
+// this layer too).
 //
 // Read path: replicas are compared by their replication epochs — the
 // per-replica count of writes applied, maintained by the Set, which is
@@ -196,78 +197,45 @@ func (s *Set) Failovers() int64 { return s.failovers.Load() }
 // redundancy, never correctness: reads still serve exactly the
 // primary's content, which matches what the caller was told (the
 // write failed). Called with wmu held.
-func (s *Set) failedPrimaryWrite(n int) {
+func (s *Set) failedPrimaryWrite(n uint64) {
 	s.health[0].Fail()
-	s.applied[0].Add(uint64(n))
-	s.epoch.Add(uint64(n))
+	s.applied[0].Add(n)
+	s.epoch.Add(n)
 	s.obsPrimaryWriteFail.Inc()
 	// The epoch advance ejects every follower still in the read set.
 	s.obsEjections.Add(int64(len(s.replicas) - 1))
 }
 
-// Ingest implements shard.Backend: the write goes to the primary — a
-// primary failure fails the write, and because the failure is
-// ambiguous (the primary may have applied it before the response was
-// lost), the followers are ejected and reads route to the primary
-// alone until re-wired (see failedPrimaryWrite) — then replicates
-// synchronously to every up-to-date follower. A follower that fails
-// the replication is ejected from the read set (stale) and marked
-// down; the write still succeeds.
-func (s *Set) Ingest(p microblog.Post) (microblog.TweetID, error) {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	id, err := s.replicas[0].Ingest(p)
-	if err != nil {
-		s.failedPrimaryWrite(1)
-		return id, fmt.Errorf("replica: primary ingest: %w", err)
-	}
-	s.health[0].Ok()
-	s.applied[0].Add(1)
-	epoch := s.epoch.Add(1)
-	for i := 1; i < len(s.replicas); i++ {
-		if s.applied[i].Load() != epoch-1 {
-			continue // already stale: stop feeding it, keep its content a clean prefix
-		}
-		if _, err := s.replicas[i].Ingest(p); err != nil {
-			s.health[i].Fail()
-			s.obsEjections.Inc()
-			continue // ejected: applied[i] stays behind epoch for good
-		}
-		s.applied[i].Add(1)
-	}
-	return id, nil
-}
-
-// IngestBatch implements shard.Backend with the same
-// primary-then-followers contract as Ingest; the batch counts as
-// len(posts) writes and a follower that fails mid-batch is ejected at
-// its failure point.
+// IngestBatch implements shard.Backend — the package comment's write
+// path, in its one body: primary first (failedPrimaryWrite on error),
+// then every up-to-date follower; a follower that fails the replication
+// is ejected and marked down while the write still succeeds. The batch
+// counts as len(posts) writes.
 func (s *Set) IngestBatch(posts []microblog.Post) error {
 	if len(posts) == 0 {
 		return nil
 	}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
+	n := uint64(len(posts))
 	before := s.epoch.Load()
 	if err := s.replicas[0].IngestBatch(posts); err != nil {
-		// Ambiguous like the single-post case: any prefix of the batch
-		// may have applied, so presume all of it did.
-		s.failedPrimaryWrite(len(posts))
+		s.failedPrimaryWrite(n)
 		return fmt.Errorf("replica: primary ingest: %w", err)
 	}
 	s.health[0].Ok()
-	s.applied[0].Add(uint64(len(posts)))
-	s.epoch.Add(uint64(len(posts)))
+	s.applied[0].Add(n)
+	s.epoch.Add(n)
 	for i := 1; i < len(s.replicas); i++ {
 		if s.applied[i].Load() != before {
-			continue
+			continue // already stale: stop feeding it
 		}
 		if err := s.replicas[i].IngestBatch(posts); err != nil {
 			s.health[i].Fail()
 			s.obsEjections.Inc()
-			continue
+			continue // ejected: applied[i] stays behind epoch for good
 		}
-		s.applied[i].Add(uint64(len(posts)))
+		s.applied[i].Add(n)
 	}
 	return nil
 }

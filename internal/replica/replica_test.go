@@ -317,7 +317,7 @@ func TestFailoverReadsNeverDuplicateWrites(t *testing.T) {
 
 	posts := streamPosts(p, 91, 60)
 	for _, post := range posts {
-		if _, err := rc.cluster.Ingest(post); err != nil {
+		if err := rc.cluster.IngestBatch([]microblog.Post{post}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -401,13 +401,13 @@ func TestStaleFollowerRejected(t *testing.T) {
 	set, f := rc.sets[0], rc.faults[0]
 
 	for _, post := range streamPosts(p, 95, 20) {
-		if _, err := rc.cluster.Ingest(post); err != nil {
+		if err := rc.cluster.IngestBatch([]microblog.Post{post}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	f.Kill()
 	missed := streamPosts(p, 96, 1)[0]
-	if _, err := rc.cluster.Ingest(missed); err != nil {
+	if err := rc.cluster.IngestBatch([]microblog.Post{missed}); err != nil {
 		t.Fatal(err)
 	}
 	if st := set.Stats(); !st.Stale[1] || st.Applied[1] != st.Epoch-1 {
@@ -439,7 +439,7 @@ func TestStaleFollowerRejected(t *testing.T) {
 	// clean prefix rather than grow holes.
 	ingestsBefore := f.Ingests() + f.IngestsKilled()
 	for _, post := range streamPosts(p, 97, 5) {
-		if _, err := rc.cluster.Ingest(post); err != nil {
+		if err := rc.cluster.IngestBatch([]microblog.Post{post}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -481,7 +481,7 @@ func TestReplicationWriteNotRetriedOnTruncation(t *testing.T) {
 
 	warm := streamPosts(p, 101, 10)
 	for _, post := range warm {
-		if _, err := set.Ingest(post); err != nil {
+		if err := set.IngestBatch([]microblog.Post{post}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -497,7 +497,7 @@ func TestReplicationWriteNotRetriedOnTruncation(t *testing.T) {
 	// EOF.
 	d.TruncateAll(0)
 	victim := streamPosts(p, 102, 1)[0]
-	if _, err := set.Ingest(victim); err != nil {
+	if err := set.IngestBatch([]microblog.Post{victim}); err != nil {
 		t.Fatalf("a follower fault must not fail the write (primary applied it): %v", err)
 	}
 	st := set.Stats()
@@ -558,7 +558,7 @@ func TestAmbiguousPrimaryWriteFailsSafe(t *testing.T) {
 
 	warm := streamPosts(p, 113, 10)
 	for _, post := range warm {
-		if _, err := set.Ingest(post); err != nil {
+		if err := set.IngestBatch([]microblog.Post{post}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -566,7 +566,7 @@ func TestAmbiguousPrimaryWriteFailsSafe(t *testing.T) {
 	// The suspect write: request reaches the server, the response dies.
 	d.TruncateAll(0)
 	victim := streamPosts(p, 114, 1)[0]
-	if _, err := set.Ingest(victim); err == nil {
+	if err := set.IngestBatch([]microblog.Post{victim}); err == nil {
 		t.Fatal("write with a lost response reported success")
 	}
 	st := set.Stats()
@@ -635,7 +635,7 @@ func TestSetBasics(t *testing.T) {
 		t.Fatalf("fresh set epoch %d err %v", e, err)
 	}
 	posts := streamPosts(p, 104, 7)
-	if _, err := set.Ingest(posts[0]); err != nil {
+	if err := set.IngestBatch(posts[:1]); err != nil {
 		t.Fatal(err)
 	}
 	if err := set.IngestBatch(posts[1:]); err != nil {
@@ -680,7 +680,7 @@ func TestSetBasics(t *testing.T) {
 	if _, _, _, err := deadSet.Search(context.Background(), []string{"nfl"}, false, nil); err != replica.ErrNoReplica {
 		t.Fatalf("second search want ErrNoReplica (backoff silences the probe), got %v", err)
 	}
-	if _, err := deadSet.Ingest(posts[0]); err == nil {
+	if err := deadSet.IngestBatch(posts[:1]); err == nil {
 		t.Fatal("write with a dead primary succeeded")
 	}
 	if err := deadSet.IngestBatch(posts); err == nil {

@@ -81,7 +81,7 @@ func TestServeCacheSurvivesFailover(t *testing.T) {
 	// A write moves the logical epoch of exactly one shard; the entry
 	// must invalidate and recompute against the post-write view.
 	post := streamPosts(p, 111, 1)[0]
-	if _, err := rc.cluster.Ingest(post); err != nil {
+	if err := rc.cluster.IngestBatch([]microblog.Post{post}); err != nil {
 		t.Fatal(err)
 	}
 	inv := st.Invalidations

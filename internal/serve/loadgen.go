@@ -14,10 +14,11 @@ import (
 // streaming index, the detector's one-shard Cluster()), or a
 // *shard.Migration routing writes across a live reshard.
 type Sink interface {
-	// Ingest routes one post to its author's shard; the returned id is
-	// shard-local. A failed write (a remote shard's transport) is
-	// dropped by the generator and not counted as ingested.
-	Ingest(p microblog.Post) (microblog.TweetID, error)
+	// IngestBatch routes posts to their authors' shards (the one write
+	// verb; the generator sends batches of one). A failed write (a
+	// remote shard's transport) is dropped by the generator and not
+	// counted as ingested.
+	IngestBatch(posts []microblog.Post) error
 	// World returns the generating world posts are drawn from.
 	World() *world.World
 	// Epoch identifies the sink's current view (the scalar digest of
@@ -204,8 +205,10 @@ func RunMixedLoad(s *Server, idx Sink, cfg MixedLoadConfig) MixedLoadResult {
 			if w == 0 {
 				n += cfg.Ingests % ingestWorkers
 			}
+			batch := make([]microblog.Post, 1)
 			for i := 0; i < n; i++ {
-				if _, err := idx.Ingest(stream.Next()); err == nil {
+				batch[0] = stream.Next()
+				if err := idx.IngestBatch(batch); err == nil {
 					ingested.Add(1)
 				}
 			}

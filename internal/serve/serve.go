@@ -329,9 +329,6 @@ func New(b Backend, cfg Config) *Server {
 // without Config.Obs.
 func (s *Server) SlowLog() *obs.SlowLog { return s.slow }
 
-// Backend returns the underlying query engine.
-func (s *Server) Backend() Backend { return s.backend }
-
 // Search answers one e# query. The returned slice may be shared with
 // the cache and other callers — treat it as read-only. Degenerate
 // queries return nil (use Answer for the typed error).

@@ -603,7 +603,7 @@ func TestShardedServerInvalidatesOnIngest(t *testing.T) {
 
 	// One post advances exactly one shard's component.
 	stream := microblog.NewPostStream(p.World, microblog.DefaultStreamConfig(73))
-	r.Ingest(stream.Next())
+	r.IngestBatch([]microblog.Post{stream.Next()})
 	after := s.Search("49ers")
 	st := s.Stats()
 	if st.Invalidations != 1 || st.CacheMisses != 2 {

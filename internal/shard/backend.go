@@ -3,11 +3,12 @@
 // term-set search with raw integer candidate rows, the denominators of
 // those same candidates and a pinned view, the pinned view answers the
 // batched denominator fetch for everyone else's candidates, and writes
-// arrive as routed posts. A Local wraps an ingest.Index
-// in-process; transport.RemoteShard speaks the same interface to a
-// transport.ShardServer over TCP; and a Cluster composes any mix of the
-// two behind the routing and epoch-vector surfaces the detector and the
-// serving cache consume.
+// arrive as routed batches of posts — IngestBatch is the only write
+// verb at every layer, a single post a batch of one. A Local wraps an
+// ingest.Index in-process; transport.RemoteShard speaks the same
+// interface to a transport.ShardServer over TCP; and a Cluster composes
+// any mix of the two behind the routing and epoch-vector surfaces the
+// detector and the serving cache consume.
 package shard
 
 import (
@@ -58,12 +59,9 @@ type Backend interface {
 	// already spent — the front door's 504 instead of a default-timeout
 	// hang.
 	Search(ctx context.Context, terms []string, extended bool, raw []expertise.RawCandidate) (rows []expertise.RawCandidate, matched int, v View, err error)
-	// Ingest appends one post to the shard's stream and returns the
-	// shard-local tweet id it was assigned.
-	Ingest(p microblog.Post) (microblog.TweetID, error)
-	// IngestBatch appends posts in order. A remote backend ships the
-	// whole batch in a handful of frames instead of one round trip per
-	// post.
+	// IngestBatch appends posts in order — the one write verb: a single
+	// post is a batch of one. A remote backend ships the batch in a
+	// handful of frames instead of one round trip per post.
 	IngestBatch(posts []microblog.Post) error
 	// Epoch returns the shard's current snapshot epoch.
 	Epoch() (uint64, error)
@@ -235,12 +233,9 @@ func (l *Local) View() View {
 	return v
 }
 
-// Ingest implements Backend.
-func (l *Local) Ingest(p microblog.Post) (microblog.TweetID, error) {
-	return l.idx.Ingest(p), nil
-}
-
-// IngestBatch implements Backend.
+// IngestBatch implements Backend, post by post: each post is its own
+// publish and epoch, exactly what a transport.ShardServer does with an
+// OpIngest frame.
 func (l *Local) IngestBatch(posts []microblog.Post) error {
 	for _, p := range posts {
 		l.idx.Ingest(p)
@@ -363,16 +358,11 @@ func (c *Cluster) Backend(i int) Backend { return c.backends[i] }
 // ShardFor returns the shard index the user's posts route to.
 func (c *Cluster) ShardFor(u world.UserID) int { return ShardOf(u, len(c.backends)) }
 
-// Ingest routes one post to its author's shard and returns the
-// shard-local tweet id. Safe for concurrent use.
-func (c *Cluster) Ingest(p microblog.Post) (microblog.TweetID, error) {
-	return c.backends[ShardOf(p.Author, len(c.backends))].Ingest(p)
-}
-
-// IngestBatch routes posts to their author shards, preserving per-shard
-// arrival order for a single caller, and ships each shard's run as a
-// batch (one wire frame per run for remote backends). The first error
-// aborts the remainder.
+// IngestBatch is the routed write: posts go to their author shards,
+// preserving per-shard arrival order for a single caller, and each
+// shard's run ships as a batch (one wire frame per run for remote
+// backends). The first error aborts the remainder. Safe for concurrent
+// use.
 func (c *Cluster) IngestBatch(posts []microblog.Post) error {
 	for start := 0; start < len(posts); {
 		si := ShardOf(posts[start].Author, len(c.backends))

@@ -163,15 +163,15 @@ func (s MigrationState) String() string {
 // Abort). The underlying cause is available from Err.
 var ErrMigrationAborted = errors.New("shard: migration aborted")
 
+// maxCatchUp caps how many catch-up rounds Drain runs before handing
+// the (still shrinking) residue to Cutover's final locked round.
+const maxCatchUp = 8
+
 // MigrationConfig tunes a Migration. The zero value works.
 type MigrationConfig struct {
 	// PageSize bounds how many log entries one handoff page scans.
 	// Zero means 1024.
 	PageSize int
-	// MaxCatchUp caps how many catch-up rounds Drain runs before
-	// handing the (still shrinking) residue to Cutover's final locked
-	// round. Zero means 8.
-	MaxCatchUp int
 	// FromVersion is the source routing table's version; the
 	// destination table gets FromVersion+1. Zero means 1.
 	FromVersion uint64
@@ -215,7 +215,7 @@ type MigrationStats struct {
 // Migration coordinates one online N→M reshard between two clusters
 // over the same world: src (serving, at N) and dst (freshly built over
 // Partition(base, j, M), at M). All writes during the migration must
-// flow through Migration.Ingest — it is the write path's routing
+// flow through Migration.IngestBatch — it is the write path's routing
 // table. Reads keep going to the source cluster until the Cutover
 // callback swaps them. Safe for concurrent use.
 type Migration struct {
@@ -225,7 +225,7 @@ type Migration struct {
 	from, to RoutingTable
 	table    atomic.Pointer[RoutingTable]
 
-	// mu orders writes against state transitions: Ingest holds RLock,
+	// mu orders writes against state transitions: IngestBatch holds RLock,
 	// Start/Cutover/Abort hold Lock. state is atomic so drain streams
 	// and NoteRead can observe it without the lock.
 	mu    sync.RWMutex
@@ -261,9 +261,6 @@ func NewMigration(src, dst *Cluster, cfg MigrationConfig) (*Migration, error) {
 	}
 	if cfg.PageSize <= 0 {
 		cfg.PageSize = 1024
-	}
-	if cfg.MaxCatchUp <= 0 {
-		cfg.MaxCatchUp = 8
 	}
 	if cfg.FromVersion == 0 {
 		cfg.FromVersion = 1
@@ -472,7 +469,7 @@ func (m *Migration) drainPass(locked bool) (int64, error) {
 }
 
 // Drain runs catch-up rounds until one moves nothing (the dual-read
-// window opens) or MaxCatchUp rounds have run (Cutover will drain the
+// window opens) or maxCatchUp rounds have run (Cutover will drain the
 // residue under the write lock). Writes continue throughout; any
 // destination failure aborts the migration with the source untouched.
 func (m *Migration) Drain() error {
@@ -482,7 +479,7 @@ func (m *Migration) Drain() error {
 		}
 		return fmt.Errorf("shard: migration drain in state %v", s)
 	}
-	for r := 0; r < m.cfg.MaxCatchUp; r++ {
+	for r := 0; r < maxCatchUp; r++ {
 		consumed, err := m.drainPass(false)
 		if err != nil {
 			m.fail(err)
@@ -587,27 +584,11 @@ func (m *Migration) NoteRead() {
 	}
 }
 
-// Ingest implements serve.Sink as the deployment's write path during
-// the migration: writes route by the routing table in force — source
-// cluster before cutover, destination after — under a read lock so
-// Cutover's gate can exclude in-flight writes. A routing failure
-// aborts the migration (observable via Err) and drops the post.
-func (m *Migration) Ingest(p microblog.Post) (microblog.TweetID, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	c := m.src
-	if m.State() == MigrationDone {
-		c = m.dst
-	}
-	id, err := c.Ingest(p)
-	if err != nil {
-		err = fmt.Errorf("shard: migration write: %w", err)
-		m.fail(err)
-	}
-	return id, err
-}
-
-// IngestBatch routes a batch like Ingest routes one post.
+// IngestBatch implements serve.Sink as the deployment's write path
+// during the migration: writes route by the routing table in force —
+// source cluster before cutover, destination after — under a read lock
+// so Cutover's gate can exclude in-flight writes. A routing failure
+// aborts the migration (observable via Err) and fails the batch.
 func (m *Migration) IngestBatch(posts []microblog.Post) error {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -616,7 +597,8 @@ func (m *Migration) IngestBatch(posts []microblog.Post) error {
 		c = m.dst
 	}
 	if err := c.IngestBatch(posts); err != nil {
-		m.fail(fmt.Errorf("shard: migration write: %w", err))
+		err = fmt.Errorf("shard: migration write: %w", err)
+		m.fail(err)
 		return err
 	}
 	return nil

@@ -88,7 +88,7 @@ func TestReshardQuiescedEquivalence(t *testing.T) {
 			// Pre-migration history: content the drain must move.
 			pre := streamPosts(p, seed+1000, 300)
 			for _, post := range pre {
-				mig.Ingest(post)
+				mig.IngestBatch([]microblog.Post{post})
 			}
 
 			// The mixed load runs concurrently with the whole migration:
@@ -218,7 +218,7 @@ func TestReshardChaosMidDrain(t *testing.T) {
 
 	pre := streamPosts(p, seed+1000, 400)
 	for _, post := range pre {
-		mig.Ingest(post)
+		mig.IngestBatch([]microblog.Post{post})
 	}
 	// The drain will stream dozens of small filtered batches into each
 	// destination; dying after a couple of calls lands the kill
@@ -338,7 +338,7 @@ func TestMigrationStateMachine(t *testing.T) {
 	// Writes still land on the (authoritative) source after an abort.
 	post := streamPosts(p, 9001, 1)[0]
 	before := src.Epoch()
-	if _, err := mig.Ingest(post); err != nil || src.Epoch() == before {
+	if err := mig.IngestBatch([]microblog.Post{post}); err != nil || src.Epoch() == before {
 		t.Fatalf("post dropped after abort: %v", err)
 	}
 	for _, s := range []shard.MigrationState{shard.MigrationIdle, shard.MigrationDraining,

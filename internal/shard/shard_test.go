@@ -257,7 +257,7 @@ func TestEpochVectorSingleShardAdvance(t *testing.T) {
 	before := epochVector(t, r)
 	post := streamPosts(p, 67, 1)[0]
 	target := r.ShardFor(post.Author)
-	if _, err := r.Ingest(post); err != nil {
+	if err := r.IngestBatch([]microblog.Post{post}); err != nil {
 		t.Fatal(err)
 	}
 	after := epochVector(t, r)
@@ -311,7 +311,7 @@ func TestConcurrentShardedIngestSearch(t *testing.T) {
 			defer wg.Done()
 			stream := microblog.NewPostStream(p.World, microblog.DefaultStreamConfig(uint64(200+g)))
 			for i := 0; i < perIngester; i++ {
-				r.Ingest(stream.Next())
+				r.IngestBatch([]microblog.Post{stream.Next()})
 			}
 		}(g)
 	}

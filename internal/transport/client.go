@@ -21,17 +21,9 @@ import (
 // ClientConfig tunes a RemoteShard.
 type ClientConfig struct {
 	// Timeout bounds one request round trip — dial, write, read. Zero
-	// means 2s. Quiesce, which drains compactions server-side, gets
-	// QuiesceTimeout instead.
+	// means 2s. Quiesce, which drains compactions server-side, gets ten
+	// times as long (quiesceTimeoutFactor).
 	Timeout time.Duration
-	// QuiesceTimeout bounds an OpQuiesce round trip. Zero means 10×
-	// Timeout.
-	QuiesceTimeout time.Duration
-	// MaxIdleConns caps the pooled idle connections. Zero means 4.
-	MaxIdleConns int
-	// IngestChunk caps how many posts one OpIngest frame carries; a
-	// larger batch is split into sequential frames. Zero means 512.
-	IngestChunk int
 	// Dial overrides the dialer — the fault-injection tests wrap
 	// connections here. Nil means net.DialTimeout("tcp", addr, timeout).
 	Dial func(addr string, timeout time.Duration) (net.Conn, error)
@@ -40,10 +32,6 @@ type ClientConfig struct {
 	// dead server costs one dial per backoff window instead of one per
 	// request. Zero fields take shard.DefaultBackoff.
 	DialBackoff shard.Backoff
-	// NoSubscribe disables the epoch-push subscription; Epoch then
-	// always probes with an OpEpoch round trip. The fault tests use it
-	// to pin the probe path.
-	NoSubscribe bool
 	// NoCompress keeps this client from advertising FeatureCompress, so
 	// neither side sends OpDeflate envelopes on its connections.
 	NoCompress bool
@@ -62,6 +50,20 @@ type ClientConfig struct {
 
 // DefaultClientConfig returns the client defaults.
 func DefaultClientConfig() ClientConfig { return ClientConfig{} }
+
+// The client's fixed sizes — constants rather than ClientConfig fields,
+// because no deployment has needed a second value of any of them.
+const (
+	// maxIdleConns caps the pooled idle connections per client.
+	maxIdleConns = 4
+	// ingestChunk caps how many posts one OpIngest frame carries, so one
+	// IngestBatch never exceeds MaxFrame; a larger batch is split into
+	// sequential frames.
+	ingestChunk = 512
+	// quiesceTimeoutFactor stretches Timeout for the OpQuiesce round
+	// trip, which waits out a server-side compaction drain.
+	quiesceTimeoutFactor = 10
+)
 
 // ErrClientClosed reports a request on a closed RemoteShard.
 var ErrClientClosed = errors.New("transport: client closed")
@@ -97,7 +99,7 @@ type RemoteShard struct {
 	// The epoch-push subscription. subMu guards subConn and the
 	// subscribe/teardown transitions; subOn flips true while a
 	// subscription's reader loop is live, and subEpoch mirrors the
-	// latest epoch the server reported (pushes, acks, probe and quiesce
+	// latest epoch the server reported (pushes, acks and quiesce
 	// responses — monotonic via CAS, see noteEpoch). While subOn, Epoch
 	// is a memory read.
 	subMu    sync.Mutex
@@ -106,9 +108,9 @@ type RemoteShard struct {
 	subEpoch atomic.Uint64
 
 	dials atomic.Int64
-	// epochRTTs counts round trips spent learning epochs (OpEpoch
-	// probes and OpSubscribe exchanges) — the number the push path
-	// drives to zero on warm connections.
+	// epochRTTs counts round trips spent learning epochs (OpSubscribe
+	// exchanges) — the number the push path drives to zero on warm
+	// connections.
 	epochRTTs atomic.Int64
 
 	// Observability (zero-valued without ClientConfig.Obs): per-op
@@ -154,15 +156,6 @@ func NewRemoteShard(addr string, cfg ClientConfig) *RemoteShard {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 2 * time.Second
 	}
-	if cfg.QuiesceTimeout <= 0 {
-		cfg.QuiesceTimeout = 10 * cfg.Timeout
-	}
-	if cfg.MaxIdleConns <= 0 {
-		cfg.MaxIdleConns = 4
-	}
-	if cfg.IngestChunk <= 0 {
-		cfg.IngestChunk = 512
-	}
 	r := &RemoteShard{addr: addr, cfg: cfg, health: shard.NewHealth(cfg.DialBackoff)}
 	if cfg.Obs != nil {
 		r.obsOn = true
@@ -187,9 +180,9 @@ func (r *RemoteShard) Addr() string { return r.addr }
 func (r *RemoteShard) Dials() int64 { return r.dials.Load() }
 
 // EpochRTTs returns how many round trips this client has spent
-// learning epochs: OpEpoch probes plus OpSubscribe exchanges. On warm
-// subscribed connections the count stays flat — pushes carry the
-// epochs — which the streaming example's smoke run asserts.
+// learning epochs: its OpSubscribe exchanges. On warm subscribed
+// connections the count stays flat — pushes carry the epochs — which
+// the streaming example's smoke run asserts.
 func (r *RemoteShard) EpochRTTs() int64 { return r.epochRTTs.Load() }
 
 // Subscribed reports whether an epoch-push subscription is currently
@@ -264,7 +257,7 @@ func (r *RemoteShard) dialConn() (*clientConn, error) {
 func (r *RemoteShard) release(cc *clientConn) {
 	cc.pooled = false
 	r.mu.Lock()
-	if !r.closed && len(r.idle) < r.cfg.MaxIdleConns {
+	if !r.closed && len(r.idle) < maxIdleConns {
 		r.idle = append(r.idle, cc)
 		r.mu.Unlock()
 		return
@@ -405,27 +398,58 @@ func (r *RemoteShard) roundTrip(cc *clientConn, op Op, payload []byte, timeout t
 	}
 }
 
-// do runs one single-frame exchange with checkout, the stale-connection
-// retry (idempotent requests only — a write whose connection dies after
-// the server processed it but before the response arrived must NOT be
-// re-sent, or the shard would hold the post twice and break the
-// bit-identical bar), and release. decode consumes the response payload
-// before the connection goes back to the pool.
-func (r *RemoteShard) do(op Op, payload []byte, timeout time.Duration, idempotent bool, decode func(resp []byte) error) error {
-	cc, err := r.checkout()
-	if err != nil {
-		return err
+// request is what one exchange sends: an op and its payload. A search
+// op carries its terms instead, encoded into the connection's own build
+// buffer on every attempt — a re-sent search lands on a fresh
+// connection with a fresh buffer — so the search path hands nothing to
+// the heap.
+type request struct {
+	op       Op
+	payload  []byte
+	terms    []string // OpSearch / OpSearchStats only
+	extended bool
+}
+
+// encode returns the payload to send on cc.
+func (q *request) encode(cc *clientConn) []byte {
+	if q.op != OpSearch && q.op != OpSearchStats {
+		return q.payload
 	}
-	resp, okConn, err := r.roundTrip(cc, op, payload, timeout)
-	if err != nil && !okConn && cc.pooled && idempotent {
-		// The pooled connection died before answering — the classic
-		// stale-keepalive shape (server restarted, idle timeout). One
-		// fresh dial, one more try, then fail fast.
+	cc.req = AppendSearchReq(cc.req[:0], SearchReq{Extended: q.extended, Terms: q.terms})
+	return cc.req
+}
+
+// exchange is the one request exchange every op goes through: check a
+// connection out and run one round trip, under base clamped by ctx's
+// remaining budget. A pooled connection that dies before answering is
+// the classic stale-keepalive shape (server restarted, idle timeout):
+// with resend it is replaced by one fresh dial, inside a re-derived
+// budget, and the request sent once more — then fail fast. Reads are
+// re-sent, writes never: a write whose connection dies after the server
+// applied it but before the response arrived must not be sent again, or
+// the shard would hold the post twice and break the bit-identical bar.
+// On success the connection comes back still checked out, with resp
+// aliasing its read buffer, and the caller owns it (do decodes and
+// releases, a search keeps it as the pinned view, subscribe hands it to
+// the reader); on error it is already released or closed.
+func (r *RemoteShard) exchange(ctx context.Context, q request, base time.Duration, resend bool) (cc *clientConn, resp []byte, err error) {
+	timeout, err := r.reqTimeout(ctx, base)
+	if err != nil {
+		return nil, nil, err
+	}
+	if cc, err = r.checkout(); err != nil {
+		return nil, nil, err
+	}
+	resp, okConn, err := r.roundTrip(cc, q.op, q.encode(cc), timeout)
+	if err != nil && !okConn && cc.pooled && resend {
 		cc.c.Close()
-		if cc, err = r.dialConn(); err != nil {
-			return err
+		if timeout, err = r.reqTimeout(ctx, base); err != nil {
+			return nil, nil, err
 		}
-		resp, okConn, err = r.roundTrip(cc, op, payload, timeout)
+		if cc, err = r.dialConn(); err != nil {
+			return nil, nil, err
+		}
+		resp, okConn, err = r.roundTrip(cc, q.op, q.encode(cc), timeout)
 	}
 	if err != nil {
 		if okConn {
@@ -433,6 +457,16 @@ func (r *RemoteShard) do(op Op, payload []byte, timeout time.Duration, idempoten
 		} else {
 			cc.c.Close()
 		}
+		return nil, nil, err
+	}
+	return cc, resp, nil
+}
+
+// do runs one exchange whose response is consumed on the spot: decode
+// reads the payload, then the connection goes back to the pool.
+func (r *RemoteShard) do(op Op, payload []byte, timeout time.Duration, resend bool, decode func(resp []byte) error) error {
+	cc, resp, err := r.exchange(context.Background(), request{op: op, payload: payload}, timeout, resend)
+	if err != nil {
 		return err
 	}
 	if err := decode(resp); err != nil {
@@ -505,47 +539,6 @@ func (r *RemoteShard) reqTimeout(ctx context.Context, base time.Duration) (time.
 	return base, nil
 }
 
-// searchRoundTrip is the exchange Search and SearchStats share: check a
-// connection out, encode the request into its build buffer and run one
-// round trip of op, under the configured timeout clamped by ctx's
-// remaining budget. A pooled connection that dies before answering is
-// replaced by one fresh dial and the request encoded again onto it (a
-// search is idempotent). On success the connection stays checked out —
-// the server pinned a snapshot to it — and resp aliases its read buffer;
-// on error the connection is already released or closed.
-func (r *RemoteShard) searchRoundTrip(ctx context.Context, op Op, terms []string, extended bool) (cc *clientConn, resp []byte, err error) {
-	timeout, err := r.reqTimeout(ctx, r.cfg.Timeout)
-	if err != nil {
-		return nil, nil, err
-	}
-	if cc, err = r.checkout(); err != nil {
-		return nil, nil, err
-	}
-	req := SearchReq{Extended: extended, Terms: terms}
-	cc.req = AppendSearchReq(cc.req[:0], req)
-	resp, okConn, err := r.roundTrip(cc, op, cc.req, timeout)
-	if err != nil && !okConn && cc.pooled {
-		cc.c.Close()
-		if timeout, err = r.reqTimeout(ctx, r.cfg.Timeout); err != nil {
-			return nil, nil, err
-		}
-		if cc, err = r.dialConn(); err != nil {
-			return nil, nil, err
-		}
-		cc.req = AppendSearchReq(cc.req[:0], req)
-		resp, okConn, err = r.roundTrip(cc, op, cc.req, timeout)
-	}
-	if err != nil {
-		if okConn {
-			r.release(cc)
-		} else {
-			cc.c.Close()
-		}
-		return nil, nil, err
-	}
-	return cc, resp, nil
-}
-
 // Search implements shard.Backend: one OpSearch round trip whose
 // response carries the shard's raw candidate rows and matched-union
 // size, and whose connection — with the snapshot the server pinned to
@@ -553,7 +546,7 @@ func (r *RemoteShard) searchRoundTrip(ctx context.Context, op Op, terms []string
 // reads the exact state the rows were extracted from. The wire deadline
 // is the configured timeout clamped by ctx's remaining budget.
 func (r *RemoteShard) Search(ctx context.Context, terms []string, extended bool, raw []expertise.RawCandidate) ([]expertise.RawCandidate, int, shard.View, error) {
-	cc, resp, err := r.searchRoundTrip(ctx, OpSearch, terms, extended)
+	cc, resp, err := r.exchange(ctx, request{op: OpSearch, terms: terms, extended: extended}, r.cfg.Timeout, true)
 	if err != nil {
 		return raw[:0], 0, nil, err
 	}
@@ -575,7 +568,7 @@ func (r *RemoteShard) Search(ctx context.Context, terms []string, extended bool,
 // coordinator's top-up OpStats (foreign candidates' denominators)
 // against the pinned snapshot.
 func (r *RemoteShard) SearchStats(ctx context.Context, terms []string, extended bool, raw []expertise.RawCandidate, stats []expertise.UserStats) ([]expertise.RawCandidate, int, []expertise.UserStats, shard.View, error) {
-	cc, resp, err := r.searchRoundTrip(ctx, OpSearchStats, terms, extended)
+	cc, resp, err := r.exchange(ctx, request{op: OpSearchStats, terms: terms, extended: extended}, r.cfg.Timeout, true)
 	if err != nil {
 		return raw[:0], 0, stats[:0], nil, err
 	}
@@ -672,23 +665,12 @@ func (r *RemoteShard) writeFrame(cc *clientConn, op Op, payload []byte) error {
 	return err
 }
 
-// Ingest implements shard.Backend with a one-post OpIngest frame.
-func (r *RemoteShard) Ingest(p microblog.Post) (microblog.TweetID, error) {
-	var id microblog.TweetID
-	payload := AppendIngestReq(nil, IngestReq{Posts: []microblog.Post{p}})
-	err := r.do(OpIngest, payload, r.cfg.Timeout, false, func(resp []byte) error {
-		ir, _, err := ConsumeIngestResp(resp)
-		id = ir.First
-		return err
-	})
-	return id, err
-}
-
 // IngestBatch implements shard.Backend, shipping the batch as
-// IngestChunk-post frames so one call never exceeds MaxFrame.
+// ingestChunk-post OpIngest frames. A write is never re-sent (see
+// exchange).
 func (r *RemoteShard) IngestBatch(posts []microblog.Post) error {
-	for start := 0; start < len(posts); start += r.cfg.IngestChunk {
-		end := min(start+r.cfg.IngestChunk, len(posts))
+	for start := 0; start < len(posts); start += ingestChunk {
+		end := min(start+ingestChunk, len(posts))
 		payload := AppendIngestReq(nil, IngestReq{Posts: posts[start:end]})
 		err := r.do(OpIngest, payload, r.cfg.Timeout, false, func(resp []byte) error {
 			_, _, err := ConsumeIngestResp(resp)
@@ -705,7 +687,7 @@ func (r *RemoteShard) IngestBatch(posts []microblog.Post) error {
 // monotonically: epochs only grow within one server incarnation (a
 // restart is a hard failure via the incarnation pin, never a silent
 // regression), so the max of everything observed — pushes, acks,
-// probe and quiesce responses — is always the freshest view.
+// quiesce responses — is always the freshest view.
 func (r *RemoteShard) noteEpoch(e uint64) {
 	for {
 		cur := r.subEpoch.Load()
@@ -715,63 +697,35 @@ func (r *RemoteShard) noteEpoch(e uint64) {
 	}
 }
 
-// Epoch implements shard.Backend. While an epoch-push subscription is
-// live this is a memory read — zero round trips, which is what turns
-// the serve cache's per-request epoch-vector sample into nanoseconds.
-// Cold (or after a subscription lapse) it subscribes first, paying one
-// round trip that buys every future sample; with NoSubscribe it is the
-// classic one-RTT OpEpoch probe.
+// Epoch implements shard.Backend: cache or subscribe. While an
+// epoch-push subscription is live this is a memory read — zero round
+// trips, which is what turns the serve cache's per-request epoch-vector
+// sample into nanoseconds. Cold (or after a subscription lapse) it
+// subscribes first, paying one round trip that buys every future
+// sample.
 func (r *RemoteShard) Epoch() (uint64, error) {
 	if r.subOn.Load() {
 		return r.subEpoch.Load(), nil
 	}
-	if !r.cfg.NoSubscribe {
-		return r.subscribe()
-	}
-	r.epochRTTs.Add(1)
-	r.obsEpochRTTs.Add(1)
-	var epoch uint64
-	err := r.do(OpEpoch, nil, r.cfg.Timeout, true, func(resp []byte) error {
-		er, _, err := ConsumeEpochResp(resp)
-		epoch = er.Epoch
-		return err
-	})
-	return epoch, err
+	return r.subscribe()
 }
 
 // subscribe establishes the epoch-push subscription: it dedicates one
-// connection (from the pool or freshly dialed), sends OpSubscribe, and
-// hands the connection to a reader goroutine that mirrors every pushed
-// delta into the atomic epoch. Concurrent callers coalesce on subMu —
-// the losers see subOn and read the fresh cache.
+// connection (from the pool or freshly dialed), sends OpSubscribe
+// (re-sent once on a stale connection like any read), and hands the
+// connection to a reader goroutine that mirrors every pushed delta into
+// the atomic epoch. Concurrent callers coalesce on subMu — the losers
+// see subOn and read the fresh cache.
 func (r *RemoteShard) subscribe() (uint64, error) {
 	r.subMu.Lock()
 	defer r.subMu.Unlock()
 	if r.subOn.Load() {
 		return r.subEpoch.Load(), nil
 	}
-	cc, err := r.checkout()
-	if err != nil {
-		return 0, err
-	}
 	r.epochRTTs.Add(1)
 	r.obsEpochRTTs.Add(1)
-	resp, okConn, err := r.roundTrip(cc, OpSubscribe, nil, r.cfg.Timeout)
-	if err != nil && !okConn && cc.pooled {
-		// Stale pooled connection — same retry-once-on-fresh-dial rule
-		// as every idempotent request.
-		cc.c.Close()
-		if cc, err = r.dialConn(); err != nil {
-			return 0, err
-		}
-		resp, okConn, err = r.roundTrip(cc, OpSubscribe, nil, r.cfg.Timeout)
-	}
+	cc, resp, err := r.exchange(context.Background(), request{op: OpSubscribe}, r.cfg.Timeout, true)
 	if err != nil {
-		if okConn {
-			r.release(cc)
-		} else {
-			cc.c.Close()
-		}
 		return 0, err
 	}
 	er, _, err := ConsumeEpochResp(resp)
@@ -821,12 +775,12 @@ func (r *RemoteShard) subLoop(cc *clientConn) {
 }
 
 // Quiesce implements shard.Backend: the server drains its eligible
-// compactions before answering, so this round trip gets the longer
-// QuiesceTimeout. The post-quiesce epoch folds into the push cache, so
-// a quiesce-then-sample sequence observes it even if the corresponding
-// push is still in flight.
+// compactions before answering, so this round trip gets
+// quiesceTimeoutFactor × Timeout. The post-quiesce epoch folds into the
+// push cache, so a quiesce-then-sample sequence observes it even if the
+// corresponding push is still in flight.
 func (r *RemoteShard) Quiesce() error {
-	return r.do(OpQuiesce, nil, r.cfg.QuiesceTimeout, true, func(resp []byte) error {
+	return r.do(OpQuiesce, nil, quiesceTimeoutFactor*r.cfg.Timeout, true, func(resp []byte) error {
 		er, _, err := ConsumeEpochResp(resp)
 		if err == nil {
 			r.noteEpoch(er.Epoch)
@@ -893,7 +847,7 @@ func (r *RemoteShard) DumpIngested() ([]microblog.Post, error) {
 	var posts []microblog.Post
 	from := info.BaseTweets
 	for {
-		page, err := r.Tweets(from, 2048)
+		page, err := r.Tweets(from, maxTweetsPage)
 		if err != nil {
 			return nil, err
 		}

@@ -55,15 +55,14 @@ func TestReconnectAfterStaleConn(t *testing.T) {
 	d := fault.NewDialer()
 	cfg := testClientConfig()
 	cfg.Dial = d.Dial
-	// Probe mode: this test pins the pooled-connection retry-once path,
-	// which a push subscription would bypass (the sub conn caches the
-	// epoch). The subscription's own lapse/recovery is pinned by
-	// TestSubscriptionLapseResubscribes.
-	cfg.NoSubscribe = true
 	c := transport.NewRemoteShard(addr, cfg)
 	defer c.Close()
 
-	if _, err := c.Epoch(); err != nil {
+	// Info is a request that goes through the pool. (Epoch would not do:
+	// it dedicates a subscription connection and then answers from the
+	// cache; that connection's own lapse/recovery is pinned by
+	// TestSubscriptionLapseResubscribes.)
+	if _, err := c.Info(); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Dials(); got != 1 {
@@ -71,11 +70,11 @@ func TestReconnectAfterStaleConn(t *testing.T) {
 	}
 	// Kill the pooled connection under the client.
 	d.KillAll()
-	epoch, err := c.Epoch()
+	info, err := c.Info()
 	if err != nil {
 		t.Fatalf("request after dropped conn failed instead of reconnecting: %v", err)
 	}
-	if epoch == 0 {
+	if info.Epoch == 0 {
 		t.Fatal("reconnected request returned zero epoch")
 	}
 	if got := c.Dials(); got != 2 {
@@ -441,26 +440,25 @@ func TestWritesAreNeverRetried(t *testing.T) {
 	d := fault.NewDialer()
 	cfg := testClientConfig()
 	cfg.Dial = d.Dial
-	// Probe mode: with a subscription the first Epoch dedicates its
-	// connection to the push reader and the pool stays empty, so the
-	// killed-pooled-conn write below would never see a stale conn.
-	cfg.NoSubscribe = true
 	c := transport.NewRemoteShard(addr, cfg)
 	defer c.Close()
 
-	if _, err := c.Epoch(); err != nil {
+	// Info, not Epoch: Epoch would dedicate its connection to the push
+	// reader and leave the pool empty, so the write below would never
+	// see a stale pooled connection.
+	if _, err := c.Info(); err != nil {
 		t.Fatal(err)
 	}
 	d.KillAll()
 	post := streamPosts(p, 103, 1)[0]
-	if _, err := c.Ingest(post); err == nil {
+	if err := c.IngestBatch([]microblog.Post{post}); err == nil {
 		t.Fatal("write on a dropped connection succeeded — it must have been silently retried")
 	}
 	if got := c.Dials(); got != 1 {
 		t.Fatalf("failed write dialed a new connection (%d dials) — the retry path ran for a write", got)
 	}
 	// The read path on the now-empty pool reconnects and recovers.
-	if _, err := c.Epoch(); err != nil {
+	if _, err := c.Info(); err != nil {
 		t.Fatalf("recovery read failed: %v", err)
 	}
 	if got := c.Dials(); got != 2 {

@@ -59,8 +59,8 @@ func TestObsPromotesRequestCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, post := range streamPosts(p, 7, 2) {
-		if _, err := c.Ingest(post); err != nil {
+	for posts := streamPosts(p, 7, 2); len(posts) > 0; posts = posts[1:] {
+		if err := c.IngestBatch(posts[:1]); err != nil {
 			t.Fatal(err)
 		}
 	}

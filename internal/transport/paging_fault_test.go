@@ -45,12 +45,12 @@ func postKey(p microblog.Post) string {
 	return fmt.Sprintf("%d|%s|%d|%d|%v", p.Author, p.Text, p.Topic, p.RetweetCount, p.Mentions)
 }
 
-// pagingClient returns a probe-mode client (no push subscription, so
-// the inbound byte stream of one request is exactly one negotiate plus
-// one response — deterministic and countable).
+// pagingClient returns a client that never samples an epoch (so it
+// never subscribes, and the inbound byte stream of one request is
+// exactly one negotiate plus one response — deterministic and
+// countable).
 func pagingClient(addr string, dial func(string, time.Duration) (net.Conn, error)) *transport.RemoteShard {
 	cfg := testClientConfig()
-	cfg.NoSubscribe = true
 	cfg.Dial = dial
 	return transport.NewRemoteShard(addr, cfg)
 }
@@ -359,7 +359,7 @@ func TestMiswiredClientRejectedAtConnect(t *testing.T) {
 	if err := c.Handshake(0, 2, len(p.World.Users), part.NumTweets()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Epoch(); err != nil {
+	if _, err := c.Info(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -376,14 +376,14 @@ func TestMiswiredClientRejectedAtConnect(t *testing.T) {
 	srv4 := transport.Serve(ln, idx4, transport.DefaultServerConfig(0, 4))
 	defer srv4.Close()
 
-	_, err = c.Epoch()
+	_, err = c.Info()
 	if err == nil {
 		t.Fatal("client pinned to 2 shards silently reconnected to a 4-shard server")
 	}
 	if !strings.Contains(err.Error(), "resharded?") {
 		t.Fatalf("want the server-side renegotiation refusal, got: %v", err)
 	}
-	if _, err := c.Epoch(); err == nil {
+	if _, err := c.Info(); err == nil {
 		t.Fatal("second request after reshard succeeded")
 	}
 }

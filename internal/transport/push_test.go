@@ -20,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/ingest"
+	"repro/internal/microblog"
 	"repro/internal/shard"
 	"repro/internal/transport"
 )
@@ -72,7 +73,7 @@ func TestSubscribePushUpdatesEpoch(t *testing.T) {
 	}
 
 	for _, post := range streamPosts(p, 211, 5) {
-		if _, err := c.Ingest(post); err != nil {
+		if err := c.IngestBatch([]microblog.Post{post}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -440,7 +441,6 @@ func TestSearchStatsSurvivesWireTruncation(t *testing.T) {
 		d.TruncateAll(limit)
 		cfg := testClientConfig()
 		cfg.Dial = d.Dial
-		cfg.NoSubscribe = true
 		cfg.Timeout = 500 * time.Millisecond
 		c := transport.NewRemoteShard(addr, cfg)
 		rows, matched, stats, view, err := c.SearchStats(context.Background(), terms, false, nil, nil)
@@ -497,7 +497,7 @@ func TestPushInterleavesWithResponses(t *testing.T) {
 	go func() {
 		posts := streamPosts(p, 149, 200)
 		for _, post := range posts {
-			if _, err := ingester.Ingest(post); err != nil {
+			if err := ingester.IngestBatch([]microblog.Post{post}); err != nil {
 				done <- err
 				return
 			}
@@ -572,7 +572,7 @@ func TestPushRaceHammer(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for _, post := range streamPosts(p, uint64(500+g), 150) {
-				if _, err := cluster.Ingest(post); err != nil {
+				if err := cluster.IngestBatch([]microblog.Post{post}); err != nil {
 					errs <- err
 					return
 				}

@@ -43,9 +43,6 @@ type ServerConfig struct {
 	// Shard and NumShards are the partition coordinates this server
 	// claims in OpInfo — the deployment handshake clients verify.
 	Shard, NumShards int
-	// MaxTweetsPage caps one OpTweets page regardless of what the
-	// request asks for, bounding response frames. Zero means 2048.
-	MaxTweetsPage int
 	// Obs, when non-nil, exports the server's wire accounting into the
 	// registry: per-op request counters (rpc_server_<op>_requests, read
 	// callbacks over the same atomics Requests reports), per-op
@@ -59,8 +56,12 @@ type ServerConfig struct {
 
 // DefaultServerConfig returns the serving defaults for shard i of n.
 func DefaultServerConfig(i, n int) ServerConfig {
-	return ServerConfig{Shard: i, NumShards: n, MaxTweetsPage: 2048}
+	return ServerConfig{Shard: i, NumShards: n}
 }
+
+// maxTweetsPage caps the ids one OpTweets page scans regardless of what
+// the request asks for, bounding response frames.
+const maxTweetsPage = 2048
 
 // ShardServer serves one shard's ingest.Index over the wire protocol:
 // each accepted connection is handled by one goroutine running a
@@ -115,9 +116,6 @@ func (s *ShardServer) Pushes() int64 { return s.pushes.Load() }
 // immediately. Close stops accepting, closes every open connection and
 // waits for the handlers; Wait blocks until the accept loop exits.
 func Serve(ln net.Listener, idx *ingest.Index, cfg ServerConfig) *ShardServer {
-	if cfg.MaxTweetsPage <= 0 {
-		cfg.MaxTweetsPage = 2048
-	}
 	s := &ShardServer{
 		idx:         idx,
 		local:       shard.NewLocal(idx),
@@ -486,24 +484,22 @@ func (s *ShardServer) pushLoop(conn net.Conn, st *connState, last uint64) {
 	}
 }
 
-// search is the half OpSearch and OpSearchStats share: decode the
-// request into the connection's term scratch, drop whatever the
-// connection still pins, and run the scatter stage into st.rows. The
-// wire protocol carries no deadline (the client applies its clamped
-// budget to the conn's IO deadlines instead), so the in-process
-// execution runs unbounded.
-func (s *ShardServer) search(st *connState, payload []byte) (matched int, view shard.View, err error) {
+// searchReq is the half OpSearch and OpSearchStats share: decode the
+// request into the connection's term scratch and drop whatever the
+// connection still pins. The wire protocol carries no deadline (the
+// client applies its clamped budget to the conn's IO deadlines
+// instead), so both ops run shard.Local unbounded.
+func (s *ShardServer) searchReq(st *connState, payload []byte) (SearchReq, error) {
 	req, _, err := ConsumeSearchReq(st.terms, payload)
 	st.terms = req.Terms
 	if err != nil {
-		return 0, nil, err
+		return req, err
 	}
 	if st.view != nil {
 		st.view.Release()
 		st.view = nil
 	}
-	st.rows, matched, view, err = s.local.Search(context.Background(), req.Terms, req.Extended, st.rows)
-	return matched, view, err
+	return req, nil
 }
 
 // dispatch decodes one request, executes it and builds the response
@@ -513,26 +509,29 @@ func (s *ShardServer) search(st *connState, payload []byte) (matched int, view s
 func (s *ShardServer) dispatch(st *connState, op Op, payload []byte) (Op, error) {
 	switch op {
 	case OpSearch:
-		matched, view, err := s.search(st, payload)
+		req, err := s.searchReq(st, payload)
 		if err != nil {
 			return 0, err
 		}
-		st.view = view
+		var matched int
+		st.rows, matched, st.view, err = s.local.Search(context.Background(), req.Terms, req.Extended, st.rows)
+		if err != nil {
+			return 0, err
+		}
 		st.out = AppendSearchResp(st.out, SearchResp{Matched: matched, Rows: st.rows})
 		return OpSearch, nil
 
 	case OpSearchStats:
-		matched, view, err := s.search(st, payload)
+		req, err := s.searchReq(st, payload)
 		if err != nil {
 			return 0, err
 		}
-		st.uids = st.uids[:0]
-		for i := range st.rows {
-			st.uids = append(st.uids, st.rows[i].User)
-		}
-		st.stat, err = view.Stats(context.Background(), st.uids, st.stat)
+		// The same call the in-process shard answers the coordinator
+		// with; it releases the view itself on error.
+		var matched int
+		var view shard.View
+		st.rows, matched, st.stat, view, err = s.local.SearchStats(context.Background(), req.Terms, req.Extended, st.rows, st.stat)
 		if err != nil {
-			view.Release()
 			return 0, err
 		}
 		if s.cfg.NumShards > 1 {
@@ -652,7 +651,7 @@ func (s *ShardServer) dispatch(st *connState, op Op, payload []byte) (Op, error)
 		// Max bounds the ids scanned, not the posts returned: a
 		// filtered handoff page may return far fewer posts than it
 		// scanned, and Scanned tells the client how far to advance.
-		max := min(req.Max, s.cfg.MaxTweetsPage)
+		max := min(req.Max, maxTweetsPage)
 		resp := TweetsResp{Total: total}
 		for gid := req.From; gid < total && resp.Scanned < max; gid++ {
 			resp.Scanned++

@@ -235,7 +235,7 @@ func TestConcurrentRemoteIngestSearch(t *testing.T) {
 			defer wg.Done()
 			stream := microblog.NewPostStream(p.World, microblog.DefaultStreamConfig(uint64(400+g)))
 			for i := 0; i < perIngester; i++ {
-				if _, err := cluster.Ingest(stream.Next()); err != nil {
+				if err := cluster.IngestBatch([]microblog.Post{stream.Next()}); err != nil {
 					errs <- err
 					return
 				}

@@ -257,26 +257,6 @@ type InfoResp struct {
 	Features uint64
 }
 
-// AppendInfoReq appends the encoded OpInfo request payload: the
-// client's feature bits. An empty payload (the pre-negotiation
-// protocol) means no features.
-func AppendInfoReq(buf []byte, features uint64) []byte {
-	return binary.AppendUvarint(buf, features)
-}
-
-// ConsumeInfoReq decodes the OpInfo request payload; empty means zero
-// features.
-func ConsumeInfoReq(buf []byte) (uint64, []byte, error) {
-	if len(buf) == 0 {
-		return 0, buf, nil
-	}
-	f, buf, err := consumeUvarint(buf)
-	if err != nil {
-		return 0, buf, fmt.Errorf("info req features: %w", err)
-	}
-	return f, buf, nil
-}
-
 // InfoReq is the full OpInfo request: the client's feature bits plus
 // its optional pinned expectations — the world-size renegotiation half
 // of resharding. A client that has handshaken against shard i of n
