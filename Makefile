@@ -54,7 +54,7 @@ bench-smoke:
 docs-check: vet
 	@fmtout="$$(gofmt -l .)"; if [ -n "$$fmtout" ]; then \
 		echo "gofmt -l found unformatted files:"; echo "$$fmtout"; exit 1; fi
-	$(GO) run ./cmd/docscheck ./internal/shard ./internal/core ./internal/transport ./internal/replica ./internal/obs ./internal/gateway ./internal/diskseg
+	$(GO) run ./cmd/docscheck ./internal/shard ./internal/core ./internal/transport ./internal/replica ./internal/obs ./internal/gateway ./internal/diskseg ./internal/serve ./internal/domains
 
 # Hot-path and serving benchmarks; `make bench BENCH=.` runs everything
 # in the root package. Streaming benchmarks live in internal/ingest,

@@ -15,7 +15,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/expertise"
+	"repro/internal/ingest"
 	"repro/internal/microblog"
+	"repro/internal/serve"
 	"repro/internal/textutil"
 	"repro/internal/world"
 )
@@ -209,5 +211,75 @@ func TestSearchMatchesReferenceOnEvalQuerySets(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no queries in eval sets")
+	}
+}
+
+// TestSiblingsShareOneAnswer is the spine step under the serving
+// layer's cache key: the answer is a function of the expanded term set,
+// so every eval-set query is grouped by the served detector's term-set
+// key and every sibling in a group must rank the same experts over the
+// same number of matched tweets as every other — and as the cold
+// Detector does for that very sibling. Then the same through a Server:
+// one backend computation per group, every other sibling answered from
+// the first one's slot, still equal to its own cold answer.
+func TestSiblingsShareOneAnswer(t *testing.T) {
+	pipe, sets := eqState(t)
+	idx := ingest.New(pipe.Corpus, ingest.Config{DisableCompactor: true})
+	defer idx.Close()
+	det := core.NewLiveDetector(pipe.Collection, idx, pipe.Cfg.Online)
+
+	type answer struct {
+		query   string
+		experts []expertise.Expert
+		matched int
+	}
+	groups := map[string][]string{}
+	first := map[string]answer{}
+	seen := map[string]bool{}
+	for _, set := range sets {
+		for _, q := range set.Queries {
+			if seen[q] {
+				continue
+			}
+			seen[q] = true
+			key, ok := det.TermSetKey(textutil.Canonical(q))
+			if !ok {
+				t.Fatalf("the served MatchExact detector reports no term set for %q", q)
+			}
+			groups[key] = append(groups[key], q)
+
+			experts, trace := det.Search(q)
+			cold, coldTrace := pipe.Detector.Search(q)
+			expertsEqual(t, "served vs cold", q, experts, cold)
+			if trace.MatchedTweets != coldTrace.MatchedTweets {
+				t.Fatalf("%q: served matched %d tweets, cold %d", q, trace.MatchedTweets, coldTrace.MatchedTweets)
+			}
+			lead, ok := first[key]
+			if !ok {
+				first[key] = answer{q, experts, trace.MatchedTweets}
+				continue
+			}
+			expertsEqual(t, "sibling of "+lead.query, q, experts, lead.experts)
+			if trace.MatchedTweets != lead.matched {
+				t.Fatalf("%q matched %d tweets, its sibling %q %d", q, trace.MatchedTweets, lead.query, lead.matched)
+			}
+		}
+	}
+	if len(groups) == len(seen) {
+		t.Fatalf("%d queries, %d term sets: no two eval queries are siblings, the step checks nothing", len(seen), len(groups))
+	}
+
+	t.Logf("%d eval queries expand to %d term sets", len(seen), len(groups))
+
+	srv := serve.New(det, serve.DefaultConfig())
+	for _, siblings := range groups {
+		for _, q := range siblings {
+			cold, _ := pipe.Detector.Search(q)
+			expertsEqual(t, "served from the group's slot", q, srv.Search(q), cold)
+		}
+	}
+	st := srv.Stats()
+	if st.CacheMisses != int64(len(groups)) || st.CacheHits != int64(len(seen)-len(groups)) || st.CacheEntries != len(groups) {
+		t.Fatalf("%d queries in %d term sets: want one miss and one slot per set, got %+v", len(seen), len(groups), st)
 	}
 }

@@ -212,7 +212,9 @@ func (d *Detector) Expand(query string) []string {
 // SearchTrace reports what the online stage did for one query.
 type SearchTrace struct {
 	Query string
-	// Expansion lists the related terms appended to the query.
+	// Expansion lists the related terms appended to the query. From the
+	// served detector it is the admission table's slice, shared by every
+	// search for the query: read-only, never sorted or appended to.
 	Expansion []string
 	// MatchedTweets is the size of the unioned matched-tweet set.
 	MatchedTweets int

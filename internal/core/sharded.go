@@ -13,6 +13,7 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/shard"
+	"repro/internal/textutil"
 	"repro/internal/world"
 )
 
@@ -47,6 +48,10 @@ const EpochUnknown = shard.EpochUnknown
 // serve.Stats — record the degradation.
 type ShardedLiveDetector struct {
 	collection *domains.Collection
+	// admission is the collection's expansion table at this detector's
+	// cap, built once at construction; nil unless cfg.Match is
+	// MatchExact, the one mode whose expansion can be tabulated.
+	admission *domains.Admission
 	// cluster is an atomic pointer because live resharding swaps the
 	// whole shard set out from under in-flight queries: SwapCluster
 	// stores a new cluster (possibly with a different shard count),
@@ -148,6 +153,9 @@ func NewShardedLiveDetectorOver(coll *domains.Collection, c *shard.Cluster, cfg 
 		collection: coll,
 		ranker:     expertise.NewRanker(len(c.World().Users), cfg.Expertise),
 		cfg:        cfg,
+	}
+	if cfg.Match == domains.MatchExact {
+		d.admission = coll.Admission(cfg.MaxExpansionTerms)
 	}
 	d.cluster.Store(c)
 	p := d.ranker.Params()
@@ -252,9 +260,27 @@ func (d *ShardedLiveDetector) PartialStats() (partialQueries, shardErrors int64)
 func (d *ShardedLiveDetector) Failovers() int64 { return d.cluster.Load().Failovers() }
 
 // Expand returns the expansion terms for a query (excluding the query
-// itself).
+// itself). Under MatchExact the slice is the admission table's own,
+// shared by every search for the query — read-only — and the lookup
+// allocates nothing for a query in canonical form.
 func (d *ShardedLiveDetector) Expand(query string) []string {
-	return d.collection.ExpandMode(query, d.cfg.MaxExpansionTerms, d.cfg.Match)
+	if d.admission == nil {
+		return d.collection.ExpandMode(query, d.cfg.MaxExpansionTerms, d.cfg.Match)
+	}
+	return d.admission.Lookup(textutil.Canonical(query)).Expansion
+}
+
+// TermSetKey returns the identity of the term set an e# search for the
+// query with canonical form canon matches (domains.TermSet.Key): two
+// queries with equal keys have the same answer at the same view, so the
+// serving layer caches and coalesces under it. ok is false for a
+// detector in a relaxed match mode, whose expansion is not a function
+// of a closed table — the caller keys on the query instead.
+func (d *ShardedLiveDetector) TermSetKey(canon string) (key string, ok bool) {
+	if d.admission == nil {
+		return "", false
+	}
+	return d.admission.Lookup(canon).Key, true
 }
 
 // Search runs the full e# online stage scattered across the shards.
@@ -363,7 +389,7 @@ func (d *ShardedLiveDetector) scatterGather(ctx context.Context, query string, e
 	// request's goroutine, spawning and allocating nothing, and a remote
 	// cluster's round trips go out one after another in each phase. Only
 	// workers > 1 runs shards concurrently, at a goroutine per worker per
-	// phase; whether that pays at any N is unmeasured (ROADMAP item 5).
+	// phase; whether that pays at any N is unmeasured (ROADMAP item 6(a)).
 	workers := d.cfg.MatchWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

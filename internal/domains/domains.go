@@ -13,6 +13,7 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/community"
@@ -289,6 +290,69 @@ func (c *Collection) expandFrom(d *Domain, query string, maxTerms int) []string 
 	return out
 }
 
+// TermSet is what one query expands to under MatchExact: the terms a
+// search for it matches, as an identity and as a list.
+type TermSet struct {
+	// Key identifies the set of terms searched — the query and its
+	// expansion, each in canonical form (textutil.Canonical), sorted,
+	// de-duplicated and joined with tabs (a token never holds
+	// whitespace, so the join is unambiguous). The AND-match predicate
+	// sees a term as its token set and the matched tweets as the union
+	// over terms, so two queries with equal keys have the same answer
+	// over the same posts. Every query with the same key carries the
+	// same string, not a copy.
+	Key string
+	// Expansion is Expand of the query, shared by every lookup:
+	// read-only.
+	Expansion []string
+}
+
+// Admission tabulates Expand for one expansion cap: every query the
+// collection can expand, resolved once so the online stage's expansion
+// step is a map lookup that allocates nothing. Lookup and expansion are
+// pure functions of the query's canonical token set (see Lookup), so
+// the table is keyed on it and covers every spelling. Only MatchExact
+// can be tabulated: the relaxed modes resolve an open set of queries.
+// An Admission is immutable and safe for concurrent use.
+type Admission struct {
+	byCanon map[string]TermSet
+}
+
+// Admission builds the table of ExpandMode(q, maxTerms, MatchExact)
+// over every canonical class of member terms.
+func (c *Collection) Admission(maxTerms int) *Admission {
+	c.ensureCanonIndex()
+	a := &Admission{byCanon: make(map[string]TermSet, len(c.byCanon))}
+	keys := map[string]string{} // interned: one string per distinct term set
+	var terms []string
+	for canon, id := range c.byCanon {
+		ts := TermSet{Expansion: c.expandFrom(&c.domains[id], canon, maxTerms)}
+		terms = append(terms[:0], canon)
+		for _, t := range ts.Expansion {
+			terms = append(terms, textutil.Canonical(t))
+		}
+		key := strings.Join(textutil.CanonicalTokens(terms), "\t")
+		if interned, ok := keys[key]; ok {
+			key = interned
+		} else {
+			keys[key] = key
+		}
+		ts.Key = key
+		a.byCanon[canon] = ts
+	}
+	return a
+}
+
+// Lookup returns the term set of the query whose canonical form is
+// canon. A query outside every domain expands to nothing and is its own
+// term set.
+func (a *Admission) Lookup(canon string) TermSet {
+	if ts, ok := a.byCanon[canon]; ok {
+		return ts
+	}
+	return TermSet{Key: canon}
+}
+
 // Closest returns up to k closest other domains (Figure 7's neighboring
 // communities).
 func (c *Collection) Closest(id int32, k int) []DomainLink {
@@ -361,6 +425,8 @@ type countingWriter struct {
 	n int64
 }
 
+// Write passes p through and adds what was written to the byte count
+// Save reports.
 func (cw *countingWriter) Write(p []byte) (int, error) {
 	n, err := cw.w.Write(p)
 	cw.n += int64(n)

@@ -3,12 +3,15 @@ package domains
 import (
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/community"
 	"repro/internal/querylog"
 	"repro/internal/simgraph"
+	"repro/internal/textutil"
 	"repro/internal/world"
 )
 
@@ -352,5 +355,84 @@ func TestExpandModeRelaxedFindsMore(t *testing.T) {
 func TestMatchModeString(t *testing.T) {
 	if MatchExact.String() != "exact" || MatchPhrase.String() != "phrase" || MatchAND.String() != "and" {
 		t.Error("bad mode names")
+	}
+}
+
+// canonCollection is a hand-built collection with the canonical-class
+// corner cases the mined tiny collection may lack: two members of one
+// domain sharing a canonical form (domain 0), a canonical class split
+// across two domains so one spelling loses its own domain (domains 1
+// and 2), and a domain larger than any expansion cap (domain 3).
+func canonCollection() *Collection {
+	c := &Collection{byTerm: map[string]int32{}}
+	for id, terms := range [][]string{
+		{"go rust", "rust go", "golang", "gopher"},
+		{"b a", "c"},
+		{"a b", "d"},
+		{"t00", "t01", "t02", "t03", "t04", "t05", "t06", "t07", "t08", "t09", "t10", "t11", "t12 x", "t13"},
+	} {
+		d := Domain{ID: int32(id), Terms: terms}
+		for j, term := range terms {
+			d.Weights = append(d.Weights, float64(10*(id+1)-j))
+			c.byTerm[term] = d.ID
+		}
+		c.domains = append(c.domains, d)
+	}
+	return c
+}
+
+// TestAdmissionEqualsExpandMode is the admission table's property: for
+// every member term of every domain, in its verbatim, reversed,
+// duplicated and re-cased spellings, at several caps, the table's
+// expansion is ExpandMode(q, max, MatchExact) term for term, and its
+// key is the canonical set of the terms that expansion searches — so
+// equal keys mean equal term sets and nothing else does. A query
+// outside every domain is its own term set.
+func TestAdmissionEqualsExpandMode(t *testing.T) {
+	_, mined := buildCollection(t)
+	for name, c := range map[string]*Collection{"mined": mined, "canon": canonCollection()} {
+		for _, max := range []int{1, 3, 10} {
+			a := c.Admission(max)
+			shared := 0
+			byKey := map[string]bool{}
+			for i := 0; i < c.NumDomains(); i++ {
+				for _, term := range c.Domain(int32(i)).Terms {
+					toks := textutil.Tokenize(term)
+					rev := slices.Clone(toks)
+					slices.Reverse(rev)
+					for _, q := range []string{
+						term,
+						strings.Join(rev, " "),
+						strings.Join(append(slices.Clone(toks), toks...), " "),
+						"  " + strings.ToUpper(strings.Join(toks, "   ")) + " ",
+					} {
+						want := c.ExpandMode(q, max, MatchExact)
+						got := a.Lookup(textutil.Canonical(q))
+						if !slices.Equal(got.Expansion, want) {
+							t.Fatalf("%s max %d %q: table expands to %q, ExpandMode to %q", name, max, q, got.Expansion, want)
+						}
+						set := []string{textutil.Canonical(q)}
+						for _, e := range want {
+							set = append(set, textutil.Canonical(e))
+						}
+						if wantKey := strings.Join(textutil.CanonicalTokens(set), "\t"); got.Key != wantKey {
+							t.Fatalf("%s max %d %q: key %q, want %q", name, max, q, got.Key, wantKey)
+						}
+						if q == term {
+							if byKey[got.Key] {
+								shared++
+							}
+							byKey[got.Key] = true
+						}
+					}
+				}
+			}
+			if shared == 0 {
+				t.Errorf("%s max %d: no two member terms share a term set; the table would share nothing", name, max)
+			}
+			if got := a.Lookup("no such term"); got.Key != "no such term" || got.Expansion != nil {
+				t.Errorf("%s: a query outside every domain resolved to %+v, want itself and no expansion", name, got)
+			}
+		}
 	}
 }

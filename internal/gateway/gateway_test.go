@@ -51,6 +51,7 @@ func (b *stubBackend) Failovers() int64                  { return 0 }
 func (b *stubBackend) ReshardStats() (shard.MigrationStats, bool) {
 	return shard.MigrationStats{}, false
 }
+func (b *stubBackend) TermSetKey(string) (string, bool) { return "", false }
 
 func (b *stubBackend) SearchContext(ctx context.Context, query string) ([]expertise.Expert, core.SearchTrace, error) {
 	if b.stall {
@@ -472,8 +473,8 @@ func TestWatchSlowLogDeltas(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(f.Slow) > 0 {
-			if f.Slow[0].Query != "storm" {
-				t.Fatalf("slow delta carries %q, want \"storm\"", f.Slow[0].Query)
+			if f.Slow[0].Query != "storm" || f.Slow[0].TermSet != "storm" {
+				t.Fatalf("slow delta carries query %q under term set %q, want \"storm\" under itself", f.Slow[0].Query, f.Slow[0].TermSet)
 			}
 			return
 		}

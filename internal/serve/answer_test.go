@@ -6,12 +6,14 @@ import (
 	"encoding/json"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/expertise"
 	"repro/internal/race"
+	"repro/internal/textutil"
 )
 
 // rankingBackend is scriptedBackend with a chosen ranking and a record
@@ -197,7 +199,8 @@ func TestBudgetArmedOnlyOnMiss(t *testing.T) {
 // otherwise.
 func TestWarmHitAllocs(t *testing.T) {
 	p := testPipeline(t)
-	s := New(frozenBackend(p), DefaultConfig())
+	backend := frozenBackend(p)
+	s := New(backend, DefaultConfig())
 	ctx, deadline := context.Background(), time.Now().Add(time.Hour)
 	for _, c := range []struct {
 		query string
@@ -220,17 +223,38 @@ func TestWarmHitAllocs(t *testing.T) {
 			t.Errorf("warm hit on %q allocates %v times, want %v", c.query, allocs, c.want)
 		}
 	}
+	// A query answered from a sibling's slot is a warm hit like any
+	// other: the admission table hands out its own key string.
+	key, _ := backend.TermSetKey("49ers")
+	for _, sibling := range backend.Expand("49ers") {
+		if k, _ := backend.TermSetKey(sibling); k != key {
+			continue // not in canonical form, or beyond the expansion cap
+		}
+		misses := s.Stats().CacheMisses
+		allocs := testing.AllocsPerRun(200, func() { s.Answer(ctx, sibling, false, deadline) })
+		if allocs != 0 && !(race.Enabled && allocs <= 1) || s.Stats().CacheMisses != misses {
+			t.Errorf("%q, a sibling of the cached 49ers: %v allocs, %d misses; want a free hit", sibling, allocs, s.Stats().CacheMisses-misses)
+		}
+		return
+	}
+	t.Error("49ers has no sibling query in the tiny collection")
 }
 
-// TestHitsUnderEpochChurn is the -race hammer for entries read outside
-// the lock: concurrent hits on one key while the epoch advances and
-// leaders refresh the entry. Every answer must be a ranking the key had
-// by the time the request returned, an answer from the cache one it had
-// no earlier than the request began (an invalidated entry is never
-// served once the epoch moved), its bytes must be that ranking's
-// encoding, and each entry is encoded at most once.
+// TestHitsUnderEpochChurn is the -race hammer for results read outside
+// the lock: concurrent hits on one key — reached through three sibling
+// queries of one term set — while the epoch advances, the slot is
+// emptied in place and leaders refill it. Every answer must be a
+// ranking the key had by the time the request returned, an answer from
+// the cache one it had no earlier than the request began (an
+// invalidated result is never served once the epoch moved), its bytes
+// must be that ranking's encoding, each result is encoded at most once,
+// and the siblings never hold more than the one slot.
 func TestHitsUnderEpochChurn(t *testing.T) {
-	backend := &scriptedBackend{}
+	siblings := []string{"niners", "49ers", "sf 49ers"}
+	backend := &scriptedBackend{termSets: map[string]string{}}
+	for _, q := range siblings {
+		backend.termSets[textutil.Canonical(q)] = "49ers\tniners\t49ers sf"
+	}
 	s := New(backend, DefaultConfig())
 
 	stop := make(chan struct{})
@@ -258,11 +282,11 @@ func TestHitsUnderEpochChurn(t *testing.T) {
 	var wg sync.WaitGroup
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
-		go func() {
+		go func(r int) {
 			defer wg.Done()
 			for i := 0; i < perReader; i++ {
 				e0 := backend.epoch.Load()
-				experts, encoded, err := s.Answer(context.Background(), "niners", false, time.Now().Add(time.Minute))
+				experts, encoded, err := s.Answer(context.Background(), siblings[(r+i)%len(siblings)], false, time.Now().Add(time.Minute))
 				e1 := backend.epoch.Load()
 				if err != nil || len(experts) != 1 {
 					t.Errorf("Answer = %v, %v", experts, err)
@@ -291,7 +315,7 @@ func TestHitsUnderEpochChurn(t *testing.T) {
 				bytesOf[&experts[0]] = &encoded[0]
 				mu.Unlock()
 			}
-		}()
+		}(r)
 	}
 	wg.Wait()
 	close(stop)
@@ -304,5 +328,117 @@ func TestHitsUnderEpochChurn(t *testing.T) {
 	if int64(len(bytesOf)) > backend.calls.Load() {
 		t.Fatalf("%d encodings for %d computed entries", len(bytesOf), backend.calls.Load())
 	}
+	if st.CacheEntries != 1 {
+		t.Fatalf("%d sibling queries of one term set hold %d slots, want 1", len(siblings), st.CacheEntries)
+	}
 	checkInvariant(t, s)
+}
+
+// TestSlotOutlivesItsContents pins the slot lifecycle and what
+// Stats.CacheEntries counts under it: slots, filled or not. An epoch
+// move empties a slot in place — one invalidation, however often the
+// emptied slot is looked up before a computation succeeds — the refill
+// reuses it, and LRU eviction still bounds the slots at CacheSize,
+// taking emptied and stale slots like any other.
+func TestSlotOutlivesItsContents(t *testing.T) {
+	backend := &rankingBackend{ranking: []expertise.Expert{{User: 1, Score: 1}}}
+	s := New(backend, Config{CacheSize: 2})
+	past := time.Now().Add(-time.Hour)
+	ask := func(query string, deadline time.Time) error {
+		_, _, err := s.Answer(context.Background(), query, false, deadline)
+		return err
+	}
+	want := func(step string, entries int, invalidations, misses, hits int64) {
+		t.Helper()
+		if st := s.Stats(); st.CacheEntries != entries || st.Invalidations != invalidations || st.CacheMisses != misses || st.CacheHits != hits {
+			t.Fatalf("%s: want %d slots, %d invalidations, %d misses, %d hits; got %+v", step, entries, invalidations, misses, hits, st)
+		}
+	}
+	ask("a", time.Time{})
+	ask("b", time.Time{})
+	want("two keys cached", 2, 0, 2, 0)
+
+	// The epoch moves and a's recomputation fails twice (its budget is
+	// already spent): the slot is emptied once and stays.
+	backend.epoch.Add(1)
+	for i := 0; i < 2; i++ {
+		if err := ask("a", past); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("refill under an expired deadline: err = %v", err)
+		}
+	}
+	want("a emptied, b stale and not yet looked up", 2, 1, 4, 0)
+	ask("a", time.Time{})
+	ask("a", time.Time{})
+	want("a refilled in place and hit", 2, 1, 5, 1)
+
+	// A third key evicts the least recently used slot (b's); b coming
+	// back is a plain miss — nothing left to invalidate — and evicts a's.
+	ask("c", time.Time{})
+	want("c evicts b", 2, 1, 6, 1)
+	ask("b", time.Time{})
+	want("b evicts a", 2, 1, 7, 1)
+
+	// An emptied slot is evicted like any other: c is emptied where it
+	// stands (behind b), d takes its place.
+	backend.epoch.Add(1)
+	if err := ask("c", past); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("refill under an expired deadline: err = %v", err)
+	}
+	want("c emptied", 2, 2, 8, 1)
+	ask("d", time.Time{})
+	ask("c", time.Time{})
+	want("d evicted the emptied c, c evicted the stale b", 2, 2, 10, 1)
+	checkInvariant(t, s)
+}
+
+// fixedBackend answers every search with one ranking and allocates
+// nothing doing so, so AllocsPerRun over a Server on top of it counts
+// the serving layer's allocations alone.
+type fixedBackend struct {
+	scriptedVectorBackend
+	ranking []expertise.Expert
+}
+
+func (b *fixedBackend) SearchContext(ctx context.Context, query string) ([]expertise.Expert, core.SearchTrace, error) {
+	return b.ranking, core.SearchTrace{}, nil
+}
+
+// TestRefillAllocs pins what the serving layer allocates per backend
+// computation: the result — flight and slot content in one — and
+// nothing else. The slot (map cell, list element) survived the
+// invalidation, the epoch vector sits inside the result for up to four
+// shards, and a flight nobody joins makes no channel.
+func TestRefillAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name          string
+		shards, cache int
+		want          float64
+	}{
+		{"refill of an invalidated slot, 1 shard", 1, 4096, 1},
+		{"refill of an invalidated slot, 4 shards", 4, 4096, 1},
+		{"refill of an invalidated slot, 5 shards: the vector spills", 5, 4096, 2},
+		{"cache off", 2, 0, 1},
+	} {
+		backend := &fixedBackend{ranking: []expertise.Expert{{User: 1, Score: 1}}}
+		backend.components = make([]atomic.Uint64, c.shards)
+		s := New(backend, Config{CacheSize: c.cache})
+		s.Search("niners")
+		const runs = 200
+		allocs := testing.AllocsPerRun(runs, func() {
+			backend.components[c.shards-1].Add(1)
+			s.Search("niners")
+		})
+		// Under the race detector sync.Pool drops a quarter of the vector
+		// buffers.
+		if allocs != c.want && !(race.Enabled && allocs <= c.want+1) {
+			t.Errorf("%s: %v allocations per miss in serve, want %v", c.name, allocs, c.want)
+		}
+		st := s.Stats()
+		if st.CacheMisses != runs+2 || st.CacheHits != 0 {
+			t.Errorf("%s: not every request recomputed: %+v", c.name, st)
+		}
+		if c.cache > 0 && (st.Invalidations != runs+1 || st.CacheEntries != 1) {
+			t.Errorf("%s: want one slot invalidated %d times: %+v", c.name, runs+1, st)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -79,6 +80,13 @@ func TestServerObsTracesAndMetrics(t *testing.T) {
 	if miss.Outcome != obs.OutcomeMiss || miss.Query != "49ers" {
 		t.Errorf("miss trace = %+v", miss)
 	}
+	// Both traces name the term set they shared an answer under — the
+	// query and its expansion — so an operator can tell which slow-log
+	// lines were one answer.
+	wantSet, _ := sharded.TermSetKey("49ers")
+	if hit.TermSet != wantSet || miss.TermSet != wantSet || !strings.Contains(wantSet, "\t") {
+		t.Errorf("traces name term sets %q (hit) and %q (miss), want the expanded set %q", hit.TermSet, miss.TermSet, wantSet)
+	}
 	if len(miss.Shards) != 4 {
 		t.Fatalf("miss trace has %d shard spans, want 4: %+v", len(miss.Shards), miss)
 	}
@@ -100,6 +108,12 @@ func TestServerObsTracesAndMetrics(t *testing.T) {
 	}
 	if miss.MergeRankNS <= 0 || miss.TotalNS < miss.MergeRankNS {
 		t.Errorf("merge/rank timing inconsistent: %+v", miss)
+	}
+
+	// The baseline does not expand: its term set is the query alone.
+	s.SearchBaseline("49ers")
+	if tr := s.SlowLog().Snapshot()[0]; !tr.Baseline || tr.TermSet != "49ers" {
+		t.Errorf("baseline trace = %+v, want term set \"49ers\"", tr)
 	}
 
 	// Instrumentation must not change rankings: an un-instrumented

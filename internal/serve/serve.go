@@ -10,34 +10,58 @@
 //
 // A Server multiplexes concurrent Search and SearchBaseline requests
 // over one Backend and fronts them with an LRU result cache keyed on
-// the canonical token set of the query — lower-cased, sorted and
-// de-duplicated. The paper's AND-match predicate is invariant under
-// token permutation and repetition, and domain lookup resolves the
-// whole canonical class to one community (domains.Collection.Lookup),
-// so "go rust", "rust go" and "go go rust" are one query: they share a
-// cache slot and coalesce onto a single in-flight computation. The
-// backend still receives the normalized (order-preserving) text, so
-// the ablation-only phrase-match mode keeps its verbatim semantics —
-// at the cost that phrase-mode backends must not share a Server cache
-// across permutations (no shipped configuration does). Three
+// what determines the answer. e# expands a query to the members of its
+// expertise domain and ranks the union of their matches once, so the
+// answer is a function of the expanded term set, not of the query
+// string: at admission the server canonicalizes the query — lower-cased
+// tokens, sorted and de-duplicated, under which the AND-match predicate
+// and domain lookup (domains.Collection.Lookup) are both invariant —
+// and asks the backend for the key of the term set that canonical query
+// expands to (Backend.TermSetKey: a table lookup, no I/O, no
+// allocation). "go rust", "rust go" and "go go rust" are one key, and
+// so is every member query of a domain small enough to expand to all of
+// itself: they share a cache slot and coalesce onto a single in-flight
+// computation, and a write invalidates their answer once, not once per
+// spelling. Two kinds of request do not share across queries and key on
+// the canonical query alone: the baseline endpoint, which does not
+// expand — its term set is the query — and a backend in a relaxed match
+// mode (domains.MatchPhrase, MatchAND), whose expansion depends on
+// which member terms contain the query's tokens, an open set no table
+// closes (TermSetKey reports ok == false). The backend still receives
+// the normalized (order-preserving) text, so the ablation-only
+// phrase-match mode keeps its verbatim semantics — at the cost that
+// phrase-mode backends must not share a Server cache across
+// permutations (no shipped configuration does).
+//
+// The key space is therefore small and closed, and a cache slot
+// outlives its contents. A slot is created the first time its key is
+// computed and from then on is only emptied and refilled: an epoch move
+// empties it in place (the map cell and the LRU links stay, one
+// invalidation is counted), and the recomputation allocates one object
+// — the result, which is the flight other requests wait on while it
+// runs and the slot's immutable content once it completes, its epoch
+// vector inline for up to four shards — and nothing else; the channel
+// followers wait on is made by the first follower, so a flight nobody
+// joins has none. LRU eviction bounds the slots, filled or emptied, at
+// Config.CacheSize, which is what Stats.CacheEntries counts. Three
 // mechanisms keep the cache honest and cheap under load:
 //
-//   - Epoch invalidation: every cache entry is tagged with the
+//   - Epoch invalidation: every cached result is tagged with the
 //     backend's view identity at compute time — the vector of
 //     per-shard epochs. A shard bumps its epoch on every snapshot swap
-//     (ingest, seal, compaction), and an entry is stale as soon as any
-//     component advances, so a lookup that finds an entry from an
+//     (ingest, seal, compaction), and a result is stale as soon as any
+//     component advances, so a lookup that finds a result from an
 //     older view drops it and recomputes instead of serving pre-ingest
 //     results — exactly one shard absorbing a post invalidates the
 //     results computed over the older composite view. A backend nobody
 //     writes to never invalidates.
-//   - Singleflight: concurrent identical cold misses coalesce onto one
-//     in-flight computation; followers wait for the leader's result
+//   - Singleflight: concurrent cold misses for one key coalesce onto
+//     one in-flight computation; followers wait for the leader's result
 //     instead of running the detector N times. Coalescing keys on the
-//     normalized query, not the epoch sample, so cold misses under
-//     ingest churn still collapse; the leader's entry carries the
-//     epoch vector it sampled before computing, which is
-//     conservatively already stale if the index moved mid-flight.
+//     cache key, not the epoch sample, so cold misses under ingest
+//     churn still collapse; the leader's result carries the epoch
+//     vector it sampled before computing, which is conservatively
+//     already stale if the index moved mid-flight.
 //   - Admission control: degenerate queries (empty, or over
 //     Config.MaxQueryTerms tokens) are rejected with a typed error
 //     before touching the cache, and under overload a cold miss is
@@ -52,9 +76,9 @@
 // rides the context down the scatter-gather into per-shard RPC
 // deadlines, and an expired budget surfaces as the context's error
 // (the gateway maps it to 504) — so a warm hit builds no context. A
-// hit also returns the ranking's JSON: a cache entry is immutable
-// after insert and carries json.Marshal of its experts, encoded by the
-// entry's first hit, once, outside the lock; a miss encodes nothing.
+// hit also returns the ranking's JSON: a cached result is immutable
+// after insert and carries json.Marshal of its experts, encoded by its
+// first hit, once, outside the lock; a miss encodes nothing.
 //
 // Build detectors with core.OnlineConfig.MatchWorkers = 1 when serving
 // concurrently: request-level parallelism already saturates the cores.
@@ -89,7 +113,16 @@ type Backend interface {
 	// query under the caller's deadline; the sharded detector threads
 	// the context down its scatter-gather into per-shard RPC deadlines.
 	SearchContext(ctx context.Context, query string) ([]expertise.Expert, core.SearchTrace, error)
+	// SearchBaselineContext is the unexpanded Pal & Counts twin of
+	// SearchContext: the query's own matches, ranked the same way.
 	SearchBaselineContext(ctx context.Context, query string) ([]expertise.Expert, error)
+	// TermSetKey returns the identity of the term set an e# search for
+	// the query with canonical form canon (tokens sorted, de-duplicated,
+	// single-spaced) matches: queries with equal keys have the same
+	// answer at the same view, and the server caches and coalesces them
+	// as one. ok is false for a backend whose expansion is not a pure
+	// function of the canonical query; the server then keys on canon.
+	TermSetKey(canon string) (key string, ok bool)
 	// EpochVector appends the per-shard epochs of the view queries
 	// currently run against to dst (capacity reused, contents
 	// discarded); cached results are stale as soon as any component
@@ -179,10 +212,15 @@ type Stats struct {
 	// Coalesced counts the subset of CacheHits that waited on an
 	// in-flight identical request instead of reading a stored entry.
 	Coalesced int64
-	// Invalidations counts cache entries dropped because the backend's
-	// epoch moved past the entry's (live ingestion made them stale).
+	// Invalidations counts cached results dropped — their slots emptied —
+	// because the backend's epoch moved past the result's (live
+	// ingestion made them stale).
 	Invalidations int64
-	// CacheEntries is the current number of cached results.
+	// CacheEntries is the current number of cache slots — keys the LRU
+	// holds, at most Config.CacheSize. A slot whose result an epoch move
+	// invalidated stays (emptied) until it is refilled or evicted, and
+	// one whose result is stale but not yet looked up cannot be told
+	// from a fresh one, so this bounds the cached results from above.
 	CacheEntries int
 	// EpochVector is the backend's current per-shard epoch vector. A
 	// core.EpochUnknown component means that shard's transport is
@@ -208,55 +246,68 @@ type Stats struct {
 	Reshard *shard.MigrationStats
 }
 
-// cacheKey distinguishes the two endpoints for one canonical query —
-// the sorted, de-duplicated token set, under which both the AND-match
-// predicate and domain lookup are invariant, so every permutation and
-// repetition of a query shares one slot.
+// cacheKey names one answer: the term set an e# search matches
+// (Backend.TermSetKey — every query of an expertise domain small enough
+// to expand to all of itself shares one), or, for the baseline endpoint
+// and for backends that report no term set, the canonical query — the
+// sorted, de-duplicated token set, under which both the AND-match
+// predicate and domain lookup are invariant. Either way every
+// permutation and repetition of a query shares one key.
 type cacheKey struct {
 	query    string
 	baseline bool
 }
 
-// cacheEntry is one LRU slot: a ranking, the epoch vector it was
-// computed under, and — once a hit has asked for them — the ranking's
-// JSON bytes. Everything but the once-built bytes is immutable after
-// insert, so a hit reads the entry outside s.mu; a refresh replaces the
-// entry instead of mutating it under a reader.
-type cacheEntry struct {
-	key      cacheKey
+// slot is one LRU cell. It outlives its contents: an epoch move empties
+// it (res = nil) and the next computation under the key refills it, so
+// the map cell and the list links of a key that keeps being asked for
+// are built once.
+type slot struct {
+	key cacheKey
+	res *result
+}
+
+// result is one backend computation. While it runs it is the flight
+// that identical requests wait on; if it completes, it becomes the
+// content of its key's cache slot, immutable from then on apart from
+// the once-built bytes — so a hit reads it outside s.mu, and a refresh
+// replaces it instead of mutating it under a reader.
+type result struct {
+	// epochVec is the view sampled before computing, held in vec when
+	// it fits (up to four shards).
 	epochVec []uint64
-	experts  []expertise.Expert
+	vec      [4]uint64
+	// experts and err are written once by the leader, before it takes
+	// s.mu to publish the result and release the waiters.
+	experts []expertise.Expert
+	err     error
+	// done is what followers wait on: made under s.mu by the first of
+	// them, closed by the leader once the result is published. A
+	// channel (not a WaitGroup) so a follower can stop waiting when its
+	// own context expires first; nil for the common flight nobody
+	// joined.
+	done chan struct{}
 
 	encodeOnce sync.Once
 	encoded    []byte
 }
 
-// json returns json.Marshal of the entry's experts ("[]" for none),
+// json returns json.Marshal of the result's experts ("[]" for none),
 // encoding on the first call only. Built by the first hit rather than
-// at insert because most entries of a churning cache are invalidated
+// at insert because most results of a churning cache are invalidated
 // before anything hits them: marshalling on the miss path costs one
 // body-sized allocation per miss (+6.2% alloc_kb_per_query on bench's
-// cold_heap) to save one encode per entry that does get hit. nil if
+// cold_heap) to save one encode per result that does get hit. nil if
 // the ranking cannot be encoded (a non-finite score).
-func (e *cacheEntry) json() []byte {
-	e.encodeOnce.Do(func() {
-		if len(e.experts) == 0 {
-			e.encoded = []byte("[]")
+func (r *result) json() []byte {
+	r.encodeOnce.Do(func() {
+		if len(r.experts) == 0 {
+			r.encoded = []byte("[]")
 			return
 		}
-		e.encoded, _ = json.Marshal(e.experts) // nil on error: the caller encodes and reports it
+		r.encoded, _ = json.Marshal(r.experts) // nil on error: the caller encodes and reports it
 	})
-	return e.encoded
-}
-
-// flight is one in-progress computation that duplicate requests wait
-// on. experts and err are written once, before done closes and
-// releases the waiters; a channel (not a WaitGroup) so a follower can
-// stop waiting when its own context expires first.
-type flight struct {
-	done    chan struct{}
-	experts []expertise.Expert
-	err     error
+	return r.encoded
 }
 
 // Server answers concurrent expert-search requests over a shared
@@ -284,14 +335,14 @@ type Server struct {
 	// mu guards the LRU structures and the in-flight table; detector
 	// calls run outside the lock.
 	mu       sync.Mutex
-	order    *list.List // front = most recently used; values are *cacheEntry
+	order    *list.List // front = most recently used; values are *slot
 	slots    map[cacheKey]*list.Element
-	inflight map[cacheKey]*flight
+	inflight map[cacheKey]*result
 }
 
 // New wires a server over a backend.
 func New(b Backend, cfg Config) *Server {
-	s := &Server{backend: b, cfg: cfg, inflight: make(map[cacheKey]*flight)}
+	s := &Server{backend: b, cfg: cfg, inflight: make(map[cacheKey]*result)}
 	s.vecPool.New = func() any { return new([]uint64) }
 	if cfg.CacheSize > 0 {
 		s.order = list.New()
@@ -373,7 +424,7 @@ func (s *Server) Answer(ctx context.Context, query string, baseline bool, deadli
 // serve wraps the request path in the instrumentation Config.Obs asks
 // for. hit is the stored entry that answered, nil for every other
 // outcome.
-func (s *Server) serve(ctx context.Context, query string, baseline bool, deadline time.Time) (experts []expertise.Expert, hit *cacheEntry, err error) {
+func (s *Server) serve(ctx context.Context, query string, baseline bool, deadline time.Time) (experts []expertise.Expert, hit *result, err error) {
 	if !s.obsOn {
 		return s.serveTraced(ctx, query, baseline, deadline, nil)
 	}
@@ -398,15 +449,18 @@ func (s *Server) serve(ctx context.Context, query string, baseline bool, deadlin
 // admission, the view sample and one cache lookup. qt, non-nil only on
 // the instrumented path, receives the normalized query, the cache
 // outcome and the detector-side trace fields.
-func (s *Server) serveTraced(ctx context.Context, query string, baseline bool, deadline time.Time, qt *obs.QueryTrace) ([]expertise.Expert, *cacheEntry, error) {
+func (s *Server) serveTraced(ctx context.Context, query string, baseline bool, deadline time.Time, qt *obs.QueryTrace) ([]expertise.Expert, *result, error) {
 	s.queries.Add(1)
 	// Admission: normalize and tokenize once, reject degenerate queries
-	// before any cache work. The backend receives the normalized
-	// (order-kept) text; the cache keys on the canonical token set, so
-	// permutations and repetitions of one query share a slot and a
-	// flight. A query that arrives in normal form — the common case — is
-	// admitted without allocating: Normalize hands it back, and its
-	// tokens are substrings cut into a stack array.
+	// before any cache work, then resolve what the answer is a function
+	// of. The backend receives the normalized (order-kept) text; the
+	// cache keys on the term set the canonical token set expands to, so
+	// permutations and repetitions of one query, and the queries of one
+	// domain that search the same terms, share a slot and a flight. A
+	// query that arrives in normal form — the common case — is admitted
+	// without allocating: Normalize hands it back, its tokens are
+	// substrings cut into a stack array, and the key is the backend
+	// table's own string.
 	norm := textutil.Normalize(query)
 	var tokArr [8]string
 	toks := textutil.TokenizeAppend(tokArr[:0], norm)
@@ -426,13 +480,20 @@ func (s *Server) serveTraced(ctx context.Context, query string, baseline bool, d
 		return nil, nil, ErrTooManyTerms
 	}
 	canon := norm
-	if !tokensCanonical(toks) {
+	if !textutil.TokensCanonical(toks) {
 		// CanonicalTokens sorts in place; norm is already materialized.
 		canon = strings.Join(textutil.CanonicalTokens(toks), " ")
 	}
 	key := cacheKey{query: canon, baseline: baseline}
+	if !baseline {
+		// The baseline does not expand: its term set is the query.
+		if termSet, ok := s.backend.TermSetKey(canon); ok {
+			key.query = termSet
+		}
+	}
 	if qt != nil {
 		qt.Query = norm
+		qt.TermSet = key.query
 	}
 	// Sample the view identity before any cache decision: the full
 	// per-shard epoch vector, into a pooled buffer.
@@ -455,11 +516,11 @@ func (s *Server) serveTraced(ctx context.Context, query string, baseline bool, d
 	}
 	if !uncacheable {
 		s.mu.Lock()
-		entry := s.lookupLocked(key, evec)
+		res := s.lookupLocked(key, evec)
 		s.mu.Unlock()
-		if entry != nil {
+		if res != nil {
 			s.countHit(qt)
-			return entry.experts, entry, nil
+			return res.experts, res, nil
 		}
 	}
 	return s.miss(ctx, deadline, key, norm, evec, uncacheable, qt)
@@ -476,7 +537,7 @@ func (s *Server) countHit(qt *obs.QueryTrace) {
 // the request may wait — as a follower on an identical in-flight
 // computation or as the leader on the backend — so this is where its
 // budget is armed.
-func (s *Server) miss(ctx context.Context, deadline time.Time, key cacheKey, norm string, evec []uint64, uncacheable bool, qt *obs.QueryTrace) ([]expertise.Expert, *cacheEntry, error) {
+func (s *Server) miss(ctx context.Context, deadline time.Time, key cacheKey, norm string, evec []uint64, uncacheable bool, qt *obs.QueryTrace) ([]expertise.Expert, *result, error) {
 	if !deadline.IsZero() {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, deadline)
@@ -488,20 +549,24 @@ func (s *Server) miss(ctx context.Context, deadline time.Time, key cacheKey, nor
 			// Again, under the lock that reads the in-flight table: the
 			// leader this request would have followed may have finished
 			// and cached since the first look.
-			if entry := s.lookupLocked(key, evec); entry != nil {
+			if res := s.lookupLocked(key, evec); res != nil {
 				s.mu.Unlock()
 				s.countHit(qt)
-				return entry.experts, entry, nil
+				return res.experts, res, nil
 			}
 		}
 		prev := s.inflight[key]
 		if prev == nil {
 			break
 		}
-		// An identical request is already computing: coalesce onto it —
-		// unless this request's own deadline fires first. The follower
-		// observes the view the leader started under — standard
-		// singleflight semantics.
+		// A request for the same answer is already computing: coalesce
+		// onto it — unless this request's own deadline fires first. The
+		// follower observes the view the leader started under — standard
+		// singleflight semantics. Only a flight somebody joins pays for
+		// a channel.
+		if prev.done == nil {
+			prev.done = make(chan struct{})
+		}
 		s.mu.Unlock()
 		select {
 		case <-prev.done:
@@ -538,7 +603,13 @@ func (s *Server) miss(ctx context.Context, deadline time.Time, key cacheKey, nor
 		}
 		return nil, nil, ErrOverloaded
 	}
-	f := &flight{done: make(chan struct{})}
+	// The one allocation of a refill: the result is the flight now and
+	// the slot's content later. It is tagged with the vector sampled
+	// before computing: if the index moves mid-flight, the result is
+	// conservatively already stale and the next lookup recomputes
+	// against the new view.
+	f := &result{}
+	f.epochVec = append(f.vec[:0], evec...)
 	s.inflight[key] = f
 	s.mu.Unlock()
 
@@ -551,15 +622,14 @@ func (s *Server) miss(ctx context.Context, deadline time.Time, key cacheKey, nor
 	defer func() {
 		s.mu.Lock()
 		if completed && !uncacheable && f.err == nil {
-			// Tag the entry with the vector sampled before computing: if
-			// the index moved mid-flight, the entry is conservatively
-			// already stale and the next lookup recomputes against the
-			// new view.
-			s.insertLocked(key, f.experts, evec)
+			s.insertLocked(key, f)
 		}
 		delete(s.inflight, key)
+		done := f.done
 		s.mu.Unlock()
-		close(f.done)
+		if done != nil {
+			close(done)
+		}
 	}()
 	if qt != nil {
 		if uncacheable {
@@ -583,19 +653,6 @@ func (s *Server) miss(ctx context.Context, deadline time.Time, key cacheKey, nor
 	return f.experts, nil, f.err
 }
 
-// tokensCanonical reports whether toks is already strictly increasing
-// — sorted with no duplicates — so the normalized string can double as
-// the canonical key without a second join. Single-token queries, the
-// common case, always pass.
-func tokensCanonical(toks []string) bool {
-	for i := 1; i < len(toks); i++ {
-		if toks[i] <= toks[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
 // staleVec reports whether an entry tagged with vector entryVec is
 // stale against the request's sample: stale as soon as any component
 // advanced past the entry's. Components an entry is *ahead* on (a
@@ -615,47 +672,49 @@ func staleVec(entryVec, sample []uint64) bool {
 	return false
 }
 
-// lookupLocked fetches a cached entry and marks it most recently used;
-// nil when there is none (or no cache). An entry from an older view —
-// any vector component behind — is dropped: the live index has moved
-// on, so serving it would return pre-ingest results.
-func (s *Server) lookupLocked(key cacheKey, evec []uint64) *cacheEntry {
+// lookupLocked fetches the result cached under key and marks its slot
+// most recently used; nil when there is none (or no cache). A result
+// from an older view — any vector component behind — is dropped: the
+// live index has moved on, so serving it would return pre-ingest
+// results. The slot stays, emptied, for the refill that follows.
+func (s *Server) lookupLocked(key cacheKey, evec []uint64) *result {
 	el, ok := s.slots[key]
 	if !ok {
 		return nil
 	}
-	entry := el.Value.(*cacheEntry)
-	if staleVec(entry.epochVec, evec) {
-		s.order.Remove(el)
-		delete(s.slots, key)
+	sl := el.Value.(*slot)
+	if sl.res == nil {
+		return nil
+	}
+	if staleVec(sl.res.epochVec, evec) {
+		sl.res = nil
 		s.invalidations.Add(1)
 		return nil
 	}
 	s.order.MoveToFront(el)
-	return entry
+	return sl.res
 }
 
-// insertLocked stores a result tagged with the request's sampled
-// epoch vector, evicting the least recently used entry when the cache
-// is full.
-func (s *Server) insertLocked(key cacheKey, experts []expertise.Expert, evec []uint64) {
+// insertLocked stores a completed result under key, in the key's slot
+// if it has one — emptied by an invalidation, or holding a result a
+// concurrent leader cached; a hit may still be reading that one outside
+// the lock, so it is replaced, never written to — and otherwise in a
+// new slot, evicting the least recently used one when the cache is
+// full.
+func (s *Server) insertLocked(key cacheKey, res *result) {
 	if s.slots == nil {
 		return
 	}
-	entry := &cacheEntry{key: key, epochVec: append([]uint64(nil), evec...), experts: experts}
 	if el, ok := s.slots[key]; ok {
-		// A stale entry raced back in (or an invalidated key was
-		// recomputed): replace it — a hit may still be reading the old
-		// one outside the lock — and keep a single slot.
-		el.Value = entry
+		el.Value.(*slot).res = res
 		s.order.MoveToFront(el)
 		return
 	}
-	s.slots[key] = s.order.PushFront(entry)
+	s.slots[key] = s.order.PushFront(&slot{key: key, res: res})
 	if s.order.Len() > s.cfg.CacheSize {
 		oldest := s.order.Back()
 		s.order.Remove(oldest)
-		delete(s.slots, oldest.Value.(*cacheEntry).key)
+		delete(s.slots, oldest.Value.(*slot).key)
 	}
 }
 

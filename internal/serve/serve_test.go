@@ -163,13 +163,27 @@ func TestCacheDisabled(t *testing.T) {
 }
 
 // scriptedBackend is a controllable Backend for cache-mechanics tests:
-// a settable epoch (a one-component vector), a call counter, and an
-// optional gate that blocks computations until the test releases it.
-// It never degrades, fails over or reshards.
+// a settable epoch (a one-component vector), a call counter, an
+// optional gate that blocks computations until the test releases it,
+// and an optional table of term-set keys by canonical query (nil = the
+// backend reports none, as a relaxed-mode detector does; a query the
+// table lacks is its own term set). It never degrades, fails over or
+// reshards.
 type scriptedBackend struct {
-	epoch atomic.Uint64
-	calls atomic.Int64
-	gate  chan struct{} // nil = never block
+	epoch    atomic.Uint64
+	calls    atomic.Int64
+	gate     chan struct{} // nil = never block
+	termSets map[string]string
+}
+
+func (b *scriptedBackend) TermSetKey(canon string) (string, bool) {
+	if b.termSets == nil {
+		return "", false
+	}
+	if key, ok := b.termSets[canon]; ok {
+		return key, true
+	}
+	return canon, true
 }
 
 func (b *scriptedBackend) answer(query string) []expertise.Expert {

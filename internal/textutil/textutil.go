@@ -95,11 +95,32 @@ func CanonicalTokens(tokens []string) []string {
 	return out
 }
 
+// TokensCanonical reports whether tokens is already its own canonical
+// form — strictly increasing, so sorted with no duplicates — in which
+// case the string they were cut from needs no re-join. Single-token
+// queries, the common case, always pass.
+func TokensCanonical(tokens []string) bool {
+	for i := 1; i < len(tokens); i++ {
+		if tokens[i] <= tokens[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
 // Canonical reduces s to its canonical token-set form: lower-cased,
 // tokenized, sorted, de-duplicated and re-joined with single spaces.
 // "Rust go", "go rust" and "go go rust" all canonicalize to "go rust".
+// A string that is already canonical and recognizably normal (see
+// Normalize) is returned as is, without allocating.
 func Canonical(s string) string {
-	return strings.Join(CanonicalTokens(Tokenize(s)), " ")
+	norm := Normalize(s)
+	var arr [8]string
+	toks := TokenizeAppend(arr[:0], norm)
+	if TokensCanonical(toks) {
+		return norm
+	}
+	return strings.Join(CanonicalTokens(toks), " ")
 }
 
 // ContainsAll reports whether every token of query appears among the

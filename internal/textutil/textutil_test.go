@@ -59,6 +59,9 @@ func FuzzNormalize(f *testing.F) {
 		if got := TokenizeAppend(nil, s); !slices.Equal(got, fields) {
 			t.Fatalf("TokenizeAppend(nil, %q) = %q, want %q", s, got, fields)
 		}
+		if got, want := Canonical(s), strings.Join(CanonicalTokens(slices.Clone(fields)), " "); got != want {
+			t.Fatalf("Canonical(%q) = %q, want %q", s, got, want)
+		}
 		var arr [4]string
 		arr[0] = "kept"
 		if got := TokenizeAppend(arr[:1], s); got[0] != "kept" || !slices.Equal(got[1:], fields) {
@@ -69,7 +72,7 @@ func FuzzNormalize(f *testing.F) {
 
 // TestAdmissionPathAllocs pins what the serve layer's admission relies
 // on: normalizing and tokenizing a query that is already in normal form
-// allocates nothing.
+// allocates nothing...
 func TestAdmissionPathAllocs(t *testing.T) {
 	query := "san francisco 49ers"
 	var n int
@@ -79,6 +82,14 @@ func TestAdmissionPathAllocs(t *testing.T) {
 	})
 	if allocs != 0 || n != 3 {
 		t.Fatalf("admission of %q: %v allocs, %d tokens; want 0 and 3", query, allocs, n)
+	}
+	// ...and so does canonicalizing one whose tokens are already sorted
+	// and distinct (the served detector looks its expansion up by it).
+	for _, q := range []string{"49ers", "49ers francisco san"} {
+		var got string
+		if allocs := testing.AllocsPerRun(100, func() { got = Canonical(q) }); allocs != 0 || got != q {
+			t.Fatalf("Canonical(%q) = %q with %v allocs; want itself and 0", q, got, allocs)
+		}
 	}
 }
 
