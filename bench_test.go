@@ -1,15 +1,14 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation section, plus ablations of the design decisions and the
-// BenchmarkServeQPS* serving-throughput suite. Naming follows the
-// paper: BenchmarkTable8AnsweredRate re-runs the Table 8 experiment
-// once per iteration, and so on. Reported custom metrics carry the
-// headline numbers (improvement, modularity, qps, ...) so
-// `go test -bench . -benchmem` doubles as a results summary.
+// evaluation section, plus ablations of the design decisions. Naming
+// follows the paper: BenchmarkTable8AnsweredRate re-runs the Table 8
+// experiment once per iteration, and so on. Reported custom metrics
+// carry the headline numbers (improvement, modularity, ...) so
+// `go test -bench . -benchmem` doubles as a results summary. Serving
+// throughput is bench/'s business (BENCHMARK.json).
 package repro
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -19,10 +18,8 @@ import (
 	"repro/internal/domains"
 	"repro/internal/eval"
 	"repro/internal/expertise"
-	"repro/internal/ingest"
 	"repro/internal/querylog"
 	"repro/internal/relops"
-	"repro/internal/serve"
 	"repro/internal/simgraph"
 	"repro/internal/world"
 )
@@ -286,62 +283,6 @@ func BenchmarkAblationExpansionTerms(b *testing.B) {
 			b.ReportMetric(float64(n), "experts")
 		})
 	}
-}
-
-// --- Serving throughput (internal/serve) ---
-
-// serveQueryPool returns the load-generator query mix: every query of
-// every evaluation set, so the workload spans answered, expanded and
-// unanswerable queries alike.
-func serveQueryPool(s *benchState) []string {
-	var pool []string
-	for _, set := range s.sets {
-		pool = append(pool, set.Queries...)
-	}
-	return pool
-}
-
-// benchServeQPS drives one server configuration and reports achieved
-// QPS plus the cache hit rate. The frozen corpus is served the way a
-// deployment serves it — as a streaming index nobody writes to — and
-// the detector runs with MatchWorkers=1: the load generator supplies
-// request-level parallelism, so per-query fan-out would only
-// oversubscribe.
-func benchServeQPS(b *testing.B, workers int, cfg serve.Config, warm bool) {
-	s := state(b)
-	pool := serveQueryPool(s)
-	online := s.pipe.Cfg.Online
-	online.MatchWorkers = 1
-	frozen := ingest.New(s.pipe.Corpus, ingest.Config{DisableCompactor: true})
-	srv := serve.New(core.NewLiveDetector(s.pipe.Collection, frozen, online), cfg)
-	total := 2 * len(pool)
-	if warm {
-		// Prime the cache so the measured run is all hits.
-		serve.RunLoad(srv, serve.LoadConfig{Queries: pool, Total: len(pool), Workers: workers})
-	}
-	b.ResetTimer()
-	var res serve.LoadResult
-	for i := 0; i < b.N; i++ {
-		res = serve.RunLoad(srv, serve.LoadConfig{Queries: pool, Total: total, Workers: workers})
-	}
-	b.ReportMetric(res.QPS, "qps")
-	b.ReportMetric(float64(res.Stats.CacheHits)/float64(res.Queries), "hit-rate")
-}
-
-func BenchmarkServeQPSSequentialCold(b *testing.B) {
-	benchServeQPS(b, 1, serve.Config{CacheSize: 0}, false)
-}
-
-func BenchmarkServeQPSParallelCold(b *testing.B) {
-	benchServeQPS(b, runtime.GOMAXPROCS(0), serve.Config{CacheSize: 0}, false)
-}
-
-func BenchmarkServeQPSSequentialWarm(b *testing.B) {
-	benchServeQPS(b, 1, serve.DefaultConfig(), true)
-}
-
-func BenchmarkServeQPSParallelWarm(b *testing.B) {
-	benchServeQPS(b, runtime.GOMAXPROCS(0), serve.DefaultConfig(), true)
 }
 
 // --- Micro-benchmarks of the hot paths ---

@@ -16,8 +16,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -28,33 +30,42 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	cmd, args := os.Args[1], os.Args[2:]
-	var err error
-	switch cmd {
-	case "build":
-		err = runBuild(args)
-	case "query":
-		err = runQuery(args)
-	case "expand":
-		err = runExpand(args)
-	case "stats":
-		err = runStats(args)
-	default:
-		usage()
+	err := run(os.Args[1:], os.Stdout)
+	if errors.Is(err, errUsage) {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "esharp %s: %v\n", cmd, err)
+		fmt.Fprintf(os.Stderr, "esharp %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: esharp <build|query|expand|stats> [flags]")
+var errUsage = errors.New("usage: esharp <build|query|expand|stats> [flags]")
+
+// run dispatches args — a subcommand name and its flags — and prints
+// the subcommand's report to out.
+func run(args []string, out io.Writer) error {
+	if len(args) == 0 {
+		return errUsage
+	}
+	var sub func([]string, io.Writer) error
+	switch args[0] {
+	case "build":
+		sub = runBuild
+	case "query":
+		sub = runQuery
+	case "expand":
+		sub = runExpand
+	case "stats":
+		sub = runStats
+	default:
+		return errUsage
+	}
+	if err := sub(args[1:], out); err != nil {
+		return fmt.Errorf("%s: %w", args[0], err)
+	}
+	return nil
 }
 
 func scaleConfig(scale string) core.PipelineConfig {
@@ -71,11 +82,11 @@ func scaleConfig(scale string) core.PipelineConfig {
 	}
 }
 
-func runBuild(args []string) error {
+func runBuild(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
 	scale := fs.String("scale", "small", "world scale")
 	shards := fs.String("shards", "", "directory for the sharded click log (empty = in-memory)")
-	out := fs.String("out", "", "persist the domain collection to this file")
+	save := fs.String("out", "", "persist the domain collection to this file")
 	sql := fs.Bool("sql", false, "cluster on the relational engine")
 	fs.Parse(args)
 
@@ -87,24 +98,24 @@ func runBuild(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("built in %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(out, "built in %v\n", time.Since(start).Round(time.Millisecond))
 	for _, s := range p.Stages {
-		fmt.Println(" ", s)
+		fmt.Fprintln(out, " ", s)
 	}
-	fmt.Printf("log: %d queries; graph: %d vertices / %d edges; domains: %d; tweets: %d\n",
+	fmt.Fprintf(out, "log: %d queries; graph: %d vertices / %d edges; domains: %d; tweets: %d\n",
 		p.Log.NumQueries(), p.Graph.NumVertices(), p.Graph.NumEdges(),
 		p.Collection.NumDomains(), p.Corpus.NumTweets())
-	if *out != "" {
-		n, err := p.Collection.Save(*out)
+	if *save != "" {
+		n, err := p.Collection.Save(*save)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("collection saved to %s (%d bytes)\n", *out, n)
+		fmt.Fprintf(out, "collection saved to %s (%d bytes)\n", *save, n)
 	}
 	return nil
 }
 
-func runQuery(args []string) error {
+func runQuery(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
 	scale := fs.String("scale", "small", "world scale")
 	q := fs.String("q", "49ers", "query")
@@ -122,27 +133,27 @@ func runQuery(args []string) error {
 	}
 
 	printResults := func(name string, results []expertise.Expert) {
-		fmt.Printf("%s (%d experts):\n", name, len(results))
+		fmt.Fprintf(out, "%s (%d experts):\n", name, len(results))
 		for i, e := range results {
 			if i == *topK {
 				break
 			}
 			u := p.World.User(e.User)
-			fmt.Printf("  %2d. @%-24s z=%+.2f  verified=%-5v followers=%-8d %s\n",
+			fmt.Fprintf(out, "  %2d. @%-24s z=%+.2f  verified=%-5v followers=%-8d %s\n",
 				i+1, u.ScreenName, e.Score, u.Verified, u.Followers, u.Description)
 		}
 	}
 	printResults("baseline", p.Detector.SearchBaseline(*q))
 	results, trace := p.Detector.Search(*q)
-	fmt.Printf("\nexpansion: %s\n", strings.Join(trace.Expansion, ", "))
-	fmt.Printf("matched tweets: %d (expand %v, search %v)\n\n",
+	fmt.Fprintf(out, "\nexpansion: %s\n", strings.Join(trace.Expansion, ", "))
+	fmt.Fprintf(out, "matched tweets: %d (expand %v, search %v)\n\n",
 		trace.MatchedTweets, trace.ExpandDuration.Round(time.Microsecond),
 		trace.SearchDuration.Round(time.Microsecond))
 	printResults("e#", results)
 	return nil
 }
 
-func runExpand(args []string) error {
+func runExpand(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("expand", flag.ExitOnError)
 	scale := fs.String("scale", "small", "world scale")
 	q := fs.String("q", "49ers", "query")
@@ -156,11 +167,11 @@ func runExpand(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(eval.RenderFigure7(rep))
+	fmt.Fprint(out, eval.RenderFigure7(rep))
 	return nil
 }
 
-func runStats(args []string) error {
+func runStats(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	scale := fs.String("scale", "small", "world scale")
 	fs.Parse(args)
@@ -169,9 +180,9 @@ func runStats(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(eval.RenderTable9(eval.RunTable9(p, []string{"49ers", "diabetes", "nfl"})))
-	fmt.Print(eval.RenderFigure5(eval.Figure5(p.Clustering)))
+	fmt.Fprint(out, eval.RenderTable9(eval.RunTable9(p, []string{"49ers", "diabetes", "nfl"})))
+	fmt.Fprint(out, eval.RenderFigure5(eval.Figure5(p.Clustering)))
 	labels, counts := eval.Figure6(p.Clustering)
-	fmt.Print(eval.RenderFigure6(labels, counts))
+	fmt.Fprint(out, eval.RenderFigure6(labels, counts))
 	return nil
 }

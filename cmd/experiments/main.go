@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -23,11 +24,21 @@ import (
 )
 
 func main() {
-	scale := flag.String("scale", "small", "world scale: tiny, small or default")
-	run := flag.String("run", "all", "experiment to run (all, table1, tables2to7, table8, table9, fig5..fig10, oracle)")
-	seed := flag.Uint64("seed", 1, "world seed")
-	useSQL := flag.Bool("sql", false, "run clustering on the relational engine")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run builds the pipeline the flags in args describe and prints the
+// selected experiments to out; progress goes to standard error.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
+	scale := fs.String("scale", "small", "world scale: tiny, small or default")
+	which := fs.String("run", "all", "experiment to run (all, table1, tables2to7, table8, table9, fig5..fig10, oracle)")
+	seed := fs.Uint64("seed", 1, "world seed")
+	useSQL := fs.Bool("sql", false, "run clustering on the relational engine")
+	fs.Parse(args)
 
 	cfg, setSizes := configFor(*scale)
 	cfg.World.Seed = *seed
@@ -37,8 +48,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "building pipeline (scale=%s, sql=%v)...\n", *scale, *useSQL)
 	p, err := core.BuildPipeline(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "pipeline ready in %v: %d queries, %d graph edges, %d domains, %d tweets\n",
 		time.Since(start).Round(time.Millisecond),
@@ -46,74 +56,75 @@ func main() {
 
 	sets := eval.BuildQuerySets(p.World, p.Log, setSizes)
 
-	want := func(name string) bool { return *run == "all" || *run == name }
+	want := func(name string) bool { return *which == "all" || *which == name }
 	section := func(s string) {
-		fmt.Println()
-		fmt.Println(strings.Repeat("=", 72))
-		fmt.Println(s)
-		fmt.Println(strings.Repeat("=", 72))
+		fmt.Fprintln(out)
+		fmt.Fprintln(out, strings.Repeat("=", 72))
+		fmt.Fprintln(out, s)
+		fmt.Fprintln(out, strings.Repeat("=", 72))
 	}
 
 	if want("table1") {
 		section("TABLE 1")
-		fmt.Print(eval.RenderTable1(sets))
+		fmt.Fprint(out, eval.RenderTable1(sets))
 	}
 	if want("fig5") {
 		section("FIGURE 5")
-		fmt.Print(eval.RenderFigure5(eval.Figure5(p.Clustering)))
+		fmt.Fprint(out, eval.RenderFigure5(eval.Figure5(p.Clustering)))
 	}
 	if want("fig6") {
 		section("FIGURE 6")
 		labels, counts := eval.Figure6(p.Clustering)
-		fmt.Print(eval.RenderFigure6(labels, counts))
+		fmt.Fprint(out, eval.RenderFigure6(labels, counts))
 	}
 	if want("fig7") {
 		section("FIGURE 7")
 		rep, err := eval.RunFigure7(p.Detector, "49ers", 3)
 		if err != nil {
-			fmt.Println("figure 7 unavailable:", err)
+			fmt.Fprintln(out, "figure 7 unavailable:", err)
 		} else {
-			fmt.Print(eval.RenderFigure7(rep))
+			fmt.Fprint(out, eval.RenderFigure7(rep))
 		}
 	}
 	if want("tables2to7") {
 		section("TABLES 2-7")
 		for _, q := range []string{"49ers", "bluetooth speakers", "dow futures", "diabetes", "world war i", "sarah palin"} {
-			fmt.Print(eval.RenderExampleTable(q, eval.RunExampleTable(p.Detector, p.World, q, 3)))
-			fmt.Println()
+			fmt.Fprint(out, eval.RenderExampleTable(q, eval.RunExampleTable(p.Detector, p.World, q, 3)))
+			fmt.Fprintln(out)
 		}
 	}
 	if want("table8") {
 		section("TABLE 8")
-		fmt.Print(eval.RenderTable8(eval.RunTable8(p.Detector, sets)))
+		fmt.Fprint(out, eval.RenderTable8(eval.RunTable8(p.Detector, sets)))
 	}
 	if want("fig8") {
 		section("FIGURE 8")
-		fmt.Print(eval.RenderFigure8(eval.RunFigure8(p.Detector, sets, 14)))
+		fmt.Fprint(out, eval.RenderFigure8(eval.RunFigure8(p.Detector, sets, 14)))
 	}
 	if want("fig9") {
 		section("FIGURE 9")
 		top := sets[len(sets)-1]
-		fmt.Print(eval.RenderFigure9(eval.RunFigure9(p, top,
+		fmt.Fprint(out, eval.RenderFigure9(eval.RunFigure9(p, top,
 			[]float64{0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0})))
 	}
 	if want("fig10") {
 		section("FIGURE 10")
 		study := crowd.NewStudy(p.World, crowd.DefaultConfig())
-		fmt.Print(eval.RenderFigure10(eval.RunFigure10(p, study, sets,
+		fmt.Fprint(out, eval.RenderFigure10(eval.RunFigure10(p, study, sets,
 			[]float64{0, 0.5, 1.0, 1.5, 2.0}, 50)))
 	}
 	if want("table9") {
 		section("TABLE 9")
 		samples := []string{"49ers", "diabetes", "dow futures", "nfl", "xbox"}
-		fmt.Print(eval.RenderTable9(eval.RunTable9(p, samples)))
+		fmt.Fprint(out, eval.RenderTable9(eval.RunTable9(p, samples)))
 	}
 	if want("oracle") {
 		section("ORACLE RECALL/PRECISION (beyond the paper)")
-		fmt.Print(eval.RenderGroundTruth(eval.RunGroundTruth(p.Detector, p.World, sets)))
+		fmt.Fprint(out, eval.RenderGroundTruth(eval.RunGroundTruth(p.Detector, p.World, sets)))
 	}
 
 	fmt.Fprintf(os.Stderr, "\ntotal runtime %v\n", time.Since(start).Round(time.Millisecond))
+	return nil
 }
 
 // configFor maps a scale name to pipeline configuration and Table 1

@@ -70,8 +70,6 @@ func run(args []string, out io.Writer, sigs <-chan os.Signal, ready chan<- strin
 	tokens := fs.String("tokens", "dev::::admin", "client tokens, comma-separated token:rate:burst:daily[:admin] (empty numeric fields mean unlimited)")
 	shards := fs.Int("shards", 2, "in-process shard count (ignored with -remote)")
 	remote := fs.String("remote", "", "comma-separated shardd addresses ('|' groups replicas of one shard); empty serves in-process")
-	seal := fs.Int("seal", 128, "active-segment seal threshold (in-process shards)")
-	fanIn := fs.Int("fanin", 4, "compaction fan-in (in-process shards)")
 	cache := fs.Int("cache", 4096, "serving-layer result cache size (0 disables)")
 	budgetMS := fs.Int("budget-ms", 2000, "default per-request latency budget")
 	maxBudgetMS := fs.Int("max-budget-ms", 10000, "ceiling on client-named budgets")
@@ -131,7 +129,9 @@ func run(args []string, out io.Writer, sigs <-chan os.Signal, ready chan<- strin
 		if *shards < 1 {
 			return fmt.Errorf("gateway: -shards %d is not a valid shard count", *shards)
 		}
-		cluster = shard.New(pipeline.Corpus, *shards, ingest.Config{SealThreshold: *seal, CompactFanIn: *fanIn})
+		// The gateway has no ingest route: in-process shards serve a
+		// corpus nobody writes to, so there is nothing to seal or compact.
+		cluster = shard.New(pipeline.Corpus, *shards, ingest.Config{DisableCompactor: true})
 	}
 	defer cluster.Close()
 	backend := core.NewShardedLiveDetectorOver(pipeline.Collection, cluster, online)
@@ -158,6 +158,20 @@ func run(args []string, out io.Writer, sigs <-chan os.Signal, ready chan<- strin
 		adm, err := obs.StartAdmin(*admin, obs.AdminConfig{
 			Registry: reg,
 			SlowLog:  srv.SlowLog(),
+			// Unhealthy while the serving layer cannot observe a shard:
+			// the view every request samples before touching the cache.
+			Health: func() error {
+				var down []int
+				for i, e := range srv.Stats().EpochVector {
+					if e == core.EpochUnknown {
+						down = append(down, i)
+					}
+				}
+				if len(down) > 0 {
+					return fmt.Errorf("shards %v unreachable", down)
+				}
+				return nil
+			},
 			Stats: func() any {
 				return map[string]any{"serve": srv.Stats(), "gateway": gw.Stats()}
 			},

@@ -9,13 +9,17 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/ingest"
+	"repro/internal/transport"
 )
 
 // bootGateway starts run() on a free port and returns the bound
 // address plus the done channel carrying run's return value.
 func bootGateway(t *testing.T, extra ...string) (string, chan os.Signal, chan error, *strings.Builder) {
 	t.Helper()
-	args := append([]string{"-addr", "127.0.0.1:0", "-shards", "2", "-seal", "64"}, extra...)
+	args := append([]string{"-addr", "127.0.0.1:0", "-shards", "2"}, extra...)
 	ready := make(chan string, 1)
 	sigs := make(chan os.Signal, 1)
 	done := make(chan error, 1)
@@ -101,13 +105,7 @@ func TestRunAdminPlane(t *testing.T) {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 
-	banner := out.String()
-	i := strings.Index(banner, "admin plane on http://")
-	if i < 0 {
-		t.Fatalf("admin banner missing: %q", banner)
-	}
-	base := strings.Fields(banner[i+len("admin plane on "):])[0]
-	mresp, err := http.Get(base + "/metrics")
+	mresp, err := http.Get(adminBase(t, out.String()) + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,5 +129,75 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-tokens", ""}, &out, nil, nil); err == nil {
 		t.Fatal("empty token table accepted")
+	}
+	// The gateway has no ingest route, so it has no index to tune.
+	if err := run([]string{"-seal", "1"}, &out, nil, nil); err == nil {
+		t.Fatal("-seal accepted: nothing can post to a gateway's in-process shards")
+	}
+}
+
+// adminBase returns the admin plane's base URL from the boot banner.
+func adminBase(t *testing.T, banner string) string {
+	t.Helper()
+	i := strings.Index(banner, "admin plane on http://")
+	if i < 0 {
+		t.Fatalf("admin banner missing: %q", banner)
+	}
+	return strings.Fields(banner[i+len("admin plane on "):])[0]
+}
+
+// TestHealthzFollowsShards pins the probe an orchestrator reads: a
+// coordinator whose shard answers is healthy, and once the shard is
+// gone /healthz turns 503 and names it — as soon as the serving layer's
+// own view sample (the epoch vector) can no longer observe it.
+func TestHealthzFollowsShards(t *testing.T) {
+	pipeline, err := core.BuildPipeline(core.TinyPipelineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := ingest.New(pipeline.Corpus, ingest.Config{DisableCompactor: true})
+	defer idx.Close()
+	shardSrv, err := transport.Listen("127.0.0.1:0", idx, transport.DefaultServerConfig(0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shardSrv.Close()
+
+	_, sigs, done, out := bootGateway(t, "-admin", "127.0.0.1:0", "-remote", shardSrv.Addr().String())
+	defer func() {
+		sigs <- syscall.SIGTERM
+		if err := <-done; err != nil {
+			t.Fatalf("run returned %v", err)
+		}
+	}()
+	healthz := func() (int, string) {
+		resp, err := http.Get(adminBase(t, out.String()) + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	if status, body := healthz(); status != http.StatusOK {
+		t.Fatalf("/healthz with the shard up: %d %q, want 200", status, body)
+	}
+	shardSrv.Close()
+	// The subscription reader notices the close asynchronously; from then
+	// on every probe fails (one dial per backoff window, refused at once
+	// in between).
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		status, body := healthz()
+		if status == http.StatusServiceUnavailable {
+			if !strings.Contains(body, "shards [0] unreachable") {
+				t.Fatalf("503 does not name the shard: %q", body)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/healthz still %d %q 5s after the shard closed", status, body)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

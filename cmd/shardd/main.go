@@ -1,46 +1,51 @@
 // Shardd serves one shard of the author-partitioned expert index over
 // the wire protocol of internal/transport — the per-process half of
-// cross-process sharding. Each shardd builds the deterministic pipeline
-// (so every process, and the coordinator, agrees on the world and the
-// base corpus bit for bit), keeps exactly its partition —
-// shard.Partition(base, i, n), the same slice the in-process cluster
-// would hand shard i — and serves searches, denominator fetches,
-// routed ingest and epoch/quiesce probes on one TCP address.
+// cross-process sharding, and the only process of a deployment that
+// holds posts. Each shardd builds the deterministic pipeline (so every
+// process, and the coordinator, agrees on the world and the base corpus
+// bit for bit), keeps exactly its partition — shard.Partition(base, i,
+// n), the same slice the in-process cluster would hand shard i — and
+// serves the composite search, denominator top-ups, routed ingest,
+// epoch pushes, quiesce and log paging on one TCP address.
 //
-// A 4-shard deployment is four processes plus a coordinator:
+// The coordinator is cmd/gateway. A 2-shard deployment is two shardd
+// processes and the front door:
 //
-//	shardd -addr :7101 -shard 0 -of 4 &
-//	shardd -addr :7102 -shard 1 -of 4 &
-//	shardd -addr :7103 -shard 2 -of 4 &
-//	shardd -addr :7104 -shard 3 -of 4 &
-//	go run ./examples/streaming -remote localhost:7101,localhost:7102,localhost:7103,localhost:7104
+//	shardd -addr :7101 -shard 0 -of 2 &
+//	shardd -addr :7102 -shard 1 -of 2 &
+//	gateway -addr :8080 -remote localhost:7101,localhost:7102
 //
-// Replication (internal/replica) needs no shardd-side support at all:
-// a replica is just another shardd started with the *same* -shard/-of
+// Replication (internal/replica) needs no shardd-side support: a
+// replica is another shardd started with the same -shard/-of
 // coordinates, and the coordinator groups replicas with '|' inside a
-// shard's slot — the first address of each group is the primary:
+// shard's slot, the first address of each group being the primary:
 //
 //	shardd -addr :7101 -shard 0 -of 2 &
 //	shardd -addr :7111 -shard 0 -of 2 &   # replica of shard 0
 //	shardd -addr :7102 -shard 1 -of 2 &
 //	shardd -addr :7112 -shard 1 -of 2 &   # replica of shard 1
-//	go run ./examples/streaming -remote "localhost:7101|localhost:7111,localhost:7102|localhost:7112"
+//	gateway -remote "localhost:7101|localhost:7111,localhost:7102|localhost:7112"
 //
-// The streaming example's final check then holds the whole deployment
-// to the usual bar: quiesced ranking over the wire must be
-// bit-identical to a cold single-process rebuild.
+// The gateway only reads. examples/streaming takes the same -remote
+// list, writes to the shards while it searches them, and then holds the
+// deployment to the usual bar: quiesced, the ranking over the wire must
+// be bit-identical to a cold single-process rebuild.
 //
-// Resharding an N-shardd deployment to M processes reuses the same
-// wire surface: a shard.Migration pages each old shard's post log over
-// OpTweets (the server filters by destination ownership, so only the
-// moving authors' posts cross the wire), catch-up rounds absorb writes
-// that land mid-drain, and the coordinator swaps its routing table
-// once source and destination epochs agree. Every client restates its
-// handshake-pinned -shard/-of coordinates on the per-connection OpInfo
-// exchange, and a shardd whose topology no longer matches refuses the
-// connection outright — after a reshard, a coordinator still wired for
-// the old N fails at connect instead of silently reading the wrong
-// partition.
+// -seal and -fanin tune the streaming index; -data-dir turns on the
+// disk tier (sealed segments of at least -spill posts are rewritten to
+// compressed, mmap-backed files under <data-dir>/shard-<i>, which is
+// emptied at start — there is no restart path yet); -admin serves
+// /metrics, /healthz, /stats and /debug/pprof/ on a second address.
+// SIGINT/SIGTERM stop accepting, let in-flight conversations and push
+// subscribers drain within -grace, and exit 0.
+//
+// Every client restates its handshake-pinned -shard/-of coordinates on
+// each connection's OpInfo exchange, and a shardd whose topology does
+// not match refuses the connection — after a reshard (shard.Migration
+// pages each old shard's log over OpTweets, the server filtering by
+// destination ownership so only moving authors' posts cross the wire),
+// a coordinator still wired for the old N fails at connect instead of
+// silently reading the wrong partition.
 package main
 
 import (

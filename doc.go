@@ -17,16 +17,25 @@
 // one shard, RemoteShard implements shard.Backend over it, so clusters
 // mix in-process and remote shards freely), the concurrent serving
 // layer in internal/serve (query front-end over one Backend
-// interface, vector-epoch-invalidated LRU result cache with in-flight
-// coalescing, partial-result surfacing, read-only and mixed read/write
-// load generators), and one package per substrate (query-log synthesis,
-// similarity graph, relational engine, community detection, domain
-// store, microblog corpus, baseline detector, crowdsourcing
-// simulation, experiment harness). Executables are cmd/esharp,
-// cmd/experiments and cmd/shardd (serves one shard over TCP); runnable
-// examples live in examples/ (examples/streaming drives live ingestion
-// under concurrent search — single-node, sharded via -shards N, or
-// against shardd processes via -remote host:port,...).
+// interface, LRU result cache keyed on the expanded term set and
+// invalidated by the vector epoch, in-flight coalescing, partial-result
+// surfacing), the HTTP front door in internal/gateway (tokens, rate
+// limits and quotas, per-request latency budgets, an admin plane), and
+// one package per substrate (query-log synthesis, similarity graph,
+// relational engine, community detection, domain store, microblog
+// corpus, baseline detector, crowdsourcing simulation, experiment
+// harness). Executables: cmd/esharp and cmd/experiments run the paper
+// pipeline, cmd/shardd serves one shard over TCP, cmd/gateway is the
+// HTTP front door and the coordinator of a shardd deployment, and
+// cmd/docscheck is the documentation gate behind `make docs-check`.
+// The three runnable examples — `make examples-smoke` runs each to exit
+// 0 — are examples/quickstart (the pipeline in forty lines),
+// examples/gateway (the front door driven over real HTTP) and
+// examples/streaming (live ingestion under concurrent search —
+// single-node, sharded via -shards N, replicated via -replicas R,
+// resharding via -reshard, or against shardd processes via -remote
+// host:port,... — ending in a quiesce-and-compare against a cold
+// rebuild that must find no mismatch).
 //
 // ARCHITECTURE.md is the layer-by-layer tour of the whole system —
 // data flow, the vector-epoch invalidation story, and the
@@ -34,8 +43,7 @@
 // BENCHMARKS.md maps every Benchmark* name to the paper table or
 // serving claim it backs and records the measurement methodology; the
 // benchmarks in bench_test.go regenerate every table and figure of the
-// paper's evaluation section and measure serving throughput
-// (BenchmarkServeQPS*), internal/ingest adds BenchmarkIngest* and
+// paper's evaluation section, internal/ingest adds BenchmarkIngest* and
 // BenchmarkLiveSearch* for the streaming path, internal/shard adds
 // BenchmarkLiveSearchSharded* for the sharded path, internal/transport
 // adds BenchmarkRemoteSearchSharded* for the cross-process path, and

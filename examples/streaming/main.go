@@ -3,8 +3,10 @@
 // being answered. It builds the miniature pipeline, wraps the corpus
 // in a streaming index behind a live detector and an epoch-aware
 // caching server, replays a mixed read/write workload, and finally
-// quiesces and spot-checks that the live index agrees with a cold
-// detector rebuilt over the same posts.
+// quiesces and checks that the live index agrees with a cold detector
+// rebuilt over the same posts — a mismatch is a fatal error, so the run
+// doubles as a smoke test of whichever topology its flags select
+// (`make examples-smoke`).
 //
 // The detector is always the scatter-gather core.ShardedLiveDetector
 // over a shard.Cluster; the single index is its one-shard case. With
@@ -432,6 +434,9 @@ func main() {
 	}
 	fmt.Printf("quiesced equivalence over %d queries: %d mismatches vs cold rebuild\n",
 		len(pool), mismatches)
+	if mismatches != 0 {
+		log.Fatalf("the quiesced index disagrees with a cold rebuild on %d of %d queries", mismatches, len(pool))
+	}
 	if len(after) > 0 {
 		fmt.Printf("top %q expert: @%s\n", spot,
 			pipeline.World.User(after[0].User).ScreenName)

@@ -97,13 +97,13 @@ func DetectSQL(g *simgraph.IntGraph, opt Options) (*Result, error) {
 			break
 		}
 		lo, err := relops.Extend(cross, "lo", relops.Int64, func(r relops.Row) any {
-			return min64(r.Int("c1"), r.Int("c2"))
+			return min(r.Int("c1"), r.Int("c2"))
 		})
 		if err != nil {
 			return nil, err
 		}
 		lohi, err := relops.Extend(lo, "hi", relops.Int64, func(r relops.Row) any {
-			return max64(r.Int("c1"), r.Int("c2"))
+			return max(r.Int("c1"), r.Int("c2"))
 		})
 		if err != nil {
 			return nil, err
@@ -241,7 +241,7 @@ func starLabels(member, choices *relops.Table, jopt relops.JoinOptions) (*relops
 	withRoot, err := relops.Extend(j, "root", relops.Int64, func(r relops.Row) any {
 		c, l := r.Int("c"), r.Int("leader")
 		if r.Int("leader2") == c {
-			return min64(c, l) // mutual pair
+			return min(c, l) // mutual pair
 		}
 		return l
 	})
@@ -337,18 +337,4 @@ func sortedKeys(m map[string]string) []string {
 		}
 	}
 	return out
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -128,6 +128,16 @@ type OnlineConfig struct {
 	MaxExpansionTerms int
 	// Match selects the domain matching predicate. The default is the
 	// paper's conservative exact match; the relaxed modes are ablations.
+	//
+	// The served detector tabulates expansion only under MatchExact,
+	// where it is a function of the canonical query (TermSetKey). A
+	// relaxed mode expands by which member terms contain the query's
+	// tokens — an open set no table closes — so there every canonical
+	// query is its own term set. The detector is handed the normalized
+	// text in the order it was typed, which keeps MatchPhrase verbatim,
+	// at a cost: a MatchPhrase detector must not sit behind a
+	// serve.Server cache, where permutations of a query share a key but
+	// not a phrase match. No shipped configuration does.
 	Match domains.MatchMode
 	// MatchWorkers caps the per-term matching fan-out of Detector.Search
 	// and the per-shard fan-out of ShardedLiveDetector's scatter. Zero
@@ -219,7 +229,8 @@ type SearchTrace struct {
 	// MatchedTweets is the size of the unioned matched-tweet set.
 	MatchedTweets int
 	// ExpandDuration and SearchDuration split the online latency into
-	// the Table 9 "Expansion" and "Detection" rows.
+	// the Table 9 "Expansion" and "Detection" rows. Only the cold
+	// Detector fills them; the served detector reads no clock for them.
 	ExpandDuration time.Duration
 	SearchDuration time.Duration
 	// Shards holds per-shard scatter/gather spans and MergeRankNS the

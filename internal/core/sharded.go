@@ -271,16 +271,16 @@ func (d *ShardedLiveDetector) Expand(query string) []string {
 }
 
 // TermSetKey returns the identity of the term set an e# search for the
-// query with canonical form canon matches (domains.TermSet.Key): two
-// queries with equal keys have the same answer at the same view, so the
-// serving layer caches and coalesces under it. ok is false for a
-// detector in a relaxed match mode, whose expansion is not a function
-// of a closed table — the caller keys on the query instead.
-func (d *ShardedLiveDetector) TermSetKey(canon string) (key string, ok bool) {
+// query with canonical form canon matches: two queries with equal keys
+// have the same answer at the same view, so the serving layer caches
+// and coalesces under it. Under MatchExact that is the admission
+// table's key (domains.TermSet.Key); a relaxed match mode has no closed
+// table, so there every canonical query is its own term set.
+func (d *ShardedLiveDetector) TermSetKey(canon string) string {
 	if d.admission == nil {
-		return "", false
+		return canon
 	}
-	return d.admission.Lookup(canon).Key, true
+	return d.admission.Lookup(canon).Key
 }
 
 // Search runs the full e# online stage scattered across the shards.
@@ -297,18 +297,9 @@ func (d *ShardedLiveDetector) Search(query string) ([]expertise.Expert, SearchTr
 // front-door request past its deadline has no reader left to serve a
 // partial answer to. With context.Background() it is exactly Search.
 func (d *ShardedLiveDetector) SearchContext(ctx context.Context, query string) ([]expertise.Expert, SearchTrace, error) {
-	trace := SearchTrace{Query: query}
-
-	start := time.Now()
-	trace.Expansion = d.Expand(query)
-	trace.ExpandDuration = time.Since(start)
-
-	start = time.Now()
+	trace := SearchTrace{Query: query, Expansion: d.Expand(query)}
 	results, matched, spans, mergeRank, err := d.scatterGather(ctx, query, trace.Expansion)
-	trace.MatchedTweets = matched
-	trace.SearchDuration = time.Since(start)
-	trace.Shards = spans
-	trace.MergeRankNS = mergeRank
+	trace.MatchedTweets, trace.Shards, trace.MergeRankNS = matched, spans, mergeRank
 	return results, trace, err
 }
 

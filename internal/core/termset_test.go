@@ -10,13 +10,14 @@ import (
 	"repro/internal/textutil"
 )
 
-// TestTermSetKeyByMatchMode pins which detectors report a term set: a
-// MatchExact detector answers from its admission table — the table's
-// key, and for a query outside every domain the query itself — and the
-// relaxed modes report none, so the serving layer keeps keying on the
-// canonical query for them. In every mode Expand stays what the
-// collection says, and a canonical query's expansion costs nothing
-// under MatchExact.
+// TestTermSetKeyByMatchMode pins what each detector names as a query's
+// term set: a MatchExact detector answers from its admission table —
+// the table's key, and for a query outside every domain the query
+// itself — and the relaxed modes, which have no closed table, answer
+// the canonical query, so the serving layer shares nothing across
+// queries for them. In every mode Expand stays what the collection
+// says, and a canonical query's expansion costs nothing under
+// MatchExact.
 func TestTermSetKeyByMatchMode(t *testing.T) {
 	p := tinyPipeline(t)
 	r := shard.New(p.Corpus, 1, ingest.Config{DisableCompactor: true})
@@ -31,20 +32,17 @@ func TestTermSetKeyByMatchMode(t *testing.T) {
 				t.Errorf("%v: Expand(%q) = %q, want %q", mode, q, got, want)
 			}
 			canon := textutil.Canonical(q)
-			key, ok := d.TermSetKey(canon)
-			if mode != domains.MatchExact {
-				if ok {
-					t.Errorf("%v: TermSetKey(%q) = %q, true; a relaxed mode has no closed table", mode, canon, key)
-				}
-				continue
+			want := canon
+			if mode == domains.MatchExact {
+				want = table.Lookup(canon).Key
 			}
-			if want := table.Lookup(canon).Key; !ok || key != want {
-				t.Errorf("exact: TermSetKey(%q) = %q, %v; want %q, true", canon, key, ok, want)
+			if key := d.TermSetKey(canon); key != want {
+				t.Errorf("%v: TermSetKey(%q) = %q, want %q", mode, canon, key, want)
 			}
 		}
 	}
 	exact := NewShardedLiveDetectorOver(p.Collection, r, p.Cfg.Online)
-	if key, _ := exact.TermSetKey("no such term at all"); key != "no such term at all" {
+	if key := exact.TermSetKey("no such term at all"); key != "no such term at all" {
 		t.Errorf("a query outside every domain keys on %q, want itself", key)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { exact.Expand("49ers") }); allocs != 0 {

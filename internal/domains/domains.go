@@ -572,13 +572,6 @@ func decode(r io.ByteReader) (*Collection, error) {
 	return c, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // MatchMode selects how an incoming query is matched to a domain.
 // Section 5 describes the production behaviour (MatchExact) as
 // "purposely conservative"; the looser modes are natural extensions

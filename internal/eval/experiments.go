@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/crowd"
 	"repro/internal/expertise"
-	"repro/internal/querylog"
 	"repro/internal/world"
 )
 
@@ -402,13 +401,4 @@ func RunGroundTruth(d *core.Detector, w *world.World, sets []QuerySet) []GroundT
 		out = append(out, row)
 	}
 	return out
-}
-
-// StageStatsString renders recorded pipeline stages compactly.
-func StageStatsString(stages []querylog.Stats) string {
-	s := ""
-	for _, st := range stages {
-		s += st.String() + "\n"
-	}
-	return s
 }

@@ -122,20 +122,25 @@ func (s *scratch) at(u world.UserID) *counters {
 // it by dispatching to the segment that holds the post and by summing
 // base, sealed-segment and active-tail counters — the cross-segment
 // ranking path of the streaming index.
-//
-// Features is the one per-post accessor: the post's author, retweet
-// count, whether it carries a hashtag (filled only when hashtag is set)
-// and the users it mentions. scratch points at a caller buffer a source
-// may decode the mentions into (capacity reused, contents discarded,
-// the possibly grown buffer stored back); the returned mentions alias
-// that buffer or the source's own storage, so they are read-only and
-// valid only until the next Features call with the same scratch.
 type Source interface {
+	// Features is the one per-post accessor: the post's author, retweet
+	// count, whether it carries a hashtag (filled only when hashtag is
+	// set) and the users it mentions. scratch points at a caller buffer
+	// a source may decode the mentions into (capacity reused, contents
+	// discarded, the possibly grown buffer stored back); the returned
+	// mentions alias that buffer or the source's own storage, so they
+	// are read-only and valid only until the next Features call with
+	// the same scratch.
 	Features(id microblog.TweetID, hashtag bool, scratch *[]world.UserID) (author world.UserID, retweets int, hashtagged bool, mentions []world.UserID)
+	// NumTweetsBy is the TS denominator: every post u authored.
 	NumTweetsBy(u world.UserID) int
+	// NumMentionsOf is the MI denominator: every mention of u.
 	NumMentionsOf(u world.UserID) int
+	// NumRetweetsOf is the RI denominator: retweets of all of u's posts.
 	NumRetweetsOf(u world.UserID) int
+	// NumUsers is the size of the user universe; ids are below it.
 	NumUsers() int
+	// World returns the generating world the user ids refer to.
 	World() *world.World
 }
 

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -41,9 +42,11 @@ type watchFrame struct {
 }
 
 // handleAdminWatch streams newline-delimited JSON frames until the
-// client disconnects or the gateway closes. ?interval_ms narrows the
-// tick below Config.WatchInterval (floor 10ms) — an operator tailing a
-// hot deploy wants seconds, a test wants milliseconds.
+// client disconnects or the gateway closes, one frame per tick. The
+// tick is watchTick unless ?interval_ms names another — shorter or
+// longer, floored at minWatchTick; a value that is not a positive
+// integer is ignored. An operator tailing a hot deploy wants seconds, a
+// test wants milliseconds.
 func (g *Gateway) handleAdminWatch(w http.ResponseWriter, r *http.Request) {
 	g.requests.Add(1)
 	if !g.authenticate(w, r, true) {
@@ -55,13 +58,10 @@ func (g *Gateway) handleAdminWatch(w http.ResponseWriter, r *http.Request) {
 		fail(w, http.StatusInternalServerError, "streaming unsupported by this connection", 0)
 		return
 	}
-	interval := g.cfg.WatchInterval
+	interval := watchTick
 	if raw := r.URL.Query().Get("interval_ms"); raw != "" {
 		if ms, err := strconv.ParseInt(raw, 10, 64); err == nil && ms > 0 {
-			interval = time.Duration(ms) * time.Millisecond
-			if interval < 10*time.Millisecond {
-				interval = 10 * time.Millisecond
-			}
+			interval = millis(ms, minWatchTick, math.MaxInt64)
 		}
 	}
 	g.ok.Add(1)

@@ -92,10 +92,14 @@ type Config struct {
 	// Now substitutes the wall clock for the rate/quota limiters;
 	// tests drive quota windows with it. Nil means time.Now.
 	Now func() time.Time
-	// WatchInterval is the default tick of /v1/admin/watch (default
-	// 500ms; clients may narrow it with ?interval_ms, floored at 10ms).
-	WatchInterval time.Duration
 }
+
+// watchTick is the tick of /v1/admin/watch when the client names
+// none; minWatchTick is the floor under a client-named one.
+const (
+	watchTick    = 500 * time.Millisecond
+	minWatchTick = 10 * time.Millisecond
+)
 
 // Stats is a snapshot of the gateway's request counters. Requests is
 // the total; every request lands in exactly one of the other buckets.
@@ -145,9 +149,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
-	}
-	if cfg.WatchInterval <= 0 {
-		cfg.WatchInterval = 500 * time.Millisecond
 	}
 	g := &Gateway{
 		cfg:    cfg,
@@ -276,11 +277,18 @@ func (g *Gateway) budget(r *http.Request, params url.Values) (time.Duration, err
 	if err != nil || ms <= 0 {
 		return 0, errors.New("budget must be a positive integer of milliseconds")
 	}
-	d := time.Duration(ms) * time.Millisecond
-	if d > g.cfg.MaxBudget {
-		d = g.cfg.MaxBudget
+	return millis(ms, 0, g.cfg.MaxBudget), nil
+}
+
+// millis converts a client-named count of milliseconds (positive: both
+// callers reject the rest) into a duration clamped to [lo, hi]. The
+// ceiling is applied in integer milliseconds, before the multiplication,
+// so a huge count saturates at hi instead of wrapping negative.
+func millis(ms int64, lo, hi time.Duration) time.Duration {
+	if ms > int64(hi/time.Millisecond) {
+		return hi
 	}
-	return d, nil
+	return max(time.Duration(ms)*time.Millisecond, lo)
 }
 
 // searchRequest is the POST /v1/search body. Terms, when Query is

@@ -51,7 +51,7 @@ func (b *stubBackend) Failovers() int64                  { return 0 }
 func (b *stubBackend) ReshardStats() (shard.MigrationStats, bool) {
 	return shard.MigrationStats{}, false
 }
-func (b *stubBackend) TermSetKey(string) (string, bool) { return "", false }
+func (b *stubBackend) TermSetKey(canon string) string { return canon }
 
 func (b *stubBackend) SearchContext(ctx context.Context, query string) ([]expertise.Expert, core.SearchTrace, error) {
 	if b.stall {

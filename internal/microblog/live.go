@@ -135,12 +135,15 @@ func FromIndex(w *world.World, tweets []Tweet, index map[string][]TweetID) *Corp
 // Part is one input of Merge: an immutable indexed segment of either
 // storage tier (*Corpus in heap, *diskseg.Segment on disk).
 type Part interface {
-	// NumTweets and Tweets give the part's posts in id order.
+	// NumTweets is the number of posts in the part.
 	NumTweets() int
+	// Tweets returns the part's posts in id order (a disk part decodes
+	// them: a compaction reads every post once).
 	Tweets() []Tweet
-	// NumTerms is the number of distinct terms; Terms yields each with
-	// its posting count, in any order.
+	// NumTerms is the number of distinct terms.
 	NumTerms() int
+	// Terms yields each distinct term with its posting count, in any
+	// order.
 	Terms(yield func(term string, postings int))
 	// AppendPostings appends the term's part-local ascending ids to dst.
 	AppendPostings(dst []TweetID, term string) []TweetID

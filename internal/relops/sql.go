@@ -2,6 +2,7 @@ package relops
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -674,7 +675,7 @@ func (stmt *selectStmt) exec(cat Catalog, opt ExecOptions) (*Table, error) {
 			if it.agg == nil {
 				// Must be a bare group key.
 				id, ok := it.expr.(exprIdent)
-				if !ok || !contains(stmt.groupBy, id.name) {
+				if !ok || !slices.Contains(stmt.groupBy, id.name) {
 					return nil, fmt.Errorf("non-aggregate select item must be a group key")
 				}
 				continue
@@ -766,13 +767,4 @@ func cmpResult(cmp int, op string) bool {
 	default:
 		return cmp >= 0
 	}
-}
-
-func contains(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }

@@ -225,9 +225,9 @@ func TestWarmHitAllocs(t *testing.T) {
 	}
 	// A query answered from a sibling's slot is a warm hit like any
 	// other: the admission table hands out its own key string.
-	key, _ := backend.TermSetKey("49ers")
+	key := backend.TermSetKey("49ers")
 	for _, sibling := range backend.Expand("49ers") {
-		if k, _ := backend.TermSetKey(sibling); k != key {
+		if backend.TermSetKey(sibling) != key {
 			continue // not in canonical form, or beyond the expansion cap
 		}
 		misses := s.Stats().CacheMisses

@@ -54,6 +54,39 @@ type LoadResult struct {
 	Stats Stats
 }
 
+// searchClients starts the search side of a run under wg: workers
+// clients (at least one, at most one per request) that together issue
+// total requests. Each claims the next request number from a shared
+// counter, asks the pool round-robin — every baselineEvery-th request
+// on the baseline endpoint — and counts the answers that held at least
+// one expert.
+func searchClients(wg *sync.WaitGroup, s *Server, queries []string, total, workers, baselineEvery int, answered *atomic.Int64) {
+	workers = min(max(workers, 1), total)
+	var next atomic.Int64
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= total {
+					return
+				}
+				q := queries[i%len(queries)]
+				var experts int
+				if baselineEvery > 0 && (i+1)%baselineEvery == 0 {
+					experts = len(s.SearchBaseline(q))
+				} else {
+					experts = len(s.Search(q))
+				}
+				if experts > 0 {
+					answered.Add(1)
+				}
+			}
+		}()
+	}
+}
+
 // RunLoad drives the server with cfg.Total requests spread over
 // cfg.Workers concurrent clients and reports throughput. Server
 // counters are reset at the start so Stats covers exactly this run.
@@ -61,52 +94,13 @@ func RunLoad(s *Server, cfg LoadConfig) LoadResult {
 	if cfg.Total <= 0 || len(cfg.Queries) == 0 {
 		return LoadResult{}
 	}
-	workers := cfg.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > cfg.Total {
-		workers = cfg.Total
-	}
 	s.ResetStats()
 
 	var answered atomic.Int64
-	run := func(i int) {
-		q := cfg.Queries[i%len(cfg.Queries)]
-		var experts int
-		if cfg.BaselineEvery > 0 && (i+1)%cfg.BaselineEvery == 0 {
-			experts = len(s.SearchBaseline(q))
-		} else {
-			experts = len(s.Search(q))
-		}
-		if experts > 0 {
-			answered.Add(1)
-		}
-	}
-
+	var wg sync.WaitGroup
 	start := time.Now()
-	if workers == 1 {
-		for i := 0; i < cfg.Total; i++ {
-			run(i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= cfg.Total {
-						return
-					}
-					run(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	searchClients(&wg, s, cfg.Queries, cfg.Total, cfg.Workers, cfg.BaselineEvery, &answered)
+	wg.Wait()
 	dur := time.Since(start)
 
 	return LoadResult{
@@ -162,22 +156,15 @@ type MixedLoadResult struct {
 // RunMixedLoad drives the server with cfg.Searches requests while
 // streaming cfg.Ingests posts into idx, and reports both throughputs.
 // Either side may be empty: a write-only run still ingests, a
-// read-only run degenerates to RunLoad semantics. Server counters are
-// reset at the start so Stats covers exactly this run. The server's
-// backend should be the detector over idx — otherwise searches never
-// observe the writes.
+// read-only run is RunLoad. Server counters are reset at the start so
+// Stats covers exactly this run. The server's backend should be the
+// detector over idx — otherwise searches never observe the writes.
 func RunMixedLoad(s *Server, idx Sink, cfg MixedLoadConfig) MixedLoadResult {
-	searching := cfg.Searches > 0 && len(cfg.Queries) > 0
-	if !searching {
+	if cfg.Searches < 0 || len(cfg.Queries) == 0 {
 		cfg.Searches = 0
 	}
-	if !searching && cfg.Ingests <= 0 {
+	if cfg.Searches == 0 && cfg.Ingests <= 0 {
 		return MixedLoadResult{}
-	}
-	searchWorkers := 0
-	if searching {
-		searchWorkers = max(cfg.SearchWorkers, 1)
-		searchWorkers = min(searchWorkers, cfg.Searches)
 	}
 	ingestWorkers := max(cfg.IngestWorkers, 1)
 	if cfg.Ingests <= 0 {
@@ -215,29 +202,7 @@ func RunMixedLoad(s *Server, idx Sink, cfg MixedLoadConfig) MixedLoadResult {
 		}(w)
 	}
 
-	var next atomic.Int64
-	for w := 0; w < searchWorkers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= cfg.Searches {
-					return
-				}
-				q := cfg.Queries[i%len(cfg.Queries)]
-				var experts int
-				if cfg.BaselineEvery > 0 && (i+1)%cfg.BaselineEvery == 0 {
-					experts = len(s.SearchBaseline(q))
-				} else {
-					experts = len(s.Search(q))
-				}
-				if experts > 0 {
-					answered.Add(1)
-				}
-			}
-		}()
-	}
+	searchClients(&wg, s, cfg.Queries, cfg.Searches, cfg.SearchWorkers, cfg.BaselineEvery, &answered)
 	wg.Wait()
 	dur := time.Since(start)
 

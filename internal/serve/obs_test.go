@@ -83,7 +83,7 @@ func TestServerObsTracesAndMetrics(t *testing.T) {
 	// Both traces name the term set they shared an answer under — the
 	// query and its expansion — so an operator can tell which slow-log
 	// lines were one answer.
-	wantSet, _ := sharded.TermSetKey("49ers")
+	wantSet := sharded.TermSetKey("49ers")
 	if hit.TermSet != wantSet || miss.TermSet != wantSet || !strings.Contains(wantSet, "\t") {
 		t.Errorf("traces name term sets %q (hit) and %q (miss), want the expanded set %q", hit.TermSet, miss.TermSet, wantSet)
 	}

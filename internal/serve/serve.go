@@ -22,16 +22,11 @@
 // so is every member query of a domain small enough to expand to all of
 // itself: they share a cache slot and coalesce onto a single in-flight
 // computation, and a write invalidates their answer once, not once per
-// spelling. Two kinds of request do not share across queries and key on
-// the canonical query alone: the baseline endpoint, which does not
-// expand — its term set is the query — and a backend in a relaxed match
-// mode (domains.MatchPhrase, MatchAND), whose expansion depends on
-// which member terms contain the query's tokens, an open set no table
-// closes (TermSetKey reports ok == false). The backend still receives
-// the normalized (order-preserving) text, so the ablation-only
-// phrase-match mode keeps its verbatim semantics — at the cost that
-// phrase-mode backends must not share a Server cache across
-// permutations (no shipped configuration does).
+// spelling. The baseline endpoint does not expand — its term set is the
+// query — and keys on the canonical query alone. Which match rule
+// produced a term set is the detector's business (see
+// core.OnlineConfig.Match); the backend still receives the normalized,
+// order-preserving text.
 //
 // The key space is therefore small and closed, and a cache slot
 // outlives its contents. A slot is created the first time its key is
@@ -82,10 +77,11 @@
 //
 // Build detectors with core.OnlineConfig.MatchWorkers = 1 when serving
 // concurrently: request-level parallelism already saturates the cores.
-// The load generators in loadgen.go drive a Server at configurable
-// concurrency — read-only (RunLoad) or mixed with live ingestion into
-// the backend's shard set (RunMixedLoad) — feeding the
-// BenchmarkServeQPS* suites here and in internal/shard.
+// loadgen.go drives a Server with concurrent search clients, read-only
+// or mixed with live ingestion into the backend's shard set. It is how
+// the tests of serve, shard and replica and examples/streaming put a
+// topology under load before they quiesce and compare; throughput is
+// measured by bench/, not here.
 package serve
 
 import (
@@ -120,9 +116,8 @@ type Backend interface {
 	// the query with canonical form canon (tokens sorted, de-duplicated,
 	// single-spaced) matches: queries with equal keys have the same
 	// answer at the same view, and the server caches and coalesces them
-	// as one. ok is false for a backend whose expansion is not a pure
-	// function of the canonical query; the server then keys on canon.
-	TermSetKey(canon string) (key string, ok bool)
+	// as one. A backend with no closed table of term sets returns canon.
+	TermSetKey(canon string) string
 	// EpochVector appends the per-shard epochs of the view queries
 	// currently run against to dst (capacity reused, contents
 	// discarded); cached results are stale as soon as any component
@@ -248,11 +243,10 @@ type Stats struct {
 
 // cacheKey names one answer: the term set an e# search matches
 // (Backend.TermSetKey — every query of an expertise domain small enough
-// to expand to all of itself shares one), or, for the baseline endpoint
-// and for backends that report no term set, the canonical query — the
-// sorted, de-duplicated token set, under which both the AND-match
-// predicate and domain lookup are invariant. Either way every
-// permutation and repetition of a query shares one key.
+// to expand to all of itself shares one), or, for the baseline endpoint,
+// the canonical query — the sorted, de-duplicated token set, under which
+// both the AND-match predicate and domain lookup are invariant. Either
+// way every permutation and repetition of a query shares one key.
 type cacheKey struct {
 	query    string
 	baseline bool
@@ -487,9 +481,7 @@ func (s *Server) serveTraced(ctx context.Context, query string, baseline bool, d
 	key := cacheKey{query: canon, baseline: baseline}
 	if !baseline {
 		// The baseline does not expand: its term set is the query.
-		if termSet, ok := s.backend.TermSetKey(canon); ok {
-			key.query = termSet
-		}
+		key.query = s.backend.TermSetKey(canon)
 	}
 	if qt != nil {
 		qt.Query = norm

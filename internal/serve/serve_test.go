@@ -165,10 +165,9 @@ func TestCacheDisabled(t *testing.T) {
 // scriptedBackend is a controllable Backend for cache-mechanics tests:
 // a settable epoch (a one-component vector), a call counter, an
 // optional gate that blocks computations until the test releases it,
-// and an optional table of term-set keys by canonical query (nil = the
-// backend reports none, as a relaxed-mode detector does; a query the
-// table lacks is its own term set). It never degrades, fails over or
-// reshards.
+// and an optional table of term-set keys by canonical query (a query
+// the table lacks is its own term set, as every query of a relaxed-mode
+// detector is). It never degrades, fails over or reshards.
 type scriptedBackend struct {
 	epoch    atomic.Uint64
 	calls    atomic.Int64
@@ -176,14 +175,11 @@ type scriptedBackend struct {
 	termSets map[string]string
 }
 
-func (b *scriptedBackend) TermSetKey(canon string) (string, bool) {
-	if b.termSets == nil {
-		return "", false
-	}
+func (b *scriptedBackend) TermSetKey(canon string) string {
 	if key, ok := b.termSets[canon]; ok {
-		return key, true
+		return key
 	}
-	return canon, true
+	return canon
 }
 
 func (b *scriptedBackend) answer(query string) []expertise.Expert {

@@ -55,8 +55,8 @@ import (
 // RoutingTable is one immutable version of the author→shard mapping:
 // ShardOf at a pinned shard count, tagged with a version so the
 // serving layer can report which table a deployment is routing on and
-// a migration can prove it swapped exactly once. Versions are
-// monotone per deployment; the Migration assigns to = from+1.
+// a migration can prove it swapped exactly once: a Migration's source
+// table is version 1, its destination version 2.
 type RoutingTable struct {
 	// Version is the table's monotone version number.
 	Version uint64
@@ -86,8 +86,8 @@ type LogPager interface {
 	BasePosts() (int, error)
 }
 
-// PagePosts implements LogPager over the local index's snapshot — the
-// same read the remote OpTweets handler runs server-side.
+// PagePosts implements LogPager over the local index's snapshot; the
+// remote OpTweets handler answers with it server-side.
 func (l *Local) PagePosts(from, max, filterShards, filterIdx int) ([]microblog.Post, int, int, error) {
 	snap := l.idx.Snapshot()
 	total := snap.NumTweets()
@@ -172,9 +172,6 @@ type MigrationConfig struct {
 	// PageSize bounds how many log entries one handoff page scans.
 	// Zero means 1024.
 	PageSize int
-	// FromVersion is the source routing table's version; the
-	// destination table gets FromVersion+1. Zero means 1.
-	FromVersion uint64
 	// Cutover, when non-nil, runs under the write lock at the instant
 	// the routing table swaps — wire it to
 	// core.ShardedLiveDetector.SwapCluster so the read path moves in
@@ -262,15 +259,12 @@ func NewMigration(src, dst *Cluster, cfg MigrationConfig) (*Migration, error) {
 	if cfg.PageSize <= 0 {
 		cfg.PageSize = 1024
 	}
-	if cfg.FromVersion == 0 {
-		cfg.FromVersion = 1
-	}
 	m := &Migration{
 		src:      src,
 		dst:      dst,
 		cfg:      cfg,
-		from:     RoutingTable{Version: cfg.FromVersion, Shards: src.NumShards()},
-		to:       RoutingTable{Version: cfg.FromVersion + 1, Shards: dst.NumShards()},
+		from:     RoutingTable{Version: 1, Shards: src.NumShards()},
+		to:       RoutingTable{Version: 2, Shards: dst.NumShards()},
 		drained:  make([]atomic.Int64, src.NumShards()),
 		received: make([]atomic.Int64, dst.NumShards()),
 	}

@@ -91,9 +91,6 @@ func (g *Graph) Vertex(term string) (int32, bool) {
 // Neighbors returns the adjacency list of v (do not mutate).
 func (g *Graph) Neighbors(v int32) []Neighbor { return g.adj[v] }
 
-// Degree returns the number of incident edges of v.
-func (g *Graph) Degree(v int32) int { return len(g.adj[v]) }
-
 // Edges returns every undirected edge once, sorted by (A, B).
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, 0, g.edges)

@@ -7,8 +7,8 @@
 // plus at most one top-up round trip per shard when N > 1 —
 // encode/decode and kernel socket hops on top), the warm epoch-sample
 // cost on a subscribed client (BenchmarkRemoteEpochSample — a memory
-// read, no frames), a mixed read/write load (BenchmarkRemoteMixedLoad)
-// and the isolated frame codec cost (BenchmarkWireSearchCodec).
+// read, no frames), the routed write (BenchmarkRemoteIngest) and the
+// isolated frame codec cost (BenchmarkWireSearchCodec).
 // BENCHMARKS.md records the per-PR numbers. The detector runs
 // MatchWorkers = 1, as cmd/gateway does, so the per-shard round trips
 // go out one after another: multi-shard remote latency here is the sum
@@ -104,39 +104,6 @@ func BenchmarkRemoteEpochSample(b *testing.B) {
 	b.StopTimer()
 	if got := clients[0].EpochRTTs() + clients[1].EpochRTTs() - rtts; got != 0 {
 		b.Fatalf("%d warm samples spent %d epoch round trips, want 0", b.N, got)
-	}
-}
-
-// BenchmarkRemoteMixedLoad measures sustained remote throughput under
-// the serving mix: per iteration one scatter-gather query, one
-// epoch-vector sample (the cache freshness check) and, every eighth
-// iteration, one routed ingest — the workload the round-trip
-// reductions of the push + composite protocol are aimed at.
-func BenchmarkRemoteMixedLoad(b *testing.B) {
-	d := benchRemoteCluster(b, 2, 2048)
-	cluster := d.Cluster()
-	p, _ := testPipeline(b)
-	stream := microblog.NewPostStream(p.World, microblog.DefaultStreamConfig(29))
-	queries := []string{"49ers", "nfl", "diabetes", "coffee"}
-	var vec []uint64
-	var err error
-	one := make([]microblog.Post, 1) // reused: the row prices the wire, not a slice literal
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Search(queries[i%len(queries)])
-		if vec, err = cluster.EpochVector(vec[:0]); err != nil {
-			b.Fatal(err)
-		}
-		if i%8 == 0 {
-			one[0] = stream.Next()
-			if err := cluster.IngestBatch(one); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.StopTimer()
-	if pq, _ := d.PartialStats(); pq != 0 {
-		b.Fatalf("%d partial queries during benchmark", pq)
 	}
 }
 

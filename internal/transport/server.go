@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/expertise"
 	"repro/internal/ingest"
-	"repro/internal/microblog"
 	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/world"
@@ -646,26 +645,10 @@ func (s *ShardServer) dispatch(st *connState, op Op, payload []byte) (Op, error)
 		if err != nil {
 			return 0, err
 		}
-		snap := s.idx.Snapshot()
-		total := snap.NumTweets()
-		// Max bounds the ids scanned, not the posts returned: a
-		// filtered handoff page may return far fewer posts than it
-		// scanned, and Scanned tells the client how far to advance.
-		max := min(req.Max, maxTweetsPage)
-		resp := TweetsResp{Total: total}
-		for gid := req.From; gid < total && resp.Scanned < max; gid++ {
-			resp.Scanned++
-			tw := snap.Tweet(microblog.TweetID(gid))
-			if req.FilterShards > 0 && shard.ShardOf(tw.Author, req.FilterShards) != req.FilterIdx {
-				continue
-			}
-			resp.Posts = append(resp.Posts, microblog.Post{
-				Author:       tw.Author,
-				Text:         tw.Text,
-				Mentions:     tw.Mentions,
-				RetweetCount: tw.RetweetCount,
-				Topic:        tw.Topic,
-			})
+		var resp TweetsResp
+		resp.Posts, resp.Scanned, resp.Total, err = s.local.PagePosts(req.From, min(req.Max, maxTweetsPage), req.FilterShards, req.FilterIdx)
+		if err != nil {
+			return 0, err
 		}
 		st.out = AppendTweetsResp(st.out, resp)
 		return OpTweets, nil

@@ -183,10 +183,3 @@ func sanitizeHost(s string) string {
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
