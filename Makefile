@@ -92,18 +92,22 @@ bench-disk:
 loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
-# A brief native-fuzz pass over the wire codec (FuzzDecodeFrame): every
-# op's payload decoder — including the PR 6 OpSearchStats composite,
-# OpSubscribe/OpEpochDelta acks, the OpDeflate envelope and the PR 8
+# A brief native-fuzz pass, FUZZTIME per target, over the wire codec
+# (FuzzDecodeFrame): every op's payload decoder — including the
+# OpSearchStats composite, OpSubscribe/OpEpochDelta acks and the
 # resharding extensions (filtered OpTweets handoff pages, the
 # expectation-carrying OpInfo) — must never panic or over-allocate on
-# adversarial input, and every successful decode must round-trip — and
-# over the admission fast paths (FuzzNormalize): Normalize and
-# TokenizeAppend must agree with lower-case + Fields + Join on any
-# string. Raise FUZZTIME for longer local hunts.
+# adversarial input, and every successful decode must round-trip; over
+# the server acting on what it decodes (FuzzDispatch): arbitrary request
+# frame sequences against a real shard never panic it and get OpError or
+# a decodable answer of their own op; and over the admission fast paths
+# (FuzzNormalize): Normalize and TokenizeAppend must agree with
+# lower-case + Fields + Join on any string. Raise FUZZTIME for longer
+# local hunts.
 FUZZTIME ?= 15s
 fuzz-smoke:
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzDispatch$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/textutil -run '^$$' -fuzz '^FuzzNormalize$$' -fuzztime $(FUZZTIME)
 
 # Coverage over the library packages, with a one-line total summary.

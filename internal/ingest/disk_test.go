@@ -397,6 +397,54 @@ func TestQuiesceIsSynchronousDrain(t *testing.T) {
 	}
 }
 
+// TestBacklogBoundedUnderFastWriter is the write-faster-than-drain bar
+// of the backlog cap: one writer ingests 20,480 posts into a compacting,
+// spilling index as fast as it can — half one post per call, half 512
+// per call, each of which seals eight segments at once — and after
+// every call returns no size tier holds the cap (2 × CompactFanIn) or
+// more sealed segments. The quiesced index then answers every eval
+// query bit-identically to a cold detector over the same posts.
+func TestBacklogBoundedUnderFastWriter(t *testing.T) {
+	p, sets := testPipeline(t)
+	const n, batch = 20480, 512
+	posts := streamPosts(p, 71, n)
+	cfg := ingest.Config{SealThreshold: 64, CompactFanIn: 4, SpillDir: t.TempDir(), SpillThreshold: 256}
+	idx := ingest.New(p.Corpus, cfg)
+	defer idx.Close()
+	limit := ingest.BacklogCap(cfg)
+	for i := 0; i < n; {
+		if i < n/2 {
+			idx.Ingest(posts[i])
+			i++
+		} else {
+			idx.IngestBatch(posts[i : i+batch])
+			i += batch
+		}
+		if got := idx.FullestTier(); got >= limit {
+			t.Fatalf("after %d posts a size tier holds %d sealed segments, cap %d", i, got, limit)
+		}
+	}
+	st := idx.Stats()
+	if st.WriterDrains == 0 || st.Spills == 0 {
+		t.Fatalf("test did not exercise writer drains and the disk tier: %+v", st)
+	}
+	idx.Quiesce()
+
+	live := core.NewLiveDetector(p.Collection, idx, p.Cfg.Online)
+	cold := core.NewDetector(p.Collection, p.Corpus.ExtendedWith(posts), p.Cfg.Online)
+	for _, set := range sets {
+		for _, q := range set.Queries {
+			gotES, gotTrace := live.Search(q)
+			wantES, wantTrace := cold.Search(q)
+			expertsIdentical(t, "esharp", q, gotES, wantES)
+			if gotTrace.MatchedTweets != wantTrace.MatchedTweets {
+				t.Fatalf("esharp %q: live matched %d tweets, cold %d", q, gotTrace.MatchedTweets, wantTrace.MatchedTweets)
+			}
+			expertsIdentical(t, "baseline", q, live.SearchBaseline(q), cold.SearchBaseline(q))
+		}
+	}
+}
+
 // TestDiskStaleFileCleanup pins the SpillDir ownership contract: a new
 // index removes segment files a previous run left behind.
 func TestDiskStaleFileCleanup(t *testing.T) {

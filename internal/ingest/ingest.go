@@ -13,7 +13,8 @@
 // compactor merges adjacent sealed segments of similar size into larger
 // ones, LSM-style, by concatenating their posting lists
 // (microblog.Merge), so a long-running index converges to a handful of
-// segments instead of an ever-growing chain. Readers acquire an
+// segments instead of an ever-growing chain; a writer that outruns the
+// compactor runs its drain itself (backlogFactor). Readers acquire an
 // epoch-tagged *Snapshot — base corpus + sealed segments + a frozen
 // view of the active tail — via a single atomic pointer load; every
 // Ingest publishes a fresh snapshot with a single atomic pointer swap,
@@ -66,8 +67,8 @@ type Config struct {
 	// the compactor merges at a time. Zero means 4.
 	CompactFanIn int
 	// DisableCompactor skips starting the background compactor (used by
-	// tests and benchmarks that want to observe fragmented state). An
-	// explicit Quiesce still compacts.
+	// tests and benchmarks that want to observe fragmented state) and
+	// the backlog cap. An explicit Quiesce still compacts.
 	DisableCompactor bool
 	// SpillDir enables the disk tier: the compactor rewrites sealed
 	// segments holding at least SpillThreshold posts into the compact
@@ -91,14 +92,21 @@ type Config struct {
 	SpillIO diskseg.IO
 	// Obs, when non-nil, attaches the index to a metrics registry:
 	// ingest latency (ingest_ns), accepted posts (ingest_posts), seal
-	// and compaction counts (ingest_seals, ingest_compactions) and the
-	// live sealed-segment gauge (ingest_segments). Nil keeps the write
-	// path exactly as fast and allocation-free as un-instrumented.
+	// and compaction counts (ingest_seals, ingest_compactions), the
+	// writes that drained past the backlog cap (ingest_writer_drains)
+	// and the live sealed-segment gauge (ingest_segments). Nil keeps the
+	// write path exactly as fast and allocation-free as un-instrumented.
 	Obs *obs.Registry
 }
 
 // DefaultConfig returns the streaming defaults.
 func DefaultConfig() Config { return Config{SealThreshold: 512, CompactFanIn: 4} }
+
+// backlogFactor caps the un-merged backlog: a write whose seal leaves a
+// size tier holding backlogFactor × CompactFanIn segments drains the
+// compactor itself. A compactor that keeps up holds tiers below
+// CompactFanIn, so 2 gives it one fan-in of slack before writers pay.
+const backlogFactor = 2
 
 // segment is one immutable slice of the stream, in exactly one
 // storage tier: corpus-backed in heap, or an mmap-backed on-disk
@@ -146,6 +154,7 @@ type Index struct {
 	ingested    int64
 	seals       int64
 	compactions int64
+	drains      int64 // writes that ran the drain past the backlog cap
 	spills      int64
 	spillErrors int64
 	spillSeq    int64
@@ -181,6 +190,7 @@ type Index struct {
 	obsPosts        *obs.Counter
 	obsSeals        *obs.Counter
 	obsCompactions  *obs.Counter
+	obsWriterDrains *obs.Counter
 	obsSegments     *obs.Gauge
 	obsDiskSegments *obs.Gauge
 	obsSpills       *obs.Counter
@@ -228,6 +238,7 @@ func New(base *microblog.Corpus, cfg Config) *Index {
 		i.obsPosts = cfg.Obs.Counter("ingest_posts")
 		i.obsSeals = cfg.Obs.Counter("ingest_seals")
 		i.obsCompactions = cfg.Obs.Counter("ingest_compactions")
+		i.obsWriterDrains = cfg.Obs.Counter("ingest_writer_drains")
 		i.obsSegments = cfg.Obs.Gauge("ingest_segments")
 		i.obsDiskSegments = cfg.Obs.Gauge("disk_segments")
 		i.obsSpills = cfg.Obs.Counter("ingest_spills")
@@ -439,12 +450,38 @@ func (i *Index) publishLocked() {
 	i.obsSegments.Set(int64(len(i.sealed)))
 }
 
-// kickCompactor nudges the background compactor without blocking.
+// kickCompactor nudges the background compactor without blocking — or,
+// past the backlog cap, runs its drain on the sealing writer.
 func (i *Index) kickCompactor() {
+	if i.overBacklog() {
+		i.drain()
+		return
+	}
 	select {
 	case i.compactReq <- struct{}{}:
 	default:
 	}
+}
+
+// overBacklog reports, and counts as a writer drain, a layout with a
+// size tier at the backlog cap. DisableCompactor indexes are exempt:
+// they promise their fragmentation to tests and benchmarks.
+func (i *Index) overBacklog() bool {
+	if i.cfg.DisableCompactor {
+		return false
+	}
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	var perTier [65]int // a tier is a bits.Len of a uint
+	for _, sg := range i.sealed {
+		t := i.tier(sg)
+		if perTier[t]++; perTier[t] == backlogFactor*i.cfg.CompactFanIn {
+			i.drains++
+			i.obsWriterDrains.Inc()
+			return true
+		}
+	}
+	return false
 }
 
 // compactLoop runs until Close, merging whenever a seal makes a run of
@@ -572,7 +609,7 @@ func (i *Index) compactOnce() bool {
 func (i *Index) Quiesce() { i.drain() }
 
 // Close stops the background compactor. The index remains readable and
-// writable (no further compaction happens).
+// writable; only a write past the backlog cap or Quiesce compacts.
 func (i *Index) Close() {
 	i.closeOnce.Do(func() { close(i.done) })
 	i.wg.Wait()
@@ -598,6 +635,9 @@ type IndexStats struct {
 	// rewrites that faulted (the segment stayed in heap).
 	Seals, Compactions  int64
 	Spills, SpillErrors int64
+	// WriterDrains counts writes that sealed past the backlog cap and
+	// drained the compactor themselves before returning.
+	WriterDrains int64
 }
 
 // Stats snapshots the writer-side counters.
@@ -621,5 +661,6 @@ func (i *Index) Stats() IndexStats {
 		Compactions:  i.compactions,
 		Spills:       i.spills,
 		SpillErrors:  i.spillErrors,
+		WriterDrains: i.drains,
 	}
 }

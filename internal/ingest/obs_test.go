@@ -45,6 +45,9 @@ func TestIngestObsAccounting(t *testing.T) {
 	if rows["ingest_segments"] != int64(st.Segments) {
 		t.Errorf("ingest_segments = %d, Stats().Segments = %d", rows["ingest_segments"], st.Segments)
 	}
+	if got, ok := rows["ingest_writer_drains"]; !ok || got != st.WriterDrains {
+		t.Errorf("ingest_writer_drains = %d (registered %v), Stats().WriterDrains = %d", got, ok, st.WriterDrains)
+	}
 	if st.Ingested != posts {
 		t.Errorf("Stats().Ingested = %d, want %d", st.Ingested, posts)
 	}

@@ -87,11 +87,12 @@ type LogPager interface {
 }
 
 // PagePosts implements LogPager over the local index's snapshot; the
-// remote OpTweets handler answers with it server-side.
+// remote OpTweets handler answers with it server-side. A negative from
+// is outside the log and pages nothing, like one past its end.
 func (l *Local) PagePosts(from, max, filterShards, filterIdx int) ([]microblog.Post, int, int, error) {
 	snap := l.idx.Snapshot()
 	total := snap.NumTweets()
-	if max <= 0 || from >= total {
+	if max <= 0 || from < 0 || from >= total {
 		return nil, 0, total, nil
 	}
 	var posts []microblog.Post

@@ -283,6 +283,21 @@ func TestReshardChaosMidDrain(t *testing.T) {
 	}
 }
 
+// TestPagePostsNegativeCursorIsEmpty pins the page loop's lower edge: a
+// cursor before the log (what a wrapped wire value used to decode to)
+// pages nothing instead of indexing the snapshot at -1.
+func TestPagePostsNegativeCursorIsEmpty(t *testing.T) {
+	p, _ := testPipeline(t)
+	c := shard.New(p.Corpus, 1, ingest.Config{DisableCompactor: true})
+	defer c.Close()
+	local := c.Backend(0).(*shard.Local)
+	posts, scanned, total, err := local.PagePosts(-1, 16, 0, 0)
+	if err != nil || len(posts) != 0 || scanned != 0 || total != p.Corpus.NumTweets() {
+		t.Fatalf("PagePosts(-1): %d posts, scanned %d, total %d, err %v — want an empty page of a %d-post log",
+			len(posts), scanned, total, err, p.Corpus.NumTweets())
+	}
+}
+
 // TestMigrationStateMachine pins the coordinator's lifecycle edges:
 // construction validation, phase ordering, idempotent abort, and the
 // write path staying on the source after an abort.

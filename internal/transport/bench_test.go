@@ -80,7 +80,7 @@ func BenchmarkRemoteSearchSharded4(b *testing.B) { benchRemoteSearch(b, 4) }
 // BenchmarkRemoteEpochSample measures the serving cache's per-request
 // freshness check on a warm subscribed client: the epoch vector is a
 // local atomic read per shard — no frames, no syscalls — which is what
-// the push channel buys over the old per-sample OpEpoch probe.
+// the push channel buys over the old per-sample epoch probe.
 func BenchmarkRemoteEpochSample(b *testing.B) {
 	p, _ := testPipeline(b)
 	clients := startShardServers(b, p, 2, ingest.DefaultConfig())

@@ -3,7 +3,6 @@ package transport
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -32,16 +31,12 @@ type ClientConfig struct {
 	// dead server costs one dial per backoff window instead of one per
 	// request. Zero fields take shard.DefaultBackoff.
 	DialBackoff shard.Backoff
-	// NoCompress keeps this client from advertising FeatureCompress, so
-	// neither side sends OpDeflate envelopes on its connections.
-	NoCompress bool
 	// Obs, when non-nil, exports the client's wire accounting into the
 	// registry: per-op round-trip counters and latency histograms
 	// (rpc_client_<op>_requests, rpc_client_<op>_ns), byte counters
-	// (rpc_client_bytes_read, rpc_client_bytes_written),
-	// rpc_client_deflate_saved_bytes, rpc_client_dials and
-	// rpc_client_epoch_rtts. Handles are get-or-create by name, so every
-	// client sharing one registry aggregates into the same rows —
+	// (rpc_client_bytes_read, rpc_client_bytes_written), rpc_client_dials
+	// and rpc_client_epoch_rtts. Handles are get-or-create by name, so
+	// every client sharing one registry aggregates into the same rows —
 	// cluster-wide client totals, with per-shard latency split already
 	// covered by the coordinator's sharded_shard<i>_* histograms. Nil
 	// adds no clock reads to the request path.
@@ -117,29 +112,25 @@ type RemoteShard struct {
 	// round-trip counters and latency histograms indexed by op byte,
 	// plus the wire byte counters. All handles are nil-safe, so the
 	// un-instrumented path pays nothing but the obsOn branch.
-	obsOn           bool
-	obsOpReqs       [128]*obs.Counter
-	obsOpNS         [128]*obs.Histogram
-	obsBytesR       *obs.Counter
-	obsBytesW       *obs.Counter
-	obsDeflateSaved *obs.Counter
-	obsDials        *obs.Counter
-	obsEpochRTTs    *obs.Counter
+	obsOn        bool
+	obsOpReqs    [128]*obs.Counter
+	obsOpNS      [128]*obs.Histogram
+	obsBytesR    *obs.Counter
+	obsBytesW    *obs.Counter
+	obsDials     *obs.Counter
+	obsEpochRTTs *obs.Counter
 }
 
 // clientConn is one pooled connection plus everything a conversation
 // on it reuses: its buffers and the View it becomes while a search
 // holds it checked out.
 type clientConn struct {
-	c        net.Conn
-	br       *bufio.Reader
-	in       []byte // frame read buffer
-	out      []byte // frame build buffer
-	req      []byte // search / stats request payload build buffer
-	env      []byte // OpDeflate request envelope buffer
-	dec      []byte // OpDeflate response inflate buffer
-	pooled   bool   // checked out of the idle pool (retry-once eligible)
-	compress bool   // negotiated FeatureCompress on this connection
+	c      net.Conn
+	br     *bufio.Reader
+	in     []byte // frame read buffer
+	out    []byte // frame build buffer
+	req    []byte // search / stats request payload build buffer
+	pooled bool   // checked out of the idle pool (retry-once eligible)
 	// view is the shard.View a search op hands out over this connection.
 	// A view lives exactly as long as that check-out, so it is a field
 	// reset per conversation rather than an object per query.
@@ -165,7 +156,6 @@ func NewRemoteShard(addr string, cfg ClientConfig) *RemoteShard {
 		}
 		r.obsBytesR = cfg.Obs.Counter("rpc_client_bytes_read")
 		r.obsBytesW = cfg.Obs.Counter("rpc_client_bytes_written")
-		r.obsDeflateSaved = cfg.Obs.Counter("rpc_client_deflate_saved_bytes")
 		r.obsDials = cfg.Obs.Counter("rpc_client_dials")
 		r.obsEpochRTTs = cfg.Obs.Counter("rpc_client_epoch_rtts")
 	}
@@ -266,42 +256,31 @@ func (r *RemoteShard) release(cc *clientConn) {
 	cc.c.Close()
 }
 
-// features returns the feature bits this client advertises.
-func (r *RemoteShard) features() uint64 {
-	var f uint64
-	if !r.cfg.NoCompress {
-		f |= FeatureCompress
-	}
-	return f
-}
-
-// infoPayload builds the OpInfo request: feature bits alone before
-// Handshake, feature bits plus the pinned deployment coordinates after
-// — the renegotiation half of the identity check, run server-side, so
-// a client wired to a resharded or rebuilt deployment is refused at
-// connect even if it would have skipped its own verification.
+// infoPayload builds the OpInfo request: empty before Handshake, the
+// pinned deployment coordinates after — the renegotiation half of the
+// identity check, run server-side, so a client wired to a resharded or
+// rebuilt deployment is refused at connect even if it would have
+// skipped its own verification.
 func (r *RemoteShard) infoPayload() []byte {
-	req := InfoReq{Features: r.features()}
-	if e := r.expect.Load(); e != nil {
-		req.ExpectShard = e.Shard
-		req.ExpectShards = e.NumShards
-		req.ExpectUsers = e.Users
-		req.ExpectBase = e.BaseTweets
+	e := r.expect.Load()
+	if e == nil {
+		return nil
 	}
-	return AppendInfoReqExpect(nil, req)
+	return AppendInfoReq(nil, InfoReq{
+		ExpectShard: e.Shard, ExpectShards: e.NumShards,
+		ExpectUsers: e.Users, ExpectBase: e.BaseTweets,
+	})
 }
 
 // negotiate runs the once-per-connection OpInfo exchange on a freshly
-// dialed connection: it advertises the client's feature bits, records
-// the negotiated intersection on the connection, and — once Handshake
-// has pinned the deployment identity — re-verifies it. The server must
-// still be the same shard, partition, world — and the same
-// *incarnation*. A restarted shardd starts a fresh index whose epoch
-// regresses to zero; silently reconnecting to it would let the serving
-// cache treat pre-restart entries as fresh forever. The incarnation
-// check turns that into a hard backend failure, which the coordinator
-// degrades on (partial results, EpochUnknown, cache bypass) until the
-// operator re-wires.
+// dialed connection and — once Handshake has pinned the deployment
+// identity — re-verifies it. The server must still be the same shard,
+// partition, world — and the same *incarnation*. A restarted shardd
+// starts a fresh index whose epoch regresses to zero; silently
+// reconnecting to it would let the serving cache treat pre-restart
+// entries as fresh forever. The incarnation check turns that into a
+// hard backend failure, which the coordinator degrades on (partial
+// results, EpochUnknown, cache bypass) until the operator re-wires.
 func (r *RemoteShard) negotiate(cc *clientConn) error {
 	resp, _, err := r.roundTrip(cc, OpInfo, r.infoPayload(), r.cfg.Timeout)
 	if err != nil {
@@ -311,7 +290,6 @@ func (r *RemoteShard) negotiate(cc *clientConn) error {
 	if err != nil {
 		return err
 	}
-	cc.compress = !r.cfg.NoCompress && info.Features&FeatureCompress != 0
 	expect := r.expect.Load()
 	if expect == nil {
 		return nil
@@ -330,14 +308,11 @@ func (r *RemoteShard) negotiate(cc *clientConn) error {
 }
 
 // roundTrip sends one framed request on cc and reads one response
-// frame, under one deadline. The returned payload aliases cc.in or
-// cc.dec and is valid until the next roundTrip on cc. An OpError
-// response is decoded into an error with okConn=true (the stream is
-// still synchronized); an unexpected op poisons the connection. A
-// compression-negotiated connection sends fat requests as OpDeflate
-// envelopes (when that shrinks them) and unwraps envelope responses;
-// interleaved OpEpochDelta pushes are absorbed into the cached epoch
-// rather than treated as the response.
+// frame, under one deadline. The returned payload aliases cc.in and is
+// valid until the next roundTrip on cc. An OpError response is decoded
+// into an error with okConn=true (the stream is still synchronized); an
+// unexpected op poisons the connection. Interleaved OpEpochDelta pushes
+// are absorbed into the cached epoch, not taken for the response.
 func (r *RemoteShard) roundTrip(cc *clientConn, op Op, payload []byte, timeout time.Duration) (respPayload []byte, okConn bool, err error) {
 	if r.obsOn {
 		// Count and time the whole round trip — write through response
@@ -349,18 +324,7 @@ func (r *RemoteShard) roundTrip(cc *clientConn, op Op, payload []byte, timeout t
 	if err := cc.c.SetDeadline(time.Now().Add(timeout)); err != nil {
 		return nil, false, fmt.Errorf("transport: set deadline: %w", err)
 	}
-	wireOp, body := op, payload
-	if cc.compress && len(payload) >= CompressMin {
-		cc.env = AppendDeflate(cc.env[:0], op, payload)
-		if len(cc.env) < len(payload) {
-			wireOp, body = OpDeflate, cc.env
-			r.obsDeflateSaved.Add(int64(len(payload) - len(body)))
-		}
-	}
-	cc.out = cc.out[:0]
-	cc.out = binary.BigEndian.AppendUint32(cc.out, uint32(1+len(body)))
-	cc.out = append(cc.out, byte(wireOp))
-	cc.out = append(cc.out, body...)
+	cc.out = AppendFrame(cc.out[:0], op, payload)
 	if _, err := cc.c.Write(cc.out); err != nil {
 		return nil, false, fmt.Errorf("transport: write %s: %w", r.addr, err)
 	}
@@ -379,13 +343,6 @@ func (r *RemoteShard) roundTrip(cc *clientConn, op Op, payload []byte, timeout t
 			}
 			r.noteEpoch(er.Epoch)
 			continue
-		}
-		if respOp == OpDeflate {
-			respOp, cc.dec, err = ConsumeDeflate(cc.dec, resp)
-			if err != nil {
-				return nil, false, fmt.Errorf("transport: %s: %w", r.addr, err)
-			}
-			resp = cc.dec
 		}
 		switch respOp {
 		case op:

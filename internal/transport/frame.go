@@ -1,8 +1,8 @@
 // Package transport puts a wire behind the shard.Backend interface: a
 // length-prefixed binary protocol over TCP carrying the scatter-gather
 // exchange — term-set searches answered with raw integer candidate
-// rows, batched denominator fetches, routed ingest batches, and
-// epoch/quiesce probes — between a RemoteShard client and a
+// rows, batched denominator fetches, routed ingest batches, and epoch
+// pushes and quiesce drains — between a RemoteShard client and a
 // ShardServer wrapping one ingest.Index.
 //
 // The protocol exists because the sharded read path was
@@ -16,11 +16,13 @@
 //
 // Framing. Every message is one frame: a 4-byte big-endian length (of
 // everything after itself: one op byte plus the payload), the op byte,
-// and an op-specific varint payload (wire.go). Frames longer than
+// and an op-specific varint payload (wire.go), sent exactly as its codec
+// wrote it — there is no compression envelope. Frames longer than
 // MaxFrame are rejected before any allocation, and every count field
 // inside a payload is validated against the bytes actually present, so
 // a hostile peer can neither panic a decoder nor make it over-allocate
-// (FuzzDecodeFrame enforces this).
+// (FuzzDecodeFrame enforces this), nor panic the server that acts on
+// what it decoded (FuzzDispatch).
 //
 // Conversation state. A connection is a sequential request/response
 // stream with exactly one piece of server-side state: the snapshot the
@@ -40,13 +42,13 @@
 // string copy of a search request's terms. Every other byte lives in a
 // buffer one of the two connection objects owns and the next
 // conversation on that connection reuses: the client's request build
-// buffer, both sides' frame, envelope, read and inflate buffers (the
-// length prefix is read into the read buffer, the server's frame header
-// built in its bufio.Writer's spare capacity), the decoded rows and
-// stats, and the View itself, which is a field of the client connection
-// it pins. The terms are copied once rather than aliased because the
-// read buffer is overwritten by the next frame while tokens cut from
-// the terms still sit in the shard's pooled scratch.
+// buffer, both sides' frame and read buffers (the length prefix is read
+// into the read buffer, the server's frame header built in its
+// bufio.Writer's spare capacity), the decoded rows and stats, and the
+// View itself, which is a field of the client connection it pins. The
+// terms are copied once rather than aliased because the read buffer is
+// overwritten by the next frame while tokens cut from the terms still
+// sit in the shard's pooled scratch.
 //
 // Pushes. A connection that sent OpSubscribe additionally receives
 // server-initiated OpEpochDelta frames whenever the index publishes a
@@ -84,7 +86,10 @@ const MaxFrame = 8 << 20
 // share the op; a server that cannot answer replies OpError instead.
 type Op byte
 
-// The protocol ops. The zero value is deliberately invalid.
+// The protocol ops. The zero value is deliberately invalid. Two numbers
+// are retired and never to be reused: 0x04 (the epoch probe, replaced by
+// the OpSubscribe push channel) and 0x10 (the frame compression
+// envelope); a server answers either as an unknown op.
 const (
 	// OpSearch carries a term-set search (SearchReq → SearchResp) and
 	// pins the answering snapshot to the connection.
@@ -95,13 +100,10 @@ const (
 	OpStats Op = 0x02
 	// OpIngest appends a routed post batch (IngestReq → IngestResp).
 	OpIngest Op = 0x03
-	// OpEpoch probes the shard's current snapshot epoch (empty request
-	// → EpochResp).
-	OpEpoch Op = 0x04
 	// OpQuiesce synchronously drains eligible compactions (empty
 	// request → EpochResp with the post-quiesce epoch).
 	OpQuiesce Op = 0x05
-	// OpInfo describes the served partition (empty request → InfoResp);
+	// OpInfo describes the served partition (InfoReq → InfoResp);
 	// clients use it as a deployment-sanity handshake.
 	OpInfo Op = 0x06
 	// OpTweets pages the shard's post log (TweetsReq → TweetsResp); the
@@ -129,12 +131,6 @@ const (
 	// releases the connection's pinned snapshot without costing a round
 	// trip. Unpinning an unpinned connection is a no-op.
 	OpUnpin Op = 0x0b
-	// OpDeflate is a compression envelope, not a message of its own: its
-	// payload is the inner op byte, the inflated payload length as a
-	// uvarint, and the flate stream of the inner payload. Either side
-	// may send it once OpInfo negotiation establishes both support it;
-	// every receiver decodes it unconditionally. Envelopes never nest.
-	OpDeflate Op = 0x10
 	// OpError is a response-only op whose payload is an error string.
 	OpError Op = 0x7f
 )
@@ -150,8 +146,6 @@ func (o Op) Name() string {
 		return "stats"
 	case OpIngest:
 		return "ingest"
-	case OpEpoch:
-		return "epoch"
 	case OpQuiesce:
 		return "quiesce"
 	case OpInfo:
@@ -166,22 +160,11 @@ func (o Op) Name() string {
 		return "search_stats"
 	case OpUnpin:
 		return "unpin"
-	case OpDeflate:
-		return "deflate"
 	case OpError:
 		return "error"
 	}
 	return fmt.Sprintf("op_0x%02x", byte(o))
 }
-
-// FeatureCompress is the OpInfo-negotiated feature bit for OpDeflate
-// frame compression. A client advertises its feature bits as a uvarint
-// in the (previously empty) OpInfo request payload; the server reports
-// its own in InfoResp.Features and records the intersection for the
-// connection. Compression gates only sending — decoding OpDeflate is
-// unconditional — so an empty request payload (an old client) simply
-// yields an uncompressed connection.
-const FeatureCompress uint64 = 1 << 0
 
 // ErrFrameTooLarge reports a length prefix exceeding MaxFrame.
 var ErrFrameTooLarge = errors.New("transport: frame exceeds MaxFrame")

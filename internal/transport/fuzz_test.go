@@ -1,21 +1,27 @@
-// Native fuzzing of the wire codec. The decoders' contract against
-// adversarial bytes is: never panic, never allocate past the data
-// actually present, and accept exactly what the encoders produce. The
-// fuzz target decodes a frame and every payload interpretation, and
-// whenever a decode succeeds it re-encodes and re-decodes, requiring a
-// fixed point — so the corpus explores both rejection paths and
-// round-trip identity. `make fuzz-smoke` runs this briefly in CI;
-// longer local runs just raise -fuzztime.
+// Native fuzzing of the wire codec and of the server acting on what it
+// decodes. The decoders' contract against adversarial bytes is: never
+// panic, never allocate past the data actually present, and accept
+// exactly what the encoders produce. FuzzDecodeFrame decodes a frame and
+// every payload interpretation, and whenever a decode succeeds it
+// re-encodes and re-decodes, requiring a fixed point — so the corpus
+// explores both rejection paths and round-trip identity. FuzzDispatch
+// feeds frame sequences to the server's request handling over a real
+// shard. `make fuzz-smoke` runs both briefly in CI; longer local runs
+// just raise -fuzztime.
 package transport_test
 
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"math"
 	"slices"
 	"testing"
 
 	"repro/internal/expertise"
+	"repro/internal/ingest"
 	"repro/internal/microblog"
+	"repro/internal/shard"
 	"repro/internal/transport"
 	"repro/internal/world"
 )
@@ -46,8 +52,7 @@ func seedFrames() [][]byte {
 			transport.AppendIngestReq(nil, transport.IngestReq{Posts: posts})),
 		transport.AppendFrame(nil, transport.OpIngest,
 			transport.AppendIngestResp(nil, transport.IngestResp{First: 1042, Count: 2})),
-		transport.AppendFrame(nil, transport.OpEpoch,
-			transport.AppendEpochResp(nil, transport.EpochResp{Epoch: 99})),
+		transport.AppendFrame(nil, transport.OpQuiesce, nil),
 		transport.AppendFrame(nil, transport.OpInfo,
 			transport.AppendInfoResp(nil, transport.InfoResp{Shard: 1, NumShards: 4, Users: 600, BaseTweets: 2500, NumTweets: 2700, Epoch: 7})),
 		transport.AppendFrame(nil, transport.OpTweets,
@@ -64,8 +69,7 @@ func seedFrames() [][]byte {
 		transport.AppendFrame(nil, transport.OpSearchStats,
 			transport.AppendSearchStatsResp(nil, transport.SearchStatsResp{Matched: 12, Rows: rows, Stats: stats})),
 		transport.AppendFrame(nil, transport.OpUnpin, nil),
-		transport.AppendFrame(nil, transport.OpInfo,
-			transport.AppendInfoReqExpect(nil, transport.InfoReq{Features: transport.FeatureCompress})),
+		transport.AppendFrame(nil, transport.OpInfo, nil),
 		// Resharding-era frames: filtered handoff paging, scan-bounded
 		// responses, and the expectation-carrying info request.
 		transport.AppendFrame(nil, transport.OpTweets,
@@ -73,12 +77,13 @@ func seedFrames() [][]byte {
 		transport.AppendFrame(nil, transport.OpTweets,
 			transport.AppendTweetsResp(nil, transport.TweetsResp{Total: 2700, Posts: posts, Scanned: 64})),
 		transport.AppendFrame(nil, transport.OpInfo,
-			transport.AppendInfoReqExpect(nil, transport.InfoReq{
-				Features: transport.FeatureCompress, ExpectShard: 1, ExpectShards: 4, ExpectUsers: 600, ExpectBase: 2500,
+			transport.AppendInfoReq(nil, transport.InfoReq{
+				ExpectShard: 1, ExpectShards: 4, ExpectUsers: 600, ExpectBase: 2500,
 			})),
-		transport.AppendFrame(nil, transport.OpDeflate,
-			transport.AppendDeflate(nil, transport.OpTweets,
-				transport.AppendTweetsResp(nil, transport.TweetsResp{Total: 2700, Posts: posts}))),
+		// The largest page cursor the decoder accepts: one past it no
+		// longer fits an int.
+		transport.AppendFrame(nil, transport.OpTweets,
+			transport.AppendTweetsReq(nil, transport.TweetsReq{From: math.MaxInt, Max: 16})),
 	)
 	return frames
 }
@@ -219,17 +224,10 @@ func FuzzDecodeFrame(f *testing.F) {
 				}
 			}
 		}
-		if req, _, err := transport.ConsumeInfoReqExpect(payload); err == nil {
-			again, _, err := transport.ConsumeInfoReqExpect(transport.AppendInfoReqExpect(nil, req))
+		if req, _, err := transport.ConsumeInfoReq(payload); err == nil {
+			again, _, err := transport.ConsumeInfoReq(transport.AppendInfoReq(nil, req))
 			if err != nil || again != req {
-				t.Fatalf("info req expect round trip: %+v vs %+v (%v)", again, req, err)
-			}
-		}
-		if inner, body, err := transport.ConsumeDeflate(nil, payload); err == nil {
-			enc := transport.AppendDeflate(nil, inner, body)
-			innerAgain, bodyAgain, err := transport.ConsumeDeflate(nil, enc)
-			if err != nil || innerAgain != inner || !bytes.Equal(bodyAgain, body) {
-				t.Fatalf("deflate round trip: op %v vs %v, %d bytes vs %d (%v)", innerAgain, inner, len(bodyAgain), len(body), err)
+				t.Fatalf("info req round trip: %+v vs %+v (%v)", again, req, err)
 			}
 		}
 		if ids, _, err := expertise.ConsumeUserIDs(nil, payload); err == nil && len(ids) > 0 {
@@ -273,10 +271,10 @@ func TestDecodeFrameRejectsHostileLengths(t *testing.T) {
 		t.Fatal("absurd row count accepted")
 	}
 	var roundTripped bytes.Buffer
-	frame := transport.AppendFrame(nil, transport.OpEpoch, transport.AppendEpochResp(nil, transport.EpochResp{Epoch: 5}))
+	frame := transport.AppendFrame(nil, transport.OpQuiesce, transport.AppendEpochResp(nil, transport.EpochResp{Epoch: 5}))
 	roundTripped.Write(frame)
 	op, pl, buf, err := transport.ReadFrame(&roundTripped, nil)
-	if err != nil || op != transport.OpEpoch {
+	if err != nil || op != transport.OpQuiesce {
 		t.Fatalf("ReadFrame: op %v err %v", op, err)
 	}
 	_ = buf
@@ -288,5 +286,148 @@ func TestDecodeFrameRejectsHostileLengths(t *testing.T) {
 	short.Write(frame[:len(frame)-1])
 	if _, _, _, err := transport.ReadFrame(&short, nil); err == nil {
 		t.Fatal("truncated stream accepted")
+	}
+}
+
+// FuzzDispatch is the handler-level bar: an arbitrary sequence of
+// request frames, dispatched in order over one connection to a server
+// backed by a small real shard (sealing every 4 posts, compacting),
+// must never panic, and every reply must be OpError or the request's
+// own op carrying a payload that op's decoder consumes exactly —
+// except OpUnpin, which gets no reply.
+func FuzzDispatch(f *testing.F) {
+	p, _ := testPipeline(f)
+	base := shard.Partition(p.Corpus, 0, 2)
+	for _, frame := range seedFrames() {
+		f.Add(frame)
+	}
+	// The frame that used to kill a shardd: a page cursor past every int.
+	f.Add(transport.AppendFrame(nil, transport.OpTweets,
+		binary.AppendUvarint(binary.AppendUvarint(nil, math.MaxUint64), 16)))
+	// A pinned-view conversation: composite search, top-up stats, unpin.
+	f.Add(slices.Concat(
+		transport.AppendFrame(nil, transport.OpSearchStats,
+			transport.AppendSearchReq(nil, transport.SearchReq{Terms: []string{"49ers", "nfl"}})),
+		transport.AppendFrame(nil, transport.OpStats,
+			expertise.AppendUserIDs(nil, []world.UserID{3, 17, 40})),
+		transport.AppendFrame(nil, transport.OpUnpin, nil),
+	))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		idx := ingest.New(base, ingest.Config{SealThreshold: 4, CompactFanIn: 2})
+		defer idx.Close()
+		c := transport.NewDispatchConn(idx, transport.DefaultServerConfig(0, 2))
+		defer c.Close()
+		for {
+			op, payload, rest, err := transport.DecodeFrame(data)
+			if err != nil {
+				return
+			}
+			data = rest
+			respOp, resp := c.Request(op, payload)
+			if err := checkReply(op, respOp, resp); err != nil {
+				t.Fatalf("request op 0x%02x (%d-byte payload): %v", byte(op), len(payload), err)
+			}
+		}
+	})
+}
+
+// checkReply holds one dispatched request's reply to the protocol.
+func checkReply(op, respOp transport.Op, resp []byte) error {
+	switch {
+	case respOp == transport.OpError:
+		return nil
+	case op == transport.OpUnpin:
+		if respOp != 0 {
+			return fmt.Errorf("fire-and-forget unpin answered with op 0x%02x", byte(respOp))
+		}
+		return nil
+	case respOp != op:
+		return fmt.Errorf("answered with op 0x%02x", byte(respOp))
+	}
+	var rest []byte
+	var err error
+	switch op {
+	case transport.OpSearch:
+		_, rest, err = transport.ConsumeSearchResp(nil, resp)
+	case transport.OpSearchStats:
+		_, rest, err = transport.ConsumeSearchStatsResp(nil, nil, resp)
+	case transport.OpStats:
+		_, rest, err = expertise.ConsumeUserStats(nil, resp)
+	case transport.OpIngest:
+		_, rest, err = transport.ConsumeIngestResp(resp)
+	case transport.OpQuiesce, transport.OpSubscribe:
+		_, rest, err = transport.ConsumeEpochResp(resp)
+	case transport.OpInfo:
+		_, rest, err = transport.ConsumeInfoResp(resp)
+	case transport.OpTweets:
+		_, rest, err = transport.ConsumeTweetsResp(resp)
+	default:
+		return fmt.Errorf("a non-request op was answered as itself")
+	}
+	if err == nil && len(rest) > 0 {
+		err = fmt.Errorf("%d bytes trail the response", len(rest))
+	}
+	return err
+}
+
+// TestTweetsReqRejectsIntOverflow pins the cursor guard at the codec: a
+// From, Max, FilterShards or FilterIdx that does not fit an int is a
+// decode error, while the largest int still decodes.
+func TestTweetsReqRejectsIntOverflow(t *testing.T) {
+	for field := 0; field < 4; field++ {
+		for _, v := range []uint64{math.MaxInt + 1, math.MaxUint64} {
+			vals := []uint64{2500, 64, 8, 5}
+			vals[field] = v
+			var payload []byte
+			for _, x := range vals {
+				payload = binary.AppendUvarint(payload, x)
+			}
+			if req, _, err := transport.ConsumeTweetsReq(payload); err == nil {
+				t.Fatalf("field %d = %d decoded as %+v", field, v, req)
+			}
+		}
+	}
+	req := transport.TweetsReq{From: math.MaxInt, Max: math.MaxInt, FilterShards: math.MaxInt, FilterIdx: math.MaxInt}
+	if got, _, err := transport.ConsumeTweetsReq(transport.AppendTweetsReq(nil, req)); err != nil || got != req {
+		t.Fatalf("largest ints: %+v, %v", got, err)
+	}
+}
+
+// TestInfoAndTweetsWireShapes pins the shapes the info and page codecs
+// accept now that no peer needs the pre-negotiation and pre-resharding
+// forms: an OpInfo request is empty or exactly four expectation fields
+// (a lone feature-bits field is rejected), an InfoResp is exactly seven
+// fields (an eighth is left unread), and a TweetsResp must carry its
+// Scanned count.
+func TestInfoAndTweetsWireShapes(t *testing.T) {
+	if got := transport.AppendInfoReq(nil, transport.InfoReq{}); len(got) != 0 {
+		t.Fatalf("unarmed info request encodes %d bytes, want none", len(got))
+	}
+	armed := transport.InfoReq{ExpectShard: 1, ExpectShards: 4, ExpectUsers: 600, ExpectBase: 2500}
+	enc := transport.AppendInfoReq(nil, armed)
+	fields := 0
+	for rest := enc; len(rest) > 0; fields++ {
+		_, n := binary.Uvarint(rest)
+		rest = rest[n:]
+	}
+	if fields != 4 {
+		t.Fatalf("armed info request carries %d fields, want 4", fields)
+	}
+	if got, _, err := transport.ConsumeInfoReq(enc); err != nil || got != armed {
+		t.Fatalf("armed info request: %+v, %v", got, err)
+	}
+	if req, _, err := transport.ConsumeInfoReq([]byte{1}); err == nil {
+		t.Fatalf("features-only info request decoded as %+v", req)
+	}
+
+	info := transport.InfoResp{Shard: 1, NumShards: 4, Users: 600, BaseTweets: 2500, NumTweets: 2700, Epoch: 7, Incarnation: 9}
+	eight := binary.AppendUvarint(transport.AppendInfoResp(nil, info), 1)
+	if got, rest, err := transport.ConsumeInfoResp(eight); err != nil || got != info || len(rest) != 1 {
+		t.Fatalf("info resp with an eighth field: %+v, %d bytes left, %v", got, len(rest), err)
+	}
+
+	page := transport.AppendTweetsResp(nil, transport.TweetsResp{Total: 10, Scanned: 3})
+	if resp, _, err := transport.ConsumeTweetsResp(page[:len(page)-1]); err == nil {
+		t.Fatalf("page without Scanned decoded as %+v", resp)
 	}
 }

@@ -3,6 +3,7 @@ package transport_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -72,7 +73,7 @@ func TestObsPromotesRequestCounters(t *testing.T) {
 	// Requests(op) accounting — same atomic, promoted not duplicated.
 	for _, op := range []transport.Op{
 		transport.OpSearch, transport.OpStats, transport.OpIngest,
-		transport.OpEpoch, transport.OpQuiesce, transport.OpInfo,
+		transport.OpQuiesce, transport.OpInfo,
 	} {
 		row := fmt.Sprintf("rpc_server_%s_requests", op.Name())
 		if got, want := metricValue(t, serverReg, row), srv.Requests(op); got != want {
@@ -115,6 +116,26 @@ func TestObsPromotesRequestCounters(t *testing.T) {
 	}
 	if metricValue(t, clientReg, "rpc_client_search_ns_count") != 3 {
 		t.Error("client search latency histogram did not record 3 round trips")
+	}
+
+	// The wire exports exactly these rows: per-op rows for the request
+	// ops, byte counters, dials, epoch round trips (subscribe exchanges)
+	// and pushes — nothing for the retired epoch probe or compression.
+	metricValue(t, clientReg, "rpc_client_epoch_rtts")
+	want := map[string]bool{"bytes_read": true, "bytes_written": true, "dials": true, "epoch_rtts": true, "pushes": true}
+	for _, op := range []transport.Op{transport.OpSearch, transport.OpStats, transport.OpIngest, transport.OpQuiesce,
+		transport.OpInfo, transport.OpTweets, transport.OpSubscribe, transport.OpSearchStats, transport.OpUnpin} {
+		want[op.Name()+"_requests"] = true
+		for _, row := range []string{"_count", "_p50", "_p99", "_max"} {
+			want[op.Name()+"_ns"+row] = true
+		}
+	}
+	for _, reg := range []*obs.Registry{serverReg, clientReg} {
+		for _, m := range reg.Snapshot() {
+			if !want[strings.TrimPrefix(strings.TrimPrefix(m.Name, "rpc_client_"), "rpc_server_")] {
+				t.Errorf("unexpected wire row %s", m.Name)
+			}
+		}
 	}
 }
 

@@ -10,13 +10,17 @@
 package transport_test
 
 import (
+	"bufio"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/expertise"
 	"repro/internal/fault"
 	"repro/internal/ingest"
 	"repro/internal/microblog"
@@ -385,5 +389,76 @@ func TestMiswiredClientRejectedAtConnect(t *testing.T) {
 	}
 	if _, err := c.Info(); err == nil {
 		t.Fatal("second request after reshard succeeded")
+	}
+}
+
+// TestHostileFramesAnsweredNotFatal pins what a live server does with
+// frames no client built from this tree sends: an OpTweets cursor past
+// every int (it used to reach the page loop as -1 and kill the
+// process), user ids outside the world in a stats request and in a
+// post, and the retired op numbers 0x04 (the epoch probe) and 0x10 (the
+// compression envelope). Each is answered with OpError, nothing is
+// ingested, and the same connection then serves an empty OpInfo request
+// with exactly the seven InfoResp fields.
+func TestHostileFramesAnsweredNotFatal(t *testing.T) {
+	p, _ := testPipeline(t)
+	idx := ingest.New(shard.Partition(p.Corpus, 0, 1), ingest.DefaultConfig())
+	defer idx.Close()
+	srv, err := transport.Listen("127.0.0.1:0", idx, transport.DefaultServerConfig(0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(conn)
+
+	outside := world.UserID(len(p.World.Users))
+	postBy := func(post microblog.Post) []byte {
+		return transport.AppendFrame(nil, transport.OpIngest,
+			transport.AppendIngestReq(nil, transport.IngestReq{Posts: []microblog.Post{post}}))
+	}
+	hostile := []struct {
+		name  string
+		frame []byte
+	}{
+		{"tweets cursor 2^64-1", transport.AppendFrame(nil, transport.OpTweets,
+			binary.AppendUvarint(binary.AppendUvarint(nil, math.MaxUint64), 16))},
+		{"stats for an unknown user", transport.AppendFrame(nil, transport.OpStats,
+			expertise.AppendUserIDs(nil, []world.UserID{3, outside}))},
+		{"post by an unknown user", postBy(microblog.Post{Author: outside, Text: "49ers"})},
+		{"post mentioning an unknown user", postBy(microblog.Post{Author: 1, Text: "49ers", Mentions: []world.UserID{outside}})},
+		{"retired op 0x04", transport.AppendFrame(nil, transport.Op(0x04), nil)},
+		{"retired op 0x10", transport.AppendFrame(nil, transport.Op(0x10), []byte{byte(transport.OpInfo), 1, 0})},
+	}
+	var buf []byte
+	for _, h := range hostile {
+		if _, err := conn.Write(h.frame); err != nil {
+			t.Fatalf("%s: write: %v", h.name, err)
+		}
+		var op transport.Op
+		op, _, buf, err = transport.ReadFrame(br, buf)
+		if err != nil || op != transport.OpError {
+			t.Fatalf("%s: got op 0x%02x (err %v), want OpError", h.name, byte(op), err)
+		}
+	}
+	if got := idx.Stats().Ingested; got != 0 {
+		t.Fatalf("rejected posts were ingested: %d", got)
+	}
+
+	if _, err := conn.Write(transport.AppendFrame(nil, transport.OpInfo, nil)); err != nil {
+		t.Fatal(err)
+	}
+	op, payload, _, err := transport.ReadFrame(br, buf)
+	if err != nil || op != transport.OpInfo {
+		t.Fatalf("info after hostile frames: op 0x%02x, err %v", byte(op), err)
+	}
+	info, rest, err := transport.ConsumeInfoResp(payload)
+	if err != nil || len(rest) != 0 || info.NumShards != 1 || info.Users != len(p.World.Users) {
+		t.Fatalf("info after hostile frames: %+v, %d trailing bytes, err %v", info, len(rest), err)
 	}
 }

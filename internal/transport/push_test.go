@@ -1,6 +1,6 @@
 // Tests for the PR 6 round-trip killers: the server→client epoch push
 // (OpSubscribe/OpEpochDelta), the composite OpSearchStats pipeline, the
-// per-client dial budget and the OpDeflate envelope. The load-bearing
+// per-client dial budget. The load-bearing
 // assertions are RPC-counted: the server counts requests per op and
 // pushes, the client counts epoch round trips, so "one round trip per
 // warm query" and "zero probes on a subscribed connection" are measured,
@@ -9,7 +9,6 @@ package transport_test
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"net"
@@ -55,8 +54,8 @@ func startCountedShardServers(t testing.TB, p *core.Pipeline, n int, icfg ingest
 // TestSubscribePushUpdatesEpoch pins the push channel end to end: after
 // the first Epoch subscribes, ingests bump the server's epoch and the
 // client's cached value catches up via OpEpochDelta pushes alone — the
-// server fields zero OpEpoch probes, and the client spends exactly one
-// epoch round trip (the subscribe) ever.
+// server fields no request but the handshake, the writes and the one
+// subscribe, and the client spends exactly one epoch round trip ever.
 func TestSubscribePushUpdatesEpoch(t *testing.T) {
 	p, _ := testPipeline(t)
 	servers, clients := startCountedShardServers(t, p, 1, ingest.DefaultConfig())
@@ -95,8 +94,14 @@ func TestSubscribePushUpdatesEpoch(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if got := srv.Requests(transport.OpEpoch); got != 0 {
-		t.Fatalf("subscribed client still sent %d OpEpoch probes", got)
+	for op := transport.Op(1); op < transport.OpError; op++ {
+		switch op {
+		case transport.OpInfo, transport.OpIngest, transport.OpSubscribe:
+			continue
+		}
+		if got := srv.Requests(op); got != 0 {
+			t.Fatalf("subscribed client sent %d frames of op 0x%02x", got, byte(op))
+		}
 	}
 	if got := srv.Pushes(); got == 0 {
 		t.Fatal("server recorded zero pushes after 5 epoch bumps")
@@ -109,7 +114,7 @@ func TestSubscribePushUpdatesEpoch(t *testing.T) {
 // TestWarmQuerySingleRoundTrip is the acceptance bar of the pipelining
 // tentpole, RPC-counted: on a healthy warm connection to a single-shard
 // server, one detector query costs exactly one OpSearchStats frame —
-// no OpSearch, no OpStats, no OpEpoch, no OpUnpin — and epoch-vector
+// no OpSearch, no OpStats, no OpUnpin — and epoch-vector
 // sampling on the subscribed client costs zero requests of any kind.
 func TestWarmQuerySingleRoundTrip(t *testing.T) {
 	p, _ := testPipeline(t)
@@ -128,7 +133,7 @@ func TestWarmQuerySingleRoundTrip(t *testing.T) {
 	}
 
 	ops := []transport.Op{transport.OpSearch, transport.OpSearchStats, transport.OpStats,
-		transport.OpEpoch, transport.OpUnpin, transport.OpInfo, transport.OpSubscribe}
+		transport.OpUnpin, transport.OpInfo, transport.OpSubscribe}
 	before := make(map[transport.Op]int64, len(ops))
 	for _, op := range ops {
 		before[op] = srv.Requests(op)
@@ -144,7 +149,7 @@ func TestWarmQuerySingleRoundTrip(t *testing.T) {
 		t.Fatalf("%d warm queries sent %d OpSearchStats frames, want exactly %d", k, got, k)
 	}
 	for _, op := range []transport.Op{transport.OpSearch, transport.OpStats,
-		transport.OpEpoch, transport.OpUnpin, transport.OpInfo, transport.OpSubscribe} {
+		transport.OpUnpin, transport.OpInfo, transport.OpSubscribe} {
 		if got := srv.Requests(op) - before[op]; got != 0 {
 			t.Fatalf("%d warm queries sent %d extra frames of op 0x%02x, want 0", k, got, byte(op))
 		}
@@ -329,73 +334,9 @@ func TestDialBudgetCapsReconnects(t *testing.T) {
 	}
 }
 
-// TestCompressionNegotiatedIdentical pins the OpDeflate envelope over a
-// live conversation: a compressing client and a NoCompress client page
-// back bit-identical content after fat ingest batches, and OpInfo
-// reports the server's FeatureCompress either way.
-func TestCompressionNegotiatedIdentical(t *testing.T) {
-	p, _ := testPipeline(t)
-	addr := startOneServer(t, p, ingest.DefaultConfig())
-
-	comp := transport.NewRemoteShard(addr, testClientConfig())
-	defer comp.Close()
-	plainCfg := testClientConfig()
-	plainCfg.NoCompress = true
-	plain := transport.NewRemoteShard(addr, plainCfg)
-	defer plain.Close()
-
-	for _, c := range []*transport.RemoteShard{comp, plain} {
-		info, err := c.Info()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Features&transport.FeatureCompress == 0 {
-			t.Fatal("server does not advertise FeatureCompress")
-		}
-	}
-
-	// Fat batches: well past CompressMin in both directions.
-	posts := streamPosts(p, 131, 1500)
-	if err := comp.IngestBatch(posts); err != nil {
-		t.Fatal(err)
-	}
-	got, err := comp.DumpIngested()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := plain.DumpIngested()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) || len(got) != len(posts) {
-		t.Fatalf("paged %d posts compressed, %d plain, ingested %d", len(got), len(want), len(posts))
-	}
-	for i := range want {
-		if got[i].Author != want[i].Author || got[i].Text != want[i].Text ||
-			got[i].Topic != want[i].Topic || got[i].RetweetCount != want[i].RetweetCount {
-			t.Fatalf("post %d differs across compression settings:\n  comp  %+v\n  plain %+v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestDeflateEnvelopeShrinksAndRoundTrips is the envelope unit bar: a
-// compressible payload shrinks, and the decode is a fixed point.
-func TestDeflateEnvelopeShrinksAndRoundTrips(t *testing.T) {
-	payload := bytes.Repeat([]byte("the quick brown fox jumps over the lazy dog "), 100)
-	env := transport.AppendDeflate(nil, transport.OpTweets, payload)
-	if len(env) >= len(payload) {
-		t.Fatalf("envelope grew a compressible payload: %d → %d bytes", len(payload), len(env))
-	}
-	op, body, err := transport.ConsumeDeflate(nil, env)
-	if err != nil || op != transport.OpTweets || !bytes.Equal(body, payload) {
-		t.Fatalf("envelope round trip: op %v, %d bytes, err %v", op, len(body), err)
-	}
-}
-
 // TestNewOpPayloadTruncationEveryOffset holds the new decoders to the
 // truncation bar the original codecs meet: every strict prefix of a
-// valid payload must be rejected — including a deflate envelope cut
-// after the content bits but before the stream terminator.
+// valid payload must be rejected.
 func TestNewOpPayloadTruncationEveryOffset(t *testing.T) {
 	full := seedFrames()
 	searchStats := full[14][5:] // OpSearchStats response payload, 2 rows
@@ -405,16 +346,6 @@ func TestNewOpPayloadTruncationEveryOffset(t *testing.T) {
 	for cut := 0; cut < len(searchStats); cut++ {
 		if _, _, err := transport.ConsumeSearchStatsResp(nil, nil, searchStats[:cut]); err == nil {
 			t.Fatalf("SearchStatsResp prefix of %d/%d bytes decoded", cut, len(searchStats))
-		}
-	}
-	env := transport.AppendDeflate(nil, transport.OpTweets,
-		bytes.Repeat([]byte("compressible payload body "), 60))
-	if _, _, err := transport.ConsumeDeflate(nil, env); err != nil {
-		t.Fatalf("seed envelope does not decode: %v", err)
-	}
-	for cut := 0; cut < len(env); cut++ {
-		if _, _, err := transport.ConsumeDeflate(nil, env[:cut]); err == nil {
-			t.Fatalf("deflate envelope prefix of %d/%d bytes decoded", cut, len(env))
 		}
 	}
 }

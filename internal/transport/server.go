@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"crypto/rand"
 	"encoding/binary"
@@ -17,9 +18,6 @@ import (
 	"repro/internal/shard"
 	"repro/internal/world"
 )
-
-// serverFeatures is what this server offers in OpInfo negotiation.
-const serverFeatures = FeatureCompress
 
 // pushWriteTimeout bounds one OpEpochDelta write: a subscriber that
 // cannot absorb a 3-byte frame in this long is dead or wedged, and the
@@ -46,10 +44,9 @@ type ServerConfig struct {
 	// registry: per-op request counters (rpc_server_<op>_requests, read
 	// callbacks over the same atomics Requests reports), per-op
 	// dispatch-to-flush latency histograms (rpc_server_<op>_ns),
-	// rpc_server_pushes, byte counters (rpc_server_bytes_read,
-	// rpc_server_bytes_written) and rpc_server_deflate_saved_bytes —
-	// wire bytes compression avoided sending. Nil serves identically
-	// with no clock reads on the request loop.
+	// rpc_server_pushes and byte counters (rpc_server_bytes_read,
+	// rpc_server_bytes_written). Nil serves identically with no clock
+	// reads on the request loop.
 	Obs *obs.Registry
 }
 
@@ -83,13 +80,13 @@ type ShardServer struct {
 	conns  map[net.Conn]*connState
 	closed bool
 
-	// reqs counts request frames by op (after any OpDeflate unwrap);
-	// pushes counts OpEpochDelta frames sent. They exist so tests can
-	// hold the round-trip accounting to exact numbers: a warm composite
-	// query is one OpSearchStats and nothing else, epoch sampling on a
-	// subscribed connection is zero OpEpoch. With ServerConfig.Obs the
-	// same atomics back the registry's rpc_server_<op>_requests rows
-	// through read callbacks — one accounting, two consumers.
+	// reqs counts request frames by op; pushes counts OpEpochDelta
+	// frames sent. They exist so tests can hold the round-trip
+	// accounting to exact numbers: a warm composite query is one
+	// OpSearchStats and nothing else, epoch sampling on a subscribed
+	// connection is zero requests. With ServerConfig.Obs the same atomics
+	// back the registry's rpc_server_<op>_requests rows through read
+	// callbacks — one accounting, two consumers.
 	reqs   [128]atomic.Int64
 	pushes atomic.Int64
 
@@ -98,7 +95,6 @@ type ShardServer struct {
 	obsOn                         bool
 	obsOpNS                       [128]*obs.Histogram
 	obsBytesRead, obsBytesWritten *obs.Counter
-	obsDeflateSaved               *obs.Counter
 
 	acceptWG sync.WaitGroup
 	connWG   sync.WaitGroup
@@ -126,7 +122,6 @@ func Serve(ln net.Listener, idx *ingest.Index, cfg ServerConfig) *ShardServer {
 	if cfg.Obs != nil {
 		s.obsOn = true
 		for _, op := range requestOps {
-			op := op
 			cfg.Obs.RegisterFunc("rpc_server_"+op.Name()+"_requests", func() int64 {
 				return s.reqs[op&0x7f].Load()
 			})
@@ -135,7 +130,6 @@ func Serve(ln net.Listener, idx *ingest.Index, cfg ServerConfig) *ShardServer {
 		cfg.Obs.RegisterFunc("rpc_server_pushes", s.pushes.Load)
 		s.obsBytesRead = cfg.Obs.Counter("rpc_server_bytes_read")
 		s.obsBytesWritten = cfg.Obs.Counter("rpc_server_bytes_written")
-		s.obsDeflateSaved = cfg.Obs.Counter("rpc_server_deflate_saved_bytes")
 	}
 	s.acceptWG.Add(1)
 	go s.acceptLoop()
@@ -143,11 +137,10 @@ func Serve(ln net.Listener, idx *ingest.Index, cfg ServerConfig) *ShardServer {
 }
 
 // requestOps is every op a client can legitimately send — the set the
-// server pre-registers per-op metrics for. OpEpochDelta (push-only),
-// OpDeflate (envelope, unwrapped before counting) and OpError
-// (response-only) are deliberately absent.
+// server pre-registers per-op metrics for. OpEpochDelta (push-only)
+// and OpError (response-only) are deliberately absent.
 var requestOps = []Op{
-	OpSearch, OpStats, OpIngest, OpEpoch, OpQuiesce, OpInfo,
+	OpSearch, OpStats, OpIngest, OpQuiesce, OpInfo,
 	OpTweets, OpSubscribe, OpSearchStats, OpUnpin,
 }
 
@@ -249,10 +242,9 @@ func (s *ShardServer) acceptLoop() {
 			return
 		}
 		st := &connState{
-			br:              bufio.NewReader(conn),
-			bw:              bufio.NewWriter(conn),
-			obsBytesW:       s.obsBytesWritten,
-			obsDeflateSaved: s.obsDeflateSaved,
+			br:        bufio.NewReader(conn),
+			bw:        bufio.NewWriter(conn),
+			obsBytesW: s.obsBytesWritten,
 		}
 		s.mu.Lock()
 		if s.closed {
@@ -277,15 +269,13 @@ func (s *ShardServer) forget(conn net.Conn) {
 // connState is the per-connection request-handling state: buffered IO,
 // reusable frame/payload buffers, and the protocol state — the view
 // the last OpSearch/OpSearchStats pinned (which a following OpStats
-// reads so both halves of a query observe the same snapshot), the
-// negotiated feature bits, and the subscription pusher's controls.
+// reads so both halves of a query observe the same snapshot) and the
+// subscription pusher's controls.
 type connState struct {
 	br   *bufio.Reader
 	bw   *bufio.Writer
 	in   []byte // frame read buffer
 	out  []byte // response build buffer
-	dec  []byte // OpDeflate request inflate buffer
-	env  []byte // OpDeflate response envelope buffer (guarded by wmu)
 	rows []expertise.RawCandidate
 	stat []expertise.UserStats
 	uids []world.UserID
@@ -304,15 +294,10 @@ type connState struct {
 	// wmu serializes every frame write on bw: responses from the
 	// handler loop and pushes from the connection's pusher goroutine.
 	wmu sync.Mutex
-	// obsBytesW and obsDeflateSaved are the server's wire-write
-	// counters, shared by the handler and the pusher (guarded by wmu
-	// like the writer itself); nil on an un-instrumented server, and
-	// nil-safe to add to either way.
-	obsBytesW       *obs.Counter
-	obsDeflateSaved *obs.Counter
-	// features holds the negotiated feature bits (atomic: the handler
-	// stores on OpInfo while the pusher loads per push).
-	features atomic.Uint64
+	// obsBytesW is the server's wire-write counter, shared by handler
+	// and pusher (guarded by wmu like the writer itself); nil-safe, and
+	// nil on an un-instrumented server.
+	obsBytesW *obs.Counter
 	// subscribed, stop and subEpoch exist once OpSubscribe succeeds:
 	// stop ends the pusher when the handler exits, subEpoch is the
 	// epoch the subscription ack reported (the pusher's baseline).
@@ -351,43 +336,14 @@ func (s *ShardServer) handle(conn net.Conn, st *connState) {
 			s.obsBytesRead.Add(int64(headerLen + 1 + len(payload)))
 			t0 = time.Now()
 		}
-		if op == OpDeflate {
-			// An undecodable envelope means the stream can no longer be
-			// trusted byte-for-byte; drop the connection like any other
-			// framing failure.
-			op, st.dec, err = ConsumeDeflate(st.dec, payload)
-			if err != nil {
-				return
-			}
-			payload = st.dec
-		}
 		s.reqs[op&0x7f].Add(1)
 		st.busy.Store(true)
-		st.out = st.out[:0]
-		respOp, respErr := s.dispatch(st, op, payload)
-		if op != OpSearch && op != OpSearchStats && st.view != nil {
-			// The pin exists solely for the one OpStats that may
-			// immediately follow a search op; any other op ends that
-			// conversation, so drop it rather than let an idle pooled
-			// connection retain a retired snapshot (and its segments)
-			// server-side indefinitely.
-			st.view.Release()
-			st.view = nil
-		}
-		if respOp == opNone && respErr == nil {
-			// Fire-and-forget op (OpUnpin): nothing goes back.
-			st.busy.Store(st.view != nil)
-			if s.obsOn {
-				s.obsOpNS[op&0x7f].Observe(time.Since(t0).Nanoseconds())
+		// A fire-and-forget op (OpUnpin) gets nothing back.
+		respOp := s.respond(st, op, payload)
+		if respOp != opNone {
+			if err := s.writeResp(st, respOp, st.out); err != nil {
+				return
 			}
-			continue
-		}
-		if respErr != nil {
-			st.out = append(st.out[:0], respErr.Error()...)
-			respOp = OpError
-		}
-		if err := s.writeResp(st, respOp, st.out); err != nil {
-			return
 		}
 		// The conversation stays open — and the connection drain-exempt —
 		// exactly while a search op's snapshot pin awaits its paired
@@ -399,7 +355,7 @@ func (s *ShardServer) handle(conn net.Conn, st *connState) {
 			// bytes outside the protocol (no histogram registered).
 			s.obsOpNS[op&0x7f].Observe(time.Since(t0).Nanoseconds())
 		}
-		if op == OpSubscribe && respErr == nil && !st.subscribed {
+		if respOp == OpSubscribe && !st.subscribed {
 			// Start pushing only after the ack is on the wire, so the
 			// client's first frame after OpSubscribe is its response.
 			st.subscribed = true
@@ -414,34 +370,44 @@ func (s *ShardServer) handle(conn net.Conn, st *connState) {
 // requests). It is the deliberately invalid zero op.
 const opNone Op = 0
 
-// writeResp writes one response frame under the connection's write
-// mutex, compressing it into an OpDeflate envelope when negotiation
-// allows and it actually helps.
+// respond dispatches one request and returns the op its response in
+// st.out goes under: the request's own, OpError (a failed request keeps
+// the stream synchronized), or opNone for a fire-and-forget request.
+func (s *ShardServer) respond(st *connState, op Op, payload []byte) Op {
+	st.out = st.out[:0]
+	respOp, err := s.dispatch(st, op, payload)
+	if op != OpSearch && op != OpSearchStats && st.view != nil {
+		// The pin exists solely for the one OpStats that may immediately
+		// follow a search op; any other op ends that conversation, so
+		// drop it rather than let an idle pooled connection retain a
+		// retired snapshot (and its segments) server-side indefinitely.
+		st.view.Release()
+		st.view = nil
+	}
+	if err != nil {
+		st.out = append(st.out[:0], err.Error()...)
+		return OpError
+	}
+	return respOp
+}
+
+// writeResp writes one response frame under the connection's write mutex.
 func (s *ShardServer) writeResp(st *connState, op Op, payload []byte) error {
 	st.wmu.Lock()
 	defer st.wmu.Unlock()
 	return writeFrameLocked(st, op, payload)
 }
 
-// writeFrameLocked frames, optionally compresses, writes and flushes.
-// Callers hold st.wmu.
+// writeFrameLocked writes and flushes one frame; callers hold st.wmu.
 func writeFrameLocked(st *connState, op Op, payload []byte) error {
-	wireOp, body := op, payload
-	if st.features.Load()&FeatureCompress != 0 && len(payload) >= CompressMin && op != OpError {
-		st.env = AppendDeflate(st.env[:0], op, payload)
-		if len(st.env) < len(payload) {
-			wireOp, body = OpDeflate, st.env
-			st.obsDeflateSaved.Add(int64(len(payload) - len(body)))
-		}
-	}
-	st.obsBytesW.Add(int64(headerLen + 1 + len(body)))
+	st.obsBytesW.Add(int64(headerLen + 1 + len(payload)))
 	// The header is built in the writer's own spare buffer: a local array
 	// would escape into the bufio.Writer, one allocation per frame.
-	hdr := binary.BigEndian.AppendUint32(st.bw.AvailableBuffer(), uint32(1+len(body)))
-	if _, err := st.bw.Write(append(hdr, byte(wireOp))); err != nil {
+	hdr := binary.BigEndian.AppendUint32(st.bw.AvailableBuffer(), uint32(1+len(payload)))
+	if _, err := st.bw.Write(append(hdr, byte(op))); err != nil {
 		return err
 	}
-	if _, err := st.bw.Write(body); err != nil {
+	if _, err := st.bw.Write(payload); err != nil {
 		return err
 	}
 	return st.bw.Flush()
@@ -499,6 +465,18 @@ func (s *ShardServer) searchReq(st *connState, payload []byte) (SearchReq, error
 		st.view = nil
 	}
 	return req, nil
+}
+
+// checkUsers rejects user ids outside the served world: per-user
+// counters are arrays over it, so a stray id would panic the shard.
+func (s *ShardServer) checkUsers(users ...world.UserID) error {
+	n := len(s.idx.World().Users)
+	for _, u := range users {
+		if u < 0 || int(u) >= n {
+			return fmt.Errorf("transport: user %d outside the %d-user world", u, n)
+		}
+	}
+	return nil
 }
 
 // dispatch decodes one request, executes it and builds the response
@@ -561,6 +539,9 @@ func (s *ShardServer) dispatch(st *connState, op Op, payload []byte) (Op, error)
 	case OpStats:
 		var err error
 		st.uids, _, err = expertise.ConsumeUserIDs(st.uids, payload)
+		if err == nil {
+			err = s.checkUsers(st.uids...)
+		}
 		if err != nil {
 			return 0, err
 		}
@@ -584,6 +565,11 @@ func (s *ShardServer) dispatch(st *connState, op Op, payload []byte) (Op, error)
 		if err != nil {
 			return 0, err
 		}
+		for _, p := range req.Posts {
+			if err := cmp.Or(s.checkUsers(p.Author), s.checkUsers(p.Mentions...)); err != nil {
+				return 0, err
+			}
+		}
 		resp := IngestResp{First: -1, Count: len(req.Posts)}
 		for i := range req.Posts {
 			id := s.idx.Ingest(req.Posts[i])
@@ -594,17 +580,13 @@ func (s *ShardServer) dispatch(st *connState, op Op, payload []byte) (Op, error)
 		st.out = AppendIngestResp(st.out, resp)
 		return OpIngest, nil
 
-	case OpEpoch:
-		st.out = AppendEpochResp(st.out, EpochResp{Epoch: s.idx.Epoch()})
-		return OpEpoch, nil
-
 	case OpQuiesce:
 		s.idx.Quiesce()
 		st.out = AppendEpochResp(st.out, EpochResp{Epoch: s.idx.Epoch()})
 		return OpQuiesce, nil
 
 	case OpInfo:
-		req, _, err := ConsumeInfoReqExpect(payload)
+		req, _, err := ConsumeInfoReq(payload)
 		if err != nil {
 			return 0, err
 		}
@@ -626,7 +608,6 @@ func (s *ShardServer) dispatch(st *connState, op Op, payload []byte) (Op, error)
 				return 0, fmt.Errorf("transport: client expects %d base tweets, server has %d", req.ExpectBase, base)
 			}
 		}
-		st.features.Store(req.Features & serverFeatures)
 		snap := s.idx.Snapshot()
 		st.out = AppendInfoResp(st.out, InfoResp{
 			Shard:       s.cfg.Shard,
@@ -636,7 +617,6 @@ func (s *ShardServer) dispatch(st *connState, op Op, payload []byte) (Op, error)
 			NumTweets:   snap.NumTweets(),
 			Epoch:       snap.Epoch(),
 			Incarnation: s.incarnation,
-			Features:    serverFeatures,
 		})
 		return OpInfo, nil
 

@@ -10,6 +10,7 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/expertise"
 	"repro/internal/microblog"
@@ -210,7 +211,7 @@ func ConsumeIngestResp(buf []byte) (IngestResp, []byte, error) {
 	return resp, buf, nil
 }
 
-// EpochResp is the OpEpoch / OpQuiesce response.
+// EpochResp answers OpSubscribe and OpQuiesce, and is the OpEpochDelta push.
 type EpochResp struct {
 	Epoch uint64
 }
@@ -250,29 +251,17 @@ type InfoResp struct {
 	// as a different (empty-again) shard rather than silently reconnected
 	// to — its epoch has regressed and its ingested content is gone.
 	Incarnation uint64
-	// Features is the server's supported feature bits (FeatureCompress).
-	// It rides as an optional trailing field: absent on old servers, in
-	// which case it decodes as zero and the connection runs without
-	// optional features.
-	Features uint64
 }
 
-// InfoReq is the full OpInfo request: the client's feature bits plus
-// its optional pinned expectations — the world-size renegotiation half
-// of resharding. A client that has handshaken against shard i of n
-// restates those coordinates on every fresh dial; the server compares
-// them against its own and refuses the connection with an explicit
-// error instead of answering, so a client wired to a stale topology
-// (the deployment resharded underneath it) fails at connect rather
-// than serving from the wrong shard. ExpectShards == 0 (the legacy
-// one-field payload) means no expectations.
+// InfoReq is the OpInfo request: the coordinates a handshaken client
+// pinned, restated on every fresh dial — the world-size renegotiation
+// half of resharding. The server refuses a client wired to another
+// topology (the deployment resharded underneath it) at connect, instead
+// of letting it read the wrong shard. On the wire it is empty (nothing
+// pinned) or exactly the four expectation fields.
 type InfoReq struct {
-	// Features is the client's supported feature bits.
-	Features uint64
 	// ExpectShard and ExpectShards are the shard coordinates the
-	// client pinned at handshake; ExpectShards == 0 disables the
-	// check. The +1 offset on the wire keeps shard 0 distinguishable
-	// from "absent".
+	// client pinned at handshake; ExpectShards == 0 disables the check.
 	ExpectShard, ExpectShards int
 	// ExpectUsers and ExpectBase pin the world size and base-corpus
 	// size — the deterministic-build agreement, now enforced on both
@@ -280,13 +269,11 @@ type InfoReq struct {
 	ExpectUsers, ExpectBase int
 }
 
-// AppendInfoReqExpect appends the full OpInfo request; expectations
-// are appended only when armed, so expectation-free requests are
-// byte-wise identical to the legacy features-only encoding.
-func AppendInfoReqExpect(buf []byte, req InfoReq) []byte {
-	buf = binary.AppendUvarint(buf, req.Features)
+// AppendInfoReq appends the OpInfo request: nothing when no
+// expectations are armed, the four expectation fields otherwise.
+func AppendInfoReq(buf []byte, req InfoReq) []byte {
 	if req.ExpectShards > 0 {
-		buf = binary.AppendUvarint(buf, uint64(req.ExpectShard)+1)
+		buf = binary.AppendUvarint(buf, uint64(req.ExpectShard))
 		buf = binary.AppendUvarint(buf, uint64(req.ExpectShards))
 		buf = binary.AppendUvarint(buf, uint64(req.ExpectUsers))
 		buf = binary.AppendUvarint(buf, uint64(req.ExpectBase))
@@ -294,36 +281,25 @@ func AppendInfoReqExpect(buf []byte, req InfoReq) []byte {
 	return buf
 }
 
-// ConsumeInfoReqExpect decodes the full OpInfo request; an empty
-// payload or a features-only payload decodes with no expectations.
-func ConsumeInfoReqExpect(buf []byte) (InfoReq, []byte, error) {
+// ConsumeInfoReq decodes the OpInfo request; an empty payload decodes
+// with no expectations.
+func ConsumeInfoReq(buf []byte) (InfoReq, []byte, error) {
 	var req InfoReq
 	if len(buf) == 0 {
 		return req, buf, nil
 	}
-	f, buf, err := consumeUvarint(buf)
-	if err != nil {
-		return InfoReq{}, buf, fmt.Errorf("info req features: %w", err)
-	}
-	req.Features = f
-	if len(buf) == 0 {
-		return req, buf, nil
-	}
 	var fields [4]uint64
+	var err error
 	for i := range fields {
 		fields[i], buf, err = consumeUvarint(buf)
 		if err != nil {
 			return InfoReq{}, buf, fmt.Errorf("info req expect: %w", err)
 		}
 	}
-	// A zero shard+1 or shard count means the expectations are not
-	// armed; normalize to the empty form so decode→encode→decode is a
-	// fixed point.
-	if shard1 := int(fields[0]); shard1 > 0 && int(fields[1]) > 0 {
-		req.ExpectShard = shard1 - 1
-		req.ExpectShards = int(fields[1])
-		req.ExpectUsers = int(fields[2])
-		req.ExpectBase = int(fields[3])
+	// A zero shard count means no expectations; normalize to the empty
+	// form so decode→encode→decode is a fixed point.
+	if n := int(fields[1]); n > 0 {
+		req = InfoReq{ExpectShard: int(fields[0]), ExpectShards: n, ExpectUsers: int(fields[2]), ExpectBase: int(fields[3])}
 	}
 	return req, buf, nil
 }
@@ -336,13 +312,11 @@ func AppendInfoResp(buf []byte, resp InfoResp) []byte {
 	buf = binary.AppendUvarint(buf, uint64(resp.BaseTweets))
 	buf = binary.AppendUvarint(buf, uint64(resp.NumTweets))
 	buf = binary.AppendUvarint(buf, resp.Epoch)
-	buf = binary.AppendUvarint(buf, resp.Incarnation)
-	return binary.AppendUvarint(buf, resp.Features)
+	return binary.AppendUvarint(buf, resp.Incarnation)
 }
 
-// ConsumeInfoResp decodes an InfoResp off the front of buf. The
-// trailing Features field is optional for compatibility with payloads
-// that predate negotiation.
+// ConsumeInfoResp decodes an InfoResp — exactly seven fields — off the
+// front of buf.
 func ConsumeInfoResp(buf []byte) (InfoResp, []byte, error) {
 	var fields [7]uint64
 	var err error
@@ -361,12 +335,6 @@ func ConsumeInfoResp(buf []byte) (InfoResp, []byte, error) {
 		Epoch:       fields[5],
 		Incarnation: fields[6],
 	}
-	if len(buf) > 0 {
-		resp.Features, buf, err = consumeUvarint(buf)
-		if err != nil {
-			return InfoResp{}, buf, fmt.Errorf("info resp features: %w", err)
-		}
-	}
 	return resp, buf, nil
 }
 
@@ -381,14 +349,12 @@ type TweetsReq struct {
 	// to posts whose author maps to FilterIdx under
 	// shard.ShardOf(author, FilterShards) — the resharding handoff
 	// filter, applied server-side so only a destination shard's
-	// content crosses the wire. They ride as optional trailing fields:
-	// absent (the pre-resharding protocol) means unfiltered.
+	// content crosses the wire. The pair is sent only when armed.
 	FilterShards, FilterIdx int
 }
 
 // AppendTweetsReq appends the encoded request to buf; the filter pair
-// is appended only when armed, so unfiltered requests are byte-wise
-// identical to the pre-resharding encoding.
+// is appended only when armed.
 func AppendTweetsReq(buf []byte, req TweetsReq) []byte {
 	buf = binary.AppendUvarint(buf, uint64(req.From))
 	buf = binary.AppendUvarint(buf, uint64(req.Max))
@@ -399,30 +365,31 @@ func AppendTweetsReq(buf []byte, req TweetsReq) []byte {
 	return buf
 }
 
-// ConsumeTweetsReq decodes a TweetsReq off the front of buf.
+// ConsumeTweetsReq decodes a TweetsReq off the front of buf. Every
+// field must fit an int: a cursor decoded negative would index the
+// shard's log out of range.
 func ConsumeTweetsReq(buf []byte) (TweetsReq, []byte, error) {
-	from, buf, err := consumeUvarint(buf)
-	if err != nil {
+	var req TweetsReq
+	var err error
+	if req.From, buf, err = consumeInt(buf); err != nil {
 		return TweetsReq{}, buf, fmt.Errorf("tweets req from: %w", err)
 	}
-	max, buf, err := consumeUvarint(buf)
-	if err != nil {
+	if req.Max, buf, err = consumeInt(buf); err != nil {
 		return TweetsReq{}, buf, fmt.Errorf("tweets req max: %w", err)
 	}
-	req := TweetsReq{From: int(from), Max: int(max)}
 	if len(buf) > 0 {
-		fs, rest, err := consumeUvarint(buf)
+		fs, rest, err := consumeInt(buf)
 		if err != nil {
 			return TweetsReq{}, rest, fmt.Errorf("tweets req filter shards: %w", err)
 		}
-		fi, rest, err := consumeUvarint(rest)
+		fi, rest, err := consumeInt(rest)
 		if err != nil {
 			return TweetsReq{}, rest, fmt.Errorf("tweets req filter idx: %w", err)
 		}
-		// A non-positive FilterShards on the wire means no filter; drop
-		// the idx too so decode→encode→decode is a fixed point.
-		if n := int(fs); n > 0 {
-			req.FilterShards, req.FilterIdx = n, int(fi)
+		// A zero FilterShards on the wire means no filter; drop the idx
+		// too so decode→encode→decode is a fixed point.
+		if fs > 0 {
+			req.FilterShards, req.FilterIdx = fs, fi
 		}
 		buf = rest
 	}
@@ -440,9 +407,7 @@ type TweetsResp struct {
 	// Scanned is how many global ids the page consumed — equal to
 	// len(Posts) for an unfiltered page, larger when a handoff filter
 	// (TweetsReq.FilterShards) skipped other shards' posts. The
-	// client advances its cursor by Scanned. It rides as an optional
-	// trailing field; absent (a pre-resharding server) it decodes as
-	// len(Posts).
+	// client advances its cursor by Scanned.
 	Scanned int
 }
 
@@ -477,15 +442,11 @@ func ConsumeTweetsResp(buf []byte) (TweetsResp, []byte, error) {
 		}
 		resp.Posts = append(resp.Posts, p)
 	}
-	resp.Scanned = len(resp.Posts)
-	if len(buf) > 0 {
-		sc, rest, err := consumeUvarint(buf)
-		if err != nil {
-			return resp, rest, fmt.Errorf("tweets resp scanned: %w", err)
-		}
-		resp.Scanned = int(sc)
-		buf = rest
+	sc, buf, err := consumeUvarint(buf)
+	if err != nil {
+		return resp, buf, fmt.Errorf("tweets resp scanned: %w", err)
 	}
+	resp.Scanned = int(sc)
 	return resp, buf, nil
 }
 
@@ -589,6 +550,15 @@ func consumeUvarint(buf []byte) (uint64, []byte, error) {
 		return 0, buf, ErrFrameTruncated
 	}
 	return v, buf[n:], nil
+}
+
+// consumeInt reads one uvarint that must fit an int off the front of buf.
+func consumeInt(buf []byte) (int, []byte, error) {
+	v, rest, err := consumeUvarint(buf)
+	if err == nil && v > math.MaxInt {
+		err = fmt.Errorf("value %d overflows int", v)
+	}
+	return int(v), rest, err
 }
 
 // consumeVarint reads one zigzag varint off the front of buf.
