@@ -13,17 +13,19 @@ test:
 # The serving layer, the online detectors, the streaming index, the
 # disk tier, the shard set, the wire transport, the replica sets
 # and the metrics registry are the concurrent surfaces; hammer them
-# with the race detector enabled.
+# with the race detector enabled — the root package's topology matrix
+# (concurrent mixed load over every deployment layout) among them.
 race:
-	$(GO) test -race ./internal/serve ./internal/core ./internal/expertise ./internal/querylog ./internal/ingest ./internal/diskseg ./internal/shard ./internal/transport ./internal/replica ./internal/obs ./internal/gateway
+	$(GO) test -race . ./internal/serve ./internal/core ./internal/expertise ./internal/querylog ./internal/ingest ./internal/diskseg ./internal/shard ./internal/transport ./internal/replica ./internal/obs ./internal/gateway
 
 # Flake gate: the packages whose tests race background goroutines
 # (compactor, push loops, servers flushing after they answer) or hammer
 # state shared across requests (serve's once-encoded cache entries, the
-# gateway's pooled scratch, the ranker's pooled columns), run repeatedly
-# and uncached, then again under the race detector. A test that passes
-# once and fails one run in five fails here.
-FLAKY = ./internal/ingest ./internal/transport ./internal/shard ./internal/replica ./cmd/shardd ./internal/serve ./internal/gateway ./internal/expertise
+# gateway's pooled scratch, the ranker's pooled columns), plus the root
+# package, whose topology matrix is the concurrent mixed-load hammer,
+# run repeatedly and uncached, then again under the race detector. A
+# test that passes once and fails one run in five fails here.
+FLAKY = . ./internal/ingest ./internal/transport ./internal/shard ./internal/replica ./cmd/shardd ./internal/serve ./internal/gateway ./internal/expertise
 flake:
 	$(GO) test -count=10 $(FLAKY)
 	$(GO) test -race -count=3 $(FLAKY)
@@ -54,7 +56,7 @@ bench-smoke:
 docs-check: vet
 	@fmtout="$$(gofmt -l .)"; if [ -n "$$fmtout" ]; then \
 		echo "gofmt -l found unformatted files:"; echo "$$fmtout"; exit 1; fi
-	$(GO) run ./cmd/docscheck ./internal/shard ./internal/core ./internal/transport ./internal/replica ./internal/obs ./internal/gateway ./internal/diskseg ./internal/serve ./internal/domains ./internal/ingest ./internal/expertise ./internal/microblog ./internal/textutil ./internal/fault
+	$(GO) run ./cmd/docscheck ./internal/shard ./internal/core ./internal/transport ./internal/replica ./internal/obs ./internal/gateway ./internal/diskseg ./internal/serve ./internal/domains ./internal/ingest ./internal/expertise ./internal/microblog ./internal/textutil ./internal/fault ./internal/topology
 
 # Hot-path benchmarks of the paper pipeline; `make bench BENCH=.` runs
 # everything in the root package. Streaming benchmarks live in
@@ -134,17 +136,13 @@ run-gateway:
 smoke-gateway: build
 	./scripts/smoke_gateway.sh
 
-# The three example programs, run to exit 0 (seconds each). The
-# streaming example quiesces and compares every pool query with a cold
-# rebuild and fails on a mismatch, so this is the one gate that runs
-# that check over the in-process, replicated and resharding topologies
-# as a user would start them.
+# The two example programs, run to exit 0 (seconds each), and the
+# topology matrix uncached: every deployment layout under mixed load,
+# quiesced and compared with a cold rebuild over every eval query.
 examples-smoke:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/gateway
-	$(GO) run ./examples/streaming
-	$(GO) run ./examples/streaming -shards 2 -replicas 2
-	$(GO) run ./examples/streaming -reshard
+	$(GO) test -count=1 -run '^TestTopologyMatrix$$' .
 
 # cover-check is the test stage: `go test ./...` with a profile.
 check: build vet race flake bench-check bench-smoke docs-check cover-check smoke-gateway examples-smoke

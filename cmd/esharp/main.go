@@ -1,6 +1,7 @@
-// Command esharp is the interactive face of the pipeline: it builds the
-// offline artifacts from a synthetic world and answers expert queries
-// with both e# and the Pal & Counts baseline.
+// Command esharp is the one program of the paper pipeline: it builds
+// the offline artifacts from a synthetic world, answers expert queries
+// with both e# and the Pal & Counts baseline, and regenerates every
+// table and figure of the paper's evaluation section.
 //
 // Subcommands:
 //
@@ -13,6 +14,13 @@
 //	    show the expansion terms and the neighboring domains.
 //	esharp stats  [-scale ...]
 //	    print pipeline statistics (Table 9 style).
+//	esharp experiments [-scale ...] [-run all|table1|tables2to7|table8|
+//	                   table9|fig5|fig6|fig7|fig8|fig9|fig10|oracle]
+//	                   [-seed N] [-sql]
+//	    print paper-style renderings of Tables 1–9 and Figures 5–10.
+//
+// -scale defaults to small; an unknown -scale or -run is an error that
+// names the valid values.
 package main
 
 import (
@@ -21,10 +29,12 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/crowd"
 	"repro/internal/eval"
 	"repro/internal/expertise"
 )
@@ -41,7 +51,7 @@ func main() {
 	}
 }
 
-var errUsage = errors.New("usage: esharp <build|query|expand|stats> [flags]")
+var errUsage = errors.New("usage: esharp <build|query|expand|stats|experiments> [flags]")
 
 // run dispatches args — a subcommand name and its flags — and prints
 // the subcommand's report to out.
@@ -59,6 +69,8 @@ func run(args []string, out io.Writer) error {
 		sub = runExpand
 	case "stats":
 		sub = runStats
+	case "experiments":
+		sub = runExperiments
 	default:
 		return errUsage
 	}
@@ -68,29 +80,53 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-func scaleConfig(scale string) core.PipelineConfig {
+// scaleConfig maps a -scale value to the pipeline configuration and
+// the Table 1 query-set sizes.
+func scaleConfig(scale string) (core.PipelineConfig, eval.SetSizes, error) {
 	switch scale {
 	case "tiny":
-		return core.TinyPipelineConfig()
-	case "default":
-		return core.DefaultPipelineConfig()
-	default:
+		return core.TinyPipelineConfig(), eval.SetSizes{PerCategory: 25, Top: 60}, nil
+	case "small": // the default world, a lighter log for fast runs
 		cfg := core.DefaultPipelineConfig()
 		cfg.Log.Events = 600_000
 		cfg.MinClicks = 10
-		return cfg
+		return cfg, eval.SetSizes{PerCategory: 100, Top: 250}, nil
+	case "default":
+		return core.DefaultPipelineConfig(), eval.DefaultSetSizes(), nil
 	}
+	return core.PipelineConfig{}, eval.SetSizes{}, fmt.Errorf("unknown -scale %q (want tiny, small or default)", scale)
+}
+
+// flags is a subcommand's flag set with the -scale flag every
+// subcommand takes.
+type flags struct {
+	*flag.FlagSet
+	scale *string
+}
+
+func newFlags(name string) flags {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	return flags{fs, fs.String("scale", "small", "world scale: tiny, small or default")}
+}
+
+// parse reads args and returns what the -scale flag names.
+func (f flags) parse(args []string) (core.PipelineConfig, eval.SetSizes, error) {
+	if err := f.Parse(args); err != nil {
+		return core.PipelineConfig{}, eval.SetSizes{}, err
+	}
+	return scaleConfig(*f.scale)
 }
 
 func runBuild(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("build", flag.ExitOnError)
-	scale := fs.String("scale", "small", "world scale")
+	fs := newFlags("build")
 	shards := fs.String("shards", "", "directory for the sharded click log (empty = in-memory)")
 	save := fs.String("out", "", "persist the domain collection to this file")
 	sql := fs.Bool("sql", false, "cluster on the relational engine")
-	fs.Parse(args)
+	cfg, _, err := fs.parse(args)
+	if err != nil {
+		return err
+	}
 
-	cfg := scaleConfig(*scale)
 	cfg.ShardDir = *shards
 	cfg.Offline.UseSQLBackend = *sql
 	start := time.Now()
@@ -116,15 +152,16 @@ func runBuild(args []string, out io.Writer) error {
 }
 
 func runQuery(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("query", flag.ExitOnError)
-	scale := fs.String("scale", "small", "world scale")
+	fs := newFlags("query")
 	q := fs.String("q", "49ers", "query")
 	expand := fs.Int("expand", 10, "max expansion terms")
 	minZ := fs.Float64("z", 0, "minimum aggregate z-score")
 	topK := fs.Int("k", 10, "results to print per algorithm")
-	fs.Parse(args)
+	cfg, _, err := fs.parse(args)
+	if err != nil {
+		return err
+	}
 
-	cfg := scaleConfig(*scale)
 	cfg.Online.MaxExpansionTerms = *expand
 	cfg.Online.Expertise.MinZScore = *minZ
 	p, err := core.BuildPipeline(cfg)
@@ -154,12 +191,14 @@ func runQuery(args []string, out io.Writer) error {
 }
 
 func runExpand(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("expand", flag.ExitOnError)
-	scale := fs.String("scale", "small", "world scale")
+	fs := newFlags("expand")
 	q := fs.String("q", "49ers", "query")
-	fs.Parse(args)
+	cfg, _, err := fs.parse(args)
+	if err != nil {
+		return err
+	}
 
-	p, err := core.BuildPipeline(scaleConfig(*scale))
+	p, err := core.BuildPipeline(cfg)
 	if err != nil {
 		return err
 	}
@@ -172,11 +211,12 @@ func runExpand(args []string, out io.Writer) error {
 }
 
 func runStats(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("stats", flag.ExitOnError)
-	scale := fs.String("scale", "small", "world scale")
-	fs.Parse(args)
+	cfg, _, err := newFlags("stats").parse(args)
+	if err != nil {
+		return err
+	}
 
-	p, err := core.BuildPipeline(scaleConfig(*scale))
+	p, err := core.BuildPipeline(cfg)
 	if err != nil {
 		return err
 	}
@@ -184,5 +224,87 @@ func runStats(args []string, out io.Writer) error {
 	fmt.Fprint(out, eval.RenderFigure5(eval.Figure5(p.Clustering)))
 	labels, counts := eval.Figure6(p.Clustering)
 	fmt.Fprint(out, eval.RenderFigure6(labels, counts))
+	return nil
+}
+
+// runExperiments builds the pipeline the flags describe and prints the
+// selected experiments to out, in the order listed; progress goes to
+// standard error.
+func runExperiments(args []string, out io.Writer) error {
+	var (
+		p    *core.Pipeline
+		sets []eval.QuerySet
+	)
+	experiments := []struct {
+		name, title string
+		print       func()
+	}{
+		{"table1", "TABLE 1", func() { fmt.Fprint(out, eval.RenderTable1(sets)) }},
+		{"fig5", "FIGURE 5", func() { fmt.Fprint(out, eval.RenderFigure5(eval.Figure5(p.Clustering))) }},
+		{"fig6", "FIGURE 6", func() { fmt.Fprint(out, eval.RenderFigure6(eval.Figure6(p.Clustering))) }},
+		{"fig7", "FIGURE 7", func() {
+			if rep, err := eval.RunFigure7(p.Detector, "49ers", 3); err != nil {
+				fmt.Fprintln(out, "figure 7 unavailable:", err)
+			} else {
+				fmt.Fprint(out, eval.RenderFigure7(rep))
+			}
+		}},
+		{"tables2to7", "TABLES 2-7", func() {
+			for _, q := range []string{"49ers", "bluetooth speakers", "dow futures", "diabetes", "world war i", "sarah palin"} {
+				fmt.Fprintln(out, eval.RenderExampleTable(q, eval.RunExampleTable(p.Detector, p.World, q, 3)))
+			}
+		}},
+		{"table8", "TABLE 8", func() { fmt.Fprint(out, eval.RenderTable8(eval.RunTable8(p.Detector, sets))) }},
+		{"fig8", "FIGURE 8", func() { fmt.Fprint(out, eval.RenderFigure8(eval.RunFigure8(p.Detector, sets, 14))) }},
+		{"fig9", "FIGURE 9", func() {
+			fmt.Fprint(out, eval.RenderFigure9(eval.RunFigure9(p, sets[len(sets)-1],
+				[]float64{0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0})))
+		}},
+		{"fig10", "FIGURE 10", func() {
+			fmt.Fprint(out, eval.RenderFigure10(eval.RunFigure10(p, crowd.NewStudy(p.World, crowd.DefaultConfig()), sets,
+				[]float64{0, 0.5, 1.0, 1.5, 2.0}, 50)))
+		}},
+		{"table9", "TABLE 9", func() {
+			fmt.Fprint(out, eval.RenderTable9(eval.RunTable9(p, []string{"49ers", "diabetes", "dow futures", "nfl", "xbox"})))
+		}},
+		{"oracle", "ORACLE RECALL/PRECISION (beyond the paper)", func() {
+			fmt.Fprint(out, eval.RenderGroundTruth(eval.RunGroundTruth(p.Detector, p.World, sets)))
+		}},
+	}
+	names := []string{"all"}
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	fs := newFlags("experiments")
+	which := fs.String("run", "all", "experiment to run: "+strings.Join(names, ", "))
+	seed := fs.Uint64("seed", 1, "world seed")
+	useSQL := fs.Bool("sql", false, "run clustering on the relational engine")
+	cfg, setSizes, err := fs.parse(args)
+	if err != nil {
+		return err
+	}
+	if !slices.Contains(names, *which) {
+		return fmt.Errorf("unknown -run %q (want %s)", *which, strings.Join(names, ", "))
+	}
+	cfg.World.Seed = *seed
+	cfg.Offline.UseSQLBackend = *useSQL
+
+	start := time.Now()
+	fmt.Fprintf(os.Stderr, "building pipeline (scale=%s, sql=%v)...\n", *fs.scale, *useSQL)
+	if p, err = core.BuildPipeline(cfg); err != nil {
+		return err
+	}
+	fmt.Fprintf(os.Stderr, "pipeline ready in %v: %d queries, %d graph edges, %d domains, %d tweets\n",
+		time.Since(start).Round(time.Millisecond),
+		p.Log.NumQueries(), p.Graph.NumEdges(), p.Collection.NumDomains(), p.Corpus.NumTweets())
+	sets = eval.BuildQuerySets(p.World, p.Log, setSizes)
+
+	for _, e := range experiments {
+		if *which == "all" || *which == e.name {
+			fmt.Fprintf(out, "\n%s\n%s\n%[1]s\n", strings.Repeat("=", 72), e.title)
+			e.print()
+		}
+	}
+	fmt.Fprintf(os.Stderr, "\ntotal runtime %v\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }

@@ -10,11 +10,61 @@ import (
 	"repro/internal/domains"
 )
 
+// TestScaleConfig pins the one scale switch: every valid scale yields a
+// usable pipeline and query-set sizes, tiny is smaller than default,
+// and an unknown scale is an error naming the valid ones — never a
+// silent fallback to the 600k-event small pipeline.
 func TestScaleConfig(t *testing.T) {
 	for _, scale := range []string{"tiny", "small", "default"} {
-		cfg := scaleConfig(scale)
-		if cfg.Log.Events <= 0 || cfg.MinClicks <= 0 {
-			t.Errorf("scale %q produced unusable config", scale)
+		cfg, sizes, err := scaleConfig(scale)
+		if err != nil || cfg.Log.Events <= 0 || cfg.MinClicks <= 0 || sizes.Top <= 0 || sizes.PerCategory <= 0 {
+			t.Errorf("scale %q: unusable config %+v / %+v, err %v", scale, cfg.Log, sizes, err)
+		}
+	}
+	tiny, _, _ := scaleConfig("tiny")
+	def, _, _ := scaleConfig("default")
+	if tiny.Log.Events >= def.Log.Events {
+		t.Error("tiny scale not smaller than default")
+	}
+	if _, _, err := scaleConfig("bogus"); err == nil || !strings.Contains(err.Error(), "tiny, small or default") {
+		t.Errorf("unknown scale: %v, want an error naming the valid scales", err)
+	}
+}
+
+// TestRunSelectsExperiments drives the experiments subcommand at the
+// tiny scale: -run names one experiment and only that section is
+// printed; a misspelled -run or -scale fails before any pipeline is
+// built, naming the valid values.
+func TestRunSelectsExperiments(t *testing.T) {
+	for _, c := range []struct {
+		args      []string
+		want, not string
+	}{
+		{[]string{"experiments", "-scale", "tiny", "-run", "table1"}, "TABLE 1", "TABLE 8"},
+		{[]string{"experiments", "-scale", "tiny", "-run", "table8", "-seed", "2"}, "TABLE 8", "TABLE 1"},
+	} {
+		var out strings.Builder
+		if err := run(c.args, &out); err != nil {
+			t.Fatalf("esharp %v: %v", c.args, err)
+		}
+		got := out.String()
+		if !strings.Contains(got, c.want+"\n") || strings.Contains(got, c.not+"\n") || strings.Count(got, "\n") < 8 {
+			t.Errorf("esharp %v: want the %s section and a table under it, and no %s:\n%s", c.args, c.want, c.not, got)
+		}
+	}
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"experiments", "-scale", "tiny", "-run", "tabel8"}, "table8"},
+		{[]string{"stats", "-scale", "bogus"}, "tiny, small or default"},
+	} {
+		var out strings.Builder
+		if err := run(c.args, &out); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("esharp %v: %v, want an error naming %q", c.args, err, c.want)
+		}
+		if out.Len() != 0 {
+			t.Errorf("esharp %v printed a report:\n%s", c.args, out.String())
 		}
 	}
 }

@@ -1,7 +1,9 @@
 // Gateway is the front-door process of the reproduction: an HTTP/JSON
 // service (internal/gateway) over the serving layer (internal/serve)
 // over an e# detector — in-process sharded by default, or a
-// coordinator over remote shardd processes with -remote.
+// coordinator over remote shardd processes with -remote. Both shard
+// sets are wired by internal/topology; -remote takes its "a|b,c|d"
+// syntax, '|' grouping the replicas of one shard, primary first.
 //
 // A single-process front door over four in-process shards:
 //
@@ -36,7 +38,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -44,10 +45,8 @@ import (
 	"repro/internal/gateway"
 	"repro/internal/ingest"
 	"repro/internal/obs"
-	"repro/internal/replica"
 	"repro/internal/serve"
-	"repro/internal/shard"
-	"repro/internal/transport"
+	"repro/internal/topology"
 )
 
 func main() {
@@ -95,43 +94,22 @@ func run(args []string, out io.Writer, sigs <-chan os.Signal, ready chan<- strin
 	online.MatchWorkers = 1
 	reg := obs.NewRegistry()
 
-	var cluster *shard.Cluster
+	var topo topology.Topology
 	if *remote != "" {
-		groups := strings.Split(*remote, ",")
-		n := len(groups)
-		partSize := make([]int, n)
-		for _, tw := range pipeline.Corpus.Tweets() {
-			partSize[shard.ShardOf(tw.Author, n)]++
+		if topo, err = topology.Parse(*remote); err != nil {
+			return err
 		}
-		backends := make([]shard.Backend, n)
-		for i, group := range groups {
-			ccfg := transport.DefaultClientConfig()
-			ccfg.Obs = reg
-			reps, err := transport.DialReplicas(strings.Split(group, "|"), i, n,
-				len(pipeline.World.Users), partSize[i], ccfg)
-			if err != nil {
-				return err
-			}
-			if len(reps) == 1 {
-				backends[i] = reps[0]
-			} else {
-				rcfg := replica.DefaultConfig()
-				rcfg.Obs = reg
-				set, err := replica.NewSet(reps, rcfg)
-				if err != nil {
-					return err
-				}
-				backends[i] = set
-			}
-		}
-		cluster = shard.NewCluster(pipeline.World, backends...)
 	} else {
 		if *shards < 1 {
 			return fmt.Errorf("gateway: -shards %d is not a valid shard count", *shards)
 		}
-		// The gateway has no ingest route: in-process shards serve a
-		// corpus nobody writes to, so there is nothing to seal or compact.
-		cluster = shard.New(pipeline.Corpus, *shards, ingest.Config{DisableCompactor: true})
+		topo = topology.InProcess(*shards, 1)
+	}
+	// The gateway has no ingest route: in-process shards serve a corpus
+	// nobody writes to, so there is nothing to seal or compact.
+	cluster, err := topo.Build(pipeline.Corpus, ingest.Config{DisableCompactor: true}, reg)
+	if err != nil {
+		return err
 	}
 	defer cluster.Close()
 	backend := core.NewShardedLiveDetectorOver(pipeline.Collection, cluster, online)

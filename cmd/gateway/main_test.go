@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/ingest"
 	"repro/internal/transport"
 )
@@ -39,6 +40,7 @@ func bootGateway(t *testing.T, extra ...string) (string, chan os.Signal, chan er
 // delivers SIGTERM and requires a clean drain: run returns nil (exit
 // 0) and narrates the shutdown.
 func TestRunServesAndDrains(t *testing.T) {
+	fault.CheckLeaks(t)
 	addr, sigs, done, out := bootGateway(t)
 	url := "http://" + addr + "/v1/search"
 
@@ -87,6 +89,7 @@ func TestRunServesAndDrains(t *testing.T) {
 // TestRunAdminPlane boots with -admin and scrapes the shared plane:
 // both serve_* and gateway_* metric families must be visible.
 func TestRunAdminPlane(t *testing.T) {
+	fault.CheckLeaks(t)
 	addr, sigs, done, out := bootGateway(t, "-admin", "127.0.0.1:0")
 	defer func() {
 		sigs <- syscall.SIGTERM
@@ -120,6 +123,7 @@ func TestRunAdminPlane(t *testing.T) {
 
 // TestRunRejectsBadFlags pins the flag validation paths.
 func TestRunRejectsBadFlags(t *testing.T) {
+	fault.CheckLeaks(t)
 	var out strings.Builder
 	if err := run([]string{"-shards", "0"}, &out, nil, nil); err == nil {
 		t.Fatal("zero shards accepted")
@@ -151,6 +155,7 @@ func adminBase(t *testing.T, banner string) string {
 // gone /healthz turns 503 and names it — as soon as the serving layer's
 // own view sample (the epoch vector) can no longer observe it.
 func TestHealthzFollowsShards(t *testing.T) {
+	fault.CheckLeaks(t)
 	pipeline, err := core.BuildPipeline(core.TinyPipelineConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -26,10 +26,13 @@
 //	shardd -addr :7112 -shard 1 -of 2 &   # replica of shard 1
 //	gateway -remote "localhost:7101|localhost:7111,localhost:7102|localhost:7112"
 //
-// The gateway only reads. examples/streaming takes the same -remote
-// list, writes to the shards while it searches them, and then holds the
-// deployment to the usual bar: quiesced, the ranking over the wire must
-// be bit-identical to a cold single-process rebuild.
+// The gateway only reads. Writes reach a shardd over the same wire —
+// OpIngest, from any transport.RemoteShard — and the root package's
+// topology matrix writes to loopback transport.ShardServers (what this
+// process serves) while it searches them, then holds the deployment to
+// the usual bar: quiesced,
+// the ranking over the wire must be bit-identical to a cold
+// single-process rebuild.
 //
 // -seal and -fanin tune the streaming index; -data-dir turns on the
 // disk tier (sealed segments of at least -spill posts are rewritten to
@@ -55,7 +58,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -113,15 +115,11 @@ func run(args []string, out io.Writer, sigs <-chan os.Signal, started chan<- *tr
 	if *admin != "" {
 		reg = obs.NewRegistry()
 	}
-	icfg := ingest.Config{SealThreshold: *seal, CompactFanIn: *fanIn, Obs: reg}
-	if *dataDir != "" {
-		// Each shard owns its own subdirectory: the index removes stale
-		// segment files at startup, and replicas of the same shard on one
-		// machine must still point at distinct -data-dirs.
-		icfg.SpillDir = filepath.Join(*dataDir, fmt.Sprintf("shard-%d", *shardIdx))
-		icfg.SpillThreshold = *spill
-	}
-	idx := ingest.New(part, icfg)
+	// Each shard owns its own <data-dir>/shard-<i>: the index removes
+	// stale segment files at startup, and replicas of the same shard on
+	// one machine must still point at distinct -data-dirs.
+	icfg := ingest.Config{SealThreshold: *seal, CompactFanIn: *fanIn, SpillDir: *dataDir, SpillThreshold: *spill, Obs: reg}
+	idx := ingest.New(part, shard.ShardConfig(icfg, *shardIdx))
 	defer idx.Close()
 
 	scfg := transport.DefaultServerConfig(*shardIdx, *numShards)

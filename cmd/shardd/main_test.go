@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/microblog"
 	"repro/internal/transport"
 )
@@ -20,6 +21,7 @@ import (
 // TestRunServesAndStops boots a shardd on a free port, drives the wire
 // protocol against it like a coordinator would, and shuts it down.
 func TestRunServesAndStops(t *testing.T) {
+	fault.CheckLeaks(t)
 	started := make(chan *transport.ShardServer, 1)
 	done := make(chan error, 1)
 	var out strings.Builder
@@ -65,6 +67,7 @@ func TestRunServesAndStops(t *testing.T) {
 // and scrapes the admin endpoints: the ingest and RPC accounting of the
 // live process must be visible over plain HTTP.
 func TestRunAdminPlane(t *testing.T) {
+	fault.CheckLeaks(t)
 	started := make(chan *transport.ShardServer, 1)
 	done := make(chan error, 1)
 	var out strings.Builder
@@ -154,6 +157,7 @@ func fetchOK(t *testing.T, url string) string {
 // segments landed as files under <data-dir>/shard-0 while searches
 // keep answering.
 func TestRunDataDir(t *testing.T) {
+	fault.CheckLeaks(t)
 	dir := t.TempDir()
 	started := make(chan *transport.ShardServer, 1)
 	done := make(chan error, 1)
@@ -206,6 +210,7 @@ func TestRunDataDir(t *testing.T) {
 
 // TestRunRejectsBadPartition pins the flag validation.
 func TestRunRejectsBadPartition(t *testing.T) {
+	fault.CheckLeaks(t)
 	var out strings.Builder
 	if err := run([]string{"-shard", "3", "-of", "2"}, &out, nil, nil); err == nil {
 		t.Fatal("invalid partition accepted")
@@ -219,6 +224,7 @@ func TestRunRejectsBadPartition(t *testing.T) {
 // delivered mid-conversation drains the server within the grace budget
 // and run returns nil (exit 0), with the drain narrated on stdout.
 func TestRunDrainsOnSignal(t *testing.T) {
+	fault.CheckLeaks(t)
 	started := make(chan *transport.ShardServer, 1)
 	sigs := make(chan os.Signal, 1)
 	done := make(chan error, 1)

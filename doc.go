@@ -24,18 +24,21 @@
 // one package per substrate (query-log synthesis, similarity graph,
 // relational engine, community detection, domain store, microblog
 // corpus, baseline detector, crowdsourcing simulation, experiment
-// harness). Executables: cmd/esharp and cmd/experiments run the paper
-// pipeline, cmd/shardd serves one shard over TCP, cmd/gateway is the
+// harness), and internal/topology, which wires a shard set —
+// in-process indexes or shardd addresses, replicated or not — from a
+// description of its layout. Executables: cmd/esharp runs the paper
+// pipeline (its experiments subcommand regenerates the evaluation
+// section), cmd/shardd serves one shard over TCP, cmd/gateway is the
 // HTTP front door and the coordinator of a shardd deployment, and
 // cmd/docscheck is the documentation gate behind `make docs-check`.
-// The three runnable examples — `make examples-smoke` runs each to exit
-// 0 — are examples/quickstart (the pipeline in forty lines),
-// examples/gateway (the front door driven over real HTTP) and
-// examples/streaming (live ingestion under concurrent search —
-// single-node, sharded via -shards N, replicated via -replicas R,
-// resharding via -reshard, or against shardd processes via -remote
-// host:port,... — ending in a quiesce-and-compare against a cold
-// rebuild that must find no mismatch).
+// The two runnable examples are examples/quickstart (the pipeline in
+// forty lines) and examples/gateway (the front door driven over real
+// HTTP). TestTopologyMatrix in topology_test.go is the equivalence
+// spine over every deployment layout: each row wires its topology
+// through internal/topology, runs concurrent searches beside live
+// writers, quiesces, and must rank every eval query bit-identically to
+// a cold rebuild; `make examples-smoke` runs both examples and the
+// matrix.
 //
 // ARCHITECTURE.md is the layer-by-layer tour of the whole system —
 // data flow, the vector-epoch invalidation story, and the

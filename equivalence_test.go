@@ -184,7 +184,14 @@ func expertsEqual(t *testing.T, label, query string, got, want []expertise.Exper
 // every query in every evaluation query set.
 func TestSearchMatchesReferenceOnEvalQuerySets(t *testing.T) {
 	pipe, sets := eqState(t)
-	det := pipe.Detector
+	requireReference(t, pipe.Detector, pipe.Corpus, sets)
+}
+
+// requireReference holds det, a cold Detector over corpus c, to the
+// independent reference: for every query of every evaluation query
+// set, the e# and baseline rankings and the e# matched-tweet count.
+func requireReference(t *testing.T, det *core.Detector, c *microblog.Corpus, sets []eval.QuerySet) {
+	t.Helper()
 	params := det.Base().Params()
 	total := 0
 	for _, set := range sets {
@@ -194,9 +201,9 @@ func TestSearchMatchesReferenceOnEvalQuerySets(t *testing.T) {
 			terms := append([]string{q}, det.Expand(q)...)
 			lists := make([][]microblog.TweetID, len(terms))
 			for i, term := range terms {
-				lists[i] = refMatch(pipe.Corpus, term)
+				lists[i] = refMatch(c, term)
 			}
-			wantES := refRank(pipe.Corpus, params, expertise.UnionTweets(lists...))
+			wantES := refRank(c, params, expertise.UnionTweets(lists...))
 			gotES, trace := det.Search(q)
 			expertsEqual(t, "esharp", q, gotES, wantES)
 			if wantUnion := expertise.UnionTweets(lists...); trace.MatchedTweets != len(wantUnion) {
@@ -205,7 +212,7 @@ func TestSearchMatchesReferenceOnEvalQuerySets(t *testing.T) {
 			}
 
 			// Baseline path: single-term match, same ranking.
-			wantBase := refRank(pipe.Corpus, params, refMatch(pipe.Corpus, q))
+			wantBase := refRank(c, params, refMatch(c, q))
 			expertsEqual(t, "baseline", q, det.SearchBaseline(q), wantBase)
 		}
 	}

@@ -345,7 +345,8 @@ type PipelineConfig struct {
 }
 
 // DefaultPipelineConfig returns the laptop-scale configuration used by
-// cmd/experiments: it reproduces every figure in minutes.
+// `esharp experiments -scale default`: it reproduces every figure in
+// minutes.
 func DefaultPipelineConfig() PipelineConfig {
 	return PipelineConfig{
 		World:     world.DefaultConfig(),

@@ -3,9 +3,10 @@
 // seams the system can break on — the connection (Conn/Dialer, the
 // generalization of the ad-hoc tracking/truncating/fragmenting conns
 // the PR 4 flaky tests grew) and the backend call boundary (Backend,
-// which can kill, delay or error any replica at a scripted point).
-// Production code never imports it; it lives outside the test binaries
-// only so the transport, replica and serve suites can share one
+// which can kill, delay or error any replica at a scripted point) —
+// plus CheckLeaks, the goroutine and file-descriptor check a test runs
+// across its own teardown. Production code never imports it; it lives
+// outside the test binaries only so the suites can share one
 // vocabulary of faults.
 package fault
 
@@ -296,8 +297,12 @@ type Backend struct {
 	searchesKilled, ingestKilled  atomic.Int64 // calls refused by the gate
 }
 
-// Backend must be able to stand in for any replica.
-var _ shard.Backend = (*Backend)(nil)
+// Backend must be able to stand in for any replica, and for either
+// side of a migration.
+var (
+	_ shard.Backend  = (*Backend)(nil)
+	_ shard.LogPager = (*Backend)(nil)
+)
 
 // Wrap returns b behind a fault gate with no faults armed.
 func Wrap(b shard.Backend) *Backend { return &Backend{inner: b} }
@@ -438,3 +443,38 @@ func (f *Backend) Quiesce() error {
 // Close implements shard.Backend; it always reaches the inner backend
 // (a test tearing down must not leak compactors behind a kill).
 func (f *Backend) Close() error { return f.inner.Close() }
+
+// errNoLog is what the log-paging calls return when the wrapped backend
+// cannot page its log.
+var errNoLog = errors.New("fault: wrapped backend cannot page its log")
+
+// pager admits one log-paging call through the gate and returns the
+// wrapped backend's LogPager.
+func (f *Backend) pager() (shard.LogPager, error) {
+	if err := f.gate(); err != nil {
+		return nil, err
+	}
+	if p, ok := f.inner.(shard.LogPager); ok {
+		return p, nil
+	}
+	return nil, errNoLog
+}
+
+// PagePosts implements shard.LogPager through the fault gate, so a
+// migration's handoff pages and cutover probes meet the armed faults.
+func (f *Backend) PagePosts(from, max, filterShards, filterIdx int) ([]microblog.Post, int, int, error) {
+	p, err := f.pager()
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	return p.PagePosts(from, max, filterShards, filterIdx)
+}
+
+// BasePosts implements shard.LogPager through the fault gate.
+func (f *Backend) BasePosts() (int, error) {
+	p, err := f.pager()
+	if err != nil {
+		return 0, err
+	}
+	return p.BasePosts()
+}

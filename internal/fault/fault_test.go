@@ -3,9 +3,11 @@ package fault
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -287,5 +289,86 @@ func TestBackendDelayHonorsContext(t *testing.T) {
 		t.Fatalf("healed Search err = %v", err)
 	} else {
 		v.Release()
+	}
+}
+
+// pagerBackend is an innerBackend whose log can be paged.
+type pagerBackend struct{ innerBackend }
+
+func (b *pagerBackend) PagePosts(from, max, filterShards, filterIdx int) ([]microblog.Post, int, int, error) {
+	return []microblog.Post{{Text: "paged"}}, 1, 7, nil
+}
+func (b *pagerBackend) BasePosts() (int, error) { return 3, nil }
+
+// TestBackendPagesThroughGate pins the migration face of the gate: log
+// paging reaches a pager behind it, is refused once killed, and fails
+// cleanly over a backend that cannot page its log.
+func TestBackendPagesThroughGate(t *testing.T) {
+	f := Wrap(&pagerBackend{})
+	if posts, scanned, total, err := f.PagePosts(0, 1, 0, 0); err != nil || len(posts) != 1 || scanned != 1 || total != 7 {
+		t.Fatalf("PagePosts = %d posts, scanned %d, total %d, err %v", len(posts), scanned, total, err)
+	}
+	if base, err := f.BasePosts(); err != nil || base != 3 {
+		t.Fatalf("BasePosts = %d, %v", base, err)
+	}
+	f.Kill()
+	if _, _, _, err := f.PagePosts(0, 1, 0, 0); !errors.Is(err, ErrKilled) {
+		t.Fatalf("killed PagePosts err = %v", err)
+	}
+	if _, err := f.BasePosts(); !errors.Is(err, ErrKilled) {
+		t.Fatalf("killed BasePosts err = %v", err)
+	}
+	plain := Wrap(&innerBackend{})
+	if _, _, _, err := plain.PagePosts(0, 1, 0, 0); !errors.Is(err, errNoLog) {
+		t.Fatalf("PagePosts over a non-pager err = %v", err)
+	}
+	if _, err := plain.BasePosts(); !errors.Is(err, errNoLog) {
+		t.Fatalf("BasePosts over a non-pager err = %v", err)
+	}
+}
+
+// leakRecorder stands in for a test: it collects cleanups and records
+// a failure instead of stopping.
+type leakRecorder struct {
+	testing.TB
+	cleanups []func()
+	failed   string
+}
+
+func (r *leakRecorder) Helper()                        {}
+func (r *leakRecorder) Cleanup(f func())               { r.cleanups = append(r.cleanups, f) }
+func (r *leakRecorder) Fatalf(format string, a ...any) { r.failed = fmt.Sprintf(format, a...) }
+
+// TestCheckLeaksCatchesLeaks pins that the teardown check fails a test
+// that leaves a goroutine or a file descriptor behind, and passes one
+// that releases both.
+func TestCheckLeaksCatchesLeaks(t *testing.T) {
+	run := func(leak bool) string {
+		r := &leakRecorder{TB: t}
+		CheckLeaks(r)
+		stop := make(chan struct{})
+		go func() { <-stop }()
+		f, err := os.Open(os.Args[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !leak {
+			close(stop)
+			f.Close()
+		}
+		for _, c := range r.cleanups {
+			c()
+		}
+		if leak {
+			close(stop)
+			f.Close()
+		}
+		return r.failed
+	}
+	if msg := run(true); !strings.Contains(msg, "goroutines") {
+		t.Fatalf("a leaked goroutine and file passed the check (%q)", msg)
+	}
+	if msg := run(false); msg != "" {
+		t.Fatalf("a clean teardown failed the check: %s", msg)
 	}
 }

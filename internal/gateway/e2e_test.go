@@ -81,26 +81,6 @@ func realGateway(t testing.TB, backend serve.Backend, mut func(*serve.Config)) (
 	return g, hs
 }
 
-// httpSearch POSTs one query and decodes the response body.
-func httpSearch(t *testing.T, base, query string, baseline bool) searchResponse {
-	t.Helper()
-	url := base + "/v1/search"
-	if baseline {
-		url += "?baseline=1"
-	}
-	body, err := json.Marshal(searchRequest{Query: query})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp := post(t, url, "reader", string(body), nil)
-	wantStatus(t, resp, http.StatusOK)
-	var out searchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
 // jsonIdentical asserts the HTTP-delivered experts are byte-identical
 // to the reference ranking after both pass through JSON — the
 // equivalence spine extended to the front door. float64 survives a
@@ -123,43 +103,6 @@ func jsonIdentical(t *testing.T, label, query string, got, want []expertise.Expe
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatalf("%s %q diverged over HTTP:\n  got  %s\n  want %s", label, query, a, b)
-	}
-}
-
-// TestGatewayQuiescedEquivalence is the acceptance bar of the front
-// door: for every query of every evaluation query set, the ranked
-// experts served over HTTP from a quiesced sharded deployment must be
-// byte-identical (modulo the JSON round trip) to a cold single-node
-// core.Detector rebuilt over the same posts — on both the e# and the
-// baseline path. Auth, routing, budgets, caching and JSON must add
-// exactly nothing to the numbers.
-func TestGatewayQuiescedEquivalence(t *testing.T) {
-	p, sets := testPipeline(t)
-	posts := streamPosts(p, 83, 400)
-
-	cold := core.NewDetector(p.Collection, p.Corpus.ExtendedWith(posts), p.Cfg.Online)
-
-	cluster := shard.New(p.Corpus, 2, ingest.Config{SealThreshold: 32, CompactFanIn: 3})
-	defer cluster.Close()
-	if err := cluster.IngestBatch(posts); err != nil {
-		t.Fatal(err)
-	}
-	cluster.Quiesce()
-	live := core.NewShardedLiveDetectorOver(p.Collection, cluster, p.Cfg.Online)
-	_, hs := realGateway(t, live, nil)
-
-	for _, set := range sets {
-		for _, q := range set.Queries {
-			got := httpSearch(t, hs.URL, q, false)
-			want, _ := cold.Search(q)
-			jsonIdentical(t, set.Name, q, got.Experts, want)
-
-			gotBase := httpSearch(t, hs.URL, q, true)
-			if !gotBase.Baseline {
-				t.Fatalf("baseline response for %q not flagged", q)
-			}
-			jsonIdentical(t, set.Name+"/baseline", q, gotBase.Experts, cold.SearchBaseline(q))
-		}
 	}
 }
 

@@ -32,63 +32,6 @@ func segFiles(t *testing.T, dir string) int {
 	return len(ents)
 }
 
-// TestDiskQuiescedEquivalence is the acceptance bar of the disk tier:
-// after ingesting posts and quiescing, an index that spilled segments
-// to disk must return bit-identical ranked experts and matched counts
-// to an all-heap index over the same posts AND to a cold detector
-// rebuilt from scratch — for every query of every evaluation query
-// set, on both the e# and the baseline path.
-func TestDiskQuiescedEquivalence(t *testing.T) {
-	p, sets := testPipeline(t)
-	posts := streamPosts(p, 67, 400)
-
-	heap := ingest.New(p.Corpus, ingest.Config{SealThreshold: 32, CompactFanIn: 3})
-	defer heap.Close()
-	heap.IngestBatch(posts)
-	heap.Quiesce()
-
-	disk := ingest.New(p.Corpus, ingest.Config{
-		SealThreshold: 32, CompactFanIn: 3,
-		SpillDir: t.TempDir(), SpillThreshold: 64,
-	})
-	defer disk.Close()
-	disk.IngestBatch(posts)
-	disk.Quiesce()
-
-	st := disk.Stats()
-	if st.Spills == 0 || st.DiskSegments == 0 {
-		t.Fatalf("test did not exercise the disk tier: %+v", st)
-	}
-	if st.NumTweets != p.Corpus.NumTweets()+len(posts) {
-		t.Fatalf("index holds %d tweets, want %d", st.NumTweets, p.Corpus.NumTweets()+len(posts))
-	}
-
-	liveDisk := core.NewLiveDetector(p.Collection, disk, p.Cfg.Online)
-	liveHeap := core.NewLiveDetector(p.Collection, heap, p.Cfg.Online)
-	cold := core.NewDetector(p.Collection, p.Corpus.ExtendedWith(posts), p.Cfg.Online)
-
-	total := 0
-	for _, set := range sets {
-		for _, q := range set.Queries {
-			total++
-			gotES, gotTrace := liveDisk.Search(q)
-			heapES, heapTrace := liveHeap.Search(q)
-			coldES, coldTrace := cold.Search(q)
-			expertsIdentical(t, "disk-vs-heap", q, gotES, heapES)
-			expertsIdentical(t, "disk-vs-cold", q, gotES, coldES)
-			if gotTrace.MatchedTweets != heapTrace.MatchedTweets ||
-				gotTrace.MatchedTweets != coldTrace.MatchedTweets {
-				t.Fatalf("%q: matched %d tweets, heap %d, cold %d",
-					q, gotTrace.MatchedTweets, heapTrace.MatchedTweets, coldTrace.MatchedTweets)
-			}
-			expertsIdentical(t, "disk-baseline", q, liveDisk.SearchBaseline(q), cold.SearchBaseline(q))
-		}
-	}
-	if total == 0 {
-		t.Fatal("no queries in eval sets")
-	}
-}
-
 // TestDiskExtractionAllocatesNothingPerPost pins the cost model of the disk
 // tier's read path: candidate extraction over a quiesced snapshot whose
 // every sealed segment is on disk, block cache disabled, reads each

@@ -58,53 +58,6 @@ func expertsIdentical(t *testing.T, label, query string, got, want []expertise.E
 	}
 }
 
-// TestQuiescedEquivalence is the acceptance bar of the streaming
-// subsystem: after ingesting posts T and quiescing, the live index must
-// return bit-identical ranked experts to a cold core.Detector built
-// over the same posts, for every query of every evaluation query set —
-// on both the e# and the baseline path.
-func TestQuiescedEquivalence(t *testing.T) {
-	p, sets := testPipeline(t)
-	posts := streamPosts(p, 41, 400)
-
-	// A small threshold and fan-in force many seals and several
-	// compactions, so the equivalence runs over a genuinely segmented
-	// index, not a trivial tail.
-	idx := ingest.New(p.Corpus, ingest.Config{SealThreshold: 32, CompactFanIn: 3})
-	defer idx.Close()
-	idx.IngestBatch(posts)
-	idx.Quiesce()
-
-	st := idx.Stats()
-	if st.Seals == 0 || st.Compactions == 0 {
-		t.Fatalf("test did not exercise sealing/compaction: %+v", st)
-	}
-	if st.NumTweets != p.Corpus.NumTweets()+len(posts) {
-		t.Fatalf("index holds %d tweets, want %d", st.NumTweets, p.Corpus.NumTweets()+len(posts))
-	}
-
-	live := core.NewLiveDetector(p.Collection, idx, p.Cfg.Online)
-	cold := core.NewDetector(p.Collection, p.Corpus.ExtendedWith(posts), p.Cfg.Online)
-
-	total := 0
-	for _, set := range sets {
-		for _, q := range set.Queries {
-			total++
-			gotES, gotTrace := live.Search(q)
-			wantES, wantTrace := cold.Search(q)
-			expertsIdentical(t, "esharp", q, gotES, wantES)
-			if gotTrace.MatchedTweets != wantTrace.MatchedTweets {
-				t.Fatalf("esharp %q: live matched %d tweets, cold %d",
-					q, gotTrace.MatchedTweets, wantTrace.MatchedTweets)
-			}
-			expertsIdentical(t, "baseline", q, live.SearchBaseline(q), cold.SearchBaseline(q))
-		}
-	}
-	if total == 0 {
-		t.Fatal("no queries in eval sets")
-	}
-}
-
 // TestSnapshotImmutableUnderWrites pins the snapshot contract: a view
 // acquired before further ingestion keeps answering from its frozen
 // prefix, while new views see the new posts and a higher epoch.

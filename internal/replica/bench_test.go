@@ -26,7 +26,7 @@ import (
 // detector plus the cluster handles.
 func benchReplicated(b *testing.B, r int, cfg replica.Config, wrapFollowers bool) (*core.ShardedLiveDetector, *replCluster) {
 	p, _ := testPipeline(b)
-	rc := newReplicated(b, p, 1, r, ingest.DefaultConfig(), cfg, false, wrapFollowers)
+	rc := newReplicated(b, p, 1, r, ingest.DefaultConfig(), cfg, wrapFollowers)
 	stream := microblog.NewPostStream(p.World, microblog.DefaultStreamConfig(37))
 	batch := make([]microblog.Post, 2048)
 	for i := range batch {

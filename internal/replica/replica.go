@@ -135,7 +135,7 @@ var _ shard.Backend = (*Set)(nil)
 // NewSet fronts replicas[0] as the primary and the rest as followers.
 // Every replica must hold the identical shard content at wiring time
 // (the same base partition; for remote replicas the transport
-// handshake checks the coordinates — see transport.DialReplicas).
+// handshake checks the coordinates — see topology.Build).
 func NewSet(replicas []shard.Backend, cfg Config) (*Set, error) {
 	if len(replicas) == 0 {
 		return nil, errors.New("replica: a set needs at least a primary")

@@ -1,9 +1,10 @@
-// The replication test suite: the equivalence spine extended one more
-// step (a quiesced replicated cluster must rank bit-identically to the
-// in-process cluster and a cold rebuild — including after a replica is
-// killed mid-load), plus the chaos-style contracts: reads fail over
-// and never duplicate writes, stale followers are rejected from the
-// read set, and a dead replica costs one probe per backoff window.
+// The replication test suite: the chaos-style contracts — reads fail
+// over and never duplicate writes, stale followers are rejected from
+// the read set, a lost response is never retried, and a dead replica
+// costs one probe per backoff window. The equivalence spine over
+// replicated layouts (followers behind loopback, a follower killed
+// mid-load, replicas spilling to disk) is held by the root package's
+// topology matrix.
 package replica_test
 
 import (
@@ -69,79 +70,31 @@ func expertsIdentical(t *testing.T, label, query string, got, want []expertise.E
 // replCluster is one replicated deployment under test: n shards × r
 // replicas, with handles into every layer the assertions need.
 type replCluster struct {
-	cluster   *shard.Cluster
-	sets      []*replica.Set
-	primaries []*ingest.Index
-	// followers[i][j] is shard i's (j+1)-th replica's index — the
-	// content handle behind local followers and remote ones alike.
-	followers [][]*ingest.Index
-	// servers[i][j] serves followers[i][j] when the follower is
-	// remote; nil rows for local followers.
-	servers [][]*transport.ShardServer
+	cluster *shard.Cluster
+	sets    []*replica.Set
 	// faults[i] wraps shard i's first follower when fault-wrapping was
 	// requested; nil otherwise.
 	faults []*fault.Backend
 }
 
-// ingested walks every primary's snapshot and returns the posts
-// ingested beyond the base — the cold-rebuild feed. Writes land on
-// every replica, but the primary is the durability contract, so the
-// rebuild reads it.
-func (rc *replCluster) ingested() []microblog.Tweet {
-	var all []microblog.Tweet
-	for _, idx := range rc.primaries {
-		snap := idx.Snapshot()
-		for gid := idx.Base().NumTweets(); gid < snap.NumTweets(); gid++ {
-			all = append(all, *snap.Tweet(microblog.TweetID(gid)))
-		}
-	}
-	return all
-}
-
-// newReplicated builds an n-shard × r-replica cluster. Each shard's
-// primary is a local index over its base partition; followers are
-// local too, or served over loopback TCP when remoteFollowers is set
-// (primary local, followers remote — the deployment shape where the
-// coordinator co-locates one replica and fans reads to the rest).
-// When wrapFollowers is set, each shard's first follower sits behind
-// a fault.Backend gate.
+// newReplicated builds an n-shard × r-replica cluster of local indexes
+// over each shard's base partition, primary first. When wrapFollowers
+// is set, each shard's first follower sits behind a fault.Backend gate.
+// (Followers behind loopback TCP are rows of the root package's
+// topology matrix.)
 func newReplicated(t testing.TB, p *core.Pipeline, n, r int, icfg ingest.Config,
-	cfg replica.Config, remoteFollowers, wrapFollowers bool) *replCluster {
+	cfg replica.Config, wrapFollowers bool) *replCluster {
 	t.Helper()
 	rc := &replCluster{
-		sets:      make([]*replica.Set, n),
-		primaries: make([]*ingest.Index, n),
-		followers: make([][]*ingest.Index, n),
-		servers:   make([][]*transport.ShardServer, n),
-		faults:    make([]*fault.Backend, n),
+		sets:   make([]*replica.Set, n),
+		faults: make([]*fault.Backend, n),
 	}
 	backends := make([]shard.Backend, n)
 	for i := 0; i < n; i++ {
 		part := shard.Partition(p.Corpus, i, n)
-		primary := ingest.New(part, icfg)
-		rc.primaries[i] = primary
-		members := []shard.Backend{shard.NewLocal(primary)}
+		members := []shard.Backend{shard.NewLocal(ingest.New(part, icfg))}
 		for j := 1; j < r; j++ {
-			fidx := ingest.New(part, icfg)
-			rc.followers[i] = append(rc.followers[i], fidx)
-			var member shard.Backend
-			if remoteFollowers {
-				srv, err := transport.Listen("127.0.0.1:0", fidx, transport.DefaultServerConfig(i, n))
-				if err != nil {
-					t.Fatal(err)
-				}
-				rc.servers[i] = append(rc.servers[i], srv)
-				t.Cleanup(func() { srv.Close() })
-				reps, err := transport.DialReplicas([]string{srv.Addr().String()},
-					i, n, len(p.World.Users), part.NumTweets(),
-					transport.ClientConfig{Timeout: 10 * time.Second})
-				if err != nil {
-					t.Fatal(err)
-				}
-				member = reps[0]
-			} else {
-				member = shard.NewLocal(fidx)
-			}
+			var member shard.Backend = shard.NewLocal(ingest.New(part, icfg))
 			if wrapFollowers && j == 1 {
 				f := fault.Wrap(member)
 				rc.faults[i] = f
@@ -161,147 +114,6 @@ func newReplicated(t testing.TB, p *core.Pipeline, n, r int, icfg ingest.Config,
 	return rc
 }
 
-// TestReplicatedQuiescedEquivalence is the acceptance bar of the
-// replication layer: for (N,R) ∈ {(1,2),(2,2),(2,3)} — followers
-// behind loopback TCP — after replicating the same posts and
-// quiescing, the replicated scatter-gather detector must return
-// bit-identical ranked experts and matched-tweet counts to the
-// in-process cluster and to a cold detector rebuilt over the same
-// posts, for every query of every evaluation query set, on both the
-// e# and the baseline path, with zero partial results; and the read
-// fan-out must actually spread load across the replicas.
-func TestReplicatedQuiescedEquivalence(t *testing.T) {
-	p, sets := testPipeline(t)
-	posts := streamPosts(p, 81, 400)
-	icfg := ingest.Config{SealThreshold: 32, CompactFanIn: 3}
-
-	cold := core.NewDetector(p.Collection, p.Corpus.ExtendedWith(posts), p.Cfg.Online)
-
-	for _, tc := range []struct{ n, r int }{{1, 2}, {2, 2}, {2, 3}} {
-		// In-process single-copy reference over the identical partitioning.
-		single := shard.New(p.Corpus, tc.n, icfg)
-		if err := single.IngestBatch(posts); err != nil {
-			t.Fatal(err)
-		}
-		single.Quiesce()
-		local := core.NewShardedLiveDetectorOver(p.Collection, single, p.Cfg.Online)
-
-		rc := newReplicated(t, p, tc.n, tc.r, icfg, replica.DefaultConfig(), true, false)
-		if err := rc.cluster.IngestBatch(posts); err != nil {
-			t.Fatal(err)
-		}
-		if err := rc.cluster.Quiesce(); err != nil {
-			t.Fatal(err)
-		}
-		repl := core.NewShardedLiveDetectorOver(p.Collection, rc.cluster, p.Cfg.Online)
-
-		total := 0
-		for _, set := range sets {
-			for _, q := range set.Queries {
-				total++
-				gotES, gotTrace := repl.Search(q)
-				wantES, wantTrace := local.Search(q)
-				coldES, coldTrace := cold.Search(q)
-				expertsIdentical(t, "replicated-vs-local", q, gotES, wantES)
-				expertsIdentical(t, "replicated-vs-cold", q, gotES, coldES)
-				if gotTrace.MatchedTweets != wantTrace.MatchedTweets ||
-					gotTrace.MatchedTweets != coldTrace.MatchedTweets {
-					t.Fatalf("N=%d R=%d %q: matched %d tweets replicated, local %d, cold %d",
-						tc.n, tc.r, q, gotTrace.MatchedTweets, wantTrace.MatchedTweets, coldTrace.MatchedTweets)
-				}
-				expertsIdentical(t, "replicated-baseline", q,
-					repl.SearchBaseline(q), local.SearchBaseline(q))
-			}
-		}
-		if total == 0 {
-			t.Fatal("no queries in eval sets")
-		}
-		if pq, se := repl.PartialStats(); pq != 0 || se != 0 {
-			t.Fatalf("N=%d R=%d: healthy replicated cluster reported partial queries %d, shard errors %d",
-				tc.n, tc.r, pq, se)
-		}
-		if fo := repl.Failovers(); fo != 0 {
-			t.Fatalf("N=%d R=%d: healthy replicated cluster reported %d failovers", tc.n, tc.r, fo)
-		}
-		for si, set := range rc.sets {
-			st := set.Stats()
-			if st.Epoch != uint64(len(posts)) && tc.n == 1 {
-				t.Fatalf("set %d logical epoch %d, want %d", si, st.Epoch, len(posts))
-			}
-			for j := 0; j < tc.r; j++ {
-				if st.Applied[j] != st.Epoch {
-					t.Fatalf("N=%d R=%d shard %d replica %d applied %d of %d writes",
-						tc.n, tc.r, si, j, st.Applied[j], st.Epoch)
-				}
-				if st.Reads[j] == 0 {
-					t.Fatalf("N=%d R=%d shard %d replica %d served no reads — the fan-out is not spreading",
-						tc.n, tc.r, si, j)
-				}
-			}
-		}
-		single.Close()
-	}
-}
-
-// TestReplicatedEquivalenceAfterFollowerKill is the fault half of the
-// acceptance bar: one follower per shard is killed mid-load (its
-// server closes under the client), the remaining writes replicate to
-// the survivors, reads fail over — zero partial results — and the
-// quiesced cluster still ranks bit-identically to a cold rebuild over
-// every evaluation query.
-func TestReplicatedEquivalenceAfterFollowerKill(t *testing.T) {
-	p, sets := testPipeline(t)
-	posts := streamPosts(p, 83, 300)
-	icfg := ingest.Config{SealThreshold: 32, CompactFanIn: 3}
-	const n, r = 2, 2
-
-	rc := newReplicated(t, p, n, r, icfg, replica.DefaultConfig(), true, false)
-	if err := rc.cluster.IngestBatch(posts[:150]); err != nil {
-		t.Fatal(err)
-	}
-	// Kill every shard's follower server mid-load: in-flight state dies
-	// with the TCP connections, and every later replication write to it
-	// must fail (and must not be retried).
-	for i := 0; i < n; i++ {
-		for _, srv := range rc.servers[i] {
-			srv.Close()
-		}
-	}
-	if err := rc.cluster.IngestBatch(posts[150:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := rc.cluster.Quiesce(); err != nil {
-		t.Fatal(err)
-	}
-	repl := core.NewShardedLiveDetectorOver(p.Collection, rc.cluster, p.Cfg.Online)
-	cold := core.NewDetector(p.Collection, p.Corpus.ExtendedWith(posts), p.Cfg.Online)
-
-	for _, set := range sets {
-		for _, q := range set.Queries {
-			got, gotTrace := repl.Search(q)
-			want, wantTrace := cold.Search(q)
-			expertsIdentical(t, "killed-follower-vs-cold", q, got, want)
-			if gotTrace.MatchedTweets != wantTrace.MatchedTweets {
-				t.Fatalf("%q: matched %d tweets with a killed follower, cold %d",
-					q, gotTrace.MatchedTweets, wantTrace.MatchedTweets)
-			}
-		}
-	}
-	// Failover, not degradation: every query answered whole.
-	if pq, se := repl.PartialStats(); pq != 0 || se != 0 {
-		t.Fatalf("killed follower degraded queries: partial %d, shard errors %d", pq, se)
-	}
-	for si, set := range rc.sets {
-		st := set.Stats()
-		if !st.Stale[1] {
-			t.Fatalf("shard %d follower missed writes but is not flagged stale: %+v", si, st)
-		}
-		if st.Applied[0] != st.Epoch {
-			t.Fatalf("shard %d primary applied %d of %d writes", si, st.Applied[0], st.Epoch)
-		}
-	}
-}
-
 // TestFailoverReadsNeverDuplicateWrites pins two halves of the write
 // contract around a read failover: (a) reads failing over to the
 // primary never re-send — or send at all — any write to the failed
@@ -312,7 +124,7 @@ func TestFailoverReadsNeverDuplicateWrites(t *testing.T) {
 	p, _ := testPipeline(t)
 	icfg := ingest.Config{SealThreshold: 32, CompactFanIn: 3}
 	cfg := replica.Config{Backoff: shard.Backoff{Initial: 50 * time.Millisecond, Max: 50 * time.Millisecond}}
-	rc := newReplicated(t, p, 1, 2, icfg, cfg, false, true)
+	rc := newReplicated(t, p, 1, 2, icfg, cfg, true)
 	set, f := rc.sets[0], rc.faults[0]
 
 	posts := streamPosts(p, 91, 60)
@@ -397,7 +209,7 @@ func TestStaleFollowerRejected(t *testing.T) {
 	p, _ := testPipeline(t)
 	icfg := ingest.Config{SealThreshold: 32, CompactFanIn: 3}
 	cfg := replica.Config{Backoff: shard.Backoff{Initial: 10 * time.Millisecond, Max: 10 * time.Millisecond}}
-	rc := newReplicated(t, p, 1, 2, icfg, cfg, false, true)
+	rc := newReplicated(t, p, 1, 2, icfg, cfg, true)
 	set, f := rc.sets[0], rc.faults[0]
 
 	for _, post := range streamPosts(p, 95, 20) {

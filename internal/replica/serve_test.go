@@ -1,9 +1,8 @@
 // Serving-layer tests for replication: the cache must survive a
-// failover (same logical epochs, different replica answering), a
+// failover (same logical epochs, different replica answering), and a
 // replicated cluster must never go uncacheable (its epoch sample
-// touches no replica), and a replica failure under mixed load must
-// yield failover — zero partial results — while staying bit-identical
-// to a cold rebuild.
+// touches no replica). A replica failure under mixed load is the root
+// package's TestReplicatedMixedLoadZeroPartials.
 package replica_test
 
 import (
@@ -29,7 +28,7 @@ func TestServeCacheSurvivesFailover(t *testing.T) {
 	p, _ := testPipeline(t)
 	icfg := ingest.Config{SealThreshold: 32, CompactFanIn: 3}
 	cfg := replica.Config{Backoff: shard.Backoff{Initial: time.Hour, Max: time.Hour}}
-	rc := newReplicated(t, p, 2, 2, icfg, cfg, false, true)
+	rc := newReplicated(t, p, 2, 2, icfg, cfg, true)
 
 	online := p.Cfg.Online
 	online.MatchWorkers = 1
@@ -94,86 +93,5 @@ func TestServeCacheSurvivesFailover(t *testing.T) {
 	}
 	if st.Uncacheable != 0 {
 		t.Fatalf("uncacheable crept in: %+v", st)
-	}
-}
-
-// TestReplicatedMixedLoadZeroPartials is the acceptance run: a
-// follower dies at a scripted point under full mixed read/write load
-// and the serving stats must show failover, not degradation — zero
-// partial results, zero shard errors, zero uncacheable requests, the
-// dead follower probed at most once per (here: infinite) backoff
-// window — and the quiesced cluster must still rank bit-identically
-// to a cold rebuild over the whole query pool.
-func TestReplicatedMixedLoadZeroPartials(t *testing.T) {
-	p, sets := testPipeline(t)
-	icfg := ingest.Config{SealThreshold: 32, CompactFanIn: 3}
-	cfg := replica.Config{Backoff: shard.Backoff{Initial: time.Hour, Max: time.Hour}}
-	rc := newReplicated(t, p, 2, 2, icfg, cfg, false, true)
-
-	online := p.Cfg.Online
-	online.MatchWorkers = 1
-	det := core.NewShardedLiveDetectorOver(p.Collection, rc.cluster, online)
-	srv := serve.New(det, serve.DefaultConfig())
-
-	var pool []string
-	for _, set := range sets {
-		pool = append(pool, set.Queries...)
-	}
-
-	// The kill fires mid-load, at the follower's 40th call — drain
-	// semantics: whatever conversation is in flight completes, every
-	// call after the gate fails.
-	rc.faults[0].KillAfterCalls(40)
-	res := serve.RunMixedLoad(srv, rc.cluster, serve.MixedLoadConfig{
-		Queries:       pool,
-		Searches:      3 * len(pool),
-		SearchWorkers: 4,
-		Ingests:       400,
-		IngestWorkers: 2,
-		BaselineEvery: 5,
-		Seed:          29,
-	})
-	if res.Ingested != 400 {
-		t.Fatalf("sink dropped writes: %d of 400 ingested", res.Ingested)
-	}
-	st := res.Stats
-	if st.PartialResults != 0 || st.ShardErrors != 0 {
-		t.Fatalf("replica death degraded queries under load: %+v", st)
-	}
-	if st.Uncacheable != 0 {
-		t.Fatalf("replicated cluster went uncacheable under load: %+v", st)
-	}
-	f := rc.faults[0]
-	if f.Calls() <= 40 {
-		t.Fatalf("kill never fired: %d calls", f.Calls())
-	}
-	// At most one write reaches the dead follower (the one that ejects
-	// it; after that, writes skip it), and reads stop probing it after
-	// one backoff trip — per-request dialing is the bug this layer
-	// fixes.
-	if killed := f.IngestsKilled(); killed > 1 {
-		t.Fatalf("dead follower was sent %d writes after the kill", killed)
-	}
-	if probes := f.SearchesKilled(); probes > 8 {
-		t.Fatalf("dead follower absorbed %d read probes — backoff is not gating reads", probes)
-	}
-	// Whatever reads reached the follower before the kill (the 40 calls
-	// may all have been writes) took the path production takes.
-	if f.Searches() != 0 {
-		t.Fatalf("follower saw %d plain searches — reads left the composite path", f.Searches())
-	}
-
-	// The spine holds under fault + load: quiesce and rebuild cold from
-	// the primaries' content.
-	if err := rc.cluster.Quiesce(); err != nil {
-		t.Fatal(err)
-	}
-	all := append([]microblog.Tweet(nil), p.Corpus.Tweets()...)
-	all = append(all, rc.ingested()...)
-	cold := core.NewDetector(p.Collection, microblog.FromTweets(p.World, all), online)
-	for _, q := range pool {
-		got, _ := det.Search(q)
-		want, _ := cold.Search(q)
-		expertsIdentical(t, "mixed-load-fault", q, got, want)
 	}
 }

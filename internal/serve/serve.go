@@ -77,11 +77,9 @@
 //
 // Build detectors with core.OnlineConfig.MatchWorkers = 1 when serving
 // concurrently: request-level parallelism already saturates the cores.
-// loadgen.go drives a Server with concurrent search clients, read-only
-// or mixed with live ingestion into the backend's shard set. It is how
-// the tests of serve, shard and replica and examples/streaming put a
-// topology under load before they quiesce and compare; throughput is
-// measured by bench/, not here.
+// The root package's topology matrix drives a Server with concurrent
+// searchers beside live writers in every deployment layout before it
+// quiesces and compares; throughput is measured by bench/, not here.
 package serve
 
 import (
@@ -708,19 +706,6 @@ func (s *Server) insertLocked(key cacheKey, res *result) {
 		s.order.Remove(oldest)
 		delete(s.slots, oldest.Value.(*slot).key)
 	}
-}
-
-// ResetStats zeroes the counters (the cache contents are kept). The
-// backend's partial-result counters are cumulative and not reset.
-func (s *Server) ResetStats() {
-	s.queries.Store(0)
-	s.hits.Store(0)
-	s.misses.Store(0)
-	s.coalesced.Store(0)
-	s.invalidations.Store(0)
-	s.uncacheable.Store(0)
-	s.shed.Store(0)
-	s.rejected.Store(0)
 }
 
 // Stats snapshots the counters.

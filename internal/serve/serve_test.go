@@ -414,83 +414,6 @@ func TestLiveServerInvalidatesOnIngest(t *testing.T) {
 	_ = before
 }
 
-// TestRunMixedLoadAccounting drives the mixed read/write generator and
-// checks both sides' accounting.
-func TestRunMixedLoadAccounting(t *testing.T) {
-	p := testPipeline(t)
-	idx := ingest.New(p.Corpus, ingest.Config{SealThreshold: 64, CompactFanIn: 3})
-	defer idx.Close()
-	live := core.NewLiveDetector(p.Collection, idx, p.Cfg.Online)
-	s := New(live, DefaultConfig())
-
-	res := RunMixedLoad(s, live.Cluster(), MixedLoadConfig{
-		Queries:       []string{"49ers", "diabetes", "nfl", "zzz-none"},
-		Searches:      60,
-		SearchWorkers: 4,
-		Ingests:       120,
-		IngestWorkers: 2,
-		BaselineEvery: 5,
-		Seed:          7,
-	})
-	if res.Searches != 60 || res.Stats.Queries != 60 {
-		t.Fatalf("bad search accounting: %+v", res)
-	}
-	if res.Ingested != 120 {
-		t.Fatalf("ingested %d posts, want 120", res.Ingested)
-	}
-	if res.EndEpoch < res.StartEpoch+120 {
-		t.Fatalf("epoch did not advance with ingestion: %d -> %d", res.StartEpoch, res.EndEpoch)
-	}
-	if res.Stats.CacheHits+res.Stats.CacheMisses != 60 {
-		t.Fatalf("hit/miss counters inconsistent: %+v", res.Stats)
-	}
-	if st := idx.Stats(); st.Ingested != 120 {
-		t.Fatalf("index saw %d ingests, want 120", st.Ingested)
-	}
-	if RunMixedLoad(s, live.Cluster(), MixedLoadConfig{}).Searches != 0 {
-		t.Fatal("empty mixed load should be a no-op")
-	}
-
-	// A write-only run (no search side) must still ingest.
-	before := idx.Stats().Ingested
-	wo := RunMixedLoad(s, live.Cluster(), MixedLoadConfig{Ingests: 30, IngestWorkers: 2, Seed: 9})
-	if wo.Ingested != 30 || idx.Stats().Ingested != before+30 {
-		t.Fatalf("write-only run ingested %d posts, want 30", wo.Ingested)
-	}
-	if wo.Searches != 0 || wo.Stats.Queries != 0 {
-		t.Fatalf("write-only run reported searches: %+v", wo)
-	}
-}
-
-// TestRunLoadParallelMatchesSequential checks the load generator's
-// accounting: the same workload answered sequentially and in parallel
-// reports identical Answered counts and consistent counters.
-func TestRunLoadParallelMatchesSequential(t *testing.T) {
-	p := testPipeline(t)
-	queries := []string{"49ers", "diabetes", "nfl", "zzz-none"}
-	seqRes := RunLoad(New(frozenBackend(p), DefaultConfig()),
-		LoadConfig{Queries: queries, Total: 40, Workers: 1, BaselineEvery: 4})
-	parRes := RunLoad(New(frozenBackend(p), DefaultConfig()),
-		LoadConfig{Queries: queries, Total: 40, Workers: 8, BaselineEvery: 4})
-	if seqRes.Answered != parRes.Answered {
-		t.Fatalf("answered: sequential %d, parallel %d", seqRes.Answered, parRes.Answered)
-	}
-	for _, res := range []LoadResult{seqRes, parRes} {
-		if res.Queries != 40 || res.Stats.Queries != 40 {
-			t.Fatalf("bad accounting: %+v", res)
-		}
-		if res.Stats.CacheHits+res.Stats.CacheMisses != 40 {
-			t.Fatalf("hit/miss counters inconsistent: %+v", res.Stats)
-		}
-		if res.QPS <= 0 {
-			t.Fatalf("non-positive QPS: %+v", res)
-		}
-	}
-	if RunLoad(New(frozenBackend(p), DefaultConfig()), LoadConfig{}).Queries != 0 {
-		t.Fatal("empty load should be a no-op")
-	}
-}
-
 // scriptedVectorBackend is a scriptedBackend with per-component
 // epochs, for pinning the vector-epoch cache mechanics without a real
 // sharded index.
@@ -628,122 +551,6 @@ func TestShardedServerInvalidatesOnIngest(t *testing.T) {
 	}
 }
 
-// TestMixedLoadShardedSink drives the mixed read/write generator with a
-// sharded cluster as the ingest sink and checks both sides' accounting.
-func TestMixedLoadShardedSink(t *testing.T) {
-	p := testPipeline(t)
-	r := shard.New(p.Corpus, 4, ingest.Config{SealThreshold: 64, CompactFanIn: 3})
-	defer r.Close()
-	online := p.Cfg.Online
-	online.MatchWorkers = 1
-	sharded := core.NewShardedLiveDetectorOver(p.Collection, r, online)
-	s := New(sharded, DefaultConfig())
-
-	res := RunMixedLoad(s, r, MixedLoadConfig{
-		Queries:       []string{"49ers", "diabetes", "nfl", "zzz-none"},
-		Searches:      60,
-		SearchWorkers: 4,
-		Ingests:       120,
-		IngestWorkers: 2,
-		BaselineEvery: 5,
-		Seed:          7,
-	})
-	if res.Searches != 60 || res.Stats.Queries != 60 {
-		t.Fatalf("bad search accounting: %+v", res)
-	}
-	if res.Ingested != 120 {
-		t.Fatalf("ingested %d posts, want 120", res.Ingested)
-	}
-	var ingested int64
-	for i := 0; i < r.NumShards(); i++ {
-		ingested += r.Backend(i).(*shard.Local).Index().Stats().Ingested
-	}
-	if ingested != 120 {
-		t.Fatalf("shards saw %d ingests, want 120", ingested)
-	}
-	if res.EndEpoch < res.StartEpoch+120 {
-		t.Fatalf("vector digest did not advance with ingestion: %d -> %d",
-			res.StartEpoch, res.EndEpoch)
-	}
-}
-
-// TestRunLoadEdgeCases covers the load generator's degenerate inputs:
-// zero totals and empty query pools return an empty result instead of
-// hanging or dividing by zero, and worker counts are clamped to the
-// request total.
-func TestRunLoadEdgeCases(t *testing.T) {
-	p := testPipeline(t)
-	s := New(frozenBackend(p), DefaultConfig())
-
-	if res := RunLoad(s, LoadConfig{Total: 0, Queries: []string{"nfl"}}); res.Queries != 0 {
-		t.Fatalf("zero-total run reported %d queries", res.Queries)
-	}
-	if res := RunLoad(s, LoadConfig{Total: 100}); res.Queries != 0 {
-		t.Fatalf("empty-pool run reported %d queries", res.Queries)
-	}
-	// More workers than requests: every request still runs exactly once.
-	res := RunLoad(s, LoadConfig{Total: 3, Workers: 64, Queries: []string{"49ers"}})
-	if res.Queries != 3 || res.Stats.Queries != 3 {
-		t.Fatalf("clamped run served %d/%d queries, want 3", res.Queries, res.Stats.Queries)
-	}
-	// BaselineEvery=1 routes every request to the baseline endpoint.
-	s.ResetStats()
-	res = RunLoad(s, LoadConfig{Total: 4, Queries: []string{"49ers"}, BaselineEvery: 1})
-	if res.Stats.Queries != 4 {
-		t.Fatalf("baseline-only run served %d", res.Stats.Queries)
-	}
-	if want := len(s.SearchBaseline("49ers")); want > 0 && res.Answered != 4 {
-		t.Fatalf("baseline-only run answered %d of 4", res.Answered)
-	}
-}
-
-// TestRunMixedLoadWriteOnlyAndReadOnly covers the Sink-facing halves of
-// the mixed generator separately: a write-only run must push exactly
-// Ingests posts into the sink and move its epoch with zero searches; a
-// run with no ingests degenerates to pure read load; an all-empty
-// config returns the zero result.
-func TestRunMixedLoadWriteOnlyAndReadOnly(t *testing.T) {
-	p := testPipeline(t)
-	idx := ingest.New(p.Corpus, ingest.DefaultConfig())
-	defer idx.Close()
-	live := core.NewLiveDetector(p.Collection, idx, p.Cfg.Online)
-	s := New(live, DefaultConfig())
-
-	if res := RunMixedLoad(s, live.Cluster(), MixedLoadConfig{}); res.Ingested != 0 || res.Searches != 0 {
-		t.Fatalf("all-empty mixed run did something: %+v", res)
-	}
-
-	before := idx.Stats()
-	res := RunMixedLoad(s, live.Cluster(), MixedLoadConfig{Ingests: 120, IngestWorkers: 3, Seed: 7})
-	if res.Searches != 0 || res.Ingested != 120 {
-		t.Fatalf("write-only run: %d searches, %d ingests", res.Searches, res.Ingested)
-	}
-	if res.EndEpoch <= res.StartEpoch {
-		t.Fatalf("write-only run did not advance the epoch: %d -> %d", res.StartEpoch, res.EndEpoch)
-	}
-	if after := idx.Stats(); after.Ingested != before.Ingested+120 {
-		t.Fatalf("sink absorbed %d posts, want +120", after.Ingested-before.Ingested)
-	}
-
-	// Searches>0 with an empty pool is treated as read-silent, not a
-	// divide-by-zero.
-	if res := RunMixedLoad(s, live.Cluster(), MixedLoadConfig{Searches: 50, Ingests: 10}); res.Searches != 0 || res.Ingested != 10 {
-		t.Fatalf("empty-pool mixed run: %+v", res)
-	}
-
-	// Read-only: no ingest workers spin up, epochs stay put.
-	res = RunMixedLoad(s, live.Cluster(), MixedLoadConfig{Queries: []string{"49ers", "nfl"}, Searches: 40, SearchWorkers: 4, BaselineEvery: 3})
-	if res.Ingested != 0 || res.Searches != 40 {
-		t.Fatalf("read-only run: %+v", res)
-	}
-	if res.EndEpoch != res.StartEpoch {
-		t.Fatalf("read-only run moved the epoch: %d -> %d", res.StartEpoch, res.EndEpoch)
-	}
-	if res.Stats.Queries != 40 {
-		t.Fatalf("server saw %d queries, want 40", res.Stats.Queries)
-	}
-}
-
 // failoverBackend is a scripted backend that reports replicated read
 // failovers, like a ShardedLiveDetector over replica.Sets.
 type failoverBackend struct {
@@ -768,12 +575,6 @@ func TestFailoverStatsMirrored(t *testing.T) {
 	b.failovers.Store(7)
 	if st := s.Stats(); st.Failovers != 7 {
 		t.Fatalf("stats mirror %d failovers, backend reports 7", st.Failovers)
-	}
-	// ResetStats zeroes the server's own counters; the backend's
-	// cumulative failover count, like PartialResults, is not reset.
-	s.ResetStats()
-	if st := s.Stats(); st.Failovers != 7 {
-		t.Fatalf("reset clobbered the backend's cumulative failovers: %d", st.Failovers)
 	}
 
 	plain := &scriptedBackend{}

@@ -294,8 +294,7 @@ func (v *localView) Release() {
 // backends — behind the surfaces the write path, the scatter-gather
 // detector and the serving cache consume: author-hash write routing
 // (position in the backend list is the shard index ShardOf routes to),
-// the per-shard epoch vector and its scalar digest, and whole-cluster
-// quiesce/close. New builds the all-local special case; cmd/shardd plus
+// the per-shard epoch vector, and whole-cluster quiesce/close. New builds the all-local special case; cmd/shardd plus
 // transport.RemoteShard clients form the all-remote one; mixing them is
 // how a deployment drains one process at a time.
 type Cluster struct {
@@ -499,21 +498,6 @@ func (c *Cluster) Failovers() int64 {
 	var sum int64
 	for _, b := range c.backends {
 		sum += b.Failovers()
-	}
-	return sum
-}
-
-// Epoch returns the sum of the per-shard epochs — the scalar digest of
-// the vector, sampled with the same concurrency as EpochVector. Epochs
-// never decrease, so the sum advances if and only if some component
-// advances. Unobservable components contribute EpochUnknown to the
-// sum, which still changes the digest as failed samples' neighbors
-// advance.
-func (c *Cluster) Epoch() uint64 {
-	vec, _ := c.EpochVector(make([]uint64, 0, len(c.backends)))
-	var sum uint64
-	for _, e := range vec {
-		sum += e
 	}
 	return sum
 }

@@ -30,8 +30,8 @@
 //     catch-up; reads never stop), drains the residue, and only swaps
 //     the routing table after source and destination epochs agree:
 //     every source shard's total equals its drained offset, and every
-//     observable destination shard's total equals its base plus
-//     exactly the posts handed to it. Then the swap is one atomic
+//     destination shard's total equals its base plus exactly the
+//     posts handed to it. Then the swap is one atomic
 //     pointer store and subsequent writes route at M.
 //
 // Any failure — a destination backend dying mid-drain, an epoch
@@ -48,7 +48,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/microblog"
-	"repro/internal/obs"
 	"repro/internal/world"
 )
 
@@ -67,10 +66,13 @@ type RoutingTable struct {
 // Owner returns the shard that owns the author under this table.
 func (t RoutingTable) Owner(u world.UserID) int { return ShardOf(u, t.Shards) }
 
-// LogPager is optionally implemented by backends whose ingested post
-// log can be paged out for handoff — Local reads its own snapshots,
+// LogPager is implemented by backends whose ingested post log can be
+// paged out for handoff — Local reads its own snapshots,
 // transport.RemoteShard reuses the OpTweets paging. It is the entire
-// surface a Migration needs from a source shard.
+// surface a Migration needs from a shard: a source's log is drained
+// through it, and a destination's totals are checked through it at the
+// cutover gate, so NewMigration refuses a shard on either side that
+// lacks it.
 type LogPager interface {
 	// PagePosts returns one page of the shard's post log starting at
 	// global id from. scanned is how many ids the page consumed
@@ -178,11 +180,6 @@ type MigrationConfig struct {
 	// core.ShardedLiveDetector.SwapCluster so the read path moves in
 	// the same atomic step as the write path.
 	Cutover func(to *Cluster)
-	// Obs, when non-nil, exports migration progress gauges:
-	// reshard_state, reshard_authors_moving, reshard_posts_streamed,
-	// reshard_bytes_streamed, reshard_catchup_rounds and
-	// reshard_window_hits.
-	Obs *obs.Registry
 }
 
 // MigrationStats is a point-in-time snapshot of migration progress.
@@ -219,6 +216,9 @@ type MigrationStats struct {
 type Migration struct {
 	src, dst *Cluster
 	cfg      MigrationConfig
+	// srcLog and dstLog are the clusters' backends as LogPagers, in
+	// shard order, resolved once by NewMigration.
+	srcLog, dstLog []LogPager
 
 	from, to RoutingTable
 	table    atomic.Pointer[RoutingTable]
@@ -243,8 +243,9 @@ type Migration struct {
 }
 
 // NewMigration validates the pair of clusters and returns an idle
-// Migration. Every source backend must implement LogPager (Local and
-// transport.RemoteShard both do); the clusters must share a world.
+// Migration. Every backend of both clusters must implement LogPager
+// (Local and transport.RemoteShard both do); the clusters must share a
+// world.
 func NewMigration(src, dst *Cluster, cfg MigrationConfig) (*Migration, error) {
 	if src == nil || dst == nil {
 		return nil, errors.New("shard: migration needs both clusters")
@@ -252,10 +253,13 @@ func NewMigration(src, dst *Cluster, cfg MigrationConfig) (*Migration, error) {
 	if src.World() != dst.World() {
 		return nil, errors.New("shard: migration clusters disagree on the world")
 	}
-	for i := 0; i < src.NumShards(); i++ {
-		if _, ok := src.Backend(i).(LogPager); !ok {
-			return nil, fmt.Errorf("shard: source shard %d cannot page its log", i)
-		}
+	srcLog, err := logPagers(src, "source")
+	if err != nil {
+		return nil, err
+	}
+	dstLog, err := logPagers(dst, "destination")
+	if err != nil {
+		return nil, err
 	}
 	if cfg.PageSize <= 0 {
 		cfg.PageSize = 1024
@@ -264,21 +268,29 @@ func NewMigration(src, dst *Cluster, cfg MigrationConfig) (*Migration, error) {
 		src:      src,
 		dst:      dst,
 		cfg:      cfg,
+		srcLog:   srcLog,
+		dstLog:   dstLog,
 		from:     RoutingTable{Version: 1, Shards: src.NumShards()},
 		to:       RoutingTable{Version: 2, Shards: dst.NumShards()},
 		drained:  make([]atomic.Int64, src.NumShards()),
 		received: make([]atomic.Int64, dst.NumShards()),
 	}
 	m.table.Store(&m.from)
-	if reg := cfg.Obs; reg != nil {
-		reg.RegisterFunc("reshard_state", func() int64 { return int64(m.state.Load()) })
-		reg.RegisterFunc("reshard_authors_moving", m.authorsMoving.Load)
-		reg.RegisterFunc("reshard_posts_streamed", m.postsStreamed.Load)
-		reg.RegisterFunc("reshard_bytes_streamed", m.bytesStreamed.Load)
-		reg.RegisterFunc("reshard_catchup_rounds", m.rounds.Load)
-		reg.RegisterFunc("reshard_window_hits", m.windowHits.Load)
-	}
 	return m, nil
+}
+
+// logPagers returns c's backends as LogPagers, in shard order, or an
+// error naming the first shard that cannot page its log.
+func logPagers(c *Cluster, side string) ([]LogPager, error) {
+	pagers := make([]LogPager, c.NumShards())
+	for i := range pagers {
+		p, ok := c.Backend(i).(LogPager)
+		if !ok {
+			return nil, fmt.Errorf("shard: %s shard %d cannot page its log", side, i)
+		}
+		pagers[i] = p
+	}
+	return pagers, nil
 }
 
 // Table returns the routing table currently in force: from before
@@ -334,8 +346,8 @@ func (m *Migration) Start() error {
 	if s := m.State(); s != MigrationIdle {
 		return fmt.Errorf("shard: migration start in state %v", s)
 	}
-	for i := 0; i < m.src.NumShards(); i++ {
-		base, err := m.src.Backend(i).(LogPager).BasePosts()
+	for i, pager := range m.srcLog {
+		base, err := pager.BasePosts()
 		if err != nil {
 			m.fail(fmt.Errorf("shard: migration start: shard %d base: %w", i, err))
 			return m.Err()
@@ -386,7 +398,7 @@ func (m *Migration) drainRange(i, from, to int, locked bool) error {
 	if from >= to {
 		return nil
 	}
-	pager := m.src.Backend(i).(LogPager)
+	pager := m.srcLog[i]
 	n, mm := m.from.Shards, m.to.Shards
 	for j := 0; j < mm; j++ {
 		if !pairFeasible(i, n, j, mm) {
@@ -437,7 +449,7 @@ func (m *Migration) drainPass(locked bool) (int64, error) {
 	errs := make([]error, n)
 	for i := 0; i < n; i++ {
 		from := int(m.drained[i].Load())
-		_, _, total, err := m.src.Backend(i).(LogPager).PagePosts(from, 0, 0, 0)
+		_, _, total, err := m.srcLog[i].PagePosts(from, 0, 0, 0)
 		if err != nil {
 			return consumed.Load(), fmt.Errorf("shard: drain probe shard %d: %w", i, err)
 		}
@@ -502,8 +514,8 @@ func (m *Migration) abortCause() error {
 // Cutover completes the migration: under the write lock (writes pause,
 // reads do not) it drains the final residue, verifies that source and
 // destination epochs agree — every source shard's total equals its
-// drained offset, every observable destination shard's total equals
-// its base plus exactly the posts handed to it — and only then swaps
+// drained offset, every destination shard's total equals its base plus
+// exactly the posts handed to it — and only then swaps
 // the routing table and runs the Cutover callback. Any disagreement
 // aborts with the source authoritative.
 func (m *Migration) Cutover() error {
@@ -519,8 +531,8 @@ func (m *Migration) Cutover() error {
 		m.fail(err)
 		return m.abortCause()
 	}
-	for i := 0; i < m.src.NumShards(); i++ {
-		_, _, total, err := m.src.Backend(i).(LogPager).PagePosts(0, 0, 0, 0)
+	for i, pager := range m.srcLog {
+		_, _, total, err := pager.PagePosts(0, 0, 0, 0)
 		if err != nil {
 			m.fail(fmt.Errorf("shard: cutover probe shard %d: %w", i, err))
 			return m.abortCause()
@@ -530,11 +542,7 @@ func (m *Migration) Cutover() error {
 			return m.abortCause()
 		}
 	}
-	for j := 0; j < m.dst.NumShards(); j++ {
-		pager, ok := m.dst.Backend(j).(LogPager)
-		if !ok {
-			continue
-		}
+	for j, pager := range m.dstLog {
 		base, err := pager.BasePosts()
 		if err != nil {
 			m.fail(fmt.Errorf("shard: cutover probe dst %d: %w", j, err))
@@ -572,18 +580,18 @@ func (m *Migration) Run() error {
 
 // NoteRead records one query routed while the dual-read window is
 // open; the read path calls it on every query so the window is
-// observable (reshard_window_hits).
+// observable (MigrationStats.WindowHits).
 func (m *Migration) NoteRead() {
 	if m.State() == MigrationWindowOpen {
 		m.windowHits.Add(1)
 	}
 }
 
-// IngestBatch implements serve.Sink as the deployment's write path
-// during the migration: writes route by the routing table in force —
-// source cluster before cutover, destination after — under a read lock
-// so Cutover's gate can exclude in-flight writes. A routing failure
-// aborts the migration (observable via Err) and fails the batch.
+// IngestBatch is the deployment's write path during the migration:
+// writes route by the routing table in force — source cluster before
+// cutover, destination after — under a read lock so Cutover's gate can
+// exclude in-flight writes. A routing failure aborts the migration
+// (observable via Err) and fails the batch.
 func (m *Migration) IngestBatch(posts []microblog.Post) error {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -597,18 +605,6 @@ func (m *Migration) IngestBatch(posts []microblog.Post) error {
 		return err
 	}
 	return nil
-}
-
-// World implements serve.Sink; both clusters share it.
-func (m *Migration) World() *world.World { return m.src.World() }
-
-// Epoch implements serve.Sink: the epoch digest of whichever cluster
-// currently owns writes.
-func (m *Migration) Epoch() uint64 {
-	if m.State() == MigrationDone {
-		return m.dst.Epoch()
-	}
-	return m.src.Epoch()
 }
 
 // Stats snapshots migration progress.

@@ -30,6 +30,9 @@
 package shard
 
 import (
+	"fmt"
+	"path/filepath"
+
 	"repro/internal/ingest"
 	"repro/internal/microblog"
 	"repro/internal/world"
@@ -68,18 +71,29 @@ func Partition(base *microblog.Corpus, i, n int) *microblog.Corpus {
 	return microblog.FromTweets(base.World(), part)
 }
 
+// ShardConfig returns cfg as shard i's index takes it: a disk tier is
+// moved to the shard's own <SpillDir>/shard-<i>, because an index owns
+// its spill directory and two indexes sharing one collide on segment
+// file names. Without a disk tier cfg is returned unchanged.
+func ShardConfig(cfg ingest.Config, i int) ingest.Config {
+	if cfg.SpillDir != "" {
+		cfg.SpillDir = filepath.Join(cfg.SpillDir, fmt.Sprintf("shard-%d", i))
+	}
+	return cfg
+}
+
 // New builds the all-local cluster: n (at least 1) streaming indexes
-// configured by cfg, each behind a Local, with the frozen base corpus
-// partitioned by author so shard i starts from exactly the base tweets
-// whose author hashes to i. The union of the shards' content therefore
-// always equals base plus everything ingested — the invariant the
-// bit-identical equivalence bar is stated over. Close the cluster to
-// stop the shards' compactors.
+// configured by cfg — shard i by ShardConfig(cfg, i) — each behind a
+// Local, with the frozen base corpus partitioned by author so shard i
+// starts from exactly the base tweets whose author hashes to i. The
+// union of the shards' content therefore always equals base plus
+// everything ingested — the invariant the bit-identical equivalence bar
+// is stated over. Close the cluster to stop the shards' compactors.
 func New(base *microblog.Corpus, n int, cfg ingest.Config) *Cluster {
 	n = max(n, 1)
 	backends := make([]Backend, n)
 	for i := range backends {
-		backends[i] = NewLocal(ingest.New(Partition(base, i, n), cfg))
+		backends[i] = NewLocal(ingest.New(Partition(base, i, n), ShardConfig(cfg, i)))
 	}
 	return NewCluster(base.World(), backends...)
 }

@@ -92,121 +92,6 @@ func startShardServers(t testing.TB, p *core.Pipeline, n int, icfg ingest.Config
 	return clients
 }
 
-// TestRemoteQuiescedEquivalence is the acceptance bar of the transport:
-// for N ∈ {1, 2, 4}, after routing the same posts through loopback
-// ShardServers and quiescing over the wire, the remote scatter-gather
-// detector must return bit-identical ranked experts — and matched-tweet
-// counts — to the in-process cluster and to a cold core.Detector rebuilt
-// over the same posts, for every query of every evaluation query set,
-// on both the e# and the baseline path. This is the e# equivalence
-// spine surviving a process boundary.
-func TestRemoteQuiescedEquivalence(t *testing.T) {
-	p, sets := testPipeline(t)
-	posts := streamPosts(p, 71, 400)
-	icfg := ingest.Config{SealThreshold: 32, CompactFanIn: 3}
-
-	cold := core.NewDetector(p.Collection, p.Corpus.ExtendedWith(posts), p.Cfg.Online)
-
-	for _, n := range []int{1, 2, 4} {
-		// In-process reference over the identical partitioning.
-		inproc := shard.New(p.Corpus, n, icfg)
-		if err := inproc.IngestBatch(posts); err != nil {
-			t.Fatal(err)
-		}
-		inproc.Quiesce()
-		local := core.NewShardedLiveDetectorOver(p.Collection, inproc, p.Cfg.Online)
-
-		clients := startShardServers(t, p, n, icfg)
-		backends := make([]shard.Backend, n)
-		for i, c := range clients {
-			backends[i] = c
-		}
-		cluster := shard.NewCluster(p.World, backends...)
-		if err := cluster.IngestBatch(posts); err != nil {
-			t.Fatal(err)
-		}
-		if err := cluster.Quiesce(); err != nil {
-			t.Fatal(err)
-		}
-		remote := core.NewShardedLiveDetectorOver(p.Collection, cluster, p.Cfg.Online)
-
-		if ev, err := cluster.EpochVector(nil); err != nil || len(ev) != n {
-			t.Fatalf("N=%d: epoch vector %v, err %v", n, ev, err)
-		}
-		total := 0
-		for _, set := range sets {
-			for _, q := range set.Queries {
-				total++
-				gotES, gotTrace := remote.Search(q)
-				wantES, wantTrace := local.Search(q)
-				coldES, coldTrace := cold.Search(q)
-				expertsIdentical(t, "remote-vs-local", q, gotES, wantES)
-				expertsIdentical(t, "remote-vs-cold", q, gotES, coldES)
-				if gotTrace.MatchedTweets != wantTrace.MatchedTweets ||
-					gotTrace.MatchedTweets != coldTrace.MatchedTweets {
-					t.Fatalf("N=%d %q: matched %d tweets over the wire, local %d, cold %d",
-						n, q, gotTrace.MatchedTweets, wantTrace.MatchedTweets, coldTrace.MatchedTweets)
-				}
-				expertsIdentical(t, "remote-baseline", q,
-					remote.SearchBaseline(q), local.SearchBaseline(q))
-			}
-		}
-		if total == 0 {
-			t.Fatal("no queries in eval sets")
-		}
-		if pq, se := remote.PartialStats(); pq != 0 || se != 0 {
-			t.Fatalf("N=%d: healthy cluster reported partial queries %d, shard errors %d", n, pq, se)
-		}
-		inproc.Close()
-	}
-}
-
-// TestMixedLocalRemoteEquivalence wires a 4-shard cluster with two
-// in-process backends and two behind the wire — the
-// drain-one-process-at-a-time deployment shape — and holds it to the
-// same bit-identical bar against a cold rebuild.
-func TestMixedLocalRemoteEquivalence(t *testing.T) {
-	p, sets := testPipeline(t)
-	posts := streamPosts(p, 73, 300)
-	icfg := ingest.Config{SealThreshold: 32, CompactFanIn: 3}
-	const n = 4
-
-	clients := startShardServers(t, p, n, icfg)
-	backends := make([]shard.Backend, n)
-	for i := 0; i < n; i++ {
-		if i%2 == 0 {
-			idx := ingest.New(shard.Partition(p.Corpus, i, n), icfg)
-			t.Cleanup(idx.Close)
-			backends[i] = shard.NewLocal(idx)
-		} else {
-			backends[i] = clients[i]
-		}
-	}
-	cluster := shard.NewCluster(p.World, backends...)
-	if err := cluster.IngestBatch(posts); err != nil {
-		t.Fatal(err)
-	}
-	if err := cluster.Quiesce(); err != nil {
-		t.Fatal(err)
-	}
-	mixed := core.NewShardedLiveDetectorOver(p.Collection, cluster, p.Cfg.Online)
-	cold := core.NewDetector(p.Collection, p.Corpus.ExtendedWith(posts), p.Cfg.Online)
-
-	for _, set := range sets {
-		for _, q := range set.Queries {
-			got, gotTrace := mixed.Search(q)
-			want, wantTrace := cold.Search(q)
-			expertsIdentical(t, "mixed-vs-cold", q, got, want)
-			if gotTrace.MatchedTweets != wantTrace.MatchedTweets {
-				t.Fatalf("%q: matched %d tweets, cold %d", q, gotTrace.MatchedTweets, wantTrace.MatchedTweets)
-			}
-		}
-	}
-	if pq, se := mixed.PartialStats(); pq != 0 || se != 0 {
-		t.Fatalf("healthy mixed cluster reported partial queries %d, shard errors %d", pq, se)
-	}
-}
-
 // TestConcurrentRemoteIngestSearch is the -race hammer over the wire:
 // concurrent routed ingesters stream posts through the cluster while
 // scatter-gather searchers query it, all over loopback TCP with every
@@ -320,65 +205,6 @@ func TestHandshakeRejectsMisdeployment(t *testing.T) {
 	}
 	if err := clients[0].Handshake(0, 2, len(p.World.Users), part0.NumTweets()+1); err == nil {
 		t.Fatal("wrong base slice accepted")
-	}
-}
-
-// TestDialReplicas pins the replica-aware wiring step: every address
-// of a group must serve the same partition coordinates (the
-// handshake runs per replica), a group with a mis-deployed member
-// fails as a whole with every already-dialed client closed, and an
-// empty group is rejected.
-func TestDialReplicas(t *testing.T) {
-	p, _ := testPipeline(t)
-	icfg := ingest.DefaultConfig()
-	part := shard.Partition(p.Corpus, 0, 2)
-	users := len(p.World.Users)
-
-	// Two interchangeable servers for shard 0 of 2.
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		idx := ingest.New(part, icfg)
-		srv, err := transport.Listen("127.0.0.1:0", idx, transport.DefaultServerConfig(0, 2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() {
-			srv.Close()
-			idx.Close()
-		})
-		addrs = append(addrs, srv.Addr().String())
-	}
-	reps, err := transport.DialReplicas(addrs, 0, 2, users, part.NumTweets(), testClientConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != 2 {
-		t.Fatalf("dialed %d replicas, want 2", len(reps))
-	}
-	for i, r := range reps {
-		if e, err := r.Epoch(); err != nil || e == 0 {
-			t.Fatalf("replica %d: epoch %d, err %v", i, e, err)
-		}
-		r.Close()
-	}
-
-	// A group whose second member claims the wrong partition fails as a
-	// whole — the error names the offender.
-	wrongIdx := ingest.New(shard.Partition(p.Corpus, 1, 2), icfg)
-	wrongSrv, err := transport.Listen("127.0.0.1:0", wrongIdx, transport.DefaultServerConfig(1, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		wrongSrv.Close()
-		wrongIdx.Close()
-	})
-	if _, err := transport.DialReplicas([]string{addrs[0], wrongSrv.Addr().String()},
-		0, 2, users, part.NumTweets(), testClientConfig()); err == nil {
-		t.Fatal("a mis-deployed replica was accepted into the group")
-	}
-	if _, err := transport.DialReplicas(nil, 0, 2, users, part.NumTweets(), testClientConfig()); err == nil {
-		t.Fatal("an empty replica group was accepted")
 	}
 }
 
