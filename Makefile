@@ -21,11 +21,12 @@ race:
 # Flake gate: the packages whose tests race background goroutines
 # (compactor, push loops, servers flushing after they answer) or hammer
 # state shared across requests (serve's once-encoded cache entries, the
-# gateway's pooled scratch, the ranker's pooled columns), plus the root
+# gateway's pooled scratch, the ranker's pooled columns, the disk tier's
+# recycled block-cache slots), plus the root
 # package, whose topology matrix is the concurrent mixed-load hammer,
 # run repeatedly and uncached, then again under the race detector. A
 # test that passes once and fails one run in five fails here.
-FLAKY = . ./internal/ingest ./internal/transport ./internal/shard ./internal/replica ./cmd/shardd ./internal/serve ./internal/gateway ./internal/expertise
+FLAKY = . ./internal/ingest ./internal/transport ./internal/shard ./internal/replica ./cmd/shardd ./internal/serve ./internal/gateway ./internal/expertise ./internal/diskseg
 flake:
 	$(GO) test -count=10 $(FLAKY)
 	$(GO) test -race -count=3 $(FLAKY)
@@ -104,13 +105,19 @@ loc:
 # frame sequences against a real shard never panic it and get OpError or
 # a decodable answer of their own op; and over the admission fast paths
 # (FuzzNormalize): Normalize and TokenizeAppend must agree with
-# lower-case + Fields + Join on any string. Raise FUZZTIME for longer
-# local hunts.
+# lower-case + Fields + Join on any string; and over the disk-segment
+# loader (FuzzOpen): a mutated segment image, resealed or not, is
+# refused at Open with a diskseg sentinel or every read of it succeeds
+# with strictly ascending posting lists. Raise FUZZTIME for longer
+# local hunts. FuzzOpen caps how long the engine minimizes each new
+# coverage input (500 execs): its inputs are kilobyte images, and the
+# default 60 s minimization spends a whole smoke budget on one of them.
 FUZZTIME ?= 15s
 fuzz-smoke:
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzDispatch$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/textutil -run '^$$' -fuzz '^FuzzNormalize$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/diskseg -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 500x
 
 # Coverage over the library packages, with a one-line total summary.
 cover:

@@ -46,9 +46,11 @@ type Options struct {
 	// through this seam.
 	IO IO
 	// BlockCache caps the hot decoded blocks (posting blocks, plus
-	// tweet blocks under log paging) this segment keeps in heap. Zero
-	// means 256; negative disables caching, so every access decodes off
-	// the map — the configuration the cold-path benchmarks measure.
+	// tweet blocks under log paging) this segment keeps in heap; it is
+	// also the number of slots a full cache recycles, coldest first,
+	// instead of allocating per miss. Zero means 256; negative disables
+	// caching, so every access decodes off the map — the configuration
+	// the cold-path benchmarks measure.
 	BlockCache int
 	// Obs, when non-nil, registers the disk tier's metrics: block-cache
 	// traffic (disk_block_cache_hits / disk_block_cache_misses) and the
@@ -67,10 +69,9 @@ type termMeta struct {
 
 // blockRef locates one posting block in the map.
 type blockRef struct {
-	first microblog.TweetID // first id in the block (directory skip key)
-	off   int               // absolute offset into the mapped file
-	blen  int               // encoded byte length
-	n     int               // ids in the block
+	off  int // absolute offset into the mapped file
+	blen int // encoded byte length
+	n    int // ids in the block
 }
 
 // span locates one tweet block in the map.
@@ -102,7 +103,9 @@ type Segment struct {
 }
 
 // Open maps the segment at path and validates it: magic, version,
-// section bounds and every section checksum. A truncated, short-read
+// section bounds, every section checksum, and the structure the read
+// path decodes unchecked — the dictionary, every posting block, every
+// tweet record and the feature column. A truncated, short-read
 // or corrupted file fails here with a clean error (ErrTruncated,
 // ErrChecksum, ErrCorrupt) — never later, and never with a wrong
 // result. The returned segment holds one reference; Release it when
@@ -159,6 +162,9 @@ func open(path string, f File, opts Options) (*Segment, error) {
 	if err := s.checkFeatures(secs[secFeatures]); err != nil {
 		return nil, err
 	}
+	if err := s.checkTweets(); err != nil {
+		return nil, err
+	}
 	capacity := opts.BlockCache
 	if capacity == 0 {
 		capacity = 256
@@ -173,15 +179,23 @@ func open(path string, f File, opts Options) (*Segment, error) {
 	return s, nil
 }
 
-// parseDict decodes the term dictionary and block directory into heap.
+// parseDict decodes the term dictionary and block directory into heap,
+// and decodes every posting block once so the read path can decode
+// them unchecked: terms strictly ascending, each block exactly its n
+// ids in exactly its blen bytes, starting at its directory id, and each
+// term's list strictly ascending below numTweets across its blocks.
 func (s *Segment) parseDict(dict, postings section, numTerms int) error {
 	buf := s.data[dict.off : dict.off+dict.n]
+	if numTerms > dict.n/2 { // a term takes at least a length and a count byte
+		return fmt.Errorf("%d terms in a %d-byte dictionary: %w", numTerms, dict.n, ErrCorrupt)
+	}
 	s.terms = make(map[string]*termMeta, numTerms)
 	s.termList = make([]string, 0, numTerms)
 	next := postings.off
 	end := postings.off + postings.n
+	var scratch []microblog.TweetID
 	for i := 0; i < numTerms; i++ {
-		tlen, err := dictUvarint(&buf)
+		tlen, err := takeUvarint(&buf)
 		if err != nil {
 			return fmt.Errorf("dict term %d: %w", i, err)
 		}
@@ -190,30 +204,50 @@ func (s *Segment) parseDict(dict, postings section, numTerms int) error {
 		}
 		tok := string(buf[:tlen])
 		buf = buf[tlen:]
-		count, err := dictUvarint(&buf)
+		if i > 0 && tok <= s.termList[i-1] {
+			return fmt.Errorf("dict term %d %q not after %q: %w", i, tok, s.termList[i-1], ErrCorrupt)
+		}
+		count, err := takeUvarint(&buf)
 		if err != nil {
 			return fmt.Errorf("dict term %q: %w", tok, err)
 		}
+		if count > uint64(s.numTweets) {
+			return fmt.Errorf("dict term %q: %d postings for %d tweets: %w", tok, count, s.numTweets, ErrCorrupt)
+		}
 		m := &termMeta{count: int(count)}
+		last := microblog.TweetID(-1)
 		for got := 0; got < m.count; got += microblog.PostingsBlockLen {
 			n := m.count - got
 			if n > microblog.PostingsBlockLen {
 				n = microblog.PostingsBlockLen
 			}
-			first, err := dictUvarint(&buf)
+			first, err := takeUvarint(&buf)
 			if err != nil {
 				return fmt.Errorf("dict term %q block dir: %w", tok, err)
 			}
-			blen, err := dictUvarint(&buf)
+			blen, err := takeUvarint(&buf)
 			if err != nil {
 				return fmt.Errorf("dict term %q block dir: %w", tok, err)
 			}
-			if int(blen) > end-next {
+			if blen > uint64(end-next) {
 				return fmt.Errorf("dict term %q: block %d bytes past postings section: %w", tok, blen, ErrCorrupt)
 			}
-			m.blocks = append(m.blocks, blockRef{
-				first: microblog.TweetID(first), off: next, blen: int(blen), n: n,
-			})
+			ids, rest, err := microblog.DecodePostingsBlock(scratch[:0], s.data[next:next+int(blen)], n)
+			scratch = ids
+			switch {
+			case err != nil:
+				return fmt.Errorf("dict term %q block %d: %v: %w", tok, len(m.blocks), err, ErrCorrupt)
+			case len(rest) != 0:
+				return fmt.Errorf("dict term %q block %d: %d trailing bytes: %w", tok, len(m.blocks), len(rest), ErrCorrupt)
+			case uint64(ids[0]) != first:
+				return fmt.Errorf("dict term %q block %d: starts at %d, directory says %d: %w", tok, len(m.blocks), ids[0], first, ErrCorrupt)
+			case ids[0] <= last:
+				return fmt.Errorf("dict term %q block %d: starts at %d after %d: %w", tok, len(m.blocks), ids[0], last, ErrCorrupt)
+			case int(ids[n-1]) >= s.numTweets:
+				return fmt.Errorf("dict term %q block %d: id %d of %d tweets: %w", tok, len(m.blocks), ids[n-1], s.numTweets, ErrCorrupt)
+			}
+			last = ids[n-1]
+			m.blocks = append(m.blocks, blockRef{off: next, blen: int(blen), n: n})
 			next += int(blen)
 		}
 		s.terms[tok] = m
@@ -279,11 +313,70 @@ func (s *Segment) checkFeatures(sec section) error {
 	return nil
 }
 
-// dictUvarint reads one uvarint off the front of *buf.
-func dictUvarint(buf *[]byte) (uint64, error) {
+// checkTweets walks every tweet record once, decoding nothing, so
+// decodeTweetBlock can read the blocks unchecked: per record a topic, a
+// term count, that many term ids inside the dictionary and a text
+// length inside the block, and no bytes after a block's last record.
+func (s *Segment) checkTweets() error {
+	for b, sp := range s.tweetBlocks {
+		buf := s.data[sp.off : sp.off+sp.blen]
+		n := min(s.numTweets-b*TweetBlockLen, TweetBlockLen)
+		for i := 0; i < n; i++ {
+			var err error
+			if buf, err = skipRecord(buf, uint64(len(s.termList))); err != nil {
+				return fmt.Errorf("tweet block %d record %d: %w", b, i, err)
+			}
+		}
+		if len(buf) != 0 {
+			return fmt.Errorf("tweet block %d has %d trailing bytes: %w", b, len(buf), ErrCorrupt)
+		}
+	}
+	return nil
+}
+
+// skipRecord walks one tweet record off the front of buf and returns
+// the bytes after it. It calls binary.Uvarint directly, which inlines
+// where takeUvarint does not: this walk runs over every post of every
+// segment opened.
+func skipRecord(buf []byte, numTerms uint64) ([]byte, error) {
+	_, n := binary.Uvarint(buf) // topic
+	if n <= 0 {
+		return nil, errMidVarint
+	}
+	buf = buf[n:]
+	nt, n := binary.Uvarint(buf)
+	if n <= 0 {
+		return nil, errMidVarint
+	}
+	buf = buf[n:]
+	for ; nt > 0; nt-- {
+		t, n := binary.Uvarint(buf)
+		if n <= 0 {
+			return nil, errMidVarint
+		}
+		if t >= numTerms {
+			return nil, fmt.Errorf("term %d of %d: %w", t, numTerms, ErrCorrupt)
+		}
+		buf = buf[n:]
+	}
+	tlen, n := binary.Uvarint(buf)
+	if n <= 0 {
+		return nil, errMidVarint
+	}
+	buf = buf[n:]
+	if tlen > uint64(len(buf)) {
+		return nil, fmt.Errorf("text %d bytes past block: %w", tlen, ErrCorrupt)
+	}
+	return buf[tlen:], nil
+}
+
+var errMidVarint = fmt.Errorf("section ends mid-varint: %w", ErrCorrupt)
+
+// takeUvarint reads one uvarint off the front of *buf.
+func takeUvarint(buf *[]byte) (uint64, error) {
 	v, n := binary.Uvarint(*buf)
 	if n <= 0 {
-		return 0, fmt.Errorf("dictionary ends mid-varint: %w", ErrCorrupt)
+		return 0, errMidVarint
 	}
 	*buf = (*buf)[n:]
 	return v, nil
@@ -421,32 +514,33 @@ func (s *Segment) Postings(token string, buf []microblog.TweetID) []microblog.Tw
 // termAppend materializes one term's posting list, block by block.
 func (s *Segment) termAppend(m *termMeta, buf []microblog.TweetID) []microblog.TweetID {
 	for i := range m.blocks {
-		buf = append(buf, s.postingBlock(&m.blocks[i])...)
+		buf = s.appendBlock(buf, &m.blocks[i])
 	}
 	return buf
 }
 
-// postingBlock returns one decoded posting block, from the hot cache
-// when present, decoded off the map (and cached) otherwise. The
-// returned slice is cache-owned and read-only.
-func (s *Segment) postingBlock(ref *blockRef) []microblog.TweetID {
+// appendBlock appends one posting block to dst: copied out of the hot
+// cache on a hit; on a miss decoded off the map straight into dst, then
+// copied into the cache. No cache-owned slice leaves the cache's lock.
+func (s *Segment) appendBlock(dst []microblog.TweetID, ref *blockRef) []microblog.TweetID {
 	if s.cache != nil {
-		if e := s.cache.get(ref.off); e != nil {
-			return e.ids
+		if out, ok := s.cache.appendIDs(dst, ref.off); ok {
+			return out
 		}
 	}
 	var start time.Time
 	if s.obsReadNS != nil {
 		start = time.Now()
 	}
-	ids := s.decodePostings(make([]microblog.TweetID, 0, ref.n), ref)
+	n := len(dst)
+	dst = s.decodePostings(dst, ref)
 	if s.obsReadNS != nil {
 		s.obsReadNS.Observe(time.Since(start).Nanoseconds())
 	}
 	if s.cache != nil {
-		s.cache.put(ref.off, &cacheEntry{ids: ids})
+		s.cache.put(ref.off, dst[n:], nil)
 	}
-	return ids
+	return dst
 }
 
 // decodePostings appends one posting block to dst, decoded off the map.
@@ -508,13 +602,13 @@ func (s *Segment) tweetBlock(b int) []microblog.Tweet {
 	if s.cache != nil {
 		// Tweet blocks are keyed by their span offset; posting and
 		// tweet offsets never collide because the sections are disjoint.
-		if e := s.cache.get(sp.off); e != nil {
-			return e.tws
+		if tws := s.cache.tweets(sp.off); tws != nil {
+			return tws
 		}
 	}
 	tws := s.decodeTweetBlock(b)
 	if s.cache != nil {
-		s.cache.put(sp.off, &cacheEntry{tws: tws})
+		s.cache.put(sp.off, nil, tws)
 	}
 	return tws
 }
@@ -611,8 +705,12 @@ func (s *Segment) Release() {
 	}
 }
 
-// cacheEntry is one hot decoded block: exactly one of ids (posting
-// block) or tws (tweet block) is set.
+// cacheEntry is one slot of the hot-block cache, holding either a
+// posting block (ids) or a tweet block (tws). Posting ids are copied in
+// and out under the cache's lock, so a slot's ids buffer is reused when
+// the slot is recycled for another block. A tweet block is handed out
+// by reference — Tweet's pointers outlive eviction — so recycling only
+// drops a slot's tws, never writes through it.
 type cacheEntry struct {
 	key int
 	ids []microblog.TweetID
@@ -621,7 +719,8 @@ type cacheEntry struct {
 
 // blockCache is a small mutex-guarded LRU over decoded blocks, shared
 // by posting and tweet blocks and keyed by the block's file offset
-// (unique across both, since sections are disjoint).
+// (unique across both, since sections are disjoint). Once full it
+// allocates nothing: a new block takes over the coldest slot.
 type blockCache struct {
 	mu  sync.Mutex
 	cap int
@@ -640,25 +739,46 @@ func newBlockCache(capacity int, reg *obs.Registry) *blockCache {
 	return c
 }
 
-// get returns the cached entry for key, promoting it, or nil.
-func (c *blockCache) get(key int) *cacheEntry {
+// appendIDs appends the cached posting block under key to dst,
+// promoting it; ok is false on a miss.
+func (c *blockCache) appendIDs(dst []microblog.TweetID, key int) ([]microblog.TweetID, bool) {
 	c.mu.Lock()
 	el, ok := c.m[key]
 	if ok {
 		c.ll.MoveToFront(el)
+		dst = append(dst, el.Value.(*cacheEntry).ids...)
 	}
 	c.mu.Unlock()
-	if !ok {
-		c.misses.Inc()
-		return nil
-	}
-	c.hits.Inc()
-	return el.Value.(*cacheEntry)
+	c.count(ok)
+	return dst, ok
 }
 
-// put inserts a freshly decoded block, evicting the coldest past cap.
-func (c *blockCache) put(key int, e *cacheEntry) {
-	e.key = key
+// tweets returns the cached tweet block under key, promoting it, or nil.
+func (c *blockCache) tweets(key int) []microblog.Tweet {
+	var tws []microblog.Tweet
+	c.mu.Lock()
+	el, ok := c.m[key]
+	if ok {
+		c.ll.MoveToFront(el)
+		tws = el.Value.(*cacheEntry).tws
+	}
+	c.mu.Unlock()
+	c.count(ok)
+	return tws
+}
+
+func (c *blockCache) count(hit bool) {
+	if hit {
+		c.hits.Inc()
+	} else {
+		c.misses.Inc()
+	}
+}
+
+// put caches a freshly decoded block under key: posting ids by copy,
+// a tweet block by reference. Below cap it adds a slot; at cap it
+// recycles the coldest one — list element, entry and ids buffer.
+func (c *blockCache) put(key int, ids []microblog.TweetID, tws []microblog.Tweet) {
 	c.mu.Lock()
 	if el, ok := c.m[key]; ok {
 		// A concurrent decode of the same block won; keep the winner.
@@ -666,11 +786,18 @@ func (c *blockCache) put(key int, e *cacheEntry) {
 		c.mu.Unlock()
 		return
 	}
-	c.m[key] = c.ll.PushFront(e)
-	for c.ll.Len() > c.cap {
-		old := c.ll.Back()
-		c.ll.Remove(old)
-		delete(c.m, old.Value.(*cacheEntry).key)
+	var el *list.Element
+	if c.ll.Len() < c.cap {
+		el = c.ll.PushFront(&cacheEntry{})
+	} else {
+		el = c.ll.Back()
+		delete(c.m, el.Value.(*cacheEntry).key)
+		c.ll.MoveToFront(el)
 	}
+	e := el.Value.(*cacheEntry)
+	e.key = key
+	e.ids = append(e.ids[:0], ids...)
+	e.tws = tws
+	c.m[key] = el
 	c.mu.Unlock()
 }

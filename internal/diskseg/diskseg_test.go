@@ -4,12 +4,15 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/diskseg"
 	"repro/internal/microblog"
 	"repro/internal/obs"
+	"repro/internal/race"
 	"repro/internal/world"
 )
 
@@ -243,40 +246,141 @@ func TestFeaturesEquivalence(t *testing.T) {
 	}
 }
 
+// metric reads one counter off a registry snapshot (0 when absent).
+func metric(reg *obs.Registry, name string) int64 {
+	for _, m := range reg.Snapshot() {
+		if m.Name == name {
+			return m.Value
+		}
+	}
+	return 0
+}
+
 // TestBlockCacheCountsAndObs pins the hot-path story: repeating one
 // query hits the block cache instead of re-decoding, and the obs
-// counters see exactly that.
+// counters see exactly that. A thrashing cache recycles a slot on every
+// miss, and each of those misses still counts and still observes one
+// disk_read_ns.
 func TestBlockCacheCountsAndObs(t *testing.T) {
 	reg := obs.NewRegistry()
 	c, s := writeCorpus(t, diskseg.Options{Obs: reg})
 	tok := vocabulary(c)[0]
-	find := func(name string) int64 {
-		for _, m := range reg.Snapshot() {
-			if m.Name == name {
-				return m.Value
-			}
-		}
-		return 0
-	}
 	var buf []microblog.TweetID
 	buf = s.Postings(tok, buf)
-	missesAfterCold := find("disk_block_cache_misses")
+	missesAfterCold := metric(reg, "disk_block_cache_misses")
 	if missesAfterCold == 0 {
 		t.Fatal("cold read recorded no cache misses")
 	}
 	if reg.Histogram("disk_read_ns").Count() == 0 {
 		t.Fatal("cold read recorded no disk_read_ns observations")
 	}
-	hitsBefore := find("disk_block_cache_hits")
+	hitsBefore := metric(reg, "disk_block_cache_hits")
 	for k := 0; k < 5; k++ {
 		buf = s.Postings(tok, buf)
 	}
-	if find("disk_block_cache_misses") != missesAfterCold {
+	if metric(reg, "disk_block_cache_misses") != missesAfterCold {
 		t.Fatalf("hot reads decoded again: misses %d -> %d",
-			missesAfterCold, find("disk_block_cache_misses"))
+			missesAfterCold, metric(reg, "disk_block_cache_misses"))
 	}
-	if find("disk_block_cache_hits") <= hitsBefore {
+	if metric(reg, "disk_block_cache_hits") <= hitsBefore {
 		t.Fatal("hot reads recorded no cache hits")
+	}
+
+	thrashReg := obs.NewRegistry()
+	_, thrash := writeCorpus(t, diskseg.Options{BlockCache: 2, Obs: thrashReg})
+	vocab := vocabulary(c)
+	var blocks int64
+	for _, tok := range vocab {
+		blocks += int64((len(c.Postings(tok)) + microblog.PostingsBlockLen - 1) / microblog.PostingsBlockLen)
+	}
+	for pass := 1; pass <= 2; pass++ {
+		for _, tok := range vocab {
+			buf = thrash.Postings(tok, buf)
+		}
+		hits, misses := metric(thrashReg, "disk_block_cache_hits"), metric(thrashReg, "disk_block_cache_misses")
+		if hits+misses != int64(pass)*blocks {
+			t.Fatalf("pass %d: %d hits + %d misses, want %d block reads", pass, hits, misses, int64(pass)*blocks)
+		}
+		if misses <= int64(pass-1)*blocks {
+			t.Fatalf("pass %d: %d misses over %d block reads: the 2-block cache did not thrash", pass, misses, int64(pass)*blocks)
+		}
+		if got := thrashReg.Histogram("disk_read_ns").Count(); got != misses {
+			t.Fatalf("pass %d: %d disk_read_ns observations for %d misses", pass, got, misses)
+		}
+	}
+}
+
+// TestBlockCacheRecycleUnderReaders runs four readers over a two-block
+// cache, so nearly every block read evicts and recycles the slot
+// another reader may be copying from: every posting list and every
+// multi-token match must still equal the corpus's. Run it under -race.
+func TestBlockCacheRecycleUnderReaders(t *testing.T) {
+	c, s := writeCorpus(t, diskseg.Options{BlockCache: 2})
+	vocab := vocabulary(c)
+	var queries []string
+	for i := 0; i+1 < len(vocab); i += 5 {
+		queries = append(queries, vocab[i]+" "+vocab[i+1])
+	}
+	for i := 0; i < c.NumTweets(); i += 97 {
+		queries = append(queries, c.Tweet(microblog.TweetID(i)).Text)
+	}
+	wantMatch := make([][]microblog.TweetID, len(queries))
+	for i, q := range queries {
+		wantMatch[i] = c.MatchAppend(q, nil)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var buf []microblog.TweetID
+			for k := range vocab {
+				tok := vocab[(k+g*len(vocab)/4)%len(vocab)]
+				if buf = s.Postings(tok, buf); !slices.Equal(buf, c.Postings(tok)) {
+					t.Errorf("reader %d: Postings(%q) = %v, want %v", g, tok, buf, c.Postings(tok))
+					return
+				}
+			}
+			for k := range queries {
+				i := (k + g*len(queries)/4) % len(queries)
+				if buf = s.MatchAppend(queries[i], buf); !slices.Equal(buf, wantMatch[i]) {
+					t.Errorf("reader %d: MatchAppend(%q) = %v, want %v", g, queries[i], buf, wantMatch[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestThrashingMatchAllocatesNothing pins the miss path: with a
+// two-block cache nearly every block read misses, decodes into the
+// caller's buffer and recycles the coldest slot, so once the buffers
+// and slots are warm a sweep of single- and multi-token matches over
+// the whole vocabulary allocates nothing.
+func TestThrashingMatchAllocatesNothing(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops Puts under -race; the matcher's pooled scratch is rebuilt")
+	}
+	reg := obs.NewRegistry()
+	c, s := writeCorpus(t, diskseg.Options{BlockCache: 2, Obs: reg})
+	vocab := vocabulary(c)
+	var buf []microblog.TweetID
+	sweep := func() {
+		for i, tok := range vocab {
+			buf = s.Postings(tok, buf)
+			if i > 0 {
+				buf = s.MatchTokensAppend(vocab[i-1:i+1], buf)
+			}
+		}
+	}
+	sweep()
+	before := metric(reg, "disk_block_cache_misses")
+	if allocs := testing.AllocsPerRun(3, sweep); allocs != 0 {
+		t.Fatalf("a thrashing sweep over %d terms allocated %v times, want 0", len(vocab), allocs)
+	}
+	if metric(reg, "disk_block_cache_misses") == before {
+		t.Fatal("the sweep never missed the cache")
 	}
 }
 

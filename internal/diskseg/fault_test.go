@@ -106,7 +106,7 @@ func TestCorruptByte(t *testing.T) {
 // smallImage encodes a 150-post corpus (two full tweet blocks and a
 // short one) whose posts carry zero, one and several mentions: small
 // enough to fault every single byte of its feature column.
-func smallImage(t *testing.T) []byte {
+func smallImage(t testing.TB) []byte {
 	t.Helper()
 	w := world.Build(world.TinyConfig())
 	posts := make([]microblog.Post, 150)
@@ -146,7 +146,7 @@ func TestFeatureSectionFaults(t *testing.T) {
 	if err := os.WriteFile(path, img, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	off, n := diskseg.FeatureSection(img)
+	off, n := diskseg.Section(img, diskseg.SecFeatures)
 	if off+n != len(img) {
 		t.Fatalf("feature section [%d:+%d) is not the file's tail (%d bytes)", off, n, len(img))
 	}
@@ -183,7 +183,7 @@ func TestFeatureSectionFaults(t *testing.T) {
 // ErrCorrupt at Open.
 func TestFeatureColumnStructure(t *testing.T) {
 	img := smallImage(t)
-	off, n := diskseg.FeatureSection(img)
+	off, n := diskseg.Section(img, diskseg.SecFeatures)
 	const posts = 150
 	poolOff := off + diskseg.FeatureRow*(posts+1)
 	poolLen := off + n - poolOff
@@ -216,6 +216,42 @@ func TestFeatureColumnStructure(t *testing.T) {
 		{"author outside the universe", func(b []byte) {
 			binary.LittleEndian.PutUint32(b[off+diskseg.FeatureRow*3:], diskseg.HashtagBit|1<<20)
 		}},
+	} {
+		bad := append([]byte(nil), img...)
+		tc.patch(bad)
+		diskseg.Reseal(bad)
+		s, err := openImage(t, bad)
+		if err == nil {
+			s.Release()
+			t.Fatalf("%s: opened cleanly", tc.name)
+		}
+		if !errors.Is(err, diskseg.ErrCorrupt) {
+			t.Fatalf("%s: err = %v, want ErrCorrupt", tc.name, err)
+		}
+	}
+}
+
+// TestBlockStructure does the same for the posting and tweet blocks,
+// which the read path decodes unchecked: before Open walked them, each
+// of these images opened cleanly and panicked at the first query or
+// log page that reached the block.
+func TestBlockStructure(t *testing.T) {
+	img := smallImage(t)
+	post, _ := diskseg.Section(img, diskseg.SecPostings)
+	tw, _ := diskseg.Section(img, diskseg.SecTweets)
+	// The first term's first block holds ids 0, 1, 2, ...: byte 0 is id
+	// 0, byte 1 the delta to id 1. Post 0's record is topic+1 (0), its
+	// term count (3), three dictionary ids, then its text's length.
+	for _, tc := range []struct {
+		name  string
+		patch func(b []byte)
+	}{
+		{"zero delta", func(b []byte) { b[post+1] = 0 }},
+		{"block starts off its directory id", func(b []byte) { b[post] = 1 }},
+		{"block ends mid-varint", func(b []byte) { b[post+1] = 0x81 }},
+		{"term id past the dictionary", func(b []byte) { b[tw+2] = 3 }},
+		{"term count past the block", func(b []byte) { b[tw+1] = 0x7f }},
+		{"text past the block", func(b []byte) { b[tw+5] = 0x7f }},
 	} {
 		bad := append([]byte(nil), img...)
 		tc.patch(bad)

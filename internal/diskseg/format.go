@@ -24,8 +24,9 @@
 //	            and mentions are stored here and nowhere else.
 //
 // Every section carries a CRC32 in the header; Open verifies all of
-// them, and the structure of the dictionary, the tweet directory and
-// the feature column, before handing out a segment, so the zero-copy
+// them, and the structure of the dictionary, every posting block, the
+// tweet directory, every tweet record and the feature column, before
+// handing out a segment, so the zero-copy
 // read path can decode straight off the map without re-validating — a
 // truncated, short-read or bit-flipped file fails cleanly at open time
 // and can never produce a wrong posting or a wrong ranking.

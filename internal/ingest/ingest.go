@@ -84,8 +84,8 @@ type Config struct {
 	// accepts. Zero with SpillDir set means 4×SealThreshold.
 	SpillThreshold int
 	// SpillBlockCache caps each disk segment's LRU of hot decoded
-	// blocks; see diskseg.Options.BlockCache. Zero means the diskseg
-	// default.
+	// blocks, which is also the number of slots a full cache recycles;
+	// see diskseg.Options.BlockCache. Zero means the diskseg default.
 	SpillBlockCache int
 	// SpillIO overrides the disk tier's file/mmap layer — the fault
 	// seam of the disk chaos suite. Nil means the real OS.
