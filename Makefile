@@ -70,7 +70,7 @@ bench:
 	$(GO) test -bench '$(BENCH)' -benchmem -run '^$$' .
 
 bench-ingest:
-	$(GO) test -bench 'Ingest|LiveSearch|CompactMerge' -benchmem -run '^$$' ./internal/ingest
+	$(GO) test -bench 'Ingest|LiveSearch|^BenchmarkCompactMerge$$' -benchmem -run '^$$' ./internal/ingest
 
 bench-shard:
 	$(GO) test -bench 'Sharded|EpochVector|Reshard' -benchmem -run '^$$' ./internal/shard

@@ -86,6 +86,7 @@ type Segment struct {
 
 	numTweets int
 	numUsers  int
+	secs      [numSections]section
 	statsOff  int
 	featOff   int // feature rows
 	poolOff   int // mention pool, right after the rows
@@ -149,6 +150,7 @@ func open(path string, f File, opts Options) (*Segment, error) {
 		data:      data,
 		numTweets: numTweets,
 		numUsers:  numUsers,
+		secs:      secs,
 		statsOff:  secs[secStats].off,
 		featOff:   secs[secFeatures].off,
 		poolOff:   secs[secFeatures].off + featureRow*(numTweets+1),
@@ -437,6 +439,11 @@ func (s *Segment) Features(id microblog.TweetID, hashtag bool, scratch *[]world.
 		hashtag && a&hashtagBit != 0, mentions
 }
 
+// poolLen returns the byte length of the mention pool.
+func (s *Segment) poolLen() int {
+	return s.secs[secFeatures].off + s.secs[secFeatures].n - s.poolOff
+}
+
 // matchScratch holds the per-call decode buffers of MatchAppend.
 type matchScratch struct {
 	a, b  []microblog.TweetID
@@ -660,7 +667,8 @@ func blockUvarint(buf *[]byte) uint64 {
 }
 
 // Tweets materializes every post of the segment in id order — the
-// compaction path, which concatenates segments and rewrites them. It
+// in-heap compaction path (microblog.Merge), taken by a run that is not
+// wholly on disk; an all-disk run merges encoded (WriteMerged). It
 // decodes sequentially and bypasses the hot cache so a background
 // rewrite cannot evict the query path's working set.
 func (s *Segment) Tweets() []microblog.Tweet {

@@ -10,6 +10,7 @@ package diskseg_test
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -285,6 +286,39 @@ func TestUnencodableRetweetCount(t *testing.T) {
 		if _, err := os.Stat(path); !os.IsNotExist(err) {
 			t.Fatalf("retweet count %d: a file was left behind: %v", rt, err)
 		}
+	}
+
+	// Two posts of 3·10⁹ retweets each fit the column one by one; their
+	// author's sum does not fit the stats section. Neither encoder may
+	// wrap it: not Encode over both posts, not the merge of two one-post
+	// segments.
+	const big = 3_000_000_000
+	if int64(int(int64(big))) != big {
+		return
+	}
+	viral := microblog.Post{Author: 1, Text: "viral", RetweetCount: int(int64(big)), Topic: -1}
+	dir := t.TempDir()
+	if err := diskseg.Write(filepath.Join(dir, "both.esg"), microblog.BuildCorpus(w, []microblog.Post{viral, viral})); err == nil {
+		t.Fatal("two posts whose retweets sum past 32 bits: written")
+	}
+	var parts []*diskseg.Segment
+	for j := 0; j < 2; j++ {
+		path := filepath.Join(dir, fmt.Sprintf("one-%d.esg", j))
+		if err := diskseg.Write(path, microblog.BuildCorpus(w, []microblog.Post{viral})); err != nil {
+			t.Fatalf("one post of %d retweets: %v", big, err)
+		}
+		s, err := diskseg.Open(path, diskseg.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Release()
+		parts = append(parts, s)
+	}
+	if err := diskseg.WriteMerged(filepath.Join(dir, "merged.esg"), parts); err == nil {
+		t.Fatal("merge of two segments whose author's retweets sum past 32 bits: written")
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 2 {
+		t.Fatalf("refused writes left files behind: %d entries, want the 2 parts", len(ents))
 	}
 }
 

@@ -94,27 +94,167 @@ var ErrCorrupt = errors.New("diskseg: corrupt segment")
 // renamed over path only when complete, so a crashed or failed spill
 // never leaves a half-written segment where Open might find it.
 func Write(path string, c *microblog.Corpus) error {
-	data, err := Encode(c)
+	im, err := encode(c)
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	return im.write(path)
+}
+
+// WriteMerged writes the concatenation of opened segments — a
+// compaction whose every input is on disk — to path, atomically like
+// Write. The file is byte-identical to Write of microblog.Merge over the
+// same segments, but no post is decoded into heap: it is assembled from
+// the parts' sections (see encodeMerged). The parts stay open and
+// untouched; their block caches are bypassed.
+func WriteMerged(path string, parts []*Segment) error {
+	im, err := encodeMerged(parts)
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return im.write(path)
 }
 
 // Encode renders a sealed corpus-backed segment into the on-disk byte
 // format. Exported separately from Write so tests (and the fault
 // suite) can corrupt or truncate a valid image deterministically. A
-// retweet count the feature column's 32 bits cannot hold is an error,
-// not a truncation: the segment then stays in heap, where it is exact.
+// retweet count or per-user stat the format's 32 bits cannot hold is an
+// error, not a truncation: the segment then stays in heap, where it is
+// exact.
 func Encode(c *microblog.Corpus) ([]byte, error) {
+	im, err := encode(c)
+	if err != nil {
+		return nil, err
+	}
+	return im.bytes(), nil
+}
+
+// image is one encoded segment: the header's counts and the six
+// sections, which only Encode concatenates.
+type image struct {
+	numTweets, numUsers, numTerms int
+	secs                          [numSections][]byte
+}
+
+// header renders the header describing the sections.
+func (im *image) header() []byte {
+	h := make([]byte, headerSize)
+	copy(h, magic[:])
+	binary.LittleEndian.PutUint32(h[8:], formatVersion)
+	binary.LittleEndian.PutUint32(h[12:], uint32(im.numTweets))
+	binary.LittleEndian.PutUint32(h[16:], uint32(im.numUsers))
+	binary.LittleEndian.PutUint32(h[20:], uint32(im.numTerms))
+	binary.LittleEndian.PutUint32(h[24:], uint32((im.numTweets+TweetBlockLen-1)/TweetBlockLen))
+	off := uint64(headerSize)
+	for i, s := range im.secs {
+		p := 28 + 20*i
+		binary.LittleEndian.PutUint64(h[p:], off)
+		binary.LittleEndian.PutUint64(h[p+8:], uint64(len(s)))
+		binary.LittleEndian.PutUint32(h[p+16:], crc32.ChecksumIEEE(s))
+		off += uint64(len(s))
+	}
+	binary.LittleEndian.PutUint32(h[headerSize-4:], crc32.ChecksumIEEE(h[:headerSize-4]))
+	return h
+}
+
+// bytes returns the whole file image: header, then sections back to
+// back.
+func (im *image) bytes() []byte {
+	out := im.header()
+	for _, s := range im.secs {
+		out = append(out, s...)
+	}
+	return out
+}
+
+// write stores the image at path through path+".tmp" and a rename,
+// section by section (the whole image is never concatenated in heap).
+// A failed write removes the temporary file.
+func (im *image) write(path string) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(im.header())
+	for _, s := range im.secs {
+		if err == nil {
+			_, err = f.Write(s)
+		}
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
+}
+
+// statNames label the three per-user stat arrays, in section order.
+var statNames = [3]string{"posts authored", "mentions received", "retweets received"}
+
+// putStats stores user u's three stats (posts authored, mentions and
+// retweets received) in the stats section. A value past 32 bits is an
+// error: stored, it would wrap a ranking denominator.
+func putStats(stats []byte, numUsers, u int, v [3]uint64) error {
+	for k, x := range v {
+		if x > math.MaxUint32 {
+			return fmt.Errorf("diskseg: user %d: %d %s do not fit the stats section", u, x, statNames[k])
+		}
+		binary.LittleEndian.PutUint32(stats[4*(k*numUsers+u):], uint32(x))
+	}
+	return nil
+}
+
+// appendTerm appends one dictionary entry and the term's posting blocks:
+// the token, its posting count and, per block of PostingsBlockLen ids,
+// the block's first id and encoded length.
+func appendTerm(dict, postings []byte, tok string, ids []microblog.TweetID) ([]byte, []byte) {
+	dict = binary.AppendUvarint(dict, uint64(len(tok)))
+	dict = append(dict, tok...)
+	dict = binary.AppendUvarint(dict, uint64(len(ids)))
+	for off := 0; off < len(ids); off += microblog.PostingsBlockLen {
+		end := min(off+microblog.PostingsBlockLen, len(ids))
+		blockStart := len(postings)
+		postings = microblog.AppendPostingsBlock(postings, ids[off:end])
+		dict = binary.AppendUvarint(dict, uint64(ids[off]))
+		dict = binary.AppendUvarint(dict, uint64(len(postings)-blockStart))
+	}
+	return dict, postings
+}
+
+// tweetWriter collects tweet records (sec) and cuts them into blocks of
+// TweetBlockLen, recording each block's byte length in the directory.
+type tweetWriter struct {
+	sec, dir []byte
+	n, start int // records written; where the open block starts in sec
+}
+
+// endRecord closes the record just appended to sec.
+func (w *tweetWriter) endRecord() {
+	if w.n++; w.n%TweetBlockLen == 0 {
+		w.endBlock()
+	}
+}
+
+// finish closes a short last block.
+func (w *tweetWriter) finish() {
+	if w.n%TweetBlockLen != 0 {
+		w.endBlock()
+	}
+}
+
+func (w *tweetWriter) endBlock() {
+	w.dir = binary.LittleEndian.AppendUint32(w.dir, uint32(len(w.sec)-w.start))
+	w.start = len(w.sec)
+}
+
+// encode renders a corpus into an image (see Encode).
+func encode(c *microblog.Corpus) (*image, error) {
 	tweets := c.Tweets()
 	numUsers := c.NumUsers()
 
@@ -141,55 +281,36 @@ func Encode(c *microblog.Corpus) ([]byte, error) {
 	// segment.
 	stats := make([]byte, 12*numUsers)
 	for u := 0; u < numUsers; u++ {
-		binary.LittleEndian.PutUint32(stats[4*u:], uint32(c.NumTweetsBy(world.UserID(u))))
-		binary.LittleEndian.PutUint32(stats[4*(numUsers+u):], uint32(c.NumMentionsOf(world.UserID(u))))
-		binary.LittleEndian.PutUint32(stats[4*(2*numUsers+u):], uint32(c.NumRetweetsOf(world.UserID(u))))
+		id := world.UserID(u)
+		v := [3]uint64{uint64(c.NumTweetsBy(id)), uint64(c.NumMentionsOf(id)), uint64(c.NumRetweetsOf(id))}
+		if err := putStats(stats, numUsers, u, v); err != nil {
+			return nil, err
+		}
 	}
 
 	// dict + postings: per term a block directory, blocks delta-varint
 	// encoded in dictionary order.
 	var dict, postings []byte
 	for _, tok := range terms {
-		ids := c.Postings(tok)
-		dict = binary.AppendUvarint(dict, uint64(len(tok)))
-		dict = append(dict, tok...)
-		dict = binary.AppendUvarint(dict, uint64(len(ids)))
-		for off := 0; off < len(ids); off += microblog.PostingsBlockLen {
-			end := off + microblog.PostingsBlockLen
-			if end > len(ids) {
-				end = len(ids)
-			}
-			blockStart := len(postings)
-			postings = microblog.AppendPostingsBlock(postings, ids[off:end])
-			dict = binary.AppendUvarint(dict, uint64(ids[off]))
-			dict = binary.AppendUvarint(dict, uint64(len(postings)-blockStart))
-		}
+		dict, postings = appendTerm(dict, postings, tok, c.Postings(tok))
 	}
 
 	// tweets + tweetdir: varint records in blocks of TweetBlockLen,
 	// terms as dictionary ids (decoded tweets share the dictionary's
 	// strings — no re-tokenization, bit-identical Terms).
-	numTweetBlocks := (len(tweets) + TweetBlockLen - 1) / TweetBlockLen
-	tweetDir := make([]byte, 4*numTweetBlocks)
-	var tweetSec []byte
-	for b := 0; b < numTweetBlocks; b++ {
-		start := len(tweetSec)
-		lo, hi := b*TweetBlockLen, (b+1)*TweetBlockLen
-		if hi > len(tweets) {
-			hi = len(tweets)
+	tw := tweetWriter{dir: make([]byte, 0, 4*((len(tweets)+TweetBlockLen-1)/TweetBlockLen))}
+	for i := range tweets {
+		t := &tweets[i]
+		tw.sec = binary.AppendUvarint(tw.sec, uint64(t.Topic+1))
+		tw.sec = binary.AppendUvarint(tw.sec, uint64(len(t.Terms)))
+		for _, tok := range t.Terms {
+			tw.sec = binary.AppendUvarint(tw.sec, termID[tok])
 		}
-		for i := lo; i < hi; i++ {
-			tw := &tweets[i]
-			tweetSec = binary.AppendUvarint(tweetSec, uint64(tw.Topic+1))
-			tweetSec = binary.AppendUvarint(tweetSec, uint64(len(tw.Terms)))
-			for _, tok := range tw.Terms {
-				tweetSec = binary.AppendUvarint(tweetSec, termID[tok])
-			}
-			tweetSec = binary.AppendUvarint(tweetSec, uint64(len(tw.Text)))
-			tweetSec = append(tweetSec, tw.Text...)
-		}
-		binary.LittleEndian.PutUint32(tweetDir[4*b:], uint32(len(tweetSec)-start))
+		tw.sec = binary.AppendUvarint(tw.sec, uint64(len(t.Text)))
+		tw.sec = append(tw.sec, t.Text...)
+		tw.endRecord()
 	}
+	tw.finish()
 
 	// features: fixed-width rows (plus the sentinel), then the mention
 	// pool the rows point into.
@@ -215,32 +336,144 @@ func Encode(c *microblog.Corpus) ([]byte, error) {
 	binary.LittleEndian.PutUint32(rows[featureRow*len(tweets)+8:], uint32(len(pool)))
 	features := append(rows, pool...)
 
-	// Assemble: header, then sections back to back.
-	sections := [numSections][]byte{stats, dict, postings, tweetDir, tweetSec, features}
-	total := headerSize
-	for _, s := range sections {
-		total += len(s)
+	return &image{
+		numTweets: len(tweets), numUsers: numUsers, numTerms: len(terms),
+		secs: [numSections][]byte{stats, dict, postings, tw.dir, tw.sec, features},
+	}, nil
+}
+
+// encodeMerged renders the concatenation of opened segments — what
+// encode renders for microblog.Merge over them, byte for byte — straight
+// from their sections, with no post decoded into heap:
+//
+//   - stats: the parts' per-user counters summed;
+//   - dict + postings: a k-way merge of the parts' sorted dictionaries;
+//     a term's list is its parts' blocks decoded back to back, rebased
+//     by the posts before each part, and re-blocked, and remap[j] takes
+//     part j's term ids to the merged dictionary's;
+//   - tweets + tweetdir: records copied varint by varint with their term
+//     ids remapped, texts copied as bytes, cut into blocks afresh;
+//   - features: rows copied with their mention offsets rebased by the
+//     pool bytes before the part, then the pools back to back.
+//
+// Open validated every byte read here, so the walk decodes unchecked.
+// The parts must share a user universe; a summed stat past 32 bits is
+// an error, as it is for Encode.
+func encodeMerged(parts []*Segment) (*image, error) {
+	if len(parts) == 0 {
+		return nil, errors.New("diskseg: merge of no segments")
 	}
-	out := make([]byte, headerSize, total)
-	copy(out, magic[:])
-	binary.LittleEndian.PutUint32(out[8:], formatVersion)
-	binary.LittleEndian.PutUint32(out[12:], uint32(len(tweets)))
-	binary.LittleEndian.PutUint32(out[16:], uint32(numUsers))
-	binary.LittleEndian.PutUint32(out[20:], uint32(len(terms)))
-	binary.LittleEndian.PutUint32(out[24:], uint32(numTweetBlocks))
-	off := uint64(headerSize)
-	for i, s := range sections {
-		p := 28 + 20*i
-		binary.LittleEndian.PutUint64(out[p:], off)
-		binary.LittleEndian.PutUint64(out[p+8:], uint64(len(s)))
-		binary.LittleEndian.PutUint32(out[p+16:], crc32.ChecksumIEEE(s))
-		off += uint64(len(s))
+	numUsers := parts[0].numUsers
+	numTweets := 0
+	var hint [numSections]int // the parts' section bytes: capacity hints
+	for _, p := range parts {
+		if p.numUsers != numUsers {
+			return nil, fmt.Errorf("diskseg: merge of %d- and %d-user segments", numUsers, p.numUsers)
+		}
+		numTweets += p.numTweets
+		for k, sec := range p.secs {
+			hint[k] += sec.n
+		}
 	}
-	binary.LittleEndian.PutUint32(out[headerSize-4:], crc32.ChecksumIEEE(out[:headerSize-4]))
-	for _, s := range sections {
-		out = append(out, s...)
+	grown := func(k int) []byte { return make([]byte, 0, hint[k]+hint[k]/8) }
+
+	stats := make([]byte, 12*numUsers)
+	for u := 0; u < numUsers; u++ {
+		var v [3]uint64
+		for _, p := range parts {
+			for k := range v {
+				v[k] += uint64(binary.LittleEndian.Uint32(p.data[p.statsOff+4*(k*numUsers+u):]))
+			}
+		}
+		if err := putStats(stats, numUsers, u, v); err != nil {
+			return nil, err
+		}
 	}
-	return out, nil
+
+	remap := make([][]uint64, len(parts))
+	heads := make([]int, len(parts)) // each part's next dictionary term
+	before := make([]microblog.TweetID, len(parts))
+	for j, p := range parts {
+		remap[j] = make([]uint64, len(p.termList))
+		if j > 0 {
+			before[j] = before[j-1] + microblog.TweetID(parts[j-1].numTweets)
+		}
+	}
+	dict, postings := grown(secDict), grown(secPostings)
+	var ids []microblog.TweetID
+	numTerms := 0
+	for ; ; numTerms++ {
+		tok, found := "", false
+		for j, p := range parts {
+			if h := heads[j]; h < len(p.termList) && (!found || p.termList[h] < tok) {
+				tok, found = p.termList[h], true
+			}
+		}
+		if !found {
+			break
+		}
+		ids = ids[:0]
+		for j, p := range parts {
+			h := heads[j]
+			if h == len(p.termList) || p.termList[h] != tok {
+				continue
+			}
+			remap[j][h] = uint64(numTerms)
+			heads[j]++
+			at := len(ids)
+			m := p.terms[tok]
+			for b := range m.blocks {
+				ids = p.decodePostings(ids, &m.blocks[b])
+			}
+			for k := at; k < len(ids); k++ {
+				ids[k] += before[j]
+			}
+		}
+		dict, postings = appendTerm(dict, postings, tok, ids)
+	}
+
+	tw := tweetWriter{sec: grown(secTweets), dir: grown(secTweetDir)}
+	for j, p := range parts {
+		for b, sp := range p.tweetBlocks {
+			buf := p.data[sp.off : sp.off+sp.blen]
+			for r := min(p.numTweets-b*TweetBlockLen, TweetBlockLen); r > 0; r-- {
+				tw.sec = binary.AppendUvarint(tw.sec, blockUvarint(&buf)) // topic+1
+				nt := blockUvarint(&buf)
+				tw.sec = binary.AppendUvarint(tw.sec, nt)
+				for ; nt > 0; nt-- {
+					tw.sec = binary.AppendUvarint(tw.sec, remap[j][blockUvarint(&buf)])
+				}
+				tlen := blockUvarint(&buf)
+				tw.sec = binary.AppendUvarint(tw.sec, tlen)
+				tw.sec = append(tw.sec, buf[:tlen]...)
+				buf = buf[tlen:]
+				tw.endRecord()
+			}
+		}
+	}
+	tw.finish()
+
+	// The parts' columns hold every merged row and pool byte, plus one
+	// sentinel row per part but the last: room enough.
+	features := make([]byte, featureRow*(numTweets+1), hint[secFeatures])
+	rows, poolLen := features, 0
+	for _, p := range parts {
+		n := copy(rows, p.data[p.featOff:p.featOff+featureRow*p.numTweets])
+		for r := 8; r < n; r += featureRow {
+			binary.LittleEndian.PutUint32(rows[r:], binary.LittleEndian.Uint32(rows[r:])+uint32(poolLen))
+		}
+		rows = rows[n:]
+		poolLen += p.poolLen()
+	}
+	binary.LittleEndian.PutUint32(rows[8:], uint32(poolLen))
+	for _, p := range parts {
+		features = append(features, p.data[p.poolOff:p.poolOff+p.poolLen()]...)
+	}
+
+	return &image{
+		numTweets: numTweets, numUsers: numUsers, numTerms: numTerms,
+		secs: [numSections][]byte{stats, dict, postings, tw.dir, tw.sec, features},
+	}, nil
 }
 
 // section is one parsed section table row.

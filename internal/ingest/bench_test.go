@@ -72,6 +72,35 @@ func BenchmarkCompactMerge(b *testing.B) {
 
 var mergeSink *microblog.Corpus
 
+// BenchmarkDiskCompactMerge is the same compaction with every part on
+// disk: four 8 192-post disk segments merged into one disk segment, the
+// file written and opened — what the compactor does with a run wholly
+// on disk (diskseg.WriteMerged, no post decoded into heap).
+func BenchmarkDiskCompactMerge(b *testing.B) {
+	p, _ := testPipeline(b)
+	idx := ingest.New(p.Corpus, ingest.Config{
+		SealThreshold: 8192, CompactFanIn: 4, DisableCompactor: true,
+		SpillDir: b.TempDir(), SpillThreshold: 8192,
+	})
+	defer idx.Close()
+	stream := microblog.NewPostStream(p.World, microblog.DefaultStreamConfig(19))
+	posts := make([]microblog.Post, 4*8192)
+	for i := range posts {
+		posts[i] = stream.Next()
+	}
+	idx.IngestBatch(posts)
+	idx.SpillAll()
+	if n := len(idx.DiskSegments()); n != 4 {
+		b.Fatalf("%d disk segments, want 4", n)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := idx.MergeLayout(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkIngestParallel measures contended writer throughput: the
 // write lock serializes appends, so this bounds how much concurrent
 // producers lose to contention.

@@ -189,6 +189,82 @@ func TestDiskSpillFault(t *testing.T) {
 	}
 }
 
+// TestDiskMergeFault drives every storage fault through the all-disk
+// merge, the compaction that assembles its file from the parts' encoded
+// sections. Three disk segments line up as one run; with the fault
+// armed, a quiesce must merge them. The merge makes at most one write
+// attempt, counts one spill error and leaves the result in heap; the
+// index ranks exactly like an all-heap one; and once the snapshots that
+// pinned them retire, the three replaced segments drop their last
+// reference and no segment or temporary file is left in the spill
+// directory.
+func TestDiskMergeFault(t *testing.T) {
+	p, sets := testPipeline(t)
+	posts := streamPosts(p, 227, 100) // three 32-post seals, then 4 in the tail
+
+	heap := ingest.New(p.Corpus, ingest.Config{SealThreshold: 32, CompactFanIn: 3})
+	defer heap.Close()
+	heap.IngestBatch(posts)
+	heap.Quiesce()
+	liveHeap := core.NewLiveDetector(p.Collection, heap, p.Cfg.Online)
+
+	for _, tc := range []struct {
+		name string
+		arm  func(*fault.DiskIO)
+	}{
+		{"open-refused", func(d *fault.DiskIO) { d.FailOpens(nil) }},
+		{"mmap-refused", func(d *fault.DiskIO) { d.FailMmaps(nil) }},
+		{"truncated", func(d *fault.DiskIO) { d.TruncateTo(100) }},
+		{"corrupted", func(d *fault.DiskIO) { d.CorruptByte(200) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			io := fault.NewDiskIO()
+			dir := t.TempDir()
+			idx := ingest.New(p.Corpus, ingest.Config{
+				SealThreshold: 32, CompactFanIn: 3, DisableCompactor: true,
+				SpillDir: dir, SpillThreshold: 32, SpillIO: io,
+			})
+			defer idx.Close()
+			idx.IngestBatch(posts[:96])
+			idx.SpillAll()
+			disks := idx.DiskSegments()
+			if st := idx.Stats(); len(disks) != 3 || st.Segments != 3 {
+				t.Fatalf("want a run of 3 disk segments: %+v", st)
+			}
+
+			tc.arm(io)
+			opens := io.Opens()
+			idx.IngestBatch(posts[96:])
+			idx.Quiesce()
+			st := idx.Stats()
+			if st.Compactions != 1 || st.SpillErrors != 1 || st.Segments != 1 || st.DiskSegments != 0 {
+				t.Fatalf("want one faulted all-disk merge left in heap: %+v", st)
+			}
+			if got := io.Opens() - opens; got > 1 {
+				t.Fatalf("the faulted merge opened %d files: more than one write attempt", got)
+			}
+			live := core.NewLiveDetector(p.Collection, idx, p.Cfg.Online)
+			for _, set := range sets {
+				for _, q := range set.Queries {
+					got, _ := live.Search(q)
+					want, _ := liveHeap.Search(q)
+					expertsIdentical(t, tc.name, q, got, want)
+				}
+			}
+
+			deadline := time.Now().Add(10 * time.Second)
+			for segFiles(t, dir) != 0 || disks[0].Refs() != 0 || disks[1].Refs() != 0 || disks[2].Refs() != 0 {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d files in the spill directory, replaced segments hold %d, %d, %d references; want none",
+						segFiles(t, dir), disks[0].Refs(), disks[1].Refs(), disks[2].Refs())
+				}
+				runtime.GC() // retired snapshots pin the replaced segments
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
+	}
+}
+
 // TestDiskConcurrentIngestSearchCompaction is the disk-tier -race
 // hammer: concurrent ingesters and searchers share an index whose
 // background compactor is actively spilling and merging disk segments

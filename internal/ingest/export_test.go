@@ -1,5 +1,7 @@
 package ingest
 
+import "repro/internal/diskseg"
+
 // FullestTier returns how many sealed segments the most crowded size
 // tier holds — what the backlog cap bounds.
 func (i *Index) FullestTier() int {
@@ -18,3 +20,42 @@ func (i *Index) FullestTier() int {
 // BacklogCap is the per-tier sealed-segment count no write leaves behind
 // on a compacting index built with cfg.
 func BacklogCap(cfg Config) int { return backlogFactor * cfg.CompactFanIn }
+
+// SpillAll rewrites every eligible heap segment to disk and compacts
+// nothing, so a test can line up a run of disk segments for one merge.
+func (i *Index) SpillAll() {
+	i.compactMu.Lock()
+	defer i.compactMu.Unlock()
+	for i.spillOnce() {
+	}
+}
+
+// DiskSegments returns the disk segments of the live layout.
+func (i *Index) DiskSegments() []*diskseg.Segment {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	var disks []*diskseg.Segment
+	for _, sg := range i.sealed {
+		if sg.disk != nil {
+			disks = append(disks, sg.disk)
+		}
+	}
+	return disks
+}
+
+// MergeLayout runs the compaction merge over the whole sealed layout as
+// one run, without publishing the result, and releases what it built:
+// one compaction's work, for the benchmarks.
+func (i *Index) MergeLayout() error {
+	i.compactMu.Lock()
+	defer i.compactMu.Unlock()
+	i.mu.Lock()
+	run := i.sealed
+	i.mu.Unlock()
+	merged, err := i.mergeRun(run)
+	if err != nil {
+		return err
+	}
+	merged.releaseLayoutRef()
+	return nil
+}

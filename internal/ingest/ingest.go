@@ -12,7 +12,8 @@
 // one pass over integers for the per-user counters). A background
 // compactor merges adjacent sealed segments of similar size into larger
 // ones, LSM-style, by concatenating their posting lists
-// (microblog.Merge), so a long-running index converges to a handful of
+// (microblog.Merge; a run wholly on disk merges its encoded sections,
+// diskseg.WriteMerged), so a long-running index converges to a handful of
 // segments instead of an ever-growing chain; a writer that outruns the
 // compactor runs its drain itself (backlogFactor). Readers acquire an
 // epoch-tagged *Snapshot — base corpus + sealed segments + a frozen
@@ -544,12 +545,10 @@ func (i *Index) pickRunLocked() (int, []*segment) {
 	return 0, nil
 }
 
-// compactOnce merges one eligible run and publishes the new layout. It
-// reports whether it made progress and should be called again. The
-// merge — the parts' tweets back to back, their posting lists
-// concatenated, nothing re-indexed, one path for heap, disk and mixed
-// runs — runs outside mu: the run's segments are immutable and, with
-// compactMu held by the caller, nothing else can move them.
+// compactOnce merges one eligible run (mergeRun) and publishes the new
+// layout. It reports whether it made progress and should be called
+// again. The merge runs outside mu: the run's segments are immutable
+// and, with compactMu held by the caller, nothing else can move them.
 func (i *Index) compactOnce() bool {
 	i.mu.Lock()
 	a, run := i.pickRunLocked()
@@ -559,26 +558,12 @@ func (i *Index) compactOnce() bool {
 	}
 	i.mu.Unlock()
 
-	parts := make([]microblog.Part, len(run))
-	for j, sg := range run {
-		parts[j] = sg.part()
-	}
-	mergedCorpus := microblog.Merge(i.w, parts)
-	n := mergedCorpus.NumTweets()
-	merged := &segment{start: run[0].start, corpus: mergedCorpus}
-	// A merge whose result crosses the spill threshold goes straight to
-	// the disk tier — compaction is the disk format's rewrite path. A
-	// faulted spill falls back to the in-heap merge, results unchanged.
-	if i.spillEnabled() && n >= i.cfg.SpillThreshold {
-		if disk, err := i.writeSpill(mergedCorpus); err == nil {
-			merged = &segment{start: run[0].start, disk: disk}
-		} else {
-			merged.noSpill = true
-			i.mu.Lock()
-			i.spillErrors++
-			i.mu.Unlock()
-			i.obsSpillErrors.Inc()
-		}
+	merged, err := i.mergeRun(run)
+	if err != nil {
+		i.mu.Lock()
+		i.spillErrors++
+		i.mu.Unlock()
+		i.obsSpillErrors.Inc()
 	}
 
 	i.mu.Lock()

@@ -13,7 +13,9 @@
 // every compaction merge whose result crosses the same threshold
 // writes its output directly to disk — compaction becomes a
 // disk-format rewrite, and a long-running index converges to a handful
-// of large cold segments on disk plus small hot ones in heap.
+// of large cold segments on disk plus small hot ones in heap. A run
+// wholly on disk never leaves the format: its file is assembled from
+// the parts' encoded sections (mergeRun).
 //
 // Pinning. Disk segments are refcounted (see diskseg): the live layout
 // holds one reference, and every published snapshot that includes the
@@ -120,17 +122,59 @@ func (i *Index) spillEnabled() bool {
 	return i.cfg.SpillDir != "" && i.cfg.SpillThreshold > 0
 }
 
-// writeSpill rewrites one immutable corpus into a fresh on-disk
-// segment and opens it. The file is named by a monotonic sequence so a
-// merged segment never collides with the (still pinned) segments it
-// replaces; it is deleted when the last reference releases it.
-func (i *Index) writeSpill(c *microblog.Corpus) (*diskseg.Segment, error) {
+// mergeRun builds the segment that replaces a compaction run. A run
+// wholly on disk merges in the disk format: diskseg.WriteMerged
+// assembles the new file from the parts' encoded sections and no post
+// is decoded into heap. Any other run merges in heap — the parts' posts
+// back to back, their posting lists concatenated, nothing re-indexed
+// (microblog.Merge) — and a result past the spill threshold is then
+// written to disk. Either way the file is the same, byte for byte. A
+// run makes at most one write: a faulted one (returned) leaves the heap
+// merge in place, pinned there (noSpill), with results unchanged.
+func (i *Index) mergeRun(run []*segment) (*segment, error) {
+	start := run[0].start
+	n := 0
+	disks := make([]*diskseg.Segment, 0, len(run))
+	for _, sg := range run {
+		n += sg.numTweets()
+		if sg.disk != nil {
+			disks = append(disks, sg.disk)
+		}
+	}
+	var err error
+	if len(disks) == len(run) {
+		// Every disk segment holds at least SpillThreshold posts, so the
+		// merge is past the threshold too.
+		var disk *diskseg.Segment
+		if disk, err = i.writeSpill(n, func(path string) error { return diskseg.WriteMerged(path, disks) }); err == nil {
+			return &segment{start: start, disk: disk}, nil
+		}
+	}
+	parts := make([]microblog.Part, len(run))
+	for j, sg := range run {
+		parts[j] = sg.part()
+	}
+	c := microblog.Merge(i.w, parts)
+	if err == nil && i.spillEnabled() && n >= i.cfg.SpillThreshold {
+		var disk *diskseg.Segment
+		if disk, err = i.writeSpill(n, func(path string) error { return diskseg.Write(path, c) }); err == nil {
+			return &segment{start: start, disk: disk}, nil
+		}
+	}
+	return &segment{start: start, corpus: c, noSpill: err != nil}, err
+}
+
+// writeSpill writes a fresh n-post on-disk segment with write and opens
+// it. The file is named by a monotonic sequence so a merged segment
+// never collides with the (still pinned) segments it replaces; it is
+// deleted when the last reference releases it.
+func (i *Index) writeSpill(n int, write func(path string) error) (*diskseg.Segment, error) {
 	i.mu.Lock()
 	i.spillSeq++
 	seq := i.spillSeq
 	i.mu.Unlock()
-	path := filepath.Join(i.cfg.SpillDir, fmt.Sprintf("seg-%06d-%d.esg", seq, c.NumTweets()))
-	if err := diskseg.Write(path, c); err != nil {
+	path := filepath.Join(i.cfg.SpillDir, fmt.Sprintf("seg-%06d-%d.esg", seq, n))
+	if err := write(path); err != nil {
 		return nil, err
 	}
 	disk, err := diskseg.Open(path, diskseg.Options{
@@ -171,7 +215,8 @@ func (i *Index) spillOnce() bool {
 	target := i.sealed[at]
 	i.mu.Unlock()
 
-	disk, err := i.writeSpill(target.corpus)
+	c := target.corpus
+	disk, err := i.writeSpill(c.NumTweets(), func(path string) error { return diskseg.Write(path, c) })
 
 	i.mu.Lock()
 	defer i.mu.Unlock()

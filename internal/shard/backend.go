@@ -233,13 +233,11 @@ func (l *Local) View() View {
 	return v
 }
 
-// IngestBatch implements Backend, post by post: each post is its own
-// publish and epoch, exactly what a transport.ShardServer does with an
-// OpIngest frame.
+// IngestBatch implements Backend: the batch is one publish and one
+// epoch (ingest.Index.IngestBatch), exactly what a transport.ShardServer
+// does with an OpIngest frame.
 func (l *Local) IngestBatch(posts []microblog.Post) error {
-	for _, p := range posts {
-		l.idx.Ingest(p)
-	}
+	l.idx.IngestBatch(posts)
 	return nil
 }
 

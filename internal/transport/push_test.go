@@ -111,6 +111,60 @@ func TestSubscribePushUpdatesEpoch(t *testing.T) {
 	}
 }
 
+// TestOpIngestFrameIsOneEpoch pins the served write as a batch: one
+// K-post OpIngest frame, spanning several seals, is one publish on the
+// server — the epoch advances by exactly 1 and a subscribed connection
+// is pushed exactly one OpEpochDelta for it, carrying that epoch. (The
+// compactor is off, so nothing else publishes.)
+func TestOpIngestFrameIsOneEpoch(t *testing.T) {
+	p, _ := testPipeline(t)
+	servers, clients := startCountedShardServers(t, p, 1,
+		ingest.Config{SealThreshold: 16, CompactFanIn: 3, DisableCompactor: true})
+	srv, c := servers[0], clients[0]
+
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(conn)
+	if _, err := conn.Write(transport.AppendFrame(nil, transport.OpSubscribe, nil)); err != nil {
+		t.Fatal(err)
+	}
+	op, payload, buf, err := transport.ReadFrame(br, nil)
+	if err != nil || op != transport.OpSubscribe {
+		t.Fatalf("subscribe ack: op %v, err %v", op, err)
+	}
+	ack, _, err := transport.ConsumeEpochResp(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const k = 100
+	if err := c.IngestBatch(streamPosts(p, 223, k)); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.Requests(transport.OpIngest); got != 1 {
+		t.Fatalf("%d posts crossed in %d OpIngest frames, want 1", k, got)
+	}
+	if st := srv.Index().Stats(); st.Seals < 2 || st.Epoch != ack.Epoch+1 {
+		t.Fatalf("one %d-post frame: %d seals, epoch %d → %d; want several seals and one epoch", k, st.Seals, ack.Epoch, st.Epoch)
+	}
+
+	op, payload, buf, err = transport.ReadFrame(br, buf)
+	if err != nil || op != transport.OpEpochDelta {
+		t.Fatalf("after the frame: op %v, err %v, want an OpEpochDelta", op, err)
+	}
+	if d, _, err := transport.ConsumeEpochResp(payload); err != nil || d.Epoch != ack.Epoch+1 {
+		t.Fatalf("delta %+v (err %v), want epoch %d", d, err, ack.Epoch+1)
+	}
+	conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+	if op, _, _, err := transport.ReadFrame(br, buf); err == nil {
+		t.Fatalf("a second frame (op 0x%02x) followed the one delta", byte(op))
+	}
+}
+
 // TestWarmQuerySingleRoundTrip is the acceptance bar of the pipelining
 // tentpole, RPC-counted: on a healthy warm connection to a single-shard
 // server, one detector query costs exactly one OpSearchStats frame —

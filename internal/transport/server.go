@@ -570,14 +570,10 @@ func (s *ShardServer) dispatch(st *connState, op Op, payload []byte) (Op, error)
 				return 0, err
 			}
 		}
-		resp := IngestResp{First: -1, Count: len(req.Posts)}
-		for i := range req.Posts {
-			id := s.idx.Ingest(req.Posts[i])
-			if i == 0 {
-				resp.First = id
-			}
-		}
-		st.out = AppendIngestResp(st.out, resp)
+		// One frame, one publish: the batch advances the epoch by one
+		// and wakes a subscriber's pusher once.
+		first := s.idx.IngestBatch(req.Posts)
+		st.out = AppendIngestResp(st.out, IngestResp{First: first, Count: len(req.Posts)})
 		return OpIngest, nil
 
 	case OpQuiesce:
