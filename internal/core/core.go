@@ -228,6 +228,9 @@ type SearchTrace struct {
 	Expansion []string
 	// MatchedTweets is the size of the unioned matched-tweet set.
 	MatchedTweets int
+	// Missing names the shards the answer lacks (ShardedLiveDetector
+	// only); zero means the answer is whole.
+	Missing MissingShards
 	// ExpandDuration and SearchDuration split the online latency into
 	// the Table 9 "Expansion" and "Detection" rows. Only the cold
 	// Detector fills them; the served detector reads no clock for them.

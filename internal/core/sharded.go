@@ -44,8 +44,11 @@ const EpochUnknown = shard.EpochUnknown
 // Failure policy is fail-fast partial results: a shard whose transport
 // errors in either phase contributes nothing to that query (no retry
 // inside the query), the answer is exactly what the remaining shards
-// alone would rank, and the Partials counters — surfaced through
-// serve.Stats — record the degradation.
+// alone would rank, the answer names the missing shards
+// (SearchTrace.Missing, SearchBaselineContext's MissingShards) so the
+// serving layer never caches it nor passes it off as whole, and the
+// Partials counters — surfaced through serve.Stats — record the
+// degradation.
 type ShardedLiveDetector struct {
 	collection *domains.Collection
 	// admission is the collection's expansion table at this detector's
@@ -243,6 +246,27 @@ func (d *ShardedLiveDetector) EpochVector(dst []uint64) []uint64 {
 	return dst
 }
 
+// MissingShards is the set of shards absent from one answer: bit i is
+// set when shard i failed either phase of the scatter-gather, so zero
+// means the answer is whole. It is a value, so reporting it costs no
+// allocation. A cluster past 64 shards reports every missing shard from
+// index 63 up as bit 63.
+type MissingShards uint64
+
+// add marks shard i missing.
+func (m *MissingShards) add(i int) { *m |= 1 << min(i, 63) }
+
+// AppendIndices appends the indices of the missing shards to dst in
+// ascending order.
+func (m MissingShards) AppendIndices(dst []int) []int {
+	for i := 0; m != 0; i, m = i+1, m>>1 {
+		if m&1 != 0 {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
 // PartialStats reports the fail-fast degradation counters: queries
 // answered with at least one shard missing from the result, and the
 // total number of per-shard failures behind them. Both are zero for an
@@ -298,23 +322,25 @@ func (d *ShardedLiveDetector) Search(query string) ([]expertise.Expert, SearchTr
 // partial answer to. With context.Background() it is exactly Search.
 func (d *ShardedLiveDetector) SearchContext(ctx context.Context, query string) ([]expertise.Expert, SearchTrace, error) {
 	trace := SearchTrace{Query: query, Expansion: d.Expand(query)}
-	results, matched, spans, mergeRank, err := d.scatterGather(ctx, query, trace.Expansion)
-	trace.MatchedTweets, trace.Shards, trace.MergeRankNS = matched, spans, mergeRank
+	results, matched, missing, spans, mergeRank, err := d.scatterGather(ctx, query, trace.Expansion)
+	trace.MatchedTweets, trace.Missing, trace.Shards, trace.MergeRankNS = matched, missing, spans, mergeRank
 	return results, trace, err
 }
 
 // SearchBaseline runs the unexpanded Pal & Counts baseline scattered
 // across the shards.
 func (d *ShardedLiveDetector) SearchBaseline(query string) []expertise.Expert {
-	results, _ := d.SearchBaselineContext(context.Background(), query)
+	results, _, _ := d.SearchBaselineContext(context.Background(), query)
 	return results
 }
 
 // SearchBaselineContext is SearchBaseline under a caller deadline,
-// with the same whole-query expiry semantics as SearchContext.
-func (d *ShardedLiveDetector) SearchBaselineContext(ctx context.Context, query string) ([]expertise.Expert, error) {
-	results, _, _, _, err := d.scatterGather(ctx, query, nil)
-	return results, err
+// with the same whole-query expiry semantics as SearchContext. missing
+// names the shards the answer lacks, as SearchTrace.Missing does for
+// e#.
+func (d *ShardedLiveDetector) SearchBaselineContext(ctx context.Context, query string) (results []expertise.Expert, missing MissingShards, err error) {
+	results, _, missing, _, _, err = d.scatterGather(ctx, query, nil)
+	return results, missing, err
 }
 
 // scatterGather is the read path: fan the scatter stage (each shard
@@ -326,7 +352,8 @@ func (d *ShardedLiveDetector) SearchBaselineContext(ctx context.Context, query s
 // returns the ranked experts and the total matched-tweet count
 // (per-shard unions are disjoint — every post lives on exactly one
 // shard — so their sum is the size of the global union). A shard that
-// fails either phase is dropped whole and counted in PartialStats. On an
+// fails either phase is dropped whole, named in the returned
+// MissingShards and counted in PartialStats. On an
 // instrumented detector (obsOn) it additionally returns the per-shard
 // spans and the merge+rank nanoseconds, recording both into the
 // registry's histograms; un-instrumented, the two extras are nil/0 and
@@ -356,7 +383,7 @@ func ctxExpired(ctx context.Context) error {
 	return nil
 }
 
-func (d *ShardedLiveDetector) scatterGather(ctx context.Context, query string, expansion []string) ([]expertise.Expert, int, []obs.ShardSpan, int64, error) {
+func (d *ShardedLiveDetector) scatterGather(ctx context.Context, query string, expansion []string) ([]expertise.Expert, int, MissingShards, []obs.ShardSpan, int64, error) {
 	if mig := d.reshard.Load(); mig != nil {
 		mig.NoteRead()
 	}
@@ -407,7 +434,7 @@ func (d *ShardedLiveDetector) scatterGather(ctx context.Context, query string, e
 
 	if err := ctxExpired(ctx); err != nil {
 		d.abandon(s, n)
-		return nil, 0, nil, 0, err
+		return nil, 0, 0, nil, 0, err
 	}
 
 	var mergeRank int64
@@ -443,18 +470,20 @@ func (d *ShardedLiveDetector) scatterGather(ctx context.Context, query string, e
 		})
 		if err := ctxExpired(ctx); err != nil {
 			d.abandon(s, n)
-			return nil, 0, nil, 0, err
+			return nil, 0, 0, nil, 0, err
 		}
 	}
 	if d.obsOn {
 		tMerge = time.Now()
 	}
 	// failed counts the shards missing from the result, whichever phase
-	// they failed in.
+	// they failed in, and missing names them.
 	failed := 0
+	var missing MissingShards
 	for si := 0; si < n; si++ {
 		if s.shards[si].err != nil {
 			failed++
+			missing.add(si)
 		}
 	}
 	// A shard that died between the two phases is out of the result
@@ -529,7 +558,7 @@ func (d *ShardedLiveDetector) scatterGather(ctx context.Context, query string, e
 		d.partialQueries.Add(1)
 		d.shardErrors.Add(int64(failed))
 	}
-	return results, matched, spans, mergeRank, nil
+	return results, matched, missing, spans, mergeRank, nil
 }
 
 // mergeLive merges the numerators of the first n slots that have not

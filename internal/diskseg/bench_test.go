@@ -52,15 +52,21 @@ func BenchmarkDiskSegMatchUncached(b *testing.B) {
 	b.ReportMetric(float64(len(buf)), "matches")
 }
 
-// BenchmarkDiskSegTweetHot measures random-access record decode
-// through the tweet-block cache.
-func BenchmarkDiskSegTweetHot(b *testing.B) {
+// BenchmarkDiskSegScan measures the log-paging read: one sequential
+// Scan over every post of the segment, each tweet block decoded once
+// off the map, past the block cache. The allocations are the posts'
+// own texts, term lists and mention lists.
+func BenchmarkDiskSegScan(b *testing.B) {
 	c, s := benchSegment(b, 0)
 	n := c.NumTweets()
+	var sink int
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = s.Tweet(microblog.TweetID(i * 31 % n))
+		s.Scan(0, n, func(tw *microblog.Tweet) { sink += len(tw.Text) })
 	}
+	featuresSink = sink
+	b.ReportMetric(float64(n), "tweets")
 }
 
 // BenchmarkDiskSegFeaturesUncached measures what candidate extraction

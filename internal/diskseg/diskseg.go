@@ -12,8 +12,9 @@
 // record and costs nothing per matched post beyond the loads. A small
 // LRU of hot decoded blocks keeps frequently queried terms at in-heap
 // latency while the long tail of the corpus costs only page cache; it
-// holds posting blocks, and tweet blocks only while something pages
-// the log through Tweet (resharding handoff, OpTweets).
+// holds posting blocks only. Paging the log (resharding handoff,
+// OpTweets) reads the tweet records through Scan, one sequential
+// decode past the cache.
 //
 // Lifecycle. Segments are refcounted: the opener holds one reference,
 // every published ingest snapshot that includes the segment takes
@@ -45,12 +46,11 @@ type Options struct {
 	// chaos harness injects open failures, truncation and corruption
 	// through this seam.
 	IO IO
-	// BlockCache caps the hot decoded blocks (posting blocks, plus
-	// tweet blocks under log paging) this segment keeps in heap; it is
-	// also the number of slots a full cache recycles, coldest first,
-	// instead of allocating per miss. Zero means 256; negative disables
-	// caching, so every access decodes off the map — the configuration
-	// the cold-path benchmarks measure.
+	// BlockCache caps the hot decoded posting blocks this segment keeps
+	// in heap; it is also the number of slots a full cache recycles,
+	// coldest first, instead of allocating per miss. Zero means 256;
+	// negative disables caching, so every access decodes off the map —
+	// the configuration the cold-path benchmarks measure.
 	BlockCache int
 	// Obs, when non-nil, registers the disk tier's metrics: block-cache
 	// traffic (disk_block_cache_hits / disk_block_cache_misses) and the
@@ -316,7 +316,7 @@ func (s *Segment) checkFeatures(sec section) error {
 }
 
 // checkTweets walks every tweet record once, decoding nothing, so
-// decodeTweetBlock can read the blocks unchecked: per record a topic, a
+// Scan can read the blocks unchecked: per record a topic, a
 // term count, that many term ids inside the dictionary and a text
 // length inside the block, and no bytes after a block's last record.
 func (s *Segment) checkTweets() error {
@@ -545,7 +545,7 @@ func (s *Segment) appendBlock(dst []microblog.TweetID, ref *blockRef) []microblo
 		s.obsReadNS.Observe(time.Since(start).Nanoseconds())
 	}
 	if s.cache != nil {
-		s.cache.put(ref.off, dst[n:], nil)
+		s.cache.put(ref.off, dst[n:])
 	}
 	return dst
 }
@@ -576,7 +576,7 @@ func (s *Segment) Terms(yield func(term string, postings int)) {
 }
 
 // AppendPostings appends the term's whole posting list to dst, decoded
-// straight off the map. Like Tweets it bypasses the hot cache: a
+// straight off the map. Like Scan it bypasses the hot cache: a
 // background merge reads every block exactly once and must not evict
 // the query path's working set.
 func (s *Segment) AppendPostings(dst []microblog.TweetID, term string) []microblog.TweetID {
@@ -590,70 +590,43 @@ func (s *Segment) AppendPostings(dst []microblog.TweetID, term string) []microbl
 	return dst
 }
 
-// Tweet returns the whole post with the given segment-local id — the
-// log-paging read (resharding handoff, OpTweets); ranking reads
-// Features instead. The tweet is decoded as part of its block, hot
-// blocks come from the LRU, and the returned pointer stays valid as
-// long as the caller holds it (eviction only drops the cache's
-// reference). Terms share the dictionary's strings; nothing is
-// re-tokenized.
-func (s *Segment) Tweet(id microblog.TweetID) *microblog.Tweet {
-	b := int(id) / TweetBlockLen
-	tws := s.tweetBlock(b)
-	return &tws[int(id)%TweetBlockLen]
-}
-
-// tweetBlock returns one decoded tweet block via the hot cache.
-func (s *Segment) tweetBlock(b int) []microblog.Tweet {
-	sp := &s.tweetBlocks[b]
-	if s.cache != nil {
-		// Tweet blocks are keyed by their span offset; posting and
-		// tweet offsets never collide because the sections are disjoint.
-		if tws := s.cache.tweets(sp.off); tws != nil {
-			return tws
+// Scan calls fn with every post of segment-local ids [lo, hi), in id
+// order — the log-paging read (resharding handoff, OpTweets) and the
+// heap merge's input (Tweets); ranking reads Features instead. It
+// decodes each tweet block once, sequentially, straight off the map and
+// past the hot cache, so paging the whole log neither evicts the query
+// path's posting blocks nor leaves decoded posts in heap. The *Tweet is
+// scratch, overwritten by the next post; its Text, Terms and Mentions
+// are freshly owned and may be kept. Terms share the dictionary's
+// strings; nothing is re-tokenized. The range is clipped to the segment.
+func (s *Segment) Scan(lo, hi int, fn func(*microblog.Tweet)) {
+	lo, hi = max(lo, 0), min(hi, s.numTweets)
+	var tw microblog.Tweet
+	for id := lo; id < hi; {
+		b := id / TweetBlockLen
+		sp := s.tweetBlocks[b]
+		buf := s.data[sp.off : sp.off+sp.blen]
+		for i := b * TweetBlockLen; i < id; i++ {
+			buf, _ = skipRecord(buf, uint64(len(s.termList))) // checkTweets walked it at Open
 		}
-	}
-	tws := s.decodeTweetBlock(b)
-	if s.cache != nil {
-		s.cache.put(sp.off, nil, tws)
-	}
-	return tws
-}
-
-// decodeTweetBlock decodes the b'th tweet block off the map.
-func (s *Segment) decodeTweetBlock(b int) []microblog.Tweet {
-	var start time.Time
-	if s.obsReadNS != nil {
-		start = time.Now()
-	}
-	sp := s.tweetBlocks[b]
-	buf := s.data[sp.off : sp.off+sp.blen]
-	lo := b * TweetBlockLen
-	n := s.numTweets - lo
-	if n > TweetBlockLen {
-		n = TweetBlockLen
-	}
-	tws := make([]microblog.Tweet, n)
-	for i := 0; i < n; i++ {
-		tw := &tws[i]
-		tw.ID = microblog.TweetID(lo + i)
-		var mentions []world.UserID // fresh per tweet: the record owns it
-		tw.Author, tw.RetweetCount, _, tw.Mentions = s.Features(tw.ID, false, &mentions)
-		tw.Topic = world.TopicID(blockUvarint(&buf)) - 1
-		if nt := int(blockUvarint(&buf)); nt > 0 {
-			tw.Terms = make([]string, nt)
-			for j := range tw.Terms {
-				tw.Terms[j] = s.termList[blockUvarint(&buf)]
+		for end := min(hi, (b+1)*TweetBlockLen); id < end; id++ {
+			tw.ID = microblog.TweetID(id)
+			var mentions []world.UserID // fresh per post: the caller may keep it
+			tw.Author, tw.RetweetCount, _, tw.Mentions = s.Features(tw.ID, false, &mentions)
+			tw.Topic = world.TopicID(blockUvarint(&buf)) - 1
+			tw.Terms = nil
+			if nt := int(blockUvarint(&buf)); nt > 0 {
+				tw.Terms = make([]string, nt)
+				for j := range tw.Terms {
+					tw.Terms[j] = s.termList[blockUvarint(&buf)]
+				}
 			}
+			tlen := int(blockUvarint(&buf))
+			tw.Text = string(buf[:tlen])
+			buf = buf[tlen:]
+			fn(&tw)
 		}
-		tlen := int(blockUvarint(&buf))
-		tw.Text = string(buf[:tlen])
-		buf = buf[tlen:]
 	}
-	if s.obsReadNS != nil {
-		s.obsReadNS.Observe(time.Since(start).Nanoseconds())
-	}
-	return tws
 }
 
 // blockUvarint reads one uvarint from a checksummed tweet block.
@@ -666,16 +639,13 @@ func blockUvarint(buf *[]byte) uint64 {
 	return v
 }
 
-// Tweets materializes every post of the segment in id order — the
-// in-heap compaction path (microblog.Merge), taken by a run that is not
-// wholly on disk; an all-disk run merges encoded (WriteMerged). It
-// decodes sequentially and bypasses the hot cache so a background
-// rewrite cannot evict the query path's working set.
+// Tweets materializes every post of the segment in id order through
+// Scan — the in-heap compaction path (microblog.Merge), taken by a run
+// that is not wholly on disk; an all-disk run merges encoded
+// (WriteMerged).
 func (s *Segment) Tweets() []microblog.Tweet {
 	all := make([]microblog.Tweet, 0, s.numTweets)
-	for b := range s.tweetBlocks {
-		all = append(all, s.decodeTweetBlock(b)...)
-	}
+	s.Scan(0, s.numTweets, func(tw *microblog.Tweet) { all = append(all, *tw) })
 	return all
 }
 
@@ -713,22 +683,17 @@ func (s *Segment) Release() {
 	}
 }
 
-// cacheEntry is one slot of the hot-block cache, holding either a
-// posting block (ids) or a tweet block (tws). Posting ids are copied in
-// and out under the cache's lock, so a slot's ids buffer is reused when
-// the slot is recycled for another block. A tweet block is handed out
-// by reference — Tweet's pointers outlive eviction — so recycling only
-// drops a slot's tws, never writes through it.
+// cacheEntry is one slot of the hot-block cache: a decoded posting
+// block, copied in and out under the cache's lock, so a slot's ids
+// buffer is reused when the slot is recycled for another block.
 type cacheEntry struct {
 	key int
 	ids []microblog.TweetID
-	tws []microblog.Tweet
 }
 
-// blockCache is a small mutex-guarded LRU over decoded blocks, shared
-// by posting and tweet blocks and keyed by the block's file offset
-// (unique across both, since sections are disjoint). Once full it
-// allocates nothing: a new block takes over the coldest slot.
+// blockCache is a small mutex-guarded LRU over decoded posting blocks,
+// keyed by the block's file offset. Once full it allocates nothing: a
+// new block takes over the coldest slot.
 type blockCache struct {
 	mu  sync.Mutex
 	cap int
@@ -761,20 +726,6 @@ func (c *blockCache) appendIDs(dst []microblog.TweetID, key int) ([]microblog.Tw
 	return dst, ok
 }
 
-// tweets returns the cached tweet block under key, promoting it, or nil.
-func (c *blockCache) tweets(key int) []microblog.Tweet {
-	var tws []microblog.Tweet
-	c.mu.Lock()
-	el, ok := c.m[key]
-	if ok {
-		c.ll.MoveToFront(el)
-		tws = el.Value.(*cacheEntry).tws
-	}
-	c.mu.Unlock()
-	c.count(ok)
-	return tws
-}
-
 func (c *blockCache) count(hit bool) {
 	if hit {
 		c.hits.Inc()
@@ -783,10 +734,10 @@ func (c *blockCache) count(hit bool) {
 	}
 }
 
-// put caches a freshly decoded block under key: posting ids by copy,
-// a tweet block by reference. Below cap it adds a slot; at cap it
-// recycles the coldest one — list element, entry and ids buffer.
-func (c *blockCache) put(key int, ids []microblog.TweetID, tws []microblog.Tweet) {
+// put caches a copy of a freshly decoded posting block under key. Below
+// cap it adds a slot; at cap it recycles the coldest one — list
+// element, entry and ids buffer.
+func (c *blockCache) put(key int, ids []microblog.TweetID) {
 	c.mu.Lock()
 	if el, ok := c.m[key]; ok {
 		// A concurrent decode of the same block won; keep the winner.
@@ -805,7 +756,6 @@ func (c *blockCache) put(key int, ids []microblog.TweetID, tws []microblog.Tweet
 	e := el.Value.(*cacheEntry)
 	e.key = key
 	e.ids = append(e.ids[:0], ids...)
-	e.tws = tws
 	c.m[key] = el
 	c.mu.Unlock()
 }

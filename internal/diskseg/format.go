@@ -50,7 +50,8 @@ import (
 )
 
 // TweetBlockLen is the number of tweet records per tweet block — the
-// random-access and hot-cache granularity of Tweet.
+// unit Scan walks: a range starting mid-block skips the records before
+// it without decoding them.
 const TweetBlockLen = 64
 
 const (

@@ -3,6 +3,9 @@ package diskseg_test
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/diskseg"
@@ -47,8 +50,10 @@ func fuzzImage(t testing.TB) []byte {
 // FuzzOpen mutates a valid segment image — resealing the checksums on
 // request, so structural defects get past the CRCs — and holds Open to
 // its contract: it refuses the image with a diskseg sentinel, or every
-// read the segment offers succeeds without a panic and every posting
-// list and match it returns is strictly ascending inside the segment.
+// read the segment offers succeeds without a panic, every posting
+// list and match it returns is strictly ascending inside the segment,
+// and Scan over the whole segment and over sub-ranges agrees with
+// Tweets().
 // The block cache holds two blocks, so nearly every block read
 // recycles a slot.
 func FuzzOpen(f *testing.F) {
@@ -92,13 +97,32 @@ func FuzzOpen(f *testing.F) {
 		}
 		var scratch []world.UserID
 		for id := microblog.TweetID(0); int(id) < n; id++ {
-			if tw := s.Tweet(id); tw.ID != id {
-				t.Fatalf("Tweet(%d) has id %d", id, tw.ID)
-			}
 			s.Features(id, true, &scratch)
 		}
-		if got := len(s.Tweets()); got != n {
-			t.Fatalf("Tweets() returned %d of %d", got, n)
+		all := s.Tweets()
+		if len(all) != n {
+			t.Fatalf("Tweets() returned %d of %d", len(all), n)
+		}
+		// The scan over [0, n) and over sub-ranges drawn from the image
+		// agrees with Tweets() post for post.
+		r := rand.New(rand.NewPCG(uint64(len(data)), uint64(crc32.ChecksumIEEE(data))))
+		for k := 0; k < 8; k++ {
+			lo, hi := 0, n
+			if k > 0 {
+				lo = r.IntN(n + 1)
+				hi = lo + r.IntN(n-lo+1)
+			}
+			id := lo
+			s.Scan(lo, hi, func(tw *microblog.Tweet) {
+				if w := &all[id]; tw.ID != microblog.TweetID(id) || tw.Author != w.Author || tw.Text != w.Text ||
+					tw.Topic != w.Topic || !slices.Equal(tw.Terms, w.Terms) || !slices.Equal(tw.Mentions, w.Mentions) {
+					t.Fatalf("Scan(%d, %d) post %d = %+v, Tweets() has %+v", lo, hi, id, *tw, *w)
+				}
+				id++
+			})
+			if id != hi {
+				t.Fatalf("Scan(%d, %d) yielded %d posts", lo, hi, id-lo)
+			}
 		}
 	})
 }

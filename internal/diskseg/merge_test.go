@@ -267,9 +267,10 @@ func checkMergedImage(t *testing.T, label string, w *world.World, dir string, ch
 		}
 	})
 	var scratch []world.UserID
+	posts := m.Tweets()
 	for i := 0; i < heap.NumTweets(); i++ {
 		id := microblog.TweetID(i)
-		g, h := m.Tweet(id), heap.Tweet(id)
+		g, h := &posts[i], heap.Tweet(id)
 		if g.ID != h.ID || g.Author != h.Author || g.Text != h.Text || g.Topic != h.Topic ||
 			g.RetweetCount != h.RetweetCount || !slices.Equal(g.Terms, h.Terms) || !slices.Equal(g.Mentions, h.Mentions) {
 			t.Fatalf("%s: post %d:\n  merged %+v\n  heap   %+v", label, i, g, h)

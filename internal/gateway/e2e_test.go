@@ -3,8 +3,10 @@ package gateway
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -221,4 +223,59 @@ func TestGatewayRemoteStalledShard504(t *testing.T) {
 	dialer.StallAll(0)
 	healed := post(t, hs.URL+"/v1/search", "reader", string(coldBytes), nil)
 	wantStatus(t, healed, http.StatusOK)
+}
+
+// TestPartialAnswerLabelled pins how a degraded answer crosses the
+// front door: with shard 1 of two killed, /v1/search answers 200 with
+// exactly what shard 0 alone ranks and a body that adds
+// "partial":true and the missing shard's index, for e# and baseline
+// alike; once the shard heals, the same requests get whole answers,
+// byte-identical to the unlabelled encoding — nothing partial was
+// cached.
+func TestPartialAnswerLabelled(t *testing.T) {
+	p, sets := testPipeline(t)
+	icfg := ingest.Config{DisableCompactor: true}
+	survivor := shard.NewLocal(ingest.New(shard.Partition(p.Corpus, 0, 2), icfg))
+	dying := fault.Wrap(shard.NewLocal(ingest.New(shard.Partition(p.Corpus, 1, 2), icfg)))
+	cluster := shard.NewCluster(p.World, survivor, dying)
+	t.Cleanup(func() { cluster.Close() })
+	det := core.NewShardedLiveDetectorOver(p.Collection, cluster, p.Cfg.Online)
+	alone := core.NewShardedLiveDetectorOver(p.Collection, shard.NewCluster(p.World, survivor), p.Cfg.Online)
+	_, hs := realGateway(t, det, nil)
+
+	q := sets[0].Queries[0]
+	body := `{"query":` + strconv.Quote(q) + `}`
+	search := func(baseline bool) []byte {
+		t.Helper()
+		url := hs.URL + "/v1/search"
+		if baseline {
+			url += "?baseline=1"
+		}
+		resp := post(t, url, "reader", body, nil)
+		wantStatus(t, resp, http.StatusOK)
+		got, _ := io.ReadAll(resp.Body)
+		return got
+	}
+	dying.Kill()
+	for _, baseline := range []bool{false, true} {
+		want := alone.SearchBaseline(q)
+		if !baseline {
+			want, _ = alone.Search(q)
+		}
+		whole := referenceBody(t, q, baseline, want)
+		labelled := append(whole[:len(whole)-2:len(whole)-2], `,"partial":true,"missing_shards":[1]}`+"\n"...)
+		if got := search(baseline); !bytes.Equal(got, labelled) {
+			t.Fatalf("baseline=%v with shard 1 dead:\n  got  %s\n  want %s", baseline, got, labelled)
+		}
+	}
+	dying.Heal()
+	for _, baseline := range []bool{false, true} {
+		want := det.SearchBaseline(q)
+		if !baseline {
+			want, _ = det.Search(q)
+		}
+		if got, whole := search(baseline), referenceBody(t, q, baseline, want); !bytes.Equal(got, whole) {
+			t.Fatalf("baseline=%v after heal:\n  got  %s\n  want %s", baseline, got, whole)
+		}
+	}
 }

@@ -21,7 +21,10 @@
 // 413 for a body over 1 MiB, 503 with Retry-After when the serving
 // layer sheds a cold miss under overload (serve.ErrOverloaded — warm
 // cache hits are still answered), and 504 when the request's latency
-// budget expires before the scatter-gather returns.
+// budget expires before the scatter-gather returns. An answer some
+// shard was missing from is a 200 whose body adds "partial":true and
+// the missing shard indices (serve.PartialError); a whole answer has
+// neither field.
 //
 // The body is read whole and must be exactly one JSON object: anything
 // but whitespace after it is a malformed body (400), not ignored.
@@ -61,6 +64,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/expertise"
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -379,6 +383,26 @@ func (sc *scratch) encodeAnswer(query string, baseline bool, experts []expertise
 	return nil
 }
 
+// labelPartial marks the body encodeAnswer assembled as a partial
+// answer, naming the shards it lacks:
+//
+//	{…,"experts":[…],"partial":true,"missing_shards":[1]}\n
+//
+// A whole answer carries neither field, so its bytes stay exactly
+// encodeAnswer's.
+func (sc *scratch) labelPartial(missing core.MissingShards) {
+	out := &sc.out
+	out.Truncate(out.Len() - 2) // "}\n"
+	out.WriteString(`,"partial":true,"missing_shards":[`)
+	for i, shard := range missing.AppendIndices(nil) {
+		if i > 0 {
+			out.WriteByte(',')
+		}
+		out.WriteString(strconv.Itoa(shard))
+	}
+	out.WriteString("]}\n")
+}
+
 func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 	g.requests.Add(1)
 	if g.obsOn {
@@ -435,10 +459,20 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 		baseline = true
 	}
 	experts, encoded, err := g.srv.Answer(r.Context(), query, baseline, deadline)
+	// A type assertion, not errors.As: Answer returns the partial error
+	// bare, and taking the address of a target would cost every request
+	// an allocation.
+	partial, _ := err.(*serve.PartialError)
+	if partial != nil {
+		err = nil // the answer stands, labelled below
+	}
 	if err == nil {
 		// Unencodable only if a score is not finite — a detector bug,
 		// reported like any other backend failure.
 		err = sc.encodeAnswer(query, baseline, experts, encoded)
+	}
+	if err == nil && partial != nil {
+		sc.labelPartial(partial.Missing)
 	}
 	if err != nil {
 		switch {

@@ -62,13 +62,13 @@ func (b *stubBackend) SearchContext(ctx context.Context, query string) ([]expert
 	return b.answer(), core.SearchTrace{Query: query}, nil
 }
 
-func (b *stubBackend) SearchBaselineContext(ctx context.Context, query string) ([]expertise.Expert, error) {
+func (b *stubBackend) SearchBaselineContext(ctx context.Context, query string) ([]expertise.Expert, core.MissingShards, error) {
 	if b.stall {
 		b.calls.Add(1)
 		<-ctx.Done()
-		return nil, ctx.Err()
+		return nil, 0, ctx.Err()
 	}
-	return b.answer(), nil
+	return b.answer(), 0, nil
 }
 
 // newTestGateway wires backend → serve → gateway with an unlimited

@@ -41,12 +41,12 @@ func TestIngestBatchSingleEpoch(t *testing.T) {
 	}
 }
 
-// TestSnapshotTweetAcrossLayouts pins Snapshot.Tweet's binary search
-// over every layout the segment machinery can produce — fragmented,
-// compacted, and spilled to disk. The exhaustive sweep covers every
-// boundary the search can get wrong: the base-corpus edge, the first
-// and last global id of each sealed segment (including post-compaction
-// rebased starts), and the active tail.
+// TestSnapshotTweetAcrossLayouts pins Snapshot.Scan over every layout
+// the segment machinery can produce — fragmented, compacted, and
+// spilled to disk. The whole-log scan crosses every boundary the scan
+// can get wrong: the base-corpus edge, the first and last global id of
+// each sealed segment (including post-compaction rebased starts), and
+// the active tail.
 func TestSnapshotTweetAcrossLayouts(t *testing.T) {
 	p, _ := testPipeline(t)
 	posts := streamPosts(p, 89, 200)
@@ -80,8 +80,8 @@ func TestSnapshotTweetAcrossLayouts(t *testing.T) {
 			if snap.NumTweets() != cold.NumTweets() {
 				t.Fatalf("snapshot has %d tweets, cold %d", snap.NumTweets(), cold.NumTweets())
 			}
-			for gid := 0; gid < snap.NumTweets(); gid++ {
-				got := snap.Tweet(microblog.TweetID(gid))
+			gid := 0
+			snap.Scan(0, snap.NumTweets(), func(got *microblog.Tweet) {
 				want := cold.Tweet(microblog.TweetID(gid))
 				// The ID field is segment-local by contract; every other
 				// field must match the cold rebuild at the same global id.
@@ -89,7 +89,8 @@ func TestSnapshotTweetAcrossLayouts(t *testing.T) {
 					got.RetweetCount != want.RetweetCount || got.Topic != want.Topic {
 					t.Fatalf("tweet %d:\n  live %+v\n  cold %+v", gid, got, want)
 				}
-			}
+				gid++
+			})
 		})
 	}
 }

@@ -5,11 +5,13 @@
 package ingest_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/ingest"
 	"repro/internal/microblog"
+	"repro/internal/shard"
 )
 
 // benchDiskSearch measures steady-state e# query latency over a live
@@ -79,3 +81,52 @@ func BenchmarkDiskSpill(b *testing.B) {
 		b.StartTimer()
 	}
 }
+
+// BenchmarkDiskLogScan pages the whole log of a spilled 80k-post index
+// the way OpTweets serves a resharding drain or a dump: 2048-post pages
+// through shard.Local.PagePosts (the cold_disk shardd's layout: seal
+// 128, fan-in 4, spill 512). One op is one page-through. retained-B is
+// the heap still live after a GC once every page is dropped — what
+// paging leaves behind in the index, its block caches included.
+func BenchmarkDiskLogScan(b *testing.B) {
+	p, _ := testPipeline(b)
+	idx := ingest.New(p.Corpus, ingest.Config{
+		SealThreshold: 128, CompactFanIn: 4, SpillDir: b.TempDir(), SpillThreshold: 512,
+	})
+	defer idx.Close()
+	posts := streamPosts(p, 37, 80_000)
+	for len(posts) > 0 {
+		n := min(512, len(posts))
+		idx.IngestBatch(posts[:n])
+		posts = posts[n:]
+	}
+	idx.Quiesce()
+	if st := idx.Stats(); st.DiskSegments == 0 {
+		b.Fatalf("benchmark index has no disk segments: %+v", st)
+	}
+	local := shard.NewLocal(idx)
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := int64(ms.HeapAlloc)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for from := p.Corpus.NumTweets(); ; {
+			page, scanned, total, err := local.PagePosts(from, 2048, 0, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			logSink += len(page)
+			if from += scanned; from >= total {
+				break
+			}
+		}
+	}
+	b.StopTimer()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(int64(ms.HeapAlloc)-before), "retained-B")
+}
+
+var logSink int

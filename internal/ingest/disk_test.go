@@ -336,9 +336,7 @@ func TestDiskConcurrentIngestSearchCompaction(t *testing.T) {
 
 	snap := idx.Snapshot()
 	all := append([]microblog.Tweet(nil), p.Corpus.Tweets()...)
-	for gid := p.Corpus.NumTweets(); gid < snap.NumTweets(); gid++ {
-		all = append(all, *snap.Tweet(microblog.TweetID(gid)))
-	}
+	snap.Scan(p.Corpus.NumTweets(), snap.NumTweets(), func(tw *microblog.Tweet) { all = append(all, *tw) })
 	cold := core.NewDetector(p.Collection, microblog.FromTweets(p.World, all), p.Cfg.Online)
 	for _, q := range queries {
 		got, _ := live.Search(q)

@@ -365,9 +365,7 @@ func TestConcurrentIngestSearchCompaction(t *testing.T) {
 	// after the concurrent seals and compactions.
 	snap := idx.Snapshot()
 	all := append([]microblog.Tweet(nil), p.Corpus.Tweets()...)
-	for gid := p.Corpus.NumTweets(); gid < snap.NumTweets(); gid++ {
-		all = append(all, *snap.Tweet(microblog.TweetID(gid)))
-	}
+	snap.Scan(p.Corpus.NumTweets(), snap.NumTweets(), func(tw *microblog.Tweet) { all = append(all, *tw) })
 	coldCorpus := microblog.FromTweets(p.World, all)
 	cold := core.NewDetector(p.Collection, coldCorpus, p.Cfg.Online)
 	for _, q := range queries {

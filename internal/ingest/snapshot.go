@@ -18,8 +18,8 @@ import (
 // publication.
 //
 // Tweet ids are global: [0, base.NumTweets()) addresses the base, then
-// each sealed segment's range, then the tail. Tweet(id).ID is the
-// segment-local id, not the global one.
+// each sealed segment's range, then the tail. A Scan'd tweet's ID is
+// the segment-local id, not the global one.
 type Snapshot struct {
 	epoch     uint64
 	base      *microblog.Corpus
@@ -56,18 +56,37 @@ func (s *Snapshot) World() *world.World { return s.base.World() }
 // NumUsers returns the number of users in the generating world.
 func (s *Snapshot) NumUsers() int { return s.base.NumUsers() }
 
-// Tweet returns the post with the given global id — the log-paging
-// read; ranking goes through Features. The returned tweet's ID field is
-// segment-local.
-func (s *Snapshot) Tweet(id microblog.TweetID) *microblog.Tweet {
-	if int(id) < s.base.NumTweets() {
-		return s.base.Tweet(id)
+// Scan calls fn with every visible post of global ids [from, to), in
+// id order, across base, sealed segments and tail — the log-paging
+// read (shard.Local.PagePosts); ranking goes through Features. A disk
+// segment's posts are decoded once, sequentially, past its block cache
+// (diskseg.Segment.Scan). The *Tweet is valid only during the call and
+// must not be modified; its ID field is segment-local. The range is
+// clipped to the view.
+func (s *Snapshot) Scan(from, to int, fn func(*microblog.Tweet)) {
+	from, to = max(from, 0), min(to, s.NumTweets())
+	if from >= to {
+		return
 	}
-	if id >= s.tailStart {
-		return &s.tail[id-s.tailStart]
+	if n := s.base.NumTweets(); from < n {
+		each(s.base.Tweets()[from:min(to, n)], fn)
 	}
-	sg := s.segmentOf(id)
-	return sg.tweet(id - sg.start)
+	for _, sg := range s.segs {
+		lo := int(sg.start)
+		if hi := lo + sg.numTweets(); from < hi && lo < to {
+			sg.scan(max(from, lo)-lo, min(to, hi)-lo, fn)
+		}
+	}
+	if lo := int(s.tailStart); lo < to {
+		each(s.tail[max(from, lo)-lo:to-lo], fn)
+	}
+}
+
+// each calls fn with every tweet of an in-heap slice.
+func each(tws []microblog.Tweet, fn func(*microblog.Tweet)) {
+	for i := range tws {
+		fn(&tws[i])
+	}
 }
 
 // Features implements expertise.Source: the ranking features of the

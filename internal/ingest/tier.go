@@ -65,13 +65,15 @@ func (sg *segment) features(id microblog.TweetID, hashtag bool, scratch *[]world
 	return sg.corpus.Features(id, hashtag, scratch)
 }
 
-// tweet returns the whole post with the given segment-local id (log
-// paging; ranking reads features).
-func (sg *segment) tweet(id microblog.TweetID) *microblog.Tweet {
+// scan calls fn with the whole posts of segment-local ids [lo, hi) in
+// order (log paging; ranking reads features): in-heap tweets, or one
+// uncached sequential decode off the map.
+func (sg *segment) scan(lo, hi int, fn func(*microblog.Tweet)) {
 	if sg.disk != nil {
-		return sg.disk.Tweet(id)
+		sg.disk.Scan(lo, hi, fn)
+		return
 	}
-	return sg.corpus.Tweet(id)
+	each(sg.corpus.Tweets()[lo:hi], fn)
 }
 
 // numTweetsBy returns the segment's authored-post count for one user.

@@ -87,6 +87,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -106,10 +107,13 @@ type Backend interface {
 	// SearchContext and SearchBaselineContext run one e# or baseline
 	// query under the caller's deadline; the sharded detector threads
 	// the context down its scatter-gather into per-shard RPC deadlines.
+	// An answer some shards were missing from names them
+	// (SearchTrace.Missing): the server never caches it.
 	SearchContext(ctx context.Context, query string) ([]expertise.Expert, core.SearchTrace, error)
 	// SearchBaselineContext is the unexpanded Pal & Counts twin of
-	// SearchContext: the query's own matches, ranked the same way.
-	SearchBaselineContext(ctx context.Context, query string) ([]expertise.Expert, error)
+	// SearchContext: the query's own matches, ranked the same way, and
+	// the shards missing from them.
+	SearchBaselineContext(ctx context.Context, query string) ([]expertise.Expert, core.MissingShards, error)
 	// TermSetKey returns the identity of the term set an e# search for
 	// the query with canonical form canon (tokens sorted, de-duplicated,
 	// single-spaced) matches: queries with equal keys have the same
@@ -135,6 +139,29 @@ type Backend interface {
 	// ReshardStats returns the attached live-resharding migration's
 	// progress snapshot; ok is false when no migration is attached.
 	ReshardStats() (st shard.MigrationStats, ok bool)
+}
+
+// PartialError comes back from Answer with an answer some shards were
+// missing from. The experts returned beside it are exactly what the
+// shards that answered rank — usable, but not the whole answer — so
+// the server never caches them, and the gateway labels the body
+// partial instead of failing the request.
+type PartialError struct {
+	Missing core.MissingShards
+}
+
+// Error names the missing shards.
+func (e *PartialError) Error() string {
+	return fmt.Sprintf("serve: partial answer, shards %v missing", e.Missing.AppendIndices(nil))
+}
+
+// partial is the error a computed answer is returned with: nil when it
+// is whole, a *PartialError naming the missing shards otherwise.
+func partial(missing core.MissingShards) error {
+	if missing == 0 {
+		return nil
+	}
+	return &PartialError{Missing: missing}
 }
 
 // Typed request-rejection errors. The gateway maps them onto HTTP
@@ -269,9 +296,10 @@ type result struct {
 	// it fits (up to four shards).
 	epochVec []uint64
 	vec      [4]uint64
-	// experts and err are written once by the leader, before it takes
-	// s.mu to publish the result and release the waiters.
+	// experts, missing and err are written once by the leader, before
+	// it takes s.mu to publish the result and release the waiters.
 	experts []expertise.Expert
+	missing core.MissingShards
 	err     error
 	// done is what followers wait on: made under s.mu by the first of
 	// them, closed by the leader once the result is published. A
@@ -405,6 +433,10 @@ func (s *Server) SearchBaseline(query string) []expertise.Expert {
 // cache-less server return none: the caller encodes those itself. Both
 // results may be shared with the cache and other callers — treat them
 // as read-only.
+//
+// An answer computed with some shard missing comes back with its
+// experts and a bare *PartialError naming the missing shards. It was
+// not cached, so no later request is served it as whole.
 func (s *Server) Answer(ctx context.Context, query string, baseline bool, deadline time.Time) (experts []expertise.Expert, encoded []byte, err error) {
 	experts, hit, err := s.serve(ctx, query, baseline, deadline)
 	if hit != nil {
@@ -576,7 +608,7 @@ func (s *Server) miss(ctx context.Context, deadline time.Time, key cacheKey, nor
 			if qt != nil {
 				qt.Outcome = obs.OutcomeCoalesced
 			}
-			return prev.experts, nil, nil
+			return prev.experts, nil, partial(prev.missing)
 		}
 		// The leader failed — typically its own budget expired, which
 		// says nothing about this request's. Loop and try again as
@@ -606,12 +638,15 @@ func (s *Server) miss(ctx context.Context, deadline time.Time, key cacheKey, nor
 	s.misses.Add(1)
 	// Deregister and release the waiters even if the backend panics —
 	// otherwise the key would block every future request forever. Only
-	// a completed, error-free computation is cached; a panic or a
-	// deadline expiry caches nothing.
+	// a completed, error-free, whole computation is cached; a panic, a
+	// deadline expiry or a missing shard caches nothing. A partial
+	// answer's epoch vector can stay valid after the shard heals — a
+	// replica set's epoch is a local write counter — so a cached one
+	// would be served as whole until the next write.
 	completed := false
 	defer func() {
 		s.mu.Lock()
-		if completed && !uncacheable && f.err == nil {
+		if completed && !uncacheable && f.err == nil && f.missing == 0 {
 			s.insertLocked(key, f)
 		}
 		delete(s.inflight, key)
@@ -629,10 +664,11 @@ func (s *Server) miss(ctx context.Context, deadline time.Time, key cacheKey, nor
 		}
 	}
 	if key.baseline {
-		f.experts, f.err = s.backend.SearchBaselineContext(ctx, norm)
+		f.experts, f.missing, f.err = s.backend.SearchBaselineContext(ctx, norm)
 	} else {
 		var tr core.SearchTrace
 		f.experts, tr, f.err = s.backend.SearchContext(ctx, norm)
+		f.missing = tr.Missing
 		if qt != nil {
 			qt.MatchedTweets = tr.MatchedTweets
 			qt.MergeRankNS = tr.MergeRankNS
@@ -640,7 +676,10 @@ func (s *Server) miss(ctx context.Context, deadline time.Time, key cacheKey, nor
 		}
 	}
 	completed = true
-	return f.experts, nil, f.err
+	if f.err != nil {
+		return f.experts, nil, f.err
+	}
+	return f.experts, nil, partial(f.missing)
 }
 
 // staleVec reports whether an entry tagged with vector entryVec is

@@ -221,10 +221,10 @@ func (b *blockingCtxBackend) SearchContext(ctx context.Context, query string) ([
 	return nil, core.SearchTrace{Query: query}, ctx.Err()
 }
 
-func (b *blockingCtxBackend) SearchBaselineContext(ctx context.Context, query string) ([]expertise.Expert, error) {
+func (b *blockingCtxBackend) SearchBaselineContext(ctx context.Context, query string) ([]expertise.Expert, core.MissingShards, error) {
 	b.started.Add(1)
 	<-ctx.Done()
-	return nil, ctx.Err()
+	return nil, 0, ctx.Err()
 }
 
 // TestDeadlineExpiryIsWholeQueryError pins deadline propagation at the
@@ -306,8 +306,8 @@ func (b *errOnceCtxBackend) SearchContext(ctx context.Context, query string) ([]
 	return b.answer(query), core.SearchTrace{Query: query}, nil
 }
 
-func (b *errOnceCtxBackend) SearchBaselineContext(ctx context.Context, query string) ([]expertise.Expert, error) {
-	return b.answer(query), nil
+func (b *errOnceCtxBackend) SearchBaselineContext(ctx context.Context, query string) ([]expertise.Expert, core.MissingShards, error) {
+	return b.answer(query), 0, nil
 }
 
 // TestFollowerRetriesAfterLeaderError pins that a leader's failure is

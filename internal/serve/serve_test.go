@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -193,14 +194,62 @@ func (b *scriptedBackend) answer(query string) []expertise.Expert {
 func (b *scriptedBackend) SearchContext(ctx context.Context, query string) ([]expertise.Expert, core.SearchTrace, error) {
 	return b.answer(query), core.SearchTrace{Query: query}, nil
 }
-func (b *scriptedBackend) SearchBaselineContext(ctx context.Context, query string) ([]expertise.Expert, error) {
-	return b.answer(query), nil
+func (b *scriptedBackend) SearchBaselineContext(ctx context.Context, query string) ([]expertise.Expert, core.MissingShards, error) {
+	return b.answer(query), 0, nil
 }
 func (b *scriptedBackend) EpochVector(dst []uint64) []uint64 { return append(dst[:0], b.epoch.Load()) }
 func (b *scriptedBackend) PartialStats() (int64, int64)      { return 0, 0 }
 func (b *scriptedBackend) Failovers() int64                  { return 0 }
 func (b *scriptedBackend) ReshardStats() (shard.MigrationStats, bool) {
 	return shard.MigrationStats{}, false
+}
+
+// partialBackend is a scriptedBackend whose e# answers lack the shards
+// in missing.
+type partialBackend struct {
+	scriptedBackend
+	missing core.MissingShards
+}
+
+func (b *partialBackend) SearchContext(ctx context.Context, query string) ([]expertise.Expert, core.SearchTrace, error) {
+	return b.answer(query), core.SearchTrace{Query: query, Missing: b.missing}, nil
+}
+
+// TestPartialAnswerCoalescesNotCached pins the serving layer's half of
+// "a partial answer is never passed off as whole": a follower coalesced
+// onto a partial leader shares its answer and its *PartialError,
+// nothing is cached, and the next request computes again.
+func TestPartialAnswerCoalescesNotCached(t *testing.T) {
+	backend := &partialBackend{scriptedBackend: scriptedBackend{gate: make(chan struct{})}, missing: 1 << 2}
+	s := New(backend, DefaultConfig())
+	ctx := context.Background()
+	errs := make(chan error, 2)
+	answer := func() {
+		_, _, err := s.Answer(ctx, "49ers", false, time.Time{})
+		errs <- err
+	}
+	go answer()
+	for backend.calls.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	go answer()
+	for s.Stats().Queries < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // let the follower park on the flight
+	close(backend.gate)
+	for i := 0; i < 2; i++ {
+		var pe *PartialError
+		if err := <-errs; !errors.As(err, &pe) || pe.Missing != 1<<2 {
+			t.Fatalf("answer %d: err %v, want shard 2 named missing", i, err)
+		}
+	}
+	if st := s.Stats(); st.Coalesced != 1 || st.CacheEntries != 0 {
+		t.Fatalf("want one coalesced follower and nothing cached: %+v", st)
+	}
+	if _, _, err := s.Answer(ctx, "49ers", false, time.Time{}); err == nil || backend.calls.Load() != 2 {
+		t.Fatalf("a partial answer was served again: err %v after %d computations", err, backend.calls.Load())
+	}
 }
 
 // TestSingleflightColdMisses pins the coalescing contract: N concurrent

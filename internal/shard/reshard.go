@@ -89,21 +89,21 @@ type LogPager interface {
 }
 
 // PagePosts implements LogPager over the local index's snapshot; the
-// remote OpTweets handler answers with it server-side. A negative from
-// is outside the log and pages nothing, like one past its end.
+// remote OpTweets handler answers with it server-side. The page is one
+// Snapshot.Scan, so a spilled segment's posts are decoded sequentially
+// and never enter its block cache. A negative from is outside the log
+// and pages nothing, like one past its end.
 func (l *Local) PagePosts(from, max, filterShards, filterIdx int) ([]microblog.Post, int, int, error) {
 	snap := l.idx.Snapshot()
 	total := snap.NumTweets()
 	if max <= 0 || from < 0 || from >= total {
 		return nil, 0, total, nil
 	}
+	end := from + min(max, total-from) // never from+max: max may be near MaxInt
 	var posts []microblog.Post
-	scanned := 0
-	for gid := from; gid < total && scanned < max; gid++ {
-		scanned++
-		tw := snap.Tweet(microblog.TweetID(gid))
+	snap.Scan(from, end, func(tw *microblog.Tweet) {
 		if filterShards > 0 && ShardOf(tw.Author, filterShards) != filterIdx {
-			continue
+			return
 		}
 		posts = append(posts, microblog.Post{
 			Author:       tw.Author,
@@ -112,8 +112,8 @@ func (l *Local) PagePosts(from, max, filterShards, filterIdx int) ([]microblog.P
 			RetweetCount: tw.RetweetCount,
 			Topic:        tw.Topic,
 		})
-	}
-	return posts, scanned, total, nil
+	})
+	return posts, end - from, total, nil
 }
 
 // BasePosts implements LogPager.

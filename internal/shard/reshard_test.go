@@ -1,6 +1,8 @@
 package shard_test
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -25,6 +27,74 @@ func TestPagePostsNegativeCursorIsEmpty(t *testing.T) {
 		t.Fatalf("PagePosts(-1): %d posts, scanned %d, total %d, err %v — want an empty page of a %d-post log",
 			len(posts), scanned, total, err, p.Corpus.NumTweets())
 	}
+}
+
+// TestPagePostsOverEveryTier pins the page loop over the log scan: one
+// snapshot holding base, heap segments, disk segments and a tail, paged
+// whole in cuts that are no multiple of a 64-post tweet block, with and
+// without the migration filter, and with from and max at the edges (max
+// up to MaxInt: the in-process pager takes any). Every page equals the
+// per-id loop over the cold corpus, scanned and total included.
+func TestPagePostsOverEveryTier(t *testing.T) {
+	p, _ := testPipeline(t)
+	posts := streamPosts(p, 3101, 200)
+	idx := ingest.New(p.Corpus, ingest.Config{SealThreshold: 24, CompactFanIn: 3, SpillDir: t.TempDir(), SpillThreshold: 72})
+	defer idx.Close()
+	idx.IngestBatch(posts)
+	idx.Quiesce()
+	if st := idx.Stats(); st.DiskSegments == 0 || st.DiskSegments == st.Segments || st.ActiveLen == 0 {
+		t.Fatalf("want base, heap and disk segments and a tail: %+v", st)
+	}
+	local := shard.NewLocal(idx)
+	cold := p.Corpus.ExtendedWith(posts)
+	base, total := p.Corpus.NumTweets(), cold.NumTweets()
+	page := func(from, max, fs, fi int) int {
+		t.Helper()
+		got, scanned, gotTotal, err := local.PagePosts(from, max, fs, fi)
+		want, wantScanned := refPage(cold, from, max, fs, fi)
+		if err != nil || scanned != wantScanned || gotTotal != total || !samePosts(got, want) {
+			t.Fatalf("PagePosts(%d, %d, %d, %d): %d posts, scanned %d, total %d, err %v; want %d posts, scanned %d, total %d",
+				from, max, fs, fi, len(got), scanned, gotTotal, err, len(want), wantScanned, total)
+		}
+		return scanned
+	}
+	for _, f := range [][2]int{{0, 0}, {2, 0}, {2, 1}, {3, 2}} {
+		for _, max := range []int{37, 100, 2048} {
+			for from := base - 500; from < total; from += page(from, max, f[0], f[1]) {
+			}
+		}
+		for _, from := range []int{-1, 0, base - 1, base, total - 1, total, total + 5} {
+			for _, max := range []int{-1, 0, 1, 63, 65, math.MaxInt} {
+				page(from, max, f[0], f[1])
+			}
+		}
+	}
+}
+
+// refPage is the per-id page loop over the cold corpus that every
+// PagePosts page is held to.
+func refPage(cold *microblog.Corpus, from, max, fs, fi int) (posts []microblog.Post, scanned int) {
+	if max <= 0 || from < 0 || from >= cold.NumTweets() {
+		return nil, 0
+	}
+	for gid := from; gid < cold.NumTweets() && scanned < max; gid++ {
+		scanned++
+		tw := cold.Tweet(microblog.TweetID(gid))
+		if fs > 0 && shard.ShardOf(tw.Author, fs) != fi {
+			continue
+		}
+		posts = append(posts, microblog.Post{Author: tw.Author, Text: tw.Text, Mentions: tw.Mentions, RetweetCount: tw.RetweetCount, Topic: tw.Topic})
+	}
+	return posts, scanned
+}
+
+// samePosts compares two pages field by field, nil and empty mentions
+// alike.
+func samePosts(a, b []microblog.Post) bool {
+	return slices.EqualFunc(a, b, func(x, y microblog.Post) bool {
+		return x.Author == y.Author && x.Text == y.Text && x.RetweetCount == y.RetweetCount &&
+			x.Topic == y.Topic && slices.Equal(x.Mentions, y.Mentions)
+	})
 }
 
 // unpageable is a shard that serves but cannot page its log: the

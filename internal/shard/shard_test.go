@@ -142,13 +142,12 @@ func TestClusterAuthorAffinity(t *testing.T) {
 	for i := 0; i < r.NumShards(); i++ {
 		snap := shardIndex(r, i).Snapshot()
 		total += snap.NumTweets()
-		for gid := 0; gid < snap.NumTweets(); gid++ {
-			tw := snap.Tweet(microblog.TweetID(gid))
+		snap.Scan(0, snap.NumTweets(), func(tw *microblog.Tweet) {
 			if got := r.ShardFor(tw.Author); got != i {
 				t.Fatalf("shard %d holds a tweet by author %d, who routes to shard %d",
 					i, tw.Author, got)
 			}
-		}
+		})
 	}
 	if want := p.Corpus.NumTweets() + len(posts); total != want {
 		t.Fatalf("shards hold %d tweets in total, want %d", total, want)
@@ -308,9 +307,7 @@ func TestConcurrentShardedIngestSearch(t *testing.T) {
 	for i := 0; i < r.NumShards(); i++ {
 		snap := shardIndex(r, i).Snapshot()
 		base := shardIndex(r, i).Base().NumTweets()
-		for gid := base; gid < snap.NumTweets(); gid++ {
-			all = append(all, *snap.Tweet(microblog.TweetID(gid)))
-		}
+		snap.Scan(base, snap.NumTweets(), func(tw *microblog.Tweet) { all = append(all, *tw) })
 	}
 	cold := core.NewDetector(p.Collection, microblog.FromTweets(p.World, all), p.Cfg.Online)
 	for _, q := range queries {
@@ -404,12 +401,12 @@ func TestClusterLocalRouting(t *testing.T) {
 		}
 		idx := locals[i].Index()
 		snap := idx.Snapshot()
-		for gid := idx.Base().NumTweets(); gid < snap.NumTweets(); gid++ {
-			if got := c.ShardFor(snap.Tweet(microblog.TweetID(gid)).Author); got != i {
+		snap.Scan(idx.Base().NumTweets(), snap.NumTweets(), func(tw *microblog.Tweet) {
+			if got := c.ShardFor(tw.Author); got != i {
 				t.Fatalf("shard %d holds a post routed to %d", i, got)
 			}
 			total++
-		}
+		})
 	}
 	if total != len(posts) {
 		t.Fatalf("shards hold %d ingested posts, want %d", total, len(posts))

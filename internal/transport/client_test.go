@@ -8,9 +8,12 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/ingest"
 	"repro/internal/microblog"
+	"repro/internal/obs"
+	"repro/internal/shard"
 	"repro/internal/transport"
 	"repro/internal/world"
 )
@@ -44,6 +47,66 @@ func TestIngestBatchChunks(t *testing.T) {
 	}
 }
 
+// TestDumpIngestedLeavesBlockCacheAlone pins that paging a spilled
+// shard's whole log over OpTweets reads past the disk tier's block
+// cache: the dump returns every ingested post in order, the posting
+// block hit and miss counters and the decode histogram stay where the
+// query path left them, and the query path's working set survives it —
+// the same searches repeated after the dump miss no block.
+func TestDumpIngestedLeavesBlockCacheAlone(t *testing.T) {
+	p, sets := testPipeline(t)
+	reg := obs.NewRegistry()
+	servers, clients := startCountedShardServers(t, p, 1, ingest.Config{
+		SealThreshold: 64, CompactFanIn: 4, SpillDir: t.TempDir(), SpillThreshold: 256, Obs: reg,
+	})
+	c := clients[0]
+	posts := streamPosts(p, 8403, 3000)
+	if err := c.IngestBatch(posts); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Quiesce(); err != nil {
+		t.Fatal(err)
+	}
+	if st := servers[0].Index().Stats(); st.DiskSegments == 0 {
+		t.Fatalf("no disk segment to page: %+v", st)
+	}
+	det := core.NewShardedLiveDetectorOver(p.Collection, shard.NewCluster(p.World, c), p.Cfg.Online)
+	search := func() {
+		for _, q := range sets[0].Queries {
+			det.Search(q)
+		}
+	}
+	hits, misses, reads := reg.Counter("disk_block_cache_hits"), reg.Counter("disk_block_cache_misses"), reg.Histogram("disk_read_ns")
+	search()
+	m := misses.Load()
+	search()
+	if misses.Load() != m || hits.Load() == 0 {
+		t.Fatalf("the queries' working set does not stay cached: %d hits, %d then %d misses", hits.Load(), m, misses.Load())
+	}
+	h, r := hits.Load(), reads.Count()
+
+	got, err := c.DumpIngested()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(posts) {
+		t.Fatalf("dumped %d posts, ingested %d", len(got), len(posts))
+	}
+	for i := range posts {
+		if postKey(got[i]) != postKey(posts[i]) {
+			t.Fatalf("dumped post %d differs from the ingested one", i)
+		}
+	}
+	if hits.Load() != h || misses.Load() != m || reads.Count() != r {
+		t.Fatalf("the dump moved the block cache: hits %d → %d, misses %d → %d, decodes %d → %d",
+			h, hits.Load(), m, misses.Load(), r, reads.Count())
+	}
+	search()
+	if misses.Load() != m {
+		t.Fatalf("the dump evicted the queries' working set: %d misses after it", misses.Load()-m)
+	}
+}
+
 // TestTweetsPageCapped pins the server's page cap: however much a
 // request asks for, one OpTweets page scans at most 2048 ids, and a
 // reader advancing by Scanned still walks the whole log.
@@ -69,11 +132,13 @@ func TestTweetsPageCapped(t *testing.T) {
 		if len(page.Posts) > 2048 || page.Scanned != len(page.Posts) || page.Scanned == 0 {
 			t.Fatalf("page at %d: %d posts, scanned %d — want 1..2048, equal", from, len(page.Posts), page.Scanned)
 		}
-		for i, post := range page.Posts {
-			if tw := snap.Tweet(microblog.TweetID(from + i)); post.Author != tw.Author || post.Text != tw.Text {
+		i := 0
+		snap.Scan(from, from+len(page.Posts), func(tw *microblog.Tweet) {
+			if post := page.Posts[i]; post.Author != tw.Author || post.Text != tw.Text {
 				t.Fatalf("page at %d: post %d is not log entry %d", from, i, from+i)
 			}
-		}
+			i++
+		})
 		from += page.Scanned
 		pages++
 	}

@@ -11,7 +11,9 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"net/http"
@@ -300,8 +302,10 @@ var matrixLoad = load{writers: 2, perWriter: 200, seed: 8100, searchers: 4, perS
 // axis at once: in-process, loopback and mixed shard sets, the parallel
 // shard fan-out, replicas behind loopback (one set losing its
 // followers mid-load), the disk tier, live resharding and the HTTP
-// front door. Every row quiesces to the cold rebuild, bit for bit, with
-// no partial result, and leaves no goroutine or file descriptor behind.
+// front door — one reshard draining spilled source shards, so the
+// migration pages disk segments under load. Every row quiesces to the
+// cold rebuild, bit for bit, with no partial result, and leaves no
+// goroutine or file descriptor behind.
 func TestTopologyMatrix(t *testing.T) {
 	rows := []struct {
 		name   string
@@ -335,6 +339,10 @@ func TestTopologyMatrix(t *testing.T) {
 		{"reshard-4to8", resharding(4, 8)},
 		{"reshard-2to4", resharding(2, 4)},
 		{"reshard-4to2", resharding(4, 2)},
+		{"reshard-2to4-spill", func(t *testing.T) deployment {
+			src := wire(t, local(2), true)
+			return deployment{rig: src, reshardTo: wire(t, local(4), false).cluster, checks: []check{spilled(src)}}
+		}},
 		{"gateway-N2", func(t *testing.T) deployment {
 			return deployment{rig: wire(t, local(2), false), checks: []check{answeredOverHTTP}}
 		}},
@@ -790,4 +798,51 @@ func TestReplicatedMixedLoadZeroPartials(t *testing.T) {
 	}
 	cold := core.NewDetector(p.Collection, p.Corpus.ExtendedWith(posts), online)
 	requireCold(t, det, cold, sets)
+}
+
+// TestPartialAnswerNeverCached is the probe of a degraded answer passed
+// off as whole: shard 1 of two is a one-member replica set whose epoch —
+// a local write counter — stays readable while its only replica is
+// dead. Searched while it is down, every answer names shard 1 missing
+// and none is cached; after it heals, every eval query's e# and
+// baseline answers are whole again, equal to the cold rebuild.
+func TestPartialAnswerNeverCached(t *testing.T) {
+	fault.CheckLeaks(t)
+	p, sets := eqState(t)
+	icfg := ingest.Config{DisableCompactor: true}
+	f := fault.Wrap(shard.NewLocal(ingest.New(shard.Partition(p.Corpus, 1, 2), icfg)))
+	set, err := replica.NewSet([]shard.Backend{f}, replica.Config{Backoff: shard.Backoff{Initial: time.Nanosecond, Max: time.Nanosecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster := shard.NewCluster(p.World, shard.NewLocal(ingest.New(shard.Partition(p.Corpus, 0, 2), icfg)), set)
+	onTeardown(t, func() { cluster.Close() })
+	det := core.NewShardedLiveDetectorOver(p.Collection, cluster, p.Cfg.Online)
+	srv := serve.New(det, serve.DefaultConfig())
+	ctx := context.Background()
+
+	f.Kill()
+	pool := evalPool(sets)
+	for _, q := range pool {
+		for _, baseline := range []bool{false, true} {
+			var pe *serve.PartialError
+			if _, _, err := srv.Answer(ctx, q, baseline, time.Time{}); !errors.As(err, &pe) || pe.Missing != 1<<1 {
+				t.Fatalf("%q (baseline %v) with shard 1 dead: err %v, want shard 1 named missing", q, baseline, err)
+			}
+		}
+	}
+	if st := srv.Stats(); st.CacheEntries != 0 || st.PartialResults != int64(2*len(pool)) {
+		t.Fatalf("partial answers cached or uncounted: %+v", st)
+	}
+
+	f.Heal()
+	cold := core.NewDetector(p.Collection, p.Corpus, p.Cfg.Online)
+	for _, q := range pool {
+		want, _ := cold.Search(q)
+		expertsEqual(t, "esharp after heal", q, srv.Search(q), want)
+		expertsEqual(t, "baseline after heal", q, srv.SearchBaseline(q), cold.SearchBaseline(q))
+	}
+	if got := srv.Search("buffalo bills"); len(got) != 10 {
+		t.Fatalf("buffalo bills after heal: %d experts, want 10", len(got))
+	}
 }
