@@ -108,16 +108,22 @@ loc:
 # lower-case + Fields + Join on any string; and over the disk-segment
 # loader (FuzzOpen): a mutated segment image, resealed or not, is
 # refused at Open with a diskseg sentinel or every read of it succeeds
-# with strictly ascending posting lists. Raise FUZZTIME for longer
-# local hunts. FuzzOpen caps how long the engine minimizes each new
-# coverage input (500 execs): its inputs are kilobyte images, and the
-# default 60 s minimization spends a whole smoke budget on one of them.
+# with strictly ascending posting lists; and over the front door
+# (FuzzHandler): a fuzzed search body, budget and watch interval never
+# panic the gateway and get a documented status, and the hand-assembled
+# answer stays byte-identical to json.Encoder (FuzzAnswerBytes). Raise
+# FUZZTIME for longer local hunts. FuzzOpen caps how long the engine
+# minimizes each new coverage input (500 execs): its inputs are kilobyte
+# images, and the default 60 s minimization spends a whole smoke budget
+# on one of them.
 FUZZTIME ?= 15s
 fuzz-smoke:
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport -run '^$$' -fuzz '^FuzzDispatch$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/textutil -run '^$$' -fuzz '^FuzzNormalize$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/diskseg -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 500x
+	$(GO) test ./internal/gateway -run '^$$' -fuzz '^FuzzHandler$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/gateway -run '^$$' -fuzz '^FuzzAnswerBytes$$' -fuzztime $(FUZZTIME)
 
 # Coverage over the library packages, with a one-line total summary.
 cover:

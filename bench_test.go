@@ -329,34 +329,6 @@ func BenchmarkEndToEndPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationMatchMode compares the paper's conservative exact
-// domain matching against the relaxed phrase/AND modes, reporting the
-// answered-rate each achieves on the Top 250 set.
-func BenchmarkAblationMatchMode(b *testing.B) {
-	s := state(b)
-	top := s.sets[len(s.sets)-1]
-	for _, tc := range []struct {
-		name string
-		mode domains.MatchMode
-	}{{"exact", domains.MatchExact}, {"phrase", domains.MatchPhrase}, {"and", domains.MatchAND}} {
-		b.Run(tc.name, func(b *testing.B) {
-			cfg := s.pipe.Cfg.Online
-			cfg.Match = tc.mode
-			det := core.NewDetector(s.pipe.Collection, s.pipe.Corpus, cfg)
-			var answered int
-			for i := 0; i < b.N; i++ {
-				answered = 0
-				for _, q := range top.Queries {
-					if r, _ := det.Search(q); len(r) > 0 {
-						answered++
-					}
-				}
-			}
-			b.ReportMetric(float64(answered)/float64(top.Size()), "answered-rate")
-		})
-	}
-}
-
 // BenchmarkWeeklyRefresh measures the paper's weekly offline refresh:
 // decay the old log, merge a new week, rebuild graph + clustering +
 // collection.

@@ -126,19 +126,6 @@ type OnlineConfig struct {
 	// MaxExpansionTerms caps how many related terms augment the query
 	// (most central terms first). Zero means 10.
 	MaxExpansionTerms int
-	// Match selects the domain matching predicate. The default is the
-	// paper's conservative exact match; the relaxed modes are ablations.
-	//
-	// The served detector tabulates expansion only under MatchExact,
-	// where it is a function of the canonical query (TermSetKey). A
-	// relaxed mode expands by which member terms contain the query's
-	// tokens — an open set no table closes — so there every canonical
-	// query is its own term set. The detector is handed the normalized
-	// text in the order it was typed, which keeps MatchPhrase verbatim,
-	// at a cost: a MatchPhrase detector must not sit behind a
-	// serve.Server cache, where permutations of a query share a key but
-	// not a phrase match. No shipped configuration does.
-	Match domains.MatchMode
 	// MatchWorkers caps the per-term matching fan-out of Detector.Search
 	// and the per-shard fan-out of ShardedLiveDetector's scatter. Zero
 	// means GOMAXPROCS; 1 runs them sequentially, inline. Serving layers
@@ -162,7 +149,6 @@ type OnlineConfig struct {
 func DefaultOnlineConfig() OnlineConfig {
 	return OnlineConfig{
 		MaxExpansionTerms: 10,
-		Match:             domains.MatchExact,
 		Expertise:         expertise.DefaultParams(),
 	}
 }
@@ -216,7 +202,7 @@ func (d *Detector) Base() *expertise.Detector { return d.base }
 // Expand returns the expansion terms for a query (excluding the query
 // itself). Empty means the query matched no domain or an orphan.
 func (d *Detector) Expand(query string) []string {
-	return d.collection.ExpandMode(query, d.cfg.MaxExpansionTerms, d.cfg.Match)
+	return d.collection.Expand(query, d.cfg.MaxExpansionTerms)
 }
 
 // SearchTrace reports what the online stage did for one query.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -42,18 +43,22 @@ const EpochUnknown = shard.EpochUnknown
 // every layer enforce this.
 //
 // Failure policy is fail-fast partial results: a shard whose transport
-// errors in either phase contributes nothing to that query (no retry
-// inside the query), the answer is exactly what the remaining shards
-// alone would rank, the answer names the missing shards
-// (SearchTrace.Missing, SearchBaselineContext's MissingShards) so the
-// serving layer never caches it nor passes it off as whole, and the
-// Partials counters — surfaced through serve.Stats — record the
-// degradation.
+// errors in either phase contributes nothing to that query, the answer
+// is exactly what the remaining shards alone would rank, the answer
+// names the missing shards (SearchTrace.Missing,
+// SearchBaselineContext's MissingShards) so the serving layer never
+// caches it nor passes it off as whole, and the Partials counters —
+// surfaced through serve.Stats — record the degradation. The one retry
+// is for a shard that answered phase one and then failed its top-up:
+// the whole scatter runs once more, within the caller's budget, because
+// that shard's answer from another replica (or connection) can surface
+// candidates every other shard must top up. A replica.Set has marked
+// the failed replica by then, so the re-run reads elsewhere; a shard
+// that answers it counts as a failover.
 type ShardedLiveDetector struct {
-	collection *domains.Collection
 	// admission is the collection's expansion table at this detector's
-	// cap, built once at construction; nil unless cfg.Match is
-	// MatchExact, the one mode whose expansion can be tabulated.
+	// cap, built once at construction; the detector keeps nothing else
+	// of the collection.
 	admission *domains.Admission
 	// cluster is an atomic pointer because live resharding swaps the
 	// whole shard set out from under in-flight queries: SwapCluster
@@ -73,6 +78,9 @@ type ShardedLiveDetector struct {
 
 	partialQueries atomic.Int64
 	shardErrors    atomic.Int64
+	// recovered counts shards missing from a query's first scatter that
+	// answered its re-run (see Failovers).
+	recovered atomic.Int64
 
 	// Observability (nil without OnlineConfig.Obs): per-shard scatter
 	// and gather latency histograms, the global merge+rank histogram,
@@ -153,12 +161,9 @@ func NewShardedLiveDetectorOver(coll *domains.Collection, c *shard.Cluster, cfg 
 		cfg.MaxExpansionTerms = 10
 	}
 	d := &ShardedLiveDetector{
-		collection: coll,
-		ranker:     expertise.NewRanker(len(c.World().Users), cfg.Expertise),
-		cfg:        cfg,
-	}
-	if cfg.Match == domains.MatchExact {
-		d.admission = coll.Admission(cfg.MaxExpansionTerms)
+		admission: coll.Admission(cfg.MaxExpansionTerms),
+		ranker:    expertise.NewRanker(len(c.World().Users), cfg.Expertise),
+		cfg:       cfg,
 	}
 	d.cluster.Store(c)
 	p := d.ranker.Params()
@@ -229,9 +234,6 @@ func (d *ShardedLiveDetector) ReshardStats() (st shard.MigrationStats, ok bool) 
 	return m.Stats(), true
 }
 
-// Collection returns the domain collection backing expansion.
-func (d *ShardedLiveDetector) Collection() *domains.Collection { return d.collection }
-
 // Cluster returns the shard set being scatter-gathered over (the
 // current one, if a reshard cutover has swapped it).
 func (d *ShardedLiveDetector) Cluster() *shard.Cluster { return d.cluster.Load() }
@@ -279,31 +281,27 @@ func (d *ShardedLiveDetector) PartialStats() (partialQueries, shardErrors int64)
 // shard answered from a non-first-choice replica after a replica
 // failure (shard.Cluster.Failovers) — the healthy counterpart of
 // PartialStats: a failover kept the query whole where a plain shard
-// would have degraded. Zero for clusters with no replicated members.
+// would have degraded — plus the shards that failed a query's top-up
+// and answered its re-run. Zero for a cluster nothing has failed in.
 // The serving layer mirrors it into serve.Stats.Failovers.
-func (d *ShardedLiveDetector) Failovers() int64 { return d.cluster.Load().Failovers() }
+func (d *ShardedLiveDetector) Failovers() int64 {
+	return d.cluster.Load().Failovers() + d.recovered.Load()
+}
 
 // Expand returns the expansion terms for a query (excluding the query
-// itself). Under MatchExact the slice is the admission table's own,
-// shared by every search for the query — read-only — and the lookup
-// allocates nothing for a query in canonical form.
+// itself). The slice is the admission table's own, shared by every
+// search for the query — read-only — and the lookup allocates nothing
+// for a query in canonical form.
 func (d *ShardedLiveDetector) Expand(query string) []string {
-	if d.admission == nil {
-		return d.collection.ExpandMode(query, d.cfg.MaxExpansionTerms, d.cfg.Match)
-	}
 	return d.admission.Lookup(textutil.Canonical(query)).Expansion
 }
 
 // TermSetKey returns the identity of the term set an e# search for the
 // query with canonical form canon matches: two queries with equal keys
 // have the same answer at the same view, so the serving layer caches
-// and coalesces under it. Under MatchExact that is the admission
-// table's key (domains.TermSet.Key); a relaxed match mode has no closed
-// table, so there every canonical query is its own term set.
+// and coalesces under it: the admission table's key
+// (domains.TermSet.Key).
 func (d *ShardedLiveDetector) TermSetKey(canon string) string {
-	if d.admission == nil {
-		return canon
-	}
 	return d.admission.Lookup(canon).Key
 }
 
@@ -412,79 +410,96 @@ func (d *ShardedLiveDetector) scatterGather(ctx context.Context, query string, e
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	fanOut(n, min(n, workers), func(si int) {
-		sl := &s.shards[si]
-		sl.view = nil
-		sl.searchNS, sl.statsNS = 0, 0
-		var t0 time.Time
-		if d.obsOn {
-			t0 = time.Now()
-		}
-		// Rows plus the shard's own candidates' denominators arrive
-		// together (for a remote shard, in one round trip). Phase two
-		// then owes only the foreign candidates' denominators — nothing
-		// at all when this shard saw every global candidate, which is
-		// the healthy N=1 case.
-		sl.raw, sl.matched, sl.ownStats, sl.view, sl.err =
-			c.Backend(si).SearchStats(ctx, s.terms, d.extended, sl.raw, sl.ownStats)
-		if d.obsOn {
-			sl.searchNS = time.Since(t0).Nanoseconds()
-		}
-	})
-
-	if err := ctxExpired(ctx); err != nil {
-		d.abandon(s, n)
-		return nil, 0, 0, nil, 0, err
-	}
-
-	var mergeRank int64
-	var tMerge time.Time
-	if d.obsOn {
-		tMerge = time.Now()
-	}
-	matched, live := s.mergeLive(n)
-	if d.obsOn {
-		mergeRank += time.Since(tMerge).Nanoseconds()
-	}
-	// Gather stage phase two: every live shard answers for the global
-	// candidates it did not itself surface — a user's mention
-	// denominators live partly on shards where the user never posted —
-	// against the view its own candidates were extracted from, so the
-	// totals stay exact.
-	if len(s.users) > 0 {
+	var (
+		mergeRank             int64
+		tMerge                time.Time
+		matched, live, failed int
+		// missing names the shards absent from the result, whichever
+		// phase they failed in; retried names those absent from the
+		// first scatter when it had to be re-run.
+		missing, retried MissingShards
+	)
+	for {
 		fanOut(n, min(n, workers), func(si int) {
 			sl := &s.shards[si]
-			if sl.err != nil {
-				return
-			}
+			sl.view = nil
+			sl.searchNS, sl.statsNS = 0, 0
+			var t0 time.Time
 			if d.obsOn {
-				t0 := time.Now()
-				defer func() { sl.statsNS = time.Since(t0).Nanoseconds() }()
+				t0 = time.Now()
 			}
-			sl.topUsers = missingUsers(sl.topUsers[:0], s.users, sl.raw)
-			if len(sl.topUsers) == 0 {
-				sl.stats = sl.stats[:0]
-				return
+			// Rows plus the shard's own candidates' denominators arrive
+			// together (for a remote shard, in one round trip). Phase two
+			// then owes only the foreign candidates' denominators — nothing
+			// at all when this shard saw every global candidate, which is
+			// the healthy N=1 case.
+			sl.raw, sl.matched, sl.ownStats, sl.view, sl.err =
+				c.Backend(si).SearchStats(ctx, s.terms, d.extended, sl.raw, sl.ownStats)
+			if d.obsOn {
+				sl.searchNS = time.Since(t0).Nanoseconds()
 			}
-			sl.stats, sl.err = sl.view.Stats(ctx, sl.topUsers, sl.stats)
 		})
+
 		if err := ctxExpired(ctx); err != nil {
 			d.abandon(s, n)
 			return nil, 0, 0, nil, 0, err
 		}
-	}
-	if d.obsOn {
-		tMerge = time.Now()
-	}
-	// failed counts the shards missing from the result, whichever phase
-	// they failed in, and missing names them.
-	failed := 0
-	var missing MissingShards
-	for si := 0; si < n; si++ {
-		if s.shards[si].err != nil {
-			failed++
-			missing.add(si)
+
+		if d.obsOn {
+			tMerge = time.Now()
 		}
+		matched, live = s.mergeLive(n)
+		if d.obsOn {
+			mergeRank += time.Since(tMerge).Nanoseconds()
+		}
+		// Gather stage phase two: every live shard answers for the global
+		// candidates it did not itself surface — a user's mention
+		// denominators live partly on shards where the user never posted —
+		// against the view its own candidates were extracted from, so the
+		// totals stay exact.
+		if len(s.users) > 0 {
+			fanOut(n, min(n, workers), func(si int) {
+				sl := &s.shards[si]
+				if sl.err != nil {
+					return
+				}
+				if d.obsOn {
+					t0 := time.Now()
+					defer func() { sl.statsNS = time.Since(t0).Nanoseconds() }()
+				}
+				sl.topUsers = missingUsers(sl.topUsers[:0], s.users, sl.raw)
+				if len(sl.topUsers) == 0 {
+					sl.stats = sl.stats[:0]
+					return
+				}
+				sl.stats, sl.err = sl.view.Stats(ctx, sl.topUsers, sl.stats)
+			})
+			if err := ctxExpired(ctx); err != nil {
+				d.abandon(s, n)
+				return nil, 0, 0, nil, 0, err
+			}
+		}
+		if d.obsOn {
+			tMerge = time.Now()
+		}
+		failed, missing = 0, 0
+		for si := 0; si < n; si++ {
+			if s.shards[si].err != nil {
+				failed++
+				missing.add(si)
+			}
+		}
+		// A shard that answered phase one and failed its top-up is asked
+		// again, once, by re-running the whole scatter: its answer from
+		// elsewhere can surface candidates every other shard must top up.
+		if n-failed == live || retried != 0 {
+			break
+		}
+		retried = missing
+		d.release(s, n)
+	}
+	if retried != 0 {
+		d.recovered.Add(int64(bits.OnesCount64(uint64(retried &^ missing))))
 	}
 	// A shard that died between the two phases is out of the result
 	// whole: its numerators without its denominators would skew every
@@ -583,11 +598,17 @@ func (s *shardedScratch) mergeLive(n int) (matched, live int) {
 	return matched, len(s.raws)
 }
 
-// abandon is the deadline-expiry exit: release every view the query
-// still pins, clear the per-slot errors and pool the scratch. It runs
-// only after a fan-out barrier, so no worker can still be writing to
-// the slots.
+// abandon is the deadline-expiry exit: release the query's slots and
+// pool the scratch.
 func (d *ShardedLiveDetector) abandon(s *shardedScratch, n int) {
+	d.release(s, n)
+	d.scratch.Put(s)
+}
+
+// release frees every view the query still pins and clears the
+// per-slot errors. It runs only after a fan-out barrier, so no worker
+// can still be writing to the slots.
+func (d *ShardedLiveDetector) release(s *shardedScratch, n int) {
 	for si := 0; si < n; si++ {
 		sl := &s.shards[si]
 		if sl.view != nil {
@@ -596,7 +617,6 @@ func (d *ShardedLiveDetector) abandon(s *shardedScratch, n int) {
 		}
 		sl.err = nil
 	}
-	d.scratch.Put(s)
 }
 
 // missingUsers appends to dst every user in all that rows does not

@@ -18,7 +18,7 @@ type IO interface {
 
 // File is one opened segment file. Mmap maps (or loads) the whole file
 // read-only; the returned bytes stay valid until Close. Close releases
-// the mapping and the descriptor.
+// the mapping and whatever else the file still holds.
 type File interface {
 	// Size returns the file's length in bytes.
 	Size() (int64, error)
@@ -42,14 +42,20 @@ func (OS) Open(path string) (File, error) {
 	return &osFile{f: f}, nil
 }
 
-// osFile implements File over an *os.File plus its live mapping.
+// osFile implements File over an *os.File until it is mapped, and over
+// the mapping alone from then on: Mmap closes the descriptor, which the
+// mapping outlives, so a segment held open for as long as any snapshot
+// pins it holds no file descriptor.
 type osFile struct {
-	f      *os.File
+	f      *os.File // nil once mapped
 	mapped []byte
 }
 
 // Size implements File.
 func (o *osFile) Size() (int64, error) {
+	if o.f == nil {
+		return int64(len(o.mapped)), nil
+	}
 	st, err := o.f.Stat()
 	if err != nil {
 		return 0, err
@@ -59,7 +65,7 @@ func (o *osFile) Size() (int64, error) {
 
 // Mmap implements File via the platform map (mmap.go / mmap_other.go).
 func (o *osFile) Mmap() ([]byte, error) {
-	if o.mapped != nil {
+	if o.f == nil {
 		return o.mapped, nil
 	}
 	b, err := mmapFile(o.f)
@@ -67,6 +73,11 @@ func (o *osFile) Mmap() ([]byte, error) {
 		return nil, err
 	}
 	o.mapped = b
+	err = o.f.Close()
+	o.f = nil
+	if err != nil {
+		return nil, err
+	}
 	return b, nil
 }
 
@@ -77,8 +88,11 @@ func (o *osFile) Close() error {
 		err = munmapFile(o.mapped)
 		o.mapped = nil
 	}
-	if cerr := o.f.Close(); err == nil {
-		err = cerr
+	if o.f != nil {
+		if cerr := o.f.Close(); err == nil {
+			err = cerr
+		}
+		o.f = nil
 	}
 	return err
 }

@@ -52,14 +52,11 @@ type Collection struct {
 	// proximity[a] lists the closest other domains of a, strongest
 	// first (inter-domain similarity mass) — the data behind Figure 7.
 	proximity [][]DomainLink
-	// tokenIndex supports the relaxed match modes; built lazily.
-	tokenOnce  sync.Once
-	tokenIndex map[string][]tokenPosting
 	// The canonical lookup tables below make Lookup a pure function of
 	// the query's canonical token set (sorted, de-duplicated tokens), so
 	// the serve layer may safely share one cache/singleflight entry
 	// across reordered or duplicated spellings of the same query. Built
-	// lazily like tokenIndex.
+	// lazily.
 	canonOnce sync.Once
 	// byCanon maps the canonical form of every member term to the
 	// domain that wins that canonical class (highest intra-domain
@@ -290,7 +287,7 @@ func (c *Collection) expandFrom(d *Domain, query string, maxTerms int) []string 
 	return out
 }
 
-// TermSet is what one query expands to under MatchExact: the terms a
+// TermSet is what one query expands to: the terms a
 // search for it matches, as an identity and as a list.
 type TermSet struct {
 	// Key identifies the set of terms searched — the query and its
@@ -311,15 +308,14 @@ type TermSet struct {
 // collection can expand, resolved once so the online stage's expansion
 // step is a map lookup that allocates nothing. Lookup and expansion are
 // pure functions of the query's canonical token set (see Lookup), so
-// the table is keyed on it and covers every spelling. Only MatchExact
-// can be tabulated: the relaxed modes resolve an open set of queries.
-// An Admission is immutable and safe for concurrent use.
+// the table is keyed on it and covers every spelling. An Admission is
+// immutable and safe for concurrent use.
 type Admission struct {
 	byCanon map[string]TermSet
 }
 
-// Admission builds the table of ExpandMode(q, maxTerms, MatchExact)
-// over every canonical class of member terms.
+// Admission builds the table of Expand(q, maxTerms) over every
+// canonical class of member terms.
 func (c *Collection) Admission(maxTerms int) *Admission {
 	c.ensureCanonIndex()
 	a := &Admission{byCanon: make(map[string]TermSet, len(c.byCanon))}
@@ -570,133 +566,4 @@ func decode(r io.ByteReader) (*Collection, error) {
 		c.domains[i] = d
 	}
 	return c, nil
-}
-
-// MatchMode selects how an incoming query is matched to a domain.
-// Section 5 describes the production behaviour (MatchExact) as
-// "purposely conservative"; the looser modes are natural extensions
-// benchmarked in the ablation suite.
-type MatchMode int
-
-const (
-	// MatchExact requires the query to equal a domain term ("exactly
-	// and in order, after lower-casing") — the paper's behaviour.
-	MatchExact MatchMode = iota
-	// MatchPhrase accepts a domain term that contains the query as a
-	// contiguous token phrase ("49ers" matches the term "49ers draft").
-	// Unlike the exact tier (which is canonical — see Lookup), this
-	// relaxed tier stays order-sensitive by construction; it is an
-	// ablation mode, not the production path.
-	MatchPhrase
-	// MatchAND accepts a domain term containing every query token in
-	// any order.
-	MatchAND
-)
-
-// String names the mode.
-func (m MatchMode) String() string {
-	switch m {
-	case MatchExact:
-		return "exact"
-	case MatchPhrase:
-		return "phrase"
-	case MatchAND:
-		return "and"
-	default:
-		return fmt.Sprintf("matchmode(%d)", int(m))
-	}
-}
-
-// tokenPosting locates a term inside the collection.
-type tokenPosting struct {
-	domain int32
-	term   int32 // index into the domain's Terms
-}
-
-// ensureTokenIndex lazily builds the token -> terms inverted index used
-// by the relaxed match modes. Safe for concurrent use.
-func (c *Collection) ensureTokenIndex() {
-	c.tokenOnce.Do(func() {
-		c.tokenIndex = map[string][]tokenPosting{}
-		for d := range c.domains {
-			for ti, term := range c.domains[d].Terms {
-				seen := map[string]bool{}
-				for _, tok := range textutil.Tokenize(term) {
-					if seen[tok] {
-						continue
-					}
-					seen[tok] = true
-					c.tokenIndex[tok] = append(c.tokenIndex[tok],
-						tokenPosting{domain: int32(d), term: int32(ti)})
-				}
-			}
-		}
-	})
-}
-
-// LookupMode finds the domain for a query under the given match mode.
-// Exact matches always win; under the relaxed modes, ties between
-// several containing terms break toward the term with the highest
-// intra-domain weight (the most central match). MatchPhrase is the one
-// mode whose exact tier stays verbatim (no canonical token-set
-// fallback): the phrase ablation is order-sensitive by definition, and
-// a pinned test holds it to that.
-func (c *Collection) LookupMode(query string, mode MatchMode) (*Domain, bool) {
-	if mode == MatchPhrase {
-		if id, ok := c.byTerm[textutil.Normalize(query)]; ok {
-			return &c.domains[id], true
-		}
-	} else if d, ok := c.Lookup(query); ok {
-		return d, true
-	}
-	if mode == MatchExact {
-		return nil, false
-	}
-	c.ensureTokenIndex()
-	qTokens := textutil.Tokenize(query)
-	if len(qTokens) == 0 {
-		return nil, false
-	}
-	// Candidate terms must contain the rarest query token.
-	rarest := qTokens[0]
-	for _, tok := range qTokens[1:] {
-		if len(c.tokenIndex[tok]) < len(c.tokenIndex[rarest]) {
-			rarest = tok
-		}
-	}
-	var (
-		best       tokenPosting
-		bestWeight = -1.0
-	)
-	for _, p := range c.tokenIndex[rarest] {
-		term := c.domains[p.domain].Terms[p.term]
-		tTokens := textutil.Tokenize(term)
-		switch mode {
-		case MatchPhrase:
-			if !textutil.ContainsPhrase(tTokens, qTokens) {
-				continue
-			}
-		case MatchAND:
-			if !textutil.ContainsAll(tTokens, qTokens) {
-				continue
-			}
-		}
-		w := c.domains[p.domain].Weights[p.term]
-		if w > bestWeight {
-			best, bestWeight = p, w
-		}
-	}
-	if bestWeight < 0 {
-		return nil, false
-	}
-	return &c.domains[best.domain], true
-}
-
-// ExpandMode is Expand under an arbitrary match mode.
-func (c *Collection) ExpandMode(query string, maxTerms int, mode MatchMode) []string {
-	d, ok := c.LookupMode(query, mode)
-	if !ok {
-		return nil
-	}
-	return c.expandFrom(d, query, maxTerms)
 }

@@ -62,6 +62,9 @@ func TestLookupNormalizes(t *testing.T) {
 	if _, ok := c.Lookup("no such term at all"); ok {
 		t.Error("unknown term matched")
 	}
+	if _, ok := c.Lookup(""); ok {
+		t.Error("empty query matched")
+	}
 }
 
 func TestExpandExcludesQueryAndHonorsMax(t *testing.T) {
@@ -268,96 +271,6 @@ func BenchmarkSaveLoad(b *testing.B) {
 	}
 }
 
-func TestLookupModeExactPreferred(t *testing.T) {
-	_, c := buildCollection(t)
-	exact, ok1 := c.LookupMode("49ers", MatchExact)
-	phrase, ok2 := c.LookupMode("49ers", MatchPhrase)
-	if !ok1 || !ok2 {
-		t.Skip("49ers missing")
-	}
-	if exact.ID != phrase.ID {
-		t.Error("exact term lookup differs across modes")
-	}
-}
-
-func TestLookupModePhrase(t *testing.T) {
-	_, c := buildCollection(t)
-	// "draft" alone is not a domain term, but appears inside "49ers
-	// draft"; phrase mode should find the 49ers domain.
-	d, ok := c.LookupMode("draft", MatchPhrase)
-	if !ok {
-		t.Skip("no term contains 'draft' in tiny collection")
-	}
-	found := false
-	for _, term := range d.Terms {
-		if term == "49ers draft" || term == "nfl draft" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("phrase match for 'draft' landed in unrelated domain: %v", d.Terms)
-	}
-	// Exact mode must NOT match it.
-	if _, ok := c.LookupMode("draft", MatchExact); ok {
-		t.Error("exact mode matched a non-term")
-	}
-}
-
-func TestLookupModeANDOrderInsensitive(t *testing.T) {
-	_, c := buildCollection(t)
-	d1, ok1 := c.LookupMode("draft 49ers", MatchAND)
-	d2, ok2 := c.LookupMode("49ers draft", MatchAND)
-	if !ok1 || !ok2 {
-		t.Skip("AND candidates missing")
-	}
-	if d1.ID != d2.ID {
-		t.Error("AND match is order sensitive")
-	}
-	// Phrase mode requires order.
-	if d, ok := c.LookupMode("draft 49ers", MatchPhrase); ok {
-		for _, term := range d.Terms {
-			if term == "49ers draft" {
-				t.Error("phrase mode matched out-of-order tokens")
-			}
-		}
-	}
-}
-
-func TestLookupModeUnknown(t *testing.T) {
-	_, c := buildCollection(t)
-	for _, mode := range []MatchMode{MatchExact, MatchPhrase, MatchAND} {
-		if _, ok := c.LookupMode("zzqq never anywhere", mode); ok {
-			t.Errorf("mode %v matched garbage", mode)
-		}
-		if _, ok := c.LookupMode("", mode); ok {
-			t.Errorf("mode %v matched empty query", mode)
-		}
-	}
-}
-
-func TestExpandModeRelaxedFindsMore(t *testing.T) {
-	_, c := buildCollection(t)
-	exactHits, phraseHits := 0, 0
-	probes := []string{"draft", "schedule", "49ers", "golden gate"}
-	for _, q := range probes {
-		if len(c.ExpandMode(q, 10, MatchExact)) > 0 {
-			exactHits++
-		}
-		if len(c.ExpandMode(q, 10, MatchPhrase)) > 0 {
-			phraseHits++
-		}
-	}
-	if phraseHits < exactHits {
-		t.Errorf("phrase mode (%d hits) weaker than exact (%d)", phraseHits, exactHits)
-	}
-}
-
-func TestMatchModeString(t *testing.T) {
-	if MatchExact.String() != "exact" || MatchPhrase.String() != "phrase" || MatchAND.String() != "and" {
-		t.Error("bad mode names")
-	}
-}
-
 // canonCollection is a hand-built collection with the canonical-class
 // corner cases the mined tiny collection may lack: two members of one
 // domain sharing a canonical form (domain 0), a canonical class split
@@ -381,14 +294,14 @@ func canonCollection() *Collection {
 	return c
 }
 
-// TestAdmissionEqualsExpandMode is the admission table's property: for
+// TestAdmissionEqualsExpand is the admission table's property: for
 // every member term of every domain, in its verbatim, reversed,
 // duplicated and re-cased spellings, at several caps, the table's
-// expansion is ExpandMode(q, max, MatchExact) term for term, and its
+// expansion is Expand(q, max) term for term, and its
 // key is the canonical set of the terms that expansion searches — so
 // equal keys mean equal term sets and nothing else does. A query
 // outside every domain is its own term set.
-func TestAdmissionEqualsExpandMode(t *testing.T) {
+func TestAdmissionEqualsExpand(t *testing.T) {
 	_, mined := buildCollection(t)
 	for name, c := range map[string]*Collection{"mined": mined, "canon": canonCollection()} {
 		for _, max := range []int{1, 3, 10} {
@@ -406,10 +319,10 @@ func TestAdmissionEqualsExpandMode(t *testing.T) {
 						strings.Join(append(slices.Clone(toks), toks...), " "),
 						"  " + strings.ToUpper(strings.Join(toks, "   ")) + " ",
 					} {
-						want := c.ExpandMode(q, max, MatchExact)
+						want := c.Expand(q, max)
 						got := a.Lookup(textutil.Canonical(q))
 						if !slices.Equal(got.Expansion, want) {
-							t.Fatalf("%s max %d %q: table expands to %q, ExpandMode to %q", name, max, q, got.Expansion, want)
+							t.Fatalf("%s max %d %q: table expands to %q, Expand to %q", name, max, q, got.Expansion, want)
 						}
 						set := []string{textutil.Canonical(q)}
 						for _, e := range want {

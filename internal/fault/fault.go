@@ -23,6 +23,7 @@ import (
 	"repro/internal/expertise"
 	"repro/internal/microblog"
 	"repro/internal/shard"
+	"repro/internal/world"
 )
 
 // ErrKilled is the error every operation on a killed Backend (or a
@@ -280,21 +281,25 @@ func (d *Dialer) FragmentAll() {
 // to completion against the healthy inner backend (drain semantics —
 // a view handed out before the kill still answers its stats fetch),
 // KillAfterCalls arms the kill at an exact future call count for
-// deterministic mid-load injection, SetDelay stalls every call, and
-// Heal clears the kill. Per-op counters record what reached the gate,
-// so a test can pin not just results but traffic — e.g. that a read
-// failover never re-sent a write. Safe for concurrent use.
+// deterministic mid-load injection, FailViewAtCall fails the top-up of
+// the view one scripted call hands out (the shard dying between a
+// query's two phases), SetDelay stalls every call, and Heal clears the
+// kill. Per-op counters record what reached the gate, so a test can pin
+// not just results but traffic — e.g. that a read failover never
+// re-sent a write. Safe for concurrent use.
 type Backend struct {
 	inner shard.Backend
 
 	killed    atomic.Bool
 	killAfter atomic.Int64 // fail calls once Calls() passes this; <=0 = disarmed
+	failView  atomic.Int64 // the call whose view fails its Stats; <=0 = disarmed
 	delay     atomic.Int64 // per-call stall in nanoseconds
 
 	calls                         atomic.Int64 // every call that reached the gate
 	searches, composites, ingests atomic.Int64 // calls that passed the gate
 	epochs, quiesces              atomic.Int64
 	searchesKilled, ingestKilled  atomic.Int64 // calls refused by the gate
+	viewsFailed                   atomic.Int64 // Stats calls on a failing view
 }
 
 // Backend must be able to stand in for any replica, and for either
@@ -328,6 +333,16 @@ func (f *Backend) KillAfterCalls(n int) {
 	f.killAfter.Store(f.calls.Load() + int64(n))
 }
 
+// FailViewAtCall arms the view handed out by the n-th call from now
+// (1 = the next) to fail every Stats with ErrKilled, as if the shard
+// died after answering that call's search. Every other view drains.
+func (f *Backend) FailViewAtCall(n int) {
+	f.failView.Store(f.calls.Load() + int64(n))
+}
+
+// ViewsFailed returns how many Stats calls a failing view refused.
+func (f *Backend) ViewsFailed() int64 { return f.viewsFailed.Load() }
+
 // SetDelay stalls every subsequent call by d before it reaches the
 // inner backend.
 func (f *Backend) SetDelay(d time.Duration) { f.delay.Store(int64(d)) }
@@ -352,11 +367,14 @@ func (f *Backend) Ingests() int64 { return f.ingests.Load() }
 func (f *Backend) IngestsKilled() int64 { return f.ingestKilled.Load() }
 
 // gate admits or refuses one call (no caller deadline to honor).
-func (f *Backend) gate() error { return f.gateCtx(context.Background()) }
+func (f *Backend) gate() error {
+	_, err := f.gateCtx(context.Background())
+	return err
+}
 
 // gateCtx admits or refuses one call, honoring the caller's context
-// while an armed delay stalls it.
-func (f *Backend) gateCtx(ctx context.Context) error {
+// while an armed delay stalls it, and returns the call's number.
+func (f *Backend) gateCtx(ctx context.Context) (int64, error) {
 	n := f.calls.Add(1)
 	if d := f.delay.Load(); d > 0 {
 		t := time.NewTimer(time.Duration(d))
@@ -364,16 +382,38 @@ func (f *Backend) gateCtx(ctx context.Context) error {
 		case <-t.C:
 		case <-ctx.Done():
 			t.Stop()
-			return ctx.Err()
+			return n, ctx.Err()
 		}
 	}
 	if ka := f.killAfter.Load(); ka > 0 && n > ka {
 		f.killed.Store(true)
 	}
 	if f.killed.Load() {
-		return ErrKilled
+		return n, ErrKilled
 	}
-	return nil
+	return n, nil
+}
+
+// handOut returns the view call n hands out: v itself, or v failing its
+// Stats when FailViewAtCall picked call n.
+func (f *Backend) handOut(n int64, v shard.View) shard.View {
+	if v == nil || n != f.failView.Load() {
+		return v
+	}
+	return failingView{View: v, f: f}
+}
+
+// failingView is a view whose shard died after handing it out: Stats
+// fails, Release still frees the inner view.
+type failingView struct {
+	shard.View
+	f *Backend
+}
+
+// Stats implements shard.View: always ErrKilled.
+func (v failingView) Stats(_ context.Context, _ []world.UserID, dst []expertise.UserStats) ([]expertise.UserStats, error) {
+	v.f.viewsFailed.Add(1)
+	return dst[:0], ErrKilled
 }
 
 // Search implements shard.Backend through the fault gate. An armed
@@ -382,12 +422,14 @@ func (f *Backend) gateCtx(ctx context.Context) error {
 // never calls it (see SearchStats); a pass counted here means a caller
 // took the wire's two-step.
 func (f *Backend) Search(ctx context.Context, terms []string, extended bool, raw []expertise.RawCandidate) ([]expertise.RawCandidate, int, shard.View, error) {
-	if err := f.gateCtx(ctx); err != nil {
+	n, err := f.gateCtx(ctx)
+	if err != nil {
 		f.searchesKilled.Add(1)
 		return raw[:0], 0, nil, err
 	}
 	f.searches.Add(1)
-	return f.inner.Search(ctx, terms, extended, raw)
+	raw, matched, v, err := f.inner.Search(ctx, terms, extended, raw)
+	return raw, matched, f.handOut(n, v), err
 }
 
 // SearchStats implements shard.Backend through the fault gate — the
@@ -395,12 +437,14 @@ func (f *Backend) Search(ctx context.Context, terms []string, extended bool, raw
 // and counted apart from it (Composites), so a suite can pin that its
 // faults landed on the path production takes.
 func (f *Backend) SearchStats(ctx context.Context, terms []string, extended bool, raw []expertise.RawCandidate, stats []expertise.UserStats) ([]expertise.RawCandidate, int, []expertise.UserStats, shard.View, error) {
-	if err := f.gateCtx(ctx); err != nil {
+	n, err := f.gateCtx(ctx)
+	if err != nil {
 		f.searchesKilled.Add(1)
 		return raw[:0], 0, stats[:0], nil, err
 	}
 	f.composites.Add(1)
-	return f.inner.SearchStats(ctx, terms, extended, raw, stats)
+	raw, matched, stats, v, err := f.inner.SearchStats(ctx, terms, extended, raw, stats)
+	return raw, matched, stats, f.handOut(n, v), err
 }
 
 // IngestBatch implements shard.Backend through the fault gate.

@@ -1,0 +1,92 @@
+package gateway
+
+import (
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"strings"
+	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/serve"
+)
+
+// documented is every status the package comment names for the routes
+// FuzzHandler drives.
+var documented = map[int]bool{
+	http.StatusOK: true, http.StatusBadRequest: true, http.StatusUnauthorized: true,
+	http.StatusForbidden: true, http.StatusMethodNotAllowed: true,
+	http.StatusRequestEntityTooLarge: true, http.StatusTooManyRequests: true,
+	http.StatusInternalServerError: true, http.StatusBadGateway: true,
+	http.StatusServiceUnavailable: true, http.StatusGatewayTimeout: true,
+}
+
+// cancelOnFlush cancels its request's context at the first Flush: a
+// watch client that hangs up after the first frame.
+type cancelOnFlush struct {
+	*httptest.ResponseRecorder
+	cancel context.CancelFunc
+}
+
+func (w cancelOnFlush) Flush() {
+	w.ResponseRecorder.Flush()
+	w.cancel()
+}
+
+// FuzzHandler drives the front door with client-controlled input: the
+// search body, the X-Budget-Ms header and ?budget_ms, the baseline
+// switch, and the watch stream's ?interval_ms. No input may panic the
+// handler, every status must be a documented one with a JSON body, and
+// the gateway's counters must still add up.
+func FuzzHandler(f *testing.F) {
+	query := func(n int) string { return `{"query":"` + strings.TrimSpace(strings.Repeat("a ", n)) + `"}` }
+	f.Add(query(64), "", "", false, "20")
+	f.Add(query(65), "", "", false, "20")
+	f.Add(`{"terms":["vintage","cars"]}`, "250", "", true, "")
+	f.Add(`{"query":"49ers"} {}`, "", "9223372036854775807", false, "-1")
+	f.Add(`{"query":"x"}`, "0", "1", false, "9223372036854775807")
+	f.Add(`[`, "banana", "-5", true, "banana")
+
+	reg := obs.NewRegistry()
+	scfg := serve.DefaultConfig()
+	scfg.Obs = reg
+	g := newTestGateway(f, &stubBackend{}, scfg, func(c *Config) { c.Obs = reg })
+	f.Cleanup(g.Close)
+
+	f.Fuzz(func(t *testing.T, body, hdrBudget, qBudget string, baseline bool, interval string) {
+		params := url.Values{}
+		if qBudget != "" {
+			params.Set("budget_ms", qBudget)
+		}
+		if baseline {
+			params.Set("baseline", "1")
+		}
+		req := httptest.NewRequest(http.MethodPost, "/v1/search?"+params.Encode(), strings.NewReader(body))
+		req.Header.Set("Authorization", "Bearer reader")
+		if hdrBudget != "" {
+			req.Header.Set("X-Budget-Ms", hdrBudget)
+		}
+		rec := httptest.NewRecorder()
+		g.ServeHTTP(rec, req)
+		if !documented[rec.Code] {
+			t.Fatalf("search answered undocumented status %d: %s", rec.Code, rec.Body)
+		}
+		if !json.Valid(rec.Body.Bytes()) {
+			t.Fatalf("search status %d body is not JSON: %q", rec.Code, rec.Body)
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		req = httptest.NewRequestWithContext(ctx, http.MethodGet,
+			"/v1/admin/watch?"+url.Values{"interval_ms": {interval}}.Encode(), nil)
+		req.Header.Set("Authorization", "Bearer ops")
+		watch := cancelOnFlush{httptest.NewRecorder(), cancel}
+		g.ServeHTTP(watch, req)
+		if watch.Code != http.StatusOK {
+			t.Fatalf("watch answered status %d: %s", watch.Code, watch.Body)
+		}
+		checkStatsInvariant(t, g)
+	})
+}

@@ -245,9 +245,7 @@ func TestRateLimitAndQuota(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	scfg := serve.DefaultConfig()
-	scfg.MaxQueryTerms = 4
-	g, hs := testGateway(t, &stubBackend{}, scfg, nil)
+	g, hs := testGateway(t, &stubBackend{}, serve.DefaultConfig(), nil)
 	search := hs.URL + "/v1/search"
 
 	// Wrong method.
@@ -262,7 +260,7 @@ func TestBadRequests(t *testing.T) {
 
 	wantStatus(t, post(t, search, "reader", `{nope`, nil), http.StatusBadRequest)
 	wantStatus(t, post(t, search, "reader", `{"query":"   "}`, nil), http.StatusBadRequest)
-	wantStatus(t, post(t, search, "reader", `{"query":"a b c d e"}`, nil), http.StatusBadRequest)
+	wantStatus(t, post(t, search, "reader", `{"query":"`+strings.Repeat("a ", 64)+`b"}`, nil), http.StatusBadRequest)
 	wantStatus(t, post(t, search, "reader", `{"query":"ok"}`,
 		map[string]string{"X-Budget-Ms": "banana"}), http.StatusBadRequest)
 	wantStatus(t, post(t, search+"?budget_ms=-5", "reader", `{"query":"ok"}`, nil), http.StatusBadRequest)
@@ -447,7 +445,6 @@ func TestWatchSlowLogDeltas(t *testing.T) {
 	reg := obs.NewRegistry()
 	scfg := serve.DefaultConfig()
 	scfg.Obs = reg
-	scfg.SlowLogThreshold = 0 // keep every trace
 	_, hs := testGateway(t, &stubBackend{}, scfg, func(cfg *Config) { cfg.Obs = reg })
 
 	req, _ := http.NewRequest(http.MethodGet, hs.URL+"/v1/admin/watch?interval_ms=20", nil)

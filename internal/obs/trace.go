@@ -49,9 +49,8 @@ type QueryTrace struct {
 	// TermSet is the key the answer was cached and coalesced under: the
 	// terms the search matched — the query's and its expansion's, each
 	// in canonical form, sorted and tab-separated (domains.TermSet.Key)
-	// — or the canonical query alone on the baseline endpoint and for a
-	// backend in a relaxed match mode. Traces with equal TermSet and
-	// Baseline shared one answer.
+	// — or the canonical query alone on the baseline endpoint. Traces
+	// with equal TermSet and Baseline shared one answer.
 	TermSet string `json:"term_set,omitempty"`
 	// Start is when the serving layer admitted the request.
 	Start time.Time `json:"start"`

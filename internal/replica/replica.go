@@ -38,6 +38,10 @@
 // follower costs one dial per window, not one timeout per query — and
 // a successful probe restores it to the rotation. A stale follower
 // (epoch gap) is rejected outright; those reads route to the primary.
+// The view a read hands out stays the Set's: a replica that fails the
+// view's top-up Stats is marked failed like one that fails a search, so
+// the detector's re-run of the query (see core.ShardedLiveDetector)
+// skips it.
 //
 // View identity: the Set's Epoch is its logical write epoch — a
 // coordinator-side counter bumped once per accepted write — not any
@@ -64,6 +68,7 @@ import (
 	"repro/internal/microblog"
 	"repro/internal/obs"
 	"repro/internal/shard"
+	"repro/internal/world"
 )
 
 // ErrNoReplica reports a read with no admissible replica: every
@@ -118,6 +123,7 @@ type Set struct {
 	rr        atomic.Uint64 // read rotation cursor
 	failovers atomic.Int64
 	reads     []atomic.Int64 // per-replica served searches
+	views     sync.Pool      // of *setView, reused across reads
 
 	// Observability (nil without Config.Obs; all handles nil-safe):
 	// cluster-wide failure accounting, aggregated across Sets sharing a
@@ -149,6 +155,7 @@ func NewSet(replicas []shard.Backend, cfg Config) (*Set, error) {
 	for i := range s.health {
 		s.health[i] = shard.NewHealth(cfg.Backoff)
 	}
+	s.views.New = func() any { return &setView{set: s} }
 	if cfg.Obs != nil {
 		s.obsFailovers = cfg.Obs.Counter("replica_failovers")
 		s.obsEjections = cfg.Obs.Counter("replica_ejections")
@@ -246,8 +253,9 @@ func (s *Set) IngestBatch(posts []microblog.Post) error {
 // failing the shard. A stale follower is never read. A replica inside a
 // backoff window is skipped without dialing (one probe per window
 // re-admits a recovered replica). Only when every admissible replica
-// has failed does the shard fail for this query.
-func (s *Set) read(attempt func(r shard.Backend) error) error {
+// has failed does the shard fail for this query. It returns the index
+// of the replica that answered.
+func (s *Set) read(attempt func(r shard.Backend) error) (int, error) {
 	epoch := s.epoch.Load()
 	n := len(s.replicas)
 	// Reduce the cursor in uint64 space: a raw int conversion would
@@ -277,7 +285,7 @@ func (s *Set) read(attempt func(r shard.Backend) error) error {
 				s.failovers.Add(1)
 				s.obsFailovers.Inc()
 			}
-			return nil
+			return i, nil
 		}
 		s.health[i].Fail()
 		tried++
@@ -288,7 +296,40 @@ func (s *Set) read(attempt func(r shard.Backend) error) error {
 	if firstErr == nil {
 		firstErr = ErrNoReplica
 	}
-	return firstErr
+	return -1, firstErr
+}
+
+// setView is the view a read hands out: replica i's, watched, so that a
+// failed top-up marks the replica failed. It is pooled on the Set and
+// returns there on Release.
+type setView struct {
+	set *Set
+	i   int
+	v   shard.View
+}
+
+// view wraps replica i's view v.
+func (s *Set) view(i int, v shard.View) shard.View {
+	w := s.views.Get().(*setView)
+	w.i, w.v = i, v
+	return w
+}
+
+// Stats implements shard.View: replica i's Stats, whose failure opens
+// the replica's backoff window.
+func (w *setView) Stats(ctx context.Context, users []world.UserID, dst []expertise.UserStats) ([]expertise.UserStats, error) {
+	dst, err := w.v.Stats(ctx, users, dst)
+	if err != nil {
+		w.set.health[w.i].Fail()
+	}
+	return dst, err
+}
+
+// Release implements shard.View.
+func (w *setView) Release() {
+	w.v.Release()
+	w.v = nil
+	w.set.views.Put(w)
 }
 
 // Search implements shard.Backend with the rotation and failover of
@@ -296,14 +337,14 @@ func (s *Set) read(attempt func(r shard.Backend) error) error {
 func (s *Set) Search(ctx context.Context, terms []string, extended bool, raw []expertise.RawCandidate) ([]expertise.RawCandidate, int, shard.View, error) {
 	var matched int
 	var v shard.View
-	err := s.read(func(r shard.Backend) (err error) {
+	i, err := s.read(func(r shard.Backend) (err error) {
 		raw, matched, v, err = r.Search(ctx, terms, extended, raw[:0])
 		return err
 	})
 	if err != nil {
 		return raw[:0], 0, nil, err
 	}
-	return raw, matched, v, nil
+	return raw, matched, s.view(i, v), nil
 }
 
 // SearchStats implements shard.Backend — the read path's call — with
@@ -312,14 +353,14 @@ func (s *Set) Search(ctx context.Context, terms []string, extended bool, raw []e
 func (s *Set) SearchStats(ctx context.Context, terms []string, extended bool, raw []expertise.RawCandidate, stats []expertise.UserStats) ([]expertise.RawCandidate, int, []expertise.UserStats, shard.View, error) {
 	var matched int
 	var v shard.View
-	err := s.read(func(r shard.Backend) (err error) {
+	i, err := s.read(func(r shard.Backend) (err error) {
 		raw, matched, stats, v, err = r.SearchStats(ctx, terms, extended, raw[:0], stats[:0])
 		return err
 	})
 	if err != nil {
 		return raw[:0], 0, stats[:0], nil, err
 	}
-	return raw, matched, stats, v, nil
+	return raw, matched, stats, s.view(i, v), nil
 }
 
 // Quiesce implements shard.Backend: the primary is always drained —

@@ -202,6 +202,46 @@ func TestFailoverReadsNeverDuplicateWrites(t *testing.T) {
 	}
 }
 
+// TestFollowerDiesBetweenPhases scripts the interleaving behind a flaky
+// matrix row: a follower answers a query's scatter, then fails the
+// top-up on the view it handed out. The Set marks that follower failed,
+// the detector re-runs the scatter, and the query stays whole — no
+// partial, one failover, the cold detector's ranking.
+func TestFollowerDiesBetweenPhases(t *testing.T) {
+	p, sets := testPipeline(t)
+	cfg := replica.Config{Backoff: shard.Backoff{Initial: time.Hour, Max: time.Hour}}
+	rc := newReplicated(t, p, 2, 2, ingest.Config{DisableCompactor: true}, cfg, true)
+	f := rc.faults[0]
+	det := core.NewShardedLiveDetectorOver(p.Collection, rc.cluster, p.Cfg.Online)
+
+	// The fault fires on the first query whose scatter reaches shard 0's
+	// follower and whose top-up then needs it.
+	for _, q := range sets[len(sets)-1].Queries {
+		f.FailViewAtCall(1)
+		got, trace := det.Search(q)
+		want, _ := p.Detector.Search(q)
+		expertsIdentical(t, "between-phases", q, got, want)
+		if trace.Missing != 0 {
+			t.Fatalf("%q: answer misses shards %b", q, trace.Missing)
+		}
+		if f.ViewsFailed() > 0 {
+			break
+		}
+	}
+	if n := f.ViewsFailed(); n != 1 {
+		t.Fatalf("the follower's view failed %d top-ups, want exactly 1", n)
+	}
+	if pq, se := det.PartialStats(); pq != 0 || se != 0 {
+		t.Fatalf("the re-run left partial %d, errors %d", pq, se)
+	}
+	if fo := det.Failovers(); fo < 1 {
+		t.Fatalf("Failovers = %d, want the recovered shard counted", fo)
+	}
+	if rc.sets[0].Health(1).Healthy() {
+		t.Fatal("the Set did not mark the follower whose top-up failed")
+	}
+}
+
 // TestStaleFollowerRejected pins epoch-gap rejection: a follower that
 // missed one write while down is ejected from the read set even after
 // its transport heals — reads route to the primary, never to the gap.

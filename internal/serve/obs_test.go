@@ -37,7 +37,7 @@ func TestServerObsTracesAndMetrics(t *testing.T) {
 	online := p.Cfg.Online
 	online.Obs = reg
 	sharded := core.NewShardedLiveDetectorOver(p.Collection, r, online)
-	s := New(sharded, Config{CacheSize: 4, Obs: reg, SlowLogSize: 8})
+	s := New(sharded, Config{CacheSize: 4, Obs: reg})
 
 	first := s.Search("49ers")
 	second := s.Search("49ers")
@@ -67,7 +67,7 @@ func TestServerObsTracesAndMetrics(t *testing.T) {
 		}
 	}
 
-	// SlowLog (zero threshold keeps everything): newest first, the hit
+	// SlowLog (it keeps everything): newest first, the hit
 	// then the miss; the miss carries the scatter-gather spans.
 	snap := s.SlowLog().Snapshot()
 	if len(snap) != 2 {
@@ -125,12 +125,13 @@ func TestServerObsTracesAndMetrics(t *testing.T) {
 	}
 }
 
-// TestServerObsBaselineAndThreshold checks the baseline label and that
-// a high threshold keeps the ring empty while counters still move.
+// TestServerObsBaselineAndThreshold checks the baseline label, that the
+// counters move, and that the ring's threshold is zero: every request
+// is kept.
 func TestServerObsBaselineAndThreshold(t *testing.T) {
 	p := testPipeline(t)
 	reg := obs.NewRegistry()
-	s := New(frozenBackend(p), Config{CacheSize: 4, Obs: reg, SlowLogSize: 4, SlowLogThreshold: 1 << 40})
+	s := New(frozenBackend(p), Config{CacheSize: 4, Obs: reg})
 
 	s.SearchBaseline("nfl")
 	if got := obsRow(t, reg, "serve_queries"); got != 1 {
@@ -139,11 +140,11 @@ func TestServerObsBaselineAndThreshold(t *testing.T) {
 	if got := obsRow(t, reg, "serve_request_ns_count"); got != 1 {
 		t.Errorf("serve_request_ns_count = %d, want 1", got)
 	}
-	if got := s.SlowLog().Snapshot(); len(got) != 0 {
-		t.Errorf("sub-threshold query landed in the slow log: %+v", got)
+	if got := s.SlowLog().Snapshot(); len(got) != 1 || !got[0].Baseline || got[0].Query != "nfl" {
+		t.Errorf("slow log = %+v, want the one baseline trace for \"nfl\"", got)
 	}
-	if s.SlowLog().Threshold() != 1<<40 {
-		t.Errorf("threshold = %v", s.SlowLog().Threshold())
+	if s.SlowLog().Threshold() != 0 {
+		t.Errorf("threshold = %v, want 0", s.SlowLog().Threshold())
 	}
 }
 

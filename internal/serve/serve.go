@@ -23,10 +23,8 @@
 // itself: they share a cache slot and coalesce onto a single in-flight
 // computation, and a write invalidates their answer once, not once per
 // spelling. The baseline endpoint does not expand — its term set is the
-// query — and keys on the canonical query alone. Which match rule
-// produced a term set is the detector's business (see
-// core.OnlineConfig.Match); the backend still receives the normalized,
-// order-preserving text.
+// query — and keys on the canonical query alone. The backend still
+// receives the normalized, order-preserving text.
 //
 // The key space is therefore small and closed, and a cache slot
 // outlives its contents. A slot is created the first time its key is
@@ -58,7 +56,7 @@
 //     vector it sampled before computing, which is conservatively
 //     already stale if the index moved mid-flight.
 //   - Admission control: degenerate queries (empty, or over
-//     Config.MaxQueryTerms tokens) are rejected with a typed error
+//     maxQueryTerms tokens) are rejected with a typed error
 //     before touching the cache, and under overload a cold miss is
 //     shed with ErrOverloaded once Config.MaxInflightMisses detector
 //     computations are already running — warm cache hits are always
@@ -173,7 +171,7 @@ var (
 	// request can only ever return an empty result — rejecting it at
 	// admission spares a pointless scatter across every shard.
 	ErrEmptyQuery = errors.New("serve: empty query")
-	// ErrTooManyTerms rejects a query over Config.MaxQueryTerms tokens.
+	// ErrTooManyTerms rejects a query over maxQueryTerms tokens.
 	ErrTooManyTerms = errors.New("serve: too many query terms")
 	// ErrOverloaded sheds a cold cache miss under overload
 	// (Config.MaxInflightMisses); warm hits are never shed.
@@ -195,15 +193,6 @@ type Config struct {
 	// clock reads and trace assembly — the counters in Stats are always
 	// maintained either way.
 	Obs *obs.Registry
-	// SlowLogSize bounds the slow-query ring (default 64 when Obs is
-	// set); SlowLogThreshold is the minimum end-to-end latency a kept
-	// trace has (zero keeps every request, useful in tests and demos).
-	SlowLogSize      int
-	SlowLogThreshold time.Duration
-	// MaxQueryTerms caps the number of tokens a query may carry;
-	// longer queries are rejected with ErrTooManyTerms. Zero means
-	// unlimited. Empty queries are always rejected (ErrEmptyQuery).
-	MaxQueryTerms int
 	// MaxInflightMisses, when positive, bounds concurrent detector
 	// computations: a cold miss that would start one beyond the bound
 	// is shed with ErrOverloaded instead of queueing. Warm cache hits
@@ -213,7 +202,17 @@ type Config struct {
 }
 
 // DefaultConfig returns the serving defaults.
-func DefaultConfig() Config { return Config{CacheSize: 4096, MaxQueryTerms: 64} }
+func DefaultConfig() Config { return Config{CacheSize: 4096} }
+
+const (
+	// maxQueryTerms caps the number of tokens a query may carry; longer
+	// queries are rejected with ErrTooManyTerms, empty ones with
+	// ErrEmptyQuery.
+	maxQueryTerms = 64
+	// slowLogSize bounds the slow-query ring of an instrumented server,
+	// which keeps every request: its threshold is zero.
+	slowLogSize = 64
+)
 
 // Stats is a snapshot of the server's counters.
 type Stats struct {
@@ -371,11 +370,7 @@ func New(b Backend, cfg Config) *Server {
 	if cfg.Obs != nil {
 		s.obsOn = true
 		s.obsReqNS = cfg.Obs.Histogram("serve_request_ns")
-		size := cfg.SlowLogSize
-		if size <= 0 {
-			size = 64
-		}
-		s.slow = obs.NewSlowLog(size, cfg.SlowLogThreshold)
+		s.slow = obs.NewSlowLog(slowLogSize, 0)
 		cfg.Obs.RegisterFunc("serve_queries", s.queries.Load)
 		cfg.Obs.RegisterFunc("serve_cache_hits", s.hits.Load)
 		cfg.Obs.RegisterFunc("serve_cache_misses", s.misses.Load)
@@ -495,7 +490,7 @@ func (s *Server) serveTraced(ctx context.Context, query string, baseline bool, d
 		}
 		return nil, nil, ErrEmptyQuery
 	}
-	if s.cfg.MaxQueryTerms > 0 && len(toks) > s.cfg.MaxQueryTerms {
+	if len(toks) > maxQueryTerms {
 		s.rejected.Add(1)
 		if qt != nil {
 			qt.Query = norm

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync/atomic"
@@ -133,9 +134,11 @@ func TestPermutationsShareFlight(t *testing.T) {
 // backend, and land in Stats.Rejected.
 func TestDegenerateQueriesRejected(t *testing.T) {
 	backend := &scriptedBackend{}
-	cfg := DefaultConfig()
-	cfg.MaxQueryTerms = 3
-	s := New(backend, cfg)
+	s := New(backend, DefaultConfig())
+	var over strings.Builder
+	for i := 0; i <= maxQueryTerms; i++ {
+		fmt.Fprintf(&over, "t%d ", i)
+	}
 
 	for _, q := range []string{"", "   ", "\t\n"} {
 		if _, err := searchCtx(context.Background(), s, q); !errors.Is(err, ErrEmptyQuery) {
@@ -148,16 +151,16 @@ func TestDegenerateQueriesRejected(t *testing.T) {
 	if _, _, err := s.Answer(context.Background(), "", true, time.Time{}); !errors.Is(err, ErrEmptyQuery) {
 		t.Fatal("baseline endpoint must reject empty queries too")
 	}
-	if _, err := searchCtx(context.Background(), s, "a b c d"); !errors.Is(err, ErrTooManyTerms) {
-		t.Fatalf("4 tokens past MaxQueryTerms=3 not rejected")
+	if _, err := searchCtx(context.Background(), s, over.String()); !errors.Is(err, ErrTooManyTerms) {
+		t.Fatalf("%d tokens past the cap of %d not rejected", maxQueryTerms+1, maxQueryTerms)
 	}
 	// Duplicates count against the cap as typed, not canonicalized:
 	// admission guards the raw request.
-	if _, err := searchCtx(context.Background(), s, "a a a a"); !errors.Is(err, ErrTooManyTerms) {
+	if _, err := searchCtx(context.Background(), s, strings.Repeat("a ", maxQueryTerms+1)); !errors.Is(err, ErrTooManyTerms) {
 		t.Fatal("repeated tokens past the cap not rejected")
 	}
-	if _, err := searchCtx(context.Background(), s, "a b c"); err != nil {
-		t.Fatalf("3 tokens at the cap rejected: %v", err)
+	if _, err := searchCtx(context.Background(), s, strings.Repeat("a ", maxQueryTerms)); err != nil {
+		t.Fatalf("%d tokens at the cap rejected: %v", maxQueryTerms, err)
 	}
 	if backend.calls.Load() != 1 {
 		t.Fatalf("backend ran %d times, want 1 (rejections must not reach it)", backend.calls.Load())

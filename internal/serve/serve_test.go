@@ -167,8 +167,8 @@ func TestCacheDisabled(t *testing.T) {
 // a settable epoch (a one-component vector), a call counter, an
 // optional gate that blocks computations until the test releases it,
 // and an optional table of term-set keys by canonical query (a query
-// the table lacks is its own term set, as every query of a relaxed-mode
-// detector is). It never degrades, fails over or reshards.
+// the table lacks is its own term set, as a query outside every domain
+// is). It never degrades, fails over or reshards.
 type scriptedBackend struct {
 	epoch    atomic.Uint64
 	calls    atomic.Int64

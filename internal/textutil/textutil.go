@@ -146,27 +146,6 @@ func ContainsAll(textTokens []string, queryTokens []string) bool {
 	return true
 }
 
-// ContainsPhrase reports whether the query tokens appear in text tokens
-// contiguously and in order. This is the paper's community-matching
-// predicate: "we find the community which contains the query terms
-// exactly and in order, after lower-casing".
-func ContainsPhrase(textTokens []string, queryTokens []string) bool {
-	n, m := len(textTokens), len(queryTokens)
-	if m == 0 || m > n {
-		return false
-	}
-outer:
-	for i := 0; i+m <= n; i++ {
-		for j := 0; j < m; j++ {
-			if textTokens[i+j] != queryTokens[j] {
-				continue outer
-			}
-		}
-		return true
-	}
-	return false
-}
-
 // EqualPhrase reports whether two strings normalize to the same token
 // sequence. Used for exact-match domain lookup.
 func EqualPhrase(a, b string) bool {

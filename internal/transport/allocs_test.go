@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/expertise"
+	"repro/internal/fault"
 	"repro/internal/ingest"
 	"repro/internal/race"
 	"repro/internal/shard"
@@ -19,6 +20,7 @@ import (
 // view, frame buffers and decoded rows all belong to the connection;
 // what is left is the server's one string copy of the request's terms.
 func TestSearchConversationAllocs(t *testing.T) {
+	fault.CheckLeaks(t)
 	p, _ := testPipeline(t)
 	const n = 2
 	clients := startShardServers(t, p, n, ingest.Config{SealThreshold: 32, CompactFanIn: 3})

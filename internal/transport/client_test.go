@@ -22,6 +22,7 @@ import (
 // one frame's 512 posts crosses the wire as sequential OpIngest frames
 // and lands complete and in order.
 func TestIngestBatchChunks(t *testing.T) {
+	fault.CheckLeaks(t)
 	p, _ := testPipeline(t)
 	servers, clients := startCountedShardServers(t, p, 1, ingest.DefaultConfig())
 	srv, c := servers[0], clients[0]
@@ -54,6 +55,7 @@ func TestIngestBatchChunks(t *testing.T) {
 // query path left them, and the query path's working set survives it —
 // the same searches repeated after the dump miss no block.
 func TestDumpIngestedLeavesBlockCacheAlone(t *testing.T) {
+	fault.CheckLeaks(t)
 	p, sets := testPipeline(t)
 	reg := obs.NewRegistry()
 	servers, clients := startCountedShardServers(t, p, 1, ingest.Config{
@@ -111,6 +113,7 @@ func TestDumpIngestedLeavesBlockCacheAlone(t *testing.T) {
 // request asks for, one OpTweets page scans at most 2048 ids, and a
 // reader advancing by Scanned still walks the whole log.
 func TestTweetsPageCapped(t *testing.T) {
+	fault.CheckLeaks(t)
 	p, _ := testPipeline(t)
 	servers, clients := startCountedShardServers(t, p, 1, ingest.DefaultConfig())
 	srv, c := servers[0], clients[0]
@@ -155,6 +158,7 @@ func TestTweetsPageCapped(t *testing.T) {
 // no extra dial and nothing applied: reads are re-sent once, writes
 // never (TestWritesAreNeverRetried holds the write side's full story).
 func TestExchangeStaleRetry(t *testing.T) {
+	fault.CheckLeaks(t)
 	p, _ := testPipeline(t)
 	servers, clients := startCountedShardServers(t, p, 1, ingest.DefaultConfig())
 	srv, clean := servers[0], clients[0]

@@ -49,6 +49,7 @@ func startOneServer(t testing.TB, p *core.Pipeline, icfg ingest.Config) string {
 // here an injected kill), the next request fails its first round trip,
 // and the client transparently redials exactly once and succeeds.
 func TestReconnectAfterStaleConn(t *testing.T) {
+	fault.CheckLeaks(t)
 	p, _ := testPipeline(t)
 	addr := startOneServer(t, p, ingest.DefaultConfig())
 
@@ -124,6 +125,7 @@ func TestDeadlineFires(t *testing.T) {
 // read/write and requires byte-identical behaviour to a clean
 // connection: short IO must never corrupt or split a frame.
 func TestShortReadsWritesPreserveFrames(t *testing.T) {
+	fault.CheckLeaks(t)
 	p, _ := testPipeline(t)
 	addr := startOneServer(t, p, ingest.DefaultConfig())
 
@@ -162,6 +164,7 @@ func TestShortReadsWritesPreserveFrames(t *testing.T) {
 // response cut mid-frame yields ErrFrameTruncated-shaped failure (or a
 // clean EOF), never a partial decode, and the connection is not reused.
 func TestTruncatedResponseFailsCleanly(t *testing.T) {
+	fault.CheckLeaks(t)
 	p, _ := testPipeline(t)
 	addr := startOneServer(t, p, ingest.DefaultConfig())
 
@@ -267,12 +270,14 @@ func (d dieAfterScatter) SearchStats(ctx context.Context, terms []string, extend
 
 // TestShardDiesBetweenScatterAndTopUp kills one shard of two after its
 // composite scatter answered and before the coordinator's top-up for
-// the foreign candidates reaches it. The shard is then missing from the
+// the foreign candidates reaches it — on the query's first scatter and
+// on the re-run a failed top-up buys. The shard is then missing from the
 // result whole — its numerators without its denominators would skew
 // every ratio — so the query counts one partial result and ranks
 // exactly what the surviving shard's posts alone rank on a cold
 // detector.
 func TestShardDiesBetweenScatterAndTopUp(t *testing.T) {
+	fault.CheckLeaks(t)
 	p, sets := testPipeline(t)
 	icfg := ingest.Config{SealThreshold: 32, CompactFanIn: 3}
 	posts := streamPosts(p, 89, 300)
@@ -339,9 +344,10 @@ func TestShardDiesBetweenScatterAndTopUp(t *testing.T) {
 	if partials == 0 {
 		t.Fatal("no query needed a top-up from the dying shard")
 	}
-	if gate.Composites() != int64(queries) || gate.Searches() != 0 {
-		t.Fatalf("dying shard saw %d composite calls and %d plain searches over %d queries",
-			gate.Composites(), gate.Searches(), queries)
+	// Every degraded query re-ran its scatter once, and no more.
+	if gate.Composites() != int64(queries)+partials || gate.Searches() != 0 {
+		t.Fatalf("dying shard saw %d composite calls and %d plain searches over %d queries, %d of them re-run",
+			gate.Composites(), gate.Searches(), queries, partials)
 	}
 }
 
@@ -434,6 +440,7 @@ func TestEpochSampleBackoff(t *testing.T) {
 // duplicate post would skew every counter the bit-identical bar is
 // stated over. Reads reconnect; writes fail fast.
 func TestWritesAreNeverRetried(t *testing.T) {
+	fault.CheckLeaks(t)
 	p, _ := testPipeline(t)
 	addr := startOneServer(t, p, ingest.DefaultConfig())
 
@@ -473,6 +480,7 @@ func TestWritesAreNeverRetried(t *testing.T) {
 // "fresh" forever against the regressed epoch vector. The failure
 // surfaces as a backend error, which the coordinator degrades on.
 func TestRestartedServerIsRejected(t *testing.T) {
+	fault.CheckLeaks(t)
 	p, _ := testPipeline(t)
 	idx1 := ingest.New(shard.Partition(p.Corpus, 0, 1), ingest.DefaultConfig())
 	defer idx1.Close()

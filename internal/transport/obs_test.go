@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/shard"
@@ -31,6 +32,7 @@ func metricValue(t *testing.T, reg *obs.Registry, name string) int64 {
 // RPC tests assert on) must surface as registry rows without double
 // counting — the registry row and Requests(op) read the same atomic.
 func TestObsPromotesRequestCounters(t *testing.T) {
+	fault.CheckLeaks(t)
 	p, _ := testPipeline(t)
 	part := shard.Partition(p.Corpus, 0, 1)
 	idx := ingest.New(part, ingest.DefaultConfig())
@@ -143,6 +145,7 @@ func TestObsPromotesRequestCounters(t *testing.T) {
 // must preserve: with no registry attached, Requests(op) keeps
 // counting — the RPC-accounting tests depend on it.
 func TestObsUninstrumentedServerStillCounts(t *testing.T) {
+	fault.CheckLeaks(t)
 	p, _ := testPipeline(t)
 	part := shard.Partition(p.Corpus, 0, 1)
 	idx := ingest.New(part, ingest.DefaultConfig())

@@ -65,6 +65,7 @@ func pagingClient(addr string, dial func(string, time.Duration) (net.Conn, error
 // 0..N-1. Every cut must surface an error — no partial page ever
 // decodes — and at offset N the full page comes back bit-identical.
 func TestTweetsPageTruncatedAtEveryOffset(t *testing.T) {
+	fault.CheckLeaks(t)
 	p, _ := testPipeline(t)
 	addr := startOneServer(t, p, ingest.DefaultConfig())
 
@@ -135,6 +136,7 @@ func TestTweetsPageTruncatedAtEveryOffset(t *testing.T) {
 // connection delivering one byte per read/write and requires the exact
 // pages a clean connection produces.
 func TestPagingFragmentedBitIdentical(t *testing.T) {
+	fault.CheckLeaks(t)
 	p, _ := testPipeline(t)
 	addr := startOneServer(t, p, ingest.DefaultConfig())
 
@@ -194,6 +196,7 @@ func TestPagingFragmentedBitIdentical(t *testing.T) {
 // scanned == 0 (the loop's stop condition), and a cursor at or past the
 // end of a non-empty log does the same instead of wrapping or erroring.
 func TestPagingEmptyShardAndBeyondEnd(t *testing.T) {
+	fault.CheckLeaks(t)
 	p, _ := testPipeline(t)
 	addr := startOneServer(t, p, ingest.DefaultConfig())
 	c := pagingClient(addr, nil)
@@ -238,6 +241,7 @@ func TestPagingEmptyShardAndBeyondEnd(t *testing.T) {
 // must be empty (no off-by-one re-serving the last id, none skipped),
 // and the concatenation must be the ingested sequence in order.
 func TestPagingExactPageBoundary(t *testing.T) {
+	fault.CheckLeaks(t)
 	p, _ := testPipeline(t)
 	addr := startOneServer(t, p, ingest.DefaultConfig())
 	c := pagingClient(addr, nil)
@@ -285,6 +289,7 @@ func TestPagingExactPageBoundary(t *testing.T) {
 // pass (the cursor advances by scanned ids, not returned posts), and
 // reassemble the complete ingested multiset with nothing duplicated.
 func TestFilteredPagingPartitionsLog(t *testing.T) {
+	fault.CheckLeaks(t)
 	p, _ := testPipeline(t)
 	addr := startOneServer(t, p, ingest.DefaultConfig())
 	c := pagingClient(addr, nil)
@@ -348,6 +353,7 @@ func TestFilteredPagingPartitionsLog(t *testing.T) {
 // different shard count refuses the OpInfo — the client fails at
 // connect instead of reading the wrong partition after a reshard.
 func TestMiswiredClientRejectedAtConnect(t *testing.T) {
+	fault.CheckLeaks(t)
 	p, _ := testPipeline(t)
 	part := shard.Partition(p.Corpus, 0, 2)
 	idx := ingest.New(part, ingest.DefaultConfig())
@@ -401,6 +407,7 @@ func TestMiswiredClientRejectedAtConnect(t *testing.T) {
 // ingested, and the same connection then serves an empty OpInfo request
 // with exactly the seven InfoResp fields.
 func TestHostileFramesAnsweredNotFatal(t *testing.T) {
+	fault.CheckLeaks(t)
 	p, _ := testPipeline(t)
 	idx := ingest.New(shard.Partition(p.Corpus, 0, 1), ingest.DefaultConfig())
 	defer idx.Close()

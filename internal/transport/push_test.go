@@ -57,6 +57,7 @@ func startCountedShardServers(t testing.TB, p *core.Pipeline, n int, icfg ingest
 // server fields no request but the handshake, the writes and the one
 // subscribe, and the client spends exactly one epoch round trip ever.
 func TestSubscribePushUpdatesEpoch(t *testing.T) {
+	fault.CheckLeaks(t)
 	p, _ := testPipeline(t)
 	servers, clients := startCountedShardServers(t, p, 1, ingest.DefaultConfig())
 	srv, c := servers[0], clients[0]
@@ -117,6 +118,7 @@ func TestSubscribePushUpdatesEpoch(t *testing.T) {
 // is pushed exactly one OpEpochDelta for it, carrying that epoch. (The
 // compactor is off, so nothing else publishes.)
 func TestOpIngestFrameIsOneEpoch(t *testing.T) {
+	fault.CheckLeaks(t)
 	p, _ := testPipeline(t)
 	servers, clients := startCountedShardServers(t, p, 1,
 		ingest.Config{SealThreshold: 16, CompactFanIn: 3, DisableCompactor: true})
@@ -171,6 +173,7 @@ func TestOpIngestFrameIsOneEpoch(t *testing.T) {
 // no OpSearch, no OpStats, no OpUnpin — and epoch-vector
 // sampling on the subscribed client costs zero requests of any kind.
 func TestWarmQuerySingleRoundTrip(t *testing.T) {
+	fault.CheckLeaks(t)
 	p, _ := testPipeline(t)
 	servers, clients := startCountedShardServers(t, p, 1, ingest.DefaultConfig())
 	srv, c := servers[0], clients[0]
@@ -235,6 +238,7 @@ func TestWarmQuerySingleRoundTrip(t *testing.T) {
 // (at most one per shard per query), and the results stay bit-identical
 // to a cold single-process detector over the same content.
 func TestCompositeTopUpAccounting(t *testing.T) {
+	fault.CheckLeaks(t)
 	p, sets := testPipeline(t)
 	posts := streamPosts(p, 97, 300)
 	icfg := ingest.Config{SealThreshold: 32, CompactFanIn: 3}
@@ -290,6 +294,7 @@ func TestCompositeTopUpAccounting(t *testing.T) {
 // next Epoch re-subscribes on a fresh dial with a correct value — the
 // lapse costs one dial and one epoch round trip, not a wrong answer.
 func TestSubscriptionLapseResubscribes(t *testing.T) {
+	fault.CheckLeaks(t)
 	p, _ := testPipeline(t)
 	addr := startOneServer(t, p, ingest.DefaultConfig())
 
@@ -409,6 +414,7 @@ func TestNewOpPayloadTruncationEveryOffset(t *testing.T) {
 // cleanly or returns exactly what a clean connection returns — never a
 // partial or garbled composite.
 func TestSearchStatsSurvivesWireTruncation(t *testing.T) {
+	fault.CheckLeaks(t)
 	p, _ := testPipeline(t)
 	addr := startOneServer(t, p, ingest.DefaultConfig())
 
@@ -451,6 +457,7 @@ func TestSearchStatsSurvivesWireTruncation(t *testing.T) {
 // connection, and every OpSearch response must arrive intact among the
 // interleaved OpEpochDelta frames.
 func TestPushInterleavesWithResponses(t *testing.T) {
+	fault.CheckLeaks(t)
 	p, _ := testPipeline(t)
 	addr := startOneServer(t, p, ingest.DefaultConfig())
 
@@ -540,6 +547,7 @@ func TestPushInterleavesWithResponses(t *testing.T) {
 // concurrently; afterwards the quiesced epoch vector must match the
 // servers' own epochs exactly.
 func TestPushRaceHammer(t *testing.T) {
+	fault.CheckLeaks(t)
 	p, _ := testPipeline(t)
 	servers, clients := startCountedShardServers(t, p, 2, ingest.Config{SealThreshold: 16, CompactFanIn: 3})
 	backends := make([]shard.Backend, len(clients))

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/expertise"
+	"repro/internal/fault"
 	"repro/internal/ingest"
 	"repro/internal/microblog"
 	"repro/internal/shard"
@@ -98,6 +99,7 @@ func startShardServers(t testing.TB, p *core.Pipeline, n int, icfg ingest.Config
 // shard's compactor running. Afterwards the quiesced cluster must match
 // a cold detector rebuilt from content paged back over the wire.
 func TestConcurrentRemoteIngestSearch(t *testing.T) {
+	fault.CheckLeaks(t)
 	p, _ := testPipeline(t)
 	const n = 2
 	clients := startShardServers(t, p, n, ingest.Config{SealThreshold: 16, CompactFanIn: 3})
@@ -187,6 +189,7 @@ func TestConcurrentRemoteIngestSearch(t *testing.T) {
 // client handshaken against the wrong shard index, partition count or
 // base slice must fail before any query does.
 func TestHandshakeRejectsMisdeployment(t *testing.T) {
+	fault.CheckLeaks(t)
 	p, _ := testPipeline(t)
 	clients := startShardServers(t, p, 2, ingest.DefaultConfig())
 	part0 := shard.Partition(p.Corpus, 0, 2)
@@ -212,6 +215,7 @@ func TestHandshakeRejectsMisdeployment(t *testing.T) {
 // rest on: a sequence of queries on one client reuses one connection
 // instead of dialing per request.
 func TestConnectionReuse(t *testing.T) {
+	fault.CheckLeaks(t)
 	p, _ := testPipeline(t)
 	clients := startShardServers(t, p, 1, ingest.DefaultConfig())
 	c := clients[0]

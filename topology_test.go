@@ -283,7 +283,8 @@ type deployment struct {
 	// start, the migration starts midway, and the checks run against
 	// the destination.
 	reshardTo *shard.Cluster
-	// midway runs once mid-load (see runMixedLoad).
+	// midway runs once mid-load (see runMixedLoad); on a reshard row it
+	// runs off the writer's goroutine, just before the migration starts.
 	midway func()
 	// workers is the detector's MatchWorkers; zero means 1.
 	workers int
@@ -341,7 +342,8 @@ func TestTopologyMatrix(t *testing.T) {
 		{"reshard-4to2", resharding(4, 2)},
 		{"reshard-2to4-spill", func(t *testing.T) deployment {
 			src := wire(t, local(2), true)
-			return deployment{rig: src, reshardTo: wire(t, local(4), false).cluster, checks: []check{spilled(src)}}
+			return deployment{rig: src, reshardTo: wire(t, local(4), false).cluster,
+				midway: func() { awaitSpill(src) }, checks: []check{spilled(src)}}
 		}},
 		{"gateway-N2", func(t *testing.T) deployment {
 			return deployment{rig: wire(t, local(2), false), checks: []check{answeredOverHTTP}}
@@ -373,7 +375,15 @@ func TestTopologyMatrix(t *testing.T) {
 				}
 				det.AttachMigration(mig)
 				w = mig
-				d.midway = func() { go func() { migrated <- migrate(mig, det, pool) }() }
+				before := d.midway
+				d.midway = func() {
+					go func() {
+						if before != nil {
+							before()
+						}
+						migrated <- migrate(mig, det, pool)
+					}()
+				}
 			}
 
 			posts := runMixedLoad(p, srv, w, pool, matrixLoad, d.midway)
@@ -427,6 +437,22 @@ func spilling(layout [][]bool) func(t *testing.T) deployment {
 	return func(t *testing.T) deployment {
 		r := wire(t, layout, true)
 		return deployment{rig: r, checks: []check{spilled(r)}}
+	}
+}
+
+// awaitSpill waits until every member of a spilling rig holds a disk
+// segment, so a migration started after it drains the disk tier
+// whatever the writers' pace was. Writes keep landing meanwhile; after
+// ten seconds it gives up and leaves the verdict to spilled.
+func awaitSpill(r *rig) {
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		done := true
+		for _, idx := range r.indexes {
+			done = done && idx.Stats().DiskSegments > 0
+		}
+		if done {
+			return
+		}
 	}
 }
 
