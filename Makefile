@@ -22,7 +22,7 @@ race:
 # (compactor, push loops, servers flushing after they answer) or hammer
 # state shared across requests (serve's once-encoded cache entries, the
 # gateway's pooled scratch, the ranker's pooled columns, the disk tier's
-# recycled block-cache slots), plus the root
+# block cache, whose index-linked slots are recycled in place), plus the root
 # package, whose topology matrix is the concurrent mixed-load hammer,
 # run repeatedly and uncached, then again under the race detector. A
 # test that passes once and fails one run in five fails here.
@@ -70,7 +70,7 @@ bench:
 	$(GO) test -bench '$(BENCH)' -benchmem -run '^$$' .
 
 bench-ingest:
-	$(GO) test -bench 'Ingest|LiveSearch|^BenchmarkCompactMerge$$' -benchmem -run '^$$' ./internal/ingest
+	$(GO) test -bench 'Ingest|LiveSearch' -benchmem -run '^$$' ./internal/ingest
 
 bench-shard:
 	$(GO) test -bench 'Sharded|EpochVector|Reshard' -benchmem -run '^$$' ./internal/shard
@@ -85,8 +85,9 @@ bench-gateway:
 	$(GO) test -bench 'Gateway' -benchmem -run '^$$' ./internal/gateway
 
 # Disk-tier benchmarks: spilled-index search latency (hot and
-# cache-disabled) against the in-heap LiveSearch rows, plus the
-# per-segment spill rewrite and the diskseg micro-benches.
+# cache-disabled) against the in-memory LiveSearch rows, the compaction
+# merge, and the diskseg micro-benches — among them the seal's encode
+# and what opening a segment costs by its size (DiskSegOpen).
 bench-disk:
 	$(GO) test -bench 'Disk' -benchmem -run '^$$' ./internal/ingest ./internal/diskseg
 
@@ -105,10 +106,10 @@ loc:
 # frame sequences against a real shard never panic it and get OpError or
 # a decodable answer of their own op; and over the admission fast paths
 # (FuzzNormalize): Normalize and TokenizeAppend must agree with
-# lower-case + Fields + Join on any string; and over the disk-segment
-# loader (FuzzOpen): a mutated segment image, resealed or not, is
-# refused at Open with a diskseg sentinel or every read of it succeeds
-# with strictly ascending posting lists; and over the front door
+# lower-case + Fields + Join on any string; and over the segment
+# loaders (FuzzOpen): a mutated segment image, resealed or not, is
+# refused by Open and Load alike with a diskseg sentinel or every read
+# of it succeeds with strictly ascending posting lists; and over the front door
 # (FuzzHandler): a fuzzed search body, budget and watch interval never
 # panic the gateway and get a documented status, and the hand-assembled
 # answer stays byte-identical to json.Encoder (FuzzAnswerBytes). Raise

@@ -34,10 +34,11 @@
 // the ranking over the wire must be bit-identical to a cold
 // single-process rebuild.
 //
-// -seal and -fanin tune the streaming index; -data-dir turns on the
-// disk tier (sealed segments of at least -spill posts are rewritten to
-// compressed, mmap-backed files under <data-dir>/shard-<i>, which is
-// emptied at start — there is no restart path yet); -admin serves
+// -seal tunes the streaming index (compaction merges compactFanIn
+// segments at a time); -data-dir turns on the disk tier (sealed
+// segments of at least -spill posts are written to mmap-backed files
+// under <data-dir>/shard-<i>, which is emptied at start — there is no
+// restart path yet; without it every sealed segment stays in memory); -admin serves
 // /metrics, /healthz, /stats and /debug/pprof/ on a second address.
 // SIGINT/SIGTERM stop accepting, let in-flight conversations and push
 // subscribers drain within -grace, and exit 0.
@@ -68,6 +69,10 @@ import (
 	"repro/internal/transport"
 )
 
+// compactFanIn is how many adjacent sealed segments of one size tier a
+// compaction merges. It is a constant: no deployment sets another.
+const compactFanIn = 4
+
 func main() {
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
@@ -90,8 +95,7 @@ func run(args []string, out io.Writer, sigs <-chan os.Signal, started chan<- *tr
 	shardIdx := fs.Int("shard", 0, "index of the partition this process owns")
 	numShards := fs.Int("of", 1, "total number of partitions in the deployment")
 	seal := fs.Int("seal", 128, "active-segment seal threshold")
-	fanIn := fs.Int("fanin", 4, "compaction fan-in")
-	dataDir := fs.String("data-dir", "", "directory for the disk tier: sealed segments past -spill posts are rewritten to compressed mmap-backed files under <data-dir>/shard-<i>; empty keeps every segment in heap")
+	dataDir := fs.String("data-dir", "", "directory for the disk tier: sealed segments past -spill posts are written to mmap-backed files under <data-dir>/shard-<i>; empty keeps every segment in memory")
 	spill := fs.Int("spill", 0, "minimum segment size (posts) the disk tier accepts; 0 means 4x -seal (only meaningful with -data-dir)")
 	admin := fs.String("admin", "", "optional host:port for the admin HTTP plane (/metrics, /healthz, /stats, /debug/pprof/)")
 	grace := fs.Duration("grace", 5*time.Second, "in-flight drain budget on SIGINT/SIGTERM before connections are force-closed")
@@ -118,7 +122,7 @@ func run(args []string, out io.Writer, sigs <-chan os.Signal, started chan<- *tr
 	// Each shard owns its own <data-dir>/shard-<i>: the index removes
 	// stale segment files at startup, and replicas of the same shard on
 	// one machine must still point at distinct -data-dirs.
-	icfg := ingest.Config{SealThreshold: *seal, CompactFanIn: *fanIn, SpillDir: *dataDir, SpillThreshold: *spill, Obs: reg}
+	icfg := ingest.Config{SealThreshold: *seal, CompactFanIn: compactFanIn, SpillDir: *dataDir, SpillThreshold: *spill, Obs: reg}
 	idx := ingest.New(part, shard.ShardConfig(icfg, *shardIdx))
 	defer idx.Close()
 
@@ -141,7 +145,7 @@ func run(args []string, out io.Writer, sigs <-chan os.Signal, started chan<- *tr
 		fmt.Fprintf(out, "shardd: admin plane on http://%s (/metrics /healthz /stats /debug/pprof/)\n", adm.Addr())
 	}
 	fmt.Fprintf(out, "shardd: shard %d/%d on %s — %d base tweets (%d total in world), seal %d, fan-in %d\n",
-		*shardIdx, *numShards, srv.Addr(), part.NumTweets(), pipeline.Corpus.NumTweets(), *seal, *fanIn)
+		*shardIdx, *numShards, srv.Addr(), part.NumTweets(), pipeline.Corpus.NumTweets(), *seal, compactFanIn)
 	if started != nil {
 		started <- srv
 	}

@@ -218,6 +218,10 @@ func TestRunRejectsBadPartition(t *testing.T) {
 	if err := run([]string{"-of", "0"}, &out, nil, nil); err == nil {
 		t.Fatal("zero partitions accepted")
 	}
+	// The compaction fan-in is a constant, not a flag.
+	if err := run([]string{"-fanin", "4"}, &out, nil, nil); err == nil {
+		t.Fatal("-fanin accepted")
+	}
 }
 
 // TestRunDrainsOnSignal pins the graceful-shutdown bugfix: a SIGTERM

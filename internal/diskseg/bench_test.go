@@ -1,6 +1,7 @@
 package diskseg_test
 
 import (
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -16,7 +17,7 @@ func benchSegment(b *testing.B, cache int) (*microblog.Corpus, *diskseg.Segment)
 	w := world.Build(world.TinyConfig())
 	c := microblog.Generate(w, microblog.TinyGenConfig())
 	path := filepath.Join(b.TempDir(), "seg.esg")
-	if err := diskseg.Write(path, c); err != nil {
+	if err := writeImage(path, c); err != nil {
 		b.Fatal(err)
 	}
 	s, err := diskseg.Open(path, diskseg.Options{BlockCache: cache})
@@ -99,7 +100,7 @@ func BenchmarkDiskSegWrite(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		path := filepath.Join(dir, "seg.esg")
-		if err := diskseg.Write(path, c); err != nil {
+		if err := writeImage(path, c); err != nil {
 			b.Fatal(err)
 		}
 		s, err := diskseg.Open(path, diskseg.Options{})
@@ -109,4 +110,58 @@ func BenchmarkDiskSegWrite(b *testing.B) {
 		s.Release()
 	}
 	b.ReportMetric(float64(c.NumTweets()), "tweets")
+}
+
+// segmentImage encodes n posts of the stream as one segment image.
+func segmentImage(b *testing.B, w *world.World, n int) []byte {
+	b.Helper()
+	stream := microblog.NewPostStream(w, microblog.DefaultStreamConfig(uint64(n)))
+	posts := make([]microblog.Post, n)
+	for i := range posts {
+		posts[i] = stream.Next()
+	}
+	img, err := diskseg.Encode(microblog.BuildCorpus(w, posts))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return img
+}
+
+// BenchmarkDiskSegEncode measures a seal's encode: one 128-post corpus
+// rendered into its image, assembled in one exactly sized buffer.
+func BenchmarkDiskSegEncode(b *testing.B) {
+	w := world.Build(world.TinyConfig())
+	stream := microblog.NewPostStream(w, microblog.DefaultStreamConfig(128))
+	posts := make([]microblog.Post, 128)
+	for i := range posts {
+		posts[i] = stream.Next()
+	}
+	c := microblog.BuildCorpus(w, posts)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := diskseg.Encode(c); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDiskSegOpen measures what opening a segment costs by its
+// size — every seal and every compaction loads one: the whole-image
+// validation, and allocations that do not grow with the dictionary.
+func BenchmarkDiskSegOpen(b *testing.B) {
+	w := world.Build(world.TinyConfig())
+	for _, n := range []int{128, 512, 2048} {
+		img := segmentImage(b, w, n)
+		b.Run(fmt.Sprintf("posts=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, err := diskseg.Load(img, diskseg.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				s.Release()
+			}
+		})
+	}
 }

@@ -1,35 +1,39 @@
-// Package diskseg is the disk tier of the streaming index: a compact
-// on-disk format for sealed (immutable) segments, written at spill or
-// compaction time, served through a read-only memory map. The read
+// Package diskseg is the sealed-segment representation of the
+// streaming index: a compact format every sealed (immutable) segment is
+// encoded in at seal time (Encode) and re-encoded in at compaction time
+// (EncodeMerged), served from an in-memory image (Load) or, once
+// spilled to a file, through a read-only memory map (Open). The read
 // path is MatchAppend-shaped — the same contract as
-// microblog.Corpus.MatchAppend — so a cold segment plugs into the live
+// microblog.Corpus.MatchAppend — so a segment plugs into the live
 // snapshot's per-segment matching loop unchanged: posting blocks are
-// delta-varint decoded straight off the map into scratch buffers and
+// delta-varint decoded straight off the image into scratch buffers and
 // fed to the existing galloping microblog.IntersectInto; per-user
 // feature denominators and the per-tweet ranking features (author,
 // retweets, hashtag bit, mentions) are fixed-width rows read in place
 // with no decode at all, so candidate extraction never decodes a tweet
 // record and costs nothing per matched post beyond the loads. A small
-// LRU of hot decoded blocks keeps frequently queried terms at in-heap
-// latency while the long tail of the corpus costs only page cache; it
-// holds posting blocks only. Paging the log (resharding handoff,
-// OpTweets) reads the tweet records through Scan, one sequential
-// decode past the cache.
+// LRU of hot decoded blocks keeps a mapped segment's frequently queried
+// terms off the decoder while the long tail of the corpus costs only
+// page cache; it holds posting blocks only. Paging the log (resharding
+// handoff, OpTweets) reads the tweet records through Scan, one
+// sequential decode past the cache.
 //
 // Lifecycle. Segments are refcounted: the opener holds one reference,
-// every published ingest snapshot that includes the segment takes
+// every published ingest snapshot that includes a mapped segment takes
 // another (Retain), and the map is torn down — and the file optionally
-// removed — only when the last reference is released. That is the
+// removed — only when the last reference is released. An in-memory
+// segment is plain garbage once unreachable. That is the
 // pin-against-unmap-under-reader rule: a query running against an old
 // snapshot keeps its segments mapped no matter how many compactions
 // have since rewritten the layout. See ARCHITECTURE.md, storage tier.
 package diskseg
 
 import (
-	"container/list"
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,19 +63,18 @@ type Options struct {
 	Obs *obs.Registry
 }
 
-// termMeta is one dictionary entry: the posting count and the block
-// directory, decoded into heap at open time (the dictionary is tiny
-// next to the postings it describes).
+// termMeta is one dictionary entry: the posting count and the term's
+// run [lo, hi) of the segment's block directory, decoded into heap at
+// open time (the dictionary is tiny next to the postings it describes).
 type termMeta struct {
-	count  int
-	blocks []blockRef
+	count, lo, hi int32
 }
 
-// blockRef locates one posting block in the map.
+// blockRef locates one posting block in the image.
 type blockRef struct {
-	off  int // absolute offset into the mapped file
-	blen int // encoded byte length
-	n    int // ids in the block
+	off  int   // absolute offset into the image
+	blen int32 // encoded byte length
+	n    int32 // ids in the block
 }
 
 // span locates one tweet block in the map.
@@ -91,8 +94,12 @@ type Segment struct {
 	featOff   int // feature rows
 	poolOff   int // mention pool, right after the rows
 
-	terms       map[string]*termMeta
-	termList    []string // dictionary order; tweet records reference it
+	// The dictionary in order, and an open-addressing hash index over
+	// it: a slot holds a term's position, -1 when empty (see lookup).
+	termList    []string
+	metas       []termMeta
+	blocks      []blockRef
+	index       []int32
 	tweetBlocks []span
 
 	cache *blockCache
@@ -124,6 +131,18 @@ func Open(path string, opts Options) (*Segment, error) {
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("diskseg: open %s: %w", path, err)
+	}
+	return s, nil
+}
+
+// Load opens an encoded image held in memory (Encode, EncodeMerged) —
+// a sealed segment that is not spilled. It validates exactly as Open
+// does, through the same parse; opts.IO is not used. The segment reads
+// img in place, so img must not be written again.
+func Load(img []byte, opts Options) (*Segment, error) {
+	s, err := open("", memFile(img), opts)
+	if err != nil {
+		return nil, fmt.Errorf("diskseg: load: %w", err)
 	}
 	return s, nil
 }
@@ -186,16 +205,31 @@ func open(path string, f File, opts Options) (*Segment, error) {
 // them unchecked: terms strictly ascending, each block exactly its n
 // ids in exactly its blen bytes, starting at its directory id, and each
 // term's list strictly ascending below numTweets across its blocks.
+//
+// It allocates O(1) times, not per term: the section is one string the
+// terms are substrings of; entries, blocks and index are one array
+// each (a term has at most one short block, so postings.n bounds the
+// rest).
 func (s *Segment) parseDict(dict, postings section, numTerms int) error {
 	buf := s.data[dict.off : dict.off+dict.n]
 	if numTerms > dict.n/2 { // a term takes at least a length and a count byte
 		return fmt.Errorf("%d terms in a %d-byte dictionary: %w", numTerms, dict.n, ErrCorrupt)
 	}
-	s.terms = make(map[string]*termMeta, numTerms)
+	names := string(buf)
 	s.termList = make([]string, 0, numTerms)
+	s.metas = make([]termMeta, numTerms)
+	s.blocks = make([]blockRef, 0, numTerms+postings.n/microblog.PostingsBlockLen)
+	size := 2
+	for size < 2*numTerms {
+		size *= 2
+	}
+	s.index = make([]int32, size)
+	for k := range s.index {
+		s.index[k] = -1
+	}
 	next := postings.off
 	end := postings.off + postings.n
-	var scratch []microblog.TweetID
+	scratch := make([]microblog.TweetID, 0, microblog.PostingsBlockLen)
 	for i := 0; i < numTerms; i++ {
 		tlen, err := takeUvarint(&buf)
 		if err != nil {
@@ -204,7 +238,8 @@ func (s *Segment) parseDict(dict, postings section, numTerms int) error {
 		if tlen > uint64(len(buf)) {
 			return fmt.Errorf("dict term %d: name %d bytes past section: %w", i, tlen, ErrCorrupt)
 		}
-		tok := string(buf[:tlen])
+		at := dict.n - len(buf)
+		tok := names[at : at+int(tlen)]
 		buf = buf[tlen:]
 		if i > 0 && tok <= s.termList[i-1] {
 			return fmt.Errorf("dict term %d %q not after %q: %w", i, tok, s.termList[i-1], ErrCorrupt)
@@ -216,10 +251,11 @@ func (s *Segment) parseDict(dict, postings section, numTerms int) error {
 		if count > uint64(s.numTweets) {
 			return fmt.Errorf("dict term %q: %d postings for %d tweets: %w", tok, count, s.numTweets, ErrCorrupt)
 		}
-		m := &termMeta{count: int(count)}
+		m := &s.metas[i]
+		m.count, m.lo = int32(count), int32(len(s.blocks))
 		last := microblog.TweetID(-1)
-		for got := 0; got < m.count; got += microblog.PostingsBlockLen {
-			n := m.count - got
+		for got := 0; got < int(m.count); got += microblog.PostingsBlockLen {
+			n := int(m.count) - got
 			if n > microblog.PostingsBlockLen {
 				n = microblog.PostingsBlockLen
 			}
@@ -236,29 +272,53 @@ func (s *Segment) parseDict(dict, postings section, numTerms int) error {
 			}
 			ids, rest, err := microblog.DecodePostingsBlock(scratch[:0], s.data[next:next+int(blen)], n)
 			scratch = ids
+			b := len(s.blocks) - int(m.lo)
 			switch {
 			case err != nil:
-				return fmt.Errorf("dict term %q block %d: %v: %w", tok, len(m.blocks), err, ErrCorrupt)
+				return fmt.Errorf("dict term %q block %d: %v: %w", tok, b, err, ErrCorrupt)
 			case len(rest) != 0:
-				return fmt.Errorf("dict term %q block %d: %d trailing bytes: %w", tok, len(m.blocks), len(rest), ErrCorrupt)
+				return fmt.Errorf("dict term %q block %d: %d trailing bytes: %w", tok, b, len(rest), ErrCorrupt)
 			case uint64(ids[0]) != first:
-				return fmt.Errorf("dict term %q block %d: starts at %d, directory says %d: %w", tok, len(m.blocks), ids[0], first, ErrCorrupt)
+				return fmt.Errorf("dict term %q block %d: starts at %d, directory says %d: %w", tok, b, ids[0], first, ErrCorrupt)
 			case ids[0] <= last:
-				return fmt.Errorf("dict term %q block %d: starts at %d after %d: %w", tok, len(m.blocks), ids[0], last, ErrCorrupt)
+				return fmt.Errorf("dict term %q block %d: starts at %d after %d: %w", tok, b, ids[0], last, ErrCorrupt)
 			case int(ids[n-1]) >= s.numTweets:
-				return fmt.Errorf("dict term %q block %d: id %d of %d tweets: %w", tok, len(m.blocks), ids[n-1], s.numTweets, ErrCorrupt)
+				return fmt.Errorf("dict term %q block %d: id %d of %d tweets: %w", tok, b, ids[n-1], s.numTweets, ErrCorrupt)
 			}
 			last = ids[n-1]
-			m.blocks = append(m.blocks, blockRef{off: next, blen: int(blen), n: n})
+			s.blocks = append(s.blocks, blockRef{off: next, blen: int32(blen), n: int32(n)})
 			next += int(blen)
 		}
-		s.terms[tok] = m
+		m.hi = int32(len(s.blocks))
+		mask := uint64(len(s.index) - 1)
+		k := maphash.String(hashSeed, tok) & mask
+		for s.index[k] >= 0 {
+			k = (k + 1) & mask
+		}
+		s.index[k] = int32(i)
 		s.termList = append(s.termList, tok)
 	}
 	if next != end {
 		return fmt.Errorf("postings section has %d trailing bytes: %w", end-next, ErrCorrupt)
 	}
 	return nil
+}
+
+// hashSeed seeds every segment's term index.
+var hashSeed = maphash.MakeSeed()
+
+// lookup returns the dictionary entry of tok, nil when the segment
+// does not hold it: a linear probe of the hash index from tok's hash.
+func (s *Segment) lookup(tok string) *termMeta {
+	mask := uint64(len(s.index) - 1)
+	for k := maphash.String(hashSeed, tok) & mask; ; k = (k + 1) & mask {
+		switch j := s.index[k]; {
+		case j < 0:
+			return nil
+		case s.termList[j] == tok:
+			return &s.metas[j]
+		}
+	}
 }
 
 // parseTweetDir turns the fixed-width block-length table into absolute
@@ -316,60 +376,29 @@ func (s *Segment) checkFeatures(sec section) error {
 }
 
 // checkTweets walks every tweet record once, decoding nothing, so
-// Scan can read the blocks unchecked: per record a topic, a
-// term count, that many term ids inside the dictionary and a text
-// length inside the block, and no bytes after a block's last record.
+// Scan and a merge can read the blocks unchecked: per record a topic
+// and a text length inside the block, and no bytes after a block's
+// last record. It calls binary.Uvarint directly, which inlines where
+// takeUvarint does not: this walk runs over every post opened.
 func (s *Segment) checkTweets() error {
 	for b, sp := range s.tweetBlocks {
 		buf := s.data[sp.off : sp.off+sp.blen]
-		n := min(s.numTweets-b*TweetBlockLen, TweetBlockLen)
-		for i := 0; i < n; i++ {
-			var err error
-			if buf, err = skipRecord(buf, uint64(len(s.termList))); err != nil {
-				return fmt.Errorf("tweet block %d record %d: %w", b, i, err)
+		for i := min(s.numTweets-b*TweetBlockLen, TweetBlockLen); i > 0; i-- {
+			_, n := binary.Uvarint(buf) // topic
+			if n <= 0 {
+				return fmt.Errorf("tweet block %d: %w", b, errMidVarint)
 			}
+			tlen, m := binary.Uvarint(buf[n:])
+			if m <= 0 || tlen > uint64(len(buf)-n-m) {
+				return fmt.Errorf("tweet block %d: text past the block: %w", b, ErrCorrupt)
+			}
+			buf = buf[n+m+int(tlen):]
 		}
 		if len(buf) != 0 {
 			return fmt.Errorf("tweet block %d has %d trailing bytes: %w", b, len(buf), ErrCorrupt)
 		}
 	}
 	return nil
-}
-
-// skipRecord walks one tweet record off the front of buf and returns
-// the bytes after it. It calls binary.Uvarint directly, which inlines
-// where takeUvarint does not: this walk runs over every post of every
-// segment opened.
-func skipRecord(buf []byte, numTerms uint64) ([]byte, error) {
-	_, n := binary.Uvarint(buf) // topic
-	if n <= 0 {
-		return nil, errMidVarint
-	}
-	buf = buf[n:]
-	nt, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return nil, errMidVarint
-	}
-	buf = buf[n:]
-	for ; nt > 0; nt-- {
-		t, n := binary.Uvarint(buf)
-		if n <= 0 {
-			return nil, errMidVarint
-		}
-		if t >= numTerms {
-			return nil, fmt.Errorf("term %d of %d: %w", t, numTerms, ErrCorrupt)
-		}
-		buf = buf[n:]
-	}
-	tlen, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return nil, errMidVarint
-	}
-	buf = buf[n:]
-	if tlen > uint64(len(buf)) {
-		return nil, fmt.Errorf("text %d bytes past block: %w", tlen, ErrCorrupt)
-	}
-	return buf[tlen:], nil
 }
 
 var errMidVarint = fmt.Errorf("section ends mid-varint: %w", ErrCorrupt)
@@ -412,7 +441,7 @@ func (s *Segment) NumRetweetsOf(u world.UserID) int {
 	if int(u) >= s.numUsers || u < 0 {
 		return 0
 	}
-	return int(binary.LittleEndian.Uint32(s.data[s.statsOff+4*(2*s.numUsers+int(u)):]))
+	return int(binary.LittleEndian.Uint64(s.data[s.statsOff+8*(s.numUsers+int(u)):]))
 }
 
 // Features reads the ranking features of the post with the given
@@ -459,8 +488,8 @@ var matchPool = sync.Pool{New: func() any { return &matchScratch{} }}
 // lists are materialized block by block — hot blocks from the LRU,
 // cold ones decoded straight off the map — then intersected
 // rarest-first through the galloping microblog.IntersectInto, exactly
-// as the in-heap path does, which is what makes a spilled segment
-// bit-identical to the corpus it was written from.
+// as the in-heap corpus does, which is what makes a segment
+// bit-identical to the corpus it was encoded from.
 func (s *Segment) MatchAppend(query string, buf []microblog.TweetID) []microblog.TweetID {
 	return s.MatchTokensAppend(textutil.Tokenize(query), buf)
 }
@@ -472,7 +501,7 @@ func (s *Segment) MatchTokensAppend(tokens []string, buf []microblog.TweetID) []
 		return buf[:0]
 	}
 	if len(tokens) == 1 {
-		m := s.terms[tokens[0]]
+		m := s.lookup(tokens[0])
 		if m == nil {
 			return buf[:0]
 		}
@@ -482,7 +511,7 @@ func (s *Segment) MatchTokensAppend(tokens []string, buf []microblog.TweetID) []
 	defer matchPool.Put(sc)
 	metas := sc.metas[:0]
 	for _, tok := range tokens {
-		m := s.terms[tok]
+		m := s.lookup(tok)
 		if m == nil {
 			return buf[:0]
 		}
@@ -496,14 +525,38 @@ func (s *Segment) MatchTokensAppend(tokens []string, buf []microblog.TweetID) []
 	}
 	sc.metas = metas
 	sc.a = s.termAppend(metas[0], sc.a[:0])
-	sc.b = s.termAppend(metas[1], sc.b[:0])
+	sc.b = s.termAppendNear(metas[1], sc.a, sc.b[:0])
 	buf = microblog.IntersectInto(buf, sc.a, sc.b)
 	for _, m := range metas[2:] {
 		if len(buf) == 0 {
 			return buf
 		}
-		sc.a = s.termAppend(m, sc.a[:0])
+		sc.a = s.termAppendNear(m, buf, sc.a[:0])
 		buf = microblog.IntersectInto(buf, buf, sc.a)
+	}
+	return buf
+}
+
+// termAppendNear materializes only the blocks of one term's posting
+// list that can hold one of the ascending ids in near: intersected with
+// near, the blocks it skips could add nothing. A block's first id is
+// its first varint, so the skip decodes nothing else.
+func (s *Segment) termAppendNear(m *termMeta, near, buf []microblog.TweetID) []microblog.TweetID {
+	j := 0
+	for b := m.lo; b < m.hi && j < len(near); b++ {
+		first, _ := binary.Uvarint(s.data[s.blocks[b].off:])
+		for j < len(near) && uint64(near[j]) < first {
+			j++
+		}
+		if j == len(near) {
+			break
+		}
+		if b+1 < m.hi {
+			if next, _ := binary.Uvarint(s.data[s.blocks[b+1].off:]); uint64(near[j]) >= next {
+				continue
+			}
+		}
+		buf = s.appendBlock(buf, &s.blocks[b])
 	}
 	return buf
 }
@@ -511,7 +564,7 @@ func (s *Segment) MatchTokensAppend(tokens []string, buf []microblog.TweetID) []
 // Postings appends the full decoded posting list of one token to buf —
 // the single-term fast path and the test surface of the block decoder.
 func (s *Segment) Postings(token string, buf []microblog.TweetID) []microblog.TweetID {
-	m := s.terms[token]
+	m := s.lookup(token)
 	if m == nil {
 		return buf[:0]
 	}
@@ -520,8 +573,8 @@ func (s *Segment) Postings(token string, buf []microblog.TweetID) []microblog.Tw
 
 // termAppend materializes one term's posting list, block by block.
 func (s *Segment) termAppend(m *termMeta, buf []microblog.TweetID) []microblog.TweetID {
-	for i := range m.blocks {
-		buf = s.appendBlock(buf, &m.blocks[i])
+	for i := m.lo; i < m.hi; i++ {
+		buf = s.appendBlock(buf, &s.blocks[i])
 	}
 	return buf
 }
@@ -551,54 +604,40 @@ func (s *Segment) appendBlock(dst []microblog.TweetID, ref *blockRef) []microblo
 }
 
 // decodePostings appends one posting block to dst, decoded off the map.
+// Open decoded every block with microblog.DecodePostingsBlock's checks,
+// so this decode skips them: it only sums the deltas.
 func (s *Segment) decodePostings(dst []microblog.TweetID, ref *blockRef) []microblog.TweetID {
-	dst, _, err := microblog.DecodePostingsBlock(dst, s.data[ref.off:ref.off+ref.blen], ref.n)
-	if err != nil {
-		// The section checksum verified at Open covers these bytes; a
-		// decode failure here means memory corruption, not input.
-		panic(fmt.Sprintf("diskseg: checksummed posting block undecodable: %v", err))
-	}
-	return dst
-}
-
-// NumTerms returns the dictionary size. With Terms and AppendPostings
-// (and Tweets) it makes the segment a microblog.Part, a compaction
-// input merged without re-indexing.
-func (s *Segment) NumTerms() int { return len(s.termList) }
-
-// Terms calls yield with every dictionary term and its posting count,
-// in dictionary order, from the directory decoded at Open — no block is
-// touched.
-func (s *Segment) Terms(yield func(term string, postings int)) {
-	for _, term := range s.termList {
-		yield(term, s.terms[term].count)
-	}
-}
-
-// AppendPostings appends the term's whole posting list to dst, decoded
-// straight off the map. Like Scan it bypasses the hot cache: a
-// background merge reads every block exactly once and must not evict
-// the query path's working set.
-func (s *Segment) AppendPostings(dst []microblog.TweetID, term string) []microblog.TweetID {
-	m := s.terms[term]
-	if m == nil {
-		return dst
-	}
-	for i := range m.blocks {
-		dst = s.decodePostings(dst, &m.blocks[i])
+	data := s.data[ref.off : ref.off+int(ref.blen)]
+	at := len(dst)
+	dst = slices.Grow(dst, int(ref.n))[:at+int(ref.n)]
+	out := dst[at:]
+	v, k := binary.Uvarint(data) // the first id travels absolute
+	id := microblog.TweetID(v)
+	out[0] = id
+	for i := 1; i < len(out); i++ {
+		data = data[k:]
+		if d := data[0]; d < 0x80 { // most deltas fit one byte
+			id += microblog.TweetID(d)
+			k = 1
+		} else {
+			v, k = binary.Uvarint(data)
+			id += microblog.TweetID(v)
+		}
+		out[i] = id
 	}
 	return dst
 }
 
 // Scan calls fn with every post of segment-local ids [lo, hi), in id
-// order — the log-paging read (resharding handoff, OpTweets) and the
-// heap merge's input (Tweets); ranking reads Features instead. It
-// decodes each tweet block once, sequentially, straight off the map and
-// past the hot cache, so paging the whole log neither evicts the query
-// path's posting blocks nor leaves decoded posts in heap. The *Tweet is
-// scratch, overwritten by the next post; its Text, Terms and Mentions
-// are freshly owned and may be kept. Terms share the dictionary's
-// strings; nothing is re-tokenized. The range is clipped to the segment.
+// order — the log-paging read (resharding handoff, OpTweets); ranking
+// reads Features instead. It decodes each tweet block once,
+// sequentially, straight off the image and past the hot cache, so
+// paging the whole log neither evicts the query path's posting blocks
+// nor leaves decoded posts in heap. The *Tweet is scratch, overwritten
+// by the next post; its Text, Terms and Mentions are freshly owned and
+// may be kept. Terms are textutil.Tokenize of the text, exactly what
+// microblog.MakeTweet rendered when the post arrived (see the format's
+// tweets section). The range is clipped to the segment.
 func (s *Segment) Scan(lo, hi int, fn func(*microblog.Tweet)) {
 	lo, hi = max(lo, 0), min(hi, s.numTweets)
 	var tw microblog.Tweet
@@ -607,22 +646,16 @@ func (s *Segment) Scan(lo, hi int, fn func(*microblog.Tweet)) {
 		sp := s.tweetBlocks[b]
 		buf := s.data[sp.off : sp.off+sp.blen]
 		for i := b * TweetBlockLen; i < id; i++ {
-			buf, _ = skipRecord(buf, uint64(len(s.termList))) // checkTweets walked it at Open
+			buf = buf[recordLen(buf):]
 		}
 		for end := min(hi, (b+1)*TweetBlockLen); id < end; id++ {
 			tw.ID = microblog.TweetID(id)
 			var mentions []world.UserID // fresh per post: the caller may keep it
 			tw.Author, tw.RetweetCount, _, tw.Mentions = s.Features(tw.ID, false, &mentions)
 			tw.Topic = world.TopicID(blockUvarint(&buf)) - 1
-			tw.Terms = nil
-			if nt := int(blockUvarint(&buf)); nt > 0 {
-				tw.Terms = make([]string, nt)
-				for j := range tw.Terms {
-					tw.Terms[j] = s.termList[blockUvarint(&buf)]
-				}
-			}
 			tlen := int(blockUvarint(&buf))
 			tw.Text = string(buf[:tlen])
+			tw.Terms = textutil.Tokenize(tw.Text)
 			buf = buf[tlen:]
 			fn(&tw)
 		}
@@ -637,16 +670,6 @@ func blockUvarint(buf *[]byte) uint64 {
 	}
 	*buf = (*buf)[n:]
 	return v
-}
-
-// Tweets materializes every post of the segment in id order through
-// Scan — the in-heap compaction path (microblog.Merge), taken by a run
-// that is not wholly on disk; an all-disk run merges encoded
-// (WriteMerged).
-func (s *Segment) Tweets() []microblog.Tweet {
-	all := make([]microblog.Tweet, 0, s.numTweets)
-	s.Scan(0, s.numTweets, func(tw *microblog.Tweet) { all = append(all, *tw) })
-	return all
 }
 
 // Refs returns the current reference count (tests pin the lifecycle
@@ -667,6 +690,14 @@ func (s *Segment) Retain() {
 // reference goes away — the spill directory's garbage collection.
 func (s *Segment) RemoveOnRelease() { s.remove.Store(true) }
 
+// OnDisk reports whether the segment is backed by a file (Open) rather
+// than an in-memory image (Load).
+func (s *Segment) OnDisk() bool { return s.path != "" }
+
+// WriteFile stores the segment's image at path (see the package-level
+// WriteFile) — a spill: Open the file to serve the segment from it.
+func (s *Segment) WriteFile(path string) error { return WriteFile(path, s.data) }
+
 // Release drops one reference; the last release unmaps the file,
 // closes it, and removes it when RemoveOnRelease was armed.
 func (s *Segment) Release() {
@@ -683,28 +714,33 @@ func (s *Segment) Release() {
 	}
 }
 
-// cacheEntry is one slot of the hot-block cache: a decoded posting
-// block, copied in and out under the cache's lock, so a slot's ids
-// buffer is reused when the slot is recycled for another block.
-type cacheEntry struct {
-	key int
-	ids []microblog.TweetID
+// cacheSlot is one slot of the hot-block cache: which block it holds,
+// how many ids, and its neighbours in recency order.
+type cacheSlot struct {
+	key        int
+	n          int32
+	prev, next int32
 }
 
 // blockCache is a small mutex-guarded LRU over decoded posting blocks,
-// keyed by the block's file offset. Once full it allocates nothing: a
-// new block takes over the coldest slot.
+// keyed by the block's offset in the image. Slots are linked by index
+// in a circular list whose sentinel is slots[0] (next = most recent,
+// prev = coldest); slot i's ids sit at stride PostingsBlockLen in one
+// arena, which grows by doubling, so a fill costs O(log cap)
+// allocations and a full cache none: a new block takes the coldest
+// slot. Ids are copied in and out under the lock.
 type blockCache struct {
-	mu  sync.Mutex
-	cap int
-	m   map[int]*list.Element
-	ll  *list.List // front = most recently used
+	mu    sync.Mutex
+	cap   int
+	m     map[int]int32 // block offset → slot
+	slots []cacheSlot
+	ids   []microblog.TweetID
 
 	hits, misses *obs.Counter
 }
 
 func newBlockCache(capacity int, reg *obs.Registry) *blockCache {
-	c := &blockCache{cap: capacity, m: make(map[int]*list.Element, capacity), ll: list.New()}
+	c := &blockCache{cap: capacity, m: make(map[int]int32, capacity), slots: make([]cacheSlot, 1, capacity+1)}
 	if reg != nil {
 		c.hits = reg.Counter("disk_block_cache_hits")
 		c.misses = reg.Counter("disk_block_cache_misses")
@@ -716,10 +752,11 @@ func newBlockCache(capacity int, reg *obs.Registry) *blockCache {
 // promoting it; ok is false on a miss.
 func (c *blockCache) appendIDs(dst []microblog.TweetID, key int) ([]microblog.TweetID, bool) {
 	c.mu.Lock()
-	el, ok := c.m[key]
+	i, ok := c.m[key]
 	if ok {
-		c.ll.MoveToFront(el)
-		dst = append(dst, el.Value.(*cacheEntry).ids...)
+		c.toFront(i)
+		at := (int(i) - 1) * microblog.PostingsBlockLen
+		dst = append(dst, c.ids[at:at+int(c.slots[i].n)]...)
 	}
 	c.mu.Unlock()
 	c.count(ok)
@@ -735,27 +772,49 @@ func (c *blockCache) count(hit bool) {
 }
 
 // put caches a copy of a freshly decoded posting block under key. Below
-// cap it adds a slot; at cap it recycles the coldest one — list
-// element, entry and ids buffer.
+// cap it adds a slot; at cap it recycles the coldest one.
 func (c *blockCache) put(key int, ids []microblog.TweetID) {
 	c.mu.Lock()
-	if el, ok := c.m[key]; ok {
+	defer c.mu.Unlock()
+	if i, ok := c.m[key]; ok {
 		// A concurrent decode of the same block won; keep the winner.
-		c.ll.MoveToFront(el)
-		c.mu.Unlock()
+		c.toFront(i)
 		return
 	}
-	var el *list.Element
-	if c.ll.Len() < c.cap {
-		el = c.ll.PushFront(&cacheEntry{})
+	i := int32(len(c.slots))
+	if int(i) <= c.cap {
+		c.slots = append(c.slots, cacheSlot{})
+		c.ids = slices.Grow(c.ids, microblog.PostingsBlockLen)[:int(i)*microblog.PostingsBlockLen]
 	} else {
-		el = c.ll.Back()
-		delete(c.m, el.Value.(*cacheEntry).key)
-		c.ll.MoveToFront(el)
+		i = c.slots[0].prev
+		delete(c.m, c.slots[i].key)
+		c.unlink(i)
 	}
-	e := el.Value.(*cacheEntry)
-	e.key = key
-	e.ids = append(e.ids[:0], ids...)
-	c.m[key] = el
-	c.mu.Unlock()
+	c.slots[i].key, c.slots[i].n = key, int32(len(ids))
+	copy(c.ids[(int(i)-1)*microblog.PostingsBlockLen:], ids)
+	c.pushFront(i)
+	c.m[key] = i
+}
+
+// toFront makes slot i the most recently used.
+func (c *blockCache) toFront(i int32) {
+	if c.slots[0].next != i {
+		c.unlink(i)
+		c.pushFront(i)
+	}
+}
+
+// unlink takes slot i out of the recency list.
+func (c *blockCache) unlink(i int32) {
+	s := &c.slots[i]
+	c.slots[s.prev].next = s.next
+	c.slots[s.next].prev = s.prev
+}
+
+// pushFront links slot i in as the most recently used.
+func (c *blockCache) pushFront(i int32) {
+	head := c.slots[0].next
+	c.slots[i].prev, c.slots[i].next = 0, head
+	c.slots[head].prev = i
+	c.slots[0].next = i
 }

@@ -22,7 +22,7 @@ func writeCorpus(t testing.TB, opts diskseg.Options) (*microblog.Corpus, *diskse
 	w := world.Build(world.TinyConfig())
 	c := microblog.Generate(w, microblog.TinyGenConfig())
 	path := filepath.Join(t.TempDir(), "seg.esg")
-	if err := diskseg.Write(path, c); err != nil {
+	if err := writeImage(path, c); err != nil {
 		t.Fatal(err)
 	}
 	s, err := diskseg.Open(path, opts)
@@ -31,6 +31,22 @@ func writeCorpus(t testing.TB, opts diskseg.Options) (*microblog.Corpus, *diskse
 	}
 	t.Cleanup(s.Release)
 	return c, s
+}
+
+// writeImage encodes c and writes the image to path.
+func writeImage(path string, c *microblog.Corpus) error {
+	img, err := diskseg.Encode(c)
+	if err != nil {
+		return err
+	}
+	return diskseg.WriteFile(path, img)
+}
+
+// scanAll returns every post of the segment, in id order.
+func scanAll(s *diskseg.Segment) []microblog.Tweet {
+	all := make([]microblog.Tweet, 0, s.NumTweets())
+	s.Scan(0, s.NumTweets(), func(tw *microblog.Tweet) { all = append(all, *tw) })
+	return all
 }
 
 // vocabulary collects every distinct token of the corpus.
@@ -86,7 +102,10 @@ func TestRoundTripPostings(t *testing.T) {
 }
 
 // TestMatchAppendEquivalence checks the MatchAppend contract against
-// the corpus for single- and multi-token queries, including misses.
+// the corpus for single- and multi-token queries, including misses, and
+// for rare terms against a many-block one, on and next to its blocks'
+// edges: a match decodes only the blocks that can hold a rarer term's
+// ids, and must skip no other.
 func TestMatchAppendEquivalence(t *testing.T) {
 	c, s := writeCorpus(t, diskseg.Options{})
 	vocab := vocabulary(c)
@@ -100,6 +119,48 @@ func TestMatchAppendEquivalence(t *testing.T) {
 	for i := 0; i < c.NumTweets() && i < 60; i += 11 {
 		queries = append(queries, c.Tweet(microblog.TweetID(i)).Text)
 	}
+	// The most common term (many blocks) against rarer ones: the match
+	// decodes only the blocks that can hold a rarer term's ids.
+	common := vocab[0]
+	for _, tok := range vocab {
+		if len(c.Postings(tok)) > len(c.Postings(common)) {
+			common = tok
+		}
+	}
+	if len(c.Postings(common)) < 3*microblog.PostingsBlockLen {
+		t.Fatalf("the most common term %q spans fewer than 3 blocks", common)
+	}
+	for i := 0; i < len(vocab); i += 37 {
+		queries = append(queries, common+" "+vocab[i], vocab[i]+" "+common+" "+vocab[(i+1)%len(vocab)])
+	}
+	checkMatches(t, c, s, queries)
+
+	// Block edges: "all" is in every post, so its blocks hold runs of
+	// consecutive ids; each rarer term sits on a block's last or first
+	// id, or one past the end.
+	w := world.Build(world.TinyConfig())
+	posts := make([]microblog.Post, 3*microblog.PostingsBlockLen+5)
+	edges := map[int]string{0: "a", 127: "b", 128: "c", 255: "d", 256: "b", 383: "e", 386: "f"}
+	for i := range posts {
+		posts[i] = microblog.Post{Author: world.UserID(i % len(w.Users)), Text: "all " + edges[i], Topic: -1}
+	}
+	ec := microblog.BuildCorpus(w, posts)
+	img, err := diskseg.Encode(ec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	es, err := diskseg.Load(img, diskseg.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer es.Release()
+	checkMatches(t, ec, es, []string{"all a", "b all", "all c", "d all", "all e", "all f", "all b c", "all d e f"})
+}
+
+// checkMatches holds the segment's matches to the corpus's, twice per query
+// (the second pass runs on a warm cache).
+func checkMatches(t *testing.T, c *microblog.Corpus, s *diskseg.Segment, queries []string) {
+	t.Helper()
 	var got, want []microblog.TweetID
 	for _, q := range queries {
 		want = c.MatchAppend(q, want)
@@ -122,9 +183,9 @@ func TestMatchAppendEquivalence(t *testing.T) {
 // whole user universe.
 func TestRoundTripTweetsAndStats(t *testing.T) {
 	c, s := writeCorpus(t, diskseg.Options{BlockCache: 3})
-	all := s.Tweets()
+	all := scanAll(s)
 	if len(all) != c.NumTweets() {
-		t.Fatalf("Tweets() returned %d, want %d", len(all), c.NumTweets())
+		t.Fatalf("Scan yielded %d posts, want %d", len(all), c.NumTweets())
 	}
 	for i := range all {
 		want, got := c.Tweet(microblog.TweetID(i)), &all[i]
@@ -170,7 +231,7 @@ func TestFeaturesEquivalence(t *testing.T) {
 		c = c.ExtendedWith([]microblog.Post{{Author: 1, Text: "pads the last block short", Topic: -1}})
 	}
 	path := filepath.Join(t.TempDir(), "seg.esg")
-	if err := diskseg.Write(path, c); err != nil {
+	if err := writeImage(path, c); err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
@@ -350,11 +411,54 @@ func TestBlockCacheRecycleUnderReaders(t *testing.T) {
 // two-block cache nearly every block read misses, decodes into the
 // caller's buffer and recycles the coldest slot, so once the buffers
 // and slots are warm a sweep of single- and multi-token matches over
-// the whole vocabulary allocates nothing.
+// the whole vocabulary allocates nothing. Filling an empty 256-block
+// cache costs O(log 256) allocations — the ids arena grows by doubling
+// — not three per slot (element, entry and ids buffer, before the
+// slots were linked by index).
 func TestThrashingMatchAllocatesNothing(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool drops Puts under -race; the matcher's pooled scratch is rebuilt")
 	}
+	t.Run("fill", func(t *testing.T) {
+		w := world.Build(world.TinyConfig())
+		c := microblog.Generate(w, microblog.TinyGenConfig())
+		img, err := diskseg.Encode(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vocab := vocabulary(c)
+		blocks, longest := 0, 0
+		for _, tok := range vocab {
+			n := len(c.Postings(tok))
+			blocks += (n + microblog.PostingsBlockLen - 1) / microblog.PostingsBlockLen
+			longest = max(longest, n)
+		}
+		if blocks < 256 {
+			t.Fatalf("the corpus has %d posting blocks, want at least 256", blocks)
+		}
+		const runs = 5
+		segs := make([]*diskseg.Segment, runs+1) // AllocsPerRun warms up once
+		for i := range segs {
+			if segs[i], err = diskseg.Load(img, diskseg.Options{BlockCache: 256}); err != nil {
+				t.Fatal(err)
+			}
+			defer segs[i].Release()
+		}
+		buf := make([]microblog.TweetID, 0, longest)
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			s := segs[next]
+			next++
+			for _, tok := range vocab { // every block: 256 fills, then recycling
+				buf = s.Postings(tok, buf)
+			}
+		})
+		t.Logf("filling a 256-block cache (%d block reads): %v allocs", blocks, allocs)
+		if allocs > 20 {
+			t.Fatalf("filling a 256-block cache allocated %v times, want O(log 256) ≤ 20", allocs)
+		}
+	})
+
 	reg := obs.NewRegistry()
 	c, s := writeCorpus(t, diskseg.Options{BlockCache: 2, Obs: reg})
 	vocab := vocabulary(c)
@@ -384,7 +488,7 @@ func TestRefcountLifecycle(t *testing.T) {
 	w := world.Build(world.TinyConfig())
 	c := microblog.Generate(w, microblog.TinyGenConfig())
 	path := filepath.Join(t.TempDir(), "seg.esg")
-	if err := diskseg.Write(path, c); err != nil {
+	if err := writeImage(path, c); err != nil {
 		t.Fatal(err)
 	}
 	s, err := diskseg.Open(path, diskseg.Options{})
@@ -413,5 +517,38 @@ func TestRefcountLifecycle(t *testing.T) {
 	s.Release() // the reader retires
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("file not removed at last release: %v", err)
+	}
+}
+
+// TestOpenAllocsFlat pins that opening a segment allocates O(1) times,
+// not per dictionary term: the dictionary is one string, the entries,
+// the block directory and the term index one array each. A 2048-post
+// segment, with several times the terms of a 128-post one, opens with
+// exactly as many allocations (it took four per term before).
+func TestOpenAllocsFlat(t *testing.T) {
+	w := world.Build(world.TinyConfig())
+	stream := microblog.NewPostStream(w, microblog.DefaultStreamConfig(31))
+	var counts []float64
+	for _, n := range []int{128, 2048} {
+		posts := make([]microblog.Post, n)
+		for i := range posts {
+			posts[i] = stream.Next()
+		}
+		img, err := diskseg.Encode(microblog.BuildCorpus(w, posts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			s, err := diskseg.Open("seg.esg", diskseg.Options{IO: memIO(img)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Release()
+		})
+		t.Logf("open of a %d-post segment: %v allocs", n, allocs)
+		counts = append(counts, allocs)
+	}
+	if counts[1] != counts[0] {
+		t.Fatalf("opening 128- and 2048-post segments allocated %v times, want equal counts", counts)
 	}
 }

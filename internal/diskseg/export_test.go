@@ -46,3 +46,6 @@ func Reseal(data []byte) {
 	}
 	binary.LittleEndian.PutUint32(data[headerSize-4:], crc32.ChecksumIEEE(data[:headerSize-4]))
 }
+
+// TermList returns the segment's dictionary, in order.
+func (s *Segment) TermList() []string { return s.termList }

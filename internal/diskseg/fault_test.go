@@ -10,7 +10,6 @@ package diskseg_test
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -29,7 +28,7 @@ func writeSegFile(t *testing.T) (string, int) {
 	w := world.Build(world.TinyConfig())
 	c := microblog.Generate(w, microblog.TinyGenConfig())
 	path := filepath.Join(t.TempDir(), "seg.esg")
-	if err := diskseg.Write(path, c); err != nil {
+	if err := writeImage(path, c); err != nil {
 		t.Fatal(err)
 	}
 	st, err := os.Stat(path)
@@ -241,8 +240,8 @@ func TestBlockStructure(t *testing.T) {
 	post, _ := diskseg.Section(img, diskseg.SecPostings)
 	tw, _ := diskseg.Section(img, diskseg.SecTweets)
 	// The first term's first block holds ids 0, 1, 2, ...: byte 0 is id
-	// 0, byte 1 the delta to id 1. Post 0's record is topic+1 (0), its
-	// term count (3), three dictionary ids, then its text's length.
+	// 0, byte 1 the delta to id 1. Post 0's record is topic+1 (0), then
+	// its text's length (20) and its text.
 	for _, tc := range []struct {
 		name  string
 		patch func(b []byte)
@@ -250,9 +249,7 @@ func TestBlockStructure(t *testing.T) {
 		{"zero delta", func(b []byte) { b[post+1] = 0 }},
 		{"block starts off its directory id", func(b []byte) { b[post] = 1 }},
 		{"block ends mid-varint", func(b []byte) { b[post+1] = 0x81 }},
-		{"term id past the dictionary", func(b []byte) { b[tw+2] = 3 }},
-		{"term count past the block", func(b []byte) { b[tw+1] = 0x7f }},
-		{"text past the block", func(b []byte) { b[tw+5] = 0x7f }},
+		{"text past the block", func(b []byte) { b[tw+1], b[tw+2] = 0xff, 0x7f }},
 	} {
 		bad := append([]byte(nil), img...)
 		tc.patch(bad)
@@ -269,8 +266,9 @@ func TestBlockStructure(t *testing.T) {
 }
 
 // TestUnencodableRetweetCount: a count past the column's 32 bits (the
-// wire admits any uvarint) must fail the write — the spill path then
-// leaves the segment in heap — rather than be stored truncated.
+// wire refuses one; an in-process caller must not pass one) must fail
+// the write rather than be stored truncated. A user's retweets received
+// may sum past 32 bits: they are stored exactly.
 func TestUnencodableRetweetCount(t *testing.T) {
 	w := world.Build(world.TinyConfig())
 	for _, rt64 := range []int64{1 << 32, -1} {
@@ -280,7 +278,7 @@ func TestUnencodableRetweetCount(t *testing.T) {
 		}
 		c := microblog.BuildCorpus(w, []microblog.Post{{Author: 1, Text: "viral", RetweetCount: rt, Topic: -1}})
 		path := filepath.Join(t.TempDir(), "seg.esg")
-		if err := diskseg.Write(path, c); err == nil {
+		if err := writeImage(path, c); err == nil {
 			t.Fatalf("retweet count %d: written", rt)
 		}
 		if _, err := os.Stat(path); !os.IsNotExist(err) {
@@ -289,36 +287,44 @@ func TestUnencodableRetweetCount(t *testing.T) {
 	}
 
 	// Two posts of 3·10⁹ retweets each fit the column one by one; their
-	// author's sum does not fit the stats section. Neither encoder may
-	// wrap it: not Encode over both posts, not the merge of two one-post
-	// segments.
+	// author's sum does not fit 32 bits, and the stats section's 64-bit
+	// retweets array holds it exactly — through Encode over both posts
+	// and through the merge of two one-post segments.
 	const big = 3_000_000_000
 	if int64(int(int64(big))) != big {
 		return
 	}
 	viral := microblog.Post{Author: 1, Text: "viral", RetweetCount: int(int64(big)), Topic: -1}
-	dir := t.TempDir()
-	if err := diskseg.Write(filepath.Join(dir, "both.esg"), microblog.BuildCorpus(w, []microblog.Post{viral, viral})); err == nil {
-		t.Fatal("two posts whose retweets sum past 32 bits: written")
+	both, err := diskseg.Encode(microblog.BuildCorpus(w, []microblog.Post{viral, viral}))
+	if err != nil {
+		t.Fatalf("two posts whose retweets sum past 32 bits: %v", err)
 	}
 	var parts []*diskseg.Segment
 	for j := 0; j < 2; j++ {
-		path := filepath.Join(dir, fmt.Sprintf("one-%d.esg", j))
-		if err := diskseg.Write(path, microblog.BuildCorpus(w, []microblog.Post{viral})); err != nil {
+		img, err := diskseg.Encode(microblog.BuildCorpus(w, []microblog.Post{viral}))
+		if err != nil {
 			t.Fatalf("one post of %d retweets: %v", big, err)
 		}
-		s, err := diskseg.Open(path, diskseg.Options{})
+		s, err := diskseg.Load(img, diskseg.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.Release()
 		parts = append(parts, s)
 	}
-	if err := diskseg.WriteMerged(filepath.Join(dir, "merged.esg"), parts); err == nil {
-		t.Fatal("merge of two segments whose author's retweets sum past 32 bits: written")
+	merged, err := diskseg.EncodeMerged(parts)
+	if err != nil {
+		t.Fatalf("merge of two segments whose author's retweets sum past 32 bits: %v", err)
 	}
-	if ents, _ := os.ReadDir(dir); len(ents) != 2 {
-		t.Fatalf("refused writes left files behind: %d entries, want the 2 parts", len(ents))
+	for name, img := range map[string][]byte{"encoded": both, "merged": merged} {
+		s, err := diskseg.Load(img, diskseg.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.NumRetweetsOf(1); int64(got) != 2*big {
+			t.Fatalf("%s: user 1 received %d retweets, want %d", name, got, int64(2*big))
+		}
+		s.Release()
 	}
 }
 

@@ -1,18 +1,20 @@
 // The on-disk sealed-segment format. One segment is one file:
 //
 //	header      magic, version, counts, section table, header CRC
-//	stats       three little-endian uint32 arrays of numUsers entries
-//	            each — posts authored, mentions received, retweets
-//	            received per user; read in place, no decode
+//	stats       three little-endian arrays of numUsers entries each —
+//	            posts authored and mentions received (uint32), retweets
+//	            received (uint64) per user; read in place, no decode
 //	dict        the sorted term dictionary: per term its token bytes,
 //	            total posting count and a block directory (first id +
 //	            byte length per block)
 //	postings    delta-varint posting blocks (microblog.PostingsBlockLen
 //	            ids each), concatenated in dictionary order
 //	tweetdir    little-endian uint32 byte lengths of the tweet blocks
-//	tweets      varint-packed tweet records (topic, terms, text) in
-//	            blocks of TweetBlockLen, terms stored as dictionary ids
-//	            so a decoded tweet shares the dictionary's strings
+//	tweets      varint-packed tweet records (topic, text) in blocks of
+//	            TweetBlockLen. A post's terms are not stored: every
+//	            post is rendered by microblog.MakeTweet, whose terms are
+//	            textutil.Tokenize of the text, and an image never
+//	            outlives the process that wrote it, so Scan re-tokenizes
 //	features    the per-tweet ranking column, read in place, no decode:
 //	            numTweets+1 rows of three little-endian uint32 — author
 //	            (top bit: the post has a "#" term), retweet count, and
@@ -31,23 +33,31 @@
 // truncated, short-read or bit-flipped file fails cleanly at open time
 // and can never produce a wrong posting or a wrong ranking.
 //
-// Version 1 (no feature column, features inside the tweet records) is
-// rejected with ErrCorrupt: the spill directory is wiped at boot, so
-// no v1 file outlives the process that wrote it.
+// Earlier versions — 1 (no feature column, features inside the tweet
+// records) and 2 (32-bit retweets-received stats) — are rejected with
+// ErrCorrupt: the spill directory is wiped at boot, so no old file
+// outlives the process that wrote it.
 package diskseg
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"os"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/microblog"
 	"repro/internal/world"
 )
+
+// MaxRetweetCount is the largest retweet count a post's feature row
+// holds (32 bits). Encode refuses a post past it, or a negative one.
+const MaxRetweetCount = math.MaxUint32
 
 // TweetBlockLen is the number of tweet records per tweet block — the
 // unit Scan walks: a range starting mid-block skips the records before
@@ -55,7 +65,7 @@ import (
 const TweetBlockLen = 64
 
 const (
-	formatVersion = 2
+	formatVersion = 3
 
 	secStats    = 0
 	secDict     = 1
@@ -74,6 +84,10 @@ const (
 	// (user ids are non-negative int32s, so the bit is otherwise clear).
 	featureRow = 12
 	hashtagBit = 1 << 31
+
+	// statsRow is the stats section's bytes per user: two uint32
+	// counters and the uint64 retweets received.
+	statsRow = 16
 )
 
 var magic = [8]byte{'e', '#', 'd', 's', 'k', 's', 'g', '1'}
@@ -90,102 +104,133 @@ var ErrChecksum = errors.New("diskseg: segment checksum mismatch")
 // unknown version, a count or offset that contradicts the data).
 var ErrCorrupt = errors.New("diskseg: corrupt segment")
 
-// Write rewrites a sealed in-heap segment into the on-disk format at
-// path, atomically: the bytes land in path+".tmp" first and are
-// renamed over path only when complete, so a crashed or failed spill
-// never leaves a half-written segment where Open might find it.
-func Write(path string, c *microblog.Corpus) error {
-	im, err := encode(c)
-	if err != nil {
-		return err
-	}
-	return im.write(path)
-}
-
-// WriteMerged writes the concatenation of opened segments — a
-// compaction whose every input is on disk — to path, atomically like
-// Write. The file is byte-identical to Write of microblog.Merge over the
-// same segments, but no post is decoded into heap: it is assembled from
-// the parts' sections (see encodeMerged). The parts stay open and
-// untouched; their block caches are bypassed.
-func WriteMerged(path string, parts []*Segment) error {
-	im, err := encodeMerged(parts)
-	if err != nil {
-		return err
-	}
-	return im.write(path)
-}
-
-// Encode renders a sealed corpus-backed segment into the on-disk byte
-// format. Exported separately from Write so tests (and the fault
-// suite) can corrupt or truncate a valid image deterministically. A
-// retweet count or per-user stat the format's 32 bits cannot hold is an
-// error, not a truncation: the segment then stays in heap, where it is
-// exact.
+// Encode renders a sealed corpus into the segment format: the image a
+// seal loads (Load) and a spill writes (WriteFile). It is assembled in
+// one buffer of exactly its length — every section is sized first, then
+// written in place. A retweet count the feature column's 32 bits cannot
+// hold (or a negative one) is an error, not a truncation. The corpus's
+// posts must be as microblog.MakeTweet renders them — Terms is
+// textutil.Tokenize of Text — since a record keeps only the text.
 func Encode(c *microblog.Corpus) ([]byte, error) {
-	im, err := encode(c)
-	if err != nil {
-		return nil, err
-	}
-	return im.bytes(), nil
-}
+	tweets := c.Tweets()
+	numUsers := c.NumUsers()
 
-// image is one encoded segment: the header's counts and the six
-// sections, which only Encode concatenates.
-type image struct {
-	numTweets, numUsers, numTerms int
-	secs                          [numSections][]byte
-}
-
-// header renders the header describing the sections.
-func (im *image) header() []byte {
-	h := make([]byte, headerSize)
-	copy(h, magic[:])
-	binary.LittleEndian.PutUint32(h[8:], formatVersion)
-	binary.LittleEndian.PutUint32(h[12:], uint32(im.numTweets))
-	binary.LittleEndian.PutUint32(h[16:], uint32(im.numUsers))
-	binary.LittleEndian.PutUint32(h[20:], uint32(im.numTerms))
-	binary.LittleEndian.PutUint32(h[24:], uint32((im.numTweets+TweetBlockLen-1)/TweetBlockLen))
-	off := uint64(headerSize)
-	for i, s := range im.secs {
-		p := 28 + 20*i
-		binary.LittleEndian.PutUint64(h[p:], off)
-		binary.LittleEndian.PutUint64(h[p+8:], uint64(len(s)))
-		binary.LittleEndian.PutUint32(h[p+16:], crc32.ChecksumIEEE(s))
-		off += uint64(len(s))
+	// The dictionary, sorted through (prefix key, position) pairs: most
+	// comparisons never reach the string bytes, and a swap moves 16
+	// bytes.
+	terms := make([]dictEntry, 0, c.NumTerms())
+	c.Terms(func(tok string, ids []microblog.TweetID) { terms = append(terms, dictEntry{tok, ids}) })
+	order := make([]termKey, len(terms))
+	for i, e := range terms {
+		order[i] = termKey{prefixKey(e.tok), uint32(i)}
 	}
-	binary.LittleEndian.PutUint32(h[headerSize-4:], crc32.ChecksumIEEE(h[:headerSize-4]))
-	return h
-}
+	slices.SortFunc(order, func(a, b termKey) int {
+		if a.key != b.key {
+			return cmp.Compare(a.key, b.key)
+		}
+		return strings.Compare(terms[a.at].tok, terms[b.at].tok)
+	})
 
-// bytes returns the whole file image: header, then sections back to
-// back.
-func (im *image) bytes() []byte {
-	out := im.header()
-	for _, s := range im.secs {
-		out = append(out, s...)
+	// Sizing pass.
+	var size [numSections]int
+	size[secStats] = statsRow * numUsers
+	for _, k := range order {
+		d, p := termSize(terms[k.at].tok, terms[k.at].ids)
+		size[secDict] += d
+		size[secPostings] += p
 	}
-	return out
-}
-
-// write stores the image at path through path+".tmp" and a rename,
-// section by section (the whole image is never concatenated in heap).
-// A failed write removes the temporary file.
-func (im *image) write(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(im.header())
-	for _, s := range im.secs {
-		if err == nil {
-			_, err = f.Write(s)
+	poolLen := 0
+	for i := range tweets {
+		t := &tweets[i]
+		if uint64(t.RetweetCount) > MaxRetweetCount { // negatives wrap past it too
+			return nil, fmt.Errorf("diskseg: tweet %d: retweet count %d does not fit the feature column", i, t.RetweetCount)
+		}
+		size[secTweets] += uvarintLen(uint64(t.Topic+1)) + uvarintLen(uint64(len(t.Text))) + len(t.Text)
+		for _, m := range t.Mentions {
+			poolLen += uvarintLen(uint64(m))
 		}
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	size[secTweetDir] = 4 * ((len(tweets) + TweetBlockLen - 1) / TweetBlockLen)
+	size[secFeatures] = featureRow*(len(tweets)+1) + poolLen
+
+	img, secs := reserve(size)
+
+	// stats: three fixed-width arrays, read in place by the segment.
+	for u := 0; u < numUsers; u++ {
+		id := world.UserID(u)
+		v := [3]uint64{uint64(c.NumTweetsBy(id)), uint64(c.NumMentionsOf(id)), uint64(c.NumRetweetsOf(id))}
+		if err := putStats(secs[secStats], numUsers, u, v); err != nil {
+			return nil, err
+		}
 	}
+
+	// dict + postings: per term a block directory, blocks delta-varint
+	// encoded in dictionary order. The posting lists come straight from
+	// the corpus's index, which the equivalence spine proves correct.
+	dict, postings := secs[secDict][:0], secs[secPostings][:0]
+	for _, k := range order {
+		dict, postings = appendTerm(dict, postings, terms[k.at].tok, terms[k.at].ids)
+	}
+
+	// tweets + tweetdir: varint records in blocks of TweetBlockLen.
+	tw := tweetWriter{sec: secs[secTweets][:0], dir: secs[secTweetDir][:0]}
+	for i := range tweets {
+		t := &tweets[i]
+		tw.sec = binary.AppendUvarint(tw.sec, uint64(t.Topic+1))
+		tw.sec = binary.AppendUvarint(tw.sec, uint64(len(t.Text)))
+		tw.sec = append(tw.sec, t.Text...)
+		tw.endRecord()
+	}
+	tw.finish()
+
+	// features: fixed-width rows (plus the sentinel), then the mention
+	// pool the rows point into.
+	rows := secs[secFeatures][:featureRow*(len(tweets)+1)]
+	pool := secs[secFeatures][len(rows):len(rows)]
+	for i := range tweets {
+		t := &tweets[i]
+		author := uint32(t.Author)
+		if t.HasHashtag() {
+			author |= hashtagBit
+		}
+		row := rows[featureRow*i:]
+		binary.LittleEndian.PutUint32(row, author)
+		binary.LittleEndian.PutUint32(row[4:], uint32(t.RetweetCount))
+		binary.LittleEndian.PutUint32(row[8:], uint32(len(pool)))
+		for _, m := range t.Mentions {
+			pool = binary.AppendUvarint(pool, uint64(m))
+		}
+	}
+	binary.LittleEndian.PutUint32(rows[featureRow*len(tweets)+8:], uint32(len(pool)))
+
+	// Every section must have filled its reservation exactly: an append
+	// past one would have moved to a fresh array, not into the image.
+	for k, n := range [numSections]int{len(secs[secStats]), len(dict), len(postings), len(tw.dir), len(tw.sec), len(rows) + len(pool)} {
+		if n != size[k] {
+			panic(fmt.Sprintf("diskseg: section %d encoded %d bytes, sized %d", k, n, size[k]))
+		}
+	}
+	putHeader(img, len(tweets), numUsers, len(terms), size)
+	return img, nil
+}
+
+// WriteMerged merges segments (EncodeMerged) and writes the image to
+// path (WriteFile).
+func WriteMerged(path string, parts []*Segment) error {
+	img, err := EncodeMerged(parts)
+	if err != nil {
+		return err
+	}
+	return WriteFile(path, img)
+}
+
+// WriteFile stores an encoded image at path, atomically: the bytes land
+// in path+".tmp" first and are renamed over path only when complete, so
+// a crashed or failed spill never leaves a half-written segment where
+// Open might find it. A failed write removes the temporary file.
+func WriteFile(path string, img []byte) error {
+	tmp := path + ".tmp"
+	err := os.WriteFile(tmp, img, 0o644)
 	if err == nil {
 		err = os.Rename(tmp, path)
 	}
@@ -195,20 +240,81 @@ func (im *image) write(path string) error {
 	return err
 }
 
+// reserve allocates an image of the given section sizes and returns it
+// with each section's span: secs[k] is exactly size[k] bytes of the
+// image, capacity-capped so an append that overran its section would
+// move instead of spilling into the next.
+func reserve(size [numSections]int) (img []byte, secs [numSections][]byte) {
+	total := headerSize
+	for _, n := range size {
+		total += n
+	}
+	img = make([]byte, total)
+	off := headerSize
+	for k, n := range size {
+		secs[k] = img[off : off+n : off+n]
+		off += n
+	}
+	return img, secs
+}
+
+// putHeader renders the header of an image whose sections, of the
+// given sizes, follow it back to back.
+func putHeader(img []byte, numTweets, numUsers, numTerms int, size [numSections]int) {
+	h := img[:headerSize]
+	copy(h, magic[:])
+	binary.LittleEndian.PutUint32(h[8:], formatVersion)
+	binary.LittleEndian.PutUint32(h[12:], uint32(numTweets))
+	binary.LittleEndian.PutUint32(h[16:], uint32(numUsers))
+	binary.LittleEndian.PutUint32(h[20:], uint32(numTerms))
+	binary.LittleEndian.PutUint32(h[24:], uint32((numTweets+TweetBlockLen-1)/TweetBlockLen))
+	off := headerSize
+	for k, n := range size {
+		p := 28 + 20*k
+		binary.LittleEndian.PutUint64(h[p:], uint64(off))
+		binary.LittleEndian.PutUint64(h[p+8:], uint64(n))
+		binary.LittleEndian.PutUint32(h[p+16:], crc32.ChecksumIEEE(img[off:off+n]))
+		off += n
+	}
+	binary.LittleEndian.PutUint32(h[headerSize-4:], crc32.ChecksumIEEE(h[:headerSize-4]))
+}
+
 // statNames label the three per-user stat arrays, in section order.
 var statNames = [3]string{"posts authored", "mentions received", "retweets received"}
 
 // putStats stores user u's three stats (posts authored, mentions and
-// retweets received) in the stats section. A value past 32 bits is an
-// error: stored, it would wrap a ranking denominator.
+// retweets received) in the stats section: two uint32 arrays, then a
+// uint64 one. A count past 32 bits is an error: stored, it would wrap a
+// ranking denominator. Retweets received sum per-post counts that fit
+// 32 bits each, so their 64 bits cannot overflow.
 func putStats(stats []byte, numUsers, u int, v [3]uint64) error {
-	for k, x := range v {
+	for k, x := range v[:2] {
 		if x > math.MaxUint32 {
 			return fmt.Errorf("diskseg: user %d: %d %s do not fit the stats section", u, x, statNames[k])
 		}
 		binary.LittleEndian.PutUint32(stats[4*(k*numUsers+u):], uint32(x))
 	}
+	binary.LittleEndian.PutUint64(stats[8*(numUsers+u):], v[2])
 	return nil
+}
+
+// uvarintLen returns the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// termSize returns the bytes appendTerm writes for one term: its
+// dictionary entry and its posting blocks.
+func termSize(tok string, ids []microblog.TweetID) (dict, postings int) {
+	dict = uvarintLen(uint64(len(tok))) + len(tok) + uvarintLen(uint64(len(ids)))
+	for off := 0; off < len(ids); off += microblog.PostingsBlockLen {
+		block := ids[off:min(off+microblog.PostingsBlockLen, len(ids))]
+		n := uvarintLen(uint64(block[0])) // what AppendPostingsBlock writes
+		for j := 1; j < len(block); j++ {
+			n += uvarintLen(uint64(block[j] - block[j-1]))
+		}
+		dict += uvarintLen(uint64(block[0])) + uvarintLen(uint64(n))
+		postings += n
+	}
+	return dict, postings
 }
 
 // appendTerm appends one dictionary entry and the term's posting blocks:
@@ -254,119 +360,60 @@ func (w *tweetWriter) endBlock() {
 	w.start = len(w.sec)
 }
 
-// encode renders a corpus into an image (see Encode).
-func encode(c *microblog.Corpus) (*image, error) {
-	tweets := c.Tweets()
-	numUsers := c.NumUsers()
-
-	// Term dictionary: every distinct token of every tweet, sorted.
-	// The posting lists come straight from the corpus's index, which
-	// the equivalence spine already proves correct.
-	termSet := map[string]struct{}{}
-	for i := range tweets {
-		for _, tok := range tweets[i].Terms {
-			termSet[tok] = struct{}{}
-		}
-	}
-	terms := make([]string, 0, len(termSet))
-	for tok := range termSet {
-		terms = append(terms, tok)
-	}
-	sort.Strings(terms)
-	termID := make(map[string]uint64, len(terms))
-	for i, tok := range terms {
-		termID[tok] = uint64(i)
-	}
-
-	// stats: three fixed-width arrays, read in place by the open
-	// segment.
-	stats := make([]byte, 12*numUsers)
-	for u := 0; u < numUsers; u++ {
-		id := world.UserID(u)
-		v := [3]uint64{uint64(c.NumTweetsBy(id)), uint64(c.NumMentionsOf(id)), uint64(c.NumRetweetsOf(id))}
-		if err := putStats(stats, numUsers, u, v); err != nil {
-			return nil, err
-		}
-	}
-
-	// dict + postings: per term a block directory, blocks delta-varint
-	// encoded in dictionary order.
-	var dict, postings []byte
-	for _, tok := range terms {
-		dict, postings = appendTerm(dict, postings, tok, c.Postings(tok))
-	}
-
-	// tweets + tweetdir: varint records in blocks of TweetBlockLen,
-	// terms as dictionary ids (decoded tweets share the dictionary's
-	// strings — no re-tokenization, bit-identical Terms).
-	tw := tweetWriter{dir: make([]byte, 0, 4*((len(tweets)+TweetBlockLen-1)/TweetBlockLen))}
-	for i := range tweets {
-		t := &tweets[i]
-		tw.sec = binary.AppendUvarint(tw.sec, uint64(t.Topic+1))
-		tw.sec = binary.AppendUvarint(tw.sec, uint64(len(t.Terms)))
-		for _, tok := range t.Terms {
-			tw.sec = binary.AppendUvarint(tw.sec, termID[tok])
-		}
-		tw.sec = binary.AppendUvarint(tw.sec, uint64(len(t.Text)))
-		tw.sec = append(tw.sec, t.Text...)
-		tw.endRecord()
-	}
-	tw.finish()
-
-	// features: fixed-width rows (plus the sentinel), then the mention
-	// pool the rows point into.
-	rows := make([]byte, featureRow*(len(tweets)+1))
-	var pool []byte
-	for i := range tweets {
-		tw := &tweets[i]
-		author := uint32(tw.Author)
-		if tw.HasHashtag() {
-			author |= hashtagBit
-		}
-		if uint64(tw.RetweetCount) > math.MaxUint32 { // negatives wrap past it too
-			return nil, fmt.Errorf("diskseg: tweet %d: retweet count %d does not fit the feature column", i, tw.RetweetCount)
-		}
-		row := rows[featureRow*i:]
-		binary.LittleEndian.PutUint32(row, author)
-		binary.LittleEndian.PutUint32(row[4:], uint32(tw.RetweetCount))
-		binary.LittleEndian.PutUint32(row[8:], uint32(len(pool)))
-		for _, m := range tw.Mentions {
-			pool = binary.AppendUvarint(pool, uint64(m))
-		}
-	}
-	binary.LittleEndian.PutUint32(rows[featureRow*len(tweets)+8:], uint32(len(pool)))
-	features := append(rows, pool...)
-
-	return &image{
-		numTweets: len(tweets), numUsers: numUsers, numTerms: len(terms),
-		secs: [numSections][]byte{stats, dict, postings, tw.dir, tw.sec, features},
-	}, nil
+// dictEntry is one term of the corpus Encode renders, with its
+// posting list.
+type dictEntry struct {
+	tok string
+	ids []microblog.TweetID
 }
 
-// encodeMerged renders the concatenation of opened segments — what
-// encode renders for microblog.Merge over them, byte for byte — straight
-// from their sections, with no post decoded into heap:
+// termKey orders dictEntries: a prefixKey and the entry's position.
+type termKey struct {
+	key uint64
+	at  uint32
+}
+
+// prefixKey packs a term's first 8 bytes big-endian, zero-padded: keys
+// that differ order as their terms do.
+func prefixKey(tok string) uint64 {
+	var k uint64
+	for i := 0; i < 8; i++ {
+		k <<= 8
+		if i < len(tok) {
+			k |= uint64(tok[i])
+		}
+	}
+	return k
+}
+
+// EncodeMerged renders the concatenation of segments — a compaction —
+// into one image, byte-identical to Encode over a corpus of their posts
+// back to back, straight from their encoded sections, with no post
+// decoded into heap:
 //
 //   - stats: the parts' per-user counters summed;
 //   - dict + postings: a k-way merge of the parts' sorted dictionaries;
 //     a term's list is its parts' blocks decoded back to back, rebased
-//     by the posts before each part, and re-blocked, and remap[j] takes
-//     part j's term ids to the merged dictionary's;
-//   - tweets + tweetdir: records copied varint by varint with their term
-//     ids remapped, texts copied as bytes, cut into blocks afresh;
+//     by the posts before each part, and re-blocked;
+//   - tweets + tweetdir: records copied as they are, cut into blocks
+//     afresh;
 //   - features: rows copied with their mention offsets rebased by the
 //     pool bytes before the part, then the pools back to back.
 //
-// Open validated every byte read here, so the walk decodes unchecked.
-// The parts must share a user universe; a summed stat past 32 bits is
-// an error, as it is for Encode.
-func encodeMerged(parts []*Segment) (*image, error) {
+// Only the merged dictionary and postings go through scratch buffers:
+// once they are built every other section's size is known, so the image
+// is allocated once, at its exact length. The parts stay open and
+// untouched; their block caches are bypassed. Open validated every byte
+// read here, so the walk decodes unchecked. The parts must share a user
+// universe; a summed count past its stats array's width is an error, as
+// it is for Encode.
+func EncodeMerged(parts []*Segment) ([]byte, error) {
 	if len(parts) == 0 {
 		return nil, errors.New("diskseg: merge of no segments")
 	}
 	numUsers := parts[0].numUsers
 	numTweets := 0
-	var hint [numSections]int // the parts' section bytes: capacity hints
+	var hint [numSections]int // the parts' section bytes: capacity hints, and the merged tweets section exactly
 	for _, p := range parts {
 		if p.numUsers != numUsers {
 			return nil, fmt.Errorf("diskseg: merge of %d- and %d-user segments", numUsers, p.numUsers)
@@ -376,31 +423,14 @@ func encodeMerged(parts []*Segment) (*image, error) {
 			hint[k] += sec.n
 		}
 	}
-	grown := func(k int) []byte { return make([]byte, 0, hint[k]+hint[k]/8) }
 
-	stats := make([]byte, 12*numUsers)
-	for u := 0; u < numUsers; u++ {
-		var v [3]uint64
-		for _, p := range parts {
-			for k := range v {
-				v[k] += uint64(binary.LittleEndian.Uint32(p.data[p.statsOff+4*(k*numUsers+u):]))
-			}
-		}
-		if err := putStats(stats, numUsers, u, v); err != nil {
-			return nil, err
-		}
-	}
-
-	remap := make([][]uint64, len(parts))
 	heads := make([]int, len(parts)) // each part's next dictionary term
 	before := make([]microblog.TweetID, len(parts))
-	for j, p := range parts {
-		remap[j] = make([]uint64, len(p.termList))
-		if j > 0 {
-			before[j] = before[j-1] + microblog.TweetID(parts[j-1].numTweets)
-		}
+	for j := 1; j < len(parts); j++ {
+		before[j] = before[j-1] + microblog.TweetID(parts[j-1].numTweets)
 	}
-	dict, postings := grown(secDict), grown(secPostings)
+	dict := make([]byte, 0, hint[secDict]+hint[secDict]/8)
+	postings := make([]byte, 0, hint[secPostings]+hint[secPostings]/8)
 	var ids []microblog.TweetID
 	numTerms := 0
 	for ; ; numTerms++ {
@@ -419,12 +449,11 @@ func encodeMerged(parts []*Segment) (*image, error) {
 			if h == len(p.termList) || p.termList[h] != tok {
 				continue
 			}
-			remap[j][h] = uint64(numTerms)
 			heads[j]++
 			at := len(ids)
-			m := p.terms[tok]
-			for b := range m.blocks {
-				ids = p.decodePostings(ids, &m.blocks[b])
+			m := &p.metas[h]
+			for b := m.lo; b < m.hi; b++ {
+				ids = p.decodePostings(ids, &p.blocks[b])
 			}
 			for k := at; k < len(ids); k++ {
 				ids[k] += before[j]
@@ -433,31 +462,49 @@ func encodeMerged(parts []*Segment) (*image, error) {
 		dict, postings = appendTerm(dict, postings, tok, ids)
 	}
 
-	tw := tweetWriter{sec: grown(secTweets), dir: grown(secTweetDir)}
-	for j, p := range parts {
+	size := [numSections]int{
+		secStats:    statsRow * numUsers,
+		secDict:     len(dict),
+		secPostings: len(postings),
+		secTweetDir: 4 * ((numTweets + TweetBlockLen - 1) / TweetBlockLen),
+		secTweets:   hint[secTweets], // records are copied as they are
+		secFeatures: featureRow * (numTweets + 1),
+	}
+	for _, p := range parts {
+		size[secFeatures] += p.poolLen()
+	}
+	img, secs := reserve(size)
+
+	for u := 0; u < numUsers; u++ {
+		var v [3]uint64
+		for _, p := range parts {
+			for k := range v[:2] {
+				v[k] += uint64(binary.LittleEndian.Uint32(p.data[p.statsOff+4*(k*numUsers+u):]))
+			}
+			v[2] += binary.LittleEndian.Uint64(p.data[p.statsOff+8*(numUsers+u):])
+		}
+		if err := putStats(secs[secStats], numUsers, u, v); err != nil {
+			return nil, err
+		}
+	}
+	copy(secs[secDict], dict)
+	copy(secs[secPostings], postings)
+
+	tw := tweetWriter{sec: secs[secTweets][:0], dir: secs[secTweetDir][:0]}
+	for _, p := range parts {
 		for b, sp := range p.tweetBlocks {
 			buf := p.data[sp.off : sp.off+sp.blen]
 			for r := min(p.numTweets-b*TweetBlockLen, TweetBlockLen); r > 0; r-- {
-				tw.sec = binary.AppendUvarint(tw.sec, blockUvarint(&buf)) // topic+1
-				nt := blockUvarint(&buf)
-				tw.sec = binary.AppendUvarint(tw.sec, nt)
-				for ; nt > 0; nt-- {
-					tw.sec = binary.AppendUvarint(tw.sec, remap[j][blockUvarint(&buf)])
-				}
-				tlen := blockUvarint(&buf)
-				tw.sec = binary.AppendUvarint(tw.sec, tlen)
-				tw.sec = append(tw.sec, buf[:tlen]...)
-				buf = buf[tlen:]
+				n := recordLen(buf)
+				tw.sec = append(tw.sec, buf[:n]...)
+				buf = buf[n:]
 				tw.endRecord()
 			}
 		}
 	}
 	tw.finish()
 
-	// The parts' columns hold every merged row and pool byte, plus one
-	// sentinel row per part but the last: room enough.
-	features := make([]byte, featureRow*(numTweets+1), hint[secFeatures])
-	rows, poolLen := features, 0
+	rows, poolLen := secs[secFeatures], 0
 	for _, p := range parts {
 		n := copy(rows, p.data[p.featOff:p.featOff+featureRow*p.numTweets])
 		for r := 8; r < n; r += featureRow {
@@ -467,14 +514,22 @@ func encodeMerged(parts []*Segment) (*image, error) {
 		poolLen += p.poolLen()
 	}
 	binary.LittleEndian.PutUint32(rows[8:], uint32(poolLen))
+	pool := secs[secFeatures][featureRow*(numTweets+1):][:0]
 	for _, p := range parts {
-		features = append(features, p.data[p.poolOff:p.poolOff+p.poolLen()]...)
+		pool = append(pool, p.data[p.poolOff:p.poolOff+p.poolLen()]...)
 	}
 
-	return &image{
-		numTweets: numTweets, numUsers: numUsers, numTerms: numTerms,
-		secs: [numSections][]byte{stats, dict, postings, tw.dir, tw.sec, features},
-	}, nil
+	putHeader(img, numTweets, numUsers, numTerms, size)
+	return img, nil
+}
+
+// recordLen returns the byte length of the tweet record at the front
+// of buf: topic, text length, text. Open walked every record, so it
+// decodes unchecked.
+func recordLen(buf []byte) int {
+	_, n := binary.Uvarint(buf)
+	tlen, m := binary.Uvarint(buf[n:])
+	return n + m + int(tlen)
 }
 
 // section is one parsed section table row.
@@ -510,6 +565,10 @@ func parseHeader(data []byte) (numTweets, numUsers, numTerms, numTweetBlocks int
 		return
 	}
 	numTweets = int(binary.LittleEndian.Uint32(data[12:]))
+	if numTweets > math.MaxInt32 { // tweet ids are int32
+		err = fmt.Errorf("%d tweets: %w", numTweets, ErrCorrupt)
+		return
+	}
 	numUsers = int(binary.LittleEndian.Uint32(data[16:]))
 	numTerms = int(binary.LittleEndian.Uint32(data[20:]))
 	numTweetBlocks = int(binary.LittleEndian.Uint32(data[24:]))
@@ -532,7 +591,7 @@ func parseHeader(data []byte) (numTweets, numUsers, numTerms, numTweetBlocks int
 			return
 		}
 	}
-	if secs[secStats].n != 12*numUsers {
+	if secs[secStats].n != statsRow*numUsers {
 		err = fmt.Errorf("stats section %d bytes for %d users: %w", secs[secStats].n, numUsers, ErrCorrupt)
 		return
 	}

@@ -48,13 +48,13 @@ func fuzzImage(t testing.TB) []byte {
 }
 
 // FuzzOpen mutates a valid segment image — resealing the checksums on
-// request, so structural defects get past the CRCs — and holds Open to
-// its contract: it refuses the image with a diskseg sentinel, or every
-// read the segment offers succeeds without a panic, every posting
-// list and match it returns is strictly ascending inside the segment,
-// and Scan over the whole segment and over sub-ranges agrees with
-// Tweets().
-// The block cache holds two blocks, so nearly every block read
+// request, so structural defects get past the CRCs — and holds both
+// loaders to their contract: Open (over a file) and Load (the image in
+// memory) agree, and either refuse the image with a diskseg sentinel,
+// or every read the segment offers succeeds without a panic, every
+// posting list and match it returns is strictly ascending inside the
+// segment, and Scan over sub-ranges agrees with the scan over the whole
+// segment. The block cache holds two blocks, so nearly every block read
 // recycles a slot.
 func FuzzOpen(f *testing.F) {
 	img := fuzzImage(f)
@@ -66,6 +66,10 @@ func FuzzOpen(f *testing.F) {
 			diskseg.Reseal(data)
 		}
 		s, err := diskseg.Open("fuzz.esg", diskseg.Options{IO: memIO(data), BlockCache: 2})
+		l, lerr := diskseg.Load(data, diskseg.Options{BlockCache: 2})
+		if (err == nil) != (lerr == nil) {
+			t.Fatalf("Open: %v, Load: %v — the loaders disagree", err, lerr)
+		}
 		if err != nil {
 			if !errors.Is(err, diskseg.ErrTruncated) && !errors.Is(err, diskseg.ErrChecksum) && !errors.Is(err, diskseg.ErrCorrupt) {
 				t.Fatalf("err = %v, want a diskseg sentinel", err)
@@ -73,56 +77,60 @@ func FuzzOpen(f *testing.F) {
 			return
 		}
 		defer s.Release()
-		n := s.NumTweets()
-		ascending := func(what string, ids []microblog.TweetID) {
-			for i, id := range ids {
-				if int(id) >= n || (i > 0 && id <= ids[i-1]) {
-					t.Fatalf("%s: ids %v not strictly ascending below %d", what, ids, n)
-				}
-			}
-		}
-		var terms []string
-		s.Terms(func(term string, postings int) { terms = append(terms, term) })
-		var buf []microblog.TweetID
-		for i, term := range terms {
-			buf = s.Postings(term, buf)
-			ascending("Postings "+term, buf)
-			buf = s.AppendPostings(buf[:0], term)
-			ascending("AppendPostings "+term, buf)
-			if i > 0 {
-				q := terms[i-1] + " " + term
-				buf = s.MatchAppend(q, buf)
-				ascending("MatchAppend "+q, buf)
-			}
-		}
-		var scratch []world.UserID
-		for id := microblog.TweetID(0); int(id) < n; id++ {
-			s.Features(id, true, &scratch)
-		}
-		all := s.Tweets()
-		if len(all) != n {
-			t.Fatalf("Tweets() returned %d of %d", len(all), n)
-		}
-		// The scan over [0, n) and over sub-ranges drawn from the image
-		// agrees with Tweets() post for post.
-		r := rand.New(rand.NewPCG(uint64(len(data)), uint64(crc32.ChecksumIEEE(data))))
-		for k := 0; k < 8; k++ {
-			lo, hi := 0, n
-			if k > 0 {
-				lo = r.IntN(n + 1)
-				hi = lo + r.IntN(n-lo+1)
-			}
-			id := lo
-			s.Scan(lo, hi, func(tw *microblog.Tweet) {
-				if w := &all[id]; tw.ID != microblog.TweetID(id) || tw.Author != w.Author || tw.Text != w.Text ||
-					tw.Topic != w.Topic || !slices.Equal(tw.Terms, w.Terms) || !slices.Equal(tw.Mentions, w.Mentions) {
-					t.Fatalf("Scan(%d, %d) post %d = %+v, Tweets() has %+v", lo, hi, id, *tw, *w)
-				}
-				id++
-			})
-			if id != hi {
-				t.Fatalf("Scan(%d, %d) yielded %d posts", lo, hi, id-lo)
-			}
-		}
+		defer l.Release()
+		checkReads(t, s, data)
+		checkReads(t, l, data)
 	})
+}
+
+// checkReads drives every read of an opened fuzz segment (see FuzzOpen).
+func checkReads(t *testing.T, s *diskseg.Segment, data []byte) {
+	n := s.NumTweets()
+	ascending := func(what string, ids []microblog.TweetID) {
+		for i, id := range ids {
+			if int(id) >= n || (i > 0 && id <= ids[i-1]) {
+				t.Fatalf("%s: ids %v not strictly ascending below %d", what, ids, n)
+			}
+		}
+	}
+	terms := s.TermList()
+	var buf []microblog.TweetID
+	for i, term := range terms {
+		buf = s.Postings(term, buf)
+		ascending("Postings "+term, buf)
+		if i > 0 {
+			q := terms[i-1] + " " + term
+			buf = s.MatchAppend(q, buf)
+			ascending("MatchAppend "+q, buf)
+		}
+	}
+	var scratch []world.UserID
+	for id := microblog.TweetID(0); int(id) < n; id++ {
+		s.Features(id, true, &scratch)
+	}
+	all := scanAll(s)
+	if len(all) != n {
+		t.Fatalf("Scan yielded %d of %d posts", len(all), n)
+	}
+	// The scans over sub-ranges drawn from the image agree with the
+	// whole scan post for post.
+	r := rand.New(rand.NewPCG(uint64(len(data)), uint64(crc32.ChecksumIEEE(data))))
+	for k := 0; k < 8; k++ {
+		lo, hi := 0, n
+		if k > 0 {
+			lo = r.IntN(n + 1)
+			hi = lo + r.IntN(n-lo+1)
+		}
+		id := lo
+		s.Scan(lo, hi, func(tw *microblog.Tweet) {
+			if w := &all[id]; tw.ID != microblog.TweetID(id) || tw.Author != w.Author || tw.Text != w.Text ||
+				tw.Topic != w.Topic || !slices.Equal(tw.Terms, w.Terms) || !slices.Equal(tw.Mentions, w.Mentions) {
+				t.Fatalf("Scan(%d, %d) post %d = %+v, the whole scan has %+v", lo, hi, id, *tw, *w)
+			}
+			id++
+		})
+		if id != hi {
+			t.Fatalf("Scan(%d, %d) yielded %d posts", lo, hi, id-lo)
+		}
+	}
 }

@@ -7,10 +7,10 @@ import (
 // IO is the file/mmap seam of the read path. Production uses OS (real
 // files, a real memory map); the chaos harness (internal/fault.IO)
 // wraps it to inject open failures, mmap failures, truncation and
-// corruption without touching a real disk fault. Write always goes
+// corruption without touching a real disk fault. WriteFile always goes
 // through the os package directly — spill errors on the write side
-// surface as ordinary file-system errors and leave the in-heap segment
-// in place.
+// surface as ordinary file-system errors and leave the in-memory
+// segment in place.
 type IO interface {
 	// Open opens an existing segment file for reading.
 	Open(path string) (File, error)
@@ -96,3 +96,16 @@ func (o *osFile) Close() error {
 	}
 	return err
 }
+
+// memFile is the File of an in-memory image (Load): Mmap hands out the
+// image itself and Close has nothing to release.
+type memFile []byte
+
+// Size implements File.
+func (m memFile) Size() (int64, error) { return int64(len(m)), nil }
+
+// Mmap implements File.
+func (m memFile) Mmap() ([]byte, error) { return m, nil }
+
+// Close implements File.
+func (memFile) Close() error { return nil }

@@ -11,52 +11,10 @@ import (
 	"repro/internal/diskseg"
 	"repro/internal/microblog"
 	"repro/internal/obs"
+	"repro/internal/race"
 	"repro/internal/world"
 	"repro/internal/xrand"
 )
-
-// corpusEqualsRebuild fails the test unless got equals want — a
-// from-scratch FromTweets corpus — in every observable: tweets and ids,
-// the term set, every posting list, the per-user counters, and (Encode
-// sorts its dictionary, so it is deterministic) the on-disk image byte
-// for byte.
-func corpusEqualsRebuild(t *testing.T, label string, got, want *microblog.Corpus) {
-	t.Helper()
-	if got.NumTweets() != want.NumTweets() || got.NumTerms() != want.NumTerms() {
-		t.Fatalf("%s: %d tweets / %d terms, rebuild has %d / %d", label,
-			got.NumTweets(), got.NumTerms(), want.NumTweets(), want.NumTerms())
-	}
-	for i := 0; i < want.NumTweets(); i++ {
-		g, w := got.Tweet(microblog.TweetID(i)), want.Tweet(microblog.TweetID(i))
-		if g.ID != w.ID || g.Author != w.Author || g.Text != w.Text || g.Topic != w.Topic ||
-			g.RetweetCount != w.RetweetCount || !slices.Equal(g.Terms, w.Terms) || !slices.Equal(g.Mentions, w.Mentions) {
-			t.Fatalf("%s: tweet %d differs:\n  got  %+v\n  want %+v", label, i, g, w)
-		}
-	}
-	want.Terms(func(term string, postings int) {
-		if g, w := got.Postings(term), want.Postings(term); !slices.Equal(g, w) {
-			t.Fatalf("%s: postings of %q: %v, rebuild has %v", label, term, g, w)
-		}
-	})
-	for u := 0; u < want.NumUsers(); u++ {
-		id := world.UserID(u)
-		if got.NumTweetsBy(id) != want.NumTweetsBy(id) || got.NumMentionsOf(id) != want.NumMentionsOf(id) ||
-			got.NumRetweetsOf(id) != want.NumRetweetsOf(id) {
-			t.Fatalf("%s: user %d counters differ", label, u)
-		}
-	}
-	gotImg, err := diskseg.Encode(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantImg, err := diskseg.Encode(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotImg, wantImg) {
-		t.Fatalf("%s: encoded images differ (%d vs %d bytes)", label, len(gotImg), len(wantImg))
-	}
-}
 
 // mergeStream returns the 700-post sequence the merge properties cut
 // into parts. It carries the cases a list concatenation can get wrong —
@@ -85,27 +43,31 @@ func mergeStream(w *world.World) []microblog.Tweet {
 }
 
 // TestMergeEqualsRebuild is the property compaction rests on: for a
-// tweet sequence cut into 1–6 parts at random points, each part a heap
-// corpus or a written-and-opened disk segment, microblog.Merge — which
-// concatenates the parts' posting lists and re-indexes nothing — equals
-// FromTweets over the concatenation in every observable. The sequence
-// carries the cases a list concatenation can get wrong: a token repeated
-// inside one post, a post with no terms, a term present in one part
-// only. The merge reads disk parts past their block LRU: the cache
-// counters must not move.
+// tweet sequence cut into 1–6 parts at random points, each part an
+// in-memory segment (Load) or a written-and-opened file, EncodeMerged —
+// which concatenates the parts' posting lists and re-indexes nothing —
+// renders exactly the image Encode renders for FromTweets over the
+// concatenation, and the image loads. The sequence carries the cases a
+// list concatenation can get wrong: a token repeated inside one post, a
+// post with no terms, a term present in one part only. The merge reads
+// its parts past their block LRU: the cache counters must not move.
 func TestMergeEqualsRebuild(t *testing.T) {
 	w := world.Build(world.TinyConfig())
 	tweets := mergeStream(w)
-	want := microblog.FromTweets(w, tweets)
-	if len(want.Postings("onlyhere")) != 1 || len(want.Tweet(41).Terms) != 0 {
+	rebuild := microblog.FromTweets(w, tweets)
+	if len(rebuild.Postings("onlyhere")) != 1 || len(rebuild.Tweet(41).Terms) != 0 {
 		t.Fatal("the special posts are not in the sequence")
+	}
+	want, err := diskseg.Encode(rebuild)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
 	hits, misses := reg.Counter("disk_block_cache_hits"), reg.Counter("disk_block_cache_misses")
 	rng := xrand.New(606)
-	sawDisk, sawHeap := false, false
+	sawDisk, sawMem := false, false
 	for round := 0; round < 24; round++ {
 		nparts := 1 + rng.Intn(6)
 		cuts := map[int]bool{}
@@ -118,45 +80,101 @@ func TestMergeEqualsRebuild(t *testing.T) {
 		}
 		slices.Sort(bounds)
 
-		var parts []microblog.Part
+		var parts []*diskseg.Segment
 		label := fmt.Sprintf("round %d:", round)
 		for j := 0; j+1 < len(bounds); j++ {
-			c := microblog.FromTweets(w, tweets[bounds[j]:bounds[j+1]])
-			if rng.Bool(0.5) {
-				sawHeap = true
-				parts = append(parts, c)
-				label += fmt.Sprintf(" heap[%d:%d]", bounds[j], bounds[j+1])
-				continue
-			}
-			sawDisk = true
-			path := filepath.Join(dir, fmt.Sprintf("r%d-p%d.esg", round, j))
-			if err := diskseg.Write(path, c); err != nil {
+			img, err := diskseg.Encode(microblog.FromTweets(w, tweets[bounds[j]:bounds[j+1]]))
+			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := diskseg.Open(path, diskseg.Options{Obs: reg})
+			var s *diskseg.Segment
+			if rng.Bool(0.5) {
+				sawMem = true
+				s, err = diskseg.Load(img, diskseg.Options{Obs: reg})
+				label += fmt.Sprintf(" mem[%d:%d]", bounds[j], bounds[j+1])
+			} else {
+				sawDisk = true
+				path := filepath.Join(dir, fmt.Sprintf("r%d-p%d.esg", round, j))
+				if err := diskseg.WriteFile(path, img); err != nil {
+					t.Fatal(err)
+				}
+				s, err = diskseg.Open(path, diskseg.Options{Obs: reg})
+				label += fmt.Sprintf(" disk[%d:%d]", bounds[j], bounds[j+1])
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Release()
 			parts = append(parts, s)
-			label += fmt.Sprintf(" disk[%d:%d]", bounds[j], bounds[j+1])
 		}
 		h, m := hits.Load(), misses.Load()
-		got := microblog.Merge(w, parts)
+		got, err := diskseg.EncodeMerged(parts)
+		if err != nil {
+			t.Fatalf("%s %v", label, err)
+		}
 		if hits.Load() != h || misses.Load() != m {
 			t.Fatalf("%s the merge went through the block cache (hits %d → %d, misses %d → %d)",
 				label, h, hits.Load(), m, misses.Load())
 		}
-		corpusEqualsRebuild(t, label, got, want)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s merged image (%d bytes) differs from the rebuild's (%d bytes)", label, len(got), len(want))
+		}
+		merged, err := diskseg.Load(got, diskseg.Options{})
+		if err != nil {
+			t.Fatalf("%s merged image does not load: %v", label, err)
+		}
+		merged.Release()
 	}
-	if !sawDisk || !sawHeap {
-		t.Fatalf("parts drawn: disk %v, heap %v — want both tiers", sawDisk, sawHeap)
+	if !sawDisk || !sawMem {
+		t.Fatalf("parts drawn: disk %v, memory %v — want both", sawDisk, sawMem)
 	}
 }
 
-// TestMergedImageEqualsEncode is the property the all-disk compaction
-// rests on: WriteMerged over opened segments writes exactly the bytes
-// Encode writes for microblog.Merge over them. Splits of the merge
+// TestMergeAllocs pins what a compaction costs: merging four segments
+// allocates the merged image, its sections and the per-part term
+// remaps — a count that does not grow with the terms merged (4 × 128
+// and 4 × 512 posts), where a merge through heap corpora allocated a
+// posting list per term. The one thing that grows is the decode buffer
+// of the longest merged posting list, by doubling: 11 and 13 allocs.
+func TestMergeAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts differ under the race runtime")
+	}
+	w := world.Build(world.TinyConfig())
+	stream := microblog.NewPostStream(w, microblog.DefaultStreamConfig(404))
+	var counts []float64
+	for _, per := range []int{128, 512} {
+		parts := make([]*diskseg.Segment, 4)
+		for i := range parts {
+			posts := make([]microblog.Post, per)
+			for j := range posts {
+				posts[j] = stream.Next()
+			}
+			img, err := diskseg.Encode(microblog.BuildCorpus(w, posts))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if parts[i], err = diskseg.Load(img, diskseg.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			defer parts[i].Release()
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := diskseg.EncodeMerged(parts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("4 × %d merge: %v allocs", per, allocs)
+		counts = append(counts, allocs)
+	}
+	if counts[0] > 30 || counts[1] > counts[0]+3 {
+		t.Fatalf("merge allocations %v for 4 × 128 and 4 × 512 posts, want ≤ 30 and flat", counts)
+	}
+}
+
+// TestMergedImageEqualsEncode is the property every compaction rests
+// on: WriteMerged over opened segments writes exactly the bytes Encode
+// writes for FromTweets over their posts back to back. Splits of the merge
 // stream at seeded points cover fan-in 2–5, part sizes off the 64-post
 // tweet-block and 128-id posting-block grids and a one-post part; a
 // second set of parts shares no term at all. The merged file then opens
@@ -210,17 +228,16 @@ func TestMergedImageEqualsEncode(t *testing.T) {
 }
 
 // checkMergedImage writes each chunk as a segment, merges the opened
-// segments with WriteMerged and holds the file to Encode(Merge(parts))
-// byte for byte, then sweeps the opened result against the heap corpus
-// of the concatenated chunks.
+// segments with WriteMerged and holds the file to Encode(FromTweets) of
+// the concatenated chunks byte for byte, then sweeps the opened result
+// against that heap corpus.
 func checkMergedImage(t *testing.T, label string, w *world.World, dir string, chunks [][]microblog.Tweet) {
 	t.Helper()
 	var segs []*diskseg.Segment
-	var parts []microblog.Part
 	var all []microblog.Tweet
 	for _, chunk := range chunks {
 		path := filepath.Join(dir, fmt.Sprintf("part-%d.esg", len(segs)))
-		if err := diskseg.Write(path, microblog.FromTweets(w, chunk)); err != nil {
+		if err := writeImage(path, microblog.FromTweets(w, chunk)); err != nil {
 			t.Fatal(err)
 		}
 		s, err := diskseg.Open(path, diskseg.Options{})
@@ -229,7 +246,6 @@ func checkMergedImage(t *testing.T, label string, w *world.World, dir string, ch
 		}
 		defer s.Release()
 		segs = append(segs, s)
-		parts = append(parts, s)
 		all = append(all, chunk...)
 	}
 	path := filepath.Join(dir, "merged.esg")
@@ -240,7 +256,8 @@ func checkMergedImage(t *testing.T, label string, w *world.World, dir string, ch
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := diskseg.Encode(microblog.Merge(w, parts))
+	heap := microblog.FromTweets(w, all)
+	want, err := diskseg.Encode(heap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +266,7 @@ func checkMergedImage(t *testing.T, label string, w *world.World, dir string, ch
 		for at < min(len(got), len(want)) && got[at] == want[at] {
 			at++
 		}
-		t.Fatalf("%s: merged image (%d bytes) differs from Encode(Merge) (%d bytes) at byte %d", label, len(got), len(want), at)
+		t.Fatalf("%s: merged image (%d bytes) differs from Encode(FromTweets) (%d bytes) at byte %d", label, len(got), len(want), at)
 	}
 
 	m, err := diskseg.Open(path, diskseg.Options{})
@@ -257,17 +274,16 @@ func checkMergedImage(t *testing.T, label string, w *world.World, dir string, ch
 		t.Fatalf("%s: merged image does not open: %v", label, err)
 	}
 	defer m.Release()
-	heap := microblog.FromTweets(w, all)
-	if m.NumTweets() != heap.NumTweets() || m.NumTerms() != heap.NumTerms() {
-		t.Fatalf("%s: %d posts / %d terms, heap has %d / %d", label, m.NumTweets(), m.NumTerms(), heap.NumTweets(), heap.NumTerms())
+	if m.NumTweets() != heap.NumTweets() || len(m.TermList()) != heap.NumTerms() {
+		t.Fatalf("%s: %d posts / %d terms, heap has %d / %d", label, m.NumTweets(), len(m.TermList()), heap.NumTweets(), heap.NumTerms())
 	}
-	heap.Terms(func(term string, _ int) {
+	heap.Terms(func(term string, _ []microblog.TweetID) {
 		if g, h := m.Postings(term, nil), heap.Postings(term); !slices.Equal(g, h) {
 			t.Fatalf("%s: postings of %q: %v, heap has %v", label, term, g, h)
 		}
 	})
 	var scratch []world.UserID
-	posts := m.Tweets()
+	posts := scanAll(m)
 	for i := 0; i < heap.NumTweets(); i++ {
 		id := microblog.TweetID(i)
 		g, h := &posts[i], heap.Tweet(id)

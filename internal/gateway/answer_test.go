@@ -428,7 +428,15 @@ func TestConcurrentAnswersUnderEpochChurn(t *testing.T) {
 				legit[string(referenceBody(t, seen, ac.baseline, backend.ranking(e)))] = true
 			}
 			p := newInproc(t, g, target)
+			e0 := backend.epoch.Load()
 			for i := 0; i < perClient; i++ {
+				if i == perClient/2 {
+					// Let the epoch move under this client's cached
+					// answer at least once, however the scheduler ran.
+					for backend.epoch.Load() == e0 {
+						time.Sleep(50 * time.Microsecond)
+					}
+				}
 				if status, got := p.do(body); status != http.StatusOK || !legit[string(got)] {
 					t.Errorf("client %d: status %d, body encodes none of %q's rankings:\n%s", c, status, seen, got)
 					return

@@ -1,5 +1,5 @@
 // Disk-tier benchmarks, backing the BENCHMARKS.md claim that hot-term
-// search over a spilled corpus stays within 2× of the in-heap
+// search over a spilled corpus stays within 2× of the in-memory
 // BenchmarkLiveSearchESharp latency. Named Disk* (and not *LiveSearch*)
 // so `make bench-disk` and `make bench-ingest` partition cleanly.
 package ingest_test
@@ -46,7 +46,7 @@ func benchDiskSearch(b *testing.B, blockCache int) {
 
 // BenchmarkDiskSearchHot is the headline disk-tier number: repeated
 // hot-term searches against spilled segments, decoded blocks served
-// from the LRU. Compare with BenchmarkLiveSearchESharp (all-heap).
+// from the LRU. Compare with BenchmarkLiveSearchESharp (all in memory).
 func BenchmarkDiskSearchHot(b *testing.B) { benchDiskSearch(b, 0) }
 
 // BenchmarkDiskSearchUncached disables the block cache, so every
@@ -54,9 +54,9 @@ func BenchmarkDiskSearchHot(b *testing.B) { benchDiskSearch(b, 0) }
 // cold-read path.
 func BenchmarkDiskSearchUncached(b *testing.B) { benchDiskSearch(b, -1) }
 
-// BenchmarkDiskSpill measures the spill rewrite itself: encoding one
-// sealed 512-post segment to the on-disk format, fsync-free, including
-// the reopen. This is the background cost the compactor pays per
+// BenchmarkDiskSpill measures the spill itself: writing one sealed
+// 512-post segment's in-memory image to a file, fsync-free, and mapping
+// it back (Open). This is the background cost the compactor pays per
 // segment that crosses the threshold.
 func BenchmarkDiskSpill(b *testing.B) {
 	p, _ := testPipeline(b)

@@ -48,34 +48,12 @@ func BenchmarkIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkCompactMerge is a compaction on its own: four 8 192-post
-// heap segments merged into one (microblog.Merge — tweets back to back,
-// posting lists concatenated into one arena, nothing re-indexed).
-// BenchmarkIngest only shows it amortized over the posts between
-// compactions.
-func BenchmarkCompactMerge(b *testing.B) {
-	p, _ := testPipeline(b)
-	stream := microblog.NewPostStream(p.World, microblog.DefaultStreamConfig(19))
-	parts := make([]microblog.Part, 4)
-	for i := range parts {
-		posts := make([]microblog.Post, 8192)
-		for j := range posts {
-			posts[j] = stream.Next()
-		}
-		parts[i] = microblog.BuildCorpus(p.World, posts)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mergeSink = microblog.Merge(p.World, parts)
-	}
-}
-
-var mergeSink *microblog.Corpus
-
-// BenchmarkDiskCompactMerge is the same compaction with every part on
+// BenchmarkDiskCompactMerge is a compaction on its own, every part on
 // disk: four 8 192-post disk segments merged into one disk segment, the
-// file written and opened — what the compactor does with a run wholly
-// on disk (diskseg.WriteMerged, no post decoded into heap).
+// file written and opened — what the compactor does with a run whose
+// result crosses the spill threshold (diskseg.EncodeMerged, no post
+// decoded into heap). BenchmarkIngest only shows compactions amortized
+// over the posts between them.
 func BenchmarkDiskCompactMerge(b *testing.B) {
 	p, _ := testPipeline(b)
 	idx := ingest.New(p.Corpus, ingest.Config{

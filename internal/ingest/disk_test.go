@@ -1,9 +1,9 @@
 package ingest_test
 
 // The disk-tier suite: the acceptance bar of PR 10. A spilled index
-// must be indistinguishable from an all-heap one except for where the
+// must be indistinguishable from an all-in-memory one except for where the
 // bytes live — bit-identical rankings, snapshots that keep answering
-// after compaction drops their segments, clean degradation to heap
+// after compaction drops their segments, clean degradation to memory
 // under storage faults, and race-cleanliness with the spiller in the
 // loop.
 
@@ -97,7 +97,7 @@ func TestDiskSnapshotPinning(t *testing.T) {
 	oldMatch := append([]microblog.TweetID(nil), old.Match("49ers")...)
 
 	idx.IngestBatch(posts[16:])
-	idx.Quiesce() // merges disk segment 1 + heap segment 2 straight to disk
+	idx.Quiesce() // merges disk segment 1 + in-memory segment 2 straight to disk
 	st := idx.Stats()
 	if st.Compactions == 0 || st.DiskSegments != 1 {
 		t.Fatalf("after second quiesce: %+v, want a compaction into 1 disk segment", st)
@@ -134,7 +134,7 @@ func TestDiskSnapshotPinning(t *testing.T) {
 
 // TestDiskSpillFault drives every storage fault the chaos harness can
 // inject through the spill path: the index must record the fault, pin
-// the segment to heap, keep the spill directory free of half-written
+// the segment in memory, keep the spill directory free of half-written
 // files — and rank exactly as if the disk tier did not exist.
 func TestDiskSpillFault(t *testing.T) {
 	p, sets := testPipeline(t)
@@ -193,11 +193,11 @@ func TestDiskSpillFault(t *testing.T) {
 // merge, the compaction that assembles its file from the parts' encoded
 // sections. Three disk segments line up as one run; with the fault
 // armed, a quiesce must merge them. The merge makes at most one write
-// attempt, counts one spill error and leaves the result in heap; the
-// index ranks exactly like an all-heap one; and once the snapshots that
-// pinned them retire, the three replaced segments drop their last
-// reference and no segment or temporary file is left in the spill
-// directory.
+// attempt, counts one spill error and leaves the result in memory;
+// the index ranks exactly like an all-in-memory one; and once the
+// snapshots that pinned them retire, the three replaced segments drop
+// their last reference and no segment or temporary file is left in the
+// spill directory.
 func TestDiskMergeFault(t *testing.T) {
 	p, sets := testPipeline(t)
 	posts := streamPosts(p, 227, 100) // three 32-post seals, then 4 in the tail
@@ -238,7 +238,7 @@ func TestDiskMergeFault(t *testing.T) {
 			idx.Quiesce()
 			st := idx.Stats()
 			if st.Compactions != 1 || st.SpillErrors != 1 || st.Segments != 1 || st.DiskSegments != 0 {
-				t.Fatalf("want one faulted all-disk merge left in heap: %+v", st)
+				t.Fatalf("want one faulted all-disk merge left in memory: %+v", st)
 			}
 			if got := io.Opens() - opens; got > 1 {
 				t.Fatalf("the faulted merge opened %d files: more than one write attempt", got)

@@ -21,7 +21,7 @@ func (i *Index) FullestTier() int {
 // on a compacting index built with cfg.
 func BacklogCap(cfg Config) int { return backlogFactor * cfg.CompactFanIn }
 
-// SpillAll rewrites every eligible heap segment to disk and compacts
+// SpillAll writes every eligible in-memory segment to disk and compacts
 // nothing, so a test can line up a run of disk segments for one merge.
 func (i *Index) SpillAll() {
 	i.compactMu.Lock()
@@ -36,8 +36,8 @@ func (i *Index) DiskSegments() []*diskseg.Segment {
 	defer i.mu.Unlock()
 	var disks []*diskseg.Segment
 	for _, sg := range i.sealed {
-		if sg.disk != nil {
-			disks = append(disks, sg.disk)
+		if sg.OnDisk() {
+			disks = append(disks, sg.Segment)
 		}
 	}
 	return disks
@@ -56,6 +56,6 @@ func (i *Index) MergeLayout() error {
 	if err != nil {
 		return err
 	}
-	merged.releaseLayoutRef()
+	merged.Release()
 	return nil
 }

@@ -6,18 +6,17 @@
 // short mutex. A post is indexed exactly once, there and then: the
 // writer appends its id to the active segment's term index (tailGen) as
 // it lands, and that work is carried forward, never redone. When the
-// active segment reaches Config.SealThreshold it is sealed into an
-// immutable segment backed by a microblog.Corpus that adopts the
-// buffered tweets and their index as they are (microblog.FromIndex —
-// one pass over integers for the per-user counters). A background
-// compactor merges adjacent sealed segments of similar size into larger
-// ones, LSM-style, by concatenating their posting lists
-// (microblog.Merge; a run wholly on disk merges its encoded sections,
-// diskseg.WriteMerged), so a long-running index converges to a handful of
-// segments instead of an ever-growing chain; a writer that outruns the
-// compactor runs its drain itself (backlogFactor). Readers acquire an
-// epoch-tagged *Snapshot — base corpus + sealed segments + a frozen
-// view of the active tail — via a single atomic pointer load; every
+// active segment reaches Config.SealThreshold it is sealed: the
+// buffered tweets and the index kept for them are encoded, as they are,
+// into the compact segment format in memory (microblog.FromIndex,
+// diskseg.Encode, diskseg.Load — see tier.go). A background compactor
+// merges adjacent sealed segments of similar size into larger ones,
+// LSM-style, by concatenating their encoded posting lists
+// (diskseg.EncodeMerged), so a long-running index converges to a
+// handful of segments instead of an ever-growing chain; a writer that
+// outruns the compactor runs its drain itself (backlogFactor). Readers
+// acquire an epoch-tagged *Snapshot — base corpus + sealed segments + a
+// frozen view of the active tail — via a single atomic pointer load; every
 // Ingest publishes a fresh snapshot with a single atomic pointer swap,
 // so a query observes one consistent prefix of the stream for its whole
 // lifetime. A query never takes a lock. The one lock a reader can take
@@ -25,8 +24,8 @@
 // of a snapshot that has a tail — once per queried snapshot, never per
 // query (see Snapshot.ensureTail).
 //
-// Per segment the existing zero-copy matching path is reused unchanged
-// (Corpus.MatchAppend, galloping IntersectInto); segment-local ids are
+// Per segment the zero-copy matching path runs unchanged
+// (MatchTokensAppend, galloping IntersectInto); segment-local ids are
 // rebased to global ids by segment start offset, per-term candidate
 // lists are concatenated in segment order (globally ascending), and the
 // union across expansion terms runs through expertise.MergeTweets. The
@@ -43,6 +42,7 @@
 package ingest
 
 import (
+	"fmt"
 	"math/bits"
 	"os"
 	"path/filepath"
@@ -62,7 +62,7 @@ import (
 // Config tunes the streaming index.
 type Config struct {
 	// SealThreshold is the active-segment size that triggers sealing
-	// into an immutable corpus-backed segment. Zero means 512.
+	// into an immutable encoded segment. Zero means 512.
 	SealThreshold int
 	// CompactFanIn is how many adjacent similar-sized sealed segments
 	// the compactor merges at a time. Zero means 4.
@@ -71,15 +71,14 @@ type Config struct {
 	// tests and benchmarks that want to observe fragmented state) and
 	// the backlog cap. An explicit Quiesce still compacts.
 	DisableCompactor bool
-	// SpillDir enables the disk tier: the compactor rewrites sealed
-	// segments holding at least SpillThreshold posts into the compact
-	// on-disk format (internal/diskseg) under this directory, and
-	// compaction merges whose result crosses the threshold write
-	// straight to disk. Empty keeps every segment in heap. The index
-	// owns the directory exclusively: segment files left behind by a
-	// previous run are removed at startup (there is no recovery — the
-	// stream is rebuilt by replaying posts), so two indexes must not
-	// share one SpillDir.
+	// SpillDir enables the disk tier: the compactor writes sealed
+	// segments holding at least SpillThreshold posts to files under
+	// this directory and maps them, and compaction merges whose result
+	// crosses the threshold write straight to disk. Empty keeps every
+	// segment in memory. The index owns the directory exclusively:
+	// segment files left behind by a previous run are removed at
+	// startup (there is no recovery — the stream is rebuilt by
+	// replaying posts), so two indexes must not share one SpillDir.
 	SpillDir string
 	// SpillThreshold is the minimum segment size (posts) the disk tier
 	// accepts. Zero with SpillDir set means 4×SealThreshold.
@@ -109,16 +108,14 @@ func DefaultConfig() Config { return Config{SealThreshold: 512, CompactFanIn: 4}
 // CompactFanIn, so 2 gives it one fan-in of slack before writers pay.
 const backlogFactor = 2
 
-// segment is one immutable slice of the stream, in exactly one
-// storage tier: corpus-backed in heap, or an mmap-backed on-disk
-// rewrite (see tier.go). Tweet ids inside either tier are
+// segment is one immutable slice of the stream: an encoded segment,
+// in memory or mapped from a file (see tier.go). Its tweet ids are
 // segment-local; start rebases them to global.
 type segment struct {
-	start  microblog.TweetID
-	corpus *microblog.Corpus // in-heap tier; nil when spilled
-	disk   *diskseg.Segment  // disk tier; nil while in heap
-	// noSpill pins a segment to the heap tier after a failed spill so
-	// the compactor does not retry a faulting disk forever.
+	start microblog.TweetID
+	*diskseg.Segment
+	// noSpill pins a segment to memory after a failed spill so the
+	// compactor does not retry a faulting disk forever.
 	noSpill bool
 }
 
@@ -126,9 +123,8 @@ type segment struct {
 // the tail, from the seal that started it to the seal that ends it. The
 // writer appends each arriving post's segment-local id to its terms'
 // lists (under Index.mu and mu); a snapshot freezes its own prefix by
-// cloning the map under mu (Snapshot.ensureTail). The seal hands idx to
-// the sealed corpus and starts a new generation, so after it idx is
-// never written again and the corpus reads it without locking.
+// cloning the map under mu (Snapshot.ensureTail). The seal encodes idx
+// and starts a new generation, so after it idx is never written again.
 type tailGen struct {
 	mu  sync.Mutex
 	idx map[string][]microblog.TweetID // ascending segment-local ids
@@ -213,7 +209,7 @@ func New(base *microblog.Corpus, cfg Config) *Index {
 			cfg.SpillThreshold = 4 * cfg.SealThreshold
 		}
 		// A failure here surfaces on the first spill attempt as a
-		// recorded spill error; the index keeps serving from heap.
+		// recorded spill error; the index keeps serving from memory.
 		_ = os.MkdirAll(cfg.SpillDir, 0o755)
 		// Stale segment files from a previous run are garbage: there is
 		// no recovery path, so nothing will ever read them again.
@@ -264,7 +260,10 @@ func (i *Index) Base() *microblog.Corpus { return i.base }
 func (i *Index) World() *world.World { return i.w }
 
 // Ingest appends one post to the stream and publishes a fresh snapshot.
-// It returns the post's global tweet id. Safe for concurrent use.
+// It returns the post's global tweet id. Safe for concurrent use. The
+// post's RetweetCount must lie in [0, diskseg.MaxRetweetCount] — every
+// post is sealed into that format, and the wire refuses any other; a
+// seal panics on one.
 func (i *Index) Ingest(p microblog.Post) microblog.TweetID {
 	var start time.Time
 	if i.obsIngestNS != nil {
@@ -381,15 +380,22 @@ func (i *Index) appendLocked(tw microblog.Tweet) (sealed bool) {
 	return true
 }
 
-// sealLocked freezes the active segment into an immutable
-// corpus-backed segment that adopts the active array and the
-// generation's term index as they are: no tweet is copied and none is
-// re-indexed, so the write stall under mu is one pass over
-// SealThreshold posts' integers. The writer moves on to a fresh array
-// and a fresh generation; nothing writes the adopted ones again.
+// sealLocked freezes the active segment into an immutable encoded
+// segment: the active array and the generation's term index, adopted as
+// they are (microblog.FromIndex — nothing is re-indexed), are encoded
+// into one image in memory and loaded. The writer moves on to a fresh
+// array — published snapshots still read the old one — and a fresh
+// generation.
+//
+// Every post's retweet count must fit the format (see Ingest): a seal
+// cannot leave a post out.
 func (i *Index) sealLocked() {
 	n := len(i.active)
-	seg := &segment{start: i.activeStart, corpus: microblog.FromIndex(i.w, i.active[:n:n], i.gen.idx)}
+	img, err := diskseg.Encode(microblog.FromIndex(i.w, i.active[:n:n], i.gen.idx))
+	if err != nil {
+		panic(fmt.Sprintf("ingest: seal: %v", err))
+	}
+	seg := &segment{start: i.activeStart, Segment: i.load(img)}
 	i.sealed = append(i.sealed[:len(i.sealed):len(i.sealed)], seg)
 	i.activeStart += microblog.TweetID(n)
 	i.active = make([]microblog.Tweet, 0, i.cfg.SealThreshold)
@@ -413,23 +419,19 @@ func (i *Index) publishLocked() {
 		tailStart: i.activeStart,
 		gen:       i.gen,
 	}
-	// Pin the disk tier: the snapshot takes one reference per disk
-	// segment, released by a GC cleanup when the snapshot is retired.
-	// A compaction dropping the segment from the layout only releases
-	// the layout's own reference, so a reader on this snapshot can
-	// never see its map pulled out from under it.
-	nDisk := 0
-	for _, sg := range i.sealed {
-		if sg.disk != nil {
-			nDisk++
-		}
-	}
+	// Pin the mapped segments: the snapshot takes one reference per
+	// mapped segment, released by a GC cleanup when the snapshot is
+	// retired. A compaction dropping the segment from the layout only
+	// releases the layout's own reference, so a reader on this snapshot
+	// can never see its map pulled out from under it. In-memory
+	// segments need no pin.
+	nDisk := i.diskSegmentsLocked()
 	if nDisk > 0 {
 		disks := make([]*diskseg.Segment, 0, nDisk)
 		for _, sg := range i.sealed {
-			if sg.disk != nil {
-				sg.disk.Retain()
-				disks = append(disks, sg.disk)
+			if sg.OnDisk() {
+				sg.Retain()
+				disks = append(disks, sg.Segment)
 			}
 		}
 		runtime.AddCleanup(snap, releaseDiskRefs, disks)
@@ -518,10 +520,10 @@ func releaseDiskRefs(disks []*diskseg.Segment) {
 
 // tier buckets a segment size into a size class: segments of the same
 // tier are candidates for merging, which gives LSM-style geometric
-// growth and O(n log n) total compaction work. Both storage tiers
-// participate — merging two disk segments is a disk-format rewrite.
+// growth and O(n log n) total compaction work, wherever the segments'
+// bytes live.
 func (i *Index) tier(seg *segment) int {
-	return bits.Len(uint(seg.numTweets() / i.cfg.SealThreshold))
+	return bits.Len(uint(seg.NumTweets() / i.cfg.SealThreshold))
 }
 
 // pickRunLocked finds the first adjacent run of CompactFanIn
@@ -571,7 +573,7 @@ func (i *Index) compactOnce() bool {
 	i.sealed = slices.Concat(i.sealed[:a], []*segment{merged}, i.sealed[a+len(run):])
 	i.compactions++
 	i.obsCompactions.Inc()
-	if merged.disk != nil {
+	if merged.OnDisk() {
 		i.spills++
 		i.obsSpills.Inc()
 	}
@@ -580,7 +582,7 @@ func (i *Index) compactOnce() bool {
 	// snapshot — drop the layout references of the replaced segments.
 	// Older snapshots still holding them keep their maps alive.
 	for _, sg := range run {
-		sg.releaseLayoutRef()
+		sg.Release()
 	}
 	return true
 }
@@ -610,14 +612,14 @@ type IndexStats struct {
 	// Ingested counts live posts accepted.
 	Ingested int64
 	// Segments is the current sealed-segment count; DiskSegments how
-	// many of those live in the disk tier; ActiveLen the unsealed tail
+	// many of those are mapped from files; ActiveLen the unsealed tail
 	// length.
 	Segments     int
 	DiskSegments int
 	ActiveLen    int
 	// Seals and Compactions count background structural events; Spills
-	// counts segments rewritten to the disk tier and SpillErrors the
-	// rewrites that faulted (the segment stayed in heap).
+	// counts segments written to files and SpillErrors the writes that
+	// faulted (the segment stayed in memory).
 	Seals, Compactions  int64
 	Spills, SpillErrors int64
 	// WriterDrains counts writes that sealed past the backlog cap and
@@ -629,18 +631,12 @@ type IndexStats struct {
 func (i *Index) Stats() IndexStats {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	nDisk := 0
-	for _, sg := range i.sealed {
-		if sg.disk != nil {
-			nDisk++
-		}
-	}
 	return IndexStats{
 		Epoch:        i.epoch,
 		NumTweets:    int(i.activeStart) + len(i.active),
 		Ingested:     i.ingested,
 		Segments:     len(i.sealed),
-		DiskSegments: nDisk,
+		DiskSegments: i.diskSegmentsLocked(),
 		ActiveLen:    len(i.active),
 		Seals:        i.seals,
 		Compactions:  i.compactions,
@@ -648,4 +644,15 @@ func (i *Index) Stats() IndexStats {
 		SpillErrors:  i.spillErrors,
 		WriterDrains: i.drains,
 	}
+}
+
+// diskSegmentsLocked counts the sealed segments mapped from files.
+func (i *Index) diskSegmentsLocked() int {
+	n := 0
+	for _, sg := range i.sealed {
+		if sg.OnDisk() {
+			n++
+		}
+	}
+	return n
 }

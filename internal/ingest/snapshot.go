@@ -58,7 +58,7 @@ func (s *Snapshot) NumUsers() int { return s.base.NumUsers() }
 
 // Scan calls fn with every visible post of global ids [from, to), in
 // id order, across base, sealed segments and tail — the log-paging
-// read (shard.Local.PagePosts); ranking goes through Features. A disk
+// read (shard.Local.PagePosts); ranking goes through Features. A sealed
 // segment's posts are decoded once, sequentially, past its block cache
 // (diskseg.Segment.Scan). The *Tweet is valid only during the call and
 // must not be modified; its ID field is segment-local. The range is
@@ -73,8 +73,8 @@ func (s *Snapshot) Scan(from, to int, fn func(*microblog.Tweet)) {
 	}
 	for _, sg := range s.segs {
 		lo := int(sg.start)
-		if hi := lo + sg.numTweets(); from < hi && lo < to {
-			sg.scan(max(from, lo)-lo, min(to, hi)-lo, fn)
+		if hi := lo + sg.NumTweets(); from < hi && lo < to {
+			sg.Scan(max(from, lo)-lo, min(to, hi)-lo, fn)
 		}
 	}
 	if lo := int(s.tailStart); lo < to {
@@ -91,8 +91,8 @@ func each(tws []microblog.Tweet, fn func(*microblog.Tweet)) {
 
 // Features implements expertise.Source: the ranking features of the
 // post with the given global id, from whichever of base, sealed segment
-// (either tier) or tail holds it. A disk segment answers off the map
-// without decoding the post.
+// or tail holds it. A sealed segment answers off its image without
+// decoding the post.
 func (s *Snapshot) Features(id microblog.TweetID, hashtag bool, scratch *[]world.UserID) (author world.UserID, retweets int, hashtagged bool, mentions []world.UserID) {
 	if int(id) < s.base.NumTweets() {
 		return s.base.Features(id, hashtag, scratch)
@@ -101,7 +101,7 @@ func (s *Snapshot) Features(id microblog.TweetID, hashtag bool, scratch *[]world
 		return s.tail[id-s.tailStart].Features(hashtag)
 	}
 	sg := s.segmentOf(id)
-	return sg.features(id-sg.start, hashtag, scratch)
+	return sg.Features(id-sg.start, hashtag, scratch)
 }
 
 // segmentOf returns the sealed segment holding global id: the last one
@@ -155,7 +155,7 @@ func (s *Snapshot) ensureTail() {
 func (s *Snapshot) NumTweetsBy(u world.UserID) int {
 	n := s.base.NumTweetsBy(u)
 	for _, sg := range s.segs {
-		n += sg.numTweetsBy(u)
+		n += sg.NumTweetsBy(u)
 	}
 	if len(s.tail) > 0 {
 		s.ensureTail()
@@ -168,7 +168,7 @@ func (s *Snapshot) NumTweetsBy(u world.UserID) int {
 func (s *Snapshot) NumMentionsOf(u world.UserID) int {
 	n := s.base.NumMentionsOf(u)
 	for _, sg := range s.segs {
-		n += sg.numMentionsOf(u)
+		n += sg.NumMentionsOf(u)
 	}
 	if len(s.tail) > 0 {
 		s.ensureTail()
@@ -182,7 +182,7 @@ func (s *Snapshot) NumMentionsOf(u world.UserID) int {
 func (s *Snapshot) NumRetweetsOf(u world.UserID) int {
 	n := s.base.NumRetweetsOf(u)
 	for _, sg := range s.segs {
-		n += sg.numRetweetsOf(u)
+		n += sg.NumRetweetsOf(u)
 	}
 	if len(s.tail) > 0 {
 		s.ensureTail()
@@ -216,7 +216,7 @@ func (s *Snapshot) Match(query string) []microblog.TweetID {
 func (s *Snapshot) MatchTokensAppend(tokens []string, dst, local []microblog.TweetID) (out, localOut []microblog.TweetID) {
 	dst = s.base.MatchTokensAppend(tokens, dst)
 	for _, sg := range s.segs {
-		local = sg.matchAppend(tokens, local)
+		local = sg.MatchTokensAppend(tokens, local)
 		for _, id := range local {
 			dst = append(dst, id+sg.start)
 		}

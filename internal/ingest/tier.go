@@ -1,31 +1,28 @@
-// The storage tier of the streaming index. A sealed segment lives in
-// exactly one of two tiers: in-heap (corpus-backed, the only tier
-// before PR 10) or on-disk (an mmap-backed diskseg.Segment in the
-// compact compressed format). The tier methods below are the single
-// seam the snapshot read path and the compactor go through, so neither
-// ever branches on tier anywhere else — which is what keeps the
-// equivalence spine one property: a quiesced index ranks bit-identical
-// to a cold rebuild regardless of where its segments live.
+// The storage tier of the streaming index. Every sealed segment is a
+// diskseg.Segment: a seal encodes the active segment in memory
+// (diskseg.Encode, diskseg.Load), a compaction merges its run's encoded
+// sections (diskseg.EncodeMerged), and a spill writes an image's bytes
+// to a file and maps it. Nothing branches on where a segment's bytes
+// live, which keeps the equivalence spine one property: a quiesced
+// index ranks bit-identical to a cold rebuild wherever they are.
 //
 // Tiering policy. When Config.SpillDir is set, the background
-// compactor rewrites any in-heap sealed segment holding at least
-// Config.SpillThreshold posts into the on-disk format (spillOnce), and
-// every compaction merge whose result crosses the same threshold
-// writes its output directly to disk — compaction becomes a
-// disk-format rewrite, and a long-running index converges to a handful
-// of large cold segments on disk plus small hot ones in heap. A run
-// wholly on disk never leaves the format: its file is assembled from
-// the parts' encoded sections (mergeRun).
+// compactor writes any in-memory sealed segment holding at least
+// Config.SpillThreshold posts to a file and maps it (spillOnce), and
+// every compaction merge whose result crosses the same threshold goes
+// straight to a file — a long-running index converges to a handful of
+// large mapped segments plus small in-memory ones.
 //
-// Pinning. Disk segments are refcounted (see diskseg): the live layout
-// holds one reference, and every published snapshot that includes the
-// segment takes another, released by a GC cleanup when the snapshot is
-// retired. A compaction that drops a disk segment from the layout only
-// releases the layout's reference — readers still running against
-// older snapshots keep the map (and the file) alive, and the file is
-// deleted when the last snapshot lets go. A spill that fails (disk
-// full, I/O fault) marks the segment noSpill and leaves it in heap:
-// degraded capacity, never a wrong ranking.
+// Pinning. Mapped segments are refcounted (see diskseg): the live
+// layout holds one reference, and every published snapshot that
+// includes the segment takes another, released by a GC cleanup when the
+// snapshot is retired. A compaction that drops a mapped segment from
+// the layout only releases the layout's reference — readers still
+// running against older snapshots keep the map (and the file) alive,
+// and the file is deleted when the last snapshot lets go. An in-memory
+// segment needs no pin: a snapshot that holds it keeps it reachable. A
+// spill that fails (disk full, I/O fault) marks the segment noSpill and
+// leaves it in memory: degraded capacity, never a wrong ranking.
 package ingest
 
 import (
@@ -35,135 +32,55 @@ import (
 	"slices"
 
 	"repro/internal/diskseg"
-	"repro/internal/microblog"
-	"repro/internal/world"
 )
-
-// numTweets returns the segment's post count regardless of tier.
-func (sg *segment) numTweets() int {
-	if sg.disk != nil {
-		return sg.disk.NumTweets()
-	}
-	return sg.corpus.NumTweets()
-}
-
-// matchAppend runs the zero-copy matcher of the segment's tier over an
-// already tokenized query.
-func (sg *segment) matchAppend(tokens []string, buf []microblog.TweetID) []microblog.TweetID {
-	if sg.disk != nil {
-		return sg.disk.MatchTokensAppend(tokens, buf)
-	}
-	return sg.corpus.MatchTokensAppend(tokens, buf)
-}
-
-// features returns the ranking features of the post with the given
-// segment-local id: in-heap fields, or rows read in place off the map.
-func (sg *segment) features(id microblog.TweetID, hashtag bool, scratch *[]world.UserID) (world.UserID, int, bool, []world.UserID) {
-	if sg.disk != nil {
-		return sg.disk.Features(id, hashtag, scratch)
-	}
-	return sg.corpus.Features(id, hashtag, scratch)
-}
-
-// scan calls fn with the whole posts of segment-local ids [lo, hi) in
-// order (log paging; ranking reads features): in-heap tweets, or one
-// uncached sequential decode off the map.
-func (sg *segment) scan(lo, hi int, fn func(*microblog.Tweet)) {
-	if sg.disk != nil {
-		sg.disk.Scan(lo, hi, fn)
-		return
-	}
-	each(sg.corpus.Tweets()[lo:hi], fn)
-}
-
-// numTweetsBy returns the segment's authored-post count for one user.
-func (sg *segment) numTweetsBy(u world.UserID) int {
-	if sg.disk != nil {
-		return sg.disk.NumTweetsBy(u)
-	}
-	return sg.corpus.NumTweetsBy(u)
-}
-
-// numMentionsOf returns the segment's mentions-received count.
-func (sg *segment) numMentionsOf(u world.UserID) int {
-	if sg.disk != nil {
-		return sg.disk.NumMentionsOf(u)
-	}
-	return sg.corpus.NumMentionsOf(u)
-}
-
-// numRetweetsOf returns the segment's retweets-received count.
-func (sg *segment) numRetweetsOf(u world.UserID) int {
-	if sg.disk != nil {
-		return sg.disk.NumRetweetsOf(u)
-	}
-	return sg.corpus.NumRetweetsOf(u)
-}
-
-// part returns the segment as a compaction input: both tiers yield
-// their posts, their terms with posting counts and each term's
-// postings, which is all microblog.Merge reads.
-func (sg *segment) part() microblog.Part {
-	if sg.disk != nil {
-		return sg.disk
-	}
-	return sg.corpus
-}
-
-// releaseLayoutRef drops the live layout's reference when the segment
-// leaves it. In-heap segments are plain garbage; disk segments may
-// stay mapped for as long as older snapshots pin them.
-func (sg *segment) releaseLayoutRef() {
-	if sg.disk != nil {
-		sg.disk.Release()
-	}
-}
 
 // spillEnabled reports whether the disk tier is configured.
 func (i *Index) spillEnabled() bool {
 	return i.cfg.SpillDir != "" && i.cfg.SpillThreshold > 0
 }
 
-// mergeRun builds the segment that replaces a compaction run. A run
-// wholly on disk merges in the disk format: diskseg.WriteMerged
-// assembles the new file from the parts' encoded sections and no post
-// is decoded into heap. Any other run merges in heap — the parts' posts
-// back to back, their posting lists concatenated, nothing re-indexed
-// (microblog.Merge) — and a result past the spill threshold is then
-// written to disk. Either way the file is the same, byte for byte. A
-// run makes at most one write: a faulted one (returned) leaves the heap
-// merge in place, pinned there (noSpill), with results unchanged.
+// load serves an image the index encoded itself from memory; a refusal
+// is an encoder bug. It keeps no block cache and no disk metrics: a
+// decode from memory costs what a hit saves, and per-seal caches cost
+// mixed_ingest ≈ 0.8 KiB/query of arena growth.
+func (i *Index) load(img []byte) *diskseg.Segment {
+	seg, err := diskseg.Load(img, diskseg.Options{BlockCache: -1})
+	if err != nil {
+		panic(fmt.Sprintf("ingest: a freshly encoded segment does not load: %v", err))
+	}
+	return seg
+}
+
+// mergeRun builds the segment that replaces a compaction run: the
+// parts' encoded sections merged into one image (diskseg.EncodeMerged)
+// — posting lists concatenated, nothing re-indexed, no post decoded
+// into heap. A result past the spill threshold is written to a file and
+// mapped; any other is loaded in memory. A run makes at most one write:
+// a faulted one (returned) leaves the result in memory, pinned there
+// (noSpill), with results unchanged.
 func (i *Index) mergeRun(run []*segment) (*segment, error) {
-	start := run[0].start
+	parts := make([]*diskseg.Segment, len(run))
 	n := 0
-	disks := make([]*diskseg.Segment, 0, len(run))
-	for _, sg := range run {
-		n += sg.numTweets()
-		if sg.disk != nil {
-			disks = append(disks, sg.disk)
-		}
-	}
-	var err error
-	if len(disks) == len(run) {
-		// Every disk segment holds at least SpillThreshold posts, so the
-		// merge is past the threshold too.
-		var disk *diskseg.Segment
-		if disk, err = i.writeSpill(n, func(path string) error { return diskseg.WriteMerged(path, disks) }); err == nil {
-			return &segment{start: start, disk: disk}, nil
-		}
-	}
-	parts := make([]microblog.Part, len(run))
 	for j, sg := range run {
-		parts[j] = sg.part()
+		parts[j] = sg.Segment
+		n += sg.NumTweets()
 	}
-	c := microblog.Merge(i.w, parts)
-	if err == nil && i.spillEnabled() && n >= i.cfg.SpillThreshold {
-		var disk *diskseg.Segment
-		if disk, err = i.writeSpill(n, func(path string) error { return diskseg.Write(path, c) }); err == nil {
-			return &segment{start: start, disk: disk}, nil
+	img, err := diskseg.EncodeMerged(parts)
+	if err != nil {
+		// The parts share the index's world and every count they hold
+		// was encodable when they were sealed; only a broken invariant
+		// gets here.
+		panic(fmt.Sprintf("ingest: compaction merge: %v", err))
+	}
+	merged := &segment{start: run[0].start}
+	if i.spillEnabled() && n >= i.cfg.SpillThreshold {
+		if merged.Segment, err = i.writeSpill(n, func(path string) error { return diskseg.WriteFile(path, img) }); err == nil {
+			return merged, nil
 		}
+		merged.noSpill = true
 	}
-	return &segment{start: start, corpus: c, noSpill: err != nil}, err
+	merged.Segment = i.load(img)
+	return merged, err
 }
 
 // writeSpill writes a fresh n-post on-disk segment with write and opens
@@ -192,12 +109,12 @@ func (i *Index) writeSpill(n int, write func(path string) error) (*diskseg.Segme
 	return disk, nil
 }
 
-// spillOnce rewrites the first eligible in-heap sealed segment to the
-// disk tier and publishes the new layout. It reports whether it should
-// be called again (it made progress or hit a fault it recorded). The
-// expensive rewrite runs outside mu — the segment is immutable and,
-// with compactMu held by the caller, stays at the position it was
-// found at, exactly like compactOnce's run.
+// spillOnce writes the first eligible in-memory sealed segment's image
+// to a file, maps it and publishes the new layout. It reports whether it
+// should be called again (it made progress or hit a fault it recorded).
+// The write runs outside mu — the segment is immutable and, with
+// compactMu held by the caller, stays at the position it was found at,
+// exactly like compactOnce's run.
 func (i *Index) spillOnce() bool {
 	if !i.spillEnabled() {
 		return false
@@ -205,7 +122,7 @@ func (i *Index) spillOnce() bool {
 	i.mu.Lock()
 	at := -1
 	for j, sg := range i.sealed {
-		if sg.disk == nil && !sg.noSpill && sg.corpus.NumTweets() >= i.cfg.SpillThreshold {
+		if !sg.OnDisk() && !sg.noSpill && sg.NumTweets() >= i.cfg.SpillThreshold {
 			at = j
 			break
 		}
@@ -217,16 +134,15 @@ func (i *Index) spillOnce() bool {
 	target := i.sealed[at]
 	i.mu.Unlock()
 
-	c := target.corpus
-	disk, err := i.writeSpill(c.NumTweets(), func(path string) error { return diskseg.Write(path, c) })
+	disk, err := i.writeSpill(target.NumTweets(), target.WriteFile)
 
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	if err != nil {
-		// Spill faulted: stay in heap, never retry this segment (a
+		// Spill faulted: stay in memory, never retry this segment (a
 		// compaction absorbing it will try again at the merge), count
-		// the fault. Results are unaffected — the heap tier keeps
-		// serving exactly what the disk tier would have.
+		// the fault. Results are unaffected — the in-memory image
+		// serves exactly what the file would have.
 		target.noSpill = true
 		i.spillErrors++
 		i.obsSpillErrors.Inc()
@@ -234,9 +150,10 @@ func (i *Index) spillOnce() bool {
 	}
 	// Copy before the store: published snapshots alias the old array.
 	i.sealed = slices.Clone(i.sealed)
-	i.sealed[at] = &segment{start: target.start, disk: disk}
+	i.sealed[at] = &segment{start: target.start, Segment: disk}
 	i.spills++
 	i.obsSpills.Inc()
 	i.publishLocked()
+	target.Release()
 	return true
 }

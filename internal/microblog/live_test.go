@@ -92,27 +92,6 @@ func TestFromTweetsReindexesConcatenation(t *testing.T) {
 	corporaIdentical(t, FromTweets(w, all), BuildCorpus(w, posts))
 }
 
-// TestMergeAllocs pins what a compaction costs: merging four 128-post
-// heap segments allocates the result — tweet array, one postings arena,
-// the index map, counters — plus a transient count map, not a posting
-// list per term nor a seen-set per tweet (FromTweets over the same 512
-// posts allocates thousands of objects). The result must still be the
-// from-scratch corpus.
-func TestMergeAllocs(t *testing.T) {
-	w := world.Build(world.TinyConfig())
-	posts := streamPosts(w, 404, 512)
-	parts := make([]Part, 4)
-	for i := range parts {
-		parts[i] = BuildCorpus(w, posts[128*i:128*(i+1)])
-	}
-	corporaIdentical(t, Merge(w, parts), BuildCorpus(w, posts))
-	allocs := testing.AllocsPerRun(20, func() { Merge(w, parts) })
-	if allocs > 30 {
-		t.Fatalf("a 4 × 128 heap merge allocated %v times, want ≤ 30", allocs)
-	}
-	t.Logf("4 × 128 heap merge: %v allocs", allocs)
-}
-
 // TestExtendedWithLeavesOriginalUntouched guards the immutability the
 // snapshot machinery relies on.
 func TestExtendedWithLeavesOriginalUntouched(t *testing.T) {

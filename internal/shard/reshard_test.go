@@ -30,7 +30,7 @@ func TestPagePostsNegativeCursorIsEmpty(t *testing.T) {
 }
 
 // TestPagePostsOverEveryTier pins the page loop over the log scan: one
-// snapshot holding base, heap segments, disk segments and a tail, paged
+// snapshot holding base, in-memory segments, disk segments and a tail, paged
 // whole in cuts that are no multiple of a 64-post tweet block, with and
 // without the migration filter, and with from and max at the edges (max
 // up to MaxInt: the in-process pager takes any). Every page equals the
@@ -43,7 +43,7 @@ func TestPagePostsOverEveryTier(t *testing.T) {
 	idx.IngestBatch(posts)
 	idx.Quiesce()
 	if st := idx.Stats(); st.DiskSegments == 0 || st.DiskSegments == st.Segments || st.ActiveLen == 0 {
-		t.Fatalf("want base, heap and disk segments and a tail: %+v", st)
+		t.Fatalf("want base, in-memory and disk segments and a tail: %+v", st)
 	}
 	local := shard.NewLocal(idx)
 	cold := p.Corpus.ExtendedWith(posts)

@@ -20,6 +20,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/diskseg"
 	"repro/internal/expertise"
 	"repro/internal/fault"
 	"repro/internal/ingest"
@@ -402,7 +403,8 @@ func TestMiswiredClientRejectedAtConnect(t *testing.T) {
 // frames no client built from this tree sends: an OpTweets cursor past
 // every int (it used to reach the page loop as -1 and kill the
 // process), user ids outside the world in a stats request and in a
-// post, and the retired op numbers 0x04 (the epoch probe) and 0x10 (the
+// post, a retweet count the sealed-segment format cannot hold (a seal
+// cannot leave the post out), and the retired op numbers 0x04 (the epoch probe) and 0x10 (the
 // compression envelope). Each is answered with OpError, nothing is
 // ingested, and the same connection then serves an empty OpInfo request
 // with exactly the seven InfoResp fields.
@@ -439,10 +441,17 @@ func TestHostileFramesAnsweredNotFatal(t *testing.T) {
 			expertise.AppendUserIDs(nil, []world.UserID{3, outside}))},
 		{"post by an unknown user", postBy(microblog.Post{Author: outside, Text: "49ers"})},
 		{"post mentioning an unknown user", postBy(microblog.Post{Author: 1, Text: "49ers", Mentions: []world.UserID{outside}})},
+		{"post with a negative retweet count", postBy(microblog.Post{Author: 1, Text: "49ers", RetweetCount: -1})},
 		{"retired op 0x04", transport.AppendFrame(nil, transport.Op(0x04), nil)},
 		{"retired op 0x10", transport.AppendFrame(nil, transport.Op(0x10), []byte{byte(transport.OpInfo), 1, 0})},
 	}
 	var buf []byte
+	if big := int64(diskseg.MaxRetweetCount) + 1; int64(int(big)) == big {
+		hostile = append(hostile, struct {
+			name  string
+			frame []byte
+		}{"post with a retweet count past 32 bits", postBy(microblog.Post{Author: 1, Text: "49ers", RetweetCount: int(big)})})
+	}
 	for _, h := range hostile {
 		if _, err := conn.Write(h.frame); err != nil {
 			t.Fatalf("%s: write: %v", h.name, err)

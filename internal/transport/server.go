@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/diskseg"
 	"repro/internal/expertise"
 	"repro/internal/ingest"
 	"repro/internal/obs"
@@ -479,6 +480,15 @@ func (s *ShardServer) checkUsers(users ...world.UserID) error {
 	return nil
 }
 
+// checkRetweets refuses a retweet count the sealed-segment format
+// cannot hold: every post is sealed, and a seal cannot leave one out.
+func checkRetweets(n int) error {
+	if n < 0 || uint64(n) > diskseg.MaxRetweetCount {
+		return fmt.Errorf("transport: retweet count %d outside [0, %d]", n, uint64(diskseg.MaxRetweetCount))
+	}
+	return nil
+}
+
 // dispatch decodes one request, executes it and builds the response
 // payload in st.out. A returned error becomes an OpError response; the
 // connection survives (the request was framed correctly, so the stream
@@ -566,7 +576,7 @@ func (s *ShardServer) dispatch(st *connState, op Op, payload []byte) (Op, error)
 			return 0, err
 		}
 		for _, p := range req.Posts {
-			if err := cmp.Or(s.checkUsers(p.Author), s.checkUsers(p.Mentions...)); err != nil {
+			if err := cmp.Or(s.checkUsers(p.Author), s.checkUsers(p.Mentions...), checkRetweets(p.RetweetCount)); err != nil {
 				return 0, err
 			}
 		}
