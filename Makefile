@@ -92,9 +92,15 @@ bench-disk:
 	$(GO) test -bench 'Disk' -benchmem -run '^$$' ./internal/ingest ./internal/diskseg
 
 # Non-test Go lines under internal/ and cmd/ — the tracked metric of
-# ROADMAP aim 2. CHANGES.md quotes it for parent and change.
+# ROADMAP aim 2. CHANGES.md quotes it for parent and change:
+# `make loc BASE=<rev>` prints this tree's count, then <rev>'s, counted
+# in a `git archive` of <rev> unpacked into a temporary directory.
+LOC = find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 loc:
-	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+	@if [ -z "$(BASE)" ]; then $(LOC); else \
+		tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+		git archive "$(BASE)" internal cmd | tar -x -C "$$tmp" && \
+		echo "tree $$($(LOC))" && echo "$(BASE) $$(cd "$$tmp" && $(LOC))"; fi
 
 # A brief native-fuzz pass, FUZZTIME per target, over the wire codec
 # (FuzzDecodeFrame): every op's payload decoder — including the

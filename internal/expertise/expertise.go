@@ -97,12 +97,14 @@ type counters struct {
 
 // scratch is the reusable per-call arena of candidate extraction: a
 // dense counter table indexed by UserID plus the list of users actually
-// touched, so resets cost O(touched) instead of O(users), and the
-// buffer Source.Features decodes mentions into.
+// touched, so resets cost O(touched) instead of O(users), the buffer
+// Source.Features decodes mentions into and the one the touched users'
+// denominators are fetched into.
 type scratch struct {
 	byUser   []counters
 	touched  []world.UserID
 	mentions []world.UserID
+	stats    []UserStats // the touched users' denominators
 }
 
 // at returns u's counters, recording the first touch.
@@ -117,11 +119,12 @@ func (s *scratch) at(u world.UserID) *counters {
 
 // Source is the read-only index view candidate extraction runs
 // against: per-post ranking features plus the per-user denominators of
-// the three ranking features. A frozen *microblog.Corpus satisfies it
-// directly; a live multi-segment snapshot (internal/ingest) satisfies
-// it by dispatching to the segment that holds the post and by summing
-// base, sealed-segment and active-tail counters — the cross-segment
-// ranking path of the streaming index.
+// the three ranking features, fetched in one batch. A frozen
+// *microblog.Corpus satisfies it directly; a live multi-segment
+// snapshot (internal/ingest) satisfies it by dispatching to the
+// segment that holds the post and by summing base, sealed-segment and
+// active-tail counters — the cross-segment ranking path of the
+// streaming index.
 type Source interface {
 	// Features is the one per-post accessor: the post's author, retweet
 	// count, whether it carries a hashtag (filled only when hashtag is
@@ -132,12 +135,12 @@ type Source interface {
 	// are read-only and valid only until the next Features call with
 	// the same scratch.
 	Features(id microblog.TweetID, hashtag bool, scratch *[]world.UserID) (author world.UserID, retweets int, hashtagged bool, mentions []world.UserID)
-	// NumTweetsBy is the TS denominator: every post u authored.
-	NumTweetsBy(u world.UserID) int
-	// NumMentionsOf is the MI denominator: every mention of u.
-	NumMentionsOf(u world.UserID) int
-	// NumRetweetsOf is the RI denominator: retweets of all of u's posts.
-	NumRetweetsOf(u world.UserID) int
+	// StatsInto writes the denominator triple of each of users into
+	// dst (capacity reused, contents discarded) and returns the filled
+	// buffer, positionally aligned with users: every post u authored
+	// (TS), every mention of u (MI), the retweets of all of u's posts
+	// (RI). users must be strictly ascending.
+	StatsInto(dst []UserStats, users []world.UserID) []UserStats
 	// NumUsers is the size of the user universe; ids are below it.
 	NumUsers() int
 	// World returns the generating world the user ids refer to.
@@ -283,18 +286,19 @@ func (r *Ranker) CandidatesFrom(src Source, matched []microblog.TweetID) []Exper
 	extended := r.extendedFeatures()
 	s := r.accumulate(src, matched, extended)
 	defer r.release(s)
+	s.stats = src.StatsInto(s.stats, s.touched)
 	out := make([]Expert, 0, len(s.touched))
-	for _, u := range s.touched {
-		c := &s.byUser[u]
+	for i, u := range s.touched {
+		c, st := &s.byUser[u], &s.stats[i]
 		e := Expert{User: u, OnTopicTweets: c.tweets}
-		if total := src.NumTweetsBy(u); total > 0 {
-			e.TS = float64(c.tweets) / float64(total)
+		if st.Tweets > 0 {
+			e.TS = float64(c.tweets) / float64(st.Tweets)
 		}
-		if total := src.NumMentionsOf(u); total > 0 {
-			e.MI = float64(c.mentions) / float64(total)
+		if st.Mentions > 0 {
+			e.MI = float64(c.mentions) / float64(st.Mentions)
 		}
-		if total := src.NumRetweetsOf(u); total > 0 {
-			e.RI = float64(c.retweets) / float64(total)
+		if st.Retweets > 0 {
+			e.RI = float64(c.retweets) / float64(st.Retweets)
 		}
 		if extended {
 			if c.tweets > 0 {

@@ -44,27 +44,9 @@ type RawCandidate struct {
 // RawCandidate the fields are additive integers, so per-shard triples
 // sum exactly across any partition — they are the second half of the
 // scatter-gather wire contract (a shard reports numerators for its
-// candidates and, on request, denominators for any user list).
-type UserStats struct {
-	Tweets, Mentions, Retweets int
-}
-
-// SourceStatsInto appends src's denominator triple for each user to dst
-// (capacity reused, contents discarded): the batched form of the
-// NumTweetsBy/NumMentionsOf/NumRetweetsOf getters that one
-// gather-stage call — or one RPC — fetches for the whole candidate
-// set at once.
-func SourceStatsInto(dst []UserStats, src Source, users []world.UserID) []UserStats {
-	dst = dst[:0]
-	for _, u := range users {
-		dst = append(dst, UserStats{
-			Tweets:   src.NumTweetsBy(u),
-			Mentions: src.NumMentionsOf(u),
-			Retweets: src.NumRetweetsOf(u),
-		})
-	}
-	return dst
-}
+// candidates and, on request, denominators for any user list). It is
+// microblog's type, so a corpus answers Source.StatsInto directly.
+type UserStats = microblog.UserStats
 
 // RawCandidatesInto extracts raw candidates from an explicit set of
 // matched tweet ids resolved against src, appending to dst (reusing its
@@ -122,10 +104,9 @@ func (r *Ranker) RawCandidatesModeInto(dst []RawCandidate, src Source, matched [
 // the sources' content.
 func (r *Ranker) MergeRawCandidates(dst []Expert, srcs []Source, lists ...[]RawCandidate) []Expert {
 	merged := MergeRawNumerators(nil, lists...)
-	// Sum each user's denominator triple across every source. Integer
-	// addition is associative, so fetching a whole shard's triples in one
-	// batch (the transport-shaped call order) produces the same totals as
-	// the per-user per-source getter loop this wrapper replaced.
+	// Sum each user's denominator triple across every source, one batch
+	// per source (the transport-shaped call order); integer addition is
+	// associative, so the order of the sums does not matter.
 	denoms := make([]UserStats, len(merged))
 	users := make([]world.UserID, len(merged))
 	for i, rc := range merged {
@@ -133,7 +114,7 @@ func (r *Ranker) MergeRawCandidates(dst []Expert, srcs []Source, lists ...[]RawC
 	}
 	var stats []UserStats
 	for _, src := range srcs {
-		stats = SourceStatsInto(stats, src, users)
+		stats = src.StatsInto(stats, users)
 		AddUserStats(denoms, stats)
 	}
 	var w *world.World

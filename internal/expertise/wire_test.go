@@ -81,7 +81,7 @@ func TestWireRejectsTruncationEverywhere(t *testing.T) {
 
 // TestGatherPiecesMatchMergeRawCandidates pins the restructured gather
 // stage against its one-call ancestor: MergeRawNumerators + per-source
-// SourceStatsInto/AddUserStats + FinalizeRaw must equal
+// Source.StatsInto/AddUserStats + FinalizeRaw must equal
 // MergeRawCandidates exactly — same users, same floats — because the
 // scatter-gather coordinator now runs the pieces (with the stats leg
 // batched per shard, possibly over a wire) instead of the wrapper.
@@ -112,7 +112,7 @@ func TestGatherPiecesMatchMergeRawCandidates(t *testing.T) {
 	}
 	denoms := make([]UserStats, len(merged))
 	for _, src := range srcs {
-		AddUserStats(denoms, SourceStatsInto(nil, src, users))
+		AddUserStats(denoms, src.StatsInto(nil, users))
 	}
 	got := r.FinalizeRaw(nil, merged, denoms, w)
 

@@ -133,13 +133,35 @@ func BenchmarkLiveSearchFragmented(b *testing.B) {
 		ingest.Config{SealThreshold: 64, CompactFanIn: 4, DisableCompactor: true})
 }
 
+// BenchmarkLiveSearchAfterWrite is the first search of a fresh
+// snapshot on its own, the in-package twin of the bench waterfall's
+// ingest.after_write row: each op is one search right after a
+// one-post ingest, and only the search is timed and counted (the write
+// runs with the timer stopped). Its allocs/op equal a steady search's,
+// because a snapshot reads its tail where the writer keeps it.
+func BenchmarkLiveSearchAfterWrite(b *testing.B) {
+	p, idx := benchIndex(b, 1024, ingest.DefaultConfig())
+	defer idx.Close()
+	online := p.Cfg.Online
+	online.MatchWorkers = 1
+	live := core.NewLiveDetector(p.Collection, idx, online)
+	stream := microblog.NewPostStream(p.World, microblog.DefaultStreamConfig(19))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		idx.Ingest(stream.Next())
+		b.StartTimer()
+		live.Search("49ers")
+	}
+}
+
 // BenchmarkLiveSearchUnderIngest measures query latency under write
 // churn: every iteration ingests one post before searching, so every
-// query observes a brand-new snapshot and pays the cold-tail lazy
-// indexing a frozen-snapshot benchmark never sees. The write is paced
-// with the reads — an unthrottled background writer on this single-core
-// container would grow the index without bound and starve the
-// searches — so each op is one ingest (~4µs) plus one cold-view search.
+// query observes a brand-new snapshot. The write is paced with the
+// reads — an unthrottled background writer on a single core would grow
+// the index without bound and starve the searches — so each op is one
+// ingest (~4µs) plus one fresh-view search.
 func BenchmarkLiveSearchUnderIngest(b *testing.B) {
 	p, idx := benchIndex(b, 1024, ingest.DefaultConfig())
 	defer idx.Close()

@@ -19,10 +19,10 @@
 // frozen view of the active tail — via a single atomic pointer load; every
 // Ingest publishes a fresh snapshot with a single atomic pointer swap,
 // so a query observes one consistent prefix of the stream for its whole
-// lifetime. A query never takes a lock. The one lock a reader can take
-// is the tail generation's, held for one map clone by the first query
-// of a snapshot that has a tail — once per queried snapshot, never per
-// query (see Snapshot.ensureTail).
+// lifetime. A view reads its tail where the writer keeps it: the one
+// lock a reader can take is the tail generation's, held while a term
+// match intersects the generation's posting lists — once per match of
+// a snapshot that has a tail (see Snapshot.MatchTokensAppend).
 //
 // Per segment the zero-copy matching path runs unchanged
 // (MatchTokensAppend, galloping IntersectInto); segment-local ids are
@@ -30,9 +30,10 @@
 // lists are concatenated in segment order (globally ascending), and the
 // union across expansion terms runs through expertise.MergeTweets. The
 // per-user feature denominators a ranking pass needs are summed across
-// base, sealed segments and the frozen tail, which makes a quiesced
-// live index bit-identical to a cold rebuild over the same posts — the
-// correctness bar the equivalence tests enforce.
+// base, sealed segments and the tail in one batch (Snapshot.StatsInto),
+// which makes a quiesced live index bit-identical to a cold rebuild
+// over the same posts — the correctness bar the equivalence tests
+// enforce.
 //
 // One Index is one node. Scale-out stacks on top rather than inside:
 // internal/shard runs N of these indexes behind an author-hash shard set,
@@ -122,9 +123,10 @@ type segment struct {
 // tailGen is the term index of one active segment — one generation of
 // the tail, from the seal that started it to the seal that ends it. The
 // writer appends each arriving post's segment-local id to its terms'
-// lists (under Index.mu and mu); a snapshot freezes its own prefix by
-// cloning the map under mu (Snapshot.ensureTail). The seal encodes idx
-// and starts a new generation, so after it idx is never written again.
+// lists (under Index.mu and mu); a snapshot matches in the lists under
+// mu and cuts the result at its own prefix (Snapshot.MatchTokensAppend).
+// The seal encodes idx and starts a new generation, so after it idx is
+// never written again.
 type tailGen struct {
 	mu  sync.Mutex
 	idx map[string][]microblog.TweetID // ascending segment-local ids
@@ -132,8 +134,8 @@ type tailGen struct {
 
 // Index is the writer side of the streaming index. Ingest is safe for
 // concurrent use (writes serialize on a short internal lock); Snapshot
-// is one atomic load, and a query against a snapshot never locks (the
-// first query of a snapshot with a tail takes its tailGen's lock once).
+// is one atomic load, and a query against a snapshot locks nothing but
+// its tailGen, once per term match of a snapshot with a tail.
 type Index struct {
 	w    *world.World
 	base *microblog.Corpus

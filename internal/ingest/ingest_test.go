@@ -46,6 +46,16 @@ func streamPosts(p *core.Pipeline, seed uint64, n int) []microblog.Post {
 	return posts
 }
 
+// userIDs returns every k-th user id below n, ascending — the user
+// list Snapshot.StatsInto takes.
+func userIDs(n, k int) []world.UserID {
+	var ids []world.UserID
+	for u := 0; u < n; u += k {
+		ids = append(ids, world.UserID(u))
+	}
+	return ids
+}
+
 func expertsIdentical(t *testing.T, label, query string, got, want []expertise.Expert) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -104,7 +114,11 @@ func TestSnapshotImmutableUnderWrites(t *testing.T) {
 // segment away must still answer from exactly its own prefix. One view
 // is kept per batch and never queried until the stream is over and the
 // index quiesced; then every view must equal a cold rebuild over its
-// prefix, for every token of the stream and every user's counters.
+// prefix, for every token of the stream and every user's denominators
+// (StatsInto over all users, and over every third user, so that tail
+// posts whose author or mention is not asked for are skipped). Half the
+// views read their stats before their first match, half after: neither
+// question may depend on the other having been asked.
 func TestLateFirstQueryFrozenPrefix(t *testing.T) {
 	p, _ := testPipeline(t)
 	idx := ingest.New(p.Corpus, ingest.Config{SealThreshold: 64, CompactFanIn: 2})
@@ -133,13 +147,30 @@ func TestLateFirstQueryFrozenPrefix(t *testing.T) {
 		}
 	}
 	withTail := 0
-	for _, v := range views {
+	lists := [][]world.UserID{userIDs(p.Corpus.NumUsers(), 1), userIDs(p.Corpus.NumUsers(), 3)}
+	for vi, v := range views {
 		cold := p.Corpus.ExtendedWith(posts[:v.n])
 		if v.snap.NumTweets() != cold.NumTweets() {
 			t.Fatalf("view after %d posts holds %d tweets, want %d", v.n, v.snap.NumTweets(), cold.NumTweets())
 		}
 		if v.n%64 != 0 {
 			withTail++
+		}
+		stats := func() {
+			for _, users := range lists {
+				got, want := v.snap.StatsInto(nil, users), cold.StatsInto(nil, users)
+				if len(got) != len(want) {
+					t.Fatalf("view after %d posts: %d triples for %d users", v.n, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("view after %d posts: user %d denominators %+v, the cold rebuild has %+v", v.n, users[i], got[i], want[i])
+					}
+				}
+			}
+		}
+		if vi%2 == 0 {
+			stats()
 		}
 		for tok := range tokens {
 			got, want := v.snap.Match(tok), cold.Match(tok)
@@ -148,13 +179,8 @@ func TestLateFirstQueryFrozenPrefix(t *testing.T) {
 					v.n, tok, len(got), got[max(len(got)-3, 0):], len(want), want[max(len(want)-3, 0):])
 			}
 		}
-		for u := 0; u < cold.NumUsers(); u++ {
-			id := world.UserID(u)
-			if v.snap.NumTweetsBy(id) != cold.NumTweetsBy(id) ||
-				v.snap.NumMentionsOf(id) != cold.NumMentionsOf(id) ||
-				v.snap.NumRetweetsOf(id) != cold.NumRetweetsOf(id) {
-				t.Fatalf("view after %d posts: user %d counters differ from the cold rebuild", v.n, u)
-			}
+		if vi%2 == 1 {
+			stats()
 		}
 	}
 	if withTail < len(views)/2 {
@@ -162,49 +188,58 @@ func TestLateFirstQueryFrozenPrefix(t *testing.T) {
 	}
 }
 
-// TestFirstSearchAfterWriteAllocs pins what the first search of a fresh
-// snapshot costs: the view freezes the writer's tail index (a map
-// clone) and counts its per-user deltas instead of re-indexing the
-// tail, so it allocates a handful of objects where the rebuild
-// allocated ≈ 165. Measured directly: after each one-post write, only
-// the allocations made while the new snapshot answers its first
-// questions — a term match into the caller's warm buffers, one user's
-// denominators — are counted, so neither the write nor any pooled
-// search scratch (which the race detector drops at random, and a GC at
-// will) is in the figure. A second round of the same questions is the
-// control: it costs the view nothing, so whatever it reads is what the
-// rest of the process allocated meanwhile.
+// TestFirstSearchAfterWriteAllocs pins that the first search of a
+// fresh snapshot allocates exactly what a repeat search of it does:
+// the view reads its tail where the writer keeps it — the term lists
+// under the generation's lock, the denominators in one pass over the
+// prefix — so there is no per-view state to build on first use (a
+// rebuild of the tail index allocated ≈ 165 times, a clone of it ≈ 8).
+// Measured directly: after each one-post write, only the allocations
+// made while the new snapshot answers — term matches into the caller's
+// warm buffers, a user list's denominators into a warm buffer — are
+// counted, so neither the write nor any pooled search scratch (which
+// the race detector drops at random, and a GC at will) is in the
+// figure. A second round of the same questions is the control. The
+// medians over the rounds are compared: the rest of the process
+// allocates a few times over a run, in either window.
 func TestFirstSearchAfterWriteAllocs(t *testing.T) {
 	p, _ := testPipeline(t)
 	idx := ingest.New(p.Corpus, ingest.Config{SealThreshold: 4096, DisableCompactor: true})
 	defer idx.Close()
 	posts := streamPosts(p, 101, 1200)
-	idx.IngestBatch(posts[:256]) // a tail worth rebuilding
+	idx.IngestBatch(posts[:256]) // a non-empty tail
 
-	tokens := []string{"49ers"}
+	queries := [][]string{{"49ers"}, {"49ers", "nfl"}}
 	ids := make([]microblog.TweetID, 0, 4096)
 	local := make([]microblog.TweetID, 0, 4096)
+	users := userIDs(p.Corpus.NumUsers(), 7)
+	stats := make([]microblog.UserStats, 0, len(users))
 	var ms runtime.MemStats
 	mallocs := func() uint64 { runtime.ReadMemStats(&ms); return ms.Mallocs }
-	var first, again uint64
 	const writes = 400
+	first, again := make([]uint64, writes), make([]uint64, writes)
 	for i := 0; i < writes; i++ {
 		idx.Ingest(posts[256+i])
 		snap := idx.Snapshot()
 		ask := func() {
-			snap.MatchTokensAppend(tokens, ids[:0], local[:0])
-			snap.NumTweetsBy(posts[0].Author)
+			for _, tokens := range queries {
+				snap.MatchTokensAppend(tokens, ids[:0], local[:0])
+			}
+			snap.StatsInto(stats[:0], users)
 		}
 		m0 := mallocs()
 		ask()
 		m1 := mallocs()
 		ask()
-		first, again = first+m1-m0, again+mallocs()-m1
+		first[i], again[i] = m1-m0, mallocs()-m1
 	}
-	perView, perRepeat := float64(first)/writes, float64(again)/writes
-	t.Logf("first questions of a fresh view: %.2f allocs; asked again: %.2f", perView, perRepeat)
-	if perView > 12 || perRepeat >= 1 {
-		t.Fatalf("a fresh view's first questions allocated %.1f times (want ≤ 12), the same questions again %.1f times (want none)", perView, perRepeat)
+	slices.Sort(first)
+	slices.Sort(again)
+	t.Logf("first questions of a fresh view: median %d allocs (max %d); asked again: median %d (max %d)",
+		first[writes/2], first[writes-1], again[writes/2], again[writes-1])
+	if first[writes/2] != again[writes/2] {
+		t.Fatalf("a fresh view's first questions allocated %d times (median), the same questions again %d times (want equal)",
+			first[writes/2], again[writes/2])
 	}
 }
 
@@ -241,11 +276,13 @@ func TestCompactionPreservesResults(t *testing.T) {
 
 // TestConcurrentIngestSearchCompaction is the -race hammer: concurrent
 // ingesters, searchers and the background compactor share one index.
-// Searchers check per-query invariants (monotonic epochs, monotonic
-// tweet counts, result caps); holders keep a snapshot unqueried across
-// at least two further seals and only then ask it its first questions,
-// while the writers are still appending to the generation after next —
-// the late freeze of the tail index, under the race detector.
+// Searchers rank over fresh views — matching in the writer's tail
+// lists and summing the tail's denominators while the writers append to
+// that tail and seal it every 16 posts — and check per-query invariants
+// (monotonic epochs, monotonic tweet counts, result caps); holders keep
+// a snapshot unqueried across at least two further seals and only then
+// ask it its first questions (matches and every user's StatsInto),
+// while the writers are still appending to the generation after next.
 // Afterwards the quiesced index must match a cold detector rebuilt from
 // the index's own final content, and every late answer must be that
 // cold corpus's answer cut at the view's own prefix.
@@ -284,7 +321,7 @@ func TestConcurrentIngestSearchCompaction(t *testing.T) {
 	type lateAnswer struct {
 		tweets  int
 		matches [][]microblog.TweetID // per query
-		by      []int                 // NumTweetsBy per user
+		stats   []microblog.UserStats // StatsInto over every user
 	}
 	late := make([][]lateAnswer, holders)
 	for g := 0; g < holders; g++ {
@@ -302,13 +339,11 @@ func TestConcurrentIngestSearchCompaction(t *testing.T) {
 						runtime.Gosched()
 					}
 				}
-				a := lateAnswer{tweets: snap.NumTweets(), by: make([]int, snap.NumUsers())}
+				a := lateAnswer{tweets: snap.NumTweets()}
 				for _, q := range queries {
 					a.matches = append(a.matches, snap.Match(q))
 				}
-				for u := range a.by {
-					a.by[u] = snap.NumTweetsBy(world.UserID(u))
-				}
+				a.stats = snap.StatsInto(nil, userIDs(snap.NumUsers(), 1))
 				late[g] = append(late[g], a)
 			}
 		}(g)
@@ -388,12 +423,16 @@ func TestConcurrentIngestSearchCompaction(t *testing.T) {
 						a.tweets, q, len(a.matches[qi]), cut)
 				}
 			}
-			by := make([]int, len(a.by))
+			want := make([]microblog.UserStats, len(a.stats))
 			for _, tw := range all[:a.tweets] {
-				by[tw.Author]++
+				want[tw.Author].Tweets++
+				want[tw.Author].Retweets += tw.RetweetCount
+				for _, m := range tw.Mentions {
+					want[m].Mentions++
+				}
 			}
-			if !slices.Equal(a.by, by) {
-				t.Fatalf("held view of %d tweets: per-user post counts differ from the cold prefix", a.tweets)
+			if !slices.Equal(a.stats, want) {
+				t.Fatalf("held view of %d tweets: per-user denominators differ from the cold prefix", a.tweets)
 			}
 		}
 	}

@@ -137,7 +137,7 @@ func TestSpillWritesTheSealedImage(t *testing.T) {
 	type answer struct {
 		matches  [][]microblog.TweetID
 		features []string
-		stats    [][3]int
+		stats    []microblog.UserStats
 	}
 	answers := func(s *Snapshot) answer {
 		var a answer
@@ -150,10 +150,11 @@ func TestSpillWritesTheSealedImage(t *testing.T) {
 			au, rt, ht, ms := s.Features(microblog.TweetID(id), true, &scratch)
 			a.features = append(a.features, fmt.Sprint(au, rt, ht, ms))
 		}
-		for u := range w.Users {
-			id := world.UserID(u)
-			a.stats = append(a.stats, [3]int{s.NumTweetsBy(id), s.NumMentionsOf(id), s.NumRetweetsOf(id)})
+		users := make([]world.UserID, len(w.Users))
+		for u := range users {
+			users[u] = world.UserID(u)
 		}
+		a.stats = s.StatsInto(nil, users)
 		return a
 	}
 	before := answers(idx.Snapshot())

@@ -1,9 +1,8 @@
 package ingest
 
 import (
-	"maps"
+	"slices"
 	"sort"
-	"sync"
 
 	"repro/internal/microblog"
 	"repro/internal/textutil"
@@ -12,10 +11,13 @@ import (
 
 // Snapshot is one epoch-tagged immutable view of the stream: the base
 // corpus, the sealed segments and a frozen prefix of the active tail.
-// It satisfies expertise.Source, so the ranking path runs against it
-// exactly as it runs against a frozen corpus. All methods are safe for
-// concurrent use; what a snapshot answers never changes after
-// publication.
+// It satisfies expertise.Source (Features, StatsInto), so the ranking
+// path runs against it exactly as it runs against a frozen corpus. The
+// tail is read where the writer keeps it: a term match reads the
+// generation's posting lists under its lock and cuts them at the
+// prefix, StatsInto adds one lock-free pass over the prefix's posts.
+// All methods are safe for concurrent use; what a snapshot answers
+// never changes after publication.
 //
 // Tweet ids are global: [0, base.NumTweets()) addresses the base, then
 // each sealed segment's range, then the tail. A Scan'd tweet's ID is
@@ -27,19 +29,7 @@ type Snapshot struct {
 	tail      []microblog.Tweet
 	tailStart microblog.TweetID
 	gen       *tailGen // the generation tail is a prefix of
-
-	// The tail's term index and stat deltas are taken lazily on first
-	// use: publishing stays a pointer swap, and only snapshots that
-	// actually serve a query pay for a view of their tail, once (see
-	// ensureTail).
-	once      sync.Once
-	tailIdx   map[string][]microblog.TweetID // segment-local ids; lists may run past len(tail)
-	tailStats map[world.UserID]userDelta
 }
-
-// userDelta is the active tail's contribution to one user's feature
-// denominators.
-type userDelta struct{ tweets, mentions, retweets int }
 
 // Epoch identifies this view; it increases with every publish.
 func (s *Snapshot) Epoch() uint64 { return s.epoch }
@@ -111,84 +101,39 @@ func (s *Snapshot) segmentOf(id microblog.TweetID) *segment {
 	return s.segs[n-1]
 }
 
-// ensureTail takes this view's tail index and per-user deltas, once.
-//
-// The index is not built: the writer indexed every post of the tail
-// when it arrived (tailGen). The view freezes that index by cloning the
-// generation's map under the generation's lock — the one lock a reader
-// takes, once per queried snapshot. The copied slice headers pin every
-// posting list at its length of that moment: the writer only ever
-// appends, so a later append lands past that length or in a new array
-// and never rewrites an element the clone can see — the aliasing rule
-// Snapshot.tail already lives by. The freeze may come long after
-// publication (after more appends to the same lists, after the
-// generation was sealed, after its segment was compacted away), so a
-// frozen list can hold ids past this view's prefix; ids ascend, and the
-// matcher cuts every result at len(tail).
-//
-// The per-user deltas are aggregates, not lists, so they stay per
-// snapshot: one pass over the tail's integers.
-func (s *Snapshot) ensureTail() {
-	s.once.Do(func() {
-		s.gen.mu.Lock()
-		s.tailIdx = maps.Clone(s.gen.idx)
-		s.gen.mu.Unlock()
-		stats := make(map[world.UserID]userDelta, len(s.tail))
-		for j := range s.tail {
-			tw := &s.tail[j]
-			d := stats[tw.Author]
-			d.tweets++
-			d.retweets += tw.RetweetCount
-			stats[tw.Author] = d
-			for _, m := range tw.Mentions {
-				dm := stats[m]
-				dm.mentions++
-				stats[m] = dm
+// StatsInto implements expertise.Source: each user's denominator
+// triple summed across base, sealed segments and this view's tail,
+// written into dst (capacity reused, contents discarded). users must be
+// strictly ascending: the tail is added in one pass over its posts,
+// each author and mention found in users by binary search. The pass
+// takes no lock and allocates nothing — the prefix never changes (see
+// publishLocked).
+func (s *Snapshot) StatsInto(dst []microblog.UserStats, users []world.UserID) []microblog.UserStats {
+	dst = s.base.StatsInto(dst, users)
+	for _, sg := range s.segs {
+		for i, u := range users {
+			d := &dst[i]
+			d.Tweets += sg.NumTweetsBy(u)
+			d.Mentions += sg.NumMentionsOf(u)
+			d.Retweets += sg.NumRetweetsOf(u)
+		}
+	}
+	if len(users) == 0 {
+		return dst
+	}
+	for j := range s.tail {
+		tw := &s.tail[j]
+		if i, ok := slices.BinarySearch(users, tw.Author); ok {
+			dst[i].Tweets++
+			dst[i].Retweets += tw.RetweetCount
+		}
+		for _, m := range tw.Mentions {
+			if i, ok := slices.BinarySearch(users, m); ok {
+				dst[i].Mentions++
 			}
 		}
-		s.tailStats = stats
-	})
-}
-
-// NumTweetsBy returns how many visible posts the user authored, summed
-// across base, sealed segments and the frozen tail.
-func (s *Snapshot) NumTweetsBy(u world.UserID) int {
-	n := s.base.NumTweetsBy(u)
-	for _, sg := range s.segs {
-		n += sg.NumTweetsBy(u)
 	}
-	if len(s.tail) > 0 {
-		s.ensureTail()
-		n += s.tailStats[u].tweets
-	}
-	return n
-}
-
-// NumMentionsOf returns how many visible posts mention the user.
-func (s *Snapshot) NumMentionsOf(u world.UserID) int {
-	n := s.base.NumMentionsOf(u)
-	for _, sg := range s.segs {
-		n += sg.NumMentionsOf(u)
-	}
-	if len(s.tail) > 0 {
-		s.ensureTail()
-		n += s.tailStats[u].mentions
-	}
-	return n
-}
-
-// NumRetweetsOf returns the total retweets the user's visible posts
-// received.
-func (s *Snapshot) NumRetweetsOf(u world.UserID) int {
-	n := s.base.NumRetweetsOf(u)
-	for _, sg := range s.segs {
-		n += sg.NumRetweetsOf(u)
-	}
-	if len(s.tail) > 0 {
-		s.ensureTail()
-		n += s.tailStats[u].retweets
-	}
-	return n
+	return dst
 }
 
 // Match returns the global ids of all visible posts containing every
@@ -213,6 +158,13 @@ func (s *Snapshot) Match(query string) []microblog.TweetID {
 // concatenation is globally sorted with no merge step. local is a
 // scratch buffer for the per-segment results; both buffers are returned
 // for reuse.
+//
+// The tail is matched in the writer's own term index (tailGen), under
+// the generation's lock — the one lock a reader takes, once per match
+// of a view that has a tail. The lists may have grown past this view's
+// prefix since it was published (more appends; the generation sealed,
+// its segment compacted away), but the writer only appends ascending
+// ids, so cutting the result at len(tail) leaves exactly the prefix's.
 func (s *Snapshot) MatchTokensAppend(tokens []string, dst, local []microblog.TweetID) (out, localOut []microblog.TweetID) {
 	dst = s.base.MatchTokensAppend(tokens, dst)
 	for _, sg := range s.segs {
@@ -222,9 +174,10 @@ func (s *Snapshot) MatchTokensAppend(tokens []string, dst, local []microblog.Twe
 		}
 	}
 	if len(s.tail) > 0 {
-		s.ensureTail()
-		local = microblog.IntersectPostings(local, s.tailIdx, tokens)
-		// Cut at this view's own prefix (see ensureTail), then rebase.
+		s.gen.mu.Lock()
+		local = microblog.IntersectPostings(local, s.gen.idx, tokens)
+		s.gen.mu.Unlock()
+		// Cut at this view's own prefix, then rebase.
 		end := microblog.TweetID(len(s.tail))
 		for _, id := range local {
 			if id >= end {

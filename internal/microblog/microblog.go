@@ -146,6 +146,24 @@ func (c *Corpus) NumRetweetsOf(u world.UserID) int { return c.retweetsOf[u] }
 // NumUsers returns the number of users in the generating world.
 func (c *Corpus) NumUsers() int { return len(c.tweetsBy) }
 
+// UserStats is one user's feature denominators over a set of posts:
+// authored posts, mentions received, retweets received. The fields are
+// additive, so the triples of disjoint post sets sum exactly
+// (expertise.UserStats is this type).
+type UserStats struct {
+	Tweets, Mentions, Retweets int
+}
+
+// StatsInto writes each user's denominator triple into dst (capacity
+// reused, contents discarded) and returns the filled buffer.
+func (c *Corpus) StatsInto(dst []UserStats, users []world.UserID) []UserStats {
+	dst = dst[:0]
+	for _, u := range users {
+		dst = append(dst, UserStats{Tweets: c.tweetsBy[u], Mentions: c.mentionsOf[u], Retweets: c.retweetsOf[u]})
+	}
+	return dst
+}
+
 // Postings returns the index-owned posting list for a single token:
 // the ids of all posts containing it, sorted ascending. The returned
 // slice aliases the index — callers must treat it as read-only. A nil

@@ -116,8 +116,10 @@ type EpochLocality interface {
 type View interface {
 	// Stats appends the shard's denominator triple for each user to dst
 	// (capacity reused, contents discarded), evaluated against the
-	// pinned state. users must be ascending (the wire encoding is
-	// delta-compressed). ctx bounds the fetch like Backend.Search.
+	// pinned state. users must be strictly ascending (the wire encoding
+	// is delta-compressed, a snapshot sums its tail in one pass); a
+	// local view refuses any other list with an error. ctx bounds the
+	// fetch like Backend.Search.
 	Stats(ctx context.Context, users []world.UserID, dst []expertise.UserStats) ([]expertise.UserStats, error)
 	// Release returns the view's resources. No method may be called
 	// afterwards.
@@ -272,17 +274,24 @@ type localView struct {
 
 // Stats implements View against the pinned snapshot. Like Search, the
 // context is checked once at entry — the evaluation itself is
-// non-blocking.
+// non-blocking. A user list that is not strictly ascending is refused:
+// the snapshot's batch sums rely on it, and a peer's OpStats must get
+// an error rather than a wrong count.
 func (v *localView) Stats(ctx context.Context, users []world.UserID, dst []expertise.UserStats) ([]expertise.UserStats, error) {
 	if err := ctx.Err(); err != nil {
 		return dst[:0], err
 	}
-	return expertise.SourceStatsInto(dst, v.snap, users), nil
+	for i := 1; i < len(users); i++ {
+		if users[i] <= users[i-1] {
+			return dst[:0], fmt.Errorf("shard: stats users not strictly ascending at %d (%d after %d)", i, users[i], users[i-1])
+		}
+	}
+	return v.snap.StatsInto(dst, users), nil
 }
 
 // Release implements View. Dropping the snapshot reference matters: a
-// pooled idle view must not pin retired segments (and their frozen
-// tail indexes) in memory between queries.
+// pooled idle view must not pin retired segments (and their tail
+// generations) in memory between queries.
 func (v *localView) Release() {
 	v.snap = nil
 	v.owner.views.Put(v)

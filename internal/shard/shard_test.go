@@ -474,6 +474,39 @@ func TestLocalViewPinsSnapshot(t *testing.T) {
 	}
 }
 
+// TestLocalViewRefusesUnsortedUsers pins the stats contract at the
+// point a peer's list arrives: a snapshot sums its tail's denominators
+// in one pass that needs a strictly ascending user list, so a view
+// refuses a duplicated or descending list with an error and no counts,
+// whether it was pinned by a search or taken on its own.
+func TestLocalViewRefusesUnsortedUsers(t *testing.T) {
+	p, _ := testPipeline(t)
+	idx := ingest.New(p.Corpus, ingest.DefaultConfig())
+	defer idx.Close()
+	idx.IngestBatch([]microblog.Post{{Author: 3, Text: "49ers tonight", Mentions: []world.UserID{5}, Topic: -1}})
+	l := shard.NewLocal(idx)
+
+	_, _, _, pinned, err := l.SearchStats(context.Background(), []string{"49ers"}, false, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pinned.Release()
+	fresh := l.View()
+	defer fresh.Release()
+	for _, v := range []shard.View{pinned, fresh} {
+		for _, users := range [][]world.UserID{{3, 3}, {5, 3}, {1, 5, 3, 7}} {
+			got, err := v.Stats(context.Background(), users, make([]expertise.UserStats, 4))
+			if err == nil || len(got) != 0 {
+				t.Fatalf("stats for %v: %d triples, err %v; want an error and none", users, len(got), err)
+			}
+		}
+		got, err := v.Stats(context.Background(), []world.UserID{3, 5}, nil)
+		if err != nil || len(got) != 2 || got[0].Tweets == 0 || got[1].Mentions == 0 {
+			t.Fatalf("stats for an ascending list: %+v, err %v", got, err)
+		}
+	}
+}
+
 // flakyEpochBackend is a Local whose Epoch is not a local read and can
 // be made to fail — it stands in for a remote shard so the cluster's
 // concurrent epoch sampling (taken only when a member's epoch is not

@@ -312,6 +312,16 @@ func FuzzDispatch(f *testing.F) {
 			expertise.AppendUserIDs(nil, []world.UserID{3, 17, 40})),
 		transport.AppendFrame(nil, transport.OpUnpin, nil),
 	))
+	// The same conversation whose top-up repeats a user and then goes
+	// backwards: both must be refused, not counted.
+	f.Add(slices.Concat(
+		transport.AppendFrame(nil, transport.OpSearchStats,
+			transport.AppendSearchReq(nil, transport.SearchReq{Terms: []string{"49ers"}})),
+		transport.AppendFrame(nil, transport.OpStats,
+			expertise.AppendUserIDs(nil, []world.UserID{3, 3, 40})),
+		transport.AppendFrame(nil, transport.OpStats,
+			expertise.AppendUserIDs(nil, []world.UserID{40, 17})),
+	))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		idx := ingest.New(base, ingest.Config{SealThreshold: 4, CompactFanIn: 2})
 		defer idx.Close()
@@ -327,8 +337,26 @@ func FuzzDispatch(f *testing.F) {
 			if err := checkReply(op, respOp, resp); err != nil {
 				t.Fatalf("request op 0x%02x (%d-byte payload): %v", byte(op), len(payload), err)
 			}
+			if op == transport.OpStats && respOp != transport.OpError && !strictlyAscending(payload) {
+				t.Fatalf("stats for a user list that is not strictly ascending answered with counts")
+			}
 		}
 	})
+}
+
+// strictlyAscending reports whether an OpStats payload decodes to a
+// strictly ascending user list (an undecodable one counts as not).
+func strictlyAscending(payload []byte) bool {
+	users, _, err := expertise.ConsumeUserIDs(nil, payload)
+	if err != nil {
+		return false
+	}
+	for i := 1; i < len(users); i++ {
+		if users[i] <= users[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // checkReply holds one dispatched request's reply to the protocol.

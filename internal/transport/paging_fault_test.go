@@ -439,6 +439,10 @@ func TestHostileFramesAnsweredNotFatal(t *testing.T) {
 			binary.AppendUvarint(binary.AppendUvarint(nil, math.MaxUint64), 16))},
 		{"stats for an unknown user", transport.AppendFrame(nil, transport.OpStats,
 			expertise.AppendUserIDs(nil, []world.UserID{3, outside}))},
+		{"stats for a duplicated user", transport.AppendFrame(nil, transport.OpStats,
+			expertise.AppendUserIDs(nil, []world.UserID{3, 3}))},
+		{"stats for a descending list", transport.AppendFrame(nil, transport.OpStats,
+			expertise.AppendUserIDs(nil, []world.UserID{5, 3}))},
 		{"post by an unknown user", postBy(microblog.Post{Author: outside, Text: "49ers"})},
 		{"post mentioning an unknown user", postBy(microblog.Post{Author: 1, Text: "49ers", Mentions: []world.UserID{outside}})},
 		{"post with a negative retweet count", postBy(microblog.Post{Author: 1, Text: "49ers", RetweetCount: -1})},
