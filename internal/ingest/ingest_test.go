@@ -199,8 +199,9 @@ func TestLateFirstQueryFrozenPrefix(t *testing.T) {
 // warm buffers, a user list's denominators into a warm buffer — are
 // counted, so neither the write nor any pooled search scratch (which
 // the race detector drops at random, and a GC at will) is in the
-// figure. A second round of the same questions is the control. The
-// medians over the rounds are compared: the rest of the process
+// figure. A second round of the same questions is the control, and
+// both rounds must allocate nothing: warm buffers, no per-call state.
+// The medians over the rounds are compared — the rest of the process
 // allocates a few times over a run, in either window.
 func TestFirstSearchAfterWriteAllocs(t *testing.T) {
 	p, _ := testPipeline(t)
@@ -237,8 +238,8 @@ func TestFirstSearchAfterWriteAllocs(t *testing.T) {
 	slices.Sort(again)
 	t.Logf("first questions of a fresh view: median %d allocs (max %d); asked again: median %d (max %d)",
 		first[writes/2], first[writes-1], again[writes/2], again[writes-1])
-	if first[writes/2] != again[writes/2] {
-		t.Fatalf("a fresh view's first questions allocated %d times (median), the same questions again %d times (want equal)",
+	if first[writes/2] != again[writes/2] || again[writes/2] != 0 {
+		t.Fatalf("a fresh view's first questions allocated %d times (median), the same questions again %d times (want 0 and 0)",
 			first[writes/2], again[writes/2])
 	}
 }
