@@ -117,8 +117,10 @@ loc:
 # refused by Open and Load alike with a diskseg sentinel or every read
 # of it succeeds with strictly ascending posting lists; and over the front door
 # (FuzzHandler): a fuzzed search body, budget and watch interval never
-# panic the gateway and get a documented status, and the hand-assembled
-# answer stays byte-identical to json.Encoder (FuzzAnswerBytes). Raise
+# panic the gateway and get a documented status, and each body, then a
+# valid one, is answered through the pooled decoder exactly as
+# json.Unmarshal implies; and the hand-assembled answer stays
+# byte-identical to json.Encoder (FuzzAnswerBytes). Raise
 # FUZZTIME for longer local hunts. FuzzOpen caps how long the engine
 # minimizes each new coverage input (500 execs): its inputs are kilobyte
 # images, and the default 60 s minimization spends a whole smoke budget

@@ -127,11 +127,14 @@ type OnlineConfig struct {
 	// (most central terms first). Zero means 10.
 	MaxExpansionTerms int
 	// MatchWorkers caps the per-term matching fan-out of Detector.Search
-	// and the per-shard fan-out of ShardedLiveDetector's scatter. Zero
-	// means GOMAXPROCS; 1 runs them sequentially, inline. Serving layers
-	// that already run many Search calls concurrently (internal/serve)
-	// should set 1: request-level parallelism saturates the cores, and
-	// per-query fan-out on top only adds scheduling overhead.
+	// and the per-shard fan-out of each phase of ShardedLiveDetector's
+	// scatter. Zero means GOMAXPROCS. 1 runs them one after another on
+	// the caller's goroutine, and the sharded scatter then adds no
+	// allocation of its own per shard or per phase; above 1, each phase
+	// costs a closure and a goroutine per worker. A server that already
+	// runs many searches concurrently should set 1, as cmd/gateway does:
+	// request-level parallelism fills the cores, and per-query fan-out on
+	// top only adds scheduling.
 	MatchWorkers int
 	// Expertise parameterizes the underlying Pal & Counts ranker.
 	Expertise expertise.Params
@@ -275,8 +278,8 @@ func (d *Detector) SearchBaseline(query string) []expertise.Expert {
 // over up to maxWorkers goroutines (maxWorkers <= 0 means GOMAXPROCS).
 // Short queries (one term, or two with nothing to amortize the
 // goroutine cost over) run sequentially — a heuristic sized to cheap
-// per-term matches; heavier work units (per-shard scatter-gather)
-// should call fanOut directly.
+// per-term matches; the per-shard scatter-gather, a heavier work unit,
+// calls fanOut directly.
 func matchFanOut(nTerms, maxWorkers int, matchTerm func(i int)) {
 	if maxWorkers <= 0 {
 		maxWorkers = runtime.GOMAXPROCS(0)
@@ -292,15 +295,10 @@ func matchFanOut(nTerms, maxWorkers int, matchTerm func(i int)) {
 }
 
 // fanOut runs task(i) for every i in [0, n) over exactly workers
-// goroutines pulling indices from a shared counter; workers <= 1 (or a
-// single task) runs inline.
+// goroutines (workers ≥ 2) pulling indices from a shared counter. Its
+// callers run the serial case themselves, in a plain loop, so that a
+// serial search builds no task closure either.
 func fanOut(n, workers int, task func(i int)) {
-	if workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			task(i)
-		}
-		return
-	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)

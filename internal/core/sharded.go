@@ -401,15 +401,17 @@ func (d *ShardedLiveDetector) scatterGather(ctx context.Context, query string, e
 	// not through matchFanOut's short-query heuristic, which is sized to
 	// cheap per-term matches). As served the scatter is serial:
 	// cmd/gateway sets MatchWorkers = 1 — request-level concurrency
-	// already fills the cores — so fanOut runs the shards inline on the
-	// request's goroutine, spawning and allocating nothing, and a remote
-	// cluster's round trips go out one after another in each phase. Only
-	// workers > 1 runs shards concurrently, at a goroutine per worker per
-	// phase; whether that pays at any N is unmeasured (ROADMAP item 6(a)).
+	// already fills the cores — so each phase calls its shard method in a
+	// plain loop on the request's goroutine, spawning nothing and
+	// allocating no closure, and a remote cluster's round trips go out one
+	// after another in each phase. Only workers > 1 runs shards
+	// concurrently, at a closure per phase and a goroutine per worker per
+	// phase; whether that pays at any N is unmeasured (ROADMAP item 10).
 	workers := d.cfg.MatchWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	serial := workers <= 1 || n <= 1
 	var (
 		mergeRank             int64
 		tMerge                time.Time
@@ -420,25 +422,13 @@ func (d *ShardedLiveDetector) scatterGather(ctx context.Context, query string, e
 		missing, retried MissingShards
 	)
 	for {
-		fanOut(n, min(n, workers), func(si int) {
-			sl := &s.shards[si]
-			sl.view = nil
-			sl.searchNS, sl.statsNS = 0, 0
-			var t0 time.Time
-			if d.obsOn {
-				t0 = time.Now()
+		if serial {
+			for si := 0; si < n; si++ {
+				d.scatterShard(ctx, c, s, si)
 			}
-			// Rows plus the shard's own candidates' denominators arrive
-			// together (for a remote shard, in one round trip). Phase two
-			// then owes only the foreign candidates' denominators — nothing
-			// at all when this shard saw every global candidate, which is
-			// the healthy N=1 case.
-			sl.raw, sl.matched, sl.ownStats, sl.view, sl.err =
-				c.Backend(si).SearchStats(ctx, s.terms, d.extended, sl.raw, sl.ownStats)
-			if d.obsOn {
-				sl.searchNS = time.Since(t0).Nanoseconds()
-			}
-		})
+		} else {
+			fanOut(n, min(n, workers), func(si int) { d.scatterShard(ctx, c, s, si) })
+		}
 
 		if err := ctxExpired(ctx); err != nil {
 			d.abandon(s, n)
@@ -452,28 +442,16 @@ func (d *ShardedLiveDetector) scatterGather(ctx context.Context, query string, e
 		if d.obsOn {
 			mergeRank += time.Since(tMerge).Nanoseconds()
 		}
-		// Gather stage phase two: every live shard answers for the global
-		// candidates it did not itself surface — a user's mention
-		// denominators live partly on shards where the user never posted —
-		// against the view its own candidates were extracted from, so the
-		// totals stay exact.
+		// Gather stage phase two: every live shard tops up the global
+		// candidates it did not itself surface (topUpShard).
 		if len(s.users) > 0 {
-			fanOut(n, min(n, workers), func(si int) {
-				sl := &s.shards[si]
-				if sl.err != nil {
-					return
+			if serial {
+				for si := 0; si < n; si++ {
+					d.topUpShard(ctx, s, si)
 				}
-				if d.obsOn {
-					t0 := time.Now()
-					defer func() { sl.statsNS = time.Since(t0).Nanoseconds() }()
-				}
-				sl.topUsers = missingUsers(sl.topUsers[:0], s.users, sl.raw)
-				if len(sl.topUsers) == 0 {
-					sl.stats = sl.stats[:0]
-					return
-				}
-				sl.stats, sl.err = sl.view.Stats(ctx, sl.topUsers, sl.stats)
-			})
+			} else {
+				fanOut(n, min(n, workers), func(si int) { d.topUpShard(ctx, s, si) })
+			}
 			if err := ctxExpired(ctx); err != nil {
 				d.abandon(s, n)
 				return nil, 0, 0, nil, 0, err
@@ -574,6 +552,52 @@ func (d *ShardedLiveDetector) scatterGather(ctx context.Context, query string, e
 		d.shardErrors.Add(int64(failed))
 	}
 	return results, matched, missing, spans, mergeRank, nil
+}
+
+// scatterShard is shard si's phase one: match every term against one
+// pinned view, extract the raw candidate rows and read the shard's own
+// candidates' denominators — together, so a remote shard answers in one
+// round trip. Phase two then owes only the foreign candidates'
+// denominators, nothing at all when this shard saw every global
+// candidate, which is the healthy N=1 case.
+func (d *ShardedLiveDetector) scatterShard(ctx context.Context, c *shard.Cluster, s *shardedScratch, si int) {
+	sl := &s.shards[si]
+	sl.view = nil
+	sl.searchNS, sl.statsNS = 0, 0
+	var t0 time.Time
+	if d.obsOn {
+		t0 = time.Now()
+	}
+	sl.raw, sl.matched, sl.ownStats, sl.view, sl.err =
+		c.Backend(si).SearchStats(ctx, s.terms, d.extended, sl.raw, sl.ownStats)
+	if d.obsOn {
+		sl.searchNS = time.Since(t0).Nanoseconds()
+	}
+}
+
+// topUpShard is shard si's phase two: a live shard answers for the
+// global candidates it did not itself surface — a user's mention
+// denominators live partly on shards where the user never posted —
+// against the view its own candidates were extracted from, so the
+// totals stay exact.
+func (d *ShardedLiveDetector) topUpShard(ctx context.Context, s *shardedScratch, si int) {
+	sl := &s.shards[si]
+	if sl.err != nil {
+		return
+	}
+	var t0 time.Time
+	if d.obsOn {
+		t0 = time.Now()
+	}
+	sl.topUsers = missingUsers(sl.topUsers[:0], s.users, sl.raw)
+	if len(sl.topUsers) == 0 {
+		sl.stats = sl.stats[:0]
+	} else {
+		sl.stats, sl.err = sl.view.Stats(ctx, sl.topUsers, sl.stats)
+	}
+	if d.obsOn {
+		sl.statsNS = time.Since(t0).Nanoseconds()
+	}
 }
 
 // mergeLive merges the numerators of the first n slots that have not

@@ -125,13 +125,14 @@ func TestWarmHitAllocBudget(t *testing.T) {
 			}
 		}
 		allocs := testing.AllocsPerRun(200, func() { p.do(body) })
-		// 7 in a plain run — net/http's and encoding/json's six plus the
-		// canonical cache key of a query whose tokens arrive out of order
-		// ("vintage cars" keys as "cars vintage"); serve's admission adds
-		// nothing. The race detector makes sync.Pool drop a
-		// quarter of its Puts, so there the scratch (and encoding/json's
-		// own pooled state) is sometimes rebuilt.
-		budget := 8.0
+		// 3 in a plain run: http.MaxBytesReader, the decoded query
+		// string, and the canonical cache key of a query whose tokens
+		// arrive out of order ("vintage cars" keys as "cars vintage");
+		// serve's admission and the pooled decoder add nothing. The race
+		// detector makes sync.Pool drop a quarter of its Puts, so there
+		// the scratch (and encoding/json's own pooled state) is sometimes
+		// rebuilt.
+		budget := 4.0
 		if race.Enabled {
 			budget = 20
 		}

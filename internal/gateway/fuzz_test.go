@@ -39,7 +39,10 @@ func (w cancelOnFlush) Flush() {
 // search body, the X-Budget-Ms header and ?budget_ms, the baseline
 // switch, and the watch stream's ?interval_ms. No input may panic the
 // handler, every status must be a documented one with a JSON body, and
-// the gateway's counters must still add up.
+// the gateway's counters must still add up. The body then goes through
+// a second, cache-less gateway that keeps its pooled decoders across
+// inputs, followed by a fixed valid body: each must be answered as
+// json.Unmarshal of it implies (TestDecodeMatchesUnmarshal).
 func FuzzHandler(f *testing.F) {
 	query := func(n int) string { return `{"query":"` + strings.TrimSpace(strings.Repeat("a ", n)) + `"}` }
 	f.Add(query(64), "", "", false, "20")
@@ -54,6 +57,7 @@ func FuzzHandler(f *testing.F) {
 	scfg.Obs = reg
 	g := newTestGateway(f, &stubBackend{}, scfg, func(c *Config) { c.Obs = reg })
 	f.Cleanup(g.Close)
+	dc := newDecodeCheck(f)
 
 	f.Fuzz(func(t *testing.T, body, hdrBudget, qBudget string, baseline bool, interval string) {
 		params := url.Values{}
@@ -88,5 +92,10 @@ func FuzzHandler(f *testing.F) {
 			t.Fatalf("watch answered status %d: %s", watch.Code, watch.Body)
 		}
 		checkStatsInvariant(t, g)
+
+		if len(body) <= maxBody {
+			dc.check(t, body)
+		}
+		dc.check(t, `{"query":"vintage cars"}`)
 	})
 }

@@ -43,7 +43,8 @@
 // auth, the body decode and one Write: the cache entry carries its
 // ranking's JSON, the handler wraps it in pooled scratch, and nothing
 // else is allocated per request that encoding/json and net/http do not
-// force (no context, no encoder, no query-string parse, no closure).
+// force (no context, no encoder or decoder state, no query-string parse,
+// no closure).
 //
 // Results are the serving layer's verbatim: at quiescence the experts
 // in the JSON body are bit-identical (modulo the JSON number round
@@ -317,8 +318,12 @@ var jsonContentType = []string{"application/json"}
 // scratch is everything one search request needs that the next can
 // reuse. query and experts exist to be pointed at: the encoder takes
 // its operand as an interface, and a pointer boxes without allocating.
+// The decoder is kept because json.Unmarshal builds its decode and
+// scan state afresh on every call, and a reused Decoder does not.
 type scratch struct {
 	body    bytes.Buffer  // the request body, read whole
+	rd      bytes.Reader  // over body, re-pointed per request
+	dec     *json.Decoder // over rd
 	out     bytes.Buffer  // the response under assembly
 	enc     *json.Encoder // over out
 	req     searchRequest
@@ -328,6 +333,7 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any {
 	sc := new(scratch)
+	sc.dec = json.NewDecoder(&sc.rd)
 	sc.enc = json.NewEncoder(&sc.out)
 	return sc
 }}
@@ -335,15 +341,34 @@ var scratchPool = sync.Pool{New: func() any {
 func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 
 // release returns sc to the pool, minus anything that would pin a
-// request's data or an outsized buffer.
+// request's data or an outsized buffer. The decoder's buffer grows to
+// about twice the largest body it has read, so the body's cap bounds it
+// too.
 func (sc *scratch) release() {
 	if sc.body.Cap() > maxPooledBuffer || sc.out.Cap() > maxPooledBuffer {
 		return
 	}
 	sc.body.Reset()
+	sc.rd.Reset(nil)
 	sc.out.Reset()
 	sc.req, sc.query, sc.experts = searchRequest{}, "", nil
 	scratchPool.Put(sc)
+}
+
+// decode parses the request body into sc.req, accepting and refusing
+// exactly what json.Unmarshal does, with the same error text. A valid
+// body goes through the pooled decoder; Valid also rejects the trailing
+// data a bare Decode would leave unread, and after it a Decode cannot
+// fail on syntax, so the decoder never keeps a sticky error or a
+// half-read value for the next request. An invalid body is refused by
+// Unmarshal itself, for its message.
+func (sc *scratch) decode() error {
+	body := sc.body.Bytes()
+	if !json.Valid(body) {
+		return json.Unmarshal(body, &sc.req)
+	}
+	sc.rd.Reset(body)
+	return sc.dec.Decode(&sc.req)
 }
 
 // encodeAnswer assembles the 200 body in sc.out:
@@ -421,7 +446,7 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 	defer sc.release()
 	_, err := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody))
 	if err == nil {
-		err = json.Unmarshal(sc.body.Bytes(), &sc.req)
+		err = sc.decode()
 	}
 	if err != nil {
 		g.badRequest.Add(1)
