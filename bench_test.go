@@ -208,11 +208,6 @@ func BenchmarkAblationBackends(b *testing.B) {
 			community.DetectSequential(ig, opt)
 		}
 	})
-	b.Run("louvain", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			community.DetectLouvain(ig, opt)
-		}
-	})
 	b.Run("sql", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := community.DetectSQL(ig, opt); err != nil {
@@ -240,28 +235,6 @@ func BenchmarkAblationMetric(b *testing.B) {
 			}
 			b.ReportMetric(res.Modularity, "modularity")
 			b.ReportMetric(float64(res.NumCommunities), "communities")
-		})
-	}
-}
-
-// BenchmarkAblationClusterFilter measures Pal & Counts' optional
-// filtering step, which the paper discarded as expensive and
-// recall-hostile.
-func BenchmarkAblationClusterFilter(b *testing.B) {
-	s := state(b)
-	for _, tc := range []struct {
-		name   string
-		enable bool
-	}{{"off", false}, {"on", true}} {
-		b.Run(tc.name, func(b *testing.B) {
-			params := expertise.DefaultParams()
-			params.ClusterFilter = tc.enable
-			det := expertise.New(s.pipe.Corpus, params)
-			var n int
-			for i := 0; i < b.N; i++ {
-				n = len(det.Search("49ers"))
-			}
-			b.ReportMetric(float64(n), "experts")
 		})
 	}
 }

@@ -1,9 +1,7 @@
 // Command docscheck asserts that every exported symbol in the given
-// package directories carries a doc comment, so godoc for the core
-// query path never regresses to bare signatures. It is wired into
-// `make docs-check` (and CI) over internal/shard and internal/core —
-// the packages ARCHITECTURE.md leans on hardest. Test files are
-// skipped. Exit status is non-zero if any exported symbol is
+// package directories carries a doc comment, so godoc never regresses
+// to bare signatures. It is wired into `make docs-check` (and CI) over
+// every package under internal/. Test files are skipped. Exit status is non-zero if any exported symbol is
 // undocumented, with one "file:line: symbol" diagnostic per miss.
 package main
 

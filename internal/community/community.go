@@ -5,8 +5,7 @@
 // paper's headline engineering claim is that the algorithm "can be
 // directly implemented in a SQL-like language" — a second implementation
 // of the very same algorithm executed as relational-operator plans on
-// internal/relops. Louvain is included as the alternative paradigm the
-// conclusion lists as future work.
+// internal/relops.
 //
 // All detectors consume the discretized multigraph of simgraph.IntGraph
 // (paper footnote 1) and produce canonical, backend-independent labels,

@@ -106,17 +106,6 @@ func TestSequentialSeparatesCliques(t *testing.T) {
 	}
 }
 
-func TestLouvainSeparatesCliques(t *testing.T) {
-	g := cliqueGraph(t, 4, 5)
-	res := DetectLouvain(g, DefaultOptions())
-	if res.NumCommunities != 4 {
-		t.Fatalf("louvain found %d communities, want 4", res.NumCommunities)
-	}
-	if res.Modularity < 0.5 {
-		t.Errorf("louvain modularity %v too low", res.Modularity)
-	}
-}
-
 func TestSQLBackendMatchesParallelOnCliques(t *testing.T) {
 	g := cliqueGraph(t, 3, 4)
 	mem := DetectParallel(g, DefaultOptions())
@@ -293,10 +282,6 @@ func TestEmptyGraph(t *testing.T) {
 	if sql.NumCommunities != 3 {
 		t.Errorf("sql on edgeless graph: %d", sql.NumCommunities)
 	}
-	lv := DetectLouvain(g, DefaultOptions())
-	if lv.NumCommunities != 3 {
-		t.Errorf("louvain on edgeless graph: %d", lv.NumCommunities)
-	}
 }
 
 func TestMaxIterationsRespected(t *testing.T) {
@@ -354,17 +339,6 @@ func TestMembersPartition(t *testing.T) {
 	}
 }
 
-func TestLouvainModularityAtLeastParallel(t *testing.T) {
-	// Louvain's local moves usually find equal-or-better modularity than
-	// the coarse aggregation heuristic on clique-planted graphs.
-	g := cliqueGraph(t, 4, 4)
-	p := DetectParallel(g, DefaultOptions())
-	l := DetectLouvain(g, DefaultOptions())
-	if l.Modularity < p.Modularity-0.05 {
-		t.Errorf("louvain Q=%v much worse than parallel Q=%v", l.Modularity, p.Modularity)
-	}
-}
-
 func assertSameResult(t *testing.T, a, b *Result) {
 	t.Helper()
 	if a.NumCommunities != b.NumCommunities {
@@ -404,15 +378,6 @@ func BenchmarkDetectSQL(b *testing.B) {
 		if _, err := DetectSQL(g, opt); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkDetectLouvain(b *testing.B) {
-	g := cliqueGraph(b, 20, 8)
-	opt := DefaultOptions()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = DetectLouvain(g, opt)
 	}
 }
 

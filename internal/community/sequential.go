@@ -111,192 +111,3 @@ func DetectSequential(g *simgraph.IntGraph, opt Options) *Result {
 	res.Modularity = Modularity(g, res.Labels)
 	return res
 }
-
-// louvainGraph is the aggregated working graph for Louvain passes; it
-// supports self-loops (intra-community units folded into a vertex).
-type louvainGraph struct {
-	adj  []map[int32]int64 // neighbor -> units (no self entries)
-	self []int64           // self-loop units (counted once)
-	deg  []int64           // unit degree incl. 2*self
-}
-
-// DetectLouvain implements the Louvain method (Blondel et al. 2008), the
-// "different community detection paradigm" named in the paper's
-// conclusion as future work. Each pass sweeps vertices in order, moving
-// each to the neighboring community with the largest positive modularity
-// gain until no move helps, then aggregates communities into
-// super-vertices and repeats.
-func DetectLouvain(g *simgraph.IntGraph, opt Options) *Result {
-	opt = opt.normalized()
-	n := g.NumVertices()
-	mG := g.TotalUnits()
-
-	res := &Result{}
-	labels := make([]int32, n)
-	for v := range labels {
-		labels[v] = int32(v)
-	}
-	res.Iterations = append(res.Iterations, IterStats{
-		Iteration:   0,
-		Communities: n,
-		Modularity:  Modularity(g, labels),
-	})
-	if mG == 0 || n == 0 {
-		res.Labels, res.NumCommunities = canonicalize(labels)
-		res.Modularity = Modularity(g, res.Labels)
-		return res
-	}
-
-	// Working graph initialized from g.
-	lg := &louvainGraph{
-		adj:  make([]map[int32]int64, n),
-		self: make([]int64, n),
-		deg:  make([]int64, n),
-	}
-	for v := int32(0); int(v) < n; v++ {
-		lg.adj[v] = map[int32]int64{}
-		for _, nb := range g.Neighbors(v) {
-			lg.adj[v][nb.To] = nb.Units
-		}
-		lg.deg[v] = g.UnitDegree(v)
-	}
-	// mapping[v] = current community of original vertex v.
-	mapping := make([]int32, n)
-	for v := range mapping {
-		mapping[v] = int32(v)
-	}
-
-	for pass := 1; pass <= opt.MaxIterations; pass++ {
-		start := time.Now()
-		comm, moved := louvainSweep(lg, mG)
-		if !moved {
-			break
-		}
-		// Compose the vertex mapping with this pass's assignment, then
-		// aggregate the working graph.
-		compact, k := compactLabels(comm)
-		for v := range mapping {
-			mapping[v] = compact[mapping[v]]
-		}
-		lg = aggregate(lg, compact, k)
-
-		for v := range labels {
-			labels[v] = mapping[v]
-		}
-		count := countDistinct(labels)
-		prev := res.Iterations[len(res.Iterations)-1]
-		res.Iterations = append(res.Iterations, IterStats{
-			Iteration:   pass,
-			Communities: count,
-			Modularity:  Modularity(g, labels),
-			Merges:      prev.Communities - count,
-			Duration:    time.Since(start),
-		})
-		if count == prev.Communities {
-			break
-		}
-	}
-
-	res.Labels, res.NumCommunities = canonicalize(labels)
-	res.Modularity = Modularity(g, res.Labels)
-	return res
-}
-
-// louvainSweep runs local moves until quiescent; returns the community
-// of each working vertex and whether anything moved.
-func louvainSweep(lg *louvainGraph, mG int64) ([]int32, bool) {
-	n := len(lg.adj)
-	comm := make([]int32, n)
-	commDeg := make([]int64, n)
-	for v := range comm {
-		comm[v] = int32(v)
-		commDeg[v] = lg.deg[v]
-	}
-	movedAny := false
-	for {
-		movedRound := false
-		for v := int32(0); int(v) < n; v++ {
-			cv := comm[v]
-			// Units from v to each neighboring community.
-			toComm := map[int32]int64{}
-			for u, units := range lg.adj[v] {
-				toComm[comm[u]] += units
-			}
-			// Gain of staying: links to own community (minus self) vs
-			// expected.
-			commDeg[cv] -= lg.deg[v]
-			bestC, bestGain := cv, DeltaMod(toComm[cv], lg.deg[v], commDeg[cv], mG)
-			for c, units := range toComm {
-				if c == cv {
-					continue
-				}
-				gain := DeltaMod(units, lg.deg[v], commDeg[c], mG)
-				if gain > bestGain || (gain == bestGain && c < bestC) {
-					bestC, bestGain = c, gain
-				}
-			}
-			commDeg[bestC] += lg.deg[v]
-			if bestC != cv {
-				comm[v] = bestC
-				movedRound = true
-				movedAny = true
-			}
-		}
-		if !movedRound {
-			break
-		}
-	}
-	return comm, movedAny
-}
-
-// compactLabels renumbers arbitrary labels densely (order of first
-// appearance by vertex index) and returns the mapping and count.
-func compactLabels(comm []int32) ([]int32, int) {
-	next := int32(0)
-	seen := map[int32]int32{}
-	out := make([]int32, len(comm))
-	for v, c := range comm {
-		id, ok := seen[c]
-		if !ok {
-			id = next
-			seen[c] = id
-			next++
-		}
-		out[v] = id
-	}
-	return out, int(next)
-}
-
-// aggregate folds the working graph by the compact assignment.
-func aggregate(lg *louvainGraph, compact []int32, k int) *louvainGraph {
-	out := &louvainGraph{
-		adj:  make([]map[int32]int64, k),
-		self: make([]int64, k),
-		deg:  make([]int64, k),
-	}
-	for i := range out.adj {
-		out.adj[i] = map[int32]int64{}
-	}
-	for v := int32(0); int(v) < len(lg.adj); v++ {
-		cv := compact[v]
-		out.self[cv] += lg.self[v]
-		for u, units := range lg.adj[v] {
-			cu := compact[u]
-			if cu == cv {
-				if u > v {
-					out.self[cv] += units
-				}
-				continue
-			}
-			out.adj[cv][cu] += units
-		}
-	}
-	for c := 0; c < k; c++ {
-		d := 2 * out.self[c]
-		for _, units := range out.adj[c] {
-			d += units
-		}
-		out.deg[c] = d
-	}
-	return out
-}

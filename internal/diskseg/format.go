@@ -214,16 +214,6 @@ func Encode(c *microblog.Corpus) ([]byte, error) {
 	return img, nil
 }
 
-// WriteMerged merges segments (EncodeMerged) and writes the image to
-// path (WriteFile).
-func WriteMerged(path string, parts []*Segment) error {
-	img, err := EncodeMerged(parts)
-	if err != nil {
-		return err
-	}
-	return WriteFile(path, img)
-}
-
 // WriteFile stores an encoded image at path, atomically: the bytes land
 // in path+".tmp" first and are renamed over path only when complete, so
 // a crashed or failed spill never leaves a half-written segment where

@@ -173,11 +173,12 @@ func TestMergeAllocs(t *testing.T) {
 }
 
 // TestMergedImageEqualsEncode is the property every compaction rests
-// on: WriteMerged over opened segments writes exactly the bytes Encode
-// writes for FromTweets over their posts back to back. Splits of the merge
-// stream at seeded points cover fan-in 2–5, part sizes off the 64-post
-// tweet-block and 128-id posting-block grids and a one-post part; a
-// second set of parts shares no term at all. The merged file then opens
+// on: EncodeMerged over opened segments, written out by WriteFile, is
+// exactly the bytes Encode writes for FromTweets over their posts back
+// to back. Splits of the merge stream at seeded points cover fan-in
+// 2–5, part sizes off the 64-post tweet-block and 128-id posting-block
+// grids and a one-post part; a second set of parts shares no term at
+// all. The merged file then opens
 // and answers like the heap corpus of the same posts: every posting
 // list, every post, every feature row and every per-user stat.
 func TestMergedImageEqualsEncode(t *testing.T) {
@@ -228,9 +229,9 @@ func TestMergedImageEqualsEncode(t *testing.T) {
 }
 
 // checkMergedImage writes each chunk as a segment, merges the opened
-// segments with WriteMerged and holds the file to Encode(FromTweets) of
-// the concatenated chunks byte for byte, then sweeps the opened result
-// against that heap corpus.
+// segments with EncodeMerged, writes the image with WriteFile and holds
+// the file to Encode(FromTweets) of the concatenated chunks byte for
+// byte, then sweeps the opened result against that heap corpus.
 func checkMergedImage(t *testing.T, label string, w *world.World, dir string, chunks [][]microblog.Tweet) {
 	t.Helper()
 	var segs []*diskseg.Segment
@@ -249,8 +250,12 @@ func checkMergedImage(t *testing.T, label string, w *world.World, dir string, ch
 		all = append(all, chunk...)
 	}
 	path := filepath.Join(dir, "merged.esg")
-	if err := diskseg.WriteMerged(path, segs); err != nil {
+	img, err := diskseg.EncodeMerged(segs)
+	if err != nil {
 		t.Fatalf("%s: %v", label, err)
+	}
+	if err := diskseg.WriteFile(path, img); err != nil {
+		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)
 	if err != nil {

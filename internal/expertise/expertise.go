@@ -7,12 +7,6 @@
 // z-score-normalized over the candidate set, and aggregated with a
 // weighted sum. A minimum aggregate z-score rejects weak candidates
 // (the precision/recall knob of Figure 9).
-//
-// Pal & Counts' optional cluster-analysis filtering step, which the
-// paper discards as "computationally expensive and contrary to our
-// objective of improving recall", is implemented behind
-// Params.ClusterFilter for the ablation benchmarks, and is off by
-// default exactly as in the paper.
 package expertise
 
 import (
@@ -46,10 +40,6 @@ type Params struct {
 	// MaxResults caps the returned list (the crowdsourcing study used up
 	// to 15 experts per algorithm). Zero means unlimited.
 	MaxResults int
-	// ClusterFilter enables Pal & Counts' optional cluster-based
-	// filtering step (2-means on the aggregate score, keep the upper
-	// cluster). Discarded by the paper; present for ablation.
-	ClusterFilter bool
 	// Epsilon smooths the log transform of zero-valued features.
 	Epsilon float64
 }
@@ -370,10 +360,6 @@ func (r *Ranker) Rank(candidates []Expert) []Expert {
 		}
 	}
 
-	if p.ClusterFilter && n >= 4 {
-		scored = clusterFilter(scored)
-	}
-
 	// Threshold, then select. When MaxResults caps the output, a bounded
 	// top-k heap avoids fully sorting the candidate pool; the ranking
 	// order (descending score, ties toward the smaller user id) is total,
@@ -479,65 +465,6 @@ func zscores(xs []float64) {
 	for i, x := range xs {
 		xs[i] = (x - mean) / std
 	}
-}
-
-// clusterFilter is Pal & Counts' optional filtering step: a
-// deterministic 1-D 2-means over the aggregate scores; only the upper
-// cluster survives. Centroids initialize at min and max, so the
-// procedure needs no randomness.
-func clusterFilter(scored []Expert) []Expert {
-	lo, hi := scored[0].Score, scored[0].Score
-	for _, e := range scored {
-		if e.Score < lo {
-			lo = e.Score
-		}
-		if e.Score > hi {
-			hi = e.Score
-		}
-	}
-	if lo == hi {
-		return scored
-	}
-	cLo, cHi := lo, hi
-	assign := make([]bool, len(scored)) // true = upper cluster
-	for iter := 0; iter < 50; iter++ {
-		var sumLo, sumHi float64
-		var nLo, nHi int
-		changed := false
-		for i, e := range scored {
-			upper := math.Abs(e.Score-cHi) < math.Abs(e.Score-cLo)
-			if upper != assign[i] {
-				assign[i] = upper
-				changed = true
-			}
-			if upper {
-				sumHi += e.Score
-				nHi++
-			} else {
-				sumLo += e.Score
-				nLo++
-			}
-		}
-		if nLo > 0 {
-			cLo = sumLo / float64(nLo)
-		}
-		if nHi > 0 {
-			cHi = sumHi / float64(nHi)
-		}
-		if !changed {
-			break
-		}
-	}
-	var out []Expert
-	for i, e := range scored {
-		if assign[i] {
-			out = append(out, e)
-		}
-	}
-	if len(out) == 0 {
-		return scored
-	}
-	return out
 }
 
 // UnionTweets merges several sorted matched-tweet id lists into one

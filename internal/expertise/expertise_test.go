@@ -200,45 +200,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestClusterFilterReducesResults(t *testing.T) {
-	_, c, _ := tinySetup(t)
-	base := DefaultParams()
-	base.MaxResults = 0
-	base.MinZScore = -100 // disable threshold; isolate the filter
-	plain := New(c, base)
-	filtered := base
-	filtered.ClusterFilter = true
-	clustered := New(c, filtered)
-
-	np := len(plain.Search("49ers"))
-	nc := len(clustered.Search("49ers"))
-	if np == 0 {
-		t.Skip("no candidates")
-	}
-	if nc > np {
-		t.Errorf("cluster filter increased results: %d -> %d", np, nc)
-	}
-	if nc == 0 {
-		t.Error("cluster filter removed everything")
-	}
-}
-
-func TestClusterFilterKeepsUpperCluster(t *testing.T) {
-	scored := []Expert{
-		{User: 1, Score: 5.0}, {User: 2, Score: 4.8}, {User: 3, Score: 0.1},
-		{User: 4, Score: 0.2}, {User: 5, Score: -0.3},
-	}
-	out := clusterFilter(scored)
-	if len(out) != 2 {
-		t.Fatalf("kept %d, want the 2 high scorers", len(out))
-	}
-	for _, e := range out {
-		if e.Score < 4 {
-			t.Errorf("low scorer %v survived", e)
-		}
-	}
-}
-
 func TestWeightsAblateFeatures(t *testing.T) {
 	_, c, _ := tinySetup(t)
 	p := DefaultParams()

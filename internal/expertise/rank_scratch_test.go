@@ -58,9 +58,6 @@ func referenceFullRank(p Params, candidates []Expert) []Expert {
 			scored[i].Score += (p.WeightHT*zHT[i] + p.WeightGI*zGI[i] + p.WeightAV*zAV[i]) / wSum
 		}
 	}
-	if p.ClusterFilter && len(scored) >= 4 {
-		scored = clusterFilter(scored)
-	}
 	if out := referenceRank(scored, p.MinZScore, p.MaxResults); len(out) > 0 {
 		return out
 	}
@@ -98,18 +95,16 @@ func firstDiff(got, want []Expert) string {
 	return "one is a prefix of the other"
 }
 
-// rankParamSets covers both scoring branches, the cluster filter and
-// both selection tails (bounded top-k, full sort).
+// rankParamSets covers both scoring branches and both selection tails
+// (bounded top-k, full sort).
 func rankParamSets() []Params {
 	var sets []Params
 	for _, base := range []Params{DefaultParams(), ExtendedParams()} {
-		for _, filter := range []bool{false, true} {
-			for _, max := range []int{15, 0} {
-				p := base
-				p.ClusterFilter, p.MaxResults = filter, max
-				p.MinZScore = -0.25
-				sets = append(sets, p)
-			}
+		for _, max := range []int{15, 0} {
+			p := base
+			p.MaxResults = max
+			p.MinZScore = -0.25
+			sets = append(sets, p)
 		}
 	}
 	return sets

@@ -372,3 +372,36 @@ func TestCheckLeaksCatchesLeaks(t *testing.T) {
 		t.Fatalf("a clean teardown failed the check: %s", msg)
 	}
 }
+
+// TestCheckLeaksSeesThroughChurn pins that the check compares
+// identities, not counts: a goroutine and a file that were there before
+// the check began and go away across the teardown must not hide a new
+// goroutine and a new file left behind — the shape of an earlier
+// test's stragglers exiting while this one leaks.
+func TestCheckLeaksSeesThroughChurn(t *testing.T) {
+	oldStop, oldDone := make(chan struct{}), make(chan struct{})
+	go func() { <-oldStop; close(oldDone) }()
+	old, err := os.Open(os.Args[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &leakRecorder{TB: t}
+	CheckLeaks(r)
+	stop := make(chan struct{})
+	go func() { <-stop }()
+	f, err := os.Open(os.Args[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(oldStop)
+	<-oldDone
+	old.Close()
+	for _, c := range r.cleanups {
+		c()
+	}
+	close(stop)
+	f.Close()
+	if !strings.Contains(r.failed, "goroutines") || !strings.Contains(r.failed, os.Args[0]) {
+		t.Fatalf("a leaked goroutine and file hid behind ones that went away (%q)", r.failed)
+	}
+}

@@ -1,10 +1,7 @@
 package relops
 
 import (
-	"bytes"
 	"fmt"
-	"hash/maphash"
-	"math"
 	"sort"
 	"sync"
 )
@@ -43,7 +40,6 @@ func Project(t *Table, names ...string) (*Table, error) {
 		out.cols = append(out.cols, t.cols[p])
 		out.ints = append(out.ints, t.ints[p])
 		out.floats = append(out.floats, t.floats[p])
-		out.strs = append(out.strs, t.strs[p])
 	}
 	out.rows = t.rows
 	return out, nil
@@ -99,33 +95,6 @@ func Distinct(t *Table) *Table {
 	return out
 }
 
-// Sort returns a copy of t ordered by the named columns ascending
-// (memcomparable composite key). The sort is stable.
-func Sort(t *Table, names ...string) (*Table, error) {
-	cols := make([]int, len(names))
-	for i, n := range names {
-		p, err := t.colPos(n)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = p
-	}
-	keys := make([][]byte, t.rows)
-	order := make([]int, t.rows)
-	for r := 0; r < t.rows; r++ {
-		keys[r] = t.encodeKey(nil, cols, r)
-		order[r] = r
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		return bytes.Compare(keys[order[i]], keys[order[j]]) < 0
-	})
-	out := MustNew(t.cols...)
-	for _, r := range order {
-		out.appendRowFrom(t, r)
-	}
-	return out, nil
-}
-
 // JoinStrategy selects the physical join plan (Section 4.2.3).
 type JoinStrategy int
 
@@ -139,18 +108,6 @@ const (
 	// replicated join for when the build side fits in memory.
 	ReplicatedJoin
 )
-
-// String names the strategy.
-func (s JoinStrategy) String() string {
-	switch s {
-	case PartitionedJoin:
-		return "partitioned"
-	case ReplicatedJoin:
-		return "replicated"
-	default:
-		return fmt.Sprintf("strategy(%d)", int(s))
-	}
-}
 
 // JoinOptions configures Join.
 type JoinOptions struct {
@@ -222,48 +179,17 @@ func Join(l, r *Table, lKey, rKey string, opt JoinOptions) (*Table, error) {
 	return out, nil
 }
 
-// joinSeed is the fixed maphash seed: join partitioning must be
-// deterministic across runs for reproducible row order.
-var joinSeed = maphash.MakeSeed()
-
-// hashKeys precomputes the partition hash of every row's key column.
+// hashKeys precomputes the partition hash of every row's key column:
+// a cheap integer mix of the key's bits (an Int64 key's own bits once
+// keyBits' sign flip is undone), so partitioning is deterministic
+// across runs.
 func hashKeys(t *Table, keyPos int) []uint64 {
 	out := make([]uint64, t.rows)
-	var h maphash.Hash
-	switch t.cols[keyPos].Type {
-	case Int64:
-		col := t.ints[keyPos]
-		for i, v := range col {
-			// Cheap integer mix; avoids per-row maphash overhead.
-			x := uint64(v) * 0x9e3779b97f4a7c15
-			x ^= x >> 29
-			out[i] = x
-		}
-	case Float64:
-		col := t.floats[keyPos]
-		for i, v := range col {
-			h.SetSeed(joinSeed)
-			var b [8]byte
-			putFloatBits(b[:], v)
-			h.Write(b[:])
-			out[i] = h.Sum64()
-		}
-	default:
-		col := t.strs[keyPos]
-		for i, v := range col {
-			h.SetSeed(joinSeed)
-			h.WriteString(v)
-			out[i] = h.Sum64()
-		}
+	for i := range out {
+		x := (t.keyBits(keyPos, i) ^ 1<<63) * 0x9e3779b97f4a7c15
+		out[i] = x ^ x>>29
 	}
 	return out
-}
-
-func putFloatBits(b []byte, v float64) {
-	bits := math.Float64bits(v)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(bits >> (8 * i))
-	}
 }
 
 // joinPartition joins the slice of the key space owned by worker w.
@@ -336,14 +262,8 @@ func AntiJoin(l, r *Table, lKey, rKey string) (*Table, error) {
 type AggKind int
 
 const (
-	// Count counts rows per group.
-	Count AggKind = iota
 	// Sum sums a numeric column.
-	Sum
-	// Max takes the maximum of a numeric column.
-	Max
-	// Min takes the minimum of a numeric column.
-	Min
+	Sum AggKind = iota
 	// ArgMax returns the value of Arg on the row where Col is maximal.
 	// Ties break toward the smallest Arg value, making the aggregate
 	// deterministic — the property that lets the SQL backend reproduce
@@ -354,7 +274,7 @@ const (
 // Agg describes one aggregate output.
 type Agg struct {
 	Kind AggKind
-	// Col is the aggregated column (ignored for Count).
+	// Col is the aggregated column.
 	Col string
 	// Arg is the column returned by ArgMax.
 	Arg string
@@ -439,17 +359,13 @@ func GroupBy(t *Table, keys []string, aggs []Agg, workers int) (*Table, error) {
 		}
 		for ai, sp := range specs {
 			c := len(keyPos) + ai
-			switch sp.kind {
-			case Count:
-				out.ints[c] = append(out.ints[c], st.counts[ai])
-			case Sum, Max, Min:
-				if sp.colType == Int64 {
-					out.ints[c] = append(out.ints[c], st.accInt[ai])
-				} else {
-					out.floats[c] = append(out.floats[c], st.accFloat[ai])
-				}
-			case ArgMax:
+			switch {
+			case sp.kind == ArgMax:
 				out.appendFrom(c, t, sp.argPos, st.argRows[ai])
+			case sp.colType == Int64:
+				out.ints[c] = append(out.ints[c], st.accInt[ai])
+			default:
+				out.floats[c] = append(out.floats[c], st.accFloat[ai])
 			}
 		}
 		out.rows++
@@ -462,7 +378,6 @@ type aggSpec struct {
 	colPos  int
 	colType Type
 	argPos  int
-	argType Type
 }
 
 func resolveAggs(t *Table, keys []string, keyPos []int, aggs []Agg) ([]aggSpec, []Column, error) {
@@ -475,36 +390,19 @@ func resolveAggs(t *Table, keys []string, keyPos []int, aggs []Agg) ([]aggSpec, 
 		if a.As == "" {
 			return nil, nil, fmt.Errorf("relops: aggregate %d has empty output name", i)
 		}
-		sp := aggSpec{kind: a.Kind}
+		p, err := t.colPos(a.Col)
+		if err != nil {
+			return nil, nil, err
+		}
+		sp := aggSpec{kind: a.Kind, colPos: p, colType: t.cols[p].Type}
 		switch a.Kind {
-		case Count:
-			outCols = append(outCols, Column{Name: a.As, Type: Int64})
-		case Sum, Max, Min:
-			p, err := t.colPos(a.Col)
-			if err != nil {
-				return nil, nil, err
-			}
-			ct := t.cols[p].Type
-			if ct == String {
-				return nil, nil, fmt.Errorf("relops: %v over string column %q", a.Kind, a.Col)
-			}
-			sp.colPos, sp.colType = p, ct
-			outCols = append(outCols, Column{Name: a.As, Type: ct})
+		case Sum:
+			outCols = append(outCols, Column{Name: a.As, Type: sp.colType})
 		case ArgMax:
-			p, err := t.colPos(a.Col)
-			if err != nil {
+			if sp.argPos, err = t.colPos(a.Arg); err != nil {
 				return nil, nil, err
 			}
-			if t.cols[p].Type == String {
-				return nil, nil, fmt.Errorf("relops: ArgMax over string column %q", a.Col)
-			}
-			ap, err := t.colPos(a.Arg)
-			if err != nil {
-				return nil, nil, err
-			}
-			sp.colPos, sp.colType = p, t.cols[p].Type
-			sp.argPos, sp.argType = ap, t.cols[ap].Type
-			outCols = append(outCols, Column{Name: a.As, Type: t.cols[ap].Type})
+			outCols = append(outCols, Column{Name: a.As, Type: t.cols[sp.argPos].Type})
 		default:
 			return nil, nil, fmt.Errorf("relops: unknown aggregate kind %d", a.Kind)
 		}
@@ -524,7 +422,6 @@ func resolveAggs(t *Table, keys []string, keyPos []int, aggs []Agg) ([]aggSpec, 
 // groupState carries per-group accumulator values, indexed by aggregate.
 type groupState struct {
 	firstRow int
-	counts   []int64
 	accInt   []int64
 	accFloat []float64
 	argRows  []int
@@ -533,7 +430,6 @@ type groupState struct {
 func newGroupState(specs []aggSpec, row int) *groupState {
 	st := &groupState{
 		firstRow: row,
-		counts:   make([]int64, len(specs)),
 		accInt:   make([]int64, len(specs)),
 		accFloat: make([]float64, len(specs)),
 		argRows:  make([]int, len(specs)),
@@ -546,34 +442,15 @@ func newGroupState(specs []aggSpec, row int) *groupState {
 
 func (st *groupState) update(t *Table, specs []aggSpec, r int) {
 	for i, sp := range specs {
-		switch sp.kind {
-		case Count:
-			st.counts[i]++
-		case Sum:
-			if sp.colType == Int64 {
-				st.accInt[i] += t.ints[sp.colPos][r]
-			} else {
-				st.accFloat[i] += t.floats[sp.colPos][r]
-			}
-			st.counts[i]++
-		case Max, Min:
-			first := st.counts[i] == 0
-			st.counts[i]++
-			if sp.colType == Int64 {
-				v := t.ints[sp.colPos][r]
-				if first || (sp.kind == Max && v > st.accInt[i]) || (sp.kind == Min && v < st.accInt[i]) {
-					st.accInt[i] = v
-				}
-			} else {
-				v := t.floats[sp.colPos][r]
-				if first || (sp.kind == Max && v > st.accFloat[i]) || (sp.kind == Min && v < st.accFloat[i]) {
-					st.accFloat[i] = v
-				}
-			}
-		case ArgMax:
+		switch {
+		case sp.kind == ArgMax:
 			if st.argRows[i] < 0 || argMaxBetter(t, sp, r, st.argRows[i]) {
 				st.argRows[i] = r
 			}
+		case sp.colType == Int64:
+			st.accInt[i] += t.ints[sp.colPos][r]
+		default:
+			st.accFloat[i] += t.floats[sp.colPos][r]
 		}
 	}
 }
@@ -604,58 +481,28 @@ func argMaxBetter(t *Table, sp aggSpec, a, b int) bool {
 		return cmp > 0
 	}
 	// Tie on value: smaller argument wins.
-	ka := t.encodeKey(nil, []int{sp.argPos}, a)
-	kb := t.encodeKey(nil, []int{sp.argPos}, b)
-	return bytes.Compare(ka, kb) < 0
+	return t.keyBits(sp.argPos, a) < t.keyBits(sp.argPos, b)
 }
 
 func (st *groupState) merge(t *Table, specs []aggSpec, other *groupState) {
 	for i, sp := range specs {
-		switch sp.kind {
-		case Count:
-			st.counts[i] += other.counts[i]
-		case Sum:
-			st.accInt[i] += other.accInt[i]
-			st.accFloat[i] += other.accFloat[i]
-			st.counts[i] += other.counts[i]
-		case Max, Min:
-			if other.counts[i] == 0 {
-				continue
-			}
-			if st.counts[i] == 0 {
-				st.accInt[i], st.accFloat[i] = other.accInt[i], other.accFloat[i]
-				st.counts[i] = other.counts[i]
-				continue
-			}
-			st.counts[i] += other.counts[i]
-			if sp.colType == Int64 {
-				if (sp.kind == Max && other.accInt[i] > st.accInt[i]) ||
-					(sp.kind == Min && other.accInt[i] < st.accInt[i]) {
-					st.accInt[i] = other.accInt[i]
-				}
-			} else {
-				if (sp.kind == Max && other.accFloat[i] > st.accFloat[i]) ||
-					(sp.kind == Min && other.accFloat[i] < st.accFloat[i]) {
-					st.accFloat[i] = other.accFloat[i]
-				}
-			}
-		case ArgMax:
-			if other.argRows[i] < 0 {
-				continue
-			}
-			if st.argRows[i] < 0 || argMaxBetter(t, sp, other.argRows[i], st.argRows[i]) {
+		if sp.kind == ArgMax {
+			if other.argRows[i] >= 0 && (st.argRows[i] < 0 || argMaxBetter(t, sp, other.argRows[i], st.argRows[i])) {
 				st.argRows[i] = other.argRows[i]
 			}
+			continue
 		}
-		if other.firstRow < st.firstRow {
-			st.firstRow = other.firstRow
-		}
+		st.accInt[i] += other.accInt[i]
+		st.accFloat[i] += other.accFloat[i]
+	}
+	if other.firstRow < st.firstRow {
+		st.firstRow = other.firstRow
 	}
 }
 
 // Extend returns t plus one computed column. The value function receives
-// each row and must return a value of the declared type (int64, float64
-// or string; int and int32 widen). It stands in for SQL computed
+// each row and must return a value of the declared type (int64 or
+// float64; int and int32 widen). It stands in for SQL computed
 // expressions such as the ModulGain(...) call in the paper's Figure 4.
 func Extend(t *Table, name string, typ Type, fn func(Row) any) (*Table, error) {
 	if _, dup := t.idx[name]; dup {

@@ -1,8 +1,8 @@
-// Package relops is a miniature in-process relational engine: typed
-// columnar tables and the parallel operators needed to execute the
-// paper's pseudo-SQL community detection (Figure 4) exactly as written —
-// selections, projections, partitioned and replicated hash joins, and
-// grouped aggregation including the argmax aggregate.
+// Package relops is the miniature in-process relational engine behind
+// community.DetectSQL, the paper's pseudo-SQL community detection
+// (Figure 4) built as relational-operator plans: typed columnar tables
+// of int64 and float64 columns, selections, projections, partitioned
+// and replicated hash joins, an anti-join, and grouped sums and argmax.
 //
 // It stands in for the SCOPE/Hive cluster of the paper's production
 // deployment: every operator is expressed as independent partition tasks
@@ -27,8 +27,6 @@ const (
 	Int64 Type = iota
 	// Float64 is a double-precision column.
 	Float64
-	// String is a UTF-8 string column.
-	String
 )
 
 // String names the type.
@@ -38,8 +36,6 @@ func (t Type) String() string {
 		return "int64"
 	case Float64:
 		return "float64"
-	case String:
-		return "string"
 	default:
 		return fmt.Sprintf("type(%d)", int(t))
 	}
@@ -59,7 +55,6 @@ type Table struct {
 	idx    map[string]int
 	ints   [][]int64
 	floats [][]float64
-	strs   [][]string
 	rows   int
 }
 
@@ -71,7 +66,6 @@ func New(cols ...Column) (*Table, error) {
 		idx:    make(map[string]int, len(cols)),
 		ints:   make([][]int64, len(cols)),
 		floats: make([][]float64, len(cols)),
-		strs:   make([][]string, len(cols)),
 	}
 	for i, c := range cols {
 		if c.Name == "" {
@@ -97,17 +91,8 @@ func MustNew(cols ...Column) *Table {
 // NumRows returns the row count.
 func (t *Table) NumRows() int { return t.rows }
 
-// NumCols returns the column count.
-func (t *Table) NumCols() int { return len(t.cols) }
-
 // Schema returns a copy of the column definitions.
 func (t *Table) Schema() []Column { return append([]Column(nil), t.cols...) }
-
-// HasColumn reports whether the named column exists.
-func (t *Table) HasColumn(name string) bool {
-	_, ok := t.idx[name]
-	return ok
-}
 
 // colPos returns the position of a column or an error.
 func (t *Table) colPos(name string) (int, error) {
@@ -143,12 +128,6 @@ func (t *Table) AppendRow(vals ...any) error {
 				return fmt.Errorf("relops: column %q wants float64, got %T", t.cols[i].Name, v)
 			}
 			t.floats[i] = append(t.floats[i], x)
-		case String:
-			x, ok := v.(string)
-			if !ok {
-				return fmt.Errorf("relops: column %q wants string, got %T", t.cols[i].Name, v)
-			}
-			t.strs[i] = append(t.strs[i], x)
 		}
 	}
 	t.rows++
@@ -174,39 +153,13 @@ func (t *Table) Ints(name string) ([]int64, error) {
 	return t.ints[i], nil
 }
 
-// Floats returns the backing slice of a Float64 column (do not mutate).
-func (t *Table) Floats(name string) ([]float64, error) {
-	i, err := t.colPos(name)
-	if err != nil {
-		return nil, err
-	}
-	if t.cols[i].Type != Float64 {
-		return nil, fmt.Errorf("relops: column %q is %s, not float64", name, t.cols[i].Type)
-	}
-	return t.floats[i], nil
-}
-
-// Strings returns the backing slice of a String column (do not mutate).
-func (t *Table) Strings(name string) ([]string, error) {
-	i, err := t.colPos(name)
-	if err != nil {
-		return nil, err
-	}
-	if t.cols[i].Type != String {
-		return nil, fmt.Errorf("relops: column %q is %s, not string", name, t.cols[i].Type)
-	}
-	return t.strs[i], nil
-}
-
 // value returns the cell (col position, row) as an any.
 func (t *Table) value(col, row int) any {
 	switch t.cols[col].Type {
 	case Int64:
 		return t.ints[col][row]
-	case Float64:
-		return t.floats[col][row]
 	default:
-		return t.strs[col][row]
+		return t.floats[col][row]
 	}
 }
 
@@ -216,10 +169,8 @@ func (t *Table) appendFrom(dc int, src *Table, sc, r int) {
 	switch t.cols[dc].Type {
 	case Int64:
 		t.ints[dc] = append(t.ints[dc], src.ints[sc][r])
-	case Float64:
-		t.floats[dc] = append(t.floats[dc], src.floats[sc][r])
 	default:
-		t.strs[dc] = append(t.strs[dc], src.strs[sc][r])
+		t.floats[dc] = append(t.floats[dc], src.floats[sc][r])
 	}
 }
 
@@ -249,7 +200,6 @@ func Rename(t *Table, old, new string) (*Table, error) {
 		idx:    make(map[string]int, len(t.cols)),
 		ints:   t.ints,
 		floats: t.floats,
-		strs:   t.strs,
 		rows:   t.rows,
 	}
 	out.cols[pos].Name = new
@@ -264,9 +214,6 @@ type Row struct {
 	t *Table
 	i int
 }
-
-// Index returns the row's position in the table.
-func (r Row) Index() int { return r.i }
 
 // Int returns the named Int64 cell; it panics on type or name mismatch
 // (predicates are static code, so a panic is a programming error).
@@ -287,47 +234,26 @@ func (r Row) Float(name string) float64 {
 	return r.t.floats[c][r.i]
 }
 
-// Str returns the named String cell.
-func (r Row) Str(name string) string {
-	c, err := r.t.colPos(name)
-	if err != nil || r.t.cols[c].Type != String {
-		panic(fmt.Sprintf("relops: Row.Str(%q) on %v", name, err))
-	}
-	return r.t.strs[c][r.i]
-}
-
 // keyBytes appends a memcomparable encoding of cell (col,row): byte-wise
 // lexicographic comparison of encodings matches the natural ordering of
 // the values. Int64 is encoded big-endian with the sign bit flipped;
-// Float64 uses the standard IEEE-754 total-order trick; strings append a
-// 0x00 0x01 terminator so no encoding is a prefix of another.
+// Float64 uses the standard IEEE-754 total-order trick. Both are eight
+// bytes, so no encoding is a prefix of another.
 func (t *Table) keyBytes(dst []byte, col, row int) []byte {
-	switch t.cols[col].Type {
-	case Int64:
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], uint64(t.ints[col][row])^(1<<63))
-		return append(dst, b[:]...)
-	case Float64:
-		bits := math.Float64bits(t.floats[col][row])
-		if bits&(1<<63) != 0 {
-			bits = ^bits
-		} else {
-			bits ^= 1 << 63
-		}
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], bits)
-		return append(dst, b[:]...)
-	default:
-		s := t.strs[col][row]
-		for i := 0; i < len(s); i++ {
-			if s[i] == 0x00 {
-				dst = append(dst, 0x00, 0xff)
-			} else {
-				dst = append(dst, s[i])
-			}
-		}
-		return append(dst, 0x00, 0x01)
+	return binary.BigEndian.AppendUint64(dst, t.keyBits(col, row))
+}
+
+// keyBits is the order-preserving 64-bit image of cell (col,row) that
+// keyBytes encodes big-endian.
+func (t *Table) keyBits(col, row int) uint64 {
+	if t.cols[col].Type == Int64 {
+		return uint64(t.ints[col][row]) ^ (1 << 63)
 	}
+	bits := math.Float64bits(t.floats[col][row])
+	if bits&(1<<63) != 0 {
+		return ^bits
+	}
+	return bits ^ (1 << 63)
 }
 
 // encodeKey builds the composite memcomparable key of the given columns

@@ -146,12 +146,6 @@ func ContainsAll(textTokens []string, queryTokens []string) bool {
 	return true
 }
 
-// EqualPhrase reports whether two strings normalize to the same token
-// sequence. Used for exact-match domain lookup.
-func EqualPhrase(a, b string) bool {
-	return Normalize(a) == Normalize(b)
-}
-
 // stopwords is a small English list; the generators use it to pad tweet
 // text with realistic filler that the matcher must ignore.
 var stopwords = map[string]bool{

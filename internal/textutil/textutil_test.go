@@ -143,15 +143,6 @@ func TestPhraseImpliesAll(t *testing.T) {
 	}
 }
 
-func TestEqualPhrase(t *testing.T) {
-	if !EqualPhrase(" Dow  Futures", "dow futures") {
-		t.Error("EqualPhrase should fold case and whitespace")
-	}
-	if EqualPhrase("dow futures", "dow future") {
-		t.Error("EqualPhrase matched different strings")
-	}
-}
-
 func TestIsStopword(t *testing.T) {
 	if !IsStopword("The") {
 		t.Error("The should be a stopword")

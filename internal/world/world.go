@@ -27,11 +27,17 @@ import (
 type Category int
 
 const (
+	// Sports holds teams, leagues and players (49ers, nfl, nascar).
 	Sports Category = iota
+	// Electronics holds devices and gadgets (xbox, ipad mini).
 	Electronics
+	// Finance holds markets and financial news (dow futures, nasdaq).
 	Finance
+	// Health holds conditions and body measures (diabetes, bmi).
 	Health
+	// Wikipedia holds encyclopedic subjects (world war i, albert einstein).
 	Wikipedia
+	// General holds everything else (san francisco, sarah palin, honda).
 	General
 	numCategories
 )
