@@ -508,11 +508,22 @@ func TestExtend(t *testing.T) {
 	if _, err := Extend(tbl, "bad", Int64, func(r Row) any { return "str" }); err == nil {
 		t.Error("type-mismatched extend accepted")
 	}
+}
+
+func TestExtendFloatAndString(t *testing.T) {
+	tbl := MustNew(Column{"a", Int64})
+	tbl.MustAppendRow(3)
+	tbl.MustAppendRow(10)
 	half, err := Extend(tbl, "half", Float64, func(r Row) any { return float64(r.Int("a")) / 2 })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hs := half.floats[half.idx["half"]]; hs[0] != 1.5 || hs[1] != 5 {
 		t.Errorf("half = %v", hs)
+	}
+	// There is no string column type: a string value is refused by a
+	// Float64 column as by an Int64 one.
+	if _, err := Extend(tbl, "label", Float64, func(r Row) any { return "v" }); err == nil {
+		t.Error("string value accepted by a Float64 extend")
 	}
 }
