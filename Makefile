@@ -160,11 +160,13 @@ smoke-gateway: build
 
 # The two example programs, run to exit 0 (seconds each), and the
 # topology matrix uncached: every deployment layout under mixed load,
-# quiesced and compared with a cold rebuild over every eval query.
+# quiesced and compared with a cold rebuild over every eval query, at
+# GOMAXPROCS 1 and 4 — no read-path branch depends on scheduler width,
+# so neither may an answer.
 examples-smoke:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/gateway
-	$(GO) test -count=1 -run '^TestTopologyMatrix$$' .
+	$(GO) test -count=1 -cpu 1,4 -run '^TestTopologyMatrix$$' .
 
 # cover-check is the test stage: `go test ./...` with a profile.
 check: build vet race flake bench-check bench-smoke docs-check cover-check smoke-gateway examples-smoke

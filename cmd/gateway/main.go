@@ -89,9 +89,6 @@ func run(args []string, out io.Writer, sigs <-chan os.Signal, ready chan<- strin
 	if err != nil {
 		return err
 	}
-	online := pipeline.Cfg.Online
-	// Request-level parallelism saturates the cores; see package serve.
-	online.MatchWorkers = 1
 	reg := obs.NewRegistry()
 
 	var topo topology.Topology
@@ -112,7 +109,7 @@ func run(args []string, out io.Writer, sigs <-chan os.Signal, ready chan<- strin
 		return err
 	}
 	defer cluster.Close()
-	backend := core.NewShardedLiveDetectorOver(pipeline.Collection, cluster, online)
+	backend := core.NewShardedLiveDetectorOver(pipeline.Collection, cluster, pipeline.Cfg.Online)
 
 	scfg := serve.DefaultConfig()
 	scfg.CacheSize = *cache

@@ -1,7 +1,7 @@
 // Equivalence tests for the zero-copy concurrent online path: for every
 // query in the paper's evaluation query sets, the optimized pipeline
 // (galloping intersection, pooled candidate arena, k-way merge union,
-// parallel term fan-out, bounded top-k ranking) must return results
+// bounded top-k ranking) must return results
 // bit-identical to an independent from-scratch reference implementation
 // of the Section 3/5 algorithms.
 package repro

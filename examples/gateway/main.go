@@ -59,12 +59,10 @@ func main() {
 	}
 	sets := eval.BuildQuerySets(pipeline.World, pipeline.Log,
 		eval.SetSizes{PerCategory: 25, Top: 60})
-	online := pipeline.Cfg.Online
-	online.MatchWorkers = 1
 
 	cluster := shard.New(pipeline.Corpus, 2, ingest.Config{})
 	defer cluster.Close()
-	detector := core.NewShardedLiveDetectorOver(pipeline.Collection, cluster, online)
+	detector := core.NewShardedLiveDetectorOver(pipeline.Collection, cluster, pipeline.Cfg.Online)
 	srv := serve.New(detector, serve.DefaultConfig())
 
 	tokens, err := gateway.ParseTokens("reader:::,throttled:0.1:2:,ops::::admin")

@@ -30,9 +30,7 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/community"
@@ -126,15 +124,11 @@ type OnlineConfig struct {
 	// MaxExpansionTerms caps how many related terms augment the query
 	// (most central terms first). Zero means 10.
 	MaxExpansionTerms int
-	// MatchWorkers caps the per-term matching fan-out of Detector.Search
-	// and the per-shard fan-out of each phase of ShardedLiveDetector's
-	// scatter. Zero means GOMAXPROCS. 1 runs them one after another on
-	// the caller's goroutine, and the sharded scatter then adds no
-	// allocation of its own per shard or per phase; above 1, each phase
-	// costs a closure and a goroutine per worker. A server that already
-	// runs many searches concurrently should set 1, as cmd/gateway does:
-	// request-level parallelism fills the cores, and per-query fan-out on
-	// top only adds scheduling.
+	// MatchWorkers is ignored: every search matches its terms and
+	// asks its shards one after another on the caller's goroutine.
+	//
+	// Deprecated: nothing reads it; it remains until the bench module
+	// stops assigning it.
 	MatchWorkers int
 	// Expertise parameterizes the underlying Pal & Counts ranker.
 	Expertise expertise.Params
@@ -233,11 +227,11 @@ type SearchTrace struct {
 	MergeRankNS int64
 }
 
-// Search runs the full e# online stage: expansion, per-term matching
-// fanned out over parallel workers, a k-way merge union, and a single
-// ranking pass. It is safe for concurrent use; per-query buffers are
-// pooled, so steady-state queries allocate almost nothing beyond the
-// returned result slice.
+// Search runs the full e# online stage: expansion, matching the query
+// and then each expansion term in a loop on the caller's goroutine, a
+// k-way merge union, and a single ranking pass. It is safe for
+// concurrent use; per-query buffers are pooled, so steady-state queries
+// allocate almost nothing beyond the returned result slice.
 func (d *Detector) Search(query string) ([]expertise.Expert, SearchTrace) {
 	trace := SearchTrace{Query: query}
 
@@ -252,15 +246,10 @@ func (d *Detector) Search(query string) ([]expertise.Expert, SearchTrace) {
 		s.lists = append(s.lists, nil)
 	}
 	lists := s.lists[:nTerms]
-	term := func(i int) string {
-		if i == 0 {
-			return query
-		}
-		return trace.Expansion[i-1]
+	lists[0] = d.corpus.MatchAppend(query, lists[0])
+	for i, term := range trace.Expansion {
+		lists[i+1] = d.corpus.MatchAppend(term, lists[i+1])
 	}
-	matchFanOut(nTerms, d.cfg.MatchWorkers, func(i int) {
-		lists[i] = d.corpus.MatchAppend(term(i), lists[i])
-	})
 	s.merged, s.frontier = expertise.MergeTweetsInto(s.merged, s.frontier, lists...)
 	trace.MatchedTweets = len(s.merged)
 	results := d.base.Rank(d.base.CandidatesFromTweets(s.merged))
@@ -272,49 +261,6 @@ func (d *Detector) Search(query string) ([]expertise.Expert, SearchTrace) {
 // SearchBaseline runs the unexpanded Pal & Counts baseline.
 func (d *Detector) SearchBaseline(query string) []expertise.Expert {
 	return d.base.Search(query)
-}
-
-// matchFanOut runs matchTerm(i) for every i in [0, nTerms), spread
-// over up to maxWorkers goroutines (maxWorkers <= 0 means GOMAXPROCS).
-// Short queries (one term, or two with nothing to amortize the
-// goroutine cost over) run sequentially — a heuristic sized to cheap
-// per-term matches; the per-shard scatter-gather, a heavier work unit,
-// calls fanOut directly.
-func matchFanOut(nTerms, maxWorkers int, matchTerm func(i int)) {
-	if maxWorkers <= 0 {
-		maxWorkers = runtime.GOMAXPROCS(0)
-	}
-	workers := min(nTerms, maxWorkers)
-	if workers <= 1 || nTerms <= 2 {
-		for i := 0; i < nTerms; i++ {
-			matchTerm(i)
-		}
-		return
-	}
-	fanOut(nTerms, workers, matchTerm)
-}
-
-// fanOut runs task(i) for every i in [0, n) over exactly workers
-// goroutines (workers ≥ 2) pulling indices from a shared counter. Its
-// callers run the serial case themselves, in a plain loop, so that a
-// serial search builds no task closure either.
-func fanOut(n, workers int, task func(i int)) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				task(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // PipelineConfig configures an end-to-end build from a synthetic world.

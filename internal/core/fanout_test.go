@@ -15,42 +15,12 @@ var fanoutQueries = []string{
 	"sarah palin", "world war i", "coffee", "zzz-none",
 }
 
-// TestParallelFanOutMatchesSequential forces the matching fan-out onto
-// multiple workers (GOMAXPROCS may be 1 on CI) and checks that results
-// are identical to sequential matching, query by query.
-func TestParallelFanOutMatchesSequential(t *testing.T) {
-	p := tinyPipeline(t)
-	cfg := p.Cfg.Online
-	cfg.MatchWorkers = 4
-	par := NewDetector(p.Collection, p.Corpus, cfg)
-	cfg.MatchWorkers = 1
-	seq := NewDetector(p.Collection, p.Corpus, cfg)
-	for _, q := range fanoutQueries {
-		got, gotTrace := par.Search(q)
-		want, wantTrace := seq.Search(q)
-		if len(got) != len(want) {
-			t.Fatalf("query %q: parallel %d results, sequential %d", q, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("query %q rank %d: parallel %+v, sequential %+v", q, i, got[i], want[i])
-			}
-		}
-		if gotTrace.MatchedTweets != wantTrace.MatchedTweets {
-			t.Fatalf("query %q: parallel matched %d tweets, sequential %d",
-				q, gotTrace.MatchedTweets, wantTrace.MatchedTweets)
-		}
-	}
-}
-
-// TestDetectorConcurrentSearch hammers one detector (parallel fan-out
-// enabled) from many goroutines — run under the race detector by
-// `make race` — and checks every response against precomputed answers.
+// TestDetectorConcurrentSearch hammers one detector from many
+// goroutines — run under the race detector by `make race` — and checks
+// every response against precomputed answers.
 func TestDetectorConcurrentSearch(t *testing.T) {
 	p := tinyPipeline(t)
-	cfg := p.Cfg.Online
-	cfg.MatchWorkers = 4
-	det := NewDetector(p.Collection, p.Corpus, cfg)
+	det := NewDetector(p.Collection, p.Corpus, p.Cfg.Online)
 	type answer struct {
 		users   []int32
 		matched int
@@ -97,7 +67,7 @@ func TestDetectorConcurrentSearch(t *testing.T) {
 }
 
 // TestSerialScatterAllocs pins the served scatter's per-shard increment
-// at zero: with MatchWorkers = 1 a search over N in-process shards
+// at zero: with the default config a search over N in-process shards
 // allocates exactly what it does over one, and that is only the answer
 // (one slice per non-empty ranking) plus the canonical key of a query
 // whose tokens arrive out of order. A closure, a goroutine or a
@@ -109,7 +79,6 @@ func TestSerialScatterAllocs(t *testing.T) {
 	}
 	p := tinyPipeline(t)
 	cfg := p.Cfg.Online
-	cfg.MatchWorkers = 1
 	icfg := ingest.DefaultConfig()
 	icfg.DisableCompactor = true
 	perN := map[int]float64{}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,13 +30,14 @@ const EpochUnknown = shard.EpochUnknown
 // protocol) or replicated (replica.Set), in any mix, with this code
 // unable to tell the difference. A single streaming index is the
 // one-shard cluster (NewLiveDetector) and a frozen corpus a one-shard
-// cluster that never ingests. A query fans the scatter stage out across
-// the shards — each shard matches every term, unions the tweet ids,
-// extracts raw integer candidate rows and reads those candidates'
-// denominators against one pinned view — then gathers: numerators
-// merge by summation, each shard tops up the denominators of the
-// candidates it did not itself surface from the same pinned view, and
-// a single global ranking pass produces the top-k. A quiesced N-shard
+// cluster that never ingests. A query runs the scatter stage over the
+// shards one after another on its own goroutine — each shard matches
+// every term, unions the tweet ids, extracts raw integer candidate rows
+// and reads those candidates' denominators against one pinned view —
+// then gathers: numerators merge by summation, each shard tops up the
+// denominators of the candidates it did not itself surface from the
+// same pinned view, and a single global ranking pass produces the
+// top-k. A quiesced N-shard
 // cluster ranks bit-identically to a cold Detector over the same
 // posts, for any N and any local/remote mix — the equivalence tests of
 // every layer enforce this.
@@ -341,12 +341,14 @@ func (d *ShardedLiveDetector) SearchBaselineContext(ctx context.Context, query s
 	return results, missing, err
 }
 
-// scatterGather is the read path: fan the scatter stage (each shard
+// scatterGather is the read path: run the scatter stage (each shard
 // matches every term against one pinned view, unions the ids, extracts
-// raw candidate rows and reads their denominators) out over the
-// shards, merge the integer numerators, fan the per-shard top-up of
-// the foreign candidates' denominators out against the same pinned
-// views, then finalize and rank once globally. It
+// raw candidate rows and reads their denominators) over the shards in
+// a plain loop on the caller's goroutine, merge the integer numerators,
+// run the per-shard top-up of the foreign candidates' denominators
+// against the same pinned views in a second loop, then finalize and
+// rank once globally. Nothing here starts a goroutine or builds a
+// closure. It
 // returns the ranked experts and the total matched-tweet count
 // (per-shard unions are disjoint — every post lives on exactly one
 // shard — so their sum is the size of the global union). A shard that
@@ -358,11 +360,10 @@ func (d *ShardedLiveDetector) SearchBaselineContext(ctx context.Context, query s
 // no clock is read.
 //
 // Deadline policy: ctx expiry is a whole-query error, not a partial
-// result. The check sits after each fan-out barrier — every worker has
-// returned, so every pinned view can be released before bailing, which
-// is what keeps cancellation leak-free (no goroutine outlives the
-// fan-out, no view outlives the query).
-// ctxExpired is the barrier check. ctx.Err() alone is racy against
+// result. The check sits after each phase's loop, so every pinned view
+// can be released before bailing, which is what keeps cancellation
+// leak-free (no view outlives the query).
+// ctxExpired is that check. ctx.Err() alone is racy against
 // wire deadlines: a per-RPC conn deadline derived from this context
 // fires on wall-clock time, while ctx.Err() flips only after the
 // context's own timer goroutine has run — so for a few scheduler ticks
@@ -397,21 +398,6 @@ func (d *ShardedLiveDetector) scatterGather(ctx context.Context, query string, e
 	s.terms = append(s.terms[:0], query)
 	s.terms = append(s.terms, expansion...)
 
-	// MatchWorkers doubles as the shard fan-out cap (applied directly,
-	// not through matchFanOut's short-query heuristic, which is sized to
-	// cheap per-term matches). As served the scatter is serial:
-	// cmd/gateway sets MatchWorkers = 1 — request-level concurrency
-	// already fills the cores — so each phase calls its shard method in a
-	// plain loop on the request's goroutine, spawning nothing and
-	// allocating no closure, and a remote cluster's round trips go out one
-	// after another in each phase. Only workers > 1 runs shards
-	// concurrently, at a closure per phase and a goroutine per worker per
-	// phase; whether that pays at any N is unmeasured (ROADMAP item 10).
-	workers := d.cfg.MatchWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	serial := workers <= 1 || n <= 1
 	var (
 		mergeRank             int64
 		tMerge                time.Time
@@ -422,12 +408,8 @@ func (d *ShardedLiveDetector) scatterGather(ctx context.Context, query string, e
 		missing, retried MissingShards
 	)
 	for {
-		if serial {
-			for si := 0; si < n; si++ {
-				d.scatterShard(ctx, c, s, si)
-			}
-		} else {
-			fanOut(n, min(n, workers), func(si int) { d.scatterShard(ctx, c, s, si) })
+		for si := 0; si < n; si++ {
+			d.scatterShard(ctx, c, s, si)
 		}
 
 		if err := ctxExpired(ctx); err != nil {
@@ -445,12 +427,8 @@ func (d *ShardedLiveDetector) scatterGather(ctx context.Context, query string, e
 		// Gather stage phase two: every live shard tops up the global
 		// candidates it did not itself surface (topUpShard).
 		if len(s.users) > 0 {
-			if serial {
-				for si := 0; si < n; si++ {
-					d.topUpShard(ctx, s, si)
-				}
-			} else {
-				fanOut(n, min(n, workers), func(si int) { d.topUpShard(ctx, s, si) })
+			for si := 0; si < n; si++ {
+				d.topUpShard(ctx, s, si)
 			}
 			if err := ctxExpired(ctx); err != nil {
 				d.abandon(s, n)
@@ -630,8 +608,8 @@ func (d *ShardedLiveDetector) abandon(s *shardedScratch, n int) {
 }
 
 // release frees every view the query still pins and clears the
-// per-slot errors. It runs only after a fan-out barrier, so no worker
-// can still be writing to the slots.
+// per-slot errors. It runs between phases, when no shard call is in
+// flight.
 func (d *ShardedLiveDetector) release(s *shardedScratch, n int) {
 	for si := 0; si < n; si++ {
 		sl := &s.shards[si]

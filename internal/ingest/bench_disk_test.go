@@ -31,9 +31,7 @@ func benchDiskSearch(b *testing.B, blockCache int) {
 	if st := idx.Stats(); st.DiskSegments == 0 {
 		b.Fatalf("benchmark index has no disk segments: %+v", st)
 	}
-	online := p.Cfg.Online
-	online.MatchWorkers = 1
-	live := core.NewLiveDetector(p.Collection, idx, online)
+	live := core.NewLiveDetector(p.Collection, idx, p.Cfg.Online)
 	var n int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -6,7 +6,6 @@
 package ingest_test
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -79,31 +78,12 @@ func BenchmarkDiskCompactMerge(b *testing.B) {
 	}
 }
 
-// BenchmarkIngestParallel measures contended writer throughput: the
-// write lock serializes appends, so this bounds how much concurrent
-// producers lose to contention.
-func BenchmarkIngestParallel(b *testing.B) {
-	p, _ := testPipeline(b)
-	idx := ingest.New(p.Corpus, ingest.DefaultConfig())
-	defer idx.Close()
-	var seed atomic.Uint64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		stream := microblog.NewPostStream(p.World, microblog.DefaultStreamConfig(100+seed.Add(1)))
-		for pb.Next() {
-			idx.Ingest(stream.Next())
-		}
-	})
-}
-
 // benchLiveSearch measures steady-state query latency over a live
 // index holding the base corpus plus 2048 streamed posts.
 func benchLiveSearch(b *testing.B, query string, baseline bool, cfg ingest.Config) {
 	p, idx := benchIndex(b, 2048, cfg)
 	defer idx.Close()
-	online := p.Cfg.Online
-	online.MatchWorkers = 1
-	live := core.NewLiveDetector(p.Collection, idx, online)
+	live := core.NewLiveDetector(p.Collection, idx, p.Cfg.Online)
 	var n int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -142,9 +122,7 @@ func BenchmarkLiveSearchFragmented(b *testing.B) {
 func BenchmarkLiveSearchAfterWrite(b *testing.B) {
 	p, idx := benchIndex(b, 1024, ingest.DefaultConfig())
 	defer idx.Close()
-	online := p.Cfg.Online
-	online.MatchWorkers = 1
-	live := core.NewLiveDetector(p.Collection, idx, online)
+	live := core.NewLiveDetector(p.Collection, idx, p.Cfg.Online)
 	stream := microblog.NewPostStream(p.World, microblog.DefaultStreamConfig(19))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -165,9 +143,7 @@ func BenchmarkLiveSearchAfterWrite(b *testing.B) {
 func BenchmarkLiveSearchUnderIngest(b *testing.B) {
 	p, idx := benchIndex(b, 1024, ingest.DefaultConfig())
 	defer idx.Close()
-	online := p.Cfg.Online
-	online.MatchWorkers = 1
-	live := core.NewLiveDetector(p.Collection, idx, online)
+	live := core.NewLiveDetector(p.Collection, idx, p.Cfg.Online)
 	stream := microblog.NewPostStream(p.World, microblog.DefaultStreamConfig(17))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -38,9 +38,7 @@ func benchReplicated(b *testing.B, r int, cfg replica.Config, wrapFollowers bool
 	if err := rc.cluster.Quiesce(); err != nil {
 		b.Fatal(err)
 	}
-	online := p.Cfg.Online
-	online.MatchWorkers = 1
-	return core.NewShardedLiveDetectorOver(p.Collection, rc.cluster, online), rc
+	return core.NewShardedLiveDetectorOver(p.Collection, rc.cluster, p.Cfg.Online), rc
 }
 
 // benchReplicatedSearch measures steady-state read latency through an

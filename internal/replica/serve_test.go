@@ -30,9 +30,7 @@ func TestServeCacheSurvivesFailover(t *testing.T) {
 	cfg := replica.Config{Backoff: shard.Backoff{Initial: time.Hour, Max: time.Hour}}
 	rc := newReplicated(t, p, 2, 2, icfg, cfg, true)
 
-	online := p.Cfg.Online
-	online.MatchWorkers = 1
-	det := core.NewShardedLiveDetectorOver(p.Collection, rc.cluster, online)
+	det := core.NewShardedLiveDetectorOver(p.Collection, rc.cluster, p.Cfg.Online)
 	srv := serve.New(det, serve.DefaultConfig())
 
 	const q = "49ers"

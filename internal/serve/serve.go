@@ -73,8 +73,6 @@
 // after insert and carries json.Marshal of its experts, encoded by its
 // first hit, once, outside the lock; a miss encodes nothing.
 //
-// Build detectors with core.OnlineConfig.MatchWorkers = 1 when serving
-// concurrently: request-level parallelism already saturates the cores.
 // The root package's topology matrix drives a Server with concurrent
 // searchers beside live writers in every deployment layout before it
 // quiesces and compares; throughput is measured by bench/, not here.

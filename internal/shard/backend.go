@@ -96,8 +96,9 @@ type SearchStatser interface {
 
 // EpochLocality tells a Cluster whether a Backend's Epoch is a
 // process-local read (an atomic load or a counter) rather than an RPC.
-// A Cluster samples such backends in a tight sequential loop with no
-// failure bookkeeping — the probe cannot dial and cannot fail. Local
+// Cluster.EpochVector reads such a backend inline, with no failure
+// bookkeeping — the read cannot dial and cannot fail — and probes every
+// other backend through its health gate, one after another. Local
 // always is; replica.Set always is, because its logical write epoch is
 // a coordinator-side counter even when every replica behind it is
 // remote; transport.RemoteShard is dynamically — exactly while an
@@ -173,10 +174,10 @@ func (l *Local) Index() *ingest.Index { return l.idx }
 // Search implements Backend: one atomic snapshot load pins the view,
 // every term runs the zero-copy per-segment match, the per-term lists
 // union through the k-way merge, and raw candidates are extracted from
-// the union — the identical per-shard unit of work the PR 3 in-process
-// fan-out ran inline. The context is checked once at entry — an
-// in-process match never blocks, so a live budget runs it to
-// completion; an already-expired one fails before pinning a snapshot.
+// the union — the per-shard unit of work of the scatter. The context
+// is checked once at entry — an in-process match never blocks, so a
+// live budget runs it to completion; an already-expired one fails
+// before pinning a snapshot.
 func (l *Local) Search(ctx context.Context, terms []string, extended bool, raw []expertise.RawCandidate) ([]expertise.RawCandidate, int, View, error) {
 	if err := ctx.Err(); err != nil {
 		return raw[:0], 0, nil, err
@@ -311,13 +312,6 @@ type Cluster struct {
 	// probes consult it so a dead shard costs one dial per backoff
 	// window, not one per request (see Health).
 	health []*Health
-	// localEpochs notes a cluster whose every backend answers Epoch
-	// from process-local state (Local indexes, or replica.Sets whose
-	// logical epoch is a coordinator-side counter): epoch sampling
-	// stays a tight sequential loop (nanoseconds per shard) with no
-	// failure bookkeeping, instead of paying goroutine fan-out and
-	// health checks on every cache lookup.
-	localEpochs bool
 }
 
 // NewCluster assembles a cluster over an ordered backend list. Backend
@@ -327,13 +321,10 @@ type Cluster struct {
 // probing starts with DefaultBackoff failure windows; SetBackoff
 // retunes them.
 func NewCluster(w *world.World, backends ...Backend) *Cluster {
-	c := &Cluster{w: w, backends: backends, localEpochs: true}
+	c := &Cluster{w: w, backends: backends}
 	c.health = make([]*Health, len(backends))
-	for i, b := range backends {
+	for i := range backends {
 		c.health[i] = NewHealth(DefaultBackoff())
-		if !b.EpochIsLocal() {
-			c.localEpochs = false
-		}
 	}
 	return c
 }
@@ -385,117 +376,58 @@ func (c *Cluster) IngestBatch(posts []microblog.Post) error {
 }
 
 // probeEpoch samples shard i's epoch through its failure-backoff
-// gate: a backend inside a backoff window is reported EpochUnknown
+// gate: a backend inside a backoff window fails with ErrBackoff
 // immediately — no dial, no timeout — and at most one caller per
 // window actually probes it. Probe outcomes feed the same gate, so a
 // recovering shard re-admits itself on its first successful probe.
 func (c *Cluster) probeEpoch(i int) (uint64, error) {
 	h := c.health[i]
 	if !h.Allow() {
-		return EpochUnknown, fmt.Errorf("shard %d: %w", i, ErrBackoff)
+		return 0, ErrBackoff
 	}
 	e, err := c.backends[i].Epoch()
 	if err != nil {
 		h.Fail()
-		return EpochUnknown, fmt.Errorf("shard %d: %w", i, err)
+		return 0, err
 	}
 	h.Ok()
 	return e, nil
 }
 
 // EpochVector appends each shard's current epoch to dst (capacity
-// reused, contents discarded). A shard whose epoch cannot be observed
-// contributes EpochUnknown — the serving cache bypasses itself for
-// such samples — and the first failure is also returned. For a
-// cluster of epoch-local backends the sample is a tight loop of
-// atomic loads. Otherwise locality is re-checked per shard per sample:
-// backends that are epoch-local right now (Local, replica.Set, a
-// RemoteShard with a live push subscription) are read inline, and only
-// the rest — cold or lapsed remotes — fan out as concurrent RPC
-// probes, so one slow shard costs one round trip, not N stacked ones.
-// Each probe runs through a per-shard failure backoff (Health), so a
-// *dead* shard costs one dial per backoff window rather than one dial
-// timeout per request; on the warm all-subscribed path the fan-out
-// (and its goroutines) disappears entirely.
+// reused, contents discarded), one shard after another on the caller's
+// goroutine. A shard whose epoch cannot be observed contributes
+// EpochUnknown — the serving cache bypasses itself for such samples —
+// and the first failure is also returned. Locality is checked per
+// shard per sample: a backend that is epoch-local right now (Local,
+// replica.Set, a RemoteShard with a live push subscription) is read
+// inline, an atomic load with no failure bookkeeping; any other (a
+// cold or lapsed remote) is probed through probeEpoch's health gate,
+// so a dead shard costs one dial per backoff window rather than one
+// dial timeout per request. Skipping Health on a local read is safe:
+// Local, replica.Set and a subscribed RemoteShard never return an
+// epoch error, and a RemoteShard becomes local only by subscribing,
+// which only its Epoch does — under a probe that already recorded Ok.
 func (c *Cluster) EpochVector(dst []uint64) ([]uint64, error) {
 	dst = dst[:0]
-	if c.localEpochs {
-		var firstErr error
-		for i, b := range c.backends {
-			e, err := b.Epoch()
-			if err != nil {
-				e = EpochUnknown
-				if firstErr == nil {
-					firstErr = fmt.Errorf("shard %d: %w", i, err)
-				}
-			}
-			dst = append(dst, e)
-		}
-		return dst, firstErr
-	}
-	var pend []int
 	var firstErr error
 	for i, b := range c.backends {
+		var e uint64
+		var err error
 		if b.EpochIsLocal() {
-			// A local read cannot dial, but its outcome still feeds the
-			// shard's health gate so a lapse-then-recovery sequence
-			// observes consistent bookkeeping.
-			e, err := b.Epoch()
-			if err != nil {
-				c.health[i].Fail()
-				e = EpochUnknown
-				if firstErr == nil {
-					firstErr = fmt.Errorf("shard %d: %w", i, err)
-				}
-			} else {
-				c.health[i].Ok()
+			e, err = b.Epoch()
+		} else {
+			e, err = c.probeEpoch(i)
+		}
+		if err != nil {
+			e = EpochUnknown
+			if firstErr == nil {
+				firstErr = fmt.Errorf("shard %d: %w", i, err)
 			}
-			dst = append(dst, e)
-			continue
 		}
-		dst = append(dst, 0)
-		pend = append(pend, i)
-	}
-	switch len(pend) {
-	case 0:
-		return dst, firstErr
-	case 1:
-		i := pend[0]
-		e, err := c.probeEpoch(i)
-		dst[i] = e
-		if firstErr == nil {
-			firstErr = err
-		}
-		return dst, firstErr
-	}
-	if err := c.probeEpochs(dst, pend); firstErr == nil {
-		firstErr = err
+		dst = append(dst, e)
 	}
 	return dst, firstErr
-}
-
-// probeEpochs fills dst[i] for every shard i in pend with concurrent
-// probes and returns the first failure in shard order. It is a function
-// of its own so that the goroutines capture its parameters, not
-// EpochVector's: a closure over EpochVector's dst would heap-move the
-// slice header on every call, the all-local ones included.
-func (c *Cluster) probeEpochs(dst []uint64, pend []int) error {
-	errs := make([]error, len(pend))
-	var wg sync.WaitGroup
-	wg.Add(len(pend))
-	for pi, i := range pend {
-		go func(pi, i int) {
-			defer wg.Done()
-			dst[i], errs[pi] = c.probeEpoch(i)
-		}(pi, i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Failovers sums the backends' failed-over read counts (replica.Set

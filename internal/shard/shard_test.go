@@ -234,8 +234,7 @@ func TestEpochVectorSingleShardAdvance(t *testing.T) {
 
 // TestEpochVectorAllLocalAllocFree pins the sample the serving layer
 // takes on every request, hits included: over an all-local cluster with
-// a reused dst it allocates nothing (the probe fan-out lives in its own
-// function so its goroutine closures cannot heap-move dst).
+// a reused dst it allocates nothing.
 func TestEpochVectorAllLocalAllocFree(t *testing.T) {
 	p, _ := testPipeline(t)
 	r := shard.New(p.Corpus, 4, ingest.DefaultConfig())
@@ -509,26 +508,30 @@ func TestLocalViewRefusesUnsortedUsers(t *testing.T) {
 
 // flakyEpochBackend is a Local whose Epoch is not a local read and can
 // be made to fail — it stands in for a remote shard so the cluster's
-// concurrent epoch sampling (taken only when a member's epoch is not
+// probed epoch sampling (taken for every member whose epoch is not
 // local) and its EpochUnknown degradation run under this package's own
-// tests.
+// tests. probes counts the Epoch calls that reached it.
 type flakyEpochBackend struct {
 	*shard.Local
-	fail bool
+	fail   bool
+	probes int
 }
 
 func (f *flakyEpochBackend) EpochIsLocal() bool { return false }
 func (f *flakyEpochBackend) Epoch() (uint64, error) {
+	f.probes++
 	if f.fail {
 		return 0, errInvariant("epoch probe failed")
 	}
 	return f.Local.Epoch()
 }
 
-// TestClusterEpochVectorWithRemoteMembers drives the concurrent
-// sampling path: a cluster with a non-Local member samples every
-// component, reports EpochUnknown (plus the error) for a member whose
-// probe fails, and recovers once the member heals.
+// TestClusterEpochVectorWithRemoteMembers drives the probed sampling
+// path: a cluster with non-Local members samples every component,
+// reports EpochUnknown (plus the error) for a member whose probe fails,
+// keeps reading a healthy probed member while the failed one sits in
+// backoff, and readmits the failed member with one granted probe once
+// it heals.
 func TestClusterEpochVectorWithRemoteMembers(t *testing.T) {
 	p, _ := testPipeline(t)
 	mk := func(i, n int) *shard.Local {
@@ -536,8 +539,9 @@ func TestClusterEpochVectorWithRemoteMembers(t *testing.T) {
 		t.Cleanup(idx.Close)
 		return shard.NewLocal(idx)
 	}
-	flaky := &flakyEpochBackend{Local: mk(1, 3)}
-	c := shard.NewCluster(p.World, mk(0, 3), flaky, mk(2, 3))
+	flaky := &flakyEpochBackend{Local: mk(1, 4)}
+	steady := &flakyEpochBackend{Local: mk(2, 4)}
+	c := shard.NewCluster(p.World, mk(0, 4), flaky, steady, mk(3, 4))
 	// Wide enough that the inside-window assertions below cannot be
 	// straddled by a scheduler or GC pause on a loaded CI machine; the
 	// recovery loop polls rather than sleeping a whole window.
@@ -545,12 +549,21 @@ func TestClusterEpochVectorWithRemoteMembers(t *testing.T) {
 	c.SetBackoff(shard.Backoff{Initial: window, Max: window})
 
 	ev, err := c.EpochVector(nil)
-	if err != nil || len(ev) != 3 {
+	if err != nil || len(ev) != 4 {
 		t.Fatalf("healthy sample: %v, err %v", ev, err)
 	}
 	for i, e := range ev {
 		if e == shard.EpochUnknown || e == 0 {
 			t.Fatalf("component %d implausible: %d", i, e)
+		}
+	}
+	// steadyRead checks that a sample read the healthy probed member's
+	// current epoch, whatever the failed member is doing.
+	steadyRead := func(ev []uint64) {
+		t.Helper()
+		want, _ := steady.Local.Epoch()
+		if ev[2] != want {
+			t.Fatalf("healthy probed member sampled as %d, want its epoch %d", ev[2], want)
 		}
 	}
 
@@ -562,18 +575,28 @@ func TestClusterEpochVectorWithRemoteMembers(t *testing.T) {
 	if ev[1] != shard.EpochUnknown {
 		t.Fatalf("failed component is %d, want EpochUnknown", ev[1])
 	}
-	if ev[0] == shard.EpochUnknown || ev[2] == shard.EpochUnknown {
+	if ev[0] == shard.EpochUnknown || ev[2] == shard.EpochUnknown || ev[3] == shard.EpochUnknown {
 		t.Fatalf("healthy components poisoned: %v", ev)
 	}
+	steadyRead(ev)
 
 	// The failed member is now inside its backoff window: healing it
 	// does not readmit it until the window expires and the one granted
 	// probe succeeds — samples in between report EpochUnknown without
-	// touching the backend.
+	// touching the backend, while the healthy probed member keeps being
+	// read: a write to it shows in the next sample.
 	flaky.fail = false
+	healed, before := flaky.probes, ev[2]
+	if err := steady.IngestBatch([]microblog.Post{{Author: 2, Text: "49ers tonight", Topic: -1}}); err != nil {
+		t.Fatal(err)
+	}
 	ev, err = c.EpochVector(ev)
-	if err == nil || ev[1] != shard.EpochUnknown {
-		t.Fatalf("sample inside the backoff window probed the backend: %v, err %v", ev, err)
+	if err == nil || ev[1] != shard.EpochUnknown || flaky.probes != healed {
+		t.Fatalf("sample inside the backoff window probed the backend: %v, err %v, %d probes", ev, err, flaky.probes-healed)
+	}
+	steadyRead(ev)
+	if ev[2] == before {
+		t.Fatalf("healthy probed member's write not sampled: epoch still %d", before)
 	}
 	if c.Health(1).Healthy() {
 		t.Fatal("failed member reports healthy inside its window")
@@ -581,6 +604,7 @@ func TestClusterEpochVectorWithRemoteMembers(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		ev, err = c.EpochVector(ev)
+		steadyRead(ev)
 		if err == nil && ev[1] != shard.EpochUnknown {
 			break // the granted probe readmitted the healed member
 		}
@@ -588,6 +612,9 @@ func TestClusterEpochVectorWithRemoteMembers(t *testing.T) {
 			t.Fatalf("healed member never readmitted: %v, err %v", ev, err)
 		}
 		time.Sleep(window / 3)
+	}
+	if got := flaky.probes - healed; got != 1 {
+		t.Fatalf("readmission took %d probes of the healed member, want exactly 1", got)
 	}
 	if !c.Health(1).Healthy() {
 		t.Fatal("readmitted member still reports unhealthy")

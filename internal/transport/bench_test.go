@@ -9,10 +9,10 @@
 // cost on a subscribed client (BenchmarkRemoteEpochSample — a memory
 // read, no frames), the routed write (BenchmarkRemoteIngest) and the
 // isolated frame codec cost (BenchmarkWireSearchCodec).
-// BENCHMARKS.md records the per-PR numbers. The detector runs
-// MatchWorkers = 1, as cmd/gateway does, so the per-shard round trips
-// go out one after another: multi-shard remote latency here is the sum
-// of the shards' round trips, on any number of cores.
+// BENCHMARKS.md records the per-PR numbers. The per-shard round trips
+// go out one after another on the query's goroutine, so multi-shard
+// remote latency here is the sum of the shards' round trips, on any
+// number of cores.
 package transport_test
 
 import (
@@ -49,9 +49,7 @@ func benchRemoteCluster(b *testing.B, n, posts int) *core.ShardedLiveDetector {
 	if err := cluster.Quiesce(); err != nil {
 		b.Fatal(err)
 	}
-	online := p.Cfg.Online
-	online.MatchWorkers = 1
-	return core.NewShardedLiveDetectorOver(p.Collection, cluster, online)
+	return core.NewShardedLiveDetectorOver(p.Collection, cluster, p.Cfg.Online)
 }
 
 // benchRemoteSearch measures steady-state scatter-gather latency with

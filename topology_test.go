@@ -286,8 +286,6 @@ type deployment struct {
 	// midway runs once mid-load (see runMixedLoad); on a reshard row it
 	// runs off the writer's goroutine, just before the migration starts.
 	midway func()
-	// workers is the detector's MatchWorkers; zero means 1.
-	workers int
 	// checks are the row's own assertions, run after the spine step.
 	checks []check
 }
@@ -300,11 +298,11 @@ type check func(t *testing.T, det *core.ShardedLiveDetector, srv *serve.Server, 
 var matrixLoad = load{writers: 2, perWriter: 200, seed: 8100, searchers: 4, perSearcher: 60, baselineEvery: 5}
 
 // TestTopologyMatrix is the equivalence spine over every deployment
-// axis at once: in-process, loopback and mixed shard sets, the parallel
-// shard fan-out, replicas behind loopback (one set losing its
-// followers mid-load), the disk tier, live resharding and the HTTP
-// front door — one reshard draining spilled source shards, so the
-// migration pages disk segments under load. Every row quiesces to the
+// axis at once: in-process, loopback and mixed shard sets, replicas
+// behind loopback (one set losing its followers mid-load), the disk
+// tier, live resharding and the HTTP front door — one reshard draining
+// spilled source shards, so the migration pages disk segments under
+// load. Every row quiesces to the
 // cold rebuild, bit for bit, with no partial result, and leaves no
 // goroutine or file descriptor behind.
 func TestTopologyMatrix(t *testing.T) {
@@ -318,9 +316,6 @@ func TestTopologyMatrix(t *testing.T) {
 		}},
 		{"inproc-N2", inProcess(2)},
 		{"inproc-N4", inProcess(4)},
-		{"inproc-N4-workers4", func(t *testing.T) deployment {
-			return deployment{rig: wire(t, local(4), false), workers: 4}
-		}},
 		{"inproc-N1-spill", spilling(local(1))},
 		{"inproc-N2-spill", spilling(local(2))},
 		{"loopback-N1", loopbacks(1)},
@@ -356,9 +351,7 @@ func TestTopologyMatrix(t *testing.T) {
 			fault.CheckLeaks(t)
 			p, _ := eqState(t)
 			d := row.deploy(t)
-			online := p.Cfg.Online
-			online.MatchWorkers = max(d.workers, 1)
-			det := core.NewShardedLiveDetectorOver(p.Collection, d.rig.cluster, online)
+			det := core.NewShardedLiveDetectorOver(p.Collection, d.rig.cluster, p.Cfg.Online)
 			srv := serve.New(det, serve.DefaultConfig())
 
 			var w writer = d.rig.cluster
@@ -777,9 +770,7 @@ func TestReplicatedMixedLoadZeroPartials(t *testing.T) {
 	cluster := shard.NewCluster(p.World, backends...)
 	onTeardown(t, func() { cluster.Close() })
 
-	online := p.Cfg.Online
-	online.MatchWorkers = 1
-	det := core.NewShardedLiveDetectorOver(p.Collection, cluster, online)
+	det := core.NewShardedLiveDetectorOver(p.Collection, cluster, p.Cfg.Online)
 	srv := serve.New(det, serve.DefaultConfig())
 
 	// The kill fires mid-load, at the follower's 40th call — drain
@@ -822,7 +813,7 @@ func TestReplicatedMixedLoadZeroPartials(t *testing.T) {
 	if err := cluster.Quiesce(); err != nil {
 		t.Fatal(err)
 	}
-	cold := core.NewDetector(p.Collection, p.Corpus.ExtendedWith(posts), online)
+	cold := core.NewDetector(p.Collection, p.Corpus.ExtendedWith(posts), p.Cfg.Online)
 	requireCold(t, det, cold, sets)
 }
 
