@@ -11,12 +11,13 @@ test:
 	$(GO) test ./...
 
 # The serving layer, the online detectors, the streaming index, the
-# disk tier, the shard set, the wire transport, the replica sets
-# and the metrics registry are the concurrent surfaces; hammer them
-# with the race detector enabled — the root package's topology matrix
-# (concurrent mixed load over every deployment layout) among them.
+# disk tier, the shard set, the wire transport, the replica sets, the
+# metrics registry, the chaos harness, the topology builder and the
+# gateway binary are the concurrent surfaces; hammer them with the race
+# detector enabled — the root package's topology matrix (concurrent
+# mixed load over every deployment layout) among them.
 race:
-	$(GO) test -race . ./internal/serve ./internal/core ./internal/expertise ./internal/querylog ./internal/ingest ./internal/diskseg ./internal/shard ./internal/transport ./internal/replica ./internal/obs ./internal/gateway
+	$(GO) test -race . ./internal/serve ./internal/core ./internal/expertise ./internal/querylog ./internal/ingest ./internal/diskseg ./internal/shard ./internal/transport ./internal/replica ./internal/obs ./internal/gateway ./internal/fault ./internal/topology ./cmd/gateway
 
 # Flake gate: the packages whose tests race background goroutines
 # (compactor, push loops, servers flushing after they answer) or hammer
@@ -73,7 +74,7 @@ bench-ingest:
 	$(GO) test -bench 'Ingest|LiveSearch' -benchmem -run '^$$' ./internal/ingest
 
 bench-shard:
-	$(GO) test -bench 'Sharded|EpochVector|Reshard' -benchmem -run '^$$' ./internal/shard
+	$(GO) test -bench 'Sharded|EpochVector' -benchmem -run '^$$' ./internal/shard
 
 bench-remote:
 	$(GO) test -bench 'Remote|WireSearchCodec' -benchmem -run '^$$' ./internal/transport
@@ -104,10 +105,10 @@ loc:
 
 # A brief native-fuzz pass, FUZZTIME per target, over the wire codec
 # (FuzzDecodeFrame): every op's payload decoder — including the
-# OpSearchStats composite, OpSubscribe/OpEpochDelta acks and the
-# resharding extensions (filtered OpTweets handoff pages, the
-# expectation-carrying OpInfo) — must never panic or over-allocate on
-# adversarial input, and every successful decode must round-trip; over
+# OpSearchStats composite, OpSubscribe/OpEpochDelta acks, the OpTweets
+# pages and the expectation-carrying OpInfo — must never panic or
+# over-allocate on adversarial input, and every successful decode must
+# round-trip; over
 # the server acting on what it decodes (FuzzDispatch): arbitrary request
 # frame sequences against a real shard never panic it and get OpError or
 # a decodable answer of their own op; and over the admission fast paths

@@ -45,11 +45,9 @@
 //
 // Every client restates its handshake-pinned -shard/-of coordinates on
 // each connection's OpInfo exchange, and a shardd whose topology does
-// not match refuses the connection — after a reshard (shard.Migration
-// pages each old shard's log over OpTweets, the server filtering by
-// destination ownership so only moving authors' posts cross the wire),
-// a coordinator still wired for the old N fails at connect instead of
-// silently reading the wrong partition.
+// not match refuses the connection — a coordinator wired for another
+// -of, or for a shardd restarted over another base corpus, fails at
+// connect instead of silently reading the wrong partition.
 package main
 
 import (

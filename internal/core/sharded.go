@@ -60,17 +60,8 @@ type ShardedLiveDetector struct {
 	// cap, built once at construction; the detector keeps nothing else
 	// of the collection.
 	admission *domains.Admission
-	// cluster is an atomic pointer because live resharding swaps the
-	// whole shard set out from under in-flight queries: SwapCluster
-	// stores a new cluster (possibly with a different shard count),
-	// each query loads the pointer exactly once and runs entirely
-	// against that one cluster, and the serving cache tolerates the
-	// resulting epoch-vector length change by treating it as
-	// conservatively stale.
-	cluster atomic.Pointer[shard.Cluster]
-	// reshard, when non-nil, is the in-flight migration; the read path
-	// reports each query to it so the dual-read window is observable.
-	reshard  atomic.Pointer[shard.Migration]
+	// cluster is the fixed shard set every query scatter-gathers over.
+	cluster  *shard.Cluster
 	ranker   *expertise.Ranker
 	extended bool
 	cfg      OnlineConfig
@@ -86,23 +77,12 @@ type ShardedLiveDetector struct {
 	// and gather latency histograms, the global merge+rank histogram,
 	// and per-query span collection for the serving layer's slow log.
 	// All handles are pre-registered at construction so the query path
-	// records with plain atomic adds. The per-shard slices live behind
-	// one atomic pointer so SwapCluster can regrow them for a larger
-	// cluster while queries are in flight.
+	// records with plain atomic adds.
 	obsOn          bool
-	obsShard       atomic.Pointer[shardObsHandles]
+	obsShardSearch []*obs.Histogram
+	obsShardStats  []*obs.Histogram
 	obsMergeRankNS *obs.Histogram
 	obsShardErrs   *obs.Counter
-	obsReg         *obs.Registry
-}
-
-// shardObsHandles is one immutable generation of the per-shard
-// histogram handles; handles are get-or-create by name in the
-// registry, so regrowing for a swapped-in cluster reuses the existing
-// histograms for shard indexes both generations share.
-type shardObsHandles struct {
-	search []*obs.Histogram
-	stats  []*obs.Histogram
 }
 
 // shardSlot holds one shard's per-query state: the extracted raw rows,
@@ -163,80 +143,26 @@ func NewShardedLiveDetectorOver(coll *domains.Collection, c *shard.Cluster, cfg 
 	d := &ShardedLiveDetector{
 		admission: coll.Admission(cfg.MaxExpansionTerms),
 		ranker:    expertise.NewRanker(len(c.World().Users), cfg.Expertise),
+		cluster:   c,
 		cfg:       cfg,
 	}
-	d.cluster.Store(c)
 	p := d.ranker.Params()
 	d.extended = p.WeightHT != 0 || p.WeightAV != 0 || p.WeightGI != 0
 	d.scratch.New = func() any { return &shardedScratch{} }
 	if cfg.Obs != nil {
 		d.obsOn = true
-		d.obsReg = cfg.Obs
-		d.obsShard.Store(shardHandles(cfg.Obs, nil, c.NumShards()))
+		for i := 0; i < c.NumShards(); i++ {
+			d.obsShardSearch = append(d.obsShardSearch, cfg.Obs.Histogram(fmt.Sprintf("sharded_shard%d_search_ns", i)))
+			d.obsShardStats = append(d.obsShardStats, cfg.Obs.Histogram(fmt.Sprintf("sharded_shard%d_stats_ns", i)))
+		}
 		d.obsMergeRankNS = cfg.Obs.Histogram("sharded_merge_rank_ns")
 		d.obsShardErrs = cfg.Obs.Counter("sharded_shard_errors")
 	}
 	return d
 }
 
-// shardHandles extends a previous generation of per-shard histogram
-// handles to cover n shards; shared indexes keep their handles (and
-// therefore their histograms — registry handles are get-or-create by
-// name).
-func shardHandles(reg *obs.Registry, prev *shardObsHandles, n int) *shardObsHandles {
-	h := &shardObsHandles{}
-	if prev != nil {
-		h.search = append(h.search, prev.search...)
-		h.stats = append(h.stats, prev.stats...)
-	}
-	for i := len(h.search); i < n; i++ {
-		h.search = append(h.search, reg.Histogram(fmt.Sprintf("sharded_shard%d_search_ns", i)))
-		h.stats = append(h.stats, reg.Histogram(fmt.Sprintf("sharded_shard%d_stats_ns", i)))
-	}
-	return h
-}
-
-// SwapCluster atomically replaces the shard set the read path
-// scatter-gathers over and returns the previous cluster (still open —
-// the caller decides when to close it, after in-flight queries
-// drain). It is the read half of a reshard cutover: wire it into
-// shard.MigrationConfig.Cutover so reads move in the same atomic step
-// as writes. The new cluster may have a different shard count; it
-// must be over the same world, because the ranker's candidate arena
-// is sized to the user universe at construction.
-func (d *ShardedLiveDetector) SwapCluster(next *shard.Cluster) *shard.Cluster {
-	prev := d.cluster.Load()
-	if next.World() != prev.World() {
-		panic("core: SwapCluster across worlds")
-	}
-	if d.obsOn {
-		if n := next.NumShards(); n > len(d.obsShard.Load().search) {
-			d.obsShard.Store(shardHandles(d.obsReg, d.obsShard.Load(), n))
-		}
-	}
-	d.cluster.Store(next)
-	return prev
-}
-
-// AttachMigration points the read path at an in-flight migration: every
-// query reports to Migration.NoteRead (counting dual-read-window hits),
-// and the serving layer surfaces Migration.Stats. Pass nil to detach
-// after the migration finishes or aborts.
-func (d *ShardedLiveDetector) AttachMigration(m *shard.Migration) { d.reshard.Store(m) }
-
-// ReshardStats returns the attached migration's progress snapshot;
-// ok is false when no migration is attached.
-func (d *ShardedLiveDetector) ReshardStats() (st shard.MigrationStats, ok bool) {
-	m := d.reshard.Load()
-	if m == nil {
-		return shard.MigrationStats{}, false
-	}
-	return m.Stats(), true
-}
-
-// Cluster returns the shard set being scatter-gathered over (the
-// current one, if a reshard cutover has swapped it).
-func (d *ShardedLiveDetector) Cluster() *shard.Cluster { return d.cluster.Load() }
+// Cluster returns the shard set being scatter-gathered over.
+func (d *ShardedLiveDetector) Cluster() *shard.Cluster { return d.cluster }
 
 // EpochVector appends the per-shard epochs of the view the next query
 // would observe to dst (capacity reused, contents discarded). The
@@ -244,7 +170,7 @@ func (d *ShardedLiveDetector) Cluster() *shard.Cluster { return d.cluster.Load()
 // soon as any component advances; a component whose shard could not be
 // reached is EpochUnknown, which makes the sample uncacheable.
 func (d *ShardedLiveDetector) EpochVector(dst []uint64) []uint64 {
-	dst, _ = d.cluster.Load().EpochVector(dst)
+	dst, _ = d.cluster.EpochVector(dst)
 	return dst
 }
 
@@ -285,7 +211,7 @@ func (d *ShardedLiveDetector) PartialStats() (partialQueries, shardErrors int64)
 // and answered its re-run. Zero for a cluster nothing has failed in.
 // The serving layer mirrors it into serve.Stats.Failovers.
 func (d *ShardedLiveDetector) Failovers() int64 {
-	return d.cluster.Load().Failovers() + d.recovered.Load()
+	return d.cluster.Failovers() + d.recovered.Load()
 }
 
 // Expand returns the expansion terms for a query (excluding the query
@@ -383,15 +309,8 @@ func ctxExpired(ctx context.Context) error {
 }
 
 func (d *ShardedLiveDetector) scatterGather(ctx context.Context, query string, expansion []string) ([]expertise.Expert, int, MissingShards, []obs.ShardSpan, int64, error) {
-	if mig := d.reshard.Load(); mig != nil {
-		mig.NoteRead()
-	}
-	// One load pins this query to one cluster generation: a reshard
-	// cutover swapping the pointer mid-query cannot mix shard sets
-	// (which would double-count denominators across the two sides).
-	c := d.cluster.Load()
 	s := d.scratch.Get().(*shardedScratch)
-	n := c.NumShards()
+	n := d.cluster.NumShards()
 	for len(s.shards) < n {
 		s.shards = append(s.shards, shardSlot{})
 	}
@@ -409,7 +328,7 @@ func (d *ShardedLiveDetector) scatterGather(ctx context.Context, query string, e
 	)
 	for {
 		for si := 0; si < n; si++ {
-			d.scatterShard(ctx, c, s, si)
+			d.scatterShard(ctx, s, si)
 		}
 
 		if err := ctxExpired(ctx); err != nil {
@@ -470,10 +389,8 @@ func (d *ShardedLiveDetector) scatterGather(ctx context.Context, query string, e
 		s.denoms = append(s.denoms, expertise.UserStats{})
 	}
 	var spans []obs.ShardSpan
-	var oh *shardObsHandles
 	if d.obsOn {
 		spans = make([]obs.ShardSpan, 0, n)
-		oh = d.obsShard.Load()
 	}
 	for si := 0; si < n; si++ {
 		sl := &s.shards[si]
@@ -491,13 +408,9 @@ func (d *ShardedLiveDetector) scatterGather(ctx context.Context, query string, e
 				sp.Rows = len(sl.raw)
 			}
 			spans = append(spans, sp)
-			// The handle generation can trail a concurrent SwapCluster
-			// by one query; skip rather than index past it.
-			if si < len(oh.search) {
-				oh.search[si].Observe(sl.searchNS)
-				if sl.statsNS > 0 {
-					oh.stats[si].Observe(sl.statsNS)
-				}
+			d.obsShardSearch[si].Observe(sl.searchNS)
+			if sl.statsNS > 0 {
+				d.obsShardStats[si].Observe(sl.statsNS)
 			}
 		}
 		if sl.err != nil {
@@ -518,7 +431,7 @@ func (d *ShardedLiveDetector) scatterGather(ctx context.Context, query string, e
 		}
 	}
 
-	s.cands = d.ranker.FinalizeRaw(s.cands, s.merged, s.denoms, c.World())
+	s.cands = d.ranker.FinalizeRaw(s.cands, s.merged, s.denoms, d.cluster.World())
 	results := d.ranker.Rank(s.cands)
 	if d.obsOn {
 		mergeRank += time.Since(tMerge).Nanoseconds()
@@ -538,7 +451,7 @@ func (d *ShardedLiveDetector) scatterGather(ctx context.Context, query string, e
 // round trip. Phase two then owes only the foreign candidates'
 // denominators, nothing at all when this shard saw every global
 // candidate, which is the healthy N=1 case.
-func (d *ShardedLiveDetector) scatterShard(ctx context.Context, c *shard.Cluster, s *shardedScratch, si int) {
+func (d *ShardedLiveDetector) scatterShard(ctx context.Context, s *shardedScratch, si int) {
 	sl := &s.shards[si]
 	sl.view = nil
 	sl.searchNS, sl.statsNS = 0, 0
@@ -547,7 +460,7 @@ func (d *ShardedLiveDetector) scatterShard(ctx context.Context, c *shard.Cluster
 		t0 = time.Now()
 	}
 	sl.raw, sl.matched, sl.ownStats, sl.view, sl.err =
-		c.Backend(si).SearchStats(ctx, s.terms, d.extended, sl.raw, sl.ownStats)
+		d.cluster.Backend(si).SearchStats(ctx, s.terms, d.extended, sl.raw, sl.ownStats)
 	if d.obsOn {
 		sl.searchNS = time.Since(t0).Nanoseconds()
 	}

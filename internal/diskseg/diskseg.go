@@ -14,9 +14,9 @@
 // record and costs nothing per matched post beyond the loads. A small
 // LRU of hot decoded blocks keeps a mapped segment's frequently queried
 // terms off the decoder while the long tail of the corpus costs only
-// page cache; it holds posting blocks only. Paging the log (resharding
-// handoff, OpTweets) reads the tweet records through Scan, one
-// sequential decode past the cache.
+// page cache; it holds posting blocks only. Paging the log (OpTweets)
+// reads the tweet records through Scan, one sequential decode past the
+// cache.
 //
 // Lifecycle. Segments are refcounted: the opener holds one reference,
 // every published ingest snapshot that includes a mapped segment takes
@@ -629,7 +629,7 @@ func (s *Segment) decodePostings(dst []microblog.TweetID, ref *blockRef) []micro
 }
 
 // Scan calls fn with every post of segment-local ids [lo, hi), in id
-// order — the log-paging read (resharding handoff, OpTweets); ranking
+// order — the log-paging read (OpTweets); ranking
 // reads Features instead. It decodes each tweet block once,
 // sequentially, straight off the image and past the hot cache, so
 // paging the whole log neither evicts the query path's posting blocks

@@ -302,12 +302,8 @@ type Backend struct {
 	viewsFailed                   atomic.Int64 // Stats calls on a failing view
 }
 
-// Backend must be able to stand in for any replica, and for either
-// side of a migration.
-var (
-	_ shard.Backend  = (*Backend)(nil)
-	_ shard.LogPager = (*Backend)(nil)
-)
+// Backend must be able to stand in for any replica.
+var _ shard.Backend = (*Backend)(nil)
 
 // Wrap returns b behind a fault gate with no faults armed.
 func Wrap(b shard.Backend) *Backend { return &Backend{inner: b} }
@@ -487,38 +483,3 @@ func (f *Backend) Quiesce() error {
 // Close implements shard.Backend; it always reaches the inner backend
 // (a test tearing down must not leak compactors behind a kill).
 func (f *Backend) Close() error { return f.inner.Close() }
-
-// errNoLog is what the log-paging calls return when the wrapped backend
-// cannot page its log.
-var errNoLog = errors.New("fault: wrapped backend cannot page its log")
-
-// pager admits one log-paging call through the gate and returns the
-// wrapped backend's LogPager.
-func (f *Backend) pager() (shard.LogPager, error) {
-	if err := f.gate(); err != nil {
-		return nil, err
-	}
-	if p, ok := f.inner.(shard.LogPager); ok {
-		return p, nil
-	}
-	return nil, errNoLog
-}
-
-// PagePosts implements shard.LogPager through the fault gate, so a
-// migration's handoff pages and cutover probes meet the armed faults.
-func (f *Backend) PagePosts(from, max, filterShards, filterIdx int) ([]microblog.Post, int, int, error) {
-	p, err := f.pager()
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return p.PagePosts(from, max, filterShards, filterIdx)
-}
-
-// BasePosts implements shard.LogPager through the fault gate.
-func (f *Backend) BasePosts() (int, error) {
-	p, err := f.pager()
-	if err != nil {
-		return 0, err
-	}
-	return p.BasePosts()
-}

@@ -292,41 +292,6 @@ func TestBackendDelayHonorsContext(t *testing.T) {
 	}
 }
 
-// pagerBackend is an innerBackend whose log can be paged.
-type pagerBackend struct{ innerBackend }
-
-func (b *pagerBackend) PagePosts(from, max, filterShards, filterIdx int) ([]microblog.Post, int, int, error) {
-	return []microblog.Post{{Text: "paged"}}, 1, 7, nil
-}
-func (b *pagerBackend) BasePosts() (int, error) { return 3, nil }
-
-// TestBackendPagesThroughGate pins the migration face of the gate: log
-// paging reaches a pager behind it, is refused once killed, and fails
-// cleanly over a backend that cannot page its log.
-func TestBackendPagesThroughGate(t *testing.T) {
-	f := Wrap(&pagerBackend{})
-	if posts, scanned, total, err := f.PagePosts(0, 1, 0, 0); err != nil || len(posts) != 1 || scanned != 1 || total != 7 {
-		t.Fatalf("PagePosts = %d posts, scanned %d, total %d, err %v", len(posts), scanned, total, err)
-	}
-	if base, err := f.BasePosts(); err != nil || base != 3 {
-		t.Fatalf("BasePosts = %d, %v", base, err)
-	}
-	f.Kill()
-	if _, _, _, err := f.PagePosts(0, 1, 0, 0); !errors.Is(err, ErrKilled) {
-		t.Fatalf("killed PagePosts err = %v", err)
-	}
-	if _, err := f.BasePosts(); !errors.Is(err, ErrKilled) {
-		t.Fatalf("killed BasePosts err = %v", err)
-	}
-	plain := Wrap(&innerBackend{})
-	if _, _, _, err := plain.PagePosts(0, 1, 0, 0); !errors.Is(err, errNoLog) {
-		t.Fatalf("PagePosts over a non-pager err = %v", err)
-	}
-	if _, err := plain.BasePosts(); !errors.Is(err, errNoLog) {
-		t.Fatalf("BasePosts over a non-pager err = %v", err)
-	}
-}
-
 // leakRecorder stands in for a test: it collects cleanups and records
 // a failure instead of stopping.
 type leakRecorder struct {

@@ -19,7 +19,6 @@ import (
 	"repro/internal/expertise"
 	"repro/internal/obs"
 	"repro/internal/serve"
-	"repro/internal/shard"
 )
 
 // stubBackend is a controllable serve.Backend for gateway mechanics
@@ -48,10 +47,7 @@ func (b *stubBackend) answer() []expertise.Expert {
 func (b *stubBackend) EpochVector(dst []uint64) []uint64 { return append(dst[:0], b.epoch.Load()) }
 func (b *stubBackend) PartialStats() (int64, int64)      { return 0, 0 }
 func (b *stubBackend) Failovers() int64                  { return 0 }
-func (b *stubBackend) ReshardStats() (shard.MigrationStats, bool) {
-	return shard.MigrationStats{}, false
-}
-func (b *stubBackend) TermSetKey(canon string) string { return canon }
+func (b *stubBackend) TermSetKey(canon string) string    { return canon }
 
 func (b *stubBackend) SearchContext(ctx context.Context, query string) ([]expertise.Expert, core.SearchTrace, error) {
 	if b.stall {

@@ -81,7 +81,7 @@ func BenchmarkDiskSpill(b *testing.B) {
 }
 
 // BenchmarkDiskLogScan pages the whole log of a spilled 80k-post index
-// the way OpTweets serves a resharding drain or a dump: 2048-post pages
+// the way OpTweets serves a dump: 2048-post pages
 // through shard.Local.PagePosts (the cold_disk shardd's layout: seal
 // 128, fan-in 4, spill 512). One op is one page-through. retained-B is
 // the heap still live after a GC once every page is dropped — what
@@ -111,12 +111,9 @@ func BenchmarkDiskLogScan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for from := p.Corpus.NumTweets(); ; {
-			page, scanned, total, err := local.PagePosts(from, 2048, 0, 0)
-			if err != nil {
-				b.Fatal(err)
-			}
+			page, total := local.PagePosts(from, 2048)
 			logSink += len(page)
-			if from += scanned; from >= total {
+			if from += len(page); from >= total {
 				break
 			}
 		}

@@ -92,7 +92,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/expertise"
 	"repro/internal/obs"
-	"repro/internal/shard"
 	"repro/internal/textutil"
 )
 
@@ -132,9 +131,6 @@ type Backend interface {
 	// healthy counterpart of PartialStats. Read twice per instrumented
 	// request, so it must be cheap.
 	Failovers() int64
-	// ReshardStats returns the attached live-resharding migration's
-	// progress snapshot; ok is false when no migration is attached.
-	ReshardStats() (st shard.MigrationStats, ok bool)
 }
 
 // PartialError comes back from Answer with an answer some shards were
@@ -258,9 +254,6 @@ type Stats struct {
 	// replica failure — degradation *avoided*, where PartialResults
 	// counts degradation suffered. Zero without replicated shards.
 	Failovers int64
-	// Reshard is the live-resharding progress snapshot of the
-	// backend's attached migration; nil when none is attached.
-	Reshard *shard.MigrationStats
 }
 
 // cacheKey names one answer: the term set an e# search matches
@@ -680,8 +673,8 @@ func (s *Server) miss(ctx context.Context, deadline time.Time, key cacheKey, nor
 // advanced past the entry's. Components an entry is *ahead* on (a
 // concurrent request cached it after an ingest) do not count against
 // it — serving it is a per-component monotonic step forward, not a
-// stale read. A length mismatch (resharded backend) is conservatively
-// stale.
+// stale read. A length mismatch — a sample of a different shard set —
+// is conservatively stale.
 func staleVec(entryVec, sample []uint64) bool {
 	if len(entryVec) != len(sample) {
 		return true
@@ -758,9 +751,6 @@ func (s *Server) Stats() Stats {
 		st.Epoch += e
 	}
 	st.PartialResults, st.ShardErrors = s.backend.PartialStats()
-	if rst, ok := s.backend.ReshardStats(); ok {
-		st.Reshard = &rst
-	}
 	if s.slots != nil {
 		s.mu.Lock()
 		st.CacheEntries = s.order.Len()

@@ -168,7 +168,7 @@ func TestCacheDisabled(t *testing.T) {
 // optional gate that blocks computations until the test releases it,
 // and an optional table of term-set keys by canonical query (a query
 // the table lacks is its own term set, as a query outside every domain
-// is). It never degrades, fails over or reshards.
+// is). It never degrades or fails over.
 type scriptedBackend struct {
 	epoch    atomic.Uint64
 	calls    atomic.Int64
@@ -200,9 +200,6 @@ func (b *scriptedBackend) SearchBaselineContext(ctx context.Context, query strin
 func (b *scriptedBackend) EpochVector(dst []uint64) []uint64 { return append(dst[:0], b.epoch.Load()) }
 func (b *scriptedBackend) PartialStats() (int64, int64)      { return 0, 0 }
 func (b *scriptedBackend) Failovers() int64                  { return 0 }
-func (b *scriptedBackend) ReshardStats() (shard.MigrationStats, bool) {
-	return shard.MigrationStats{}, false
-}
 
 // partialBackend is a scriptedBackend whose e# answers lack the shards
 // in missing.

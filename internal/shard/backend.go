@@ -236,6 +236,33 @@ func (l *Local) View() View {
 	return v
 }
 
+// PagePosts returns up to max posts of the shard's log starting at
+// global id from, and the log's current length; the remote OpTweets
+// handler answers with it server-side. The page is one Snapshot.Scan,
+// so a spilled segment's posts are decoded sequentially and never enter
+// its block cache. A negative from is outside the log and pages
+// nothing, like one past its end; max <= 0 pages nothing (a cheap total
+// probe).
+func (l *Local) PagePosts(from, max int) (posts []microblog.Post, total int) {
+	snap := l.idx.Snapshot()
+	total = snap.NumTweets()
+	if max <= 0 || from < 0 || from >= total {
+		return nil, total
+	}
+	end := from + min(max, total-from) // never from+max: max may be near MaxInt
+	posts = make([]microblog.Post, 0, end-from)
+	snap.Scan(from, end, func(tw *microblog.Tweet) {
+		posts = append(posts, microblog.Post{
+			Author:       tw.Author,
+			Text:         tw.Text,
+			Mentions:     tw.Mentions,
+			RetweetCount: tw.RetweetCount,
+			Topic:        tw.Topic,
+		})
+	})
+	return posts, total
+}
+
 // IngestBatch implements Backend: the batch is one publish and one
 // epoch (ingest.Index.IngestBatch), exactly what a transport.ShardServer
 // does with an OpIngest frame.

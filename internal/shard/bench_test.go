@@ -75,44 +75,6 @@ func BenchmarkShardedIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkReshardDrain measures migration throughput: one iteration
-// drains a 2-shard deployment holding the base corpus plus 2048
-// streamed posts into 4 fresh shards and cuts over (Start + catch-up
-// drain rounds + the locked residue pass). Setup — building both
-// deployments and routing the posts — is excluded; the metric is posts
-// moved per second of drain wall time.
-func BenchmarkReshardDrain(b *testing.B) {
-	p, _ := testPipeline(b)
-	const posts = 2048
-	var streamed float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		src := shard.New(p.Corpus, 2, ingest.DefaultConfig())
-		dst := shard.New(p.Corpus, 4, ingest.DefaultConfig())
-		stream := microblog.NewPostStream(p.World, microblog.DefaultStreamConfig(17+uint64(i)))
-		for j := 0; j < posts; j++ {
-			src.IngestBatch([]microblog.Post{stream.Next()})
-		}
-		src.Quiesce()
-		mig, err := shard.NewMigration(src, dst, shard.MigrationConfig{PageSize: 256})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if err := mig.Run(); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		streamed = float64(mig.Stats().PostsStreamed)
-		src.Close()
-		dst.Close()
-		b.StartTimer()
-	}
-	b.ReportMetric(streamed, "posts")
-	b.ReportMetric(streamed*float64(b.N)/b.Elapsed().Seconds(), "posts/s")
-}
-
 // BenchmarkEpochVectorSample isolates the per-request cost the serving
 // layer pays to sample the vector epoch, which scales with N.
 func BenchmarkEpochVectorSample(b *testing.B) {

@@ -110,3 +110,66 @@ func TestHealthZeroConfigDefaults(t *testing.T) {
 		t.Fatal("zero-config window longer than the 250ms default")
 	}
 }
+
+// TestHealthFlapDuringMigration pins the Health/Backoff contract a
+// retrying drain leans on when a shard flaps mid-migration: however
+// many handoff retries hammer AllowAt inside one backoff window,
+// exactly one is granted the probe per window; each failed probe
+// doubles the window; and the first success restores full health so
+// the drain resumes at line rate. (Drain streams consult the same
+// per-backend Health the epoch sampler uses, so a flapping shard
+// costs one dial per window, not one per page retry.)
+func TestHealthFlapDuringMigration(t *testing.T) {
+	h := shard.NewHealth(shard.Backoff{Initial: 100 * time.Millisecond, Max: time.Second})
+	t0 := time.Unix(1000, 0)
+
+	h.FailAt(t0) // the shard flaps as the drain starts
+	if h.Healthy() {
+		t.Fatal("healthy immediately after a failure")
+	}
+	if h.AllowAt(t0.Add(50 * time.Millisecond)) {
+		t.Fatal("probe granted inside the backoff window")
+	}
+
+	// A drain retry loop plus concurrent epoch samplers all poll at
+	// window expiry: exactly one caller wins the probe.
+	granted := 0
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	at := t0.Add(101 * time.Millisecond)
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if h.AllowAt(at) {
+				mu.Lock()
+				granted++
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if granted != 1 {
+		t.Fatalf("%d probes granted at window expiry, want exactly 1", granted)
+	}
+
+	// The granted probe fails: the window doubles, and the whole next
+	// window grants nothing — the retrying drain is refused cheaply.
+	h.FailAt(at)
+	if h.AllowAt(at.Add(150 * time.Millisecond)) {
+		t.Fatal("probe granted inside the doubled window")
+	}
+	if !h.AllowAt(at.Add(201 * time.Millisecond)) {
+		t.Fatal("no probe granted after the doubled window expired")
+	}
+	if h.Failures() != 2 {
+		t.Fatalf("recorded %d failures, want 2", h.Failures())
+	}
+
+	// The flap ends: one success restores full health and the drain's
+	// next page is admitted immediately.
+	h.Ok()
+	if !h.Healthy() || !h.AllowAt(at.Add(202*time.Millisecond)) || h.Failures() != 0 {
+		t.Fatal("success did not restore full health")
+	}
+}

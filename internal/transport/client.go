@@ -258,7 +258,7 @@ func (r *RemoteShard) release(cc *clientConn) {
 
 // infoPayload builds the OpInfo request: empty before Handshake, the
 // pinned deployment coordinates after — the renegotiation half of the
-// identity check, run server-side, so a client wired to a resharded or
+// identity check, run server-side, so a client wired to a miswired or
 // rebuilt deployment is refused at connect even if it would have
 // skipped its own verification.
 func (r *RemoteShard) infoPayload() []byte {
@@ -749,13 +749,8 @@ func (r *RemoteShard) Quiesce() error {
 // Tweets fetches one page of the shard's post log starting at global id
 // from (at most max posts; the server applies its own page cap too).
 func (r *RemoteShard) Tweets(from, max int) (TweetsResp, error) {
-	return r.tweets(TweetsReq{From: from, Max: max})
-}
-
-// tweets runs one OpTweets round trip.
-func (r *RemoteShard) tweets(req TweetsReq) (TweetsResp, error) {
 	var page TweetsResp
-	payload := AppendTweetsReq(nil, req)
+	payload := AppendTweetsReq(nil, TweetsReq{From: from, Max: max})
 	err := r.do(OpTweets, payload, r.cfg.Timeout, true, func(resp []byte) error {
 		var err error
 		page, _, err = ConsumeTweetsResp(resp)
@@ -763,35 +758,6 @@ func (r *RemoteShard) tweets(req TweetsReq) (TweetsResp, error) {
 	})
 	return page, err
 }
-
-// PagePosts implements shard.LogPager over OpTweets — the resharding
-// handoff page: the filter runs server-side (only the destination
-// shard's posts cross the wire) and the cursor advances by Scanned,
-// which counts skipped posts too.
-func (r *RemoteShard) PagePosts(from, max, filterShards, filterIdx int) ([]microblog.Post, int, int, error) {
-	page, err := r.tweets(TweetsReq{From: from, Max: max, FilterShards: filterShards, FilterIdx: filterIdx})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return page.Posts, page.Scanned, page.Total, nil
-}
-
-// BasePosts implements shard.LogPager: the shard's frozen base-corpus
-// size, from the handshake-pinned identity when available (no round
-// trip), otherwise from one OpInfo.
-func (r *RemoteShard) BasePosts() (int, error) {
-	if expect := r.expect.Load(); expect != nil {
-		return expect.BaseTweets, nil
-	}
-	info, err := r.Info()
-	if err != nil {
-		return 0, err
-	}
-	return info.BaseTweets, nil
-}
-
-// RemoteShard can hand its log to a reshard migration.
-var _ shard.LogPager = (*RemoteShard)(nil)
 
 // DumpIngested pages every post the shard holds beyond its frozen base
 // — the remote form of walking a snapshot's ingested suffix, which the
@@ -809,8 +775,8 @@ func (r *RemoteShard) DumpIngested() ([]microblog.Post, error) {
 			return nil, err
 		}
 		posts = append(posts, page.Posts...)
-		from += page.Scanned
-		if from >= page.Total || page.Scanned == 0 {
+		from += len(page.Posts)
+		if from >= page.Total || len(page.Posts) == 0 {
 			return posts, nil
 		}
 	}

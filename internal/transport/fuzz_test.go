@@ -70,12 +70,12 @@ func seedFrames() [][]byte {
 			transport.AppendSearchStatsResp(nil, transport.SearchStatsResp{Matched: 12, Rows: rows, Stats: stats})),
 		transport.AppendFrame(nil, transport.OpUnpin, nil),
 		transport.AppendFrame(nil, transport.OpInfo, nil),
-		// Resharding-era frames: filtered handoff paging, scan-bounded
-		// responses, and the expectation-carrying info request.
+		// A mid-log page request and a one-post page, then the
+		// expectation-carrying info request.
 		transport.AppendFrame(nil, transport.OpTweets,
-			transport.AppendTweetsReq(nil, transport.TweetsReq{From: 2500, Max: 64, FilterShards: 8, FilterIdx: 5})),
+			transport.AppendTweetsReq(nil, transport.TweetsReq{From: 2564, Max: 64})),
 		transport.AppendFrame(nil, transport.OpTweets,
-			transport.AppendTweetsResp(nil, transport.TweetsResp{Total: 2700, Posts: posts, Scanned: 64})),
+			transport.AppendTweetsResp(nil, transport.TweetsResp{Total: 2700, Posts: posts[:1]})),
 		transport.AppendFrame(nil, transport.OpInfo,
 			transport.AppendInfoReq(nil, transport.InfoReq{
 				ExpectShard: 1, ExpectShards: 4, ExpectUsers: 600, ExpectBase: 2500,
@@ -202,7 +202,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		if resp, _, err := transport.ConsumeTweetsResp(payload); err == nil {
 			enc := transport.AppendTweetsResp(nil, resp)
 			again, _, err := transport.ConsumeTweetsResp(enc)
-			if err != nil || again.Total != resp.Total || again.Scanned != resp.Scanned || len(again.Posts) != len(resp.Posts) {
+			if err != nil || again.Total != resp.Total || len(again.Posts) != len(resp.Posts) {
 				t.Fatalf("tweets resp round trip: %+v vs %+v (%v)", again, resp, err)
 			}
 		}
@@ -399,12 +399,12 @@ func checkReply(op, respOp transport.Op, resp []byte) error {
 }
 
 // TestTweetsReqRejectsIntOverflow pins the cursor guard at the codec: a
-// From, Max, FilterShards or FilterIdx that does not fit an int is a
-// decode error, while the largest int still decodes.
+// From or Max that does not fit an int is a decode error, while the
+// largest int still decodes.
 func TestTweetsReqRejectsIntOverflow(t *testing.T) {
-	for field := 0; field < 4; field++ {
+	for field := 0; field < 2; field++ {
 		for _, v := range []uint64{math.MaxInt + 1, math.MaxUint64} {
-			vals := []uint64{2500, 64, 8, 5}
+			vals := []uint64{2500, 64}
 			vals[field] = v
 			var payload []byte
 			for _, x := range vals {
@@ -415,18 +415,18 @@ func TestTweetsReqRejectsIntOverflow(t *testing.T) {
 			}
 		}
 	}
-	req := transport.TweetsReq{From: math.MaxInt, Max: math.MaxInt, FilterShards: math.MaxInt, FilterIdx: math.MaxInt}
+	req := transport.TweetsReq{From: math.MaxInt, Max: math.MaxInt}
 	if got, _, err := transport.ConsumeTweetsReq(transport.AppendTweetsReq(nil, req)); err != nil || got != req {
 		t.Fatalf("largest ints: %+v, %v", got, err)
 	}
 }
 
 // TestInfoAndTweetsWireShapes pins the shapes the info and page codecs
-// accept now that no peer needs the pre-negotiation and pre-resharding
-// forms: an OpInfo request is empty or exactly four expectation fields
+// accept: an OpInfo request is empty or exactly four expectation fields
 // (a lone feature-bits field is rejected), an InfoResp is exactly seven
-// fields (an eighth is left unread), and a TweetsResp must carry its
-// Scanned count.
+// fields (an eighth is left unread), a TweetsReq is exactly its cursor
+// and cap (a third field is left unread), and a TweetsResp ends after
+// its posts (one cut short is refused).
 func TestInfoAndTweetsWireShapes(t *testing.T) {
 	if got := transport.AppendInfoReq(nil, transport.InfoReq{}); len(got) != 0 {
 		t.Fatalf("unarmed info request encodes %d bytes, want none", len(got))
@@ -454,8 +454,13 @@ func TestInfoAndTweetsWireShapes(t *testing.T) {
 		t.Fatalf("info resp with an eighth field: %+v, %d bytes left, %v", got, len(rest), err)
 	}
 
-	page := transport.AppendTweetsResp(nil, transport.TweetsResp{Total: 10, Scanned: 3})
+	tweetsReq := transport.TweetsReq{From: 2500, Max: 64}
+	three := binary.AppendUvarint(transport.AppendTweetsReq(nil, tweetsReq), 8)
+	if got, rest, err := transport.ConsumeTweetsReq(three); err != nil || got != tweetsReq || len(rest) != 1 {
+		t.Fatalf("tweets req with a third field: %+v, %d bytes left, %v", got, len(rest), err)
+	}
+	page := transport.AppendTweetsResp(nil, transport.TweetsResp{Total: 10, Posts: []microblog.Post{{Author: 3, Text: "a"}}})
 	if resp, _, err := transport.ConsumeTweetsResp(page[:len(page)-1]); err == nil {
-		t.Fatalf("page without Scanned decoded as %+v", resp)
+		t.Fatalf("page cut short decoded as %+v", resp)
 	}
 }

@@ -1,12 +1,11 @@
-// Fault-injection tests for OpTweets paging — the frames the resharding
-// handoff streams author logs over. The paging contract under chaos: a
+// Fault-injection tests for OpTweets paging — the frames DumpIngested
+// reads a shard's ingested log over. The paging contract under chaos: a
 // response truncated at ANY byte offset yields a clean error, never a
-// silently short page (a drain that trusted one would hand the
-// destination an incomplete author log and break bit-identical
-// cutover); one-byte fragmentation changes nothing; an empty shard and
-// an exact page boundary both terminate the cursor loop without
-// off-by-ones; server-side filtering partitions the log exactly; and a
-// client wired for the old topology is refused at connect.
+// silently short page (a dump that trusted one would feed the cold
+// rebuild an incomplete log); one-byte fragmentation changes nothing;
+// an empty shard and an exact page boundary both terminate the cursor
+// loop without off-by-ones; and a client wired for another topology is
+// refused at connect.
 package transport_test
 
 import (
@@ -60,6 +59,17 @@ func pagingClient(addr string, dial func(string, time.Duration) (net.Conn, error
 	return transport.NewRemoteShard(addr, cfg)
 }
 
+// logBase returns the shard's frozen base-corpus size: its ingested
+// posts occupy ids from there to the log's end.
+func logBase(t *testing.T, c *transport.RemoteShard) int {
+	t.Helper()
+	info, err := c.Info()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.BaseTweets
+}
+
 // TestTweetsPageTruncatedAtEveryOffset is the headline fault case:
 // measure the exact inbound byte count of one clean paged read, then
 // rerun the identical request with the stream cut after every offset
@@ -75,10 +85,7 @@ func TestTweetsPageTruncatedAtEveryOffset(t *testing.T) {
 	if err := loader.IngestBatch(streamPosts(p, 8301, 40)); err != nil {
 		t.Fatal(err)
 	}
-	base, err := loader.BasePosts()
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := logBase(t, loader)
 
 	var inbound atomic.Int64
 	counted := pagingClient(addr, func(a string, timeout time.Duration) (net.Conn, error) {
@@ -89,12 +96,12 @@ func TestTweetsPageTruncatedAtEveryOffset(t *testing.T) {
 		return countingConn{Conn: conn, n: &inbound}, nil
 	})
 	defer counted.Close()
-	wantPosts, wantScanned, wantTotal, err := counted.PagePosts(base, 16, 0, 0)
+	want, err := counted.Tweets(base, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wantScanned != 16 || len(wantPosts) != 16 {
-		t.Fatalf("reference page: scanned %d, %d posts, want 16/16", wantScanned, len(wantPosts))
+	if len(want.Posts) != 16 {
+		t.Fatalf("reference page: %d posts, want 16", len(want.Posts))
 	}
 	total := int(inbound.Load())
 	if total == 0 {
@@ -105,11 +112,11 @@ func TestTweetsPageTruncatedAtEveryOffset(t *testing.T) {
 		d := fault.NewDialer()
 		d.TruncateNext(off)
 		c := pagingClient(addr, d.Dial)
-		posts, scanned, _, err := c.PagePosts(base, 16, 0, 0)
+		page, err := c.Tweets(base, 16)
 		c.Close()
 		if err == nil {
-			t.Fatalf("offset %d/%d: truncated response decoded into a page (%d posts, scanned %d)",
-				off, total, len(posts), scanned)
+			t.Fatalf("offset %d/%d: truncated response decoded into a page (%d posts)",
+				off, total, len(page.Posts))
 		}
 	}
 
@@ -118,16 +125,16 @@ func TestTweetsPageTruncatedAtEveryOffset(t *testing.T) {
 	d.TruncateNext(total)
 	c := pagingClient(addr, d.Dial)
 	defer c.Close()
-	posts, scanned, pageTotal, err := c.PagePosts(base, 16, 0, 0)
+	page, err := c.Tweets(base, 16)
 	if err != nil {
 		t.Fatalf("cut after %d bytes (the full response) failed: %v", total, err)
 	}
-	if scanned != wantScanned || pageTotal != wantTotal || len(posts) != len(wantPosts) {
-		t.Fatalf("page after exact-length cut: scanned %d total %d posts %d, want %d/%d/%d",
-			scanned, pageTotal, len(posts), wantScanned, wantTotal, len(wantPosts))
+	if page.Total != want.Total || len(page.Posts) != len(want.Posts) {
+		t.Fatalf("page after exact-length cut: total %d posts %d, want %d/%d",
+			page.Total, len(page.Posts), want.Total, len(want.Posts))
 	}
-	for i := range wantPosts {
-		if postKey(posts[i]) != postKey(wantPosts[i]) {
+	for i := range want.Posts {
+		if postKey(page.Posts[i]) != postKey(want.Posts[i]) {
 			t.Fatalf("post %d differs after exact-length cut", i)
 		}
 	}
@@ -146,10 +153,7 @@ func TestPagingFragmentedBitIdentical(t *testing.T) {
 	if err := clean.IngestBatch(streamPosts(p, 8302, 30)); err != nil {
 		t.Fatal(err)
 	}
-	base, err := clean.BasePosts()
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := logBase(t, clean)
 
 	d := fault.NewDialer()
 	d.FragmentAll()
@@ -159,19 +163,19 @@ func TestPagingFragmentedBitIdentical(t *testing.T) {
 	drain := func(c *transport.RemoteShard) (posts []microblog.Post, pages []int) {
 		at := base
 		for {
-			page, scanned, total, err := c.PagePosts(at, 7, 0, 0)
+			page, err := c.Tweets(at, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if scanned == 0 {
-				if at != total {
-					t.Fatalf("drain stopped at %d with total %d", at, total)
+			if len(page.Posts) == 0 {
+				if at != page.Total {
+					t.Fatalf("drain stopped at %d with total %d", at, page.Total)
 				}
 				return posts, pages
 			}
-			posts = append(posts, page...)
-			pages = append(pages, scanned)
-			at += scanned
+			posts = append(posts, page.Posts...)
+			pages = append(pages, len(page.Posts))
+			at += len(page.Posts)
 		}
 	}
 	wantPosts, wantPages := drain(clean)
@@ -187,15 +191,15 @@ func TestPagingFragmentedBitIdentical(t *testing.T) {
 	}
 	for i := range wantPages {
 		if gotPages[i] != wantPages[i] {
-			t.Fatalf("page %d scanned %d over fragments, clean scanned %d", i, gotPages[i], wantPages[i])
+			t.Fatalf("page %d held %d posts over fragments, clean held %d", i, gotPages[i], wantPages[i])
 		}
 	}
 }
 
 // TestPagingEmptyShardAndBeyondEnd pins cursor-loop termination: a
-// shard with nothing ingested answers the drain's first page with
-// scanned == 0 (the loop's stop condition), and a cursor at or past the
-// end of a non-empty log does the same instead of wrapping or erroring.
+// shard with nothing ingested answers the dump's first page with no
+// posts (the loop's stop condition), and a cursor at or past the end of
+// a non-empty log does the same instead of wrapping or erroring.
 func TestPagingEmptyShardAndBeyondEnd(t *testing.T) {
 	fault.CheckLeaks(t)
 	p, _ := testPipeline(t)
@@ -203,42 +207,39 @@ func TestPagingEmptyShardAndBeyondEnd(t *testing.T) {
 	c := pagingClient(addr, nil)
 	defer c.Close()
 
-	base, err := c.BasePosts()
+	base := logBase(t, c)
+	// Nothing ingested yet: the base boundary IS the log end.
+	page, err := c.Tweets(base, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Nothing ingested yet: the drain floor IS the log end.
-	posts, scanned, total, err := c.PagePosts(base, 32, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scanned != 0 || len(posts) != 0 || total != base {
-		t.Fatalf("empty shard page: scanned %d, %d posts, total %d (base %d)", scanned, len(posts), total, base)
+	if len(page.Posts) != 0 || page.Total != base {
+		t.Fatalf("empty shard page: %d posts, total %d (base %d)", len(page.Posts), page.Total, base)
 	}
 
 	if err := c.IngestBatch(streamPosts(p, 8303, 12)); err != nil {
 		t.Fatal(err)
 	}
 	for _, from := range []int{base + 12, base + 13, base + 500} {
-		posts, scanned, total, err := c.PagePosts(from, 32, 0, 0)
+		page, err := c.Tweets(from, 32)
 		if err != nil {
 			t.Fatalf("from %d: %v", from, err)
 		}
-		if scanned != 0 || len(posts) != 0 {
-			t.Fatalf("from %d past end: scanned %d, %d posts", from, scanned, len(posts))
+		if len(page.Posts) != 0 {
+			t.Fatalf("from %d past end: %d posts", from, len(page.Posts))
 		}
-		if total != base+12 {
-			t.Fatalf("from %d: total %d, want %d", from, total, base+12)
+		if page.Total != base+12 {
+			t.Fatalf("from %d: total %d, want %d", from, page.Total, base+12)
 		}
 	}
 	// A max<=0 probe reports the total without moving any posts.
-	if posts, scanned, total, err := c.PagePosts(base, 0, 0, 0); err != nil || scanned != 0 || len(posts) != 0 || total != base+12 {
-		t.Fatalf("zero-max probe: %d posts, scanned %d, total %d, err %v", len(posts), scanned, total, err)
+	if page, err := c.Tweets(base, 0); err != nil || len(page.Posts) != 0 || page.Total != base+12 {
+		t.Fatalf("zero-max probe: %d posts, total %d, err %v", len(page.Posts), page.Total, err)
 	}
 }
 
 // TestPagingExactPageBoundary ingests exactly three full pages and
-// walks them: every page must scan exactly the page size, the fourth
+// walks them: every page must hold exactly the page size, the fourth
 // must be empty (no off-by-one re-serving the last id, none skipped),
 // and the concatenation must be the ingested sequence in order.
 func TestPagingExactPageBoundary(t *testing.T) {
@@ -253,97 +254,30 @@ func TestPagingExactPageBoundary(t *testing.T) {
 	if err := c.IngestBatch(sent); err != nil {
 		t.Fatal(err)
 	}
-	base, err := c.BasePosts()
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := logBase(t, c)
 
 	var got []microblog.Post
 	at := base
 	for i := 0; i < pages; i++ {
-		page, scanned, total, err := c.PagePosts(at, pageSize, 0, 0)
+		page, err := c.Tweets(at, pageSize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if scanned != pageSize || len(page) != pageSize {
-			t.Fatalf("page %d: scanned %d, %d posts, want exactly %d", i, scanned, len(page), pageSize)
+		if len(page.Posts) != pageSize {
+			t.Fatalf("page %d: %d posts, want exactly %d", i, len(page.Posts), pageSize)
 		}
-		if total != base+len(sent) {
-			t.Fatalf("page %d: total %d, want %d", i, total, base+len(sent))
+		if page.Total != base+len(sent) {
+			t.Fatalf("page %d: total %d, want %d", i, page.Total, base+len(sent))
 		}
-		got = append(got, page...)
-		at += scanned
+		got = append(got, page.Posts...)
+		at += len(page.Posts)
 	}
-	if _, scanned, _, err := c.PagePosts(at, pageSize, 0, 0); err != nil || scanned != 0 {
-		t.Fatalf("page after exact boundary: scanned %d, err %v", scanned, err)
+	if page, err := c.Tweets(at, pageSize); err != nil || len(page.Posts) != 0 {
+		t.Fatalf("page after exact boundary: %d posts, err %v", len(page.Posts), err)
 	}
 	for i := range sent {
 		if postKey(got[i]) != postKey(sent[i]) {
 			t.Fatalf("post %d out of order across exact page boundaries", i)
-		}
-	}
-}
-
-// TestFilteredPagingPartitionsLog pins the server-side handoff filter:
-// paging the same range once per destination index must hand every post
-// to exactly the index its author hashes to, scan the full range each
-// pass (the cursor advances by scanned ids, not returned posts), and
-// reassemble the complete ingested multiset with nothing duplicated.
-func TestFilteredPagingPartitionsLog(t *testing.T) {
-	fault.CheckLeaks(t)
-	p, _ := testPipeline(t)
-	addr := startOneServer(t, p, ingest.DefaultConfig())
-	c := pagingClient(addr, nil)
-	defer c.Close()
-
-	sent := streamPosts(p, 8305, 60)
-	if err := c.IngestBatch(sent); err != nil {
-		t.Fatal(err)
-	}
-	base, err := c.BasePosts()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const fs = 4
-	union := map[string]int{}
-	for idx := 0; idx < fs; idx++ {
-		at, scannedSum := base, 0
-		for {
-			page, scanned, total, err := c.PagePosts(at, 16, fs, idx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if scanned == 0 {
-				if at != total {
-					t.Fatalf("idx %d: filtered drain stopped at %d, total %d", idx, at, total)
-				}
-				break
-			}
-			for _, post := range page {
-				if shard.ShardOf(world.UserID(post.Author), fs) != idx {
-					t.Fatalf("idx %d received a post whose author hashes to %d",
-						idx, shard.ShardOf(world.UserID(post.Author), fs))
-				}
-				union[postKey(post)]++
-			}
-			scannedSum += scanned
-			at += scanned
-		}
-		if scannedSum != len(sent) {
-			t.Fatalf("idx %d scanned %d ids, want the full %d-post range", idx, scannedSum, len(sent))
-		}
-	}
-	want := map[string]int{}
-	for _, post := range sent {
-		want[postKey(post)]++
-	}
-	if len(union) != len(want) {
-		t.Fatalf("filtered union has %d distinct posts, ingested %d", len(union), len(want))
-	}
-	for k, n := range want {
-		if union[k] != n {
-			t.Fatalf("post %q count %d across filters, ingested %d times", k, union[k], n)
 		}
 	}
 }

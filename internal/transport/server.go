@@ -56,7 +56,7 @@ func DefaultServerConfig(i, n int) ServerConfig {
 	return ServerConfig{Shard: i, NumShards: n}
 }
 
-// maxTweetsPage caps the ids one OpTweets page scans regardless of what
+// maxTweetsPage caps the posts one OpTweets page holds regardless of what
 // the request asks for, bounding response frames.
 const maxTweetsPage = 2048
 
@@ -632,10 +632,7 @@ func (s *ShardServer) dispatch(st *connState, op Op, payload []byte) (Op, error)
 			return 0, err
 		}
 		var resp TweetsResp
-		resp.Posts, resp.Scanned, resp.Total, err = s.local.PagePosts(req.From, min(req.Max, maxTweetsPage), req.FilterShards, req.FilterIdx)
-		if err != nil {
-			return 0, err
-		}
+		resp.Posts, resp.Total = s.local.PagePosts(req.From, min(req.Max, maxTweetsPage))
 		st.out = AppendTweetsResp(st.out, resp)
 		return OpTweets, nil
 

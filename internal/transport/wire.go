@@ -254,10 +254,10 @@ type InfoResp struct {
 }
 
 // InfoReq is the OpInfo request: the coordinates a handshaken client
-// pinned, restated on every fresh dial — the world-size renegotiation
-// half of resharding. The server refuses a client wired to another
-// topology (the deployment resharded underneath it) at connect, instead
-// of letting it read the wrong shard. On the wire it is empty (nothing
+// pinned, restated on every fresh dial. The server refuses a client
+// wired to another topology (a shardd restarted with other -shard/-of
+// flags or another base corpus) at connect, instead of letting it read
+// the wrong shard. On the wire it is empty (nothing
 // pinned) or exactly the four expectation fields.
 type InfoReq struct {
 	// ExpectShard and ExpectShards are the shard coordinates the
@@ -341,28 +341,16 @@ func ConsumeInfoResp(buf []byte) (InfoResp, []byte, error) {
 // TweetsReq is the OpTweets payload: a page request over the shard's
 // global tweet-id space.
 type TweetsReq struct {
-	// From is the first global id wanted; Max caps how many ids the
-	// page scans (the server may scan fewer — it also honors its own
+	// From is the first global id wanted; Max caps how many posts the
+	// page holds (the server may return fewer — it also honors its own
 	// cap).
 	From, Max int
-	// FilterShards/FilterIdx, when FilterShards > 0, restrict the page
-	// to posts whose author maps to FilterIdx under
-	// shard.ShardOf(author, FilterShards) — the resharding handoff
-	// filter, applied server-side so only a destination shard's
-	// content crosses the wire. The pair is sent only when armed.
-	FilterShards, FilterIdx int
 }
 
-// AppendTweetsReq appends the encoded request to buf; the filter pair
-// is appended only when armed.
+// AppendTweetsReq appends the encoded request to buf.
 func AppendTweetsReq(buf []byte, req TweetsReq) []byte {
 	buf = binary.AppendUvarint(buf, uint64(req.From))
-	buf = binary.AppendUvarint(buf, uint64(req.Max))
-	if req.FilterShards > 0 {
-		buf = binary.AppendUvarint(buf, uint64(req.FilterShards))
-		buf = binary.AppendUvarint(buf, uint64(req.FilterIdx))
-	}
-	return buf
+	return binary.AppendUvarint(buf, uint64(req.Max))
 }
 
 // ConsumeTweetsReq decodes a TweetsReq off the front of buf. Every
@@ -377,22 +365,6 @@ func ConsumeTweetsReq(buf []byte) (TweetsReq, []byte, error) {
 	if req.Max, buf, err = consumeInt(buf); err != nil {
 		return TweetsReq{}, buf, fmt.Errorf("tweets req max: %w", err)
 	}
-	if len(buf) > 0 {
-		fs, rest, err := consumeInt(buf)
-		if err != nil {
-			return TweetsReq{}, rest, fmt.Errorf("tweets req filter shards: %w", err)
-		}
-		fi, rest, err := consumeInt(rest)
-		if err != nil {
-			return TweetsReq{}, rest, fmt.Errorf("tweets req filter idx: %w", err)
-		}
-		// A zero FilterShards on the wire means no filter; drop the idx
-		// too so decode→encode→decode is a fixed point.
-		if fs > 0 {
-			req.FilterShards, req.FilterIdx = fs, fi
-		}
-		buf = rest
-	}
 	return req, buf, nil
 }
 
@@ -404,11 +376,6 @@ func ConsumeTweetsReq(buf []byte) (TweetsReq, []byte, error) {
 type TweetsResp struct {
 	Total int
 	Posts []microblog.Post
-	// Scanned is how many global ids the page consumed — equal to
-	// len(Posts) for an unfiltered page, larger when a handoff filter
-	// (TweetsReq.FilterShards) skipped other shards' posts. The
-	// client advances its cursor by Scanned.
-	Scanned int
 }
 
 // AppendTweetsResp appends the encoded response to buf.
@@ -418,7 +385,7 @@ func AppendTweetsResp(buf []byte, resp TweetsResp) []byte {
 	for i := range resp.Posts {
 		buf = appendPost(buf, &resp.Posts[i])
 	}
-	return binary.AppendUvarint(buf, uint64(resp.Scanned))
+	return buf
 }
 
 // ConsumeTweetsResp decodes a TweetsResp off the front of buf.
@@ -442,11 +409,6 @@ func ConsumeTweetsResp(buf []byte) (TweetsResp, []byte, error) {
 		}
 		resp.Posts = append(resp.Posts, p)
 	}
-	sc, buf, err := consumeUvarint(buf)
-	if err != nil {
-		return resp, buf, fmt.Errorf("tweets resp scanned: %w", err)
-	}
-	resp.Scanned = int(sc)
 	return resp, buf, nil
 }
 

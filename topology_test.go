@@ -50,17 +50,11 @@ type load struct {
 	baselineEvery          int
 }
 
-// writer is a deployment's write side: a cluster, or the migration
-// routing writes across a live reshard.
-type writer interface {
-	IngestBatch(posts []microblog.Post) error
-}
-
-// runMixedLoad drives srv and w concurrently as l describes and returns
-// the posts whose write was acknowledged, writer by writer. midway, when
-// non-nil, runs once on writer 0 after it has sent half its posts,
-// while the other writers and every searcher keep going.
-func runMixedLoad(p *core.Pipeline, srv *serve.Server, w writer, pool []string, l load, midway func()) []microblog.Post {
+// runMixedLoad drives srv and writes to c concurrently as l describes
+// and returns the posts whose write was acknowledged, writer by writer.
+// midway, when non-nil, runs once on writer 0 after it has sent half
+// its posts, while the other writers and every searcher keep going.
+func runMixedLoad(p *core.Pipeline, srv *serve.Server, c *shard.Cluster, pool []string, l load, midway func()) []microblog.Post {
 	acked := make([][]microblog.Post, l.writers)
 	var wg sync.WaitGroup
 	for k := 0; k < l.writers; k++ {
@@ -73,7 +67,7 @@ func runMixedLoad(p *core.Pipeline, srv *serve.Server, w writer, pool []string, 
 					midway()
 				}
 				post := stream.Next()
-				if w.IngestBatch([]microblog.Post{post}) == nil {
+				if c.IngestBatch([]microblog.Post{post}) == nil {
 					acked[k] = append(acked[k], post)
 				}
 			}
@@ -278,13 +272,7 @@ func followers(n, r int) [][]bool {
 // deployment is what a row hands the matrix runner.
 type deployment struct {
 	rig *rig
-	// reshardTo, when set, is the destination of a live migration the
-	// load runs across: writes route through the migration from the
-	// start, the migration starts midway, and the checks run against
-	// the destination.
-	reshardTo *shard.Cluster
-	// midway runs once mid-load (see runMixedLoad); on a reshard row it
-	// runs off the writer's goroutine, just before the migration starts.
+	// midway runs once mid-load (see runMixedLoad).
 	midway func()
 	// checks are the row's own assertions, run after the spine step.
 	checks []check
@@ -300,9 +288,7 @@ var matrixLoad = load{writers: 2, perWriter: 200, seed: 8100, searchers: 4, perS
 // TestTopologyMatrix is the equivalence spine over every deployment
 // axis at once: in-process, loopback and mixed shard sets, replicas
 // behind loopback (one set losing its followers mid-load), the disk
-// tier, live resharding and the HTTP front door — one reshard draining
-// spilled source shards, so the migration pages disk segments under
-// load. Every row quiesces to the
+// tier and the HTTP front door. Every row quiesces to the
 // cold rebuild, bit for bit, with no partial result, and leaves no
 // goroutine or file descriptor behind.
 func TestTopologyMatrix(t *testing.T) {
@@ -332,14 +318,6 @@ func TestTopologyMatrix(t *testing.T) {
 			r := wire(t, followers(2, 2), true)
 			return deployment{rig: r, checks: []check{spilled(r), replicasInSync(r)}}
 		}},
-		{"reshard-4to8", resharding(4, 8)},
-		{"reshard-2to4", resharding(2, 4)},
-		{"reshard-4to2", resharding(4, 2)},
-		{"reshard-2to4-spill", func(t *testing.T) deployment {
-			src := wire(t, local(2), true)
-			return deployment{rig: src, reshardTo: wire(t, local(4), false).cluster,
-				midway: func() { awaitSpill(src) }, checks: []check{spilled(src)}}
-		}},
 		{"gateway-N2", func(t *testing.T) deployment {
 			return deployment{rig: wire(t, local(2), false), checks: []check{answeredOverHTTP}}
 		}},
@@ -354,49 +332,16 @@ func TestTopologyMatrix(t *testing.T) {
 			det := core.NewShardedLiveDetectorOver(p.Collection, d.rig.cluster, p.Cfg.Online)
 			srv := serve.New(det, serve.DefaultConfig())
 
-			var w writer = d.rig.cluster
-			var mig *shard.Migration
-			migrated := make(chan error, 1)
-			if d.reshardTo != nil {
-				var err error
-				mig, err = shard.NewMigration(d.rig.cluster, d.reshardTo, shard.MigrationConfig{
-					PageSize: 64,
-					Cutover:  func(to *shard.Cluster) { det.SwapCluster(to) },
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				det.AttachMigration(mig)
-				w = mig
-				before := d.midway
-				d.midway = func() {
-					go func() {
-						if before != nil {
-							before()
-						}
-						migrated <- migrate(mig, det, pool)
-					}()
-				}
-			}
-
-			posts := runMixedLoad(p, srv, w, pool, matrixLoad, d.midway)
-			if mig != nil {
-				if err := <-migrated; err != nil {
-					t.Fatal(err)
-				}
-			}
+			posts := runMixedLoad(p, srv, d.rig.cluster, pool, matrixLoad, d.midway)
 			if want := matrixLoad.writers * matrixLoad.perWriter; len(posts) != want {
 				t.Fatalf("%d of %d writes acknowledged", len(posts), want)
 			}
-			if err := det.Cluster().Quiesce(); err != nil {
+			if err := d.rig.cluster.Quiesce(); err != nil {
 				t.Fatal(err)
 			}
 			requireCold(t, det, coldFor(t, posts), sets)
-			if ev := srv.Stats().EpochVector; len(ev) != det.Cluster().NumShards() {
-				t.Fatalf("epoch vector %v over %d shards", ev, det.Cluster().NumShards())
-			}
-			if mig != nil {
-				requireMigrated(t, mig, det, srv, d.reshardTo)
+			if ev := srv.Stats().EpochVector; len(ev) != d.rig.cluster.NumShards() {
+				t.Fatalf("epoch vector %v over %d shards", ev, d.rig.cluster.NumShards())
 			}
 			for _, c := range d.checks {
 				c(t, det, srv, posts)
@@ -430,22 +375,6 @@ func spilling(layout [][]bool) func(t *testing.T) deployment {
 	return func(t *testing.T) deployment {
 		r := wire(t, layout, true)
 		return deployment{rig: r, checks: []check{spilled(r)}}
-	}
-}
-
-// awaitSpill waits until every member of a spilling rig holds a disk
-// segment, so a migration started after it drains the disk tier
-// whatever the writers' pace was. Writes keep landing meanwhile; after
-// ten seconds it gives up and leaves the verdict to spilled.
-func awaitSpill(r *rig) {
-	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-		done := true
-		for _, idx := range r.indexes {
-			done = done && idx.Stats().DiskSegments > 0
-		}
-		if done {
-			return
-		}
 	}
 }
 
@@ -540,51 +469,6 @@ func followerKilled(t *testing.T) deployment {
 	}
 }
 
-// resharding is an in-process from-shard deployment migrated live to
-// to shards while the load runs.
-func resharding(from, to int) func(t *testing.T) deployment {
-	return func(t *testing.T) deployment {
-		dst := wire(t, local(to), false)
-		return deployment{rig: wire(t, local(from), false), reshardTo: dst.cluster}
-	}
-}
-
-// migrate runs the whole migration with two reads inside the dual-read
-// window.
-func migrate(mig *shard.Migration, det *core.ShardedLiveDetector, pool []string) error {
-	if err := mig.Start(); err != nil {
-		return err
-	}
-	if err := mig.Drain(); err != nil {
-		return err
-	}
-	det.Search(pool[0])
-	det.Search(pool[1])
-	return mig.Cutover()
-}
-
-// requireMigrated checks a completed migration: the routing table and
-// the read path moved to the destination, the window saw its reads,
-// posts were streamed, and the serving layer reports it.
-func requireMigrated(t *testing.T, mig *shard.Migration, det *core.ShardedLiveDetector, srv *serve.Server, dst *shard.Cluster) {
-	t.Helper()
-	if got := mig.State(); got != shard.MigrationDone {
-		t.Fatalf("migration state %v, want done", got)
-	}
-	if got := mig.Table(); got.Shards != dst.NumShards() || got.Version != 2 {
-		t.Fatalf("routing table %+v, want %d shards at version 2", got, dst.NumShards())
-	}
-	if det.Cluster() != dst {
-		t.Fatal("cutover did not swap the read path to the destination")
-	}
-	if st := mig.Stats(); st.WindowHits < 2 || st.PostsStreamed == 0 || st.BytesStreamed <= 0 || st.AuthorsMoving <= 0 || st.CatchUpRounds <= 0 {
-		t.Fatalf("implausible migration stats: %+v", st)
-	}
-	if st := srv.Stats(); st.Reshard == nil || st.Reshard.State != shard.MigrationDone {
-		t.Fatalf("serve stats reshard snapshot %+v, want done", st.Reshard)
-	}
-}
-
 // answeredOverHTTP puts the quiesced deployment behind gateway.New and
 // requires every evaluation query's e# and baseline rankings, through
 // the JSON round trip, to equal the cold rebuild's, the baseline
@@ -661,83 +545,6 @@ func jsonEqual(t *testing.T, query string, got, want []expertise.Expert) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("%q diverged over HTTP:\n  got  %s\n  want %s", query, a, b)
 	}
-}
-
-// TestReshardChaosMidDrain kills a destination backend partway through
-// the drain (via the fault gate, at a scripted call count) while mixed
-// load runs, and requires the clean half of abort-or-complete: the
-// migration aborts, cutover never runs, the routing table stays at N,
-// reads never degrade (zero partials — they only ever touched the
-// source), and the source still ranks bit-identically to a cold
-// rebuild over everything accepted. Nothing is half-applied anywhere a
-// query can see.
-func TestReshardChaosMidDrain(t *testing.T) {
-	fault.CheckLeaks(t)
-	p, sets := eqState(t)
-	icfg := ingest.Config{SealThreshold: 32, CompactFanIn: 3}
-	const from, to = 4, 8
-
-	src := shard.New(p.Corpus, from, icfg)
-	onTeardown(t, func() { src.Close() })
-	faults := make([]*fault.Backend, to)
-	backends := make([]shard.Backend, to)
-	for j := range backends {
-		faults[j] = fault.Wrap(shard.NewLocal(ingest.New(shard.Partition(p.Corpus, j, to), icfg)))
-		backends[j] = faults[j]
-	}
-	dst := shard.NewCluster(p.World, backends...)
-	onTeardown(t, func() { dst.Close() })
-
-	det := core.NewShardedLiveDetectorOver(p.Collection, src, p.Cfg.Online)
-	srv := serve.New(det, serve.Config{CacheSize: 256})
-	cutover := false
-	mig, err := shard.NewMigration(src, dst, shard.MigrationConfig{
-		PageSize: 16,
-		Cutover:  func(*shard.Cluster) { cutover = true },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	det.AttachMigration(mig)
-
-	pre := runMixedLoad(p, srv, mig, nil, load{writers: 1, perWriter: 400, seed: 9200}, nil)
-	// The drain will stream dozens of small filtered batches into each
-	// destination; dying after a couple of calls lands the kill
-	// squarely mid-drain.
-	faults[3].KillAfterCalls(2)
-
-	migrated := make(chan error, 1)
-	go func() { migrated <- mig.Run() }()
-	posts := runMixedLoad(p, srv, mig, evalPool(sets),
-		load{writers: 2, perWriter: 200, seed: 8200, searchers: 4, perSearcher: 50, baselineEvery: 5}, nil)
-	err = <-migrated
-
-	if err == nil {
-		t.Fatal("migration survived a destination backend killed mid-drain")
-	}
-	if got := mig.State(); got != shard.MigrationAborted {
-		t.Fatalf("migration state %v, want aborted", got)
-	}
-	if mig.Err() == nil || mig.Stats().Err == "" {
-		t.Fatal("aborted migration reports no cause")
-	}
-	if cutover {
-		t.Fatal("cutover ran despite the abort")
-	}
-	if got := mig.Table(); got.Shards != from || got.Version != 1 {
-		t.Fatalf("routing table %+v moved despite the abort", got)
-	}
-	if det.Cluster() != src {
-		t.Fatal("read path left the source cluster despite the abort")
-	}
-
-	// The source absorbed every accepted write and still clears the
-	// equivalence bar; reads never touched the dying destination.
-	if err := src.Quiesce(); err != nil {
-		t.Fatal(err)
-	}
-	cold := core.NewDetector(p.Collection, p.Corpus.ExtendedWith(append(pre, posts...)), p.Cfg.Online)
-	requireCold(t, det, cold, sets)
 }
 
 // TestReplicatedMixedLoadZeroPartials is the acceptance run of
