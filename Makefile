@@ -23,11 +23,12 @@ race:
 # (compactor, push loops, servers flushing after they answer) or hammer
 # state shared across requests (serve's once-encoded cache entries, the
 # gateway's pooled scratch, the ranker's pooled columns, the disk tier's
-# block cache, whose index-linked slots are recycled in place), plus the root
+# block cache, whose index-linked slots are recycled in place), the
+# admin plane's /watch streams (internal/obs, cmd/gateway), plus the root
 # package, whose topology matrix is the concurrent mixed-load hammer,
 # run repeatedly and uncached, then again under the race detector. A
 # test that passes once and fails one run in five fails here.
-FLAKY = . ./internal/ingest ./internal/transport ./internal/shard ./internal/replica ./cmd/shardd ./internal/serve ./internal/gateway ./internal/expertise ./internal/diskseg
+FLAKY = . ./internal/ingest ./internal/transport ./internal/shard ./internal/replica ./cmd/shardd ./internal/serve ./internal/gateway ./internal/expertise ./internal/diskseg ./internal/obs ./cmd/gateway
 flake:
 	$(GO) test -count=10 $(FLAKY)
 	$(GO) test -race -count=3 $(FLAKY)
@@ -117,7 +118,7 @@ loc:
 # loaders (FuzzOpen): a mutated segment image, resealed or not, is
 # refused by Open and Load alike with a diskseg sentinel or every read
 # of it succeeds with strictly ascending posting lists; and over the front door
-# (FuzzHandler): a fuzzed search body, budget and watch interval never
+# (FuzzHandler): a fuzzed search body and budget never
 # panic the gateway and get a documented status, and each body, then a
 # valid one, is answered through the pooled decoder exactly as
 # json.Unmarshal implies; and the hand-assembled answer stays

@@ -7,7 +7,7 @@
 //
 // A single-process front door over four in-process shards:
 //
-//	gateway -addr :8080 -shards 4 -tokens "dev::::admin,reader:50:100:10000"
+//	gateway -addr :8080 -shards 4 -tokens "dev,reader:50:100:10000"
 //
 // The same front door as the coordinator of a 2-shardd deployment,
 // with the admin plane on :8081:
@@ -23,9 +23,13 @@
 //	curl -s -X POST -H "Authorization: Bearer dev" -H "X-Budget-Ms: 250" \
 //	     -d '{"query":"vintage cars"}' localhost:8080/v1/search
 //
+// The public port answers POST /v1/search and nothing else. With
+// -admin, the process's state is on the admin plane: /metrics, /healthz,
+// /stats (the serving layer's and the gateway's counters plus the slow
+// queries), /watch (that body streamed as NDJSON) and /debug/pprof/.
+//
 // SIGINT/SIGTERM shut the process down gracefully: stop accepting,
-// release streaming watchers, drain in-flight requests within -grace,
-// exit 0.
+// drain in-flight requests within -grace, exit 0.
 package main
 
 import (
@@ -65,8 +69,8 @@ func run(args []string, out io.Writer, sigs <-chan os.Signal, ready chan<- strin
 	fs := flag.NewFlagSet("gateway", flag.ContinueOnError)
 	fs.SetOutput(out)
 	addr := fs.String("addr", "127.0.0.1:8080", "TCP address to serve HTTP on")
-	admin := fs.String("admin", "", "optional host:port for the shared admin HTTP plane (/metrics, /healthz, /stats, /debug/pprof/)")
-	tokens := fs.String("tokens", "dev::::admin", "client tokens, comma-separated token:rate:burst:daily[:admin] (empty numeric fields mean unlimited)")
+	admin := fs.String("admin", "", "optional host:port for the shared admin HTTP plane (/metrics, /healthz, /stats, /watch, /debug/pprof/)")
+	tokens := fs.String("tokens", "dev", "client tokens, comma-separated token[:rate[:burst[:daily]]] (empty or missing numeric fields mean unlimited)")
 	shards := fs.Int("shards", 2, "in-process shard count (ignored with -remote)")
 	remote := fs.String("remote", "", "comma-separated shardd addresses ('|' groups replicas of one shard); empty serves in-process")
 	cache := fs.Int("cache", 4096, "serving-layer result cache size (0 disables)")
@@ -127,7 +131,6 @@ func run(args []string, out io.Writer, sigs <-chan os.Signal, ready chan<- strin
 	if err != nil {
 		return err
 	}
-	defer gw.Close()
 
 	if *admin != "" {
 		adm, err := obs.StartAdmin(*admin, obs.AdminConfig{
@@ -155,7 +158,7 @@ func run(args []string, out io.Writer, sigs <-chan os.Signal, ready chan<- strin
 			return err
 		}
 		defer adm.Close()
-		fmt.Fprintf(out, "gateway: admin plane on http://%s (/metrics /healthz /stats /debug/pprof/)\n", adm.Addr())
+		fmt.Fprintf(out, "gateway: admin plane on http://%s (/metrics /healthz /stats /watch /debug/pprof/)\n", adm.Addr())
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -175,10 +178,6 @@ func run(args []string, out io.Writer, sigs <-chan os.Signal, ready chan<- strin
 		return err
 	case sig := <-sigs:
 		fmt.Fprintf(out, "gateway: %v — draining (grace %v)\n", sig, *grace)
-		// Release streaming watchers first: Shutdown waits for active
-		// handlers, and a watch stream would otherwise hold the drain
-		// until its client hung up.
-		gw.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), *grace)
 		defer cancel()
 		if err := hs.Shutdown(ctx); err != nil {

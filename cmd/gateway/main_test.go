@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/ingest"
+	"repro/internal/obs"
 	"repro/internal/transport"
 )
 
@@ -118,6 +120,80 @@ func TestRunAdminPlane(t *testing.T) {
 		if !strings.Contains(string(metrics), row) {
 			t.Errorf("/metrics missing %q:\n%s", row, metrics)
 		}
+	}
+}
+
+// TestWatchSlowLogDeltas drives the slow-log half of the admin plane's
+// /watch: a real search through the public port shows up, with the term
+// set it was cached under, in exactly one frame — a frame carries only
+// the traces recorded since the one before it.
+func TestWatchSlowLogDeltas(t *testing.T) {
+	fault.CheckLeaks(t)
+	addr, sigs, done, out := bootGateway(t, "-admin", "127.0.0.1:0")
+	defer func() {
+		sigs <- syscall.SIGTERM
+		if err := <-done; err != nil {
+			t.Fatalf("run returned %v", err)
+		}
+	}()
+	resp, err := http.Get(adminBase(t, out.String()) + "/watch?interval=20ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/watch status %d", resp.StatusCode)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(nil, 1<<20)
+	readSlow := func() []obs.QueryTrace {
+		t.Helper()
+		if !sc.Scan() {
+			t.Fatalf("watch stream ended: %v", sc.Err())
+		}
+		var f struct {
+			Stats struct {
+				Serve json.RawMessage `json:"serve"`
+			} `json:"stats"`
+			Slow []obs.QueryTrace `json:"slow_queries"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &f); err != nil {
+			t.Fatalf("bad frame %q: %v", sc.Text(), err)
+		}
+		if f.Stats.Serve == nil {
+			t.Fatalf("frame lacks stats.serve: %s", sc.Text())
+		}
+		return f.Slow
+	}
+	if slow := readSlow(); len(slow) != 0 {
+		t.Fatalf("first frame carries %d slow queries, want none", len(slow))
+	}
+
+	req, _ := http.NewRequest(http.MethodPost, "http://"+addr+"/v1/search", strings.NewReader(`{"query":"49ers"}`))
+	req.Header.Set("Authorization", "Bearer dev")
+	sresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, sresp.Body)
+	sresp.Body.Close()
+	if sresp.StatusCode != http.StatusOK {
+		t.Fatalf("search status %d", sresp.StatusCode)
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	slow := readSlow()
+	for len(slow) == 0 && time.Now().Before(deadline) {
+		slow = readSlow()
+	}
+	if len(slow) != 1 {
+		t.Fatalf("frame carries %d slow queries, want the one search: %+v", len(slow), slow)
+	}
+	if q := slow[0]; q.Query != "49ers" || !strings.Contains("\t"+q.TermSet+"\t", "\t49ers\t") {
+		t.Fatalf("slow delta carries query %q under term set %q, want \"49ers\" under a set holding it", q.Query, q.TermSet)
+	}
+	if again := readSlow(); len(again) != 0 {
+		t.Fatalf("the next frame repeats %d slow queries: %+v", len(again), again)
 	}
 }
 

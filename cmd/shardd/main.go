@@ -1,10 +1,11 @@
 // Shardd serves one shard of the author-partitioned expert index over
 // the wire protocol of internal/transport — the per-process half of
 // cross-process sharding, and the only process of a deployment that
-// holds posts. Each shardd builds the deterministic pipeline (so every
-// process, and the coordinator, agrees on the world and the base corpus
-// bit for bit), keeps exactly its partition — shard.Partition(base, i,
-// n), the same slice the in-process cluster would hand shard i — and
+// holds posts. Each shardd builds the deterministic base corpus and not
+// the offline stage, which it never reads (so every process, and the
+// coordinator, agrees on the world and the base corpus bit for bit),
+// keeps exactly its partition — shard.Partition(base, i, n), the same
+// slice the in-process cluster would hand shard i — and
 // serves the composite search, denominator top-ups, routed ingest,
 // epoch pushes, quiesce and log paging on one TCP address.
 //
@@ -39,7 +40,7 @@
 // segments of at least -spill posts are written to mmap-backed files
 // under <data-dir>/shard-<i>, which is emptied at start — there is no
 // restart path yet; without it every sealed segment stays in memory); -admin serves
-// /metrics, /healthz, /stats and /debug/pprof/ on a second address.
+// /metrics, /healthz, /stats, /watch and /debug/pprof/ on a second address.
 // SIGINT/SIGTERM stop accepting, let in-flight conversations and push
 // subscribers drain within -grace, and exit 0.
 //
@@ -80,7 +81,7 @@ func main() {
 }
 
 // run parses flags, builds the shard's slice of the deterministic
-// pipeline and serves it until the server is closed or a signal
+// corpus and serves it until the server is closed or a signal
 // arrives on sigs — SIGINT/SIGTERM trigger a graceful shutdown: stop
 // accepting, let in-flight conversations and push subscribers drain
 // within the -grace budget, then exit 0. When started is non-nil it
@@ -95,7 +96,7 @@ func run(args []string, out io.Writer, sigs <-chan os.Signal, started chan<- *tr
 	seal := fs.Int("seal", 128, "active-segment seal threshold")
 	dataDir := fs.String("data-dir", "", "directory for the disk tier: sealed segments past -spill posts are written to mmap-backed files under <data-dir>/shard-<i>; empty keeps every segment in memory")
 	spill := fs.Int("spill", 0, "minimum segment size (posts) the disk tier accepts; 0 means 4x -seal (only meaningful with -data-dir)")
-	admin := fs.String("admin", "", "optional host:port for the admin HTTP plane (/metrics, /healthz, /stats, /debug/pprof/)")
+	admin := fs.String("admin", "", "optional host:port for the admin HTTP plane (/metrics, /healthz, /stats, /watch, /debug/pprof/)")
 	grace := fs.Duration("grace", 5*time.Second, "in-flight drain budget on SIGINT/SIGTERM before connections are force-closed")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -104,13 +105,11 @@ func run(args []string, out io.Writer, sigs <-chan os.Signal, started chan<- *tr
 		return fmt.Errorf("shardd: -shard %d -of %d is not a valid partition", *shardIdx, *numShards)
 	}
 
-	// The same deterministic build every shardd and the coordinator run;
-	// agreement is verified per-connection by the transport handshake.
-	pipeline, err := core.BuildPipeline(core.TinyPipelineConfig())
-	if err != nil {
-		return err
-	}
-	part := shard.Partition(pipeline.Corpus, *shardIdx, *numShards)
+	// The same deterministic corpus every shardd and the coordinator
+	// build; agreement is verified per-connection by the transport
+	// handshake. A shard serves posts, so it skips the offline stage.
+	corpus := core.BuildCorpus(core.TinyPipelineConfig())
+	part := shard.Partition(corpus, *shardIdx, *numShards)
 	// One registry spans the process: the index's ingest accounting and
 	// the server's wire accounting land in the same /metrics namespace.
 	var reg *obs.Registry
@@ -140,10 +139,10 @@ func run(args []string, out io.Writer, sigs <-chan os.Signal, started chan<- *tr
 			return err
 		}
 		defer adm.Close()
-		fmt.Fprintf(out, "shardd: admin plane on http://%s (/metrics /healthz /stats /debug/pprof/)\n", adm.Addr())
+		fmt.Fprintf(out, "shardd: admin plane on http://%s (/metrics /healthz /stats /watch /debug/pprof/)\n", adm.Addr())
 	}
 	fmt.Fprintf(out, "shardd: shard %d/%d on %s — %d base tweets (%d total in world), seal %d, fan-in %d\n",
-		*shardIdx, *numShards, srv.Addr(), part.NumTweets(), pipeline.Corpus.NumTweets(), *seal, compactFanIn)
+		*shardIdx, *numShards, srv.Addr(), part.NumTweets(), corpus.NumTweets(), *seal, compactFanIn)
 	if started != nil {
 		started <- srv
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"io"
 	"net/http"
@@ -65,7 +66,7 @@ func TestRunServesAndStops(t *testing.T) {
 
 // TestRunAdminPlane boots a shardd with -admin, drives wire traffic,
 // and scrapes the admin endpoints: the ingest and RPC accounting of the
-// live process must be visible over plain HTTP.
+// live process must be visible over plain HTTP, once and as a stream.
 func TestRunAdminPlane(t *testing.T) {
 	fault.CheckLeaks(t)
 	started := make(chan *transport.ShardServer, 1)
@@ -130,6 +131,22 @@ func TestRunAdminPlane(t *testing.T) {
 	}
 	if pprof := fetchOK(t, base+"/debug/pprof/"); !strings.Contains(pprof, "goroutine") {
 		t.Errorf("/debug/pprof/ = %q", pprof)
+	}
+	// /watch streams the /stats body; one frame is enough here.
+	resp, err := http.Get(base + "/watch?interval=10ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(nil, 1<<20)
+	if resp.StatusCode != http.StatusOK || !sc.Scan() {
+		t.Fatalf("/watch: status %d, %v", resp.StatusCode, sc.Err())
+	}
+	for _, key := range []string{`"stats"`, `"metrics"`, `"Segments"`} {
+		if !strings.Contains(sc.Text(), key) {
+			t.Errorf("/watch frame missing %s:\n%s", key, sc.Text())
+		}
 	}
 }
 

@@ -20,8 +20,9 @@
 // interface, LRU result cache keyed on the expanded term set and
 // invalidated by the vector epoch, in-flight coalescing, partial-result
 // surfacing), the HTTP front door in internal/gateway (tokens, rate
-// limits and quotas, per-request latency budgets, an admin plane), and
-// one package per substrate (query-log synthesis, similarity graph,
+// limits and quotas, per-request latency budgets; searches only — each
+// binary's state is on internal/obs's admin plane), and one package per
+// substrate (query-log synthesis, similarity graph,
 // relational engine, community detection, domain store, microblog
 // corpus, baseline detector, crowdsourcing simulation, experiment
 // harness), and internal/topology, which wires a shard set —

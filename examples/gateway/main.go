@@ -2,12 +2,13 @@
 // It builds the miniature pipeline, shards it behind a
 // serve.Server-wrapped scatter-gather detector, mounts the
 // internal/gateway HTTP/JSON service on a loopback listener, and then
-// plays three clients against it over real HTTP: a reader issuing
-// budgeted searches, a throttled client tripping the token bucket, and
-// an operator scraping the admin snapshot. Every refusal rung of the
-// front door — 401, 403, 429, 400 — is demonstrated with live
-// requests, and the final exchange shows a warm cache hit answering
-// under a budget that would be impossible cold.
+// plays two clients against it over real HTTP: a reader issuing
+// budgeted searches and a throttled client tripping the token bucket.
+// Every refusal rung of the front door — 401, 429, 400 — is
+// demonstrated with live requests, an exchange shows a warm cache hit
+// answering under a budget that would be impossible cold, and an
+// operator reads the combined accounting from the admin plane
+// (obs.StartAdmin), the one place internal state is served.
 package main
 
 import (
@@ -25,6 +26,7 @@ import (
 	"repro/internal/expertise"
 	"repro/internal/gateway"
 	"repro/internal/ingest"
+	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/shard"
 )
@@ -63,17 +65,28 @@ func main() {
 	cluster := shard.New(pipeline.Corpus, 2, ingest.Config{})
 	defer cluster.Close()
 	detector := core.NewShardedLiveDetectorOver(pipeline.Collection, cluster, pipeline.Cfg.Online)
-	srv := serve.New(detector, serve.DefaultConfig())
+	reg := obs.NewRegistry()
+	scfg := serve.DefaultConfig()
+	scfg.Obs = reg
+	srv := serve.New(detector, scfg)
 
-	tokens, err := gateway.ParseTokens("reader:::,throttled:0.1:2:,ops::::admin")
+	tokens, err := gateway.ParseTokens("reader,throttled:0.1:2")
 	if err != nil {
 		log.Fatal(err)
 	}
-	gw, err := gateway.New(gateway.Config{Serve: srv, Tokens: tokens})
+	gw, err := gateway.New(gateway.Config{Serve: srv, Tokens: tokens, Obs: reg})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer gw.Close()
+	adm, err := obs.StartAdmin("127.0.0.1:0", obs.AdminConfig{
+		Registry: reg,
+		SlowLog:  srv.SlowLog(),
+		Stats:    func() any { return map[string]any{"serve": srv.Stats(), "gateway": gw.Stats()} },
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer adm.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
@@ -112,8 +125,6 @@ func main() {
 	// Every rung of the refusal ladder, demonstrated live.
 	status, _ = request(http.MethodPost, base+"/v1/search", "", string(body), nil)
 	fmt.Printf("anon    no token                       → %d\n", status)
-	status, _ = request(http.MethodGet, base+"/v1/admin/stats", "reader", "", nil)
-	fmt.Printf("reader  GET /v1/admin/stats            → %d (not an admin)\n", status)
 	status, _ = request(http.MethodPost, base+"/v1/search", "reader", `{"query":"   "}`, nil)
 	fmt.Printf("reader  blank query                    → %d\n", status)
 	var limited int
@@ -125,19 +136,24 @@ func main() {
 	}
 	fmt.Printf("throttled 5 rapid queries              → %d rate-limited (burst 2, 0.1/s)\n\n", limited)
 
-	// The operator reads the combined accounting of both layers.
-	status, resp = request(http.MethodGet, base+"/v1/admin/stats", "ops", "", nil)
+	// The operator reads the combined accounting of both layers from
+	// the admin plane; the public port serves searches only.
+	status, _ = request(http.MethodGet, base+"/stats", "reader", "", nil)
+	fmt.Printf("reader  GET /stats on the public port  → %d\n", status)
+	status, resp = request(http.MethodGet, "http://"+adm.Addr().String()+"/stats", "", "", nil)
 	var snap struct {
-		Serve   serve.Stats   `json:"serve"`
-		Gateway gateway.Stats `json:"gateway"`
+		Stats struct {
+			Serve   serve.Stats   `json:"serve"`
+			Gateway gateway.Stats `json:"gateway"`
+		} `json:"stats"`
 	}
 	if err := json.Unmarshal([]byte(resp), &snap); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("ops     GET /v1/admin/stats            → %d\n", status)
-	fmt.Printf("        gateway: %d requests = %d ok + %d unauthorized + %d forbidden + %d rate-limited + %d bad\n",
-		snap.Gateway.Requests, snap.Gateway.OK, snap.Gateway.Unauthorized,
-		snap.Gateway.Forbidden, snap.Gateway.RateLimited, snap.Gateway.BadRequest)
+	gs, ss := snap.Stats.Gateway, snap.Stats.Serve
+	fmt.Printf("ops     GET /stats on the admin plane  → %d\n", status)
+	fmt.Printf("        gateway: %d requests = %d ok + %d unauthorized + %d rate-limited + %d bad\n",
+		gs.Requests, gs.OK, gs.Unauthorized, gs.RateLimited, gs.BadRequest)
 	fmt.Printf("        serve:   %d queries, %d hits, %d misses\n",
-		snap.Serve.Queries, snap.Serve.CacheHits, snap.Serve.CacheMisses)
+		ss.Queries, ss.CacheHits, ss.CacheMisses)
 }

@@ -315,6 +315,14 @@ type Pipeline struct {
 	Stages []querylog.Stats
 }
 
+// BuildCorpus generates the world and its base corpus alone: post for
+// post BuildPipeline(cfg).Corpus, without the click log and the offline
+// stage. A process that serves posts and no expansion (cmd/shardd)
+// builds only this.
+func BuildCorpus(cfg PipelineConfig) *microblog.Corpus {
+	return microblog.Generate(world.Build(cfg.World), cfg.Tweets)
+}
+
 // BuildPipeline generates the world, click log and corpus, then runs
 // the offline stage and wires the online detector.
 func BuildPipeline(cfg PipelineConfig) (*Pipeline, error) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -41,6 +42,21 @@ func TestBuildPipelineArtifacts(t *testing.T) {
 	}
 	if len(p.Stages) < 3 {
 		t.Errorf("only %d stage stats recorded", len(p.Stages))
+	}
+}
+
+// TestBuildCorpusMatchesPipeline pins the corpus a shard builds alone
+// to the pipeline's, post for post: the handshake compares only counts.
+func TestBuildCorpusMatchesPipeline(t *testing.T) {
+	want := tinyPipeline(t).Corpus.Tweets()
+	got := BuildCorpus(TinyPipelineConfig()).Tweets()
+	if len(got) != len(want) {
+		t.Fatalf("BuildCorpus made %d posts, BuildPipeline %d", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("post %d: BuildCorpus %+v, BuildPipeline %+v", i, got[i], want[i])
+		}
 	}
 }
 

@@ -9,8 +9,7 @@ import (
 )
 
 // TokenConfig is one client credential's envelope: how fast it may
-// ask, how much it may ask per day, and whether it may look behind the
-// curtain.
+// ask and how much it may ask per day.
 type TokenConfig struct {
 	// Rate is the sustained request rate in requests per second the
 	// token refills at; Burst is the bucket capacity (defaults to
@@ -21,9 +20,6 @@ type TokenConfig struct {
 	// unlimited. A quota rejection names the next UTC midnight in
 	// Retry-After.
 	DailyQuota int64
-	// Admin grants the /v1/admin endpoints (stats snapshot and the
-	// streaming watch). Non-admin tokens get 403 there.
-	Admin bool
 }
 
 // tokenState is one token's mutable limiter state: a float64 token
@@ -110,13 +106,13 @@ func (st *tokenState) admit(now time.Time) (ok bool, retryAfter time.Duration, q
 }
 
 // ParseTokens parses the command-line token table syntax:
-// comma-separated "token:rate:burst:daily[:admin]" entries, where any
-// numeric field may be empty for its zero (unlimited) value and a
-// trailing ":admin" grants the admin endpoints.
+// comma-separated "token[:rate[:burst[:daily]]]" entries, where any
+// numeric field may be empty or left off for its zero (unlimited)
+// value.
 //
-//	dev:::      — token "dev", no limits
-//	a:100:200:  — 100 rps, burst 200, no daily cap
-//	ops:::1000:admin
+//	dev         — token "dev", no limits
+//	a:100:200   — 100 rps, burst 200, no daily cap
+//	ops:::1000  — no rate limit, 1000 requests per UTC day
 func ParseTokens(spec string) (map[string]TokenConfig, error) {
 	out := make(map[string]TokenConfig)
 	for _, entry := range strings.Split(spec, ",") {
@@ -125,10 +121,10 @@ func ParseTokens(spec string) (map[string]TokenConfig, error) {
 			continue
 		}
 		parts := strings.Split(entry, ":")
-		if len(parts) > 5 {
+		if len(parts) > 4 {
 			return nil, fmt.Errorf("gateway: token entry %q: too many fields", entry)
 		}
-		for len(parts) < 5 {
+		for len(parts) < 4 {
 			parts = append(parts, "")
 		}
 		tok := parts[0]
@@ -151,13 +147,6 @@ func ParseTokens(spec string) (map[string]TokenConfig, error) {
 			if cfg.DailyQuota, err = strconv.ParseInt(parts[3], 10, 64); err != nil || cfg.DailyQuota < 0 {
 				return nil, fmt.Errorf("gateway: token %q: bad daily quota %q", tok, parts[3])
 			}
-		}
-		switch parts[4] {
-		case "", "-":
-		case "admin":
-			cfg.Admin = true
-		default:
-			return nil, fmt.Errorf("gateway: token %q: bad flag %q (want \"admin\")", tok, parts[4])
 		}
 		if _, dup := out[tok]; dup {
 			return nil, fmt.Errorf("gateway: duplicate token %q", tok)

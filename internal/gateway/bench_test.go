@@ -41,7 +41,6 @@ func benchGateway(b *testing.B) (*serve.Server, *httptest.Server, string) {
 	}
 	hs := httptest.NewServer(g)
 	b.Cleanup(hs.Close)
-	b.Cleanup(g.Close)
 
 	query := sets[0].Queries[0]
 	body, _ := json.Marshal(searchRequest{Query: query})

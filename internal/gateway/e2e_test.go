@@ -55,7 +55,7 @@ func streamPosts(p *core.Pipeline, seed uint64, n int) []microblog.Post {
 
 // realGateway wires an actual e# backend (any serve.Backend over the
 // pipeline) through serve into a gateway httptest server with an
-// unlimited reader token and an admin token.
+// unlimited reader token.
 func realGateway(t testing.TB, backend serve.Backend, mut func(*serve.Config)) (*Gateway, *httptest.Server) {
 	t.Helper()
 	scfg := serve.DefaultConfig()
@@ -63,11 +63,8 @@ func realGateway(t testing.TB, backend serve.Backend, mut func(*serve.Config)) (
 		mut(&scfg)
 	}
 	g, err := New(Config{
-		Serve: serve.New(backend, scfg),
-		Tokens: map[string]TokenConfig{
-			"reader": {},
-			"ops":    {Admin: true},
-		},
+		Serve:  serve.New(backend, scfg),
+		Tokens: map[string]TokenConfig{"reader": {}},
 		// E2E queries over cold tiny-pipeline shards stay well under a
 		// second; the wide default keeps a loaded CI container from
 		// tripping budgets in the equivalence sweep.
@@ -79,7 +76,6 @@ func realGateway(t testing.TB, backend serve.Backend, mut func(*serve.Config)) (
 	}
 	hs := httptest.NewServer(g)
 	t.Cleanup(hs.Close)
-	t.Cleanup(g.Close)
 	return g, hs
 }
 

@@ -1,30 +1,31 @@
 // Package gateway is the front door of the reproduction: an HTTP/JSON
 // service over a serve.Server, modelling how the paper's expertise
 // detector would actually face production web-search traffic —
-// authenticated clients, per-client rate limits and daily quotas, a
-// latency budget per request, and an operator plane watching the
-// serving layer live.
+// authenticated clients, per-client rate limits and daily quotas, and a
+// latency budget per request.
 //
-// The request surface is deliberately small:
+// The request surface is one route:
 //
 //	POST /v1/search            {"query": "vintage cars"} → ranked experts
 //	POST /v1/search?baseline=1 the unexpanded Pal & Counts baseline
-//	GET  /v1/admin/stats       one-shot serve.Stats + gateway counters (admin token)
-//	GET  /v1/admin/watch       streaming JSON lines of stats deltas + new slow queries
+//
+// Every other path is 404, whatever the token. Internal state — the
+// serving layer's and the gateway's counters, the slow-query log and
+// its live stream — lives on the process's admin plane (obs.StartAdmin),
+// never on the public port.
 //
 // Every request carries "Authorization: Bearer <token>"; tokens are
-// provisioned in Config.Tokens with a token-bucket rate, a UTC-daily
-// quota and an admin bit. The refusal ladder is strict HTTP: 401 for
-// no/unknown token, 403 for a non-admin token on an admin route, 429
-// with Retry-After for a rate or quota trip, 400 for a malformed body
-// or a degenerate query (serve.ErrEmptyQuery, serve.ErrTooManyTerms),
-// 413 for a body over 1 MiB, 503 with Retry-After when the serving
-// layer sheds a cold miss under overload (serve.ErrOverloaded — warm
-// cache hits are still answered), and 504 when the request's latency
-// budget expires before the scatter-gather returns. An answer some
-// shard was missing from is a 200 whose body adds "partial":true and
-// the missing shard indices (serve.PartialError); a whole answer has
-// neither field.
+// provisioned in Config.Tokens with a token-bucket rate and a UTC-daily
+// quota. The refusal ladder is strict HTTP: 401 for no/unknown token,
+// 429 with Retry-After for a rate or quota trip, 400 for a malformed
+// body or a degenerate query (serve.ErrEmptyQuery,
+// serve.ErrTooManyTerms), 413 for a body over 1 MiB, 503 with
+// Retry-After when the serving layer sheds a cold miss under overload
+// (serve.ErrOverloaded — warm cache hits are still answered), and 504
+// when the request's latency budget expires before the scatter-gather
+// returns. An answer some shard was missing from is a 200 whose body
+// adds "partial":true and the missing shard indices
+// (serve.PartialError); a whole answer has neither field.
 //
 // The body is read whole and must be exactly one JSON object: anything
 // but whitespace after it is a malformed body (400), not ignored.
@@ -87,9 +88,8 @@ type Config struct {
 	MaxBudget     time.Duration
 	// Obs, when non-nil, mirrors every gateway counter into the
 	// registry (gateway_requests, gateway_ok, gateway_unauthorized,
-	// gateway_forbidden, gateway_rate_limited, gateway_quota_exceeded,
-	// gateway_bad_request, gateway_shed, gateway_timeout,
-	// gateway_backend_errors) and records end-to-end request latency in
+	// gateway_rate_limited, gateway_quota_exceeded, gateway_bad_request,
+	// gateway_shed, gateway_timeout, gateway_backend_errors) and records end-to-end request latency in
 	// the gateway_request_ns histogram — typically the same registry
 	// the serve.Server and its admin plane share, so the front door and
 	// the serving layer land in one /metrics namespace.
@@ -99,20 +99,12 @@ type Config struct {
 	Now func() time.Time
 }
 
-// watchTick is the tick of /v1/admin/watch when the client names
-// none; minWatchTick is the floor under a client-named one.
-const (
-	watchTick    = 500 * time.Millisecond
-	minWatchTick = 10 * time.Millisecond
-)
-
 // Stats is a snapshot of the gateway's request counters. Requests is
 // the total; every request lands in exactly one of the other buckets.
 type Stats struct {
 	Requests      int64
 	OK            int64
 	Unauthorized  int64 // 401: missing or unknown bearer token
-	Forbidden     int64 // 403: non-admin token on an admin route
 	RateLimited   int64 // 429: token bucket empty
 	QuotaExceeded int64 // 429: UTC-daily quota spent
 	BadRequest    int64 // 400/405: malformed body, degenerate query, wrong method
@@ -122,8 +114,7 @@ type Stats struct {
 }
 
 // Gateway is the HTTP front door over one serve.Server. It is an
-// http.Handler; Close releases streaming watchers so an http.Server
-// can drain.
+// http.Handler.
 type Gateway struct {
 	cfg  Config
 	srv  *serve.Server
@@ -131,14 +122,12 @@ type Gateway struct {
 	mux  *http.ServeMux
 	now  func() time.Time
 
-	requests, ok, unauthorized, forbidden atomic.Int64
-	rateLimited, quotaExceeded            atomic.Int64
-	badRequest, shed, timeout, backendErr atomic.Int64
+	requests, ok, unauthorized, rateLimited atomic.Int64
+	quotaExceeded, badRequest, shed         atomic.Int64
+	timeout, backendErr                     atomic.Int64
 
 	obsOn    bool
 	obsReqNS *obs.Histogram
-
-	closed chan struct{}
 }
 
 // New builds a gateway over cfg.Serve. The only error is a nil Serve.
@@ -156,16 +145,13 @@ func New(cfg Config) (*Gateway, error) {
 		cfg.Now = time.Now
 	}
 	g := &Gateway{
-		cfg:    cfg,
-		srv:    cfg.Serve,
-		auth:   newAuthTable(cfg.Tokens),
-		now:    cfg.Now,
-		closed: make(chan struct{}),
+		cfg:  cfg,
+		srv:  cfg.Serve,
+		auth: newAuthTable(cfg.Tokens),
+		now:  cfg.Now,
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/search", g.handleSearch)
-	mux.HandleFunc("/v1/admin/stats", g.handleAdminStats)
-	mux.HandleFunc("/v1/admin/watch", g.handleAdminWatch)
 	g.mux = mux
 	if cfg.Obs != nil {
 		g.obsOn = true
@@ -173,7 +159,6 @@ func New(cfg Config) (*Gateway, error) {
 		cfg.Obs.RegisterFunc("gateway_requests", g.requests.Load)
 		cfg.Obs.RegisterFunc("gateway_ok", g.ok.Load)
 		cfg.Obs.RegisterFunc("gateway_unauthorized", g.unauthorized.Load)
-		cfg.Obs.RegisterFunc("gateway_forbidden", g.forbidden.Load)
 		cfg.Obs.RegisterFunc("gateway_rate_limited", g.rateLimited.Load)
 		cfg.Obs.RegisterFunc("gateway_quota_exceeded", g.quotaExceeded.Load)
 		cfg.Obs.RegisterFunc("gateway_bad_request", g.badRequest.Load)
@@ -189,15 +174,11 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.mux.ServeHTTP(w, r)
 }
 
-// Close releases streaming watchers (their handlers return), so an
-// http.Server.Shutdown over this handler can drain. Idempotent.
-func (g *Gateway) Close() {
-	select {
-	case <-g.closed:
-	default:
-		close(g.closed)
-	}
-}
+// Close does nothing: the gateway holds no stream or goroutine to
+// release.
+//
+// Deprecated: an http.Server over the gateway drains on Shutdown alone.
+func (g *Gateway) Close() {}
 
 // Stats snapshots the request counters.
 func (g *Gateway) Stats() Stats {
@@ -205,7 +186,6 @@ func (g *Gateway) Stats() Stats {
 		Requests:      g.requests.Load(),
 		OK:            g.ok.Load(),
 		Unauthorized:  g.unauthorized.Load(),
-		Forbidden:     g.forbidden.Load(),
 		RateLimited:   g.rateLimited.Load(),
 		QuotaExceeded: g.quotaExceeded.Load(),
 		BadRequest:    g.badRequest.Load(),
@@ -237,19 +217,14 @@ func fail(w http.ResponseWriter, status int, msg string, retryAfter time.Duratio
 }
 
 // authenticate resolves and admits the request's bearer token,
-// writing the 401/403/429 refusal itself. ok is false once the
-// response has been written.
-func (g *Gateway) authenticate(w http.ResponseWriter, r *http.Request, admin bool) bool {
+// writing the 401/429 refusal itself. ok is false once the response
+// has been written.
+func (g *Gateway) authenticate(w http.ResponseWriter, r *http.Request) bool {
 	st := g.auth.lookup(r.Header.Get("Authorization"))
 	if st == nil {
 		g.unauthorized.Add(1)
 		w.Header().Set("WWW-Authenticate", `Bearer realm="esharp"`)
 		fail(w, http.StatusUnauthorized, "missing or unknown bearer token", 0)
-		return false
-	}
-	if admin && !st.cfg.Admin {
-		g.forbidden.Add(1)
-		fail(w, http.StatusForbidden, "token lacks admin grant", 0)
 		return false
 	}
 	admitted, retryAfter, quota := st.admit(g.now())
@@ -268,8 +243,10 @@ func (g *Gateway) authenticate(w http.ResponseWriter, r *http.Request, admin boo
 
 // budget resolves the request's latency budget: X-Budget-Ms header,
 // then ?budget_ms, then Config.DefaultBudget; client values are
-// clamped to (0, Config.MaxBudget]. params is the parsed query string,
-// nil when the URL has none.
+// clamped to (0, Config.MaxBudget]. The ceiling is applied in integer
+// milliseconds, before the multiplication, so a huge count saturates
+// at MaxBudget instead of wrapping negative. params is the parsed
+// query string, nil when the URL has none.
 func (g *Gateway) budget(r *http.Request, params url.Values) (time.Duration, error) {
 	raw := r.Header.Get("X-Budget-Ms")
 	if raw == "" {
@@ -282,18 +259,10 @@ func (g *Gateway) budget(r *http.Request, params url.Values) (time.Duration, err
 	if err != nil || ms <= 0 {
 		return 0, errors.New("budget must be a positive integer of milliseconds")
 	}
-	return millis(ms, 0, g.cfg.MaxBudget), nil
-}
-
-// millis converts a client-named count of milliseconds (positive: both
-// callers reject the rest) into a duration clamped to [lo, hi]. The
-// ceiling is applied in integer milliseconds, before the multiplication,
-// so a huge count saturates at hi instead of wrapping negative.
-func millis(ms int64, lo, hi time.Duration) time.Duration {
-	if ms > int64(hi/time.Millisecond) {
-		return hi
+	if ms > int64(g.cfg.MaxBudget/time.Millisecond) {
+		return g.cfg.MaxBudget, nil
 	}
-	return max(time.Duration(ms)*time.Millisecond, lo)
+	return time.Duration(ms) * time.Millisecond, nil
 }
 
 // searchRequest is the POST /v1/search body. Terms, when Query is
@@ -439,7 +408,7 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 		fail(w, http.StatusMethodNotAllowed, "POST only", 0)
 		return
 	}
-	if !g.authenticate(w, r, false) {
+	if !g.authenticate(w, r) {
 		return
 	}
 	sc := getScratch()

@@ -1,7 +1,6 @@
 package gateway
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -17,7 +16,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/expertise"
-	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -68,16 +66,13 @@ func (b *stubBackend) SearchBaselineContext(ctx context.Context, query string) (
 }
 
 // newTestGateway wires backend → serve → gateway with an unlimited
-// reader token and an admin token; tests that need no network drive it
-// through ServeHTTP.
+// reader token; tests that need no network drive it through
+// ServeHTTP.
 func newTestGateway(t testing.TB, backend serve.Backend, scfg serve.Config, mut func(*Config)) *Gateway {
 	t.Helper()
 	cfg := Config{
-		Serve: serve.New(backend, scfg),
-		Tokens: map[string]TokenConfig{
-			"reader": {},
-			"ops":    {Admin: true},
-		},
+		Serve:  serve.New(backend, scfg),
+		Tokens: map[string]TokenConfig{"reader": {}},
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -95,7 +90,6 @@ func testGateway(t *testing.T, backend serve.Backend, scfg serve.Config, mut fun
 	g := newTestGateway(t, backend, scfg, mut)
 	hs := httptest.NewServer(g)
 	t.Cleanup(hs.Close)
-	t.Cleanup(g.Close)
 	return g, hs
 }
 
@@ -158,33 +152,31 @@ func TestAuthLadder(t *testing.T) {
 
 	wantStatus(t, post(t, search, "reader", body, nil), http.StatusOK)
 
-	// Admin routes: reader is 403, ops passes; both need a token.
-	adminReq := func(token string) *http.Response {
-		r, _ := http.NewRequest(http.MethodGet, hs.URL+"/v1/admin/stats", nil)
-		if token != "" {
-			r.Header.Set("Authorization", "Bearer "+token)
+	// The public port serves searches and nothing else: internal state
+	// is the admin plane's, so every other path is 404 whatever the
+	// token, and none of them counts as a request.
+	for _, path := range []string{"/v1/admin/stats", "/v1/admin/watch", "/stats", "/metrics"} {
+		for _, token := range []string{"", "nosuch", "reader"} {
+			for _, method := range []string{http.MethodGet, http.MethodPost} {
+				r, _ := http.NewRequest(method, hs.URL+path, nil)
+				if token != "" {
+					r.Header.Set("Authorization", "Bearer "+token)
+				}
+				resp, err := http.DefaultClient.Do(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusNotFound {
+					t.Fatalf("%s %s with token %q: status %d, want 404", method, path, token, resp.StatusCode)
+				}
+			}
 		}
-		resp, err := http.DefaultClient.Do(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { resp.Body.Close() })
-		return resp
-	}
-	wantStatus(t, adminReq(""), http.StatusUnauthorized)
-	wantStatus(t, adminReq("reader"), http.StatusForbidden)
-	resp3 := adminReq("ops")
-	wantStatus(t, resp3, http.StatusOK)
-	var snap adminSnapshot
-	if err := json.NewDecoder(resp3.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Serve.Queries == 0 || snap.Gateway.Requests == 0 {
-		t.Fatalf("admin snapshot empty: %+v", snap)
 	}
 
 	st := g.Stats()
-	if st.Unauthorized != 4 || st.Forbidden != 1 {
+	if st.Unauthorized != 3 || st.Requests != 4 {
 		t.Fatalf("auth counters: %+v", st)
 	}
 	checkStatsInvariant(t, g)
@@ -193,7 +185,7 @@ func TestAuthLadder(t *testing.T) {
 func checkStatsInvariant(t *testing.T, g *Gateway) {
 	t.Helper()
 	st := g.Stats()
-	sum := st.OK + st.Unauthorized + st.Forbidden + st.RateLimited +
+	sum := st.OK + st.Unauthorized + st.RateLimited +
 		st.QuotaExceeded + st.BadRequest + st.Shed + st.Timeout + st.BackendErrors
 	if sum != st.Requests {
 		t.Fatalf("stats invariant broken: %+v", st)
@@ -373,108 +365,6 @@ func TestShedKeepsWarmHits(t *testing.T) {
 	checkStatsInvariant(t, g)
 }
 
-// TestAdminWatchStreams drives the streaming admin route: frames
-// arrive on the interval, queries between frames surface in
-// delta_queries, and closing the gateway releases the stream.
-func TestAdminWatchStreams(t *testing.T) {
-	g, hs := testGateway(t, &stubBackend{}, serve.DefaultConfig(), nil)
-
-	req, _ := http.NewRequest(http.MethodGet, hs.URL+"/v1/admin/watch?interval_ms=20", nil)
-	req.Header.Set("Authorization", "Bearer ops")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	wantStatus(t, resp, http.StatusOK)
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("watch Content-Type = %q", ct)
-	}
-
-	sc := bufio.NewScanner(resp.Body)
-	readFrame := func() watchFrame {
-		t.Helper()
-		if !sc.Scan() {
-			t.Fatalf("watch stream ended early: %v", sc.Err())
-		}
-		var f watchFrame
-		if err := json.Unmarshal(sc.Bytes(), &f); err != nil {
-			t.Fatalf("bad frame %q: %v", sc.Text(), err)
-		}
-		return f
-	}
-	first := readFrame()
-	if first.DeltaQueries != 0 {
-		t.Fatalf("baseline frame has delta %d", first.DeltaQueries)
-	}
-	// Traffic between frames must show up as a delta.
-	wantStatus(t, post(t, hs.URL+"/v1/search", "reader", `{"query":"storm"}`, nil), http.StatusOK)
-	deadline := time.Now().Add(5 * time.Second)
-	var sawDelta bool
-	for time.Now().Before(deadline) {
-		if f := readFrame(); f.DeltaQueries > 0 {
-			sawDelta = true
-			break
-		}
-	}
-	if !sawDelta {
-		t.Fatal("no frame reported the query delta")
-	}
-	// Close releases the handler; the stream must end.
-	g.Close()
-	ended := make(chan struct{})
-	go func() {
-		for sc.Scan() {
-		}
-		close(ended)
-	}()
-	select {
-	case <-ended:
-	case <-time.After(5 * time.Second):
-		t.Fatal("watch stream did not end on gateway Close")
-	}
-}
-
-// TestWatchSlowLogDeltas drives the SlowLog half of the watch stream
-// with an instrumented serving layer.
-func TestWatchSlowLogDeltas(t *testing.T) {
-	reg := obs.NewRegistry()
-	scfg := serve.DefaultConfig()
-	scfg.Obs = reg
-	_, hs := testGateway(t, &stubBackend{}, scfg, func(cfg *Config) { cfg.Obs = reg })
-
-	req, _ := http.NewRequest(http.MethodGet, hs.URL+"/v1/admin/watch?interval_ms=20", nil)
-	req.Header.Set("Authorization", "Bearer ops")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	wantStatus(t, resp, http.StatusOK)
-	sc := bufio.NewScanner(resp.Body)
-	if !sc.Scan() {
-		t.Fatal("no baseline frame")
-	}
-	wantStatus(t, post(t, hs.URL+"/v1/search", "reader", `{"query":"storm"}`, nil), http.StatusOK)
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if !sc.Scan() {
-			t.Fatalf("stream ended: %v", sc.Err())
-		}
-		var f watchFrame
-		if err := json.Unmarshal(sc.Bytes(), &f); err != nil {
-			t.Fatal(err)
-		}
-		if len(f.Slow) > 0 {
-			if f.Slow[0].Query != "storm" || f.Slow[0].TermSet != "storm" {
-				t.Fatalf("slow delta carries query %q under term set %q, want \"storm\" under itself", f.Slow[0].Query, f.Slow[0].TermSet)
-			}
-			return
-		}
-	}
-	t.Fatal("no frame carried the slow-log delta")
-}
-
 // countGoroutines samples runtime.NumGoroutine after a GC settle so
 // freshly-exited goroutines don't inflate the baseline.
 func countGoroutines() int {
@@ -505,21 +395,24 @@ func waitGoroutinesSettle(t *testing.T, baseline int) {
 }
 
 func TestParseTokens(t *testing.T) {
-	got, err := ParseTokens("dev::::admin, reader:50:100:10000, free:::")
+	got, err := ParseTokens("dev, reader:50:100:10000, free:::, slow:2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got["dev"].Admin || got["dev"].Rate != 0 {
-		t.Fatalf("dev = %+v", got["dev"])
+	if d := got["dev"]; d != (TokenConfig{}) {
+		t.Fatalf("dev = %+v", d)
 	}
-	if r := got["reader"]; r.Rate != 50 || r.Burst != 100 || r.DailyQuota != 10000 || r.Admin {
+	if r := got["reader"]; r != (TokenConfig{Rate: 50, Burst: 100, DailyQuota: 10000}) {
 		t.Fatalf("reader = %+v", r)
 	}
 	if f := got["free"]; f != (TokenConfig{}) {
 		t.Fatalf("free = %+v", f)
 	}
+	if s := got["slow"]; s != (TokenConfig{Rate: 2}) {
+		t.Fatalf("slow = %+v", s)
+	}
 	for _, bad := range []string{
-		"", ":50::", "a:b::", "a::b:", "a:::b", "a::::root", "a:::,a:::", "a:1:2:3:admin:extra",
+		"", ":50::", "a:b::", "a::b:", "a:::b", "a::::", "a::::admin", "a::::root", "a:::,a:::", "a,a", "a:1:2:3:admin:extra",
 	} {
 		if _, err := ParseTokens(bad); err == nil {
 			t.Fatalf("ParseTokens(%q) accepted", bad)

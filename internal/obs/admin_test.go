@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"io"
@@ -151,5 +152,103 @@ func TestStartAdminServes(t *testing.T) {
 	}
 	if _, err := http.Get("http://" + adm.Addr().String() + "/metrics"); err == nil {
 		t.Fatal("scrape succeeded after Close")
+	}
+}
+
+// TestWatchInterval pins how /watch reads ?interval=: a Go duration,
+// floored at minWatchTick; anything that does not parse (an
+// overflowing count included) or is not positive leaves watchTick.
+func TestWatchInterval(t *testing.T) {
+	for raw, want := range map[string]time.Duration{
+		"":            watchTick,
+		"1ns":         minWatchTick,
+		"20ms":        20 * time.Millisecond,
+		"2s":          2 * time.Second,
+		"0":           watchTick,
+		"-1s":         watchTick,
+		"banana":      watchTick,
+		"20":          watchTick,
+		"9999999999h": watchTick,
+	} {
+		if got := watchInterval(raw); got != want {
+			t.Errorf("watchInterval(%q) = %v, want %v", raw, got, want)
+		}
+	}
+}
+
+// TestAdminWatchStreams drives /watch over a real listener: frames
+// arrive on ?interval=20ms, each the /stats body, a counter bumped
+// between frames shows up in a later frame's metrics, and
+// AdminServer.Close ends the stream.
+func TestAdminWatchStreams(t *testing.T) {
+	r := NewRegistry()
+	queries := r.Counter("queries")
+	adm, err := StartAdmin("127.0.0.1:0", AdminConfig{
+		Registry: r,
+		Stats:    func() any { return map[string]int{"segments": 3} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer adm.Close()
+
+	resp, err := http.Get("http://" + adm.Addr().String() + "/watch?interval=20ms")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/watch status = %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+		t.Fatalf("/watch Content-Type = %q", ct)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	readFrame := func() statsBody {
+		t.Helper()
+		if !sc.Scan() {
+			t.Fatalf("watch stream ended early: %v", sc.Err())
+		}
+		var f statsBody
+		if err := json.Unmarshal(sc.Bytes(), &f); err != nil {
+			t.Fatalf("bad frame %q: %v", sc.Text(), err)
+		}
+		return f
+	}
+	queriesIn := func(f statsBody) int64 {
+		for _, m := range f.Metrics {
+			if m.Name == "queries" {
+				return m.Value
+			}
+		}
+		t.Fatalf("frame lacks the queries counter: %+v", f.Metrics)
+		return 0
+	}
+	first := readFrame()
+	if stats, _ := first.Stats.(map[string]any); stats["segments"] != 3.0 {
+		t.Fatalf("first frame's stats section = %+v", first.Stats)
+	}
+	if n := queriesIn(first); n != 0 {
+		t.Fatalf("first frame counts %d queries", n)
+	}
+	queries.Inc()
+	start := time.Now()
+	for queriesIn(readFrame()) != 1 {
+		if time.Since(start) > 5*time.Second {
+			t.Fatal("no frame showed the counter bump")
+		}
+	}
+
+	adm.Close()
+	ended := make(chan struct{})
+	go func() {
+		for sc.Scan() {
+		}
+		close(ended)
+	}()
+	select {
+	case <-ended:
+	case <-time.After(5 * time.Second):
+		t.Fatal("watch stream did not end on AdminServer.Close")
 	}
 }

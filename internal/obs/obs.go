@@ -2,8 +2,8 @@
 // registry (atomic counters, gauges and fixed-bucket latency
 // histograms), lightweight per-query trace spans that ride the
 // scatter-gather read path, and an admin HTTP surface (/metrics,
-// /healthz, /stats, /debug/pprof/) that makes a live multi-process
-// deployment inspectable with curl.
+// /healthz, /stats, /watch, /debug/pprof/) that makes a live
+// multi-process deployment inspectable with curl.
 //
 // The design contract is that instrumentation must never perturb the
 // frozen hot path:

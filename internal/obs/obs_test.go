@@ -48,7 +48,7 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	}
 	var l *SlowLog
 	l.Record(QueryTrace{TotalNS: 1})
-	if l.Total() != 0 || l.Snapshot() != nil || l.Threshold() != 0 {
+	if traces, total := l.Since(0); traces != nil || total != 0 || l.Snapshot() != nil || l.Threshold() != 0 {
 		t.Fatal("nil slow log recorded")
 	}
 
@@ -256,7 +256,7 @@ func TestSlowLogThresholdAndRing(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		l.Record(QueryTrace{Query: fmt.Sprintf("q%d", i), TotalNS: int64(100 + i)})
 	}
-	if got := l.Total(); got != 5 {
+	if _, got := l.Since(0); got != 5 {
 		t.Fatalf("total = %d, want 5 (fast query must not count)", got)
 	}
 	snap := l.Snapshot()
@@ -275,8 +275,8 @@ func TestSlowLogZeroThresholdKeepsAll(t *testing.T) {
 	l := NewSlowLog(0, 0) // size clamps to 1
 	l.Record(QueryTrace{Query: "a", TotalNS: 0})
 	l.Record(QueryTrace{Query: "b", TotalNS: 0})
-	if l.Total() != 2 {
-		t.Fatalf("total = %d, want 2", l.Total())
+	if _, total := l.Since(0); total != 2 {
+		t.Fatalf("total = %d, want 2", total)
 	}
 	snap := l.Snapshot()
 	if len(snap) != 1 || snap[0].Query != "b" {
@@ -297,10 +297,57 @@ func TestSlowLogConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if l.Total() != 4000 {
-		t.Fatalf("total = %d, want 4000", l.Total())
+	if _, total := l.Since(0); total != 4000 {
+		t.Fatalf("total = %d, want 4000", total)
 	}
 	if len(l.Snapshot()) != 8 {
 		t.Fatalf("ring = %d, want 8", len(l.Snapshot()))
+	}
+}
+
+// TestSlowLogSinceExactlyOnce races writers against a reader that
+// passes each total back: every trace must come back exactly once. The
+// ring is larger than the trace count, so none is evicted unread. A
+// total read apart from the traces shifts the newest-first window by
+// whatever lands in between, repeating one trace and dropping another.
+func TestSlowLogSinceExactlyOnce(t *testing.T) {
+	const writers, perWriter = 8, 250
+	l := NewSlowLog(4096, 0)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				l.Record(QueryTrace{Query: fmt.Sprintf("w%d-%d", w, i)})
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	seen := make(map[string]int)
+	var total int64
+	for finished := false; !finished; {
+		select {
+		case <-done:
+			finished = true // one more pass collects the stragglers
+		default:
+		}
+		var traces []QueryTrace
+		traces, total = l.Since(total)
+		for _, tr := range traces {
+			seen[tr.Query]++
+		}
+	}
+	if len(seen) != writers*perWriter {
+		t.Fatalf("reader saw %d distinct traces, want %d", len(seen), writers*perWriter)
+	}
+	for q, n := range seen {
+		if n != 1 {
+			t.Fatalf("trace %s came back %d times", q, n)
+		}
 	}
 }

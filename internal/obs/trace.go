@@ -122,33 +122,37 @@ func (l *SlowLog) Record(t QueryTrace) {
 	l.mu.Unlock()
 }
 
-// Total returns how many traces have been recorded (kept) since
-// construction, including ones the ring has since evicted.
-func (l *SlowLog) Total() int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.total
-}
-
 // Snapshot returns the kept traces, newest first.
 func (l *SlowLog) Snapshot() []QueryTrace {
+	traces, _ := l.Since(0)
+	return traces
+}
+
+// Since returns the kept traces recorded after the first seen ones,
+// newest first, and how many traces have been recorded (kept) since
+// construction — pass it back as the next call's seen. Traces the ring
+// has already evicted are not returned. Both come from one lock
+// acquisition, so a reader that always passes the last total back gets
+// every trace the ring still held exactly once.
+func (l *SlowLog) Since(seen int64) ([]QueryTrace, int64) {
 	if l == nil {
-		return nil
+		return nil, 0
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]QueryTrace, 0, len(l.ring))
+	n := len(l.ring)
+	if fresh := l.total - seen; fresh < int64(n) {
+		n = int(max(fresh, 0))
+	}
+	out := make([]QueryTrace, 0, n)
 	// The ring is ordered oldest→newest starting at next (once full);
-	// walk it backwards for newest-first.
-	for k := len(l.ring) - 1; k >= 0; k-- {
+	// walk its newest n backwards for newest-first.
+	for k := len(l.ring) - 1; k >= len(l.ring)-n; k-- {
 		i := k
 		if len(l.ring) == cap(l.ring) {
 			i = (l.next + k) % cap(l.ring)
 		}
 		out = append(out, l.ring[i])
 	}
-	return out
+	return out, l.total
 }

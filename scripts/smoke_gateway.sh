@@ -1,8 +1,9 @@
 #!/bin/sh
 # End-to-end smoke for the HTTP front door: boot a real cmd/gateway
-# process on a free port, require 200 on an authenticated search, 401
-# without a token, 403 for a non-admin on the admin route, and a clean
-# exit-0 drain on SIGTERM. Uses only go + standard POSIX tools.
+# process on a free port with an admin plane on another, require 200 on
+# an authenticated search, 401 without a token, 404 for an internal-state
+# path on the public port, 200 from the admin plane's /stats, and a
+# clean exit-0 drain on SIGTERM. Uses only go + standard POSIX tools.
 set -eu
 
 workdir="$(mktemp -d)"
@@ -10,11 +11,11 @@ logfile="$workdir/gateway.log"
 trap 'kill "$pid" 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
 go build -o "$workdir/gateway" ./cmd/gateway
-"$workdir/gateway" -addr 127.0.0.1:0 \
-    -tokens "dev::::admin,reader:::" >"$logfile" 2>&1 &
+"$workdir/gateway" -addr 127.0.0.1:0 -admin 127.0.0.1:0 \
+    -tokens "dev,reader" >"$logfile" 2>&1 &
 pid=$!
 
-# The banner prints the bound address once listening.
+# The banners print both bound addresses, the admin plane's first.
 addr=""
 for _ in $(seq 1 100); do
     addr="$(sed -n 's|.*serving on http://\([^ ]*\).*|\1|p' "$logfile")"
@@ -23,6 +24,8 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 [ -n "$addr" ] || { echo "gateway never printed its address:"; cat "$logfile"; exit 1; }
+admin="$(sed -n 's|.*admin plane on http://\([^ ]*\).*|\1|p' "$logfile")"
+[ -n "$admin" ] || { echo "gateway never printed its admin address:"; cat "$logfile"; exit 1; }
 
 fetch_status() {
     # fetch_status <expected> <curl args...>
@@ -38,8 +41,8 @@ fetch_status() {
 fetch_status 200 -X POST -H "Authorization: Bearer dev" \
     -H "X-Budget-Ms: 5000" -d '{"query":"vintage cars"}' "http://$addr/v1/search"
 fetch_status 401 -X POST -d '{"query":"vintage cars"}' "http://$addr/v1/search"
-fetch_status 403 -H "Authorization: Bearer reader" "http://$addr/v1/admin/stats"
-fetch_status 200 -H "Authorization: Bearer dev" "http://$addr/v1/admin/stats"
+fetch_status 404 -H "Authorization: Bearer dev" "http://$addr/v1/admin/stats"
+fetch_status 200 "http://$admin/stats"
 
 # The search response must actually carry experts JSON.
 body="$(curl -s -X POST -H "Authorization: Bearer dev" \
