@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race flake vet bench bench-check bench-smoke cover cover-check check docs-check bench-ingest bench-shard bench-remote bench-replica bench-gateway bench-disk loc fuzz-smoke run-gateway smoke-gateway examples-smoke
+.PHONY: all build test race flake vet bench bench-once bench-check bench-smoke cover cover-check check docs-check bench-ingest bench-shard bench-remote bench-replica bench-gateway bench-disk loc fuzz-smoke run-gateway smoke-gateway examples-smoke
 
 all: check
 
@@ -70,6 +70,13 @@ docs-check: vet
 BENCH ?= Table9|OnlineSearch
 bench:
 	$(GO) test -bench '$(BENCH)' -benchmem -run '^$$' .
+
+# Every in-package benchmark, one iteration each (≈ 10 s on 2 vCPUs):
+# not a measurement, a gate — the rows that assert (RemoteEpochSample
+# fails if an epoch round trip fires, IngestPreload and the disk rows
+# check the layout they built) cannot break unnoticed between re-records.
+bench-once:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 bench-ingest:
 	$(GO) test -bench 'Ingest|LiveSearch' -benchmem -run '^$$' ./internal/ingest

@@ -35,12 +35,13 @@
 // the ranking over the wire must be bit-identical to a cold
 // single-process rebuild.
 //
-// -seal tunes the streaming index (compaction merges compactFanIn
-// segments at a time); -data-dir turns on the disk tier (sealed
-// segments of at least -spill posts are written to mmap-backed files
-// under <data-dir>/shard-<i>, which is emptied at start — there is no
-// restart path yet; without it every sealed segment stays in memory); -admin serves
-// /metrics, /healthz, /stats, /watch and /debug/pprof/ on a second address.
+// The streaming index runs at ingest.DefaultConfig: a seal every 2048
+// posts, compactions of 4 segments at a time. -data-dir turns on the
+// disk tier (sealed segments of at least 8192 posts — 4× the seal — are
+// written to mmap-backed files under <data-dir>/shard-<i>, which is
+// emptied at start — there is no restart path yet; without it every
+// sealed segment stays in memory); -admin serves /metrics, /healthz,
+// /stats, /watch and /debug/pprof/ on a second address.
 // SIGINT/SIGTERM stop accepting, let in-flight conversations and push
 // subscribers drain within -grace, and exit 0.
 //
@@ -68,10 +69,6 @@ import (
 	"repro/internal/transport"
 )
 
-// compactFanIn is how many adjacent sealed segments of one size tier a
-// compaction merges. It is a constant: no deployment sets another.
-const compactFanIn = 4
-
 func main() {
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
@@ -93,9 +90,7 @@ func run(args []string, out io.Writer, sigs <-chan os.Signal, started chan<- *tr
 	addr := fs.String("addr", "127.0.0.1:7101", "TCP address to serve the shard on")
 	shardIdx := fs.Int("shard", 0, "index of the partition this process owns")
 	numShards := fs.Int("of", 1, "total number of partitions in the deployment")
-	seal := fs.Int("seal", 128, "active-segment seal threshold")
-	dataDir := fs.String("data-dir", "", "directory for the disk tier: sealed segments past -spill posts are written to mmap-backed files under <data-dir>/shard-<i>; empty keeps every segment in memory")
-	spill := fs.Int("spill", 0, "minimum segment size (posts) the disk tier accepts; 0 means 4x -seal (only meaningful with -data-dir)")
+	dataDir := fs.String("data-dir", "", "directory for the disk tier: sealed segments of at least 8192 posts are written to mmap-backed files under <data-dir>/shard-<i>; empty keeps every segment in memory")
 	admin := fs.String("admin", "", "optional host:port for the admin HTTP plane (/metrics, /healthz, /stats, /watch, /debug/pprof/)")
 	grace := fs.Duration("grace", 5*time.Second, "in-flight drain budget on SIGINT/SIGTERM before connections are force-closed")
 	if err := fs.Parse(args); err != nil {
@@ -119,7 +114,8 @@ func run(args []string, out io.Writer, sigs <-chan os.Signal, started chan<- *tr
 	// Each shard owns its own <data-dir>/shard-<i>: the index removes
 	// stale segment files at startup, and replicas of the same shard on
 	// one machine must still point at distinct -data-dirs.
-	icfg := ingest.Config{SealThreshold: *seal, CompactFanIn: compactFanIn, SpillDir: *dataDir, SpillThreshold: *spill, Obs: reg}
+	icfg := ingest.DefaultConfig()
+	icfg.SpillDir, icfg.Obs = *dataDir, reg
 	idx := ingest.New(part, shard.ShardConfig(icfg, *shardIdx))
 	defer idx.Close()
 
@@ -142,7 +138,7 @@ func run(args []string, out io.Writer, sigs <-chan os.Signal, started chan<- *tr
 		fmt.Fprintf(out, "shardd: admin plane on http://%s (/metrics /healthz /stats /watch /debug/pprof/)\n", adm.Addr())
 	}
 	fmt.Fprintf(out, "shardd: shard %d/%d on %s — %d base tweets (%d total in world), seal %d, fan-in %d\n",
-		*shardIdx, *numShards, srv.Addr(), part.NumTweets(), corpus.NumTweets(), *seal, compactFanIn)
+		*shardIdx, *numShards, srv.Addr(), part.NumTweets(), corpus.NumTweets(), icfg.SealThreshold, icfg.CompactFanIn)
 	if started != nil {
 		started <- srv
 	}

@@ -27,7 +27,7 @@ func TestRunServesAndStops(t *testing.T) {
 	done := make(chan error, 1)
 	var out strings.Builder
 	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0", "-shard", "0", "-of", "2", "-seal", "64"}, &out, nil, started)
+		done <- run([]string{"-addr", "127.0.0.1:0", "-shard", "0", "-of", "2"}, &out, nil, started)
 	}()
 	srv := <-started
 
@@ -59,7 +59,7 @@ func TestRunServesAndStops(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("run returned %v", err)
 	}
-	if !strings.Contains(out.String(), "shard 0/2") {
+	if !strings.Contains(out.String(), "shard 0/2") || !strings.Contains(out.String(), "seal 2048, fan-in 4") {
 		t.Fatalf("banner missing: %q", out.String())
 	}
 }
@@ -74,7 +74,7 @@ func TestRunAdminPlane(t *testing.T) {
 	var out strings.Builder
 	go func() {
 		done <- run([]string{"-addr", "127.0.0.1:0", "-admin", "127.0.0.1:0",
-			"-shard", "0", "-of", "1", "-seal", "8"}, &out, nil, started)
+			"-shard", "0", "-of", "1"}, &out, nil, started)
 	}()
 	srv := <-started
 	defer func() {
@@ -170,9 +170,10 @@ func fetchOK(t *testing.T, url string) string {
 }
 
 // TestRunDataDir boots a shardd with the disk tier enabled, streams
-// enough posts over the wire to force spills, and checks that sealed
-// segments landed as files under <data-dir>/shard-0 while searches
-// keep answering.
+// enough posts over the wire to force a spill — four default seals,
+// whose compaction crosses the 8192-post spill threshold — and checks
+// that the merged segment landed as a file under <data-dir>/shard-0
+// while searches keep answering.
 func TestRunDataDir(t *testing.T) {
 	fault.CheckLeaks(t)
 	dir := t.TempDir()
@@ -181,7 +182,7 @@ func TestRunDataDir(t *testing.T) {
 	var out strings.Builder
 	go func() {
 		done <- run([]string{"-addr", "127.0.0.1:0", "-shard", "0", "-of", "1",
-			"-seal", "16", "-spill", "16", "-data-dir", dir}, &out, nil, started)
+			"-data-dir", dir}, &out, nil, started)
 	}()
 	srv := <-started
 	defer func() {
@@ -198,7 +199,7 @@ func TestRunDataDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	stream := microblog.NewPostStream(p.World, microblog.DefaultStreamConfig(7))
-	posts := make([]microblog.Post, 64)
+	posts := make([]microblog.Post, 4*2048)
 	for i := range posts {
 		posts[i] = stream.Next()
 	}
@@ -235,9 +236,11 @@ func TestRunRejectsBadPartition(t *testing.T) {
 	if err := run([]string{"-of", "0"}, &out, nil, nil); err == nil {
 		t.Fatal("zero partitions accepted")
 	}
-	// The compaction fan-in is a constant, not a flag.
-	if err := run([]string{"-fanin", "4"}, &out, nil, nil); err == nil {
-		t.Fatal("-fanin accepted")
+	// The index runs at ingest.DefaultConfig: none of it is a flag.
+	for _, flag := range []string{"-fanin", "-seal", "-spill"} {
+		if err := run([]string{flag, "4"}, &out, nil, nil); err == nil {
+			t.Fatalf("%s accepted", flag)
+		}
 	}
 }
 

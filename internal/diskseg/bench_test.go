@@ -127,12 +127,13 @@ func segmentImage(b *testing.B, w *world.World, n int) []byte {
 	return img
 }
 
-// BenchmarkDiskSegEncode measures a seal's encode: one 128-post corpus
-// rendered into its image, assembled in one exactly sized buffer.
+// BenchmarkDiskSegEncode measures a seal's encode at the default seal:
+// one 2048-post corpus rendered into its image, assembled in one
+// exactly sized buffer.
 func BenchmarkDiskSegEncode(b *testing.B) {
 	w := world.Build(world.TinyConfig())
 	stream := microblog.NewPostStream(w, microblog.DefaultStreamConfig(128))
-	posts := make([]microblog.Post, 128)
+	posts := make([]microblog.Post, 2048)
 	for i := range posts {
 		posts[i] = stream.Next()
 	}

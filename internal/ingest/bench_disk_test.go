@@ -82,15 +82,16 @@ func BenchmarkDiskSpill(b *testing.B) {
 
 // BenchmarkDiskLogScan pages the whole log of a spilled 80k-post index
 // the way OpTweets serves a dump: 2048-post pages
-// through shard.Local.PagePosts (the cold_disk shardd's layout: seal
-// 128, fan-in 4, spill 512). One op is one page-through. retained-B is
-// the heap still live after a GC once every page is dropped — what
-// paging leaves behind in the index, its block caches included.
+// through shard.Local.PagePosts (the cold_disk shardd's layout:
+// ingest.DefaultConfig with a SpillDir — seal 2048, fan-in 4, spill
+// 8192). One op is one page-through. retained-B is the heap still live
+// after a GC once every page is dropped — what paging leaves behind in
+// the index, its block caches included.
 func BenchmarkDiskLogScan(b *testing.B) {
 	p, _ := testPipeline(b)
-	idx := ingest.New(p.Corpus, ingest.Config{
-		SealThreshold: 128, CompactFanIn: 4, SpillDir: b.TempDir(), SpillThreshold: 512,
-	})
+	cfg := ingest.DefaultConfig()
+	cfg.SpillDir = b.TempDir()
+	idx := ingest.New(p.Corpus, cfg)
 	defer idx.Close()
 	posts := streamPosts(p, 37, 80_000)
 	for len(posts) > 0 {

@@ -47,6 +47,52 @@ func BenchmarkIngest(b *testing.B) {
 	}
 }
 
+// BenchmarkIngestPreload is the cold_disk shardd's preload in one
+// process: 80k stream posts in 512-post IngestBatch calls (the wire's
+// ingest frame) into a default-config index over the tiny base, then
+// Quiesce, all inside the timer. heap keeps every segment in memory,
+// disk spills under a SpillDir. It reports the write path's throughput
+// and the seals and compactions one preload makes, and fails if the
+// preload did not seal at every threshold or spill exactly when asked.
+func BenchmarkIngestPreload(b *testing.B) {
+	p, _ := testPipeline(b)
+	posts := streamPosts(p, 1, 80_000)
+	for _, disk := range []bool{false, true} {
+		name := "heap"
+		if disk {
+			name = "disk"
+		}
+		b.Run(name, func(b *testing.B) {
+			var st ingest.IndexStats
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				cfg := ingest.DefaultConfig()
+				if disk {
+					cfg.SpillDir = b.TempDir()
+				}
+				b.StartTimer()
+				idx := ingest.New(p.Corpus, cfg)
+				for rest := posts; len(rest) > 0; {
+					n := min(512, len(rest))
+					idx.IngestBatch(rest[:n])
+					rest = rest[n:]
+				}
+				idx.Quiesce()
+				b.StopTimer()
+				st = idx.Stats()
+				idx.Close()
+				if st.Seals != int64(len(posts)/cfg.SealThreshold) || disk != (st.DiskSegments > 0) {
+					b.Fatalf("preload built an unexpected layout: %+v", st)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(b.N*len(posts))/b.Elapsed().Seconds(), "posts/s")
+			b.ReportMetric(float64(st.Seals), "seals")
+			b.ReportMetric(float64(st.Compactions), "compactions")
+		})
+	}
+}
+
 // BenchmarkDiskCompactMerge is a compaction on its own, every part on
 // disk: four 8 192-post disk segments merged into one disk segment, the
 // file written and opened — what the compactor does with a run whose

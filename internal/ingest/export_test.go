@@ -1,6 +1,34 @@
 package ingest
 
-import "repro/internal/diskseg"
+import (
+	"slices"
+
+	"repro/internal/diskseg"
+	"repro/internal/microblog"
+	"repro/internal/world"
+)
+
+// ScanStatsInto is the reference StatsInto is checked against: the
+// same base and segment counters, then one pass over every post of the
+// view's tail, each author and mention binary-searched in users
+// (strictly ascending) — the O(tail) loop the generation's user index
+// replaced.
+func (s *Snapshot) ScanStatsInto(dst []microblog.UserStats, users []world.UserID) []microblog.UserStats {
+	dst = s.sealedStatsInto(dst, users)
+	for j := range s.tail {
+		tw := &s.tail[j]
+		if i, ok := slices.BinarySearch(users, tw.Author); ok {
+			dst[i].Tweets++
+			dst[i].Retweets += tw.RetweetCount
+		}
+		for _, m := range tw.Mentions {
+			if i, ok := slices.BinarySearch(users, m); ok {
+				dst[i].Mentions++
+			}
+		}
+	}
+	return dst
+}
 
 // FullestTier returns how many sealed segments the most crowded size
 // tier holds — what the backlog cap bounds.

@@ -21,8 +21,9 @@
 // so a query observes one consistent prefix of the stream for its whole
 // lifetime. A view reads its tail where the writer keeps it: the one
 // lock a reader can take is the tail generation's, held while a term
-// match intersects the generation's posting lists — once per match of
-// a snapshot that has a tail (see Snapshot.MatchTokensAppend).
+// match intersects the generation's posting lists or StatsInto reads
+// its per-user lists — once per question to a snapshot that has a tail
+// (see Snapshot.MatchTokensAppend and Snapshot.StatsInto).
 //
 // Per segment the zero-copy matching path runs unchanged
 // (MatchTokensAppend, galloping IntersectInto); segment-local ids are
@@ -43,6 +44,7 @@
 package ingest
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"os"
@@ -63,7 +65,7 @@ import (
 // Config tunes the streaming index.
 type Config struct {
 	// SealThreshold is the active-segment size that triggers sealing
-	// into an immutable encoded segment. Zero means 512.
+	// into an immutable encoded segment. Zero means 2048.
 	SealThreshold int
 	// CompactFanIn is how many adjacent similar-sized sealed segments
 	// the compactor merges at a time. Zero means 4.
@@ -100,8 +102,17 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-// DefaultConfig returns the streaming defaults.
-func DefaultConfig() Config { return Config{SealThreshold: 512, CompactFanIn: 4} }
+// DefaultConfig returns the streaming defaults: a seal every 2048
+// posts and compactions of 4 segments at a time (with a SpillDir, a
+// spill threshold of 8192). A zero Config means the same.
+func DefaultConfig() Config { return Config{SealThreshold: defaultSeal, CompactFanIn: 4} }
+
+// defaultSeal is the seal threshold of DefaultConfig and of a zero
+// Config. A bigger tail costs a reader nothing per post — a term match
+// and StatsInto both read the generation's indexes, not its posts — so
+// the seal is sized for the writer: an 80k-post preload seals 39 times
+// and compacts 11 times at 2048 where 128 took 625 and 206.
+const defaultSeal = 2048
 
 // backlogFactor caps the un-merged backlog: a write whose seal leaves a
 // size tier holding backlogFactor × CompactFanIn segments drains the
@@ -120,22 +131,87 @@ type segment struct {
 	noSpill bool
 }
 
-// tailGen is the term index of one active segment — one generation of
-// the tail, from the seal that started it to the seal that ends it. The
-// writer appends each arriving post's segment-local id to its terms'
-// lists (under Index.mu and mu); a snapshot matches in the lists under
-// mu and cuts the result at its own prefix (Snapshot.MatchTokensAppend).
-// The seal encodes idx and starts a new generation, so after it idx is
-// never written again.
+// tailGen indexes one active segment — one generation of the tail,
+// from the seal that started it to the seal that ends it — by term and
+// by user. The writer appends each arriving post's segment-local id to
+// its terms' lists and to its author's and mentioned users' lists
+// (under Index.mu and mu); a snapshot reads the lists under mu and cuts
+// each at its own prefix (Snapshot.MatchTokensAppend, StatsInto). The
+// seal encodes idx and starts a new generation, so after it nothing
+// here is written again.
 type tailGen struct {
-	mu  sync.Mutex
-	idx map[string][]microblog.TweetID // ascending segment-local ids
+	mu    sync.Mutex
+	idx   map[string][]microblog.TweetID // ascending segment-local ids
+	users []tailUser                     // by user id, one per world user
 }
+
+// tailUser is what one generation holds that counts toward a user's
+// denominators: the posts the user wrote and the posts mentioning them,
+// each list ascending.
+type tailUser struct {
+	wrote []authored
+	// mentioned holds a post's id once per mention of the user in it.
+	mentioned []microblog.TweetID
+}
+
+// authored is one post of its author's, with the retweets of all the
+// author's posts in the generation up to and including it.
+type authored struct {
+	id       microblog.TweetID
+	retweets int
+}
+
+// newTailGen returns an empty generation over w's users.
+func newTailGen(w *world.World) *tailGen {
+	return &tailGen{idx: map[string][]microblog.TweetID{}, users: make([]tailUser, len(w.Users))}
+}
+
+// add indexes the post with segment-local id. Called with mu held.
+func (g *tailGen) add(id microblog.TweetID, tw *microblog.Tweet) {
+	for _, tok := range tw.Terms {
+		list := g.idx[tok]
+		// A token repeated inside the post already ends the list with id.
+		if n := len(list); n == 0 || list[n-1] != id {
+			g.idx[tok] = append(list, id)
+		}
+	}
+	u := &g.users[tw.Author]
+	sum := tw.RetweetCount
+	if n := len(u.wrote); n > 0 {
+		sum += u.wrote[n-1].retweets
+	}
+	u.wrote = append(u.wrote, authored{id, sum})
+	for _, m := range tw.Mentions {
+		u := &g.users[m]
+		u.mentioned = append(u.mentioned, id)
+	}
+}
+
+// addStats adds to dst[i] what the generation's first end posts count
+// toward users[i], in one hold of mu: two binary searches per user,
+// whatever the generation's length.
+func (g *tailGen) addStats(dst []microblog.UserStats, users []world.UserID, end microblog.TweetID) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for i, id := range users {
+		u := &g.users[id]
+		d := &dst[i]
+		if k, _ := slices.BinarySearchFunc(u.wrote, end, byID); k > 0 {
+			d.Tweets += k
+			d.Retweets += u.wrote[k-1].retweets
+		}
+		k, _ := slices.BinarySearch(u.mentioned, end)
+		d.Mentions += k
+	}
+}
+
+func byID(a authored, id microblog.TweetID) int { return cmp.Compare(a.id, id) }
 
 // Index is the writer side of the streaming index. Ingest is safe for
 // concurrent use (writes serialize on a short internal lock); Snapshot
 // is one atomic load, and a query against a snapshot locks nothing but
-// its tailGen, once per term match of a snapshot with a tail.
+// its tailGen, once per term match or StatsInto of a snapshot with a
+// tail.
 type Index struct {
 	w    *world.World
 	base *microblog.Corpus
@@ -201,7 +277,7 @@ type Index struct {
 // Call Close to stop it.
 func New(base *microblog.Corpus, cfg Config) *Index {
 	if cfg.SealThreshold <= 0 {
-		cfg.SealThreshold = 512
+		cfg.SealThreshold = defaultSeal
 	}
 	if cfg.CompactFanIn <= 1 {
 		cfg.CompactFanIn = 4
@@ -228,7 +304,7 @@ func New(base *microblog.Corpus, cfg Config) *Index {
 		base:        base,
 		cfg:         cfg,
 		activeStart: microblog.TweetID(base.NumTweets()),
-		gen:         &tailGen{idx: map[string][]microblog.TweetID{}},
+		gen:         newTailGen(base.World()),
 		compactReq:  make(chan struct{}, 1),
 		done:        make(chan struct{}),
 	}
@@ -364,16 +440,9 @@ func (i *Index) appendLocked(tw microblog.Tweet) (sealed bool) {
 	id := microblog.TweetID(len(i.active))
 	tw.ID = id
 	i.active = append(i.active, tw)
-	g := i.gen
-	g.mu.Lock()
-	for _, tok := range tw.Terms {
-		list := g.idx[tok]
-		// A token repeated inside the post already ends the list with id.
-		if n := len(list); n == 0 || list[n-1] != id {
-			g.idx[tok] = append(list, id)
-		}
-	}
-	g.mu.Unlock()
+	i.gen.mu.Lock()
+	i.gen.add(id, &tw)
+	i.gen.mu.Unlock()
 	i.ingested++
 	if len(i.active) < i.cfg.SealThreshold {
 		return false
@@ -401,7 +470,7 @@ func (i *Index) sealLocked() {
 	i.sealed = append(i.sealed[:len(i.sealed):len(i.sealed)], seg)
 	i.activeStart += microblog.TweetID(n)
 	i.active = make([]microblog.Tweet, 0, i.cfg.SealThreshold)
-	i.gen = &tailGen{idx: map[string][]microblog.TweetID{}}
+	i.gen = newTailGen(i.w)
 	i.seals++
 	i.obsSeals.Inc()
 }

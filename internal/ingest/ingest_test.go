@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/diskseg"
 	"repro/internal/eval"
 	"repro/internal/expertise"
 	"repro/internal/ingest"
@@ -188,11 +189,71 @@ func TestLateFirstQueryFrozenPrefix(t *testing.T) {
 	}
 }
 
+// TestTailStatsAgainstScan pins the generation's user index against
+// the O(tail) scan it replaced (ScanStatsInto) and against a cold
+// rebuild, over a hand-built stream that plants what per-user lists can
+// get wrong: a post mentioning one user twice, a self-mention, a post
+// mentioning nobody, and retweet counts of 0 and
+// diskseg.MaxRetweetCount (twice for one author, so the running sum
+// passes 32 bits). One post is ingested at a time and every view is
+// asked twice: the moment it is published, when its generation is its
+// prefix, and once the stream is over, when that generation has grown
+// past the prefix and been sealed. Both times the three answers must
+// agree for every user and for every third (users 4 and 5 then go
+// unasked).
+func TestTailStatsAgainstScan(t *testing.T) {
+	p, _ := testPipeline(t)
+	const seal = 8
+	idx := ingest.New(p.Corpus, ingest.Config{SealThreshold: seal, DisableCompactor: true})
+	defer idx.Close()
+	a, b, c := world.UserID(3), world.UserID(4), world.UserID(5)
+	most := diskseg.MaxRetweetCount
+	hand := []microblog.Post{
+		{Author: a, Text: "49ers at the line", Mentions: []world.UserID{b, b}},
+		{Author: b, Text: "me again", Mentions: []world.UserID{b}, RetweetCount: 7},
+		{Author: a, Text: "nfl schedule", RetweetCount: most},
+		{Author: c, Text: "two of you", Mentions: []world.UserID{a, b}, RetweetCount: 1},
+		{Author: a, Text: "", Mentions: []world.UserID{a, c, c}, RetweetCount: most},
+		{Author: c, Text: "quiet one"},
+	}
+	var posts []microblog.Post
+	for range 3 { // 18 posts: two seals at 8 and 16, a two-post tail
+		posts = append(posts, hand...)
+	}
+
+	lists := [][]world.UserID{userIDs(p.Corpus.NumUsers(), 1), userIDs(p.Corpus.NumUsers(), 3)}
+	check := func(when string, snap *ingest.Snapshot, n int) {
+		t.Helper()
+		cold := p.Corpus.ExtendedWith(posts[:n])
+		for _, users := range lists {
+			got, scan, want := snap.StatsInto(nil, users), snap.ScanStatsInto(nil, users), cold.StatsInto(nil, users)
+			for i := range want {
+				if got[i] != want[i] || scan[i] != want[i] {
+					t.Fatalf("%s, view after %d posts: user %d denominators %+v, the scan has %+v, the cold rebuild %+v",
+						when, n, users[i], got[i], scan[i], want[i])
+				}
+			}
+		}
+	}
+	var views []*ingest.Snapshot
+	for n, post := range posts {
+		idx.Ingest(post)
+		views = append(views, idx.Snapshot())
+		check("as published", views[n], n+1)
+	}
+	if st := idx.Stats(); st.Seals != 2 || st.ActiveLen != 2 {
+		t.Fatalf("want two seals and a two-post tail: %+v", st)
+	}
+	for n, v := range views {
+		check("after the seals", v, n+1)
+	}
+}
+
 // TestFirstSearchAfterWriteAllocs pins that the first search of a
 // fresh snapshot allocates exactly what a repeat search of it does:
 // the view reads its tail where the writer keeps it — the term lists
-// under the generation's lock, the denominators in one pass over the
-// prefix — so there is no per-view state to build on first use (a
+// and the per-user lists, under the generation's lock — so there is no
+// per-view state to build on first use (a
 // rebuild of the tail index allocated ≈ 165 times, a clone of it ≈ 8).
 // Measured directly: after each one-post write, only the allocations
 // made while the new snapshot answers — term matches into the caller's

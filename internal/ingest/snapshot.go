@@ -1,7 +1,6 @@
 package ingest
 
 import (
-	"slices"
 	"sort"
 
 	"repro/internal/microblog"
@@ -14,8 +13,8 @@ import (
 // It satisfies expertise.Source (Features, StatsInto), so the ranking
 // path runs against it exactly as it runs against a frozen corpus. The
 // tail is read where the writer keeps it: a term match reads the
-// generation's posting lists under its lock and cuts them at the
-// prefix, StatsInto adds one lock-free pass over the prefix's posts.
+// generation's posting lists, StatsInto its per-user lists, each under
+// the generation's lock and cut at the prefix.
 // All methods are safe for concurrent use; what a snapshot answers
 // never changes after publication.
 //
@@ -104,11 +103,22 @@ func (s *Snapshot) segmentOf(id microblog.TweetID) *segment {
 // StatsInto implements expertise.Source: each user's denominator
 // triple summed across base, sealed segments and this view's tail,
 // written into dst (capacity reused, contents discarded). users must be
-// strictly ascending: the tail is added in one pass over its posts,
-// each author and mention found in users by binary search. The pass
-// takes no lock and allocates nothing — the prefix never changes (see
-// publishLocked).
+// strictly ascending (shard's view refuses any other list). The tail is
+// added from the generation's user index in one hold of its lock — per
+// user two binary searches cut at len(tail), for the reason
+// MatchTokensAppend's cut is right — so its cost follows the users
+// asked about, not the tail's length, and it allocates nothing.
 func (s *Snapshot) StatsInto(dst []microblog.UserStats, users []world.UserID) []microblog.UserStats {
+	dst = s.sealedStatsInto(dst, users)
+	if len(s.tail) > 0 {
+		s.gen.addStats(dst, users, microblog.TweetID(len(s.tail)))
+	}
+	return dst
+}
+
+// sealedStatsInto is StatsInto without the tail: base and sealed
+// segments' counters.
+func (s *Snapshot) sealedStatsInto(dst []microblog.UserStats, users []world.UserID) []microblog.UserStats {
 	dst = s.base.StatsInto(dst, users)
 	for _, sg := range s.segs {
 		for i, u := range users {
@@ -116,21 +126,6 @@ func (s *Snapshot) StatsInto(dst []microblog.UserStats, users []world.UserID) []
 			d.Tweets += sg.NumTweetsBy(u)
 			d.Mentions += sg.NumMentionsOf(u)
 			d.Retweets += sg.NumRetweetsOf(u)
-		}
-	}
-	if len(users) == 0 {
-		return dst
-	}
-	for j := range s.tail {
-		tw := &s.tail[j]
-		if i, ok := slices.BinarySearch(users, tw.Author); ok {
-			dst[i].Tweets++
-			dst[i].Retweets += tw.RetweetCount
-		}
-		for _, m := range tw.Mentions {
-			if i, ok := slices.BinarySearch(users, m); ok {
-				dst[i].Mentions++
-			}
 		}
 	}
 	return dst
@@ -160,8 +155,8 @@ func (s *Snapshot) Match(query string) []microblog.TweetID {
 // for reuse.
 //
 // The tail is matched in the writer's own term index (tailGen), under
-// the generation's lock — the one lock a reader takes, once per match
-// of a view that has a tail. The lists may have grown past this view's
+// the generation's lock — the one lock a reader takes (here and in
+// StatsInto), once per match of a view that has a tail. The lists may have grown past this view's
 // prefix since it was published (more appends; the generation sealed,
 // its segment compacted away), but the writer only appends ascending
 // ids, so cutting the result at len(tail) leaves exactly the prefix's.
