@@ -114,7 +114,7 @@ loc:
 # A brief native-fuzz pass, FUZZTIME per target, over the wire codec
 # (FuzzDecodeFrame): every op's payload decoder — including the
 # OpSearchStats composite, OpSubscribe/OpEpochDelta acks, the OpTweets
-# pages and the expectation-carrying OpInfo — must never panic or
+# pages and the OpInfo answer — must never panic or
 # over-allocate on adversarial input, and every successful decode must
 # round-trip; over
 # the server acting on what it decodes (FuzzDispatch): arbitrary request
@@ -177,5 +177,6 @@ examples-smoke:
 	$(GO) run ./examples/gateway
 	$(GO) test -count=1 -cpu 1,4 -run '^TestTopologyMatrix$$' .
 
-# cover-check is the test stage: `go test ./...` with a profile.
-check: build vet race flake bench-check bench-smoke docs-check cover-check smoke-gateway examples-smoke
+# Every gate CI runs, in CI's order; cover-check is the test stage
+# (`go test ./...` with a profile).
+check: build vet race docs-check bench-once bench-check bench-smoke flake cover-check smoke-gateway examples-smoke fuzz-smoke

@@ -95,7 +95,7 @@ func TestRunAdminPlane(t *testing.T) {
 	// Drive one search so the RPC accounting moves.
 	c := transport.NewRemoteShard(srv.Addr().String(), transport.DefaultClientConfig())
 	defer c.Close()
-	if _, _, v, err := c.Search(context.Background(), []string{"49ers"}, false, nil); err != nil {
+	if _, _, _, v, err := c.SearchStats(context.Background(), []string{"49ers"}, false, nil, nil); err != nil {
 		t.Fatal(err)
 	} else {
 		v.Release()
@@ -109,13 +109,13 @@ func TestRunAdminPlane(t *testing.T) {
 	// latency histogram records after the client already has the answer:
 	// wait for that row instead of racing it.
 	metrics := fetchOK(t, base+"/metrics")
-	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(metrics, "rpc_server_search_ns_count 1") && time.Now().Before(deadline); {
+	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(metrics, "rpc_server_search_stats_ns_count 1") && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 		metrics = fetchOK(t, base+"/metrics")
 	}
 	for _, row := range []string{
-		"rpc_server_search_requests 1",
-		"rpc_server_search_ns_count 1",
+		"rpc_server_search_stats_requests 1",
+		"rpc_server_search_stats_ns_count 1",
 		"rpc_server_bytes_read ",
 		"ingest_posts 0",
 	} {
@@ -262,7 +262,7 @@ func TestRunDrainsOnSignal(t *testing.T) {
 	// A live client conversation in progress when the signal lands.
 	c := transport.NewRemoteShard(srv.Addr().String(), transport.DefaultClientConfig())
 	defer c.Close()
-	if _, _, v, err := c.Search(context.Background(), []string{"49ers"}, false, nil); err != nil {
+	if _, _, _, v, err := c.SearchStats(context.Background(), []string{"49ers"}, false, nil, nil); err != nil {
 		t.Fatal(err)
 	} else {
 		v.Release()

@@ -295,11 +295,11 @@ type Backend struct {
 	failView  atomic.Int64 // the call whose view fails its Stats; <=0 = disarmed
 	delay     atomic.Int64 // per-call stall in nanoseconds
 
-	calls                         atomic.Int64 // every call that reached the gate
-	searches, composites, ingests atomic.Int64 // calls that passed the gate
-	epochs, quiesces              atomic.Int64
-	searchesKilled, ingestKilled  atomic.Int64 // calls refused by the gate
-	viewsFailed                   atomic.Int64 // Stats calls on a failing view
+	calls                        atomic.Int64 // every call that reached the gate
+	composites, ingests          atomic.Int64 // calls that passed the gate
+	epochs, quiesces             atomic.Int64
+	searchesKilled, ingestKilled atomic.Int64 // calls refused by the gate
+	viewsFailed                  atomic.Int64 // Stats calls on a failing view
 }
 
 // Backend must be able to stand in for any replica.
@@ -346,14 +346,10 @@ func (f *Backend) SetDelay(d time.Duration) { f.delay.Store(int64(d)) }
 // Calls returns how many calls reached the gate (admitted or not).
 func (f *Backend) Calls() int64 { return f.calls.Load() }
 
-// Searches returns how many plain Search calls passed the gate.
-func (f *Backend) Searches() int64 { return f.searches.Load() }
-
-// Composites returns how many SearchStats calls passed the gate.
+// Composites returns how many searches passed the gate.
 func (f *Backend) Composites() int64 { return f.composites.Load() }
 
-// SearchesKilled returns how many Search and SearchStats calls the
-// gate refused.
+// SearchesKilled returns how many searches the gate refused.
 func (f *Backend) SearchesKilled() int64 { return f.searchesKilled.Load() }
 
 // Ingests returns how many IngestBatch calls passed the gate.
@@ -412,26 +408,16 @@ func (v failingView) Stats(_ context.Context, _ []world.UserID, dst []expertise.
 	return dst[:0], ErrKilled
 }
 
-// Search implements shard.Backend through the fault gate. An armed
-// delay stalls it, but the caller's deadline still wins — the stall
-// resolves to ctx.Err() the moment the budget runs out. The read path
-// never calls it (see SearchStats); a pass counted here means a caller
-// took the wire's two-step.
+// Search implements shard.Backend: SearchStats with the stats dropped.
 func (f *Backend) Search(ctx context.Context, terms []string, extended bool, raw []expertise.RawCandidate) ([]expertise.RawCandidate, int, shard.View, error) {
-	n, err := f.gateCtx(ctx)
-	if err != nil {
-		f.searchesKilled.Add(1)
-		return raw[:0], 0, nil, err
-	}
-	f.searches.Add(1)
-	raw, matched, v, err := f.inner.Search(ctx, terms, extended, raw)
-	return raw, matched, f.handOut(n, v), err
+	rows, matched, _, v, err := f.SearchStats(ctx, terms, extended, raw, nil)
+	return rows, matched, v, err
 }
 
 // SearchStats implements shard.Backend through the fault gate — the
-// call the scatter-gather read path makes, gated exactly like Search
-// and counted apart from it (Composites), so a suite can pin that its
-// faults landed on the path production takes.
+// call the scatter-gather read path makes, counted by Composites. An
+// armed delay stalls it, but the caller's deadline still wins — the
+// stall resolves to ctx.Err() the moment the budget runs out.
 func (f *Backend) SearchStats(ctx context.Context, terms []string, extended bool, raw []expertise.RawCandidate, stats []expertise.UserStats) ([]expertise.RawCandidate, int, []expertise.UserStats, shard.View, error) {
 	n, err := f.gateCtx(ctx)
 	if err != nil {

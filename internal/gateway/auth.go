@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -47,10 +48,8 @@ func newAuthTable(tokens map[string]TokenConfig) *authTable {
 	for tok, cfg := range tokens {
 		burst := float64(cfg.Burst)
 		if cfg.Burst <= 0 {
-			burst = 1
-			if cfg.Rate > 1 {
-				burst = float64(int(cfg.Rate + 0.999))
-			}
+			// In float: an int conversion of a huge rate overflows negative.
+			burst = max(1, math.Ceil(cfg.Rate))
 		}
 		t.tokens[tok] = &tokenState{cfg: cfg, burst: burst, level: burst}
 	}
@@ -134,7 +133,8 @@ func ParseTokens(spec string) (map[string]TokenConfig, error) {
 		var cfg TokenConfig
 		var err error
 		if parts[1] != "" {
-			if cfg.Rate, err = strconv.ParseFloat(parts[1], 64); err != nil || cfg.Rate < 0 {
+			cfg.Rate, err = strconv.ParseFloat(parts[1], 64)
+			if err != nil || cfg.Rate < 0 || math.IsInf(cfg.Rate, 0) || math.IsNaN(cfg.Rate) {
 				return nil, fmt.Errorf("gateway: token %q: bad rate %q", tok, parts[1])
 			}
 		}

@@ -413,9 +413,19 @@ func TestParseTokens(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"", ":50::", "a:b::", "a::b:", "a:::b", "a::::", "a::::admin", "a::::root", "a:::,a:::", "a,a", "a:1:2:3:admin:extra",
+		"a:Inf", "a:NaN",
 	} {
 		if _, err := ParseTokens(bad); err == nil {
 			t.Fatalf("ParseTokens(%q) accepted", bad)
 		}
+	}
+	// A finite rate past every int still gets a positive default burst:
+	// the token's first request is admitted.
+	huge, err := ParseTokens("a:1e19")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, _, _ := newAuthTable(huge).tokens["a"].admit(time.Now()); !ok {
+		t.Fatal("a 1e19-rate token's first request was refused")
 	}
 }

@@ -332,19 +332,10 @@ func (w *setView) Release() {
 	w.set.views.Put(w)
 }
 
-// Search implements shard.Backend with the rotation and failover of
-// read; every attempt reuses the caller's scratch buffer.
+// Search implements shard.Backend: SearchStats with the stats dropped.
 func (s *Set) Search(ctx context.Context, terms []string, extended bool, raw []expertise.RawCandidate) ([]expertise.RawCandidate, int, shard.View, error) {
-	var matched int
-	var v shard.View
-	i, err := s.read(func(r shard.Backend) (err error) {
-		raw, matched, v, err = r.Search(ctx, terms, extended, raw[:0])
-		return err
-	})
-	if err != nil {
-		return raw[:0], 0, nil, err
-	}
-	return raw, matched, s.view(i, v), nil
+	rows, matched, _, v, err := s.SearchStats(ctx, terms, extended, raw, nil)
+	return rows, matched, v, err
 }
 
 // SearchStats implements shard.Backend — the read path's call — with

@@ -38,8 +38,7 @@ const EpochUnknown = ^uint64(0)
 // results. Implementations are safe for concurrent use.
 //
 // The read path calls SearchStats, never Search: Search is the same
-// scatter stage without the fused denominators, kept for the wire's
-// two-step ops (a transport.ShardServer answers OpSearch with it).
+// scatter stage without the fused denominators.
 type Backend interface {
 	SearchStatser
 	EpochLocality
@@ -108,12 +107,14 @@ type EpochLocality interface {
 	EpochIsLocal() bool
 }
 
-// View is one pinned immutable shard state, handed out by
-// Backend.Search so the gather stage's denominator fetch reads the
-// same state candidate extraction did — for a local shard an
-// ingest.Snapshot, for a remote shard a connection whose server end
-// pinned the snapshot. Views are single-query, single-goroutine
-// objects; Release returns the underlying resources for reuse.
+// View is one pinned immutable shard state, handed out by a search so
+// the gather stage's denominator fetch reads the same state candidate
+// extraction did — for a local shard an ingest.Snapshot, for a remote
+// shard a connection whose server end pinned the snapshot. A
+// single-shard server pins nothing (there are no foreign candidates to
+// top up), so its view refuses Stats rather than read a later state.
+// Views are single-query, single-goroutine objects; Release returns the
+// underlying resources for reuse.
 type View interface {
 	// Stats appends the shard's denominator triple for each user to dst
 	// (capacity reused, contents discarded), evaluated against the
@@ -225,15 +226,6 @@ func (l *Local) SearchStats(ctx context.Context, terms []string, extended bool, 
 		return rows, matched, stats[:0], nil, err
 	}
 	return rows, matched, stats, v, nil
-}
-
-// View pins the current snapshot without running a search — the stats
-// surface a protocol peer may hit on a connection that has not searched
-// yet.
-func (l *Local) View() View {
-	v := l.views.Get().(*localView)
-	v.snap = l.idx.Snapshot()
-	return v
 }
 
 // PagePosts returns up to max posts of the shard's log starting at

@@ -18,8 +18,8 @@
 // are the exception — a post mentioning u lives on its author's shard —
 // which is why the scatter-gather read path
 // (core.ShardedLiveDetector) merges raw integer counters across shards
-// (expertise.RawCandidatesInto / MergeRawCandidates) before the single
-// global ranking pass, keeping an N-shard query bit-identical to a
+// (expertise.MergeRawNumerators, then Ranker.FinalizeRaw) before the
+// single global ranking pass, keeping an N-shard query bit-identical to a
 // single-node one.
 //
 // Each shard is a full ingest.Index: its own segments, compactor and

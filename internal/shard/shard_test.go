@@ -461,8 +461,11 @@ func TestLocalViewPinsSnapshot(t *testing.T) {
 	}
 	v.Release()
 
-	// A fresh view observes the writes.
-	fresh := l.View()
+	// A fresh search pins a view that observes the writes.
+	_, _, _, fresh, err := l.SearchStats(context.Background(), []string{"49ers"}, false, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer fresh.Release()
 	now, err := fresh.Stats(context.Background(), []world.UserID{u}, nil)
 	if err != nil {
@@ -477,7 +480,7 @@ func TestLocalViewPinsSnapshot(t *testing.T) {
 // point a peer's list arrives: a snapshot sums its tail's denominators
 // in one pass that needs a strictly ascending user list, so a view
 // refuses a duplicated or descending list with an error and no counts,
-// whether it was pinned by a search or taken on its own.
+// whether a plain or a composite search pinned it.
 func TestLocalViewRefusesUnsortedUsers(t *testing.T) {
 	p, _ := testPipeline(t)
 	idx := ingest.New(p.Corpus, ingest.DefaultConfig())
@@ -490,9 +493,12 @@ func TestLocalViewRefusesUnsortedUsers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pinned.Release()
-	fresh := l.View()
-	defer fresh.Release()
-	for _, v := range []shard.View{pinned, fresh} {
+	_, _, plain, err := l.Search(context.Background(), []string{"49ers"}, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Release()
+	for _, v := range []shard.View{pinned, plain} {
 		for _, users := range [][]world.UserID{{3, 3}, {5, 3}, {1, 5, 3, 7}} {
 			got, err := v.Stats(context.Background(), users, make([]expertise.UserStats, 4))
 			if err == nil || len(got) != 0 {

@@ -126,30 +126,34 @@ func BenchmarkRemoteIngest(b *testing.B) {
 }
 
 // BenchmarkWireSearchCodec isolates the codec from the socket: encode
-// plus decode of a representative search response (32 candidate rows),
-// the marginal CPU the wire adds to the in-process gather path.
+// plus decode of a representative composite response (32 candidate
+// rows and their 32 denominator triples under OpSearchStats), the
+// marginal CPU the wire adds to the in-process gather path.
 func BenchmarkWireSearchCodec(b *testing.B) {
 	rows := make([]expertise.RawCandidate, 32)
+	stats := make([]expertise.UserStats, len(rows))
 	for i := range rows {
 		rows[i] = expertise.RawCandidate{
 			User: world.UserID(7 * (1 + i)), Tweets: i % 5, Mentions: i % 3, Retweets: i % 11,
 		}
+		stats[i] = expertise.UserStats{Tweets: 40 + i, Mentions: 3 * i, Retweets: 17 * i}
 	}
 	var frame, payloadBuf []byte
-	var scratch []expertise.RawCandidate
+	var rowScratch []expertise.RawCandidate
+	var statScratch []expertise.UserStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		payloadBuf = transport.AppendSearchResp(payloadBuf[:0], transport.SearchResp{Matched: 64, Rows: rows})
-		frame = transport.AppendFrame(frame[:0], transport.OpSearch, payloadBuf)
+		payloadBuf = transport.AppendSearchStatsResp(payloadBuf[:0], transport.SearchStatsResp{Matched: 64, Rows: rows, Stats: stats})
+		frame = transport.AppendFrame(frame[:0], transport.OpSearchStats, payloadBuf)
 		_, payload, _, err := transport.DecodeFrame(frame)
 		if err != nil {
 			b.Fatal(err)
 		}
-		resp, _, err := transport.ConsumeSearchResp(scratch, payload)
-		if err != nil || len(resp.Rows) != len(rows) {
+		resp, _, err := transport.ConsumeSearchStatsResp(rowScratch, statScratch, payload)
+		if err != nil || len(resp.Rows) != len(rows) || len(resp.Stats) != len(stats) {
 			b.Fatal(err)
 		}
-		scratch = resp.Rows
+		rowScratch, statScratch = resp.Rows, resp.Stats
 	}
 	b.ReportMetric(float64(len(frame)), "frame-bytes")
 }

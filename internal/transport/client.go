@@ -131,7 +131,7 @@ type clientConn struct {
 	out    []byte // frame build buffer
 	req    []byte // search / stats request payload build buffer
 	pooled bool   // checked out of the idle pool (retry-once eligible)
-	// view is the shard.View a search op hands out over this connection.
+	// view is the shard.View a search hands out over this connection.
 	// A view lives exactly as long as that check-out, so it is a field
 	// reset per conversation rather than an object per query.
 	view remoteView
@@ -256,25 +256,10 @@ func (r *RemoteShard) release(cc *clientConn) {
 	cc.c.Close()
 }
 
-// infoPayload builds the OpInfo request: empty before Handshake, the
-// pinned deployment coordinates after — the renegotiation half of the
-// identity check, run server-side, so a client wired to a miswired or
-// rebuilt deployment is refused at connect even if it would have
-// skipped its own verification.
-func (r *RemoteShard) infoPayload() []byte {
-	e := r.expect.Load()
-	if e == nil {
-		return nil
-	}
-	return AppendInfoReq(nil, InfoReq{
-		ExpectShard: e.Shard, ExpectShards: e.NumShards,
-		ExpectUsers: e.Users, ExpectBase: e.BaseTweets,
-	})
-}
-
 // negotiate runs the once-per-connection OpInfo exchange on a freshly
 // dialed connection and — once Handshake has pinned the deployment
-// identity — re-verifies it. The server must still be the same shard,
+// identity — re-verifies it; this is the one identity check, and only
+// the client can run it whole. The server must still be the same shard,
 // partition, world — and the same *incarnation*. A restarted shardd
 // starts a fresh index whose epoch regresses to zero; silently
 // reconnecting to it would let the serving cache treat pre-restart
@@ -282,7 +267,7 @@ func (r *RemoteShard) infoPayload() []byte {
 // hard backend failure, which the coordinator degrades on (partial
 // results, EpochUnknown, cache bypass) until the operator re-wires.
 func (r *RemoteShard) negotiate(cc *clientConn) error {
-	resp, _, err := r.roundTrip(cc, OpInfo, r.infoPayload(), r.cfg.Timeout)
+	resp, _, err := r.roundTrip(cc, OpInfo, nil, r.cfg.Timeout)
 	if err != nil {
 		return err
 	}
@@ -356,20 +341,20 @@ func (r *RemoteShard) roundTrip(cc *clientConn, op Op, payload []byte, timeout t
 }
 
 // request is what one exchange sends: an op and its payload. A search
-// op carries its terms instead, encoded into the connection's own build
+// carries its terms instead, encoded into the connection's own build
 // buffer on every attempt — a re-sent search lands on a fresh
 // connection with a fresh buffer — so the search path hands nothing to
 // the heap.
 type request struct {
 	op       Op
 	payload  []byte
-	terms    []string // OpSearch / OpSearchStats only
+	terms    []string // OpSearchStats only
 	extended bool
 }
 
 // encode returns the payload to send on cc.
 func (q *request) encode(cc *clientConn) []byte {
-	if q.op != OpSearch && q.op != OpSearchStats {
+	if q.op != OpSearchStats {
 		return q.payload
 	}
 	cc.req = AppendSearchReq(cc.req[:0], SearchReq{Extended: q.extended, Terms: q.terms})
@@ -467,7 +452,7 @@ func (r *RemoteShard) Handshake(shardIdx, numShards, users, baseTweets int) erro
 // Info fetches the server's partition description.
 func (r *RemoteShard) Info() (InfoResp, error) {
 	var info InfoResp
-	err := r.do(OpInfo, r.infoPayload(), r.cfg.Timeout, true, func(resp []byte) error {
+	err := r.do(OpInfo, nil, r.cfg.Timeout, true, func(resp []byte) error {
 		var err error
 		info, _, err = ConsumeInfoResp(resp)
 		return err
@@ -496,24 +481,10 @@ func (r *RemoteShard) reqTimeout(ctx context.Context, base time.Duration) (time.
 	return base, nil
 }
 
-// Search implements shard.Backend: one OpSearch round trip whose
-// response carries the shard's raw candidate rows and matched-union
-// size, and whose connection — with the snapshot the server pinned to
-// it — becomes the returned View, so the follow-up denominator fetch
-// reads the exact state the rows were extracted from. The wire deadline
-// is the configured timeout clamped by ctx's remaining budget.
+// Search implements shard.Backend: SearchStats with the stats dropped.
 func (r *RemoteShard) Search(ctx context.Context, terms []string, extended bool, raw []expertise.RawCandidate) ([]expertise.RawCandidate, int, shard.View, error) {
-	cc, resp, err := r.exchange(ctx, request{op: OpSearch, terms: terms, extended: extended}, r.cfg.Timeout, true)
-	if err != nil {
-		return raw[:0], 0, nil, err
-	}
-	sr, _, err := ConsumeSearchResp(raw, resp)
-	if err != nil {
-		cc.c.Close()
-		return raw[:0], 0, nil, err
-	}
-	cc.view = remoteView{r: r, cc: cc}
-	return sr.Rows, sr.Matched, &cc.view, nil
+	rows, matched, _, v, err := r.SearchStats(ctx, terms, extended, raw, nil)
+	return rows, matched, v, err
 }
 
 // SearchStats implements shard.Backend: the whole search→stats
@@ -521,9 +492,11 @@ func (r *RemoteShard) Search(ctx context.Context, terms []string, extended bool,
 // the shard's candidate rows plus the denominator triples for those
 // same candidates, read from one snapshot server-side — on a
 // single-shard deployment that is the entire query, one frame each
-// way. On a multi-shard one the returned View still works for the
-// coordinator's top-up OpStats (foreign candidates' denominators)
-// against the pinned snapshot.
+// way, and the server pins nothing, so the View's Stats fails. On a
+// multi-shard one the returned View answers the coordinator's top-up
+// OpStats (foreign candidates' denominators) against the pinned
+// snapshot. The wire deadline is the configured timeout clamped by
+// ctx's remaining budget.
 func (r *RemoteShard) SearchStats(ctx context.Context, terms []string, extended bool, raw []expertise.RawCandidate, stats []expertise.UserStats) ([]expertise.RawCandidate, int, []expertise.UserStats, shard.View, error) {
 	cc, resp, err := r.exchange(ctx, request{op: OpSearchStats, terms: terms, extended: extended}, r.cfg.Timeout, true)
 	if err != nil {
@@ -544,14 +517,14 @@ func (r *RemoteShard) SearchStats(ctx context.Context, terms []string, extended 
 // remoteView is the client end of a pinned search→stats conversation:
 // the checked-out connection whose server side holds the snapshot the
 // search ran against. It is embedded in that clientConn and reset by
-// the search op that opens each conversation.
+// the OpSearchStats that opens each conversation.
 type remoteView struct {
 	r      *RemoteShard
 	cc     *clientConn
 	broken bool
 	// pinCleared is set once any op after the search has reached the
-	// server (the server drops its snapshot pin on every op that is not
-	// the one paired OpStats conversation-opener).
+	// server (the server drops its snapshot pin on every op but the
+	// composite search that opens a conversation).
 	pinCleared bool
 }
 

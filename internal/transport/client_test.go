@@ -6,6 +6,7 @@ package transport_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -161,7 +162,9 @@ func TestTweetsPageCapped(t *testing.T) {
 func TestExchangeStaleRetry(t *testing.T) {
 	fault.CheckLeaks(t)
 	p, _ := testPipeline(t)
-	servers, clients := startCountedShardServers(t, p, 1, ingest.DefaultConfig())
+	// Shard 0 of two: only a multi-shard server keeps the snapshot
+	// pinned for the top-up the SearchStats case runs on its view.
+	servers, clients := startCountedShardServers(t, p, 2, ingest.DefaultConfig())
 	srv, clean := servers[0], clients[0]
 	ctx := context.Background()
 	terms := []string{"49ers", "nfl"}
@@ -244,5 +247,33 @@ func TestExchangeStaleRetry(t *testing.T) {
 				t.Fatalf("server log grew %d → %d", held, got)
 			}
 		})
+	}
+}
+
+// TestSingleShardViewHasNoPin pins the view contract at N=1: a
+// single-shard server pins nothing after a composite search (there are
+// no foreign candidates to top up), so a Stats on the view is refused
+// rather than answered from a later snapshot than its rows came from,
+// and the refusal leaves the connection pooled and usable.
+func TestSingleShardViewHasNoPin(t *testing.T) {
+	fault.CheckLeaks(t)
+	p, _ := testPipeline(t)
+	servers, clients := startCountedShardServers(t, p, 1, ingest.DefaultConfig())
+	srv, c := servers[0], clients[0]
+	rows, _, _, v, err := c.SearchStats(context.Background(), []string{"49ers"}, false, nil, nil)
+	if err != nil || len(rows) == 0 {
+		t.Fatalf("search: %d rows, err %v", len(rows), err)
+	}
+	_, err = v.Stats(context.Background(), []world.UserID{rows[0].User}, nil)
+	if err == nil || !strings.Contains(err.Error(), "stats without a pinned search") {
+		t.Fatalf("stats on an unpinned view: err %v, want the server's refusal", err)
+	}
+	v.Release()
+	dials := c.Dials()
+	if _, err := c.Info(); err != nil {
+		t.Fatal(err)
+	}
+	if c.Dials() != dials || srv.Requests(transport.OpUnpin) != 0 {
+		t.Fatalf("after the refusal: %d extra dials, %d unpins", c.Dials()-dials, srv.Requests(transport.OpUnpin))
 	}
 }

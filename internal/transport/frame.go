@@ -25,18 +25,17 @@
 // what it decoded (FuzzDispatch).
 //
 // Conversation state. A connection is a sequential request/response
-// stream with exactly one piece of server-side state: the snapshot the
-// last OpSearch or OpSearchStats pinned. A following OpStats on the
-// same connection is answered from that pinned snapshot, which is what
-// keeps one query's numerators and denominators reading the same
-// immutable view — the same per-query consistency the in-process path
-// gets from holding a snapshot pointer. OpSearchStats collapses the
-// whole conversation into one round trip for the shard's own
-// candidates; the pin survives only for the optional top-up OpStats a
-// multi-shard coordinator issues for foreign candidates, and OpUnpin
-// drops it without a response when no top-up comes. RemoteShard checks
-// a connection out of its pool for the whole conversation, so
-// concurrent queries never interleave on one connection.
+// stream, and a query is one conversation on it: an OpSearchStats
+// answered with the shard's own candidates and their denominators, read
+// from one snapshot. On a multi-shard deployment the server keeps that
+// snapshot pinned to the connection, and it is the connection's one
+// piece of server-side state: the coordinator's top-up OpStats for
+// foreign candidates reads it, so one query's numerators and
+// denominators come from the same immutable view, and OpUnpin drops it
+// without a response when no top-up comes. An OpStats with no pinned
+// search is refused. RemoteShard checks a connection out of its pool
+// for the whole conversation, so concurrent queries never interleave on
+// one connection.
 //
 // Buffers. A warm conversation allocates nothing but the server's one
 // string copy of a search request's terms. Every other byte lives in a
@@ -86,25 +85,23 @@ const MaxFrame = 8 << 20
 // share the op; a server that cannot answer replies OpError instead.
 type Op byte
 
-// The protocol ops. The zero value is deliberately invalid. Two numbers
-// are retired and never to be reused: 0x04 (the epoch probe, replaced by
-// the OpSubscribe push channel) and 0x10 (the frame compression
-// envelope); a server answers either as an unknown op.
+// The protocol ops. The zero value is deliberately invalid. Three
+// numbers are retired and never to be reused: 0x01 (the two-step
+// search, folded into OpSearchStats), 0x04 (the epoch probe, replaced
+// by the OpSubscribe push channel) and 0x10 (the frame compression
+// envelope); a server answers each as an unknown op.
 const (
-	// OpSearch carries a term-set search (SearchReq → SearchResp) and
-	// pins the answering snapshot to the connection.
-	OpSearch Op = 0x01
 	// OpStats fetches denominator triples for an ascending user list
-	// (StatsReq → StatsResp) from the pinned snapshot (or the current
-	// one if the connection has not searched).
+	// (user ids → UserStats) from the snapshot the connection's last
+	// OpSearchStats pinned; with no pin it is answered OpError.
 	OpStats Op = 0x02
 	// OpIngest appends a routed post batch (IngestReq → IngestResp).
 	OpIngest Op = 0x03
 	// OpQuiesce synchronously drains eligible compactions (empty
 	// request → EpochResp with the post-quiesce epoch).
 	OpQuiesce Op = 0x05
-	// OpInfo describes the served partition (InfoReq → InfoResp);
-	// clients use it as a deployment-sanity handshake.
+	// OpInfo describes the served partition (empty request →
+	// InfoResp); clients use it as a deployment-sanity handshake.
 	OpInfo Op = 0x06
 	// OpTweets pages the shard's post log (TweetsReq → TweetsResp); the
 	// cold-rebuild equivalence checks fetch ingested content with it.
@@ -135,13 +132,11 @@ const (
 	OpError Op = 0x7f
 )
 
-// Name returns the op's lowercase protocol name ("search",
+// Name returns the op's lowercase protocol name ("stats",
 // "search_stats", ...), used to key per-op metrics; an op outside the
 // protocol formats as "op_0xNN".
 func (o Op) Name() string {
 	switch o {
-	case OpSearch:
-		return "search"
 	case OpStats:
 		return "stats"
 	case OpIngest:

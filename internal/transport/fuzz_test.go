@@ -40,10 +40,10 @@ func seedFrames() [][]byte {
 	}
 	var frames [][]byte
 	frames = append(frames,
-		transport.AppendFrame(nil, transport.OpSearch,
+		transport.AppendFrame(nil, transport.OpSearchStats,
 			transport.AppendSearchReq(nil, transport.SearchReq{Extended: true, Terms: []string{"49ers", "nfl"}})),
-		transport.AppendFrame(nil, transport.OpSearch,
-			transport.AppendSearchResp(nil, transport.SearchResp{Matched: 12, Rows: rows})),
+		transport.AppendFrame(nil, transport.OpSearchStats,
+			transport.AppendSearchStatsResp(nil, transport.SearchStatsResp{Matched: 12, Rows: rows, Stats: stats})),
 		transport.AppendFrame(nil, transport.OpStats,
 			expertise.AppendUserIDs(nil, []world.UserID{3, 17, 40})),
 		transport.AppendFrame(nil, transport.OpStats,
@@ -66,20 +66,13 @@ func seedFrames() [][]byte {
 			transport.AppendEpochResp(nil, transport.EpochResp{Epoch: 42})),
 		transport.AppendFrame(nil, transport.OpSearchStats,
 			transport.AppendSearchReq(nil, transport.SearchReq{Terms: []string{"49ers"}})),
-		transport.AppendFrame(nil, transport.OpSearchStats,
-			transport.AppendSearchStatsResp(nil, transport.SearchStatsResp{Matched: 12, Rows: rows, Stats: stats})),
 		transport.AppendFrame(nil, transport.OpUnpin, nil),
 		transport.AppendFrame(nil, transport.OpInfo, nil),
-		// A mid-log page request and a one-post page, then the
-		// expectation-carrying info request.
+		// A mid-log page request and a one-post page.
 		transport.AppendFrame(nil, transport.OpTweets,
 			transport.AppendTweetsReq(nil, transport.TweetsReq{From: 2564, Max: 64})),
 		transport.AppendFrame(nil, transport.OpTweets,
 			transport.AppendTweetsResp(nil, transport.TweetsResp{Total: 2700, Posts: posts[:1]})),
-		transport.AppendFrame(nil, transport.OpInfo,
-			transport.AppendInfoReq(nil, transport.InfoReq{
-				ExpectShard: 1, ExpectShards: 4, ExpectUsers: 600, ExpectBase: 2500,
-			})),
 		// The largest page cursor the decoder accepts: one past it no
 		// longer fits an int.
 		transport.AppendFrame(nil, transport.OpTweets,
@@ -173,18 +166,6 @@ func FuzzDecodeFrame(f *testing.F) {
 		// fuzzer-controlled so it proves nothing about which decoder the
 		// bytes were meant for.
 		checkSearchReq(t, payload)
-		if resp, _, err := transport.ConsumeSearchResp(nil, payload); err == nil {
-			enc := transport.AppendSearchResp(nil, resp)
-			again, _, err := transport.ConsumeSearchResp(nil, enc)
-			if err != nil || again.Matched != resp.Matched || len(again.Rows) != len(resp.Rows) {
-				t.Fatalf("search resp round trip: %+v vs %+v (%v)", again, resp, err)
-			}
-			for i := range resp.Rows {
-				if again.Rows[i] != resp.Rows[i] {
-					t.Fatalf("row %d round trip: %+v vs %+v", i, again.Rows[i], resp.Rows[i])
-				}
-			}
-		}
 		if req, _, err := transport.ConsumeIngestReq(payload); err == nil {
 			enc := transport.AppendIngestReq(nil, req)
 			again, _, err := transport.ConsumeIngestReq(enc)
@@ -224,12 +205,6 @@ func FuzzDecodeFrame(f *testing.F) {
 				}
 			}
 		}
-		if req, _, err := transport.ConsumeInfoReq(payload); err == nil {
-			again, _, err := transport.ConsumeInfoReq(transport.AppendInfoReq(nil, req))
-			if err != nil || again != req {
-				t.Fatalf("info req round trip: %+v vs %+v (%v)", again, req, err)
-			}
-		}
 		if ids, _, err := expertise.ConsumeUserIDs(nil, payload); err == nil && len(ids) > 0 {
 			// User ids travel delta-compressed; ascending inputs (the
 			// only ones the protocol produces) must round-trip exactly.
@@ -260,14 +235,14 @@ func FuzzDecodeFrame(f *testing.F) {
 // outside the fuzzer: a length prefix beyond MaxFrame, or a count field
 // beyond the payload, must fail before any proportional allocation.
 func TestDecodeFrameRejectsHostileLengths(t *testing.T) {
-	huge := []byte{0xff, 0xff, 0xff, 0xff, byte(transport.OpSearch)}
+	huge := []byte{0xff, 0xff, 0xff, 0xff, byte(transport.OpSearchStats)}
 	if _, _, _, err := transport.DecodeFrame(huge); err == nil {
 		t.Fatal("4 GiB length prefix accepted")
 	}
 	// A search response claiming 2^40 candidate rows in a 3-byte body.
 	payload := []byte{0x00}                                       // matched = 0
 	payload = append(payload, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01) // count uvarint = 2^35
-	if _, _, err := transport.ConsumeSearchResp(nil, payload); err == nil {
+	if _, _, err := transport.ConsumeSearchStatsResp(nil, nil, payload); err == nil {
 		t.Fatal("absurd row count accepted")
 	}
 	var roundTripped bytes.Buffer
@@ -322,6 +297,19 @@ func FuzzDispatch(f *testing.F) {
 		transport.AppendFrame(nil, transport.OpStats,
 			expertise.AppendUserIDs(nil, []world.UserID{40, 17})),
 	))
+	// The retired two-step search (0x01) and an OpInfo request carrying
+	// the retired identity expectations: both must be refused, and the
+	// connection must go on answering.
+	f.Add(slices.Concat(
+		transport.AppendFrame(nil, transport.Op(0x01),
+			transport.AppendSearchReq(nil, transport.SearchReq{Terms: []string{"49ers"}})),
+		transport.AppendFrame(nil, transport.OpInfo, nil),
+	))
+	f.Add(slices.Concat(
+		transport.AppendFrame(nil, transport.OpInfo,
+			binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(nil, 1), 4), 600), 2500)),
+		transport.AppendFrame(nil, transport.OpInfo, nil),
+	))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		idx := ingest.New(base, ingest.Config{SealThreshold: 4, CompactFanIn: 2})
 		defer idx.Close()
@@ -375,8 +363,6 @@ func checkReply(op, respOp transport.Op, resp []byte) error {
 	var rest []byte
 	var err error
 	switch op {
-	case transport.OpSearch:
-		_, rest, err = transport.ConsumeSearchResp(nil, resp)
 	case transport.OpSearchStats:
 		_, rest, err = transport.ConsumeSearchStatsResp(nil, nil, resp)
 	case transport.OpStats:
@@ -422,32 +408,12 @@ func TestTweetsReqRejectsIntOverflow(t *testing.T) {
 }
 
 // TestInfoAndTweetsWireShapes pins the shapes the info and page codecs
-// accept: an OpInfo request is empty or exactly four expectation fields
-// (a lone feature-bits field is rejected), an InfoResp is exactly seven
-// fields (an eighth is left unread), a TweetsReq is exactly its cursor
-// and cap (a third field is left unread), and a TweetsResp ends after
-// its posts (one cut short is refused).
+// accept: an InfoResp is exactly seven fields (an eighth is left
+// unread), a TweetsReq is exactly its cursor and cap (a third field is
+// left unread), and a TweetsResp ends after its posts (one cut short is
+// refused). The OpInfo request is empty; a server refuses any other
+// (TestHostileFramesAnsweredNotFatal).
 func TestInfoAndTweetsWireShapes(t *testing.T) {
-	if got := transport.AppendInfoReq(nil, transport.InfoReq{}); len(got) != 0 {
-		t.Fatalf("unarmed info request encodes %d bytes, want none", len(got))
-	}
-	armed := transport.InfoReq{ExpectShard: 1, ExpectShards: 4, ExpectUsers: 600, ExpectBase: 2500}
-	enc := transport.AppendInfoReq(nil, armed)
-	fields := 0
-	for rest := enc; len(rest) > 0; fields++ {
-		_, n := binary.Uvarint(rest)
-		rest = rest[n:]
-	}
-	if fields != 4 {
-		t.Fatalf("armed info request carries %d fields, want 4", fields)
-	}
-	if got, _, err := transport.ConsumeInfoReq(enc); err != nil || got != armed {
-		t.Fatalf("armed info request: %+v, %v", got, err)
-	}
-	if req, _, err := transport.ConsumeInfoReq([]byte{1}); err == nil {
-		t.Fatalf("features-only info request decoded as %+v", req)
-	}
-
 	info := transport.InfoResp{Shard: 1, NumShards: 4, Users: 600, BaseTweets: 2500, NumTweets: 2700, Epoch: 7, Incarnation: 9}
 	eight := binary.AppendUvarint(transport.AppendInfoResp(nil, info), 1)
 	if got, rest, err := transport.ConsumeInfoResp(eight); err != nil || got != info || len(rest) != 1 {

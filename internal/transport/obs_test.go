@@ -58,9 +58,11 @@ func TestObsPromotesRequestCounters(t *testing.T) {
 
 	// Drive a few distinct ops so several per-op rows move.
 	for i := 0; i < 3; i++ {
-		if _, _, _, err := c.Search(context.Background(), []string{"storm"}, true, nil); err != nil {
+		_, _, _, v, err := c.SearchStats(context.Background(), []string{"storm"}, true, nil, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
+		v.Release()
 	}
 	for posts := streamPosts(p, 7, 2); len(posts) > 0; posts = posts[1:] {
 		if err := c.IngestBatch(posts[:1]); err != nil {
@@ -74,7 +76,7 @@ func TestObsPromotesRequestCounters(t *testing.T) {
 	// Server side: every request op's registry row must equal the
 	// Requests(op) accounting — same atomic, promoted not duplicated.
 	for _, op := range []transport.Op{
-		transport.OpSearch, transport.OpStats, transport.OpIngest,
+		transport.OpSearchStats, transport.OpStats, transport.OpIngest,
 		transport.OpQuiesce, transport.OpInfo,
 	} {
 		row := fmt.Sprintf("rpc_server_%s_requests", op.Name())
@@ -82,8 +84,8 @@ func TestObsPromotesRequestCounters(t *testing.T) {
 			t.Errorf("%s = %d, Requests(%s) = %d — promotion out of sync", row, got, op.Name(), want)
 		}
 	}
-	if got := metricValue(t, serverReg, "rpc_server_search_requests"); got != 3 {
-		t.Errorf("rpc_server_search_requests = %d, want 3", got)
+	if got := metricValue(t, serverReg, "rpc_server_search_stats_requests"); got != 3 {
+		t.Errorf("rpc_server_search_stats_requests = %d, want 3", got)
 	}
 	if metricValue(t, serverReg, "rpc_server_bytes_read") <= 0 ||
 		metricValue(t, serverReg, "rpc_server_bytes_written") <= 0 {
@@ -93,18 +95,18 @@ func TestObsPromotesRequestCounters(t *testing.T) {
 	// records after the client already has the answer: wait for the
 	// last observation instead of racing it.
 	deadline := time.Now().Add(5 * time.Second)
-	for metricValue(t, serverReg, "rpc_server_search_ns_count") != 3 {
+	for metricValue(t, serverReg, "rpc_server_search_stats_ns_count") != 3 {
 		if time.Now().After(deadline) {
 			t.Errorf("server search latency histogram recorded %d requests, want 3",
-				metricValue(t, serverReg, "rpc_server_search_ns_count"))
+				metricValue(t, serverReg, "rpc_server_search_stats_ns_count"))
 			break
 		}
 		time.Sleep(time.Millisecond)
 	}
 
 	// Client side mirrors its own view of the same traffic.
-	if got := metricValue(t, clientReg, "rpc_client_search_requests"); got != 3 {
-		t.Errorf("rpc_client_search_requests = %d, want 3", got)
+	if got := metricValue(t, clientReg, "rpc_client_search_stats_requests"); got != 3 {
+		t.Errorf("rpc_client_search_stats_requests = %d, want 3", got)
 	}
 	if got := metricValue(t, clientReg, "rpc_client_ingest_requests"); got != 2 {
 		t.Errorf("rpc_client_ingest_requests = %d, want 2", got)
@@ -116,7 +118,7 @@ func TestObsPromotesRequestCounters(t *testing.T) {
 	if got, want := metricValue(t, clientReg, "rpc_client_dials"), c.Dials(); got != want {
 		t.Errorf("rpc_client_dials = %d, Dials() = %d", got, want)
 	}
-	if metricValue(t, clientReg, "rpc_client_search_ns_count") != 3 {
+	if metricValue(t, clientReg, "rpc_client_search_stats_ns_count") != 3 {
 		t.Error("client search latency histogram did not record 3 round trips")
 	}
 
@@ -125,7 +127,7 @@ func TestObsPromotesRequestCounters(t *testing.T) {
 	// and pushes — nothing for the retired epoch probe or compression.
 	metricValue(t, clientReg, "rpc_client_epoch_rtts")
 	want := map[string]bool{"bytes_read": true, "bytes_written": true, "dials": true, "epoch_rtts": true, "pushes": true}
-	for _, op := range []transport.Op{transport.OpSearch, transport.OpStats, transport.OpIngest, transport.OpQuiesce,
+	for _, op := range []transport.Op{transport.OpStats, transport.OpIngest, transport.OpQuiesce,
 		transport.OpInfo, transport.OpTweets, transport.OpSubscribe, transport.OpSearchStats, transport.OpUnpin} {
 		want[op.Name()+"_requests"] = true
 		for _, row := range []string{"_count", "_p50", "_p99", "_max"} {
@@ -160,10 +162,12 @@ func TestObsUninstrumentedServerStillCounts(t *testing.T) {
 	if err := c.Handshake(0, 1, len(p.World.Users), part.NumTweets()); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := c.Search(context.Background(), []string{"storm"}, true, nil); err != nil {
+	_, _, _, v, err := c.SearchStats(context.Background(), []string{"storm"}, true, nil, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.Requests(transport.OpSearch); got != 1 {
-		t.Fatalf("un-instrumented Requests(OpSearch) = %d, want 1", got)
+	v.Release()
+	if got := srv.Requests(transport.OpSearchStats); got != 1 {
+		t.Fatalf("un-instrumented Requests(OpSearchStats) = %d, want 1", got)
 	}
 }

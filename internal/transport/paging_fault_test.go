@@ -283,9 +283,9 @@ func TestPagingExactPageBoundary(t *testing.T) {
 }
 
 // TestMiswiredClientRejectedAtConnect pins the OpInfo world-size
-// renegotiation: a client handshake-pinned to the old topology restates
-// its coordinates on every fresh connect, and a server now holding a
-// different shard count refuses the OpInfo — the client fails at
+// renegotiation: a client handshake-pinned to the old topology checks
+// every fresh connection's OpInfo answer against it, and refuses a
+// server now holding a different shard count — the client fails at
 // connect instead of reading the wrong partition after a reshard.
 func TestMiswiredClientRejectedAtConnect(t *testing.T) {
 	fault.CheckLeaks(t)
@@ -325,8 +325,8 @@ func TestMiswiredClientRejectedAtConnect(t *testing.T) {
 	if err == nil {
 		t.Fatal("client pinned to 2 shards silently reconnected to a 4-shard server")
 	}
-	if !strings.Contains(err.Error(), "resharded?") {
-		t.Fatalf("want the server-side renegotiation refusal, got: %v", err)
+	if !strings.Contains(err.Error(), "now serves shard 0/4") || !strings.Contains(err.Error(), "handshake pinned 0/2") {
+		t.Fatalf("want the client's renegotiation refusal, got: %v", err)
 	}
 	if _, err := c.Info(); err == nil {
 		t.Fatal("second request after reshard succeeded")
@@ -334,20 +334,23 @@ func TestMiswiredClientRejectedAtConnect(t *testing.T) {
 }
 
 // TestHostileFramesAnsweredNotFatal pins what a live server does with
-// frames no client built from this tree sends: an OpTweets cursor past
-// every int (it used to reach the page loop as -1 and kill the
-// process), user ids outside the world in a stats request and in a
-// post, a retweet count the sealed-segment format cannot hold (a seal
-// cannot leave the post out), and the retired op numbers 0x04 (the epoch probe) and 0x10 (the
+// frames no client built from this tree sends: an OpStats with no
+// search pinned before it, an OpTweets cursor past every int (it used
+// to reach the page loop as -1 and kill the process), user ids outside
+// the world in a pinned stats request and in a post, a retweet count
+// the sealed-segment format cannot hold (a seal cannot leave the post
+// out), a non-empty OpInfo request, and the retired op numbers 0x01
+// (the two-step search), 0x04 (the epoch probe) and 0x10 (the
 // compression envelope). Each is answered with OpError, nothing is
 // ingested, and the same connection then serves an empty OpInfo request
-// with exactly the seven InfoResp fields.
+// with exactly the seven InfoResp fields. The server is shard 0 of two,
+// so a composite search pins the snapshot a stats request reads.
 func TestHostileFramesAnsweredNotFatal(t *testing.T) {
 	fault.CheckLeaks(t)
 	p, _ := testPipeline(t)
-	idx := ingest.New(shard.Partition(p.Corpus, 0, 1), ingest.DefaultConfig())
+	idx := ingest.New(shard.Partition(p.Corpus, 0, 2), ingest.DefaultConfig())
 	defer idx.Close()
-	srv, err := transport.Listen("127.0.0.1:0", idx, transport.DefaultServerConfig(0, 1))
+	srv, err := transport.Listen("127.0.0.1:0", idx, transport.DefaultServerConfig(0, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,36 +368,49 @@ func TestHostileFramesAnsweredNotFatal(t *testing.T) {
 		return transport.AppendFrame(nil, transport.OpIngest,
 			transport.AppendIngestReq(nil, transport.IngestReq{Posts: []microblog.Post{post}}))
 	}
-	hostile := []struct {
-		name  string
-		frame []byte
-	}{
-		{"tweets cursor 2^64-1", transport.AppendFrame(nil, transport.OpTweets,
+	searchReq := transport.AppendSearchReq(nil, transport.SearchReq{Terms: []string{"49ers"}})
+	statsFor := func(users ...world.UserID) []byte {
+		return transport.AppendFrame(nil, transport.OpStats, expertise.AppendUserIDs(nil, users))
+	}
+	type hostileFrame struct {
+		name   string
+		pinned bool // sent right after a composite search that pins
+		frame  []byte
+	}
+	hostile := []hostileFrame{
+		// First, while the connection has never searched.
+		{name: "stats with no pinned search", frame: statsFor(3, 5)},
+		{name: "tweets cursor 2^64-1", frame: transport.AppendFrame(nil, transport.OpTweets,
 			binary.AppendUvarint(binary.AppendUvarint(nil, math.MaxUint64), 16))},
-		{"stats for an unknown user", transport.AppendFrame(nil, transport.OpStats,
-			expertise.AppendUserIDs(nil, []world.UserID{3, outside}))},
-		{"stats for a duplicated user", transport.AppendFrame(nil, transport.OpStats,
-			expertise.AppendUserIDs(nil, []world.UserID{3, 3}))},
-		{"stats for a descending list", transport.AppendFrame(nil, transport.OpStats,
-			expertise.AppendUserIDs(nil, []world.UserID{5, 3}))},
-		{"post by an unknown user", postBy(microblog.Post{Author: outside, Text: "49ers"})},
-		{"post mentioning an unknown user", postBy(microblog.Post{Author: 1, Text: "49ers", Mentions: []world.UserID{outside}})},
-		{"post with a negative retweet count", postBy(microblog.Post{Author: 1, Text: "49ers", RetweetCount: -1})},
-		{"retired op 0x04", transport.AppendFrame(nil, transport.Op(0x04), nil)},
-		{"retired op 0x10", transport.AppendFrame(nil, transport.Op(0x10), []byte{byte(transport.OpInfo), 1, 0})},
+		{name: "stats for an unknown user", pinned: true, frame: statsFor(3, outside)},
+		{name: "stats for a duplicated user", pinned: true, frame: statsFor(3, 3)},
+		{name: "stats for a descending list", pinned: true, frame: statsFor(5, 3)},
+		{name: "post by an unknown user", frame: postBy(microblog.Post{Author: outside, Text: "49ers"})},
+		{name: "post mentioning an unknown user", frame: postBy(microblog.Post{Author: 1, Text: "49ers", Mentions: []world.UserID{outside}})},
+		{name: "post with a negative retweet count", frame: postBy(microblog.Post{Author: 1, Text: "49ers", RetweetCount: -1})},
+		{name: "info request with expectations", frame: transport.AppendFrame(nil, transport.OpInfo, []byte{0, 2, 7, 9})},
+		{name: "retired op 0x01", frame: transport.AppendFrame(nil, transport.Op(0x01), searchReq)},
+		{name: "retired op 0x04", frame: transport.AppendFrame(nil, transport.Op(0x04), nil)},
+		{name: "retired op 0x10", frame: transport.AppendFrame(nil, transport.Op(0x10), []byte{byte(transport.OpInfo), 1, 0})},
 	}
 	var buf []byte
 	if big := int64(diskseg.MaxRetweetCount) + 1; int64(int(big)) == big {
-		hostile = append(hostile, struct {
-			name  string
-			frame []byte
-		}{"post with a retweet count past 32 bits", postBy(microblog.Post{Author: 1, Text: "49ers", RetweetCount: int(big)})})
+		hostile = append(hostile, hostileFrame{name: "post with a retweet count past 32 bits",
+			frame: postBy(microblog.Post{Author: 1, Text: "49ers", RetweetCount: int(big)})})
 	}
 	for _, h := range hostile {
+		var op transport.Op
+		if h.pinned {
+			if _, err := conn.Write(transport.AppendFrame(nil, transport.OpSearchStats, searchReq)); err != nil {
+				t.Fatalf("%s: write search: %v", h.name, err)
+			}
+			if op, _, buf, err = transport.ReadFrame(br, buf); err != nil || op != transport.OpSearchStats {
+				t.Fatalf("%s: pinning search got op 0x%02x (err %v)", h.name, byte(op), err)
+			}
+		}
 		if _, err := conn.Write(h.frame); err != nil {
 			t.Fatalf("%s: write: %v", h.name, err)
 		}
-		var op transport.Op
 		op, _, buf, err = transport.ReadFrame(br, buf)
 		if err != nil || op != transport.OpError {
 			t.Fatalf("%s: got op 0x%02x (err %v), want OpError", h.name, byte(op), err)
@@ -412,7 +428,7 @@ func TestHostileFramesAnsweredNotFatal(t *testing.T) {
 		t.Fatalf("info after hostile frames: op 0x%02x, err %v", byte(op), err)
 	}
 	info, rest, err := transport.ConsumeInfoResp(payload)
-	if err != nil || len(rest) != 0 || info.NumShards != 1 || info.Users != len(p.World.Users) {
+	if err != nil || len(rest) != 0 || info.NumShards != 2 || info.Users != len(p.World.Users) {
 		t.Fatalf("info after hostile frames: %+v, %d trailing bytes, err %v", info, len(rest), err)
 	}
 }

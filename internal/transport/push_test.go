@@ -170,7 +170,7 @@ func TestOpIngestFrameIsOneEpoch(t *testing.T) {
 // TestWarmQuerySingleRoundTrip is the acceptance bar of the pipelining
 // tentpole, RPC-counted: on a healthy warm connection to a single-shard
 // server, one detector query costs exactly one OpSearchStats frame —
-// no OpSearch, no OpStats, no OpUnpin — and epoch-vector
+// no OpStats, no OpUnpin — and epoch-vector
 // sampling on the subscribed client costs zero requests of any kind.
 func TestWarmQuerySingleRoundTrip(t *testing.T) {
 	fault.CheckLeaks(t)
@@ -189,7 +189,7 @@ func TestWarmQuerySingleRoundTrip(t *testing.T) {
 		t.Fatal("warmup query found no experts")
 	}
 
-	ops := []transport.Op{transport.OpSearch, transport.OpSearchStats, transport.OpStats,
+	ops := []transport.Op{transport.OpSearchStats, transport.OpStats,
 		transport.OpUnpin, transport.OpInfo, transport.OpSubscribe}
 	before := make(map[transport.Op]int64, len(ops))
 	for _, op := range ops {
@@ -205,7 +205,7 @@ func TestWarmQuerySingleRoundTrip(t *testing.T) {
 	if got := srv.Requests(transport.OpSearchStats) - before[transport.OpSearchStats]; got != k {
 		t.Fatalf("%d warm queries sent %d OpSearchStats frames, want exactly %d", k, got, k)
 	}
-	for _, op := range []transport.Op{transport.OpSearch, transport.OpStats,
+	for _, op := range []transport.Op{transport.OpStats,
 		transport.OpUnpin, transport.OpInfo, transport.OpSubscribe} {
 		if got := srv.Requests(op) - before[op]; got != 0 {
 			t.Fatalf("%d warm queries sent %d extra frames of op 0x%02x, want 0", k, got, byte(op))
@@ -233,8 +233,8 @@ func TestWarmQuerySingleRoundTrip(t *testing.T) {
 }
 
 // TestCompositeTopUpAccounting pins the multi-shard pipeline shape: at
-// N=2 every scatter leg is an OpSearchStats composite (OpSearch never
-// appears), the only OpStats frames are the foreign-candidate top-ups
+// N=2 every scatter leg is an OpSearchStats composite, the only OpStats
+// frames are the foreign-candidate top-ups
 // (at most one per shard per query), and the results stay bit-identical
 // to a cold single-process detector over the same content.
 func TestCompositeTopUpAccounting(t *testing.T) {
@@ -268,14 +268,10 @@ func TestCompositeTopUpAccounting(t *testing.T) {
 			expertsIdentical(t, "composite-vs-cold", q, got, want)
 		}
 	}
-	var searchStats, stats, plainSearch int64
+	var searchStats, stats int64
 	for _, srv := range servers {
 		searchStats += srv.Requests(transport.OpSearchStats)
 		stats += srv.Requests(transport.OpStats)
-		plainSearch += srv.Requests(transport.OpSearch)
-	}
-	if plainSearch != 0 {
-		t.Fatalf("composite cluster still sent %d plain OpSearch frames", plainSearch)
 	}
 	if want := int64(queries * n); searchStats != want {
 		t.Fatalf("%d queries over %d shards sent %d OpSearchStats frames, want %d",
@@ -398,7 +394,7 @@ func TestDialBudgetCapsReconnects(t *testing.T) {
 // valid payload must be rejected.
 func TestNewOpPayloadTruncationEveryOffset(t *testing.T) {
 	full := seedFrames()
-	searchStats := full[14][5:] // OpSearchStats response payload, 2 rows
+	searchStats := full[1][5:] // OpSearchStats response payload, 2 rows
 	if _, _, err := transport.ConsumeSearchStatsResp(nil, nil, searchStats); err != nil {
 		t.Fatalf("seed SearchStatsResp does not decode: %v", err)
 	}
@@ -454,8 +450,8 @@ func TestSearchStatsSurvivesWireTruncation(t *testing.T) {
 // TestPushInterleavesWithResponses drives one raw socket through a
 // subscribe-then-query conversation while another client ingests: the
 // server's pusher and request handler share the write side of the
-// connection, and every OpSearch response must arrive intact among the
-// interleaved OpEpochDelta frames.
+// connection, and every OpSearchStats response must arrive intact among
+// the interleaved OpEpochDelta frames.
 func TestPushInterleavesWithResponses(t *testing.T) {
 	fault.CheckLeaks(t)
 	p, _ := testPipeline(t)
@@ -497,7 +493,7 @@ func TestPushInterleavesWithResponses(t *testing.T) {
 		done <- nil
 	}()
 
-	searchReq := transport.AppendFrame(nil, transport.OpSearch,
+	searchReq := transport.AppendFrame(nil, transport.OpSearchStats,
 		transport.AppendSearchReq(nil, transport.SearchReq{Terms: []string{"49ers"}}))
 	deltas := 0
 	for i := 0; i < 25; i++ {
@@ -518,10 +514,10 @@ func TestPushInterleavesWithResponses(t *testing.T) {
 			}
 			break
 		}
-		if op != transport.OpSearch {
-			t.Fatalf("query %d: got op 0x%02x, want OpSearch response", i, byte(op))
+		if op != transport.OpSearchStats {
+			t.Fatalf("query %d: got op 0x%02x, want OpSearchStats response", i, byte(op))
 		}
-		if _, _, err := transport.ConsumeSearchResp(nil, payload); err != nil {
+		if _, _, err := transport.ConsumeSearchStatsResp(nil, nil, payload); err != nil {
 			t.Fatalf("query %d: response corrupted by interleaved pushes: %v", i, err)
 		}
 	}

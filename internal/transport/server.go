@@ -6,6 +6,7 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -141,7 +142,7 @@ func Serve(ln net.Listener, idx *ingest.Index, cfg ServerConfig) *ShardServer {
 // server pre-registers per-op metrics for. OpEpochDelta (push-only)
 // and OpError (response-only) are deliberately absent.
 var requestOps = []Op{
-	OpSearch, OpStats, OpIngest, OpQuiesce, OpInfo,
+	OpStats, OpIngest, OpQuiesce, OpInfo,
 	OpTweets, OpSubscribe, OpSearchStats, OpUnpin,
 }
 
@@ -167,40 +168,26 @@ func (s *ShardServer) Wait() {
 	s.acceptWG.Wait()
 }
 
-// Close stops accepting, closes every open connection and waits for
-// the per-connection handlers to drain. The underlying index is not
-// closed — it belongs to the caller.
-func (s *ShardServer) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	err := s.ln.Close()
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.acceptWG.Wait()
-	s.connWG.Wait()
-	return err
-}
+// Close is Shutdown with no grace: it stops accepting, closes every
+// open connection and waits for the per-connection handlers to drain.
+// The underlying index is not closed — it belongs to the caller.
+func (s *ShardServer) Close() error { return s.Shutdown(0) }
 
-// Shutdown is the graceful form of Close: it stops accepting
-// immediately, reaps idle connections (pooled keepalives and push
-// subscribers, whose pushers stop through the handler teardown), and
-// keeps connections that are mid-conversation — dispatching a request,
-// or holding a search op's snapshot pin for its paired OpStats — alive
-// for up to grace so the conversation finishes and the response
-// reaches the peer. Whatever remains when the grace expires is closed
-// abruptly. Safe to call concurrently with Close; both are idempotent.
+// Shutdown stops accepting immediately, reaps idle connections (pooled
+// keepalives and push subscribers, whose pushers stop through the
+// handler teardown), and keeps connections that are mid-conversation —
+// dispatching a request, or holding an OpSearchStats snapshot pin for
+// its top-up OpStats — alive for up to grace so the conversation
+// finishes and the response reaches the peer. Whatever remains when the
+// grace expires is closed abruptly. Safe to call concurrently with
+// Close; both are idempotent.
 func (s *ShardServer) Shutdown(grace time.Duration) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil
 	}
+	s.closed = true
 	err := s.ln.Close()
 	s.mu.Unlock()
 	deadline := time.Now().Add(grace)
@@ -224,7 +211,6 @@ func (s *ShardServer) Shutdown(grace time.Duration) error {
 		time.Sleep(2 * time.Millisecond)
 	}
 	s.mu.Lock()
-	s.closed = true
 	for c := range s.conns {
 		c.Close()
 	}
@@ -269,8 +255,8 @@ func (s *ShardServer) forget(conn net.Conn) {
 
 // connState is the per-connection request-handling state: buffered IO,
 // reusable frame/payload buffers, and the protocol state — the view
-// the last OpSearch/OpSearchStats pinned (which a following OpStats
-// reads so both halves of a query observe the same snapshot) and the
+// the last OpSearchStats pinned (which a following OpStats reads so
+// both halves of a query observe the same snapshot) and the
 // subscription pusher's controls.
 type connState struct {
 	br   *bufio.Reader
@@ -286,10 +272,10 @@ type connState struct {
 	terms []string
 
 	// busy marks a connection mid-conversation: a request frame is
-	// being dispatched, or the last search op left a snapshot pinned
-	// for its paired OpStats. Shutdown's drain keeps busy connections
-	// alive until the conversation closes (or the grace period runs
-	// out) and reaps the rest immediately.
+	// being dispatched, or the last OpSearchStats left a snapshot
+	// pinned for its top-up OpStats. Shutdown's drain keeps busy
+	// connections alive until the conversation closes (or the grace
+	// period runs out) and reaps the rest immediately.
 	busy atomic.Bool
 
 	// wmu serializes every frame write on bw: responses from the
@@ -347,8 +333,8 @@ func (s *ShardServer) handle(conn net.Conn, st *connState) {
 			}
 		}
 		// The conversation stays open — and the connection drain-exempt —
-		// exactly while a search op's snapshot pin awaits its paired
-		// OpStats; everything else returns the connection to idle.
+		// exactly while an OpSearchStats pin awaits its top-up OpStats;
+		// everything else returns the connection to idle.
 		st.busy.Store(st.view != nil)
 		if s.obsOn {
 			// Dispatch-to-flush: the server-side cost of the request,
@@ -377,10 +363,10 @@ const opNone Op = 0
 func (s *ShardServer) respond(st *connState, op Op, payload []byte) Op {
 	st.out = st.out[:0]
 	respOp, err := s.dispatch(st, op, payload)
-	if op != OpSearch && op != OpSearchStats && st.view != nil {
+	if op != OpSearchStats && st.view != nil {
 		// The pin exists solely for the one OpStats that may immediately
-		// follow a search op; any other op ends that conversation, so
-		// drop it rather than let an idle pooled connection retain a
+		// follow a composite search; any other op ends that conversation,
+		// so drop it rather than let an idle pooled connection retain a
 		// retired snapshot (and its segments) server-side indefinitely.
 		st.view.Release()
 		st.view = nil
@@ -450,24 +436,6 @@ func (s *ShardServer) pushLoop(conn net.Conn, st *connState, last uint64) {
 	}
 }
 
-// searchReq is the half OpSearch and OpSearchStats share: decode the
-// request into the connection's term scratch and drop whatever the
-// connection still pins. The wire protocol carries no deadline (the
-// client applies its clamped budget to the conn's IO deadlines
-// instead), so both ops run shard.Local unbounded.
-func (s *ShardServer) searchReq(st *connState, payload []byte) (SearchReq, error) {
-	req, _, err := ConsumeSearchReq(st.terms, payload)
-	st.terms = req.Terms
-	if err != nil {
-		return req, err
-	}
-	if st.view != nil {
-		st.view.Release()
-		st.view = nil
-	}
-	return req, nil
-}
-
 // checkUsers rejects user ids outside the served world: per-user
 // counters are arrays over it, so a stray id would panic the shard.
 func (s *ShardServer) checkUsers(users ...world.UserID) error {
@@ -495,26 +463,20 @@ func checkRetweets(n int) error {
 // is still synchronized).
 func (s *ShardServer) dispatch(st *connState, op Op, payload []byte) (Op, error) {
 	switch op {
-	case OpSearch:
-		req, err := s.searchReq(st, payload)
-		if err != nil {
-			return 0, err
-		}
-		var matched int
-		st.rows, matched, st.view, err = s.local.Search(context.Background(), req.Terms, req.Extended, st.rows)
-		if err != nil {
-			return 0, err
-		}
-		st.out = AppendSearchResp(st.out, SearchResp{Matched: matched, Rows: st.rows})
-		return OpSearch, nil
-
 	case OpSearchStats:
-		req, err := s.searchReq(st, payload)
+		req, _, err := ConsumeSearchReq(st.terms, payload)
+		st.terms = req.Terms
 		if err != nil {
 			return 0, err
+		}
+		if st.view != nil {
+			st.view.Release()
+			st.view = nil
 		}
 		// The same call the in-process shard answers the coordinator
-		// with; it releases the view itself on error.
+		// with; it releases the view itself on error. The wire carries
+		// no deadline (the client applies its clamped budget to the
+		// conn's IO deadlines instead), so it runs unbounded.
 		var matched int
 		var view shard.View
 		st.rows, matched, st.stat, view, err = s.local.SearchStats(context.Background(), req.Terms, req.Extended, st.rows, st.stat)
@@ -547,6 +509,12 @@ func (s *ShardServer) dispatch(st *connState, op Op, payload []byte) (Op, error)
 		return OpSubscribe, nil
 
 	case OpStats:
+		// Denominators are only ever read from the snapshot the
+		// connection's last composite search pinned, so a query's two
+		// halves cannot straddle a publish.
+		if st.view == nil {
+			return 0, errors.New("transport: stats without a pinned search")
+		}
 		var err error
 		st.uids, _, err = expertise.ConsumeUserIDs(st.uids, payload)
 		if err == nil {
@@ -555,15 +523,7 @@ func (s *ShardServer) dispatch(st *connState, op Op, payload []byte) (Op, error)
 		if err != nil {
 			return 0, err
 		}
-		// A connection that has not searched yet reads the current
-		// snapshot; one that has reads the pinned one, completing the
-		// search→stats conversation against a single view.
-		view := st.view
-		if view == nil {
-			view = s.local.View()
-			defer view.Release()
-		}
-		st.stat, err = view.Stats(context.Background(), st.uids, st.stat)
+		st.stat, err = st.view.Stats(context.Background(), st.uids, st.stat)
 		if err != nil {
 			return 0, err
 		}
@@ -592,27 +552,10 @@ func (s *ShardServer) dispatch(st *connState, op Op, payload []byte) (Op, error)
 		return OpQuiesce, nil
 
 	case OpInfo:
-		req, _, err := ConsumeInfoReq(payload)
-		if err != nil {
-			return 0, err
-		}
-		// World-size renegotiation: a client restating handshake-pinned
-		// coordinates is refused here, at connect, when the topology it
-		// was wired for no longer matches this server — a reshard
-		// changed the shard count, or the deterministic build diverged.
-		// Failing the OpInfo means the client never trusts the
-		// connection, instead of silently reading the wrong partition.
-		if req.ExpectShards > 0 {
-			if req.ExpectShard != s.cfg.Shard || req.ExpectShards != s.cfg.NumShards {
-				return 0, fmt.Errorf("transport: client expects shard %d/%d, server is %d/%d (resharded?)",
-					req.ExpectShard, req.ExpectShards, s.cfg.Shard, s.cfg.NumShards)
-			}
-			if users := len(s.idx.World().Users); req.ExpectUsers != users {
-				return 0, fmt.Errorf("transport: client expects %d users, server has %d", req.ExpectUsers, users)
-			}
-			if base := s.idx.Base().NumTweets(); req.ExpectBase != base {
-				return 0, fmt.Errorf("transport: client expects %d base tweets, server has %d", req.ExpectBase, base)
-			}
+		// The request is empty: the client checks the answer against
+		// what its handshake pinned (RemoteShard.negotiate).
+		if len(payload) != 0 {
+			return 0, fmt.Errorf("transport: info request carries %d bytes, want none", len(payload))
 		}
 		snap := s.idx.Snapshot()
 		st.out = AppendInfoResp(st.out, InfoResp{

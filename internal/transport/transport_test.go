@@ -217,7 +217,8 @@ func TestHandshakeRejectsMisdeployment(t *testing.T) {
 func TestConnectionReuse(t *testing.T) {
 	fault.CheckLeaks(t)
 	p, _ := testPipeline(t)
-	clients := startShardServers(t, p, 1, ingest.DefaultConfig())
+	// Shard 0 of two, so each search pins the snapshot its Stats reads.
+	clients := startShardServers(t, p, 2, ingest.DefaultConfig())
 	c := clients[0]
 	// One warmup round first: the first Epoch dedicates a connection to
 	// the push subscription, so steady state is two live connections

@@ -17,7 +17,7 @@ import (
 	"repro/internal/world"
 )
 
-// SearchReq is the OpSearch payload: the query and its expansion terms
+// SearchReq is the OpSearchStats payload: the query and its expansion terms
 // (the shard matches each and unions the results), plus the
 // extended-feature flag the coordinator's parameter set implies.
 type SearchReq struct {
@@ -72,41 +72,10 @@ func ConsumeSearchReq(terms []string, buf []byte) (SearchReq, []byte, error) {
 	return req, rest, nil
 }
 
-// SearchResp is the OpSearch response: the size of the shard's
-// matched-tweet union and the raw candidate rows extracted from it,
-// ascending by user.
-type SearchResp struct {
-	Matched int
-	Rows    []expertise.RawCandidate
-}
-
-// AppendSearchResp appends the encoded response to buf.
-func AppendSearchResp(buf []byte, resp SearchResp) []byte {
-	buf = binary.AppendUvarint(buf, uint64(resp.Matched))
-	return expertise.AppendRawCandidates(buf, resp.Rows)
-}
-
-// ConsumeSearchResp decodes a SearchResp off the front of buf,
-// appending rows into rows (capacity reused, contents discarded).
-func ConsumeSearchResp(rows []expertise.RawCandidate, buf []byte) (SearchResp, []byte, error) {
-	var resp SearchResp
-	m, buf, err := consumeUvarint(buf)
-	if err != nil {
-		return resp, buf, fmt.Errorf("search resp matched: %w", err)
-	}
-	resp.Matched = int(m)
-	resp.Rows, buf, err = expertise.ConsumeRawCandidates(rows, buf)
-	if err != nil {
-		return resp, buf, fmt.Errorf("search resp: %w", err)
-	}
-	return resp, buf, nil
-}
-
 // SearchStatsResp is the OpSearchStats response: one frame carrying
 // both halves of the query conversation — the shard's matched-union
-// size and candidate rows (ascending by user, exactly as OpSearch
-// returns them) plus the denominator triples for those same
-// candidates, positionally aligned with Rows and read from the same
+// size and candidate rows (ascending by user) plus the denominator
+// triples for those same candidates, positionally aligned with Rows and read from the same
 // snapshot. Foreign candidates' denominators are not here; a
 // multi-shard coordinator tops them up with an OpStats against the
 // still-pinned snapshot.
@@ -251,57 +220,6 @@ type InfoResp struct {
 	// as a different (empty-again) shard rather than silently reconnected
 	// to — its epoch has regressed and its ingested content is gone.
 	Incarnation uint64
-}
-
-// InfoReq is the OpInfo request: the coordinates a handshaken client
-// pinned, restated on every fresh dial. The server refuses a client
-// wired to another topology (a shardd restarted with other -shard/-of
-// flags or another base corpus) at connect, instead of letting it read
-// the wrong shard. On the wire it is empty (nothing
-// pinned) or exactly the four expectation fields.
-type InfoReq struct {
-	// ExpectShard and ExpectShards are the shard coordinates the
-	// client pinned at handshake; ExpectShards == 0 disables the check.
-	ExpectShard, ExpectShards int
-	// ExpectUsers and ExpectBase pin the world size and base-corpus
-	// size — the deterministic-build agreement, now enforced on both
-	// ends of the wire.
-	ExpectUsers, ExpectBase int
-}
-
-// AppendInfoReq appends the OpInfo request: nothing when no
-// expectations are armed, the four expectation fields otherwise.
-func AppendInfoReq(buf []byte, req InfoReq) []byte {
-	if req.ExpectShards > 0 {
-		buf = binary.AppendUvarint(buf, uint64(req.ExpectShard))
-		buf = binary.AppendUvarint(buf, uint64(req.ExpectShards))
-		buf = binary.AppendUvarint(buf, uint64(req.ExpectUsers))
-		buf = binary.AppendUvarint(buf, uint64(req.ExpectBase))
-	}
-	return buf
-}
-
-// ConsumeInfoReq decodes the OpInfo request; an empty payload decodes
-// with no expectations.
-func ConsumeInfoReq(buf []byte) (InfoReq, []byte, error) {
-	var req InfoReq
-	if len(buf) == 0 {
-		return req, buf, nil
-	}
-	var fields [4]uint64
-	var err error
-	for i := range fields {
-		fields[i], buf, err = consumeUvarint(buf)
-		if err != nil {
-			return InfoReq{}, buf, fmt.Errorf("info req expect: %w", err)
-		}
-	}
-	// A zero shard count means no expectations; normalize to the empty
-	// form so decode→encode→decode is a fixed point.
-	if n := int(fields[1]); n > 0 {
-		req = InfoReq{ExpectShard: int(fields[0]), ExpectShards: n, ExpectUsers: int(fields[2]), ExpectBase: int(fields[3])}
-	}
-	return req, buf, nil
 }
 
 // AppendInfoResp appends the encoded response to buf.

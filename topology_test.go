@@ -610,12 +610,6 @@ func TestReplicatedMixedLoadZeroPartials(t *testing.T) {
 	if probes := f.SearchesKilled(); probes > 8 {
 		t.Fatalf("dead follower absorbed %d read probes — backoff is not gating reads", probes)
 	}
-	// Whatever reads reached the follower before the kill (the 40 calls
-	// may all have been writes) took the path production takes.
-	if f.Searches() != 0 {
-		t.Fatalf("follower saw %d plain searches — reads left the composite path", f.Searches())
-	}
-
 	// The spine holds under fault + load.
 	if err := cluster.Quiesce(); err != nil {
 		t.Fatal(err)
