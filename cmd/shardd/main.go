@@ -45,11 +45,13 @@
 // SIGINT/SIGTERM stop accepting, let in-flight conversations and push
 // subscribers drain within -grace, and exit 0.
 //
-// Every client restates its handshake-pinned -shard/-of coordinates on
-// each connection's OpInfo exchange, and a shardd whose topology does
-// not match refuses the connection — a coordinator wired for another
-// -of, or for a shardd restarted over another base corpus, fails at
-// connect instead of silently reading the wrong partition.
+// shardd checks no client's identity: it answers every connection's
+// empty OpInfo request with its own -shard/-of coordinates, world size,
+// base size and incarnation, and the client (transport's negotiate)
+// refuses a server that does not match what its handshake pinned — a
+// coordinator wired for another -of, or for a shardd restarted over
+// another base corpus, fails at connect instead of silently reading the
+// wrong partition.
 package main
 
 import (

@@ -45,9 +45,8 @@ const EpochUnknown = shard.EpochUnknown
 // Failure policy is fail-fast partial results: a shard whose transport
 // errors in either phase contributes nothing to that query, the answer
 // is exactly what the remaining shards alone would rank, the answer
-// names the missing shards (SearchTrace.Missing,
-// SearchBaselineContext's MissingShards) so the serving layer never
-// caches it nor passes it off as whole, and the Partials counters —
+// names the missing shards (SearchTrace.Missing) so the serving layer
+// never caches it nor passes it off as whole, and the Partials counters —
 // surfaced through serve.Stats — record the degradation. The one retry
 // is for a shard that answered phase one and then failed its top-up:
 // the whole scatter runs once more, within the caller's budget, because
@@ -249,22 +248,6 @@ func (d *ShardedLiveDetector) SearchContext(ctx context.Context, query string) (
 	results, matched, missing, spans, mergeRank, err := d.scatterGather(ctx, query, trace.Expansion)
 	trace.MatchedTweets, trace.Missing, trace.Shards, trace.MergeRankNS = matched, missing, spans, mergeRank
 	return results, trace, err
-}
-
-// SearchBaseline runs the unexpanded Pal & Counts baseline scattered
-// across the shards.
-func (d *ShardedLiveDetector) SearchBaseline(query string) []expertise.Expert {
-	results, _, _ := d.SearchBaselineContext(context.Background(), query)
-	return results
-}
-
-// SearchBaselineContext is SearchBaseline under a caller deadline,
-// with the same whole-query expiry semantics as SearchContext. missing
-// names the shards the answer lacks, as SearchTrace.Missing does for
-// e#.
-func (d *ShardedLiveDetector) SearchBaselineContext(ctx context.Context, query string) (results []expertise.Expert, missing MissingShards, err error) {
-	results, _, missing, _, _, err = d.scatterGather(ctx, query, nil)
-	return results, missing, err
 }
 
 // scatterGather is the read path: run the scatter stage (each shard

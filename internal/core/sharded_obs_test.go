@@ -81,13 +81,6 @@ func TestShardedDetectorObsInstrumentation(t *testing.T) {
 		t.Errorf("sharded_shard_errors = %d, want 0", rows["sharded_shard_errors"])
 	}
 
-	// Baseline path records too (no expansion, same scatter).
-	base := d.SearchBaseline("49ers")
-	wantBase := plain.SearchBaseline("49ers")
-	if len(base) != len(wantBase) {
-		t.Fatalf("baseline diverged: %d vs %d experts", len(base), len(wantBase))
-	}
-
 	// The accessor agrees with the cluster it wraps.
 	if d.Cluster() != r {
 		t.Error("Cluster does not round-trip construction")

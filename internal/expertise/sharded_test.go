@@ -111,3 +111,50 @@ func TestRawCandidatesBufferReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestGatherPiecesMatchMergeRawCandidates pins the restructured gather
+// stage against its one-call ancestor: MergeRawNumerators + per-source
+// Source.StatsInto/AddUserStats + FinalizeRaw must equal
+// MergeRawCandidates exactly — same users, same floats — because the
+// scatter-gather coordinator now runs the pieces (with the stats leg
+// batched per shard, possibly over a wire) instead of the wrapper.
+func TestGatherPiecesMatchMergeRawCandidates(t *testing.T) {
+	w := world.Build(world.TinyConfig())
+	corpus := microblog.Generate(w, microblog.TinyGenConfig())
+	half := microblog.TweetID(corpus.NumTweets() / 2)
+	r := NewRanker(corpus.NumUsers(), DefaultParams())
+
+	var matchedA, matchedB []microblog.TweetID
+	for id := microblog.TweetID(0); int(id) < corpus.NumTweets(); id++ {
+		if id < half {
+			matchedA = append(matchedA, id)
+		} else {
+			matchedB = append(matchedB, id)
+		}
+	}
+	listA := r.RawCandidatesInto(nil, corpus, matchedA)
+	listB := r.RawCandidatesInto(nil, corpus, matchedB)
+
+	srcs := []Source{corpus, corpus}
+	want := r.MergeRawCandidates(nil, srcs, listA, listB)
+
+	merged := MergeRawNumerators(nil, listA, listB)
+	users := make([]world.UserID, len(merged))
+	for i := range merged {
+		users[i] = merged[i].User
+	}
+	denoms := make([]UserStats, len(merged))
+	for _, src := range srcs {
+		AddUserStats(denoms, src.StatsInto(nil, users))
+	}
+	got := r.FinalizeRaw(nil, merged, denoms, w)
+
+	if len(got) != len(want) {
+		t.Fatalf("%d candidates, wrapper produced %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("candidate %d: %+v vs %+v", i, got[i], want[i])
+		}
+	}
+}

@@ -21,20 +21,19 @@ import (
 // equal json.Encoder's encoding of this struct. Experts is never null —
 // an empty result is [].
 type searchResponse struct {
-	Query    string             `json:"query"`
-	Baseline bool               `json:"baseline,omitempty"`
-	Experts  []expertise.Expert `json:"experts"`
+	Query   string             `json:"query"`
+	Experts []expertise.Expert `json:"experts"`
 }
 
 // referenceBody is what json.NewEncoder(w).Encode(searchResponse{…})
 // sends: the body every 200 must equal byte for byte.
-func referenceBody(t testing.TB, query string, baseline bool, experts []expertise.Expert) []byte {
+func referenceBody(t testing.TB, query string, experts []expertise.Expert) []byte {
 	t.Helper()
 	if experts == nil {
 		experts = []expertise.Expert{}
 	}
 	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(searchResponse{Query: query, Baseline: baseline, Experts: experts}); err != nil {
+	if err := json.NewEncoder(&buf).Encode(searchResponse{Query: query, Experts: experts}); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -115,7 +114,7 @@ func TestWarmHitAllocBudget(t *testing.T) {
 		})
 		p := newInproc(t, g, "/v1/search")
 		body := []byte(`{"query":"vintage cars"}`)
-		want := referenceBody(t, "vintage cars", false, ranking)
+		want := referenceBody(t, "vintage cars", ranking)
 		for i := 0; i < 3; i++ { // miss, first hit, later hit
 			if status, got := p.do(body); status != http.StatusOK || !bytes.Equal(got, want) {
 				t.Fatalf("obs=%v request %d: status %d, body\n%s\nwant\n%s", withObs, i, status, got, want)
@@ -145,23 +144,18 @@ func TestWarmHitAllocBudget(t *testing.T) {
 	}
 }
 
-// answerCase is one (query, endpoint, ranking) the byte-identity tests
-// push through every way a 200 can come about.
+// answerCase is one (query, ranking) the byte-identity tests push
+// through every way a 200 can come about.
 type answerCase struct {
-	query    string
-	baseline bool
-	experts  []expertise.Expert
+	query   string
+	experts []expertise.Expert
 }
 
-// requestFor returns the request target and body for c, and the query
-// the handler will see once the body has been through encoding/json
-// (which replaces invalid UTF-8 on both encode and decode).
-func (c answerCase) requestFor(t testing.TB) (target string, body []byte, seen string) {
+// requestFor returns the request body for c, and the query the handler
+// will see once the body has been through encoding/json (which replaces
+// invalid UTF-8 on both encode and decode).
+func (c answerCase) requestFor(t testing.TB) (body []byte, seen string) {
 	t.Helper()
-	target = "/v1/search"
-	if c.baseline {
-		target += "?baseline=1"
-	}
 	body, err := json.Marshal(searchRequest{Query: c.query})
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +164,7 @@ func (c answerCase) requestFor(t testing.TB) (target string, body []byte, seen s
 	if err := json.Unmarshal(body, &back); err != nil {
 		t.Fatal(err)
 	}
-	return target, body, back.Query
+	return body, back.Query
 }
 
 // checkAnswerBytes drives c as a miss, a first hit and a later hit on a
@@ -179,15 +173,15 @@ func (c answerCase) requestFor(t testing.TB) (target string, body []byte, seen s
 // that tokenize to nothing must be 400 every time instead.
 func checkAnswerBytes(t testing.TB, c answerCase) {
 	t.Helper()
-	target, body, seen := c.requestFor(t)
-	want := referenceBody(t, seen, c.baseline, c.experts)
+	body, seen := c.requestFor(t)
+	want := referenceBody(t, seen, c.experts)
 	blank := len(textutil.Tokenize(seen)) == 0
 	for _, cacheSize := range []int{4096, 0} {
 		backend := &stubBackend{ranking: func(uint64) []expertise.Expert { return c.experts }}
 		scfg := serve.DefaultConfig()
 		scfg.CacheSize = cacheSize
 		g := newTestGateway(t, backend, scfg, nil)
-		p := newInproc(t, g, target)
+		p := newInproc(t, g, "/v1/search")
 		for i, outcome := range []string{"miss", "first hit", "later hit"} {
 			status, got := p.do(body)
 			if blank {
@@ -197,8 +191,8 @@ func checkAnswerBytes(t testing.TB, c answerCase) {
 				continue
 			}
 			if status != http.StatusOK || !bytes.Equal(got, want) || p.writes != 1 {
-				t.Fatalf("cache=%d %s of %q (baseline=%v, %d experts): status %d in %d Writes, body\n%q\nwant\n%q",
-					cacheSize, outcome, seen, c.baseline, len(c.experts), status, p.writes, got, want)
+				t.Fatalf("cache=%d %s of %q (%d experts): status %d in %d Writes, body\n%q\nwant\n%q",
+					cacheSize, outcome, seen, len(c.experts), status, p.writes, got, want)
 			}
 			wantCalls := int64(1)
 			if cacheSize == 0 {
@@ -231,25 +225,23 @@ var hardQueries = []string{
 func TestAnswerBytesIdentical(t *testing.T) {
 	rankings := [][]expertise.Expert{nil, {}, manyExperts(1), manyExperts(60)}
 	for _, q := range hardQueries {
-		for _, baseline := range []bool{false, true} {
-			for _, experts := range rankings {
-				checkAnswerBytes(t, answerCase{query: q, baseline: baseline, experts: experts})
-			}
+		for _, experts := range rankings {
+			checkAnswerBytes(t, answerCase{query: q, experts: experts})
 		}
 	}
 }
 
 func FuzzAnswerBytes(f *testing.F) {
 	for i, q := range hardQueries {
-		f.Add(q, i%2 == 0, uint8(i))
+		f.Add(q, uint8(i))
 	}
-	f.Fuzz(func(t *testing.T, query string, baseline bool, n uint8) {
+	f.Fuzz(func(t *testing.T, query string, n uint8) {
 		experts := manyExperts(int(n % 70))
-		checkAnswerBytes(t, answerCase{query: query, baseline: baseline, experts: experts})
+		checkAnswerBytes(t, answerCase{query: query, experts: experts})
 		// The assembler itself, on the raw string (a request body can
-		// only deliver valid UTF-8; a terms join or a future caller is
-		// not so constrained), with and without the cache's bytes.
-		want := referenceBody(t, query, baseline, experts)
+		// only deliver valid UTF-8; a future caller is not so
+		// constrained), with and without the cache's bytes.
+		want := referenceBody(t, query, experts)
 		encoded, err := json.Marshal(experts)
 		if err != nil {
 			t.Fatal(err)
@@ -257,11 +249,11 @@ func FuzzAnswerBytes(f *testing.F) {
 		sc := getScratch()
 		defer sc.release()
 		for _, enc := range [][]byte{nil, encoded} {
-			if err := sc.encodeAnswer(query, baseline, experts, enc); err != nil {
+			if err := sc.encodeAnswer(query, experts, enc); err != nil {
 				t.Fatal(err)
 			}
 			if got := sc.out.Bytes(); !bytes.Equal(got, want) {
-				t.Fatalf("encodeAnswer(%q, %v, %d experts, cached=%v) =\n%q\nwant\n%q", query, baseline, len(experts), enc != nil, got, want)
+				t.Fatalf("encodeAnswer(%q, %d experts, cached=%v) =\n%q\nwant\n%q", query, len(experts), enc != nil, got, want)
 			}
 		}
 	})
@@ -276,17 +268,17 @@ func FuzzAnswerBytes(f *testing.F) {
 func TestCoalescedFollowerBytesIdentical(t *testing.T) {
 	for _, c := range []answerCase{
 		{query: "vintage <cars> & \"bikes\"", experts: manyExperts(60)},
-		{query: "49ers", baseline: true, experts: nil},
+		{query: "49ers", experts: nil},
 	} {
-		target, body, seen := c.requestFor(t)
-		want := referenceBody(t, seen, c.baseline, c.experts)
+		body, seen := c.requestFor(t)
+		want := referenceBody(t, seen, c.experts)
 		coalesced := false
 		for attempt := 0; attempt < 50 && !coalesced; attempt++ {
 			backend := &stubBackend{gate: make(chan struct{}), ranking: func(uint64) []expertise.Expert { return c.experts }}
 			g := newTestGateway(t, backend, serve.DefaultConfig(), nil)
 			bodies := make(chan []byte, 2)
 			ask := func() {
-				status, got := newInproc(t, g, target).do(body)
+				status, got := newInproc(t, g, "/v1/search").do(body)
 				if status != http.StatusOK {
 					t.Errorf("status %d", status)
 				}
@@ -388,7 +380,7 @@ func TestFollowerBudgetExpires504(t *testing.T) {
 
 // TestConcurrentAnswersUnderEpochChurn is the -race hammer for the
 // pooled scratch and the shared cache bytes: concurrent requests for
-// different queries and endpoints while the epoch advances under them
+// different queries while the epoch advances under them
 // and entries are invalidated, refreshed and first-hit. Every body must
 // be the reference encoding of its own query over one of the rankings
 // the backend produces. (Which of them a request may still see is
@@ -422,13 +414,12 @@ func TestConcurrentAnswersUnderEpochChurn(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			// Two clients per cache key so hits on one entry overlap.
-			ac := answerCase{query: hardQueries[c%3], baseline: c%3 == 1}
-			target, body, seen := ac.requestFor(t)
+			body, seen := answerCase{query: hardQueries[c%3]}.requestFor(t)
 			legit := make(map[string]bool, rankings)
 			for e := uint64(0); e < rankings; e++ {
-				legit[string(referenceBody(t, seen, ac.baseline, backend.ranking(e)))] = true
+				legit[string(referenceBody(t, seen, backend.ranking(e)))] = true
 			}
-			p := newInproc(t, g, target)
+			p := newInproc(t, g, "/v1/search")
 			e0 := backend.epoch.Load()
 			for i := 0; i < perClient; i++ {
 				if i == perClient/2 {

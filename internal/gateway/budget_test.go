@@ -33,7 +33,7 @@ func (b *budgetBackend) SearchContext(ctx context.Context, query string) ([]expe
 }
 
 // TestClientMillisNeverWrap pins the conversion of the client-named
-// millisecond count, X-Budget-Ms or ?budget_ms: it is clamped while
+// millisecond count, X-Budget-Ms: it is clamped while
 // still an integer of milliseconds, so a count too large for a
 // time.Duration saturates at MaxBudget instead of wrapping negative —
 // which answered every miss 504 at once.
@@ -59,16 +59,10 @@ func TestClientMillisNeverWrap(t *testing.T) {
 		{math.MaxInt64, maxBudget},
 	} {
 		raw := strconv.FormatInt(c.ms, 10)
-		for _, r := range []*http.Request{
-			httptest.NewRequest(http.MethodPost, "/v1/search", nil),
-			httptest.NewRequest(http.MethodPost, "/v1/search?budget_ms="+raw, nil),
-		} {
-			if r.URL.RawQuery == "" {
-				r.Header.Set("X-Budget-Ms", raw)
-			}
-			if got, err := g.budget(r, r.URL.Query()); err != nil || got != c.budget {
-				t.Errorf("budget of %s ms = %v, %v; want %v", raw, got, err, c.budget)
-			}
+		r := httptest.NewRequest(http.MethodPost, "/v1/search", nil)
+		r.Header.Set("X-Budget-Ms", raw)
+		if got, err := g.budget(r); err != nil || got != c.budget {
+			t.Errorf("budget of %s ms = %v, %v; want %v", raw, got, err, c.budget)
 		}
 	}
 

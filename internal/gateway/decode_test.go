@@ -82,15 +82,11 @@ func (dc *decodeCheck) check(t testing.TB, body string) {
 	if err := json.Unmarshal([]byte(body), &req); err != nil {
 		wantBody = errorJSON(t, "malformed JSON body: "+err.Error())
 	} else {
-		query := req.Query
-		if query == "" {
-			query = strings.Join(req.Terms, " ")
-		}
-		experts, _, err := dc.oracle.Answer(context.Background(), query, false, time.Now().Add(time.Minute))
+		experts, _, err := dc.oracle.Answer(context.Background(), req.Query, time.Now().Add(time.Minute))
 		if err != nil {
 			wantBody = errorJSON(t, err.Error())
 		} else {
-			wantStatus, wantBody = http.StatusOK, referenceBody(t, query, false, experts)
+			wantStatus, wantBody = http.StatusOK, referenceBody(t, req.Query, experts)
 		}
 		wantQuery = dc.oracleBackend.take()
 	}

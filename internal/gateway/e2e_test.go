@@ -224,10 +224,9 @@ func TestGatewayRemoteStalledShard504(t *testing.T) {
 // TestPartialAnswerLabelled pins how a degraded answer crosses the
 // front door: with shard 1 of two killed, /v1/search answers 200 with
 // exactly what shard 0 alone ranks and a body that adds
-// "partial":true and the missing shard's index, for e# and baseline
-// alike; once the shard heals, the same requests get whole answers,
-// byte-identical to the unlabelled encoding — nothing partial was
-// cached.
+// "partial":true and the missing shard's index; once the shard heals,
+// the same request gets the whole answer, byte-identical to the
+// unlabelled encoding — nothing partial was cached.
 func TestPartialAnswerLabelled(t *testing.T) {
 	p, sets := testPipeline(t)
 	icfg := ingest.Config{DisableCompactor: true}
@@ -241,37 +240,23 @@ func TestPartialAnswerLabelled(t *testing.T) {
 
 	q := sets[0].Queries[0]
 	body := `{"query":` + strconv.Quote(q) + `}`
-	search := func(baseline bool) []byte {
+	search := func() []byte {
 		t.Helper()
-		url := hs.URL + "/v1/search"
-		if baseline {
-			url += "?baseline=1"
-		}
-		resp := post(t, url, "reader", body, nil)
+		resp := post(t, hs.URL+"/v1/search", "reader", body, nil)
 		wantStatus(t, resp, http.StatusOK)
 		got, _ := io.ReadAll(resp.Body)
 		return got
 	}
 	dying.Kill()
-	for _, baseline := range []bool{false, true} {
-		want := alone.SearchBaseline(q)
-		if !baseline {
-			want, _ = alone.Search(q)
-		}
-		whole := referenceBody(t, q, baseline, want)
-		labelled := append(whole[:len(whole)-2:len(whole)-2], `,"partial":true,"missing_shards":[1]}`+"\n"...)
-		if got := search(baseline); !bytes.Equal(got, labelled) {
-			t.Fatalf("baseline=%v with shard 1 dead:\n  got  %s\n  want %s", baseline, got, labelled)
-		}
+	want, _ := alone.Search(q)
+	whole := referenceBody(t, q, want)
+	labelled := append(whole[:len(whole)-2:len(whole)-2], `,"partial":true,"missing_shards":[1]}`+"\n"...)
+	if got := search(); !bytes.Equal(got, labelled) {
+		t.Fatalf("with shard 1 dead:\n  got  %s\n  want %s", got, labelled)
 	}
 	dying.Heal()
-	for _, baseline := range []bool{false, true} {
-		want := det.SearchBaseline(q)
-		if !baseline {
-			want, _ = det.Search(q)
-		}
-		if got, whole := search(baseline), referenceBody(t, q, baseline, want); !bytes.Equal(got, whole) {
-			t.Fatalf("baseline=%v after heal:\n  got  %s\n  want %s", baseline, got, whole)
-		}
+	want, _ = det.Search(q)
+	if got, whole := search(), referenceBody(t, q, want); !bytes.Equal(got, whole) {
+		t.Fatalf("after heal:\n  got  %s\n  want %s", got, whole)
 	}
 }

@@ -4,10 +4,9 @@
 // authenticated clients, per-client rate limits and daily quotas, and a
 // latency budget per request.
 //
-// The request surface is one route:
+// The request surface is one route in one spelling:
 //
-//	POST /v1/search            {"query": "vintage cars"} → ranked experts
-//	POST /v1/search?baseline=1 the unexpanded Pal & Counts baseline
+//	POST /v1/search {"query": "vintage cars"} → ranked e# experts
 //
 // Every other path is 404, whatever the token. Internal state — the
 // serving layer's and the gateway's counters, the slow-query log and
@@ -17,8 +16,8 @@
 // Every request carries "Authorization: Bearer <token>"; tokens are
 // provisioned in Config.Tokens with a token-bucket rate and a UTC-daily
 // quota. The refusal ladder is strict HTTP: 401 for no/unknown token,
-// 429 with Retry-After for a rate or quota trip, 400 for a malformed
-// body or a degenerate query (serve.ErrEmptyQuery,
+// 429 with Retry-After for a rate or quota trip, 400 for a query
+// string, a malformed body or a degenerate query (serve.ErrEmptyQuery,
 // serve.ErrTooManyTerms), 413 for a body over 1 MiB, 503 with
 // Retry-After when the serving layer sheds a cold miss under overload
 // (serve.ErrOverloaded — warm cache hits are still answered), and 504
@@ -30,10 +29,10 @@
 // The body is read whole and must be exactly one JSON object: anything
 // but whitespace after it is a malformed body (400), not ignored.
 //
-// The budget is the deadline-propagation spine: X-Budget-Ms (or
-// ?budget_ms), clamped to Config.MaxBudget, becomes a deadline handed
-// to serve.Server.Answer, which arms it only once the request has
-// missed the cache; from there it rides the context into the sharded
+// The budget is the deadline-propagation spine: X-Budget-Ms, clamped
+// to Config.MaxBudget, becomes a deadline handed to
+// serve.Server.Answer, which arms it only once the request has missed
+// the cache; from there it rides the context into the sharded
 // detector's scatter-gather and into per-RPC deadlines on every remote
 // shard — a stalled shard costs the client its budget, never more, and
 // cancellation releases every pinned snapshot with no goroutine left
@@ -44,8 +43,7 @@
 // auth, the body decode and one Write: the cache entry carries its
 // ranking's JSON, the handler wraps it in pooled scratch, and nothing
 // else is allocated per request that encoding/json and net/http do not
-// force (no context, no encoder or decoder state, no query-string parse,
-// no closure).
+// force (no context, no encoder or decoder state, no closure).
 //
 // Results are the serving layer's verbatim: at quiescence the experts
 // in the JSON body are bit-identical (modulo the JSON number round
@@ -59,9 +57,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -107,7 +103,7 @@ type Stats struct {
 	Unauthorized  int64 // 401: missing or unknown bearer token
 	RateLimited   int64 // 429: token bucket empty
 	QuotaExceeded int64 // 429: UTC-daily quota spent
-	BadRequest    int64 // 400/405: malformed body, degenerate query, wrong method
+	BadRequest    int64 // 400/405: query string, malformed body, degenerate query, wrong method
 	Shed          int64 // 503: serving layer shed a cold miss under overload
 	Timeout       int64 // 504: latency budget expired
 	BackendErrors int64 // 502: backend failed for another reason
@@ -241,17 +237,13 @@ func (g *Gateway) authenticate(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// budget resolves the request's latency budget: X-Budget-Ms header,
-// then ?budget_ms, then Config.DefaultBudget; client values are
-// clamped to (0, Config.MaxBudget]. The ceiling is applied in integer
+// budget resolves the request's latency budget: the X-Budget-Ms header,
+// else Config.DefaultBudget; client values are clamped to
+// (0, Config.MaxBudget]. The ceiling is applied in integer
 // milliseconds, before the multiplication, so a huge count saturates
-// at MaxBudget instead of wrapping negative. params is the parsed
-// query string, nil when the URL has none.
-func (g *Gateway) budget(r *http.Request, params url.Values) (time.Duration, error) {
+// at MaxBudget instead of wrapping negative.
+func (g *Gateway) budget(r *http.Request) (time.Duration, error) {
 	raw := r.Header.Get("X-Budget-Ms")
-	if raw == "" {
-		raw = params.Get("budget_ms")
-	}
 	if raw == "" {
 		return g.cfg.DefaultBudget, nil
 	}
@@ -265,12 +257,9 @@ func (g *Gateway) budget(r *http.Request, params url.Values) (time.Duration, err
 	return time.Duration(ms) * time.Millisecond, nil
 }
 
-// searchRequest is the POST /v1/search body. Terms, when Query is
-// absent, are joined into one query — the two spellings are
-// equivalent, and under the canonical cache key so is every ordering.
+// searchRequest is the POST /v1/search body.
 type searchRequest struct {
-	Query string   `json:"query"`
-	Terms []string `json:"terms"`
+	Query string `json:"query"`
 }
 
 // maxBody caps the request body; a longer one is answered 413.
@@ -342,13 +331,13 @@ func (sc *scratch) decode() error {
 
 // encodeAnswer assembles the 200 body in sc.out:
 //
-//	{"query":…[,"baseline":true],"experts":[…]}\n
+//	{"query":…,"experts":[…]}\n
 //
 // byte for byte what json.NewEncoder(w).Encode of the equivalent struct
 // would send. encoded is the cache's json.Marshal of experts when it
 // has one; otherwise experts are encoded here ("[]" for none, never
 // null).
-func (sc *scratch) encodeAnswer(query string, baseline bool, experts []expertise.Expert, encoded []byte) error {
+func (sc *scratch) encodeAnswer(query string, experts []expertise.Expert, encoded []byte) error {
 	out := &sc.out
 	out.Reset()
 	out.WriteString(`{"query":`)
@@ -357,9 +346,6 @@ func (sc *scratch) encodeAnswer(query string, baseline bool, experts []expertise
 		return err
 	}
 	out.Truncate(out.Len() - 1) // the encoder ends every value with a newline
-	if baseline {
-		out.WriteString(`,"baseline":true`)
-	}
 	out.WriteString(`,"experts":`)
 	switch {
 	case encoded != nil:
@@ -411,6 +397,11 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if !g.authenticate(w, r) {
 		return
 	}
+	if r.URL.RawQuery != "" {
+		g.badRequest.Add(1)
+		fail(w, http.StatusBadRequest, "the search route takes no query parameters", 0)
+		return
+	}
 	sc := getScratch()
 	defer sc.release()
 	_, err := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody))
@@ -428,16 +419,7 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	query := sc.req.Query
-	if query == "" {
-		// Join with spaces: tokenization splits right back, so
-		// {"terms":["a","b"]} ≡ {"query":"a b"}.
-		query = strings.Join(sc.req.Terms, " ")
-	}
-	var params url.Values
-	if r.URL.RawQuery != "" {
-		params = r.URL.Query()
-	}
-	budget, err := g.budget(r, params)
+	budget, err := g.budget(r)
 	if err != nil {
 		g.badRequest.Add(1)
 		fail(w, http.StatusBadRequest, err.Error(), 0)
@@ -446,13 +428,7 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// The budget's clock starts here; serve arms it only if the request
 	// misses the cache.
 	deadline := time.Now().Add(budget)
-	baseline := false
-	switch params.Get("baseline") {
-	case "", "0", "false":
-	default:
-		baseline = true
-	}
-	experts, encoded, err := g.srv.Answer(r.Context(), query, baseline, deadline)
+	experts, encoded, err := g.srv.Answer(r.Context(), query, deadline)
 	// A type assertion, not errors.As: Answer returns the partial error
 	// bare, and taking the address of a target would cost every request
 	// an allocation.
@@ -463,7 +439,7 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if err == nil {
 		// Unencodable only if a score is not finite — a detector bug,
 		// reported like any other backend failure.
-		err = sc.encodeAnswer(query, baseline, experts, encoded)
+		err = sc.encodeAnswer(query, experts, encoded)
 	}
 	if err == nil && partial != nil {
 		sc.labelPartial(partial.Missing)

@@ -56,15 +56,6 @@ func (b *stubBackend) SearchContext(ctx context.Context, query string) ([]expert
 	return b.answer(), core.SearchTrace{Query: query}, nil
 }
 
-func (b *stubBackend) SearchBaselineContext(ctx context.Context, query string) ([]expertise.Expert, core.MissingShards, error) {
-	if b.stall {
-		b.calls.Add(1)
-		<-ctx.Done()
-		return nil, 0, ctx.Err()
-	}
-	return b.answer(), 0, nil
-}
-
 // newTestGateway wires backend → serve → gateway with an unlimited
 // reader token; tests that need no network drive it through
 // ServeHTTP.
@@ -251,7 +242,12 @@ func TestBadRequests(t *testing.T) {
 	wantStatus(t, post(t, search, "reader", `{"query":"`+strings.Repeat("a ", 64)+`b"}`, nil), http.StatusBadRequest)
 	wantStatus(t, post(t, search, "reader", `{"query":"ok"}`,
 		map[string]string{"X-Budget-Ms": "banana"}), http.StatusBadRequest)
+	// One spelling: no query string (not even the budget, which is the
+	// header's) and no "terms" body, which decodes to an empty query.
 	wantStatus(t, post(t, search+"?budget_ms=-5", "reader", `{"query":"ok"}`, nil), http.StatusBadRequest)
+	wantStatus(t, post(t, search+"?budget_ms=5", "reader", `{"query":"ok"}`, nil), http.StatusBadRequest)
+	wantStatus(t, post(t, search+"?baseline=1", "reader", `{"query":"ok"}`, nil), http.StatusBadRequest)
+	wantStatus(t, post(t, search, "reader", `{"terms":["a"]}`, nil), http.StatusBadRequest)
 	// The body is one JSON object and nothing else...
 	wantStatus(t, post(t, search, "reader", `{"query":"ok"} trailing`, nil), http.StatusBadRequest)
 	wantStatus(t, post(t, search, "reader", `{"query":"ok"}{"query":"two"}`, nil), http.StatusBadRequest)
@@ -260,47 +256,39 @@ func TestBadRequests(t *testing.T) {
 	wantStatus(t, post(t, search, "reader", `{"query":"`+strings.Repeat("a", maxBody)+`"}`, nil), http.StatusRequestEntityTooLarge)
 	wantStatus(t, post(t, search, "reader", `{"query":"ok","pad":"`+strings.Repeat("a", maxBody-30)+`"}`, nil), http.StatusOK)
 
-	if st := g.Stats(); st.BadRequest != 9 || st.OK != 2 {
-		t.Fatalf("BadRequest = %d, OK = %d, want 9 and 2: %+v", st.BadRequest, st.OK, st)
+	if st := g.Stats(); st.BadRequest != 12 || st.OK != 2 {
+		t.Fatalf("BadRequest = %d, OK = %d, want 12 and 2: %+v", st.BadRequest, st.OK, st)
 	}
 	checkStatsInvariant(t, g)
 }
 
-func TestSearchTermsAndBaseline(t *testing.T) {
+// TestSearchCanonicalClass pins the cache key through the front door:
+// two spellings of one token set are one backend computation and one
+// answer.
+func TestSearchCanonicalClass(t *testing.T) {
 	backend := &stubBackend{}
 	_, hs := testGateway(t, backend, serve.DefaultConfig(), nil)
 	search := hs.URL + "/v1/search"
 
-	decode := func(resp *http.Response) searchResponse {
+	experts := func(body string) []byte {
 		t.Helper()
+		resp := post(t, search, "reader", body, nil)
 		wantStatus(t, resp, http.StatusOK)
 		var out searchResponse
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			t.Fatal(err)
 		}
-		return out
+		if len(out.Experts) == 0 {
+			t.Fatal("no experts returned")
+		}
+		b, _ := json.Marshal(out.Experts)
+		return b
 	}
-	byQuery := decode(post(t, search, "reader", `{"query":"vintage cars"}`, nil))
-	byTerms := decode(post(t, search, "reader", `{"terms":["cars","vintage"]}`, nil))
-	if len(byQuery.Experts) == 0 {
-		t.Fatal("no experts returned")
+	if a, b := experts(`{"query":"cars vintage"}`), experts(`{"query":"vintage cars"}`); !bytes.Equal(a, b) {
+		t.Fatal("permuted query diverged")
 	}
-	a, _ := json.Marshal(byQuery.Experts)
-	b, _ := json.Marshal(byTerms.Experts)
-	if !bytes.Equal(a, b) {
-		t.Fatal("terms spelling diverged from query spelling")
-	}
-	// Same canonical class → one backend computation.
 	if calls := backend.calls.Load(); calls != 1 {
 		t.Fatalf("backend ran %d times for one canonical class, want 1", calls)
-	}
-
-	base := decode(post(t, search+"?baseline=1", "reader", `{"query":"vintage cars"}`, nil))
-	if !base.Baseline {
-		t.Fatal("baseline response not flagged")
-	}
-	if calls := backend.calls.Load(); calls != 2 {
-		t.Fatalf("baseline did not compute separately (calls=%d)", calls)
 	}
 }
 

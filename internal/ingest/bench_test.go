@@ -126,36 +126,28 @@ func BenchmarkDiskCompactMerge(b *testing.B) {
 
 // benchLiveSearch measures steady-state query latency over a live
 // index holding the base corpus plus 2048 streamed posts.
-func benchLiveSearch(b *testing.B, query string, baseline bool, cfg ingest.Config) {
+func benchLiveSearch(b *testing.B, query string, cfg ingest.Config) {
 	p, idx := benchIndex(b, 2048, cfg)
 	defer idx.Close()
 	live := core.NewLiveDetector(p.Collection, idx, p.Cfg.Online)
 	var n int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if baseline {
-			n = len(live.SearchBaseline(query))
-		} else {
-			results, _ := live.Search(query)
-			n = len(results)
-		}
+		results, _ := live.Search(query)
+		n = len(results)
 	}
 	b.ReportMetric(float64(n), "experts")
 	b.ReportMetric(float64(idx.Snapshot().NumSegments()), "segments")
 }
 
 func BenchmarkLiveSearchESharp(b *testing.B) {
-	benchLiveSearch(b, "49ers", false, ingest.DefaultConfig())
-}
-
-func BenchmarkLiveSearchBaseline(b *testing.B) {
-	benchLiveSearch(b, "49ers", true, ingest.DefaultConfig())
+	benchLiveSearch(b, "49ers", ingest.DefaultConfig())
 }
 
 // BenchmarkLiveSearchFragmented holds the same content in many small
 // never-compacted segments — the read-path cost compaction removes.
 func BenchmarkLiveSearchFragmented(b *testing.B) {
-	benchLiveSearch(b, "49ers", false,
+	benchLiveSearch(b, "49ers",
 		ingest.Config{SealThreshold: 64, CompactFanIn: 4, DisableCompactor: true})
 }
 

@@ -310,12 +310,7 @@ func TestDiskConcurrentIngestSearchCompaction(t *testing.T) {
 					return
 				}
 				lastEpoch = snap.Epoch()
-				q := queries[(g+i)%len(queries)]
-				if i%3 == 0 {
-					live.SearchBaseline(q)
-				} else {
-					live.Search(q)
-				}
+				live.Search(queries[(g+i)%len(queries)])
 			}
 		}(g)
 	}
@@ -457,7 +452,6 @@ func TestBacklogBoundedUnderFastWriter(t *testing.T) {
 			if gotTrace.MatchedTweets != wantTrace.MatchedTweets {
 				t.Fatalf("esharp %q: live matched %d tweets, cold %d", q, gotTrace.MatchedTweets, wantTrace.MatchedTweets)
 			}
-			expertsIdentical(t, "baseline", q, live.SearchBaseline(q), cold.SearchBaseline(q))
 		}
 	}
 }

@@ -429,13 +429,7 @@ func TestConcurrentIngestSearchCompaction(t *testing.T) {
 					return
 				}
 				lastEpoch, lastTweets = snap.Epoch(), snap.NumTweets()
-				q := queries[(g+i)%len(queries)]
-				var experts []expertise.Expert
-				if i%3 == 0 {
-					experts = live.SearchBaseline(q)
-				} else {
-					experts, _ = live.Search(q)
-				}
+				experts, _ := live.Search(queries[(g+i)%len(queries)])
 				if maxResults > 0 && len(experts) > maxResults {
 					errs <- errInvariant("result cap exceeded")
 					stop.Store(true)

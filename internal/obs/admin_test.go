@@ -79,7 +79,7 @@ func TestAdminHealthz(t *testing.T) {
 func TestAdminStatsJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("queries").Add(7)
-	sl := NewSlowLog(4, 0)
+	sl := NewSlowLog(4)
 	sl.Record(QueryTrace{Query: "storm", TotalNS: 123, Outcome: OutcomeMiss, Start: time.Unix(0, 0)})
 	type fakeStats struct {
 		Segments int `json:"segments"`

@@ -33,10 +33,10 @@ func BenchmarkObsCounterInc(b *testing.B) {
 	}
 }
 
-// BenchmarkObsSlowLogFast measures the fast-majority SlowLog path: a
-// trace below threshold takes one branch and no lock.
-func BenchmarkObsSlowLogFast(b *testing.B) {
-	l := NewSlowLog(64, 1<<40)
+// BenchmarkObsSlowLogRecord measures the per-request SlowLog path:
+// one lock and one trace copy into a full ring.
+func BenchmarkObsSlowLogRecord(b *testing.B) {
+	l := NewSlowLog(64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		l.Record(QueryTrace{TotalNS: int64(i & 1023)})

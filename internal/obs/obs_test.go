@@ -48,7 +48,7 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	}
 	var l *SlowLog
 	l.Record(QueryTrace{TotalNS: 1})
-	if traces, total := l.Since(0); traces != nil || total != 0 || l.Snapshot() != nil || l.Threshold() != 0 {
+	if traces, total := l.Since(0); traces != nil || total != 0 || l.Snapshot() != nil {
 		t.Fatal("nil slow log recorded")
 	}
 
@@ -247,17 +247,13 @@ func TestSnapshotCallbackMayUseRegistry(t *testing.T) {
 	}
 }
 
-func TestSlowLogThresholdAndRing(t *testing.T) {
-	l := NewSlowLog(3, 100*time.Nanosecond)
-	if l.Threshold() != 100*time.Nanosecond {
-		t.Fatalf("threshold = %v", l.Threshold())
-	}
-	l.Record(QueryTrace{Query: "fast", TotalNS: 99}) // below threshold: dropped
+func TestSlowLogRing(t *testing.T) {
+	l := NewSlowLog(3)
 	for i := 0; i < 5; i++ {
-		l.Record(QueryTrace{Query: fmt.Sprintf("q%d", i), TotalNS: int64(100 + i)})
+		l.Record(QueryTrace{Query: fmt.Sprintf("q%d", i), TotalNS: int64(i)})
 	}
 	if _, got := l.Since(0); got != 5 {
-		t.Fatalf("total = %d, want 5 (fast query must not count)", got)
+		t.Fatalf("total = %d, want 5", got)
 	}
 	snap := l.Snapshot()
 	if len(snap) != 3 {
@@ -271,8 +267,11 @@ func TestSlowLogThresholdAndRing(t *testing.T) {
 	}
 }
 
+// TestSlowLogZeroThresholdKeepsAll: the ring has no latency threshold —
+// a zero-latency trace is kept like any other — and its size clamps to
+// at least 1.
 func TestSlowLogZeroThresholdKeepsAll(t *testing.T) {
-	l := NewSlowLog(0, 0) // size clamps to 1
+	l := NewSlowLog(0) // size clamps to 1
 	l.Record(QueryTrace{Query: "a", TotalNS: 0})
 	l.Record(QueryTrace{Query: "b", TotalNS: 0})
 	if _, total := l.Since(0); total != 2 {
@@ -285,7 +284,7 @@ func TestSlowLogZeroThresholdKeepsAll(t *testing.T) {
 }
 
 func TestSlowLogConcurrent(t *testing.T) {
-	l := NewSlowLog(8, 0)
+	l := NewSlowLog(8)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -312,7 +311,7 @@ func TestSlowLogConcurrent(t *testing.T) {
 // whatever lands in between, repeating one trace and dropping another.
 func TestSlowLogSinceExactlyOnce(t *testing.T) {
 	const writers, perWriter = 8, 250
-	l := NewSlowLog(4096, 0)
+	l := NewSlowLog(4096)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)

@@ -40,17 +40,14 @@ type ShardSpan struct {
 // QueryTrace is one query's end-to-end record: total latency, the
 // serving-layer cache outcome, and — for scatter-gather backends with
 // a registry attached — the per-shard spans plus the global merge/rank
-// time. The serving layer keeps the slow ones in a SlowLog ring.
+// time. The serving layer keeps the latest ones in a SlowLog ring.
 type QueryTrace struct {
-	// Query is the normalized query text; Baseline marks the
-	// unexpanded Pal & Counts endpoint.
-	Query    string `json:"query"`
-	Baseline bool   `json:"baseline,omitempty"`
+	// Query is the normalized query text.
+	Query string `json:"query"`
 	// TermSet is the key the answer was cached and coalesced under: the
 	// terms the search matched — the query's and its expansion's, each
-	// in canonical form, sorted and tab-separated (domains.TermSet.Key)
-	// — or the canonical query alone on the baseline endpoint. Traces
-	// with equal TermSet and Baseline shared one answer.
+	// in canonical form, sorted and tab-separated (domains.TermSet.Key).
+	// Traces with equal TermSet shared one answer.
 	TermSet string `json:"term_set,omitempty"`
 	// Start is when the serving layer admitted the request.
 	Start time.Time `json:"start"`
@@ -73,42 +70,25 @@ type QueryTrace struct {
 	Shards []ShardSpan `json:"shards,omitempty"`
 }
 
-// SlowLog is a fixed-size ring of the most recent query traces that
-// crossed a latency threshold. Record is cheap for the fast majority —
-// one branch against the threshold, no lock taken — and the ring holds
-// the evidence an operator needs when tail latency moves: which
-// queries, which shards, cache outcome, where the time went. All
+// SlowLog is a fixed-size ring of the most recent query traces, every
+// request's: the evidence an operator needs when tail latency moves —
+// which queries, which shards, cache outcome, where the time went. All
 // methods are safe for concurrent use and nil-safe.
 type SlowLog struct {
-	threshold int64 // ns; traces at or above it are kept
-	mu        sync.Mutex
-	ring      []QueryTrace
-	next      int   // ring write cursor
-	total     int64 // traces recorded since construction
+	mu    sync.Mutex
+	ring  []QueryTrace
+	next  int   // ring write cursor
+	total int64 // traces recorded since construction
 }
 
-// NewSlowLog returns a ring of size entries keeping traces whose total
-// latency is at least threshold. Size is clamped to at least 1; a zero
-// threshold keeps everything (useful in tests and demos).
-func NewSlowLog(size int, threshold time.Duration) *SlowLog {
-	if size < 1 {
-		size = 1
-	}
-	return &SlowLog{threshold: int64(threshold), ring: make([]QueryTrace, 0, size)}
+// NewSlowLog returns a ring of size entries, clamped to at least 1.
+func NewSlowLog(size int) *SlowLog {
+	return &SlowLog{ring: make([]QueryTrace, 0, max(size, 1))}
 }
 
-// Threshold returns the minimum total latency a kept trace has.
-func (l *SlowLog) Threshold() time.Duration {
-	if l == nil {
-		return 0
-	}
-	return time.Duration(l.threshold)
-}
-
-// Record keeps t if it crosses the threshold, evicting the oldest
-// entry when the ring is full.
+// Record keeps t, evicting the oldest entry when the ring is full.
 func (l *SlowLog) Record(t QueryTrace) {
-	if l == nil || t.TotalNS < l.threshold {
+	if l == nil {
 		return
 	}
 	l.mu.Lock()

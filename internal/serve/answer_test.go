@@ -49,7 +49,7 @@ func TestAnswerBytesByOutcome(t *testing.T) {
 		s := New(backend, DefaultConfig())
 		ask := func() ([]expertise.Expert, []byte) {
 			t.Helper()
-			experts, encoded, err := s.Answer(context.Background(), "Rust  go", false, time.Time{})
+			experts, encoded, err := s.Answer(context.Background(), "Rust  go", time.Time{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,7 +69,7 @@ func TestAnswerBytesByOutcome(t *testing.T) {
 		if &first[0] != &later[0] {
 			t.Fatal("a later hit re-encoded the entry instead of sharing the first hit's bytes")
 		}
-		// Search and SearchBaseline never ask for bytes.
+		// Search never asks for bytes.
 		s.Search("go rust")
 		backend.epoch.Add(1)
 		if _, encoded := ask(); encoded != nil {
@@ -86,7 +86,7 @@ func TestAnswerBytesByOutcome(t *testing.T) {
 		// keep bytes in.
 		off := New(&rankingBackend{ranking: ranking}, Config{})
 		for i := 0; i < 3; i++ {
-			if _, encoded, err := off.Answer(context.Background(), "rust go", true, time.Time{}); err != nil || encoded != nil {
+			if _, encoded, err := off.Answer(context.Background(), "rust go", time.Time{}); err != nil || encoded != nil {
 				t.Fatalf("cache off: bytes %q, err %v", encoded, err)
 			}
 		}
@@ -105,7 +105,7 @@ func TestCoalescedFollowerHasNoBytes(t *testing.T) {
 		}
 		results := make(chan result, 2)
 		ask := func() {
-			experts, encoded, err := s.Answer(context.Background(), "niners", false, time.Time{})
+			experts, encoded, err := s.Answer(context.Background(), "niners", time.Time{})
 			if err != nil {
 				t.Error(err)
 			}
@@ -148,7 +148,7 @@ func TestBudgetArmedOnlyOnMiss(t *testing.T) {
 	ctx := context.Background()
 
 	deadline := time.Now().Add(time.Hour)
-	if _, _, err := s.Answer(ctx, "storm", false, deadline); err != nil {
+	if _, _, err := s.Answer(ctx, "storm", deadline); err != nil {
 		t.Fatal(err)
 	}
 	if !backend.armed || !backend.deadline.Equal(deadline) {
@@ -156,15 +156,15 @@ func TestBudgetArmedOnlyOnMiss(t *testing.T) {
 	}
 	// A hit is served even though its deadline passed long ago...
 	past := time.Now().Add(-time.Hour)
-	if _, encoded, err := s.Answer(ctx, "storm", false, past); err != nil || encoded == nil {
+	if _, encoded, err := s.Answer(ctx, "storm", past); err != nil || encoded == nil {
 		t.Fatalf("warm hit under an expired deadline: bytes %q, err %v", encoded, err)
 	}
 	// ...the same deadline on a miss is the backend's to honour...
-	if _, _, err := s.Answer(ctx, "calm", false, past); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := s.Answer(ctx, "calm", past); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("cold miss under an expired deadline: err = %v, want DeadlineExceeded", err)
 	}
 	// ...and no deadline at all leaves the caller's context alone.
-	if _, _, err := s.Answer(ctx, "breeze", false, time.Time{}); err != nil || backend.armed {
+	if _, _, err := s.Answer(ctx, "breeze", time.Time{}); err != nil || backend.armed {
 		t.Fatalf("zero deadline: err %v, backend saw a deadline: %v", err, backend.armed)
 	}
 
@@ -173,20 +173,20 @@ func TestBudgetArmedOnlyOnMiss(t *testing.T) {
 	backend.gate = make(chan struct{})
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, err := s.Answer(ctx, "gale", false, time.Now().Add(time.Hour))
+		_, _, err := s.Answer(ctx, "gale", time.Now().Add(time.Hour))
 		leaderDone <- err
 	}()
 	for backend.calls.Load() < 4 {
 		time.Sleep(time.Millisecond)
 	}
-	if _, _, err := s.Answer(ctx, "gale", false, time.Now().Add(10*time.Millisecond)); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := s.Answer(ctx, "gale", time.Now().Add(10*time.Millisecond)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("follower past its deadline: err = %v, want DeadlineExceeded", err)
 	}
 	close(backend.gate)
 	if err := <-leaderDone; err != nil {
 		t.Fatalf("leader: %v", err)
 	}
-	if _, encoded, err := s.Answer(ctx, "gale", false, past); err != nil || encoded == nil {
+	if _, encoded, err := s.Answer(ctx, "gale", past); err != nil || encoded == nil {
 		t.Fatalf("leader's result not cached after the follower gave up: bytes %q, err %v", encoded, err)
 	}
 	checkInvariant(t, s)
@@ -212,11 +212,11 @@ func TestWarmHitAllocs(t *testing.T) {
 		{"  Schedule  49ERS ", 4}, // lower-cased copy, fields, normal form, canonical key
 	} {
 		for i := 0; i < 2; i++ {
-			if _, _, err := s.Answer(ctx, c.query, false, deadline); err != nil {
+			if _, _, err := s.Answer(ctx, c.query, deadline); err != nil {
 				t.Fatal(err)
 			}
 		}
-		allocs := testing.AllocsPerRun(200, func() { s.Answer(ctx, c.query, false, deadline) })
+		allocs := testing.AllocsPerRun(200, func() { s.Answer(ctx, c.query, deadline) })
 		// Under the race detector sync.Pool drops a quarter of the vector
 		// buffers.
 		if allocs != c.want && !(race.Enabled && allocs <= c.want+1) {
@@ -231,7 +231,7 @@ func TestWarmHitAllocs(t *testing.T) {
 			continue // not in canonical form, or beyond the expansion cap
 		}
 		misses := s.Stats().CacheMisses
-		allocs := testing.AllocsPerRun(200, func() { s.Answer(ctx, sibling, false, deadline) })
+		allocs := testing.AllocsPerRun(200, func() { s.Answer(ctx, sibling, deadline) })
 		if allocs != 0 && !(race.Enabled && allocs <= 1) || s.Stats().CacheMisses != misses {
 			t.Errorf("%q, a sibling of the cached 49ers: %v allocs, %d misses; want a free hit", sibling, allocs, s.Stats().CacheMisses-misses)
 		}
@@ -286,7 +286,7 @@ func TestHitsUnderEpochChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perReader; i++ {
 				e0 := backend.epoch.Load()
-				experts, encoded, err := s.Answer(context.Background(), siblings[(r+i)%len(siblings)], false, time.Now().Add(time.Minute))
+				experts, encoded, err := s.Answer(context.Background(), siblings[(r+i)%len(siblings)], time.Now().Add(time.Minute))
 				e1 := backend.epoch.Load()
 				if err != nil || len(experts) != 1 {
 					t.Errorf("Answer = %v, %v", experts, err)
@@ -345,7 +345,7 @@ func TestSlotOutlivesItsContents(t *testing.T) {
 	s := New(backend, Config{CacheSize: 2})
 	past := time.Now().Add(-time.Hour)
 	ask := func(query string, deadline time.Time) error {
-		_, _, err := s.Answer(context.Background(), query, false, deadline)
+		_, _, err := s.Answer(context.Background(), query, deadline)
 		return err
 	}
 	want := func(step string, entries int, invalidations, misses, hits int64) {

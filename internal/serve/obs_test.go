@@ -110,12 +110,6 @@ func TestServerObsTracesAndMetrics(t *testing.T) {
 		t.Errorf("merge/rank timing inconsistent: %+v", miss)
 	}
 
-	// The baseline does not expand: its term set is the query alone.
-	s.SearchBaseline("49ers")
-	if tr := s.SlowLog().Snapshot()[0]; !tr.Baseline || tr.TermSet != "49ers" {
-		t.Errorf("baseline trace = %+v, want term set \"49ers\"", tr)
-	}
-
 	// Instrumentation must not change rankings: an un-instrumented
 	// server over the same detector agrees bit for bit. (Run last —
 	// this search moves the shared detector's histograms.)
@@ -125,26 +119,22 @@ func TestServerObsTracesAndMetrics(t *testing.T) {
 	}
 }
 
-// TestServerObsBaselineAndThreshold checks the baseline label, that the
-// counters move, and that the ring's threshold is zero: every request
-// is kept.
-func TestServerObsBaselineAndThreshold(t *testing.T) {
+// TestServerObsKeepsEveryRequest checks that the counters move and that
+// the ring keeps every request, however fast.
+func TestServerObsKeepsEveryRequest(t *testing.T) {
 	p := testPipeline(t)
 	reg := obs.NewRegistry()
 	s := New(frozenBackend(p), Config{CacheSize: 4, Obs: reg})
 
-	s.SearchBaseline("nfl")
+	s.Search("nfl")
 	if got := obsRow(t, reg, "serve_queries"); got != 1 {
 		t.Errorf("serve_queries = %d, want 1", got)
 	}
 	if got := obsRow(t, reg, "serve_request_ns_count"); got != 1 {
 		t.Errorf("serve_request_ns_count = %d, want 1", got)
 	}
-	if got := s.SlowLog().Snapshot(); len(got) != 1 || !got[0].Baseline || got[0].Query != "nfl" {
-		t.Errorf("slow log = %+v, want the one baseline trace for \"nfl\"", got)
-	}
-	if s.SlowLog().Threshold() != 0 {
-		t.Errorf("threshold = %v, want 0", s.SlowLog().Threshold())
+	if got := s.SlowLog().Snapshot(); len(got) != 1 || got[0].Query != "nfl" {
+		t.Errorf("slow log = %+v, want the one trace for \"nfl\"", got)
 	}
 }
 

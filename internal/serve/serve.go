@@ -8,9 +8,9 @@
 // package models that stage so serving throughput can be measured and
 // improved PR over PR under both read-only and mixed read/write load.
 //
-// A Server multiplexes concurrent Search and SearchBaseline requests
-// over one Backend and fronts them with an LRU result cache keyed on
-// what determines the answer. e# expands a query to the members of its
+// A Server multiplexes concurrent e# requests over one Backend and
+// fronts them with an LRU result cache keyed on what determines the
+// answer. e# expands a query to the members of its
 // expertise domain and ranks the union of their matches once, so the
 // answer is a function of the expanded term set, not of the query
 // string: at admission the server canonicalizes the query — lower-cased
@@ -22,9 +22,8 @@
 // so is every member query of a domain small enough to expand to all of
 // itself: they share a cache slot and coalesce onto a single in-flight
 // computation, and a write invalidates their answer once, not once per
-// spelling. The baseline endpoint does not expand — its term set is the
-// query — and keys on the canonical query alone. The backend still
-// receives the normalized, order-preserving text.
+// spelling. The backend still receives the normalized, order-preserving
+// text.
 //
 // The key space is therefore small and closed, and a cache slot
 // outlives its contents. A slot is created the first time its key is
@@ -99,16 +98,11 @@ import (
 // makes. core.ShardedLiveDetector is the implementation; tests
 // substitute stubs.
 type Backend interface {
-	// SearchContext and SearchBaselineContext run one e# or baseline
-	// query under the caller's deadline; the sharded detector threads
-	// the context down its scatter-gather into per-shard RPC deadlines.
-	// An answer some shards were missing from names them
-	// (SearchTrace.Missing): the server never caches it.
+	// SearchContext runs one e# query under the caller's deadline; the
+	// sharded detector threads the context down its scatter-gather into
+	// per-shard RPC deadlines. An answer some shards were missing from
+	// names them (SearchTrace.Missing): the server never caches it.
 	SearchContext(ctx context.Context, query string) ([]expertise.Expert, core.SearchTrace, error)
-	// SearchBaselineContext is the unexpanded Pal & Counts twin of
-	// SearchContext: the query's own matches, ranked the same way, and
-	// the shards missing from them.
-	SearchBaselineContext(ctx context.Context, query string) ([]expertise.Expert, core.MissingShards, error)
 	// TermSetKey returns the identity of the term set an e# search for
 	// the query with canonical form canon (tokens sorted, de-duplicated,
 	// single-spaced) matches: queries with equal keys have the same
@@ -174,9 +168,8 @@ var (
 
 // Config tunes a Server.
 type Config struct {
-	// CacheSize is the maximum number of cached query results across
-	// both endpoints. Zero disables caching entirely (in-flight
-	// coalescing still applies).
+	// CacheSize is the maximum number of cached query results. Zero
+	// disables caching entirely (in-flight coalescing still applies).
 	CacheSize int
 	// Obs, when non-nil, attaches the server to a metrics registry: the
 	// request-latency histogram serve_request_ns, read-callback mirrors
@@ -204,7 +197,7 @@ const (
 	// ErrEmptyQuery.
 	maxQueryTerms = 64
 	// slowLogSize bounds the slow-query ring of an instrumented server,
-	// which keeps every request: its threshold is zero.
+	// which keeps every request.
 	slowLogSize = 64
 )
 
@@ -256,23 +249,12 @@ type Stats struct {
 	Failovers int64
 }
 
-// cacheKey names one answer: the term set an e# search matches
-// (Backend.TermSetKey — every query of an expertise domain small enough
-// to expand to all of itself shares one), or, for the baseline endpoint,
-// the canonical query — the sorted, de-duplicated token set, under which
-// both the AND-match predicate and domain lookup are invariant. Either
-// way every permutation and repetition of a query shares one key.
-type cacheKey struct {
-	query    string
-	baseline bool
-}
-
 // slot is one LRU cell. It outlives its contents: an epoch move empties
 // it (res = nil) and the next computation under the key refills it, so
 // the map cell and the list links of a key that keeps being asked for
 // are built once.
 type slot struct {
-	key cacheKey
+	key string
 	res *result
 }
 
@@ -343,25 +325,28 @@ type Server struct {
 	slow     *obs.SlowLog
 
 	// mu guards the LRU structures and the in-flight table; detector
-	// calls run outside the lock.
+	// calls run outside the lock. Both are keyed on the term set an e#
+	// search matches (Backend.TermSetKey): every permutation and
+	// repetition of a query, and every query of a domain small enough to
+	// expand to all of itself, shares one key.
 	mu       sync.Mutex
 	order    *list.List // front = most recently used; values are *slot
-	slots    map[cacheKey]*list.Element
-	inflight map[cacheKey]*result
+	slots    map[string]*list.Element
+	inflight map[string]*result
 }
 
 // New wires a server over a backend.
 func New(b Backend, cfg Config) *Server {
-	s := &Server{backend: b, cfg: cfg, inflight: make(map[cacheKey]*result)}
+	s := &Server{backend: b, cfg: cfg, inflight: make(map[string]*result)}
 	s.vecPool.New = func() any { return new([]uint64) }
 	if cfg.CacheSize > 0 {
 		s.order = list.New()
-		s.slots = make(map[cacheKey]*list.Element, cfg.CacheSize)
+		s.slots = make(map[string]*list.Element, cfg.CacheSize)
 	}
 	if cfg.Obs != nil {
 		s.obsOn = true
 		s.obsReqNS = cfg.Obs.Histogram("serve_request_ns")
-		s.slow = obs.NewSlowLog(slowLogSize, 0)
+		s.slow = obs.NewSlowLog(slowLogSize)
 		cfg.Obs.RegisterFunc("serve_queries", s.queries.Load)
 		cfg.Obs.RegisterFunc("serve_cache_hits", s.hits.Load)
 		cfg.Obs.RegisterFunc("serve_cache_misses", s.misses.Load)
@@ -390,22 +375,14 @@ func (s *Server) SlowLog() *obs.SlowLog { return s.slow }
 // the cache and other callers — treat it as read-only. Degenerate
 // queries return nil (use Answer for the typed error).
 func (s *Server) Search(query string) []expertise.Expert {
-	experts, _, _ := s.serve(context.Background(), query, false, time.Time{})
+	experts, _, _ := s.serve(context.Background(), query, time.Time{})
 	return experts
 }
 
-// SearchBaseline answers one unexpanded Pal & Counts baseline query.
-// The returned slice may be shared — treat it as read-only.
-func (s *Server) SearchBaseline(query string) []expertise.Expert {
-	experts, _, _ := s.serve(context.Background(), query, true, time.Time{})
-	return experts
-}
-
-// Answer is the entry point a network front end calls: one e# (or,
-// with baseline, unexpanded Pal & Counts) query under the caller's
-// context and latency budget. Admission failures surface as
-// ErrEmptyQuery / ErrTooManyTerms / ErrOverloaded, an expired budget as
-// the context's error.
+// Answer is the entry point a network front end calls: one e# query
+// under the caller's context and latency budget. Admission failures
+// surface as ErrEmptyQuery / ErrTooManyTerms / ErrOverloaded, an
+// expired budget as the context's error.
 //
 // deadline, when non-zero, is the instant the budget runs out. It is
 // attached to ctx only once the request has missed the cache — before
@@ -423,8 +400,8 @@ func (s *Server) SearchBaseline(query string) []expertise.Expert {
 // An answer computed with some shard missing comes back with its
 // experts and a bare *PartialError naming the missing shards. It was
 // not cached, so no later request is served it as whole.
-func (s *Server) Answer(ctx context.Context, query string, baseline bool, deadline time.Time) (experts []expertise.Expert, encoded []byte, err error) {
-	experts, hit, err := s.serve(ctx, query, baseline, deadline)
+func (s *Server) Answer(ctx context.Context, query string, deadline time.Time) (experts []expertise.Expert, encoded []byte, err error) {
+	experts, hit, err := s.serve(ctx, query, deadline)
 	if hit != nil {
 		encoded = hit.json()
 	}
@@ -434,18 +411,18 @@ func (s *Server) Answer(ctx context.Context, query string, baseline bool, deadli
 // serve wraps the request path in the instrumentation Config.Obs asks
 // for. hit is the stored entry that answered, nil for every other
 // outcome.
-func (s *Server) serve(ctx context.Context, query string, baseline bool, deadline time.Time) (experts []expertise.Expert, hit *result, err error) {
+func (s *Server) serve(ctx context.Context, query string, deadline time.Time) (experts []expertise.Expert, hit *result, err error) {
 	if !s.obsOn {
-		return s.serveTraced(ctx, query, baseline, deadline, nil)
+		return s.serveTraced(ctx, query, deadline, nil)
 	}
 	// Instrumented path: time the request end to end (one clock read
 	// serves both the trace's start and the latency), capture the
 	// outcome and (for misses against an instrumented backend) the
 	// per-shard spans, and offer the trace to the slow-query ring.
 	start := time.Now()
-	qt := obs.QueryTrace{Baseline: baseline, Start: start}
+	qt := obs.QueryTrace{Start: start}
 	failovers0 := s.backend.Failovers()
-	experts, hit, err = s.serveTraced(ctx, query, baseline, deadline, &qt)
+	experts, hit, err = s.serveTraced(ctx, query, deadline, &qt)
 	qt.TotalNS = time.Since(start).Nanoseconds()
 	// Best-effort under concurrency: the delta of the backend's
 	// cumulative counter across this request.
@@ -459,7 +436,7 @@ func (s *Server) serve(ctx context.Context, query string, baseline bool, deadlin
 // admission, the view sample and one cache lookup. qt, non-nil only on
 // the instrumented path, receives the normalized query, the cache
 // outcome and the detector-side trace fields.
-func (s *Server) serveTraced(ctx context.Context, query string, baseline bool, deadline time.Time, qt *obs.QueryTrace) ([]expertise.Expert, *result, error) {
+func (s *Server) serveTraced(ctx context.Context, query string, deadline time.Time, qt *obs.QueryTrace) ([]expertise.Expert, *result, error) {
 	s.queries.Add(1)
 	// Admission: normalize and tokenize once, reject degenerate queries
 	// before any cache work, then resolve what the answer is a function
@@ -494,14 +471,10 @@ func (s *Server) serveTraced(ctx context.Context, query string, baseline bool, d
 		// CanonicalTokens sorts in place; norm is already materialized.
 		canon = strings.Join(textutil.CanonicalTokens(toks), " ")
 	}
-	key := cacheKey{query: canon, baseline: baseline}
-	if !baseline {
-		// The baseline does not expand: its term set is the query.
-		key.query = s.backend.TermSetKey(canon)
-	}
+	key := s.backend.TermSetKey(canon)
 	if qt != nil {
 		qt.Query = norm
-		qt.TermSet = key.query
+		qt.TermSet = key
 	}
 	// Sample the view identity before any cache decision: the full
 	// per-shard epoch vector, into a pooled buffer.
@@ -545,7 +518,7 @@ func (s *Server) countHit(qt *obs.QueryTrace) {
 // the request may wait — as a follower on an identical in-flight
 // computation or as the leader on the backend — so this is where its
 // budget is armed.
-func (s *Server) miss(ctx context.Context, deadline time.Time, key cacheKey, norm string, evec []uint64, uncacheable bool, qt *obs.QueryTrace) ([]expertise.Expert, *result, error) {
+func (s *Server) miss(ctx context.Context, deadline time.Time, key string, norm string, evec []uint64, uncacheable bool, qt *obs.QueryTrace) ([]expertise.Expert, *result, error) {
 	if !deadline.IsZero() {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, deadline)
@@ -649,17 +622,13 @@ func (s *Server) miss(ctx context.Context, deadline time.Time, key cacheKey, nor
 			qt.Outcome = obs.OutcomeMiss
 		}
 	}
-	if key.baseline {
-		f.experts, f.missing, f.err = s.backend.SearchBaselineContext(ctx, norm)
-	} else {
-		var tr core.SearchTrace
-		f.experts, tr, f.err = s.backend.SearchContext(ctx, norm)
-		f.missing = tr.Missing
-		if qt != nil {
-			qt.MatchedTweets = tr.MatchedTweets
-			qt.MergeRankNS = tr.MergeRankNS
-			qt.Shards = tr.Shards
-		}
+	var tr core.SearchTrace
+	f.experts, tr, f.err = s.backend.SearchContext(ctx, norm)
+	f.missing = tr.Missing
+	if qt != nil {
+		qt.MatchedTweets = tr.MatchedTweets
+		qt.MergeRankNS = tr.MergeRankNS
+		qt.Shards = tr.Shards
 	}
 	completed = true
 	if f.err != nil {
@@ -692,7 +661,7 @@ func staleVec(entryVec, sample []uint64) bool {
 // from an older view — any vector component behind — is dropped: the
 // live index has moved on, so serving it would return pre-ingest
 // results. The slot stays, emptied, for the refill that follows.
-func (s *Server) lookupLocked(key cacheKey, evec []uint64) *result {
+func (s *Server) lookupLocked(key string, evec []uint64) *result {
 	el, ok := s.slots[key]
 	if !ok {
 		return nil
@@ -716,7 +685,7 @@ func (s *Server) lookupLocked(key cacheKey, evec []uint64) *result {
 // the lock, so it is replaced, never written to — and otherwise in a
 // new slot, evicting the least recently used one when the cache is
 // full.
-func (s *Server) insertLocked(key cacheKey, res *result) {
+func (s *Server) insertLocked(key string, res *result) {
 	if s.slots == nil {
 		return
 	}

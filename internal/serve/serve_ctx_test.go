@@ -19,7 +19,7 @@ import (
 // searchCtx is Answer for the cases that only look at the ranking and
 // carry whatever deadline they want on ctx itself.
 func searchCtx(ctx context.Context, s *Server, q string) ([]expertise.Expert, error) {
-	experts, _, err := s.Answer(ctx, q, false, time.Time{})
+	experts, _, err := s.Answer(ctx, q, time.Time{})
 	return experts, err
 }
 
@@ -148,9 +148,6 @@ func TestDegenerateQueriesRejected(t *testing.T) {
 			t.Fatalf("Search(%q) = %v, want nil", q, got)
 		}
 	}
-	if _, _, err := s.Answer(context.Background(), "", true, time.Time{}); !errors.Is(err, ErrEmptyQuery) {
-		t.Fatal("baseline endpoint must reject empty queries too")
-	}
 	if _, err := searchCtx(context.Background(), s, over.String()); !errors.Is(err, ErrTooManyTerms) {
 		t.Fatalf("%d tokens past the cap of %d not rejected", maxQueryTerms+1, maxQueryTerms)
 	}
@@ -166,8 +163,8 @@ func TestDegenerateQueriesRejected(t *testing.T) {
 		t.Fatalf("backend ran %d times, want 1 (rejections must not reach it)", backend.calls.Load())
 	}
 	st := s.Stats()
-	if st.Rejected != 9 {
-		t.Fatalf("Rejected = %d, want 9: %+v", st.Rejected, st)
+	if st.Rejected != 8 {
+		t.Fatalf("Rejected = %d, want 8: %+v", st.Rejected, st)
 	}
 	checkInvariant(t, s)
 }
@@ -222,12 +219,6 @@ func (b *blockingCtxBackend) SearchContext(ctx context.Context, query string) ([
 	b.started.Add(1)
 	<-ctx.Done()
 	return nil, core.SearchTrace{Query: query}, ctx.Err()
-}
-
-func (b *blockingCtxBackend) SearchBaselineContext(ctx context.Context, query string) ([]expertise.Expert, core.MissingShards, error) {
-	b.started.Add(1)
-	<-ctx.Done()
-	return nil, 0, ctx.Err()
 }
 
 // TestDeadlineExpiryIsWholeQueryError pins deadline propagation at the
@@ -307,10 +298,6 @@ func (b *errOnceCtxBackend) SearchContext(ctx context.Context, query string) ([]
 		return nil, core.SearchTrace{}, context.DeadlineExceeded
 	}
 	return b.answer(query), core.SearchTrace{Query: query}, nil
-}
-
-func (b *errOnceCtxBackend) SearchBaselineContext(ctx context.Context, query string) ([]expertise.Expert, core.MissingShards, error) {
-	return b.answer(query), 0, nil
 }
 
 // TestFollowerRetriesAfterLeaderError pins that a leader's failure is

@@ -53,17 +53,15 @@ func sameExperts(a, b []expertise.Expert) bool {
 }
 
 // TestServerConcurrentMixedQueries hammers one server with many
-// goroutines issuing interleaved e# and baseline queries (run under
+// goroutines issuing interleaved e# queries (run under
 // `go test -race` by `make race`) and checks every response against
 // the single-threaded detector.
 func TestServerConcurrentMixedQueries(t *testing.T) {
 	p := testPipeline(t)
 	queries := []string{"49ers", "diabetes", "nfl", "dow futures", "coffee", "sarah palin", "zzz-none"}
 	wantES := make(map[string][]expertise.Expert, len(queries))
-	wantBase := make(map[string][]expertise.Expert, len(queries))
 	for _, q := range queries {
 		wantES[q], _ = p.Detector.Search(q)
-		wantBase[q] = p.Detector.SearchBaseline(q)
 	}
 
 	s := New(frozenBackend(p), Config{CacheSize: 4}) // small cache => constant churn
@@ -76,16 +74,9 @@ func TestServerConcurrentMixedQueries(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				q := queries[(w+i)%len(queries)]
-				if (w+i)%3 == 0 {
-					if got := s.SearchBaseline(q); !sameExperts(got, wantBase[q]) {
-						errs <- errMismatchf(q, "baseline")
-						return
-					}
-				} else {
-					if got := s.Search(q); !sameExperts(got, wantES[q]) {
-						errs <- errMismatchf(q, "esharp")
-						return
-					}
+				if got := s.Search(q); !sameExperts(got, wantES[q]) {
+					errs <- errMismatchf(q, "esharp")
+					return
 				}
 			}
 		}(w)
@@ -114,9 +105,8 @@ func (e errMismatch) Error() string { return string(e) }
 
 func errMismatchf(q, kind string) error { return errMismatch(kind + " result mismatch for " + q) }
 
-// TestCacheHitsAndEviction pins the LRU mechanics: repeats hit, the
-// least recently used entry is the one evicted, and the two endpoints
-// never share entries.
+// TestCacheHitsAndEviction pins the LRU mechanics: repeats hit and
+// the least recently used entry is the one evicted.
 func TestCacheHitsAndEviction(t *testing.T) {
 	p := testPipeline(t)
 	s := New(frozenBackend(p), Config{CacheSize: 2})
@@ -128,12 +118,12 @@ func TestCacheHitsAndEviction(t *testing.T) {
 		t.Fatalf("after repeats: %+v", st)
 	}
 
-	s.SearchBaseline("49ers") // miss: baseline results cache separately
+	s.Search("coffee") // miss: a second key
 	if st := s.Stats(); st.CacheMisses != 2 {
-		t.Fatalf("baseline should not share the e# entry: %+v", st)
+		t.Fatalf("a second key should miss: %+v", st)
 	}
 
-	// Touch the e# entry, then insert a third key: the baseline entry
+	// Touch the first entry, then insert a third key: the second entry
 	// (now LRU) must be the one evicted.
 	s.Search("49ers")
 	s.Search("diabetes")
@@ -143,11 +133,11 @@ func TestCacheHitsAndEviction(t *testing.T) {
 	before := s.Stats().CacheMisses
 	s.Search("49ers") // still cached
 	if got := s.Stats().CacheMisses; got != before {
-		t.Fatal("recently used e# entry was evicted")
+		t.Fatal("recently used entry was evicted")
 	}
-	s.SearchBaseline("49ers") // evicted -> miss again
+	s.Search("coffee") // evicted -> miss again
 	if got := s.Stats().CacheMisses; got != before+1 {
-		t.Fatal("LRU baseline entry should have been evicted")
+		t.Fatal("LRU entry should have been evicted")
 	}
 }
 
@@ -194,9 +184,6 @@ func (b *scriptedBackend) answer(query string) []expertise.Expert {
 func (b *scriptedBackend) SearchContext(ctx context.Context, query string) ([]expertise.Expert, core.SearchTrace, error) {
 	return b.answer(query), core.SearchTrace{Query: query}, nil
 }
-func (b *scriptedBackend) SearchBaselineContext(ctx context.Context, query string) ([]expertise.Expert, core.MissingShards, error) {
-	return b.answer(query), 0, nil
-}
 func (b *scriptedBackend) EpochVector(dst []uint64) []uint64 { return append(dst[:0], b.epoch.Load()) }
 func (b *scriptedBackend) PartialStats() (int64, int64)      { return 0, 0 }
 func (b *scriptedBackend) Failovers() int64                  { return 0 }
@@ -222,7 +209,7 @@ func TestPartialAnswerCoalescesNotCached(t *testing.T) {
 	ctx := context.Background()
 	errs := make(chan error, 2)
 	answer := func() {
-		_, _, err := s.Answer(ctx, "49ers", false, time.Time{})
+		_, _, err := s.Answer(ctx, "49ers", time.Time{})
 		errs <- err
 	}
 	go answer()
@@ -244,7 +231,7 @@ func TestPartialAnswerCoalescesNotCached(t *testing.T) {
 	if st := s.Stats(); st.Coalesced != 1 || st.CacheEntries != 0 {
 		t.Fatalf("want one coalesced follower and nothing cached: %+v", st)
 	}
-	if _, _, err := s.Answer(ctx, "49ers", false, time.Time{}); err == nil || backend.calls.Load() != 2 {
+	if _, _, err := s.Answer(ctx, "49ers", time.Time{}); err == nil || backend.calls.Load() != 2 {
 		t.Fatalf("a partial answer was served again: err %v after %d computations", err, backend.calls.Load())
 	}
 }
@@ -295,11 +282,6 @@ func TestSingleflightColdMisses(t *testing.T) {
 		if !sameExperts(experts, got[0]) {
 			t.Fatal("coalesced requests returned different results")
 		}
-	}
-	// The two endpoints must not coalesce onto each other.
-	s.SearchBaseline("49ers")
-	if calls := backend.calls.Load(); calls != 2 {
-		t.Fatalf("baseline should compute separately, backend ran %d times", calls)
 	}
 }
 
@@ -398,11 +380,7 @@ func TestStatsCountersUnderConcurrency(t *testing.T) {
 				if (w+i)%7 == 0 {
 					backend.epoch.Add(1) // concurrent snapshot swaps
 				}
-				if (w+i)%3 == 0 {
-					s.SearchBaseline(q)
-				} else {
-					s.Search(q)
-				}
+				s.Search(q)
 			}
 		}(w)
 	}

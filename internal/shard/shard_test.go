@@ -276,13 +276,7 @@ func TestConcurrentShardedIngestSearch(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perSearcher; i++ {
-				q := queries[(g+i)%len(queries)]
-				var experts []expertise.Expert
-				if i%3 == 0 {
-					experts = sharded.SearchBaseline(q)
-				} else {
-					experts, _ = sharded.Search(q)
-				}
+				experts, _ := sharded.Search(queries[(g+i)%len(queries)])
 				if maxResults > 0 && len(experts) > maxResults {
 					errs <- errInvariant("result cap exceeded")
 					return

@@ -444,7 +444,7 @@ func (r *RemoteShard) Handshake(shardIdx, numShards, users, baseTweets int) erro
 			r.addr, info.BaseTweets, baseTweets)
 	}
 	// Pin the verified identity — incarnation included — so every
-	// future fresh dial re-verifies against it (verifyConn).
+	// future fresh dial re-verifies against it (negotiate).
 	r.expect.Store(&info)
 	return nil
 }
@@ -540,7 +540,7 @@ func (v *remoteView) Stats(ctx context.Context, users []world.UserID, dst []expe
 	if err != nil {
 		return dst[:0], err
 	}
-	v.cc.req = expertise.AppendUserIDs(v.cc.req[:0], users)
+	v.cc.req = AppendUserIDs(v.cc.req[:0], users)
 	resp, okConn, err := v.r.roundTrip(v.cc, OpStats, v.cc.req, timeout)
 	if okConn {
 		// The request reached the server, which releases its snapshot
@@ -553,7 +553,7 @@ func (v *remoteView) Stats(ctx context.Context, users []world.UserID, dst []expe
 		}
 		return dst[:0], err
 	}
-	dst, _, err = expertise.ConsumeUserStats(dst, resp)
+	dst, _, err = ConsumeUserStats(dst, resp)
 	if err != nil {
 		v.broken = true
 		return dst[:0], err

@@ -216,7 +216,7 @@ func TestPartialResultsLandInStats(t *testing.T) {
 	// hash split, so only the counters are load-bearing above. Run a few
 	// more to see the counts accumulate.
 	for i := 0; i < 4; i++ {
-		det.SearchBaseline("nfl")
+		det.Search("nfl")
 	}
 	if pq, se := det.PartialStats(); pq != 5 || se != 5 {
 		t.Fatalf("partial queries %d, shard errors %d after five degraded requests", pq, se)

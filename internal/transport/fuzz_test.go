@@ -45,9 +45,9 @@ func seedFrames() [][]byte {
 		transport.AppendFrame(nil, transport.OpSearchStats,
 			transport.AppendSearchStatsResp(nil, transport.SearchStatsResp{Matched: 12, Rows: rows, Stats: stats})),
 		transport.AppendFrame(nil, transport.OpStats,
-			expertise.AppendUserIDs(nil, []world.UserID{3, 17, 40})),
+			transport.AppendUserIDs(nil, []world.UserID{3, 17, 40})),
 		transport.AppendFrame(nil, transport.OpStats,
-			expertise.AppendUserStats(nil, stats)),
+			transport.AppendUserStats(nil, stats)),
 		transport.AppendFrame(nil, transport.OpIngest,
 			transport.AppendIngestReq(nil, transport.IngestReq{Posts: posts})),
 		transport.AppendFrame(nil, transport.OpIngest,
@@ -205,7 +205,7 @@ func FuzzDecodeFrame(f *testing.F) {
 				}
 			}
 		}
-		if ids, _, err := expertise.ConsumeUserIDs(nil, payload); err == nil && len(ids) > 0 {
+		if ids, _, err := transport.ConsumeUserIDs(nil, payload); err == nil && len(ids) > 0 {
 			// User ids travel delta-compressed; ascending inputs (the
 			// only ones the protocol produces) must round-trip exactly.
 			ascending := true
@@ -216,14 +216,14 @@ func FuzzDecodeFrame(f *testing.F) {
 				}
 			}
 			if ascending {
-				again, _, err := expertise.ConsumeUserIDs(nil, expertise.AppendUserIDs(nil, ids))
+				again, _, err := transport.ConsumeUserIDs(nil, transport.AppendUserIDs(nil, ids))
 				if err != nil || len(again) != len(ids) {
 					t.Fatalf("user ids round trip: %v vs %v (%v)", again, ids, err)
 				}
 			}
 		}
-		if stats, _, err := expertise.ConsumeUserStats(nil, payload); err == nil {
-			again, _, err := expertise.ConsumeUserStats(nil, expertise.AppendUserStats(nil, stats))
+		if stats, _, err := transport.ConsumeUserStats(nil, payload); err == nil {
+			again, _, err := transport.ConsumeUserStats(nil, transport.AppendUserStats(nil, stats))
 			if err != nil || len(again) != len(stats) {
 				t.Fatalf("user stats round trip: %d vs %d (%v)", len(again), len(stats), err)
 			}
@@ -284,7 +284,7 @@ func FuzzDispatch(f *testing.F) {
 		transport.AppendFrame(nil, transport.OpSearchStats,
 			transport.AppendSearchReq(nil, transport.SearchReq{Terms: []string{"49ers", "nfl"}})),
 		transport.AppendFrame(nil, transport.OpStats,
-			expertise.AppendUserIDs(nil, []world.UserID{3, 17, 40})),
+			transport.AppendUserIDs(nil, []world.UserID{3, 17, 40})),
 		transport.AppendFrame(nil, transport.OpUnpin, nil),
 	))
 	// The same conversation whose top-up repeats a user and then goes
@@ -293,9 +293,9 @@ func FuzzDispatch(f *testing.F) {
 		transport.AppendFrame(nil, transport.OpSearchStats,
 			transport.AppendSearchReq(nil, transport.SearchReq{Terms: []string{"49ers"}})),
 		transport.AppendFrame(nil, transport.OpStats,
-			expertise.AppendUserIDs(nil, []world.UserID{3, 3, 40})),
+			transport.AppendUserIDs(nil, []world.UserID{3, 3, 40})),
 		transport.AppendFrame(nil, transport.OpStats,
-			expertise.AppendUserIDs(nil, []world.UserID{40, 17})),
+			transport.AppendUserIDs(nil, []world.UserID{40, 17})),
 	))
 	// The retired two-step search (0x01) and an OpInfo request carrying
 	// the retired identity expectations: both must be refused, and the
@@ -335,7 +335,7 @@ func FuzzDispatch(f *testing.F) {
 // strictlyAscending reports whether an OpStats payload decodes to a
 // strictly ascending user list (an undecodable one counts as not).
 func strictlyAscending(payload []byte) bool {
-	users, _, err := expertise.ConsumeUserIDs(nil, payload)
+	users, _, err := transport.ConsumeUserIDs(nil, payload)
 	if err != nil {
 		return false
 	}
@@ -366,7 +366,7 @@ func checkReply(op, respOp transport.Op, resp []byte) error {
 	case transport.OpSearchStats:
 		_, rest, err = transport.ConsumeSearchStatsResp(nil, nil, resp)
 	case transport.OpStats:
-		_, rest, err = expertise.ConsumeUserStats(nil, resp)
+		_, rest, err = transport.ConsumeUserStats(nil, resp)
 	case transport.OpIngest:
 		_, rest, err = transport.ConsumeIngestResp(resp)
 	case transport.OpQuiesce, transport.OpSubscribe:

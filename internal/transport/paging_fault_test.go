@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/diskseg"
-	"repro/internal/expertise"
 	"repro/internal/fault"
 	"repro/internal/ingest"
 	"repro/internal/microblog"
@@ -370,7 +369,7 @@ func TestHostileFramesAnsweredNotFatal(t *testing.T) {
 	}
 	searchReq := transport.AppendSearchReq(nil, transport.SearchReq{Terms: []string{"49ers"}})
 	statsFor := func(users ...world.UserID) []byte {
-		return transport.AppendFrame(nil, transport.OpStats, expertise.AppendUserIDs(nil, users))
+		return transport.AppendFrame(nil, transport.OpStats, transport.AppendUserIDs(nil, users))
 	}
 	type hostileFrame struct {
 		name   string

@@ -516,7 +516,7 @@ func (s *ShardServer) dispatch(st *connState, op Op, payload []byte) (Op, error)
 			return 0, errors.New("transport: stats without a pinned search")
 		}
 		var err error
-		st.uids, _, err = expertise.ConsumeUserIDs(st.uids, payload)
+		st.uids, _, err = ConsumeUserIDs(st.uids, payload)
 		if err == nil {
 			err = s.checkUsers(st.uids...)
 		}
@@ -527,7 +527,7 @@ func (s *ShardServer) dispatch(st *connState, op Op, payload []byte) (Op, error)
 		if err != nil {
 			return 0, err
 		}
-		st.out = expertise.AppendUserStats(st.out, st.stat)
+		st.out = AppendUserStats(st.out, st.stat)
 		return OpStats, nil
 
 	case OpIngest:

@@ -134,13 +134,7 @@ func TestConcurrentRemoteIngestSearch(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perSearcher; i++ {
-				q := queries[(g+i)%len(queries)]
-				var experts []expertise.Expert
-				if i%3 == 0 {
-					experts = remote.SearchBaseline(q)
-				} else {
-					experts, _ = remote.Search(q)
-				}
+				experts, _ := remote.Search(queries[(g+i)%len(queries)])
 				if maxResults > 0 && len(experts) > maxResults {
 					errs <- errInvariant("result cap exceeded")
 					return

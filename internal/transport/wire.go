@@ -1,10 +1,12 @@
 // Payload encodings for every protocol op: varint-based, append-style
 // on the encode side, slice-consuming on the decode side. The candidate
-// and denominator rows reuse the codecs in internal/expertise (the
-// merge inputs are the part of the exchange whose exactness the
-// equivalence spine depends on); everything here follows the same
-// discipline — length fields are validated against the bytes actually
-// present before any allocation.
+// and denominator rows are the merge inputs whose exactness the
+// equivalence spine depends on: they carry only additive integer
+// counters, with user ids delta-compressed (both row kinds travel
+// sorted or positionally aligned to a sorted user list). Every length
+// field is validated against the bytes actually present before any
+// allocation, so an adversarial frame can neither panic a decoder nor
+// make it over-allocate.
 package transport
 
 import (
@@ -88,8 +90,8 @@ type SearchStatsResp struct {
 // AppendSearchStatsResp appends the encoded response to buf.
 func AppendSearchStatsResp(buf []byte, resp SearchStatsResp) []byte {
 	buf = binary.AppendUvarint(buf, uint64(resp.Matched))
-	buf = expertise.AppendRawCandidates(buf, resp.Rows)
-	return expertise.AppendUserStats(buf, resp.Stats)
+	buf = AppendRawCandidates(buf, resp.Rows)
+	return AppendUserStats(buf, resp.Stats)
 }
 
 // ConsumeSearchStatsResp decodes a SearchStatsResp off the front of
@@ -104,11 +106,11 @@ func ConsumeSearchStatsResp(rows []expertise.RawCandidate, stats []expertise.Use
 		return resp, buf, fmt.Errorf("search+stats resp matched: %w", err)
 	}
 	resp.Matched = int(m)
-	resp.Rows, buf, err = expertise.ConsumeRawCandidates(rows, buf)
+	resp.Rows, buf, err = ConsumeRawCandidates(rows, buf)
 	if err != nil {
 		return resp, buf, fmt.Errorf("search+stats resp rows: %w", err)
 	}
-	resp.Stats, buf, err = expertise.ConsumeUserStats(stats, buf)
+	resp.Stats, buf, err = ConsumeUserStats(stats, buf)
 	if err != nil {
 		return resp, buf, fmt.Errorf("search+stats resp stats: %w", err)
 	}
@@ -116,6 +118,131 @@ func ConsumeSearchStatsResp(rows []expertise.RawCandidate, stats []expertise.Use
 		return resp, buf, fmt.Errorf("search+stats resp: %d stats for %d rows", len(resp.Stats), len(resp.Rows))
 	}
 	return resp, buf, nil
+}
+
+// AppendRawCandidates appends a length-prefixed encoding of rcs to buf:
+// a row count, then per row the user id (delta-encoded against the
+// previous row — the lists travel sorted by ascending user) and the
+// four numerator counters, all uvarints.
+func AppendRawCandidates(buf []byte, rcs []expertise.RawCandidate) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(rcs)))
+	prev := uint64(0)
+	for i := range rcs {
+		u := uint64(rcs[i].User)
+		buf = binary.AppendUvarint(buf, u-prev)
+		prev = u
+		buf = binary.AppendUvarint(buf, uint64(rcs[i].Tweets))
+		buf = binary.AppendUvarint(buf, uint64(rcs[i].Mentions))
+		buf = binary.AppendUvarint(buf, uint64(rcs[i].Retweets))
+		buf = binary.AppendUvarint(buf, uint64(rcs[i].Hashtagged))
+	}
+	return buf
+}
+
+// ConsumeRawCandidates decodes an AppendRawCandidates encoding from the
+// front of buf, appending rows to dst (capacity reused, contents
+// discarded), and returns the filled slice plus the remaining bytes.
+// The claimed row count is validated against the bytes present (every
+// row occupies at least five bytes) before anything is allocated.
+func ConsumeRawCandidates(dst []expertise.RawCandidate, buf []byte) ([]expertise.RawCandidate, []byte, error) {
+	dst = dst[:0]
+	n, buf, err := consumeCount(buf, 5)
+	if err != nil {
+		return dst, buf, fmt.Errorf("raw candidates: %w", err)
+	}
+	prev := uint64(0)
+	for i := 0; i < n; i++ {
+		var fields [5]uint64
+		for f := range fields {
+			fields[f], buf, err = consumeUvarint(buf)
+			if err != nil {
+				return dst, buf, fmt.Errorf("raw candidate row %d: %w", i, err)
+			}
+		}
+		prev += fields[0]
+		dst = append(dst, expertise.RawCandidate{
+			User:       world.UserID(prev),
+			Tweets:     int(fields[1]),
+			Mentions:   int(fields[2]),
+			Retweets:   int(fields[3]),
+			Hashtagged: int(fields[4]),
+		})
+	}
+	return dst, buf, nil
+}
+
+// AppendUserStats appends a length-prefixed encoding of the denominator
+// triples to buf. The rows are positionally aligned with the request's
+// user list, so no user ids travel — just a count and three uvarints
+// per row.
+func AppendUserStats(buf []byte, stats []expertise.UserStats) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(stats)))
+	for i := range stats {
+		buf = binary.AppendUvarint(buf, uint64(stats[i].Tweets))
+		buf = binary.AppendUvarint(buf, uint64(stats[i].Mentions))
+		buf = binary.AppendUvarint(buf, uint64(stats[i].Retweets))
+	}
+	return buf
+}
+
+// ConsumeUserStats decodes an AppendUserStats encoding from the front
+// of buf, appending triples to dst (capacity reused, contents
+// discarded), and returns the filled slice plus the remaining bytes.
+func ConsumeUserStats(dst []expertise.UserStats, buf []byte) ([]expertise.UserStats, []byte, error) {
+	dst = dst[:0]
+	n, buf, err := consumeCount(buf, 3)
+	if err != nil {
+		return dst, buf, fmt.Errorf("user stats: %w", err)
+	}
+	for i := 0; i < n; i++ {
+		var fields [3]uint64
+		for f := range fields {
+			fields[f], buf, err = consumeUvarint(buf)
+			if err != nil {
+				return dst, buf, fmt.Errorf("user stats row %d: %w", i, err)
+			}
+		}
+		dst = append(dst, expertise.UserStats{
+			Tweets:   int(fields[0]),
+			Mentions: int(fields[1]),
+			Retweets: int(fields[2]),
+		})
+	}
+	return dst, buf, nil
+}
+
+// AppendUserIDs appends a length-prefixed, delta-compressed encoding of
+// an ascending user id list to buf — the OpStats request's payload.
+func AppendUserIDs(buf []byte, users []world.UserID) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(users)))
+	prev := uint64(0)
+	for _, u := range users {
+		buf = binary.AppendUvarint(buf, uint64(u)-prev)
+		prev = uint64(u)
+	}
+	return buf
+}
+
+// ConsumeUserIDs decodes an AppendUserIDs encoding from the front of
+// buf, appending ids to dst (capacity reused, contents discarded), and
+// returns the filled slice plus the remaining bytes.
+func ConsumeUserIDs(dst []world.UserID, buf []byte) ([]world.UserID, []byte, error) {
+	dst = dst[:0]
+	n, buf, err := consumeCount(buf, 1)
+	if err != nil {
+		return dst, buf, fmt.Errorf("user ids: %w", err)
+	}
+	prev := uint64(0)
+	for i := 0; i < n; i++ {
+		var d uint64
+		d, buf, err = consumeUvarint(buf)
+		if err != nil {
+			return dst, buf, fmt.Errorf("user id %d: %w", i, err)
+		}
+		prev += d
+		dst = append(dst, world.UserID(prev))
+	}
+	return dst, buf, nil
 }
 
 // IngestReq is the OpIngest payload: a batch of routed posts.
@@ -411,7 +538,8 @@ func consumeBytes(buf []byte) (field, rest []byte, err error) {
 
 // consumeCount reads an element count and rejects it unless the
 // remaining bytes could hold that many elements of at least minBytes
-// each — the same over-allocation guard the expertise codecs apply.
+// each — the over-allocation guard: a hostile count can never drive an
+// allocation past the data actually received.
 func consumeCount(buf []byte, minBytes int) (int, []byte, error) {
 	n, buf, err := consumeUvarint(buf)
 	if err != nil {

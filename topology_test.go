@@ -41,13 +41,11 @@ import (
 
 // load is one mixed read/write run: writers each stream perWriter
 // posts from their own seeded PostStream (seed+w), one post per batch,
-// while searchers each issue perSearcher requests over the query pool,
-// every baselineEvery-th on the baseline endpoint.
+// while searchers each issue perSearcher requests over the query pool.
 type load struct {
 	writers, perWriter     int
 	seed                   uint64
 	searchers, perSearcher int
-	baselineEvery          int
 }
 
 // runMixedLoad drives srv and writes to c concurrently as l describes
@@ -78,12 +76,7 @@ func runMixedLoad(p *core.Pipeline, srv *serve.Server, c *shard.Cluster, pool []
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < l.perSearcher; i++ {
-				q := pool[(g*l.perSearcher+i)%len(pool)]
-				if (i+1)%l.baselineEvery == 0 {
-					srv.SearchBaseline(q)
-				} else {
-					srv.Search(q)
-				}
+				srv.Search(pool[(g*l.perSearcher+i)%len(pool)])
 			}
 		}(g)
 	}
@@ -135,12 +128,18 @@ func coldFor(t *testing.T, posts []microblog.Post) *core.Detector {
 	return cold
 }
 
+// oneTermQuery is an evaluation query that expands to nothing: its e#
+// search scatters the query alone, the one-term match every other
+// query's expansion hides.
+const oneTermQuery = "ceanai holdings today"
+
 // requireCold is the spine step every row ends with: for every
-// evaluation query, the quiesced deployment's e# and baseline rankings
-// and e# matched-tweet count equal cold's, and no query — load or
-// check — was answered with a shard missing.
+// evaluation query, oneTermQuery among them, the quiesced deployment's
+// e# ranking and matched-tweet count equal cold's, and no query — load
+// or check — was answered with a shard missing.
 func requireCold(t *testing.T, det *core.ShardedLiveDetector, cold *core.Detector, sets []eval.QuerySet) {
 	t.Helper()
+	oneTerm := false
 	for _, set := range sets {
 		for _, q := range set.Queries {
 			got, gotTrace := det.Search(q)
@@ -149,8 +148,13 @@ func requireCold(t *testing.T, det *core.ShardedLiveDetector, cold *core.Detecto
 			if gotTrace.MatchedTweets != wantTrace.MatchedTweets {
 				t.Fatalf("esharp %q: matched %d tweets, cold %d", q, gotTrace.MatchedTweets, wantTrace.MatchedTweets)
 			}
-			expertsEqual(t, "baseline", q, det.SearchBaseline(q), cold.SearchBaseline(q))
+			if q == oneTermQuery && len(gotTrace.Expansion) == 0 && len(want) > 0 {
+				oneTerm = true
+			}
 		}
+	}
+	if !oneTerm {
+		t.Fatalf("%q was not compared as a one-term search with experts", oneTermQuery)
 	}
 	if pq, se := det.PartialStats(); pq != 0 || se != 0 {
 		t.Fatalf("%d partial queries, %d shard errors", pq, se)
@@ -283,7 +287,7 @@ type deployment struct {
 type check func(t *testing.T, det *core.ShardedLiveDetector, srv *serve.Server, posts []microblog.Post)
 
 // matrixLoad is the load every row runs: 400 posts and 240 searches.
-var matrixLoad = load{writers: 2, perWriter: 200, seed: 8100, searchers: 4, perSearcher: 60, baselineEvery: 5}
+var matrixLoad = load{writers: 2, perWriter: 200, seed: 8100, searchers: 4, perSearcher: 60}
 
 // TestTopologyMatrix is the equivalence spine over every deployment
 // axis at once: in-process, loopback and mixed shard sets, replicas
@@ -470,9 +474,8 @@ func followerKilled(t *testing.T) deployment {
 }
 
 // answeredOverHTTP puts the quiesced deployment behind gateway.New and
-// requires every evaluation query's e# and baseline rankings, through
-// the JSON round trip, to equal the cold rebuild's, the baseline
-// answers flagged as such.
+// requires every evaluation query's e# ranking, through the JSON round
+// trip, to equal the cold rebuild's.
 func answeredOverHTTP(t *testing.T, _ *core.ShardedLiveDetector, srv *serve.Server, posts []microblog.Post) {
 	gw, err := gateway.New(gateway.Config{
 		Serve:         srv,
@@ -491,26 +494,20 @@ func answeredOverHTTP(t *testing.T, _ *core.ShardedLiveDetector, srv *serve.Serv
 	for _, set := range sets {
 		for _, q := range set.Queries {
 			want, _ := cold.Search(q)
-			jsonEqual(t, q, httpSearch(t, hs.URL, q, false), want)
-			jsonEqual(t, q+" (baseline)", httpSearch(t, hs.URL, q, true), cold.SearchBaseline(q))
+			jsonEqual(t, q, httpSearch(t, hs.URL, q), want)
 		}
 	}
 }
 
 // httpSearch POSTs one query to the gateway and returns the experts,
-// failing unless the answer is a 200 flagged baseline exactly when
-// asked for.
-func httpSearch(t *testing.T, base, query string, baseline bool) []expertise.Expert {
+// failing unless the answer is a 200.
+func httpSearch(t *testing.T, base, query string) []expertise.Expert {
 	t.Helper()
-	url := base + "/v1/search"
-	if baseline {
-		url += "?baseline=1"
-	}
 	body, err := json.Marshal(map[string]string{"query": query})
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, base+"/v1/search", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,14 +518,10 @@ func httpSearch(t *testing.T, base, query string, baseline bool) []expertise.Exp
 	}
 	defer resp.Body.Close()
 	var out struct {
-		Baseline bool               `json:"baseline"`
-		Experts  []expertise.Expert `json:"experts"`
+		Experts []expertise.Expert `json:"experts"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("%q: status %d, decode error %v", query, resp.StatusCode, err)
-	}
-	if out.Baseline != baseline {
-		t.Fatalf("%q: answer flagged baseline=%v, asked for %v", query, out.Baseline, baseline)
 	}
 	return out.Experts
 }
@@ -586,7 +579,7 @@ func TestReplicatedMixedLoadZeroPartials(t *testing.T) {
 	f.KillAfterCalls(40)
 	pool := evalPool(sets)
 	posts := runMixedLoad(p, srv, cluster, pool,
-		load{writers: 2, perWriter: 200, seed: 29, searchers: 4, perSearcher: 3 * len(pool) / 4, baselineEvery: 5}, nil)
+		load{writers: 2, perWriter: 200, seed: 29, searchers: 4, perSearcher: 3 * len(pool) / 4}, nil)
 	if len(posts) != 400 {
 		t.Fatalf("sink dropped writes: %d of 400 acknowledged", len(posts))
 	}
@@ -622,8 +615,8 @@ func TestReplicatedMixedLoadZeroPartials(t *testing.T) {
 // off as whole: shard 1 of two is a one-member replica set whose epoch —
 // a local write counter — stays readable while its only replica is
 // dead. Searched while it is down, every answer names shard 1 missing
-// and none is cached; after it heals, every eval query's e# and
-// baseline answers are whole again, equal to the cold rebuild.
+// and none is cached; after it heals, every eval query's answer is
+// whole again, equal to the cold rebuild.
 func TestPartialAnswerNeverCached(t *testing.T) {
 	fault.CheckLeaks(t)
 	p, sets := eqState(t)
@@ -642,14 +635,12 @@ func TestPartialAnswerNeverCached(t *testing.T) {
 	f.Kill()
 	pool := evalPool(sets)
 	for _, q := range pool {
-		for _, baseline := range []bool{false, true} {
-			var pe *serve.PartialError
-			if _, _, err := srv.Answer(ctx, q, baseline, time.Time{}); !errors.As(err, &pe) || pe.Missing != 1<<1 {
-				t.Fatalf("%q (baseline %v) with shard 1 dead: err %v, want shard 1 named missing", q, baseline, err)
-			}
+		var pe *serve.PartialError
+		if _, _, err := srv.Answer(ctx, q, time.Time{}); !errors.As(err, &pe) || pe.Missing != 1<<1 {
+			t.Fatalf("%q with shard 1 dead: err %v, want shard 1 named missing", q, err)
 		}
 	}
-	if st := srv.Stats(); st.CacheEntries != 0 || st.PartialResults != int64(2*len(pool)) {
+	if st := srv.Stats(); st.CacheEntries != 0 || st.PartialResults != int64(len(pool)) {
 		t.Fatalf("partial answers cached or uncounted: %+v", st)
 	}
 
@@ -658,7 +649,6 @@ func TestPartialAnswerNeverCached(t *testing.T) {
 	for _, q := range pool {
 		want, _ := cold.Search(q)
 		expertsEqual(t, "esharp after heal", q, srv.Search(q), want)
-		expertsEqual(t, "baseline after heal", q, srv.SearchBaseline(q), cold.SearchBaseline(q))
 	}
 	if got := srv.Search("buffalo bills"); len(got) != 10 {
 		t.Fatalf("buffalo bills after heal: %d experts, want 10", len(got))
