@@ -56,10 +56,20 @@ bench-smoke:
 # Documentation gate (see BENCHMARKS.md and ARCHITECTURE.md): formatting
 # is canonical, vet is clean, and every exported symbol of every package
 # under internal/ carries a doc comment.
+# docs-check also fails when a doc below names a `Test…`, `Benchmark…` or
+# `Fuzz…` that no _test.go declares. BENCHMARKS.md is left out: it names
+# retired benchmarks on purpose.
+NAMED_TEST_DOCS = ARCHITECTURE.md .claude/skills/verify/SKILL.md
 docs-check: vet
 	@fmtout="$$(gofmt -l .)"; if [ -n "$$fmtout" ]; then \
 		echo "gofmt -l found unformatted files:"; echo "$$fmtout"; exit 1; fi
 	$(GO) run ./cmd/docscheck ./internal/*/
+	@declared="$$(grep -rhoE --include='*_test.go' '^func (Test|Benchmark|Fuzz)[A-Za-z0-9_]+' . | sed 's/^func //' | sort -u)"; \
+	stale=""; \
+	for n in $$(grep -ohE '`(Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*' $(NAMED_TEST_DOCS) | tr -d '`' | sort -u); do \
+		printf '%s\n' "$$declared" | grep -qx "$$n" || stale="$$stale $$n"; \
+	done; \
+	if [ -n "$$stale" ]; then echo "$(NAMED_TEST_DOCS) name tests no _test.go declares:$$stale"; exit 1; fi
 
 # Hot-path benchmarks of the paper pipeline; `make bench BENCH=.` runs
 # everything in the root package. Streaming benchmarks live in

@@ -29,11 +29,8 @@ type DiskIO struct {
 
 // NewDiskIO returns the production diskseg.OS behind a fault gate with
 // no faults armed.
-func NewDiskIO() *DiskIO { return WrapDiskIO(diskseg.OS{}) }
-
-// WrapDiskIO returns io behind a fault gate with no faults armed.
-func WrapDiskIO(io diskseg.IO) *DiskIO {
-	return &DiskIO{inner: io, truncate: -1, corrupt: -1}
+func NewDiskIO() *DiskIO {
+	return &DiskIO{inner: diskseg.OS{}, truncate: -1, corrupt: -1}
 }
 
 // FailOpens makes every future Open fail with err (ErrKilled when err

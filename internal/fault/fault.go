@@ -448,9 +448,9 @@ func (f *Backend) Epoch() (uint64, error) {
 	return f.inner.Epoch()
 }
 
-// EpochIsLocal implements shard.Backend: false, so a cluster probes
-// this backend's Epoch through its failure backoff like any shard that
-// can fail — a local read would bypass the gate.
+// EpochIsLocal implements shard.Backend: false, because Epoch goes
+// through the fault gate and can fail. Nothing in the serving path
+// reads it.
 func (f *Backend) EpochIsLocal() bool { return false }
 
 // Failovers implements shard.Backend, passing the inner count through

@@ -179,8 +179,8 @@ func (s *Set) Health(i int) *shard.Health { return s.health[i] }
 
 // EpochIsLocal marks the set's epoch as a process-local read: the
 // logical write epoch is a coordinator-side counter, so sampling it
-// never touches a replica — a Cluster of Sets samples its whole epoch
-// vector without a single RPC, even when every replica is remote.
+// never touches a replica, even when every replica is remote. Nothing
+// in the serving path reads it.
 func (s *Set) EpochIsLocal() bool { return true }
 
 // Epoch implements shard.Backend: the logical write epoch (writes

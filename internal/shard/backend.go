@@ -93,15 +93,11 @@ type SearchStatser interface {
 	SearchStats(ctx context.Context, terms []string, extended bool, raw []expertise.RawCandidate, stats []expertise.UserStats) (rows []expertise.RawCandidate, matched int, rowStats []expertise.UserStats, v View, err error)
 }
 
-// EpochLocality tells a Cluster whether a Backend's Epoch is a
-// process-local read (an atomic load or a counter) rather than an RPC.
-// Cluster.EpochVector reads such a backend inline, with no failure
-// bookkeeping — the read cannot dial and cannot fail — and probes every
-// other backend through its health gate, one after another. Local
-// always is; replica.Set always is, because its logical write epoch is
-// a coordinator-side counter even when every replica behind it is
-// remote; transport.RemoteShard is dynamically — exactly while an
-// epoch-push subscription keeps its cached epoch fresh.
+// EpochLocality reports whether a Backend's Epoch is a process-local
+// read (an atomic load or a counter) rather than an RPC: Local and
+// replica.Set always, transport.RemoteShard while an epoch-push
+// subscription keeps its cached epoch fresh. Nothing in the serving
+// path reads it; it stays because bench/trace.go names the interface.
 type EpochLocality interface {
 	// EpochIsLocal reports whether Epoch reads process-local state.
 	EpochIsLocal() bool
@@ -267,6 +263,7 @@ func (l *Local) IngestBatch(posts []microblog.Post) error {
 func (l *Local) Epoch() (uint64, error) { return l.idx.Epoch(), nil }
 
 // EpochIsLocal implements Backend: a Local's epoch is one atomic load.
+// Nothing in the serving path reads it.
 func (l *Local) EpochIsLocal() bool { return true }
 
 // Failovers implements Backend: a single index has nowhere to fail
@@ -327,40 +324,15 @@ func (v *localView) Release() {
 type Cluster struct {
 	w        *world.World
 	backends []Backend
-	// health holds one failure-backoff state machine per backend; epoch
-	// probes consult it so a dead shard costs one dial per backoff
-	// window, not one per request (see Health).
-	health []*Health
 }
 
 // NewCluster assembles a cluster over an ordered backend list. Backend
 // i must hold exactly the authors ShardOf routes to i — for remote
 // backends that contract is established at deployment (cmd/shardd's
-// -shard/-of flags) and checked by the transport handshake. Epoch
-// probing starts with DefaultBackoff failure windows; SetBackoff
-// retunes them.
+// -shard/-of flags) and checked by the transport handshake.
 func NewCluster(w *world.World, backends ...Backend) *Cluster {
-	c := &Cluster{w: w, backends: backends}
-	c.health = make([]*Health, len(backends))
-	for i := range backends {
-		c.health[i] = NewHealth(DefaultBackoff())
-	}
-	return c
+	return &Cluster{w: w, backends: backends}
 }
-
-// SetBackoff replaces every backend's epoch-probe failure windows
-// (and resets their backoff state). Call it at wiring time, before
-// the cluster serves traffic.
-func (c *Cluster) SetBackoff(cfg Backoff) {
-	for i := range c.health {
-		c.health[i] = NewHealth(cfg)
-	}
-}
-
-// Health returns shard i's epoch-probe backoff state — exposed so the
-// serving layer and tests can observe which shards are inside failure
-// windows.
-func (c *Cluster) Health(i int) *Health { return c.health[i] }
 
 // World returns the generating world shared by every shard.
 func (c *Cluster) World() *world.World { return c.w }
@@ -394,50 +366,18 @@ func (c *Cluster) IngestBatch(posts []microblog.Post) error {
 	return nil
 }
 
-// probeEpoch samples shard i's epoch through its failure-backoff
-// gate: a backend inside a backoff window fails with ErrBackoff
-// immediately — no dial, no timeout — and at most one caller per
-// window actually probes it. Probe outcomes feed the same gate, so a
-// recovering shard re-admits itself on its first successful probe.
-func (c *Cluster) probeEpoch(i int) (uint64, error) {
-	h := c.health[i]
-	if !h.Allow() {
-		return 0, ErrBackoff
-	}
-	e, err := c.backends[i].Epoch()
-	if err != nil {
-		h.Fail()
-		return 0, err
-	}
-	h.Ok()
-	return e, nil
-}
-
 // EpochVector appends each shard's current epoch to dst (capacity
 // reused, contents discarded), one shard after another on the caller's
 // goroutine. A shard whose epoch cannot be observed contributes
 // EpochUnknown — the serving cache bypasses itself for such samples —
-// and the first failure is also returned. Locality is checked per
-// shard per sample: a backend that is epoch-local right now (Local,
-// replica.Set, a RemoteShard with a live push subscription) is read
-// inline, an atomic load with no failure bookkeeping; any other (a
-// cold or lapsed remote) is probed through probeEpoch's health gate,
-// so a dead shard costs one dial per backoff window rather than one
-// dial timeout per request. Skipping Health on a local read is safe:
-// Local, replica.Set and a subscribed RemoteShard never return an
-// epoch error, and a RemoteShard becomes local only by subscribing,
-// which only its Epoch does — under a probe that already recorded Ok.
+// and the first failure is also returned. Each backend's Epoch carries
+// its own failure policy: a transport.RemoteShard's dial budget holds a
+// dead shard to one dial per backoff window.
 func (c *Cluster) EpochVector(dst []uint64) ([]uint64, error) {
 	dst = dst[:0]
 	var firstErr error
 	for i, b := range c.backends {
-		var e uint64
-		var err error
-		if b.EpochIsLocal() {
-			e, err = b.Epoch()
-		} else {
-			e, err = c.probeEpoch(i)
-		}
+		e, err := b.Epoch()
 		if err != nil {
 			e = EpochUnknown
 			if firstErr == nil {

@@ -1,12 +1,10 @@
-// Failure backoff for shard and replica probing. PR 4's transport
-// fails fast — which is right for queries, but meant every epoch-vector
-// sample paid a full dial (and its timeout) per request while a shard
-// was down. Health is the shared fix: a per-backend decaying-backoff
-// state machine that grants at most one probe per backoff window, so a
-// dead backend costs one dial per window instead of one per request.
-// The Cluster consults one Health per backend when sampling epochs
-// (EpochVector); replica.Set consults one per replica when choosing a
-// read target and when probing a recovering follower.
+// Failure backoff for dialing and probing backends. Health is a
+// per-backend decaying-backoff state machine that grants at most one
+// probe per backoff window, so a dead backend costs one dial per window
+// instead of one per request. transport.RemoteShard consults one as its
+// dial budget (which is what bounds a dead shard's epoch samples);
+// replica.Set consults one per replica when choosing a read target and
+// when probing a recovering follower.
 package shard
 
 import (

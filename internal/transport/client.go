@@ -170,7 +170,8 @@ func (r *RemoteShard) Addr() string { return r.addr }
 func (r *RemoteShard) Dials() int64 { return r.dials.Load() }
 
 // EpochRTTs returns how many round trips this client has spent
-// learning epochs: its OpSubscribe exchanges. On warm subscribed
+// learning epochs: its answered OpSubscribe exchanges (a dial the
+// budget refused sent nothing and is not counted). On warm subscribed
 // connections the count stays flat — pushes carry the epochs — which
 // the streaming example's smoke run asserts.
 func (r *RemoteShard) EpochRTTs() int64 { return r.epochRTTs.Load() }
@@ -181,8 +182,8 @@ func (r *RemoteShard) Subscribed() bool { return r.subOn.Load() }
 
 // EpochIsLocal implements shard.Backend dynamically: sampling
 // this backend's epoch is free exactly while a subscription is live.
-// The Cluster re-checks per sample, so a lapsed subscription falls
-// back to health-gated probing automatically.
+// Nothing in the serving path reads it: a lapsed subscription's Epoch
+// re-subscribes through the dial budget on its own.
 func (r *RemoteShard) EpochIsLocal() bool { return r.subOn.Load() }
 
 // Failovers implements shard.Backend: one server, nowhere to fail over
@@ -652,12 +653,12 @@ func (r *RemoteShard) subscribe() (uint64, error) {
 	if r.subOn.Load() {
 		return r.subEpoch.Load(), nil
 	}
-	r.epochRTTs.Add(1)
-	r.obsEpochRTTs.Add(1)
 	cc, resp, err := r.exchange(context.Background(), request{op: OpSubscribe}, r.cfg.Timeout, true)
 	if err != nil {
 		return 0, err
 	}
+	r.epochRTTs.Add(1)
+	r.obsEpochRTTs.Add(1)
 	er, _, err := ConsumeEpochResp(resp)
 	if err != nil {
 		cc.c.Close()
@@ -680,8 +681,8 @@ func (r *RemoteShard) subscribe() (uint64, error) {
 // subLoop is the subscription's dedicated reader: it blocks on the
 // connection and mirrors every OpEpochDelta into the atomic epoch.
 // Any read error or protocol surprise ends the subscription — subOn
-// flips off first, so samplers fall back to probing (and re-subscribe
-// through the dial budget) rather than trusting a frozen cache.
+// flips off first, so samplers re-subscribe through the dial budget
+// rather than trusting a frozen cache.
 func (r *RemoteShard) subLoop(cc *clientConn) {
 	for {
 		op, payload, buf, err := ReadFrame(cc.br, cc.in)

@@ -350,13 +350,13 @@ func TestShardDiesBetweenScatterAndTopUp(t *testing.T) {
 	}
 }
 
-// TestEpochSampleBackoff pins the fix for the ROADMAP dial-timeout
-// hole: while a shard is down, the serving cache's per-request
-// epoch-vector sample must cost at most one dial per backoff window —
-// not one dial (and its timeout) per request. The dial count is the
-// proof, mirroring PR 4's reconnect-once technique; the sample still
-// reports EpochUnknown every time, so every request stays uncacheable
-// while the shard is down.
+// TestEpochSampleBackoff pins the dial-timeout fix at the cluster:
+// while a shard is down, the serving cache's per-request epoch-vector
+// sample must cost at most one dial per backoff window — not one dial
+// (and its timeout) per request. The remote client's dial budget is
+// what holds the bound; the cluster keeps no backoff of its own. The
+// dial count is the proof; the sample still reports EpochUnknown every
+// time, so every request stays uncacheable while the shard is down.
 func TestEpochSampleBackoff(t *testing.T) {
 	p, _ := testPipeline(t)
 	icfg := ingest.DefaultConfig()
@@ -372,9 +372,11 @@ func TestEpochSampleBackoff(t *testing.T) {
 	}
 	deadAddr := deadLn.Addr().String()
 	deadLn.Close()
+	const window = 300 * time.Millisecond
 	var dialAttempts int64
 	cfg := transport.ClientConfig{
-		Timeout: 200 * time.Millisecond,
+		Timeout:     200 * time.Millisecond,
+		DialBackoff: shard.Backoff{Initial: window, Max: window},
 		Dial: func(addr string, timeout time.Duration) (net.Conn, error) {
 			dialAttempts++
 			return net.DialTimeout("tcp", addr, timeout)
@@ -384,8 +386,6 @@ func TestEpochSampleBackoff(t *testing.T) {
 	defer dead.Close()
 
 	cluster := shard.NewCluster(p.World, shard.NewLocal(idx0), dead)
-	const window = 300 * time.Millisecond
-	cluster.SetBackoff(shard.Backoff{Initial: window, Max: window})
 	det := core.NewShardedLiveDetectorOver(p.Collection, cluster, p.Cfg.Online)
 	srv := serve.New(det, serve.Config{CacheSize: 64})
 
@@ -404,7 +404,7 @@ func TestEpochSampleBackoff(t *testing.T) {
 	}
 
 	// The serving layer's per-request vector sample goes through the
-	// same gate — still no extra dials. Stats() samples the vector
+	// same budget — still no extra dials. Stats() samples the vector
 	// without scattering a query (a query's own scatter keeps its
 	// fail-fast contract and is deliberately not gated here).
 	for i := 0; i < 8; i++ {
@@ -425,11 +425,8 @@ func TestEpochSampleBackoff(t *testing.T) {
 	if dialAttempts != 2 {
 		t.Fatalf("samples after window expiry attempted %d total dials, want 2", dialAttempts)
 	}
-	if h := cluster.Health(1); h.Healthy() {
+	if dead.Health().Healthy() {
 		t.Fatal("dead shard's health reports healthy")
-	}
-	if h := cluster.Health(0); !h.Healthy() {
-		t.Fatal("live shard's health reports unhealthy")
 	}
 }
 

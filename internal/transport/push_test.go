@@ -387,6 +387,10 @@ func TestDialBudgetCapsReconnects(t *testing.T) {
 	if attempts != 2 {
 		t.Fatalf("requests after window expiry attempted %d total dials, want 2", attempts)
 	}
+	// No OpSubscribe was ever answered, so no epoch round trip counts.
+	if n := c.EpochRTTs(); n != 0 {
+		t.Fatalf("counted %d epoch round trips against a dead address, want 0", n)
+	}
 }
 
 // TestNewOpPayloadTruncationEveryOffset holds the new decoders to the

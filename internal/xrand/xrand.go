@@ -128,57 +128,9 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Zipf samples from a Zipf distribution over {0, ..., n-1} with exponent
-// s > 0: P(k) ∝ 1/(k+1)^s. It precomputes the CDF once, so construct it
-// outside hot loops.
-type Zipf struct {
-	cdf []float64
-	rng *RNG
-}
-
-// NewZipf builds a Zipf sampler over n ranks with exponent s, drawing
-// uniforms from rng. It panics if n <= 0 or s <= 0.
-func NewZipf(rng *RNG, n int, s float64) *Zipf {
-	if n <= 0 {
-		panic("xrand: NewZipf called with n <= 0")
-	}
-	if s <= 0 {
-		panic("xrand: NewZipf called with s <= 0")
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for k := 0; k < n; k++ {
-		sum += 1 / math.Pow(float64(k+1), s)
-		cdf[k] = sum
-	}
-	for k := range cdf {
-		cdf[k] /= sum
-	}
-	cdf[n-1] = 1 // guard against FP round-off
-	return &Zipf{cdf: cdf, rng: rng}
-}
-
-// Draw returns the next rank in [0, n).
-func (z *Zipf) Draw() int {
-	u := z.rng.Float64()
-	// Binary search for the first cdf entry >= u.
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// N returns the number of ranks the sampler draws from.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Weighted samples indices proportionally to a fixed non-negative weight
-// vector. Like Zipf it precomputes the CDF once.
+// vector. It precomputes the CDF once, so construct it outside hot
+// loops.
 type Weighted struct {
 	cdf []float64
 	rng *RNG

@@ -176,58 +176,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestZipfSkew(t *testing.T) {
-	r := New(29)
-	z := NewZipf(r, 100, 1.1)
-	const draws = 100000
-	counts := make([]int, 100)
-	for i := 0; i < draws; i++ {
-		counts[z.Draw()]++
-	}
-	// Rank 0 must be drawn far more often than rank 50.
-	if counts[0] < 5*counts[50] {
-		t.Errorf("Zipf not skewed: counts[0]=%d counts[50]=%d", counts[0], counts[50])
-	}
-	// Monotone head: the first few ranks decrease.
-	if counts[0] < counts[1] || counts[1] < counts[4] {
-		t.Errorf("Zipf head not decreasing: %v", counts[:5])
-	}
-}
-
-func TestZipfBounds(t *testing.T) {
-	prop := func(seed uint64) bool {
-		r := New(seed)
-		n := 1 + r.Intn(30)
-		z := NewZipf(r, n, 1.0)
-		for i := 0; i < 200; i++ {
-			v := z.Draw()
-			if v < 0 || v >= n {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestZipfPanics(t *testing.T) {
-	for name, f := range map[string]func(){
-		"n=0": func() { NewZipf(New(1), 0, 1) },
-		"s=0": func() { NewZipf(New(1), 5, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestWeightedProportions(t *testing.T) {
 	r := New(31)
 	w := NewWeighted(r, []float64{1, 2, 7})
@@ -323,14 +271,5 @@ func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.Uint64()
-	}
-}
-
-func BenchmarkZipfDraw(b *testing.B) {
-	r := New(1)
-	z := NewZipf(r, 100000, 1.05)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = z.Draw()
 	}
 }
