@@ -272,7 +272,7 @@ func (d *ShardedLiveDetector) SearchContext(ctx context.Context, query string) (
 // result. The check sits after each phase's loop, so every pinned view
 // can be released before bailing, which is what keeps cancellation
 // leak-free (no view outlives the query).
-// ctxExpired is that check. ctx.Err() alone is racy against
+// ctxExpired is that check. A stock context's Err() is racy against
 // wire deadlines: a per-RPC conn deadline derived from this context
 // fires on wall-clock time, while ctx.Err() flips only after the
 // context's own timer goroutine has run — so for a few scheduler ticks
@@ -280,7 +280,9 @@ func (d *ShardedLiveDetector) SearchContext(ctx context.Context, query string) (
 // deadline error but ctx.Err() still reads nil, and the query would
 // degrade to a partial result instead of the whole-query timeout the
 // caller's budget demands. Checking the deadline against the clock
-// closes that window deterministically.
+// closes that window deterministically. The served path's budget
+// (internal/serve) reads the clock in Err itself; the check stays for
+// callers that pass a stock context.
 func ctxExpired(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err

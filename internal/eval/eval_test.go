@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/crowd"
+	"repro/internal/querylog"
 	"repro/internal/world"
 )
 
@@ -261,6 +262,52 @@ func TestTable9IncludesOnlineSteps(t *testing.T) {
 	for _, want := range []string{"extraction", "graph", "clustering", "expansion", "detection"} {
 		if !steps[want] {
 			t.Errorf("Table 9 missing step %q (have %v)", want, steps)
+		}
+	}
+}
+
+// TestTable9ByteColumns pins Table 9's Read and Write columns: an
+// in-memory build measures no I/O, so every row reads "-" in both; a
+// build whose click log goes through sharded files on disk prints the
+// bytes its generate and extraction stages recorded.
+func TestTable9ByteColumns(t *testing.T) {
+	// ioCells returns each rendered row's last two columns by step.
+	ioCells := func(out string) map[string]string {
+		cells := map[string]string{}
+		for _, line := range strings.Split(strings.TrimSpace(out), "\n")[3:] {
+			step, rest, _ := strings.Cut(line, " ")
+			f := strings.Fields(rest)
+			cells[step] = strings.Join(f[2:], " ")
+		}
+		return cells
+	}
+
+	p, _ := testPipeline(t)
+	for step, io := range ioCells(RenderTable9(RunTable9(p, []string{"49ers"}))) {
+		if io != "- -" {
+			t.Errorf("in-memory %s: Read and Write read %q, want \"- -\"", step, io)
+		}
+	}
+
+	cfg := core.TinyPipelineConfig()
+	cfg.ShardDir = t.TempDir()
+	sp, err := core.BuildPipeline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells := ioCells(RenderTable9(RunTable9(sp, nil)))
+	for _, s := range sp.Stages {
+		if s.BytesRead == 0 && s.BytesWritten == 0 {
+			continue
+		}
+		want := querylog.FormatBytes(s.BytesRead) + " " + querylog.FormatBytes(s.BytesWritten)
+		if cells[s.Stage] != want {
+			t.Errorf("-shards %s: Read and Write read %q, want %q", s.Stage, cells[s.Stage], want)
+		}
+	}
+	for _, step := range []string{"generate", "extraction"} {
+		if c := cells[step]; c == "" || strings.Contains(c, "-") {
+			t.Errorf("-shards %s recorded no I/O: %q", step, c)
 		}
 	}
 }

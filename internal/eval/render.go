@@ -195,16 +195,22 @@ func RenderExampleTable(query string, rows []ExpertRow) string {
 		RenderTable([]string{"Algorithm", "Screen Name", "Description", "Verified", "Followers", "Relevant"}, out)
 }
 
-// RenderTable9 renders the resource-consumption table.
+// RenderTable9 renders the resource-consumption table. A stage that
+// recorded no I/O — every stage of an in-memory build, and the online
+// rows — reads "-" in both byte columns, not "0 B".
 func RenderTable9(rows []Table9Row) string {
 	out := make([][]string, 0, len(rows))
 	for _, r := range rows {
+		read, write := "-", "-"
+		if r.Read != 0 || r.Write != 0 {
+			read, write = querylog.FormatBytes(r.Read), querylog.FormatBytes(r.Write)
+		}
 		out = append(out, []string{
 			r.Step,
 			fmt.Sprint(r.Workers),
 			r.Runtime.Round(time.Microsecond).String(),
-			querylog.FormatBytes(r.Read),
-			querylog.FormatBytes(r.Write),
+			read,
+			write,
 		})
 	}
 	return "Table 9: Resource consumption for one iteration\n" +

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"sync"
@@ -141,6 +142,59 @@ func TestWarmHitAllocBudget(t *testing.T) {
 	}
 	if calls := backend.calls.Load(); calls != 2 {
 		t.Fatalf("backend ran %d times, want once per gateway", calls)
+	}
+}
+
+// TestColdMissAllocBudget pins the front door's cost on a cold miss
+// with a budget, measured like TestWarmHitAllocBudget on a cache-less
+// server over a backend that allocates nothing: the warm hit's 3, the
+// serving layer's result and the miss's budget context, and no timer
+// under either a background or a cancelable request context — the
+// latter is what net/http hands a handler, fresh per request, and its
+// own allocations are measured apart and not counted.
+func TestColdMissAllocBudget(t *testing.T) {
+	ranking := manyExperts(60)
+	backend := &stubBackend{ranking: func(uint64) []expertise.Expert { return ranking }}
+	scfg := serve.DefaultConfig()
+	scfg.CacheSize = 0
+	g := newTestGateway(t, backend, scfg, nil)
+	p := newInproc(t, g, "/v1/search")
+	body := []byte(`{"query":"vintage cars"}`)
+	want := referenceBody(t, "vintage cars", ranking)
+	base := p.req
+	const runs = 200
+	requestAllocs := testing.AllocsPerRun(runs, func() {
+		ctx, cancel := context.WithCancel(context.Background())
+		p.req = base.WithContext(ctx)
+		cancel()
+	})
+	for _, cancelable := range []bool{false, true} {
+		miss := func() {
+			p.req = base
+			if cancelable {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				p.req = base.WithContext(ctx)
+			}
+			if status, got := p.do(body); status != http.StatusOK || !bytes.Equal(got, want) {
+				t.Fatalf("cancelable=%v: status %d, body\n%s\nwant\n%s", cancelable, status, got, want)
+			}
+		}
+		miss()
+		allocs := testing.AllocsPerRun(runs, miss)
+		if cancelable {
+			allocs -= requestAllocs
+		}
+		budget := 5.0
+		if race.Enabled {
+			budget = 21
+		}
+		if allocs > budget {
+			t.Errorf("cancelable=%v: cold miss through ServeHTTP allocates %v times, want ≤ %v", cancelable, allocs, budget)
+		}
+	}
+	if calls := backend.calls.Load(); calls != 2*(runs+2) {
+		t.Fatalf("backend ran %d times, want once per request", calls)
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 // benchGateway builds the full warm stack once: 2-shard quiesced
 // deployment under serve under the gateway, with the benchmark query
 // already cached so the measured path is auth → budget → cache hit →
-// JSON.
-func benchGateway(b *testing.B) (*serve.Server, *httptest.Server, string) {
+// JSON. It also returns the detector, for a front door of its own.
+func benchGateway(b *testing.B) (*core.ShardedLiveDetector, *serve.Server, *httptest.Server, string) {
 	b.Helper()
 	p, sets := testPipeline(b)
 	posts := streamPosts(p, 83, 400)
@@ -30,16 +30,7 @@ func benchGateway(b *testing.B) (*serve.Server, *httptest.Server, string) {
 	live := core.NewShardedLiveDetectorOver(p.Collection, cluster, p.Cfg.Online)
 
 	srv := serve.New(live, serve.DefaultConfig())
-	g, err := New(Config{
-		Serve:         srv,
-		Tokens:        map[string]TokenConfig{"bench": {}},
-		DefaultBudget: 30 * time.Second,
-		MaxBudget:     30 * time.Second,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	hs := httptest.NewServer(g)
+	hs := httptest.NewServer(benchFrontDoor(b, srv))
 	b.Cleanup(hs.Close)
 
 	query := sets[0].Queries[0]
@@ -52,7 +43,23 @@ func benchGateway(b *testing.B) (*serve.Server, *httptest.Server, string) {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	srv.Search(query) // warm the cache slot
-	return srv, hs, query
+	return live, srv, hs, query
+}
+
+// benchFrontDoor is the gateway the benchmarks drive: one "bench"
+// token and a 30 s budget on every request.
+func benchFrontDoor(b *testing.B, srv *serve.Server) *Gateway {
+	b.Helper()
+	g, err := New(Config{
+		Serve:         srv,
+		Tokens:        map[string]TokenConfig{"bench": {}},
+		DefaultBudget: 30 * time.Second,
+		MaxBudget:     30 * time.Second,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g
 }
 
 func gatewayRoundTrip(b *testing.B, client *http.Client, url, body string) {
@@ -77,7 +84,7 @@ func gatewayRoundTrip(b *testing.B, client *http.Client, url, body string) {
 // a real TCP loopback connection: auth, budget parse, serve cache hit,
 // JSON encode, HTTP framing.
 func BenchmarkGatewayQPSWarm(b *testing.B) {
-	_, hs, query := benchGateway(b)
+	_, _, hs, query := benchGateway(b)
 	body, _ := json.Marshal(searchRequest{Query: query})
 	url := hs.URL + "/v1/search"
 	gatewayRoundTrip(b, hs.Client(), url, string(body)) // prime the conn
@@ -90,7 +97,7 @@ func BenchmarkGatewayQPSWarm(b *testing.B) {
 // BenchmarkGatewayQPSParallel is the same round trip under RunParallel:
 // the headline concurrent-throughput number for BENCHMARKS.md.
 func BenchmarkGatewayQPSParallel(b *testing.B) {
-	_, hs, query := benchGateway(b)
+	_, _, hs, query := benchGateway(b)
 	body, _ := json.Marshal(searchRequest{Query: query})
 	url := hs.URL + "/v1/search"
 	b.ResetTimer()
@@ -106,9 +113,12 @@ func BenchmarkGatewayQPSParallel(b *testing.B) {
 // BenchmarkGatewayOverhead isolates what the front door costs on top of
 // the serving layer it wraps: the serve sub-benchmark answers the same
 // warm query in-process, the http sub-benchmark answers it through the
-// full gateway; the delta is the HTTP+JSON+auth tax per request.
+// full gateway; the delta is the HTTP+JSON+auth tax per request. The
+// miss sub-benchmark drives the handler in-process over a cache-less
+// server, so every request runs the detector under its budget: the
+// seam a cold miss crosses.
 func BenchmarkGatewayOverhead(b *testing.B) {
-	srv, hs, query := benchGateway(b)
+	live, srv, hs, query := benchGateway(b)
 	b.Run("serve", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -126,6 +136,18 @@ func BenchmarkGatewayOverhead(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			gatewayRoundTrip(b, client, url, string(body))
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		p := newInproc(b, benchFrontDoor(b, serve.New(live, serve.Config{})), "/v1/search")
+		p.req.Header.Set("Authorization", "Bearer bench")
+		body, _ := json.Marshal(searchRequest{Query: query})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if status, _ := p.do(body); status != http.StatusOK {
+				b.Fatalf("status %d", status)
+			}
 		}
 	})
 }

@@ -393,41 +393,69 @@ func TestSlotOutlivesItsContents(t *testing.T) {
 
 // fixedBackend answers every search with one ranking and allocates
 // nothing doing so, so AllocsPerRun over a Server on top of it counts
-// the serving layer's allocations alone.
+// the serving layer's allocations alone. Like the detector, it reads
+// its context's deadline and error.
 type fixedBackend struct {
 	scriptedVectorBackend
 	ranking []expertise.Expert
 }
 
 func (b *fixedBackend) SearchContext(ctx context.Context, query string) ([]expertise.Expert, core.SearchTrace, error) {
-	return b.ranking, core.SearchTrace{}, nil
+	ctx.Deadline()
+	return b.ranking, core.SearchTrace{}, ctx.Err()
 }
 
 // TestRefillAllocs pins what the serving layer allocates per backend
 // computation: the result — flight and slot content in one — and
 // nothing else. The slot (map cell, list element) survived the
 // invalidation, the epoch vector sits inside the result for up to four
-// shards, and a flight nobody joins makes no channel.
+// shards, and a flight nobody joins makes no channel. A deadline under
+// a fresh cancelable parent per request — net/http's request context —
+// adds the budget and nothing else: no timer, no Done channel or child
+// map on the parent. The parent's own allocations are measured apart
+// and not counted.
 func TestRefillAllocs(t *testing.T) {
+	const runs = 200
+	requestAllocs := testing.AllocsPerRun(runs, func() {
+		_, cancel := context.WithCancel(context.Background())
+		cancel()
+	})
 	for _, c := range []struct {
 		name          string
 		shards, cache int
+		budget        bool
 		want          float64
 	}{
-		{"refill of an invalidated slot, 1 shard", 1, 4096, 1},
-		{"refill of an invalidated slot, 4 shards", 4, 4096, 1},
-		{"refill of an invalidated slot, 5 shards: the vector spills", 5, 4096, 2},
-		{"cache off", 2, 0, 1},
+		{"refill of an invalidated slot, 1 shard", 1, 4096, false, 1},
+		{"refill of an invalidated slot, 4 shards", 4, 4096, false, 1},
+		{"refill of an invalidated slot, 5 shards: the vector spills", 5, 4096, false, 2},
+		{"cache off", 2, 0, false, 1},
+		{"refill under a deadline, 1 shard", 1, 4096, true, 2},
+		{"cache off under a deadline", 2, 0, true, 2},
 	} {
 		backend := &fixedBackend{ranking: []expertise.Expert{{User: 1, Score: 1}}}
 		backend.components = make([]atomic.Uint64, c.shards)
 		s := New(backend, Config{CacheSize: c.cache})
-		s.Search("niners")
-		const runs = 200
+		search := func() {
+			ctx, deadline := context.Background(), time.Time{}
+			if c.budget {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithCancel(ctx)
+				defer cancel()
+				deadline = time.Now().Add(time.Hour)
+			}
+			if _, _, err := s.Answer(ctx, "niners", deadline); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		}
+		search()
 		allocs := testing.AllocsPerRun(runs, func() {
 			backend.components[c.shards-1].Add(1)
-			s.Search("niners")
+			search()
 		})
+		if c.budget {
+			allocs -= requestAllocs
+		}
 		// Under the race detector sync.Pool drops a quarter of the vector
 		// buffers.
 		if allocs != c.want && !(race.Enabled && allocs <= c.want+1) {

@@ -67,7 +67,9 @@
 // the request has missed the cache — from there the remaining budget
 // rides the context down the scatter-gather into per-shard RPC
 // deadlines, and an expired budget surfaces as the context's error
-// (the gateway maps it to 504) — so a warm hit builds no context. A
+// (the gateway maps it to 504) — so a warm hit builds no context. The
+// miss's context holds the deadline as a value, read against the
+// clock: a timer is armed only for a caller that waits on Done. A
 // hit also returns the ranking's JSON: a cached result is immutable
 // after insert and carries json.Marshal of its experts, encoded by its
 // first hit, once, outside the lock; a miss encodes nothing.
@@ -520,9 +522,9 @@ func (s *Server) countHit(qt *obs.QueryTrace) {
 // budget is armed.
 func (s *Server) miss(ctx context.Context, deadline time.Time, key string, norm string, evec []uint64, uncacheable bool, qt *obs.QueryTrace) ([]expertise.Expert, *result, error) {
 	if !deadline.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, deadline)
-		defer cancel()
+		b := &budget{Context: ctx, deadline: deadline}
+		defer b.release()
+		ctx = b
 	}
 	for {
 		s.mu.Lock()
@@ -635,6 +637,69 @@ func (s *Server) miss(ctx context.Context, deadline time.Time, key string, norm 
 		return f.experts, nil, f.err
 	}
 	return f.experts, nil, partial(f.missing)
+}
+
+// budget is the context a miss runs under when its request has a
+// deadline: the request's context, so a client hang-up still cancels,
+// and the deadline as a value. The miss path only reads Err and
+// Deadline, so no timer is armed — context.WithDeadline costs 7
+// allocations under net/http's request context, a budget 1 — until a
+// coalesced follower waits on Done.
+type budget struct {
+	context.Context
+	deadline time.Time
+	released atomic.Bool
+	mu       sync.Mutex
+	armed    context.Context // built by the first Done
+	cancel   context.CancelFunc
+}
+
+// Deadline is the earlier of the request's deadline and the budget's.
+func (b *budget) Deadline() (time.Time, bool) {
+	if d, ok := b.Context.Deadline(); ok && d.Before(b.deadline) {
+		return d, true
+	}
+	return b.deadline, true
+}
+
+// Err is the request's error, else Canceled once released, else
+// DeadlineExceeded once the clock reaches the deadline.
+func (b *budget) Err() error {
+	if err := b.Context.Err(); err != nil {
+		return err
+	}
+	if b.released.Load() {
+		return context.Canceled
+	}
+	if !time.Now().Before(b.deadline) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// Done returns a channel that closes at the deadline, on the request's
+// cancellation or on release; the first call arms its timer.
+func (b *budget) Done() <-chan struct{} {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.armed == nil {
+		b.armed, b.cancel = context.WithDeadline(b.Context, b.deadline)
+		if b.released.Load() {
+			b.cancel()
+		}
+	}
+	return b.armed.Done()
+}
+
+// release ends the budget and stops a timer Done armed; it is
+// idempotent.
+func (b *budget) release() {
+	b.released.Store(true)
+	b.mu.Lock()
+	if b.cancel != nil {
+		b.cancel()
+	}
+	b.mu.Unlock()
 }
 
 // staleVec reports whether an entry tagged with vector entryVec is
