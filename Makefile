@@ -22,9 +22,9 @@ race:
 # Flake gate: the packages whose tests race background goroutines
 # (compactor, push loops, servers flushing after they answer) or hammer
 # state shared across requests (serve's once-encoded cache entries, the
-# gateway's pooled scratch, the ranker's pooled columns, the disk tier's
-# block cache, whose index-linked slots are recycled in place), the
-# admin plane's /watch streams (internal/obs, cmd/gateway), plus the root
+# gateway's pooled scratch, the ranker's pooled columns, the disk
+# tier's concurrent readers of one mapped segment), the admin plane's
+# /watch streams (internal/obs, cmd/gateway), plus the root
 # package, whose topology matrix is the concurrent mixed-load hammer,
 # run repeatedly and uncached, then again under the race detector. A
 # test that passes once and fails one run in five fails here.
@@ -103,10 +103,11 @@ bench-replica:
 bench-gateway:
 	$(GO) test -bench 'Gateway' -benchmem -run '^$$' ./internal/gateway
 
-# Disk-tier benchmarks: spilled-index search latency (hot and
-# cache-disabled) against the in-memory LiveSearch rows, the compaction
-# merge, and the diskseg micro-benches — among them the seal's encode
-# and what opening a segment costs by its size (DiskSegOpen).
+# Disk-tier benchmarks: spilled-index search latency (every posting
+# block decoded off the map, as in memory) against the in-memory
+# LiveSearch rows, the compaction merge, and the diskseg micro-benches —
+# among them the seal's encode and what opening a segment costs by its
+# size (DiskSegOpen).
 bench-disk:
 	$(GO) test -bench 'Disk' -benchmem -run '^$$' ./internal/ingest ./internal/diskseg
 

@@ -271,27 +271,12 @@ func (d *ShardedLiveDetector) SearchContext(ctx context.Context, query string) (
 // Deadline policy: ctx expiry is a whole-query error, not a partial
 // result. The check sits after each phase's loop, so every pinned view
 // can be released before bailing, which is what keeps cancellation
-// leak-free (no view outlives the query).
-// ctxExpired is that check. A stock context's Err() is racy against
-// wire deadlines: a per-RPC conn deadline derived from this context
-// fires on wall-clock time, while ctx.Err() flips only after the
-// context's own timer goroutine has run — so for a few scheduler ticks
-// after the shared instant, the shard has already failed with a
-// deadline error but ctx.Err() still reads nil, and the query would
-// degrade to a partial result instead of the whole-query timeout the
-// caller's budget demands. Checking the deadline against the clock
-// closes that window deterministically. The served path's budget
+// leak-free (no view outlives the query). shard.Expired is that check:
+// it reads the deadline against the clock, so a shard that failed on a
+// wire deadline derived from ctx cannot degrade the query to a partial
+// result while ctx.Err() still reads nil. The served path's budget
 // (internal/serve) reads the clock in Err itself; the check stays for
 // callers that pass a stock context.
-func ctxExpired(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
-		return context.DeadlineExceeded
-	}
-	return nil
-}
 
 func (d *ShardedLiveDetector) scatterGather(ctx context.Context, query string, expansion []string) ([]expertise.Expert, int, MissingShards, []obs.ShardSpan, int64, error) {
 	s := d.scratch.Get().(*shardedScratch)
@@ -316,7 +301,7 @@ func (d *ShardedLiveDetector) scatterGather(ctx context.Context, query string, e
 			d.scatterShard(ctx, s, si)
 		}
 
-		if err := ctxExpired(ctx); err != nil {
+		if err := shard.Expired(ctx); err != nil {
 			d.abandon(s, n)
 			return nil, 0, 0, nil, 0, err
 		}
@@ -334,7 +319,7 @@ func (d *ShardedLiveDetector) scatterGather(ctx context.Context, query string, e
 			for si := 0; si < n; si++ {
 				d.topUpShard(ctx, s, si)
 			}
-			if err := ctxExpired(ctx); err != nil {
+			if err := shard.Expired(ctx); err != nil {
 				d.abandon(s, n)
 				return nil, 0, 0, nil, 0, err
 			}

@@ -10,9 +10,8 @@ import (
 	"repro/internal/world"
 )
 
-// benchSegment writes the tiny corpus once and opens it with the given
-// cache size.
-func benchSegment(b *testing.B, cache int) (*microblog.Corpus, *diskseg.Segment) {
+// benchSegment writes the tiny corpus once and opens it.
+func benchSegment(b *testing.B) (*microblog.Corpus, *diskseg.Segment) {
 	b.Helper()
 	w := world.Build(world.TinyConfig())
 	c := microblog.Generate(w, microblog.TinyGenConfig())
@@ -20,7 +19,7 @@ func benchSegment(b *testing.B, cache int) (*microblog.Corpus, *diskseg.Segment)
 	if err := writeImage(path, c); err != nil {
 		b.Fatal(err)
 	}
-	s, err := diskseg.Open(path, diskseg.Options{BlockCache: cache})
+	s, err := diskseg.Open(path, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -28,24 +27,13 @@ func benchSegment(b *testing.B, cache int) (*microblog.Corpus, *diskseg.Segment)
 	return c, s
 }
 
-// BenchmarkDiskSegMatchHot measures the zero-copy match path with the
-// working set in the block cache — the steady state of a hot term.
-func BenchmarkDiskSegMatchHot(b *testing.B) {
-	_, s := benchSegment(b, 0)
+// BenchmarkDiskSegMatch measures the zero-copy match path of a mapped
+// segment: every posting block of the term decoded off the map into the
+// caller's buffer on every call.
+func BenchmarkDiskSegMatch(b *testing.B) {
+	_, s := benchSegment(b)
 	var buf []microblog.TweetID
-	buf = s.MatchAppend("49ers", buf)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = s.MatchAppend("49ers", buf)
-	}
-	b.ReportMetric(float64(len(buf)), "matches")
-}
-
-// BenchmarkDiskSegMatchUncached decodes every posting block off the
-// map on every call — the per-query floor of a fully cold segment.
-func BenchmarkDiskSegMatchUncached(b *testing.B) {
-	_, s := benchSegment(b, -1)
-	var buf []microblog.TweetID
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = s.MatchAppend("49ers", buf)
@@ -55,10 +43,10 @@ func BenchmarkDiskSegMatchUncached(b *testing.B) {
 
 // BenchmarkDiskSegScan measures the log-paging read: one sequential
 // Scan over every post of the segment, each tweet block decoded once
-// off the map, past the block cache. The allocations are the posts'
-// own texts, term lists and mention lists.
+// off the map. The allocations are the posts' own texts, term lists
+// and mention lists.
 func BenchmarkDiskSegScan(b *testing.B) {
-	c, s := benchSegment(b, 0)
+	c, s := benchSegment(b)
 	n := c.NumTweets()
 	var sink int
 	b.ReportAllocs()
@@ -71,12 +59,12 @@ func BenchmarkDiskSegScan(b *testing.B) {
 }
 
 // BenchmarkDiskSegFeaturesUncached measures what candidate extraction
-// pays per matched post on a cold segment: the ranking features of
-// scattered ids read in place off the map, block cache disabled. The
-// row to hold is 0 allocs/op — the cost follows the posts matched, not
-// the records decoded.
+// pays per matched post on a mapped segment: the ranking features of
+// scattered ids read in place off the map. The row to hold is 0
+// allocs/op — the cost follows the posts matched, not the records
+// decoded.
 func BenchmarkDiskSegFeaturesUncached(b *testing.B) {
-	c, s := benchSegment(b, -1)
+	c, s := benchSegment(b)
 	n := c.NumTweets()
 	var scratch []world.UserID
 	var sink int
@@ -103,7 +91,7 @@ func BenchmarkDiskSegWrite(b *testing.B) {
 		if err := writeImage(path, c); err != nil {
 			b.Fatal(err)
 		}
-		s, err := diskseg.Open(path, diskseg.Options{})
+		s, err := diskseg.Open(path, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -157,7 +145,7 @@ func BenchmarkDiskSegOpen(b *testing.B) {
 		b.Run(fmt.Sprintf("posts=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				s, err := diskseg.Load(img, diskseg.Options{})
+				s, err := diskseg.Load(img)
 				if err != nil {
 					b.Fatal(err)
 				}

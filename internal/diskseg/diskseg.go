@@ -11,12 +11,12 @@
 // feature denominators and the per-tweet ranking features (author,
 // retweets, hashtag bit, mentions) are fixed-width rows read in place
 // with no decode at all, so candidate extraction never decodes a tweet
-// record and costs nothing per matched post beyond the loads. A small
-// LRU of hot decoded blocks keeps a mapped segment's frequently queried
-// terms off the decoder while the long tail of the corpus costs only
-// page cache; it holds posting blocks only. Paging the log (OpTweets)
-// reads the tweet records through Scan, one sequential decode past the
-// cache.
+// record and costs nothing per matched post beyond the loads. There is
+// one read path wherever the image lives: every posting block a query
+// needs is decoded off the image into the caller's scratch, with no
+// cache, no lock and no clock read — a mapped segment's hot pages are
+// the OS page cache's job. Paging the log (OpTweets) reads the tweet
+// records through Scan, one sequential decode.
 //
 // Lifecycle. Segments are refcounted: the opener holds one reference,
 // every published ingest snapshot that includes a mapped segment takes
@@ -36,32 +36,11 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/microblog"
-	"repro/internal/obs"
 	"repro/internal/textutil"
 	"repro/internal/world"
 )
-
-// Options tunes an opened segment.
-type Options struct {
-	// IO overrides the file/mmap layer; nil means the real OS. The
-	// chaos harness injects open failures, truncation and corruption
-	// through this seam.
-	IO IO
-	// BlockCache caps the hot decoded posting blocks this segment keeps
-	// in heap; it is also the number of slots a full cache recycles,
-	// coldest first, instead of allocating per miss. Zero means 256;
-	// negative disables caching, so every access decodes off the map —
-	// the configuration the cold-path benchmarks measure.
-	BlockCache int
-	// Obs, when non-nil, registers the disk tier's metrics: block-cache
-	// traffic (disk_block_cache_hits / disk_block_cache_misses) and the
-	// per-miss decode latency histogram (disk_read_ns). Nil keeps the
-	// read path free of clock reads.
-	Obs *obs.Registry
-}
 
 // termMeta is one dictionary entry: the posting count and the term's
 // run [lo, hi) of the segment's block directory, decoded into heap at
@@ -102,12 +81,8 @@ type Segment struct {
 	index       []int32
 	tweetBlocks []span
 
-	cache *blockCache
-
 	refs   atomic.Int64
 	remove atomic.Bool
-
-	obsReadNS *obs.Histogram
 }
 
 // Open maps the segment at path and validates it: magic, version,
@@ -117,9 +92,10 @@ type Segment struct {
 // or corrupted file fails here with a clean error (ErrTruncated,
 // ErrChecksum, ErrCorrupt) — never later, and never with a wrong
 // result. The returned segment holds one reference; Release it when
-// the layout drops the segment.
-func Open(path string, opts Options) (*Segment, error) {
-	io := opts.IO
+// the layout drops the segment. io overrides the file/mmap layer; nil
+// means the real OS. The chaos harness injects open failures,
+// truncation and corruption through this seam.
+func Open(path string, io IO) (*Segment, error) {
 	if io == nil {
 		io = OS{}
 	}
@@ -127,7 +103,7 @@ func Open(path string, opts Options) (*Segment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("diskseg: open %s: %w", path, err)
 	}
-	s, err := open(path, f, opts)
+	s, err := open(path, f)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("diskseg: open %s: %w", path, err)
@@ -137,17 +113,17 @@ func Open(path string, opts Options) (*Segment, error) {
 
 // Load opens an encoded image held in memory (Encode, EncodeMerged) —
 // a sealed segment that is not spilled. It validates exactly as Open
-// does, through the same parse; opts.IO is not used. The segment reads
-// img in place, so img must not be written again.
-func Load(img []byte, opts Options) (*Segment, error) {
-	s, err := open("", memFile(img), opts)
+// does, through the same parse, and reads the same way. The segment
+// reads img in place, so img must not be written again.
+func Load(img []byte) (*Segment, error) {
+	s, err := open("", memFile(img))
 	if err != nil {
 		return nil, fmt.Errorf("diskseg: load: %w", err)
 	}
 	return s, nil
 }
 
-func open(path string, f File, opts Options) (*Segment, error) {
+func open(path string, f File) (*Segment, error) {
 	size, err := f.Size()
 	if err != nil {
 		return nil, err
@@ -185,16 +161,6 @@ func open(path string, f File, opts Options) (*Segment, error) {
 	}
 	if err := s.checkTweets(); err != nil {
 		return nil, err
-	}
-	capacity := opts.BlockCache
-	if capacity == 0 {
-		capacity = 256
-	}
-	if capacity > 0 {
-		s.cache = newBlockCache(capacity, opts.Obs)
-	}
-	if opts.Obs != nil {
-		s.obsReadNS = opts.Obs.Histogram("disk_read_ns")
 	}
 	s.refs.Store(1)
 	return s, nil
@@ -448,8 +414,7 @@ func (s *Segment) NumRetweetsOf(u world.UserID) int {
 // segment-local id in place off the map: three loads and a varint walk
 // over the post's mentions, decoded into *scratch (capacity reused,
 // contents discarded, the grown buffer stored back) — no block decode,
-// no cache traffic, no allocation once the scratch fits the widest
-// post seen.
+// no allocation once the scratch fits the widest post seen.
 func (s *Segment) Features(id microblog.TweetID, hashtag bool, scratch *[]world.UserID) (author world.UserID, retweets int, hashtagged bool, mentions []world.UserID) {
 	// Bounded by the rows' end, so an id past the segment panics here
 	// (as an in-heap index would) instead of reading the pool as a row.
@@ -485,11 +450,10 @@ var matchPool = sync.Pool{New: func() any { return &matchScratch{} }}
 // to microblog.Corpus.MatchAppend: it writes the segment-local ids of
 // all posts containing every token of the query into buf (capacity
 // reused, contents discarded) and returns the filled buffer. Posting
-// lists are materialized block by block — hot blocks from the LRU,
-// cold ones decoded straight off the map — then intersected
-// rarest-first through the galloping microblog.IntersectInto, exactly
-// as the in-heap corpus does, which is what makes a segment
-// bit-identical to the corpus it was encoded from.
+// lists are decoded block by block straight off the image, then
+// intersected rarest-first through the galloping
+// microblog.IntersectInto, exactly as the in-heap corpus does, which is
+// what makes a segment bit-identical to the corpus it was encoded from.
 func (s *Segment) MatchAppend(query string, buf []microblog.TweetID) []microblog.TweetID {
 	return s.MatchTokensAppend(textutil.Tokenize(query), buf)
 }
@@ -556,7 +520,7 @@ func (s *Segment) termAppendNear(m *termMeta, near, buf []microblog.TweetID) []m
 				continue
 			}
 		}
-		buf = s.appendBlock(buf, &s.blocks[b])
+		buf = s.decodePostings(buf, &s.blocks[b])
 	}
 	return buf
 }
@@ -574,36 +538,12 @@ func (s *Segment) Postings(token string, buf []microblog.TweetID) []microblog.Tw
 // termAppend materializes one term's posting list, block by block.
 func (s *Segment) termAppend(m *termMeta, buf []microblog.TweetID) []microblog.TweetID {
 	for i := m.lo; i < m.hi; i++ {
-		buf = s.appendBlock(buf, &s.blocks[i])
+		buf = s.decodePostings(buf, &s.blocks[i])
 	}
 	return buf
 }
 
-// appendBlock appends one posting block to dst: copied out of the hot
-// cache on a hit; on a miss decoded off the map straight into dst, then
-// copied into the cache. No cache-owned slice leaves the cache's lock.
-func (s *Segment) appendBlock(dst []microblog.TweetID, ref *blockRef) []microblog.TweetID {
-	if s.cache != nil {
-		if out, ok := s.cache.appendIDs(dst, ref.off); ok {
-			return out
-		}
-	}
-	var start time.Time
-	if s.obsReadNS != nil {
-		start = time.Now()
-	}
-	n := len(dst)
-	dst = s.decodePostings(dst, ref)
-	if s.obsReadNS != nil {
-		s.obsReadNS.Observe(time.Since(start).Nanoseconds())
-	}
-	if s.cache != nil {
-		s.cache.put(ref.off, dst[n:])
-	}
-	return dst
-}
-
-// decodePostings appends one posting block to dst, decoded off the map.
+// decodePostings appends one posting block to dst, decoded off the image.
 // Open decoded every block with microblog.DecodePostingsBlock's checks,
 // so this decode skips them: it only sums the deltas.
 func (s *Segment) decodePostings(dst []microblog.TweetID, ref *blockRef) []microblog.TweetID {
@@ -631,9 +571,8 @@ func (s *Segment) decodePostings(dst []microblog.TweetID, ref *blockRef) []micro
 // Scan calls fn with every post of segment-local ids [lo, hi), in id
 // order — the log-paging read (OpTweets); ranking
 // reads Features instead. It decodes each tweet block once,
-// sequentially, straight off the image and past the hot cache, so
-// paging the whole log neither evicts the query path's posting blocks
-// nor leaves decoded posts in heap. The *Tweet is scratch, overwritten
+// sequentially, straight off the image, so paging the whole log leaves
+// no decoded posts in heap. The *Tweet is scratch, overwritten
 // by the next post; its Text, Terms and Mentions are freshly owned and
 // may be kept. Terms are textutil.Tokenize of the text, exactly what
 // microblog.MakeTweet rendered when the post arrived (see the format's
@@ -712,109 +651,4 @@ func (s *Segment) Release() {
 	if s.remove.Load() {
 		os.Remove(s.path)
 	}
-}
-
-// cacheSlot is one slot of the hot-block cache: which block it holds,
-// how many ids, and its neighbours in recency order.
-type cacheSlot struct {
-	key        int
-	n          int32
-	prev, next int32
-}
-
-// blockCache is a small mutex-guarded LRU over decoded posting blocks,
-// keyed by the block's offset in the image. Slots are linked by index
-// in a circular list whose sentinel is slots[0] (next = most recent,
-// prev = coldest); slot i's ids sit at stride PostingsBlockLen in one
-// arena, which grows by doubling, so a fill costs O(log cap)
-// allocations and a full cache none: a new block takes the coldest
-// slot. Ids are copied in and out under the lock.
-type blockCache struct {
-	mu    sync.Mutex
-	cap   int
-	m     map[int]int32 // block offset → slot
-	slots []cacheSlot
-	ids   []microblog.TweetID
-
-	hits, misses *obs.Counter
-}
-
-func newBlockCache(capacity int, reg *obs.Registry) *blockCache {
-	c := &blockCache{cap: capacity, m: make(map[int]int32, capacity), slots: make([]cacheSlot, 1, capacity+1)}
-	if reg != nil {
-		c.hits = reg.Counter("disk_block_cache_hits")
-		c.misses = reg.Counter("disk_block_cache_misses")
-	}
-	return c
-}
-
-// appendIDs appends the cached posting block under key to dst,
-// promoting it; ok is false on a miss.
-func (c *blockCache) appendIDs(dst []microblog.TweetID, key int) ([]microblog.TweetID, bool) {
-	c.mu.Lock()
-	i, ok := c.m[key]
-	if ok {
-		c.toFront(i)
-		at := (int(i) - 1) * microblog.PostingsBlockLen
-		dst = append(dst, c.ids[at:at+int(c.slots[i].n)]...)
-	}
-	c.mu.Unlock()
-	c.count(ok)
-	return dst, ok
-}
-
-func (c *blockCache) count(hit bool) {
-	if hit {
-		c.hits.Inc()
-	} else {
-		c.misses.Inc()
-	}
-}
-
-// put caches a copy of a freshly decoded posting block under key. Below
-// cap it adds a slot; at cap it recycles the coldest one.
-func (c *blockCache) put(key int, ids []microblog.TweetID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if i, ok := c.m[key]; ok {
-		// A concurrent decode of the same block won; keep the winner.
-		c.toFront(i)
-		return
-	}
-	i := int32(len(c.slots))
-	if int(i) <= c.cap {
-		c.slots = append(c.slots, cacheSlot{})
-		c.ids = slices.Grow(c.ids, microblog.PostingsBlockLen)[:int(i)*microblog.PostingsBlockLen]
-	} else {
-		i = c.slots[0].prev
-		delete(c.m, c.slots[i].key)
-		c.unlink(i)
-	}
-	c.slots[i].key, c.slots[i].n = key, int32(len(ids))
-	copy(c.ids[(int(i)-1)*microblog.PostingsBlockLen:], ids)
-	c.pushFront(i)
-	c.m[key] = i
-}
-
-// toFront makes slot i the most recently used.
-func (c *blockCache) toFront(i int32) {
-	if c.slots[0].next != i {
-		c.unlink(i)
-		c.pushFront(i)
-	}
-}
-
-// unlink takes slot i out of the recency list.
-func (c *blockCache) unlink(i int32) {
-	s := &c.slots[i]
-	c.slots[s.prev].next = s.next
-	c.slots[s.next].prev = s.prev
-}
-
-// pushFront links slot i in as the most recently used.
-func (c *blockCache) pushFront(i int32) {
-	head := c.slots[0].next
-	c.slots[i].prev, c.slots[i].next = 0, head
-	c.slots[head].prev = i
-	c.slots[0].next = i
 }

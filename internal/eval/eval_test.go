@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unicode/utf8"
 
 	"repro/internal/core"
 	"repro/internal/crowd"
@@ -374,6 +375,23 @@ func TestRenderTableAlignment(t *testing.T) {
 		if len(strings.TrimRight(l, " ")) > len(lines[0])+8 {
 			t.Errorf("row much wider than header: %q", l)
 		}
+	}
+}
+
+// TestRenderTablePadsByRunes pins rune padding: a "µs" cell (µ is two
+// bytes) and an "ms" cell start the next column at the same rune
+// offset, as Table 9's Runtime column next to Read does.
+func TestRenderTablePadsByRunes(t *testing.T) {
+	out := RenderTable([]string{"Runtime", "Read"}, [][]string{
+		{"12µs", "x"},
+		{"12ms", "y"},
+	})
+	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+	at := func(line, cell string) int {
+		return utf8.RuneCountInString(line[:strings.Index(line, cell)])
+	}
+	if a, b := at(lines[2], "x"), at(lines[3], "y"); a != b {
+		t.Fatalf("next column starts at rune %d after µs and %d after ms:\n%s", a, b, out)
 	}
 }
 

@@ -4,21 +4,23 @@ import (
 	"fmt"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/community"
 	"repro/internal/querylog"
 )
 
-// RenderTable renders rows as an aligned ASCII table.
+// RenderTable renders rows as an aligned table, padding by runes so a
+// multi-byte cell ("µs") lines up with the rest.
 func RenderTable(headers []string, rows [][]string) string {
 	widths := make([]int, len(headers))
 	for i, h := range headers {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, r := range rows {
 		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if i < len(widths) {
+				widths[i] = max(widths[i], utf8.RuneCountInString(c))
 			}
 		}
 	}
@@ -29,7 +31,7 @@ func RenderTable(headers []string, rows [][]string) string {
 				b.WriteString("  ")
 			}
 			b.WriteString(c)
-			b.WriteString(strings.Repeat(" ", widths[i]-len(c)))
+			b.WriteString(strings.Repeat(" ", widths[i]-utf8.RuneCountInString(c)))
 		}
 		b.WriteByte('\n')
 	}

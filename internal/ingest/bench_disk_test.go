@@ -14,13 +14,16 @@ import (
 	"repro/internal/shard"
 )
 
-// benchDiskSearch measures steady-state e# query latency over a live
-// index whose sealed segments were all rewritten to the disk tier.
-func benchDiskSearch(b *testing.B, blockCache int) {
+// BenchmarkDiskSearch is the headline disk-tier number: steady-state
+// e# query latency over a live index whose sealed segments were all
+// rewritten to the disk tier, every posting block decoded off the map
+// on every query. Compare with BenchmarkLiveSearchESharp (all in
+// memory, the same decode off an in-memory image).
+func BenchmarkDiskSearch(b *testing.B) {
 	p, _ := testPipeline(b)
 	idx := ingest.New(p.Corpus, ingest.Config{
 		SealThreshold: 512, CompactFanIn: 4,
-		SpillDir: b.TempDir(), SpillThreshold: 512, SpillBlockCache: blockCache,
+		SpillDir: b.TempDir(), SpillThreshold: 512,
 	})
 	defer idx.Close()
 	stream := microblog.NewPostStream(p.World, microblog.DefaultStreamConfig(19))
@@ -41,16 +44,6 @@ func benchDiskSearch(b *testing.B, blockCache int) {
 	b.ReportMetric(float64(n), "experts")
 	b.ReportMetric(float64(idx.Stats().DiskSegments), "disksegs")
 }
-
-// BenchmarkDiskSearchHot is the headline disk-tier number: repeated
-// hot-term searches against spilled segments, decoded blocks served
-// from the LRU. Compare with BenchmarkLiveSearchESharp (all in memory).
-func BenchmarkDiskSearchHot(b *testing.B) { benchDiskSearch(b, 0) }
-
-// BenchmarkDiskSearchUncached disables the block cache, so every
-// posting block decodes off the map on every query — the worst-case
-// cold-read path.
-func BenchmarkDiskSearchUncached(b *testing.B) { benchDiskSearch(b, -1) }
 
 // BenchmarkDiskSpill measures the spill itself: writing one sealed
 // 512-post segment's in-memory image to a file, fsync-free, and mapping
@@ -86,7 +79,7 @@ func BenchmarkDiskSpill(b *testing.B) {
 // ingest.DefaultConfig with a SpillDir — seal 2048, fan-in 4, spill
 // 8192). One op is one page-through. retained-B is the heap still live
 // after a GC once every page is dropped — what paging leaves behind in
-// the index, its block caches included.
+// the index.
 func BenchmarkDiskLogScan(b *testing.B) {
 	p, _ := testPipeline(b)
 	cfg := ingest.DefaultConfig()

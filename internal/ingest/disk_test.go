@@ -34,15 +34,14 @@ func segFiles(t *testing.T, dir string) int {
 
 // TestDiskExtractionAllocatesNothingPerPost pins the cost model of the disk
 // tier's read path: candidate extraction over a quiesced snapshot whose
-// every sealed segment is on disk, block cache disabled, reads each
-// matched post's features in place off the map — no tweet-block decode,
+// every sealed segment is on disk reads each matched post's features in place off the map — no tweet-block decode,
 // so nothing is allocated however many posts match (the parent format
 // decoded a 64-tweet block, ≈130 objects, per matched post).
 func TestDiskExtractionAllocatesNothingPerPost(t *testing.T) {
 	p, _ := testPipeline(t)
 	idx := ingest.New(p.Corpus, ingest.Config{
 		SealThreshold: 32, CompactFanIn: 3,
-		SpillDir: t.TempDir(), SpillThreshold: 32, SpillBlockCache: -1,
+		SpillDir: t.TempDir(), SpillThreshold: 32,
 	})
 	defer idx.Close()
 	idx.IngestBatch(streamPosts(p, 67, 384)) // 12 full seals, empty tail

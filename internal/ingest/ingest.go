@@ -86,9 +86,12 @@ type Config struct {
 	// SpillThreshold is the minimum segment size (posts) the disk tier
 	// accepts. Zero with SpillDir set means 4×SealThreshold.
 	SpillThreshold int
-	// SpillBlockCache caps each disk segment's LRU of hot decoded
-	// blocks, which is also the number of slots a full cache recycles;
-	// see diskseg.Options.BlockCache. Zero means the diskseg default.
+	// SpillBlockCache once sized a per-segment cache of decoded
+	// posting blocks; a disk segment now decodes every block off its
+	// map, as an in-memory one does.
+	//
+	// Deprecated: nothing reads it; it remains until the bench module
+	// stops assigning it.
 	SpillBlockCache int
 	// SpillIO overrides the disk tier's file/mmap layer — the fault
 	// seam of the disk chaos suite. Nil means the real OS.

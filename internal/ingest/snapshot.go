@@ -48,8 +48,7 @@ func (s *Snapshot) NumUsers() int { return s.base.NumUsers() }
 // Scan calls fn with every visible post of global ids [from, to), in
 // id order, across base, sealed segments and tail — the log-paging
 // read (shard.Local.PagePosts); ranking goes through Features. A sealed
-// segment's posts are decoded once, sequentially, past its block cache
-// (diskseg.Segment.Scan). The *Tweet is valid only during the call and
+// segment's posts are decoded once, sequentially (diskseg.Segment.Scan). The *Tweet is valid only during the call and
 // must not be modified; its ID field is segment-local. The range is
 // clipped to the view.
 func (s *Snapshot) Scan(from, to int, fn func(*microblog.Tweet)) {

@@ -3,8 +3,10 @@
 // (diskseg.Encode, diskseg.Load), a compaction merges its run's encoded
 // sections (diskseg.EncodeMerged), and a spill writes an image's bytes
 // to a file and maps it. Nothing branches on where a segment's bytes
-// live, which keeps the equivalence spine one property: a quiesced
-// index ranks bit-identical to a cold rebuild wherever they are.
+// live — a mapped segment is read exactly as an in-memory one, block
+// decodes straight off the image — which keeps the equivalence spine
+// one property: a quiesced index ranks bit-identical to a cold rebuild
+// wherever they are.
 //
 // Tiering policy. When Config.SpillDir is set, the background
 // compactor writes any in-memory sealed segment holding at least
@@ -40,11 +42,9 @@ func (i *Index) spillEnabled() bool {
 }
 
 // load serves an image the index encoded itself from memory; a refusal
-// is an encoder bug. It keeps no block cache and no disk metrics: a
-// decode from memory costs what a hit saves, and per-seal caches cost
-// mixed_ingest ≈ 0.8 KiB/query of arena growth.
+// is an encoder bug.
 func (i *Index) load(img []byte) *diskseg.Segment {
-	seg, err := diskseg.Load(img, diskseg.Options{BlockCache: -1})
+	seg, err := diskseg.Load(img)
 	if err != nil {
 		panic(fmt.Sprintf("ingest: a freshly encoded segment does not load: %v", err))
 	}
@@ -96,11 +96,7 @@ func (i *Index) writeSpill(n int, write func(path string) error) (*diskseg.Segme
 	if err := write(path); err != nil {
 		return nil, err
 	}
-	disk, err := diskseg.Open(path, diskseg.Options{
-		IO:         i.cfg.SpillIO,
-		BlockCache: i.cfg.SpillBlockCache,
-		Obs:        i.cfg.Obs,
-	})
+	disk, err := diskseg.Open(path, i.cfg.SpillIO)
 	if err != nil {
 		os.Remove(path)
 		return nil, err

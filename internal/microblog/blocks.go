@@ -23,7 +23,7 @@ import (
 )
 
 // PostingsBlockLen is the number of tweet ids per posting block — the
-// granularity of block-directory skips and of the hot-block cache.
+// granularity of block-directory skips.
 const PostingsBlockLen = 128
 
 // ErrBlockCorrupt reports a posting block that ends mid-varint, breaks

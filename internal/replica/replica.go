@@ -253,9 +253,11 @@ func (s *Set) IngestBatch(posts []microblog.Post) error {
 // failing the shard. A stale follower is never read. A replica inside a
 // backoff window is skipped without dialing (one probe per window
 // re-admits a recovered replica). Only when every admissible replica
-// has failed does the shard fail for this query. It returns the index
-// of the replica that answered.
-func (s *Set) read(attempt func(r shard.Backend) error) (int, error) {
+// has failed does the shard fail for this query. A failure under an
+// expired ctx (shard.Expired) is the caller's: read returns ctx's error
+// and marks no replica down. It returns the index of the replica that
+// answered.
+func (s *Set) read(ctx context.Context, attempt func(r shard.Backend) error) (int, error) {
 	epoch := s.epoch.Load()
 	n := len(s.replicas)
 	// Reduce the cursor in uint64 space: a raw int conversion would
@@ -287,6 +289,9 @@ func (s *Set) read(attempt func(r shard.Backend) error) (int, error) {
 			}
 			return i, nil
 		}
+		if cerr := shard.Expired(ctx); cerr != nil {
+			return -1, cerr
+		}
 		s.health[i].Fail()
 		tried++
 		if firstErr == nil {
@@ -316,10 +321,13 @@ func (s *Set) view(i int, v shard.View) shard.View {
 }
 
 // Stats implements shard.View: replica i's Stats, whose failure opens
-// the replica's backoff window.
+// the replica's backoff window unless ctx expired (shard.Expired).
 func (w *setView) Stats(ctx context.Context, users []world.UserID, dst []expertise.UserStats) ([]expertise.UserStats, error) {
 	dst, err := w.v.Stats(ctx, users, dst)
 	if err != nil {
+		if cerr := shard.Expired(ctx); cerr != nil {
+			return dst, cerr
+		}
 		w.set.health[w.i].Fail()
 	}
 	return dst, err
@@ -344,7 +352,7 @@ func (s *Set) Search(ctx context.Context, terms []string, extended bool, raw []e
 func (s *Set) SearchStats(ctx context.Context, terms []string, extended bool, raw []expertise.RawCandidate, stats []expertise.UserStats) ([]expertise.RawCandidate, int, []expertise.UserStats, shard.View, error) {
 	var matched int
 	var v shard.View
-	i, err := s.read(func(r shard.Backend) (err error) {
+	i, err := s.read(ctx, func(r shard.Backend) (err error) {
 		raw, matched, stats, v, err = r.SearchStats(ctx, terms, extended, raw[:0], stats[:0])
 		return err
 	})

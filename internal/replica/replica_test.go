@@ -9,6 +9,7 @@ package replica_test
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -22,6 +23,7 @@ import (
 	"repro/internal/replica"
 	"repro/internal/shard"
 	"repro/internal/transport"
+	"repro/internal/world"
 )
 
 var (
@@ -537,5 +539,48 @@ func TestSetBasics(t *testing.T) {
 	}
 	if err := deadSet.IngestBatch(posts); err == nil {
 		t.Fatal("batch write with a dead primary succeeded")
+	}
+}
+
+// TestCallerExpiryMarksNoReplicaDown pins that a read failing because
+// the caller's own context is done — canceled, or past its deadline —
+// is the caller's error, not the replicas': it returns that error,
+// opens no backoff window, and the next read under a live context is
+// answered instead of getting ErrNoReplica for the whole window.
+func TestCallerExpiryMarksNoReplicaDown(t *testing.T) {
+	p, _ := testPipeline(t)
+	rc := newReplicated(t, p, 1, 2, ingest.Config{SealThreshold: 32, CompactFanIn: 3},
+		replica.Config{Backoff: shard.Backoff{Initial: time.Hour, Max: time.Hour}}, false)
+	set := rc.sets[0]
+	healthy := func(label string) {
+		t.Helper()
+		for i, ok := range set.Stats().Healthy {
+			if !ok {
+				t.Fatalf("%s: replica %d marked down", label, i)
+			}
+		}
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, stop := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer stop()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		want error
+	}{{"canceled", canceled, context.Canceled}, {"expired", expired, context.DeadlineExceeded}} {
+		if _, _, _, _, err := set.SearchStats(tc.ctx, []string{"49ers"}, false, nil, nil); !errors.Is(err, tc.want) {
+			t.Fatalf("%s read: err %v, want %v", tc.name, err, tc.want)
+		}
+		healthy(tc.name + " read")
+		rows, _, _, v, err := set.SearchStats(context.Background(), []string{"49ers"}, false, nil, nil)
+		if err != nil || len(rows) == 0 {
+			t.Fatalf("read after a %s one: %d rows, err %v", tc.name, len(rows), err)
+		}
+		if _, err := v.Stats(tc.ctx, []world.UserID{rows[0].User}, nil); !errors.Is(err, tc.want) {
+			t.Fatalf("%s top-up: err %v, want %v", tc.name, err, tc.want)
+		}
+		v.Release()
+		healthy(tc.name + " top-up")
 	}
 }

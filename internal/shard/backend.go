@@ -227,10 +227,9 @@ func (l *Local) SearchStats(ctx context.Context, terms []string, extended bool, 
 // PagePosts returns up to max posts of the shard's log starting at
 // global id from, and the log's current length; the remote OpTweets
 // handler answers with it server-side. The page is one Snapshot.Scan,
-// so a spilled segment's posts are decoded sequentially and never enter
-// its block cache. A negative from is outside the log and pages
-// nothing, like one past its end; max <= 0 pages nothing (a cheap total
-// probe).
+// so a spilled segment's posts are decoded once, sequentially. A
+// negative from is outside the log and pages nothing, like one past its
+// end; max <= 0 pages nothing (a cheap total probe).
 func (l *Local) PagePosts(from, max int) (posts []microblog.Post, total int) {
 	snap := l.idx.Snapshot()
 	total = snap.NumTweets()

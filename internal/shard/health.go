@@ -8,6 +8,7 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"time"
@@ -20,6 +21,25 @@ import (
 // it stands in for — the backend is unreachable as far as this request
 // is concerned — but it costs nothing to produce.
 var ErrBackoff = errors.New("shard: backend in failure backoff")
+
+// Expired returns the caller's own context error: ctx.Err(), or
+// context.DeadlineExceeded once ctx's deadline has passed on the clock.
+// A stock context's Err() is racy against wire deadlines: a per-RPC
+// conn deadline derived from ctx fires on wall-clock time, while
+// ctx.Err() flips only after the context's own timer goroutine has
+// run, so for a few scheduler ticks a backend has already failed with
+// a deadline error while ctx.Err() still reads nil. A failure that
+// comes with a non-nil Expired is the caller's, not the backend's: it
+// opens no backoff window.
+func Expired(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
 
 // Backoff tunes a Health state machine.
 type Backoff struct {

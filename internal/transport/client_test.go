@@ -9,12 +9,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/ingest"
 	"repro/internal/microblog"
-	"repro/internal/obs"
-	"repro/internal/shard"
 	"repro/internal/transport"
 	"repro/internal/world"
 )
@@ -49,18 +46,14 @@ func TestIngestBatchChunks(t *testing.T) {
 	}
 }
 
-// TestDumpIngestedLeavesBlockCacheAlone pins that paging a spilled
-// shard's whole log over OpTweets reads past the disk tier's block
-// cache: the dump returns every ingested post in order, the posting
-// block hit and miss counters and the decode histogram stay where the
-// query path left them, and the query path's working set survives it —
-// the same searches repeated after the dump miss no block.
-func TestDumpIngestedLeavesBlockCacheAlone(t *testing.T) {
+// TestDumpIngestedPagesSpilledLog pins that paging a spilled shard's
+// whole log over OpTweets returns every ingested post in order, read
+// off its mapped segments and its tail.
+func TestDumpIngestedPagesSpilledLog(t *testing.T) {
 	fault.CheckLeaks(t)
-	p, sets := testPipeline(t)
-	reg := obs.NewRegistry()
+	p, _ := testPipeline(t)
 	servers, clients := startCountedShardServers(t, p, 1, ingest.Config{
-		SealThreshold: 64, CompactFanIn: 4, SpillDir: t.TempDir(), SpillThreshold: 256, Obs: reg,
+		SealThreshold: 64, CompactFanIn: 4, SpillDir: t.TempDir(), SpillThreshold: 256,
 	})
 	c := clients[0]
 	posts := streamPosts(p, 8403, 3000)
@@ -73,21 +66,6 @@ func TestDumpIngestedLeavesBlockCacheAlone(t *testing.T) {
 	if st := servers[0].Index().Stats(); st.DiskSegments == 0 {
 		t.Fatalf("no disk segment to page: %+v", st)
 	}
-	det := core.NewShardedLiveDetectorOver(p.Collection, shard.NewCluster(p.World, c), p.Cfg.Online)
-	search := func() {
-		for _, q := range sets[0].Queries {
-			det.Search(q)
-		}
-	}
-	hits, misses, reads := reg.Counter("disk_block_cache_hits"), reg.Counter("disk_block_cache_misses"), reg.Histogram("disk_read_ns")
-	search()
-	m := misses.Load()
-	search()
-	if misses.Load() != m || hits.Load() == 0 {
-		t.Fatalf("the queries' working set does not stay cached: %d hits, %d then %d misses", hits.Load(), m, misses.Load())
-	}
-	h, r := hits.Load(), reads.Count()
-
 	got, err := c.DumpIngested()
 	if err != nil {
 		t.Fatal(err)
@@ -99,14 +77,6 @@ func TestDumpIngestedLeavesBlockCacheAlone(t *testing.T) {
 		if postKey(got[i]) != postKey(posts[i]) {
 			t.Fatalf("dumped post %d differs from the ingested one", i)
 		}
-	}
-	if hits.Load() != h || misses.Load() != m || reads.Count() != r {
-		t.Fatalf("the dump moved the block cache: hits %d → %d, misses %d → %d, decodes %d → %d",
-			h, hits.Load(), m, misses.Load(), r, reads.Count())
-	}
-	search()
-	if misses.Load() != m {
-		t.Fatalf("the dump evicted the queries' working set: %d misses after it", misses.Load()-m)
 	}
 }
 

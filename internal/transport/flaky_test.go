@@ -181,6 +181,18 @@ func TestTruncatedResponseFailsCleanly(t *testing.T) {
 	}
 }
 
+// deadAddr names the dead shard of the tests that dial through
+// refuseDial; nothing ever connects to it.
+const deadAddr = "dead.invalid:1"
+
+// refuseDial is a transport.ClientConfig.Dial that refuses every dial
+// without touching the network. A dead shard behind it stays dead: a
+// listened-then-closed port does not, because under a parallel
+// `go test ./...` another package can bind it.
+func refuseDial(string, time.Duration) (net.Conn, error) {
+	return nil, errors.New("dial refused")
+}
+
 // TestPartialResultsLandInStats wires a 2-shard cluster whose second
 // shard points at a dead address and requires (a) queries still answer
 // from the healthy shard, fail-fast, and (b) the degradation is counted
@@ -189,18 +201,11 @@ func TestPartialResultsLandInStats(t *testing.T) {
 	p, _ := testPipeline(t)
 	icfg := ingest.DefaultConfig()
 
-	// Healthy shard 0 in-process; shard 1 behind a transport to nowhere:
-	// reserve a port and close it so dials fail fast.
+	// Healthy shard 0 in-process; shard 1 behind a transport whose
+	// every dial is refused.
 	idx0 := ingest.New(shard.Partition(p.Corpus, 0, 2), icfg)
 	defer idx0.Close()
-	deadLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadAddr := deadLn.Addr().String()
-	deadLn.Close()
-
-	dead := transport.NewRemoteShard(deadAddr, transport.ClientConfig{Timeout: 200 * time.Millisecond})
+	dead := transport.NewRemoteShard(deadAddr, transport.ClientConfig{Timeout: 200 * time.Millisecond, Dial: refuseDial})
 	defer dead.Close()
 	// Un-armed gates: they only count which call the read path makes.
 	gate0, gate1 := fault.Wrap(shard.NewLocal(idx0)), fault.Wrap(dead)
@@ -363,15 +368,9 @@ func TestEpochSampleBackoff(t *testing.T) {
 	idx0 := ingest.New(shard.Partition(p.Corpus, 0, 2), icfg)
 	defer idx0.Close()
 
-	// A dead address that refuses dials instantly. RemoteShard.Dials
+	// A dead shard that refuses dials instantly. RemoteShard.Dials
 	// counts only *successful* dials, so count attempts in the dial
 	// func itself.
-	deadLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadAddr := deadLn.Addr().String()
-	deadLn.Close()
 	const window = 300 * time.Millisecond
 	var dialAttempts int64
 	cfg := transport.ClientConfig{
@@ -379,7 +378,7 @@ func TestEpochSampleBackoff(t *testing.T) {
 		DialBackoff: shard.Backoff{Initial: window, Max: window},
 		Dial: func(addr string, timeout time.Duration) (net.Conn, error) {
 			dialAttempts++
-			return net.DialTimeout("tcp", addr, timeout)
+			return refuseDial(addr, timeout)
 		},
 	}
 	dead := transport.NewRemoteShard(deadAddr, cfg)

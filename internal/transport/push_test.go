@@ -340,13 +340,6 @@ func TestSubscriptionLapseResubscribes(t *testing.T) {
 // attempt per backoff window — the rest fail immediately with
 // shard.ErrBackoff — and the window expiry grants exactly one more.
 func TestDialBudgetCapsReconnects(t *testing.T) {
-	deadLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadAddr := deadLn.Addr().String()
-	deadLn.Close()
-
 	const window = 300 * time.Millisecond
 	var attempts int64
 	cfg := transport.ClientConfig{
@@ -354,7 +347,7 @@ func TestDialBudgetCapsReconnects(t *testing.T) {
 		DialBackoff: shard.Backoff{Initial: window, Max: window},
 		Dial: func(addr string, timeout time.Duration) (net.Conn, error) {
 			attempts++
-			return net.DialTimeout("tcp", addr, timeout)
+			return refuseDial(addr, timeout)
 		},
 	}
 	c := transport.NewRemoteShard(deadAddr, cfg)
