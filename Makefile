@@ -58,9 +58,13 @@ bench-smoke:
 # under internal/ carries a doc comment.
 # docs-check also fails when a doc below names a `Test…`, `Benchmark…` or
 # `Fuzz…` that no _test.go declares. BENCHMARKS.md is left out: it names
-# retired benchmarks on purpose.
+# retired benchmarks on purpose. It fails, too, when a doc outgrows its
+# line budget (DOC_BUDGETS: file:max pairs).
 NAMED_TEST_DOCS = ARCHITECTURE.md .claude/skills/verify/SKILL.md
+DOC_BUDGETS = ARCHITECTURE.md:1000 .claude/skills/verify/SKILL.md:250
 docs-check: vet
+	@for b in $(DOC_BUDGETS); do f=$${b%:*}; max=$${b##*:}; n=$$(wc -l < $$f); \
+		if [ $$n -gt $$max ]; then echo "$$f is $$n lines, over its $$max-line budget"; exit 1; fi; done
 	@fmtout="$$(gofmt -l .)"; if [ -n "$$fmtout" ]; then \
 		echo "gofmt -l found unformatted files:"; echo "$$fmtout"; exit 1; fi
 	$(GO) run ./cmd/docscheck ./internal/*/

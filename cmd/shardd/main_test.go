@@ -123,6 +123,7 @@ func TestRunAdminPlane(t *testing.T) {
 			t.Errorf("/metrics missing %q:\n%s", row, metrics)
 		}
 	}
+	checkRowNames(t, metrics)
 	stats := fetchOK(t, base+"/stats")
 	for _, key := range []string{`"stats"`, `"metrics"`, `"Segments"`} {
 		if !strings.Contains(stats, key) {
@@ -147,6 +148,26 @@ func TestRunAdminPlane(t *testing.T) {
 		if !strings.Contains(sc.Text(), key) {
 			t.Errorf("/watch frame missing %s:\n%s", key, sc.Text())
 		}
+	}
+}
+
+// checkRowNames compares the row names of a /metrics body with the
+// checked-in list in testdata/metric_rows.txt, one name a line: a
+// renamed, dropped or added row fails here, not only in bench/.
+func checkRowNames(t *testing.T, metrics string) {
+	t.Helper()
+	want, err := os.ReadFile("testdata/metric_rows.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, line := range strings.SplitAfter(metrics, "\n") {
+		if name, _, ok := strings.Cut(line, " "); ok {
+			got.WriteString(name + "\n")
+		}
+	}
+	if got.String() != string(want) {
+		t.Errorf("/metrics row names differ from testdata/metric_rows.txt:\n got:\n%s\nwant:\n%s", got.String(), want)
 	}
 }
 

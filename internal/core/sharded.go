@@ -81,7 +81,6 @@ type ShardedLiveDetector struct {
 	obsShardSearch []*obs.Histogram
 	obsShardStats  []*obs.Histogram
 	obsMergeRankNS *obs.Histogram
-	obsShardErrs   *obs.Counter
 }
 
 // shardSlot holds one shard's per-query state: the extracted raw rows,
@@ -155,7 +154,7 @@ func NewShardedLiveDetectorOver(coll *domains.Collection, c *shard.Cluster, cfg 
 			d.obsShardStats = append(d.obsShardStats, cfg.Obs.Histogram(fmt.Sprintf("sharded_shard%d_stats_ns", i)))
 		}
 		d.obsMergeRankNS = cfg.Obs.Histogram("sharded_merge_rank_ns")
-		d.obsShardErrs = cfg.Obs.Counter("sharded_shard_errors")
+		cfg.Obs.RegisterFunc("sharded_shard_errors", d.shardErrors.Load)
 	}
 	return d
 }
@@ -372,7 +371,6 @@ func (d *ShardedLiveDetector) scatterGather(ctx context.Context, query string, e
 			sp := obs.ShardSpan{Shard: si, SearchNS: sl.searchNS, StatsNS: sl.statsNS}
 			if sl.err != nil {
 				sp.Err = sl.err.Error()
-				d.obsShardErrs.Inc()
 			} else {
 				sp.Matched = sl.matched
 				sp.Rows = len(sl.raw)

@@ -26,8 +26,8 @@ import (
 	"repro/internal/world"
 )
 
-// ErrKilled is the error every operation on a killed Backend (or a
-// dial through a killed Dialer) returns.
+// ErrKilled is the error every operation on a killed Backend (or an
+// armed disk fault) returns.
 var ErrKilled = errors.New("fault: killed")
 
 // Conn wraps a net.Conn with scriptable stream-level faults: Kill
@@ -159,12 +159,11 @@ func (c *Conn) Write(p []byte) (int, error) {
 // Dialer produces fault-wrapped connections for a transport client
 // (plug Dial into transport.ClientConfig.Dial) and remembers every
 // connection it handed out, so a test can kill the live ones out from
-// under the pool, arm faults on future connections, or refuse dials
-// entirely — while counting them. Safe for concurrent use.
+// under the pool or arm faults on future connections — while counting
+// them. Safe for concurrent use.
 type Dialer struct {
 	mu       sync.Mutex
 	conns    []*Conn
-	dialErr  error
 	truncate int // armed on each new conn; <0 = off
 	fragment bool
 	delay    time.Duration
@@ -179,11 +178,8 @@ func NewDialer() *Dialer { return &Dialer{truncate: -1} }
 // it has the signature transport.ClientConfig.Dial expects.
 func (d *Dialer) Dial(addr string, timeout time.Duration) (net.Conn, error) {
 	d.mu.Lock()
-	dialErr, truncate, fragment, delay := d.dialErr, d.truncate, d.fragment, d.delay
+	truncate, fragment, delay := d.truncate, d.fragment, d.delay
 	d.mu.Unlock()
-	if dialErr != nil {
-		return nil, dialErr
-	}
 	raw, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, err
@@ -228,21 +224,6 @@ func (d *Dialer) TruncateAll(n int) {
 	for _, c := range conns {
 		c.TruncateAfter(n)
 	}
-}
-
-// RefuseDials makes every future Dial fail with ErrKilled (the
-// server's address black-holed); AllowDials undoes it.
-func (d *Dialer) RefuseDials() {
-	d.mu.Lock()
-	d.dialErr = ErrKilled
-	d.mu.Unlock()
-}
-
-// AllowDials re-enables dialing after RefuseDials.
-func (d *Dialer) AllowDials() {
-	d.mu.Lock()
-	d.dialErr = nil
-	d.mu.Unlock()
 }
 
 // TruncateNext arms every future connection to cut its inbound stream
@@ -307,9 +288,6 @@ var _ shard.Backend = (*Backend)(nil)
 
 // Wrap returns b behind a fault gate with no faults armed.
 func Wrap(b shard.Backend) *Backend { return &Backend{inner: b} }
-
-// Inner returns the wrapped backend.
-func (f *Backend) Inner() shard.Backend { return f.inner }
 
 // Kill makes every future call fail with ErrKilled; calls already in
 // flight (and views already handed out) complete against the inner

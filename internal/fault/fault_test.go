@@ -148,14 +148,9 @@ func TestDialerKillAndRefuse(t *testing.T) {
 	if _, err := roundTrip(t, conn, "dead"); err == nil {
 		t.Fatal("killed conn still echoes")
 	}
-	d.RefuseDials()
-	if _, err := d.Dial(addr, time.Second); !errors.Is(err, ErrKilled) {
-		t.Fatalf("refused dial err = %v, want ErrKilled", err)
-	}
-	d.AllowDials()
 	conn2, err := d.Dial(addr, time.Second)
 	if err != nil {
-		t.Fatalf("dial after AllowDials: %v", err)
+		t.Fatalf("dial after KillAll: %v", err)
 	}
 	conn2.Close()
 }
@@ -186,9 +181,6 @@ func (nopView) Release() {}
 func TestBackendGate(t *testing.T) {
 	f := Wrap(&innerBackend{})
 	defer f.Close()
-	if f.Inner() == nil {
-		t.Fatal("Inner lost the wrapped backend")
-	}
 
 	// Healthy: everything passes and is counted per op; a plain search
 	// is the composite with its stats dropped, so it counts as one.

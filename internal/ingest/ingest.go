@@ -96,12 +96,10 @@ type Config struct {
 	// SpillIO overrides the disk tier's file/mmap layer — the fault
 	// seam of the disk chaos suite. Nil means the real OS.
 	SpillIO diskseg.IO
-	// Obs, when non-nil, attaches the index to a metrics registry:
-	// ingest latency (ingest_ns), accepted posts (ingest_posts), seal
-	// and compaction counts (ingest_seals, ingest_compactions), the
-	// writes that drained past the backlog cap (ingest_writer_drains)
-	// and the live sealed-segment gauge (ingest_segments). Nil keeps the
-	// write path exactly as fast and allocation-free as un-instrumented.
+	// Obs, when non-nil, attaches the index to a metrics registry: the
+	// ingest latency histogram (ingest_ns) and one row per Stats count
+	// (ingest_posts, ingest_seals, …, disk_segments). Nil keeps the write path exactly as fast and
+	// allocation-free as un-instrumented.
 	Obs *obs.Registry
 }
 
@@ -261,18 +259,9 @@ type Index struct {
 	closeOnce  sync.Once
 	wg         sync.WaitGroup
 
-	// Pre-registered observability handles (nil without Config.Obs —
-	// every record below is then a nil-check no-op, and the latency
-	// clock is not even read).
-	obsIngestNS     *obs.Histogram
-	obsPosts        *obs.Counter
-	obsSeals        *obs.Counter
-	obsCompactions  *obs.Counter
-	obsWriterDrains *obs.Counter
-	obsSegments     *obs.Gauge
-	obsDiskSegments *obs.Gauge
-	obsSpills       *obs.Counter
-	obsSpillErrors  *obs.Counter
+	// obsIngestNS is the ingest latency histogram (nil without
+	// Config.Obs — the latency clock is then not even read).
+	obsIngestNS *obs.Histogram
 }
 
 // New wires a streaming index over a frozen base corpus (which may be
@@ -313,14 +302,15 @@ func New(base *microblog.Corpus, cfg Config) *Index {
 	}
 	if cfg.Obs != nil {
 		i.obsIngestNS = cfg.Obs.Histogram("ingest_ns")
-		i.obsPosts = cfg.Obs.Counter("ingest_posts")
-		i.obsSeals = cfg.Obs.Counter("ingest_seals")
-		i.obsCompactions = cfg.Obs.Counter("ingest_compactions")
-		i.obsWriterDrains = cfg.Obs.Counter("ingest_writer_drains")
-		i.obsSegments = cfg.Obs.Gauge("ingest_segments")
-		i.obsDiskSegments = cfg.Obs.Gauge("disk_segments")
-		i.obsSpills = cfg.Obs.Counter("ingest_spills")
-		i.obsSpillErrors = cfg.Obs.Counter("ingest_spill_errors")
+		// One row per Stats count; indexes sharing a registry sum.
+		cfg.Obs.RegisterFunc("ingest_posts", func() int64 { return i.Stats().Ingested })
+		cfg.Obs.RegisterFunc("ingest_seals", func() int64 { return i.Stats().Seals })
+		cfg.Obs.RegisterFunc("ingest_compactions", func() int64 { return i.Stats().Compactions })
+		cfg.Obs.RegisterFunc("ingest_writer_drains", func() int64 { return i.Stats().WriterDrains })
+		cfg.Obs.RegisterFunc("ingest_segments", func() int64 { return int64(i.Stats().Segments) })
+		cfg.Obs.RegisterFunc("disk_segments", func() int64 { return int64(i.Stats().DiskSegments) })
+		cfg.Obs.RegisterFunc("ingest_spills", func() int64 { return i.Stats().Spills })
+		cfg.Obs.RegisterFunc("ingest_spill_errors", func() int64 { return i.Stats().SpillErrors })
 	}
 	w0 := make(chan struct{})
 	i.watch.Store(&w0)
@@ -361,7 +351,6 @@ func (i *Index) Ingest(p microblog.Post) microblog.TweetID {
 	}
 	if i.obsIngestNS != nil {
 		i.obsIngestNS.Observe(time.Since(start).Nanoseconds())
-		i.obsPosts.Inc()
 	}
 	return gid
 }
@@ -403,7 +392,6 @@ func (i *Index) IngestBatch(posts []microblog.Post) microblog.TweetID {
 	}
 	if i.obsIngestNS != nil {
 		i.obsIngestNS.Observe(time.Since(start).Nanoseconds())
-		i.obsPosts.Add(int64(len(posts)))
 	}
 	return first
 }
@@ -475,7 +463,6 @@ func (i *Index) sealLocked() {
 	i.active = make([]microblog.Tweet, 0, i.cfg.SealThreshold)
 	i.gen = newTailGen(i.w)
 	i.seals++
-	i.obsSeals.Inc()
 }
 
 // publishLocked swaps in a fresh snapshot. The tail shares the active
@@ -499,8 +486,7 @@ func (i *Index) publishLocked() {
 	// releases the layout's own reference, so a reader on this snapshot
 	// can never see its map pulled out from under it. In-memory
 	// segments need no pin.
-	nDisk := i.diskSegmentsLocked()
-	if nDisk > 0 {
+	if nDisk := i.diskSegmentsLocked(); nDisk > 0 {
 		disks := make([]*diskseg.Segment, 0, nDisk)
 		for _, sg := range i.sealed {
 			if sg.OnDisk() {
@@ -510,7 +496,6 @@ func (i *Index) publishLocked() {
 		}
 		runtime.AddCleanup(snap, releaseDiskRefs, disks)
 	}
-	i.obsDiskSegments.Set(int64(nDisk))
 	i.snap.Store(snap)
 	// Wake watchers only after the new snapshot is visible, and replace
 	// the channel before closing it so a watcher that re-Watches
@@ -524,7 +509,6 @@ func (i *Index) publishLocked() {
 		old := i.watch.Swap(&next)
 		close(*old)
 	}
-	i.obsSegments.Set(int64(len(i.sealed)))
 }
 
 // kickCompactor nudges the background compactor without blocking — or,
@@ -554,7 +538,6 @@ func (i *Index) overBacklog() bool {
 		t := i.tier(sg)
 		if perTier[t]++; perTier[t] == backlogFactor*i.cfg.CompactFanIn {
 			i.drains++
-			i.obsWriterDrains.Inc()
 			return true
 		}
 	}
@@ -639,17 +622,14 @@ func (i *Index) compactOnce() bool {
 		i.mu.Lock()
 		i.spillErrors++
 		i.mu.Unlock()
-		i.obsSpillErrors.Inc()
 	}
 
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	i.sealed = slices.Concat(i.sealed[:a], []*segment{merged}, i.sealed[a+len(run):])
 	i.compactions++
-	i.obsCompactions.Inc()
 	if merged.OnDisk() {
 		i.spills++
-		i.obsSpills.Inc()
 	}
 	i.publishLocked()
 	// Only now — with the new layout published and pinned by its

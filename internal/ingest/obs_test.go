@@ -52,3 +52,42 @@ func TestIngestObsAccounting(t *testing.T) {
 		t.Errorf("Stats().Ingested = %d, want %d", st.Ingested, posts)
 	}
 }
+
+// TestIngestObsSharedRegistrySums: indexes sharing one registry add
+// into each row — the segment levels included, which must read the
+// sum of every index's Stats, not whichever index published last.
+func TestIngestObsSharedRegistrySums(t *testing.T) {
+	p, _ := testPipeline(t)
+	reg := obs.NewRegistry()
+	stream := microblog.NewPostStream(p.World, microblog.DefaultStreamConfig(12))
+	var idxs [2]*ingest.Index
+	for k, posts := range []int{40, 24} {
+		idx := ingest.New(p.Corpus, ingest.Config{SealThreshold: 8, CompactFanIn: 2,
+			SpillDir: t.TempDir(), SpillThreshold: 16, Obs: reg})
+		defer idx.Close()
+		for range posts {
+			idx.Ingest(stream.Next())
+		}
+		idx.Quiesce()
+		idxs[k] = idx
+	}
+	rows := map[string]int64{}
+	for _, m := range reg.Snapshot() {
+		rows[m.Name] = m.Value
+	}
+	a, b := idxs[0].Stats(), idxs[1].Stats()
+	if a.DiskSegments == 0 || b.DiskSegments == 0 {
+		t.Fatalf("want both indexes spilled: disk segments %d, %d", a.DiskSegments, b.DiskSegments)
+	}
+	for name, want := range map[string]int64{
+		"ingest_posts":    a.Ingested + b.Ingested,
+		"ingest_seals":    a.Seals + b.Seals,
+		"ingest_segments": int64(a.Segments + b.Segments),
+		"disk_segments":   int64(a.DiskSegments + b.DiskSegments),
+		"ingest_spills":   a.Spills + b.Spills,
+	} {
+		if rows[name] != want {
+			t.Errorf("%s = %d, want the indexes' sum %d", name, rows[name], want)
+		}
+	}
+}

@@ -141,14 +141,12 @@ func (i *Index) spillOnce() bool {
 		// serves exactly what the file would have.
 		target.noSpill = true
 		i.spillErrors++
-		i.obsSpillErrors.Inc()
 		return true
 	}
 	// Copy before the store: published snapshots alias the old array.
 	i.sealed = slices.Clone(i.sealed)
 	i.sealed[at] = &segment{start: target.start, Segment: disk}
 	i.spills++
-	i.obsSpills.Inc()
 	i.publishLocked()
 	target.Release()
 	return true

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -24,7 +25,7 @@ func get(t *testing.T, mux *http.ServeMux, path string) (int, string) {
 
 func TestAdminMetricsGolden(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("serve_queries").Add(2)
+	r.RegisterFunc("serve_queries", func() int64 { return 2 })
 	r.Histogram("serve_request_ns").Observe(100)
 	mux := NewAdminMux(AdminConfig{Registry: r})
 	code, body := get(t, mux, "/metrics")
@@ -78,7 +79,7 @@ func TestAdminHealthz(t *testing.T) {
 
 func TestAdminStatsJSON(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("queries").Add(7)
+	r.RegisterFunc("queries", func() int64 { return 7 })
 	sl := NewSlowLog(4)
 	sl.Record(QueryTrace{Query: "storm", TotalNS: 123, Outcome: OutcomeMiss, Start: time.Unix(0, 0)})
 	type fakeStats struct {
@@ -124,7 +125,7 @@ func TestAdminPprof(t *testing.T) {
 // scrape over TCP, close idempotently.
 func TestStartAdminServes(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("up").Inc()
+	r.RegisterFunc("up", func() int64 { return 1 })
 	adm, err := StartAdmin("127.0.0.1:0", AdminConfig{Registry: r})
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +183,8 @@ func TestWatchInterval(t *testing.T) {
 // AdminServer.Close ends the stream.
 func TestAdminWatchStreams(t *testing.T) {
 	r := NewRegistry()
-	queries := r.Counter("queries")
+	var queries atomic.Int64
+	r.RegisterFunc("queries", queries.Load)
 	adm, err := StartAdmin("127.0.0.1:0", AdminConfig{
 		Registry: r,
 		Stats:    func() any { return map[string]int{"segments": 3} },
@@ -231,7 +233,7 @@ func TestAdminWatchStreams(t *testing.T) {
 	if n := queriesIn(first); n != 0 {
 		t.Fatalf("first frame counts %d queries", n)
 	}
-	queries.Inc()
+	queries.Add(1)
 	start := time.Now()
 	for queriesIn(readFrame()) != 1 {
 		if time.Since(start) > 5*time.Second {

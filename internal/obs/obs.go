@@ -1,32 +1,25 @@
 // Package obs is the observability plane: a dependency-free metrics
-// registry (atomic counters, gauges and fixed-bucket latency
-// histograms), lightweight per-query trace spans that ride the
-// scatter-gather read path, and an admin HTTP surface (/metrics,
-// /healthz, /stats, /watch, /debug/pprof/) that makes a live
+// registry (fixed-bucket latency histograms plus read callbacks over
+// counts a layer already keeps), lightweight per-query trace spans that
+// ride the scatter-gather read path, and an admin HTTP surface
+// (/metrics, /healthz, /stats, /watch, /debug/pprof/) that makes a live
 // multi-process deployment inspectable with curl.
 //
 // The design contract is that instrumentation must never perturb the
 // frozen hot path:
 //
-//   - Recording is a single atomic add behind a pre-registered handle —
-//     callers obtain *Counter/*Gauge/*Histogram once at construction
-//     and record lock-free afterwards, with zero allocations.
-//   - Every handle method is nil-safe: a nil *Counter (or *Gauge,
-//     *Histogram, *SlowLog) records nothing, so an un-instrumented
-//     deployment pays one predictable-branch nil check and nothing
-//     else. Layers gate their time.Now() calls on the registry being
-//     present, so the un-instrumented configuration takes zero timing
-//     overhead too.
+//   - A count has no handle. Each layer keeps its own atomics or stats
+//     fields and increments them once per event, wired or not; the
+//     registry reads them through RegisterFunc at snapshot time, so an
+//     event is never counted twice.
+//   - Histogram is the one recorded metric: a layer obtains it once at
+//     construction and records with one atomic add. It is nil-safe (as
+//     is *SlowLog), and layers gate their clock reads on being wired
+//     (obsOn), so the un-instrumented path reads no clock and
+//     allocates nothing.
 //   - Snapshots (the read side) take the registry lock only to walk the
-//     name table; metric values are atomic loads, so readers never
-//     stall writers.
-//
-// A Registry names metrics and serves snapshots; the handles themselves
-// are plain structs that work standalone, which is what lets a layer
-// fall back to private unregistered counters when no registry is wired
-// (the transport server's per-op request counters, for example, must
-// keep counting for the RPC-accounting tests whether or not an operator
-// attached an admin plane).
+//     name table; callbacks run outside it and histogram values are
+//     atomic loads, so readers never stall writers.
 package obs
 
 import (
@@ -36,59 +29,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// Counter is a monotonically increasing metric. The zero value is
-// ready to use; all methods are safe for concurrent use and nil-safe
-// (a nil Counter records nothing and reads zero).
-type Counter struct{ v atomic.Int64 }
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-}
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// Load returns the current count.
-func (c *Counter) Load() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Gauge is a point-in-time level (current segment count, cache size).
-// The zero value is ready to use; all methods are safe for concurrent
-// use and nil-safe.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the gauge's level.
-func (g *Gauge) Set(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(n)
-}
-
-// Add moves the gauge's level by n.
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
-}
-
-// Load returns the current level.
-func (g *Gauge) Load() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
 
 // histBuckets is the fixed bucket count of every Histogram: bucket i
 // holds observations v with bits.Len64(v) == i, i.e. v in
@@ -213,8 +153,8 @@ func upperBound(i int) int64 {
 	return int64(1) << i
 }
 
-// Metric is one flattened registry entry: a counter, gauge or func
-// value, or one derived histogram statistic (histograms flatten to
+// Metric is one flattened registry entry: a func value, or one
+// derived histogram statistic (histograms flatten to
 // <name>_count / _p50 / _p99 / _max rows). The flattening is what
 // keeps /metrics a flat text key-value dump and /stats a flat JSON
 // object.
@@ -223,60 +163,23 @@ type Metric struct {
 	Value int64  `json:"value"`
 }
 
-// Registry names metrics and serves snapshots. Handles are get-or-
-// create by name: the first caller allocates, later callers (and the
-// snapshot side) share the same underlying atomic. All methods are
-// safe for concurrent use; every lookup method is nil-safe and returns
-// a nil handle on a nil registry, which downstream records discard —
-// the zero-cost un-instrumented path.
+// Registry names metrics and serves snapshots. Histograms are
+// get-or-create by name: the first caller allocates, later callers
+// (and the snapshot side) share the same buckets. All methods are safe
+// for concurrent use and nil-safe: a nil registry hands out nil
+// histograms, which record nothing.
 type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-	funcs    map[string]func() int64
+	mu    sync.Mutex
+	hists map[string]*Histogram
+	funcs map[string][]func() int64
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-		funcs:    make(map[string]func() int64),
+		hists: make(map[string]*Histogram),
+		funcs: make(map[string][]func() int64),
 	}
-}
-
-// Counter returns the named counter, creating it on first use. A nil
-// registry returns a nil (no-op) handle.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
-}
-
-// Gauge returns the named gauge, creating it on first use. A nil
-// registry returns a nil (no-op) handle.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the named histogram, creating it on first use. A
@@ -295,38 +198,31 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// RegisterFunc exposes a read-callback metric: fn is evaluated at
-// snapshot time, which is how pre-existing counters (serve.Stats
-// fields, an index's segment count) surface in the registry without
-// double accounting on their write paths. Re-registering a name
-// replaces the callback. No-op on a nil registry.
+// RegisterFunc exposes a count the caller already keeps: fn is
+// evaluated at snapshot time. The row is the sum of every callback
+// registered under name, so the instances of one layer sharing a
+// registry (clients, servers, replica sets, indexes) add into one
+// row. No-op on a nil registry.
 func (r *Registry) RegisterFunc(name string, fn func() int64) {
 	if r == nil || fn == nil {
 		return
 	}
 	r.mu.Lock()
-	r.funcs[name] = fn
+	r.funcs[name] = append(r.funcs[name], fn)
 	r.mu.Unlock()
 }
 
-// Snapshot flattens every metric to sorted name/value rows: counters,
-// gauges and funcs one row each, histograms four derived rows
-// (<name>_count, <name>_p50, <name>_p99, <name>_max — for latency
-// histograms the suffix convention is a _ns name, so the derived rows
-// read e.g. serve_request_ns_p99). Func callbacks run outside the
-// registry lock.
+// Snapshot flattens every metric to sorted name/value rows: funcs one
+// row per name, histograms four derived rows (<name>_count,
+// <name>_p50, <name>_p99, <name>_max — for latency histograms the
+// suffix convention is a _ns name, so the derived rows read e.g.
+// serve_request_ns_p99). Func callbacks run outside the registry lock.
 func (r *Registry) Snapshot() []Metric {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
-	out := make([]Metric, 0, len(r.counters)+len(r.gauges)+4*len(r.hists)+len(r.funcs))
-	for name, c := range r.counters {
-		out = append(out, Metric{Name: name, Value: c.Load()})
-	}
-	for name, g := range r.gauges {
-		out = append(out, Metric{Name: name, Value: g.Load()})
-	}
+	out := make([]Metric, 0, 4*len(r.hists)+len(r.funcs))
 	for name, h := range r.hists {
 		s := h.Snapshot()
 		out = append(out,
@@ -338,18 +234,23 @@ func (r *Registry) Snapshot() []Metric {
 	}
 	// Capture the callbacks so they run unlocked: a callback is free to
 	// take other locks (serve.Stats takes the cache mutex) without any
-	// ordering constraint against the registry's.
+	// ordering constraint against the registry's. A name's slice is
+	// only ever appended to, so the captured header stays valid.
 	type pending struct {
 		name string
-		fn   func() int64
+		fns  []func() int64
 	}
 	pend := make([]pending, 0, len(r.funcs))
-	for name, fn := range r.funcs {
-		pend = append(pend, pending{name, fn})
+	for name, fns := range r.funcs {
+		pend = append(pend, pending{name, fns})
 	}
 	r.mu.Unlock()
 	for _, p := range pend {
-		out = append(out, Metric{Name: p.name, Value: p.fn()})
+		var v int64
+		for _, fn := range p.fns {
+			v += fn()
+		}
+		out = append(out, Metric{Name: p.name, Value: v})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

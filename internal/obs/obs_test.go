@@ -2,42 +2,17 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-func TestCounterGaugeBasics(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(41)
-	if got := c.Load(); got != 42 {
-		t.Fatalf("counter = %d, want 42", got)
-	}
-	var g Gauge
-	g.Set(7)
-	g.Add(-3)
-	if got := g.Load(); got != 4 {
-		t.Fatalf("gauge = %d, want 4", got)
-	}
-}
-
 func TestNilHandlesAreNoOps(t *testing.T) {
 	// Every handle method must tolerate a nil receiver — this is the
 	// whole un-instrumented fast path.
-	var c *Counter
-	c.Add(5)
-	c.Inc()
-	if c.Load() != 0 {
-		t.Fatal("nil counter loaded non-zero")
-	}
-	var g *Gauge
-	g.Set(5)
-	g.Add(5)
-	if g.Load() != 0 {
-		t.Fatal("nil gauge loaded non-zero")
-	}
 	var h *Histogram
 	h.Observe(5)
 	if h.Count() != 0 {
@@ -53,7 +28,7 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	}
 
 	var r *Registry
-	if r.Counter("x") != nil || r.Gauge("x") != nil || r.Histogram("x") != nil {
+	if r.Histogram("x") != nil {
 		t.Fatal("nil registry returned non-nil handle")
 	}
 	r.RegisterFunc("x", func() int64 { return 1 })
@@ -153,50 +128,20 @@ func TestHistogramConcurrentConserved(t *testing.T) {
 	}
 }
 
-// TestCounterConcurrentConserved does the same for counters and gauges
-// shared through the registry: concurrent get-or-create must converge
-// on one underlying atomic.
-func TestCounterConcurrentConserved(t *testing.T) {
-	const goroutines = 8
-	const perG = 10_000
-	r := NewRegistry()
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				r.Counter("shared").Inc()
-			}
-		}()
-	}
-	wg.Wait()
-	if got := r.Counter("shared").Load(); got != goroutines*perG {
-		t.Fatalf("counter = %d, want %d", got, goroutines*perG)
-	}
-}
-
 func TestRegistryGetOrCreate(t *testing.T) {
 	r := NewRegistry()
-	if r.Counter("c") != r.Counter("c") {
-		t.Fatal("same-name counters are distinct")
-	}
-	if r.Gauge("g") != r.Gauge("g") {
-		t.Fatal("same-name gauges are distinct")
-	}
 	if r.Histogram("h") != r.Histogram("h") {
 		t.Fatal("same-name histograms are distinct")
 	}
-	// Distinct names are distinct handles.
-	if r.Counter("c") == r.Counter("c2") {
-		t.Fatal("distinct-name counters are shared")
+	if r.Histogram("h") == r.Histogram("h2") {
+		t.Fatal("distinct-name histograms are shared")
 	}
 }
 
 func TestSnapshotAndWriteMetrics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("zebra_total").Add(3)
-	r.Gauge("apple_level").Set(-2)
+	r.RegisterFunc("zebra_total", func() int64 { return 3 })
+	r.RegisterFunc("apple_level", func() int64 { return -2 })
 	h := r.Histogram("req_ns")
 	h.Observe(100) // one observation in [64,128)
 	r.RegisterFunc("callback_value", func() int64 { return 11 })
@@ -214,13 +159,27 @@ func TestSnapshotAndWriteMetrics(t *testing.T) {
 	if got != want {
 		t.Fatalf("WriteMetrics:\n got %q\nwant %q", got, want)
 	}
+}
 
-	// Re-registering a func replaces it.
-	r.RegisterFunc("callback_value", func() int64 { return 12 })
-	for _, m := range r.Snapshot() {
-		if m.Name == "callback_value" && m.Value != 12 {
-			t.Fatalf("re-registered callback read %d, want 12", m.Value)
-		}
+// TestFuncsSumByName: every callback registered under one name adds
+// into that name's single row, whatever registers it — N instances of a
+// layer sharing a registry report their total, read at snapshot time.
+func TestFuncsSumByName(t *testing.T) {
+	r := NewRegistry()
+	var a, b atomic.Int64
+	r.RegisterFunc("shared", a.Load)
+	r.RegisterFunc("shared", b.Load)
+	r.RegisterFunc("other", func() int64 { return 4 })
+	a.Add(3)
+	b.Add(5)
+	got := r.Snapshot()
+	want := []Metric{{Name: "other", Value: 4}, {Name: "shared", Value: 8}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("snapshot = %+v, want %+v", got, want)
+	}
+	b.Add(1)
+	if got := string(r.WriteMetrics(nil)); got != "other 4\nshared 9\n" {
+		t.Fatalf("WriteMetrics = %q", got)
 	}
 }
 
@@ -229,8 +188,8 @@ func TestSnapshotAndWriteMetrics(t *testing.T) {
 // callback reading another registry handle must not self-deadlock.
 func TestSnapshotCallbackMayUseRegistry(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("base").Add(5)
-	r.RegisterFunc("derived", func() int64 { return r.Counter("base").Load() * 2 })
+	r.Histogram("base").Observe(1)
+	r.RegisterFunc("derived", func() int64 { return r.Histogram("base").Count() * 10 })
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

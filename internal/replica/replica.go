@@ -87,10 +87,9 @@ type Config struct {
 	// registry: replica_failovers, replica_ejections (followers dropped
 	// from the read set by a missed write), replica_backoff_skips
 	// (reads that bypassed a replica inside its failure window without
-	// dialing) and replica_primary_write_failures. Handles are
-	// get-or-create by name, so every Set sharing one registry — one
-	// per shard in a replicated cluster — aggregates into the same
-	// rows. Nil costs the read path nothing.
+	// dialing) and replica_primary_write_failures. Every Set sharing
+	// one registry — one per shard in a replicated cluster — sums into
+	// the same rows.
 	Obs *obs.Registry
 }
 
@@ -125,13 +124,8 @@ type Set struct {
 	reads     []atomic.Int64 // per-replica served searches
 	views     sync.Pool      // of *setView, reused across reads
 
-	// Observability (nil without Config.Obs; all handles nil-safe):
-	// cluster-wide failure accounting, aggregated across Sets sharing a
-	// registry.
-	obsFailovers        *obs.Counter
-	obsEjections        *obs.Counter
-	obsBackoffSkips     *obs.Counter
-	obsPrimaryWriteFail *obs.Counter
+	// The failure accounting Config.Obs exports (see there).
+	ejections, backoffSkips, primaryWriteFails atomic.Int64
 }
 
 // Set must satisfy the same interface a plain shard does — that is
@@ -157,10 +151,10 @@ func NewSet(replicas []shard.Backend, cfg Config) (*Set, error) {
 	}
 	s.views.New = func() any { return &setView{set: s} }
 	if cfg.Obs != nil {
-		s.obsFailovers = cfg.Obs.Counter("replica_failovers")
-		s.obsEjections = cfg.Obs.Counter("replica_ejections")
-		s.obsBackoffSkips = cfg.Obs.Counter("replica_backoff_skips")
-		s.obsPrimaryWriteFail = cfg.Obs.Counter("replica_primary_write_failures")
+		cfg.Obs.RegisterFunc("replica_failovers", s.failovers.Load)
+		cfg.Obs.RegisterFunc("replica_ejections", s.ejections.Load)
+		cfg.Obs.RegisterFunc("replica_backoff_skips", s.backoffSkips.Load)
+		cfg.Obs.RegisterFunc("replica_primary_write_failures", s.primaryWriteFails.Load)
 	}
 	return s, nil
 }
@@ -208,9 +202,9 @@ func (s *Set) failedPrimaryWrite(n uint64) {
 	s.health[0].Fail()
 	s.applied[0].Add(n)
 	s.epoch.Add(n)
-	s.obsPrimaryWriteFail.Inc()
+	s.primaryWriteFails.Add(1)
 	// The epoch advance ejects every follower still in the read set.
-	s.obsEjections.Add(int64(len(s.replicas) - 1))
+	s.ejections.Add(int64(len(s.replicas) - 1))
 }
 
 // IngestBatch implements shard.Backend — the package comment's write
@@ -239,7 +233,7 @@ func (s *Set) IngestBatch(posts []microblog.Post) error {
 		}
 		if err := s.replicas[i].IngestBatch(posts); err != nil {
 			s.health[i].Fail()
-			s.obsEjections.Inc()
+			s.ejections.Add(1)
 			continue // ejected: applied[i] stays behind epoch for good
 		}
 		s.applied[i].Add(n)
@@ -276,7 +270,7 @@ func (s *Set) read(ctx context.Context, attempt func(r shard.Backend) error) (in
 			continue
 		}
 		if !s.health[i].Allow() {
-			s.obsBackoffSkips.Inc()
+			s.backoffSkips.Add(1)
 			continue
 		}
 		err := attempt(s.replicas[i])
@@ -285,7 +279,6 @@ func (s *Set) read(ctx context.Context, attempt func(r shard.Backend) error) (in
 			s.reads[i].Add(1)
 			if tried > 0 {
 				s.failovers.Add(1)
-				s.obsFailovers.Inc()
 			}
 			return i, nil
 		}

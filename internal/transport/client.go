@@ -35,11 +35,11 @@ type ClientConfig struct {
 	// registry: per-op round-trip counters and latency histograms
 	// (rpc_client_<op>_requests, rpc_client_<op>_ns), byte counters
 	// (rpc_client_bytes_read, rpc_client_bytes_written), rpc_client_dials
-	// and rpc_client_epoch_rtts. Handles are get-or-create by name, so
-	// every client sharing one registry aggregates into the same rows —
-	// cluster-wide client totals, with per-shard latency split already
-	// covered by the coordinator's sharded_shard<i>_* histograms. Nil
-	// adds no clock reads to the request path.
+	// and rpc_client_epoch_rtts. Every client sharing one registry sums
+	// into the same rows — cluster-wide client totals, with per-shard
+	// latency split already covered by the coordinator's
+	// sharded_shard<i>_* histograms. Nil adds no clock reads to the
+	// request path.
 	Obs *obs.Registry
 }
 
@@ -107,18 +107,15 @@ type RemoteShard struct {
 	// exchanges) — the number the push path drives to zero on warm
 	// connections.
 	epochRTTs atomic.Int64
+	// reqs counts request frames sent, by op byte; bytesR and bytesW
+	// count wire bytes.
+	reqs           [128]atomic.Int64
+	bytesR, bytesW atomic.Int64
 
-	// Observability (zero-valued without ClientConfig.Obs): per-op
-	// round-trip counters and latency histograms indexed by op byte,
-	// plus the wire byte counters. All handles are nil-safe, so the
-	// un-instrumented path pays nothing but the obsOn branch.
-	obsOn        bool
-	obsOpReqs    [128]*obs.Counter
-	obsOpNS      [128]*obs.Histogram
-	obsBytesR    *obs.Counter
-	obsBytesW    *obs.Counter
-	obsDials     *obs.Counter
-	obsEpochRTTs *obs.Counter
+	// Latency histograms indexed like reqs (nil without
+	// ClientConfig.Obs); obsOn gates their clock reads.
+	obsOn   bool
+	obsOpNS [128]*obs.Histogram
 }
 
 // clientConn is one pooled connection plus everything a conversation
@@ -151,13 +148,13 @@ func NewRemoteShard(addr string, cfg ClientConfig) *RemoteShard {
 	if cfg.Obs != nil {
 		r.obsOn = true
 		for _, op := range requestOps {
-			r.obsOpReqs[op&0x7f] = cfg.Obs.Counter("rpc_client_" + op.Name() + "_requests")
+			cfg.Obs.RegisterFunc("rpc_client_"+op.Name()+"_requests", r.reqs[op&0x7f].Load)
 			r.obsOpNS[op&0x7f] = cfg.Obs.Histogram("rpc_client_" + op.Name() + "_ns")
 		}
-		r.obsBytesR = cfg.Obs.Counter("rpc_client_bytes_read")
-		r.obsBytesW = cfg.Obs.Counter("rpc_client_bytes_written")
-		r.obsDials = cfg.Obs.Counter("rpc_client_dials")
-		r.obsEpochRTTs = cfg.Obs.Counter("rpc_client_epoch_rtts")
+		cfg.Obs.RegisterFunc("rpc_client_bytes_read", r.bytesR.Load)
+		cfg.Obs.RegisterFunc("rpc_client_bytes_written", r.bytesW.Load)
+		cfg.Obs.RegisterFunc("rpc_client_dials", r.dials.Load)
+		cfg.Obs.RegisterFunc("rpc_client_epoch_rtts", r.epochRTTs.Load)
 	}
 	return r
 }
@@ -232,7 +229,6 @@ func (r *RemoteShard) dialConn() (*clientConn, error) {
 		return nil, fmt.Errorf("transport: dial %s: %w", r.addr, err)
 	}
 	r.dials.Add(1)
-	r.obsDials.Add(1)
 	cc := &clientConn{c: c, br: bufio.NewReader(c)}
 	if err := r.negotiate(cc); err != nil {
 		r.health.Fail()
@@ -300,10 +296,10 @@ func (r *RemoteShard) negotiate(cc *clientConn) error {
 // unexpected op poisons the connection. Interleaved OpEpochDelta pushes
 // are absorbed into the cached epoch, not taken for the response.
 func (r *RemoteShard) roundTrip(cc *clientConn, op Op, payload []byte, timeout time.Duration) (respPayload []byte, okConn bool, err error) {
+	r.reqs[op&0x7f].Add(1)
 	if r.obsOn {
-		// Count and time the whole round trip — write through response
-		// read — whatever exit path it takes.
-		r.obsOpReqs[op&0x7f].Add(1)
+		// Time the whole round trip — write through response read —
+		// whatever exit path it takes.
 		t0 := time.Now()
 		defer func() { r.obsOpNS[op&0x7f].Observe(time.Since(t0).Nanoseconds()) }()
 	}
@@ -314,14 +310,14 @@ func (r *RemoteShard) roundTrip(cc *clientConn, op Op, payload []byte, timeout t
 	if _, err := cc.c.Write(cc.out); err != nil {
 		return nil, false, fmt.Errorf("transport: write %s: %w", r.addr, err)
 	}
-	r.obsBytesW.Add(int64(len(cc.out)))
+	r.bytesW.Add(int64(len(cc.out)))
 	for {
 		respOp, resp, buf, err := ReadFrame(cc.br, cc.in)
 		cc.in = buf
 		if err != nil {
 			return nil, false, fmt.Errorf("transport: read %s: %w", r.addr, err)
 		}
-		r.obsBytesR.Add(int64(headerLen + 1 + len(resp)))
+		r.bytesR.Add(int64(headerLen + 1 + len(resp)))
 		if respOp == OpEpochDelta {
 			er, _, err := ConsumeEpochResp(resp)
 			if err != nil {
@@ -590,8 +586,8 @@ func (r *RemoteShard) writeFrame(cc *clientConn, op Op, payload []byte) error {
 	cc.out = AppendFrame(cc.out[:0], op, payload)
 	_, err := cc.c.Write(cc.out)
 	if err == nil {
-		r.obsOpReqs[op&0x7f].Add(1)
-		r.obsBytesW.Add(int64(len(cc.out)))
+		r.reqs[op&0x7f].Add(1)
+		r.bytesW.Add(int64(len(cc.out)))
 	}
 	return err
 }
@@ -658,7 +654,6 @@ func (r *RemoteShard) subscribe() (uint64, error) {
 		return 0, err
 	}
 	r.epochRTTs.Add(1)
-	r.obsEpochRTTs.Add(1)
 	er, _, err := ConsumeEpochResp(resp)
 	if err != nil {
 		cc.c.Close()

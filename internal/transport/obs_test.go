@@ -171,3 +171,55 @@ func TestObsUninstrumentedServerStillCounts(t *testing.T) {
 		t.Fatalf("un-instrumented Requests(OpSearchStats) = %d, want 1", got)
 	}
 }
+
+// TestObsSharedRegistrySums: servers (and clients) sharing one registry
+// add into one row each — a second server's rows neither replace the
+// first one's nor drop them.
+func TestObsSharedRegistrySums(t *testing.T) {
+	fault.CheckLeaks(t)
+	p, _ := testPipeline(t)
+	serverReg, clientReg := obs.NewRegistry(), obs.NewRegistry()
+	var srvs [2]*transport.ShardServer
+	var clients [2]*transport.RemoteShard
+	for i := range srvs {
+		part := shard.Partition(p.Corpus, i, 2)
+		idx := ingest.New(part, ingest.DefaultConfig())
+		defer idx.Close()
+		scfg := transport.DefaultServerConfig(i, 2)
+		scfg.Obs = serverReg
+		srv, err := transport.Listen("127.0.0.1:0", idx, scfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		ccfg := testClientConfig()
+		ccfg.Obs = clientReg
+		c := transport.NewRemoteShard(srv.Addr().String(), ccfg)
+		defer c.Close()
+		if err := c.Handshake(i, 2, len(p.World.Users), part.NumTweets()); err != nil {
+			t.Fatal(err)
+		}
+		// Server i answers i+1 searches.
+		for range i + 1 {
+			_, _, _, v, err := c.SearchStats(context.Background(), []string{"storm"}, true, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v.Release()
+		}
+		srvs[i], clients[i] = srv, c
+	}
+	if got := metricValue(t, serverReg, "rpc_server_search_stats_requests"); got != 3 {
+		t.Errorf("rpc_server_search_stats_requests = %d, want 3 (1 + 2)", got)
+	}
+	if got, want := metricValue(t, serverReg, "rpc_server_info_requests"),
+		srvs[0].Requests(transport.OpInfo)+srvs[1].Requests(transport.OpInfo); got != want {
+		t.Errorf("rpc_server_info_requests = %d, want the servers' sum %d", got, want)
+	}
+	if got := metricValue(t, clientReg, "rpc_client_search_stats_requests"); got != 3 {
+		t.Errorf("rpc_client_search_stats_requests = %d, want 3 (1 + 2)", got)
+	}
+	if got, want := metricValue(t, clientReg, "rpc_client_dials"), clients[0].Dials()+clients[1].Dials(); got != want {
+		t.Errorf("rpc_client_dials = %d, want the clients' sum %d", got, want)
+	}
+}

@@ -47,8 +47,9 @@ type ServerConfig struct {
 	// callbacks over the same atomics Requests reports), per-op
 	// dispatch-to-flush latency histograms (rpc_server_<op>_ns),
 	// rpc_server_pushes and byte counters (rpc_server_bytes_read,
-	// rpc_server_bytes_written). Nil serves identically with no clock
-	// reads on the request loop.
+	// rpc_server_bytes_written), summed over the servers sharing the
+	// registry. Nil serves identically with no clock reads on the
+	// request loop.
 	Obs *obs.Registry
 }
 
@@ -91,12 +92,13 @@ type ShardServer struct {
 	// callbacks — one accounting, two consumers.
 	reqs   [128]atomic.Int64
 	pushes atomic.Int64
+	// bytesR and bytesW count wire bytes, frame headers included.
+	bytesR, bytesW atomic.Int64
 
-	// Observability (zero-valued without ServerConfig.Obs): per-op
-	// latency histograms indexed like reqs, and the wire byte counters.
-	obsOn                         bool
-	obsOpNS                       [128]*obs.Histogram
-	obsBytesRead, obsBytesWritten *obs.Counter
+	// Latency histograms indexed like reqs (nil without
+	// ServerConfig.Obs); obsOn gates their clock reads.
+	obsOn   bool
+	obsOpNS [128]*obs.Histogram
 
 	acceptWG sync.WaitGroup
 	connWG   sync.WaitGroup
@@ -124,14 +126,12 @@ func Serve(ln net.Listener, idx *ingest.Index, cfg ServerConfig) *ShardServer {
 	if cfg.Obs != nil {
 		s.obsOn = true
 		for _, op := range requestOps {
-			cfg.Obs.RegisterFunc("rpc_server_"+op.Name()+"_requests", func() int64 {
-				return s.reqs[op&0x7f].Load()
-			})
+			cfg.Obs.RegisterFunc("rpc_server_"+op.Name()+"_requests", s.reqs[op&0x7f].Load)
 			s.obsOpNS[op&0x7f] = cfg.Obs.Histogram("rpc_server_" + op.Name() + "_ns")
 		}
 		cfg.Obs.RegisterFunc("rpc_server_pushes", s.pushes.Load)
-		s.obsBytesRead = cfg.Obs.Counter("rpc_server_bytes_read")
-		s.obsBytesWritten = cfg.Obs.Counter("rpc_server_bytes_written")
+		cfg.Obs.RegisterFunc("rpc_server_bytes_read", s.bytesR.Load)
+		cfg.Obs.RegisterFunc("rpc_server_bytes_written", s.bytesW.Load)
 	}
 	s.acceptWG.Add(1)
 	go s.acceptLoop()
@@ -229,9 +229,8 @@ func (s *ShardServer) acceptLoop() {
 			return
 		}
 		st := &connState{
-			br:        bufio.NewReader(conn),
-			bw:        bufio.NewWriter(conn),
-			obsBytesW: s.obsBytesWritten,
+			br: bufio.NewReader(conn),
+			bw: bufio.NewWriter(conn),
 		}
 		s.mu.Lock()
 		if s.closed {
@@ -281,10 +280,6 @@ type connState struct {
 	// wmu serializes every frame write on bw: responses from the
 	// handler loop and pushes from the connection's pusher goroutine.
 	wmu sync.Mutex
-	// obsBytesW is the server's wire-write counter, shared by handler
-	// and pusher (guarded by wmu like the writer itself); nil-safe, and
-	// nil on an un-instrumented server.
-	obsBytesW *obs.Counter
 	// subscribed, stop and subEpoch exist once OpSubscribe succeeds:
 	// stop ends the pusher when the handler exits, subEpoch is the
 	// epoch the subscription ack reported (the pusher's baseline).
@@ -320,10 +315,10 @@ func (s *ShardServer) handle(conn net.Conn, st *connState) {
 		}
 		var t0 time.Time
 		if s.obsOn {
-			s.obsBytesRead.Add(int64(headerLen + 1 + len(payload)))
 			t0 = time.Now()
 		}
 		s.reqs[op&0x7f].Add(1)
+		s.bytesR.Add(int64(headerLen + 1 + len(payload)))
 		st.busy.Store(true)
 		// A fire-and-forget op (OpUnpin) gets nothing back.
 		respOp := s.respond(st, op, payload)
@@ -382,12 +377,12 @@ func (s *ShardServer) respond(st *connState, op Op, payload []byte) Op {
 func (s *ShardServer) writeResp(st *connState, op Op, payload []byte) error {
 	st.wmu.Lock()
 	defer st.wmu.Unlock()
-	return writeFrameLocked(st, op, payload)
+	return s.writeFrameLocked(st, op, payload)
 }
 
 // writeFrameLocked writes and flushes one frame; callers hold st.wmu.
-func writeFrameLocked(st *connState, op Op, payload []byte) error {
-	st.obsBytesW.Add(int64(headerLen + 1 + len(payload)))
+func (s *ShardServer) writeFrameLocked(st *connState, op Op, payload []byte) error {
+	s.bytesW.Add(int64(headerLen + 1 + len(payload)))
 	// The header is built in the writer's own spare buffer: a local array
 	// would escape into the bufio.Writer, one allocation per frame.
 	hdr := binary.BigEndian.AppendUint32(st.bw.AvailableBuffer(), uint32(1+len(payload)))
@@ -418,7 +413,7 @@ func (s *ShardServer) pushLoop(conn net.Conn, st *connState, last uint64) {
 			payload = AppendEpochResp(payload[:0], EpochResp{Epoch: cur})
 			st.wmu.Lock()
 			conn.SetWriteDeadline(time.Now().Add(pushWriteTimeout))
-			err := writeFrameLocked(st, OpEpochDelta, payload)
+			err := s.writeFrameLocked(st, OpEpochDelta, payload)
 			conn.SetWriteDeadline(time.Time{})
 			st.wmu.Unlock()
 			if err != nil {
