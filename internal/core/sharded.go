@@ -214,10 +214,12 @@ func (d *ShardedLiveDetector) Failovers() int64 {
 
 // Expand returns the expansion terms for a query (excluding the query
 // itself). The slice is the admission table's own, shared by every
-// search for the query — read-only — and the lookup allocates nothing
-// for a query in canonical form.
+// search for the query — read-only. The canonical form the table is
+// keyed on is built in a stack buffer, so the lookup allocates nothing
+// for a lower-case query of up to eight tokens, whatever their order.
 func (d *ShardedLiveDetector) Expand(query string) []string {
-	return d.admission.Lookup(textutil.Canonical(query)).Expansion
+	var buf [128]byte
+	return d.admission.Expansion(textutil.AppendCanonical(buf[:0], query))
 }
 
 // TermSetKey returns the identity of the term set an e# search for the

@@ -12,7 +12,7 @@ import (
 // TestTermSetKey pins what the served detector names as a query's term
 // set: it answers from its admission table — the table's key, and for a
 // query outside every domain the query itself — while Expand stays what
-// the collection says, and a canonical query's expansion costs nothing.
+// the collection says.
 func TestTermSetKey(t *testing.T) {
 	p := tinyPipeline(t)
 	r := shard.New(p.Corpus, 1, ingest.Config{DisableCompactor: true})
@@ -32,7 +32,19 @@ func TestTermSetKey(t *testing.T) {
 	if key := d.TermSetKey("no such term at all"); key != "no such term at all" {
 		t.Errorf("a query outside every domain keys on %q, want itself", key)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { d.Expand("49ers") }); allocs != 0 {
-		t.Errorf("Expand of a canonical query allocates %v times, want 0", allocs)
+}
+
+// TestExpandAllocatesNothing pins the expansion step of every served
+// search: a lower-case query is canonicalized in a stack buffer and its
+// expansion read from the admission table, in canonical order or not.
+func TestExpandAllocatesNothing(t *testing.T) {
+	p := tinyPipeline(t)
+	r := shard.New(p.Corpus, 1, ingest.Config{DisableCompactor: true})
+	defer r.Close()
+	d := NewShardedLiveDetectorOver(p.Collection, r, p.Cfg.Online)
+	for _, q := range []string{"49ers", "vintage cars", "schedule 49ers 49ers", "no such term at all"} {
+		if allocs := testing.AllocsPerRun(100, func() { d.Expand(q) }); allocs != 0 {
+			t.Errorf("Expand(%q) allocates %v times, want 0", q, allocs)
+		}
 	}
 }

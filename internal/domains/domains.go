@@ -349,6 +349,12 @@ func (a *Admission) Lookup(canon string) TermSet {
 	return TermSet{Key: canon}
 }
 
+// Expansion is Lookup(string(canon)).Expansion, without allocating:
+// the query's canonical form can stay in the caller's stack buffer.
+func (a *Admission) Expansion(canon []byte) []string {
+	return a.byCanon[string(canon)].Expansion
+}
+
 // Closest returns up to k closest other domains (Figure 7's neighboring
 // communities).
 func (c *Collection) Closest(id int32, k int) []DomainLink {

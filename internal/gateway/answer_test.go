@@ -102,8 +102,7 @@ func manyExperts(n int) []expertise.Expert {
 // TestWarmHitAllocBudget pins the front door's own cost on a warm hit,
 // measured the way bench's gateway.hit seam measures it: everything
 // around the handler reused, so the count is the handler's plus what
-// encoding/json and http.MaxBytesReader force. The response must also
-// leave in one Write.
+// encoding/json forces. The response must also leave in one Write.
 func TestWarmHitAllocBudget(t *testing.T) {
 	ranking := manyExperts(60)
 	backend := &stubBackend{ranking: func(uint64) []expertise.Expert { return ranking }}
@@ -125,14 +124,14 @@ func TestWarmHitAllocBudget(t *testing.T) {
 			}
 		}
 		allocs := testing.AllocsPerRun(200, func() { p.do(body) })
-		// 3 in a plain run: http.MaxBytesReader, the decoded query
-		// string, and the canonical cache key of a query whose tokens
-		// arrive out of order ("vintage cars" keys as "cars vintage");
-		// serve's admission and the pooled decoder add nothing. The race
-		// detector makes sync.Pool drop a quarter of its Puts, so there
-		// the scratch (and encoding/json's own pooled state) is sometimes
-		// rebuilt.
-		budget := 4.0
+		// 2 in a plain run: the decoded query string, and the
+		// canonical cache key of a query whose tokens arrive out of
+		// order ("vintage cars" keys as "cars vintage"); the body's
+		// limiter, serve's admission and the pooled decoder add nothing.
+		// The race detector makes sync.Pool drop a quarter of its Puts,
+		// so there the scratch (and encoding/json's own pooled state) is
+		// sometimes rebuilt.
+		budget := 3.0
 		if race.Enabled {
 			budget = 20
 		}
@@ -147,9 +146,10 @@ func TestWarmHitAllocBudget(t *testing.T) {
 
 // TestColdMissAllocBudget pins the front door's cost on a cold miss
 // with a budget, measured like TestWarmHitAllocBudget on a cache-less
-// server over a backend that allocates nothing: the warm hit's 3, the
-// serving layer's result and the miss's budget context, and no timer
-// under either a background or a cancelable request context — the
+// server over a backend that allocates nothing: the warm hit's 2 and
+// the serving layer's result, which holds the miss's budget context,
+// and no timer under either a background or a cancelable request
+// context — the
 // latter is what net/http hands a handler, fresh per request, and its
 // own allocations are measured apart and not counted.
 func TestColdMissAllocBudget(t *testing.T) {
@@ -185,7 +185,7 @@ func TestColdMissAllocBudget(t *testing.T) {
 		if cancelable {
 			allocs -= requestAllocs
 		}
-		budget := 5.0
+		budget := 3.0
 		if race.Enabled {
 			budget = 21
 		}

@@ -27,7 +27,10 @@
 // (serve.PartialError); a whole answer has neither field.
 //
 // The body is read whole and must be exactly one JSON object: anything
-// but whitespace after it is a malformed body (400), not ignored.
+// but whitespace after it is a malformed body (400), not ignored. A
+// declared length over the cap is refused before a byte is read, and
+// every 413 closes the connection, so the unread rest of the body is
+// never parsed as a request.
 //
 // The budget is the deadline-propagation spine: X-Budget-Ms, clamped
 // to Config.MaxBudget, becomes a deadline handed to
@@ -41,9 +44,15 @@
 //
 // A warm hit — the common case under repeat-heavy search traffic — is
 // auth, the body decode and one Write: the cache entry carries its
-// ranking's JSON, the handler wraps it in pooled scratch, and nothing
-// else is allocated per request that encoding/json and net/http do not
-// force (no context, no encoder or decoder state, no closure).
+// ranking's JSON and the handler wraps it in pooled scratch. What it
+// allocates is net/http's own ≈23 per request (4 of them the clone of
+// the Content-Type header), the decoded query and, for a query whose
+// tokens arrive out of order, the serving layer's canonical key — no
+// context, no body limiter, no encoder or decoder state, no closure.
+// The handler closes the body it read to its end, so net/http does not
+// drain it again. A miss adds the serving layer's flight, which holds
+// its budget, the ranking Rank returns and one copy of the terms per
+// shard.
 //
 // Results are the serving layer's verbatim: at quiescence the experts
 // in the JSON body are bit-identical (modulo the JSON number round
@@ -56,6 +65,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -279,11 +289,12 @@ var jsonContentType = []string{"application/json"}
 // The decoder is kept because json.Unmarshal builds its decode and
 // scan state afresh on every call, and a reused Decoder does not.
 type scratch struct {
-	body    bytes.Buffer  // the request body, read whole
-	rd      bytes.Reader  // over body, re-pointed per request
-	dec     *json.Decoder // over rd
-	out     bytes.Buffer  // the response under assembly
-	enc     *json.Encoder // over out
+	lim     io.LimitedReader // over the request body, capped at maxBody+1
+	body    bytes.Buffer     // the request body, read whole
+	rd      bytes.Reader     // over body, re-pointed per request
+	dec     *json.Decoder    // over rd
+	out     bytes.Buffer     // the response under assembly
+	enc     *json.Encoder    // over out
 	req     searchRequest
 	query   string
 	experts []expertise.Expert
@@ -311,6 +322,26 @@ func (sc *scratch) release() {
 	sc.out.Reset()
 	sc.req, sc.query, sc.experts = searchRequest{}, "", nil
 	scratchPool.Put(sc)
+}
+
+// readBody reads r's body whole into sc.body, through sc.lim, and
+// closes it. tooLarge reports a body over maxBody — declared, and then
+// refused before a byte is read, or found by reading one byte past the
+// cap — which is left unread and open. Closing a body read to its end
+// is what spares net/http its own drain after the handler returns, and
+// the limiter lives in the scratch, so the read allocates nothing.
+func (sc *scratch) readBody(r *http.Request) (tooLarge bool, err error) {
+	if r.ContentLength > maxBody {
+		return true, nil
+	}
+	sc.lim = io.LimitedReader{R: r.Body, N: maxBody + 1}
+	_, err = sc.body.ReadFrom(&sc.lim)
+	sc.lim.R = nil
+	if sc.body.Len() > maxBody {
+		return true, nil
+	}
+	r.Body.Close()
+	return false, err
 }
 
 // decode parses the request body into sc.req, accepting and refusing
@@ -404,18 +435,21 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	sc := getScratch()
 	defer sc.release()
-	_, err := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody))
+	tooLarge, err := sc.readBody(r)
+	if tooLarge {
+		g.badRequest.Add(1)
+		// The rest of the body is never read: the connection goes
+		// with this answer, so no byte of it is parsed as a request.
+		w.Header().Set("Connection", "close")
+		fail(w, http.StatusRequestEntityTooLarge, "request body over the 1 MiB cap", 0)
+		return
+	}
 	if err == nil {
 		err = sc.decode()
 	}
 	if err != nil {
 		g.badRequest.Add(1)
-		status := http.StatusBadRequest
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		fail(w, status, "malformed JSON body: "+err.Error(), 0)
+		fail(w, http.StatusBadRequest, "malformed JSON body: "+err.Error(), 0)
 		return
 	}
 	query := sc.req.Query

@@ -411,9 +411,9 @@ func (b *fixedBackend) SearchContext(ctx context.Context, query string) ([]exper
 // invalidation, the epoch vector sits inside the result for up to four
 // shards, and a flight nobody joins makes no channel. A deadline under
 // a fresh cancelable parent per request — net/http's request context —
-// adds the budget and nothing else: no timer, no Done channel or child
-// map on the parent. The parent's own allocations are measured apart
-// and not counted.
+// adds nothing: the budget is a field of the result, and it arms no
+// timer, no Done channel or child map on the parent. The parent's own
+// allocations are measured apart and not counted.
 func TestRefillAllocs(t *testing.T) {
 	const runs = 200
 	requestAllocs := testing.AllocsPerRun(runs, func() {
@@ -430,8 +430,8 @@ func TestRefillAllocs(t *testing.T) {
 		{"refill of an invalidated slot, 4 shards", 4, 4096, false, 1},
 		{"refill of an invalidated slot, 5 shards: the vector spills", 5, 4096, false, 2},
 		{"cache off", 2, 0, false, 1},
-		{"refill under a deadline, 1 shard", 1, 4096, true, 2},
-		{"cache off under a deadline", 2, 0, true, 2},
+		{"refill under a deadline, 1 shard", 1, 4096, true, 1},
+		{"cache off under a deadline", 2, 0, true, 1},
 	} {
 		backend := &fixedBackend{ranking: []expertise.Expert{{User: 1, Score: 1}}}
 		backend.components = make([]atomic.Uint64, c.shards)

@@ -4,8 +4,12 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/expertise"
 )
 
 // TestBudgetContract pins the miss's budget context to what a
@@ -28,13 +32,13 @@ func TestBudgetContract(t *testing.T) {
 			{now.Add(time.Second), now.Add(time.Second)},
 			{now.Add(time.Hour), now.Add(time.Minute)},
 		} {
-			b := &budget{Context: parent, deadline: c.own}
+			b := &budget{parent: parent, deadline: c.own}
 			if d, ok := b.Deadline(); !ok || !d.Equal(c.want) {
 				t.Errorf("own %v under a parent's %v: Deadline() = %v, %v; want %v", c.own, now.Add(time.Minute), d, ok, c.want)
 			}
 			b.release()
 		}
-		b := &budget{Context: bg, deadline: now.Add(time.Second)}
+		b := &budget{parent: bg, deadline: now.Add(time.Second)}
 		defer b.release()
 		if d, ok := b.Deadline(); !ok || !d.Equal(now.Add(time.Second)) {
 			t.Errorf("no parent deadline: Deadline() = %v, %v", d, ok)
@@ -42,7 +46,7 @@ func TestBudgetContract(t *testing.T) {
 	})
 
 	t.Run("err reads the clock before any Done", func(t *testing.T) {
-		b := &budget{Context: bg, deadline: time.Now().Add(20 * time.Millisecond)}
+		b := &budget{parent: bg, deadline: time.Now().Add(20 * time.Millisecond)}
 		defer b.release()
 		if err := b.Err(); err != nil {
 			t.Fatalf("before the deadline: Err() = %v", err)
@@ -58,7 +62,7 @@ func TestBudgetContract(t *testing.T) {
 
 	t.Run("a lazily armed Done closes at the deadline", func(t *testing.T) {
 		deadline := time.Now().Add(20 * time.Millisecond)
-		b := &budget{Context: bg, deadline: deadline}
+		b := &budget{parent: bg, deadline: deadline}
 		defer b.release()
 		select {
 		case <-b.Done():
@@ -79,7 +83,7 @@ func TestBudgetContract(t *testing.T) {
 	t.Run("the parent's cancellation shows through", func(t *testing.T) {
 		for _, armFirst := range []bool{false, true} {
 			parent, cancel := context.WithCancel(bg)
-			b := &budget{Context: parent, deadline: time.Now().Add(time.Hour)}
+			b := &budget{parent: parent, deadline: time.Now().Add(time.Hour)}
 			if armFirst {
 				b.Done()
 			}
@@ -97,7 +101,7 @@ func TestBudgetContract(t *testing.T) {
 	})
 
 	t.Run("values pass through", func(t *testing.T) {
-		b := &budget{Context: bg, deadline: time.Now().Add(time.Hour)}
+		b := &budget{parent: bg, deadline: time.Now().Add(time.Hour)}
 		defer b.release()
 		if v := b.Value(key{}); v != "request" {
 			t.Fatalf("Value = %v", v)
@@ -106,7 +110,7 @@ func TestBudgetContract(t *testing.T) {
 
 	t.Run("release is idempotent", func(t *testing.T) {
 		for _, armFirst := range []bool{false, true} {
-			b := &budget{Context: bg, deadline: time.Now().Add(time.Hour)}
+			b := &budget{parent: bg, deadline: time.Now().Add(time.Hour)}
 			if armFirst {
 				b.Done()
 			}
@@ -130,7 +134,7 @@ func TestBudgetContract(t *testing.T) {
 // Err after a closed Done must be non-nil.
 func TestBudgetConcurrentDoneErrRelease(t *testing.T) {
 	for round := 0; round < 50; round++ {
-		b := &budget{Context: context.Background(), deadline: time.Now().Add(time.Hour)}
+		b := &budget{parent: context.Background(), deadline: time.Now().Add(time.Hour)}
 		var wg sync.WaitGroup
 		errs := make(chan error, 8)
 		for g := 0; g < 8; g++ {
@@ -155,5 +159,45 @@ func TestBudgetConcurrentDoneErrRelease(t *testing.T) {
 		for err := range errs {
 			t.Fatalf("round %d: %v", round, err)
 		}
+	}
+}
+
+// armingBackend computes under its context the way a remote shard
+// waits on one — it arms the budget's timer — and keeps the context it
+// was handed.
+type armingBackend struct {
+	fixedBackend
+	ctx context.Context
+}
+
+func (b *armingBackend) SearchContext(ctx context.Context, query string) ([]expertise.Expert, core.SearchTrace, error) {
+	b.ctx = ctx
+	ctx.Done()
+	return b.fixedBackend.SearchContext(ctx, query)
+}
+
+// TestFlightBudgetDropsRequest pins what a cached result keeps of the
+// request that computed it: the leader ran under its flight's budget,
+// and once the miss returned that budget holds neither the request's
+// context nor a timer built on it.
+func TestFlightBudgetDropsRequest(t *testing.T) {
+	backend := &armingBackend{fixedBackend: fixedBackend{ranking: []expertise.Expert{{User: 1, Score: 1}}}}
+	backend.components = make([]atomic.Uint64, 1)
+	s := New(backend, DefaultConfig())
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if _, _, err := s.Answer(ctx, "niners", time.Now().Add(time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	res := s.slots[s.backend.TermSetKey("niners")].Value.(*slot).res
+	s.mu.Unlock()
+	if backend.ctx != &res.budget {
+		t.Fatalf("the leader ran under %T, not its flight's budget", backend.ctx)
+	}
+	res.budget.mu.Lock()
+	defer res.budget.mu.Unlock()
+	if res.budget.parent != nil || res.budget.armed != nil || res.budget.cancel != nil {
+		t.Fatal("a cached result's budget still holds the request's context")
 	}
 }

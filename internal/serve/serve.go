@@ -68,8 +68,10 @@
 // rides the context down the scatter-gather into per-shard RPC
 // deadlines, and an expired budget surfaces as the context's error
 // (the gateway maps it to 504) — so a warm hit builds no context. The
-// miss's context holds the deadline as a value, read against the
-// clock: a timer is armed only for a caller that waits on Done. A
+// leader's context is a budget inside its flight, so it costs no
+// allocation of its own: it holds the deadline as a value, read against
+// the clock, arms a timer only for a caller that waits on Done, and
+// lets go of the request's context once the miss returns. A
 // hit also returns the ranking's JSON: a cached result is immutable
 // after insert and carries json.Marshal of its experts, encoded by its
 // first hit, once, outside the lock; a miss encodes nothing.
@@ -281,6 +283,10 @@ type result struct {
 	// own context expires first; nil for the common flight nobody
 	// joined.
 	done chan struct{}
+	// budget is the context the leader computes under when its request
+	// has a deadline — a field, so a miss makes one allocation, not two
+	// — and holds nothing of the request once the miss returns.
+	budget budget
 
 	encodeOnce sync.Once
 	encoded    []byte
@@ -519,13 +525,8 @@ func (s *Server) countHit(qt *obs.QueryTrace) {
 // miss is the request path once the first lookup has failed. From here
 // the request may wait — as a follower on an identical in-flight
 // computation or as the leader on the backend — so this is where its
-// budget is armed.
+// budget is armed: a follower's in follow, a leader's in its flight.
 func (s *Server) miss(ctx context.Context, deadline time.Time, key string, norm string, evec []uint64, uncacheable bool, qt *obs.QueryTrace) ([]expertise.Expert, *result, error) {
-	if !deadline.IsZero() {
-		b := &budget{Context: ctx, deadline: deadline}
-		defer b.release()
-		ctx = b
-	}
 	for {
 		s.mu.Lock()
 		if !uncacheable {
@@ -551,9 +552,7 @@ func (s *Server) miss(ctx context.Context, deadline time.Time, key string, norm 
 			prev.done = make(chan struct{})
 		}
 		s.mu.Unlock()
-		select {
-		case <-prev.done:
-		case <-ctx.Done():
+		if err := follow(ctx, deadline, prev.done); err != nil {
 			// Counted as a miss: the caller got no result, so "hit"
 			// would overstate cache efficacy. Keeps the invariant
 			// queries = hits + misses + shed + rejected.
@@ -561,7 +560,7 @@ func (s *Server) miss(ctx context.Context, deadline time.Time, key string, norm 
 			if qt != nil {
 				qt.Outcome = obs.OutcomeMiss
 			}
-			return nil, nil, ctx.Err()
+			return nil, nil, err
 		}
 		if prev.err == nil {
 			s.hits.Add(1)
@@ -587,10 +586,10 @@ func (s *Server) miss(ctx context.Context, deadline time.Time, key string, norm 
 		return nil, nil, ErrOverloaded
 	}
 	// The one allocation of a refill: the result is the flight now and
-	// the slot's content later. It is tagged with the vector sampled
-	// before computing: if the index moves mid-flight, the result is
-	// conservatively already stale and the next lookup recomputes
-	// against the new view.
+	// the slot's content later, and holds the leader's budget. It is
+	// tagged with the vector sampled before computing: if the index
+	// moves mid-flight, the result is conservatively already stale and
+	// the next lookup recomputes against the new view.
 	f := &result{}
 	f.epochVec = append(f.vec[:0], evec...)
 	s.inflight[key] = f
@@ -617,6 +616,14 @@ func (s *Server) miss(ctx context.Context, deadline time.Time, key string, norm 
 			close(done)
 		}
 	}()
+	if !deadline.IsZero() {
+		// Deferred after the publish above, so it runs before it: the
+		// result is cached and its waiters woken with the budget
+		// already released.
+		f.budget.parent, f.budget.deadline = ctx, deadline
+		defer f.budget.release()
+		ctx = &f.budget
+	}
 	if qt != nil {
 		if uncacheable {
 			qt.Outcome = obs.OutcomeUncacheable
@@ -639,40 +646,85 @@ func (s *Server) miss(ctx context.Context, deadline time.Time, key string, norm 
 	return f.experts, nil, partial(f.missing)
 }
 
-// budget is the context a miss runs under when its request has a
-// deadline: the request's context, so a client hang-up still cancels,
+// follow waits for the flight whose done channel is done, unless the
+// request's context ends or its deadline passes first, and returns
+// that error. A follower always waits on its deadline, so it is a
+// plain context.WithDeadline.
+func follow(ctx context.Context, deadline time.Time, done <-chan struct{}) error {
+	if !deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, deadline)
+		defer cancel()
+	}
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// budget is the context a leader computes under when its request has
+// a deadline: the request's context, so a client hang-up still cancels,
 // and the deadline as a value. The miss path only reads Err and
 // Deadline, so no timer is armed — context.WithDeadline costs 7
-// allocations under net/http's request context, a budget 1 — until a
-// coalesced follower waits on Done.
+// allocations under net/http's request context, a budget none beyond
+// its flight's — until something waits on Done. release drops the
+// request's context along with the timer, so a cached result does not
+// keep the request reachable; every method reads the parent under mu
+// for that reason.
 type budget struct {
-	context.Context
-	deadline time.Time
-	released atomic.Bool
 	mu       sync.Mutex
-	armed    context.Context // built by the first Done
+	parent   context.Context // the request's; nil once released
+	deadline time.Time
+	armed    context.Context // built by the first Done; nil once released
 	cancel   context.CancelFunc
+}
+
+// releasedDone is the Done channel of a released budget.
+var releasedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// request is the request's context, nil once released.
+func (b *budget) request() context.Context {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.parent
 }
 
 // Deadline is the earlier of the request's deadline and the budget's.
 func (b *budget) Deadline() (time.Time, bool) {
-	if d, ok := b.Context.Deadline(); ok && d.Before(b.deadline) {
-		return d, true
+	if parent := b.request(); parent != nil {
+		if d, ok := parent.Deadline(); ok && d.Before(b.deadline) {
+			return d, true
+		}
 	}
 	return b.deadline, true
 }
 
-// Err is the request's error, else Canceled once released, else
+// Err is Canceled once released, else the request's error, else
 // DeadlineExceeded once the clock reaches the deadline.
 func (b *budget) Err() error {
-	if err := b.Context.Err(); err != nil {
-		return err
-	}
-	if b.released.Load() {
+	parent := b.request()
+	if parent == nil {
 		return context.Canceled
+	}
+	if err := parent.Err(); err != nil {
+		return err
 	}
 	if !time.Now().Before(b.deadline) {
 		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// Value is the request's value for key; nil once released.
+func (b *budget) Value(key any) any {
+	if parent := b.request(); parent != nil {
+		return parent.Value(key)
 	}
 	return nil
 }
@@ -683,22 +735,22 @@ func (b *budget) Done() <-chan struct{} {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.armed == nil {
-		b.armed, b.cancel = context.WithDeadline(b.Context, b.deadline)
-		if b.released.Load() {
-			b.cancel()
+		if b.parent == nil {
+			return releasedDone
 		}
+		b.armed, b.cancel = context.WithDeadline(b.parent, b.deadline)
 	}
 	return b.armed.Done()
 }
 
-// release ends the budget and stops a timer Done armed; it is
-// idempotent.
+// release ends the budget, stops a timer Done armed and drops every
+// reference to the request; it is idempotent.
 func (b *budget) release() {
-	b.released.Store(true)
 	b.mu.Lock()
 	if b.cancel != nil {
 		b.cancel()
 	}
+	b.parent, b.armed, b.cancel = nil, nil, nil
 	b.mu.Unlock()
 }
 

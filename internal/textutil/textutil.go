@@ -111,16 +111,31 @@ func TokensCanonical(tokens []string) bool {
 // Canonical reduces s to its canonical token-set form: lower-cased,
 // tokenized, sorted, de-duplicated and re-joined with single spaces.
 // "Rust go", "go rust" and "go go rust" all canonicalize to "go rust".
-// A string that is already canonical and recognizably normal (see
-// Normalize) is returned as is, without allocating.
+// A string that is already its own canonical form is returned as is,
+// without allocating when it has at most eight tokens and 64 bytes.
 func Canonical(s string) string {
-	norm := Normalize(s)
-	var arr [8]string
-	toks := TokenizeAppend(arr[:0], norm)
-	if TokensCanonical(toks) {
-		return norm
+	var buf [64]byte
+	canon := AppendCanonical(buf[:0], s)
+	if string(canon) == s {
+		return s
 	}
-	return strings.Join(CanonicalTokens(toks), " ")
+	return string(canon)
+}
+
+// AppendCanonical appends Canonical(s) to dst and returns the grown
+// slice: the form a caller that only looks the canonical query up
+// (a map index by string(bytes) does not allocate) can build in a
+// stack buffer. It allocates nothing when s has at most eight tokens,
+// no upper-case letter and dst the capacity.
+func AppendCanonical(dst []byte, s string) []byte {
+	var arr [8]string
+	for i, t := range CanonicalTokens(TokenizeAppend(arr[:0], s)) {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = append(dst, t...)
+	}
+	return dst
 }
 
 // ContainsAll reports whether every token of query appears among the

@@ -38,8 +38,10 @@ func TestNormalizeIdempotent(t *testing.T) {
 // shortcut, over arbitrary input — Unicode whitespace and case, invalid
 // UTF-8, control characters: Normalize is lower-case, split on
 // whitespace, join with single spaces, whether or not the fast path
-// recognized s as already normal; and TokenizeAppend cuts exactly
-// Tokenize's tokens, after whatever dst already held.
+// recognized s as already normal; TokenizeAppend cuts exactly
+// Tokenize's tokens, after whatever dst already held; and Canonical and
+// AppendCanonical both produce the sorted, de-duplicated tokens joined
+// with single spaces.
 func FuzzNormalize(f *testing.F) {
 	for _, s := range []string{
 		"", " ", "49ers", "san francisco", "san  francisco", " 49ers", "49ers ", "NFL\tDraft\n2014",
@@ -59,8 +61,12 @@ func FuzzNormalize(f *testing.F) {
 		if got := TokenizeAppend(nil, s); !slices.Equal(got, fields) {
 			t.Fatalf("TokenizeAppend(nil, %q) = %q, want %q", s, got, fields)
 		}
-		if got, want := Canonical(s), strings.Join(CanonicalTokens(slices.Clone(fields)), " "); got != want {
-			t.Fatalf("Canonical(%q) = %q, want %q", s, got, want)
+		canon := strings.Join(CanonicalTokens(slices.Clone(fields)), " ")
+		if got := Canonical(s); got != canon {
+			t.Fatalf("Canonical(%q) = %q, want %q", s, got, canon)
+		}
+		if got := AppendCanonical([]byte("kept:"), s); string(got) != "kept:"+canon {
+			t.Fatalf("AppendCanonical(dst, %q) = %q, want kept: + %q", s, got, canon)
 		}
 		var arr [4]string
 		arr[0] = "kept"

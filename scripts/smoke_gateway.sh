@@ -2,8 +2,9 @@
 # End-to-end smoke for the HTTP front door: boot a real cmd/gateway
 # process on a free port with an admin plane on another, require 200 on
 # an authenticated search, 401 without a token, 404 for an internal-state
-# path on the public port, 200 from the admin plane's /stats, and a
-# clean exit-0 drain on SIGTERM. Uses only go + standard POSIX tools.
+# path on the public port, 200 from the admin plane's /stats, 413 for a
+# body over 1 MiB (declared, and chunked), and a clean exit-0 drain on
+# SIGTERM. Uses only go, curl and standard POSIX tools.
 set -eu
 
 workdir="$(mktemp -d)"
@@ -30,7 +31,9 @@ admin="$(sed -n 's|.*admin plane on http://\([^ ]*\).*|\1|p' "$logfile")"
 fetch_status() {
     # fetch_status <expected> <curl args...>
     expect="$1"; shift
-    status="$(curl -s -o /dev/null -w '%{http_code}' "$@")"
+    # A refused upload may end in a reset once the answer is in: curl's
+    # exit status says nothing the code does not.
+    status="$(curl -s --max-time 10 -o /dev/null -w '%{http_code}' "$@" || true)"
     if [ "$status" != "$expect" ]; then
         echo "smoke: got $status, want $expect for: $*"
         cat "$logfile"
@@ -43,6 +46,13 @@ fetch_status 200 -X POST -H "Authorization: Bearer dev" \
 fetch_status 401 -X POST -d '{"query":"vintage cars"}' "http://$addr/v1/search"
 fetch_status 404 -H "Authorization: Bearer dev" "http://$addr/v1/admin/stats"
 fetch_status 200 "http://$admin/stats"
+# Over the 1 MiB cap: a declared length is refused before the body is
+# read (only 2 bytes of it are ever sent), a chunked one once it is.
+fetch_status 413 -X POST -H "Authorization: Bearer dev" \
+    -H "Content-Length: 2097152" --data-binary '{}' "http://$addr/v1/search"
+head -c 1100000 /dev/zero | tr '\0' a >"$workdir/big"
+fetch_status 413 -X POST -H "Authorization: Bearer dev" \
+    -H "Transfer-Encoding: chunked" --data-binary "@$workdir/big" "http://$addr/v1/search"
 
 # The search response must actually carry experts JSON.
 body="$(curl -s -X POST -H "Authorization: Bearer dev" \
