@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"strings"
@@ -85,6 +86,41 @@ func TestRunServesAndDrains(t *testing.T) {
 	}
 	if got := out.String(); !strings.Contains(got, "drained, bye") {
 		t.Fatalf("drain not narrated: %q", got)
+	}
+}
+
+// TestStalledBodyIsCutOff boots with -max-budget-ms 300 and, over raw
+// TCP, declares a 100-byte body, sends 8 bytes of it and goes silent:
+// the gateway must answer or close the connection well within 5 s
+// (its read timeout fires at twice the ceiling), not hold the handler
+// for as long as the client stays quiet.
+func TestStalledBodyIsCutOff(t *testing.T) {
+	fault.CheckLeaks(t)
+	addr, sigs, done, _ := bootGateway(t, "-max-budget-ms", "300")
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "POST /v1/search HTTP/1.1\r\nHost: gateway\r\nAuthorization: Bearer dev\r\n"+
+		"Content-Length: 100\r\n\r\n{\"query\""); err != nil {
+		t.Fatal(err)
+	}
+	const bound = 5 * time.Second
+	conn.SetReadDeadline(start.Add(bound))
+	answer, err := io.ReadAll(conn) // the answer, if any, then the close
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("a stalled body held the connection for %v with no answer and no close", bound)
+	} else if err != nil && len(answer) == 0 {
+		t.Logf("closed without an answer after %v: %v", time.Since(start), err)
+	}
+	if strings.HasPrefix(string(answer), "HTTP/1.1 200") {
+		t.Fatalf("a truncated body was answered 200: %q", answer)
+	}
+	sigs <- syscall.SIGTERM
+	if err := <-done; err != nil {
+		t.Fatalf("run returned %v after the probe", err)
 	}
 }
 
@@ -230,6 +266,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-tokens", ""}, &out, nil, nil); err == nil {
 		t.Fatal("empty token table accepted")
+	}
+	if err := run([]string{"-max-budget-ms", "0"}, &out, nil, nil); err == nil {
+		t.Fatal("a zero budget ceiling accepted: the read timeouts derive from it")
 	}
 	// The gateway has no ingest route, so it has no index to tune.
 	if err := run([]string{"-seal", "1"}, &out, nil, nil); err == nil {

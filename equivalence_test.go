@@ -249,7 +249,7 @@ func TestSiblingsShareOneAnswer(t *testing.T) {
 				continue
 			}
 			seen[q] = true
-			key := det.TermSetKey(textutil.Canonical(q))
+			key := det.TermSetKey([]byte(textutil.Canonical(q)))
 			groups[key] = append(groups[key], q)
 
 			experts, trace := det.Search(q)

@@ -219,16 +219,21 @@ func (d *ShardedLiveDetector) Failovers() int64 {
 // for a lower-case query of up to eight tokens, whatever their order.
 func (d *ShardedLiveDetector) Expand(query string) []string {
 	var buf [128]byte
-	return d.admission.Expansion(textutil.AppendCanonical(buf[:0], query))
+	ts, _ := d.admission.Lookup(textutil.AppendCanonical(buf[:0], query))
+	return ts.Expansion
 }
 
 // TermSetKey returns the identity of the term set an e# search for the
 // query with canonical form canon matches: two queries with equal keys
 // have the same answer at the same view, so the serving layer caches
 // and coalesces under it: the admission table's key
-// (domains.TermSet.Key).
-func (d *ShardedLiveDetector) TermSetKey(canon string) string {
-	return d.admission.Lookup(canon).Key
+// (domains.TermSet.Key), a shared string, or for a query outside every
+// domain the canonical form itself, copied.
+func (d *ShardedLiveDetector) TermSetKey(canon []byte) string {
+	if ts, ok := d.admission.Lookup(canon); ok {
+		return ts.Key
+	}
+	return string(canon)
 }
 
 // Search runs the full e# online stage scattered across the shards.

@@ -24,13 +24,23 @@ func TestTermSetKey(t *testing.T) {
 		if got, want := d.Expand(q), p.Collection.Expand(q, cfg.MaxExpansionTerms); !slices.Equal(got, want) {
 			t.Errorf("Expand(%q) = %q, want %q", q, got, want)
 		}
-		canon := textutil.Canonical(q)
-		if key, want := d.TermSetKey(canon), table.Lookup(canon).Key; key != want {
-			t.Errorf("TermSetKey(%q) = %q, want %q", canon, key, want)
+		canon := []byte(textutil.Canonical(q))
+		want, ok := table.Lookup(canon)
+		if !ok {
+			want.Key = string(canon)
+		}
+		if key := d.TermSetKey(canon); key != want.Key {
+			t.Errorf("TermSetKey(%q) = %q, want %q", canon, key, want.Key)
 		}
 	}
-	if key := d.TermSetKey("no such term at all"); key != "no such term at all" {
+	if key := d.TermSetKey([]byte("no such term at all")); key != "no such term at all" {
 		t.Errorf("a query outside every domain keys on %q, want itself", key)
+	}
+	// The served path's admission hands its scratch over: a query in the
+	// table keys on the table's own string.
+	canon := []byte("49ers")
+	if allocs := testing.AllocsPerRun(100, func() { d.TermSetKey(canon) }); allocs != 0 {
+		t.Errorf("TermSetKey(%q) allocates %v times, want 0", canon, allocs)
 	}
 }
 

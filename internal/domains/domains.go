@@ -340,19 +340,13 @@ func (c *Collection) Admission(maxTerms int) *Admission {
 }
 
 // Lookup returns the term set of the query whose canonical form is
-// canon. A query outside every domain expands to nothing and is its own
-// term set.
-func (a *Admission) Lookup(canon string) TermSet {
-	if ts, ok := a.byCanon[canon]; ok {
-		return ts
-	}
-	return TermSet{Key: canon}
-}
-
-// Expansion is Lookup(string(canon)).Expansion, without allocating:
-// the query's canonical form can stay in the caller's stack buffer.
-func (a *Admission) Expansion(canon []byte) []string {
-	return a.byCanon[string(canon)].Expansion
+// canon, and whether the table holds it: a query outside every domain
+// expands to nothing and is its own term set, which the caller names.
+// The lookup allocates nothing, so canon can stay in the caller's
+// scratch.
+func (a *Admission) Lookup(canon []byte) (TermSet, bool) {
+	ts, ok := a.byCanon[string(canon)]
+	return ts, ok
 }
 
 // Closest returns up to k closest other domains (Figure 7's neighboring

@@ -168,8 +168,8 @@ func mallocsPerRequest(t *testing.T, hs *httptest.Server, req []byte, runs int) 
 // real http.Server, net/http's own allocations included, against a
 // reference handler that does the least a handler can: read the body,
 // close it, set Content-Type and write the same answer once. The
-// gateway may cost 2 more: the decoded query and the canonical key of
-// a query whose tokens arrive out of order. A handler that leaves the
+// gateway may cost 2 more: the decoded query and the stub backend's
+// copy of the canonical key it has no table for. A handler that leaves the
 // body open (net/http then drains it through a fresh limiter) or wraps
 // it in http.MaxBytesReader pays one more for each.
 func TestWarmHitAllocsThroughNetHTTP(t *testing.T) {

@@ -46,13 +46,14 @@
 // auth, the body decode and one Write: the cache entry carries its
 // ranking's JSON and the handler wraps it in pooled scratch. What it
 // allocates is net/http's own ≈23 per request (4 of them the clone of
-// the Content-Type header), the decoded query and, for a query whose
-// tokens arrive out of order, the serving layer's canonical key — no
-// context, no body limiter, no encoder or decoder state, no closure.
-// The handler closes the body it read to its end, so net/http does not
-// drain it again. A miss adds the serving layer's flight, which holds
-// its budget, the ranking Rank returns and one copy of the terms per
-// shard.
+// the Content-Type header, and the chunk-size line of an answer over
+// 2 KiB) and the decoded query — no canonical key, no context, no body
+// limiter, no encoder or decoder state, no closure. The handler closes
+// the body it read to its end, so net/http does not drain it again. A
+// miss adds the ranking Rank returns, and the serving layer's flight,
+// which holds its budget, only when a cache slot keeps it or a
+// follower joins it; the shards draw the terms from their connections'
+// tables.
 //
 // Results are the serving layer's verbatim: at quiescence the experts
 // in the JSON body are bit-identical (modulo the JSON number round

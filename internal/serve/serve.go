@@ -18,7 +18,9 @@
 // and domain lookup (domains.Collection.Lookup) are both invariant —
 // and asks the backend for the key of the term set that canonical query
 // expands to (Backend.TermSetKey: a table lookup, no I/O, no
-// allocation). "go rust", "rust go" and "go go rust" are one key, and
+// allocation). The canonical form is built into the request's pooled
+// scratch and handed over as bytes, so admission allocates nothing in
+// any token order. "go rust", "rust go" and "go go rust" are one key, and
 // so is every member query of a domain small enough to expand to all of
 // itself: they share a cache slot and coalesce onto a single in-flight
 // computation, and a write invalidates their answer once, not once per
@@ -34,8 +36,12 @@
 // runs and the slot's immutable content once it completes, its epoch
 // vector inline for up to four shards — and nothing else; the channel
 // followers wait on is made by the first follower, so a flight nobody
-// joins has none. LRU eviction bounds the slots, filled or emptied, at
-// Config.CacheSize, which is what Stats.CacheEntries counts. Three
+// joins has none. A flight that ends in no slot — the cache is off,
+// the sample was uncacheable, the answer failed or was partial — and
+// that nobody joined is unreachable once its leader returns, so it goes
+// back to a pool the server owns: a cache-less server's miss allocates
+// nothing of its own. LRU eviction bounds the slots, filled or emptied,
+// at Config.CacheSize, which is what Stats.CacheEntries counts. Three
 // mechanisms keep the cache honest and cheap under load:
 //
 //   - Epoch invalidation: every cached result is tagged with the
@@ -111,8 +117,9 @@ type Backend interface {
 	// the query with canonical form canon (tokens sorted, de-duplicated,
 	// single-spaced) matches: queries with equal keys have the same
 	// answer at the same view, and the server caches and coalesces them
-	// as one. A backend with no closed table of term sets returns canon.
-	TermSetKey(canon string) string
+	// as one. canon is the server's scratch, valid only for the call. A
+	// backend with no closed table of term sets returns string(canon).
+	TermSetKey(canon []byte) string
 	// EpochVector appends the per-shard epochs of the view queries
 	// currently run against to dst (capacity reused, contents
 	// discarded); cached results are stale as soon as any component
@@ -266,7 +273,9 @@ type slot struct {
 // that identical requests wait on; if it completes, it becomes the
 // content of its key's cache slot, immutable from then on apart from
 // the once-built bytes — so a hit reads it outside s.mu, and a refresh
-// replaces it instead of mutating it under a reader.
+// replaces it instead of mutating it under a reader. A flight that no
+// slot kept and no follower joined is reachable from its leader alone,
+// which copies its answer out and then resets it into Server.flights.
 type result struct {
 	// epochVec is the view sampled before computing, held in vec when
 	// it fits (up to four shards).
@@ -284,8 +293,8 @@ type result struct {
 	// joined.
 	done chan struct{}
 	// budget is the context the leader computes under when its request
-	// has a deadline — a field, so a miss makes one allocation, not two
-	// — and holds nothing of the request once the miss returns.
+	// has a deadline — a field, so it costs a miss no allocation of its
+	// own — and holds nothing of the request once the miss returns.
 	budget budget
 
 	encodeOnce sync.Once
@@ -315,9 +324,12 @@ func (r *result) json() []byte {
 type Server struct {
 	backend Backend
 	cfg     Config
-	// vecPool recycles the per-request epoch-vector sample buffers so
-	// the hot path stays allocation-free once warm.
-	vecPool sync.Pool // of *[]uint64
+	// scratch recycles each request's admission buffers — the epoch
+	// vector sample and the canonical query — so the hot path stays
+	// allocation-free once warm.
+	scratch sync.Pool // of *admission
+	// flights recycles the results no slot kept and no follower joined.
+	flights sync.Pool // of *result
 
 	queries, hits, misses    atomic.Int64
 	coalesced, invalidations atomic.Int64
@@ -346,7 +358,8 @@ type Server struct {
 // New wires a server over a backend.
 func New(b Backend, cfg Config) *Server {
 	s := &Server{backend: b, cfg: cfg, inflight: make(map[string]*result)}
-	s.vecPool.New = func() any { return new([]uint64) }
+	s.scratch.New = func() any { return new(admission) }
+	s.flights.New = func() any { return new(result) }
 	if cfg.CacheSize > 0 {
 		s.order = list.New()
 		s.slots = make(map[string]*list.Element, cfg.CacheSize)
@@ -373,6 +386,12 @@ func New(b Backend, cfg Config) *Server {
 		})
 	}
 	return s
+}
+
+// admission is one request's pooled scratch.
+type admission struct {
+	vec   []uint64 // the epoch-vector sample
+	canon []byte   // the canonical query, valid until TermSetKey returns
 }
 
 // SlowLog returns the slow-query ring, nil when the server was built
@@ -446,27 +465,26 @@ func (s *Server) serve(ctx context.Context, query string, deadline time.Time) (e
 // outcome and the detector-side trace fields.
 func (s *Server) serveTraced(ctx context.Context, query string, deadline time.Time, qt *obs.QueryTrace) ([]expertise.Expert, *result, error) {
 	s.queries.Add(1)
-	// Admission: normalize and tokenize once, reject degenerate queries
-	// before any cache work, then resolve what the answer is a function
-	// of. The backend receives the normalized (order-kept) text; the
-	// cache keys on the term set the canonical token set expands to, so
+	// Admission: normalize once, reject degenerate queries before any
+	// cache work, then resolve what the answer is a function of. The
+	// backend receives the normalized (order-kept) text; the cache keys
+	// on the term set the canonical token set expands to, so
 	// permutations and repetitions of one query, and the queries of one
 	// domain that search the same terms, share a slot and a flight. A
 	// query that arrives in normal form — the common case — is admitted
-	// without allocating: Normalize hands it back, its tokens are
-	// substrings cut into a stack array, and the key is the backend
-	// table's own string.
+	// without allocating in any token order: Normalize hands it back,
+	// its canonical form is built in pooled scratch, and the key is the
+	// backend table's own string. A normal form is its tokens joined by
+	// single spaces, so the spaces count them.
 	norm := textutil.Normalize(query)
-	var tokArr [8]string
-	toks := textutil.TokenizeAppend(tokArr[:0], norm)
-	if len(toks) == 0 {
+	if norm == "" {
 		s.rejected.Add(1)
 		if qt != nil {
 			qt.Outcome = obs.OutcomeRejected
 		}
 		return nil, nil, ErrEmptyQuery
 	}
-	if len(toks) > maxQueryTerms {
+	if strings.Count(norm, " ") >= maxQueryTerms {
 		s.rejected.Add(1)
 		if qt != nil {
 			qt.Query = norm
@@ -474,22 +492,18 @@ func (s *Server) serveTraced(ctx context.Context, query string, deadline time.Ti
 		}
 		return nil, nil, ErrTooManyTerms
 	}
-	canon := norm
-	if !textutil.TokensCanonical(toks) {
-		// CanonicalTokens sorts in place; norm is already materialized.
-		canon = strings.Join(textutil.CanonicalTokens(toks), " ")
-	}
-	key := s.backend.TermSetKey(canon)
+	sc := s.scratch.Get().(*admission)
+	defer s.scratch.Put(sc)
+	sc.canon = textutil.AppendCanonical(sc.canon[:0], norm)
+	key := s.backend.TermSetKey(sc.canon)
 	if qt != nil {
 		qt.Query = norm
 		qt.TermSet = key
 	}
 	// Sample the view identity before any cache decision: the full
-	// per-shard epoch vector, into a pooled buffer.
-	buf := s.vecPool.Get().(*[]uint64)
-	*buf = s.backend.EpochVector((*buf)[:0])
-	evec := *buf
-	defer s.vecPool.Put(buf)
+	// per-shard epoch vector, into the pooled scratch.
+	sc.vec = s.backend.EpochVector(sc.vec[:0])
+	evec := sc.vec
 	// A sample with an unknown component (a shard's transport failed
 	// mid-sample) identifies no view at all: it can neither be compared
 	// against cached entries nor tag a new one, so this request goes
@@ -589,8 +603,9 @@ func (s *Server) miss(ctx context.Context, deadline time.Time, key string, norm 
 	// the slot's content later, and holds the leader's budget. It is
 	// tagged with the vector sampled before computing: if the index
 	// moves mid-flight, the result is conservatively already stale and
-	// the next lookup recomputes against the new view.
-	f := &result{}
+	// the next lookup recomputes against the new view. A recycled flight
+	// costs nothing.
+	f := s.flights.Get().(*result)
 	f.epochVec = append(f.vec[:0], evec...)
 	s.inflight[key] = f
 	s.mu.Unlock()
@@ -603,17 +618,24 @@ func (s *Server) miss(ctx context.Context, deadline time.Time, key string, norm 
 	// answer's epoch vector can stay valid after the shard heals — a
 	// replica set's epoch is a local write counter — so a cached one
 	// would be served as whole until the next write.
+	//
+	// A flight no slot kept and no follower joined is recycled: with it
+	// out of the in-flight table under s.mu and done still nil, no
+	// follower can reach it any more, and the return values were copied
+	// out before this runs. Below serve the flight's budget is only read
+	// (Err, Deadline) during the call, so nothing else holds it either.
 	completed := false
 	defer func() {
 		s.mu.Lock()
-		if completed && !uncacheable && f.err == nil && f.missing == 0 {
-			s.insertLocked(key, f)
-		}
+		kept := completed && !uncacheable && f.err == nil && f.missing == 0 && s.insertLocked(key, f)
 		delete(s.inflight, key)
 		done := f.done
 		s.mu.Unlock()
 		if done != nil {
 			close(done)
+		} else if !kept {
+			*f = result{}
+			s.flights.Put(f)
 		}
 	}()
 	if !deadline.IsZero() {
@@ -801,15 +823,15 @@ func (s *Server) lookupLocked(key string, evec []uint64) *result {
 // concurrent leader cached; a hit may still be reading that one outside
 // the lock, so it is replaced, never written to — and otherwise in a
 // new slot, evicting the least recently used one when the cache is
-// full.
-func (s *Server) insertLocked(key string, res *result) {
+// full. It reports whether a slot kept res: false only without a cache.
+func (s *Server) insertLocked(key string, res *result) bool {
 	if s.slots == nil {
-		return
+		return false
 	}
 	if el, ok := s.slots[key]; ok {
 		el.Value.(*slot).res = res
 		s.order.MoveToFront(el)
-		return
+		return true
 	}
 	s.slots[key] = s.order.PushFront(&slot{key: key, res: res})
 	if s.order.Len() > s.cfg.CacheSize {
@@ -817,6 +839,7 @@ func (s *Server) insertLocked(key string, res *result) {
 		s.order.Remove(oldest)
 		delete(s.slots, oldest.Value.(*slot).key)
 	}
+	return true
 }
 
 // Stats snapshots the counters.

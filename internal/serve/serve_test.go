@@ -166,11 +166,11 @@ type scriptedBackend struct {
 	termSets map[string]string
 }
 
-func (b *scriptedBackend) TermSetKey(canon string) string {
-	if key, ok := b.termSets[canon]; ok {
+func (b *scriptedBackend) TermSetKey(canon []byte) string {
+	if key, ok := b.termSets[string(canon)]; ok {
 		return key
 	}
-	return canon
+	return string(canon)
 }
 
 func (b *scriptedBackend) answer(query string) []expertise.Expert {

@@ -38,7 +38,8 @@ func TestNormalizeIdempotent(t *testing.T) {
 // shortcut, over arbitrary input — Unicode whitespace and case, invalid
 // UTF-8, control characters: Normalize is lower-case, split on
 // whitespace, join with single spaces, whether or not the fast path
-// recognized s as already normal; TokenizeAppend cuts exactly
+// recognized s as already normal, so its single spaces count its tokens
+// (the serving layer's term cap reads them); TokenizeAppend cuts exactly
 // Tokenize's tokens, after whatever dst already held; and Canonical and
 // AppendCanonical both produce the sorted, de-duplicated tokens joined
 // with single spaces.
@@ -52,8 +53,12 @@ func FuzzNormalize(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		fields := strings.Fields(strings.ToLower(s))
-		if got, want := Normalize(s), strings.Join(fields, " "); got != want {
-			t.Fatalf("Normalize(%q) = %q, want %q", s, got, want)
+		norm := Normalize(s)
+		if want := strings.Join(fields, " "); norm != want {
+			t.Fatalf("Normalize(%q) = %q, want %q", s, norm, want)
+		}
+		if norm != "" && strings.Count(norm, " ")+1 != len(fields) {
+			t.Fatalf("Normalize(%q) = %q holds %d spaces between %d tokens", s, norm, strings.Count(norm, " "), len(fields))
 		}
 		if got := Tokenize(s); !slices.Equal(got, fields) {
 			t.Fatalf("Tokenize(%q) = %q, want %q", s, got, fields)
@@ -77,17 +82,17 @@ func FuzzNormalize(f *testing.F) {
 }
 
 // TestAdmissionPathAllocs pins what the serve layer's admission relies
-// on: normalizing and tokenizing a query that is already in normal form
-// allocates nothing...
+// on: normalizing a query that is already in normal form and appending
+// its canonical form to a buffer with room allocates nothing, in any
+// token order...
 func TestAdmissionPathAllocs(t *testing.T) {
-	query := "san francisco 49ers"
-	var n int
-	allocs := testing.AllocsPerRun(100, func() {
-		var arr [8]string
-		n = len(TokenizeAppend(arr[:0], Normalize(query)))
-	})
-	if allocs != 0 || n != 3 {
-		t.Fatalf("admission of %q: %v allocs, %d tokens; want 0 and 3", query, allocs, n)
+	buf := make([]byte, 0, 64)
+	for _, q := range []string{"san francisco 49ers", "49ers francisco san", "schedule 49ers 49ers"} {
+		want := Canonical(q)
+		allocs := testing.AllocsPerRun(100, func() { buf = AppendCanonical(buf[:0], Normalize(q)) })
+		if allocs != 0 || string(buf) != want {
+			t.Fatalf("admission of %q: %v allocs, canonical %q; want 0 and %q", q, allocs, buf, want)
+		}
 	}
 	// ...and so does canonicalizing one whose tokens are already sorted
 	// and distinct (the served detector looks its expansion up by it).

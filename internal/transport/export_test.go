@@ -36,3 +36,10 @@ func (c *DispatchConn) Close() {
 		c.st.view = nil
 	}
 }
+
+// Room reports how many more bytes of charge the table accepts before
+// it stops growing, and how many terms it holds.
+func (t *TermTable) Room() (bytes, terms int) { return termTableBytes - t.bytes, len(t.terms) }
+
+// TermCharge is what term costs a TermTable.
+func TermCharge(term string) int { return termCharge(term) }

@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/expertise"
@@ -104,16 +106,68 @@ func referenceSearchReq(buf []byte) (extended bool, terms []string, ok bool) {
 	return extended, terms, true
 }
 
-// checkSearchReq drives the scratch-taking ConsumeSearchReq over one
-// payload: it must accept exactly what the reference decode accepts,
-// produce the same terms into reused scratch without keeping any stale
-// entry, hold no more than the bytes present, own its terms (the frame
-// buffer is overwritten afterwards, as a connection's next read does)
-// and round-trip through the encoder.
+// searchTables are the tables every checkSearchReq decodes through,
+// long-lived as a connection's is across its frames: grown starts
+// empty and fills from the inputs, full starts at its bound.
+var searchTables struct {
+	sync.Mutex
+	grown, full *transport.TermTable
+}
+
+// fullTermTable returns a table filled until no term of any length fits.
+func fullTermTable(t *testing.T) *transport.TermTable {
+	tab := new(transport.TermTable)
+	decode := func(term string) {
+		if _, _, err := transport.ConsumeSearchReq(tab, nil, transport.AppendSearchReq(nil, transport.SearchReq{Terms: []string{term}})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; ; i++ {
+		room, _ := tab.Room()
+		term := fmt.Sprintf("fill%06d", i)
+		if room < transport.TermCharge(term)+transport.TermCharge("") {
+			if room >= transport.TermCharge("") { // the last term takes exactly what is left
+				decode(strings.Repeat("~", room-transport.TermCharge("")))
+			}
+			break
+		}
+		decode(term)
+	}
+	if room, _ := tab.Room(); room >= transport.TermCharge("") {
+		t.Fatalf("filled table has room for %d more bytes", room)
+	}
+	return tab
+}
+
+// checkSearchReq drives ConsumeSearchReq over one payload, through
+// fresh scratch and through both long-lived tables: it must accept
+// exactly what the reference decode accepts, produce the same terms
+// into reused scratch without keeping any stale entry, hold no more
+// than the bytes present, own its terms (the frame buffer is
+// overwritten afterwards, as a connection's next read does) and
+// round-trip through the encoder. The full table must not grow.
 func checkSearchReq(t *testing.T, payload []byte) {
+	searchTables.Lock()
+	defer searchTables.Unlock()
+	if searchTables.grown == nil {
+		searchTables.grown, searchTables.full = new(transport.TermTable), fullTermTable(t)
+	}
+	fullRoom, fullTerms := searchTables.full.Room()
+	for _, table := range []*transport.TermTable{new(transport.TermTable), searchTables.grown, searchTables.full} {
+		checkSearchReqWith(t, table, payload)
+	}
+	if room, terms := searchTables.full.Room(); room != fullRoom || terms != fullTerms {
+		t.Fatalf("a full table grew: %d terms, %d bytes of room → %d terms, %d", fullTerms, fullRoom, terms, room)
+	}
+	if room, _ := searchTables.grown.Room(); room < 0 {
+		t.Fatalf("a table grew %d bytes past its bound", -room)
+	}
+}
+
+func checkSearchReqWith(t *testing.T, table *transport.TermTable, payload []byte) {
 	frame := bytes.Clone(payload) // the fuzz engine's bytes must not be modified
 	extended, want, ok := referenceSearchReq(frame)
-	req, _, err := transport.ConsumeSearchReq([]string{"stale", "scratch"}, frame)
+	req, _, err := transport.ConsumeSearchReq(table, []string{"stale", "scratch"}, frame)
 	if (err == nil) != ok {
 		t.Fatalf("search req: decode err %v, reference accepts %v", err, ok)
 	}
@@ -133,7 +187,7 @@ func checkSearchReq(t *testing.T, payload []byte) {
 	if len(req.Terms) > len(payload) || held > len(payload) {
 		t.Fatalf("search req: %d terms holding %d bytes from a %d-byte payload", len(req.Terms), held, len(payload))
 	}
-	again, _, err := transport.ConsumeSearchReq(nil, transport.AppendSearchReq(nil, req))
+	again, _, err := transport.ConsumeSearchReq(table, nil, transport.AppendSearchReq(nil, req))
 	if err != nil || again.Extended != req.Extended || !slices.Equal(again.Terms, req.Terms) {
 		t.Fatalf("search req round trip: %+v vs %+v (%v)", again, req, err)
 	}

@@ -267,8 +267,10 @@ type connState struct {
 	uids []world.UserID
 	view shard.View
 
-	// terms holds the decoded search terms (ConsumeSearchReq's scratch).
-	terms []string
+	// terms holds the decoded search terms (ConsumeSearchReq's scratch),
+	// drawn from termTab, the terms this connection has decoded before.
+	terms   []string
+	termTab TermTable
 
 	// busy marks a connection mid-conversation: a request frame is
 	// being dispatched, or the last OpSearchStats left a snapshot
@@ -459,7 +461,7 @@ func checkRetweets(n int) error {
 func (s *ShardServer) dispatch(st *connState, op Op, payload []byte) (Op, error) {
 	switch op {
 	case OpSearchStats:
-		req, _, err := ConsumeSearchReq(st.terms, payload)
+		req, _, err := ConsumeSearchReq(&st.termTab, st.terms, payload)
 		st.terms = req.Terms
 		if err != nil {
 			return 0, err

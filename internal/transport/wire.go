@@ -41,14 +41,54 @@ func AppendSearchReq(buf []byte, req SearchReq) []byte {
 	return buf
 }
 
+// termTableBytes bounds one connection's TermTable, in entries and in
+// bytes at once: each term is charged its bytes plus 64 for its map
+// entry (two string headers and its share of the buckets, rounded up),
+// so a table holds at most 64 KiB of terms and at most 1,024 of them.
+// The terms a coordinator sends come from its closed expansion
+// vocabulary (the bench pool's 140 queries search 242 distinct terms,
+// 3.3 KiB), so a healthy peer's vocabulary fits and every search it
+// sends decodes without a copy; a peer that keeps sending new terms
+// stops growing the table at the bound, and each term past it costs one
+// copy per request instead.
+const termTableBytes = 64 << 10
+
+// TermTable holds the search terms one server connection has decoded,
+// each as one string shared by every request that names it. The zero
+// value is empty and ready; a table is not safe for concurrent use.
+type TermTable struct {
+	terms map[string]string
+	bytes int // charged against termTableBytes
+}
+
+// term returns b as a string: the table's own when it holds b, else a
+// copy, which the table keeps while it is under its bound.
+func (t *TermTable) term(b []byte) string {
+	if s, ok := t.terms[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if cost := termCharge(s); t.bytes+cost <= termTableBytes {
+		if t.terms == nil {
+			t.terms = make(map[string]string)
+		}
+		t.terms[s] = s
+		t.bytes += cost
+	}
+	return s
+}
+
+// termCharge is what term costs a TermTable (see termTableBytes).
+func termCharge(term string) int { return len(term) + 64 }
+
 // ConsumeSearchReq decodes a SearchReq off the front of buf, appending
 // the terms into terms (capacity reused, contents discarded). Every
-// length is checked against the bytes present first; then the terms
-// region is copied into one string and each term is a substring of it —
-// one allocation however many terms there are. The terms own their
-// bytes: buf is a connection's read buffer, overwritten by its next
-// frame while tokens cut from the terms still sit in pooled scratch.
-func ConsumeSearchReq(terms []string, buf []byte) (SearchReq, []byte, error) {
+// length is checked against the bytes present first; then each term is
+// drawn from table, so a term the connection has decoded before costs
+// no allocation. The terms never alias buf — a connection's read
+// buffer, overwritten by its next frame while tokens cut from the terms
+// still sit in pooled scratch: they are the table's strings or copies.
+func ConsumeSearchReq(table *TermTable, terms []string, buf []byte) (SearchReq, []byte, error) {
 	req := SearchReq{Terms: terms[:0]}
 	if len(buf) == 0 {
 		return req, buf, fmt.Errorf("search req: %w", ErrFrameTruncated)
@@ -65,11 +105,10 @@ func ConsumeSearchReq(terms []string, buf []byte) (SearchReq, []byte, error) {
 			return req, rest, fmt.Errorf("search req term %d: %w", i, err)
 		}
 	}
-	region := string(buf[:len(buf)-len(rest)])
 	for off := 0; len(req.Terms) < n; {
 		l, w := binary.Uvarint(buf[off:]) // validated above
 		off += w + int(l)
-		req.Terms = append(req.Terms, region[off-int(l):off])
+		req.Terms = append(req.Terms, table.term(buf[off-int(l):off]))
 	}
 	return req, rest, nil
 }

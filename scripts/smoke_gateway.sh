@@ -3,8 +3,10 @@
 # process on a free port with an admin plane on another, require 200 on
 # an authenticated search, 401 without a token, 404 for an internal-state
 # path on the public port, 200 from the admin plane's /stats, 413 for a
-# body over 1 MiB (declared, and chunked), and a clean exit-0 drain on
-# SIGTERM. Uses only go, curl and standard POSIX tools.
+# body over 1 MiB (declared, and chunked), an answer or a close for a
+# body that stalls, within the read timeout -max-budget-ms sets, and a
+# clean exit-0 drain on SIGTERM. Uses only go, curl and standard POSIX
+# tools.
 set -eu
 
 workdir="$(mktemp -d)"
@@ -13,7 +15,7 @@ trap 'kill "$pid" 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
 go build -o "$workdir/gateway" ./cmd/gateway
 "$workdir/gateway" -addr 127.0.0.1:0 -admin 127.0.0.1:0 \
-    -tokens "dev,reader" >"$logfile" 2>&1 &
+    -tokens "dev,reader" -max-budget-ms 1000 >"$logfile" 2>&1 &
 pid=$!
 
 # The banners print both bound addresses, the admin plane's first.
@@ -53,6 +55,12 @@ fetch_status 413 -X POST -H "Authorization: Bearer dev" \
 head -c 1100000 /dev/zero | tr '\0' a >"$workdir/big"
 fetch_status 413 -X POST -H "Authorization: Bearer dev" \
     -H "Transfer-Encoding: chunked" --data-binary "@$workdir/big" "http://$addr/v1/search"
+
+# A body that stalls after 8 of its declared 100 bytes (curl sends what
+# it has and waits) is cut off at the read timeout, twice
+# -max-budget-ms: the truncated read answers 400 within curl's 10 s.
+fetch_status 400 -X POST -H "Authorization: Bearer dev" \
+    -H "Content-Length: 100" --data-binary '{"query"' "http://$addr/v1/search"
 
 # The search response must actually carry experts JSON.
 body="$(curl -s -X POST -H "Authorization: Bearer dev" \
