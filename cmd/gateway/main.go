@@ -85,11 +85,10 @@ func run(args []string, out io.Writer, sigs <-chan os.Signal, ready chan<- strin
 	if err != nil {
 		return err
 	}
-	if *maxBudgetMS <= 0 {
-		// It also sets the server's read timeouts below.
-		return fmt.Errorf("gateway: -max-budget-ms %d is not a positive budget", *maxBudgetMS)
-	}
 	maxBudget := time.Duration(*maxBudgetMS) * time.Millisecond
+	if maxBudget <= 0 {
+		maxBudget = gateway.DefaultMaxBudget
+	}
 
 	// The deterministic pipeline every process of a deployment builds;
 	// with -remote, the per-connection handshake proves each shardd
@@ -170,21 +169,12 @@ func run(args []string, out io.Writer, sigs <-chan os.Signal, ready chan<- strin
 	if err != nil {
 		return err
 	}
-	// A request's header must arrive within one max budget — no answer
-	// can be owed past it — and its body within two. net/http keeps
-	// ReadTimeout armed while the handler runs, and its background read
-	// cancels the request's context when it fires, so the second budget
-	// is the answer's: a request read within one is never cut short. A
-	// client that stalls mid-body is cut off instead of holding a
-	// handler, its pooled scratch and the connection. A zero IdleTimeout
-	// would inherit ReadTimeout and cut idle keep-alive clients; a
-	// negative one waits for them.
-	hs := &http.Server{
-		Handler:           gw,
-		ReadHeaderTimeout: maxBudget,
-		ReadTimeout:       2 * maxBudget,
-		IdleTimeout:       -1,
-	}
+	// A request must be read — header and body — within one max budget:
+	// no answer can be owed past it, so a client that stalls mid-body
+	// is cut off (408) instead of holding a handler, its pooled scratch
+	// and the connection. A zero IdleTimeout would inherit ReadTimeout
+	// and cut idle keep-alive clients; a negative one waits for them.
+	hs := &http.Server{Handler: gw, ReadTimeout: maxBudget, IdleTimeout: -1}
 	fmt.Fprintf(out, "gateway: serving on http://%s (POST /v1/search) — %d tokens, default budget %dms\n",
 		ln.Addr(), len(tokenTable), *budgetMS)
 	if ready != nil {

@@ -91,9 +91,9 @@ func TestRunServesAndDrains(t *testing.T) {
 
 // TestStalledBodyIsCutOff boots with -max-budget-ms 300 and, over raw
 // TCP, declares a 100-byte body, sends 8 bytes of it and goes silent:
-// the gateway must answer or close the connection well within 5 s
-// (its read timeout fires at twice the ceiling), not hold the handler
-// for as long as the client stays quiet.
+// the gateway must answer 408 and close the connection well within 5 s
+// (its read timeout fires at the ceiling), not hold the handler for as
+// long as the client stays quiet.
 func TestStalledBodyIsCutOff(t *testing.T) {
 	fault.CheckLeaks(t)
 	addr, sigs, done, _ := bootGateway(t, "-max-budget-ms", "300")
@@ -109,18 +109,28 @@ func TestStalledBodyIsCutOff(t *testing.T) {
 	}
 	const bound = 5 * time.Second
 	conn.SetReadDeadline(start.Add(bound))
-	answer, err := io.ReadAll(conn) // the answer, if any, then the close
-	if ne, ok := err.(net.Error); ok && ne.Timeout() {
-		t.Fatalf("a stalled body held the connection for %v with no answer and no close", bound)
-	} else if err != nil && len(answer) == 0 {
-		t.Logf("closed without an answer after %v: %v", time.Since(start), err)
+	answer, err := io.ReadAll(conn) // the answer, then the close
+	if err != nil {
+		t.Fatalf("after %v: %v, having read %q", time.Since(start), err, answer)
 	}
-	if strings.HasPrefix(string(answer), "HTTP/1.1 200") {
-		t.Fatalf("a truncated body was answered 200: %q", answer)
+	if !strings.HasPrefix(string(answer), "HTTP/1.1 408 ") {
+		t.Fatalf("a stalled body was answered %q, want 408 Request Timeout", answer)
 	}
 	sigs <- syscall.SIGTERM
 	if err := <-done; err != nil {
 		t.Fatalf("run returned %v after the probe", err)
+	}
+}
+
+// TestZeroBudgetCeilingBoots pins that -max-budget-ms 0 still means
+// the gateway's default ceiling, from which the read timeout derives
+// too, rather than a refusal to boot.
+func TestZeroBudgetCeilingBoots(t *testing.T) {
+	fault.CheckLeaks(t)
+	_, sigs, done, _ := bootGateway(t, "-max-budget-ms", "0")
+	sigs <- syscall.SIGTERM
+	if err := <-done; err != nil {
+		t.Fatalf("run returned %v", err)
 	}
 }
 
@@ -266,9 +276,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-tokens", ""}, &out, nil, nil); err == nil {
 		t.Fatal("empty token table accepted")
-	}
-	if err := run([]string{"-max-budget-ms", "0"}, &out, nil, nil); err == nil {
-		t.Fatal("a zero budget ceiling accepted: the read timeouts derive from it")
 	}
 	// The gateway has no ingest route, so it has no index to tune.
 	if err := run([]string{"-seal", "1"}, &out, nil, nil); err == nil {

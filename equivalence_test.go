@@ -249,7 +249,11 @@ func TestSiblingsShareOneAnswer(t *testing.T) {
 				continue
 			}
 			seen[q] = true
-			key := det.TermSetKey([]byte(textutil.Canonical(q)))
+			canon := textutil.Canonical(q)
+			key := det.TermSetKey([]byte(canon))
+			if key == "" { // outside every domain: its own term set
+				key = canon
+			}
 			groups[key] = append(groups[key], q)
 
 			experts, trace := det.Search(q)

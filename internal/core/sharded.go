@@ -227,13 +227,12 @@ func (d *ShardedLiveDetector) Expand(query string) []string {
 // query with canonical form canon matches: two queries with equal keys
 // have the same answer at the same view, so the serving layer caches
 // and coalesces under it: the admission table's key
-// (domains.TermSet.Key), a shared string, or for a query outside every
-// domain the canonical form itself, copied.
+// (domains.TermSet.Key), a shared string, or "" for a query outside
+// every domain, which is its own term set: the caller names it by canon
+// without a copy when it already holds that text.
 func (d *ShardedLiveDetector) TermSetKey(canon []byte) string {
-	if ts, ok := d.admission.Lookup(canon); ok {
-		return ts.Key
-	}
-	return string(canon)
+	ts, _ := d.admission.Lookup(canon)
+	return ts.Key
 }
 
 // Search runs the full e# online stage scattered across the shards.

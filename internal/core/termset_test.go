@@ -10,9 +10,9 @@ import (
 )
 
 // TestTermSetKey pins what the served detector names as a query's term
-// set: it answers from its admission table — the table's key, and for a
-// query outside every domain the query itself — while Expand stays what
-// the collection says.
+// set: it answers from its admission table — the table's key, and ""
+// for a query outside every domain, which the caller names by its own
+// text — while Expand stays what the collection says.
 func TestTermSetKey(t *testing.T) {
 	p := tinyPipeline(t)
 	r := shard.New(p.Corpus, 1, ingest.Config{DisableCompactor: true})
@@ -25,16 +25,13 @@ func TestTermSetKey(t *testing.T) {
 			t.Errorf("Expand(%q) = %q, want %q", q, got, want)
 		}
 		canon := []byte(textutil.Canonical(q))
-		want, ok := table.Lookup(canon)
-		if !ok {
-			want.Key = string(canon)
-		}
+		want, _ := table.Lookup(canon)
 		if key := d.TermSetKey(canon); key != want.Key {
 			t.Errorf("TermSetKey(%q) = %q, want %q", canon, key, want.Key)
 		}
 	}
-	if key := d.TermSetKey([]byte("no such term at all")); key != "no such term at all" {
-		t.Errorf("a query outside every domain keys on %q, want itself", key)
+	if key := d.TermSetKey([]byte("no such term at all")); key != "" {
+		t.Errorf("a query outside every domain keys on %q, want \"\" (its own term set)", key)
 	}
 	// The served path's admission hands its scratch over: a query in the
 	// table keys on the table's own string.

@@ -18,7 +18,8 @@
 // quota. The refusal ladder is strict HTTP: 401 for no/unknown token,
 // 429 with Retry-After for a rate or quota trip, 400 for a query
 // string, a malformed body or a degenerate query (serve.ErrEmptyQuery,
-// serve.ErrTooManyTerms), 413 for a body over 1 MiB, 503 with
+// serve.ErrTooManyTerms), 408 for a body the server's read timeout cut
+// off, 413 for a body over 1 MiB, 503 with
 // Retry-After when the serving layer sheds a cold miss under overload
 // (serve.ErrOverloaded — warm cache hits are still answered), and 504
 // when the request's latency budget expires before the scatter-gather
@@ -29,8 +30,8 @@
 // The body is read whole and must be exactly one JSON object: anything
 // but whitespace after it is a malformed body (400), not ignored. A
 // declared length over the cap is refused before a byte is read, and
-// every 413 closes the connection, so the unread rest of the body is
-// never parsed as a request.
+// every 413 or 408 closes the connection, so the unread rest of the
+// body is never parsed as a request.
 //
 // The budget is the deadline-propagation spine: X-Budget-Ms, clamped
 // to Config.MaxBudget, becomes a deadline handed to
@@ -68,6 +69,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -90,7 +92,7 @@ type Config struct {
 	Tokens map[string]TokenConfig
 	// DefaultBudget is the per-request latency budget when the client
 	// names none (default 2s); MaxBudget clamps client-named budgets
-	// (default 10s). A request past its budget gets 504.
+	// (default DefaultMaxBudget). A request past its budget gets 504.
 	DefaultBudget time.Duration
 	MaxBudget     time.Duration
 	// Obs, when non-nil, mirrors every gateway counter into the
@@ -137,6 +139,9 @@ type Gateway struct {
 	obsReqNS *obs.Histogram
 }
 
+// DefaultMaxBudget is Config.MaxBudget when it is not positive.
+const DefaultMaxBudget = 10 * time.Second
+
 // New builds a gateway over cfg.Serve. The only error is a nil Serve.
 func New(cfg Config) (*Gateway, error) {
 	if cfg.Serve == nil {
@@ -146,7 +151,7 @@ func New(cfg Config) (*Gateway, error) {
 		cfg.DefaultBudget = 2 * time.Second
 	}
 	if cfg.MaxBudget <= 0 {
-		cfg.MaxBudget = 10 * time.Second
+		cfg.MaxBudget = DefaultMaxBudget
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -443,6 +448,14 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 		// with this answer, so no byte of it is parsed as a request.
 		w.Header().Set("Connection", "close")
 		fail(w, http.StatusRequestEntityTooLarge, "request body over the 1 MiB cap", 0)
+		return
+	}
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		g.badRequest.Add(1)
+		// The body stalled past the server's read timeout: the client
+		// was slow, not wrong, and the connection goes with this answer.
+		w.Header().Set("Connection", "close")
+		fail(w, http.StatusRequestTimeout, "request body not received within the read timeout", 0)
 		return
 	}
 	if err == nil {

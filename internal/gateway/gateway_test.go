@@ -45,7 +45,7 @@ func (b *stubBackend) answer() []expertise.Expert {
 func (b *stubBackend) EpochVector(dst []uint64) []uint64 { return append(dst[:0], b.epoch.Load()) }
 func (b *stubBackend) PartialStats() (int64, int64)      { return 0, 0 }
 func (b *stubBackend) Failovers() int64                  { return 0 }
-func (b *stubBackend) TermSetKey(canon []byte) string    { return string(canon) }
+func (b *stubBackend) TermSetKey([]byte) string          { return "" }
 
 func (b *stubBackend) SearchContext(ctx context.Context, query string) ([]expertise.Expert, core.SearchTrace, error) {
 	if b.stall {

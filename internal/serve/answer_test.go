@@ -196,6 +196,8 @@ func TestBudgetArmedOnlyOnMiss(t *testing.T) {
 // for a query that arrives in normal form, in any token order — no
 // token slice, no joined key, no context, no epoch-vector buffer, no
 // encode — and exactly the strings normalizing has to build otherwise.
+// A query outside every domain keys on its own text, which costs a copy
+// only when its tokens arrive out of order.
 func TestWarmHitAllocs(t *testing.T) {
 	p := testPipeline(t)
 	backend := frozenBackend(p)
@@ -208,7 +210,9 @@ func TestWarmHitAllocs(t *testing.T) {
 		{"49ers", 0},
 		{"49ers schedule", 0},
 		{"schedule 49ers", 0},
-		{"  Schedule  49ERS ", 3}, // lower-cased copy, fields, normal form
+		{"  Schedule  49ERS ", 3},  // lower-cased copy, fields, normal form
+		{"all at no such term", 0}, // outside every domain: keys on norm
+		{"no such term at all", 1}, // its canonical form, copied
 	} {
 		for i := 0; i < 2; i++ {
 			if _, _, err := s.Answer(ctx, c.query, deadline); err != nil {

@@ -190,7 +190,7 @@ func TestFlightBudgetDropsRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	res := s.slots[s.backend.TermSetKey([]byte("niners"))].Value.(*slot).res
+	res := s.slots["niners"].Value.(*slot).res // its own term set
 	s.mu.Unlock()
 	if backend.ctx != &res.budget {
 		t.Fatalf("the leader ran under %T, not its flight's budget", backend.ctx)

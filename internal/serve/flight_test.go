@@ -49,9 +49,9 @@ func (b *rankingPerQuery) SearchContext(ctx context.Context, query string) ([]ex
 	return wantRanking(query), tr, nil
 }
 
-func (b *rankingPerQuery) TermSetKey(canon []byte) string { return string(canon) }
-func (b *rankingPerQuery) PartialStats() (int64, int64)   { return 0, 0 }
-func (b *rankingPerQuery) Failovers() int64               { return 0 }
+func (b *rankingPerQuery) TermSetKey([]byte) string     { return "" }
+func (b *rankingPerQuery) PartialStats() (int64, int64) { return 0, 0 }
+func (b *rankingPerQuery) Failovers() int64             { return 0 }
 
 func (b *rankingPerQuery) EpochVector(dst []uint64) []uint64 {
 	if n := b.samples.Add(1); b.unknownEvery > 0 && n%b.unknownEvery == 0 {

@@ -19,12 +19,14 @@
 // and asks the backend for the key of the term set that canonical query
 // expands to (Backend.TermSetKey: a table lookup, no I/O, no
 // allocation). The canonical form is built into the request's pooled
-// scratch and handed over as bytes, so admission allocates nothing in
-// any token order. "go rust", "rust go" and "go go rust" are one key, and
-// so is every member query of a domain small enough to expand to all of
-// itself: they share a cache slot and coalesce onto a single in-flight
-// computation, and a write invalidates their answer once, not once per
-// spelling. The backend still receives the normalized, order-preserving
+// scratch and handed over as bytes, so a query in the backend's table
+// is admitted without allocating in any token order; one outside it is
+// its own term set and keys on its canonical form, which costs a copy
+// only when its tokens arrived out of order. "go rust", "rust go" and
+// "go go rust" are one key, and so is every member query of a domain
+// small enough to expand to all of itself: they share a cache slot and
+// coalesce onto a single in-flight computation, and a write
+// invalidates their answer once, not once per spelling. The backend still receives the normalized, order-preserving
 // text.
 //
 // The key space is therefore small and closed, and a cache slot
@@ -117,8 +119,10 @@ type Backend interface {
 	// the query with canonical form canon (tokens sorted, de-duplicated,
 	// single-spaced) matches: queries with equal keys have the same
 	// answer at the same view, and the server caches and coalesces them
-	// as one. canon is the server's scratch, valid only for the call. A
-	// backend with no closed table of term sets returns string(canon).
+	// as one. canon is the server's scratch, valid only for the call. It
+	// returns "" when its table holds no term set for canon (a backend
+	// with no closed table always does): such a query is its own term
+	// set, and the server keys it on canon.
 	TermSetKey(canon []byte) string
 	// EpochVector appends the per-shard epochs of the view queries
 	// currently run against to dst (capacity reused, contents
@@ -472,10 +476,11 @@ func (s *Server) serveTraced(ctx context.Context, query string, deadline time.Ti
 	// permutations and repetitions of one query, and the queries of one
 	// domain that search the same terms, share a slot and a flight. A
 	// query that arrives in normal form — the common case — is admitted
-	// without allocating in any token order: Normalize hands it back,
-	// its canonical form is built in pooled scratch, and the key is the
-	// backend table's own string. A normal form is its tokens joined by
-	// single spaces, so the spaces count them.
+	// without allocating: Normalize hands it back, its canonical form is
+	// built in pooled scratch, and the key is the backend table's own
+	// string, or norm for a query outside the table whose tokens arrive
+	// in order. A normal form is its tokens joined by single spaces, so
+	// the spaces count them.
 	norm := textutil.Normalize(query)
 	if norm == "" {
 		s.rejected.Add(1)
@@ -496,6 +501,14 @@ func (s *Server) serveTraced(ctx context.Context, query string, deadline time.Ti
 	defer s.scratch.Put(sc)
 	sc.canon = textutil.AppendCanonical(sc.canon[:0], norm)
 	key := s.backend.TermSetKey(sc.canon)
+	if key == "" {
+		// A query outside every domain keys on its canonical form: norm
+		// itself when its tokens arrived in order, else a copy.
+		key = norm
+		if string(sc.canon) != norm {
+			key = string(sc.canon)
+		}
+	}
 	if qt != nil {
 		qt.Query = norm
 		qt.TermSet = key

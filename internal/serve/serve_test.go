@@ -167,10 +167,7 @@ type scriptedBackend struct {
 }
 
 func (b *scriptedBackend) TermSetKey(canon []byte) string {
-	if key, ok := b.termSets[string(canon)]; ok {
-		return key
-	}
-	return string(canon)
+	return b.termSets[string(canon)]
 }
 
 func (b *scriptedBackend) answer(query string) []expertise.Expert {

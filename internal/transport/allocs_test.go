@@ -10,6 +10,7 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/race"
 	"repro/internal/shard"
+	"repro/internal/transport"
 	"repro/internal/world"
 )
 
@@ -153,3 +154,37 @@ func TestRemoteScatterAllocs(t *testing.T) {
 // tokens and a phrase whose tokens already arrive in canonical order
 // (so no query costs a canonical key), each ranking someone at every N.
 var scatterQueries = []string{"49ers", "diabetes", "dow futures"}
+
+// TestTermTableWorstCase pins what a term table costs a request: a
+// request whose terms the table holds decodes without allocating, and
+// one with terms the table has no room for copies its terms region
+// once, however many of them there are — as a decode without a table
+// does — so a full table never makes a request dearer.
+func TestTermTableWorstCase(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not held under the race detector")
+	}
+	full := fullTermTable(t)
+	known := transport.AppendSearchReq(nil, transport.SearchReq{Terms: []string{"fill000000", "fill000001", "fill000002"}})
+	unseen := transport.AppendSearchReq(nil, transport.SearchReq{Terms: []string{"a novel query", "its", "five", "expansion", "terms"}})
+	scratch := make([]string, 0, 8)
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		want    float64
+	}{
+		{"known terms", known, 0},
+		{"unseen terms, table full", unseen, 1},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			req, _, err := transport.ConsumeSearchReq(full, scratch, c.payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scratch = req.Terms
+		})
+		if allocs != c.want {
+			t.Errorf("%s: %v allocations per decode, want %v", c.name, allocs, c.want)
+		}
+	}
+}

@@ -42,4 +42,4 @@ func (c *DispatchConn) Close() {
 func (t *TermTable) Room() (bytes, terms int) { return termTableBytes - t.bytes, len(t.terms) }
 
 // TermCharge is what term costs a TermTable.
-func TermCharge(term string) int { return termCharge(term) }
+func TermCharge(term string) int { return termCharge(len(term)) }

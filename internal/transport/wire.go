@@ -44,13 +44,13 @@ func AppendSearchReq(buf []byte, req SearchReq) []byte {
 // termTableBytes bounds one connection's TermTable, in entries and in
 // bytes at once: each term is charged its bytes plus 64 for its map
 // entry (two string headers and its share of the buckets, rounded up),
-// so a table holds at most 64 KiB of terms and at most 1,024 of them.
-// The terms a coordinator sends come from its closed expansion
-// vocabulary (the bench pool's 140 queries search 242 distinct terms,
-// 3.3 KiB), so a healthy peer's vocabulary fits and every search it
-// sends decodes without a copy; a peer that keeps sending new terms
-// stops growing the table at the bound, and each term past it costs one
-// copy per request instead.
+// so a table holds at most 64 KiB of terms and at most 1,024 of them,
+// kept first come and never evicted. The bound caps memory, not cost:
+// a request whose terms are all in the table decodes without a copy,
+// and one with any term outside it copies its terms region once, as a
+// decode without a table does. A peer whose queries never repeat, or
+// whose vocabulary outgrows the bound, therefore pays what it would
+// without a table, and no more.
 const termTableBytes = 64 << 10
 
 // TermTable holds the search terms one server connection has decoded,
@@ -61,33 +61,31 @@ type TermTable struct {
 	bytes int // charged against termTableBytes
 }
 
-// term returns b as a string: the table's own when it holds b, else a
-// copy, which the table keeps while it is under its bound.
-func (t *TermTable) term(b []byte) string {
-	if s, ok := t.terms[string(b)]; ok {
-		return s
-	}
-	s := string(b)
-	if cost := termCharge(s); t.bytes+cost <= termTableBytes {
+// keep adds a copy of b while the table is under its bound.
+func (t *TermTable) keep(b []byte) {
+	if cost := termCharge(len(b)); t.bytes+cost <= termTableBytes {
 		if t.terms == nil {
 			t.terms = make(map[string]string)
 		}
+		s := string(b)
 		t.terms[s] = s
 		t.bytes += cost
 	}
-	return s
 }
 
-// termCharge is what term costs a TermTable (see termTableBytes).
-func termCharge(term string) int { return len(term) + 64 }
+// termCharge is what a term of n bytes costs a TermTable (see
+// termTableBytes).
+func termCharge(n int) int { return n + 64 }
 
 // ConsumeSearchReq decodes a SearchReq off the front of buf, appending
 // the terms into terms (capacity reused, contents discarded). Every
 // length is checked against the bytes present first; then each term is
-// drawn from table, so a term the connection has decoded before costs
-// no allocation. The terms never alias buf — a connection's read
-// buffer, overwritten by its next frame while tokens cut from the terms
-// still sit in pooled scratch: they are the table's strings or copies.
+// looked up in table. When all of them are there the request costs no
+// allocation; otherwise the terms region is copied into one string,
+// each missing term is a substring of it, and the table keeps its own
+// copy of each while under its bound. The terms never alias buf — a
+// connection's read buffer, overwritten by its next frame while tokens
+// cut from the terms still sit in pooled scratch.
 func ConsumeSearchReq(table *TermTable, terms []string, buf []byte) (SearchReq, []byte, error) {
 	req := SearchReq{Terms: terms[:0]}
 	if len(buf) == 0 {
@@ -105,10 +103,21 @@ func ConsumeSearchReq(table *TermTable, terms []string, buf []byte) (SearchReq, 
 			return req, rest, fmt.Errorf("search req term %d: %w", i, err)
 		}
 	}
+	var region string
+	copied := false
 	for off := 0; len(req.Terms) < n; {
 		l, w := binary.Uvarint(buf[off:]) // validated above
 		off += w + int(l)
-		req.Terms = append(req.Terms, table.term(buf[off-int(l):off]))
+		b := buf[off-int(l) : off]
+		term, ok := table.terms[string(b)]
+		if !ok {
+			if !copied {
+				region, copied = string(buf[:len(buf)-len(rest)]), true
+			}
+			term = region[off-int(l) : off]
+			table.keep(b)
+		}
+		req.Terms = append(req.Terms, term)
 	}
 	return req, rest, nil
 }
