@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race flake vet bench bench-once bench-check bench-smoke cover cover-check check docs-check bench-ingest bench-shard bench-remote bench-replica bench-gateway bench-disk loc fuzz-smoke run-gateway smoke-gateway examples-smoke
+.PHONY: all artifact build test race flake vet bench bench-once bench-check bench-smoke cover cover-check check docs-check bench-ingest bench-shard bench-remote bench-replica bench-gateway bench-disk loc fuzz-smoke run-gateway smoke-gateway examples-smoke
 
 all: check
 
@@ -114,6 +114,14 @@ bench-gateway:
 # size (DiskSegOpen).
 bench-disk:
 	$(GO) test -bench 'Disk' -benchmem -run '^$$' ./internal/ingest ./internal/diskseg
+
+# Regenerates cmd/gateway/tiny.artifact, the serving artifact the
+# gateway embeds and boots from, from a fresh build of the offline stage
+# at core.TinyPipelineConfig(): TestArtifactIsFresh with -update. Run it
+# after a change to the offline stage, the corpus generator or the
+# artifact's encoding; the same test without -update fails until then.
+artifact:
+	$(GO) test ./cmd/gateway -run '^TestArtifactIsFresh$$' -count=1 -update
 
 # Non-test Go lines under internal/ and cmd/ — the tracked metric of
 # ROADMAP aim 2. CHANGES.md quotes it for parent and change:

@@ -8,6 +8,7 @@
 package repro
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -15,7 +16,6 @@ import (
 	"repro/internal/community"
 	"repro/internal/core"
 	"repro/internal/crowd"
-	"repro/internal/domains"
 	"repro/internal/eval"
 	"repro/internal/expertise"
 	"repro/internal/querylog"
@@ -323,23 +323,23 @@ func BenchmarkWeeklyRefresh(b *testing.B) {
 	}
 }
 
-// BenchmarkDomainStorePersistence measures the binary store round-trip
-// (the paper keeps its ~100 MB collection in SQL Server).
+// BenchmarkDomainStorePersistence measures the serving artifact's
+// round trip — encode, then decode the collection and manifest — (the
+// paper keeps its ~100 MB collection in SQL Server).
 func BenchmarkDomainStorePersistence(b *testing.B) {
 	s := state(b)
-	path := b.TempDir() + "/domains.bin"
-	var bytes int64
+	art := s.pipe.Artifact()
+	var buf bytes.Buffer
 	for i := 0; i < b.N; i++ {
-		n, err := s.pipe.Collection.Save(path)
-		if err != nil {
+		buf.Reset()
+		if err := art.Encode(&buf); err != nil {
 			b.Fatal(err)
 		}
-		bytes = n
-		if _, err := domains.Load(path); err != nil {
+		if _, err := core.DecodeArtifact(buf.Bytes()); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(bytes), "store-bytes")
+	b.ReportMetric(float64(buf.Len()), "store-bytes")
 }
 
 // BenchmarkAblationFeatureSet compares the paper's production feature

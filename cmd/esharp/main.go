@@ -7,7 +7,8 @@
 //
 //	esharp build  -shards DIR [-scale tiny|small|default] [-out FILE]
 //	    generate the sharded click log, run the offline stage, and
-//	    optionally persist the domain collection.
+//	    optionally write the serving artifact (core.Artifact): the
+//	    format cmd/gateway boots from.
 //	esharp query  -q "49ers" [-scale ...] [-expand N] [-z MIN]
 //	    run one query through both algorithms and print the results.
 //	esharp expand -q "49ers" [-scale ...]
@@ -24,6 +25,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -120,7 +122,7 @@ func (f flags) parse(args []string) (core.PipelineConfig, eval.SetSizes, error) 
 func runBuild(args []string, out io.Writer) error {
 	fs := newFlags("build")
 	shards := fs.String("shards", "", "directory for the sharded click log (empty = in-memory)")
-	save := fs.String("out", "", "persist the domain collection to this file")
+	save := fs.String("out", "", "write the serving artifact (domain collection + per-user base post counts) to this file")
 	sql := fs.Bool("sql", false, "cluster on the relational engine")
 	cfg, _, err := fs.parse(args)
 	if err != nil {
@@ -142,11 +144,14 @@ func runBuild(args []string, out io.Writer) error {
 		p.Log.NumQueries(), p.Graph.NumVertices(), p.Graph.NumEdges(),
 		p.Collection.NumDomains(), p.Corpus.NumTweets())
 	if *save != "" {
-		n, err := p.Collection.Save(*save)
-		if err != nil {
+		var buf bytes.Buffer
+		if err := p.Artifact().Encode(&buf); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "collection saved to %s (%d bytes)\n", *save, n)
+		if err := os.WriteFile(*save, buf.Bytes(), 0o644); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "serving artifact saved to %s (%d bytes)\n", *save, buf.Len())
 	}
 	return nil
 }

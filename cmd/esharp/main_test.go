@@ -1,13 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/domains"
 )
 
 // TestScaleConfig pins the one scale switch: every valid scale yields a
@@ -70,8 +71,8 @@ func TestRunSelectsExperiments(t *testing.T) {
 }
 
 // TestBuildQuerySaveLoad exercises the same path as `esharp build -out`:
-// build a pipeline, persist the collection, reload it and serve a query
-// from the reloaded store.
+// build a pipeline, save its serving artifact, load it back and serve a
+// query from the loaded collection.
 func TestBuildQuerySaveLoad(t *testing.T) {
 	cfg := core.TinyPipelineConfig()
 	cfg.Log.Events = 20_000
@@ -79,15 +80,15 @@ func TestBuildQuerySaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "domains.bin")
-	if _, err := p.Collection.Save(path); err != nil {
+	var buf bytes.Buffer
+	if err := p.Artifact().Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := domains.Load(path)
+	loaded, err := core.DecodeArtifact(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	det := core.NewDetector(loaded, p.Corpus, cfg.Online)
+	det := core.NewDetector(loaded.Collection, p.Corpus, cfg.Online)
 	results, trace := det.Search("49ers")
 	if len(results) == 0 {
 		t.Fatal("no results from reloaded collection")
@@ -102,13 +103,13 @@ func TestBuildQuerySaveLoad(t *testing.T) {
 // flags and output a user at a shell gets.
 func TestRunSubcommands(t *testing.T) {
 	dir := t.TempDir()
-	saved := filepath.Join(dir, "domains.bin")
+	saved := filepath.Join(dir, "tiny.artifact")
 	for _, c := range []struct {
 		args []string
 		want []string
 	}{
 		{[]string{"build", "-scale", "tiny", "-shards", filepath.Join(dir, "log"), "-out", saved},
-			[]string{"built in", "domains:", "collection saved to " + saved}},
+			[]string{"built in", "domains:", "serving artifact saved to " + saved}},
 		{[]string{"build", "-scale", "tiny", "-sql"}, []string{"built in", "domains:"}},
 		{[]string{"query", "-scale", "tiny", "-q", "49ers", "-k", "3"},
 			[]string{"baseline (", "expansion: ", "matched tweets: ", "e# ("}},
@@ -126,8 +127,10 @@ func TestRunSubcommands(t *testing.T) {
 			}
 		}
 	}
-	if _, err := domains.Load(saved); err != nil {
-		t.Errorf("build -out wrote a collection that does not load: %v", err)
+	if data, err := os.ReadFile(saved); err != nil {
+		t.Error(err)
+	} else if _, err := core.DecodeArtifact(data); err != nil {
+		t.Errorf("build -out wrote an artifact that does not decode: %v", err)
 	}
 
 	var out strings.Builder

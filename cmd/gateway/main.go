@@ -5,6 +5,15 @@
 // sets are wired by internal/topology; -remote takes its "a|b,c|d"
 // syntax, '|' grouping the replicas of one shard, primary first.
 //
+// The gateway does not run the offline stage: it boots from its output,
+// the serving artifact of core.TinyPipelineConfig() (tiny.artifact,
+// embedded; `make artifact` rewrites it). The artifact carries the
+// domain collection, which expands every query, and each user's base
+// post count, from which each shardd's handshake is sized — so with
+// -remote the gateway builds the world and nothing else. In-process
+// shards generate the base posts (core.BuildBase) and index their
+// partitions of it.
+//
 // A single-process front door over four in-process shards:
 //
 //	gateway -addr :8080 -shards 4 -tokens "dev,reader:50:100:10000"
@@ -34,6 +43,7 @@ package main
 
 import (
 	"context"
+	_ "embed"
 	"flag"
 	"fmt"
 	"io"
@@ -48,10 +58,19 @@ import (
 	"repro/internal/core"
 	"repro/internal/gateway"
 	"repro/internal/ingest"
+	"repro/internal/microblog"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/topology"
+	"repro/internal/world"
 )
+
+// tinyArtifact is the serving artifact of core.TinyPipelineConfig(),
+// written by `make artifact`; TestArtifactIsFresh fails when a change
+// to the offline stage leaves it stale.
+//
+//go:embed tiny.artifact
+var tinyArtifact []byte
 
 func main() {
 	sigs := make(chan os.Signal, 1)
@@ -61,10 +80,10 @@ func main() {
 	}
 }
 
-// run builds the detector, serving layer and gateway, serves HTTP
-// until a signal arrives on sigs, then drains and returns nil. When
-// ready is non-nil it receives the bound address once listening (tests
-// use it to drive the process loop).
+// run loads the artifact, wires the detector, serving layer and
+// gateway, serves HTTP until a signal arrives on sigs, then drains and
+// returns nil. When ready is non-nil it receives the bound address once
+// listening (tests use it to drive the process loop).
 func run(args []string, out io.Writer, sigs <-chan os.Signal, ready chan<- string) error {
 	fs := flag.NewFlagSet("gateway", flag.ContinueOnError)
 	fs.SetOutput(out)
@@ -90,34 +109,43 @@ func run(args []string, out io.Writer, sigs <-chan os.Signal, ready chan<- strin
 		maxBudget = gateway.DefaultMaxBudget
 	}
 
-	// The deterministic pipeline every process of a deployment builds;
-	// with -remote, the per-connection handshake proves each shardd
-	// serves the partition this coordinator expects over the same base.
-	pipeline, err := core.BuildPipeline(core.TinyPipelineConfig())
+	// The offline stage's output, decoded: the domain collection and
+	// each user's base post count. The world comes from the same seed
+	// every process of a deployment builds it from.
+	cfg := core.TinyPipelineConfig()
+	art, err := core.DecodeArtifact(tinyArtifact)
 	if err != nil {
 		return err
 	}
 	reg := obs.NewRegistry()
 
+	// With -remote the shardds hold every post: the per-connection
+	// handshake, sized from the artifact's counts, proves each serves
+	// the partition this coordinator expects. In-process shards index
+	// their partitions of the generated base.
 	var topo topology.Topology
+	var w *world.World
+	var posts []microblog.Tweet
 	if *remote != "" {
 		if topo, err = topology.Parse(*remote); err != nil {
 			return err
 		}
+		w = world.Build(cfg.World)
 	} else {
 		if *shards < 1 {
 			return fmt.Errorf("gateway: -shards %d is not a valid shard count", *shards)
 		}
 		topo = topology.InProcess(*shards, 1)
+		w, posts = core.BuildBase(cfg)
 	}
 	// The gateway has no ingest route: in-process shards serve a corpus
 	// nobody writes to, so there is nothing to seal or compact.
-	cluster, err := topo.Build(pipeline.Corpus, ingest.Config{DisableCompactor: true}, reg)
+	cluster, err := topo.Build(w, art.BaseCounts, posts, ingest.Config{DisableCompactor: true}, reg)
 	if err != nil {
 		return err
 	}
 	defer cluster.Close()
-	backend := core.NewShardedLiveDetectorOver(pipeline.Collection, cluster, pipeline.Cfg.Online)
+	backend := core.NewShardedLiveDetectorOver(art.Collection, cluster, cfg.Online)
 
 	scfg := serve.DefaultConfig()
 	scfg.CacheSize = *cache

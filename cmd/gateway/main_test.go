@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/ingest"
 	"repro/internal/obs"
@@ -299,11 +298,7 @@ func adminBase(t *testing.T, banner string) string {
 // own view sample (the epoch vector) can no longer observe it.
 func TestHealthzFollowsShards(t *testing.T) {
 	fault.CheckLeaks(t)
-	pipeline, err := core.BuildPipeline(core.TinyPipelineConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := ingest.New(pipeline.Corpus, ingest.Config{DisableCompactor: true})
+	idx := ingest.New(tinyPipeline(t).Corpus, ingest.Config{DisableCompactor: true})
 	defer idx.Close()
 	shardSrv, err := transport.Listen("127.0.0.1:0", idx, transport.DefaultServerConfig(0, 1))
 	if err != nil {

@@ -1,11 +1,12 @@
 // Shardd serves one shard of the author-partitioned expert index over
 // the wire protocol of internal/transport — the per-process half of
 // cross-process sharding, and the only process of a deployment that
-// holds posts. Each shardd builds the deterministic base corpus and not
-// the offline stage, which it never reads (so every process, and the
-// coordinator, agrees on the world and the base corpus bit for bit),
-// keeps exactly its partition — shard.Partition(base, i, n), the same
-// slice the in-process cluster would hand shard i — and
+// holds posts. Each shardd generates the deterministic base posts
+// (core.BuildBase) and not the offline stage, which it never reads (so
+// every process agrees on the world and the base bit for bit, and the
+// coordinator's artifact counts the same posts), indexes only its own
+// partition — shard.PartitionTweets(w, base, i, n), the same slice the
+// in-process cluster would hand shard i, never the whole base — and
 // serves the composite search, denominator top-ups, routed ingest,
 // epoch pushes, quiesce and log paging on one TCP address.
 //
@@ -79,13 +80,13 @@ func main() {
 	}
 }
 
-// run parses flags, builds the shard's slice of the deterministic
-// corpus and serves it until the server is closed or a signal
-// arrives on sigs — SIGINT/SIGTERM trigger a graceful shutdown: stop
-// accepting, let in-flight conversations and push subscribers drain
-// within the -grace budget, then exit 0. When started is non-nil it
-// receives the listening server once ready (tests use it to drive and
-// then stop the process loop).
+// run parses flags, indexes the shard's partition of the deterministic
+// base and serves it until the server is closed or a signal arrives on
+// sigs — SIGINT/SIGTERM trigger a graceful shutdown: stop accepting,
+// let in-flight conversations and push subscribers drain within the
+// -grace budget, then exit 0. When started is non-nil it receives the
+// listening server once ready (tests use it to drive and then stop the
+// process loop).
 func run(args []string, out io.Writer, sigs <-chan os.Signal, started chan<- *transport.ShardServer) error {
 	fs := flag.NewFlagSet("shardd", flag.ContinueOnError)
 	fs.SetOutput(out)
@@ -102,11 +103,12 @@ func run(args []string, out io.Writer, sigs <-chan os.Signal, started chan<- *tr
 		return fmt.Errorf("shardd: -shard %d -of %d is not a valid partition", *shardIdx, *numShards)
 	}
 
-	// The same deterministic corpus every shardd and the coordinator
-	// build; agreement is verified per-connection by the transport
-	// handshake. A shard serves posts, so it skips the offline stage.
-	corpus := core.BuildCorpus(core.TinyPipelineConfig())
-	part := shard.Partition(corpus, *shardIdx, *numShards)
+	// The same deterministic base every shardd generates; agreement
+	// with the coordinator is verified per-connection by the transport
+	// handshake. A shard serves posts, so it skips the offline stage,
+	// and it indexes only its own partition of the base.
+	w, base := core.BuildBase(core.TinyPipelineConfig())
+	part := shard.PartitionTweets(w, base, *shardIdx, *numShards)
 	// One registry spans the process: the index's ingest accounting and
 	// the server's wire accounting land in the same /metrics namespace.
 	var reg *obs.Registry
@@ -140,7 +142,7 @@ func run(args []string, out io.Writer, sigs <-chan os.Signal, started chan<- *tr
 		fmt.Fprintf(out, "shardd: admin plane on http://%s (/metrics /healthz /stats /watch /debug/pprof/)\n", adm.Addr())
 	}
 	fmt.Fprintf(out, "shardd: shard %d/%d on %s — %d base tweets (%d total in world), seal %d, fan-in %d\n",
-		*shardIdx, *numShards, srv.Addr(), part.NumTweets(), corpus.NumTweets(), icfg.SealThreshold, icfg.CompactFanIn)
+		*shardIdx, *numShards, srv.Addr(), part.NumTweets(), len(base), icfg.SealThreshold, icfg.CompactFanIn)
 	if started != nil {
 		started <- srv
 	}

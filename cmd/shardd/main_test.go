@@ -17,6 +17,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/microblog"
 	"repro/internal/transport"
+	"repro/internal/world"
 )
 
 // TestRunServesAndStops boots a shardd on a free port, drives the wire
@@ -215,11 +216,8 @@ func TestRunDataDir(t *testing.T) {
 
 	c := transport.NewRemoteShard(srv.Addr().String(), transport.DefaultClientConfig())
 	defer c.Close()
-	p, err := core.BuildPipeline(core.TinyPipelineConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream := microblog.NewPostStream(p.World, microblog.DefaultStreamConfig(7))
+	w := world.Build(core.TinyPipelineConfig().World)
+	stream := microblog.NewPostStream(w, microblog.DefaultStreamConfig(7))
 	posts := make([]microblog.Post, 4*2048)
 	for i := range posts {
 		posts[i] = stream.Next()
@@ -301,5 +299,31 @@ func TestRunDrainsOnSignal(t *testing.T) {
 	got := out.String()
 	if !strings.Contains(got, "draining") || !strings.Contains(got, "drained, bye") {
 		t.Fatalf("drain not narrated: %q", got)
+	}
+}
+
+// BenchmarkBoot times run from its start to started for the one-shard
+// deployment: the base generated, the whole of it partitioned, indexed
+// and listening. The shutdown after each boot is outside the timer.
+func BenchmarkBoot(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		started := make(chan *transport.ShardServer, 1)
+		done := make(chan error, 1)
+		go func() {
+			done <- run([]string{"-addr", "127.0.0.1:0", "-shard", "0", "-of", "1"}, io.Discard, nil, started)
+		}()
+		var srv *transport.ShardServer
+		select {
+		case srv = <-started:
+		case err := <-done:
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		srv.Close()
+		if err := <-done; err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 	}
 }

@@ -315,12 +315,15 @@ type Pipeline struct {
 	Stages []querylog.Stats
 }
 
-// BuildCorpus generates the world and its base corpus alone: post for
-// post BuildPipeline(cfg).Corpus, without the click log and the offline
-// stage. A process that serves posts and no expansion (cmd/shardd)
-// builds only this.
-func BuildCorpus(cfg PipelineConfig) *microblog.Corpus {
-	return microblog.Generate(world.Build(cfg.World), cfg.Tweets)
+// BuildBase generates the world and its base tweets, rendered but not
+// indexed: tweet for tweet BuildPipeline(cfg).Corpus, without the click
+// log, the offline stage or a whole-corpus term index. A process that
+// serves posts (cmd/shardd, the gateway's in-process shards) builds
+// only this and indexes each partition of it once
+// (shard.PartitionTweets).
+func BuildBase(cfg PipelineConfig) (*world.World, []microblog.Tweet) {
+	w := world.Build(cfg.World)
+	return w, microblog.GenerateTweets(w, cfg.Tweets)
 }
 
 // BuildPipeline generates the world, click log and corpus, then runs

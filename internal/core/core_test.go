@@ -45,17 +45,22 @@ func TestBuildPipelineArtifacts(t *testing.T) {
 	}
 }
 
-// TestBuildCorpusMatchesPipeline pins the corpus a shard builds alone
-// to the pipeline's, post for post: the handshake compares only counts.
-func TestBuildCorpusMatchesPipeline(t *testing.T) {
-	want := tinyPipeline(t).Corpus.Tweets()
-	got := BuildCorpus(TinyPipelineConfig()).Tweets()
+// TestBuildBaseMatchesPipeline pins the base a shard builds alone to
+// the pipeline's corpus, post for post: the handshake compares only
+// counts.
+func TestBuildBaseMatchesPipeline(t *testing.T) {
+	p := tinyPipeline(t)
+	w, got := BuildBase(TinyPipelineConfig())
+	want := p.Corpus.Tweets()
+	if len(w.Users) != len(p.World.Users) {
+		t.Fatalf("BuildBase's world has %d users, BuildPipeline's %d", len(w.Users), len(p.World.Users))
+	}
 	if len(got) != len(want) {
-		t.Fatalf("BuildCorpus made %d posts, BuildPipeline %d", len(got), len(want))
+		t.Fatalf("BuildBase made %d posts, BuildPipeline %d", len(got), len(want))
 	}
 	for i := range want {
 		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("post %d: BuildCorpus %+v, BuildPipeline %+v", i, got[i], want[i])
+			t.Fatalf("post %d: BuildBase %+v, BuildPipeline %+v", i, got[i], want[i])
 		}
 	}
 }

@@ -1,17 +1,16 @@
 // Package domains holds the offline product of the e# pipeline: the
 // collection of expertise domains (term communities), indexed for the
-// exact-match lookup of Section 5 and persisted in a compact binary
-// format. It replaces the paper's SQL Server 2014 store, whose only
-// requirements are millisecond lookups and a ~100 MB footprint.
+// exact-match lookup of Section 5 and encoded in a compact binary
+// format (the domains section of core's serving artifact). It replaces
+// the paper's SQL Server 2014 store, whose only requirements are
+// millisecond lookups and a ~100 MB footprint.
 package domains
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -379,57 +378,13 @@ func (c *Collection) SizeHistogram() [4]int {
 	return hist
 }
 
-// magic identifies the on-disk format; bump the version on change.
+// magic identifies the encoding; bump the version on change.
 var magic = [8]byte{'e', '#', 'd', 'o', 'm', 'v', '0', '1'}
 
-// Save writes the collection in a compact varint-delimited binary
-// format and returns the byte count written.
-func (c *Collection) Save(path string) (int64, error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return 0, fmt.Errorf("domains: create: %w", err)
-	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	cw := &countingWriter{w: bw}
-	if err := c.encode(cw); err != nil {
-		f.Close()
-		return cw.n, fmt.Errorf("domains: encode: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return cw.n, err
-	}
-	return cw.n, f.Close()
-}
-
-// Load reads a collection written by Save.
-func Load(path string) (*Collection, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("domains: open: %w", err)
-	}
-	defer f.Close()
-	c, err := decode(bufio.NewReaderSize(f, 1<<20))
-	if err != nil {
-		return nil, fmt.Errorf("domains: decode %s: %w", path, err)
-	}
-	return c, nil
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-// Write passes p through and adds what was written to the byte count
-// Save reports.
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
-func (c *Collection) encode(w io.Writer) error {
+// Encode writes the collection in a compact varint-delimited binary
+// format: the domains section of the serving artifact (core.Artifact).
+// The bytes are a pure function of the collection.
+func (c *Collection) Encode(w io.Writer) error {
 	if _, err := w.Write(magic[:]); err != nil {
 		return err
 	}
@@ -478,7 +433,9 @@ func (c *Collection) encode(w io.Writer) error {
 	return nil
 }
 
-func decode(r io.ByteReader) (*Collection, error) {
+// Decode reads a collection written by Encode, consuming exactly its
+// bytes from r.
+func Decode(r io.ByteReader) (*Collection, error) {
 	readByte := func() (byte, error) { return r.ReadByte() }
 	for _, m := range magic {
 		b, err := readByte()

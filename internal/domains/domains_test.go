@@ -1,8 +1,7 @@
 package domains
 
 import (
-	"os"
-	"path/filepath"
+	"bytes"
 	"slices"
 	"strings"
 	"testing"
@@ -147,84 +146,6 @@ func TestSizeHistogramSums(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	_, c := buildCollection(t)
-	path := filepath.Join(t.TempDir(), "domains.bin")
-	n, err := c.Save(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n <= 0 {
-		t.Fatal("Save reported zero bytes")
-	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fi.Size() != n {
-		t.Errorf("Save reported %d bytes, file is %d", n, fi.Size())
-	}
-
-	loaded, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.NumDomains() != c.NumDomains() {
-		t.Fatalf("loaded %d domains, want %d", loaded.NumDomains(), c.NumDomains())
-	}
-	for i := 0; i < c.NumDomains(); i++ {
-		a, b := c.Domain(int32(i)), loaded.Domain(int32(i))
-		if a.Size() != b.Size() {
-			t.Fatalf("domain %d size differs after round-trip", i)
-		}
-		for j := range a.Terms {
-			if a.Terms[j] != b.Terms[j] || a.Weights[j] != b.Weights[j] {
-				t.Fatalf("domain %d term %d differs", i, j)
-			}
-		}
-		la, lb := c.Closest(int32(i), 100), loaded.Closest(int32(i), 100)
-		if len(la) != len(lb) {
-			t.Fatalf("domain %d proximity differs", i)
-		}
-		for j := range la {
-			if la[j] != lb[j] {
-				t.Fatalf("domain %d link %d differs", i, j)
-			}
-		}
-	}
-}
-
-func TestLoadRejectsCorruptFiles(t *testing.T) {
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.bin")
-	if err := os.WriteFile(bad, []byte("not a domain file"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(bad); err == nil {
-		t.Error("corrupt file loaded without error")
-	}
-	if _, err := Load(filepath.Join(dir, "missing.bin")); err == nil {
-		t.Error("missing file loaded without error")
-	}
-	// Truncated valid file.
-	_, c := buildCollection(t)
-	good := filepath.Join(dir, "good.bin")
-	if _, err := c.Save(good); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(good)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trunc := filepath.Join(dir, "trunc.bin")
-	if err := os.WriteFile(trunc, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(trunc); err == nil {
-		t.Error("truncated file loaded without error")
-	}
-}
-
 func TestLookupLatency(t *testing.T) {
 	// Table 9 reports "Expansion < 100 ms"; our store must answer exact
 	// lookups far faster than that even in a cold loop.
@@ -257,18 +178,24 @@ func BenchmarkExpand(b *testing.B) {
 	}
 }
 
-func BenchmarkSaveLoad(b *testing.B) {
+// BenchmarkEncodeDecode measures the collection's binary round trip,
+// the domains section of the serving artifact.
+func BenchmarkEncodeDecode(b *testing.B) {
 	_, c := buildCollection(b)
-	path := filepath.Join(b.TempDir(), "domains.bin")
+	var buf bytes.Buffer
+	n := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Save(path); err != nil {
+		buf.Reset()
+		if err := c.Encode(&buf); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := Load(path); err != nil {
+		n = buf.Len()
+		if _, err := Decode(&buf); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(n), "store-bytes")
 }
 
 // canonCollection is a hand-built collection with the canonical-class

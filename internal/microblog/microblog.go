@@ -322,14 +322,23 @@ var fillerWords = []string{
 // Generate builds a corpus from the world. Generation is deterministic
 // in cfg.Seed.
 func Generate(w *world.World, cfg GenConfig) *Corpus {
+	c := generate(w, cfg)
+	c.buildIndex()
+	return c
+}
+
+// GenerateTweets returns Generate(w, cfg)'s tweets, rendered but not
+// indexed: a process that serves a partition of them (FromTweets over
+// the slice) indexes each post once, not the whole corpus first.
+func GenerateTweets(w *world.World, cfg GenConfig) []Tweet {
+	return generate(w, cfg).tweets
+}
+
+// generate renders the corpus's tweets and per-user counters, leaving
+// the term index empty.
+func generate(w *world.World, cfg GenConfig) *Corpus {
 	rng := xrand.New(cfg.Seed)
-	c := &Corpus{
-		w:          w,
-		termIndex:  map[string][]TweetID{},
-		tweetsBy:   make([]int, len(w.Users)),
-		mentionsOf: make([]int, len(w.Users)),
-		retweetsOf: make([]int, len(w.Users)),
-	}
+	c := newShell(w)
 
 	// Per-topic keyword samplers weighted by TweetRate: this is where
 	// search popularity and tweet usage deliberately diverge.
@@ -403,7 +412,6 @@ func Generate(w *world.World, cfg GenConfig) *Corpus {
 			}
 		}
 	}
-	c.buildIndex()
 	return c
 }
 

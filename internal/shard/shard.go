@@ -58,17 +58,31 @@ func ShardOf(u world.UserID, n int) int {
 
 // Partition returns the slice of base that shard i of n owns: exactly
 // the tweets whose author hashes to i. New partitions its base corpus
-// with it, and cmd/shardd uses it directly so a shard process rebuilt
-// from the same deterministic pipeline starts from the identical base
-// slice the in-process cluster would give that shard.
+// with it.
 func Partition(base *microblog.Corpus, i, n int) *microblog.Corpus {
-	var part []microblog.Tweet
-	for _, tw := range base.Tweets() {
+	return PartitionTweets(base.World(), base.Tweets(), i, n)
+}
+
+// PartitionTweets is Partition over unindexed base tweets: it indexes
+// only the tweets shard i of n owns. cmd/shardd and in-process
+// topologies partition the generated base with it, so a shard process
+// rebuilt from the same deterministic pipeline starts from the
+// identical base slice the in-process cluster would give that shard,
+// and no process indexes the whole base first.
+func PartitionTweets(w *world.World, tweets []microblog.Tweet, i, n int) *microblog.Corpus {
+	size := 0
+	for _, tw := range tweets {
+		if ShardOf(tw.Author, n) == i {
+			size++
+		}
+	}
+	part := make([]microblog.Tweet, 0, size)
+	for _, tw := range tweets {
 		if ShardOf(tw.Author, n) == i {
 			part = append(part, tw)
 		}
 	}
-	return microblog.FromTweets(base.World(), part)
+	return microblog.FromTweets(w, part)
 }
 
 // ShardConfig returns cfg as shard i's index takes it: a disk tier is

@@ -19,6 +19,7 @@ import (
 	"repro/internal/replica"
 	"repro/internal/shard"
 	"repro/internal/transport"
+	"repro/internal/world"
 )
 
 // Member is one copy of a shard's content: an in-process streaming
@@ -60,21 +61,26 @@ func Parse(s string) (Topology, error) {
 	return t, nil
 }
 
-// Build wires t over the base corpus and returns its cluster; Close on
-// it tears down everything Build made.
+// Build wires t over the base content of world w and returns its
+// cluster; Close on it tears down everything Build made.
 //
-// An in-process member is a streaming index over shard.Partition(base,
-// i, n) configured by icfg, with its own spill directory: the shard's
-// <SpillDir>/shard-<i> (shard.ShardConfig) for the primary, and
+// An in-process member is a streaming index over
+// shard.PartitionTweets(w, posts, i, n) configured by icfg, with its
+// own spill directory: the shard's <SpillDir>/shard-<i>
+// (shard.ShardConfig) for the primary, and
 // <SpillDir>/shard-<i>-replica-<j> for follower j. An address is dialed
 // and handshaken — shard index, shard count, world size and base slice
-// must match, so a mis-deployed shardd fails here instead of skewing
-// rankings later. Shards are dialed in order, members primary first. A
-// shard of more than one member becomes a replica.Set. reg, when
-// non-nil, receives the client and replica accounting; the indexes
-// report to icfg.Obs. On any failure every member already built is
-// closed and the error names the offending shard and member.
-func (t Topology) Build(base *microblog.Corpus, icfg ingest.Config, reg *obs.Registry) (*shard.Cluster, error) {
+// must match, the slice's size being the sum of counts[u], each user
+// u's base post count, over the users shard.ShardOf routes to i — so a
+// mis-deployed shardd fails here instead of skewing rankings later.
+// Only in-process members read posts and only remote ones read counts:
+// an all-remote topology needs no post, an all-local one no count.
+// Shards are dialed in order, members primary first. A shard of more
+// than one member becomes a replica.Set. reg, when non-nil, receives
+// the client and replica accounting; the indexes report to icfg.Obs. On
+// any failure every member already built is closed and the error names
+// the offending shard and member.
+func (t Topology) Build(w *world.World, counts []int, posts []microblog.Tweet, icfg ingest.Config, reg *obs.Registry) (*shard.Cluster, error) {
 	n := len(t)
 	if n == 0 {
 		return nil, errors.New("topology: no shards")
@@ -91,7 +97,7 @@ func (t Topology) Build(base *microblog.Corpus, icfg ingest.Config, reg *obs.Reg
 		}
 		return nil, err
 	}
-	var baseSizes []int // per-shard base tweets, counted once for the handshakes
+	var baseSizes []int // per-shard base tweets, summed once for the handshakes
 	backends := make([]shard.Backend, n)
 	for i, members := range t {
 		if len(members) == 0 {
@@ -102,16 +108,19 @@ func (t Topology) Build(base *microblog.Corpus, icfg ingest.Config, reg *obs.Reg
 		for j, m := range members {
 			if m.Addr == "" {
 				if part == nil {
-					part = shard.Partition(base, i, n)
+					part = shard.PartitionTweets(w, posts, i, n)
 				}
 				built = append(built, shard.NewLocal(ingest.New(part, memberConfig(icfg, i, j))))
 				continue
 			}
 			if baseSizes == nil {
-				baseSizes = partitionSizes(base, n)
+				if len(counts) != len(w.Users) {
+					return fail(fmt.Errorf("topology: %d base counts for a world of %d users", len(counts), len(w.Users)))
+				}
+				baseSizes = partitionSizes(counts, n)
 			}
 			c := transport.NewRemoteShard(m.Addr, ccfg)
-			if err := c.Handshake(i, n, len(base.World().Users), baseSizes[i]); err != nil {
+			if err := c.Handshake(i, n, len(w.Users), baseSizes[i]); err != nil {
 				c.Close()
 				return fail(fmt.Errorf("topology: shard %d member %s: %w", i, m.Addr, err))
 			}
@@ -127,7 +136,7 @@ func (t Topology) Build(base *microblog.Corpus, icfg ingest.Config, reg *obs.Reg
 			backends[i] = set
 		}
 	}
-	return shard.NewCluster(base.World(), backends...), nil
+	return shard.NewCluster(w, backends...), nil
 }
 
 // memberConfig returns icfg as member j of shard i takes it: two
@@ -140,12 +149,12 @@ func memberConfig(icfg ingest.Config, i, j int) ingest.Config {
 	return cfg
 }
 
-// partitionSizes counts the base tweets of each of n shards without
-// materializing the partitions a remote shard's process holds.
-func partitionSizes(base *microblog.Corpus, n int) []int {
+// partitionSizes sums the per-user base counts into the base size of
+// each of n shards: the handshake's figure, without a post in hand.
+func partitionSizes(counts []int, n int) []int {
 	sizes := make([]int, n)
-	for _, tw := range base.Tweets() {
-		sizes[shard.ShardOf(tw.Author, n)]++
+	for u, c := range counts {
+		sizes[shard.ShardOf(world.UserID(u), n)] += c
 	}
 	return sizes
 }

@@ -17,6 +17,7 @@ import (
 	"repro/internal/shard"
 	"repro/internal/topology"
 	"repro/internal/transport"
+	"repro/internal/world"
 )
 
 var (
@@ -63,7 +64,7 @@ func TestBuildInProcess(t *testing.T) {
 	fault.CheckLeaks(t)
 	p := testPipeline(t)
 	dir := t.TempDir()
-	c, err := topology.InProcess(2, 2).Build(p.Corpus,
+	c, err := topology.InProcess(2, 2).Build(p.World, nil, p.Corpus.Tweets(),
 		ingest.Config{SealThreshold: 16, CompactFanIn: 3, SpillDir: dir, SpillThreshold: 32}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +131,8 @@ func TestBuildDialsAndHandshakes(t *testing.T) {
 	}
 	a, b, c := serveShard(0, 2), serveShard(0, 2), serveShard(1, 2)
 
-	cluster, err := topology.Topology{{{Addr: a}, {Addr: b}}, {{Addr: c}}}.Build(p.Corpus, ingest.Config{}, nil)
+	counts := p.Artifact().BaseCounts
+	cluster, err := topology.Topology{{{Addr: a}, {Addr: b}}, {{Addr: c}}}.Build(p.World, counts, nil, ingest.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,13 +152,26 @@ func TestBuildDialsAndHandshakes(t *testing.T) {
 
 	// Shard 0's second member serves shard 1: the whole build fails,
 	// naming it, after shard 0's primary was already dialed.
-	_, err = topology.Topology{{{Addr: a}, {Addr: c}}, {{Addr: c}}}.Build(p.Corpus, ingest.Config{}, nil)
+	_, err = topology.Topology{{{Addr: a}, {Addr: c}}, {{Addr: c}}}.Build(p.World, counts, nil, ingest.Config{}, nil)
 	if err == nil || !strings.Contains(err.Error(), "shard 0 member "+c) {
 		t.Fatalf("a mis-deployed member: %v, want an error naming shard 0 member %s", err, c)
 	}
+	// One user's base count off by one moves the size of the shard that
+	// user routes to: that shard's handshake refuses the member.
+	u := slices.IndexFunc(counts, func(n int) bool { return n > 0 })
+	wrong := slices.Clone(counts)
+	wrong[u]++
+	owner := shard.ShardOf(world.UserID(u), 2)
+	want := []string{"shard 0 member " + a, "shard 1 member " + c}[owner]
+	if _, err := (topology.Topology{{{Addr: a}}, {{Addr: c}}}).Build(p.World, wrong, nil, ingest.Config{}, nil); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("user %d's count off by one: %v, want an error naming %s", u, err, want)
+	}
 	for _, bad := range []topology.Topology{nil, {{{Addr: a}}, {}}} {
-		if _, err := bad.Build(p.Corpus, ingest.Config{}, nil); err == nil {
+		if _, err := bad.Build(p.World, counts, nil, ingest.Config{}, nil); err == nil {
 			t.Fatalf("topology %v accepted", bad)
 		}
+	}
+	if _, err := (topology.Topology{{{Addr: a}}, {{Addr: c}}}).Build(p.World, counts[1:], nil, ingest.Config{}, nil); err == nil {
+		t.Fatal("base counts for a smaller world accepted")
 	}
 }

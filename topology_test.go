@@ -212,7 +212,7 @@ func wire(t *testing.T, layout [][]bool, spill bool) *rig {
 			topo[i][j] = topology.Member{Addr: srv.Addr().String()}
 		}
 	}
-	c, err := topo.Build(p.Corpus, icfg, nil)
+	c, err := topo.Build(p.World, p.Artifact().BaseCounts, p.Corpus.Tweets(), icfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
