@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -300,6 +301,42 @@ func TestRunDrainsOnSignal(t *testing.T) {
 	if !strings.Contains(got, "draining") || !strings.Contains(got, "drained, bye") {
 		t.Fatalf("drain not narrated: %q", got)
 	}
+}
+
+// bootBytes bounds what a one-shard shardd allocates from run's start
+// to started: the world, the generated base, its partition and index,
+// and the listener. FromTweets adopts the partition, measured at
+// 5.71 MB; a boot that copies it once more allocates 6.40 MB.
+const bootBytes = 6_050_000
+
+// TestBootAllocs pins the boot's allocation: a shardd that copies its
+// partition again, or indexes the whole base before partitioning it,
+// goes over bootBytes.
+func TestBootAllocs(t *testing.T) {
+	fault.CheckLeaks(t)
+	started := make(chan *transport.ShardServer, 1)
+	done := make(chan error, 1)
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	go func() {
+		done <- run([]string{"-addr", "127.0.0.1:0", "-shard", "0", "-of", "1"}, io.Discard, nil, started)
+	}()
+	var srv *transport.ShardServer
+	select {
+	case srv = <-started:
+	case err := <-done:
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	srv.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("run returned %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > bootBytes {
+		t.Fatalf("a boot allocated %d bytes, over its %d-byte bound", got, bootBytes)
+	}
+	t.Logf("a boot allocated %d bytes", after.TotalAlloc-before.TotalAlloc)
 }
 
 // BenchmarkBoot times run from its start to started for the one-shard

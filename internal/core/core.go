@@ -47,8 +47,6 @@ import (
 type OfflineConfig struct {
 	// Graph configures similarity-graph construction (Section 4.1).
 	Graph simgraph.Config
-	// Resolution discretizes edge weights into integer units (footnote 1).
-	Resolution int
 	// Community configures the clustering stage (Section 4.2).
 	Community community.Options
 	// UseSQLBackend runs clustering on the relational engine instead of
@@ -60,9 +58,8 @@ type OfflineConfig struct {
 // DefaultOfflineConfig returns the offline defaults.
 func DefaultOfflineConfig() OfflineConfig {
 	return OfflineConfig{
-		Graph:      simgraph.DefaultConfig(),
-		Resolution: 20,
-		Community:  community.DefaultOptions(),
+		Graph:     simgraph.DefaultConfig(),
+		Community: community.DefaultOptions(),
 	}
 }
 
@@ -77,11 +74,12 @@ type BuildResult struct {
 	ClusterStats querylog.Stats
 }
 
+// resolution is how many integer units one unit of edge weight is
+// discretized into before clustering (the paper's footnote 1).
+const resolution = 20
+
 // BuildCollection runs the offline stage on an aggregated click log.
 func BuildCollection(log *querylog.Log, cfg OfflineConfig) (*BuildResult, error) {
-	if cfg.Resolution <= 0 {
-		cfg.Resolution = 20
-	}
 	start := time.Now()
 	graph := simgraph.Build(log, cfg.Graph)
 	graphStats := querylog.Stats{
@@ -92,7 +90,7 @@ func BuildCollection(log *querylog.Log, cfg OfflineConfig) (*BuildResult, error)
 	}
 
 	start = time.Now()
-	ig := graph.Discretize(cfg.Resolution)
+	ig := graph.Discretize(resolution)
 	var res *community.Result
 	var err error
 	if cfg.UseSQLBackend {
@@ -316,11 +314,12 @@ type Pipeline struct {
 }
 
 // BuildBase generates the world and its base tweets, rendered but not
-// indexed: tweet for tweet BuildPipeline(cfg).Corpus, without the click
-// log, the offline stage or a whole-corpus term index. A process that
-// serves posts (cmd/shardd, the gateway's in-process shards) builds
-// only this and indexes each partition of it once
-// (shard.PartitionTweets).
+// indexed. They are BuildPipeline(cfg).Corpus's tweets by construction:
+// microblog.Generate is FromTweets over this same GenerateTweets slice.
+// It skips the click log, the offline stage and a whole-corpus term
+// index. A process that serves posts (cmd/shardd, the gateway's
+// in-process shards) builds only this and indexes each partition of it
+// once (shard.PartitionTweets, whose exact partition FromTweets adopts).
 func BuildBase(cfg PipelineConfig) (*world.World, []microblog.Tweet) {
 	w := world.Build(cfg.World)
 	return w, microblog.GenerateTweets(w, cfg.Tweets)

@@ -52,7 +52,7 @@ func mergeStream(w *world.World) []microblog.Tweet {
 func TestMergeEqualsRebuild(t *testing.T) {
 	w := world.Build(world.TinyConfig())
 	tweets := mergeStream(w)
-	rebuild := microblog.FromTweets(w, tweets)
+	rebuild := microblog.FromTweets(w, slices.Clone(tweets)) // FromTweets adopts its slice
 	if len(rebuild.Postings("onlyhere")) != 1 || len(rebuild.Tweet(41).Terms) != 0 {
 		t.Fatal("the special posts are not in the sequence")
 	}
@@ -79,7 +79,7 @@ func TestMergeEqualsRebuild(t *testing.T) {
 		var parts []*diskseg.Segment
 		label := fmt.Sprintf("round %d:", round)
 		for j := 0; j+1 < len(bounds); j++ {
-			img, err := diskseg.Encode(microblog.FromTweets(w, tweets[bounds[j]:bounds[j+1]]))
+			img, err := diskseg.Encode(microblog.FromTweets(w, slices.Clone(tweets[bounds[j]:bounds[j+1]])))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -229,7 +229,7 @@ func checkMergedImage(t *testing.T, label string, w *world.World, dir string, ch
 	var all []microblog.Tweet
 	for _, chunk := range chunks {
 		path := filepath.Join(dir, fmt.Sprintf("part-%d.esg", len(segs)))
-		if err := writeImage(path, microblog.FromTweets(w, chunk)); err != nil {
+		if err := writeImage(path, microblog.FromTweets(w, slices.Clone(chunk))); err != nil {
 			t.Fatal(err)
 		}
 		s, err := diskseg.Open(path, nil)

@@ -70,9 +70,11 @@ type Config struct {
 	// CompactFanIn is how many adjacent similar-sized sealed segments
 	// the compactor merges at a time. Zero means 4.
 	CompactFanIn int
-	// DisableCompactor skips starting the background compactor (used by
-	// tests and benchmarks that want to observe fragmented state) and
-	// the backlog cap. An explicit Quiesce still compacts.
+	// DisableCompactor skips starting the background compactor and the
+	// backlog cap. Tests and benchmarks that want to observe fragmented
+	// state set it, and so does cmd/gateway for its read-only
+	// in-process shards, which never seal. An explicit Quiesce still
+	// compacts.
 	DisableCompactor bool
 	// SpillDir enables the disk tier: the compactor writes sealed
 	// segments holding at least SpillThreshold posts to files under

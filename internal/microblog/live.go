@@ -1,15 +1,15 @@
-// Live-corpus construction: the entry point the streaming ingestion
-// subsystem (internal/ingest) seals segments through, and the cold
-// constructors it is checked against. A frozen Corpus is still produced
-// by Generate. The streaming index indexes a post once, when it
-// arrives, and carries that work forward: FromIndex adopts the term
-// index the writer maintained, which a seal encodes (internal/diskseg)
-// without tokenizing or re-indexing a post. FromTweets, BuildCorpus and
-// ExtendedWith index explicit posts from scratch; they are the
-// reference every live path must equal (a sealed image ≡ the image of
-// FromTweets over the same posts, a quiesced index ≡ ExtendedWith). PostStream generates an endless deterministic stream
-// of live posts from the same world model, feeding load generators and
-// the streaming demo.
+// Live-corpus construction. Every Corpus is built one way: rendered
+// tweets and their term index in, per-user counters computed once by
+// FromIndex. The streaming ingestion subsystem (internal/ingest) seals
+// through FromIndex with the term index its writer kept as each post
+// arrived, which a seal encodes (internal/diskseg) without tokenizing
+// or re-indexing a post. FromTweets builds that index from scratch
+// over a slice it adopts, and Generate, BuildCorpus and ExtendedWith
+// each hand it one fresh slice: it is the reference every live path
+// must equal (a sealed image ≡ the image of FromTweets over the same
+// posts, a quiesced index ≡ ExtendedWith). PostStream generates an
+// endless deterministic stream of live posts from the same world
+// model, feeding load generators and the streaming demo.
 package microblog
 
 import (
@@ -47,41 +47,35 @@ func MakeTweet(p Post) Tweet {
 	}
 }
 
-// newShell returns an empty corpus wired to w.
-func newShell(w *world.World) *Corpus {
-	return &Corpus{
-		w:          w,
-		termIndex:  map[string][]TweetID{},
-		tweetsBy:   make([]int, len(w.Users)),
-		mentionsOf: make([]int, len(w.Users)),
-		retweetsOf: make([]int, len(w.Users)),
-	}
-}
-
-// FromTweets indexes an explicit, already-rendered tweet sequence. IDs
-// are reassigned to the position in the sequence; Terms slices are
-// shared with the input, not re-tokenized. It is the from-scratch
-// reference FromIndex is checked against, and the partition
-// constructor of internal/shard.
+// FromTweets indexes an already-rendered tweet sequence and adopts it:
+// the corpus holds the caller's array, each tweet's ID is set to its
+// position in place, and Terms slices are indexed as they are, not
+// re-tokenized. The caller must not use the slice again. It is the
+// from-scratch reference FromIndex is checked against, and the
+// partition constructor of internal/shard.
 func FromTweets(w *world.World, tweets []Tweet) *Corpus {
-	c := newShell(w)
-	c.tweets = make([]Tweet, 0, len(tweets))
-	for _, tw := range tweets {
-		c.appendTweet(tw)
+	index := map[string][]TweetID{}
+	for i := range tweets {
+		id := TweetID(i)
+		tweets[i].ID = id
+		for _, tok := range tweets[i].Terms {
+			// Postings grow in id order, so a token repeated within
+			// this tweet already ends its list with id.
+			if p := index[tok]; len(p) == 0 || p[len(p)-1] != id {
+				index[tok] = append(p, id)
+			}
+		}
 	}
-	c.buildIndex()
-	return c
+	return FromIndex(w, tweets, index)
 }
 
 // BuildCorpus renders and indexes raw posts (ids 0..len(posts)-1).
 func BuildCorpus(w *world.World, posts []Post) *Corpus {
-	c := newShell(w)
-	c.tweets = make([]Tweet, 0, len(posts))
-	for _, p := range posts {
-		c.appendTweet(MakeTweet(p))
+	tweets := make([]Tweet, len(posts))
+	for i, p := range posts {
+		tweets[i] = MakeTweet(p)
 	}
-	c.buildIndex()
-	return c
+	return FromTweets(w, tweets)
 }
 
 // ExtendedWith returns a new corpus holding c's tweets followed by the

@@ -92,6 +92,49 @@ func TestFromTweetsReindexesConcatenation(t *testing.T) {
 	corporaIdentical(t, FromTweets(w, all), BuildCorpus(w, posts))
 }
 
+// TestFromTweetsAdoptsSlice pins FromTweets's ownership contract: the
+// corpus holds the caller's array, not a copy, each tweet's ID is
+// overwritten in place with its position, and the per-user counters
+// are a hand count of the slice.
+func TestFromTweetsAdoptsSlice(t *testing.T) {
+	w := world.Build(world.TinyConfig())
+	posts := streamPosts(w, 404, 150)
+	in := make([]Tweet, len(posts))
+	for i, p := range posts {
+		in[i] = MakeTweet(p)
+		in[i].ID = TweetID(len(posts) - i) // stale: FromTweets must overwrite it
+	}
+	c := FromTweets(w, in)
+	if &c.Tweets()[0] != &in[0] {
+		t.Fatal("FromTweets copied its input instead of adopting it")
+	}
+	tweetsBy := make([]int, len(w.Users))
+	mentionsOf := make([]int, len(w.Users))
+	retweetsOf := make([]int, len(w.Users))
+	mentions := 0
+	for i, tw := range in {
+		if tw.ID != TweetID(i) {
+			t.Fatalf("tweet %d has ID %d, want its position", i, tw.ID)
+		}
+		tweetsBy[tw.Author]++
+		retweetsOf[tw.Author] += tw.RetweetCount
+		for _, m := range tw.Mentions {
+			mentionsOf[m]++
+			mentions++
+		}
+	}
+	if mentions == 0 {
+		t.Fatal("the stream drew no mention: the mention counter goes unchecked")
+	}
+	for u := range w.Users {
+		id := world.UserID(u)
+		if c.NumTweetsBy(id) != tweetsBy[u] || c.NumMentionsOf(id) != mentionsOf[u] || c.NumRetweetsOf(id) != retweetsOf[u] {
+			t.Fatalf("user %d counters (%d, %d, %d), hand count (%d, %d, %d)", u,
+				c.NumTweetsBy(id), c.NumMentionsOf(id), c.NumRetweetsOf(id), tweetsBy[u], mentionsOf[u], retweetsOf[u])
+		}
+	}
+}
+
 // TestExtendedWithLeavesOriginalUntouched guards the immutability the
 // snapshot machinery relies on.
 func TestExtendedWithLeavesOriginalUntouched(t *testing.T) {

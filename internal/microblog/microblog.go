@@ -14,7 +14,6 @@ package microblog
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/textutil"
@@ -322,23 +321,16 @@ var fillerWords = []string{
 // Generate builds a corpus from the world. Generation is deterministic
 // in cfg.Seed.
 func Generate(w *world.World, cfg GenConfig) *Corpus {
-	c := generate(w, cfg)
-	c.buildIndex()
-	return c
+	return FromTweets(w, GenerateTweets(w, cfg))
 }
 
 // GenerateTweets returns Generate(w, cfg)'s tweets, rendered but not
-// indexed: a process that serves a partition of them (FromTweets over
-// the slice) indexes each post once, not the whole corpus first.
+// indexed, each ID its position: a process that serves a partition of
+// them (FromTweets over the slice) indexes each post once, not the
+// whole corpus first.
 func GenerateTweets(w *world.World, cfg GenConfig) []Tweet {
-	return generate(w, cfg).tweets
-}
-
-// generate renders the corpus's tweets and per-user counters, leaving
-// the term index empty.
-func generate(w *world.World, cfg GenConfig) *Corpus {
 	rng := xrand.New(cfg.Seed)
-	c := newShell(w)
+	g := &generator{w: w}
 
 	// Per-topic keyword samplers weighted by TweetRate: this is where
 	// search popularity and tweet usage deliberately diverge.
@@ -377,7 +369,7 @@ func generate(w *world.World, cfg GenConfig) *Corpus {
 			n := rng.Poisson(mean)
 			for k := 0; k < n; k++ {
 				if rng.Bool(cfg.OffTopicRate) || len(u.Topics) == 0 {
-					c.addChatter(u.ID, rng)
+					g.addChatter(u.ID, rng)
 					continue
 				}
 				topic := u.Topics[rng.Intn(len(u.Topics))]
@@ -385,21 +377,20 @@ func generate(w *world.World, cfg GenConfig) *Corpus {
 				// not tweeted: their would-be topical posts degrade to
 				// chatter, leaving the query unanswerable by any detector.
 				if !rng.Bool(w.Topic(topic).TweetActivity) {
-					c.addChatter(u.ID, rng)
+					g.addChatter(u.ID, rng)
 					continue
 				}
-				id := c.addTopical(u.ID, topic, kwSamplers[topic], rng, cfg)
+				g.addTopical(u.ID, topic, kwSamplers[topic], rng, cfg)
 				// Fans mention productive experts in topical posts.
 				if rng.Bool(cfg.MentionRate*u.Influence*2) && len(casuals) > 0 {
 					fan := casuals[rng.Intn(len(casuals))]
-					c.addMentionPost(fan, u.ID, topic, kwSamplers[topic], rng)
+					g.addMentionPost(fan, u.ID, topic, kwSamplers[topic], rng)
 				}
-				_ = id
 			}
 		case world.CasualUser:
 			n := rng.Poisson(cfg.TweetsPerCasual)
 			for k := 0; k < n; k++ {
-				c.addChatter(u.ID, rng)
+				g.addChatter(u.ID, rng)
 			}
 		case world.SpamUser:
 			n := rng.Poisson(cfg.TweetsPerSpammer)
@@ -408,18 +399,26 @@ func generate(w *world.World, cfg GenConfig) *Corpus {
 				topic := world.TopicID(spamTopics.Draw())
 				kw := w.Topic(topic).Keywords[0].Text
 				text := "free prizes " + kw + " click here " + fillerWords[rng.Intn(len(fillerWords))]
-				c.append(u.ID, text, nil, 0, -1)
+				g.append(u.ID, text, nil, 0, -1)
 			}
 		}
 	}
-	return c
+	return g.tweets
+}
+
+// generator accumulates the base corpus's tweets in generation order.
+// The slice grows by doubling: each user's post count is a Poisson
+// draw, so the total is not known ahead.
+type generator struct {
+	w      *world.World
+	tweets []Tweet
 }
 
 // addTopical emits one on-topic post for the author.
-func (c *Corpus) addTopical(author world.UserID, topic world.TopicID,
-	kws *xrand.Weighted, rng *xrand.RNG, cfg GenConfig) TweetID {
+func (g *generator) addTopical(author world.UserID, topic world.TopicID,
+	kws *xrand.Weighted, rng *xrand.RNG, cfg GenConfig) {
 
-	t := c.w.Topic(topic)
+	t := g.w.Topic(topic)
 	kw := t.Keywords[kws.Draw()].Text
 	var b strings.Builder
 	b.WriteString(fillerWords[rng.Intn(len(fillerWords))])
@@ -435,25 +434,25 @@ func (c *Corpus) addTopical(author world.UserID, topic world.TopicID,
 	b.WriteByte(' ')
 	b.WriteString(fillerWords[rng.Intn(len(fillerWords))])
 
-	retweets := rng.Poisson(cfg.RetweetBoost * c.w.User(author).Influence * 2)
-	return c.append(author, b.String(), nil, retweets, topic)
+	retweets := rng.Poisson(cfg.RetweetBoost * g.w.User(author).Influence * 2)
+	g.append(author, b.String(), nil, retweets, topic)
 }
 
 // addMentionPost emits a fan post that @-mentions an expert together
 // with a topical keyword, feeding the expert's mention-impact feature.
-func (c *Corpus) addMentionPost(fan, expert world.UserID, topic world.TopicID,
+func (g *generator) addMentionPost(fan, expert world.UserID, topic world.TopicID,
 	kws *xrand.Weighted, rng *xrand.RNG) {
 
-	t := c.w.Topic(topic)
+	t := g.w.Topic(topic)
 	kw := t.Keywords[kws.Draw()].Text
 	text := fmt.Sprintf("@%s great takes on %s %s",
-		c.w.User(expert).ScreenName, kw, fillerWords[rng.Intn(len(fillerWords))])
-	c.append(fan, text, []world.UserID{expert}, rng.Poisson(0.2), topic)
+		g.w.User(expert).ScreenName, kw, fillerWords[rng.Intn(len(fillerWords))])
+	g.append(fan, text, []world.UserID{expert}, rng.Poisson(0.2), topic)
 }
 
 // addChatter emits a generic off-topic post; occasionally it mentions
 // another random user, giving mention denominators realistic mass.
-func (c *Corpus) addChatter(author world.UserID, rng *xrand.RNG) {
+func (g *generator) addChatter(author world.UserID, rng *xrand.RNG) {
 	var b strings.Builder
 	n := 2 + rng.Intn(4)
 	for i := 0; i < n; i++ {
@@ -464,59 +463,20 @@ func (c *Corpus) addChatter(author world.UserID, rng *xrand.RNG) {
 	}
 	var mentions []world.UserID
 	if rng.Bool(0.08) {
-		other := world.UserID(rng.Intn(len(c.w.Users)))
+		other := world.UserID(rng.Intn(len(g.w.Users)))
 		if other != author {
 			b.WriteString(" @")
-			b.WriteString(c.w.User(other).ScreenName)
+			b.WriteString(g.w.User(other).ScreenName)
 			mentions = append(mentions, other)
 		}
 	}
-	c.append(author, b.String(), mentions, rng.Poisson(0.05), -1)
+	g.append(author, b.String(), mentions, rng.Poisson(0.05), -1)
 }
 
-// append finalizes one post: truncates to 140 runes, tokenizes, and
-// updates the per-user counters.
-func (c *Corpus) append(author world.UserID, text string, mentions []world.UserID, retweets int, topic world.TopicID) TweetID {
-	return c.appendTweet(MakeTweet(Post{
-		Author:       author,
-		Text:         text,
-		Mentions:     mentions,
-		RetweetCount: retweets,
-		Topic:        topic,
-	}))
-}
-
-// appendTweet appends an already-rendered tweet, reassigning its ID to
-// the corpus-local position and updating the per-user counters. The
-// Terms slice is shared, not re-tokenized.
-func (c *Corpus) appendTweet(tw Tweet) TweetID {
-	tw.ID = TweetID(len(c.tweets))
-	c.tweets = append(c.tweets, tw)
-	c.tweetsBy[tw.Author]++
-	for _, m := range tw.Mentions {
-		c.mentionsOf[m]++
-	}
-	c.retweetsOf[tw.Author] += tw.RetweetCount
-	return tw.ID
-}
-
-// buildIndex constructs the token -> tweet inverted index.
-func (c *Corpus) buildIndex() {
-	for i := range c.tweets {
-		seen := map[string]bool{}
-		for _, tok := range c.tweets[i].Terms {
-			if seen[tok] {
-				continue
-			}
-			seen[tok] = true
-			c.termIndex[tok] = append(c.termIndex[tok], c.tweets[i].ID)
-		}
-	}
-	// Posting lists are already sorted because tweets are appended in id
-	// order, but assert the invariant cheaply in debug-style.
-	for _, p := range c.termIndex {
-		if !sort.SliceIsSorted(p, func(i, j int) bool { return p[i] < p[j] }) {
-			panic("microblog: posting list not sorted")
-		}
-	}
+// append renders one post (truncated to 140 runes, tokenized) and
+// appends it, its ID its position.
+func (g *generator) append(author world.UserID, text string, mentions []world.UserID, retweets int, topic world.TopicID) {
+	tw := MakeTweet(Post{Author: author, Text: text, Mentions: mentions, RetweetCount: retweets, Topic: topic})
+	tw.ID = TweetID(len(g.tweets))
+	g.tweets = append(g.tweets, tw)
 }
