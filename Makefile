@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all artifact build test race flake vet bench bench-once bench-check bench-smoke cover cover-check check docs-check bench-ingest bench-shard bench-remote bench-replica bench-gateway bench-disk loc fuzz-smoke run-gateway smoke-gateway examples-smoke
+.PHONY: all artifact golden build test race flake vet bench bench-once bench-check bench-smoke cover cover-check check docs-check bench-ingest bench-shard bench-remote bench-replica bench-gateway bench-disk loc fuzz-smoke run-gateway smoke-gateway examples-smoke
 
 all: check
 
@@ -122,6 +122,14 @@ bench-disk:
 # artifact's encoding; the same test without -update fails until then.
 artifact:
 	$(GO) test ./cmd/gateway -run '^TestArtifactIsFresh$$' -count=1 -update
+
+# Regenerates cmd/esharp/testdata/experiments-*.txt, the ledger of every
+# paper table and figure at the tiny and small scales (Table 9's
+# runtimes masked): TestExperimentsLedger with -update. Run it after a
+# change that is meant to move a number of the paper's evaluation; the
+# same test without -update fails until then.
+golden:
+	$(GO) test ./cmd/esharp -run '^TestExperimentsLedger$$' -count=1 -update
 
 # Non-test Go lines under internal/ and cmd/ — the tracked metric of
 # ROADMAP aim 2. CHANGES.md quotes it for parent and change:

@@ -1,6 +1,8 @@
 package microblog
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/world"
@@ -174,4 +176,33 @@ func longText(n int) string {
 		b[i] = 'x'
 	}
 	return string(b)
+}
+
+// TestGenerationIsPinned fixes, post for post, what the base corpus
+// generator and the live stream emit over the tiny world: a digest of
+// every rendered field. A change that moves one RNG draw, one word or
+// one rate changes the digest — and with it every figure downstream.
+func TestGenerationIsPinned(t *testing.T) {
+	w := world.Build(world.TinyConfig())
+	tweets := GenerateTweets(w, TinyGenConfig())
+	base := make([]Post, len(tweets))
+	for i, tw := range tweets {
+		base[i] = Post{Author: tw.Author, Text: tw.Text, Mentions: tw.Mentions, RetweetCount: tw.RetweetCount, Topic: tw.Topic}
+	}
+	for _, c := range []struct {
+		name  string
+		posts []Post
+		want  string
+	}{
+		{"GenerateTweets(tiny)", base, "d76d8894dd1f8140"},
+		{"the first 20000 stream posts (seed 7)", streamPosts(w, 7, 20_000), "140723eb6f2f2917"},
+	} {
+		h := fnv.New64a()
+		for _, p := range c.posts {
+			fmt.Fprintf(h, "%d|%q|%v|%d|%d\n", p.Author, p.Text, p.Mentions, p.RetweetCount, p.Topic)
+		}
+		if got := fmt.Sprintf("%016x", h.Sum64()); got != c.want {
+			t.Errorf("%s: digest %s, want %s", c.name, got, c.want)
+		}
+	}
 }
