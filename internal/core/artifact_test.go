@@ -73,9 +73,10 @@ func TestArtifactRoundTrip(t *testing.T) {
 }
 
 // TestDecodeArtifactRejectsCorrupt feeds DecodeArtifact a foreign
-// file, truncations of a valid artifact, a trailing byte and a
-// user count the input cannot hold: each is an error, never a panic or
-// a partial artifact.
+// file, truncations of a valid artifact, a trailing byte, a user count
+// the input cannot hold and a proximity link to a domain the
+// collection lacks: each is an error, never a panic or a partial
+// artifact.
 func TestDecodeArtifactRejectsCorrupt(t *testing.T) {
 	data := tinyArtifactBytes(t)
 	for name, bad := range map[string][]byte{
@@ -83,6 +84,8 @@ func TestDecodeArtifactRejectsCorrupt(t *testing.T) {
 		"empty":    nil,
 		"trailing": append(slices.Clone(data), 0),
 		"users":    append(slices.Clone(artifactMagic[:]), 0xff, 0xff, 0xff, 0xff, 0x0f),
+		// No users; one domain of no terms, linked to domain 5.
+		"link": append(slices.Clone(artifactMagic[:]), 0, 'e', '#', 'd', 'o', 'm', 'v', '0', '1', 1, 0, 1, 5, 0),
 	} {
 		if _, err := DecodeArtifact(bad); err == nil {
 			t.Errorf("%s input decoded without error", name)

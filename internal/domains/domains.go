@@ -13,7 +13,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/community"
 	"repro/internal/simgraph"
@@ -46,33 +45,21 @@ func (d *Domain) Size() int { return len(d.Terms) }
 // Collection is the queryable set of domains.
 type Collection struct {
 	domains []Domain
-	// byTerm maps every normalized member term to its domain.
-	byTerm map[string]int32
 	// proximity[a] lists the closest other domains of a, strongest
 	// first (inter-domain similarity mass) — the data behind Figure 7.
 	proximity [][]DomainLink
-	// The canonical lookup tables below make Lookup a pure function of
-	// the query's canonical token set (sorted, de-duplicated tokens), so
-	// the serve layer may safely share one cache/singleflight entry
-	// across reordered or duplicated spellings of the same query. Built
-	// lazily.
-	canonOnce sync.Once
-	// byCanon maps the canonical form of every member term to the
-	// domain that wins that canonical class (highest intra-domain
-	// weight; ties break toward the lower domain, then the more central
-	// term).
+	// byCanon maps the canonical form (textutil.Canonical: sorted,
+	// de-duplicated tokens) of every member term to the domain that
+	// wins that canonical class (highest intra-domain weight; ties
+	// break toward the lower domain, then the more central term). It is
+	// the lookup table: Lookup — and so expansion and the whole search —
+	// is a pure function of the query's canonical token set, so the
+	// serve layer may share one cache/singleflight entry across
+	// reordered or duplicated spellings of the same query.
 	byCanon map[string]int32
-	// canonLosers marks exact member terms whose canonical class
-	// resolves to a different domain; Lookup routes them to the winner
-	// so permuted spellings and the verbatim spelling agree.
-	canonLosers map[string]bool
 	// canonTerms mirrors domains[i].Terms with each term's canonical
 	// form, for canonical-class exclusion during expansion.
 	canonTerms [][]string
-	// canonDup[i] reports whether domain i contains two member terms
-	// sharing a canonical form; expansion must then exclude by
-	// canonical equality rather than string identity.
-	canonDup []bool
 }
 
 // DomainLink is a weighted reference to a nearby domain.
@@ -88,7 +75,6 @@ type DomainLink struct {
 func FromClustering(g *simgraph.Graph, res *community.Result) *Collection {
 	c := &Collection{
 		domains: make([]Domain, res.NumCommunities),
-		byTerm:  make(map[string]int32),
 	}
 	// Intra-domain term weights: sum of edge weights to co-members.
 	intraWeight := make([]float64, g.NumVertices())
@@ -116,7 +102,6 @@ func FromClustering(g *simgraph.Graph, res *community.Result) *Collection {
 			term := g.Term(v)
 			d.Terms = append(d.Terms, term)
 			d.Weights = append(d.Weights, intraWeight[v])
-			c.byTerm[term] = id
 		}
 		c.domains[id] = d
 	}
@@ -161,6 +146,7 @@ func FromClustering(g *simgraph.Graph, res *community.Result) *Collection {
 			return p[x].ID < p[y].ID
 		})
 	}
+	c.indexCanon()
 	return c
 }
 
@@ -170,67 +156,47 @@ func (c *Collection) NumDomains() int { return len(c.domains) }
 // Domain returns the domain with the given ID.
 func (c *Collection) Domain(id int32) *Domain { return &c.domains[id] }
 
-// ensureCanonIndex lazily builds the canonical lookup tables. Safe for
-// concurrent use; after the first call it is one atomic load.
-func (c *Collection) ensureCanonIndex() {
-	c.canonOnce.Do(func() {
-		type winner struct {
-			domain int32
-			weight float64
-		}
-		best := map[string]winner{}
-		c.canonTerms = make([][]string, len(c.domains))
-		c.canonDup = make([]bool, len(c.domains))
-		for i := range c.domains {
-			d := &c.domains[i]
-			ct := make([]string, len(d.Terms))
-			seen := map[string]bool{}
-			for j, t := range d.Terms {
-				k := textutil.Canonical(t)
-				ct[j] = k
-				if seen[k] {
-					c.canonDup[i] = true
-				}
-				seen[k] = true
-				// Strict > keeps the first maximum: domains iterate in ID
-				// order and Terms are weight-sorted, so ties resolve to the
-				// lower domain and its most central term — deterministic.
-				if w, ok := best[k]; !ok || d.Weights[j] > w.weight {
-					best[k] = winner{domain: d.ID, weight: d.Weights[j]}
-				}
-			}
-			c.canonTerms[i] = ct
-		}
-		c.byCanon = make(map[string]int32, len(best))
-		for k, w := range best {
-			c.byCanon[k] = w.domain
-		}
-		c.canonLosers = map[string]bool{}
-		for t, id := range c.byTerm {
-			if c.byCanon[textutil.Canonical(t)] != id {
-				c.canonLosers[t] = true
+// indexCanon builds the canonical lookup tables from the domains.
+func (c *Collection) indexCanon() {
+	type winner struct {
+		domain int32
+		weight float64
+	}
+	best := map[string]winner{}
+	c.canonTerms = make([][]string, len(c.domains))
+	for i := range c.domains {
+		d := &c.domains[i]
+		ct := make([]string, len(d.Terms))
+		for j, t := range d.Terms {
+			k := textutil.Canonical(t)
+			ct[j] = k
+			// Strict > keeps the first maximum: domains iterate in ID
+			// order and Terms are weight-sorted, so ties resolve to the
+			// lower domain and its most central term — deterministic.
+			if w, ok := best[k]; !ok || d.Weights[j] > w.weight {
+				best[k] = winner{domain: d.ID, weight: d.Weights[j]}
 			}
 		}
-	})
+		c.canonTerms[i] = ct
+	}
+	c.byCanon = make(map[string]int32, len(best))
+	for k, w := range best {
+		c.byCanon[k] = w.domain
+	}
 }
 
 // Lookup finds the domain containing the query "exactly and in order,
-// after lower-casing" (Section 5), falling back to the query's
-// canonical token set when no verbatim member matches. The fallback
-// makes Lookup — and therefore expansion and the whole search — a pure
-// function of the canonical token set, which is what justifies the
-// serve layer coalescing "rust go" onto "go rust": the tweet-matching
-// predicate (AND over tokens) is itself order- and
-// duplicate-insensitive, so token order only ever mattered here. When
-// two member terms share a canonical form, every spelling routes to
-// the one deterministic winner. The second return is false when no
-// domain contains the term.
+// after lower-casing" (Section 5), up to token order and repetition:
+// it is the canonical table, byCanon[textutil.Canonical(query)]. A
+// verbatim member resolves to its own domain unless another domain's
+// member of the same canonical class outweighs it; every spelling of
+// the class then routes to that one deterministic winner. Ignoring
+// token order is what justifies the serve layer coalescing "rust go"
+// onto "go rust": the tweet-matching predicate (AND over tokens) is
+// itself order- and duplicate-insensitive, so token order only ever
+// mattered here. The second return is false when no domain contains
+// the term.
 func (c *Collection) Lookup(query string) (*Domain, bool) {
-	c.ensureCanonIndex()
-	norm := textutil.Normalize(query)
-	if id, ok := c.byTerm[norm]; ok && !c.canonLosers[norm] {
-		return &c.domains[id], true
-	}
 	if id, ok := c.byCanon[textutil.Canonical(query)]; ok {
 		return &c.domains[id], true
 	}
@@ -241,37 +207,18 @@ func (c *Collection) Lookup(query string) (*Domain, bool) {
 // members of its domain, most central first), excluding the query
 // itself. An empty slice means the query matched an orphan or no domain.
 func (c *Collection) Expand(query string, maxTerms int) []string {
-	d, ok := c.Lookup(query)
+	canon := textutil.Canonical(query)
+	id, ok := c.byCanon[canon]
 	if !ok {
 		return nil
 	}
-	return c.expandFrom(d, query, maxTerms)
+	return c.expandFrom(&c.domains[id], canon, maxTerms)
 }
 
 // expandFrom lists up to maxTerms members of d excluding every term in
-// the query's canonical class (a reordered spelling of a member must
+// the canonical class canonQ (a reordered spelling of a member must
 // not expand into itself).
-func (c *Collection) expandFrom(d *Domain, query string, maxTerms int) []string {
-	c.ensureCanonIndex()
-	norm := textutil.Normalize(query)
-	// Fast path: the query verbatim-matches a member of this very
-	// domain and no two members share a canonical form — excluding the
-	// literal member is then exactly canonical-class exclusion, with no
-	// canonicalization work on the hot exact-hit path.
-	if id, exact := c.byTerm[norm]; exact && id == d.ID && !c.canonDup[d.ID] && !c.canonLosers[norm] {
-		out := make([]string, 0, min(maxTerms, len(d.Terms)))
-		for _, t := range d.Terms {
-			if t == norm {
-				continue
-			}
-			out = append(out, t)
-			if len(out) == maxTerms {
-				break
-			}
-		}
-		return out
-	}
-	canonQ := textutil.Canonical(query)
+func (c *Collection) expandFrom(d *Domain, canonQ string, maxTerms int) []string {
 	ct := c.canonTerms[d.ID]
 	out := make([]string, 0, min(maxTerms, len(d.Terms)))
 	for i, t := range d.Terms {
@@ -316,7 +263,6 @@ type Admission struct {
 // Admission builds the table of Expand(q, maxTerms) over every
 // canonical class of member terms.
 func (c *Collection) Admission(maxTerms int) *Admission {
-	c.ensureCanonIndex()
 	a := &Admission{byCanon: make(map[string]TermSet, len(c.byCanon))}
 	keys := map[string]string{} // interned: one string per distinct term set
 	var terms []string
@@ -474,7 +420,6 @@ func Decode(r io.ByteReader) (*Collection, error) {
 	}
 	c := &Collection{
 		domains:   make([]Domain, nd),
-		byTerm:    map[string]int32{},
 		proximity: make([][]DomainLink, nd),
 	}
 	for i := range c.domains {
@@ -497,7 +442,6 @@ func Decode(r io.ByteReader) (*Collection, error) {
 			}
 			d.Terms = append(d.Terms, t)
 			d.Weights = append(d.Weights, math.Float64frombits(wb))
-			c.byTerm[t] = int32(i)
 		}
 		nl, err := readUvarint()
 		if err != nil {
@@ -507,20 +451,24 @@ func Decode(r io.ByteReader) (*Collection, error) {
 			return nil, fmt.Errorf("link count %d too large", nl)
 		}
 		for j := uint64(0); j < nl; j++ {
-			idBits, err := readUvarint()
+			id, err := readUvarint()
 			if err != nil {
 				return nil, err
+			}
+			if id >= nd {
+				return nil, fmt.Errorf("domain %d links to domain %d of %d", i, id, nd)
 			}
 			wb, err := readUvarint()
 			if err != nil {
 				return nil, err
 			}
 			c.proximity[i] = append(c.proximity[i], DomainLink{
-				ID:     int32(uint32(idBits)),
+				ID:     int32(id),
 				Weight: math.Float64frombits(wb),
 			})
 		}
 		c.domains[i] = d
 	}
+	c.indexCanon()
 	return c, nil
 }

@@ -204,7 +204,7 @@ func BenchmarkEncodeDecode(b *testing.B) {
 // across two domains so one spelling loses its own domain (domains 1
 // and 2), and a domain larger than any expansion cap (domain 3).
 func canonCollection() *Collection {
-	c := &Collection{byTerm: map[string]int32{}}
+	c := &Collection{}
 	for id, terms := range [][]string{
 		{"go rust", "rust go", "golang", "gopher"},
 		{"b a", "c"},
@@ -212,12 +212,12 @@ func canonCollection() *Collection {
 		{"t00", "t01", "t02", "t03", "t04", "t05", "t06", "t07", "t08", "t09", "t10", "t11", "t12 x", "t13"},
 	} {
 		d := Domain{ID: int32(id), Terms: terms}
-		for j, term := range terms {
+		for j := range terms {
 			d.Weights = append(d.Weights, float64(10*(id+1)-j))
-			c.byTerm[term] = d.ID
 		}
 		c.domains = append(c.domains, d)
 	}
+	c.indexCanon()
 	return c
 }
 

@@ -9,11 +9,13 @@
 // TweetRate. Keywords that are searched often but tweeted rarely — the
 // "west coast football" case from the paper's introduction — therefore
 // match almost no posts, and a detector restricted to the literal query
-// misses the topic's experts.
+// misses the topic's experts. One poster renders every synthetic post,
+// for the base corpus (GenerateTweets) and the live stream (PostStream)
+// alike, so the live posts cannot drift from the world every process
+// boots from.
 package microblog
 
 import (
-	"fmt"
 	"strings"
 
 	"repro/internal/textutil"
@@ -61,7 +63,8 @@ func (t *Tweet) HasHashtag() bool {
 	return false
 }
 
-// GenConfig controls corpus generation.
+// GenConfig controls corpus generation: its seed and posting volumes.
+// The behaviour rates (offTopicRate and the rest) are constants.
 type GenConfig struct {
 	Seed uint64
 	// TweetsPerExpert is the mean post count of an influence-1 expert.
@@ -69,30 +72,30 @@ type GenConfig struct {
 	// TweetsPerCasual and TweetsPerSpammer are mean post counts.
 	TweetsPerCasual  float64
 	TweetsPerSpammer float64
-	// OffTopicRate is the chance an expert post is generic chatter.
-	OffTopicRate float64
-	// SecondKeywordRate is the chance a topical post carries a second
-	// keyword of the same topic (bounded by the 140-char limit).
-	SecondKeywordRate float64
-	// MentionRate is the chance a topical expert post triggers a fan
-	// post mentioning the expert.
-	MentionRate float64
-	// RetweetBoost scales retweet counts of topical posts.
-	RetweetBoost float64
 }
 
 // DefaultGenConfig returns corpus defaults for the default world.
 func DefaultGenConfig() GenConfig {
 	return GenConfig{
-		Seed:              11,
-		TweetsPerExpert:   60,
-		TweetsPerCasual:   10,
-		TweetsPerSpammer:  40,
-		OffTopicRate:      0.2,
-		SecondKeywordRate: 0.2,
-		MentionRate:       0.25,
-		RetweetBoost:      3,
+		Seed:             11,
+		TweetsPerExpert:  60,
+		TweetsPerCasual:  10,
+		TweetsPerSpammer: 40,
 	}
+}
+
+// meanPosts is u's mean post count in the base corpus — and, in the
+// live stream, u's weight as an author.
+func (c GenConfig) meanPosts(u *world.User) float64 {
+	switch u.Kind {
+	case world.ExpertUser, world.NewsUser:
+		return c.TweetsPerExpert * (0.3 + u.Influence)
+	case world.CasualUser:
+		return c.TweetsPerCasual
+	case world.SpamUser:
+		return c.TweetsPerSpammer
+	}
+	return 0
 }
 
 // TinyGenConfig returns a miniature configuration for unit tests.
@@ -308,6 +311,70 @@ func IntersectInto(dst, a, b []TweetID) []TweetID {
 	return dst
 }
 
+// Generate builds a corpus from the world. Generation is deterministic
+// in cfg.Seed.
+func Generate(w *world.World, cfg GenConfig) *Corpus {
+	return FromTweets(w, GenerateTweets(w, cfg))
+}
+
+// GenerateTweets returns Generate(w, cfg)'s tweets, rendered but not
+// indexed, each ID its position: a process that serves a partition of
+// them (FromTweets over the slice) indexes each post once, not the
+// whole corpus first. Each user posts a Poisson number of times; an
+// expert's topical post may draw a fan's mention of it right after.
+func GenerateTweets(w *world.World, cfg GenConfig) []Tweet {
+	rng := xrand.New(cfg.Seed)
+	p := newPoster(w, rng)
+	// The slice grows by doubling: the total of the Poisson draws is
+	// not known ahead.
+	var tweets []Tweet
+	emit := func(post Post) {
+		tw := MakeTweet(post)
+		tw.ID = TweetID(len(tweets))
+		tweets = append(tweets, tw)
+	}
+	for i := range w.Users {
+		u := &w.Users[i]
+		for range rng.Poisson(cfg.meanPosts(u)) {
+			switch u.Kind {
+			case world.ExpertUser, world.NewsUser:
+				topic, ok := p.topicOf(u)
+				if !ok {
+					emit(p.chatter(u.ID))
+					continue
+				}
+				emit(p.topical(u.ID, topic))
+				if rng.Bool(baseMentionRate*u.Influence*2) && len(p.fans) > 0 {
+					emit(p.mention(u.ID, topic))
+				}
+			case world.CasualUser:
+				emit(p.chatter(u.ID))
+			case world.SpamUser:
+				emit(p.spam(u.ID))
+			}
+		}
+	}
+	return tweets
+}
+
+// The behaviour rates of every synthetic post, base corpus and live
+// stream alike.
+const (
+	// offTopicRate is the chance an expert's turn is generic chatter.
+	offTopicRate = 0.2
+	// secondKeywordRate is the chance a topical post carries a second
+	// keyword of its topic.
+	secondKeywordRate = 0.2
+	// retweetBoost scales the retweet counts of topical posts.
+	retweetBoost = 3
+	// baseMentionRate and streamMentionRate scale the chance an
+	// expert's topical turn yields a fan's post mentioning the expert:
+	// after the expert's own post in the base corpus, instead of it in
+	// the live stream.
+	baseMentionRate   = 0.25
+	streamMentionRate = 0.15
+)
+
 // fillerWords pad posts with realistic chatter. They are chosen to be
 // disjoint from every anchor-topic keyword token so they never create
 // accidental query matches.
@@ -318,165 +385,123 @@ var fillerWords = []string{
 	"mood", "energy", "thoughts", "feeling", "excited", "amazing",
 }
 
-// Generate builds a corpus from the world. Generation is deterministic
-// in cfg.Seed.
-func Generate(w *world.World, cfg GenConfig) *Corpus {
-	return FromTweets(w, GenerateTweets(w, cfg))
+// poster renders synthetic posts — for the base corpus (GenerateTweets)
+// and the live stream (PostStream) alike, so both draw the same world.
+// Each method makes its RNG draws in one fixed order: the corpus and
+// every stream are pure functions of their seeds.
+type poster struct {
+	w   *world.World
+	rng *xrand.RNG
+	// keywords[t] draws topic t's keywords by TweetRate: this is where
+	// search popularity and tweet usage deliberately diverge.
+	keywords []*xrand.Weighted
+	// spamTopics draws the topics spammers chase: their keyword
+	// stuffing follows the topics' actual microblog activity, so dead
+	// (navigational) topics attract no spam and stay genuinely
+	// unanswerable.
+	spamTopics *xrand.Weighted
+	// fans are the casual users, the pool mention posts come from.
+	fans []world.UserID
 }
 
-// GenerateTweets returns Generate(w, cfg)'s tweets, rendered but not
-// indexed, each ID its position: a process that serves a partition of
-// them (FromTweets over the slice) indexes each post once, not the
-// whole corpus first.
-func GenerateTweets(w *world.World, cfg GenConfig) []Tweet {
-	rng := xrand.New(cfg.Seed)
-	g := &generator{w: w}
-
-	// Per-topic keyword samplers weighted by TweetRate: this is where
-	// search popularity and tweet usage deliberately diverge.
-	kwSamplers := make([]*xrand.Weighted, len(w.Topics))
+// newPoster splits the keyword samplers, then the spam-topic sampler,
+// off rng, and renders every post from rng.
+func newPoster(w *world.World, rng *xrand.RNG) *poster {
+	p := &poster{w: w, rng: rng, keywords: make([]*xrand.Weighted, len(w.Topics))}
 	for i := range w.Topics {
 		kws := w.Topics[i].Keywords
 		weights := make([]float64, len(kws))
 		for j := range kws {
 			weights[j] = kws[j].TweetRate + 1e-6
 		}
-		kwSamplers[i] = xrand.NewWeighted(rng.Split(), weights)
+		p.keywords[i] = xrand.NewWeighted(rng.Split(), weights)
 	}
-
-	// Casual users double as the fan pool for mention posts.
-	var casuals []world.UserID
-	for i := range w.Users {
-		if w.Users[i].Kind == world.CasualUser {
-			casuals = append(casuals, w.Users[i].ID)
-		}
-	}
-
-	// Spammers chase trending topics: their keyword stuffing follows
-	// the topics' actual microblog activity, so dead (navigational)
-	// topics attract no spam and stay genuinely unanswerable.
 	spamWeights := make([]float64, len(w.Topics))
 	for i := range w.Topics {
 		spamWeights[i] = w.Topics[i].TweetPop*w.Topics[i].TweetActivity + 1e-9
 	}
-	spamTopics := xrand.NewWeighted(rng.Split(), spamWeights)
-
+	p.spamTopics = xrand.NewWeighted(rng.Split(), spamWeights)
 	for i := range w.Users {
-		u := &w.Users[i]
-		switch u.Kind {
-		case world.ExpertUser, world.NewsUser:
-			mean := cfg.TweetsPerExpert * (0.3 + u.Influence)
-			n := rng.Poisson(mean)
-			for k := 0; k < n; k++ {
-				if rng.Bool(cfg.OffTopicRate) || len(u.Topics) == 0 {
-					g.addChatter(u.ID, rng)
-					continue
-				}
-				topic := u.Topics[rng.Intn(len(u.Topics))]
-				// Navigational topics (mapquest-style) are searched but
-				// not tweeted: their would-be topical posts degrade to
-				// chatter, leaving the query unanswerable by any detector.
-				if !rng.Bool(w.Topic(topic).TweetActivity) {
-					g.addChatter(u.ID, rng)
-					continue
-				}
-				g.addTopical(u.ID, topic, kwSamplers[topic], rng, cfg)
-				// Fans mention productive experts in topical posts.
-				if rng.Bool(cfg.MentionRate*u.Influence*2) && len(casuals) > 0 {
-					fan := casuals[rng.Intn(len(casuals))]
-					g.addMentionPost(fan, u.ID, topic, kwSamplers[topic], rng)
-				}
-			}
-		case world.CasualUser:
-			n := rng.Poisson(cfg.TweetsPerCasual)
-			for k := 0; k < n; k++ {
-				g.addChatter(u.ID, rng)
-			}
-		case world.SpamUser:
-			n := rng.Poisson(cfg.TweetsPerSpammer)
-			for k := 0; k < n; k++ {
-				// Keyword stuffing: a trending topic's head keyword plus bait.
-				topic := world.TopicID(spamTopics.Draw())
-				kw := w.Topic(topic).Keywords[0].Text
-				text := "free prizes " + kw + " click here " + fillerWords[rng.Intn(len(fillerWords))]
-				g.append(u.ID, text, nil, 0, -1)
-			}
+		if w.Users[i].Kind == world.CasualUser {
+			p.fans = append(p.fans, w.Users[i].ID)
 		}
 	}
-	return g.tweets
+	return p
 }
 
-// generator accumulates the base corpus's tweets in generation order.
-// The slice grows by doubling: each user's post count is a Poisson
-// draw, so the total is not known ahead.
-type generator struct {
-	w      *world.World
-	tweets []Tweet
+func (p *poster) filler() string { return fillerWords[p.rng.Intn(len(fillerWords))] }
+
+func (p *poster) keyword(topic world.TopicID) string {
+	return p.w.Topic(topic).Keywords[p.keywords[topic].Draw()].Text
 }
 
-// addTopical emits one on-topic post for the author.
-func (g *generator) addTopical(author world.UserID, topic world.TopicID,
-	kws *xrand.Weighted, rng *xrand.RNG, cfg GenConfig) {
+// topicOf picks the topic of an expert's turn, or reports false for
+// chatter: an off-topic turn, or one on a navigational (mapquest-style)
+// topic, which is searched but not tweeted — leaving the query
+// unanswerable by any detector.
+func (p *poster) topicOf(u *world.User) (world.TopicID, bool) {
+	if p.rng.Bool(offTopicRate) || len(u.Topics) == 0 {
+		return 0, false
+	}
+	topic := u.Topics[p.rng.Intn(len(u.Topics))]
+	return topic, p.rng.Bool(p.w.Topic(topic).TweetActivity)
+}
 
-	t := g.w.Topic(topic)
-	kw := t.Keywords[kws.Draw()].Text
-	var b strings.Builder
-	b.WriteString(fillerWords[rng.Intn(len(fillerWords))])
-	b.WriteByte(' ')
-	b.WriteString(kw)
-	if rng.Bool(cfg.SecondKeywordRate) {
-		second := t.Keywords[kws.Draw()].Text
-		if second != kw {
-			b.WriteByte(' ')
-			b.WriteString(second)
+// topical renders an on-topic post: one TweetRate-weighted keyword,
+// occasionally two.
+func (p *poster) topical(author world.UserID, topic world.TopicID) Post {
+	kw := p.keyword(topic)
+	lead := p.filler()
+	kws := kw
+	if p.rng.Bool(secondKeywordRate) {
+		if second := p.keyword(topic); second != kw {
+			kws = kw + " " + second
 		}
 	}
-	b.WriteByte(' ')
-	b.WriteString(fillerWords[rng.Intn(len(fillerWords))])
-
-	retweets := rng.Poisson(cfg.RetweetBoost * g.w.User(author).Influence * 2)
-	g.append(author, b.String(), nil, retweets, topic)
+	return Post{
+		Author:       author,
+		Text:         lead + " " + kws + " " + p.filler(),
+		RetweetCount: p.rng.Poisson(retweetBoost * p.w.User(author).Influence * 2),
+		Topic:        topic,
+	}
 }
 
-// addMentionPost emits a fan post that @-mentions an expert together
-// with a topical keyword, feeding the expert's mention-impact feature.
-func (g *generator) addMentionPost(fan, expert world.UserID, topic world.TopicID,
-	kws *xrand.Weighted, rng *xrand.RNG) {
-
-	t := g.w.Topic(topic)
-	kw := t.Keywords[kws.Draw()].Text
-	text := fmt.Sprintf("@%s great takes on %s %s",
-		g.w.User(expert).ScreenName, kw, fillerWords[rng.Intn(len(fillerWords))])
-	g.append(fan, text, []world.UserID{expert}, rng.Poisson(0.2), topic)
+// mention renders a fan's post that @-mentions the expert with a
+// keyword of the topic, feeding the expert's mention-impact feature.
+func (p *poster) mention(expert world.UserID, topic world.TopicID) Post {
+	fan := p.fans[p.rng.Intn(len(p.fans))]
+	kw := p.keyword(topic)
+	return Post{
+		Author:       fan,
+		Text:         "@" + p.w.User(expert).ScreenName + " great takes on " + kw + " " + p.filler(),
+		Mentions:     []world.UserID{expert},
+		RetweetCount: p.rng.Poisson(0.2),
+		Topic:        topic,
+	}
 }
 
-// addChatter emits a generic off-topic post; occasionally it mentions
+// chatter renders a generic off-topic post; occasionally it mentions
 // another random user, giving mention denominators realistic mass.
-func (g *generator) addChatter(author world.UserID, rng *xrand.RNG) {
-	var b strings.Builder
-	n := 2 + rng.Intn(4)
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		b.WriteString(fillerWords[rng.Intn(len(fillerWords))])
+func (p *poster) chatter(author world.UserID) Post {
+	var words [5]string
+	n := 2 + p.rng.Intn(4)
+	for i := range n {
+		words[i] = p.filler()
 	}
-	var mentions []world.UserID
-	if rng.Bool(0.08) {
-		other := world.UserID(rng.Intn(len(g.w.Users)))
-		if other != author {
-			b.WriteString(" @")
-			b.WriteString(g.w.User(other).ScreenName)
-			mentions = append(mentions, other)
+	post := Post{Author: author, Text: strings.Join(words[:n], " "), Topic: -1}
+	if p.rng.Bool(0.08) {
+		if other := world.UserID(p.rng.Intn(len(p.w.Users))); other != author {
+			post.Text += " @" + p.w.User(other).ScreenName
+			post.Mentions = []world.UserID{other}
 		}
 	}
-	g.append(author, b.String(), mentions, rng.Poisson(0.05), -1)
+	post.RetweetCount = p.rng.Poisson(0.05)
+	return post
 }
 
-// append renders one post (truncated to 140 runes, tokenized) and
-// appends it, its ID its position.
-func (g *generator) append(author world.UserID, text string, mentions []world.UserID, retweets int, topic world.TopicID) {
-	tw := MakeTweet(Post{Author: author, Text: text, Mentions: mentions, RetweetCount: retweets, Topic: topic})
-	tw.ID = TweetID(len(g.tweets))
-	g.tweets = append(g.tweets, tw)
+// spam renders a spammer's keyword stuffing: a trending topic's head
+// keyword plus bait.
+func (p *poster) spam(author world.UserID) Post {
+	kw := p.w.Topic(world.TopicID(p.spamTopics.Draw())).Keywords[0].Text
+	return Post{Author: author, Text: "free prizes " + kw + " click here " + p.filler(), Topic: -1}
 }
