@@ -304,9 +304,11 @@ func TestRunDrainsOnSignal(t *testing.T) {
 }
 
 // bootBytes bounds what a one-shard shardd allocates from run's start
-// to started: the world, the generated base, its partition and index,
-// and the listener. FromTweets adopts the partition, measured at
-// 5.71 MB; a boot that copies it once more allocates 6.40 MB.
+// to started: the world, the generated base, its partition, the
+// partition's encoded image and index, and the listener. FromTweets
+// adopts the partition, measured at 5.91 MB with the image (5.71 MB
+// before the index encoded its base); a boot that copies the partition
+// once more allocates 6.40 MB.
 const bootBytes = 6_050_000
 
 // TestBootAllocs pins the boot's allocation: a shardd that copies its
@@ -342,9 +344,15 @@ func TestBootAllocs(t *testing.T) {
 // BenchmarkBoot times run from its start to started for the one-shard
 // deployment: the base generated, the whole of it partitioned, indexed
 // and listening. The shutdown after each boot is outside the timer.
+// live-B is the heap the booted server holds after a collection, taken
+// before it shuts down.
 func BenchmarkBoot(b *testing.B) {
 	b.ReportAllocs()
+	var live int64
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		before := liveHeap()
+		b.StartTimer()
 		started := make(chan *transport.ShardServer, 1)
 		done := make(chan error, 1)
 		go func() {
@@ -357,10 +365,20 @@ func BenchmarkBoot(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
+		live += liveHeap() - before
 		srv.Close()
 		if err := <-done; err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
 	}
+	b.ReportMetric(float64(live)/float64(b.N), "live-B")
+}
+
+// liveHeap returns the heap bytes still reachable after a collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }

@@ -17,8 +17,8 @@
 // equivalence test compares against — so it is never served and never
 // changes with the serving stack. ShardedLiveDetector (sharded.go) is
 // the one served read path: a scatter-gather over the shard set of
-// internal/shard — one pinned snapshot per shard (base corpus + sealed
-// segments + active tail, acquired with a single atomic load, so
+// internal/shard — one pinned snapshot per shard (sealed segments, the
+// encoded base first, + active tail, acquired with a single atomic load, so
 // tweets keep arriving while searches run), per-shard matching and
 // raw-candidate extraction, a global merge of the integer feature
 // counters, one ranking pass. A single streaming index (LiveDetector)

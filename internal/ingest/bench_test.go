@@ -6,6 +6,7 @@
 package ingest_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -51,9 +52,12 @@ func BenchmarkIngest(b *testing.B) {
 // process: 80k stream posts in 512-post IngestBatch calls (the wire's
 // ingest frame) into a default-config index over the tiny base, then
 // Quiesce, all inside the timer. heap keeps every segment in memory,
-// disk spills under a SpillDir. It reports the write path's throughput
-// and the seals and compactions one preload makes, and fails if the
-// preload did not seal at every threshold or spill exactly when asked.
+// disk spills under a SpillDir. It reports the write path's throughput,
+// the seals and compactions one preload makes and live-B — the heap a
+// preloaded index holds after a collection, base included: each index
+// gets a base generated for it alone and dropped once New returns. It
+// fails if the preload did not seal at every threshold or spill
+// exactly when asked.
 func BenchmarkIngestPreload(b *testing.B) {
 	p, _ := testPipeline(b)
 	posts := streamPosts(p, 1, 80_000)
@@ -64,14 +68,18 @@ func BenchmarkIngestPreload(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			var st ingest.IndexStats
+			var live int64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				cfg := ingest.DefaultConfig()
 				if disk {
 					cfg.SpillDir = b.TempDir()
 				}
+				before := liveHeap()
+				base := microblog.FromTweets(p.World, microblog.GenerateTweets(p.World, p.Cfg.Tweets))
 				b.StartTimer()
-				idx := ingest.New(p.Corpus, cfg)
+				idx := ingest.New(base, cfg)
+				base = nil
 				for rest := posts; len(rest) > 0; {
 					n := min(512, len(rest))
 					idx.IngestBatch(rest[:n])
@@ -79,6 +87,7 @@ func BenchmarkIngestPreload(b *testing.B) {
 				}
 				idx.Quiesce()
 				b.StopTimer()
+				live += liveHeap() - before
 				st = idx.Stats()
 				idx.Close()
 				if st.Seals != int64(len(posts)/cfg.SealThreshold) || disk != (st.DiskSegments > 0) {
@@ -89,8 +98,17 @@ func BenchmarkIngestPreload(b *testing.B) {
 			b.ReportMetric(float64(b.N*len(posts))/b.Elapsed().Seconds(), "posts/s")
 			b.ReportMetric(float64(st.Seals), "seals")
 			b.ReportMetric(float64(st.Compactions), "compactions")
+			b.ReportMetric(float64(live)/float64(b.N), "live-B")
 		})
 	}
+}
+
+// liveHeap returns the heap bytes still reachable after a collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }
 
 // BenchmarkDiskCompactMerge is a compaction on its own, every part on

@@ -30,14 +30,14 @@ func (s *Snapshot) ScanStatsInto(dst []microblog.UserStats, users []world.UserID
 	return dst
 }
 
-// FullestTier returns how many sealed segments the most crowded size
+// FullestTier returns how many ingested segments the most crowded size
 // tier holds — what the backlog cap bounds.
 func (i *Index) FullestTier() int {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	perTier := map[int]int{}
 	most := 0
-	for _, sg := range i.sealed {
+	for _, sg := range i.ingestedLocked() {
 		t := i.tier(sg)
 		perTier[t]++
 		most = max(most, perTier[t])
@@ -71,14 +71,14 @@ func (i *Index) DiskSegments() []*diskseg.Segment {
 	return disks
 }
 
-// MergeLayout runs the compaction merge over the whole sealed layout as
+// MergeLayout runs the compaction merge over every ingested segment as
 // one run, without publishing the result, and releases what it built:
 // one compaction's work, for the benchmarks.
 func (i *Index) MergeLayout() error {
 	i.compactMu.Lock()
 	defer i.compactMu.Unlock()
 	i.mu.Lock()
-	run := i.sealed
+	run := i.ingestedLocked()
 	i.mu.Unlock()
 	merged, err := i.mergeRun(run)
 	if err != nil {

@@ -15,8 +15,8 @@
 // (diskseg.EncodeMerged), so a long-running index converges to a
 // handful of segments instead of an ever-growing chain; a writer that
 // outruns the compactor runs its drain itself (backlogFactor). Readers
-// acquire an epoch-tagged *Snapshot — base corpus + sealed segments + a
-// frozen view of the active tail — via a single atomic pointer load; every
+// acquire an epoch-tagged *Snapshot — sealed segments (the first is the
+// base corpus New encoded) + the frozen active tail — via one atomic load; every
 // Ingest publishes a fresh snapshot with a single atomic pointer swap,
 // so a query observes one consistent prefix of the stream for its whole
 // lifetime. A view reads its tail where the writer keeps it: the one
@@ -31,7 +31,7 @@
 // lists are concatenated in segment order (globally ascending), and the
 // union across expansion terms runs through expertise.MergeTweets. The
 // per-user feature denominators a ranking pass needs are summed across
-// base, sealed segments and the tail in one batch (Snapshot.StatsInto),
+// the sealed segments and the tail in one batch (Snapshot.StatsInto),
 // which makes a quiesced live index bit-identical to a cold rebuild
 // over the same posts — the correctness bar the equivalence tests
 // enforce.
@@ -45,7 +45,6 @@ package ingest
 
 import (
 	"cmp"
-	"fmt"
 	"math/bits"
 	"os"
 	"path/filepath"
@@ -129,8 +128,8 @@ const backlogFactor = 2
 type segment struct {
 	start microblog.TweetID
 	*diskseg.Segment
-	// noSpill pins a segment to memory after a failed spill so the
-	// compactor does not retry a faulting disk forever.
+	// noSpill pins a segment to memory: the base, and one whose spill
+	// failed, so the compactor does not retry a faulting disk forever.
 	noSpill bool
 }
 
@@ -216,9 +215,8 @@ func byID(a authored, id microblog.TweetID) int { return cmp.Compare(a.id, id) }
 // its tailGen, once per term match or StatsInto of a snapshot with a
 // tail.
 type Index struct {
-	w    *world.World
-	base *microblog.Corpus
-	cfg  Config
+	w   *world.World
+	cfg Config
 
 	mu          sync.Mutex
 	active      []microblog.Tweet // segment-local ids, global = activeStart+i
@@ -226,7 +224,7 @@ type Index struct {
 	activeStart microblog.TweetID
 	// sealed is replaced whole, never written in place: every mutation
 	// site stores a new array, so a snapshot aliases the slice it was
-	// published with instead of copying it.
+	// published with instead of copying it. sealed[0] is the base.
 	sealed      []*segment
 	epoch       uint64
 	ingested    int64
@@ -268,7 +266,8 @@ type Index struct {
 
 // New wires a streaming index over a frozen base corpus (which may be
 // empty but supplies the world) and starts the background compactor.
-// Call Close to stop it.
+// Call Close to stop it. The base is encoded, as a seal is, into the
+// first sealed segment, and New keeps no reference to it.
 func New(base *microblog.Corpus, cfg Config) *Index {
 	if cfg.SealThreshold <= 0 {
 		cfg.SealThreshold = defaultSeal
@@ -295,13 +294,13 @@ func New(base *microblog.Corpus, cfg Config) *Index {
 	}
 	i := &Index{
 		w:           base.World(),
-		base:        base,
 		cfg:         cfg,
 		activeStart: microblog.TweetID(base.NumTweets()),
 		gen:         newTailGen(base.World()),
 		compactReq:  make(chan struct{}, 1),
 		done:        make(chan struct{}),
 	}
+	i.sealed = []*segment{{Segment: i.encode(base), noSpill: true}}
 	if cfg.Obs != nil {
 		i.obsIngestNS = cfg.Obs.Histogram("ingest_ns")
 		// One row per Stats count; indexes sharing a registry sum.
@@ -326,8 +325,9 @@ func New(base *microblog.Corpus, cfg Config) *Index {
 	return i
 }
 
-// Base returns the frozen corpus the stream extends.
-func (i *Index) Base() *microblog.Corpus { return i.base }
+// Base returns the encoded base corpus the stream extends: the segment
+// holding global ids [0, Base().NumTweets()). It never merges or spills.
+func (i *Index) Base() *diskseg.Segment { return i.Snapshot().segs[0].Segment }
 
 // World returns the generating world.
 func (i *Index) World() *world.World { return i.w }
@@ -455,11 +455,7 @@ func (i *Index) appendLocked(tw microblog.Tweet) (sealed bool) {
 // cannot leave a post out.
 func (i *Index) sealLocked() {
 	n := len(i.active)
-	img, err := diskseg.Encode(microblog.FromIndex(i.w, i.active[:n:n], i.gen.idx))
-	if err != nil {
-		panic(fmt.Sprintf("ingest: seal: %v", err))
-	}
-	seg := &segment{start: i.activeStart, Segment: i.load(img)}
+	seg := &segment{start: i.activeStart, Segment: i.encode(microblog.FromIndex(i.w, i.active[:n:n], i.gen.idx))}
 	i.sealed = append(i.sealed[:len(i.sealed):len(i.sealed)], seg)
 	i.activeStart += microblog.TweetID(n)
 	i.active = make([]microblog.Tweet, 0, i.cfg.SealThreshold)
@@ -476,7 +472,7 @@ func (i *Index) publishLocked() {
 	i.epoch++
 	snap := &Snapshot{
 		epoch:     i.epoch,
-		base:      i.base,
+		w:         i.w,
 		segs:      i.sealed,
 		tail:      i.active[:len(i.active):len(i.active)],
 		tailStart: i.activeStart,
@@ -536,7 +532,7 @@ func (i *Index) overBacklog() bool {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	var perTier [65]int // a tier is a bits.Len of a uint
-	for _, sg := range i.sealed {
+	for _, sg := range i.ingestedLocked() {
 		t := i.tier(sg)
 		if perTier[t]++; perTier[t] == backlogFactor*i.cfg.CompactFanIn {
 			i.drains++
@@ -585,12 +581,16 @@ func (i *Index) tier(seg *segment) int {
 	return bits.Len(uint(seg.NumTweets() / i.cfg.SealThreshold))
 }
 
+// ingestedLocked returns the layout past the base, the segments that
+// compactions, the backlog cap and segment counts see.
+func (i *Index) ingestedLocked() []*segment { return i.sealed[1:] }
+
 // pickRunLocked finds the first adjacent run of CompactFanIn
-// same-tier sealed segments, returning its start index and the run (a
-// window of the layout array, which is never written in place).
+// same-tier ingested segments, returning its start index and the run
+// (a window of the layout array, which is never written in place).
 func (i *Index) pickRunLocked() (int, []*segment) {
 	fanIn := i.cfg.CompactFanIn
-	for a := 0; a+fanIn <= len(i.sealed); a++ {
+	for a := 1; a+fanIn <= len(i.sealed); a++ {
 		t := i.tier(i.sealed[a])
 		ok := true
 		for j := 1; j < fanIn; j++ {
@@ -667,9 +667,9 @@ type IndexStats struct {
 	NumTweets int
 	// Ingested counts live posts accepted.
 	Ingested int64
-	// Segments is the current sealed-segment count; DiskSegments how
-	// many of those are mapped from files; ActiveLen the unsealed tail
-	// length.
+	// Segments is the current count of sealed segments of ingested
+	// posts (the base segment is not one); DiskSegments how many of
+	// those are mapped from files; ActiveLen the unsealed tail length.
 	Segments     int
 	DiskSegments int
 	ActiveLen    int
@@ -691,7 +691,7 @@ func (i *Index) Stats() IndexStats {
 		Epoch:        i.epoch,
 		NumTweets:    int(i.activeStart) + len(i.active),
 		Ingested:     i.ingested,
-		Segments:     len(i.sealed),
+		Segments:     len(i.ingestedLocked()),
 		DiskSegments: i.diskSegmentsLocked(),
 		ActiveLen:    len(i.active),
 		Seals:        i.seals,

@@ -1,7 +1,8 @@
 package ingest
 
 // White-box tests of the seal: they look at the sealed segment itself,
-// which no exported surface hands out.
+// which no exported surface hands out. The layout's first segment is
+// the encoded base; a seal's segment follows it (ingestedLocked).
 
 import (
 	"bytes"
@@ -57,10 +58,11 @@ func TestSealAdoptsIndex(t *testing.T) {
 	posts := sealPosts(w, 707, 64)
 	idx.IngestBatch(posts[:63])
 	idx.Ingest(posts[63])
-	if len(idx.sealed) != 1 || len(idx.active) != 0 {
-		t.Fatalf("want exactly one seal, got %d segments and a %d-post tail", len(idx.sealed), len(idx.active))
+	segs := idx.ingestedLocked()
+	if len(segs) != 1 || len(idx.active) != 0 {
+		t.Fatalf("want exactly one seal, got %d segments and a %d-post tail", len(segs), len(idx.active))
 	}
-	got := idx.sealed[0]
+	got := segs[0]
 	if got.OnDisk() {
 		t.Fatal("a seal without a spill directory went to disk")
 	}
@@ -132,10 +134,11 @@ func TestSpillWritesTheSealedImage(t *testing.T) {
 	defer idx.Close()
 	posts := sealPosts(w, 909, 64)
 	idx.IngestBatch(posts)
-	mem := idx.sealed[0]
-	if len(idx.sealed) != 1 || mem.OnDisk() {
-		t.Fatalf("want one in-memory seal, got %d segments", len(idx.sealed))
+	segs := idx.ingestedLocked()
+	if len(segs) != 1 || segs[0].OnDisk() {
+		t.Fatalf("want one in-memory seal, got %d segments", len(segs))
 	}
+	mem := segs[0]
 	want := sealedImage(t, mem.Segment)
 
 	type answer struct {
@@ -164,7 +167,7 @@ func TestSpillWritesTheSealedImage(t *testing.T) {
 	before := answers(idx.Snapshot())
 
 	idx.SpillAll()
-	if st := idx.Stats(); st.Spills != 1 || st.DiskSegments != 1 || !idx.sealed[0].OnDisk() {
+	if st := idx.Stats(); st.Spills != 1 || st.DiskSegments != 1 || !idx.ingestedLocked()[0].OnDisk() {
 		t.Fatalf("want the seal spilled: %+v", st)
 	}
 	ents, err := os.ReadDir(dir)

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/microblog"
@@ -8,8 +9,8 @@ import (
 	"repro/internal/world"
 )
 
-// Snapshot is one epoch-tagged immutable view of the stream: the base
-// corpus, the sealed segments and a frozen prefix of the active tail.
+// Snapshot is one epoch-tagged immutable view of the stream: the sealed
+// segments (the base first) and a frozen prefix of the active tail.
 // It satisfies expertise.Source (Features, StatsInto), so the ranking
 // path runs against it exactly as it runs against a frozen corpus. The
 // tail is read where the writer keeps it: a term match reads the
@@ -18,13 +19,13 @@ import (
 // All methods are safe for concurrent use; what a snapshot answers
 // never changes after publication.
 //
-// Tweet ids are global: [0, base.NumTweets()) addresses the base, then
-// each sealed segment's range, then the tail. A Scan'd tweet's ID is
-// the segment-local id, not the global one.
+// Tweet ids are global: each sealed segment's range in order — the
+// base's [0, Index.Base().NumTweets()) first — then the tail. A Scan'd
+// tweet's ID is the segment-local id, not the global one.
 type Snapshot struct {
 	epoch     uint64
-	base      *microblog.Corpus
-	segs      []*segment
+	w         *world.World
+	segs      []*segment // segs[0] is the base
 	tail      []microblog.Tweet
 	tailStart microblog.TweetID
 	gen       *tailGen // the generation tail is a prefix of
@@ -36,17 +37,17 @@ func (s *Snapshot) Epoch() uint64 { return s.epoch }
 // NumTweets returns the number of posts visible in this view.
 func (s *Snapshot) NumTweets() int { return int(s.tailStart) + len(s.tail) }
 
-// NumSegments returns the sealed-segment count of this view.
-func (s *Snapshot) NumSegments() int { return len(s.segs) }
+// NumSegments returns this view's count of sealed segments past the base.
+func (s *Snapshot) NumSegments() int { return len(s.segs) - 1 }
 
 // World returns the generating world.
-func (s *Snapshot) World() *world.World { return s.base.World() }
+func (s *Snapshot) World() *world.World { return s.w }
 
 // NumUsers returns the number of users in the generating world.
-func (s *Snapshot) NumUsers() int { return s.base.NumUsers() }
+func (s *Snapshot) NumUsers() int { return len(s.w.Users) }
 
 // Scan calls fn with every visible post of global ids [from, to), in
-// id order, across base, sealed segments and tail — the log-paging
+// id order, across the sealed segments and the tail — the log-paging
 // read (shard.Local.PagePosts); ranking goes through Features. A sealed
 // segment's posts are decoded once, sequentially (diskseg.Segment.Scan). The *Tweet is valid only during the call and
 // must not be modified; its ID field is segment-local. The range is
@@ -56,35 +57,22 @@ func (s *Snapshot) Scan(from, to int, fn func(*microblog.Tweet)) {
 	if from >= to {
 		return
 	}
-	if n := s.base.NumTweets(); from < n {
-		each(s.base.Tweets()[from:min(to, n)], fn)
-	}
 	for _, sg := range s.segs {
 		lo := int(sg.start)
 		if hi := lo + sg.NumTweets(); from < hi && lo < to {
 			sg.Scan(max(from, lo)-lo, min(to, hi)-lo, fn)
 		}
 	}
-	if lo := int(s.tailStart); lo < to {
-		each(s.tail[max(from, lo)-lo:to-lo], fn)
-	}
-}
-
-// each calls fn with every tweet of an in-heap slice.
-func each(tws []microblog.Tweet, fn func(*microblog.Tweet)) {
-	for i := range tws {
-		fn(&tws[i])
+	for j := max(from, int(s.tailStart)); j < to; j++ {
+		fn(&s.tail[j-int(s.tailStart)])
 	}
 }
 
 // Features implements expertise.Source: the ranking features of the
-// post with the given global id, from whichever of base, sealed segment
-// or tail holds it. A sealed segment answers off its image without
+// post with the given global id, from whichever of sealed segment or
+// tail holds it. A sealed segment answers off its image without
 // decoding the post.
 func (s *Snapshot) Features(id microblog.TweetID, hashtag bool, scratch *[]world.UserID) (author world.UserID, retweets int, hashtagged bool, mentions []world.UserID) {
-	if int(id) < s.base.NumTweets() {
-		return s.base.Features(id, hashtag, scratch)
-	}
 	if id >= s.tailStart {
 		return s.tail[id-s.tailStart].Features(hashtag)
 	}
@@ -93,14 +81,14 @@ func (s *Snapshot) Features(id microblog.TweetID, hashtag bool, scratch *[]world
 }
 
 // segmentOf returns the sealed segment holding global id: the last one
-// starting at or before it.
+// starting at or before it (an empty base is never the last).
 func (s *Snapshot) segmentOf(id microblog.TweetID) *segment {
 	n := sort.Search(len(s.segs), func(j int) bool { return s.segs[j].start > id })
 	return s.segs[n-1]
 }
 
 // StatsInto implements expertise.Source: each user's denominator
-// triple summed across base, sealed segments and this view's tail,
+// triple summed across the sealed segments and this view's tail,
 // written into dst (capacity reused, contents discarded). users must be
 // strictly ascending (shard's view refuses any other list). The tail is
 // added from the generation's user index in one hold of its lock — per
@@ -115,10 +103,11 @@ func (s *Snapshot) StatsInto(dst []microblog.UserStats, users []world.UserID) []
 	return dst
 }
 
-// sealedStatsInto is StatsInto without the tail: base and sealed
-// segments' counters.
+// sealedStatsInto is StatsInto without the tail: the sealed segments'
+// counters.
 func (s *Snapshot) sealedStatsInto(dst []microblog.UserStats, users []world.UserID) []microblog.UserStats {
-	dst = s.base.StatsInto(dst, users)
+	dst = slices.Grow(dst[:0], len(users))[:len(users)]
+	clear(dst)
 	for _, sg := range s.segs {
 		for i, u := range users {
 			d := &dst[i]
@@ -160,7 +149,7 @@ func (s *Snapshot) Match(query string) []microblog.TweetID {
 // its segment compacted away), but the writer only appends ascending
 // ids, so cutting the result at len(tail) leaves exactly the prefix's.
 func (s *Snapshot) MatchTokensAppend(tokens []string, dst, local []microblog.TweetID) (out, localOut []microblog.TweetID) {
-	dst = s.base.MatchTokensAppend(tokens, dst)
+	dst = dst[:0]
 	for _, sg := range s.segs {
 		local = sg.MatchTokensAppend(tokens, local)
 		for _, id := range local {

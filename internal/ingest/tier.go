@@ -9,7 +9,7 @@
 // wherever they are.
 //
 // Tiering policy. When Config.SpillDir is set, the background
-// compactor writes any in-memory sealed segment holding at least
+// compactor writes any in-memory ingested segment holding at least
 // Config.SpillThreshold posts to a file and maps it (spillOnce), and
 // every compaction merge whose result crosses the same threshold goes
 // straight to a file — a long-running index converges to a handful of
@@ -34,11 +34,22 @@ import (
 	"slices"
 
 	"repro/internal/diskseg"
+	"repro/internal/microblog"
 )
 
 // spillEnabled reports whether the disk tier is configured.
 func (i *Index) spillEnabled() bool {
 	return i.cfg.SpillDir != "" && i.cfg.SpillThreshold > 0
+}
+
+// encode serves c as an in-memory sealed segment. Every post's retweet
+// count must fit the format (see Index.Ingest).
+func (i *Index) encode(c *microblog.Corpus) *diskseg.Segment {
+	img, err := diskseg.Encode(c)
+	if err != nil {
+		panic(fmt.Sprintf("ingest: encode: %v", err))
+	}
+	return i.load(img)
 }
 
 // load serves an image the index encoded itself from memory; a refusal

@@ -384,8 +384,8 @@ type InfoResp struct {
 	Shard, NumShards int
 	// Users is the world size (ranking arenas are sized by it).
 	Users int
-	// BaseTweets and NumTweets count the frozen base slice and the
-	// current total (base plus ingested).
+	// BaseTweets and NumTweets count the base the index booted with
+	// (Index.Base) and the current total (base plus ingested).
 	BaseTweets, NumTweets int
 	// Epoch is the current snapshot epoch.
 	Epoch uint64
