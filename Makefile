@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all artifact golden build test race flake vet bench bench-once bench-check bench-smoke cover cover-check check docs-check bench-ingest bench-shard bench-remote bench-replica bench-gateway bench-disk loc fuzz-smoke run-gateway smoke-gateway examples-smoke
+.PHONY: all artifact golden build test race flake vet bench bench-once bench-check bench-smoke cover cover-check check docs-check bench-ingest bench-shard bench-remote bench-replica bench-gateway bench-disk loc pairs fuzz-smoke run-gateway smoke-gateway examples-smoke
 
 all: check
 
@@ -61,7 +61,7 @@ bench-smoke:
 # retired benchmarks on purpose. It fails, too, when a doc outgrows its
 # line budget (DOC_BUDGETS: file:max pairs).
 NAMED_TEST_DOCS = ARCHITECTURE.md .claude/skills/verify/SKILL.md
-DOC_BUDGETS = ARCHITECTURE.md:934 .claude/skills/verify/SKILL.md:250
+DOC_BUDGETS = ARCHITECTURE.md:932 .claude/skills/verify/SKILL.md:250
 docs-check: vet
 	@for b in $(DOC_BUDGETS); do f=$${b%:*}; max=$${b##*:}; n=$$(wc -l < $$f); \
 		if [ $$n -gt $$max ]; then echo "$$f is $$n lines, over its $$max-line budget"; exit 1; fi; done
@@ -141,6 +141,15 @@ loc:
 		tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 		git archive "$(BASE)" internal cmd | tar -x -C "$$tmp" && \
 		echo "tree $$($(LOC))" && echo "$(BASE) $$(cd "$$tmp" && $(LOC))"; fi
+
+# Paired end-to-end runs of BASE against this tree, alternating per
+# seed, with both sides measured by this tree's bench/: -compare's
+# verdict, then per workload × metric the parent's median and IQR, the
+# change's median, the median per-pair ratio and "lower in k of n"
+# (scripts/pairs.sh, cmd/benchpairs). Not a CI step: ten pairs of four
+# workloads take 10 to 25 minutes.
+pairs:
+	BASE="$(BASE)" SEEDS="$(SEEDS)" WORKLOADS="$(WORKLOADS)" TRACE="$(TRACE)" METRICS='$(METRICS)' ./scripts/pairs.sh
 
 # A brief native-fuzz pass, FUZZTIME per target, over the wire codec
 # (FuzzDecodeFrame): every op's payload decoder — including the

@@ -306,9 +306,9 @@ func TestRunDrainsOnSignal(t *testing.T) {
 // bootBytes bounds what a one-shard shardd allocates from run's start
 // to started: the world, the generated base, its partition, the
 // partition's encoded image and index, and the listener. FromTweets
-// adopts the partition, measured at 5.91 MB with the image (5.71 MB
-// before the index encoded its base); a boot that copies the partition
-// once more allocates 6.40 MB.
+// adopts the partition, measured at 5.86 MB with the term-coded image
+// (5.91 MB with raw-text records, 5.71 MB before the index encoded its
+// base); a boot that copies the partition once more allocates 6.40 MB.
 const bootBytes = 6_050_000
 
 // TestBootAllocs pins the boot's allocation: a shardd that copies its

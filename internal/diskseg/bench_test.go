@@ -116,8 +116,9 @@ func segmentImage(b *testing.B, w *world.World, n int) []byte {
 }
 
 // BenchmarkDiskSegEncode measures a seal's encode at the default seal:
-// one 2048-post corpus rendered into its image, assembled in one
-// exactly sized buffer.
+// 2048 posts and the term index a writer numbers as they arrive
+// (EncodeIndexed), rendered into one exactly sized image. B/post is the
+// image's bytes per post, an exact count.
 func BenchmarkDiskSegEncode(b *testing.B) {
 	w := world.Build(world.TinyConfig())
 	stream := microblog.NewPostStream(w, microblog.DefaultStreamConfig(128))
@@ -125,14 +126,18 @@ func BenchmarkDiskSegEncode(b *testing.B) {
 	for i := range posts {
 		posts[i] = stream.Next()
 	}
-	c := microblog.BuildCorpus(w, posts)
+	tweets := microblog.BuildCorpus(w, posts).Tweets()
+	terms, termOf := numberTerms(tweets)
+	var img []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := diskseg.Encode(c); err != nil {
+		var err error
+		if img, err = diskseg.EncodeIndexed(tweets, len(w.Users), terms, termOf); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(len(img))/float64(len(posts)), "B/post")
 }
 
 // BenchmarkDiskSegOpen measures what opening a segment costs by its

@@ -1,13 +1,14 @@
 // Package diskseg is the sealed-segment representation of the
 // streaming index: a compact format every sealed (immutable) segment is
-// encoded in at seal time (Encode) and re-encoded in at compaction time
-// (EncodeMerged), served from an in-memory image (Load) or, once
-// spilled to a file, through a read-only memory map (Open). The read
-// path is MatchAppend-shaped — the same contract as
-// microblog.Corpus.MatchAppend — so a segment plugs into the live
-// snapshot's per-segment matching loop unchanged: posting blocks are
-// delta-varint decoded straight off the image into scratch buffers and
-// fed to the existing galloping microblog.IntersectInto; per-user
+// encoded in at seal time (EncodeIndexed; Encode for a whole corpus)
+// and re-encoded in at compaction time (EncodeMerged), served from an
+// in-memory image (Load) or, once spilled to a file, through a
+// read-only memory map (Open). The read path is MatchAppend-shaped —
+// the same contract as microblog.Corpus.MatchAppend — so a segment
+// plugs into the live snapshot's per-segment matching loop unchanged:
+// posting blocks are delta-varint decoded straight off the image into
+// scratch buffers and fed to the existing galloping
+// microblog.IntersectInto; per-user
 // feature denominators and the per-tweet ranking features (author,
 // retweets, hashtag bit, mentions) are fixed-width rows read in place
 // with no decode at all, so candidate extraction never decodes a tweet
@@ -34,6 +35,7 @@ import (
 	"hash/maphash"
 	"os"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -343,10 +345,13 @@ func (s *Segment) checkFeatures(sec section) error {
 
 // checkTweets walks every tweet record once, decoding nothing, so
 // Scan and a merge can read the blocks unchecked: per record a topic
-// and a text length inside the block, and no bytes after a block's
-// last record. It calls binary.Uvarint directly, which inlines where
-// takeUvarint does not: this walk runs over every post opened.
+// and an h inside the block, then a raw text inside the block or at
+// least one rank, all inside the block and each below the term count,
+// and no bytes after a block's last record. It calls binary.Uvarint
+// directly, which inlines where takeUvarint does not: this walk runs
+// over every post opened.
 func (s *Segment) checkTweets() error {
+	numTerms := len(s.termList)
 	for b, sp := range s.tweetBlocks {
 		buf := s.data[sp.off : sp.off+sp.blen]
 		for i := min(s.numTweets-b*TweetBlockLen, TweetBlockLen); i > 0; i-- {
@@ -354,17 +359,65 @@ func (s *Segment) checkTweets() error {
 			if n <= 0 {
 				return fmt.Errorf("tweet block %d: %w", b, errMidVarint)
 			}
-			tlen, m := binary.Uvarint(buf[n:])
-			if m <= 0 || tlen > uint64(len(buf)-n-m) {
-				return fmt.Errorf("tweet block %d: text past the block: %w", b, ErrCorrupt)
+			h, m := binary.Uvarint(buf[n:])
+			if m <= 0 {
+				return fmt.Errorf("tweet block %d: %w", b, errMidVarint)
 			}
-			buf = buf[n+m+int(tlen):]
+			buf = buf[n+m:]
+			switch {
+			case h&1 == 1:
+				if h>>1 > uint64(len(buf)) {
+					return fmt.Errorf("tweet block %d: text past the block: %w", b, ErrCorrupt)
+				}
+			case h == 0:
+				return fmt.Errorf("tweet block %d: a term-coded post with no terms: %w", b, ErrCorrupt)
+			case h > uint64(len(buf)):
+				return fmt.Errorf("tweet block %d: ranks past the block: %w", b, ErrCorrupt)
+			default:
+				top := maxRank(buf, int(h))
+				if int(top) >= numTerms {
+					return fmt.Errorf("tweet block %d: rank %d of %d terms: %w", b, top, numTerms, ErrCorrupt)
+				}
+			}
+			buf = buf[bodyLen(h):]
 		}
 		if len(buf) != 0 {
 			return fmt.Errorf("tweet block %d has %d trailing bytes: %w", b, len(buf), ErrCorrupt)
 		}
 	}
 	return nil
+}
+
+// maxRank returns the largest of the n/2 ranks at the front of buf.
+// It reads them four at a time, a 64-bit word with the bytes past the
+// ranks shifted out, so a record costs a branch per four ranks, not per
+// rank; only near the end of buf does it read them one by one.
+func maxRank(buf []byte, n int) uint16 {
+	var top uint16
+	q := 0
+	for ; q < n && q+8 <= len(buf); q += 8 {
+		x := binary.LittleEndian.Uint64(buf[q:])
+		if r := n - q; r < 8 {
+			x = x << (64 - 8*r) >> (64 - 8*r)
+		}
+		top = max(top, uint16(x), uint16(x>>16), uint16(x>>32), uint16(x>>48))
+	}
+	for ; q+1 < n; q += 2 {
+		top = max(top, uint16(buf[q])|uint16(buf[q+1])<<8)
+	}
+	return top
+}
+
+// records calls fn with every tweet record of the segment, in id order.
+func (s *Segment) records(fn func(rec []byte)) {
+	for b, sp := range s.tweetBlocks {
+		buf := s.data[sp.off : sp.off+sp.blen]
+		for r := min(s.numTweets-b*TweetBlockLen, TweetBlockLen); r > 0; r-- {
+			n := recordLen(buf)
+			fn(buf[:n])
+			buf = buf[n:]
+		}
+	}
 }
 
 var errMidVarint = fmt.Errorf("section ends mid-varint: %w", ErrCorrupt)
@@ -573,10 +626,11 @@ func (s *Segment) decodePostings(dst []microblog.TweetID, ref *blockRef) []micro
 // reads Features instead. It decodes each tweet block once,
 // sequentially, straight off the image, so paging the whole log leaves
 // no decoded posts in heap. The *Tweet is scratch, overwritten
-// by the next post; its Text, Terms and Mentions are freshly owned and
-// may be kept. Terms are textutil.Tokenize of the text, exactly what
-// microblog.MakeTweet rendered when the post arrived (see the format's
-// tweets section). The range is clipped to the segment.
+// by the next post; its Text, Terms and Mentions may be kept. A
+// term-coded post's Terms are the dictionary's and its Text their
+// join; a raw post's Terms are textutil.Tokenize of its text, exactly
+// what microblog.MakeTweet rendered when the post arrived (see the
+// format's tweets section). The range is clipped to the segment.
 func (s *Segment) Scan(lo, hi int, fn func(*microblog.Tweet)) {
 	lo, hi = max(lo, 0), min(hi, s.numTweets)
 	var tw microblog.Tweet
@@ -592,10 +646,19 @@ func (s *Segment) Scan(lo, hi int, fn func(*microblog.Tweet)) {
 			var mentions []world.UserID // fresh per post: the caller may keep it
 			tw.Author, tw.RetweetCount, _, tw.Mentions = s.Features(tw.ID, false, &mentions)
 			tw.Topic = world.TopicID(blockUvarint(&buf)) - 1
-			tlen := int(blockUvarint(&buf))
-			tw.Text = string(buf[:tlen])
-			tw.Terms = textutil.Tokenize(tw.Text)
-			buf = buf[tlen:]
+			h := blockUvarint(&buf)
+			body := buf[:bodyLen(h)]
+			buf = buf[len(body):]
+			if h&1 == 1 {
+				tw.Text = string(body)
+				tw.Terms = textutil.Tokenize(tw.Text)
+			} else {
+				tw.Terms = make([]string, len(body)/2)
+				for k := range tw.Terms {
+					tw.Terms[k] = s.termList[binary.LittleEndian.Uint16(body[2*k:])]
+				}
+				tw.Text = strings.Join(tw.Terms, " ")
+			}
 			fn(&tw)
 		}
 	}

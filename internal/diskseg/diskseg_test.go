@@ -1,11 +1,13 @@
 package diskseg_test
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -180,11 +182,75 @@ func checkMatches(t *testing.T, c *microblog.Corpus, s *diskseg.Segment, queries
 	}
 }
 
+// unnormalPosts are posts whose text is not its terms joined by single
+// spaces, so a segment keeps them as raw records, next to a non-ASCII
+// post and a 140-rune cut that are in normal form and term-coded.
+func unnormalPosts() []microblog.Post {
+	texts := []string{
+		"Coffee with the 49ers", "coffee\twith the 49ers", "coffee  with the 49ers",
+		" coffee with the 49ers ", "", "Ünïcode café", "café crème",
+		strings.Repeat("abc ", 40),   // cut at 140 runes, ending in a space
+		strings.Repeat("éa bc ", 30), // cut at 140 runes, mid-token
+	}
+	posts := make([]microblog.Post, len(texts))
+	for i, text := range texts {
+		posts[i] = microblog.Post{Author: world.UserID(i), Text: text, RetweetCount: i, Topic: -1}
+	}
+	return posts
+}
+
+// numberTerms indexes tweets as a writer does, numbering each term as
+// it first arrives: EncodeIndexed's input.
+func numberTerms(tweets []microblog.Tweet) ([]diskseg.Term, []uint32) {
+	number := map[string]uint32{}
+	var terms []diskseg.Term
+	var termOf []uint32
+	for i := range tweets {
+		for _, tok := range tweets[i].Terms {
+			n, ok := number[tok]
+			if !ok {
+				n = uint32(len(terms))
+				number[tok] = n
+				terms = append(terms, diskseg.Term{Tok: tok})
+			}
+			termOf = append(termOf, n)
+			if ids := terms[n].IDs; len(ids) == 0 || ids[len(ids)-1] != microblog.TweetID(i) {
+				terms[n].IDs = append(ids, microblog.TweetID(i))
+			}
+		}
+	}
+	return terms, termOf
+}
+
 // TestRoundTripTweetsAndStats checks every decoded tweet field the
 // ranking path consumes, plus the three in-place stat tables over the
-// whole user universe.
+// whole user universe — over a segment holding both record kinds: the
+// generated corpus, term-coded, and unnormalPosts, raw but for two.
+// The writer's path — EncodeIndexed over terms numbered as they arrive —
+// must encode the same bytes as Encode.
 func TestRoundTripTweetsAndStats(t *testing.T) {
-	c, s := writeCorpus(t)
+	w := world.Build(world.TinyConfig())
+	c := microblog.Generate(w, microblog.TinyGenConfig()).ExtendedWith(unnormalPosts())
+	path := filepath.Join(t.TempDir(), "seg.esg")
+	if err := writeImage(path, c); err != nil {
+		t.Fatal(err)
+	}
+	terms, termOf := numberTerms(c.Tweets())
+	indexed, err := diskseg.EncodeIndexed(c.Tweets(), c.NumUsers(), terms, termOf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img, err := os.ReadFile(path); err != nil || !bytes.Equal(indexed, img) {
+		t.Fatalf("EncodeIndexed differs from Encode (%d vs %d bytes, %v)", len(indexed), len(img), err)
+	}
+	s, err := diskseg.Open(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Release()
+	if coded, raw := s.RecordKinds(); coded != c.NumTweets()-7 || raw != 7 {
+		t.Fatalf("%d term-coded and %d raw records, want %d and 7", coded, raw, c.NumTweets()-7)
+	}
 	all := scanAll(s)
 	if len(all) != c.NumTweets() {
 		t.Fatalf("Scan yielded %d posts, want %d", len(all), c.NumTweets())

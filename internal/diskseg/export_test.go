@@ -49,3 +49,16 @@ func Reseal(data []byte) {
 
 // TermList returns the segment's dictionary, in order.
 func (s *Segment) TermList() []string { return s.termList }
+
+// RecordKinds counts the segment's term-coded and raw tweet records.
+func (s *Segment) RecordKinds() (coded, raw int) {
+	s.records(func(rec []byte) {
+		_, n := binary.Uvarint(rec)
+		if h, _ := binary.Uvarint(rec[n:]); h&1 == 0 {
+			coded++
+		} else {
+			raw++
+		}
+	})
+	return coded, raw
+}

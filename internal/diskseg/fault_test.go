@@ -13,6 +13,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/diskseg"
@@ -240,16 +241,26 @@ func TestBlockStructure(t *testing.T) {
 	post, _ := diskseg.Section(img, diskseg.SecPostings)
 	tw, _ := diskseg.Section(img, diskseg.SecTweets)
 	// The first term's first block holds ids 0, 1, 2, ...: byte 0 is id
-	// 0, byte 1 the delta to id 1. Post 0's record is topic+1 (0), then
-	// its text's length (20) and its text.
+	// 0, byte 1 the delta to id 1. Every record is term-coded, 8 bytes:
+	// topic+1 (0), h = 6 (three ranks), then the ranks of "coffee",
+	// "#niners" and "49ers" in the three-term dictionary, 16 bits each.
+	// Post 63's ends its block, so Open reads its ranks one by one.
+	last := tw + 8*(diskseg.TweetBlockLen-1)
 	for _, tc := range []struct {
 		name  string
 		patch func(b []byte)
+		want  string // in the error
 	}{
-		{"zero delta", func(b []byte) { b[post+1] = 0 }},
-		{"block starts off its directory id", func(b []byte) { b[post] = 1 }},
-		{"block ends mid-varint", func(b []byte) { b[post+1] = 0x81 }},
-		{"text past the block", func(b []byte) { b[tw+1], b[tw+2] = 0xff, 0x7f }},
+		{"zero delta", func(b []byte) { b[post+1] = 0 }, ""},
+		{"block starts off its directory id", func(b []byte) { b[post] = 1 }, ""},
+		{"block ends mid-varint", func(b []byte) { b[post+1] = 0x81 }, ""},
+		{"text past the block", func(b []byte) { b[tw+1], b[tw+2] = 0xff, 0x7f }, "text past the block"},
+		{"rank at the term count", func(b []byte) { b[tw+2], b[tw+3] = 3, 0 }, "rank 3 of 3 terms"},
+		{"rank past 8 bits", func(b []byte) { b[tw+3] = 1 }, "rank 258 of 3 terms"},
+		{"third rank at the term count", func(b []byte) { b[tw+6] = 3 }, "rank 3 of 3 terms"},
+		{"block's last rank at the term count", func(b []byte) { b[last+6] = 3 }, "rank 3 of 3 terms"},
+		{"term count of 0", func(b []byte) { b[tw+1] = 0 }, "no terms"},
+		{"ranks past the block", func(b []byte) { b[tw+1], b[tw+2] = 0xfe, 0x7f }, "ranks past the block"},
 	} {
 		bad := append([]byte(nil), img...)
 		tc.patch(bad)
@@ -259,8 +270,8 @@ func TestBlockStructure(t *testing.T) {
 			s.Release()
 			t.Fatalf("%s: opened cleanly", tc.name)
 		}
-		if !errors.Is(err, diskseg.ErrCorrupt) {
-			t.Fatalf("%s: err = %v, want ErrCorrupt", tc.name, err)
+		if !errors.Is(err, diskseg.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want ErrCorrupt for %q", tc.name, err, tc.want)
 		}
 	}
 }
@@ -328,11 +339,13 @@ func TestUnencodableRetweetCount(t *testing.T) {
 	}
 }
 
-// TestVersion1Rejected feeds Open a well-formed image of the previous
-// format — the 132-byte, five-section header of an empty v1 segment,
-// checksum valid under v1's rules. It must be refused as ErrCorrupt on
-// its version, not misread as a short or damaged v2 header. (No
-// migration exists or is needed: the spill directory is wiped at boot.)
+// TestVersion1Rejected feeds Open well-formed images of earlier
+// formats: the 132-byte, five-section header of an empty v1 segment,
+// checksum valid under v1's rules, and a v3 image (raw-text records,
+// the current header) with its checksums valid. Each must be refused
+// as ErrCorrupt on its version, not misread as a short or damaged
+// header of the current one. (No migration exists or is needed: the
+// spill directory is wiped at boot.)
 func TestVersion1Rejected(t *testing.T) {
 	const v1Header = 8 + 4 + 16 + 5*20 + 4
 	v1 := make([]byte, v1Header)
@@ -342,11 +355,16 @@ func TestVersion1Rejected(t *testing.T) {
 		binary.LittleEndian.PutUint64(v1[28+20*sec:], v1Header) // empty section at EOF, CRC 0
 	}
 	binary.LittleEndian.PutUint32(v1[v1Header-4:], crc32.ChecksumIEEE(v1[:v1Header-4]))
-	if s, err := openImage(t, v1); err == nil {
-		s.Release()
-		t.Fatal("v1 image opened cleanly")
-	} else if !errors.Is(err, diskseg.ErrCorrupt) {
-		t.Fatalf("v1 image: err = %v, want ErrCorrupt", err)
+	v3 := smallImage(t)
+	binary.LittleEndian.PutUint32(v3[8:], 3)
+	diskseg.Reseal(v3)
+	for name, img := range map[string][]byte{"v1": v1, "v3": v3} {
+		if s, err := openImage(t, img); err == nil {
+			s.Release()
+			t.Fatalf("%s image opened cleanly", name)
+		} else if !errors.Is(err, diskseg.ErrCorrupt) {
+			t.Fatalf("%s image: err = %v, want ErrCorrupt", name, err)
+		}
 	}
 }
 

@@ -10,11 +10,19 @@
 //	postings    delta-varint posting blocks (microblog.PostingsBlockLen
 //	            ids each), concatenated in dictionary order
 //	tweetdir    little-endian uint32 byte lengths of the tweet blocks
-//	tweets      varint-packed tweet records (topic, text) in blocks of
-//	            TweetBlockLen. A post's terms are not stored: every
-//	            post is rendered by microblog.MakeTweet, whose terms are
-//	            textutil.Tokenize of the text, and an image never
-//	            outlives the process that wrote it, so Scan re-tokenizes
+//	tweets      tweet records in blocks of TweetBlockLen. A record is
+//	            uvarint topic+1, then a uvarint h: an even h is followed
+//	            by h/2 term ranks, each 16-bit little-endian indexing
+//	            this segment's dictionary; an odd h by h/2 bytes of raw
+//	            text. A post is term-coded when its text is exactly its
+//	            terms joined by single spaces (textutil.Normalize's fixed
+//	            point, every generated post) and the dictionary holds at
+//	            most 65,536 terms; Scan then rebuilds the text from the
+//	            dictionary and takes the terms from it. Any other post
+//	            (upper case, a tab, a run of spaces, no terms) keeps its
+//	            text raw, and Scan re-tokenizes it: its terms are
+//	            textutil.Tokenize of the text, as microblog.MakeTweet
+//	            rendered them, so a Tokenize change bumps the version
 //	features    the per-tweet ranking column, read in place, no decode:
 //	            numTweets+1 rows of three little-endian uint32 — author
 //	            (top bit: the post has a "#" term), retweet count, and
@@ -33,10 +41,10 @@
 // truncated, short-read or bit-flipped file fails cleanly at open time
 // and can never produce a wrong posting or a wrong ranking.
 //
-// Earlier versions — 1 (no feature column, features inside the tweet
-// records) and 2 (32-bit retweets-received stats) — are rejected with
-// ErrCorrupt: the spill directory is wiped at boot, so no old file
-// outlives the process that wrote it.
+// Earlier versions are rejected with ErrCorrupt: 1 (no feature column,
+// features inside the tweet records), 2 (32-bit retweets-received
+// stats) and 3 (every record's text raw). The spill directory is wiped
+// at boot, so no old file outlives the process that wrote it.
 package diskseg
 
 import (
@@ -56,7 +64,8 @@ import (
 )
 
 // MaxRetweetCount is the largest retweet count a post's feature row
-// holds (32 bits). Encode refuses a post past it, or a negative one.
+// holds (32 bits). Encode and EncodeIndexed refuse a post past it, or a
+// negative one.
 const MaxRetweetCount = math.MaxUint32
 
 // TweetBlockLen is the number of tweet records per tweet block — the
@@ -65,7 +74,11 @@ const MaxRetweetCount = math.MaxUint32
 const TweetBlockLen = 64
 
 const (
-	formatVersion = 3
+	formatVersion = 4
+
+	// maxCodedTerms is the largest dictionary whose ranks fit a
+	// term-coded record's 16 bits.
+	maxCodedTerms = 1 << 16
 
 	secStats    = 0
 	secDict     = 1
@@ -105,37 +118,88 @@ var ErrChecksum = errors.New("diskseg: segment checksum mismatch")
 var ErrCorrupt = errors.New("diskseg: corrupt segment")
 
 // Encode renders a sealed corpus into the segment format: the image a
-// seal loads (Load) and a spill writes (WriteFile). It is assembled in
-// one buffer of exactly its length — every section is sized first, then
-// written in place. A retweet count the feature column's 32 bits cannot
-// hold (or a negative one) is an error, not a truncation. The corpus's
-// posts must be as microblog.MakeTweet renders them — Terms is
-// textutil.Tokenize of Text — since a record keeps only the text.
+// spill writes (WriteFile) and Load serves. It numbers the corpus's
+// terms and looks each post's tokens up once, then encodes as
+// EncodeIndexed. The corpus's posts must be as microblog.MakeTweet
+// renders them — Terms is textutil.Tokenize of Text, and each post is
+// in its terms' posting lists — since a raw record keeps only the text.
 func Encode(c *microblog.Corpus) ([]byte, error) {
 	tweets := c.Tweets()
-	numUsers := c.NumUsers()
+	terms := make([]Term, 0, c.NumTerms())
+	c.Terms(func(tok string, ids []microblog.TweetID) { terms = append(terms, Term{tok, ids}) })
+	var termOf []uint32
+	if len(terms) <= maxCodedTerms { // else every record is raw: no ranks
+		number := make(map[string]uint32, len(terms))
+		for n, t := range terms {
+			number[t.Tok] = uint32(n)
+		}
+		numTokens := 0
+		for i := range tweets {
+			numTokens += len(tweets[i].Terms)
+		}
+		termOf = make([]uint32, 0, numTokens)
+		for i := range tweets {
+			for _, tok := range tweets[i].Terms {
+				n, ok := number[tok]
+				if !ok {
+					panic(fmt.Sprintf("diskseg: term %q of post %d is not in the corpus's index", tok, i))
+				}
+				termOf = append(termOf, n)
+			}
+		}
+	}
+	return EncodeIndexed(tweets, c.NumUsers(), terms, termOf)
+}
 
+// Term is one term of an index EncodeIndexed encodes: its token and the
+// ascending, duplicate-free ids of the posts holding it.
+type Term struct {
+	Tok string
+	IDs []microblog.TweetID
+}
+
+// EncodeIndexed renders posts (tweets[i].ID == i) and their numbered
+// term index into the segment format, without looking a token up: a
+// seal hands it the index its writer kept as each post arrived. terms
+// are in any order; termOf holds, post after post and token after
+// token, the number in terms of each post's token (it is not read when
+// terms pass 65,536). The posts' authors and mentions must be below
+// numUsers. The image is assembled in one buffer of exactly its length
+// — every section is sized first, then written in place. A retweet
+// count the feature column's 32 bits cannot hold (or a negative one) is
+// an error, not a truncation. Nothing passed in is written.
+func EncodeIndexed(tweets []microblog.Tweet, numUsers int, terms []Term, termOf []uint32) ([]byte, error) {
 	// The dictionary, sorted through (prefix key, position) pairs: most
 	// comparisons never reach the string bytes, and a swap moves 16
 	// bytes.
-	terms := make([]dictEntry, 0, c.NumTerms())
-	c.Terms(func(tok string, ids []microblog.TweetID) { terms = append(terms, dictEntry{tok, ids}) })
 	order := make([]termKey, len(terms))
 	for i, e := range terms {
-		order[i] = termKey{prefixKey(e.tok), uint32(i)}
+		order[i] = termKey{prefixKey(e.Tok), uint32(i)}
 	}
 	slices.SortFunc(order, func(a, b termKey) int {
 		if a.key != b.key {
 			return cmp.Compare(a.key, b.key)
 		}
-		return strings.Compare(terms[a.at].tok, terms[b.at].tok)
+		return strings.Compare(terms[a.at].Tok, terms[b.at].Tok)
 	})
+	// A token's rank is its term number's: rankOf turns the one into
+	// the other. A post is term-coded when its text is its terms joined
+	// (see the format's tweets section) and the dictionary fits ranks.
+	var rankOf []uint16
+	if len(terms) <= maxCodedTerms {
+		rankOf = make([]uint16, len(terms))
+		for r, k := range order {
+			rankOf[k.at] = uint16(r)
+		}
+	}
 
-	// Sizing pass.
+	// Sizing pass, counting the per-user stats as it goes.
+	coded := make([]bool, len(tweets))
+	counts := make([]uint64, 3*numUsers) // authored, mentioned, retweets
 	var size [numSections]int
 	size[secStats] = statsRow * numUsers
 	for _, k := range order {
-		d, p := termSize(terms[k.at].tok, terms[k.at].ids)
+		d, p := termSize(terms[k.at].Tok, terms[k.at].IDs)
 		size[secDict] += d
 		size[secPostings] += p
 	}
@@ -145,8 +209,16 @@ func Encode(c *microblog.Corpus) ([]byte, error) {
 		if uint64(t.RetweetCount) > MaxRetweetCount { // negatives wrap past it too
 			return nil, fmt.Errorf("diskseg: tweet %d: retweet count %d does not fit the feature column", i, t.RetweetCount)
 		}
-		size[secTweets] += uvarintLen(uint64(t.Topic+1)) + uvarintLen(uint64(len(t.Text))) + len(t.Text)
+		coded[i] = rankOf != nil && isJoined(t.Text, t.Terms)
+		if coded[i] {
+			size[secTweets] += uvarintLen(uint64(t.Topic+1)) + uvarintLen(2*uint64(len(t.Terms))) + 2*len(t.Terms)
+		} else {
+			size[secTweets] += uvarintLen(uint64(t.Topic+1)) + uvarintLen(2*uint64(len(t.Text))+1) + len(t.Text)
+		}
+		counts[t.Author]++
+		counts[2*numUsers+int(t.Author)] += uint64(t.RetweetCount)
 		for _, m := range t.Mentions {
+			counts[numUsers+int(m)]++
 			poolLen += uvarintLen(uint64(m))
 		}
 	}
@@ -157,8 +229,7 @@ func Encode(c *microblog.Corpus) ([]byte, error) {
 
 	// stats: three fixed-width arrays, read in place by the segment.
 	for u := 0; u < numUsers; u++ {
-		id := world.UserID(u)
-		v := [3]uint64{uint64(c.NumTweetsBy(id)), uint64(c.NumMentionsOf(id)), uint64(c.NumRetweetsOf(id))}
+		v := [3]uint64{counts[u], counts[numUsers+u], counts[2*numUsers+u]}
 		if err := putStats(secs[secStats], numUsers, u, v); err != nil {
 			return nil, err
 		}
@@ -169,16 +240,26 @@ func Encode(c *microblog.Corpus) ([]byte, error) {
 	// the corpus's index, which the equivalence spine proves correct.
 	dict, postings := secs[secDict][:0], secs[secPostings][:0]
 	for _, k := range order {
-		dict, postings = appendTerm(dict, postings, terms[k.at].tok, terms[k.at].ids)
+		dict, postings = appendTerm(dict, postings, terms[k.at].Tok, terms[k.at].IDs)
 	}
 
-	// tweets + tweetdir: varint records in blocks of TweetBlockLen.
+	// tweets + tweetdir: records in blocks of TweetBlockLen.
 	tw := tweetWriter{sec: secs[secTweets][:0], dir: secs[secTweetDir][:0]}
 	for i := range tweets {
 		t := &tweets[i]
 		tw.sec = binary.AppendUvarint(tw.sec, uint64(t.Topic+1))
-		tw.sec = binary.AppendUvarint(tw.sec, uint64(len(t.Text)))
-		tw.sec = append(tw.sec, t.Text...)
+		if coded[i] {
+			tw.sec = binary.AppendUvarint(tw.sec, 2*uint64(len(t.Terms)))
+			for _, n := range termOf[:len(t.Terms)] {
+				tw.sec = binary.LittleEndian.AppendUint16(tw.sec, rankOf[n])
+			}
+		} else {
+			tw.sec = binary.AppendUvarint(tw.sec, 2*uint64(len(t.Text))+1)
+			tw.sec = append(tw.sec, t.Text...)
+		}
+		if rankOf != nil {
+			termOf = termOf[len(t.Terms):]
+		}
 		tw.endRecord()
 	}
 	tw.finish()
@@ -288,6 +369,24 @@ func putStats(stats []byte, numUsers, u int, v [3]uint64) error {
 	return nil
 }
 
+// isJoined reports whether text is exactly terms joined by single
+// spaces, at least one of them.
+func isJoined(text string, terms []string) bool {
+	for j, tok := range terms {
+		if j > 0 {
+			if text == "" || text[0] != ' ' {
+				return false
+			}
+			text = text[1:]
+		}
+		if !strings.HasPrefix(text, tok) {
+			return false
+		}
+		text = text[len(tok):]
+	}
+	return len(terms) > 0 && text == ""
+}
+
 // uvarintLen returns the length of x's uvarint encoding.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
@@ -350,14 +449,7 @@ func (w *tweetWriter) endBlock() {
 	w.start = len(w.sec)
 }
 
-// dictEntry is one term of the corpus Encode renders, with its
-// posting list.
-type dictEntry struct {
-	tok string
-	ids []microblog.TweetID
-}
-
-// termKey orders dictEntries: a prefixKey and the entry's position.
+// termKey orders Terms: a prefixKey and the term's position.
 type termKey struct {
 	key uint64
 	at  uint32
@@ -385,8 +477,10 @@ func prefixKey(tok string) uint64 {
 //   - dict + postings: a k-way merge of the parts' sorted dictionaries;
 //     a term's list is its parts' blocks decoded back to back, rebased
 //     by the posts before each part, and re-blocked;
-//   - tweets + tweetdir: records copied as they are, cut into blocks
-//     afresh;
+//   - tweets + tweetdir: records copied, cut into blocks afresh; a
+//     term-coded record's ranks rewritten through its part's remap
+//     table, which the dictionary merge fills (ranks are fixed-width, so
+//     no record changes length);
 //   - features: rows copied with their mention offsets rebased by the
 //     pool bytes before the part, then the pools back to back.
 //
@@ -394,9 +488,10 @@ func prefixKey(tok string) uint64 {
 // once they are built every other section's size is known, so the image
 // is allocated once, at its exact length. The parts stay open and
 // untouched. Open validated every byte read here, so the walk decodes
-// unchecked. The parts must share a user
-// universe; a summed count past its stats array's width is an error, as
-// it is for Encode.
+// unchecked. A merged dictionary past 16-bit ranks is the exception:
+// every record must turn raw, so the parts' posts are decoded and
+// encoded afresh. The parts must share a user universe; a summed count
+// past its stats array's width is an error, as it is for Encode.
 func EncodeMerged(parts []*Segment) ([]byte, error) {
 	if len(parts) == 0 {
 		return nil, errors.New("diskseg: merge of no segments")
@@ -415,6 +510,10 @@ func EncodeMerged(parts []*Segment) ([]byte, error) {
 	}
 
 	heads := make([]int, len(parts)) // each part's next dictionary term
+	remap := make([][]uint16, len(parts))
+	for j, p := range parts {
+		remap[j] = make([]uint16, len(p.termList))
+	}
 	before := make([]microblog.TweetID, len(parts))
 	for j := 1; j < len(parts); j++ {
 		before[j] = before[j-1] + microblog.TweetID(parts[j-1].numTweets)
@@ -440,6 +539,7 @@ func EncodeMerged(parts []*Segment) ([]byte, error) {
 				continue
 			}
 			heads[j]++
+			remap[j][h] = uint16(numTerms) // read only if numTerms fits 16 bits
 			at := len(ids)
 			m := &p.metas[h]
 			for b := m.lo; b < m.hi; b++ {
@@ -452,12 +552,21 @@ func EncodeMerged(parts []*Segment) ([]byte, error) {
 		dict, postings = appendTerm(dict, postings, tok, ids)
 	}
 
+	if numTerms > maxCodedTerms {
+		// Past 16-bit ranks every record is raw: the one merge that
+		// decodes its posts into heap, to encode them as Encode does.
+		var tweets []microblog.Tweet
+		for _, p := range parts {
+			p.Scan(0, p.numTweets, func(t *microblog.Tweet) { tweets = append(tweets, *t) })
+		}
+		return Encode(microblog.FromTweets(&world.World{Users: make([]world.User, numUsers)}, tweets))
+	}
 	size := [numSections]int{
 		secStats:    statsRow * numUsers,
 		secDict:     len(dict),
 		secPostings: len(postings),
 		secTweetDir: 4 * ((numTweets + TweetBlockLen - 1) / TweetBlockLen),
-		secTweets:   hint[secTweets], // records are copied as they are
+		secTweets:   hint[secTweets], // remapped records keep their length
 		secFeatures: featureRow * (numTweets + 1),
 	}
 	for _, p := range parts {
@@ -481,16 +590,20 @@ func EncodeMerged(parts []*Segment) ([]byte, error) {
 	copy(secs[secPostings], postings)
 
 	tw := tweetWriter{sec: secs[secTweets][:0], dir: secs[secTweetDir][:0]}
-	for _, p := range parts {
-		for b, sp := range p.tweetBlocks {
-			buf := p.data[sp.off : sp.off+sp.blen]
-			for r := min(p.numTweets-b*TweetBlockLen, TweetBlockLen); r > 0; r-- {
-				n := recordLen(buf)
-				tw.sec = append(tw.sec, buf[:n]...)
-				buf = buf[n:]
-				tw.endRecord()
+	for j, p := range parts {
+		p.records(func(rec []byte) {
+			_, a := binary.Uvarint(rec)
+			h, m := binary.Uvarint(rec[a:])
+			if h&1 == 1 {
+				tw.sec = append(tw.sec, rec...)
+			} else {
+				tw.sec = append(tw.sec, rec[:a+m]...)
+				for q := a + m; q < len(rec); q += 2 {
+					tw.sec = binary.LittleEndian.AppendUint16(tw.sec, remap[j][binary.LittleEndian.Uint16(rec[q:])])
+				}
 			}
-		}
+			tw.endRecord()
+		})
 	}
 	tw.finish()
 
@@ -514,12 +627,20 @@ func EncodeMerged(parts []*Segment) ([]byte, error) {
 }
 
 // recordLen returns the byte length of the tweet record at the front
-// of buf: topic, text length, text. Open walked every record, so it
-// decodes unchecked.
+// of buf: topic, h, then h bytes of ranks (even h) or h/2 of text (odd
+// h). Open walked every record, so it decodes unchecked.
 func recordLen(buf []byte) int {
 	_, n := binary.Uvarint(buf)
-	tlen, m := binary.Uvarint(buf[n:])
-	return n + m + int(tlen)
+	h, m := binary.Uvarint(buf[n:])
+	return n + m + bodyLen(h)
+}
+
+// bodyLen is the byte length of what follows a record's h.
+func bodyLen(h uint64) int {
+	if h&1 == 1 {
+		return int(h >> 1)
+	}
+	return int(h)
 }
 
 // section is one parsed section table row.

@@ -27,12 +27,13 @@ func (m memFile) Close() error          { return nil }
 
 // fuzzImage encodes a 140-post corpus over a 12-user world: one term
 // in every post (two posting blocks), three in fewer, posts with zero
-// to two mentions and three tweet blocks, the last one short — every
+// to two mentions, term-coded and raw records (the upper-case and
+// tabbed texts) and three tweet blocks, the last one short — every
 // structure Open checks, in ≈ 3 KB, so the fuzzer's mutations and
 // minimizations stay cheap.
 func fuzzImage(t testing.TB) []byte {
 	w := &world.World{Users: make([]world.User, 12)}
-	texts := []string{"x a", "x b", "x a b", "x c #d"}
+	texts := []string{"x a", "x b", "x a b", "x c #d", "X\ta"}
 	posts := make([]microblog.Post, 140)
 	for i := range posts {
 		posts[i] = microblog.Post{Author: world.UserID(i % 12), Text: texts[i%len(texts)], RetweetCount: i % 3, Topic: -1}

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/diskseg"
@@ -18,13 +20,18 @@ import (
 // mergeStream returns the 700-post sequence the merge properties cut
 // into parts. It carries the cases a list concatenation can get wrong —
 // a token repeated inside one post, a post with no terms, a term present
-// in one part only — and hashtagged posts, whose feature rows carry the
-// hashtag bit.
+// in one part only — hashtagged posts, whose feature rows carry the
+// hashtag bit, and every 50th post from unnormalPosts, so the parts
+// hold both record kinds.
 func mergeStream(w *world.World) []microblog.Tweet {
 	stream := microblog.NewPostStream(w, microblog.DefaultStreamConfig(505))
+	unnormal := unnormalPosts()
 	var tweets []microblog.Tweet
 	for i := 0; i < 700; i++ {
 		p := stream.Next()
+		if i%50 == 7 {
+			p = unnormal[i/50%len(unnormal)]
+		}
 		switch i % 97 {
 		case 13:
 			p.Text = "lol " + p.Text + " lol omg lol"
@@ -126,7 +133,8 @@ func TestMergeEqualsRebuild(t *testing.T) {
 // remaps — a count that does not grow with the terms merged (4 × 128
 // and 4 × 512 posts), where a merge through heap corpora allocated a
 // posting list per term. The one thing that grows is the decode buffer
-// of the longest merged posting list, by doubling: 11 and 13 allocs.
+// of the longest merged posting list, by doubling: 16 and 18 allocs,
+// five of them the rank remap tables of term-coded records.
 func TestMergeAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts differ under the race runtime")
@@ -217,13 +225,37 @@ func TestMergedImageEqualsEncode(t *testing.T) {
 		chunks = append(chunks, chunk)
 	}
 	checkMergedImage(t, "disjoint vocabularies", w, dir, chunks)
+
+	// Two parts of 33,000 terms each, none shared: each part's
+	// dictionary fits 16-bit ranks, their union does not, so the merge
+	// rebuilds every term-coded record's text into a raw one.
+	chunks = chunks[:0]
+	for j := 0; j < 2; j++ {
+		var chunk []microblog.Tweet
+		for i := 0; i < 1320; i++ {
+			var words []string
+			for k := 0; k < 25; k++ {
+				words = append(words, fmt.Sprintf("%c%s", 'a'+j, strconv.FormatInt(int64(25*i+k), 36)))
+			}
+			text := strings.Join(words, " ")
+			if i%100 == 3 {
+				text = strings.ToUpper(text)
+			}
+			chunk = append(chunk, microblog.MakeTweet(microblog.Post{Author: world.UserID(i % len(w.Users)), Text: text, Topic: -1}))
+		}
+		chunks = append(chunks, chunk)
+	}
+	if n := checkMergedImage(t, "past 16-bit ranks", w, dir, chunks); n != 66_000 {
+		t.Fatalf("the parts hold %d distinct terms, want 66,000", n)
+	}
 }
 
 // checkMergedImage writes each chunk as a segment, merges the opened
 // segments with EncodeMerged, writes the image with WriteFile and holds
 // the file to Encode(FromTweets) of the concatenated chunks byte for
-// byte, then sweeps the opened result against that heap corpus.
-func checkMergedImage(t *testing.T, label string, w *world.World, dir string, chunks [][]microblog.Tweet) {
+// byte, then sweeps the opened result against that heap corpus. It
+// returns the number of terms merged.
+func checkMergedImage(t *testing.T, label string, w *world.World, dir string, chunks [][]microblog.Tweet) int {
 	t.Helper()
 	var segs []*diskseg.Segment
 	var all []microblog.Tweet
@@ -273,6 +305,19 @@ func checkMergedImage(t *testing.T, label string, w *world.World, dir string, ch
 	if m.NumTweets() != heap.NumTweets() || len(m.TermList()) != heap.NumTerms() {
 		t.Fatalf("%s: %d posts / %d terms, heap has %d / %d", label, m.NumTweets(), len(m.TermList()), heap.NumTweets(), heap.NumTerms())
 	}
+	// A merge keeps every record's kind, unless the merged dictionary
+	// outgrows 16-bit ranks: then it keeps none term-coded.
+	partsCoded := 0
+	for _, s := range segs {
+		c, _ := s.RecordKinds()
+		partsCoded += c
+	}
+	switch coded, _ := m.RecordKinds(); {
+	case heap.NumTerms() <= 1<<16 && coded != partsCoded:
+		t.Fatalf("%s: %d term-coded records, the parts hold %d", label, coded, partsCoded)
+	case heap.NumTerms() > 1<<16 && (coded != 0 || partsCoded == 0):
+		t.Fatalf("%s: %d terms, %d term-coded records, %d in the parts", label, heap.NumTerms(), coded, partsCoded)
+	}
 	heap.Terms(func(term string, _ []microblog.TweetID) {
 		if g, h := m.Postings(term, nil), heap.Postings(term); !slices.Equal(g, h) {
 			t.Fatalf("%s: postings of %q: %v, heap has %v", label, term, g, h)
@@ -300,4 +345,5 @@ func checkMergedImage(t *testing.T, label string, w *world.World, dir string, ch
 			t.Fatalf("%s: user %d stats differ", label, u)
 		}
 	}
+	return heap.NumTerms()
 }

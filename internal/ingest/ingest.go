@@ -8,10 +8,10 @@
 // it lands, and that work is carried forward, never redone. When the
 // active segment reaches Config.SealThreshold it is sealed: the
 // buffered tweets and the index kept for them are encoded, as they are,
-// into the compact segment format in memory (microblog.FromIndex,
-// diskseg.Encode, diskseg.Load — see tier.go). A background compactor
-// merges adjacent sealed segments of similar size into larger ones,
-// LSM-style, by concatenating their encoded posting lists
+// into the compact segment format in memory (diskseg.EncodeIndexed,
+// diskseg.Load — see tier.go). A background compactor merges adjacent
+// sealed segments of similar size into larger ones, LSM-style, by
+// concatenating their encoded posting lists
 // (diskseg.EncodeMerged), so a long-running index converges to a
 // handful of segments instead of an ever-growing chain; a writer that
 // outruns the compactor runs its drain itself (backlogFactor). Readers
@@ -135,16 +135,19 @@ type segment struct {
 
 // tailGen indexes one active segment — one generation of the tail,
 // from the seal that started it to the seal that ends it — by term and
-// by user. The writer appends each arriving post's segment-local id to
-// its terms' lists and to its author's and mentioned users' lists
-// (under Index.mu and mu); a snapshot reads the lists under mu and cuts
-// each at its own prefix (Snapshot.MatchTokensAppend, StatsInto). The
-// seal encodes idx and starts a new generation, so after it nothing
-// here is written again.
+// by user. The writer numbers each term as it first arrives, appends
+// each arriving post's segment-local id to its terms' lists and to its
+// author's and mentioned users' lists, and records the number of each
+// of its tokens' terms (under Index.mu and mu); a snapshot reads the
+// lists under mu and cuts each at its own prefix (match, StatsInto).
+// The seal encodes terms and termOf (diskseg.EncodeIndexed) and starts
+// a new generation, so after it nothing here is written again.
 type tailGen struct {
-	mu    sync.Mutex
-	idx   map[string][]microblog.TweetID // ascending segment-local ids
-	users []tailUser                     // by user id, one per world user
+	mu     sync.Mutex
+	idx    map[string]uint32 // a token's number in terms
+	terms  []diskseg.Term    // by number: ascending segment-local ids
+	termOf []uint32          // per token of the active posts, in order
+	users  []tailUser        // by user id, one per world user
 }
 
 // tailUser is what one generation holds that counts toward a user's
@@ -165,16 +168,24 @@ type authored struct {
 
 // newTailGen returns an empty generation over w's users.
 func newTailGen(w *world.World) *tailGen {
-	return &tailGen{idx: map[string][]microblog.TweetID{}, users: make([]tailUser, len(w.Users))}
+	return &tailGen{idx: map[string]uint32{}, users: make([]tailUser, len(w.Users))}
 }
 
-// add indexes the post with segment-local id. Called with mu held.
+// add indexes the post with segment-local id, looking each token up
+// once. Called with mu held.
 func (g *tailGen) add(id microblog.TweetID, tw *microblog.Tweet) {
 	for _, tok := range tw.Terms {
-		list := g.idx[tok]
+		n, ok := g.idx[tok]
+		if !ok {
+			n = uint32(len(g.terms))
+			g.idx[tok] = n
+			g.terms = append(g.terms, diskseg.Term{Tok: tok})
+		}
+		g.termOf = append(g.termOf, n)
 		// A token repeated inside the post already ends the list with id.
-		if n := len(list); n == 0 || list[n-1] != id {
-			g.idx[tok] = append(list, id)
+		t := &g.terms[n]
+		if k := len(t.IDs); k == 0 || t.IDs[k-1] != id {
+			t.IDs = append(t.IDs, id)
 		}
 	}
 	u := &g.users[tw.Author]
@@ -208,6 +219,21 @@ func (g *tailGen) addStats(dst []microblog.UserStats, users []world.UserID, end 
 }
 
 func byID(a authored, id microblog.TweetID) int { return cmp.Compare(a.id, id) }
+
+// match writes into buf the ids of the generation's posts holding every
+// token (microblog.IntersectLists). Called with mu held.
+func (g *tailGen) match(buf []microblog.TweetID, tokens []string) []microblog.TweetID {
+	var few [4][]microblog.TweetID // keeps the common short query off the heap
+	lists := few[:0]
+	for _, tok := range tokens {
+		n, ok := g.idx[tok]
+		if !ok {
+			return buf[:0]
+		}
+		lists = append(lists, g.terms[n].IDs)
+	}
+	return microblog.IntersectLists(buf, lists)
+}
 
 // Index is the writer side of the streaming index. Ingest is safe for
 // concurrent use (writes serialize on a short internal lock); Snapshot
@@ -300,7 +326,7 @@ func New(base *microblog.Corpus, cfg Config) *Index {
 		compactReq:  make(chan struct{}, 1),
 		done:        make(chan struct{}),
 	}
-	i.sealed = []*segment{{Segment: i.encode(base), noSpill: true}}
+	i.sealed = []*segment{{Segment: i.encoded(diskseg.Encode(base)), noSpill: true}}
 	if cfg.Obs != nil {
 		i.obsIngestNS = cfg.Obs.Histogram("ingest_ns")
 		// One row per Stats count; indexes sharing a registry sum.
@@ -445,17 +471,18 @@ func (i *Index) appendLocked(tw microblog.Tweet) (sealed bool) {
 }
 
 // sealLocked freezes the active segment into an immutable encoded
-// segment: the active array and the generation's term index, adopted as
-// they are (microblog.FromIndex — nothing is re-indexed), are encoded
-// into one image in memory and loaded. The writer moves on to a fresh
-// array — published snapshots still read the old one — and a fresh
-// generation.
+// segment: the active array and the generation's numbered term index
+// are encoded as they are (diskseg.EncodeIndexed — nothing is
+// re-indexed, no token looked up) into one image in memory and loaded.
+// The writer moves on to a fresh array — published snapshots still read
+// the old one — and a fresh generation.
 //
 // Every post's retweet count must fit the format (see Ingest): a seal
 // cannot leave a post out.
 func (i *Index) sealLocked() {
 	n := len(i.active)
-	seg := &segment{start: i.activeStart, Segment: i.encode(microblog.FromIndex(i.w, i.active[:n:n], i.gen.idx))}
+	g := i.gen
+	seg := &segment{start: i.activeStart, Segment: i.encoded(diskseg.EncodeIndexed(i.active[:n:n], len(i.w.Users), g.terms, g.termOf))}
 	i.sealed = append(i.sealed[:len(i.sealed):len(i.sealed)], seg)
 	i.activeStart += microblog.TweetID(n)
 	i.active = make([]microblog.Tweet, 0, i.cfg.SealThreshold)

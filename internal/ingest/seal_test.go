@@ -20,7 +20,8 @@ import (
 
 // sealPosts draws n stream posts and plants the cases incremental
 // indexing can get wrong: a token repeated inside one post (must be
-// posted once) and a post with no terms.
+// posted once), a post with no terms, and one whose text is not its
+// terms joined (a raw record beside the term-coded ones).
 func sealPosts(w *world.World, seed uint64, n int) []microblog.Post {
 	s := microblog.NewPostStream(w, microblog.DefaultStreamConfig(seed))
 	posts := make([]microblog.Post, n)
@@ -29,6 +30,7 @@ func sealPosts(w *world.World, seed uint64, n int) []microblog.Post {
 	}
 	posts[n/3].Text = "lol " + posts[n/3].Text + " lol omg lol"
 	posts[n/2].Text = ""
+	posts[2*n/3].Text = "Coffee  WITH\tthe " + posts[2*n/3].Text
 	return posts
 }
 
@@ -81,9 +83,10 @@ func TestSealAdoptsIndex(t *testing.T) {
 
 // TestSealAllocs pins the stall a seal puts under the write lock: it
 // encodes the tail into one exactly sized image and loads it — the
-// corpus view and its counters, the sorted dictionary, the image, the
-// loaded segment's dictionary and directories — plus the next layout
-// slice, active array and generation (its term and user maps). The
+// per-user counters, the sorted dictionary and its rank table, the
+// record kinds, the image, the loaded segment's dictionary and
+// directories — plus the next layout slice, active array and
+// generation (its term map and user lists). The
 // count does not grow with the posts or terms sealed (128, 512 and 2048
 // — the default seal — posts alike: 19, of which the generation's user
 // map is one). Adopting the tail as a heap corpus took 7, and the "≤ 8"

@@ -1,12 +1,12 @@
 // The storage tier of the streaming index. Every sealed segment is a
 // diskseg.Segment: a seal encodes the active segment in memory
-// (diskseg.Encode, diskseg.Load), a compaction merges its run's encoded
-// sections (diskseg.EncodeMerged), and a spill writes an image's bytes
-// to a file and maps it. Nothing branches on where a segment's bytes
-// live — a mapped segment is read exactly as an in-memory one, block
-// decodes straight off the image — which keeps the equivalence spine
-// one property: a quiesced index ranks bit-identical to a cold rebuild
-// wherever they are.
+// (diskseg.EncodeIndexed, diskseg.Load), a compaction merges its run's
+// encoded sections (diskseg.EncodeMerged), and a spill writes an
+// image's bytes to a file and maps it. Nothing branches on where a
+// segment's bytes live — a mapped segment is read exactly as an
+// in-memory one, block decodes straight off the image — which keeps
+// the equivalence spine one property: a quiesced index ranks
+// bit-identical to a cold rebuild wherever they are.
 //
 // Tiering policy. When Config.SpillDir is set, the background
 // compactor writes any in-memory ingested segment holding at least
@@ -34,7 +34,6 @@ import (
 	"slices"
 
 	"repro/internal/diskseg"
-	"repro/internal/microblog"
 )
 
 // spillEnabled reports whether the disk tier is configured.
@@ -42,10 +41,10 @@ func (i *Index) spillEnabled() bool {
 	return i.cfg.SpillDir != "" && i.cfg.SpillThreshold > 0
 }
 
-// encode serves c as an in-memory sealed segment. Every post's retweet
-// count must fit the format (see Index.Ingest).
-func (i *Index) encode(c *microblog.Corpus) *diskseg.Segment {
-	img, err := diskseg.Encode(c)
+// encoded serves a freshly encoded image as an in-memory sealed
+// segment. Every post's retweet count must fit the format (see
+// Index.Ingest), so an encode error is a bug.
+func (i *Index) encoded(img []byte, err error) *diskseg.Segment {
 	if err != nil {
 		panic(fmt.Sprintf("ingest: encode: %v", err))
 	}

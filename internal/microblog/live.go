@@ -1,15 +1,15 @@
-// Live-corpus construction. Every Corpus is built one way: rendered
-// tweets and their term index in, per-user counters computed once by
-// FromIndex. The streaming ingestion subsystem (internal/ingest) seals
-// through FromIndex with the term index its writer kept as each post
-// arrived, which a seal encodes (internal/diskseg) without tokenizing
-// or re-indexing a post. FromTweets builds that index from scratch
-// over a slice it adopts, and Generate, BuildCorpus and ExtendedWith
-// each hand it one fresh slice: it is the reference every live path
-// must equal (a sealed image ≡ the image of FromTweets over the same
-// posts, a quiesced index ≡ ExtendedWith). PostStream renders an
-// endless deterministic stream of live posts through the base corpus's
-// poster, feeding load generators and the streaming demo.
+// Live-corpus construction. Every Corpus is built one way: FromTweets
+// adopts rendered tweets, indexes their terms and computes the per-user
+// counters once. Generate, BuildCorpus and ExtendedWith each hand it
+// one fresh slice: it is the reference every live path must equal (a
+// sealed image ≡ the image of FromTweets over the same posts, a
+// quiesced index ≡ ExtendedWith). The streaming ingestion subsystem
+// (internal/ingest) builds no Corpus: its writer keeps a numbered term
+// index as each post arrives, which a seal encodes (internal/diskseg)
+// without tokenizing, re-indexing or looking up a post's terms.
+// PostStream renders an endless deterministic stream of live posts
+// through the base corpus's poster, feeding load generators and the
+// streaming demo.
 package microblog
 
 import (
@@ -51,8 +51,8 @@ func MakeTweet(p Post) Tweet {
 // the corpus holds the caller's array, each tweet's ID is set to its
 // position in place, and Terms slices are indexed as they are, not
 // re-tokenized. The caller must not use the slice again. It is the
-// from-scratch reference FromIndex is checked against, and the
-// partition constructor of internal/shard.
+// from-scratch reference a seal is checked against, and the partition
+// constructor of internal/shard.
 func FromTweets(w *world.World, tweets []Tweet) *Corpus {
 	index := map[string][]TweetID{}
 	for i := range tweets {
@@ -66,7 +66,25 @@ func FromTweets(w *world.World, tweets []Tweet) *Corpus {
 			}
 		}
 	}
-	return FromIndex(w, tweets, index)
+	nu := len(w.Users)
+	counters := make([]int, 3*nu)
+	c := &Corpus{
+		w:          w,
+		tweets:     tweets,
+		termIndex:  index,
+		tweetsBy:   counters[:nu:nu],
+		mentionsOf: counters[nu : 2*nu : 2*nu],
+		retweetsOf: counters[2*nu:],
+	}
+	for i := range tweets {
+		tw := &tweets[i]
+		c.tweetsBy[tw.Author]++
+		for _, m := range tw.Mentions {
+			c.mentionsOf[m]++
+		}
+		c.retweetsOf[tw.Author] += tw.RetweetCount
+	}
+	return c
 }
 
 // BuildCorpus renders and indexes raw posts (ids 0..len(posts)-1).
@@ -93,36 +111,6 @@ func (c *Corpus) ExtendedWith(posts []Post) *Corpus {
 // Tweets returns the corpus's tweet slice in id order. The slice is
 // index-owned — callers must treat it as read-only.
 func (c *Corpus) Tweets() []Tweet { return c.tweets }
-
-// FromIndex adopts an already indexed tweet sequence as a corpus: no
-// tweet is copied and no term is looked at. It trusts the caller that
-// tweets[i].ID == i and that index maps exactly the tokens of those
-// tweets to the ascending, duplicate-free ids of the tweets containing
-// them — what a writer that indexed each post on arrival holds — and
-// that neither is written again (the tweets array may be shared with
-// other readers of the same prefix). The one thing it computes is the
-// per-user counters: a single pass over integers.
-func FromIndex(w *world.World, tweets []Tweet, index map[string][]TweetID) *Corpus {
-	nu := len(w.Users)
-	counters := make([]int, 3*nu)
-	c := &Corpus{
-		w:          w,
-		tweets:     tweets,
-		termIndex:  index,
-		tweetsBy:   counters[:nu:nu],
-		mentionsOf: counters[nu : 2*nu : 2*nu],
-		retweetsOf: counters[2*nu:],
-	}
-	for i := range tweets {
-		tw := &tweets[i]
-		c.tweetsBy[tw.Author]++
-		for _, m := range tw.Mentions {
-			c.mentionsOf[m]++
-		}
-		c.retweetsOf[tw.Author] += tw.RetweetCount
-	}
-	return c
-}
 
 // NumTerms returns the number of distinct indexed terms.
 func (c *Corpus) NumTerms() int { return len(c.termIndex) }

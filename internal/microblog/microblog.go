@@ -204,14 +204,6 @@ func (c *Corpus) MatchTokensAppend(tokens []string, buf []TweetID) []TweetID {
 // AND-match over one token -> ascending-ids index. No tokens, or a
 // token the index lacks, match nothing.
 func IntersectPostings(buf []TweetID, index map[string][]TweetID, tokens []string) []TweetID {
-	if len(tokens) == 0 {
-		return buf[:0]
-	}
-	if len(tokens) == 1 {
-		// Single token: the posting list is index-owned, so hand the
-		// caller a copy written into their buffer.
-		return append(buf[:0], index[tokens[0]]...)
-	}
 	var few [4][]TweetID // keeps the common short query off the heap
 	postings := few[:0]
 	for _, tok := range tokens {
@@ -219,14 +211,30 @@ func IntersectPostings(buf []TweetID, index map[string][]TweetID, tokens []strin
 		if !ok {
 			return buf[:0]
 		}
-		// Insert by ascending length: intersecting from the rarest token
-		// means every later pass can only shrink the running result.
-		i := len(postings)
 		postings = append(postings, p)
-		for ; i > 0 && len(postings[i-1]) > len(p); i-- {
-			postings[i] = postings[i-1]
+	}
+	return IntersectLists(buf, postings)
+}
+
+// IntersectLists writes into buf (capacity reused, contents discarded)
+// the ids present in every ascending posting list — the AND-match once
+// each token's list is found. No lists match nothing. It reorders
+// postings, not the lists.
+func IntersectLists(buf []TweetID, postings [][]TweetID) []TweetID {
+	switch len(postings) {
+	case 0:
+		return buf[:0]
+	case 1:
+		// Single token: the posting list is index-owned, so hand the
+		// caller a copy written into their buffer.
+		return append(buf[:0], postings[0]...)
+	}
+	// Sort by ascending length: intersecting from the rarest token
+	// means every later pass can only shrink the running result.
+	for i := 1; i < len(postings); i++ {
+		for j := i; j > 0 && len(postings[j-1]) > len(postings[j]); j-- {
+			postings[j-1], postings[j] = postings[j], postings[j-1]
 		}
-		postings[i] = p
 	}
 	buf = IntersectInto(buf, postings[0], postings[1])
 	for _, p := range postings[2:] {
