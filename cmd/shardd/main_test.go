@@ -306,9 +306,10 @@ func TestRunDrainsOnSignal(t *testing.T) {
 // bootBytes bounds what a one-shard shardd allocates from run's start
 // to started: the world, the generated base, its partition, the
 // partition's encoded image and index, and the listener. FromTweets
-// adopts the partition, measured at 5.86 MB with the term-coded image
-// (5.91 MB with raw-text records, 5.71 MB before the index encoded its
-// base); a boot that copies the partition once more allocates 6.40 MB.
+// adopts the partition, measured at 5.87 MB with the base encoded from
+// the corpus's own term index (5.91 MB renumbering its terms in the
+// encoder, 5.71 MB before the index encoded its base); a boot that
+// copies the partition once more allocates 6.40 MB.
 const bootBytes = 6_050_000
 
 // TestBootAllocs pins the boot's allocation: a shardd that copies its

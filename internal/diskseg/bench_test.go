@@ -116,7 +116,7 @@ func segmentImage(b *testing.B, w *world.World, n int) []byte {
 }
 
 // BenchmarkDiskSegEncode measures a seal's encode at the default seal:
-// 2048 posts and the term index a writer numbers as they arrive
+// 2048 posts and their term index, built post by post as a writer's is
 // (EncodeIndexed), rendered into one exactly sized image. B/post is the
 // image's bytes per post, an exact count.
 func BenchmarkDiskSegEncode(b *testing.B) {
@@ -126,14 +126,13 @@ func BenchmarkDiskSegEncode(b *testing.B) {
 	for i := range posts {
 		posts[i] = stream.Next()
 	}
-	tweets := microblog.BuildCorpus(w, posts).Tweets()
-	terms, termOf := numberTerms(tweets)
+	c := microblog.BuildCorpus(w, posts)
 	var img []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		if img, err = diskseg.EncodeIndexed(tweets, len(w.Users), terms, termOf); err != nil {
+		if img, err = diskseg.EncodeIndexed(c.Tweets(), len(w.Users), c.Index()); err != nil {
 			b.Fatal(err)
 		}
 	}

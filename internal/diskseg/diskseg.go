@@ -186,7 +186,7 @@ func (s *Segment) parseDict(dict, postings section, numTerms int) error {
 	names := string(buf)
 	s.termList = make([]string, 0, numTerms)
 	s.metas = make([]termMeta, numTerms)
-	s.blocks = make([]blockRef, 0, numTerms+postings.n/microblog.PostingsBlockLen)
+	s.blocks = make([]blockRef, 0, numTerms+postings.n/postingsBlockLen)
 	size := 2
 	for size < 2*numTerms {
 		size *= 2
@@ -197,7 +197,7 @@ func (s *Segment) parseDict(dict, postings section, numTerms int) error {
 	}
 	next := postings.off
 	end := postings.off + postings.n
-	scratch := make([]microblog.TweetID, 0, microblog.PostingsBlockLen)
+	scratch := make([]microblog.TweetID, 0, postingsBlockLen)
 	for i := 0; i < numTerms; i++ {
 		tlen, err := takeUvarint(&buf)
 		if err != nil {
@@ -222,10 +222,10 @@ func (s *Segment) parseDict(dict, postings section, numTerms int) error {
 		m := &s.metas[i]
 		m.count, m.lo = int32(count), int32(len(s.blocks))
 		last := microblog.TweetID(-1)
-		for got := 0; got < int(m.count); got += microblog.PostingsBlockLen {
+		for got := 0; got < int(m.count); got += postingsBlockLen {
 			n := int(m.count) - got
-			if n > microblog.PostingsBlockLen {
-				n = microblog.PostingsBlockLen
+			if n > postingsBlockLen {
+				n = postingsBlockLen
 			}
 			first, err := takeUvarint(&buf)
 			if err != nil {
@@ -238,12 +238,12 @@ func (s *Segment) parseDict(dict, postings section, numTerms int) error {
 			if blen > uint64(end-next) {
 				return fmt.Errorf("dict term %q: block %d bytes past postings section: %w", tok, blen, ErrCorrupt)
 			}
-			ids, rest, err := microblog.DecodePostingsBlock(scratch[:0], s.data[next:next+int(blen)], n)
+			ids, rest, err := decodePostingsBlock(scratch[:0], s.data[next:next+int(blen)], n)
 			scratch = ids
 			b := len(s.blocks) - int(m.lo)
 			switch {
 			case err != nil:
-				return fmt.Errorf("dict term %q block %d: %v: %w", tok, b, err, ErrCorrupt)
+				return fmt.Errorf("dict term %q block %d: %w", tok, b, err)
 			case len(rest) != 0:
 				return fmt.Errorf("dict term %q block %d: %d trailing bytes: %w", tok, b, len(rest), ErrCorrupt)
 			case uint64(ids[0]) != first:
@@ -597,7 +597,7 @@ func (s *Segment) termAppend(m *termMeta, buf []microblog.TweetID) []microblog.T
 }
 
 // decodePostings appends one posting block to dst, decoded off the image.
-// Open decoded every block with microblog.DecodePostingsBlock's checks,
+// Open decoded every block with decodePostingsBlock's checks,
 // so this decode skips them: it only sums the deltas.
 func (s *Segment) decodePostings(dst []microblog.TweetID, ref *blockRef) []microblog.TweetID {
 	data := s.data[ref.off : ref.off+int(ref.blen)]

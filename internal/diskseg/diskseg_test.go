@@ -131,7 +131,7 @@ func TestMatchAppendEquivalence(t *testing.T) {
 			common = tok
 		}
 	}
-	if len(c.Postings(common)) < 3*microblog.PostingsBlockLen {
+	if len(c.Postings(common)) < 3*diskseg.PostingsBlockLen {
 		t.Fatalf("the most common term %q spans fewer than 3 blocks", common)
 	}
 	for i := 0; i < len(vocab); i += 37 {
@@ -143,7 +143,7 @@ func TestMatchAppendEquivalence(t *testing.T) {
 	// consecutive ids; each rarer term sits on a block's last or first
 	// id, or one past the end.
 	w := world.Build(world.TinyConfig())
-	posts := make([]microblog.Post, 3*microblog.PostingsBlockLen+5)
+	posts := make([]microblog.Post, 3*diskseg.PostingsBlockLen+5)
 	edges := map[int]string{0: "a", 127: "b", 128: "c", 255: "d", 256: "b", 383: "e", 386: "f"}
 	for i := range posts {
 		posts[i] = microblog.Post{Author: world.UserID(i % len(w.Users)), Text: "all " + edges[i], Topic: -1}
@@ -199,35 +199,24 @@ func unnormalPosts() []microblog.Post {
 	return posts
 }
 
-// numberTerms indexes tweets as a writer does, numbering each term as
-// it first arrives: EncodeIndexed's input.
-func numberTerms(tweets []microblog.Tweet) ([]diskseg.Term, []uint32) {
-	number := map[string]uint32{}
-	var terms []diskseg.Term
-	var termOf []uint32
-	for i := range tweets {
-		for _, tok := range tweets[i].Terms {
-			n, ok := number[tok]
-			if !ok {
-				n = uint32(len(terms))
-				number[tok] = n
-				terms = append(terms, diskseg.Term{Tok: tok})
-			}
-			termOf = append(termOf, n)
-			if ids := terms[n].IDs; len(ids) == 0 || ids[len(ids)-1] != microblog.TweetID(i) {
-				terms[n].IDs = append(ids, microblog.TweetID(i))
-			}
-		}
+// renumbered returns x with its terms numbered in reverse and TermOf
+// remapped to match: the same index, numbered another way.
+func renumbered(x *microblog.TermIndex) *microblog.TermIndex {
+	last := uint32(len(x.Terms) - 1)
+	r := &microblog.TermIndex{Terms: slices.Clone(x.Terms), TermOf: make([]uint32, len(x.TermOf))}
+	slices.Reverse(r.Terms)
+	for k, n := range x.TermOf {
+		r.TermOf[k] = last - n
 	}
-	return terms, termOf
+	return r
 }
 
 // TestRoundTripTweetsAndStats checks every decoded tweet field the
 // ranking path consumes, plus the three in-place stat tables over the
 // whole user universe — over a segment holding both record kinds: the
 // generated corpus, term-coded, and unnormalPosts, raw but for two.
-// The writer's path — EncodeIndexed over terms numbered as they arrive —
-// must encode the same bytes as Encode.
+// The image must not depend on how the index numbers its terms: the
+// corpus's index renumbered encodes Encode's bytes.
 func TestRoundTripTweetsAndStats(t *testing.T) {
 	w := world.Build(world.TinyConfig())
 	c := microblog.Generate(w, microblog.TinyGenConfig()).ExtendedWith(unnormalPosts())
@@ -235,13 +224,12 @@ func TestRoundTripTweetsAndStats(t *testing.T) {
 	if err := writeImage(path, c); err != nil {
 		t.Fatal(err)
 	}
-	terms, termOf := numberTerms(c.Tweets())
-	indexed, err := diskseg.EncodeIndexed(c.Tweets(), c.NumUsers(), terms, termOf)
+	indexed, err := diskseg.EncodeIndexed(c.Tweets(), c.NumUsers(), renumbered(c.Index()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if img, err := os.ReadFile(path); err != nil || !bytes.Equal(indexed, img) {
-		t.Fatalf("EncodeIndexed differs from Encode (%d vs %d bytes, %v)", len(indexed), len(img), err)
+		t.Fatalf("a renumbered index encodes differently from Encode (%d vs %d bytes, %v)", len(indexed), len(img), err)
 	}
 	s, err := diskseg.Open(path, nil)
 	if err != nil {

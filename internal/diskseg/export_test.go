@@ -5,10 +5,13 @@ import (
 	"hash/crc32"
 )
 
-// FeatureRow and HashtagBit expose the feature-column layout to the
-// fault suite, which patches single rows of a valid image; the Sec
+// PostingsBlockLen exposes the posting-block size to the block-edge
+// cases. FeatureRow and HashtagBit expose the feature-column layout to
+// the fault suite, which patches single rows of a valid image; the Sec
 // constants name the sections it patches.
 const (
+	PostingsBlockLen = postingsBlockLen
+
 	FeatureRow = featureRow
 	HashtagBit = hashtagBit
 

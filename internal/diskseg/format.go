@@ -7,7 +7,7 @@
 //	dict        the sorted term dictionary: per term its token bytes,
 //	            total posting count and a block directory (first id +
 //	            byte length per block)
-//	postings    delta-varint posting blocks (microblog.PostingsBlockLen
+//	postings    delta-varint posting blocks (postingsBlockLen
 //	            ids each), concatenated in dictionary order
 //	tweetdir    little-endian uint32 byte lengths of the tweet blocks
 //	tweets      tweet records in blocks of TweetBlockLen. A record is
@@ -118,57 +118,26 @@ var ErrChecksum = errors.New("diskseg: segment checksum mismatch")
 var ErrCorrupt = errors.New("diskseg: corrupt segment")
 
 // Encode renders a sealed corpus into the segment format: the image a
-// spill writes (WriteFile) and Load serves. It numbers the corpus's
-// terms and looks each post's tokens up once, then encodes as
-// EncodeIndexed. The corpus's posts must be as microblog.MakeTweet
-// renders them — Terms is textutil.Tokenize of Text, and each post is
-// in its terms' posting lists — since a raw record keeps only the text.
+// spill writes (WriteFile) and Load serves — EncodeIndexed over the
+// corpus's own term index. The corpus's posts must be as
+// microblog.MakeTweet renders them (Terms is textutil.Tokenize of
+// Text), since a raw record keeps only the text.
 func Encode(c *microblog.Corpus) ([]byte, error) {
-	tweets := c.Tweets()
-	terms := make([]Term, 0, c.NumTerms())
-	c.Terms(func(tok string, ids []microblog.TweetID) { terms = append(terms, Term{tok, ids}) })
-	var termOf []uint32
-	if len(terms) <= maxCodedTerms { // else every record is raw: no ranks
-		number := make(map[string]uint32, len(terms))
-		for n, t := range terms {
-			number[t.Tok] = uint32(n)
-		}
-		numTokens := 0
-		for i := range tweets {
-			numTokens += len(tweets[i].Terms)
-		}
-		termOf = make([]uint32, 0, numTokens)
-		for i := range tweets {
-			for _, tok := range tweets[i].Terms {
-				n, ok := number[tok]
-				if !ok {
-					panic(fmt.Sprintf("diskseg: term %q of post %d is not in the corpus's index", tok, i))
-				}
-				termOf = append(termOf, n)
-			}
-		}
-	}
-	return EncodeIndexed(tweets, c.NumUsers(), terms, termOf)
+	return EncodeIndexed(c.Tweets(), c.NumUsers(), c.Index())
 }
 
-// Term is one term of an index EncodeIndexed encodes: its token and the
-// ascending, duplicate-free ids of the posts holding it.
-type Term struct {
-	Tok string
-	IDs []microblog.TweetID
-}
-
-// EncodeIndexed renders posts (tweets[i].ID == i) and their numbered
-// term index into the segment format, without looking a token up: a
-// seal hands it the index its writer kept as each post arrived. terms
-// are in any order; termOf holds, post after post and token after
-// token, the number in terms of each post's token (it is not read when
-// terms pass 65,536). The posts' authors and mentions must be below
-// numUsers. The image is assembled in one buffer of exactly its length
-// — every section is sized first, then written in place. A retweet
-// count the feature column's 32 bits cannot hold (or a negative one) is
-// an error, not a truncation. Nothing passed in is written.
-func EncodeIndexed(tweets []microblog.Tweet, numUsers int, terms []Term, termOf []uint32) ([]byte, error) {
+// EncodeIndexed renders posts (tweets[i].ID == i) and the term index
+// built over them (microblog.TermIndex.Add, post by post) into the
+// segment format, without looking a token up: a seal hands it the index
+// its writer kept as each post arrived, Encode a corpus's. The index's
+// terms may be numbered in any order. The posts' authors and mentions
+// must be below numUsers. The image is assembled in one buffer of
+// exactly its length — every section is sized first, then written in
+// place. A retweet count the feature column's 32 bits cannot hold (or a
+// negative one) is an error, not a truncation. Nothing passed in is
+// written.
+func EncodeIndexed(tweets []microblog.Tweet, numUsers int, index *microblog.TermIndex) ([]byte, error) {
+	terms, termOf := index.Terms, index.TermOf
 	// The dictionary, sorted through (prefix key, position) pairs: most
 	// comparisons never reach the string bytes, and a swap moves 16
 	// bytes.
@@ -257,9 +226,7 @@ func EncodeIndexed(tweets []microblog.Tweet, numUsers int, terms []Term, termOf 
 			tw.sec = binary.AppendUvarint(tw.sec, 2*uint64(len(t.Text))+1)
 			tw.sec = append(tw.sec, t.Text...)
 		}
-		if rankOf != nil {
-			termOf = termOf[len(t.Terms):]
-		}
+		termOf = termOf[len(t.Terms):]
 		tw.endRecord()
 	}
 	tw.finish()
@@ -394,9 +361,9 @@ func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 // dictionary entry and its posting blocks.
 func termSize(tok string, ids []microblog.TweetID) (dict, postings int) {
 	dict = uvarintLen(uint64(len(tok))) + len(tok) + uvarintLen(uint64(len(ids)))
-	for off := 0; off < len(ids); off += microblog.PostingsBlockLen {
-		block := ids[off:min(off+microblog.PostingsBlockLen, len(ids))]
-		n := uvarintLen(uint64(block[0])) // what AppendPostingsBlock writes
+	for off := 0; off < len(ids); off += postingsBlockLen {
+		block := ids[off:min(off+postingsBlockLen, len(ids))]
+		n := uvarintLen(uint64(block[0])) // what appendPostingsBlock writes
 		for j := 1; j < len(block); j++ {
 			n += uvarintLen(uint64(block[j] - block[j-1]))
 		}
@@ -407,16 +374,16 @@ func termSize(tok string, ids []microblog.TweetID) (dict, postings int) {
 }
 
 // appendTerm appends one dictionary entry and the term's posting blocks:
-// the token, its posting count and, per block of PostingsBlockLen ids,
+// the token, its posting count and, per block of postingsBlockLen ids,
 // the block's first id and encoded length.
 func appendTerm(dict, postings []byte, tok string, ids []microblog.TweetID) ([]byte, []byte) {
 	dict = binary.AppendUvarint(dict, uint64(len(tok)))
 	dict = append(dict, tok...)
 	dict = binary.AppendUvarint(dict, uint64(len(ids)))
-	for off := 0; off < len(ids); off += microblog.PostingsBlockLen {
-		end := min(off+microblog.PostingsBlockLen, len(ids))
+	for off := 0; off < len(ids); off += postingsBlockLen {
+		end := min(off+postingsBlockLen, len(ids))
 		blockStart := len(postings)
-		postings = microblog.AppendPostingsBlock(postings, ids[off:end])
+		postings = appendPostingsBlock(postings, ids[off:end])
 		dict = binary.AppendUvarint(dict, uint64(ids[off]))
 		dict = binary.AppendUvarint(dict, uint64(len(postings)-blockStart))
 	}

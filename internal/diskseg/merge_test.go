@@ -302,8 +302,9 @@ func checkMergedImage(t *testing.T, label string, w *world.World, dir string, ch
 		t.Fatalf("%s: merged image does not open: %v", label, err)
 	}
 	defer m.Release()
-	if m.NumTweets() != heap.NumTweets() || len(m.TermList()) != heap.NumTerms() {
-		t.Fatalf("%s: %d posts / %d terms, heap has %d / %d", label, m.NumTweets(), len(m.TermList()), heap.NumTweets(), heap.NumTerms())
+	terms := heap.Index().Terms
+	if m.NumTweets() != heap.NumTweets() || len(m.TermList()) != len(terms) {
+		t.Fatalf("%s: %d posts / %d terms, heap has %d / %d", label, m.NumTweets(), len(m.TermList()), heap.NumTweets(), len(terms))
 	}
 	// A merge keeps every record's kind, unless the merged dictionary
 	// outgrows 16-bit ranks: then it keeps none term-coded.
@@ -313,16 +314,16 @@ func checkMergedImage(t *testing.T, label string, w *world.World, dir string, ch
 		partsCoded += c
 	}
 	switch coded, _ := m.RecordKinds(); {
-	case heap.NumTerms() <= 1<<16 && coded != partsCoded:
+	case len(terms) <= 1<<16 && coded != partsCoded:
 		t.Fatalf("%s: %d term-coded records, the parts hold %d", label, coded, partsCoded)
-	case heap.NumTerms() > 1<<16 && (coded != 0 || partsCoded == 0):
-		t.Fatalf("%s: %d terms, %d term-coded records, %d in the parts", label, heap.NumTerms(), coded, partsCoded)
+	case len(terms) > 1<<16 && (coded != 0 || partsCoded == 0):
+		t.Fatalf("%s: %d terms, %d term-coded records, %d in the parts", label, len(terms), coded, partsCoded)
 	}
-	heap.Terms(func(term string, _ []microblog.TweetID) {
-		if g, h := m.Postings(term, nil), heap.Postings(term); !slices.Equal(g, h) {
-			t.Fatalf("%s: postings of %q: %v, heap has %v", label, term, g, h)
+	for _, term := range terms {
+		if g := m.Postings(term.Tok, nil); !slices.Equal(g, term.IDs) {
+			t.Fatalf("%s: postings of %q: %v, heap has %v", label, term.Tok, g, term.IDs)
 		}
-	})
+	}
 	var scratch []world.UserID
 	posts := scanAll(m)
 	for i := 0; i < heap.NumTweets(); i++ {
@@ -345,5 +346,5 @@ func checkMergedImage(t *testing.T, label string, w *world.World, dir string, ch
 			t.Fatalf("%s: user %d stats differ", label, u)
 		}
 	}
-	return heap.NumTerms()
+	return len(terms)
 }

@@ -4,8 +4,9 @@
 //
 // Architecture. Writes land in an append-only active segment under a
 // short mutex. A post is indexed exactly once, there and then: the
-// writer appends its id to the active segment's term index (tailGen) as
-// it lands, and that work is carried forward, never redone. When the
+// writer adds it to the active segment's term index (tailGen, a
+// microblog.TermIndex, built as a corpus's is) as it lands, and that
+// work is carried forward, never redone. When the
 // active segment reaches Config.SealThreshold it is sealed: the
 // buffered tweets and the index kept for them are encoded, as they are,
 // into the compact segment format in memory (diskseg.EncodeIndexed,
@@ -135,19 +136,17 @@ type segment struct {
 
 // tailGen indexes one active segment — one generation of the tail,
 // from the seal that started it to the seal that ends it — by term and
-// by user. The writer numbers each term as it first arrives, appends
-// each arriving post's segment-local id to its terms' lists and to its
-// author's and mentioned users' lists, and records the number of each
-// of its tokens' terms (under Index.mu and mu); a snapshot reads the
-// lists under mu and cuts each at its own prefix (match, StatsInto).
-// The seal encodes terms and termOf (diskseg.EncodeIndexed) and starts
-// a new generation, so after it nothing here is written again.
+// by user. The writer adds each arriving post's segment-local id to the
+// term index (microblog.TermIndex.Add, which numbers each term as it
+// first arrives) and to its author's and mentioned users' lists (under
+// Index.mu and mu); a snapshot reads the lists under mu and cuts each
+// at its own prefix (MatchAppend, addStats). The seal encodes the term
+// index as built (diskseg.EncodeIndexed) and starts a new generation,
+// so after it nothing here is written again.
 type tailGen struct {
-	mu     sync.Mutex
-	idx    map[string]uint32 // a token's number in terms
-	terms  []diskseg.Term    // by number: ascending segment-local ids
-	termOf []uint32          // per token of the active posts, in order
-	users  []tailUser        // by user id, one per world user
+	mu sync.Mutex
+	microblog.TermIndex
+	users []tailUser // by user id, one per world user
 }
 
 // tailUser is what one generation holds that counts toward a user's
@@ -168,26 +167,12 @@ type authored struct {
 
 // newTailGen returns an empty generation over w's users.
 func newTailGen(w *world.World) *tailGen {
-	return &tailGen{idx: map[string]uint32{}, users: make([]tailUser, len(w.Users))}
+	return &tailGen{users: make([]tailUser, len(w.Users))}
 }
 
-// add indexes the post with segment-local id, looking each token up
-// once. Called with mu held.
+// add indexes the post with segment-local id. Called with mu held.
 func (g *tailGen) add(id microblog.TweetID, tw *microblog.Tweet) {
-	for _, tok := range tw.Terms {
-		n, ok := g.idx[tok]
-		if !ok {
-			n = uint32(len(g.terms))
-			g.idx[tok] = n
-			g.terms = append(g.terms, diskseg.Term{Tok: tok})
-		}
-		g.termOf = append(g.termOf, n)
-		// A token repeated inside the post already ends the list with id.
-		t := &g.terms[n]
-		if k := len(t.IDs); k == 0 || t.IDs[k-1] != id {
-			t.IDs = append(t.IDs, id)
-		}
-	}
+	g.Add(id, tw.Terms)
 	u := &g.users[tw.Author]
 	sum := tw.RetweetCount
 	if n := len(u.wrote); n > 0 {
@@ -219,21 +204,6 @@ func (g *tailGen) addStats(dst []microblog.UserStats, users []world.UserID, end 
 }
 
 func byID(a authored, id microblog.TweetID) int { return cmp.Compare(a.id, id) }
-
-// match writes into buf the ids of the generation's posts holding every
-// token (microblog.IntersectLists). Called with mu held.
-func (g *tailGen) match(buf []microblog.TweetID, tokens []string) []microblog.TweetID {
-	var few [4][]microblog.TweetID // keeps the common short query off the heap
-	lists := few[:0]
-	for _, tok := range tokens {
-		n, ok := g.idx[tok]
-		if !ok {
-			return buf[:0]
-		}
-		lists = append(lists, g.terms[n].IDs)
-	}
-	return microblog.IntersectLists(buf, lists)
-}
 
 // Index is the writer side of the streaming index. Ingest is safe for
 // concurrent use (writes serialize on a short internal lock); Snapshot
@@ -481,8 +451,7 @@ func (i *Index) appendLocked(tw microblog.Tweet) (sealed bool) {
 // cannot leave a post out.
 func (i *Index) sealLocked() {
 	n := len(i.active)
-	g := i.gen
-	seg := &segment{start: i.activeStart, Segment: i.encoded(diskseg.EncodeIndexed(i.active[:n:n], len(i.w.Users), g.terms, g.termOf))}
+	seg := &segment{start: i.activeStart, Segment: i.encoded(diskseg.EncodeIndexed(i.active[:n:n], len(i.w.Users), &i.gen.TermIndex))}
 	i.sealed = append(i.sealed[:len(i.sealed):len(i.sealed)], seg)
 	i.activeStart += microblog.TweetID(n)
 	i.active = make([]microblog.Tweet, 0, i.cfg.SealThreshold)

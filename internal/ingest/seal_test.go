@@ -86,12 +86,11 @@ func TestSealAdoptsIndex(t *testing.T) {
 // per-user counters, the sorted dictionary and its rank table, the
 // record kinds, the image, the loaded segment's dictionary and
 // directories — plus the next layout slice, active array and
-// generation (its term map and user lists). The
-// count does not grow with the posts or terms sealed (128, 512 and 2048
-// — the default seal — posts alike: 19, of which the generation's user
-// map is one). Adopting the tail as a heap corpus took 7, and the "≤ 8"
-// bound that held it cannot hold once a seal encodes; the constant is
-// what is pinned now.
+// generation (its user lists; its term index makes its map at its first
+// post). The count does not grow with the posts or terms sealed (128,
+// 512 and 2048 — the default seal — posts alike: 18). Adopting the tail
+// as a heap corpus took 7, and the "≤ 8" bound that held it cannot hold
+// once a seal encodes; the constant is what is pinned now.
 func TestSealAllocs(t *testing.T) {
 	w := world.Build(world.TinyConfig())
 	base := microblog.FromTweets(w, nil)

@@ -158,7 +158,7 @@ func (s *Snapshot) MatchTokensAppend(tokens []string, dst, local []microblog.Twe
 	}
 	if len(s.tail) > 0 {
 		s.gen.mu.Lock()
-		local = s.gen.match(local, tokens)
+		local = s.gen.MatchAppend(local, tokens)
 		s.gen.mu.Unlock()
 		// Cut at this view's own prefix, then rebase.
 		end := microblog.TweetID(len(s.tail))

@@ -1,12 +1,13 @@
 // Live-corpus construction. Every Corpus is built one way: FromTweets
-// adopts rendered tweets, indexes their terms and computes the per-user
-// counters once. Generate, BuildCorpus and ExtendedWith each hand it
-// one fresh slice: it is the reference every live path must equal (a
-// sealed image ≡ the image of FromTweets over the same posts, a
-// quiesced index ≡ ExtendedWith). The streaming ingestion subsystem
-// (internal/ingest) builds no Corpus: its writer keeps a numbered term
-// index as each post arrives, which a seal encodes (internal/diskseg)
-// without tokenizing, re-indexing or looking up a post's terms.
+// adopts rendered tweets, adds each to its TermIndex and computes the
+// per-user counters once. Generate, BuildCorpus and ExtendedWith each
+// hand it one fresh slice: it is the reference every live path must
+// equal (a sealed image ≡ the image of FromTweets over the same posts,
+// a quiesced index ≡ ExtendedWith). The streaming ingestion subsystem
+// (internal/ingest) builds no Corpus: its writer adds each post to a
+// TermIndex of its own as the post arrives, which a seal encodes as
+// built (internal/diskseg) without tokenizing, re-indexing or looking
+// up a post's terms.
 // PostStream renders an endless deterministic stream of live posts
 // through the base corpus's poster, feeding load generators and the
 // streaming demo.
@@ -49,35 +50,29 @@ func MakeTweet(p Post) Tweet {
 
 // FromTweets indexes an already-rendered tweet sequence and adopts it:
 // the corpus holds the caller's array, each tweet's ID is set to its
-// position in place, and Terms slices are indexed as they are, not
-// re-tokenized. The caller must not use the slice again. It is the
-// from-scratch reference a seal is checked against, and the partition
-// constructor of internal/shard.
+// position in place, and Terms slices are added to the term index as
+// they are, not re-tokenized. The caller must not use the slice again.
+// It is the from-scratch reference a seal is checked against, and the
+// partition constructor of internal/shard.
 func FromTweets(w *world.World, tweets []Tweet) *Corpus {
-	index := map[string][]TweetID{}
-	for i := range tweets {
-		id := TweetID(i)
-		tweets[i].ID = id
-		for _, tok := range tweets[i].Terms {
-			// Postings grow in id order, so a token repeated within
-			// this tweet already ends its list with id.
-			if p := index[tok]; len(p) == 0 || p[len(p)-1] != id {
-				index[tok] = append(p, id)
-			}
-		}
-	}
 	nu := len(w.Users)
 	counters := make([]int, 3*nu)
 	c := &Corpus{
 		w:          w,
 		tweets:     tweets,
-		termIndex:  index,
 		tweetsBy:   counters[:nu:nu],
 		mentionsOf: counters[nu : 2*nu : 2*nu],
 		retweetsOf: counters[2*nu:],
 	}
+	numTokens := 0
+	for i := range tweets {
+		numTokens += len(tweets[i].Terms)
+	}
+	c.index.TermOf = make([]uint32, 0, numTokens)
 	for i := range tweets {
 		tw := &tweets[i]
+		tw.ID = TweetID(i)
+		c.index.Add(tw.ID, tw.Terms)
 		c.tweetsBy[tw.Author]++
 		for _, m := range tw.Mentions {
 			c.mentionsOf[m]++
@@ -112,16 +107,9 @@ func (c *Corpus) ExtendedWith(posts []Post) *Corpus {
 // index-owned — callers must treat it as read-only.
 func (c *Corpus) Tweets() []Tweet { return c.tweets }
 
-// NumTerms returns the number of distinct indexed terms.
-func (c *Corpus) NumTerms() int { return len(c.termIndex) }
-
-// Terms calls yield with every indexed term and its posting list (see
-// Postings: read-only), in no particular order.
-func (c *Corpus) Terms(yield func(term string, ids []TweetID)) {
-	for term, ids := range c.termIndex {
-		yield(term, ids)
-	}
-}
+// Index returns the corpus's term index, numbered in post order (see
+// TermIndex: read-only).
+func (c *Corpus) Index() *TermIndex { return &c.index }
 
 // StreamConfig tunes a PostStream.
 type StreamConfig struct {

@@ -112,8 +112,7 @@ type Corpus struct {
 	w      *world.World
 	tweets []Tweet
 
-	// termIndex maps each token to the sorted tweets containing it.
-	termIndex map[string][]TweetID
+	index TermIndex
 
 	tweetsBy   []int // posts per user
 	mentionsOf []int // mentions received per user
@@ -170,7 +169,7 @@ func (c *Corpus) StatsInto(dst []UserStats, users []world.UserID) []UserStats {
 // the ids of all posts containing it, sorted ascending. The returned
 // slice aliases the index — callers must treat it as read-only. A nil
 // result means the token occurs in no post.
-func (c *Corpus) Postings(token string) []TweetID { return c.termIndex[token] }
+func (c *Corpus) Postings(token string) []TweetID { return c.index.Postings(token) }
 
 // Match returns the ids of all posts containing every token of the
 // query after lower-casing — the paper's default matching predicate.
@@ -196,31 +195,74 @@ func (c *Corpus) MatchAppend(query string, buf []TweetID) []TweetID {
 // MatchTokensAppend is MatchAppend over an already tokenized query, so
 // a caller matching one term against many segments tokenizes it once.
 func (c *Corpus) MatchTokensAppend(tokens []string, buf []TweetID) []TweetID {
-	return IntersectPostings(buf, c.termIndex, tokens)
+	return c.index.MatchAppend(buf, tokens)
 }
 
-// IntersectPostings writes into buf (capacity reused, contents
-// discarded) the ids present in the posting list of every token — the
-// AND-match over one token -> ascending-ids index. No tokens, or a
-// token the index lacks, match nothing.
-func IntersectPostings(buf []TweetID, index map[string][]TweetID, tokens []string) []TweetID {
+// TermIndex is the term → posting-list index, its terms numbered in
+// the order they first arrive: a corpus (FromTweets) and the streaming
+// writer's tail (internal/ingest) build it post by post with Add, and a
+// segment (internal/diskseg) encodes it as built. The zero value is an
+// empty index. Terms and TermOf are the index's own: read-only to
+// everyone but Add.
+type TermIndex struct {
+	number map[string]uint32 // a token's number in Terms
+	// Terms holds, by number, each term's token and posting list.
+	Terms []Term
+	// TermOf holds, post after post and token after token, the number
+	// of every added post's token.
+	TermOf []uint32
+}
+
+// Term is one term of a TermIndex: its token and the ascending,
+// duplicate-free ids of the posts holding it.
+type Term struct {
+	Tok string
+	IDs []TweetID
+}
+
+// Add indexes the post with the given id, which must be above every
+// id added before, looking each of its terms up once.
+func (x *TermIndex) Add(id TweetID, terms []string) {
+	if x.number == nil {
+		x.number = map[string]uint32{}
+	}
+	for _, tok := range terms {
+		n, ok := x.number[tok]
+		if !ok {
+			n = uint32(len(x.Terms))
+			x.number[tok] = n
+			x.Terms = append(x.Terms, Term{Tok: tok})
+		}
+		x.TermOf = append(x.TermOf, n)
+		// A token repeated inside the post already ends the list with id.
+		if t := &x.Terms[n]; len(t.IDs) == 0 || t.IDs[len(t.IDs)-1] != id {
+			t.IDs = append(t.IDs, id)
+		}
+	}
+}
+
+// Postings returns the posting list of tok (see Corpus.Postings:
+// read-only), nil when no post holds it.
+func (x *TermIndex) Postings(tok string) []TweetID {
+	if n, ok := x.number[tok]; ok {
+		return x.Terms[n].IDs
+	}
+	return nil
+}
+
+// MatchAppend writes into buf (capacity reused, contents discarded)
+// the ids of the posts holding every one of tokens — the AND-match. No
+// tokens, or a token the index lacks, match nothing.
+func (x *TermIndex) MatchAppend(buf []TweetID, tokens []string) []TweetID {
 	var few [4][]TweetID // keeps the common short query off the heap
 	postings := few[:0]
 	for _, tok := range tokens {
-		p, ok := index[tok]
-		if !ok {
+		p := x.Postings(tok)
+		if p == nil {
 			return buf[:0]
 		}
 		postings = append(postings, p)
 	}
-	return IntersectLists(buf, postings)
-}
-
-// IntersectLists writes into buf (capacity reused, contents discarded)
-// the ids present in every ascending posting list — the AND-match once
-// each token's list is found. No lists match nothing. It reorders
-// postings, not the lists.
-func IntersectLists(buf []TweetID, postings [][]TweetID) []TweetID {
 	switch len(postings) {
 	case 0:
 		return buf[:0]
