@@ -169,7 +169,11 @@ pairs:
 # panic the gateway and get a documented status, and each body, then a
 # valid one, is answered through the pooled decoder exactly as
 # json.Unmarshal implies; and the hand-assembled answer stays
-# byte-identical to json.Encoder (FuzzAnswerBytes). Raise
+# byte-identical to json.Encoder (FuzzAnswerBytes); and over the admin
+# plane's responder (FuzzAdminRequest): an arbitrary request head never
+# panics it, never gets more than 8 KiB read, and is answered with a
+# well-formed HTTP/1.1 response or, when no whole head arrived, a
+# close. Raise
 # FUZZTIME for longer local hunts. FuzzOpen caps how long the engine
 # minimizes each new coverage input (500 execs): its inputs are kilobyte
 # images, and the default 60 s minimization spends a whole smoke budget
@@ -182,6 +186,7 @@ fuzz-smoke:
 	$(GO) test ./internal/diskseg -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 500x
 	$(GO) test ./internal/gateway -run '^$$' -fuzz '^FuzzHandler$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/gateway -run '^$$' -fuzz '^FuzzAnswerBytes$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/obs -run '^$$' -fuzz '^FuzzAdminRequest$$' -fuzztime $(FUZZTIME)
 
 # Coverage over the library packages, with a one-line total summary.
 cover:

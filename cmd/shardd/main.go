@@ -42,7 +42,11 @@
 // written to mmap-backed files under <data-dir>/shard-<i>, which is
 // emptied at start — there is no restart path yet; without it every
 // sealed segment stays in memory); -admin serves /metrics, /healthz,
-// /stats, /watch and /debug/pprof/ on a second address.
+// /stats, /watch and /debug/pprof/ on a second address, through
+// obs.StartAdmin's own GET-only HTTP/1.1 responder. Nothing else in the
+// process speaks HTTP, so shardd links no net/http, TLS or x509 code
+// (TestLinksNoHTTPStack): that stack would be about half the binary,
+// mapped and mostly resident in every shard process.
 // SIGINT/SIGTERM stop accepting, let in-flight conversations and push
 // subscribers drain within -grace, and exit 0.
 //

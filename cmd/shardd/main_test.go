@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"runtime"
@@ -135,6 +136,19 @@ func TestRunAdminPlane(t *testing.T) {
 	if pprof := fetchOK(t, base+"/debug/pprof/"); !strings.Contains(pprof, "goroutine") {
 		t.Errorf("/debug/pprof/ = %q", pprof)
 	}
+	// The two bodies bench/ parses from a shardd: the text heap profile
+	// ends with the runtime.MemStats block its parseMemStats reads, and
+	// the goroutine dump names the index's goroutines by method, the
+	// form awaitCompactorIdle greps for.
+	heap := fetchOK(t, base+"/debug/pprof/heap?debug=1")
+	for _, line := range []string{"\n# runtime.MemStats\n", "\n# Mallocs = ", "\n# TotalAlloc = ", "\n# NumGC = "} {
+		if !strings.Contains(heap, line) {
+			t.Errorf("/debug/pprof/heap?debug=1 lacks %q", line)
+		}
+	}
+	if dump := fetchOK(t, base+"/debug/pprof/goroutine?debug=1"); !strings.Contains(dump, "repro/internal/ingest.(*Index).compactLoop") {
+		t.Errorf("/debug/pprof/goroutine?debug=1 does not list the compactor:\n%s", dump)
+	}
 	// /watch streams the /stats body; one frame is enough here.
 	resp, err := http.Get(base + "/watch?interval=10ms")
 	if err != nil {
@@ -149,6 +163,26 @@ func TestRunAdminPlane(t *testing.T) {
 	for _, key := range []string{`"stats"`, `"metrics"`, `"Segments"`} {
 		if !strings.Contains(sc.Text(), key) {
 			t.Errorf("/watch frame missing %s:\n%s", key, sc.Text())
+		}
+	}
+}
+
+// TestLinksNoHTTPStack pins what the shardd binary leaves out: its
+// admin plane is obs's own responder, so no HTTP or TLS package is
+// linked. One stray import of net/http brings back ≈ 4.8 MB of binary,
+// ≈ 2.8 MiB of it resident in every shardd.
+func TestLinksNoHTTPStack(t *testing.T) {
+	out, err := exec.Command("go", "list", "-deps", ".").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list -deps: %v\n%s", err, out)
+	}
+	for _, dep := range strings.Fields(string(out)) {
+		switch {
+		case dep == "net/http", dep == "net/http/pprof", dep == "crypto/tls", dep == "crypto/x509",
+			// HTTP/2 is bundled into net/http; its vendored hpack
+			// codec is what shows.
+			strings.HasPrefix(dep, "vendor/golang.org/x/net/http2"):
+			t.Errorf("cmd/shardd links %s", dep)
 		}
 	}
 }

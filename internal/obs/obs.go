@@ -3,7 +3,10 @@
 // counts a layer already keeps), lightweight per-query trace spans that
 // ride the scatter-gather read path, and an admin HTTP surface
 // (/metrics, /healthz, /stats, /watch, /debug/pprof/) that makes a live
-// multi-process deployment inspectable with curl.
+// multi-process deployment inspectable with curl. The admin surface is
+// its own GET-only HTTP/1.1 responder over package net (StartAdmin), not
+// net/http, so a binary that speaks HTTP nowhere else (cmd/shardd)
+// links no HTTP or TLS stack.
 //
 // The design contract is that instrumentation must never perturb the
 // frozen hot path:
