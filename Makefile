@@ -61,7 +61,7 @@ bench-smoke:
 # retired benchmarks on purpose. It fails, too, when a doc outgrows its
 # line budget (DOC_BUDGETS: file:max pairs).
 NAMED_TEST_DOCS = ARCHITECTURE.md .claude/skills/verify/SKILL.md
-DOC_BUDGETS = ARCHITECTURE.md:932 .claude/skills/verify/SKILL.md:250
+DOC_BUDGETS = ARCHITECTURE.md:925 .claude/skills/verify/SKILL.md:250
 docs-check: vet
 	@for b in $(DOC_BUDGETS); do f=$${b%:*}; max=$${b##*:}; n=$$(wc -l < $$f); \
 		if [ $$n -gt $$max ]; then echo "$$f is $$n lines, over its $$max-line budget"; exit 1; fi; done
@@ -152,7 +152,8 @@ pairs:
 	BASE="$(BASE)" SEEDS="$(SEEDS)" WORKLOADS="$(WORKLOADS)" TRACE="$(TRACE)" METRICS='$(METRICS)' ./scripts/pairs.sh
 
 # A brief native-fuzz pass, FUZZTIME per target, over the wire codec
-# (FuzzDecodeFrame): every op's payload decoder — including the
+# (FuzzDecodeFrame): ReadFrame, the one frame reader the wire runs, and
+# every op's payload decoder — including the
 # OpSearchStats composite, OpSubscribe/OpEpochDelta acks, the OpTweets
 # pages and the OpInfo answer — must never panic or
 # over-allocate on adversarial input, and every successful decode must

@@ -144,8 +144,7 @@ func NewShardedLiveDetectorOver(coll *domains.Collection, c *shard.Cluster, cfg 
 		cluster:   c,
 		cfg:       cfg,
 	}
-	p := d.ranker.Params()
-	d.extended = p.WeightHT != 0 || p.WeightAV != 0 || p.WeightGI != 0
+	d.extended = d.ranker.Params().Extended()
 	d.scratch.New = func() any { return &shardedScratch{} }
 	if cfg.Obs != nil {
 		d.obsOn = true

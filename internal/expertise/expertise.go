@@ -56,6 +56,13 @@ func DefaultParams() Params {
 	}
 }
 
+// Extended reports whether any extended feature weight is set: whether
+// extraction must also count hashtagged posts and ranking must score
+// HT, GI and AV.
+func (p Params) Extended() bool {
+	return p.WeightHT != 0 || p.WeightGI != 0 || p.WeightAV != 0
+}
+
 // ExtendedParams returns the defaults with the extended feature set
 // enabled — the configuration the e# paper simplified away.
 func ExtendedParams() Params {
@@ -88,13 +95,14 @@ type counters struct {
 // scratch is the reusable per-call arena of candidate extraction: a
 // dense counter table indexed by UserID plus the list of users actually
 // touched, so resets cost O(touched) instead of O(users), the buffer
-// Source.Features decodes mentions into and the one the touched users'
-// denominators are fetched into.
+// Source.Features decodes mentions into, and the touched users' rows
+// and denominators CandidatesFrom finalizes.
 type scratch struct {
 	byUser   []counters
 	touched  []world.UserID
 	mentions []world.UserID
-	stats    []UserStats // the touched users' denominators
+	rows     []RawCandidate
+	stats    []UserStats
 }
 
 // at returns u's counters, recording the first touch.
@@ -266,40 +274,19 @@ func (r *Ranker) release(s *scratch) {
 }
 
 // CandidatesFrom extracts candidates and raw features from an explicit
-// set of matching tweet ids resolved against src. The live index calls
-// it with a multi-segment snapshot whose matched ids span the base
-// corpus, sealed segments and the active tail.
+// set of matching tweet ids resolved against src: the single-source
+// gather — its rows and their denominators, finalized by FinalizeRaw.
+// The live index calls it with a multi-segment snapshot whose matched
+// ids span the base corpus, sealed segments and the active tail.
 func (r *Ranker) CandidatesFrom(src Source, matched []microblog.TweetID) []Expert {
 	if len(matched) == 0 {
 		return nil
 	}
-	extended := r.extendedFeatures()
-	s := r.accumulate(src, matched, extended)
+	s := r.accumulate(src, matched, r.params.Extended())
 	defer r.release(s)
+	s.rows = s.appendRows(s.rows[:0])
 	s.stats = src.StatsInto(s.stats, s.touched)
-	out := make([]Expert, 0, len(s.touched))
-	for i, u := range s.touched {
-		c, st := &s.byUser[u], &s.stats[i]
-		e := Expert{User: u, OnTopicTweets: c.tweets}
-		if st.Tweets > 0 {
-			e.TS = float64(c.tweets) / float64(st.Tweets)
-		}
-		if st.Mentions > 0 {
-			e.MI = float64(c.mentions) / float64(st.Mentions)
-		}
-		if st.Retweets > 0 {
-			e.RI = float64(c.retweets) / float64(st.Retweets)
-		}
-		if extended {
-			if c.tweets > 0 {
-				e.HT = float64(c.hashtagged) / float64(c.tweets)
-				e.AV = float64(c.retweets) / float64(c.tweets)
-			}
-			e.GI = math.Log1p(float64(src.World().User(u).Followers))
-		}
-		out = append(out, e)
-	}
-	return out
+	return r.FinalizeRaw(make([]Expert, 0, len(s.rows)), s.rows, s.stats, src.World())
 }
 
 // Rank normalizes, scores, thresholds and sorts a candidate pool. It is
@@ -341,7 +328,7 @@ func (r *Ranker) Rank(candidates []Expert) []Expert {
 			p.WeightMI*zMI[i] +
 			p.WeightRI*zRI[i]) / wSum
 	}
-	if p.WeightHT != 0 || p.WeightGI != 0 || p.WeightAV != 0 {
+	if p.Extended() {
 		// The base columns are spent; the extended set reuses them.
 		zHT, zGI, zAV := zTS, zMI, zRI
 		for i := range candidates {
@@ -487,23 +474,14 @@ func UnionTweets(lists ...[]microblog.TweetID) []microblog.TweetID {
 	return out
 }
 
-// MergeTweets k-way merges ascending-sorted tweet id lists into one
+// MergeTweetsInto k-way merges ascending-sorted tweet id lists into one
 // sorted, duplicate-free list appended to dst (reusing its capacity,
-// discarding its contents). It produces exactly UnionTweets' output
-// without the per-id map. Hot-path callers should prefer
-// MergeTweetsInto, which also reuses the merge-frontier buffer.
-func MergeTweets(dst []microblog.TweetID, lists ...[]microblog.TweetID) []microblog.TweetID {
-	dst, _ = MergeTweetsInto(dst, nil, lists...)
-	return dst
-}
-
-// MergeTweetsInto is the scratch-reusing form of MergeTweets: frontier
-// is a reusable buffer for the merge's head table (its contents are
-// discarded, its capacity reused, and the possibly-grown buffer is
-// returned for the next call). The merge itself is a min-heap over the
-// list heads: ids come out ascending, so equal ids from different
-// lists arrive consecutively and deduplicate against the last emitted
-// id.
+// discarding its contents): exactly UnionTweets' output without the
+// per-id map. frontier is a reusable buffer for the merge's head table
+// (contents discarded, capacity reused, the possibly-grown buffer
+// returned for the next call). The merge is a min-heap over the list
+// heads: ids come out ascending, so equal ids from different lists
+// arrive consecutively and deduplicate against the last emitted id.
 func MergeTweetsInto(dst []microblog.TweetID, frontier [][]microblog.TweetID,
 	lists ...[]microblog.TweetID) ([]microblog.TweetID, [][]microblog.TweetID) {
 

@@ -31,14 +31,15 @@ func randomSortedLists(rng *xrand.RNG, maxLists int) [][]microblog.TweetID {
 
 // TestMergeTweetsEqualsUnionTweets is the k-way-merge equivalence test:
 // on random sorted lists (including empty lists, no lists, and heavy
-// overlap) MergeTweets must produce exactly UnionTweets' output.
+// overlap) MergeTweetsInto must produce exactly UnionTweets' output.
 func TestMergeTweetsEqualsUnionTweets(t *testing.T) {
 	rng := xrand.New(1234)
 	var buf []microblog.TweetID
+	var frontier [][]microblog.TweetID
 	for trial := 0; trial < 400; trial++ {
 		lists := randomSortedLists(rng, 12)
 		want := UnionTweets(lists...)
-		buf = MergeTweets(buf, lists...)
+		buf, frontier = MergeTweetsInto(buf, frontier, lists...)
 		if len(buf) != len(want) {
 			t.Fatalf("trial %d: merge len %d, union len %d (lists=%v)", trial, len(buf), len(want), lists)
 		}
@@ -48,8 +49,8 @@ func TestMergeTweetsEqualsUnionTweets(t *testing.T) {
 			}
 		}
 	}
-	if got := MergeTweets(nil); len(got) != 0 {
-		t.Fatalf("MergeTweets() = %v, want empty", got)
+	if got, _ := MergeTweetsInto(nil, nil); len(got) != 0 {
+		t.Fatalf("MergeTweetsInto() = %v, want empty", got)
 	}
 }
 

@@ -7,13 +7,14 @@
 // counts span shards (a post mentioning u lives on its *author's*
 // shard, and may not even match the query there) — so the scatter
 // stage extracts raw integer numerators per shard (RawCandidatesInto)
-// and the gather stage sums numerators per user, sums each denominator
-// across every source (candidate or not, a user's denominators live
-// partly on every shard), and performs each floating-point division
-// exactly once, globally (MergeRawCandidates). Integer addition is
-// associative, so the summed inputs equal the single-node inputs
-// exactly, and the finalize math mirrors CandidatesFrom operation for
-// operation.
+// and the gather stage sums numerators per user (MergeRawNumerators),
+// sums each denominator across every source (candidate or not, a
+// user's denominators live partly on every shard) and performs each
+// floating-point division exactly once, globally (FinalizeRaw). The
+// coordinator that runs the gather is core.ShardedLiveDetector; the
+// cold CandidatesFrom is the one-source case of the same three steps.
+// Integer addition is associative, so the summed inputs equal the
+// single-node inputs exactly, and one FinalizeRaw serves both.
 
 package expertise
 
@@ -53,28 +54,23 @@ type UserStats = microblog.UserStats
 // capacity, discarding its contents) sorted by ascending user id. It is
 // the per-shard scatter stage: each shard's extraction reads only that
 // shard's snapshot, so shards proceed concurrently with no shared
-// state. Safe for concurrent use (the per-call arena is pooled).
-func (r *Ranker) RawCandidatesInto(dst []RawCandidate, src Source, matched []microblog.TweetID) []RawCandidate {
-	return r.RawCandidatesModeInto(dst, src, matched, r.extendedFeatures())
-}
-
-// extendedFeatures reports whether any extended feature weight is set,
-// i.e. whether extraction must also count hashtagged posts.
-func (r *Ranker) extendedFeatures() bool {
-	return r.params.WeightHT != 0 || r.params.WeightAV != 0 || r.params.WeightGI != 0
-}
-
-// RawCandidatesModeInto is RawCandidatesInto with the extended-feature
-// collection made explicit. A transport.ShardServer extracts on behalf
-// of a remote coordinator whose parameter set it does not share, so the
-// request carries the flag instead of deriving it from local weights.
-func (r *Ranker) RawCandidatesModeInto(dst []RawCandidate, src Source, matched []microblog.TweetID, extended bool) []RawCandidate {
+// state. extended asks for the hashtagged counts too; it is explicit
+// because a shard extracts on behalf of a coordinator whose parameter
+// set it does not share (Params.Extended on the coordinator's side).
+// Safe for concurrent use (the per-call arena is pooled).
+func (r *Ranker) RawCandidatesInto(dst []RawCandidate, src Source, matched []microblog.TweetID, extended bool) []RawCandidate {
 	dst = dst[:0]
 	if len(matched) == 0 {
 		return dst
 	}
 	s := r.accumulate(src, matched, extended)
 	defer r.release(s)
+	return s.appendRows(dst)
+}
+
+// appendRows appends the arena's counters as raw candidate rows, in the
+// ascending user order accumulate leaves touched in.
+func (s *scratch) appendRows(dst []RawCandidate) []RawCandidate {
 	for _, u := range s.touched {
 		c := &s.byUser[u]
 		dst = append(dst, RawCandidate{
@@ -86,42 +82,6 @@ func (r *Ranker) RawCandidatesModeInto(dst []RawCandidate, src Source, matched [
 		})
 	}
 	return dst
-}
-
-// MergeRawCandidates is the gather stage: it k-way merges per-shard raw
-// candidate lists (each sorted by ascending user id, as
-// RawCandidatesInto emits them; lists[i] must be extracted from
-// srcs[i]), sums the numerators of users present on several shards,
-// sums each user's feature denominators across every source — a user's
-// authored-tweet and retweet totals live on the author's home shard,
-// but mention totals are spread over every shard that holds a post
-// mentioning them — and finalizes into the candidate pool Rank
-// expects, appended to dst (capacity reused, contents discarded) in
-// ascending user order, the same order CandidatesFrom produces and
-// Rank's z-score sums depend on. With integer sums equal to the
-// single-node counters and one global division per feature, the merged
-// pool is bit-identical to a single-node extraction over the union of
-// the sources' content.
-func (r *Ranker) MergeRawCandidates(dst []Expert, srcs []Source, lists ...[]RawCandidate) []Expert {
-	merged := MergeRawNumerators(nil, lists...)
-	// Sum each user's denominator triple across every source, one batch
-	// per source (the transport-shaped call order); integer addition is
-	// associative, so the order of the sums does not matter.
-	denoms := make([]UserStats, len(merged))
-	users := make([]world.UserID, len(merged))
-	for i, rc := range merged {
-		users[i] = rc.User
-	}
-	var stats []UserStats
-	for _, src := range srcs {
-		stats = src.StatsInto(stats, users)
-		AddUserStats(denoms, stats)
-	}
-	var w *world.World
-	if len(srcs) > 0 {
-		w = srcs[0].World()
-	}
-	return r.FinalizeRaw(dst, merged, denoms, w)
 }
 
 // MergeRawNumerators is the integer half of the gather stage: it k-way
@@ -173,36 +133,22 @@ func MergeRawNumerators(dst []RawCandidate, lists ...[]RawCandidate) []RawCandid
 	}
 }
 
-// AddUserStats accumulates one source's denominator triples into the
-// running totals, element-wise. add must be positionally aligned with
-// dst (triple i belongs to the same user in both).
-func AddUserStats(dst, add []UserStats) {
-	for i := range add {
-		dst[i].Tweets += add[i].Tweets
-		dst[i].Mentions += add[i].Mentions
-		dst[i].Retweets += add[i].Retweets
-	}
-}
-
-// FinalizeRaw is the floating-point half of the gather stage: it turns
-// globally summed numerators (merged, from MergeRawNumerators) and
-// globally summed denominators (denoms, positionally aligned with
-// merged) into the candidate pool Rank expects, appended to dst
-// (capacity reused, contents discarded). Each division happens exactly
-// once, with the same guards as CandidatesFrom, so the pool is
-// bit-identical to a single-node extraction over the union of the
-// sources' content. w supplies follower counts for the extended GI
-// feature and may be nil when no extended weight is set.
+// FinalizeRaw is the floating-point half of the gather stage and the
+// only code that turns counts into features: it turns globally summed
+// numerators (merged, from MergeRawNumerators or one source's
+// RawCandidatesInto) and globally summed denominators (denoms,
+// positionally aligned with merged) into the candidate pool Rank
+// expects, appended to dst (capacity reused, contents discarded). Each
+// division happens exactly once, so the pool is bit-identical to a
+// single-node extraction over the union of the sources' content. w
+// supplies follower counts for the extended GI feature and may be nil
+// when no extended weight is set.
 func (r *Ranker) FinalizeRaw(dst []Expert, merged []RawCandidate, denoms []UserStats, w *world.World) []Expert {
 	dst = dst[:0]
-	extended := r.extendedFeatures()
+	extended := r.params.Extended()
 	for i := range merged {
 		sum := &merged[i]
 		tot := &denoms[i]
-
-		// Finalize with the float operations of CandidatesFrom, exactly
-		// (same guards, same divisions), so the merged candidate is
-		// bit-identical to its single-node counterpart.
 		e := Expert{User: sum.User, OnTopicTweets: sum.Tweets}
 		if tot.Tweets > 0 {
 			e.TS = float64(sum.Tweets) / float64(tot.Tweets)

@@ -57,12 +57,12 @@ func TestDiskExtractionAllocatesNothingPerPost(t *testing.T) {
 	}
 
 	ranker := expertise.NewRanker(snap.NumUsers(), expertise.DefaultParams())
-	raw := ranker.RawCandidatesModeInto(nil, snap, matched, true) // sizes raw and the arena
+	raw := ranker.RawCandidatesInto(nil, snap, matched, true) // sizes raw and the arena
 	if len(raw) == 0 {
 		t.Fatal("no candidates extracted")
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		raw = ranker.RawCandidatesModeInto(raw, snap, matched, true)
+		raw = ranker.RawCandidatesInto(raw, snap, matched, true)
 	})
 	// Exactly 0 in a plain run. The bound leaves room for the race
 	// detector, under which sync.Pool drops a quarter of its Puts and the

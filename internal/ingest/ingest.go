@@ -30,7 +30,7 @@
 // (MatchTokensAppend, galloping IntersectInto); segment-local ids are
 // rebased to global ids by segment start offset, per-term candidate
 // lists are concatenated in segment order (globally ascending), and the
-// union across expansion terms runs through expertise.MergeTweets. The
+// union across expansion terms runs through expertise.MergeTweetsInto. The
 // per-user feature denominators a ranking pass needs are summed across
 // the sealed segments and the tail in one batch (Snapshot.StatsInto),
 // which makes a quiesced live index bit-identical to a cold rebuild

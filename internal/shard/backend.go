@@ -191,7 +191,7 @@ func (l *Local) Search(ctx context.Context, terms []string, extended bool, raw [
 		lists[i], s.locals[i] = snap.MatchTokensAppend(s.tokens, lists[i], s.locals[i])
 	}
 	s.merged, s.frontier = expertise.MergeTweetsInto(s.merged, s.frontier, lists...)
-	raw = l.ranker.RawCandidatesModeInto(raw, snap, s.merged, extended)
+	raw = l.ranker.RawCandidatesInto(raw, snap, s.merged, extended)
 	matched := len(s.merged)
 	l.pool.Put(s)
 

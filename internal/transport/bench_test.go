@@ -16,6 +16,7 @@
 package transport_test
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/core"
@@ -138,17 +139,20 @@ func BenchmarkWireSearchCodec(b *testing.B) {
 		}
 		stats[i] = expertise.UserStats{Tweets: 40 + i, Mentions: 3 * i, Retweets: 17 * i}
 	}
-	var frame, payloadBuf []byte
+	var frame, payloadBuf, readBuf []byte
 	var rowScratch []expertise.RawCandidate
 	var statScratch []expertise.UserStats
+	var r bytes.Reader
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		payloadBuf = transport.AppendSearchStatsResp(payloadBuf[:0], transport.SearchStatsResp{Matched: 64, Rows: rows, Stats: stats})
 		frame = transport.AppendFrame(frame[:0], transport.OpSearchStats, payloadBuf)
-		_, payload, _, err := transport.DecodeFrame(frame)
+		r.Reset(frame)
+		_, payload, buf, err := transport.ReadFrame(&r, readBuf)
 		if err != nil {
 			b.Fatal(err)
 		}
+		readBuf = buf
 		resp, _, err := transport.ConsumeSearchStatsResp(rowScratch, statScratch, payload)
 		if err != nil || len(resp.Rows) != len(rows) || len(resp.Stats) != len(stats) {
 			b.Fatal(err)

@@ -17,12 +17,14 @@
 // Framing. Every message is one frame: a 4-byte big-endian length (of
 // everything after itself: one op byte plus the payload), the op byte,
 // and an op-specific varint payload (wire.go), sent exactly as its codec
-// wrote it — there is no compression envelope. Frames longer than
-// MaxFrame are rejected before any allocation, and every count field
-// inside a payload is validated against the bytes actually present, so
+// wrote it — there is no compression envelope. ReadFrame, the one frame
+// decoder, rejects a length past MaxFrame before any allocation and
+// grows a cold buffer with the bytes that arrive, not with what the
+// length claims (TestReadFrameAllocatesWhatArrives); every count field
+// inside a payload is validated against the bytes actually present. So
 // a hostile peer can neither panic a decoder nor make it over-allocate
-// (FuzzDecodeFrame enforces this), nor panic the server that acts on
-// what it decoded (FuzzDispatch).
+// (FuzzDecodeFrame drives ReadFrame and every payload decoder), nor
+// panic the server that acts on what it decoded (FuzzDispatch).
 //
 // Conversation state. A connection is a sequential request/response
 // stream, and a query is one conversation on it: an OpSearchStats
@@ -73,6 +75,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // MaxFrame bounds one frame's length field: op byte plus payload. 8 MiB
@@ -178,34 +181,19 @@ func AppendFrame(buf []byte, op Op, payload []byte) []byte {
 	return append(buf, payload...)
 }
 
-// DecodeFrame splits one frame off the front of data, returning its op,
-// its payload (aliasing data) and the bytes that follow it. It is the
-// pure-slice form of ReadFrame and the fuzzing entry point: no input
-// can make it panic, and it allocates nothing.
-func DecodeFrame(data []byte) (op Op, payload, rest []byte, err error) {
-	if len(data) < headerLen {
-		return 0, nil, data, ErrFrameTruncated
-	}
-	n := binary.BigEndian.Uint32(data)
-	if n == 0 {
-		return 0, nil, data, fmt.Errorf("transport: empty frame body")
-	}
-	if n > MaxFrame {
-		return 0, nil, data, ErrFrameTooLarge
-	}
-	if uint32(len(data)-headerLen) < n {
-		return 0, nil, data, ErrFrameTruncated
-	}
-	body := data[headerLen : headerLen+int(n)]
-	return Op(body[0]), body[1:], data[headerLen+int(n):], nil
-}
+// readAhead bounds how far past the bytes already read ReadFrame grows
+// a buffer too small for the declared length.
+const readAhead = 64 << 10
 
 // ReadFrame reads exactly one frame from r, reusing buf's capacity —
 // for the length prefix first, then, over it, for the body — and
 // returns the op, the payload (aliasing the returned buffer) and the
 // grown buffer for the next call; a warm buffer makes the read
 // allocation-free. The length prefix is validated before the body is
-// read, so a hostile prefix cannot drive an allocation past MaxFrame; a
+// read, so a hostile prefix cannot drive an allocation past MaxFrame,
+// and a buffer shorter than the body grows by append's rule, asking for
+// at most readAhead bytes past what has arrived: a prefix that
+// overstates the body costs what was sent, not what was claimed. A
 // short read surfaces as ErrFrameTruncated (wrapping the underlying
 // error) rather than a partially filled payload.
 func ReadFrame(r io.Reader, buf []byte) (op Op, payload, bufOut []byte, err error) {
@@ -221,19 +209,25 @@ func ReadFrame(r io.Reader, buf []byte) (op Op, payload, bufOut []byte, err erro
 		}
 		return 0, nil, buf, err
 	}
-	n := binary.BigEndian.Uint32(buf)
-	if n == 0 {
+	length := binary.BigEndian.Uint32(buf)
+	if length == 0 {
 		return 0, nil, buf, fmt.Errorf("transport: empty frame body")
 	}
-	if n > MaxFrame {
+	if length > MaxFrame {
 		return 0, nil, buf, ErrFrameTooLarge
 	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, buf, fmt.Errorf("%w: %v", ErrFrameTruncated, err)
+	n := int(length)
+	for buf = buf[:0]; len(buf) < n; {
+		next := n
+		if cap(buf) < n {
+			next = min(n, len(buf)+readAhead)
+			buf = slices.Grow(buf, next-len(buf))
+		}
+		got, err := io.ReadFull(r, buf[len(buf):next])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			return 0, nil, buf, fmt.Errorf("%w: %v", ErrFrameTruncated, err)
+		}
 	}
 	return Op(buf[0]), buf[1:], buf, nil
 }

@@ -1,8 +1,9 @@
 // Native fuzzing of the wire codec and of the server acting on what it
 // decodes. The decoders' contract against adversarial bytes is: never
 // panic, never allocate past the data actually present, and accept
-// exactly what the encoders produce. FuzzDecodeFrame decodes a frame and
-// every payload interpretation, and whenever a decode succeeds it
+// exactly what the encoders produce. FuzzDecodeFrame reads a frame
+// through ReadFrame, the reader the wire runs, and tries every payload
+// interpretation, and whenever a decode succeeds it
 // re-encodes and re-decodes, requiring a fixed point — so the corpus
 // explores both rejection paths and round-trip identity. FuzzDispatch
 // feeds frame sequences to the server's request handling over a real
@@ -13,8 +14,10 @@ package transport_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -23,6 +26,7 @@ import (
 	"repro/internal/expertise"
 	"repro/internal/ingest"
 	"repro/internal/microblog"
+	"repro/internal/race"
 	"repro/internal/shard"
 	"repro/internal/transport"
 	"repro/internal/world"
@@ -193,10 +197,10 @@ func checkSearchReqWith(t *testing.T, table *transport.TermTable, payload []byte
 	}
 }
 
-// FuzzDecodeFrame is the adversarial-input bar of the satellite task:
-// DecodeFrame plus every payload decoder, driven by arbitrary bytes,
-// must neither panic nor over-allocate, and every successful decode
-// must round-trip through its encoder to an identical re-decode.
+// FuzzDecodeFrame is the adversarial-input bar of the codec: ReadFrame
+// over the bytes plus every payload decoder, driven by arbitrary
+// bytes, must neither panic nor over-allocate, and every successful
+// decode must round-trip through its encoder to an identical re-decode.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, frame := range seedFrames() {
 		f.Add(frame)
@@ -208,14 +212,14 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Add(whole[:cut])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		op, payload, rest, err := transport.DecodeFrame(data)
+		r := bytes.NewReader(data)
+		_, payload, _, err := transport.ReadFrame(r, nil)
 		if err != nil {
 			return
 		}
-		if len(payload)+len(rest)+5 != len(data) {
-			t.Fatalf("frame accounting: %d payload + %d rest from %d input", len(payload), len(rest), len(data))
+		if len(payload)+r.Len()+5 != len(data) {
+			t.Fatalf("frame accounting: %d payload + %d rest from %d input", len(payload), r.Len(), len(data))
 		}
-		_ = op
 		// Try every payload interpretation; the op byte is
 		// fuzzer-controlled so it proves nothing about which decoder the
 		// bytes were meant for.
@@ -290,7 +294,7 @@ func FuzzDecodeFrame(f *testing.F) {
 // beyond the payload, must fail before any proportional allocation.
 func TestDecodeFrameRejectsHostileLengths(t *testing.T) {
 	huge := []byte{0xff, 0xff, 0xff, 0xff, byte(transport.OpSearchStats)}
-	if _, _, _, err := transport.DecodeFrame(huge); err == nil {
+	if _, _, _, err := transport.ReadFrame(bytes.NewReader(huge), nil); err == nil {
 		t.Fatal("4 GiB length prefix accepted")
 	}
 	// A search response claiming 2^40 candidate rows in a 3-byte body.
@@ -315,6 +319,40 @@ func TestDecodeFrameRejectsHostileLengths(t *testing.T) {
 	short.Write(frame[:len(frame)-1])
 	if _, _, _, err := transport.ReadFrame(&short, nil); err == nil {
 		t.Fatal("truncated stream accepted")
+	}
+}
+
+// TestReadFrameAllocatesWhatArrives pins what a length prefix alone can
+// cost a reader: one declaring MaxFrame followed by end of stream must
+// fail having allocated a bounded read-ahead, not the 8 MiB it claims,
+// and an honest frame longer than the read-ahead still reads whole.
+func TestReadFrameAllocatesWhatArrives(t *testing.T) {
+	prefix := binary.BigEndian.AppendUint32(nil, transport.MaxFrame)
+	var before, after runtime.MemStats
+	least := uint64(math.MaxUint64)
+	for range 5 {
+		runtime.ReadMemStats(&before)
+		_, _, _, err := transport.ReadFrame(bytes.NewReader(prefix), nil)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, transport.ErrFrameTruncated) {
+			t.Fatalf("prefix then EOF: %v, want ErrFrameTruncated", err)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	// A plain run allocates 65,664 B; a -race build allocates one more
+	// read-ahead's worth inside slices.Grow (131,200 B).
+	bound := uint64(128 << 10)
+	if race.Enabled {
+		bound *= 2
+	}
+	if least > bound {
+		t.Fatalf("a bare %d-byte length prefix allocated %d B, want ≤ %d", transport.MaxFrame, least, bound)
+	}
+	body := bytes.Repeat([]byte{7}, 300<<10)
+	frame := transport.AppendFrame(nil, transport.OpIngest, body)
+	op, payload, _, err := transport.ReadFrame(bytes.NewReader(frame), nil)
+	if err != nil || op != transport.OpIngest || !bytes.Equal(payload, body) {
+		t.Fatalf("%d-byte frame read cold: op %v, %d payload bytes, %v", len(frame), op, len(payload), err)
 	}
 }
 
@@ -369,12 +407,14 @@ func FuzzDispatch(f *testing.F) {
 		defer idx.Close()
 		c := transport.NewDispatchConn(idx, transport.DefaultServerConfig(0, 2))
 		defer c.Close()
+		r := bytes.NewReader(data)
+		var buf []byte
 		for {
-			op, payload, rest, err := transport.DecodeFrame(data)
+			op, payload, next, err := transport.ReadFrame(r, buf)
 			if err != nil {
 				return
 			}
-			data = rest
+			buf = next
 			respOp, resp := c.Request(op, payload)
 			if err := checkReply(op, respOp, resp); err != nil {
 				t.Fatalf("request op 0x%02x (%d-byte payload): %v", byte(op), len(payload), err)
