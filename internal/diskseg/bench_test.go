@@ -126,13 +126,14 @@ func BenchmarkDiskSegEncode(b *testing.B) {
 	for i := range posts {
 		posts[i] = stream.Next()
 	}
-	c := microblog.BuildCorpus(w, posts)
+	tweets := microblog.BuildCorpus(w, posts).Tweets()
+	x := writerIndex(tweets)
 	var img []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		if img, err = diskseg.EncodeIndexed(c.Tweets(), len(w.Users), c.Index()); err != nil {
+		if img, err = diskseg.EncodeIndexed(tweets, len(w.Users), x); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -38,6 +38,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/microblog"
 	"repro/internal/textutil"
@@ -177,13 +178,18 @@ func open(path string, f File) (*Segment, error) {
 // It allocates O(1) times, not per term: the section is one string the
 // terms are substrings of; entries, blocks and index are one array
 // each (a term has at most one short block, so postings.n bounds the
-// rest).
+// rest). An in-memory image is never written again (Load), so its
+// names alias it; a mapped file's are copied, because Scan hands them
+// out to keep and the map goes at the last Release.
 func (s *Segment) parseDict(dict, postings section, numTerms int) error {
 	buf := s.data[dict.off : dict.off+dict.n]
 	if numTerms > dict.n/2 { // a term takes at least a length and a count byte
 		return fmt.Errorf("%d terms in a %d-byte dictionary: %w", numTerms, dict.n, ErrCorrupt)
 	}
-	names := string(buf)
+	names := unsafe.String(unsafe.SliceData(buf), len(buf))
+	if s.OnDisk() {
+		names = string(buf)
+	}
 	s.termList = make([]string, 0, numTerms)
 	s.metas = make([]termMeta, numTerms)
 	s.blocks = make([]blockRef, 0, numTerms+postings.n/postingsBlockLen)

@@ -119,17 +119,29 @@ var ErrCorrupt = errors.New("diskseg: corrupt segment")
 
 // Encode renders a sealed corpus into the segment format: the image a
 // spill writes (WriteFile) and Load serves — EncodeIndexed over the
-// corpus's own term index. The corpus's posts must be as
+// corpus's own term index, its TermOf read back from the index's one
+// numbering (microblog.TermIndex.AppendNumbers) for this encode alone:
+// a corpus does not keep it. The corpus's posts must be as
 // microblog.MakeTweet renders them (Terms is textutil.Tokenize of
 // Text), since a raw record keeps only the text.
 func Encode(c *microblog.Corpus) ([]byte, error) {
-	return EncodeIndexed(c.Tweets(), c.NumUsers(), c.Index())
+	x, tweets := *c.Index(), c.Tweets()
+	n := 0
+	for i := range tweets {
+		n += len(tweets[i].Terms)
+	}
+	x.TermOf = make([]uint32, 0, n)
+	for i := range tweets {
+		x.TermOf = x.AppendNumbers(x.TermOf, tweets[i].Terms)
+	}
+	return EncodeIndexed(tweets, c.NumUsers(), &x)
 }
 
 // EncodeIndexed renders posts (tweets[i].ID == i) and the term index
-// built over them (microblog.TermIndex.Add, post by post) into the
-// segment format, without looking a token up: a seal hands it the index
-// its writer kept as each post arrived, Encode a corpus's. The index's
+// built over them (microblog.TermIndex.Add, post by post, keeping
+// TermOf) into the segment format, without looking a token up: a seal
+// hands it the index its writer kept as each post arrived, Encode a
+// corpus's with TermOf read back. The index's
 // terms may be numbered in any order. The posts' authors and mentions
 // must be below numUsers. The image is assembled in one buffer of
 // exactly its length — every section is sized first, then written in

@@ -1,13 +1,21 @@
 package ingest_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/ingest"
 	"repro/internal/microblog"
+	"repro/internal/race"
 	"repro/internal/serve"
 )
+
+// writeBytesPerPost bounds TestWriteBytesPerPost: measured at 445.5
+// B/post (613.4 when each batch rendered into a fresh array and each
+// generation grew its term index by doubling), with a 10 % margin for
+// toolchain drift.
+const writeBytesPerPost = 490
 
 // TestIngestBatchSingleEpoch pins the batch-publish contract: a K-post
 // batch — even one spanning several seals — advances the epoch by
@@ -92,5 +100,33 @@ func TestSnapshotTweetAcrossLayouts(t *testing.T) {
 				gid++
 			})
 		})
+	}
+}
+
+// TestWriteBytesPerPost bounds what the write path allocates per post
+// in mixed_ingest's write shape: 8-post IngestBatch calls (one OpIngest
+// frame each) of a fixed stream into a default-seal index that runs no
+// compactor, so the count is the writer's own — rendering, the tail's
+// indexes, the seals — and no merge. Skipped under -race, which adds
+// allocations of its own.
+func TestWriteBytesPerPost(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector allocates on the write path")
+	}
+	p, _ := testPipeline(t)
+	posts := streamPosts(p, 29, 4*2048)
+	idx := ingest.New(p.Corpus, ingest.Config{DisableCompactor: true})
+	defer idx.Close()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for at := 0; at < len(posts); at += 8 {
+		idx.IngestBatch(posts[at : at+8])
+	}
+	runtime.ReadMemStats(&after)
+	perPost := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(posts))
+	t.Logf("%.1f B/post over %d posts in 8-post batches (%d seals)", perPost, len(posts), idx.Stats().Seals)
+	if perPost > writeBytesPerPost {
+		t.Fatalf("the write path allocated %.1f B/post, over its %d B/post bound", perPost, writeBytesPerPost)
 	}
 }

@@ -7,6 +7,7 @@ package ingest_test
 
 import (
 	"runtime"
+	"runtime/metrics"
 	"testing"
 
 	"repro/internal/core"
@@ -53,6 +54,8 @@ func BenchmarkIngest(b *testing.B) {
 // ingest frame) into a default-config index over the tiny base, then
 // Quiesce, all inside the timer. heap keeps every segment in memory,
 // disk spills under a SpillDir. It reports the write path's throughput,
+// what it allocates (B/post and allocs/post, the timed stretch over the
+// posts preloaded) and the GC cycles a preload completes (gc/80k-posts),
 // the seals and compactions one preload makes and live-B — the heap a
 // preloaded index holds after a collection, base included: each index
 // gets a base generated for it alone and dropped once New returns. It
@@ -69,6 +72,7 @@ func BenchmarkIngestPreload(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var st ingest.IndexStats
 			var live int64
+			var cost writeCost
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				cfg := ingest.DefaultConfig()
@@ -77,6 +81,7 @@ func BenchmarkIngestPreload(b *testing.B) {
 				}
 				before := liveHeap()
 				base := microblog.FromTweets(p.World, microblog.GenerateTweets(p.World, p.Cfg.Tweets))
+				cost.start()
 				b.StartTimer()
 				idx := ingest.New(base, cfg)
 				base = nil
@@ -87,6 +92,7 @@ func BenchmarkIngestPreload(b *testing.B) {
 				}
 				idx.Quiesce()
 				b.StopTimer()
+				cost.stop()
 				live += liveHeap() - before
 				st = idx.Stats()
 				idx.Close()
@@ -96,11 +102,85 @@ func BenchmarkIngestPreload(b *testing.B) {
 				b.StartTimer()
 			}
 			b.ReportMetric(float64(b.N*len(posts))/b.Elapsed().Seconds(), "posts/s")
+			cost.report(b, b.N*len(posts))
 			b.ReportMetric(float64(st.Seals), "seals")
 			b.ReportMetric(float64(st.Compactions), "compactions")
 			b.ReportMetric(float64(live)/float64(b.N), "live-B")
 		})
 	}
+}
+
+// BenchmarkIngestSmallBatches is mixed_ingest's write shape in one
+// process: each op is one 8-post IngestBatch call — one OpIngest frame
+// of that workload's clients — into a default-config index over the
+// tiny base, its compactor running, so seals and merges land in the
+// ops that cause them. Every 80k posts the index is replaced by a fresh
+// one, outside the timer, so the ops repeat one preload's shape rather
+// than grow one index without bound. It reports B/post, allocs/post and
+// gc/80k-posts as BenchmarkIngestPreload does.
+func BenchmarkIngestSmallBatches(b *testing.B) {
+	const batch = 8
+	p, _ := testPipeline(b)
+	posts := streamPosts(p, 1, 80_000)
+	idx := ingest.New(p.Corpus, ingest.DefaultConfig())
+	var cost writeCost
+	b.ResetTimer()
+	cost.start()
+	for i, at := 0, 0; i < b.N; i, at = i+1, at+batch {
+		if at+batch > len(posts) {
+			b.StopTimer()
+			cost.stop()
+			idx.Close()
+			idx = ingest.New(p.Corpus, ingest.DefaultConfig())
+			at = 0
+			cost.start()
+			b.StartTimer()
+		}
+		idx.IngestBatch(posts[at : at+batch])
+	}
+	cost.stop()
+	b.StopTimer()
+	idx.Close()
+	b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "posts/s")
+	cost.report(b, b.N*batch)
+}
+
+// writeCost sums, over the stretches between its start and stop calls,
+// the heap bytes and objects allocated and the GC cycles completed, as
+// runtime/metrics counts them.
+type writeCost struct {
+	samples [3]metrics.Sample
+	from    [3]uint64
+	sum     [3]uint64
+}
+
+func (c *writeCost) read() [3]uint64 {
+	for k, name := range [3]string{"/gc/heap/allocs:bytes", "/gc/heap/allocs:objects", "/gc/cycles/total:gc-cycles"} {
+		c.samples[k].Name = name
+	}
+	metrics.Read(c.samples[:])
+	var v [3]uint64
+	for k := range v {
+		v[k] = c.samples[k].Value.Uint64()
+	}
+	return v
+}
+
+func (c *writeCost) start() { c.from = c.read() }
+
+func (c *writeCost) stop() {
+	to := c.read()
+	for k := range to {
+		c.sum[k] += to[k] - c.from[k]
+	}
+}
+
+// report adds B/post and allocs/post over posts, and the GC cycles
+// per 80k posts (gc/80k-posts: one preload's worth).
+func (c *writeCost) report(b *testing.B, posts int) {
+	b.ReportMetric(float64(c.sum[0])/float64(posts), "B/post")
+	b.ReportMetric(float64(c.sum[1])/float64(posts), "allocs/post")
+	b.ReportMetric(float64(c.sum[2])*80_000/float64(posts), "gc/80k-posts")
 }
 
 // liveHeap returns the heap bytes still reachable after a collection.

@@ -3,10 +3,13 @@
 // searches keep running against immutable views.
 //
 // Architecture. Writes land in an append-only active segment under a
-// short mutex. A post is indexed exactly once, there and then: the
-// writer adds it to the active segment's term index (tailGen, a
-// microblog.TermIndex, built as a corpus's is) as it lands, and that
-// work is carried forward, never redone. When the
+// short mutex; IngestBatch renders (truncates, tokenizes) its posts
+// before it takes the lock, into a pooled buffer. A post is indexed
+// exactly once, there and then: the writer adds it to the active
+// segment's term index (tailGen, a microblog.TermIndex, built as a
+// corpus's is, plus the per-token numbers a seal encodes) as it lands,
+// and that work is carried forward, never redone. Each generation of
+// that index is sized at its first post by the one before it. When the
 // active segment reaches Config.SealThreshold it is sealed: the
 // buffered tweets and the index kept for them are encoded, as they are,
 // into the compact segment format in memory (diskseg.EncodeIndexed,
@@ -165,9 +168,18 @@ type authored struct {
 	retweets int
 }
 
-// newTailGen returns an empty generation over w's users.
-func newTailGen(w *world.World) *tailGen {
-	return &tailGen{users: make([]tailUser, len(w.Users))}
+// newTailGen returns an empty generation over w's users whose term
+// index keeps TermOf for its seal, sized (microblog.TermIndex.Record)
+// for what prev, the generation it replaces — nil for an index's first
+// — held, plus an eighth: outgrowing a reservation reallocates it whole.
+func newTailGen(w *world.World, prev *tailGen) *tailGen {
+	g := &tailGen{users: make([]tailUser, len(w.Users))}
+	var terms, tokens int
+	if prev != nil {
+		terms, tokens = len(prev.Terms), len(prev.TermOf)
+	}
+	g.Record(terms+terms/8, tokens+tokens/8)
+	return g
 }
 
 // add indexes the post with segment-local id. Called with mu held.
@@ -292,7 +304,7 @@ func New(base *microblog.Corpus, cfg Config) *Index {
 		w:           base.World(),
 		cfg:         cfg,
 		activeStart: microblog.TweetID(base.NumTweets()),
-		gen:         newTailGen(base.World()),
+		gen:         newTailGen(base.World(), nil),
 		compactReq:  make(chan struct{}, 1),
 		done:        make(chan struct{}),
 	}
@@ -369,9 +381,11 @@ func (i *Index) IngestBatch(posts []microblog.Post) microblog.TweetID {
 	if i.obsIngestNS != nil {
 		start = time.Now()
 	}
-	// Render (truncate + tokenize) outside the lock; only the appends
-	// and seals run inside it.
-	tws := make([]microblog.Tweet, len(posts))
+	// Render (truncate + tokenize) outside the lock into a pooled buffer;
+	// only the appends and seals run inside it. The buffer is cleared
+	// before it goes back: it must not keep the posts' text alive.
+	buf := renders.Get().(*[]microblog.Tweet)
+	tws := slices.Grow((*buf)[:0], len(posts))[:len(posts)]
 	for j := range posts {
 		tws[j] = microblog.MakeTweet(posts[j])
 	}
@@ -385,6 +399,9 @@ func (i *Index) IngestBatch(posts []microblog.Post) microblog.TweetID {
 	}
 	i.publishLocked()
 	i.mu.Unlock()
+	clear(tws)
+	*buf = tws
+	renders.Put(buf)
 	if sealedNow {
 		i.kickCompactor()
 	}
@@ -393,6 +410,10 @@ func (i *Index) IngestBatch(posts []microblog.Post) microblog.TweetID {
 	}
 	return first
 }
+
+// renders holds IngestBatch's render buffers, one per batch in flight:
+// concurrent writers render side by side, outside the lock.
+var renders = sync.Pool{New: func() any { return new([]microblog.Tweet) }}
 
 // Snapshot returns the current epoch-tagged immutable view. The
 // returned snapshot stays valid (and frozen) forever; a query should
@@ -455,7 +476,7 @@ func (i *Index) sealLocked() {
 	i.sealed = append(i.sealed[:len(i.sealed):len(i.sealed)], seg)
 	i.activeStart += microblog.TweetID(n)
 	i.active = make([]microblog.Tweet, 0, i.cfg.SealThreshold)
-	i.gen = newTailGen(i.w)
+	i.gen = newTailGen(i.w, i.gen)
 	i.seals++
 }
 

@@ -357,7 +357,7 @@ func TestConcurrentIngestSearchCompaction(t *testing.T) {
 	queries := []string{"49ers", "diabetes", "nfl", "dow futures", "coffee", "sarah palin", "zzz-none"}
 	maxResults := p.Cfg.Online.Expertise.MaxResults
 
-	const ingesters, perIngester = 2, 150
+	const ingesters, perIngester = 3, 150
 	const searchers, perSearcher = 4, 120
 	const holders = 2
 	var stop atomic.Bool
@@ -370,9 +370,19 @@ func TestConcurrentIngestSearchCompaction(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			defer writers.Done()
+			// Writer 0 ingests post by post; the others in 5-post batches,
+			// rendered side by side into pooled buffers.
 			stream := microblog.NewPostStream(p.World, microblog.DefaultStreamConfig(uint64(100+g)))
+			batch := make([]microblog.Post, 0, 5)
 			for i := 0; i < perIngester; i++ {
-				idx.Ingest(stream.Next())
+				if g == 0 {
+					idx.Ingest(stream.Next())
+					continue
+				}
+				if batch = append(batch, stream.Next()); len(batch) == cap(batch) {
+					idx.IngestBatch(batch)
+					batch = batch[:0]
+				}
 			}
 		}(g)
 	}

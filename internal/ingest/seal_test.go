@@ -84,11 +84,12 @@ func TestSealAdoptsIndex(t *testing.T) {
 // TestSealAllocs pins the stall a seal puts under the write lock: it
 // encodes the tail into one exactly sized image and loads it — the
 // per-user counters, the sorted dictionary and its rank table, the
-// record kinds, the image, the loaded segment's dictionary and
-// directories — plus the next layout slice, active array and
-// generation (its user lists; its term index makes its map at its first
-// post). The count does not grow with the posts or terms sealed (128,
-// 512 and 2048 — the default seal — posts alike: 18). Adopting the tail
+// record kinds, the image, the loaded segment's dictionary entries and
+// directories (its names alias the image) — plus the next layout slice,
+// active array and generation (its user lists; its term index makes its
+// map and arrays at its first post, sized by this one). The count does
+// not grow with the posts or terms sealed (128, 512 and 2048 — the
+// default seal — posts alike: 17). Adopting the tail
 // as a heap corpus took 7, and the "≤ 8" bound that held it cannot hold
 // once a seal encodes; the constant is what is pinned now.
 func TestSealAllocs(t *testing.T) {

@@ -64,11 +64,6 @@ func FromTweets(w *world.World, tweets []Tweet) *Corpus {
 		mentionsOf: counters[nu : 2*nu : 2*nu],
 		retweetsOf: counters[2*nu:],
 	}
-	numTokens := 0
-	for i := range tweets {
-		numTokens += len(tweets[i].Terms)
-	}
-	c.index.TermOf = make([]uint32, 0, numTokens)
 	for i := range tweets {
 		tw := &tweets[i]
 		tw.ID = TweetID(i)
@@ -107,8 +102,8 @@ func (c *Corpus) ExtendedWith(posts []Post) *Corpus {
 // index-owned — callers must treat it as read-only.
 func (c *Corpus) Tweets() []Tweet { return c.tweets }
 
-// Index returns the corpus's term index, numbered in post order (see
-// TermIndex: read-only).
+// Index returns the corpus's term index, numbered in post order and
+// keeping no TermOf (see TermIndex: read-only).
 func (c *Corpus) Index() *TermIndex { return &c.index }
 
 // StreamConfig tunes a PostStream.

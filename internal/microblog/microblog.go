@@ -209,8 +209,15 @@ type TermIndex struct {
 	// Terms holds, by number, each term's token and posting list.
 	Terms []Term
 	// TermOf holds, post after post and token after token, the number
-	// of every added post's token.
+	// of every added post's token — kept only by an index that records
+	// it (Record): a writer's tail, which a seal encodes as built. A
+	// corpus's index does not keep it; an encode of the corpus looks
+	// the numbers up once (AppendNumbers).
 	TermOf []uint32
+	// record, terms and tokens are Record's: whether Add keeps TermOf,
+	// and what the first Add sizes the map and Terms, and TermOf, for.
+	record        bool
+	terms, tokens int
 }
 
 // Term is one term of a TermIndex: its token and the ascending,
@@ -220,11 +227,24 @@ type Term struct {
 	IDs []TweetID
 }
 
+// Record has an empty index keep TermOf, and has its first Add size the
+// map and Terms for terms terms and TermOf for tokens tokens: a writer's
+// tail generation passes what the generation it replaces held, so a
+// generation does not grow its index by doubling, and the seal that
+// starts it allocates none of it.
+func (x *TermIndex) Record(terms, tokens int) {
+	x.record, x.terms, x.tokens = true, terms, tokens
+}
+
 // Add indexes the post with the given id, which must be above every
 // id added before, looking each of its terms up once.
 func (x *TermIndex) Add(id TweetID, terms []string) {
 	if x.number == nil {
-		x.number = map[string]uint32{}
+		x.number = make(map[string]uint32, x.terms)
+		x.Terms = make([]Term, 0, x.terms)
+		if x.record {
+			x.TermOf = make([]uint32, 0, x.tokens)
+		}
 	}
 	for _, tok := range terms {
 		n, ok := x.number[tok]
@@ -233,12 +253,28 @@ func (x *TermIndex) Add(id TweetID, terms []string) {
 			x.number[tok] = n
 			x.Terms = append(x.Terms, Term{Tok: tok})
 		}
-		x.TermOf = append(x.TermOf, n)
+		if x.record {
+			x.TermOf = append(x.TermOf, n)
+		}
 		// A token repeated inside the post already ends the list with id.
 		if t := &x.Terms[n]; len(t.IDs) == 0 || t.IDs[len(t.IDs)-1] != id {
 			t.IDs = append(t.IDs, id)
 		}
 	}
+}
+
+// AppendNumbers appends to dst the number of each of terms — what Add
+// keeps in TermOf for a post of those terms, read back from the one
+// numbering Add made. Every one of terms must be in the index.
+func (x *TermIndex) AppendNumbers(dst []uint32, terms []string) []uint32 {
+	for _, tok := range terms {
+		n, ok := x.number[tok]
+		if !ok {
+			panic("microblog: AppendNumbers of a term the index does not hold: " + tok)
+		}
+		dst = append(dst, n)
+	}
+	return dst
 }
 
 // Postings returns the posting list of tok (see Corpus.Postings:

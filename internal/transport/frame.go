@@ -49,7 +49,11 @@
 // View itself, which is a field of the client connection it pins. The
 // terms are copied once rather than aliased because the read buffer is
 // overwritten by the next frame while tokens cut from the terms still
-// sit in the shard's pooled scratch.
+// sit in the shard's pooled scratch. An OpIngest frame is decoded into
+// the server connection's one post slice, cleared once
+// ingest.Index.IngestBatch has taken the posts: a post's text and
+// mentions, which the index keeps, are the decode's only per-post
+// allocations.
 //
 // Pushes. A connection that sent OpSubscribe additionally receives
 // server-initiated OpEpochDelta frames whenever the index publishes a

@@ -224,9 +224,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		// fuzzer-controlled so it proves nothing about which decoder the
 		// bytes were meant for.
 		checkSearchReq(t, payload)
-		if req, _, err := transport.ConsumeIngestReq(payload); err == nil {
+		if req, _, err := transport.ConsumeIngestReq(nil, payload); err == nil {
 			enc := transport.AppendIngestReq(nil, req)
-			again, _, err := transport.ConsumeIngestReq(enc)
+			again, _, err := transport.ConsumeIngestReq(nil, enc)
 			if err != nil || len(again.Posts) != len(req.Posts) {
 				t.Fatalf("ingest req round trip: %d posts vs %d (%v)", len(again.Posts), len(req.Posts), err)
 			}
@@ -402,6 +402,15 @@ func FuzzDispatch(f *testing.F) {
 			binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(nil, 1), 4), 600), 2500)),
 		transport.AppendFrame(nil, transport.OpInfo, nil),
 	))
+	// Ingest frames decoded into the connection's one post slice: three
+	// posts, then two whose second is cut short (refused whole), then one.
+	three, one := seedPosts(3), seedPosts(1)
+	cut := transport.AppendIngestReq(nil, transport.IngestReq{Posts: seedPosts(2)})
+	f.Add(slices.Concat(
+		transport.AppendFrame(nil, transport.OpIngest, transport.AppendIngestReq(nil, transport.IngestReq{Posts: three})),
+		transport.AppendFrame(nil, transport.OpIngest, cut[:len(cut)-2]),
+		transport.AppendFrame(nil, transport.OpIngest, transport.AppendIngestReq(nil, transport.IngestReq{Posts: one})),
+	))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		idx := ingest.New(base, ingest.Config{SealThreshold: 4, CompactFanIn: 2})
 		defer idx.Close()
@@ -409,10 +418,11 @@ func FuzzDispatch(f *testing.F) {
 		defer c.Close()
 		r := bytes.NewReader(data)
 		var buf []byte
+		acked := 0 // posts of the OpIngest frames answered OpIngest
 		for {
 			op, payload, next, err := transport.ReadFrame(r, buf)
 			if err != nil {
-				return
+				break
 			}
 			buf = next
 			respOp, resp := c.Request(op, payload)
@@ -422,8 +432,28 @@ func FuzzDispatch(f *testing.F) {
 			if op == transport.OpStats && respOp != transport.OpError && !strictlyAscending(payload) {
 				t.Fatalf("stats for a user list that is not strictly ascending answered with counts")
 			}
+			if op == transport.OpIngest && respOp == transport.OpIngest {
+				req, _, err := transport.ConsumeIngestReq(nil, payload)
+				ack, _, _ := transport.ConsumeIngestResp(resp)
+				if err != nil || ack.Count != len(req.Posts) {
+					t.Fatalf("ingest of %d posts (decode error %v) acknowledged %d", len(req.Posts), err, ack.Count)
+				}
+				acked += ack.Count
+			}
+		}
+		if got := idx.Stats().Ingested; got != int64(acked) {
+			t.Fatalf("the index ingested %d posts, the acknowledged frames carried %d", got, acked)
 		}
 	})
+}
+
+// seedPosts returns n distinct posts by users every world has.
+func seedPosts(n int) []microblog.Post {
+	posts := make([]microblog.Post, n)
+	for i := range posts {
+		posts[i] = microblog.Post{Author: world.UserID(i + 1), Text: fmt.Sprintf("49ers post %d", i), Topic: -1}
+	}
+	return posts
 }
 
 // strictlyAscending reports whether an OpStats payload decodes to a

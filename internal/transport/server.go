@@ -16,6 +16,7 @@ import (
 	"repro/internal/diskseg"
 	"repro/internal/expertise"
 	"repro/internal/ingest"
+	"repro/internal/microblog"
 	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/world"
@@ -266,6 +267,9 @@ type connState struct {
 	stat []expertise.UserStats
 	uids []world.UserID
 	view shard.View
+	// posts holds the decoded OpIngest frame (ConsumeIngestReq's
+	// destination), cleared once the index has taken the posts.
+	posts []microblog.Post
 
 	// terms holds the decoded search terms (ConsumeSearchReq's scratch),
 	// drawn from termTab, the terms this connection has decoded before.
@@ -454,6 +458,26 @@ func checkRetweets(n int) error {
 	return nil
 }
 
+// ingest answers one OpIngest frame as one batch — one publish, one
+// epoch, one push — or, if any post is bad, ingests none of it. The
+// connection's post slice is cleared either way: it must not pin posts.
+func (s *ShardServer) ingest(st *connState, payload []byte) error {
+	req, _, err := ConsumeIngestReq(st.posts, payload)
+	st.posts = req.Posts
+	defer clear(st.posts)
+	if err != nil {
+		return err
+	}
+	for _, p := range req.Posts {
+		if err := cmp.Or(s.checkUsers(p.Author), s.checkUsers(p.Mentions...), checkRetweets(p.RetweetCount)); err != nil {
+			return err
+		}
+	}
+	first := s.idx.IngestBatch(req.Posts)
+	st.out = AppendIngestResp(st.out, IngestResp{First: first, Count: len(req.Posts)})
+	return nil
+}
+
 // dispatch decodes one request, executes it and builds the response
 // payload in st.out. A returned error becomes an OpError response; the
 // connection survives (the request was framed correctly, so the stream
@@ -528,19 +552,9 @@ func (s *ShardServer) dispatch(st *connState, op Op, payload []byte) (Op, error)
 		return OpStats, nil
 
 	case OpIngest:
-		req, _, err := ConsumeIngestReq(payload)
-		if err != nil {
+		if err := s.ingest(st, payload); err != nil {
 			return 0, err
 		}
-		for _, p := range req.Posts {
-			if err := cmp.Or(s.checkUsers(p.Author), s.checkUsers(p.Mentions...), checkRetweets(p.RetweetCount)); err != nil {
-				return 0, err
-			}
-		}
-		// One frame, one publish: the batch advances the epoch by one
-		// and wakes a subscriber's pusher once.
-		first := s.idx.IngestBatch(req.Posts)
-		st.out = AppendIngestResp(st.out, IngestResp{First: first, Count: len(req.Posts)})
 		return OpIngest, nil
 
 	case OpQuiesce:

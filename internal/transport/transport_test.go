@@ -1,7 +1,9 @@
 package transport_test
 
 import (
+	"bufio"
 	"context"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -257,3 +259,80 @@ func TestConnectionReuse(t *testing.T) {
 type errInvariant string
 
 func (e errInvariant) Error() string { return string(e) }
+
+// TestIngestFramesOnOneConnection sends OpIngest frames down one
+// connection, which decodes every frame into the same post slice: a
+// three-post frame and then a one-post frame add exactly those four
+// posts; a frame whose second post is malformed — cut short, or by a
+// user outside the world — is refused and adds none, not even its
+// first; and the frame after it adds only its own post.
+func TestIngestFramesOnOneConnection(t *testing.T) {
+	fault.CheckLeaks(t)
+	p, _ := testPipeline(t)
+	idx := ingest.New(shard.Partition(p.Corpus, 0, 1), ingest.Config{DisableCompactor: true})
+	defer idx.Close()
+	srv, err := transport.Listen("127.0.0.1:0", idx, transport.DefaultServerConfig(0, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(conn)
+	var buf []byte
+	send := func(payload []byte) transport.Op {
+		t.Helper()
+		if _, err := conn.Write(transport.AppendFrame(nil, transport.OpIngest, payload)); err != nil {
+			t.Fatal(err)
+		}
+		var op transport.Op
+		if op, _, buf, err = transport.ReadFrame(br, buf); err != nil {
+			t.Fatal(err)
+		}
+		return op
+	}
+	stream := microblog.NewPostStream(p.World, microblog.DefaultStreamConfig(5))
+	next := func(n int) []microblog.Post {
+		posts := make([]microblog.Post, n)
+		for i := range posts {
+			posts[i] = stream.Next()
+		}
+		return posts
+	}
+	var want []microblog.Post
+	for _, n := range []int{3, 1} {
+		posts := next(n)
+		if op := send(transport.AppendIngestReq(nil, transport.IngestReq{Posts: posts})); op != transport.OpIngest {
+			t.Fatalf("a %d-post frame answered op 0x%02x", n, byte(op))
+		}
+		want = append(want, posts...)
+	}
+	cut := transport.AppendIngestReq(nil, transport.IngestReq{Posts: next(2)})
+	stranger := next(2)
+	stranger[1].Author = world.UserID(len(p.World.Users))
+	for _, bad := range [][]byte{cut[:len(cut)-2], transport.AppendIngestReq(nil, transport.IngestReq{Posts: stranger})} {
+		if op := send(bad); op != transport.OpError {
+			t.Fatalf("a frame whose second post is malformed answered op 0x%02x", byte(op))
+		}
+		last := next(1)
+		if op := send(transport.AppendIngestReq(nil, transport.IngestReq{Posts: last})); op != transport.OpIngest {
+			t.Fatalf("the frame after a refused one answered op 0x%02x", byte(op))
+		}
+		want = append(want, last...)
+	}
+	base := idx.Base().NumTweets()
+	if got := idx.Stats().Ingested; got != int64(len(want)) {
+		t.Fatalf("%d posts ingested, want %d", got, len(want))
+	}
+	var got []microblog.Tweet
+	idx.Snapshot().Scan(base, base+len(want), func(tw *microblog.Tweet) { got = append(got, *tw) })
+	for i, tw := range got {
+		if w := microblog.MakeTweet(want[i]); tw.Author != w.Author || tw.Text != w.Text || tw.RetweetCount != w.RetweetCount {
+			t.Fatalf("post %d is %q by %d, want %q by %d", i, tw.Text, tw.Author, w.Text, w.Author)
+		}
+	}
+}

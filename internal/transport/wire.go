@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/expertise"
 	"repro/internal/microblog"
@@ -307,14 +308,17 @@ func AppendIngestReq(buf []byte, req IngestReq) []byte {
 	return buf
 }
 
-// ConsumeIngestReq decodes an IngestReq off the front of buf.
-func ConsumeIngestReq(buf []byte) (IngestReq, []byte, error) {
-	var req IngestReq
+// ConsumeIngestReq decodes an IngestReq off the front of buf, its posts
+// appended to dst (capacity reused, contents discarded): a server
+// decodes every frame of a connection into one slice. On an error
+// req.Posts holds the posts decoded before it, for the caller to clear.
+func ConsumeIngestReq(dst []microblog.Post, buf []byte) (IngestReq, []byte, error) {
+	req := IngestReq{Posts: dst[:0]}
 	n, buf, err := consumeCount(buf, 4)
 	if err != nil {
 		return req, buf, fmt.Errorf("ingest req: %w", err)
 	}
-	req.Posts = make([]microblog.Post, 0, n)
+	req.Posts = slices.Grow(req.Posts, n)
 	for i := 0; i < n; i++ {
 		var p microblog.Post
 		p, buf, err = consumePost(buf)
