@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all artifact golden build test race flake vet bench bench-once bench-check bench-smoke cover cover-check check docs-check bench-ingest bench-shard bench-remote bench-replica bench-gateway bench-disk loc pairs fuzz-smoke run-gateway smoke-gateway examples-smoke
+.PHONY: all artifact golden build test race flake vet bench bench-once bench-check bench-smoke bench-trace-smoke cover cover-check check docs-check bench-ingest bench-shard bench-remote bench-replica bench-gateway bench-disk loc pairs fuzz-smoke run-gateway smoke-gateway examples-smoke
 
 all: check
 
@@ -52,6 +52,15 @@ bench-check:
 # the segment format or the wire fails here, not in production.
 bench-smoke:
 	$(GO) -C bench run . -smoke
+
+# The traced pass in brief (≈10 s): -smoke ignores --trace, so this runs
+# cold_heap for 0.3 s with --trace 1, which wraps the in-process stack
+# in bench/'s span recorders (around ServeHTTP, serve's calls into the
+# detector's SearchContext, and every shard) and fails unless the spans
+# nest. A change that stops serve reaching the detector through
+# SearchContext, the call bench/trace.go spans, fails here.
+bench-trace-smoke:
+	$(GO) -C bench run . --workload cold_heap --seed 1 --seconds 0.3 --trace 1
 
 # Documentation gate (see BENCHMARKS.md and ARCHITECTURE.md): formatting
 # is canonical, vet is clean, and every exported symbol of every package
@@ -225,4 +234,4 @@ examples-smoke:
 
 # Every gate CI runs, in CI's order; cover-check is the test stage
 # (`go test ./...` with a profile).
-check: build vet race docs-check bench-once bench-check bench-smoke flake cover-check smoke-gateway examples-smoke fuzz-smoke
+check: build vet race docs-check bench-once bench-check bench-smoke bench-trace-smoke flake cover-check smoke-gateway examples-smoke fuzz-smoke

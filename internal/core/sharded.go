@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,6 +66,15 @@ type ShardedLiveDetector struct {
 	extended bool
 	cfg      OnlineConfig
 	scratch  sync.Pool // of *shardedScratch, reused across queries
+	// rankings is the free list of rankings handed back through
+	// Recycle: a query ranks into one when there is one. Its capacity
+	// is GOMAXPROCS when it is made: a ranking is out only from its
+	// query's Rank to the serving layer's copy, with no I/O between
+	// them, so about that many are out at once, and a ranking that
+	// finds the list full is left to the collector.
+	// nil when MaxResults is 0: an uncapped ranking is as large as its
+	// candidate pool, and none is kept.
+	rankings chan []expertise.Expert
 
 	partialQueries atomic.Int64
 	shardErrors    atomic.Int64
@@ -145,6 +155,9 @@ func NewShardedLiveDetectorOver(coll *domains.Collection, c *shard.Cluster, cfg 
 		cfg:       cfg,
 	}
 	d.extended = d.ranker.Params().Extended()
+	if d.ranker.Params().MaxResults > 0 {
+		d.rankings = make(chan []expertise.Expert, runtime.GOMAXPROCS(0))
+	}
 	d.scratch.New = func() any { return &shardedScratch{} }
 	if cfg.Obs != nil {
 		d.obsOn = true
@@ -234,6 +247,20 @@ func (d *ShardedLiveDetector) TermSetKey(canon []byte) string {
 	return ts.Key
 }
 
+// Recycle hands back a ranking this detector returned, once nothing
+// reads it any more: a later query ranks into it instead of allocating.
+// A ranking the free list has no room for, or any ranking of an
+// uncapped detector, is left to the collector.
+func (d *ShardedLiveDetector) Recycle(ranking []expertise.Expert) {
+	if cap(ranking) == 0 {
+		return
+	}
+	select {
+	case d.rankings <- ranking[:0]:
+	default:
+	}
+}
+
 // Search runs the full e# online stage scattered across the shards.
 // Safe for concurrent use with ingestion and compaction on every shard.
 func (d *ShardedLiveDetector) Search(query string) ([]expertise.Expert, SearchTrace) {
@@ -247,6 +274,7 @@ func (d *ShardedLiveDetector) Search(query string) ([]expertise.Expert, SearchTr
 // context's error instead of degrading to partial results — a
 // front-door request past its deadline has no reader left to serve a
 // partial answer to. With context.Background() it is exactly Search.
+// The ranking is the caller's, until it hands it back through Recycle.
 func (d *ShardedLiveDetector) SearchContext(ctx context.Context, query string) ([]expertise.Expert, SearchTrace, error) {
 	trace := SearchTrace{Query: query, Expansion: d.Expand(query)}
 	results, matched, missing, spans, mergeRank, err := d.scatterGather(ctx, query, trace.Expansion)
@@ -405,7 +433,16 @@ func (d *ShardedLiveDetector) scatterGather(ctx context.Context, query string, e
 	}
 
 	s.cands = d.ranker.FinalizeRaw(s.cands, s.merged, s.denoms, d.cluster.World())
-	results := d.ranker.Rank(s.cands)
+	var ranking []expertise.Expert
+	select {
+	case ranking = <-d.rankings:
+	default:
+	}
+	results := d.ranker.Rank(ranking, s.cands)
+	if len(results) == 0 {
+		d.Recycle(results)
+		results = nil
+	}
 	if d.obsOn {
 		mergeRank += time.Since(tMerge).Nanoseconds()
 		d.obsMergeRankNS.Observe(mergeRank)

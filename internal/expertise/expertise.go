@@ -159,8 +159,8 @@ type Ranker struct {
 // rankScratch is the reusable per-call arena of Rank: three feature
 // columns (filled with log features, standardized in place, then
 // refilled for the extended set) and the scored working copy of the
-// candidate pool. Nothing in it outlives the call — Rank returns a
-// fresh slice, which the serving cache keeps.
+// candidate pool. Nothing in it outlives the call — Rank appends the
+// ranking to the caller's destination.
 type rankScratch struct {
 	cols   [3][]float64
 	scored []Expert
@@ -222,7 +222,7 @@ func (d *Detector) Ranker() *Ranker { return d.ranker }
 // user id, truncated to MaxResults and thresholded at MinZScore.
 func (d *Detector) Search(query string) []Expert {
 	candidates := d.Candidates(query)
-	return d.ranker.Rank(candidates)
+	return d.ranker.Rank(nil, candidates)
 }
 
 // Candidates runs candidate selection and feature extraction without
@@ -294,15 +294,17 @@ func (r *Ranker) CandidatesFrom(src Source, matched []microblog.TweetID) []Exper
 // expanded terms first (Section 5: "union the results and rank the
 // experts").
 func (d *Detector) Rank(candidates []Expert) []Expert {
-	return d.ranker.Rank(candidates)
+	return d.ranker.Rank(nil, candidates)
 }
 
-// Rank normalizes, scores, thresholds and sorts a candidate pool. The
-// work runs in pooled scratch; the returned slice is the call's one
-// allocation (none for an empty result) and belongs to the caller.
-func (r *Ranker) Rank(candidates []Expert) []Expert {
+// Rank normalizes, scores, thresholds and sorts a candidate pool and
+// appends the ranking to dst, returning the extended slice (dst itself
+// for an empty ranking). The work runs in pooled scratch, so growing
+// dst is the call's one allocation: none when dst has room, as a
+// ranking handed back for reuse has.
+func (r *Ranker) Rank(dst, candidates []Expert) []Expert {
 	if len(candidates) == 0 {
-		return nil
+		return dst
 	}
 	n := len(candidates)
 	s := r.rankPool.Get().(*rankScratch)
@@ -358,7 +360,7 @@ func (r *Ranker) Rank(candidates []Expert) []Expert {
 		}
 	}
 	if len(kept) == 0 {
-		return nil
+		return dst
 	}
 	if k := p.MaxResults; k > 0 && len(kept) > k {
 		kept = selectTopK(kept, k)
@@ -373,9 +375,7 @@ func (r *Ranker) Rank(candidates []Expert) []Expert {
 			return 0
 		})
 	}
-	out := make([]Expert, len(kept))
-	copy(out, kept)
-	return out
+	return append(dst, kept...)
 }
 
 // rankedBefore is the total ranking order: descending score, ties

@@ -116,7 +116,9 @@ func rankParamSets() []Params {
 // still holds the previous call's values), returns exactly what the
 // allocating reference and a fresh Ranker return; it never writes to
 // its input nor to a slice it returned earlier (serve caches those);
-// and it allocates the returned slice and nothing else.
+// ranking into a reused destination returns the same experts after
+// whatever dst already held; and it allocates the returned slice and
+// nothing else, nothing at all into a destination with room.
 func TestRankScratchReuse(t *testing.T) {
 	rng := xrand.New(4242)
 	sizes := []struct {
@@ -125,11 +127,11 @@ func TestRankScratchReuse(t *testing.T) {
 	}{{300, false}, {3, false}, {220, false}, {32, true}, {1, false}, {500, false}, {2, true}, {64, false}}
 	for pi, p := range rankParamSets() {
 		shared := NewRanker(1, p)
-		var prev, prevCopy []Expert
+		var prev, prevCopy, reused []Expert
 		for si, sz := range sizes {
 			pool := randomPool(rng, sz.n, sz.identical)
 			input := slices.Clone(pool)
-			got := shared.Rank(pool)
+			got := shared.Rank(nil, pool)
 			if !slices.Equal(pool, input) {
 				t.Fatalf("params %d pool %d: Rank modified its input", pi, si)
 			}
@@ -137,11 +139,16 @@ func TestRankScratchReuse(t *testing.T) {
 				t.Fatalf("params %d pool %d (n=%d identical=%v): reused scratch ranks %d experts, the reference %d; %s",
 					pi, si, sz.n, sz.identical, len(got), len(want), firstDiff(got, want))
 			}
-			if fresh := NewRanker(1, p).Rank(input); !slices.Equal(got, fresh) {
+			if fresh := NewRanker(1, p).Rank(nil, input); !slices.Equal(got, fresh) {
 				t.Fatalf("params %d pool %d: reused scratch differs from a fresh Ranker", pi, si)
 			}
 			if !slices.Equal(prev, prevCopy) {
 				t.Fatalf("params %d pool %d: Rank overwrote the slice the previous call returned", pi, si)
+			}
+			head := Expert{User: 99999, Score: -1}
+			reused = shared.Rank(append(reused[:0], head), pool)
+			if len(reused) == 0 || reused[0] != head || !slices.Equal(reused[1:], got) {
+				t.Fatalf("params %d pool %d: ranking into a reused destination differs", pi, si)
 			}
 			prev, prevCopy = got, slices.Clone(got)
 		}
@@ -164,7 +171,7 @@ func TestRankScratchReuse(t *testing.T) {
 			defer wg.Done()
 			for it := 0; it < 150; it++ {
 				i := (g + 5*it) % len(pools)
-				if got := shared.Rank(pools[i]); !slices.Equal(got, wants[i]) {
+				if got := shared.Rank(nil, pools[i]); !slices.Equal(got, wants[i]) {
 					t.Errorf("goroutine %d iteration %d: concurrent Rank of pool %d differs from the reference", g, it, i)
 					return
 				}
@@ -177,15 +184,22 @@ func TestRankScratchReuse(t *testing.T) {
 	// quarter of its Puts and the scratch is sometimes rebuilt.
 	pool := randomPool(rng, 200, false)
 	for _, c := range []struct {
-		name string
-		minZ float64
-		want float64
-	}{{"non-empty result", 0, 1}, {"empty result", 1e9, 0}} {
+		name  string
+		minZ  float64
+		reuse bool
+		want  float64
+	}{{"non-empty result", 0, false, 1}, {"empty result", 1e9, false, 0}, {"into a reused ranking", 0, true, 0}} {
 		p := DefaultParams()
 		p.MinZScore = c.minZ
 		r := NewRanker(1, p)
-		r.Rank(pool) // grow the scratch
-		allocs := testing.AllocsPerRun(200, func() { r.Rank(pool) })
+		dst := r.Rank(nil, pool) // grow the scratch
+		allocs := testing.AllocsPerRun(200, func() {
+			if c.reuse {
+				dst = r.Rank(dst[:0], pool)
+			} else {
+				r.Rank(nil, pool)
+			}
+		})
 		if allocs != c.want && !(race.Enabled && allocs <= c.want+4) {
 			t.Errorf("%s: Rank allocates %v times, want %v", c.name, allocs, c.want)
 		}

@@ -138,7 +138,7 @@ func TestRawMergePartitionedEqualsWhole(t *testing.T) {
 				continue
 			}
 			expertsEqual(t, "partitioned candidates "+q, got, want)
-			expertsEqual(t, "partitioned ranked "+q, r.Rank(got), r.Rank(want))
+			expertsEqual(t, "partitioned ranked "+q, r.Rank(nil, got), r.Rank(nil, want))
 		}
 	}
 }

@@ -9,10 +9,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/expertise"
+	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/race"
 	"repro/internal/serve"
+	"repro/internal/shard"
 	"repro/internal/textutil"
 	"repro/internal/world"
 )
@@ -196,6 +199,47 @@ func TestColdMissAllocBudget(t *testing.T) {
 	}
 	if calls := backend.calls.Load(); calls != 2*(runs+2) {
 		t.Fatalf("backend ran %d times, want once per request", calls)
+	}
+}
+
+// TestColdMissAllocsOverDetector pins a cold miss through ServeHTTP
+// over the real detector: the tiny world on two in-process shards,
+// cache off. With the flight recycled and its ranking copied into the
+// scratch's buffer while the detector ranks the next query into its
+// own again, what is left is the decoded query string, and for a query
+// outside every domain whose tokens arrive out of order ("vintage
+// cars", whose ranking is empty) the canonical key. Each body equals
+// the reference encoding of an in-process search. Skipped under -race,
+// where sync.Pool drops Puts and the detector's pooled scratch, sized
+// to the world, is rebuilt.
+func TestColdMissAllocsOverDetector(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	p, _ := testPipeline(t)
+	cluster := shard.New(p.Corpus, 2, ingest.Config{DisableCompactor: true})
+	t.Cleanup(func() { cluster.Close() })
+	live := core.NewShardedLiveDetectorOver(p.Collection, cluster, p.Cfg.Online)
+	scfg := serve.DefaultConfig()
+	scfg.CacheSize = 0
+	g := newTestGateway(t, live, scfg, nil)
+	pr := newInproc(t, g, "/v1/search")
+	for _, c := range []struct {
+		query string
+		want  float64
+	}{{"49ers", 1}, {"buffalo bills", 1}, {"vintage cars", 2}} {
+		body, _ := json.Marshal(searchRequest{Query: c.query})
+		ranking, _ := live.Search(c.query)
+		want := referenceBody(t, c.query, ranking)
+		miss := func() {
+			if status, got := pr.do(body); status != http.StatusOK || !bytes.Equal(got, want) {
+				t.Fatalf("%q: status %d, body\n%s\nwant\n%s", c.query, status, got, want)
+			}
+		}
+		miss()
+		if allocs := testing.AllocsPerRun(100, miss); allocs > c.want {
+			t.Errorf("%q: cold miss over the detector allocates %v times, want ≤ %v", c.query, allocs, c.want)
+		}
 	}
 }
 

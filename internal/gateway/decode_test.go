@@ -82,7 +82,7 @@ func (dc *decodeCheck) check(t testing.TB, body string) {
 	if err := json.Unmarshal([]byte(body), &req); err != nil {
 		wantBody = errorJSON(t, "malformed JSON body: "+err.Error())
 	} else {
-		experts, _, err := dc.oracle.Answer(context.Background(), req.Query, time.Now().Add(time.Minute))
+		experts, _, err := dc.oracle.Answer(context.Background(), req.Query, time.Now().Add(time.Minute), nil)
 		if err != nil {
 			wantBody = errorJSON(t, err.Error())
 		} else {

@@ -51,10 +51,11 @@
 // 2 KiB) and the decoded query — no canonical key, no context, no body
 // limiter, no encoder or decoder state, no closure. The handler closes
 // the body it read to its end, so net/http does not drain it again. A
-// miss adds the ranking Rank returns, and the serving layer's flight,
-// which holds its budget, only when a cache slot keeps it or a
-// follower joins it; the shards draw the terms from their connections'
-// tables.
+// miss adds the ranking, and the serving layer's flight, which holds
+// its budget, only when a cache slot keeps it or a follower joins it:
+// otherwise serve copies the ranking into the scratch's buffer and the
+// detector ranks a later query into its own again. The shards draw the
+// terms from their connections' tables.
 //
 // Results are the serving layer's verbatim: at quiescence the experts
 // in the JSON body are bit-identical (modulo the JSON number round
@@ -283,7 +284,13 @@ const maxBody = 1 << 20
 
 // maxPooledBuffer is the largest scratch buffer worth keeping: one
 // oversized request or ranking must not pin its buffer in the pool.
-const maxPooledBuffer = 64 << 10
+// maxPooledRanking is the same cap on the ranking buffer, in experts:
+// far above a capped detector's ranking (MaxResults, 15 by default),
+// so only an uncapped detector's long rankings drop their scratch.
+const (
+	maxPooledBuffer  = 64 << 10
+	maxPooledRanking = 1 << 10
+)
 
 // jsonContentType is the Content-Type value every search answer
 // shares; net/http copies header values out, nothing writes through.
@@ -294,6 +301,8 @@ var jsonContentType = []string{"application/json"}
 // its operand as an interface, and a pointer boxes without allocating.
 // The decoder is kept because json.Unmarshal builds its decode and
 // scan state afresh on every call, and a reused Decoder does not.
+// ranking is the buffer serve copies a miss's ranking into when
+// nothing else holds it (serve.Server.Answer).
 type scratch struct {
 	lim     io.LimitedReader // over the request body, capped at maxBody+1
 	body    bytes.Buffer     // the request body, read whole
@@ -304,6 +313,7 @@ type scratch struct {
 	req     searchRequest
 	query   string
 	experts []expertise.Expert
+	ranking []expertise.Expert
 }
 
 var scratchPool = sync.Pool{New: func() any {
@@ -320,7 +330,7 @@ func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 // about twice the largest body it has read, so the body's cap bounds it
 // too.
 func (sc *scratch) release() {
-	if sc.body.Cap() > maxPooledBuffer || sc.out.Cap() > maxPooledBuffer {
+	if sc.body.Cap() > maxPooledBuffer || sc.out.Cap() > maxPooledBuffer || cap(sc.ranking) > maxPooledRanking {
 		return
 	}
 	sc.body.Reset()
@@ -476,7 +486,7 @@ func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// The budget's clock starts here; serve arms it only if the request
 	// misses the cache.
 	deadline := time.Now().Add(budget)
-	experts, encoded, err := g.srv.Answer(r.Context(), query, deadline)
+	experts, encoded, err := g.srv.Answer(r.Context(), query, deadline, &sc.ranking)
 	// A type assertion, not errors.As: Answer returns the partial error
 	// bare, and taking the address of a target would cost every request
 	// an allocation.

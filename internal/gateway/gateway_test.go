@@ -46,6 +46,7 @@ func (b *stubBackend) EpochVector(dst []uint64) []uint64 { return append(dst[:0]
 func (b *stubBackend) PartialStats() (int64, int64)      { return 0, 0 }
 func (b *stubBackend) Failovers() int64                  { return 0 }
 func (b *stubBackend) TermSetKey([]byte) string          { return "" }
+func (b *stubBackend) Recycle([]expertise.Expert)        {}
 
 func (b *stubBackend) SearchContext(ctx context.Context, query string) ([]expertise.Expert, core.SearchTrace, error) {
 	if b.stall {

@@ -6,7 +6,6 @@
 package ingest_test
 
 import (
-	"runtime"
 	"runtime/metrics"
 	"testing"
 
@@ -57,8 +56,10 @@ func BenchmarkIngest(b *testing.B) {
 // what it allocates (B/post and allocs/post, the timed stretch over the
 // posts preloaded) and the GC cycles a preload completes (gc/80k-posts),
 // the seals and compactions one preload makes and live-B — the heap a
-// preloaded index holds after a collection, base included: each index
-// gets a base generated for it alone and dropped once New returns. It
+// preloaded index holds once collections free nothing more (settledHeap:
+// a sync.Pool's victim cache empties only at the second), base
+// included: each index gets a base generated for it alone and dropped
+// once New returns. It
 // fails if the preload did not seal at every threshold or spill
 // exactly when asked.
 func BenchmarkIngestPreload(b *testing.B) {
@@ -79,7 +80,7 @@ func BenchmarkIngestPreload(b *testing.B) {
 				if disk {
 					cfg.SpillDir = b.TempDir()
 				}
-				before := liveHeap()
+				before := settledHeap()
 				base := microblog.FromTweets(p.World, microblog.GenerateTweets(p.World, p.Cfg.Tweets))
 				cost.start()
 				b.StartTimer()
@@ -93,7 +94,7 @@ func BenchmarkIngestPreload(b *testing.B) {
 				idx.Quiesce()
 				b.StopTimer()
 				cost.stop()
-				live += liveHeap() - before
+				live += settledHeap() - before
 				st = idx.Stats()
 				idx.Close()
 				if st.Seals != int64(len(posts)/cfg.SealThreshold) || disk != (st.DiskSegments > 0) {
@@ -181,14 +182,6 @@ func (c *writeCost) report(b *testing.B, posts int) {
 	b.ReportMetric(float64(c.sum[0])/float64(posts), "B/post")
 	b.ReportMetric(float64(c.sum[1])/float64(posts), "allocs/post")
 	b.ReportMetric(float64(c.sum[2])*80_000/float64(posts), "gc/80k-posts")
-}
-
-// liveHeap returns the heap bytes still reachable after a collection.
-func liveHeap() int64 {
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return int64(ms.HeapAlloc)
 }
 
 // BenchmarkDiskCompactMerge is a compaction on its own, every part on

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -49,7 +50,7 @@ func TestAnswerBytesByOutcome(t *testing.T) {
 		s := New(backend, DefaultConfig())
 		ask := func() ([]expertise.Expert, []byte) {
 			t.Helper()
-			experts, encoded, err := s.Answer(context.Background(), "Rust  go", time.Time{})
+			experts, encoded, err := s.Answer(context.Background(), "Rust  go", time.Time{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,7 +87,7 @@ func TestAnswerBytesByOutcome(t *testing.T) {
 		// keep bytes in.
 		off := New(&rankingBackend{ranking: ranking}, Config{})
 		for i := 0; i < 3; i++ {
-			if _, encoded, err := off.Answer(context.Background(), "rust go", time.Time{}); err != nil || encoded != nil {
+			if _, encoded, err := off.Answer(context.Background(), "rust go", time.Time{}, nil); err != nil || encoded != nil {
 				t.Fatalf("cache off: bytes %q, err %v", encoded, err)
 			}
 		}
@@ -105,7 +106,7 @@ func TestCoalescedFollowerHasNoBytes(t *testing.T) {
 		}
 		results := make(chan result, 2)
 		ask := func() {
-			experts, encoded, err := s.Answer(context.Background(), "niners", time.Time{})
+			experts, encoded, err := s.Answer(context.Background(), "niners", time.Time{}, nil)
 			if err != nil {
 				t.Error(err)
 			}
@@ -148,7 +149,7 @@ func TestBudgetArmedOnlyOnMiss(t *testing.T) {
 	ctx := context.Background()
 
 	deadline := time.Now().Add(time.Hour)
-	if _, _, err := s.Answer(ctx, "storm", deadline); err != nil {
+	if _, _, err := s.Answer(ctx, "storm", deadline, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !backend.armed || !backend.deadline.Equal(deadline) {
@@ -156,15 +157,15 @@ func TestBudgetArmedOnlyOnMiss(t *testing.T) {
 	}
 	// A hit is served even though its deadline passed long ago...
 	past := time.Now().Add(-time.Hour)
-	if _, encoded, err := s.Answer(ctx, "storm", past); err != nil || encoded == nil {
+	if _, encoded, err := s.Answer(ctx, "storm", past, nil); err != nil || encoded == nil {
 		t.Fatalf("warm hit under an expired deadline: bytes %q, err %v", encoded, err)
 	}
 	// ...the same deadline on a miss is the backend's to honour...
-	if _, _, err := s.Answer(ctx, "calm", past); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := s.Answer(ctx, "calm", past, nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("cold miss under an expired deadline: err = %v, want DeadlineExceeded", err)
 	}
 	// ...and no deadline at all leaves the caller's context alone.
-	if _, _, err := s.Answer(ctx, "breeze", time.Time{}); err != nil || backend.armed {
+	if _, _, err := s.Answer(ctx, "breeze", time.Time{}, nil); err != nil || backend.armed {
 		t.Fatalf("zero deadline: err %v, backend saw a deadline: %v", err, backend.armed)
 	}
 
@@ -173,20 +174,20 @@ func TestBudgetArmedOnlyOnMiss(t *testing.T) {
 	backend.gate = make(chan struct{})
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, err := s.Answer(ctx, "gale", time.Now().Add(time.Hour))
+		_, _, err := s.Answer(ctx, "gale", time.Now().Add(time.Hour), nil)
 		leaderDone <- err
 	}()
 	for backend.calls.Load() < 4 {
 		time.Sleep(time.Millisecond)
 	}
-	if _, _, err := s.Answer(ctx, "gale", time.Now().Add(10*time.Millisecond)); !errors.Is(err, context.DeadlineExceeded) {
+	if _, _, err := s.Answer(ctx, "gale", time.Now().Add(10*time.Millisecond), nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("follower past its deadline: err = %v, want DeadlineExceeded", err)
 	}
 	close(backend.gate)
 	if err := <-leaderDone; err != nil {
 		t.Fatalf("leader: %v", err)
 	}
-	if _, encoded, err := s.Answer(ctx, "gale", past); err != nil || encoded == nil {
+	if _, encoded, err := s.Answer(ctx, "gale", past, nil); err != nil || encoded == nil {
 		t.Fatalf("leader's result not cached after the follower gave up: bytes %q, err %v", encoded, err)
 	}
 	checkInvariant(t, s)
@@ -215,11 +216,11 @@ func TestWarmHitAllocs(t *testing.T) {
 		{"no such term at all", 1}, // its canonical form, copied
 	} {
 		for i := 0; i < 2; i++ {
-			if _, _, err := s.Answer(ctx, c.query, deadline); err != nil {
+			if _, _, err := s.Answer(ctx, c.query, deadline, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		allocs := testing.AllocsPerRun(200, func() { s.Answer(ctx, c.query, deadline) })
+		allocs := testing.AllocsPerRun(200, func() { s.Answer(ctx, c.query, deadline, nil) })
 		// Under the race detector sync.Pool drops a quarter of the
 		// admission scratch.
 		if allocs != c.want && !(race.Enabled && allocs <= c.want+1) {
@@ -234,7 +235,7 @@ func TestWarmHitAllocs(t *testing.T) {
 			continue // not in canonical form, or beyond the expansion cap
 		}
 		misses := s.Stats().CacheMisses
-		allocs := testing.AllocsPerRun(200, func() { s.Answer(ctx, sibling, deadline) })
+		allocs := testing.AllocsPerRun(200, func() { s.Answer(ctx, sibling, deadline, nil) })
 		if allocs != 0 && !(race.Enabled && allocs <= 1) || s.Stats().CacheMisses != misses {
 			t.Errorf("%q, a sibling of the cached 49ers: %v allocs, %d misses; want a free hit", sibling, allocs, s.Stats().CacheMisses-misses)
 		}
@@ -289,7 +290,7 @@ func TestHitsUnderEpochChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perReader; i++ {
 				e0 := backend.epoch.Load()
-				experts, encoded, err := s.Answer(context.Background(), siblings[(r+i)%len(siblings)], time.Now().Add(time.Minute))
+				experts, encoded, err := s.Answer(context.Background(), siblings[(r+i)%len(siblings)], time.Now().Add(time.Minute), nil)
 				e1 := backend.epoch.Load()
 				if err != nil || len(experts) != 1 {
 					t.Errorf("Answer = %v, %v", experts, err)
@@ -348,7 +349,7 @@ func TestSlotOutlivesItsContents(t *testing.T) {
 	s := New(backend, Config{CacheSize: 2})
 	past := time.Now().Add(-time.Hour)
 	ask := func(query string, deadline time.Time) error {
-		_, _, err := s.Answer(context.Background(), query, deadline)
+		_, _, err := s.Answer(context.Background(), query, deadline, nil)
 		return err
 	}
 	want := func(step string, entries int, invalidations, misses, hits int64) {
@@ -397,11 +398,14 @@ func TestSlotOutlivesItsContents(t *testing.T) {
 // fixedBackend answers every search with one ranking and allocates
 // nothing doing so, so AllocsPerRun over a Server on top of it counts
 // the serving layer's allocations alone. Like the detector, it reads
-// its context's deadline and error.
+// its context's deadline and error. It counts the rankings handed back.
 type fixedBackend struct {
 	scriptedVectorBackend
-	ranking []expertise.Expert
+	ranking  []expertise.Expert
+	recycled atomic.Int64
 }
+
+func (b *fixedBackend) Recycle([]expertise.Expert) { b.recycled.Add(1) }
 
 func (b *fixedBackend) SearchContext(ctx context.Context, query string) ([]expertise.Expert, core.SearchTrace, error) {
 	ctx.Deadline()
@@ -411,7 +415,10 @@ func (b *fixedBackend) SearchContext(ctx context.Context, query string) ([]exper
 // TestRefillAllocs pins what the serving layer allocates per backend
 // computation: the result — flight and slot content in one — and
 // nothing else, and without a cache not even that: a flight no slot
-// kept and nobody joined is recycled. The slot (map cell, list element)
+// kept and nobody joined is recycled, its ranking copied into the
+// caller's buffer and handed back to the backend, once per such flight
+// and never for a refilled slot's; a caller with no buffer (Search's
+// path) keeps the ranking, and nothing is handed back. The slot (map cell, list element)
 // survived the invalidation, the epoch vector sits inside the result
 // for up to four shards, a flight nobody joins makes no channel, and
 // the backend's table hands out its own key string. A deadline under
@@ -428,20 +435,26 @@ func TestRefillAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name          string
 		shards, cache int
-		budget        bool
+		budget, noBuf bool
 		want          float64
 	}{
-		{"refill of an invalidated slot, 1 shard", 1, 4096, false, 1},
-		{"refill of an invalidated slot, 4 shards", 4, 4096, false, 1},
-		{"refill of an invalidated slot, 5 shards: the vector spills", 5, 4096, false, 2},
-		{"cache off", 2, 0, false, 0},
-		{"refill under a deadline, 1 shard", 1, 4096, true, 1},
-		{"cache off under a deadline", 2, 0, true, 0},
+		{"refill of an invalidated slot, 1 shard", 1, 4096, false, false, 1},
+		{"refill of an invalidated slot, 4 shards", 4, 4096, false, false, 1},
+		{"refill of an invalidated slot, 5 shards: the vector spills", 5, 4096, false, false, 2},
+		{"cache off", 2, 0, false, false, 0},
+		{"cache off, no buffer", 2, 0, false, true, 0},
+		{"refill under a deadline, 1 shard", 1, 4096, true, false, 1},
+		{"cache off under a deadline", 2, 0, true, false, 0},
 	} {
 		backend := &fixedBackend{ranking: []expertise.Expert{{User: 1, Score: 1}}}
 		backend.components = make([]atomic.Uint64, c.shards)
 		backend.termSets = map[string]string{"niners": "niners"}
 		s := New(backend, Config{CacheSize: c.cache})
+		var ranking []expertise.Expert
+		buf := &ranking
+		if c.noBuf {
+			buf = nil
+		}
 		search := func() {
 			ctx, deadline := context.Background(), time.Time{}
 			if c.budget {
@@ -450,8 +463,9 @@ func TestRefillAllocs(t *testing.T) {
 				defer cancel()
 				deadline = time.Now().Add(time.Hour)
 			}
-			if _, _, err := s.Answer(ctx, "niners", deadline); err != nil {
-				t.Fatalf("%s: %v", c.name, err)
+			got, _, err := s.Answer(ctx, "niners", deadline, buf)
+			if err != nil || !slices.Equal(got, backend.ranking) {
+				t.Fatalf("%s: answered %v, %v", c.name, got, err)
 			}
 		}
 		search()
@@ -473,6 +487,13 @@ func TestRefillAllocs(t *testing.T) {
 		}
 		if c.cache > 0 && (st.Invalidations != runs+1 || st.CacheEntries != 1) {
 			t.Errorf("%s: want one slot invalidated %d times: %+v", c.name, runs+1, st)
+		}
+		wantRecycled := st.CacheMisses
+		if c.cache > 0 || c.noBuf {
+			wantRecycled = 0
+		}
+		if got := backend.recycled.Load(); got != wantRecycled {
+			t.Errorf("%s: %d rankings handed back over %d misses, want %d", c.name, got, st.CacheMisses, wantRecycled)
 		}
 	}
 }

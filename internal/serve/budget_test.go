@@ -186,7 +186,7 @@ func TestFlightBudgetDropsRequest(t *testing.T) {
 	s := New(backend, DefaultConfig())
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	if _, _, err := s.Answer(ctx, "niners", time.Now().Add(time.Hour)); err != nil {
+	if _, _, err := s.Answer(ctx, "niners", time.Now().Add(time.Hour), nil); err != nil {
 		t.Fatal(err)
 	}
 	s.mu.Lock()

@@ -18,15 +18,21 @@ import (
 )
 
 // rankingPerQuery is a backend whose ranking is a function of the query
-// alone, built fresh per call, so an answer read from a flight another
-// query reused cannot pass for its own. Queries starting with "p" come
-// back partial (never cached), and every unknownEvery-th epoch sample
-// reads an unknown component (served around the cache): both leave a
-// flight no slot keeps.
+// alone, so an answer read from a flight another query reused cannot
+// pass for its own. It ranks into the rankings handed back to it, and
+// overwrites each one it gets back with poison first, so an answer read
+// after its ranking went back cannot pass either. Queries starting with
+// "p" come back partial (never cached), and every unknownEvery-th epoch
+// sample reads an unknown component (served around the cache): both
+// leave a flight no slot keeps.
 type rankingPerQuery struct {
 	epoch        atomic.Uint64
 	samples      atomic.Uint64
 	unknownEvery uint64 // 0: never
+	recycled     atomic.Int64
+
+	mu   sync.Mutex
+	free [][]expertise.Expert
 }
 
 func wantRanking(query string) []expertise.Expert {
@@ -37,6 +43,9 @@ func wantRanking(query string) []expertise.Expert {
 	return []expertise.Expert{{User: h, Score: float64(len(query))}, {User: h + 1, Score: 0.5}}
 }
 
+// poison is what every expert of a handed-back ranking reads.
+var poison = expertise.Expert{User: -1, Score: -1}
+
 func (b *rankingPerQuery) SearchContext(ctx context.Context, query string) ([]expertise.Expert, core.SearchTrace, error) {
 	// Yield so identical requests find the flight still running.
 	for range 4 {
@@ -46,7 +55,23 @@ func (b *rankingPerQuery) SearchContext(ctx context.Context, query string) ([]ex
 	if query[0] == 'p' {
 		tr.Missing = 1
 	}
-	return wantRanking(query), tr, nil
+	var ranking []expertise.Expert
+	b.mu.Lock()
+	if n := len(b.free); n > 0 {
+		ranking, b.free = b.free[n-1], b.free[:n-1]
+	}
+	b.mu.Unlock()
+	return append(ranking, wantRanking(query)...), tr, nil
+}
+
+func (b *rankingPerQuery) Recycle(ranking []expertise.Expert) {
+	b.recycled.Add(1)
+	for i := range ranking {
+		ranking[i] = poison
+	}
+	b.mu.Lock()
+	b.free = append(b.free, ranking[:0])
+	b.mu.Unlock()
 }
 
 func (b *rankingPerQuery) TermSetKey([]byte) string     { return "" }
@@ -61,11 +86,14 @@ func (b *rankingPerQuery) EpochVector(dst []uint64) []uint64 {
 }
 
 // TestRecycledFlightsAnswerTheirOwnQuery pins the lifetime of a flight
-// that goes back to the server's pool: only one no slot kept and no
-// follower joined is reused. A cache-less server coalesces followers
-// onto leaders, and a caching server answers hits while its uncached
-// flights (partial answers, uncacheable samples) recycle; every answer,
-// under -race too, must be the backend's ranking for its own query.
+// that goes back to the server's pool, and of its ranking: only a
+// flight no slot kept and no follower joined is reused, and only its
+// ranking goes back to the backend, after the leader copied it into its
+// buffer. A cache-less server coalesces followers onto leaders, and a
+// caching server answers hits while its uncached flights (partial
+// answers, uncacheable samples) recycle; callers pass a buffer on two
+// requests in three. Every answer, under -race too, must be the
+// backend's ranking for its own query, never another's nor poison.
 func TestRecycledFlightsAnswerTheirOwnQuery(t *testing.T) {
 	queries := []string{"49ers", "nfl draft", "vintage cars", "diabetes", "pinot noir", "piano"}
 	for _, c := range []struct {
@@ -82,6 +110,7 @@ func TestRecycledFlightsAnswerTheirOwnQuery(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
+					var ranking []expertise.Expert
 					for i := range rounds {
 						q := queries[(w+i)%len(queries)]
 						deadline := time.Time{}
@@ -91,7 +120,11 @@ func TestRecycledFlightsAnswerTheirOwnQuery(t *testing.T) {
 						if c.cache > 0 && i%16 == 0 {
 							backend.epoch.Add(1)
 						}
-						got, encoded, err := s.Answer(context.Background(), q, deadline)
+						buf := &ranking
+						if i%3 == 2 {
+							buf = nil
+						}
+						got, encoded, err := s.Answer(context.Background(), q, deadline, buf)
 						var pe *PartialError
 						if err != nil && !errors.As(err, &pe) {
 							t.Errorf("%q: %v", q, err)
@@ -122,6 +155,9 @@ func TestRecycledFlightsAnswerTheirOwnQuery(t *testing.T) {
 			}
 			if c.cache > 0 && st.CacheHits == st.Coalesced {
 				t.Errorf("no request was a stored hit: %+v", st)
+			}
+			if backend.recycled.Load() == 0 {
+				t.Errorf("no ranking went back to the backend: %+v", st)
 			}
 		})
 	}

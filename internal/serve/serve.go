@@ -42,7 +42,9 @@
 // the sample was uncacheable, the answer failed or was partial — and
 // that nobody joined is unreachable once its leader returns, so it goes
 // back to a pool the server owns: a cache-less server's miss allocates
-// nothing of its own. LRU eviction bounds the slots, filled or emptied,
+// nothing of its own. Its ranking is then the leader's alone: given a
+// buffer, the leader copies it there and hands the backend's back
+// (Backend.Recycle). LRU eviction bounds the slots, filled or emptied,
 // at Config.CacheSize, which is what Stats.CacheEntries counts. Three
 // mechanisms keep the cache honest and cheap under load:
 //
@@ -113,8 +115,14 @@ type Backend interface {
 	// SearchContext runs one e# query under the caller's deadline; the
 	// sharded detector threads the context down its scatter-gather into
 	// per-shard RPC deadlines. An answer some shards were missing from
-	// names them (SearchTrace.Missing): the server never caches it.
+	// names them (SearchTrace.Missing): the server never caches it. The
+	// ranking is the server's until it hands it back through Recycle.
 	SearchContext(ctx context.Context, query string) ([]expertise.Expert, core.SearchTrace, error)
+	// Recycle hands back a ranking SearchContext returned once the
+	// server has copied it into its caller's buffer; nothing reads it
+	// afterwards. One a cache slot keeps or a follower shares never
+	// comes back.
+	Recycle(ranking []expertise.Expert)
 	// TermSetKey returns the identity of the term set an e# search for
 	// the query with canonical form canon (tokens sorted, de-duplicated,
 	// single-spaced) matches: queries with equal keys have the same
@@ -406,7 +414,7 @@ func (s *Server) SlowLog() *obs.SlowLog { return s.slow }
 // the cache and other callers — treat it as read-only. Degenerate
 // queries return nil (use Answer for the typed error).
 func (s *Server) Search(query string) []expertise.Expert {
-	experts, _, _ := s.serve(context.Background(), query, time.Time{})
+	experts, _, _ := s.serve(context.Background(), query, time.Time{}, nil)
 	return experts
 }
 
@@ -421,18 +429,24 @@ func (s *Server) Search(query string) []expertise.Expert {
 // where it rides down the scatter-gather into per-shard RPC deadlines —
 // so a warm hit never builds a context.
 //
+// buf, when non-nil, is the caller's ranking buffer: a miss whose
+// ranking no cache slot kept and no follower shares is copied into *buf
+// (grown as needed) and returned from there, and the backend's own goes
+// back through Backend.Recycle. A caller that passes nil keeps the
+// ranking it is returned.
+//
 // encoded, non-nil only when a stored cache entry answered, is
 // json.Marshal of experts ("[]" for none), encoded by the entry's first
 // hit and shared by every later one. A miss, a coalesced follower and a
 // cache-less server return none: the caller encodes those itself. Both
-// results may be shared with the cache and other callers — treat them
-// as read-only.
+// results may be shared with the cache and other callers, or be *buf
+// — treat them as read-only.
 //
 // An answer computed with some shard missing comes back with its
 // experts and a bare *PartialError naming the missing shards. It was
 // not cached, so no later request is served it as whole.
-func (s *Server) Answer(ctx context.Context, query string, deadline time.Time) (experts []expertise.Expert, encoded []byte, err error) {
-	experts, hit, err := s.serve(ctx, query, deadline)
+func (s *Server) Answer(ctx context.Context, query string, deadline time.Time, buf *[]expertise.Expert) (experts []expertise.Expert, encoded []byte, err error) {
+	experts, hit, err := s.serve(ctx, query, deadline, buf)
 	if hit != nil {
 		encoded = hit.json()
 	}
@@ -442,9 +456,9 @@ func (s *Server) Answer(ctx context.Context, query string, deadline time.Time) (
 // serve wraps the request path in the instrumentation Config.Obs asks
 // for. hit is the stored entry that answered, nil for every other
 // outcome.
-func (s *Server) serve(ctx context.Context, query string, deadline time.Time) (experts []expertise.Expert, hit *result, err error) {
+func (s *Server) serve(ctx context.Context, query string, deadline time.Time, buf *[]expertise.Expert) (experts []expertise.Expert, hit *result, err error) {
 	if !s.obsOn {
-		return s.serveTraced(ctx, query, deadline, nil)
+		return s.serveTraced(ctx, query, deadline, buf, nil)
 	}
 	// Instrumented path: time the request end to end (one clock read
 	// serves both the trace's start and the latency), capture the
@@ -453,7 +467,7 @@ func (s *Server) serve(ctx context.Context, query string, deadline time.Time) (e
 	start := time.Now()
 	qt := obs.QueryTrace{Start: start}
 	failovers0 := s.backend.Failovers()
-	experts, hit, err = s.serveTraced(ctx, query, deadline, &qt)
+	experts, hit, err = s.serveTraced(ctx, query, deadline, buf, &qt)
 	qt.TotalNS = time.Since(start).Nanoseconds()
 	// Best-effort under concurrency: the delta of the backend's
 	// cumulative counter across this request.
@@ -467,7 +481,7 @@ func (s *Server) serve(ctx context.Context, query string, deadline time.Time) (e
 // admission, the view sample and one cache lookup. qt, non-nil only on
 // the instrumented path, receives the normalized query, the cache
 // outcome and the detector-side trace fields.
-func (s *Server) serveTraced(ctx context.Context, query string, deadline time.Time, qt *obs.QueryTrace) ([]expertise.Expert, *result, error) {
+func (s *Server) serveTraced(ctx context.Context, query string, deadline time.Time, buf *[]expertise.Expert, qt *obs.QueryTrace) ([]expertise.Expert, *result, error) {
 	s.queries.Add(1)
 	// Admission: normalize once, reject degenerate queries before any
 	// cache work, then resolve what the answer is a function of. The
@@ -539,7 +553,7 @@ func (s *Server) serveTraced(ctx context.Context, query string, deadline time.Ti
 			return res.experts, res, nil
 		}
 	}
-	return s.miss(ctx, deadline, key, norm, evec, uncacheable, qt)
+	return s.miss(ctx, deadline, key, norm, evec, uncacheable, buf, qt)
 }
 
 func (s *Server) countHit(qt *obs.QueryTrace) {
@@ -553,7 +567,8 @@ func (s *Server) countHit(qt *obs.QueryTrace) {
 // the request may wait — as a follower on an identical in-flight
 // computation or as the leader on the backend — so this is where its
 // budget is armed: a follower's in follow, a leader's in its flight.
-func (s *Server) miss(ctx context.Context, deadline time.Time, key string, norm string, evec []uint64, uncacheable bool, qt *obs.QueryTrace) ([]expertise.Expert, *result, error) {
+// A leader's ranking that nothing else holds goes into buf (see Answer).
+func (s *Server) miss(ctx context.Context, deadline time.Time, key string, norm string, evec []uint64, uncacheable bool, buf *[]expertise.Expert, qt *obs.QueryTrace) (experts []expertise.Expert, hit *result, err error) {
 	for {
 		s.mu.Lock()
 		if !uncacheable {
@@ -646,10 +661,18 @@ func (s *Server) miss(ctx context.Context, deadline time.Time, key string, norm 
 		s.mu.Unlock()
 		if done != nil {
 			close(done)
-		} else if !kept {
-			*f = result{}
-			s.flights.Put(f)
+			return
 		}
+		if kept {
+			return
+		}
+		if buf != nil {
+			*buf = append((*buf)[:0], f.experts...)
+			experts = *buf
+			s.backend.Recycle(f.experts)
+		}
+		*f = result{}
+		s.flights.Put(f)
 	}()
 	if !deadline.IsZero() {
 		// Deferred after the publish above, so it runs before it: the

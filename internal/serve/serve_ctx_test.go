@@ -19,7 +19,7 @@ import (
 // searchCtx is Answer for the cases that only look at the ranking and
 // carry whatever deadline they want on ctx itself.
 func searchCtx(ctx context.Context, s *Server, q string) ([]expertise.Expert, error) {
-	experts, _, err := s.Answer(ctx, q, time.Time{})
+	experts, _, err := s.Answer(ctx, q, time.Time{}, nil)
 	return experts, err
 }
 

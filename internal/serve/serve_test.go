@@ -184,6 +184,7 @@ func (b *scriptedBackend) SearchContext(ctx context.Context, query string) ([]ex
 func (b *scriptedBackend) EpochVector(dst []uint64) []uint64 { return append(dst[:0], b.epoch.Load()) }
 func (b *scriptedBackend) PartialStats() (int64, int64)      { return 0, 0 }
 func (b *scriptedBackend) Failovers() int64                  { return 0 }
+func (b *scriptedBackend) Recycle([]expertise.Expert)        {}
 
 // partialBackend is a scriptedBackend whose e# answers lack the shards
 // in missing.
@@ -206,7 +207,7 @@ func TestPartialAnswerCoalescesNotCached(t *testing.T) {
 	ctx := context.Background()
 	errs := make(chan error, 2)
 	answer := func() {
-		_, _, err := s.Answer(ctx, "49ers", time.Time{})
+		_, _, err := s.Answer(ctx, "49ers", time.Time{}, nil)
 		errs <- err
 	}
 	go answer()
@@ -228,7 +229,7 @@ func TestPartialAnswerCoalescesNotCached(t *testing.T) {
 	if st := s.Stats(); st.Coalesced != 1 || st.CacheEntries != 0 {
 		t.Fatalf("want one coalesced follower and nothing cached: %+v", st)
 	}
-	if _, _, err := s.Answer(ctx, "49ers", time.Time{}); err == nil || backend.calls.Load() != 2 {
+	if _, _, err := s.Answer(ctx, "49ers", time.Time{}, nil); err == nil || backend.calls.Load() != 2 {
 		t.Fatalf("a partial answer was served again: err %v after %d computations", err, backend.calls.Load())
 	}
 }

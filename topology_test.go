@@ -636,7 +636,7 @@ func TestPartialAnswerNeverCached(t *testing.T) {
 	pool := evalPool(sets)
 	for _, q := range pool {
 		var pe *serve.PartialError
-		if _, _, err := srv.Answer(ctx, q, time.Time{}); !errors.As(err, &pe) || pe.Missing != 1<<1 {
+		if _, _, err := srv.Answer(ctx, q, time.Time{}, nil); !errors.As(err, &pe) || pe.Missing != 1<<1 {
 			t.Fatalf("%q with shard 1 dead: err %v, want shard 1 named missing", q, err)
 		}
 	}
