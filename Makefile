@@ -234,4 +234,4 @@ examples-smoke:
 
 # Every gate CI runs, in CI's order; cover-check is the test stage
 # (`go test ./...` with a profile).
-check: build vet race docs-check bench-once bench-check bench-smoke bench-trace-smoke flake cover-check smoke-gateway examples-smoke fuzz-smoke
+check: build vet test race docs-check bench-once bench-check bench-smoke bench-trace-smoke flake cover-check smoke-gateway examples-smoke fuzz-smoke

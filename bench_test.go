@@ -352,10 +352,10 @@ func BenchmarkAblationFeatureSet(b *testing.B) {
 		params expertise.Params
 	}{{"production", expertise.DefaultParams()}, {"extended", expertise.ExtendedParams()}} {
 		b.Run(tc.name, func(b *testing.B) {
-			det := expertise.New(s.pipe.Corpus, tc.params)
+			det := core.NewDetector(s.pipe.Collection, s.pipe.Corpus, core.OnlineConfig{Expertise: tc.params})
 			var n int
 			for i := 0; i < b.N; i++ {
-				n = len(det.Search("49ers"))
+				n = len(det.SearchBaseline("49ers"))
 			}
 			b.ReportMetric(float64(n), "experts")
 		})

@@ -184,15 +184,15 @@ func expertsEqual(t *testing.T, label, query string, got, want []expertise.Exper
 // every query in every evaluation query set.
 func TestSearchMatchesReferenceOnEvalQuerySets(t *testing.T) {
 	pipe, sets := eqState(t)
-	requireReference(t, pipe.Detector, pipe.Corpus, sets)
+	requireReference(t, pipe.Detector, pipe.Corpus, pipe.Cfg.Online.Expertise, sets)
 }
 
-// requireReference holds det, a cold Detector over corpus c, to the
-// independent reference: for every query of every evaluation query
-// set, the e# and baseline rankings and the e# matched-tweet count.
-func requireReference(t *testing.T, det *core.Detector, c *microblog.Corpus, sets []eval.QuerySet) {
+// requireReference holds det, a cold Detector over corpus c built with
+// ranking parameters params, to the independent reference: for every
+// query of every evaluation query set, the e# and baseline rankings and
+// the e# matched-tweet count.
+func requireReference(t *testing.T, det *core.Detector, c *microblog.Corpus, params expertise.Params, sets []eval.QuerySet) {
 	t.Helper()
-	params := det.Base().Params()
 	total := 0
 	for _, set := range sets {
 		for _, q := range set.Queries {

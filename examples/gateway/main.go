@@ -28,7 +28,7 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/serve"
-	"repro/internal/shard"
+	"repro/internal/topology"
 )
 
 func request(method, url, token, body string, hdr map[string]string) (int, string) {
@@ -62,7 +62,10 @@ func main() {
 	sets := eval.BuildQuerySets(pipeline.World, pipeline.Log,
 		eval.SetSizes{PerCategory: 25, Top: 60})
 
-	cluster := shard.New(pipeline.Corpus, 2, ingest.Config{})
+	cluster, err := topology.InProcess(2, 1).Build(pipeline.World, nil, pipeline.Corpus.Tweets(), ingest.Config{}, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 	defer cluster.Close()
 	detector := core.NewShardedLiveDetectorOver(pipeline.Collection, cluster, pipeline.Cfg.Online)
 	reg := obs.NewRegistry()

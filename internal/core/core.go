@@ -40,6 +40,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/querylog"
 	"repro/internal/simgraph"
+	"repro/internal/textutil"
 	"repro/internal/world"
 )
 
@@ -151,23 +152,25 @@ func DefaultOnlineConfig() OnlineConfig {
 // Detector is the online e# engine over a frozen corpus — the paper
 // pipeline's engine and the cold reference of the equivalence tests.
 // It answers both e# queries (Search) and baseline queries
-// (SearchBaseline) so evaluations compare the two on identical state.
-// It is not a serving backend: internal/serve fronts the
+// (SearchBaseline) through one routine, so evaluations compare the two
+// on identical state: the baseline is e# with no expansion terms. It
+// is not a serving backend: internal/serve fronts the
 // ShardedLiveDetector, which serves a frozen corpus as an index that
 // never ingests.
 type Detector struct {
 	collection *domains.Collection
 	corpus     *microblog.Corpus
-	base       *expertise.Detector
+	ranker     *expertise.Ranker
 	cfg        OnlineConfig
 	scratch    sync.Pool // of *searchScratch, reused across queries
 }
 
-// searchScratch holds the per-query buffers of the online stage: one
-// matched-tweet buffer per expansion term, the k-way merge frontier,
-// and the merged union. It is pooled so steady-state queries run
-// near-allocation-free.
+// searchScratch holds the per-query buffers of the online stage: the
+// current term's tokens, one matched-tweet buffer per term, the k-way
+// merge frontier and the merged union. It is pooled so steady-state
+// queries allocate only their candidates and their ranking.
 type searchScratch struct {
+	tokens   []string
 	lists    [][]microblog.TweetID
 	frontier [][]microblog.TweetID
 	merged   []microblog.TweetID
@@ -181,7 +184,7 @@ func NewDetector(coll *domains.Collection, corpus *microblog.Corpus, cfg OnlineC
 	d := &Detector{
 		collection: coll,
 		corpus:     corpus,
-		base:       expertise.New(corpus, cfg.Expertise),
+		ranker:     expertise.NewRanker(corpus.NumUsers(), cfg.Expertise),
 		cfg:        cfg,
 	}
 	d.scratch.New = func() any { return &searchScratch{} }
@@ -190,9 +193,6 @@ func NewDetector(coll *domains.Collection, corpus *microblog.Corpus, cfg OnlineC
 
 // Collection returns the domain collection backing expansion.
 func (d *Detector) Collection() *domains.Collection { return d.collection }
-
-// Base returns the underlying baseline detector.
-func (d *Detector) Base() *expertise.Detector { return d.base }
 
 // Expand returns the expansion terms for a query (excluding the query
 // itself). Empty means the query matched no domain or an orphan.
@@ -225,11 +225,8 @@ type SearchTrace struct {
 	MergeRankNS int64
 }
 
-// Search runs the full e# online stage: expansion, matching the query
-// and then each expansion term in a loop on the caller's goroutine, a
-// k-way merge union, and a single ranking pass. It is safe for
-// concurrent use; per-query buffers are pooled, so steady-state queries
-// allocate almost nothing beyond the returned result slice.
+// Search runs the full e# online stage: expansion, then search over
+// the query and its expansion terms. It is safe for concurrent use.
 func (d *Detector) Search(query string) ([]expertise.Expert, SearchTrace) {
 	trace := SearchTrace{Query: query}
 
@@ -238,27 +235,44 @@ func (d *Detector) Search(query string) ([]expertise.Expert, SearchTrace) {
 	trace.ExpandDuration = time.Since(start)
 
 	start = time.Now()
-	s := d.scratch.Get().(*searchScratch)
-	nTerms := 1 + len(trace.Expansion)
-	for len(s.lists) < nTerms {
-		s.lists = append(s.lists, nil)
-	}
-	lists := s.lists[:nTerms]
-	lists[0] = d.corpus.MatchAppend(query, lists[0])
-	for i, term := range trace.Expansion {
-		lists[i+1] = d.corpus.MatchAppend(term, lists[i+1])
-	}
-	s.merged, s.frontier = expertise.MergeTweetsInto(s.merged, s.frontier, lists...)
-	trace.MatchedTweets = len(s.merged)
-	results := d.base.Rank(d.base.CandidatesFromTweets(s.merged))
-	d.scratch.Put(s)
+	results, matched := d.search(query, trace.Expansion)
+	trace.MatchedTweets = matched
 	trace.SearchDuration = time.Since(start)
 	return results, trace
 }
 
-// SearchBaseline runs the unexpanded Pal & Counts baseline.
+// SearchBaseline runs the unexpanded Pal & Counts baseline: search
+// over the query alone.
 func (d *Detector) SearchBaseline(query string) []expertise.Expert {
-	return d.base.Search(query)
+	results, _ := d.search(query, nil)
+	return results
+}
+
+// search is the one cold routine: it matches the query and then each
+// expansion term in a loop on the caller's goroutine, unions the
+// matches with a k-way merge and ranks the pooled candidates once. It
+// returns the ranking and the size of the union. Per-query buffers are
+// pooled, so a search allocates its candidates and its ranking.
+func (d *Detector) search(query string, expansion []string) ([]expertise.Expert, int) {
+	s := d.scratch.Get().(*searchScratch)
+	defer d.scratch.Put(s)
+	n := 1 + len(expansion)
+	for len(s.lists) < n {
+		s.lists = append(s.lists, nil)
+	}
+	lists := s.lists[:n]
+	idx := d.corpus.Index()
+	for i := range lists {
+		term := query
+		if i > 0 {
+			term = expansion[i-1]
+		}
+		s.tokens = textutil.TokenizeAppend(s.tokens[:0], term)
+		lists[i] = idx.MatchAppend(lists[i], s.tokens)
+	}
+	s.merged, s.frontier = expertise.MergeTweetsInto(s.merged, s.frontier, lists...)
+	ranking := d.ranker.Rank(nil, d.ranker.CandidatesFrom(d.corpus, s.merged))
+	return ranking, len(s.merged)
 }
 
 // PipelineConfig configures an end-to-end build from a synthetic world.

@@ -5,6 +5,11 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/ingest"
+	"repro/internal/race"
+	"repro/internal/shard"
+	"repro/internal/topology"
 )
 
 // sharedPipeline builds the tiny pipeline once; it is read-only after
@@ -24,6 +29,17 @@ func tinyPipeline(t testing.TB) *Pipeline {
 		t.Fatal(pipeErr)
 	}
 	return pipe
+}
+
+// localCluster is n in-process shards over p's base posts, built as
+// every topology is (topology.Build).
+func localCluster(t testing.TB, p *Pipeline, n int, icfg ingest.Config) *shard.Cluster {
+	t.Helper()
+	c, err := topology.InProcess(n, 1).Build(p.World, nil, p.Corpus.Tweets(), icfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func TestBuildPipelineArtifacts(t *testing.T) {
@@ -278,6 +294,27 @@ func TestWorldOracleAgreesWithDetector(t *testing.T) {
 	}
 	if answered < len(anchors)-1 {
 		t.Errorf("e# answered only %d/%d anchor queries", answered, len(anchors))
+	}
+}
+
+// TestColdSearchAllocs bounds the one cold routine e# and the baseline
+// share: per query, the match, the union and the ranking pass run in
+// pooled scratch, so a warm search allocates only the candidate pool
+// and the ranking — and, for e#, the expansion. Skipped under -race,
+// where sync.Pool drops Puts and pooled scratch is rebuilt.
+func TestColdSearchAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	d := tinyPipeline(t).Detector
+	if res, _ := d.Search("49ers"); len(res) == 0 {
+		t.Fatal("no experts for 49ers")
+	}
+	if got := testing.AllocsPerRun(50, func() { d.Search("49ers") }); got > 3 {
+		t.Errorf("e# %q: %v allocs per search, want ≤ 3 (expansion, candidates, ranking)", "49ers", got)
+	}
+	if got := testing.AllocsPerRun(50, func() { d.SearchBaseline("49ers") }); got > 2 {
+		t.Errorf("baseline %q: %v allocs per search, want ≤ 2 (candidates, ranking)", "49ers", got)
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 	"repro/internal/domains"
 	"repro/internal/ingest"
 	"repro/internal/microblog"
-	"repro/internal/shard"
+	"repro/internal/topology"
 	"repro/internal/world"
 )
 
@@ -19,7 +19,10 @@ import (
 // invalidates on.
 func ExampleShardedLiveDetector() {
 	w := world.Build(world.TinyConfig())
-	r := shard.New(microblog.BuildCorpus(w, nil), 4, ingest.DefaultConfig())
+	r, err := topology.InProcess(4, 1).Build(w, nil, nil, ingest.DefaultConfig(), nil)
+	if err != nil {
+		panic(err)
+	}
 	defer r.Close()
 
 	r.IngestBatch([]microblog.Post{{Author: 3, Text: "rust borrow checker tips"}})

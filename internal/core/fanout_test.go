@@ -7,7 +7,6 @@ import (
 	"repro/internal/expertise"
 	"repro/internal/ingest"
 	"repro/internal/race"
-	"repro/internal/shard"
 	"repro/internal/textutil"
 )
 
@@ -26,7 +25,7 @@ func TestDetectorConcurrentSearch(t *testing.T) {
 	p := tinyPipeline(t)
 	icfg := ingest.DefaultConfig()
 	icfg.DisableCompactor = true
-	c := shard.New(p.Corpus, 2, icfg)
+	c := localCluster(t, p, 2, icfg)
 	defer c.Close()
 	served := NewShardedLiveDetectorOver(p.Collection, c, p.Cfg.Online)
 	for _, d := range []struct {
@@ -104,7 +103,7 @@ func TestSerialScatterAllocs(t *testing.T) {
 	icfg.DisableCompactor = true
 	perN, recycledN := map[int]float64{}, map[int]float64{}
 	for _, n := range []int{1, 2, 4} {
-		c := shard.New(p.Corpus, n, icfg)
+		c := localCluster(t, p, n, icfg)
 		d := NewShardedLiveDetectorOver(p.Collection, c, cfg)
 		keys, answers := 0, 0
 		for _, q := range fanoutQueries { // also warms every pool
@@ -154,7 +153,7 @@ func TestRecycleKeepsOnlyCappedRankings(t *testing.T) {
 	for _, maxResults := range []int{15, 0} {
 		cfg := p.Cfg.Online
 		cfg.Expertise.MaxResults = maxResults
-		c := shard.New(p.Corpus, 2, icfg)
+		c := localCluster(t, p, 2, icfg)
 		d := NewShardedLiveDetectorOver(p.Collection, c, cfg)
 		first, _ := d.Search("49ers")
 		if len(first) == 0 {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/ingest"
 	"repro/internal/obs"
-	"repro/internal/shard"
 )
 
 // TestShardedDetectorObsInstrumentation pins the scatter-gather
@@ -15,7 +14,7 @@ import (
 // detector ranks identically to an un-instrumented one.
 func TestShardedDetectorObsInstrumentation(t *testing.T) {
 	p := tinyPipeline(t)
-	r := shard.New(p.Corpus, 2, ingest.DefaultConfig())
+	r := localCluster(t, p, 2, ingest.DefaultConfig())
 	defer r.Close()
 
 	reg := obs.NewRegistry()

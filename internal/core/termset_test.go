@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/ingest"
-	"repro/internal/shard"
 	"repro/internal/textutil"
 )
 
@@ -15,7 +14,7 @@ import (
 // text — while Expand stays what the collection says.
 func TestTermSetKey(t *testing.T) {
 	p := tinyPipeline(t)
-	r := shard.New(p.Corpus, 1, ingest.Config{DisableCompactor: true})
+	r := localCluster(t, p, 1, ingest.Config{DisableCompactor: true})
 	defer r.Close()
 	cfg := p.Cfg.Online
 	d := NewShardedLiveDetectorOver(p.Collection, r, cfg)
@@ -46,7 +45,7 @@ func TestTermSetKey(t *testing.T) {
 // expansion read from the admission table, in canonical order or not.
 func TestExpandAllocatesNothing(t *testing.T) {
 	p := tinyPipeline(t)
-	r := shard.New(p.Corpus, 1, ingest.Config{DisableCompactor: true})
+	r := localCluster(t, p, 1, ingest.Config{DisableCompactor: true})
 	defer r.Close()
 	d := NewShardedLiveDetectorOver(p.Collection, r, p.Cfg.Online)
 	for _, q := range []string{"49ers", "vintage cars", "schedule 49ers 49ers", "no such term at all"} {

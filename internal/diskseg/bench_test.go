@@ -33,10 +33,11 @@ func benchSegment(b *testing.B) (*microblog.Corpus, *diskseg.Segment) {
 func BenchmarkDiskSegMatch(b *testing.B) {
 	_, s := benchSegment(b)
 	var buf []microblog.TweetID
+	tokens := []string{"49ers"}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = s.MatchAppend("49ers", buf)
+		buf = s.MatchTokensAppend(tokens, buf)
 	}
 	b.ReportMetric(float64(len(buf)), "matches")
 }

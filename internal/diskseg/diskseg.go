@@ -3,8 +3,8 @@
 // encoded in at seal time (EncodeIndexed; Encode for a whole corpus)
 // and re-encoded in at compaction time (EncodeMerged), served from an
 // in-memory image (Load) or, once spilled to a file, through a
-// read-only memory map (Open). The read path is MatchAppend-shaped —
-// the same contract as microblog.Corpus.MatchAppend — so a segment
+// read-only memory map (Open). The read path is MatchTokensAppend —
+// the same contract as microblog.TermIndex.MatchAppend — so a segment
 // plugs into the live snapshot's per-segment matching loop unchanged:
 // posting blocks are delta-varint decoded straight off the image into
 // scratch buffers and fed to the existing galloping
@@ -497,7 +497,7 @@ func (s *Segment) poolLen() int {
 	return s.secs[secFeatures].off + s.secs[secFeatures].n - s.poolOff
 }
 
-// matchScratch holds the per-call decode buffers of MatchAppend.
+// matchScratch holds the per-call decode buffers of MatchTokensAppend.
 type matchScratch struct {
 	a, b  []microblog.TweetID
 	metas []*termMeta
@@ -505,20 +505,15 @@ type matchScratch struct {
 
 var matchPool = sync.Pool{New: func() any { return &matchScratch{} }}
 
-// MatchAppend is the segment's zero-copy matcher, contract-identical
-// to microblog.Corpus.MatchAppend: it writes the segment-local ids of
-// all posts containing every token of the query into buf (capacity
-// reused, contents discarded) and returns the filled buffer. Posting
-// lists are decoded block by block straight off the image, then
-// intersected rarest-first through the galloping
-// microblog.IntersectInto, exactly as the in-heap corpus does, which is
-// what makes a segment bit-identical to the corpus it was encoded from.
-func (s *Segment) MatchAppend(query string, buf []microblog.TweetID) []microblog.TweetID {
-	return s.MatchTokensAppend(textutil.Tokenize(query), buf)
-}
-
-// MatchTokensAppend is MatchAppend over an already tokenized query
-// (see microblog.Corpus.MatchTokensAppend).
+// MatchTokensAppend is the segment's zero-copy matcher, the contract
+// of microblog.TermIndex.MatchAppend: it writes the segment-local ids
+// of all posts containing every one of tokens (one term, tokenized by
+// the caller) into buf (capacity reused, contents discarded) and
+// returns the filled buffer. Posting lists are decoded block by block
+// straight off the image, then intersected rarest-first through the
+// galloping microblog.IntersectInto, exactly as the in-heap index does,
+// which is what makes a segment bit-identical to the corpus it was
+// encoded from.
 func (s *Segment) MatchTokensAppend(tokens []string, buf []microblog.TweetID) []microblog.TweetID {
 	if len(tokens) == 0 {
 		return buf[:0]

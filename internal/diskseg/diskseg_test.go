@@ -14,6 +14,7 @@ import (
 	"repro/internal/diskseg"
 	"repro/internal/microblog"
 	"repro/internal/race"
+	"repro/internal/textutil"
 	"repro/internal/world"
 )
 
@@ -92,7 +93,7 @@ func TestRoundTripPostings(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, tok := range vocab {
-				want := c.Postings(tok)
+				want := c.Index().Postings(tok)
 				for pass := 0; pass < 2; pass++ {
 					got := s.Postings(tok, tc.scratch())
 					if !slices.Equal(got, want) {
@@ -105,11 +106,11 @@ func TestRoundTripPostings(t *testing.T) {
 	}
 }
 
-// TestMatchAppendEquivalence checks the MatchAppend contract against
-// the corpus for single- and multi-token queries, including misses, and
-// for rare terms against a many-block one, on and next to its blocks'
-// edges: a match decodes only the blocks that can hold a rarer term's
-// ids, and must skip no other.
+// TestMatchAppendEquivalence checks MatchTokensAppend against the
+// corpus's TermIndex.MatchAppend for single- and multi-token queries,
+// including misses, and for rare terms against a many-block one, on and
+// next to its blocks' edges: a match decodes only the blocks that can
+// hold a rarer term's ids, and must skip no other.
 func TestMatchAppendEquivalence(t *testing.T) {
 	c, s := writeCorpus(t)
 	vocab := vocabulary(c)
@@ -127,11 +128,11 @@ func TestMatchAppendEquivalence(t *testing.T) {
 	// decodes only the blocks that can hold a rarer term's ids.
 	common := vocab[0]
 	for _, tok := range vocab {
-		if len(c.Postings(tok)) > len(c.Postings(common)) {
+		if len(c.Index().Postings(tok)) > len(c.Index().Postings(common)) {
 			common = tok
 		}
 	}
-	if len(c.Postings(common)) < 3*diskseg.PostingsBlockLen {
+	if len(c.Index().Postings(common)) < 3*diskseg.PostingsBlockLen {
 		t.Fatalf("the most common term %q spans fewer than 3 blocks", common)
 	}
 	for i := 0; i < len(vocab); i += 37 {
@@ -167,9 +168,10 @@ func checkMatches(t *testing.T, c *microblog.Corpus, s *diskseg.Segment, queries
 	t.Helper()
 	var got, want []microblog.TweetID
 	for _, q := range queries {
-		want = c.MatchAppend(q, want)
+		tokens := textutil.Tokenize(q)
+		want = c.Index().MatchAppend(want, tokens)
 		for pass := 0; pass < 2; pass++ {
-			got = s.MatchAppend(q, got)
+			got = s.MatchTokensAppend(tokens, got)
 			if len(got) != len(want) {
 				t.Fatalf("%q pass %d: %d matches, want %d", q, pass, len(got), len(want))
 			}
@@ -375,7 +377,7 @@ func TestConcurrentReadersMatchCorpus(t *testing.T) {
 	}
 	wantMatch := make([][]microblog.TweetID, len(queries))
 	for i, q := range queries {
-		wantMatch[i] = c.MatchAppend(q, nil)
+		wantMatch[i] = c.Index().MatchAppend(nil, textutil.Tokenize(q))
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -385,15 +387,15 @@ func TestConcurrentReadersMatchCorpus(t *testing.T) {
 			var buf []microblog.TweetID
 			for k := range vocab {
 				tok := vocab[(k+g*len(vocab)/4)%len(vocab)]
-				if buf = s.Postings(tok, buf); !slices.Equal(buf, c.Postings(tok)) {
-					t.Errorf("reader %d: Postings(%q) = %v, want %v", g, tok, buf, c.Postings(tok))
+				if buf = s.Postings(tok, buf); !slices.Equal(buf, c.Index().Postings(tok)) {
+					t.Errorf("reader %d: Postings(%q) = %v, want %v", g, tok, buf, c.Index().Postings(tok))
 					return
 				}
 			}
 			for k := range queries {
 				i := (k + g*len(queries)/4) % len(queries)
-				if buf = s.MatchAppend(queries[i], buf); !slices.Equal(buf, wantMatch[i]) {
-					t.Errorf("reader %d: MatchAppend(%q) = %v, want %v", g, queries[i], buf, wantMatch[i])
+				if buf = s.MatchTokensAppend(textutil.Tokenize(queries[i]), buf); !slices.Equal(buf, wantMatch[i]) {
+					t.Errorf("reader %d: MatchTokensAppend(%q) = %v, want %v", g, queries[i], buf, wantMatch[i])
 					return
 				}
 			}
@@ -471,8 +473,8 @@ func TestRefcountLifecycle(t *testing.T) {
 	}
 	// Still fully readable through the reader's pin.
 	tok := vocabulary(c)[0]
-	if got := s.Postings(tok, nil); len(got) != len(c.Postings(tok)) {
-		t.Fatalf("pinned segment misread: %d postings, want %d", len(got), len(c.Postings(tok)))
+	if got := s.Postings(tok, nil); len(got) != len(c.Index().Postings(tok)) {
+		t.Fatalf("pinned segment misread: %d postings, want %d", len(got), len(c.Index().Postings(tok)))
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("file removed while pinned: %v", err)

@@ -99,9 +99,8 @@ func checkReads(t *testing.T, s *diskseg.Segment, data []byte) {
 		buf = s.Postings(term, buf)
 		ascending("Postings "+term, buf)
 		if i > 0 {
-			q := terms[i-1] + " " + term
-			buf = s.MatchAppend(q, buf)
-			ascending("MatchAppend "+q, buf)
+			buf = s.MatchTokensAppend(terms[i-1:i+1], buf)
+			ascending("MatchTokensAppend "+terms[i-1]+" "+term, buf)
 		}
 	}
 	var scratch []world.UserID

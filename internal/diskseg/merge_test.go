@@ -60,7 +60,7 @@ func TestMergeEqualsRebuild(t *testing.T) {
 	w := world.Build(world.TinyConfig())
 	tweets := mergeStream(w)
 	rebuild := microblog.FromTweets(w, slices.Clone(tweets)) // FromTweets adopts its slice
-	if len(rebuild.Postings("onlyhere")) != 1 || len(rebuild.Tweet(41).Terms) != 0 {
+	if len(rebuild.Index().Postings("onlyhere")) != 1 || len(rebuild.Tweet(41).Terms) != 0 {
 		t.Fatal("the special posts are not in the sequence")
 	}
 	want, err := diskseg.Encode(rebuild)

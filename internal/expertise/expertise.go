@@ -7,6 +7,12 @@
 // z-score-normalized over the candidate set, and aggregated with a
 // weighted sum. A minimum aggregate z-score rejects weak candidates
 // (the precision/recall knob of Figure 9).
+//
+// The package holds no corpus and matches nothing: a caller matches the
+// query's posts itself and hands their ids to a Ranker, which extracts
+// the candidates from a Source (CandidatesFrom) and ranks them (Rank).
+// The baseline is that over the query alone; e# (internal/core) is the
+// same over the union of the query's and its expansion terms' matches.
 package expertise
 
 import (
@@ -149,7 +155,8 @@ type Source interface {
 // and ranking under one parameter set, with a pooled per-query arena.
 // One Ranker serves any number of Sources over the same user universe
 // (the live index passes a fresh snapshot per query), so it is the
-// piece Detector and the streaming path share. Safe for concurrent use.
+// piece core.Detector and the streaming path share. Safe for concurrent
+// use.
 type Ranker struct {
 	params   Params
 	pool     sync.Pool // of *scratch sized to the user universe
@@ -197,50 +204,6 @@ func NewRanker(numUsers int, params Params) *Ranker {
 // Params returns the ranker's configuration.
 func (r *Ranker) Params() Params { return r.params }
 
-// Detector ranks expert candidates over a corpus. It is safe for
-// concurrent use: the corpus is read-only and per-query scratch state
-// is pooled per goroutine.
-type Detector struct {
-	corpus *microblog.Corpus
-	ranker *Ranker
-}
-
-// New builds a detector over a frozen corpus (see NewRanker for the
-// weight handling).
-func New(corpus *microblog.Corpus, params Params) *Detector {
-	return &Detector{corpus: corpus, ranker: NewRanker(corpus.NumUsers(), params)}
-}
-
-// Params returns the detector's configuration.
-func (d *Detector) Params() Params { return d.ranker.params }
-
-// Ranker returns the underlying scoring core.
-func (d *Detector) Ranker() *Ranker { return d.ranker }
-
-// Search returns the ranked experts for a query, or nil when no tweet
-// matches. The result is sorted by descending score, ties broken by
-// user id, truncated to MaxResults and thresholded at MinZScore.
-func (d *Detector) Search(query string) []Expert {
-	candidates := d.Candidates(query)
-	return d.ranker.Rank(nil, candidates)
-}
-
-// Candidates runs candidate selection and feature extraction without
-// normalization or thresholding.
-func (d *Detector) Candidates(query string) []Expert {
-	return d.CandidatesFromTweets(d.corpus.Match(query))
-}
-
-// CandidatesFromTweets extracts candidates and raw features from an
-// explicit set of matching tweets. Exposed so the e# pipeline can union
-// the matched-tweet sets of all expanded terms first (Section 5: "union
-// the results and rank the experts") and then extract features exactly
-// once per tweet — no double counting when two expansion terms match the
-// same post.
-func (d *Detector) CandidatesFromTweets(matched []microblog.TweetID) []Expert {
-	return d.ranker.CandidatesFrom(d.corpus, matched)
-}
-
 // accumulate is the extraction loop, the only reader of per-post
 // features: it sums the matched posts' numerators by user into a pooled
 // arena and returns it with touched in ascending user order. The caller
@@ -276,8 +239,9 @@ func (r *Ranker) release(s *scratch) {
 // CandidatesFrom extracts candidates and raw features from an explicit
 // set of matching tweet ids resolved against src: the single-source
 // gather — its rows and their denominators, finalized by FinalizeRaw.
-// The live index calls it with a multi-segment snapshot whose matched
-// ids span the base corpus, sealed segments and the active tail.
+// The cold core.Detector calls it with its corpus and the union of
+// every term's matches (Section 5: "union the results and rank the
+// experts"), so a post two terms match is counted once.
 func (r *Ranker) CandidatesFrom(src Source, matched []microblog.TweetID) []Expert {
 	if len(matched) == 0 {
 		return nil
@@ -287,14 +251,6 @@ func (r *Ranker) CandidatesFrom(src Source, matched []microblog.TweetID) []Exper
 	s.rows = s.appendRows(s.rows[:0])
 	s.stats = src.StatsInto(s.stats, s.touched)
 	return r.FinalizeRaw(make([]Expert, 0, len(s.rows)), s.rows, s.stats, src.World())
-}
-
-// Rank normalizes, scores, thresholds and sorts a candidate pool. It is
-// exported for the e# pipeline, which unions candidate pools across the
-// expanded terms first (Section 5: "union the results and rank the
-// experts").
-func (d *Detector) Rank(candidates []Expert) []Expert {
-	return d.ranker.Rank(nil, candidates)
 }
 
 // Rank normalizes, scores, thresholds and sorts a candidate pool and

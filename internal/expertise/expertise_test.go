@@ -7,19 +7,36 @@ import (
 	"testing/quick"
 
 	"repro/internal/microblog"
+	"repro/internal/textutil"
 	"repro/internal/world"
 )
 
-func tinySetup(t testing.TB) (*world.World, *microblog.Corpus, *Detector) {
+func tinySetup(t testing.TB) (*world.World, *microblog.Corpus, *Ranker) {
 	t.Helper()
 	w := world.Build(world.TinyConfig())
 	c := microblog.Generate(w, microblog.TinyGenConfig())
-	return w, c, New(c, DefaultParams())
+	return w, c, NewRanker(c.NumUsers(), DefaultParams())
+}
+
+// match is the AND-match of query over c, tokenized as the detectors
+// tokenize a term.
+func match(c *microblog.Corpus, query string) []microblog.TweetID {
+	return c.Index().MatchAppend(nil, textutil.Tokenize(query))
+}
+
+// candidates extracts the candidates of query's matches over c.
+func candidates(r *Ranker, c *microblog.Corpus, query string) []Expert {
+	return r.CandidatesFrom(c, match(c, query))
+}
+
+// search is the baseline over c: query's candidates, ranked.
+func search(r *Ranker, c *microblog.Corpus, query string) []Expert {
+	return r.Rank(nil, candidates(r, c, query))
 }
 
 func TestSearchReturnsExperts(t *testing.T) {
-	w, _, d := tinySetup(t)
-	results := d.Search("49ers")
+	w, c, r := tinySetup(t)
+	results := search(r, c, "49ers")
 	if len(results) == 0 {
 		t.Fatal("no experts for 49ers")
 	}
@@ -42,25 +59,25 @@ func TestSearchReturnsExperts(t *testing.T) {
 }
 
 func TestSearchEmptyForUnmatchedQuery(t *testing.T) {
-	_, _, d := tinySetup(t)
-	if got := d.Search("zzzz unknown keyword"); got != nil {
+	_, c, r := tinySetup(t)
+	if got := search(r, c, "zzzz unknown keyword"); got != nil {
 		t.Fatalf("expected nil for unmatched query, got %d results", len(got))
 	}
-	if got := d.Search(""); got != nil {
+	if got := search(r, c, ""); got != nil {
 		t.Fatal("expected nil for empty query")
 	}
 }
 
 func TestResultsSortedAndCapped(t *testing.T) {
-	_, _, d := tinySetup(t)
-	results := d.Search("49ers")
+	_, c, r := tinySetup(t)
+	results := search(r, c, "49ers")
 	for i := 1; i < len(results); i++ {
 		if results[i-1].Score < results[i].Score {
 			t.Fatal("results not sorted by score")
 		}
 	}
-	if len(results) > d.Params().MaxResults {
-		t.Fatalf("got %d results, cap %d", len(results), d.Params().MaxResults)
+	if len(results) > r.Params().MaxResults {
+		t.Fatalf("got %d results, cap %d", len(results), r.Params().MaxResults)
 	}
 }
 
@@ -71,8 +88,8 @@ func TestThresholdMonotone(t *testing.T) {
 		p := DefaultParams()
 		p.MinZScore = z
 		p.MaxResults = 0
-		d := New(c, p)
-		n := len(d.Search("49ers"))
+		r := NewRanker(c.NumUsers(), p)
+		n := len(search(r, c, "49ers"))
 		if prev >= 0 && n > prev {
 			t.Fatalf("raising threshold to %v increased results %d -> %d", z, prev, n)
 		}
@@ -84,10 +101,10 @@ func TestThresholdMonotone(t *testing.T) {
 }
 
 func TestCandidatesIncludeMentionedUsers(t *testing.T) {
-	_, c, d := tinySetup(t)
+	_, c, r := tinySetup(t)
 	// Find a matched tweet with a mention; its mentioned user must be a
 	// candidate.
-	matched := c.Match("49ers")
+	matched := match(c, "49ers")
 	var mentioned world.UserID = -1
 	authors := map[world.UserID]bool{}
 	for _, tid := range matched {
@@ -106,7 +123,7 @@ func TestCandidatesIncludeMentionedUsers(t *testing.T) {
 	if mentioned < 0 {
 		t.Skip("no purely-mentioned user in tiny corpus")
 	}
-	cands := d.Candidates("49ers")
+	cands := candidates(r, c, "49ers")
 	found := false
 	for _, e := range cands {
 		if e.User == mentioned {
@@ -122,8 +139,8 @@ func TestCandidatesIncludeMentionedUsers(t *testing.T) {
 }
 
 func TestFeatureRanges(t *testing.T) {
-	_, _, d := tinySetup(t)
-	for _, e := range d.Candidates("49ers") {
+	_, c, r := tinySetup(t)
+	for _, e := range candidates(r, c, "49ers") {
 		if e.TS < 0 || e.TS > 1 {
 			t.Errorf("TS out of [0,1]: %v", e.TS)
 		}
@@ -186,10 +203,10 @@ func TestZScoresConstantVector(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	_, c, _ := tinySetup(t)
-	d1 := New(c, DefaultParams())
-	d2 := New(c, DefaultParams())
-	a := d1.Search("49ers")
-	b := d2.Search("49ers")
+	r1 := NewRanker(c.NumUsers(), DefaultParams())
+	r2 := NewRanker(c.NumUsers(), DefaultParams())
+	a := search(r1, c, "49ers")
+	b := search(r2, c, "49ers")
 	if len(a) != len(b) {
 		t.Fatalf("result counts differ: %d vs %d", len(a), len(b))
 	}
@@ -207,8 +224,8 @@ func TestWeightsAblateFeatures(t *testing.T) {
 	p.WeightTS = 1
 	p.MinZScore = -100
 	p.MaxResults = 0
-	d := New(c, p)
-	results := d.Search("49ers")
+	r := NewRanker(c.NumUsers(), p)
+	results := search(r, c, "49ers")
 	if len(results) == 0 {
 		t.Skip("no results")
 	}
@@ -247,8 +264,8 @@ func TestSpammersRankBelowExperts(t *testing.T) {
 	p := DefaultParams()
 	p.MaxResults = 0
 	p.MinZScore = -100
-	d := New(c, p)
-	results := d.Search("49ers")
+	r := NewRanker(c.NumUsers(), p)
+	results := search(r, c, "49ers")
 	if len(results) < 4 {
 		t.Skip("too few results")
 	}
@@ -273,17 +290,17 @@ func TestSpammersRankBelowExperts(t *testing.T) {
 }
 
 func BenchmarkSearch(b *testing.B) {
-	_, _, d := tinySetup(b)
+	_, c, r := tinySetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Search("49ers")
+		search(r, c, "49ers")
 	}
 }
 
 func TestExtendedParamsStillFindExperts(t *testing.T) {
 	w, c, _ := tinySetup(t)
-	det := New(c, ExtendedParams())
-	results := det.Search("49ers")
+	r := NewRanker(c.NumUsers(), ExtendedParams())
+	results := search(r, c, "49ers")
 	if len(results) == 0 {
 		t.Fatal("extended feature set found no experts")
 	}
@@ -303,7 +320,7 @@ func TestExtendedParamsStillFindExperts(t *testing.T) {
 	}
 	// Extended raw features populated.
 	anyGI := false
-	for _, e := range det.Candidates("49ers") {
+	for _, e := range candidates(r, c, "49ers") {
 		if e.GI > 0 {
 			anyGI = true
 		}
@@ -320,13 +337,12 @@ func TestExtendedParamsStillFindExperts(t *testing.T) {
 }
 
 func TestDefaultParamsSkipExtendedFeatures(t *testing.T) {
-	_, c, d := tinySetup(t)
-	for _, e := range d.Candidates("49ers") {
+	_, c, r := tinySetup(t)
+	for _, e := range candidates(r, c, "49ers") {
 		if e.GI != 0 || e.HT != 0 || e.AV != 0 {
 			t.Fatal("extended features computed despite zero weights")
 		}
 	}
-	_ = c
 }
 
 func TestLogFeaturesApproximatelyGaussian(t *testing.T) {
@@ -335,8 +351,8 @@ func TestLogFeaturesApproximatelyGaussian(t *testing.T) {
 	// distributions." Check our synthetic TS follows suit: the skewness
 	// of log TS over a large candidate pool should be far smaller than
 	// the skewness of raw TS.
-	_, c, d := tinySetup(t)
-	cands := d.Candidates("49ers")
+	_, c, r := tinySetup(t)
+	cands := candidates(r, c, "49ers")
 	if len(cands) < 10 {
 		t.Skip("too few candidates")
 	}
@@ -353,7 +369,6 @@ func TestLogFeaturesApproximatelyGaussian(t *testing.T) {
 	if sRaw, sLog := math.Abs(skewness(raw)), math.Abs(skewness(logged)); sLog > sRaw {
 		t.Errorf("log transform increased skewness: raw %.2f -> log %.2f", sRaw, sLog)
 	}
-	_ = c
 }
 
 func skewness(xs []float64) float64 {

@@ -120,16 +120,16 @@ func TestRankCappedEqualsFullSortTruncated(t *testing.T) {
 	capped.MaxResults = 5
 	uncapped := DefaultParams()
 	uncapped.MaxResults = 0
-	dc := New(corpus, capped)
-	du := New(corpus, uncapped)
+	dc := NewRanker(corpus.NumUsers(), capped)
+	du := NewRanker(corpus.NumUsers(), uncapped)
 	queries := []string{"49ers", "diabetes", "nfl", "coffee", "really", "zzz-none"}
 	for _, q := range queries {
-		full := du.Search(q)
+		full := search(du, corpus, q)
 		want := full
 		if len(want) > 5 {
 			want = want[:5]
 		}
-		got := dc.Search(q)
+		got := search(dc, corpus, q)
 		if len(got) != len(want) {
 			t.Fatalf("query %q: capped len %d, full-head len %d", q, len(got), len(want))
 		}
@@ -141,20 +141,20 @@ func TestRankCappedEqualsFullSortTruncated(t *testing.T) {
 	}
 }
 
-// TestCandidatesScratchReuse hammers CandidatesFromTweets repeatedly
+// TestCandidatesScratchReuse hammers Ranker.CandidatesFrom repeatedly
 // and interleaved to prove the pooled arena resets cleanly between
 // calls and produces identical candidates every time.
 func TestCandidatesScratchReuse(t *testing.T) {
 	corpus := microblog.Generate(world.Build(world.TinyConfig()), microblog.TinyGenConfig())
-	d := New(corpus, DefaultParams())
+	r := NewRanker(corpus.NumUsers(), DefaultParams())
 	queries := []string{"49ers", "diabetes", "coffee", "really"}
 	baseline := make(map[string][]Expert, len(queries))
 	for _, q := range queries {
-		baseline[q] = d.CandidatesFromTweets(corpus.Match(q))
+		baseline[q] = candidates(r, corpus, q)
 	}
 	for round := 0; round < 20; round++ {
 		for _, q := range queries {
-			got := d.CandidatesFromTweets(corpus.Match(q))
+			got := candidates(r, corpus, q)
 			want := baseline[q]
 			if len(got) != len(want) {
 				t.Fatalf("round %d query %q: %d candidates, want %d", round, q, len(got), len(want))

@@ -94,10 +94,10 @@ func TestFeaturesAreExactFractions(t *testing.T) {
 			}
 		}
 		r := NewRanker(len(w.Users), params)
-		expertsEqual(t, "one source", r.CandidatesFrom(c, c.Match("coffee")), want)
+		expertsEqual(t, "one source", r.CandidatesFrom(c, match(c, "coffee")), want)
 		var lists [][]RawCandidate
 		for _, s := range shards {
-			lists = append(lists, r.RawCandidatesInto(nil, s, s.(*microblog.Corpus).Match("coffee"), params.Extended()))
+			lists = append(lists, r.RawCandidatesInto(nil, s, match(s.(*microblog.Corpus), "coffee"), params.Extended()))
 		}
 		expertsEqual(t, "two sources", gather(r, nil, shards, lists...), want)
 	}
@@ -127,9 +127,9 @@ func TestRawMergePartitionedEqualsWhole(t *testing.T) {
 	for _, params := range []Params{DefaultParams(), ExtendedParams()} {
 		r := NewRanker(whole.NumUsers(), params)
 		for _, q := range rawTestQueries {
-			want := r.CandidatesFrom(whole, whole.Match(q))
-			raw0 := r.RawCandidatesInto(nil, shards[0], shards[0].Match(q), params.Extended())
-			raw1 := r.RawCandidatesInto(nil, shards[1], shards[1].Match(q), params.Extended())
+			want := r.CandidatesFrom(whole, match(whole, q))
+			raw0 := r.RawCandidatesInto(nil, shards[0], match(shards[0], q), params.Extended())
+			raw1 := r.RawCandidatesInto(nil, shards[1], match(shards[1], q), params.Extended())
 			got := gather(r, nil, []Source{shards[0], shards[1]}, raw0, raw1)
 			if len(want) == 0 {
 				if len(got) != 0 {
@@ -153,7 +153,7 @@ func TestRawCandidatesBufferReuse(t *testing.T) {
 	var cands []Expert
 	for i := 0; i < 3; i++ {
 		for _, q := range rawTestQueries {
-			matched := c.Match(q)
+			matched := match(c, q)
 			raw = r.RawCandidatesInto(raw, c, matched, false)
 			cands = gather(r, cands, []Source{c}, raw)
 			want := r.CandidatesFrom(c, matched)

@@ -15,7 +15,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/race"
 	"repro/internal/serve"
-	"repro/internal/shard"
 	"repro/internal/textutil"
 	"repro/internal/world"
 )
@@ -217,7 +216,7 @@ func TestColdMissAllocsOverDetector(t *testing.T) {
 		t.Skip("sync.Pool drops Puts under the race detector")
 	}
 	p, _ := testPipeline(t)
-	cluster := shard.New(p.Corpus, 2, ingest.Config{DisableCompactor: true})
+	cluster := localCluster(t, p, 2, ingest.Config{DisableCompactor: true})
 	t.Cleanup(func() { cluster.Close() })
 	live := core.NewShardedLiveDetectorOver(p.Collection, cluster, p.Cfg.Online)
 	scfg := serve.DefaultConfig()

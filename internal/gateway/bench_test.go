@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ingest"
 	"repro/internal/serve"
-	"repro/internal/shard"
 )
 
 // benchGateway builds the full warm stack once: 2-shard quiesced
@@ -23,7 +22,7 @@ func benchGateway(b *testing.B) (*core.ShardedLiveDetector, *serve.Server, *http
 	b.Helper()
 	p, sets := testPipeline(b)
 	posts := streamPosts(p, 83, 400)
-	cluster := shard.New(p.Corpus, 2, ingest.Config{SealThreshold: 32, CompactFanIn: 3})
+	cluster := localCluster(b, p, 2, ingest.Config{SealThreshold: 32, CompactFanIn: 3})
 	b.Cleanup(func() { cluster.Close() })
 	cluster.IngestBatch(posts)
 	cluster.Quiesce()

@@ -19,6 +19,7 @@ import (
 	"repro/internal/microblog"
 	"repro/internal/serve"
 	"repro/internal/shard"
+	"repro/internal/topology"
 	"repro/internal/transport"
 )
 
@@ -28,6 +29,17 @@ var (
 	pipeSets []eval.QuerySet
 	pipeErr  error
 )
+
+// localCluster is n in-process shards over p's base posts, built as
+// every topology is (topology.Build).
+func localCluster(t testing.TB, p *core.Pipeline, n int, icfg ingest.Config) *shard.Cluster {
+	t.Helper()
+	c, err := topology.InProcess(n, 1).Build(p.World, nil, p.Corpus.Tweets(), icfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
 
 func testPipeline(t testing.TB) (*core.Pipeline, []eval.QuerySet) {
 	t.Helper()

@@ -12,6 +12,7 @@ import (
 	"weak"
 
 	"repro/internal/microblog"
+	"repro/internal/textutil"
 	"repro/internal/world"
 )
 
@@ -21,7 +22,7 @@ import (
 func viewAnswers(s interface {
 	NumTweets() int
 	Scan(from, to int, fn func(*microblog.Tweet))
-	Match(query string) []microblog.TweetID
+	MatchTokensAppend(tokens []string, dst, local []microblog.TweetID) ([]microblog.TweetID, []microblog.TweetID)
 	Features(id microblog.TweetID, hashtag bool, scratch *[]world.UserID) (world.UserID, int, bool, []world.UserID)
 	StatsInto(dst []microblog.UserStats, users []world.UserID) []microblog.UserStats
 }, nu int) []string {
@@ -36,7 +37,8 @@ func viewAnswers(s interface {
 	})
 	slices.Sort(terms)
 	for _, tok := range slices.Compact(terms) {
-		out = append(out, fmt.Sprint(tok, s.Match(tok)))
+		ids, _ := s.MatchTokensAppend([]string{tok}, nil, nil)
+		out = append(out, fmt.Sprint(tok, ids))
 	}
 	users := make([]world.UserID, nu)
 	for u := range users {
@@ -53,6 +55,17 @@ func (c coldView) Scan(from, to int, fn func(*microblog.Tweet)) {
 	for i := range tws {
 		fn(&tws[i])
 	}
+}
+
+func (c coldView) MatchTokensAppend(tokens []string, dst, local []microblog.TweetID) ([]microblog.TweetID, []microblog.TweetID) {
+	return c.Index().MatchAppend(dst, tokens), local
+}
+
+// match is s's AND-match of query, tokenized as the detectors tokenize
+// a term.
+func match(s *Snapshot, query string) []microblog.TweetID {
+	out, _ := s.MatchTokensAppend(textutil.Tokenize(query), nil, nil)
+	return out
 }
 
 // TestIndexLetsGoOfItsBase pins that the index holds its base only as
@@ -90,7 +103,7 @@ func TestEmptyBase(t *testing.T) {
 	if n := idx.Base().NumTweets(); n != 0 {
 		t.Fatalf("empty base segment holds %d posts", n)
 	}
-	if got := idx.Snapshot().Match("49ers"); got != nil {
+	if got := match(idx.Snapshot(), "49ers"); len(got) != 0 {
 		t.Fatalf("an empty index matched %v", got)
 	}
 	posts := sealPosts(w, 1001, 300)

@@ -93,7 +93,7 @@ func TestDiskSnapshotPinning(t *testing.T) {
 		t.Fatalf("after first quiesce: %+v, want 1 disk segment", st)
 	}
 	old := idx.Snapshot()
-	oldMatch := append([]microblog.TweetID(nil), old.Match("49ers")...)
+	oldMatch := append([]microblog.TweetID(nil), match(old, "49ers")...)
 
 	idx.IngestBatch(posts[16:])
 	idx.Quiesce() // merges disk segment 1 + in-memory segment 2 straight to disk
@@ -105,7 +105,7 @@ func TestDiskSnapshotPinning(t *testing.T) {
 	// The old snapshot's segment left the layout, but the snapshot pins
 	// it: identical answers, file still present (alongside the merged
 	// segment's).
-	again := old.Match("49ers")
+	again := match(old, "49ers")
 	if len(again) != len(oldMatch) {
 		t.Fatalf("pinned snapshot match changed: %d vs %d ids", len(again), len(oldMatch))
 	}

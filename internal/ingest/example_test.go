@@ -23,15 +23,20 @@ func ExampleIndex_ingest() {
 	idx.Ingest(microblog.Post{Author: 1, Text: "go generics deep dive"})
 	idx.Ingest(microblog.Post{Author: 2, Text: "unrelated lunch post"})
 
+	// A match takes a tokenized term (textutil.Tokenize).
+	matches := func(s *ingest.Snapshot) int {
+		ids, _ := s.MatchTokensAppend([]string{"generics"}, nil, nil)
+		return len(ids)
+	}
 	snap := idx.Snapshot()
 	fmt.Println("tweets:", snap.NumTweets())
-	fmt.Println("matches:", len(snap.Match("generics")))
+	fmt.Println("matches:", matches(snap))
 	fmt.Println("epoch:", snap.Epoch())
 
 	// A snapshot is immutable: ingesting more does not change it, only
 	// later snapshots see the new post.
 	idx.Ingest(microblog.Post{Author: 1, Text: "generics part two"})
-	fmt.Println("old still:", len(snap.Match("generics")), "new:", len(idx.Snapshot().Match("generics")))
+	fmt.Println("old still:", matches(snap), "new:", matches(idx.Snapshot()))
 	// Output:
 	// tweets: 3
 	// matches: 2

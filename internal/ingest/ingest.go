@@ -340,29 +340,13 @@ func (i *Index) Base() *diskseg.Segment { return i.Snapshot().segs[0].Segment }
 // World returns the generating world.
 func (i *Index) World() *world.World { return i.w }
 
-// Ingest appends one post to the stream and publishes a fresh snapshot.
-// It returns the post's global tweet id. Safe for concurrent use. The
-// post's RetweetCount must lie in [0, diskseg.MaxRetweetCount] — every
-// post is sealed into that format, and the wire refuses any other; a
-// seal panics on one.
+// Ingest appends one post to the stream and publishes a fresh snapshot:
+// a batch of one. It returns the post's global tweet id. Safe for
+// concurrent use. The post's RetweetCount must lie in [0,
+// diskseg.MaxRetweetCount] — every post is sealed into that format, and
+// the wire refuses any other; a seal panics on one.
 func (i *Index) Ingest(p microblog.Post) microblog.TweetID {
-	var start time.Time
-	if i.obsIngestNS != nil {
-		start = time.Now()
-	}
-	tw := microblog.MakeTweet(p)
-	i.mu.Lock()
-	gid := i.activeStart + microblog.TweetID(len(i.active))
-	sealedNow := i.appendLocked(tw)
-	i.publishLocked()
-	i.mu.Unlock()
-	if sealedNow {
-		i.kickCompactor()
-	}
-	if i.obsIngestNS != nil {
-		i.obsIngestNS.Observe(time.Since(start).Nanoseconds())
-	}
-	return gid
+	return i.IngestBatch([]microblog.Post{p})
 }
 
 // IngestBatch ingests posts in order and returns the global id of the

@@ -13,8 +13,21 @@ import (
 	"repro/internal/expertise"
 	"repro/internal/ingest"
 	"repro/internal/microblog"
+	"repro/internal/textutil"
 	"repro/internal/world"
 )
+
+// match is s's AND-match of query, tokenized as the detectors tokenize
+// a term.
+func match(s *ingest.Snapshot, query string) []microblog.TweetID {
+	out, _ := s.MatchTokensAppend(textutil.Tokenize(query), nil, nil)
+	return out
+}
+
+// coldMatch is match over a frozen corpus.
+func coldMatch(c *microblog.Corpus, query string) []microblog.TweetID {
+	return c.Index().MatchAppend(nil, textutil.Tokenize(query))
+}
 
 var (
 	pipeOnce sync.Once
@@ -81,13 +94,13 @@ func TestSnapshotImmutableUnderWrites(t *testing.T) {
 	idx.IngestBatch(posts[:40])
 	old := idx.Snapshot()
 	oldTweets := old.NumTweets()
-	oldMatch := append([]microblog.TweetID(nil), old.Match("49ers")...)
+	oldMatch := append([]microblog.TweetID(nil), match(old, "49ers")...)
 
 	idx.IngestBatch(posts[40:])
 	if got := old.NumTweets(); got != oldTweets {
 		t.Fatalf("old snapshot grew from %d to %d tweets", oldTweets, got)
 	}
-	again := old.Match("49ers")
+	again := match(old, "49ers")
 	if len(again) != len(oldMatch) {
 		t.Fatalf("old snapshot match changed: %d vs %d ids", len(again), len(oldMatch))
 	}
@@ -174,7 +187,7 @@ func TestLateFirstQueryFrozenPrefix(t *testing.T) {
 			stats()
 		}
 		for tok := range tokens {
-			got, want := v.snap.Match(tok), cold.Match(tok)
+			got, want := match(v.snap, tok), coldMatch(cold, tok)
 			if !slices.Equal(got, want) {
 				t.Fatalf("view after %d posts, token %q: %d ids (last %v), cold rebuild has %d (last %v)",
 					v.n, tok, len(got), got[max(len(got)-3, 0):], len(want), want[max(len(want)-3, 0):])
@@ -413,7 +426,7 @@ func TestConcurrentIngestSearchCompaction(t *testing.T) {
 				}
 				a := lateAnswer{tweets: snap.NumTweets()}
 				for _, q := range queries {
-					a.matches = append(a.matches, snap.Match(q))
+					a.matches = append(a.matches, match(snap, q))
 				}
 				a.stats = snap.StatsInto(nil, userIDs(snap.NumUsers(), 1))
 				late[g] = append(late[g], a)
@@ -482,7 +495,7 @@ func TestConcurrentIngestSearchCompaction(t *testing.T) {
 		for _, a := range answers {
 			asked++
 			for qi, q := range queries {
-				want := coldCorpus.Match(q)
+				want := coldMatch(coldCorpus, q)
 				cut, _ := slices.BinarySearch(want, microblog.TweetID(a.tweets))
 				if !slices.Equal(a.matches[qi], want[:cut]) {
 					t.Fatalf("held view of %d tweets, %q: %d ids, the cold prefix has %d",

@@ -155,7 +155,7 @@ func TestSpillWritesTheSealedImage(t *testing.T) {
 		for id := 0; id < s.NumTweets(); id++ {
 			tw := microblog.MakeTweet(posts[id])
 			for _, tok := range tw.Terms {
-				a.matches = append(a.matches, s.Match(tok))
+				a.matches = append(a.matches, match(s, tok))
 			}
 			au, rt, ht, ms := s.Features(microblog.TweetID(id), true, &scratch)
 			a.features = append(a.features, fmt.Sprint(au, rt, ht, ms))

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/microblog"
-	"repro/internal/textutil"
 	"repro/internal/world"
 )
 
@@ -117,18 +116,6 @@ func (s *Snapshot) sealedStatsInto(dst []microblog.UserStats, users []world.User
 		}
 	}
 	return dst
-}
-
-// Match returns the global ids of all visible posts containing every
-// token of the query, sorted ascending; nil means no match. The result
-// is freshly allocated — hot paths tokenize into their own scratch and
-// call MatchTokensAppend.
-func (s *Snapshot) Match(query string) []microblog.TweetID {
-	out, _ := s.MatchTokensAppend(textutil.Tokenize(query), nil, nil)
-	if len(out) == 0 {
-		return nil
-	}
-	return out
 }
 
 // MatchTokensAppend is the zero-copy matcher of the live path: it

@@ -38,7 +38,7 @@ func corporaIdentical(t *testing.T, got, want *Corpus) {
 		}
 	}
 	for tok := range tokens {
-		g, w := got.Postings(tok), want.Postings(tok)
+		g, w := got.Index().Postings(tok), want.Index().Postings(tok)
 		if len(g) != len(w) {
 			t.Fatalf("postings %q: %d ids vs %d", tok, len(g), len(w))
 		}

@@ -18,7 +18,6 @@ package microblog
 import (
 	"strings"
 
-	"repro/internal/textutil"
 	"repro/internal/world"
 	"repro/internal/xrand"
 )
@@ -165,39 +164,6 @@ func (c *Corpus) StatsInto(dst []UserStats, users []world.UserID) []UserStats {
 	return dst
 }
 
-// Postings returns the index-owned posting list for a single token:
-// the ids of all posts containing it, sorted ascending. The returned
-// slice aliases the index — callers must treat it as read-only. A nil
-// result means the token occurs in no post.
-func (c *Corpus) Postings(token string) []TweetID { return c.index.Postings(token) }
-
-// Match returns the ids of all posts containing every token of the
-// query after lower-casing — the paper's default matching predicate.
-// Results are sorted ascending; nil means no match (or an empty query).
-// The returned slice is freshly allocated; allocation-sensitive callers
-// should use MatchAppend with a reused buffer instead.
-func (c *Corpus) Match(query string) []TweetID {
-	out := c.MatchAppend(query, nil)
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// MatchAppend is the zero-copy core of Match: it writes the matching
-// tweet ids into buf (reusing its capacity, discarding its contents)
-// and returns the filled buffer. It allocates only when buf is too
-// small to hold the result.
-func (c *Corpus) MatchAppend(query string, buf []TweetID) []TweetID {
-	return c.MatchTokensAppend(textutil.Tokenize(query), buf)
-}
-
-// MatchTokensAppend is MatchAppend over an already tokenized query, so
-// a caller matching one term against many segments tokenizes it once.
-func (c *Corpus) MatchTokensAppend(tokens []string, buf []TweetID) []TweetID {
-	return c.index.MatchAppend(buf, tokens)
-}
-
 // TermIndex is the term → posting-list index, its terms numbered in
 // the order they first arrive: a corpus (FromTweets) and the streaming
 // writer's tail (internal/ingest) build it post by post with Add, and a
@@ -277,8 +243,9 @@ func (x *TermIndex) AppendNumbers(dst []uint32, terms []string) []uint32 {
 	return dst
 }
 
-// Postings returns the posting list of tok (see Corpus.Postings:
-// read-only), nil when no post holds it.
+// Postings returns the posting list of tok — the ids of every post
+// holding it, ascending — nil when no post holds it. The slice is the
+// index's own: read-only.
 func (x *TermIndex) Postings(tok string) []TweetID {
 	if n, ok := x.number[tok]; ok {
 		return x.Terms[n].IDs
@@ -287,8 +254,11 @@ func (x *TermIndex) Postings(tok string) []TweetID {
 }
 
 // MatchAppend writes into buf (capacity reused, contents discarded)
-// the ids of the posts holding every one of tokens — the AND-match. No
-// tokens, or a token the index lacks, match nothing.
+// the ids of the posts holding every one of tokens — the AND-match, the
+// paper's default predicate over a query tokenized by
+// textutil.Tokenize. It is the only matcher of a corpus (Index) and of
+// the streaming writer's tail. No tokens, or a token the index lacks,
+// match nothing; it allocates only when buf is too small.
 func (x *TermIndex) MatchAppend(buf []TweetID, tokens []string) []TweetID {
 	var few [4][]TweetID // keeps the common short query off the heap
 	postings := few[:0]

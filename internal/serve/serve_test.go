@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/microblog"
 	"repro/internal/shard"
+	"repro/internal/topology"
 )
 
 var (
@@ -20,6 +22,17 @@ var (
 	pipe     *core.Pipeline
 	pipeErr  error
 )
+
+// localCluster is n in-process shards over p's base posts, built as
+// every topology is (topology.Build).
+func localCluster(t testing.TB, p *core.Pipeline, n int, icfg ingest.Config) *shard.Cluster {
+	t.Helper()
+	c, err := topology.InProcess(n, 1).Build(p.World, nil, p.Corpus.Tweets(), icfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
 
 func testPipeline(t testing.TB) *core.Pipeline {
 	t.Helper()
@@ -354,7 +367,7 @@ func TestEpochInvalidation(t *testing.T) {
 		t.Fatal("post-swap query served the pre-swap result")
 	}
 	s.Search("49ers") // re-cached under the new epoch
-	if st := s.Stats(); st.CacheHits != 2 || st.Epoch != 1 {
+	if st := s.Stats(); st.CacheHits != 2 || !slices.Equal(st.EpochVector, []uint64{1}) {
 		t.Fatalf("after re-cache: %+v", st)
 	}
 }
@@ -545,7 +558,7 @@ func TestVectorSingleflightColdMisses(t *testing.T) {
 // matches an uncached sharded search.
 func TestShardedServerInvalidatesOnIngest(t *testing.T) {
 	p := testPipeline(t)
-	r := shard.New(p.Corpus, 4, ingest.DefaultConfig())
+	r := localCluster(t, p, 4, ingest.DefaultConfig())
 	defer r.Close()
 	sharded := core.NewShardedLiveDetectorOver(p.Collection, r, p.Cfg.Online)
 	s := New(sharded, DefaultConfig())

@@ -24,7 +24,7 @@ import (
 // tiny pipeline with n posts already routed.
 func benchCluster(b *testing.B, shards, posts int) (*core.Pipeline, *shard.Cluster) {
 	p, _ := testPipeline(b)
-	r := shard.New(p.Corpus, shards, ingest.DefaultConfig())
+	r := localCluster(b, p, shards, ingest.DefaultConfig())
 	stream := microblog.NewPostStream(p.World, microblog.DefaultStreamConfig(11))
 	for i := 0; i < posts; i++ {
 		r.IngestBatch([]microblog.Post{stream.Next()})
@@ -59,7 +59,7 @@ func BenchmarkLiveSearchSharded8(b *testing.B) { benchShardedSearch(b, 8) }
 // path (tokenize, append, seal, publish).
 func BenchmarkShardedIngest(b *testing.B) {
 	p, _ := testPipeline(b)
-	r := shard.New(p.Corpus, 4, ingest.DefaultConfig())
+	r := localCluster(b, p, 4, ingest.DefaultConfig())
 	defer r.Close()
 	stream := microblog.NewPostStream(p.World, microblog.DefaultStreamConfig(13))
 	posts := make([]microblog.Post, 4096)
@@ -81,7 +81,7 @@ func BenchmarkEpochVectorSample(b *testing.B) {
 	for _, shards := range []int{1, 4, 8, 32} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			p, _ := testPipeline(b)
-			r := shard.New(p.Corpus, shards, ingest.DefaultConfig())
+			r := localCluster(b, p, shards, ingest.DefaultConfig())
 			defer r.Close()
 			buf := make([]uint64, 0, shards)
 			b.ResetTimer()

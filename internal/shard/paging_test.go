@@ -15,7 +15,7 @@ import (
 // pages nothing instead of indexing the snapshot at -1.
 func TestPagePostsNegativeCursorIsEmpty(t *testing.T) {
 	p, _ := testPipeline(t)
-	c := shard.New(p.Corpus, 1, ingest.Config{DisableCompactor: true})
+	c := localCluster(t, p, 1, ingest.Config{DisableCompactor: true})
 	defer c.Close()
 	local := c.Backend(0).(*shard.Local)
 	posts, total := local.PagePosts(-1, 16)

@@ -5,22 +5,21 @@
 // scoring pipeline by user.
 //
 // A Cluster is the shard set: an ordered list of Backends — in-process
-// Locals (New builds that topology over a base corpus), remote shards
-// behind internal/transport, replica sets, in any mix. It routes every
-// post to ShardOf(author, N) — a fixed avalanche hash of the author
-// id, stable across processes and restarts, so a given author's posts
-// always land on the same shard, in this process and the next one.
-// Author affinity
-// is the load-bearing property: a user's authored posts (and therefore
-// the TS and RI feature denominators, which count the user's own tweets
-// and the retweets they received) live entirely on one shard, so those
-// per-shard ranking inputs are exact, not approximate. Mention counts
-// are the exception — a post mentioning u lives on its author's shard —
-// which is why the scatter-gather read path
-// (core.ShardedLiveDetector) merges raw integer counters across shards
-// (expertise.MergeRawNumerators, then Ranker.FinalizeRaw) before the
-// single global ranking pass, keeping an N-shard query bit-identical to a
-// single-node one.
+// Locals, remote shards behind internal/transport, replica sets, in any
+// mix; internal/topology builds every one, the all-local set included.
+// It routes every post to ShardOf(author, N) — a fixed avalanche hash of
+// the author id, stable across processes and restarts, so a given
+// author's posts always land on the same shard, in this process and the
+// next one. Author affinity is the load-bearing property: a user's
+// authored posts (and therefore the TS and RI feature denominators,
+// which count the user's own tweets and the retweets they received) live
+// entirely on one shard, so those per-shard ranking inputs are exact,
+// not approximate. Mention counts are the exception — a post mentioning
+// u lives on its author's shard — which is why the scatter-gather read
+// path (core.ShardedLiveDetector) merges raw integer counters across
+// shards (expertise.MergeRawNumerators, then Ranker.FinalizeRaw) before
+// the single global ranking pass, keeping an N-shard query bit-identical
+// to a single-node one.
 //
 // Each shard is a full ingest.Index: its own segments, compactor and
 // epoch-tagged snapshots. The Cluster composes the per-shard epochs
@@ -57,8 +56,8 @@ func ShardOf(u world.UserID, n int) int {
 }
 
 // Partition returns the slice of base that shard i of n owns: exactly
-// the tweets whose author hashes to i. New partitions its base corpus
-// with it.
+// the tweets whose author hashes to i — what an in-process shard built
+// over base starts from (PartitionTweets).
 func Partition(base *microblog.Corpus, i, n int) *microblog.Corpus {
 	return PartitionTweets(base.World(), base.Tweets(), i, n)
 }
@@ -94,20 +93,4 @@ func ShardConfig(cfg ingest.Config, i int) ingest.Config {
 		cfg.SpillDir = filepath.Join(cfg.SpillDir, fmt.Sprintf("shard-%d", i))
 	}
 	return cfg
-}
-
-// New builds the all-local cluster: n (at least 1) streaming indexes
-// configured by cfg — shard i by ShardConfig(cfg, i) — each behind a
-// Local, with the frozen base corpus partitioned by author so shard i
-// starts from exactly the base tweets whose author hashes to i. The
-// union of the shards' content therefore always equals base plus
-// everything ingested — the invariant the bit-identical equivalence bar
-// is stated over. Close the cluster to stop the shards' compactors.
-func New(base *microblog.Corpus, n int, cfg ingest.Config) *Cluster {
-	n = max(n, 1)
-	backends := make([]Backend, n)
-	for i := range backends {
-		backends[i] = NewLocal(ingest.New(Partition(base, i, n), ShardConfig(cfg, i)))
-	}
-	return NewCluster(base.World(), backends...)
 }

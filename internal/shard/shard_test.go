@@ -14,6 +14,7 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/microblog"
 	"repro/internal/shard"
+	"repro/internal/topology"
 	"repro/internal/world"
 )
 
@@ -23,6 +24,17 @@ var (
 	pipeSets []eval.QuerySet
 	pipeErr  error
 )
+
+// localCluster is n in-process shards over p's base posts, built as
+// every topology is (topology.Build).
+func localCluster(t testing.TB, p *core.Pipeline, n int, icfg ingest.Config) *shard.Cluster {
+	t.Helper()
+	c, err := topology.InProcess(n, 1).Build(p.World, nil, p.Corpus.Tweets(), icfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
 
 func testPipeline(t testing.TB) (*core.Pipeline, []eval.QuerySet) {
 	t.Helper()
@@ -130,7 +142,7 @@ func TestShardOfStability(t *testing.T) {
 func TestClusterAuthorAffinity(t *testing.T) {
 	p, _ := testPipeline(t)
 	posts := streamPosts(p, 61, 300)
-	r := shard.New(p.Corpus, 4, ingest.Config{SealThreshold: 32, CompactFanIn: 3})
+	r := localCluster(t, p, 4, ingest.Config{SealThreshold: 32, CompactFanIn: 3})
 	defer r.Close()
 	if err := r.IngestBatch(posts); err != nil {
 		t.Fatal(err)
@@ -168,7 +180,7 @@ func TestClusterAuthorAffinity(t *testing.T) {
 func TestClusterShardsOwnTheirSpillDirs(t *testing.T) {
 	p, _ := testPipeline(t)
 	dir := t.TempDir()
-	c := shard.New(p.Corpus, 2, ingest.Config{SealThreshold: 16, CompactFanIn: 3, SpillDir: dir, SpillThreshold: 32})
+	c := localCluster(t, p, 2, ingest.Config{SealThreshold: 16, CompactFanIn: 3, SpillDir: dir, SpillThreshold: 32})
 	defer c.Close()
 	if err := c.IngestBatch(streamPosts(p, 71, 400)); err != nil {
 		t.Fatal(err)
@@ -210,7 +222,7 @@ func TestClusterShardsOwnTheirSpillDirs(t *testing.T) {
 // leaves every other component untouched.
 func TestEpochVectorSingleShardAdvance(t *testing.T) {
 	p, _ := testPipeline(t)
-	r := shard.New(p.Corpus, 4, ingest.DefaultConfig())
+	r := localCluster(t, p, 4, ingest.DefaultConfig())
 	defer r.Close()
 
 	before := epochVector(t, r)
@@ -236,7 +248,7 @@ func TestEpochVectorSingleShardAdvance(t *testing.T) {
 // a reused dst it allocates nothing.
 func TestEpochVectorAllLocalAllocFree(t *testing.T) {
 	p, _ := testPipeline(t)
-	r := shard.New(p.Corpus, 4, ingest.DefaultConfig())
+	r := localCluster(t, p, 4, ingest.DefaultConfig())
 	defer r.Close()
 	buf := make([]uint64, 0, 4)
 	if allocs := testing.AllocsPerRun(100, func() { buf, _ = r.EpochVector(buf) }); allocs != 0 {
@@ -250,7 +262,7 @@ func TestEpochVectorAllLocalAllocFree(t *testing.T) {
 // match a cold detector rebuilt from the shards' own final content.
 func TestConcurrentShardedIngestSearch(t *testing.T) {
 	p, _ := testPipeline(t)
-	r := shard.New(p.Corpus, 4, ingest.Config{SealThreshold: 16, CompactFanIn: 3})
+	r := localCluster(t, p, 4, ingest.Config{SealThreshold: 16, CompactFanIn: 3})
 	defer r.Close()
 	sharded := core.NewShardedLiveDetectorOver(p.Collection, r, p.Cfg.Online)
 	queries := []string{"49ers", "diabetes", "nfl", "dow futures", "coffee", "zzz-none"}
@@ -319,7 +331,7 @@ func (e errInvariant) Error() string { return string(e) }
 // still drains eligible merges synchronously.
 func TestClusterCloseQuiesceLifecycle(t *testing.T) {
 	p, _ := testPipeline(t)
-	r := shard.New(p.Corpus, 2, ingest.Config{SealThreshold: 8, CompactFanIn: 2})
+	r := localCluster(t, p, 2, ingest.Config{SealThreshold: 8, CompactFanIn: 2})
 	posts := streamPosts(p, 97, 100)
 	if err := r.IngestBatch(posts[:50]); err != nil {
 		t.Fatal(err)

@@ -123,7 +123,7 @@ func coldFor(t *testing.T, posts []microblog.Post) *core.Detector {
 	}
 	corpus := p.Corpus.ExtendedWith(posts)
 	cold := core.NewDetector(p.Collection, corpus, p.Cfg.Online)
-	requireReference(t, cold, corpus, sets)
+	requireReference(t, cold, corpus, p.Cfg.Online.Expertise, sets)
 	colds[key] = cold
 	return cold
 }
